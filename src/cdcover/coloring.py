@@ -8,10 +8,10 @@ relaxes (4): exactly one nonisolated vertex (the "bad vertex") has color
 degree 1, and that vertex has degree 2.
 
 A cut vertex of Type X is a degree-4 cut vertex whose four edges split as two
-monochromatic pairs into two different sides of the cut. In an even graph
-each side of a degree-4 cut vertex receives exactly two of its edges (an odd
-count would make one of them a bridge, and even graphs have none), so Type X
-detection reduces to a component-wise check.
+monochromatic pairs into two different sides of the cut. In an even graph a
+degree-4 cut vertex lies in exactly two blocks and has two of its edges in
+each (an odd count would make one of them a bridge, and even graphs have
+none), so Type X detection reads the pairs off one block decomposition.
 """
 from __future__ import annotations
 
@@ -20,7 +20,15 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable, Mapping
 
-from .graphs import Cycle, Edge, Graph, edge
+from .graphs import (
+    BlockDecomposition,
+    Cycle,
+    Edge,
+    Graph,
+    block_decomposition,
+    connected_components,
+    edge,
+)
 
 
 class ColoredGraphError(ValueError):
@@ -205,38 +213,48 @@ def triangles(g: Graph) -> list[tuple[int, int, int]]:
 
 
 def check_goodness(g: EdgeColoredGraph) -> GoodnessReport:
-    """Evaluate all six goodness conditions; failures are data, not errors."""
-    violations: list[Violation] = []
+    """Evaluate all six goodness conditions; failures are data, not errors.
 
+    Conditions 1-5 come from one sweep over the vertices: degree, the colors
+    at the vertex, and the triangles whose least vertex it is. Condition 6
+    takes one block decomposition. For the degrees a good graph allows, the
+    whole check is linear in the size of the graph.
+    """
+    adj = g.graph.adj
+    coloring = g.coloring
+    violations: list[Violation] = []
+    bad_candidates: list[int] = []
+    span: dict[int, int] = {}  # color -> number of vertices it touches
     even_ok = True
-    for v in range(g.n):
-        d = g.graph.degree(v)
+    for v, nbrs in enumerate(adj):
+        d = len(nbrs)
+        if not d:
+            continue
         if d % 2:
             violations.append(Violation(1, "vertex", v))
             even_ok = False
         if d > 4:
             violations.append(Violation(2, "vertex", v))
             even_ok = False
+        cols = [coloring[(v, w) if v < w else (w, v)] for w in nbrs]
+        distinct = set(cols)
+        for c in distinct:
+            span[c] = span.get(c, 0) + 1
+        if len(distinct) != 2:
+            if len(distinct) == 1 and d == 2:
+                bad_candidates.append(v)
+            else:
+                violations.append(Violation(4, "vertex", v))
+        for i, a in enumerate(nbrs):
+            if a < v:
+                continue
+            adj_a = adj[a]
+            for j in range(i + 1, d):
+                b = nbrs[j]
+                if b in adj_a and len({cols[i], cols[j], coloring[(a, b)]}) == 2:
+                    violations.append(Violation(3, "triangle", (v, a, b)))
 
-    for tri in triangles(g.graph):
-        u, v, w = tri
-        cols = {g.color(u, v), g.color(v, w), g.color(u, w)}
-        if len(cols) == 2:
-            violations.append(Violation(3, "triangle", tri))
-
-    bad_candidates: list[int] = []
-    for v in g.nonisolated:
-        cd = g.color_degree(v)
-        if cd == 2:
-            continue
-        if cd == 1 and g.graph.degree(v) == 2:
-            bad_candidates.append(v)
-        else:
-            violations.append(Violation(4, "vertex", v))
-
-    for c, cls in color_classes(g).items():
-        if len(cls.vertices) > 3:
-            violations.append(Violation(5, "color", c))
+    violations.extend(Violation(5, "color", c) for c, k in span.items() if k > 3)
 
     if even_ok:
         for v in find_type_x_vertices(g):
@@ -247,6 +265,7 @@ def check_goodness(g: EdgeColoredGraph) -> GoodnessReport:
         return GoodnessReport(GoodnessVerdict.ALMOST_GOOD, v,
                               (Violation(4, "vertex", v),))
     violations.extend(Violation(4, "vertex", v) for v in bad_candidates)
+    # every (condition, witness) occurs once, so this fixes the order
     violations.sort(key=lambda x: (x.condition, str(x.witness)))
     if violations:
         return GoodnessReport(GoodnessVerdict.NOT_GOOD, None, tuple(violations))
@@ -278,46 +297,55 @@ def _components_without(g: Graph, v: int, within: frozenset[int] | None = None) 
     return comps
 
 
-def find_type_x_vertices(g: EdgeColoredGraph) -> frozenset[int]:
-    """All cut vertices of Type X.
-
-    Requires all degrees even. A degree-4 cut vertex in an even graph has
-    exactly two components hanging off it, each taking two of its edges; it
-    is Type X when both pairs are monochromatic.
-    """
-    odd = [v for v in range(g.n) if g.graph.degree(v) % 2]
+def _require_even(g: EdgeColoredGraph) -> None:
+    odd = [v for v, nbrs in enumerate(g.graph.adj) if len(nbrs) % 2]
     if odd:
         raise ColoredGraphError(f"Type X detection requires an even graph; "
                                 f"odd-degree vertices {odd}")
-    comp_of: dict[int, int] = {}
-    for i, comp in enumerate(connected_nonisolated_components(g)):
-        for v in comp:
-            comp_of[v] = i
+
+
+def _type_x_from_blocks(g: EdgeColoredGraph, bd: BlockDecomposition) -> frozenset[int]:
+    """Type X cut vertices of an even graph, read off its block decomposition.
+
+    The edges of a cut vertex that fall in one block are exactly those that
+    reach one component of the graph minus the vertex, so each block at a
+    degree-4 cut vertex holds one of the pairs.
+    """
+    adj = g.graph.adj
     result = set()
-    for v in range(g.n):
-        if g.graph.degree(v) != 4:
+    for v in bd.cut_vertices:
+        nbrs = adj[v]
+        if len(nbrs) != 4:
             continue
-        within = frozenset(w for w in comp_of if comp_of[w] == comp_of[v])
-        comps = _components_without(g.graph, v, within)
-        if len(comps) < 2:
-            continue
+        at = bd.blocks_at(v)
         groups: dict[int, list[int]] = {}
-        for w in g.graph.adj[v]:
-            ci = next(i for i, c in enumerate(comps) if w in c)
-            groups.setdefault(ci, []).append(w)
+        for w in nbrs:
+            e = edge(v, w)
+            i = next(i for i in at if e in bd.blocks[i])
+            groups.setdefault(i, []).append(w)
         if len(groups) != 2 or any(len(ws) != 2 for ws in groups.values()):
             # cannot happen in an even graph; surface it rather than guess
             raise ColoredGraphError(
                 f"degree-4 cut vertex {v} splits {sorted(groups.values())} "
                 f"across components in an even graph")
-        if all(len({g.color(v, w) for w in ws}) == 1 for ws in groups.values()):
+        if all(g.color(v, a) == g.color(v, b) for a, b in groups.values()):
             result.add(v)
     return frozenset(result)
 
 
+def find_type_x_vertices(g: EdgeColoredGraph) -> frozenset[int]:
+    """All cut vertices of Type X.
+
+    Requires all degrees even. A degree-4 cut vertex of an even graph lies in
+    exactly two blocks with two of its edges in each; it is Type X when both
+    pairs are monochromatic. One block decomposition finds them all.
+    """
+    _require_even(g)
+    return _type_x_from_blocks(g, block_decomposition(g.graph))
+
+
 def connected_nonisolated_components(g: EdgeColoredGraph) -> list[frozenset[int]]:
     """Vertex sets of the edge-bearing connected components, by min vertex."""
-    from .graphs import connected_components
     return [c for c in connected_components(g.graph)
             if any(g.graph.degree(v) > 0 for v in c)]
 
@@ -399,13 +427,12 @@ class XBlockDecomposition:
 
 def x_block_decomposition(g: EdgeColoredGraph) -> XBlockDecomposition:
     """Unique decomposition of a connected even colored graph into x-blocks."""
-    from .graphs import block_decomposition
-
     comps = connected_nonisolated_components(g)
     if len(comps) != 1:
         raise ColoredGraphError("x-block decomposition requires a connected graph")
-    txv = find_type_x_vertices(g)
+    _require_even(g)
     bd = block_decomposition(g.graph)
+    txv = _type_x_from_blocks(g, bd)
     k = len(bd.blocks)
     parent = list(range(k))
 

@@ -1178,6 +1178,8 @@ def _apply_batch(comp: EdgeColoredGraph, rep: GoodnessReport,
 def _decompose_component(comp: EdgeColoredGraph, ctx: _Ctx) -> list[tuple[str, Cycle]]:
     out: list[tuple[str, Cycle]] = []
     cur = comp
+    # later reports come from the removal that produced each new graph
+    rep = check_goodness(cur)
     while cur.edges:
         parts = split_components(cur)
         if len(parts) > 1:
@@ -1185,7 +1187,6 @@ def _decompose_component(comp: EdgeColoredGraph, ctx: _Ctx) -> list[tuple[str, C
                 out.extend(_decompose_component(part, ctx))
             return out
         cur = parts[0]
-        rep = check_goodness(cur)
         if not rep.ok:
             raise _EngineFailure("Engine", cur,
                                  "graph lost goodness between steps", None, rep)

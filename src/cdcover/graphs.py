@@ -12,7 +12,7 @@ old -> new id map alongside the result.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 
 Edge = tuple[int, int]
@@ -130,13 +130,16 @@ class BlockDecomposition:
     blocks: tuple[frozenset[Edge], ...]
     cut_vertices: frozenset[int]
     block_tree: tuple[tuple[int, int, int], ...]
+    # vertex -> ascending indices of the blocks containing it; vertices in no
+    # block are absent
+    _blocks_by_vertex: dict[int, tuple[int, ...]] = field(repr=False, compare=False)
 
     def block_vertices(self, i: int) -> frozenset[int]:
         return frozenset(itertools.chain.from_iterable(self.blocks[i]))
 
     def blocks_at(self, v: int) -> tuple[int, ...]:
-        return tuple(i for i, b in enumerate(self.blocks)
-                     if any(v in e for e in b))
+        """Indices of the blocks containing v, ascending."""
+        return self._blocks_by_vertex.get(v, ())
 
 
 # ---------------------------------------------------------------------------
@@ -221,67 +224,89 @@ def block_decomposition(g: Graph) -> BlockDecomposition:
     """Unique partition of E into maximal 2-connected blocks plus cut vertices.
 
     Handles disconnected input (the block adjacency is then a forest); for
-    connected input it is a tree.
+    connected input it is a tree. Blocks are ordered by their least edge.
+    One lowpoint depth-first search (Tarjan 1972) pops each block together
+    with its vertex set, so the whole decomposition is O(V+E) apart from
+    ordering the blocks and the cut vertices.
     """
+    adj = g.adj
     disc = [-1] * g.n
     low = [0] * g.n
     timer = 0
     edge_stack: list[Edge] = []
-    raw_blocks: list[frozenset[Edge]] = []
+    vertex_stack: list[int] = []
+    raw_blocks: list[list[Edge]] = []
+    raw_vertices: list[list[int]] = []
     cut: set[int] = set()
 
     for root in range(g.n):
-        if disc[root] != -1 or g.degree(root) == 0:
+        if disc[root] != -1 or not adj[root]:
             continue
-        root_children = 0
-        stack = [(root, -1, iter(g.adj[root]))]
         disc[root] = low[root] = timer
         timer += 1
+        root_blocks = 0
+        stack = [(root, -1, iter(adj[root]))]
         while stack:
             v, parent, it = stack[-1]
-            advanced = False
             for w in it:
-                if disc[w] == -1:
-                    if v == root:
-                        root_children += 1
-                    edge_stack.append(edge(v, w))
+                dw = disc[w]
+                if dw == -1:
+                    edge_stack.append((v, w) if v < w else (w, v))
+                    vertex_stack.append(w)
                     disc[w] = low[w] = timer
                     timer += 1
-                    stack.append((w, v, iter(g.adj[w])))
-                    advanced = True
+                    stack.append((w, v, iter(adj[w])))
                     break
-                elif w != parent and disc[w] < disc[v]:
-                    edge_stack.append(edge(v, w))
-                    low[v] = min(low[v], disc[w])
-                elif w == parent:
-                    parent = -2
-                    stack[-1] = (v, parent, it)
-            if not advanced:
+                if dw < disc[v] and w != parent:  # back edge; graphs are simple
+                    edge_stack.append((v, w) if v < w else (w, v))
+                    if dw < low[v]:
+                        low[v] = dw
+            else:
                 stack.pop()
-                if stack:
-                    u = stack[-1][0]
-                    low[u] = min(low[u], low[v])
-                    if low[v] >= disc[u]:
-                        # u separates the subtree at v: pop one block
-                        blk = []
-                        while edge_stack:
-                            e = edge_stack.pop()
-                            blk.append(e)
-                            if e == edge(u, v):
-                                break
-                        raw_blocks.append(frozenset(blk))
-                        if u != root:
-                            cut.add(u)
-        if root_children >= 2:
+                if not stack:
+                    break
+                u = stack[-1][0]
+                if low[v] < low[u]:
+                    low[u] = low[v]
+                if low[v] >= disc[u]:
+                    # u separates the subtree at v: pop one block, whose
+                    # vertices are u and those discovered since v
+                    last = (u, v) if u < v else (v, u)
+                    blk: list[Edge] = []
+                    while True:
+                        e = edge_stack.pop()
+                        blk.append(e)
+                        if e == last:
+                            break
+                    verts = [u]
+                    while True:
+                        x = vertex_stack.pop()
+                        verts.append(x)
+                        if x == v:
+                            break
+                    raw_blocks.append(blk)
+                    raw_vertices.append(verts)
+                    if u == root:
+                        root_blocks += 1
+                    else:
+                        cut.add(u)
+        if root_blocks >= 2:
             cut.add(root)
 
-    blocks = tuple(sorted(raw_blocks, key=lambda b: sorted(b)))
+    # Blocks are edge-disjoint, so their least edges are distinct and order
+    # them exactly as their sorted edge lists would.
+    order = sorted(range(len(raw_blocks)), key=lambda i: min(raw_blocks[i]))
+    blocks = tuple(frozenset(raw_blocks[i]) for i in order)
+    at: dict[int, list[int]] = {}
+    for i, raw in enumerate(order):
+        for v in raw_vertices[raw]:
+            at.setdefault(v, []).append(i)
+    by_vertex = {v: tuple(idx) for v, idx in at.items()}
     tree: list[tuple[int, int, int]] = []
     for c in sorted(cut):
-        at_c = [i for i, b in enumerate(blocks) if any(c in e for e in b)]
-        hub = at_c[0]
-        tree.extend((hub, i, c) for i in at_c[1:])
-    return BlockDecomposition(blocks, frozenset(cut), tuple(tree))
+        hub, *rest = by_vertex[c]
+        tree.extend((hub, i, c) for i in rest)
+    return BlockDecomposition(blocks, frozenset(cut), tuple(tree), by_vertex)
 
 
 # ---------------------------------------------------------------------------

@@ -1,6 +1,7 @@
 import random
 
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from cdcover.coloring import (
     ColoredGraphError,
@@ -20,8 +21,10 @@ from cdcover.coloring import (
     split_components,
     x_block_decomposition,
 )
+from cdcover.decomposer import decompose
 from cdcover.graphs import Cycle
 from cdcover.linegraph import build_line_graph
+from cdcover.oracle import GeneratorConfig, random_cubic_bridgeless
 from graphsamples import (
     almost_good_c4,
     bridged_cubic_10,
@@ -238,6 +241,28 @@ def test_type_x_matches_pseudoblock_oracle():
              build_line_graph(bridged_cubic_10()).lg]
     for g in cases:
         assert set(find_type_x_vertices(g)) == type_x_by_pseudoblock_splits(g)
+
+
+@given(n=st.sampled_from(range(10, 21, 2)), seed=st.integers(0, 999),
+       data=st.data())
+@settings(max_examples=40, deadline=None)
+def test_goodness_and_type_x_match_oracles_on_engine_graphs(n, seed, data):
+    """The graphs the engine peels through: the line graph of a random cubic
+    bridgeless graph minus the first k cycles of its decomposition. They
+    carry many cut vertices, unlike the hand-built Type X samples."""
+    lg = build_line_graph(random_cubic_bridgeless(GeneratorConfig(n, seed))).lg
+    # a small fallback budget keeps every decomposition well under a second
+    trace = decompose(lg, fallback_max_len=8)
+    assume(trace.cycles is not None)
+    k = data.draw(st.integers(0, len(trace.steps)), label="k")
+    h = lg
+    for step in trace.steps[:k]:
+        h = h.remove_cycle(step.cycle)
+    assert set(find_type_x_vertices(h)) == type_x_by_pseudoblock_splits(h)
+    rep = check_goodness(h)
+    verdict, bad, violated = naive_goodness(h)
+    assert (rep.verdict.value, rep.bad_vertex) == (verdict, bad)
+    assert {v.condition for v in rep.violations} == violated
 
 
 def test_heredity_conditions_1_to_5_after_rainbow_removal():

@@ -120,6 +120,34 @@ def test_block_edges_partition():
     assert union == set(g.edges)
 
 
+def _blocks_at_by_scan(bd, v):
+    return tuple(i for i, b in enumerate(bd.blocks) if any(v in e for e in b))
+
+
+def _block_tree_by_scan(bd):
+    tree = []
+    for c in sorted(bd.cut_vertices):
+        at_c = _blocks_at_by_scan(bd, c)
+        tree.extend((at_c[0], i, c) for i in at_c[1:])
+    return tuple(tree)
+
+
+def test_block_index_matches_scan_at_shared_cut_vertex():
+    # three triangles meet at 0, a square hangs off 6, a path 9-10-11, and
+    # 12 is isolated
+    g = Graph.from_edges(13, [
+        (0, 1), (1, 2), (0, 2), (0, 3), (3, 4), (0, 4), (0, 5), (5, 6), (0, 6),
+        (6, 7), (7, 8), (8, 9), (6, 9), (9, 10), (10, 11)])
+    bd = block_decomposition(g)
+    assert bd.cut_vertices == frozenset({0, 6, 9, 10})
+    assert len(bd.blocks_at(0)) == 3
+    for v in range(g.n):
+        assert bd.blocks_at(v) == _blocks_at_by_scan(bd, v)
+    assert bd.blocks_at(12) == ()
+    assert bd.block_tree == _block_tree_by_scan(bd)
+    assert len(bd.block_tree) == len(bd.blocks) - 1
+
+
 def test_contract_edge_path():
     g = Graph.from_edges(3, [(0, 1), (1, 2)])
     h, vmap = contract_edge(g, (0, 1))
@@ -239,3 +267,6 @@ def test_block_partition_property(g):
     assert seen == set(g.edges)
     for c in bd.cut_vertices:
         assert len(bd.blocks_at(c)) >= 2
+    for v in range(g.n):
+        assert bd.blocks_at(v) == _blocks_at_by_scan(bd, v)
+    assert bd.block_tree == _block_tree_by_scan(bd)
