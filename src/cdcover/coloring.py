@@ -351,9 +351,16 @@ def connected_nonisolated_components(g: EdgeColoredGraph) -> list[frozenset[int]
 
 
 def split_components(g: EdgeColoredGraph) -> list[EdgeColoredGraph]:
-    """One colored graph per edge-bearing component (vertex ids preserved)."""
+    """One colored graph per edge-bearing component (vertex ids preserved).
+
+    A graph with a single edge-bearing component is returned itself, not
+    copied.
+    """
+    comps = connected_nonisolated_components(g)
+    if len(comps) == 1:
+        return [g]
     out = []
-    for comp in connected_nonisolated_components(g):
+    for comp in comps:
         keep = [e for e in g.edges if e[0] in comp]
         out.append(g.restrict_edges(keep))
     return out

@@ -17,14 +17,15 @@ graph, decompose it recursively, and lift the child's cycles back through
 the recorded transform. Every transform is inverted and compared against its
 parent before use, every removal is re-verified (rainbow typing plus the
 full goodness check of the remainder), and any failed verification falls
-back to an exhaustive search; if that also fails, the run ends in a
-serializable, replayable CaseFailure instead of an unverified answer.
+back to a shortest-first search for a safely removable cycle; if that also
+fails, the run ends in a serializable, replayable CaseFailure instead of an
+unverified answer.
 """
 from __future__ import annotations
 
 import sys
 from dataclasses import dataclass
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Iterable, Iterator, Sequence
 
 from .coloring import (
     EdgeColoredGraph,
@@ -44,7 +45,6 @@ from .coloring import (
 )
 from .graphs import Cycle, Edge, edge
 from .linegraph import ColoredLineGraph, project_cycle
-from .oracle import enumerate_cycles
 
 BASE_CYCLE = "BaseCycle"
 RAINBOW_TRIANGLE = "RainbowTriangle"
@@ -303,7 +303,8 @@ class CaseReduction:
     decomposition, in which case the engine keeps peeling the remainder).
     Cases that drive their own inner recursion (the Type X branch, which
     decomposes an x-block rather than the transform's child) supply `run`
-    instead, and the engine calls it directly.
+    instead, and the engine calls it directly. `report` is the child's
+    goodness report, which the case has already computed.
     """
 
     case: str
@@ -311,6 +312,7 @@ class CaseReduction:
     transform: Transform
     lift: Callable[[list[tuple[str, Cycle]]], list[tuple[str, Cycle]]] | None
     run: Callable[[], list[tuple[str, Cycle]]] | None = None
+    report: GoodnessReport | None = None
 
 
 @dataclass
@@ -531,7 +533,7 @@ def case1_1(g: EdgeColoredGraph, v: int) -> CaseReduction:
                    if x_child not in c)
         return out
 
-    return CaseReduction(tag, child, tf, lift)
+    return CaseReduction(tag, child, tf, lift, report=crep)
 
 
 def case1_2(g: EdgeColoredGraph, v: int) -> CaseReduction:
@@ -578,7 +580,7 @@ def case1_2(g: EdgeColoredGraph, v: int) -> CaseReduction:
                    if m_child not in c)
         return out
 
-    return CaseReduction(tag, child, tf, lift)
+    return CaseReduction(tag, child, tf, lift, report=crep)
 
 
 # ---------------------------------------------------------------------------
@@ -627,7 +629,7 @@ def case2_1(g: EdgeColoredGraph, path: Sequence[int]) -> CaseReduction:
                    if m_child not in c)
         return out
 
-    return CaseReduction(tag, child, tf, lift)
+    return CaseReduction(tag, child, tf, lift, report=crep)
 
 
 # ---------------------------------------------------------------------------
@@ -706,8 +708,9 @@ def normalize_case2_2(p: CasePattern) -> tuple[str, CasePattern]:
     return "disjoint", p
 
 
-def case2_2_1(g: EdgeColoredGraph, p: CasePattern,
-              decompose_child: Callable[[EdgeColoredGraph], list[tuple[str, Cycle]]],
+def case2_2_1(g: EdgeColoredGraph, rep: GoodnessReport, p: CasePattern,
+              decompose_child: Callable[[EdgeColoredGraph, GoodnessReport],
+                                        list[tuple[str, Cycle]]],
               ) -> CaseReduction:
     """Disjoint flanking neighborhoods: reroute v and merge the flanks.
 
@@ -717,7 +720,8 @@ def case2_2_1(g: EdgeColoredGraph, p: CasePattern,
     one-or-two meeting cycles recombine explicitly; if the child's only
     defect is a Type X cut vertex, the end x-block decomposes as an
     almost-good graph and one of its cycles through the merged vertex
-    detours through v (subcase b).
+    detours through v (subcase b). `rep` is g's goodness report, and
+    `decompose_child` takes a graph with its report.
     """
     tag = CASE_2_2_1A
     child, tf = _build_transform(
@@ -733,13 +737,13 @@ def case2_2_1(g: EdgeColoredGraph, p: CasePattern,
 
     if crep.verdict is GoodnessVerdict.GOOD:
         lift = _case2_2_1a_lift(g, p, child, to_parent, x_c, v_c, y1_c, y2_c)
-        return CaseReduction(CASE_2_2_1A, child, tf, lift)
+        return CaseReduction(CASE_2_2_1A, child, tf, lift, report=crep)
 
     only_type_x = (crep.verdict is GoodnessVerdict.NOT_GOOD
                    and all(viol.condition == 6 for viol in crep.violations))
     _require(only_type_x, tag,
              f"merged graph broken beyond Type X: {crep.to_json()['violations']}")
-    run = _case2_2_1b_run(g, p, child, tf, to_parent, x_c, v_c,
+    run = _case2_2_1b_run(g, rep, p, child, tf, to_parent, x_c, v_c,
                           decompose_child)
     return CaseReduction(CASE_2_2_1B, child, tf, None, run)
 
@@ -848,7 +852,7 @@ def _recombine_two_meeters(g, p, d1: Cycle, d2: Cycle, x_c: int, v_c: int,
     return [big, small]
 
 
-def _case2_2_1b_run(g, p, child, tf, to_parent, x_c, v_c, decompose_child):
+def _case2_2_1b_run(g, rep_g, p, child, tf, to_parent, x_c, v_c, decompose_child):
     tag = CASE_2_2_1B
 
     def run() -> list[tuple[str, Cycle]]:
@@ -886,14 +890,13 @@ def _case2_2_1b_run(g, p, child, tf, to_parent, x_c, v_c, decompose_child):
                  and g1rep.bad_vertex == sub_map[t_c], tag,
                  "end x-block is not almost-good at the joining vertex")
 
-        sub = decompose_child(sub_ecg)
+        sub = decompose_child(sub_ecg, g1rep)
         x_s, t_s = sub_map[x_c], sub_map[t_c]
         xcycles = [c for _, c in sub if x_s in c]
         _require(len(xcycles) == 2, tag,
                  f"expected 2 cycles through the merged vertex, got {len(xcycles)}")
         candidates = [c for c in xcycles if t_s not in c]
         _require(candidates, tag, "both x-cycles pass through the joining vertex")
-        rep_g = check_goodness(g)
         last = None
         for cand in candidates:
             rot = _rotate_to(cand.vertices, x_s)
@@ -917,11 +920,12 @@ def _case2_2_1b_run(g, p, child, tf, to_parent, x_c, v_c, decompose_child):
     return run
 
 
-def case2_2_2(g: EdgeColoredGraph, shape: str, p: CasePattern,
+def case2_2_2(g: EdgeColoredGraph, rep: GoodnessReport, shape: str, p: CasePattern,
               ) -> list[tuple[str, Cycle]] | CaseReduction:
-    """Overlapping flanking neighborhoods; dispatch on the overlap shape."""
+    """Overlapping flanking neighborhoods; dispatch on the overlap shape.
+    `rep` is g's goodness report."""
     if shape == "a":
-        return _case2_2_2a(g, p)
+        return _case2_2_2a(g, rep, p)
     if shape == "b":
         return _case2_2_2b(g, p)
     if shape == "c":
@@ -931,14 +935,13 @@ def case2_2_2(g: EdgeColoredGraph, shape: str, p: CasePattern,
     raise CaseVerificationError(CASE_2_2_2A, f"unknown overlap shape {shape!r}")
 
 
-def _case2_2_2a(g: EdgeColoredGraph, p: CasePattern):
+def _case2_2_2a(g: EdgeColoredGraph, rep: GoodnessReport, p: CasePattern):
     """Shared gamma/delta neighbor w: try the direct rectangle through w,
     else rewire both flanks away and recurse."""
     tag = CASE_2_2_2A
     w = p.w1
     _require(w == p.w2, tag, "shape a needs w1 == w2")
     direct = Cycle((p.x1, p.v, p.x2, w))
-    rep = check_goodness(g)
     problem, _, _ = _check_removal(g, rep, direct)
     if problem is None:
         return [(tag, direct)]
@@ -988,7 +991,7 @@ def _case2_2_2a(g: EdgeColoredGraph, p: CasePattern):
                    if y1_c not in c and v_c not in c)
         return out
 
-    return CaseReduction(tag, child, tf, lift)
+    return CaseReduction(tag, child, tf, lift, report=crep)
 
 
 def _case2_2_2b(g: EdgeColoredGraph, p: CasePattern) -> CaseReduction:
@@ -1023,7 +1026,7 @@ def _case2_2_2b(g: EdgeColoredGraph, p: CasePattern) -> CaseReduction:
                    if x_c not in c)
         return out
 
-    return CaseReduction(tag, child, tf, lift)
+    return CaseReduction(tag, child, tf, lift, report=crep)
 
 
 def _case2_2_2c(g: EdgeColoredGraph, p: CasePattern) -> CaseReduction:
@@ -1073,7 +1076,7 @@ def _case2_2_2c(g: EdgeColoredGraph, p: CasePattern) -> CaseReduction:
                    if x_c not in c)
         return out
 
-    return CaseReduction(tag, child, tf, lift)
+    return CaseReduction(tag, child, tf, lift, report=crep)
 
 
 def _case2_2_2d(g: EdgeColoredGraph, p: CasePattern) -> list[tuple[str, Cycle]]:
@@ -1096,15 +1099,76 @@ class FallbackResult:
     cycle: Cycle | None = None
 
 
+def _color_pruned_cycles(g: EdgeColoredGraph, length: int,
+                         spare: int | None) -> Iterator[Cycle]:
+    """Canonical cycles of exactly `length` vertices, in sorted order, that
+    repeat no color except at most one repeat of `spare`.
+
+    A path starts at its minimum vertex and its second vertex is kept smaller
+    than its last, so each cycle is met once, already in `Cycle` form. The
+    DFS takes start vertices and neighbors in ascending order, so equal-length
+    cycles come out sorted by their vertices. A path is dropped as soon as an
+    edge repeats a color it may not.
+    """
+    adj = g.graph.adj
+    coloring = g.coloring
+    for s in range(g.n):
+        path = [s]
+        on_path = {s}
+        used: set[int] = set()
+        # per path edge: the color it added to `used`, or None for the repeat
+        added: list[int | None] = []
+        spent = False  # the one repeat of `spare` is taken
+        frames = [iter(adj[s])]
+        while frames:
+            w = next(frames[-1], None)
+            v = path[-1]
+            if w is None:
+                frames.pop()
+                if added:
+                    path.pop()
+                    on_path.discard(v)
+                    c = added.pop()
+                    if c is None:
+                        spent = False
+                    else:
+                        used.discard(c)
+                continue
+            c = coloring[(v, w) if v < w else (w, v)]
+            repeat = c in used
+            if repeat and (c != spare or spent):
+                continue
+            if len(path) == length:
+                if w == s and path[1] < v:
+                    yield Cycle(tuple(path))
+                continue
+            if w < s or w in on_path:
+                continue
+            path.append(w)
+            on_path.add(w)
+            if repeat:
+                spent = True
+                added.append(None)
+            else:
+                used.add(c)
+                added.append(c)
+            frames.append(iter(adj[w]))
+
+
 def fallback_search(g: EdgeColoredGraph,
                     max_len: int | None = None) -> FallbackResult:
-    """Exhaustive hunt for one safely removable cycle, shortest first.
+    """Lazy hunt for one safely removable cycle, shortest first.
 
     On a good graph: a rainbow cycle whose removal stays good. On an
     almost-good graph: additionally an almost-rainbow cycle through the bad
-    vertex whose removal is good. Unbounded below 64 edges; above that a
-    length budget applies and exhausting it yields "indeterminate" rather
-    than "absent".
+    vertex whose removal is good. Lengths are tried one at a time from 3 up,
+    and the cycles of one length in order of their vertices, so the first
+    cycle accepted is the first in (length, vertices) order among all simple
+    cycles; nothing longer is generated. The DFS is pruned by color: a path
+    that repeats a color (on an almost-good graph, any color but the bad
+    vertex's, or that one twice) can only close into a cycle the removal
+    check rejects. Unbounded below 64 edges; above that a length budget
+    applies and exhausting it yields "indeterminate" rather than "absent".
     """
     rep = check_goodness(g)
     if not rep.ok:
@@ -1114,10 +1178,14 @@ def fallback_search(g: EdgeColoredGraph,
     longest = max(len(c) for c in connected_nonisolated_components(g))
     cap = max_len if max_len is not None else (longest if len(g.edges) < 64 else 24)
     truncated = cap < longest
-    for cyc in enumerate_cycles(g.graph, max_len=cap):
-        problem, _, _ = _check_removal(g, rep, cyc)
-        if problem is None:
-            return FallbackResult("found", cyc)
+    # the bad vertex has degree 2 and one color: the only color an
+    # almost-rainbow cycle may repeat
+    spare = None if rep.bad_vertex is None else g.colors_at(rep.bad_vertex)[0]
+    for length in range(3, min(cap, longest) + 1):
+        for cyc in _color_pruned_cycles(g, length, spare):
+            problem, _, _ = _check_removal(g, rep, cyc)
+            if problem is None:
+                return FallbackResult("found", cyc)
     return FallbackResult("indeterminate" if truncated else "absent")
 
 
@@ -1147,16 +1215,16 @@ def _dispatch(comp: EdgeColoredGraph, rep: GoodnessReport, ctx: _Ctx):
     pat = extract_case2_2_pattern(comp)
     shape, pat = normalize_case2_2(pat)
     if shape == "disjoint":
-        return case2_2_1(comp, pat,
-                         lambda child: _decompose_graph(child, ctx))
-    return case2_2_2(comp, shape, pat)
+        return case2_2_1(comp, rep, pat,
+                         lambda child, crep: _decompose_graph(child, ctx, crep))
+    return case2_2_2(comp, rep, shape, pat)
 
 
 def _run_step(comp: EdgeColoredGraph, step, ctx: _Ctx) -> list[tuple[str, Cycle]]:
     if isinstance(step, CaseReduction):
         if step.run is not None:
             return step.run()
-        sub = _decompose_graph(step.child, ctx)
+        sub = _decompose_graph(step.child, ctx, step.report)
         return step.lift(sub)
     return step
 
@@ -1175,18 +1243,24 @@ def _apply_batch(comp: EdgeColoredGraph, rep: GoodnessReport,
     return h, r, applied
 
 
-def _decompose_component(comp: EdgeColoredGraph, ctx: _Ctx) -> list[tuple[str, Cycle]]:
+def _decompose_graph(g: EdgeColoredGraph, ctx: _Ctx,
+                     rep: GoodnessReport | None = None) -> list[tuple[str, Cycle]]:
+    """Peel g down to nothing, one component at a time.
+
+    `rep`, when given, is g's goodness report; later reports come from the
+    removal that produced each new graph, and a component split off is
+    checked afresh.
+    """
     out: list[tuple[str, Cycle]] = []
-    cur = comp
-    # later reports come from the removal that produced each new graph
-    rep = check_goodness(cur)
+    cur = g
     while cur.edges:
         parts = split_components(cur)
         if len(parts) > 1:
             for part in parts:
-                out.extend(_decompose_component(part, ctx))
+                out.extend(_decompose_graph(part, ctx))
             return out
-        cur = parts[0]
+        if rep is None:
+            rep = check_goodness(cur)
         if not rep.ok:
             raise _EngineFailure("Engine", cur,
                                  "graph lost goodness between steps", None, rep)
@@ -1214,13 +1288,6 @@ def _decompose_component(comp: EdgeColoredGraph, ctx: _Ctx) -> list[tuple[str, C
             case, cur,
             f"case failed ({detail}); fallback search returned {fb.status}",
             failed_cycle, rep)
-    return out
-
-
-def _decompose_graph(g: EdgeColoredGraph, ctx: _Ctx) -> list[tuple[str, Cycle]]:
-    out: list[tuple[str, Cycle]] = []
-    for comp in split_components(g):
-        out.extend(_decompose_component(comp, ctx))
     return out
 
 
@@ -1268,7 +1335,7 @@ def decompose(g: EdgeColoredGraph,
     limit = sys.getrecursionlimit()
     sys.setrecursionlimit(max(limit, 4000 + 30 * (g.n + len(g.edges))))
     try:
-        tagged = _decompose_graph(g, ctx)
+        tagged = _decompose_graph(g, ctx, rep)
     except _EngineFailure as f:
         return DecompositionTrace(
             (), None,
@@ -1295,7 +1362,7 @@ def decompose_goddyn(clg: ColoredLineGraph, first: Cycle,
     if rep.verdict is not GoodnessVerdict.GOOD or not _all_type2(L):
         raise DecomposeError("line graph is not a good all-Type-II graph")
     proj = project_cycle(clg, first)
-    problem, h, _ = _check_removal(L, rep, proj)
+    problem, h, hrep = _check_removal(L, rep, proj)
     if problem is not None:
         return DecompositionTrace(
             (), None,
@@ -1305,7 +1372,7 @@ def decompose_goddyn(clg: ColoredLineGraph, first: Cycle,
     limit = sys.getrecursionlimit()
     sys.setrecursionlimit(max(limit, 4000 + 30 * (L.n + len(L.edges))))
     try:
-        tagged = [(ALL_TYPE_II, proj)] + _decompose_graph(h, ctx)
+        tagged = [(ALL_TYPE_II, proj)] + _decompose_graph(h, ctx, hrep)
     except _EngineFailure as f:
         return DecompositionTrace(
             (), None,

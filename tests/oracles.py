@@ -4,14 +4,22 @@ Everything here is written from the definitions, sharing no code with the
 package internals it cross-checks: a condition-by-condition goodness
 evaluator, Type X detection by enumerating pseudoblock splits, a rainbow
 cycle enumerator, and a small isomorphism tester for deduplicating sampled
-cubic graphs.
+cubic graphs. The one exception is `exhaustive_fallback`, which cross-checks
+the fallback's search order and pruning only, so it reuses the engine's
+removal check and takes its cycles from the brute-force oracle.
 """
 from __future__ import annotations
 
 import itertools
 
-from cdcover.coloring import EdgeColoredGraph
+from cdcover.coloring import (
+    EdgeColoredGraph,
+    check_goodness,
+    connected_nonisolated_components,
+)
+from cdcover.decomposer import FallbackResult, _check_removal
 from cdcover.graphs import Graph
+from cdcover.oracle import enumerate_cycles
 
 
 def _incident(g: EdgeColoredGraph) -> dict[int, list[tuple[int, int]]]:
@@ -149,6 +157,22 @@ def enumerate_rainbow_cycles(g: EdgeColoredGraph) -> list[tuple[int, ...]]:
                 elif w > s and w not in path:
                     stack.append((path + [w], cols | {c}))
     return sorted(out, key=lambda t: (len(t), t))
+
+
+def exhaustive_fallback(g: EdgeColoredGraph,
+                        max_len: int | None = None) -> FallbackResult:
+    """`fallback_search` by enumerating and sorting every cycle up to the cap
+    before testing any, with the same cap rule and statuses."""
+    rep = check_goodness(g)
+    if not g.edges:
+        return FallbackResult("absent")
+    longest = max(len(c) for c in connected_nonisolated_components(g))
+    cap = max_len if max_len is not None else (longest if len(g.edges) < 64 else 24)
+    for cyc in enumerate_cycles(g.graph, max_len=cap):
+        problem, _, _ = _check_removal(g, rep, cyc)
+        if problem is None:
+            return FallbackResult("found", cyc)
+    return FallbackResult("indeterminate" if cap < longest else "absent")
 
 
 def connected_ignoring_isolated(n: int, edges) -> bool:

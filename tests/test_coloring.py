@@ -285,6 +285,24 @@ def test_split_components():
     assert {len(p.edges) for p in parts} == {3}
 
 
+def test_split_components_returns_single_component_itself():
+    # vertex 3 is isolated, so one edge-bearing component
+    one = EdgeColoredGraph.from_triples(4, [(0, 1, 0), (1, 2, 1), (0, 2, 2)])
+    parts = split_components(one)
+    assert len(parts) == 1 and parts[0] is one
+    assert split_components(EdgeColoredGraph.from_triples(3, [])) == []
+
+    two = EdgeColoredGraph.from_triples(7, [(3, 4, 3), (4, 5, 4), (3, 5, 5),
+                                            (0, 1, 0), (1, 2, 1), (0, 2, 2)])
+    parts = split_components(two)
+    assert [p.n for p in parts] == [7, 7]
+    assert [dict(p.coloring) for p in parts] == [
+        {(0, 1): 0, (1, 2): 1, (0, 2): 2},
+        {(3, 4): 3, (4, 5): 4, (3, 5): 5},
+    ]
+    assert all(p is not two for p in parts)
+
+
 def test_colored_edge_list_roundtrip():
     g = case1_1_host()
     text = serialize_colored_edge_list(g)

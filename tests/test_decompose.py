@@ -1,11 +1,16 @@
+import ast
+import functools
 import json
 import random
+from pathlib import Path
 
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 import cdcover.decomposer as D
 from cdcover.coloring import (
     EdgeColoredGraph,
+    GoodnessReport,
     GoodnessVerdict,
     check_goodness,
     parse_colored_edge_list,
@@ -41,7 +46,11 @@ from graphsamples import (
     rainbow_c4,
     two_squares_type_x,
 )
-from oracles import connected_ignoring_isolated, enumerate_rainbow_cycles
+from oracles import (
+    connected_ignoring_isolated,
+    enumerate_rainbow_cycles,
+    exhaustive_fallback,
+)
 
 
 def _decomposed_ok(g, mode="Good"):
@@ -378,3 +387,86 @@ def test_goddyn_first_step_projection():
     first = Cycle((0, 1, 3, 2))
     tr = decompose_goddyn(clg, first)
     assert tr.steps[0].cycle == project_cycle(clg, first)
+
+
+# ---------------------------------------------------------------------------
+# fallback search against the exhaustive oracle
+
+
+@functools.cache
+def _dispatched_graphs() -> tuple[list[EdgeColoredGraph], list[EdgeColoredGraph]]:
+    """Good and almost-good graphs handed to `_dispatch` while decomposing
+    the line graphs of random cubic graphs with n = 10..16."""
+    seen: list[tuple[EdgeColoredGraph, GoodnessReport]] = []
+    real = D._dispatch
+
+    def record(comp, rep, ctx):
+        seen.append((comp, rep))
+        return real(comp, rep, ctx)
+
+    D._dispatch = record
+    try:
+        for n in (10, 12, 14, 16):
+            for seed in range(4):
+                lg = build_line_graph(random_cubic_bridgeless(GeneratorConfig(n, seed))).lg
+                assert decompose(lg).success
+    finally:
+        D._dispatch = real
+    good = [g for g, rep in seen if rep.verdict is GoodnessVerdict.GOOD]
+    almost = [g for g, rep in seen if rep.verdict is GoodnessVerdict.ALMOST_GOOD]
+    return good, almost
+
+
+def test_dispatched_graphs_include_almost_good():
+    good, almost = _dispatched_graphs()
+    assert len(good) > 500 and len(almost) > 30
+
+
+@settings(max_examples=200, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(st.data())
+def test_fallback_matches_exhaustive_oracle(data):
+    good, almost = _dispatched_graphs()
+    pool = almost if data.draw(st.booleans(), label="almost_good") else good
+    g = data.draw(st.sampled_from(pool), label="graph")
+    # the oracle enumerates every cycle before testing one, so the uncapped
+    # search is compared where that takes well under a second
+    caps = [3, 4, 6, 8] + ([None] if len(g.edges) <= 32 else [])
+    for k in caps:
+        assert fallback_search(g, max_len=k) == exhaustive_fallback(g, max_len=k), k
+
+
+def test_fallback_is_lazy(monkeypatch):
+    graphs = []
+    real = D.fallback_search
+    monkeypatch.setattr(D, "fallback_search",
+                        lambda g, max_len=None: graphs.append(g) or real(g, max_len))
+    lg = build_line_graph(random_cubic_bridgeless(GeneratorConfig(20, 8))).lg
+    assert decompose(lg).success
+    # this graph has 111,784 simple cycles; the first safe one has 4 vertices
+    g = graphs[0]
+    assert len(g.edges) == 44
+
+    lengths = []
+    real_gen = D._color_pruned_cycles
+
+    def counted(h, length, spare):
+        for c in real_gen(h, length, spare):
+            lengths.append(len(c))
+            yield c
+
+    monkeypatch.setattr(D, "_color_pruned_cycles", counted)
+    res = real(g)
+    assert res.status == "found" and len(res.cycle) == 4
+    assert lengths and max(lengths) <= len(res.cycle)
+
+
+def test_decomposer_does_not_import_the_oracle():
+    tree = ast.parse(Path(D.__file__).read_text())
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom):
+            assert "oracle" not in (node.module or "").split("."), ast.dump(node)
+            assert not (node.level and node.module is None
+                        and any(a.name == "oracle" for a in node.names))
+        elif isinstance(node, ast.Import):
+            assert not any("oracle" in a.name.split(".") for a in node.names)
