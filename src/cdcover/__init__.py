@@ -11,15 +11,12 @@ from .coloring import (
     EdgeColoredGraph,
     GoodnessReport,
     GoodnessVerdict,
-    VertexClass,
     check_goodness,
-    classify_vertex,
     color_classes,
     find_rainbow_triangle,
     find_type_x_vertices,
     longest_singular_path,
     parse_colored_edge_list,
-    pseudoblocks,
     serialize_colored_edge_list,
     x_block_decomposition,
 )
@@ -38,14 +35,12 @@ from .graphs import (
     GraphError,
     block_decomposition,
     connected_components,
-    contract_edge,
     find_bridges,
     is_cubic,
     parse_edge_list,
     parse_graph6,
     serialize_edge_list,
     serialize_graph6,
-    subdivide_edge,
 )
 from .linegraph import (
     ColoredLineGraph,
@@ -76,16 +71,13 @@ __all__ = [
     "GoodnessVerdict",
     "Graph",
     "GraphError",
-    "VertexClass",
     "block_decomposition",
     "brute_force_cdc",
     "brute_force_rainbow_decomposition",
     "build_line_graph",
     "check_goodness",
-    "classify_vertex",
     "color_classes",
     "connected_components",
-    "contract_edge",
     "cover_from_decomposition",
     "decompose",
     "decompose_goddyn",
@@ -102,13 +94,11 @@ __all__ = [
     "parse_edge_list",
     "parse_graph6",
     "project_cycle",
-    "pseudoblocks",
     "random_cubic_bridgeless",
     "replay_case_failure",
     "serialize_colored_edge_list",
     "serialize_edge_list",
     "serialize_graph6",
-    "subdivide_edge",
     "verify_cdc",
     "verify_is_almost_rainbow",
     "verify_rainbow_decomposition",

@@ -35,18 +35,6 @@ class ColoredGraphError(ValueError):
     """Malformed colored-graph input or an illegal operation."""
 
 
-class NotClassifiableError(ColoredGraphError):
-    """Vertex degree / color-degree combination outside the good taxonomy."""
-
-    def __init__(self, vertex: int, degree: int, color_degree: int):
-        self.vertex = vertex
-        self.degree = degree
-        self.color_degree = color_degree
-        super().__init__(
-            f"vertex {vertex} with degree {degree} and color degree "
-            f"{color_degree} is not Type I, Type II, bad, or isolated")
-
-
 @dataclass(frozen=True)
 class EdgeColoredGraph:
     """A graph plus a total edge coloring (dense integer color ids).
@@ -112,35 +100,9 @@ class EdgeColoredGraph:
         return EdgeColoredGraph(Graph(self.n, frozenset(kept)),
                                 {e: self.coloring[e] for e in kept})
 
-    def is_rainbow(self, c: Cycle) -> bool:
-        cols = [self.coloring[e] for e in c.edges]
-        return len(set(cols)) == len(cols)
-
     @cached_property
     def nonisolated(self) -> tuple[int, ...]:
         return tuple(v for v in range(self.n) if self.graph.degree(v) > 0)
-
-
-class VertexClass(enum.Enum):
-    TYPE_I = "TypeI"        # degree 2, two distinct colors
-    TYPE_II = "TypeII"      # degree 4, two colors twice each
-    BAD = "Bad"             # degree 2, one color (the almost-good exception)
-    ISOLATED = "Isolated"
-
-
-def classify_vertex(g: EdgeColoredGraph, v: int) -> VertexClass:
-    deg = g.graph.degree(v)
-    if deg == 0:
-        return VertexClass.ISOLATED
-    cols = g.colors_at(v)
-    cd = len(set(cols))
-    if deg == 2 and cd == 2:
-        return VertexClass.TYPE_I
-    if deg == 2 and cd == 1:
-        return VertexClass.BAD
-    if deg == 4 and cd == 2 and all(cols.count(c) == 2 for c in set(cols)):
-        return VertexClass.TYPE_II
-    raise NotClassifiableError(v, deg, cd)
 
 
 @dataclass(frozen=True)
@@ -276,27 +238,6 @@ def check_goodness(g: EdgeColoredGraph) -> GoodnessReport:
 # cut structure
 
 
-def _components_without(g: Graph, v: int, within: frozenset[int] | None = None) -> list[frozenset[int]]:
-    """Connected components of (the subgraph on `within`) minus vertex v."""
-    allowed = within if within is not None else frozenset(range(g.n))
-    seen = {v}
-    comps = []
-    for s in sorted(allowed):
-        if s in seen or g.degree(s) == 0:
-            continue
-        stack, comp = [s], []
-        seen.add(s)
-        while stack:
-            a = stack.pop()
-            comp.append(a)
-            for b in g.adj[a]:
-                if b not in seen and b in allowed:
-                    seen.add(b)
-                    stack.append(b)
-        comps.append(frozenset(comp))
-    return comps
-
-
 def _require_even(g: EdgeColoredGraph) -> None:
     odd = [v for v, nbrs in enumerate(g.graph.adj) if len(nbrs) % 2]
     if odd:
@@ -364,24 +305,6 @@ def split_components(g: EdgeColoredGraph) -> list[EdgeColoredGraph]:
         keep = [e for e in g.edges if e[0] in comp]
         out.append(g.restrict_edges(keep))
     return out
-
-
-def pseudoblocks(g: EdgeColoredGraph, v: int) -> tuple[frozenset[int], frozenset[int]]:
-    """Split the component of v into two edge-disjoint sides meeting only at v.
-
-    The side containing the lowest-numbered edge at v becomes the first set.
-    """
-    comp = next((c for c in connected_nonisolated_components(g) if v in c), None)
-    if comp is None:
-        raise ColoredGraphError(f"vertex {v} is isolated")
-    comps = _components_without(g.graph, v, comp)
-    if len(comps) < 2:
-        raise ColoredGraphError(f"vertex {v} is not a cut vertex")
-    lowest = min(edge(v, w) for w in g.graph.adj[v])
-    other = lowest[0] if lowest[1] == v else lowest[1]
-    first = next(c for c in comps if other in c)
-    rest = frozenset().union(*(c for c in comps if c is not first))
-    return (first | {v}, rest | {v})
 
 
 @dataclass(frozen=True)

@@ -12,18 +12,20 @@ dispatching on local structure:
   * otherwise a Type I vertex flanked by Type II vertices drives the
     Case2_2 family, splitting on how the flanking neighborhoods overlap.
 
-Reductions transform the component into a strictly smaller good colored
-graph, decompose it recursively, and lift the child's cycles back through
-the recorded transform. Every transform is inverted and compared against its
-parent before use, every removal is re-verified (rainbow typing plus the
-full goodness check of the remainder), and any failed verification falls
-back to a shortest-first search for a safely removable cycle; if that also
-fails, the run ends in a serializable, replayable CaseFailure instead of an
-unverified answer.
+Reductions transform the component into a strictly smaller good or
+almost-good colored graph and lift the child's cycles back through the
+recorded transform. The engine is one loop over an explicit stack of frames:
+a reduction's child is peeled on a frame above its waiting parent, so the
+depth of the reduction tree costs no Python recursion. Every transform is
+inverted and compared against its parent before use, every removal is
+re-verified (rainbow typing plus the full goodness check of the remainder),
+and any failed verification falls back to a shortest-first search for a
+safely removable cycle. If that also fails, the nearest waiting parent runs
+the search on its own graph, and so on outward; past the root the run ends
+in a serializable, replayable CaseFailure instead of an unverified answer.
 """
 from __future__ import annotations
 
-import sys
 from dataclasses import dataclass
 from typing import Callable, Iterable, Iterator, Sequence
 
@@ -298,26 +300,20 @@ class CasePattern:
 class CaseReduction:
     """A case's transform to a smaller graph plus its lift rule.
 
-    `lift` maps a full tagged decomposition of the child back to tagged
-    cycles of the parent (possibly consuming only part of the child's
-    decomposition, in which case the engine keeps peeling the remainder).
-    Cases that drive their own inner recursion (the Type X branch, which
-    decomposes an x-block rather than the transform's child) supply `run`
-    instead, and the engine calls it directly. `report` is the child's
-    goodness report, which the case has already computed.
+    The engine decomposes `child`, whose goodness report `report` the case
+    has already computed, and hands the tagged cycles to `lift`, which maps
+    them back to tagged cycles of the parent (possibly covering only part
+    of the parent, in which case the engine keeps peeling the remainder).
+    `transform` maps the parent to `child`, except in Case2_2_1b: there the
+    child is an end x-block of the merged graph, and `transform` is the
+    Subgraph transform from the merged graph to that block.
     """
 
     case: str
     child: EdgeColoredGraph
     transform: Transform
-    lift: Callable[[list[tuple[str, Cycle]]], list[tuple[str, Cycle]]] | None
-    run: Callable[[], list[tuple[str, Cycle]]] | None = None
-    report: GoodnessReport | None = None
-
-
-@dataclass
-class _Ctx:
-    fallback_max_len: int | None = None
+    lift: Callable[[list[tuple[str, Cycle]]], list[tuple[str, Cycle]]]
+    report: GoodnessReport
 
 
 # ---------------------------------------------------------------------------
@@ -709,8 +705,6 @@ def normalize_case2_2(p: CasePattern) -> tuple[str, CasePattern]:
 
 
 def case2_2_1(g: EdgeColoredGraph, rep: GoodnessReport, p: CasePattern,
-              decompose_child: Callable[[EdgeColoredGraph, GoodnessReport],
-                                        list[tuple[str, Cycle]]],
               ) -> CaseReduction:
     """Disjoint flanking neighborhoods: reroute v and merge the flanks.
 
@@ -718,10 +712,10 @@ def case2_2_1(g: EdgeColoredGraph, rep: GoodnessReport, p: CasePattern,
     to y1 and y2, and merge x1 with x2. If the child is good, child cycles
     avoiding both v and the merged vertex lift unchanged and the leftover
     one-or-two meeting cycles recombine explicitly; if the child's only
-    defect is a Type X cut vertex, the end x-block decomposes as an
-    almost-good graph and one of its cycles through the merged vertex
-    detours through v (subcase b). `rep` is g's goodness report, and
-    `decompose_child` takes a graph with its report.
+    defect is a Type X cut vertex, the reduction's child is instead the end
+    x-block of the merged graph, an almost-good graph, and one of its cycles
+    through the merged vertex detours through v (subcase b). `rep` is g's
+    goodness report.
     """
     tag = CASE_2_2_1A
     child, tf = _build_transform(
@@ -743,9 +737,7 @@ def case2_2_1(g: EdgeColoredGraph, rep: GoodnessReport, p: CasePattern,
                    and all(viol.condition == 6 for viol in crep.violations))
     _require(only_type_x, tag,
              f"merged graph broken beyond Type X: {crep.to_json()['violations']}")
-    run = _case2_2_1b_run(g, rep, p, child, tf, to_parent, x_c, v_c,
-                          decompose_child)
-    return CaseReduction(CASE_2_2_1B, child, tf, None, run)
+    return _case2_2_1b(g, rep, p, child, cmap, to_parent, x_c, v_c)
 
 
 def _case2_2_1a_lift(g, p, child, to_parent, x_c, v_c, y1_c, y2_c):
@@ -852,46 +844,45 @@ def _recombine_two_meeters(g, p, d1: Cycle, d2: Cycle, x_c: int, v_c: int,
     return [big, small]
 
 
-def _case2_2_1b_run(g, rep_g, p, child, tf, to_parent, x_c, v_c, decompose_child):
+def _case2_2_1b(g, rep_g, p, child, cmap, to_parent, x_c, v_c) -> CaseReduction:
+    """Reduce to the merged graph's end x-block at the merged vertex; lift by
+    detouring one of its cycles through the merged vertex via v."""
     tag = CASE_2_2_1B
+    txv = find_type_x_vertices(child)
+    _require(x_c not in txv, tag, "merged vertex became Type X")
+    xb = x_block_decomposition(child)
+    _require(xb.is_path(), tag, "x-block forest is not a path")
+    order = xb.path_order()
+    bx = xb.block_of(x_c)
+    _require(order[0] == bx or order[-1] == bx, tag,
+             "merged vertex not in an end x-block")
+    if order[0] != bx:
+        order = list(reversed(order))
+    bv = xb.block_of(v_c)
+    _require(order[-1] == bv and bv != bx, tag,
+             "v not in the opposite end x-block")
+    for u in (p.w1, p.z1, p.w2, p.z2):
+        _require(cmap[u] in xb.x_blocks[bx], tag, f"flank {u} outside end block")
+    for u in (p.y1, p.y2):
+        _require(cmap[u] in xb.x_blocks[bv], tag, f"{u} outside the v block")
+    t_c = next(c for i, j, c in xb.forest
+               if {i, j} == {order[0], order[1]})
 
-    def run() -> list[tuple[str, Cycle]]:
-        txv = find_type_x_vertices(child)
-        _require(x_c not in txv, tag, "merged vertex became Type X")
-        xb = x_block_decomposition(child)
-        _require(xb.is_path(), tag, "x-block forest is not a path")
-        order = xb.path_order()
-        bx = xb.block_of(x_c)
-        _require(order[0] == bx or order[-1] == bx, tag,
-                 "merged vertex not in an end x-block")
-        if order[0] != bx:
-            order = list(reversed(order))
-        bv = xb.block_of(v_c)
-        _require(order[-1] == bv and bv != bx, tag,
-                 "v not in the opposite end x-block")
-        cmap = tf.child_of()
-        for u in (p.w1, p.z1, p.w2, p.z2):
-            _require(cmap[u] in xb.x_blocks[bx], tag, f"flank {u} outside end block")
-        for u in (p.y1, p.y2):
-            _require(cmap[u] in xb.x_blocks[bv], tag, f"{u} outside the v block")
-        t_c = next(c for i, j, c in xb.forest
-                   if {i, j} == {order[0], order[1]})
+    g1set = xb.x_blocks[bx]
+    keep = [e for e in child.edges if e[0] in g1set and e[1] in g1set]
+    sub_ecg, sub_tf = _build_transform(
+        child, "Subgraph",
+        drop=[e for e in child.edges if e not in set(keep)],
+        delete=[u for u in range(child.n) if u not in g1set])
+    sub_map = sub_tf.child_of()
+    sub_back = sub_tf.to_parent()
+    g1rep = check_goodness(sub_ecg)
+    _require(g1rep.verdict is GoodnessVerdict.ALMOST_GOOD
+             and g1rep.bad_vertex == sub_map[t_c], tag,
+             "end x-block is not almost-good at the joining vertex")
+    x_s, t_s = sub_map[x_c], sub_map[t_c]
 
-        g1set = xb.x_blocks[bx]
-        keep = [e for e in child.edges if e[0] in g1set and e[1] in g1set]
-        sub_ecg, sub_tf = _build_transform(
-            child, "Subgraph",
-            drop=[e for e in child.edges if e not in set(keep)],
-            delete=[u for u in range(child.n) if u not in g1set])
-        sub_map = sub_tf.child_of()
-        sub_back = sub_tf.to_parent()
-        g1rep = check_goodness(sub_ecg)
-        _require(g1rep.verdict is GoodnessVerdict.ALMOST_GOOD
-                 and g1rep.bad_vertex == sub_map[t_c], tag,
-                 "end x-block is not almost-good at the joining vertex")
-
-        sub = decompose_child(sub_ecg, g1rep)
-        x_s, t_s = sub_map[x_c], sub_map[t_c]
+    def lift(sub: list[tuple[str, Cycle]]) -> list[tuple[str, Cycle]]:
         xcycles = [c for _, c in sub if x_s in c]
         _require(len(xcycles) == 2, tag,
                  f"expected 2 cycles through the merged vertex, got {len(xcycles)}")
@@ -917,27 +908,12 @@ def _case2_2_1b_run(g, rep_g, p, child, tf, to_parent, x_c, v_c, decompose_child
             last = problem
         raise CaseVerificationError(tag, f"detour cycle failed verification: {last}")
 
-    return run
-
-
-def case2_2_2(g: EdgeColoredGraph, rep: GoodnessReport, shape: str, p: CasePattern,
-              ) -> list[tuple[str, Cycle]] | CaseReduction:
-    """Overlapping flanking neighborhoods; dispatch on the overlap shape.
-    `rep` is g's goodness report."""
-    if shape == "a":
-        return _case2_2_2a(g, rep, p)
-    if shape == "b":
-        return _case2_2_2b(g, p)
-    if shape == "c":
-        return _case2_2_2c(g, p)
-    if shape == "d":
-        return _case2_2_2d(g, p)
-    raise CaseVerificationError(CASE_2_2_2A, f"unknown overlap shape {shape!r}")
+    return CaseReduction(tag, sub_ecg, sub_tf, lift, report=g1rep)
 
 
 def _case2_2_2a(g: EdgeColoredGraph, rep: GoodnessReport, p: CasePattern):
     """Shared gamma/delta neighbor w: try the direct rectangle through w,
-    else rewire both flanks away and recurse."""
+    else rewire both flanks away and reduce. `rep` is g's goodness report."""
     tag = CASE_2_2_2A
     w = p.w1
     _require(w == p.w2, tag, "shape a needs w1 == w2")
@@ -1193,7 +1169,7 @@ def fallback_search(g: EdgeColoredGraph,
 # the engine
 
 
-def _dispatch(comp: EdgeColoredGraph, rep: GoodnessReport, ctx: _Ctx):
+def _dispatch(comp: EdgeColoredGraph, rep: GoodnessReport):
     """Pick the applicable case; returns a direct batch or a CaseReduction."""
     base = _single_cycle(comp)
     if base is not None:
@@ -1215,18 +1191,10 @@ def _dispatch(comp: EdgeColoredGraph, rep: GoodnessReport, ctx: _Ctx):
     pat = extract_case2_2_pattern(comp)
     shape, pat = normalize_case2_2(pat)
     if shape == "disjoint":
-        return case2_2_1(comp, rep, pat,
-                         lambda child, crep: _decompose_graph(child, ctx, crep))
-    return case2_2_2(comp, rep, shape, pat)
-
-
-def _run_step(comp: EdgeColoredGraph, step, ctx: _Ctx) -> list[tuple[str, Cycle]]:
-    if isinstance(step, CaseReduction):
-        if step.run is not None:
-            return step.run()
-        sub = _decompose_graph(step.child, ctx, step.report)
-        return step.lift(sub)
-    return step
+        return case2_2_1(comp, rep, pat)
+    if shape == "a":
+        return _case2_2_2a(comp, rep, pat)
+    return {"b": _case2_2_2b, "c": _case2_2_2c, "d": _case2_2_2d}[shape](comp, pat)
 
 
 def _apply_batch(comp: EdgeColoredGraph, rep: GoodnessReport,
@@ -1243,52 +1211,85 @@ def _apply_batch(comp: EdgeColoredGraph, rep: GoodnessReport,
     return h, r, applied
 
 
-def _decompose_graph(g: EdgeColoredGraph, ctx: _Ctx,
-                     rep: GoodnessReport | None = None) -> list[tuple[str, Cycle]]:
-    """Peel g down to nothing, one component at a time.
+@dataclass
+class _Frame:
+    """A graph being peeled, its report (None until checked) and the list its
+    cycles go to; `pending` is a reduction waiting on its child's list."""
 
-    `rep`, when given, is g's goodness report; later reports come from the
-    removal that produced each new graph, and a component split off is
-    checked afresh.
-    """
-    out: list[tuple[str, Cycle]] = []
-    cur = g
-    while cur.edges:
-        parts = split_components(cur)
+    graph: EdgeColoredGraph
+    rep: GoodnessReport | None
+    out: list[tuple[str, Cycle]]
+    pending: tuple[CaseReduction, list[tuple[str, Cycle]]] | None = None
+
+
+def _advance(stack: list[_Frame]) -> None:
+    """Take one step on the top frame: finish it, split it into one frame
+    per component (in order, sharing its list), lift its child's cycles, or
+    dispatch, pushing a frame for a reduction's child."""
+    fr = stack[-1]
+    if fr.pending is not None:
+        red, sub = fr.pending
+        fr.pending = None
+        batch = red.lift(sub)
+    else:
+        if not fr.graph.edges:
+            stack.pop()
+            return
+        parts = split_components(fr.graph)
         if len(parts) > 1:
-            for part in parts:
-                out.extend(_decompose_graph(part, ctx))
-            return out
-        if rep is None:
-            rep = check_goodness(cur)
-        if not rep.ok:
-            raise _EngineFailure("Engine", cur,
-                                 "graph lost goodness between steps", None, rep)
-        try:
-            step = _dispatch(cur, rep, ctx)
-            batch = _run_step(cur, step, ctx)
-            if not batch:
-                raise CaseVerificationError("Engine", "case produced no cycles")
-            cur, rep, applied = _apply_batch(cur, rep, batch)
-            out.extend(applied)
-            continue
-        except (CaseVerificationError, _EngineFailure) as err:
-            case = err.case
-            detail = str(err)
-            failed_cycle = err.cycle
-        fb = fallback_search(cur, max_len=ctx.fallback_max_len)
+            stack.pop()
+            stack.extend(_Frame(part, None, fr.out) for part in reversed(parts))
+            return
+        if fr.rep is None:
+            fr.rep = check_goodness(fr.graph)
+        if not fr.rep.ok:
+            raise _EngineFailure("Engine", fr.graph,
+                                 "graph lost goodness between steps", None, fr.rep)
+        step = _dispatch(fr.graph, fr.rep)
+        if isinstance(step, CaseReduction):
+            fr.pending = (step, [])
+            stack.append(_Frame(step.child, step.report, fr.pending[1]))
+            return
+        batch = step
+    if not batch:
+        raise CaseVerificationError("Engine", "case produced no cycles")
+    fr.graph, fr.rep, applied = _apply_batch(fr.graph, fr.rep, batch)
+    fr.out.extend(applied)
+
+
+def _recover(stack: list[_Frame], err: CaseVerificationError | _EngineFailure,
+             fallback_max_len: int | None) -> None:
+    """Remove a fallback cycle where a step failed.
+
+    A CaseVerificationError is the top frame's own; an _EngineFailure
+    unwinds past the frames above the nearest frame waiting on a reduction,
+    which drops the reduction. The frame that takes the failure runs the
+    fallback on its own graph; if that fails too, its own failure unwinds in
+    turn, and past the root it ends the run.
+    """
+    while True:
+        if isinstance(err, _EngineFailure):
+            stack.pop()
+            while stack and stack[-1].pending is None:
+                stack.pop()
+            if not stack:
+                raise err
+            stack[-1].pending = None
+        fr = stack[-1]
+        detail = str(err)
+        fb = fallback_search(fr.graph, max_len=fallback_max_len)
         if fb.status == "found":
             try:
-                cur, rep, applied = _apply_batch(cur, rep, [(FALLBACK, fb.cycle)])
-                out.extend(applied)
-                continue
+                fr.graph, fr.rep, applied = _apply_batch(
+                    fr.graph, fr.rep, [(FALLBACK, fb.cycle)])
+                fr.out.extend(applied)
+                return
             except CaseVerificationError as err2:
                 detail = f"{detail}; fallback cycle failed too: {err2}"
-        raise _EngineFailure(
-            case, cur,
+        err = _EngineFailure(
+            err.case, fr.graph,
             f"case failed ({detail}); fallback search returned {fb.status}",
-            failed_cycle, rep)
-    return out
+            err.cycle, fr.rep)
 
 
 def _verified_trace(g: EdgeColoredGraph,
@@ -1317,6 +1318,27 @@ def _verified_trace(g: EdgeColoredGraph,
     return DecompositionTrace(tuple(steps), tuple(ordered), None)
 
 
+def _run(root: EdgeColoredGraph, g: EdgeColoredGraph, rep: GoodnessReport,
+         out: list[tuple[str, Cycle]],
+         fallback_max_len: int | None) -> DecompositionTrace:
+    """Peel g (with report `rep`) onto `out` in one loop over a stack of
+    frames, then replay `out` on `root`; a failure that unwinds past the
+    root becomes the trace's CaseFailure."""
+    stack = [_Frame(g, rep, out)]
+    try:
+        while stack:
+            try:
+                _advance(stack)
+            except (CaseVerificationError, _EngineFailure) as err:
+                _recover(stack, err, fallback_max_len)
+    except _EngineFailure as f:
+        return DecompositionTrace(
+            (), None,
+            CaseFailure(f.case, serialize_colored_edge_list(f.graph),
+                        f.message, f.cycle, f.report))
+    return _verified_trace(root, out)
+
+
 def decompose(g: EdgeColoredGraph,
               fallback_max_len: int | None = None) -> DecompositionTrace:
     """Decompose a good or almost-good colored graph into rainbow cycles.
@@ -1331,19 +1353,7 @@ def decompose(g: EdgeColoredGraph,
         raise DecomposeError(
             f"input is {rep.verdict.value}: "
             f"{[v.to_json() for v in rep.violations][:4]}")
-    ctx = _Ctx(fallback_max_len)
-    limit = sys.getrecursionlimit()
-    sys.setrecursionlimit(max(limit, 4000 + 30 * (g.n + len(g.edges))))
-    try:
-        tagged = _decompose_graph(g, ctx, rep)
-    except _EngineFailure as f:
-        return DecompositionTrace(
-            (), None,
-            CaseFailure(f.case, serialize_colored_edge_list(f.graph),
-                        f.message, f.cycle, f.report))
-    finally:
-        sys.setrecursionlimit(limit)
-    return _verified_trace(g, tagged)
+    return _run(g, g, rep, [], fallback_max_len)
 
 
 def decompose_goddyn(clg: ColoredLineGraph, first: Cycle,
@@ -1368,19 +1378,7 @@ def decompose_goddyn(clg: ColoredLineGraph, first: Cycle,
             (), None,
             CaseFailure(ALL_TYPE_II, serialize_colored_edge_list(L),
                         f"prescribed cycle removal failed: {problem}", proj, rep))
-    ctx = _Ctx(fallback_max_len)
-    limit = sys.getrecursionlimit()
-    sys.setrecursionlimit(max(limit, 4000 + 30 * (L.n + len(L.edges))))
-    try:
-        tagged = [(ALL_TYPE_II, proj)] + _decompose_graph(h, ctx, hrep)
-    except _EngineFailure as f:
-        return DecompositionTrace(
-            (), None,
-            CaseFailure(f.case, serialize_colored_edge_list(f.graph),
-                        f.message, f.cycle, f.report))
-    finally:
-        sys.setrecursionlimit(limit)
-    return _verified_trace(L, tagged)
+    return _run(L, h, hrep, [(ALL_TYPE_II, proj)], fallback_max_len)
 
 
 def replay_case_failure(failure: CaseFailure,

@@ -2,12 +2,10 @@
 
 Provides the plain graph value type, cycles in canonical form, parsing and
 serialization (graph6 and edge-list text), and the topological primitives the
-rest of the package is built on: connectivity, bridges, blocks, contraction,
-and subdivision.
+rest of the package is built on: connectivity, bridges and blocks.
 
 All values are immutable after construction; every operation returns new
-values, and any operation that renumbers vertices returns an explicit
-old -> new id map alongside the result.
+values.
 """
 from __future__ import annotations
 
@@ -109,10 +107,6 @@ class Cycle:
     def edges(self) -> tuple[Edge, ...]:
         vs = self.vertices
         return tuple(edge(vs[i], vs[(i + 1) % len(vs)]) for i in range(len(vs)))
-
-    @cached_property
-    def edge_set(self) -> frozenset[Edge]:
-        return frozenset(self.edges)
 
     def is_cycle_of(self, g: Graph) -> bool:
         return all(e in g.edges for e in self.edges)
@@ -307,54 +301,6 @@ def block_decomposition(g: Graph) -> BlockDecomposition:
         hub, *rest = by_vertex[c]
         tree.extend((hub, i, c) for i in rest)
     return BlockDecomposition(blocks, frozenset(cut), tuple(tree), by_vertex)
-
-
-# ---------------------------------------------------------------------------
-# transformations
-
-
-def _compact_map(n: int, removed: int) -> dict[int, int]:
-    """Old -> new ids after deleting one vertex, shifting higher ids down."""
-    return {v: (v if v < removed else v - 1) for v in range(n) if v != removed}
-
-
-def contract_edge(g: Graph, e: Edge) -> tuple[Graph, dict[int, int]]:
-    """Contract edge e, merging its endpoints into one vertex.
-
-    The merged vertex takes the slot of min(e); ids above max(e) shift down
-    by one. Returns (new graph, old->new vertex map); both endpoints of e map
-    to the merged id. Refuses to merge endpoints with a common neighbor,
-    since that would create a parallel edge.
-    """
-    u, v = edge(*e)
-    if (u, v) not in g.edges:
-        raise GraphError(f"edge {(u, v)} not in graph")
-    common = set(g.adj[u]) & set(g.adj[v])
-    if common:
-        w = min(common)
-        err = GraphError(
-            f"contracting {(u, v)} would create a parallel edge: "
-            f"triangle ({u}, {v}, {w})")
-        err.triangle = (u, v, w)  # type: ignore[attr-defined]
-        raise err
-    vmap = _compact_map(g.n, v)
-    vmap[v] = vmap[u]
-    new_edges = set()
-    for a, b in g.edges:
-        if (a, b) == (u, v):
-            continue
-        new_edges.add(edge(vmap[a], vmap[b]))
-    return Graph(g.n - 1, frozenset(new_edges)), vmap
-
-
-def subdivide_edge(g: Graph, e: Edge) -> tuple[Graph, int]:
-    """Replace edge e by a length-2 path through a fresh vertex (id = n)."""
-    u, v = edge(*e)
-    if (u, v) not in g.edges:
-        raise GraphError(f"edge {(u, v)} not in graph")
-    x = g.n
-    new_edges = (g.edges - {(u, v)}) | {edge(u, x), edge(v, x)}
-    return Graph(g.n + 1, new_edges), x
 
 
 # ---------------------------------------------------------------------------

@@ -109,7 +109,7 @@ def test_criterion_2_oracle_equivalence_up_to_10():
                      f"decompose and oracle agree on all ({took:.1f}s)")
 
 
-def test_criterion_3_defensive_fuzz_500():
+def test_criterion_3_defensive_fuzz_500(tmp_path):
     failures = []
     unverified = 0
     for i in range(500):
@@ -124,8 +124,7 @@ def test_criterion_3_defensive_fuzz_500():
             if not ok:
                 unverified += 1
         else:
-            FIXTURE_DIR.mkdir(parents=True, exist_ok=True)
-            artifact = FIXTURE_DIR / f"fuzz_{i:04d}.json"
+            artifact = tmp_path / f"fuzz_{i:04d}.json"
             artifact.write_text(json.dumps(trace.to_json(), indent=2,
                                            sort_keys=True))
             replay = replay_case_failure(trace.failure)
@@ -133,6 +132,9 @@ def test_criterion_3_defensive_fuzz_500():
     assert unverified == 0
     for _, _, _, replays_ok in failures:
         assert isinstance(replays_ok, bool)
+    # the committed artifact pins the failure JSON, nested message included
+    assert (tmp_path / "fuzz_0106.json").read_bytes() == \
+        (FIXTURE_DIR / "fuzz_0106.json").read_bytes()
     _report(3, True, f"500 runs: {500 - len(failures)} verified successes, "
                      f"{len(failures)} replayable case failures, "
                      f"0 unverified covers, 0 crashes")

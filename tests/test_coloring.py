@@ -7,16 +7,12 @@ from cdcover.coloring import (
     ColoredGraphError,
     EdgeColoredGraph,
     GoodnessVerdict,
-    NotClassifiableError,
-    VertexClass,
     check_goodness,
-    classify_vertex,
     color_classes,
     find_rainbow_triangle,
     find_type_x_vertices,
     longest_singular_path,
     parse_colored_edge_list,
-    pseudoblocks,
     serialize_colored_edge_list,
     split_components,
     x_block_decomposition,
@@ -57,23 +53,6 @@ def test_color_classes_mono_triangle():
     g = EdgeColoredGraph.from_triples(3, [(0, 1, 5), (1, 2, 5), (0, 2, 5)])
     classes = color_classes(g)
     assert len(classes) == 1 and len(classes[5].edges) == 3
-
-
-def test_classify_vertex():
-    g = rainbow_c4()
-    assert classify_vertex(g, 0) is VertexClass.TYPE_I
-    bad = almost_good_c4()
-    assert classify_vertex(bad, 0) is VertexClass.BAD
-    lg = build_line_graph(k4()).lg
-    assert classify_vertex(lg, 0) is VertexClass.TYPE_II
-    iso = EdgeColoredGraph.from_triples(3, [(0, 1, 0)])
-    assert classify_vertex(iso, 2) is VertexClass.ISOLATED
-
-
-def test_classify_vertex_not_classifiable():
-    g = EdgeColoredGraph.from_triples(5, [(0, 1, 0), (0, 2, 0), (0, 3, 0), (0, 4, 1)])
-    with pytest.raises(NotClassifiableError):
-        classify_vertex(g, 0)
 
 
 def test_goodness_line_graph_good():
@@ -125,19 +104,6 @@ def test_find_type_x_requires_even():
     g = EdgeColoredGraph.from_triples(3, [(0, 1, 0)])
     with pytest.raises(ColoredGraphError, match="even"):
         find_type_x_vertices(g)
-
-
-def test_pseudoblocks_split():
-    g = two_squares_type_x()
-    g1, g2 = pseudoblocks(g, 0)
-    assert g1 & g2 == {0}
-    assert g1 | g2 == set(range(7))
-    assert g1 == frozenset({0, 1, 2, 3})  # side of the lowest edge at 0
-
-
-def test_pseudoblocks_not_cut():
-    with pytest.raises(ColoredGraphError, match="cut"):
-        pseudoblocks(rainbow_c4(), 0)
 
 
 def test_x_block_single_when_no_type_x():

@@ -2,6 +2,7 @@ import ast
 import functools
 import json
 import random
+import sys
 from pathlib import Path
 
 import pytest
@@ -336,6 +337,54 @@ def test_case_failure_is_replayable(monkeypatch):
     assert healed.success
 
 
+def test_failure_unwinds_to_an_ancestor_fallback(monkeypatch):
+    """When a frame and its fallback fail, the failure unwinds to the nearest
+    frame waiting on a reduction, which falls back on its own graph. Here 17
+    fallbacks find nothing before an ancestor's finds a cycle."""
+    statuses = []
+    real = D.fallback_search
+
+    def traced(g, max_len=None):
+        res = real(g, max_len)
+        statuses.append(res.status)
+        return res
+
+    monkeypatch.setattr(D, "fallback_search", traced)
+    lg = build_line_graph(random_cubic_bridgeless(GeneratorConfig(42, 4))).lg
+    assert decompose(lg).success
+    assert statuses == ["found"] * 7 + ["absent"] * 17 + ["found"] * 2
+
+
+def test_engine_needs_no_deep_recursion(monkeypatch):
+    """The reduction tree of n=40 seed 1 is about 45 levels deep; the engine
+    peels it within 60 frames of its caller and never raises the limit."""
+    lg = build_line_graph(random_cubic_bridgeless(GeneratorConfig(40, 1))).lg
+    set_limit, old = sys.setrecursionlimit, sys.getrecursionlimit()
+
+    def refuse(limit):
+        raise AssertionError(f"recursion limit raised to {limit}")
+
+    depth, frame = 0, sys._getframe()
+    while frame is not None:
+        depth, frame = depth + 1, frame.f_back
+    monkeypatch.setattr(sys, "setrecursionlimit", refuse)
+    set_limit(depth + 60)
+    try:
+        tr = decompose(lg)
+    finally:
+        set_limit(old)
+    assert tr.success
+
+
+def test_decomposer_does_not_import_sys():
+    tree = ast.parse(Path(D.__file__).read_text())
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            assert not any(a.name.split(".")[0] == "sys" for a in node.names)
+        elif isinstance(node, ast.ImportFrom):
+            assert node.level or (node.module or "").split(".")[0] != "sys"
+
+
 def test_case_failure_graph_parses():
     g = case1_1_host()
     from cdcover.coloring import serialize_colored_edge_list
@@ -400,9 +449,9 @@ def _dispatched_graphs() -> tuple[list[EdgeColoredGraph], list[EdgeColoredGraph]
     seen: list[tuple[EdgeColoredGraph, GoodnessReport]] = []
     real = D._dispatch
 
-    def record(comp, rep, ctx):
+    def record(comp, rep):
         seen.append((comp, rep))
-        return real(comp, rep, ctx)
+        return real(comp, rep)
 
     D._dispatch = record
     try:

@@ -8,7 +8,6 @@ from cdcover.graphs import (
     GraphError,
     block_decomposition,
     connected_components,
-    contract_edge,
     edge,
     find_bridges,
     is_cubic,
@@ -16,7 +15,6 @@ from cdcover.graphs import (
     parse_graph6,
     serialize_edge_list,
     serialize_graph6,
-    subdivide_edge,
 )
 from graphsamples import k4, k33, petersen, prism
 
@@ -146,45 +144,6 @@ def test_block_index_matches_scan_at_shared_cut_vertex():
     assert bd.blocks_at(12) == ()
     assert bd.block_tree == _block_tree_by_scan(bd)
     assert len(bd.block_tree) == len(bd.blocks) - 1
-
-
-def test_contract_edge_path():
-    g = Graph.from_edges(3, [(0, 1), (1, 2)])
-    h, vmap = contract_edge(g, (0, 1))
-    assert h.n == 2 and h.m == 1
-    assert vmap[0] == vmap[1]
-
-
-def test_contract_edge_k4_refuses():
-    with pytest.raises(GraphError, match="triangle"):
-        contract_edge(k4(), (0, 1))
-
-
-def test_contract_c4_gives_triangle():
-    c4 = Graph.from_edges(4, [(0, 1), (1, 2), (2, 3), (0, 3)])
-    h, _ = contract_edge(c4, (0, 1))
-    assert h.n == 3 and h.m == 3
-
-
-def test_subdivide_triangle_gives_c4():
-    tri = Graph.from_edges(3, [(0, 1), (1, 2), (0, 2)])
-    h, x = subdivide_edge(tri, (0, 1))
-    assert h.n == 4 and h.m == 4 and x == 3
-    assert h.degree(3) == 2
-
-
-def test_subdivide_k4_degrees():
-    h, x = subdivide_edge(k4(), (0, 1))
-    assert h.degree(x) == 2
-    assert sorted(h.degree(v) for v in range(4)) == [3, 3, 3, 3]
-
-
-def test_subdivide_then_contract_inverse():
-    g = petersen()
-    h, x = subdivide_edge(g, (0, 1))
-    back, vmap = contract_edge(h, (0, x))
-    assert back.n == g.n
-    assert {edge(vmap[a], vmap[b]) for a, b in h.edges if (a, b) != (0, x)} == g.edges
 
 
 def test_cycle_canonical_forms():
