@@ -9,9 +9,18 @@ degree 1, and that vertex has degree 2.
 
 A cut vertex of Type X is a degree-4 cut vertex whose four edges split as two
 monochromatic pairs into two different sides of the cut. In an even graph a
-degree-4 cut vertex lies in exactly two blocks and has two of its edges in
-each (an odd count would make one of them a bridge, and even graphs have
-none), so Type X detection reads the pairs off one block decomposition.
+degree-4 cut vertex has two of its edges on each side (an odd count would
+make one of them a bridge, and even graphs have none). One lowpoint
+depth-first search (Tarjan 1972) finds the sides: a vertex u separates the
+DFS subtree of its child c when no edge leaves that subtree for a proper
+ancestor of u, and u's neighbors on that side are exactly those discovered
+inside c's subtree, a contiguous range of discovery times.
+
+Conditions 1, 2, 3 and 5 are hereditary under removing a cycle C: degrees
+fall by 2 at the vertices of C and stay even and at most 4, and triangles
+and the vertex spans of color classes only shrink. So the remainder of a
+good or almost-good graph needs condition 4 re-checked only at the vertices
+of C, and condition 6 from one DFS; `check_goodness(g, after=...)` does that.
 """
 from __future__ import annotations
 
@@ -21,7 +30,6 @@ from functools import cached_property
 from typing import Iterable, Mapping
 
 from .graphs import (
-    BlockDecomposition,
     Cycle,
     Edge,
     Graph,
@@ -80,17 +88,9 @@ class EdgeColoredGraph:
     def color_degree(self, v: int) -> int:
         return len(set(self.colors_at(v)))
 
-    def remove_edges(self, drop: Iterable[Edge]) -> "EdgeColoredGraph":
-        gone = {edge(*e) for e in drop}
-        absent = gone - self.graph.edges
-        if absent:
-            raise ColoredGraphError(f"cannot remove absent edges {sorted(absent)}")
-        keep = self.graph.edges - gone
-        return EdgeColoredGraph(Graph(self.n, keep),
-                                {e: self.coloring[e] for e in keep})
-
     def remove_cycle(self, c: Cycle) -> "EdgeColoredGraph":
-        return self.remove_edges(c.edges)
+        graph = self.graph.remove_cycle(c)
+        return EdgeColoredGraph(graph, {e: self.coloring[e] for e in graph.edges})
 
     def restrict_edges(self, keep: Iterable[Edge]) -> "EdgeColoredGraph":
         kept = {edge(*e) for e in keep}
@@ -174,14 +174,28 @@ def triangles(g: Graph) -> list[tuple[int, int, int]]:
     return sorted(out)
 
 
-def check_goodness(g: EdgeColoredGraph) -> GoodnessReport:
+def check_goodness(g: EdgeColoredGraph,
+                   after: tuple[EdgeColoredGraph, GoodnessReport, Cycle] | None = None,
+                   ) -> GoodnessReport:
     """Evaluate all six goodness conditions; failures are data, not errors.
 
     Conditions 1-5 come from one sweep over the vertices: degree, the colors
     at the vertex, and the triangles whose least vertex it is. Condition 6
-    takes one block decomposition. For the degrees a good graph allows, the
-    whole check is linear in the size of the graph.
+    takes one lowpoint DFS. For the degrees a good graph allows, the whole
+    check is linear in the size of the graph.
+
+    `after=(parent, parent_report, cycle)` states that g is parent minus the
+    edges of cycle and that parent_report is parent's report. When that
+    report is good or almost-good, conditions 1, 2, 3 and 5 still hold (see
+    the module docstring), so only condition 4 at the cycle's vertices and
+    condition 6 are checked. A not-good outcome, or a not-good parent, is
+    left to the full sweep, so the report is always the one the full sweep
+    gives.
     """
+    if after is not None:
+        rep = _good_after_removal(g, *after)
+        if rep is not None:
+            return rep
     adj = g.graph.adj
     coloring = g.coloring
     violations: list[Violation] = []
@@ -234,6 +248,36 @@ def check_goodness(g: EdgeColoredGraph) -> GoodnessReport:
     return GoodnessReport(GoodnessVerdict.GOOD, None, ())
 
 
+def _good_after_removal(g: EdgeColoredGraph, parent: EdgeColoredGraph,
+                        prep: GoodnessReport, c: Cycle) -> GoodnessReport | None:
+    """g's report when g = parent - c is good or almost-good, else None.
+
+    Costs O(|C|) plus one Type X search. None (the full sweep decides) when
+    parent is not good or almost-good, or when g is not.
+    """
+    if not prep.ok:
+        return None
+    if g.n != parent.n or len(g.edges) != len(parent.edges) - len(c):
+        raise ColoredGraphError(f"graph is not its parent minus cycle {c.vertices}")
+    adj = g.graph.adj
+    coloring = g.coloring
+    # off the cycle nothing changed, so the parent's bad vertex stays bad
+    bad = [] if prep.bad_vertex is None or prep.bad_vertex in c else [prep.bad_vertex]
+    for v in c.vertices:
+        nbrs = adj[v]
+        # degree 4 fell to 2 or degree 2 to 0; two edges, one or two colors
+        if nbrs:
+            a, b = nbrs
+            if coloring[edge(v, a)] == coloring[edge(v, b)]:
+                bad.append(v)
+    if len(bad) > 1 or find_type_x_vertices(g):
+        return None
+    if bad:
+        return GoodnessReport(GoodnessVerdict.ALMOST_GOOD, bad[0],
+                              (Violation(4, "vertex", bad[0]),))
+    return GoodnessReport(GoodnessVerdict.GOOD, None, ())
+
+
 # ---------------------------------------------------------------------------
 # cut structure
 
@@ -245,44 +289,70 @@ def _require_even(g: EdgeColoredGraph) -> None:
                                 f"odd-degree vertices {odd}")
 
 
-def _type_x_from_blocks(g: EdgeColoredGraph, bd: BlockDecomposition) -> frozenset[int]:
-    """Type X cut vertices of an even graph, read off its block decomposition.
-
-    The edges of a cut vertex that fall in one block are exactly those that
-    reach one component of the graph minus the vertex, so each block at a
-    degree-4 cut vertex holds one of the pairs.
-    """
-    adj = g.graph.adj
-    result = set()
-    for v in bd.cut_vertices:
-        nbrs = adj[v]
-        if len(nbrs) != 4:
-            continue
-        at = bd.blocks_at(v)
-        groups: dict[int, list[int]] = {}
-        for w in nbrs:
-            e = edge(v, w)
-            i = next(i for i in at if e in bd.blocks[i])
-            groups.setdefault(i, []).append(w)
-        if len(groups) != 2 or any(len(ws) != 2 for ws in groups.values()):
-            # cannot happen in an even graph; surface it rather than guess
-            raise ColoredGraphError(
-                f"degree-4 cut vertex {v} splits {sorted(groups.values())} "
-                f"across components in an even graph")
-        if all(g.color(v, a) == g.color(v, b) for a, b in groups.values()):
-            result.add(v)
-    return frozenset(result)
-
-
 def find_type_x_vertices(g: EdgeColoredGraph) -> frozenset[int]:
     """All cut vertices of Type X.
 
-    Requires all degrees even. A degree-4 cut vertex of an even graph lies in
-    exactly two blocks with two of its edges in each; it is Type X when both
-    pairs are monochromatic. One block decomposition finds them all.
+    Requires all degrees even. One lowpoint DFS records, for each degree-4
+    vertex u, the children c whose subtrees u separates (low[c] >= disc[u]).
+    u's neighbors fall into one group per such subtree, by whether their
+    discovery time lies in [disc[c], last[c]], plus one group of the rest.
+    One group means u is no cut vertex (a DFS root with one child); else, in
+    an even graph, there are two groups of two, and u is Type X when both
+    pairs are monochromatic.
     """
     _require_even(g)
-    return _type_x_from_blocks(g, block_decomposition(g.graph))
+    adj = g.graph.adj
+    disc = [-1] * g.n
+    low = [0] * g.n
+    last = [0] * g.n  # the latest discovery time in the vertex's subtree
+    split: dict[int, list[int]] = {}  # degree-4 vertex -> children it separates
+    timer = 0
+    for root in range(g.n):
+        if disc[root] != -1 or not adj[root]:
+            continue
+        disc[root] = low[root] = timer
+        timer += 1
+        stack = [(root, -1, iter(adj[root]))]
+        while stack:
+            v, parent, it = stack[-1]
+            for w in it:
+                dw = disc[w]
+                if dw == -1:
+                    disc[w] = low[w] = timer
+                    timer += 1
+                    stack.append((w, v, iter(adj[w])))
+                    break
+                if dw < low[v] and w != parent:  # graphs are simple
+                    low[v] = dw
+            else:
+                stack.pop()
+                last[v] = timer - 1
+                if stack:
+                    u = stack[-1][0]
+                    if low[v] < low[u]:
+                        low[u] = low[v]
+                    if low[v] >= disc[u] and len(adj[u]) == 4:
+                        split.setdefault(u, []).append(v)
+
+    coloring = g.coloring
+    result = []
+    for u, kids in split.items():
+        groups: dict[int, list[int]] = {}
+        for w in adj[u]:
+            dw = disc[w]
+            side = next((k for k in kids if disc[k] <= dw <= last[k]), -1)
+            groups.setdefault(side, []).append(w)
+        if len(groups) == 1:
+            continue
+        if len(groups) != 2 or any(len(ws) != 2 for ws in groups.values()):
+            # cannot happen in an even graph; surface it rather than guess
+            raise ColoredGraphError(
+                f"degree-4 cut vertex {u} splits {sorted(groups.values())} "
+                f"across components in an even graph")
+        if all(coloring[edge(u, a)] == coloring[edge(u, b)]
+               for a, b in groups.values()):
+            result.append(u)
+    return frozenset(result)
 
 
 def connected_nonisolated_components(g: EdgeColoredGraph) -> list[frozenset[int]]:
@@ -360,9 +430,8 @@ def x_block_decomposition(g: EdgeColoredGraph) -> XBlockDecomposition:
     comps = connected_nonisolated_components(g)
     if len(comps) != 1:
         raise ColoredGraphError("x-block decomposition requires a connected graph")
-    _require_even(g)
+    txv = find_type_x_vertices(g)
     bd = block_decomposition(g.graph)
-    txv = _type_x_from_blocks(g, bd)
     k = len(bd.blocks)
     parent = list(range(k))
 

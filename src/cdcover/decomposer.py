@@ -18,11 +18,13 @@ recorded transform. The engine is one loop over an explicit stack of frames:
 a reduction's child is peeled on a frame above its waiting parent, so the
 depth of the reduction tree costs no Python recursion. Every transform is
 inverted and compared against its parent before use, every removal is
-re-verified (rainbow typing plus the full goodness check of the remainder),
-and any failed verification falls back to a shortest-first search for a
-safely removable cycle. If that also fails, the nearest waiting parent runs
-the search on its own graph, and so on outward; past the root the run ends
-in a serializable, replayable CaseFailure instead of an unverified answer.
+re-verified (rainbow typing plus the goodness report of the remainder, which
+`check_goodness` derives from the parent's report and the removed cycle, and
+which always equals the full check's), and any failed verification falls
+back to a shortest-first search for a safely removable cycle. If that also
+fails, the nearest waiting parent runs the search on its own graph, and so
+on outward; past the root the run ends in a serializable, replayable
+CaseFailure instead of an unverified answer.
 """
 from __future__ import annotations
 
@@ -161,7 +163,8 @@ def _build_transform(parent: EdgeColoredGraph, kind: str, *,
     absent = dropset - parent.edges
     if absent:
         raise CaseVerificationError(kind, f"dropping absent edges {sorted(absent)}")
-    gone: set[int] = set(delete)
+    deleted = set(delete)
+    gone = set(deleted)
     rep_of: dict[int, int] = {}
     for grp in merge:
         rep = min(grp)
@@ -173,7 +176,7 @@ def _build_transform(parent: EdgeColoredGraph, kind: str, *,
     slot = {v: i for i, v in enumerate(survivors)}
     to_child: dict[int, int] = {}
     for v in range(parent.n):
-        if v in delete:
+        if v in deleted:
             continue
         to_child[v] = slot[rep_of.get(v, v)]
 
@@ -381,7 +384,8 @@ def _all_type2(g: EdgeColoredGraph) -> bool:
 
 def _check_removal(h: EdgeColoredGraph, rep: GoodnessReport, cyc: Cycle,
                    ) -> tuple[str | None, EdgeColoredGraph | None, GoodnessReport | None]:
-    """Validate one peel: cycle present, rainbow typing, goodness preserved."""
+    """Validate one peel: cycle present, rainbow typing, goodness preserved.
+    `rep` is h's goodness report."""
     if not cyc.is_cycle_of(h.graph):
         return f"cycle {cyc.vertices} is not a cycle of the current graph", None, None
     cols = [h.coloring[e] for e in cyc.edges]
@@ -394,7 +398,7 @@ def _check_removal(h: EdgeColoredGraph, rep: GoodnessReport, cyc: Cycle,
                     f"almost-rainbow at the bad vertex"), None, None
         almost = True
     h2 = h.remove_cycle(cyc)
-    rep2 = check_goodness(h2)
+    rep2 = check_goodness(h2, after=(h, rep, cyc))
     expected = (GoodnessVerdict.GOOD
                 if rep.verdict is GoodnessVerdict.GOOD or almost
                 else GoodnessVerdict.ALMOST_GOOD)
@@ -408,15 +412,18 @@ def _check_removal(h: EdgeColoredGraph, rep: GoodnessReport, cyc: Cycle,
 # greedy cycle in an all-Type-II graph
 
 
-def find_cycle_all_type2(g: EdgeColoredGraph) -> Cycle:
+def find_cycle_all_type2(g: EdgeColoredGraph,
+                         rep: GoodnessReport | None = None) -> Cycle:
     """Rainbow cycle from the greedy color-avoiding walk.
 
     Starts at the minimum nonisolated vertex and always extends along the
     minimum-id neighbor whose edge color is unused; when stuck, the repeated
     color's class is a triangle and closes the cycle. Verifies that removal
-    preserves goodness.
+    preserves goodness. `rep` is g's goodness report, computed when not
+    given.
     """
-    rep = check_goodness(g)
+    if rep is None:
+        rep = check_goodness(g)
     if rep.verdict is not GoodnessVerdict.GOOD:
         raise DecomposeError("greedy walk requires a good colored graph")
     if len(connected_nonisolated_components(g)) != 1:
@@ -1131,8 +1138,8 @@ def _color_pruned_cycles(g: EdgeColoredGraph, length: int,
             frames.append(iter(adj[w]))
 
 
-def fallback_search(g: EdgeColoredGraph,
-                    max_len: int | None = None) -> FallbackResult:
+def fallback_search(g: EdgeColoredGraph, max_len: int | None = None,
+                    rep: GoodnessReport | None = None) -> FallbackResult:
     """Lazy hunt for one safely removable cycle, shortest first.
 
     On a good graph: a rainbow cycle whose removal stays good. On an
@@ -1145,8 +1152,10 @@ def fallback_search(g: EdgeColoredGraph,
     vertex's, or that one twice) can only close into a cycle the removal
     check rejects. Unbounded below 64 edges; above that a length budget
     applies and exhausting it yields "indeterminate" rather than "absent".
+    `rep` is g's goodness report, computed when not given.
     """
-    rep = check_goodness(g)
+    if rep is None:
+        rep = check_goodness(g)
     if not rep.ok:
         raise DecomposeError("fallback requires a good or almost-good graph")
     if not g.edges:
@@ -1184,7 +1193,7 @@ def _dispatch(comp: EdgeColoredGraph, rep: GoodnessReport):
             return case1_1(comp, v)
         return case1_2(comp, v)
     if _all_type2(comp):
-        return [(ALL_TYPE_II, find_cycle_all_type2(comp))]
+        return [(ALL_TYPE_II, find_cycle_all_type2(comp, rep))]
     length, path = longest_singular_path(comp)
     if length >= 3:
         return case2_1(comp, path)
@@ -1277,7 +1286,7 @@ def _recover(stack: list[_Frame], err: CaseVerificationError | _EngineFailure,
             stack[-1].pending = None
         fr = stack[-1]
         detail = str(err)
-        fb = fallback_search(fr.graph, max_len=fallback_max_len)
+        fb = fallback_search(fr.graph, max_len=fallback_max_len, rep=fr.rep)
         if fb.status == "found":
             try:
                 fr.graph, fr.rep, applied = _apply_batch(

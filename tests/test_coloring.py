@@ -17,6 +17,7 @@ from cdcover.coloring import (
     split_components,
     x_block_decomposition,
 )
+import cdcover.decomposer as D
 from cdcover.decomposer import decompose
 from cdcover.graphs import Cycle
 from cdcover.linegraph import build_line_graph
@@ -25,6 +26,8 @@ from graphsamples import (
     almost_good_c4,
     bridged_cubic_10,
     case1_1_host,
+    case1_2_host,
+    case2_2_2d_host,
     k4,
     k33,
     petersen,
@@ -229,6 +232,114 @@ def test_goodness_and_type_x_match_oracles_on_engine_graphs(n, seed, data):
     verdict, bad, violated = naive_goodness(h)
     assert (rep.verdict.value, rep.bad_vertex) == (verdict, bad)
     assert {v.condition for v in rep.violations} == violated
+
+
+def _random_cycle(g: EdgeColoredGraph, rng: random.Random) -> Cycle:
+    """A cycle of an even graph with edges: walk at random, never straight
+    back, until a vertex repeats; the loop closed there is the cycle."""
+    path = [rng.choice(g.nonisolated)]
+    at = {path[0]: 0}
+    while True:
+        back = path[-2] if len(path) > 1 else None
+        w = rng.choice([u for u in g.graph.adj[path[-1]] if u != back])
+        if w in at:
+            return Cycle(tuple(path[at[w]:]))
+        at[w] = len(path)
+        path.append(w)
+
+
+def _assert_incremental_matches_full(h: EdgeColoredGraph, rng: random.Random,
+                                     removals: int) -> list[GoodnessVerdict]:
+    """Remove up to `removals` random cycles in turn (rainbow or not); each
+    remainder's report from its parent's equals its full check."""
+    verdicts = []
+    rep = check_goodness(h)
+    for _ in range(removals):
+        if not h.edges:
+            break
+        cyc = _random_cycle(h, rng)
+        h2 = h.remove_cycle(cyc)
+        full = check_goodness(h2)
+        assert check_goodness(h2, after=(h, rep, cyc)) == full
+        verdicts.append(full.verdict)
+        h, rep = h2, full
+    return verdicts
+
+
+@given(n=st.sampled_from(range(10, 21, 2)), seed=st.integers(0, 999),
+       data=st.data())
+@settings(max_examples=40, deadline=None)
+def test_incremental_goodness_equals_full_on_engine_graphs(n, seed, data):
+    lg = build_line_graph(random_cubic_bridgeless(GeneratorConfig(n, seed))).lg
+    trace = decompose(lg, fallback_max_len=8)
+    assume(trace.cycles is not None)
+    k = data.draw(st.integers(0, len(trace.steps) - 1), label="k")
+    h = lg
+    for step in trace.steps[:k]:
+        h = h.remove_cycle(step.cycle)
+    rng = data.draw(st.randoms(use_true_random=False), label="rng")
+    _assert_incremental_matches_full(h, rng, removals=3)
+
+
+_SAMPLES = {
+    "two_squares_type_x": two_squares_type_x(),
+    "square_chain_2": square_chain(2),
+    "square_chain_4": square_chain(4),
+    "almost_good_c4": almost_good_c4(),
+    "case1_1_host": case1_1_host(),
+    "case1_2_host": case1_2_host(),
+    "case2_2_2d_host": case2_2_2d_host(),
+    "line_graph_petersen": build_line_graph(petersen()).lg,
+    "line_graph_bridged": build_line_graph(bridged_cubic_10()).lg,
+}
+
+
+@given(name=st.sampled_from(sorted(_SAMPLES)),
+       rng=st.randoms(use_true_random=False))
+@settings(max_examples=150, deadline=None)
+def test_incremental_goodness_equals_full_on_samples(name, rng):
+    _assert_incremental_matches_full(_SAMPLES[name], rng, removals=4)
+
+
+def test_incremental_goodness_sees_every_verdict():
+    """The sample removals reach good, almost-good and not-good remainders,
+    so the property above covers each way the incremental check ends."""
+    rng = random.Random(11)
+    seen = set()
+    for g in _SAMPLES.values():
+        for _ in range(20):
+            seen.update(_assert_incremental_matches_full(g, rng, removals=4))
+    assert seen == set(GoodnessVerdict)
+
+
+def test_incremental_goodness_rejects_a_wrong_parent():
+    g = case1_1_host()
+    with pytest.raises(ColoredGraphError, match="parent minus cycle"):
+        check_goodness(g, after=(g, check_goodness(g), Cycle((0, 1, 2))))
+
+
+def test_type_x_true_positives_on_engine_graphs(monkeypatch):
+    """Every graph the decomposer asks for Type X vertices (Case2_2_1b's
+    merged graphs) at n=10..20, seeds 0-9; unlike the remainders above,
+    these carry Type X vertices."""
+    seen = []
+    real = D.find_type_x_vertices
+
+    def record(g):
+        seen.append(g)
+        return real(g)
+
+    monkeypatch.setattr(D, "find_type_x_vertices", record)
+    for n in range(10, 21, 2):
+        for seed in range(10):
+            lg = build_line_graph(random_cubic_bridgeless(GeneratorConfig(n, seed))).lg
+            decompose(lg, fallback_max_len=8)
+    nonempty = 0
+    for g in seen:
+        txv = find_type_x_vertices(g)
+        assert set(txv) == type_x_by_pseudoblock_splits(g)
+        nonempty += bool(txv)
+    assert nonempty >= 100
 
 
 def test_heredity_conditions_1_to_5_after_rainbow_removal():

@@ -163,6 +163,16 @@ def test_case1_1_transform_roundtrip():
     assert len(red.child.edges) == len(g.edges) - 3
 
 
+def test_build_transform_accepts_one_shot_delete():
+    """`delete` may be any iterable, an iterator included."""
+    g = EdgeColoredGraph.from_triples(6, [(0, 1, 0), (1, 2, 1), (2, 3, 2),
+                                          (0, 3, 3), (4, 5, 4)])
+    child, tf = D._build_transform(g, "Subgraph", drop=[(4, 5)],
+                                   delete=iter([4, 5]))
+    assert child.n == 4 and tf.child_of() == {0: 0, 1: 1, 2: 2, 3: 3}
+    assert tf.invert(child).graph == g.graph
+
+
 def test_case1_1_rejects_wrong_pattern():
     with pytest.raises(CaseVerificationError):
         case1_1(case1_2_host(), 0)  # neighbors not adjacent: belongs to 1.2
@@ -306,7 +316,7 @@ def test_fallback_indeterminate_when_capped():
 
 
 def test_engine_recovers_via_fallback(monkeypatch):
-    def boom(g):
+    def boom(g, rep=None):
         raise CaseVerificationError("AllTypeII", "simulated defect")
     monkeypatch.setattr(D, "find_cycle_all_type2", boom)
     lg = build_line_graph(k33()).lg
@@ -317,11 +327,11 @@ def test_engine_recovers_via_fallback(monkeypatch):
 
 
 def test_case_failure_is_replayable(monkeypatch):
-    def boom(g):
+    def boom(g, rep=None):
         raise CaseVerificationError("AllTypeII", "simulated defect")
     monkeypatch.setattr(D, "find_cycle_all_type2", boom)
     monkeypatch.setattr(D, "fallback_search",
-                        lambda g, max_len=None: FallbackResult("absent"))
+                        lambda g, max_len=None, rep=None: FallbackResult("absent"))
     lg = build_line_graph(k33()).lg
     tr = decompose(lg)
     assert not tr.success
@@ -344,7 +354,7 @@ def test_failure_unwinds_to_an_ancestor_fallback(monkeypatch):
     statuses = []
     real = D.fallback_search
 
-    def traced(g, max_len=None):
+    def traced(g, max_len=None, rep=None):
         res = real(g, max_len)
         statuses.append(res.status)
         return res
@@ -489,7 +499,7 @@ def test_fallback_is_lazy(monkeypatch):
     graphs = []
     real = D.fallback_search
     monkeypatch.setattr(D, "fallback_search",
-                        lambda g, max_len=None: graphs.append(g) or real(g, max_len))
+                        lambda g, max_len=None, rep=None: graphs.append(g) or real(g, max_len))
     lg = build_line_graph(random_cubic_bridgeless(GeneratorConfig(20, 8))).lg
     assert decompose(lg).success
     # this graph has 111,784 simple cycles; the first safe one has 4 vertices
