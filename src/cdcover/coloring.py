@@ -21,6 +21,21 @@ fall by 2 at the vertices of C and stay even and at most 4, and triangles
 and the vertex spans of color classes only shrink. So the remainder of a
 good or almost-good graph needs condition 4 re-checked only at the vertices
 of C, and condition 6 from one DFS; `check_goodness(g, after=...)` does that.
+
+A split into rainbow cycles can be removed in any order. Let a good or
+almost-good graph be split into edge-disjoint cycles, all rainbow except,
+on an almost-good graph, the one through the bad vertex b, which repeats
+one color, on its two edges at b. What is left after removing any of them
+is the union R of the others, and R is almost-good at b while b's cycle is
+in it, and good once it is not. Conditions 1, 2, 3 and 5 are hereditary. A
+vertex of degree 4 in R keeps all its edges and so its two colors; one of
+degree 2 lies on one cycle of R and sees that cycle's two colors there,
+which differ except at b. For condition 6, a degree-4 cut vertex u of R
+lies on two cycles of R, each within one side, so u's two pairs are the
+two cycles' edges at u; neither pair is monochromatic, since a cycle
+repeats a color only at b, which has degree 2. The decomposer verifies a
+batch of cycles that covers its graph this way
+(`decomposer._covering_batch_passes`).
 """
 from __future__ import annotations
 
@@ -233,7 +248,7 @@ def check_goodness(g: EdgeColoredGraph,
     violations.extend(Violation(5, "color", c) for c, k in span.items() if k > 3)
 
     if even_ok:
-        for v in find_type_x_vertices(g):
+        for v in _type_x_vertices(g):
             violations.append(Violation(6, "vertex", v))
 
     if len(bad_candidates) == 1 and not violations:
@@ -270,7 +285,7 @@ def _good_after_removal(g: EdgeColoredGraph, parent: EdgeColoredGraph,
             a, b = nbrs
             if coloring[edge(v, a)] == coloring[edge(v, b)]:
                 bad.append(v)
-    if len(bad) > 1 or find_type_x_vertices(g):
+    if len(bad) > 1 or _type_x_vertices(g):
         return None
     if bad:
         return GoodnessReport(GoodnessVerdict.ALMOST_GOOD, bad[0],
@@ -280,13 +295,6 @@ def _good_after_removal(g: EdgeColoredGraph, parent: EdgeColoredGraph,
 
 # ---------------------------------------------------------------------------
 # cut structure
-
-
-def _require_even(g: EdgeColoredGraph) -> None:
-    odd = [v for v, nbrs in enumerate(g.graph.adj) if len(nbrs) % 2]
-    if odd:
-        raise ColoredGraphError(f"Type X detection requires an even graph; "
-                                f"odd-degree vertices {odd}")
 
 
 def find_type_x_vertices(g: EdgeColoredGraph) -> frozenset[int]:
@@ -300,7 +308,15 @@ def find_type_x_vertices(g: EdgeColoredGraph) -> frozenset[int]:
     an even graph, there are two groups of two, and u is Type X when both
     pairs are monochromatic.
     """
-    _require_even(g)
+    odd = [v for v, nbrs in enumerate(g.graph.adj) if len(nbrs) % 2]
+    if odd:
+        raise ColoredGraphError(f"Type X detection requires an even graph; "
+                                f"odd-degree vertices {odd}")
+    return _type_x_vertices(g)
+
+
+def _type_x_vertices(g: EdgeColoredGraph) -> frozenset[int]:
+    """`find_type_x_vertices` for a graph whose degrees are known to be even."""
     adj = g.graph.adj
     disc = [-1] * g.n
     low = [0] * g.n

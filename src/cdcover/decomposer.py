@@ -17,10 +17,16 @@ almost-good colored graph and lift the child's cycles back through the
 recorded transform. The engine is one loop over an explicit stack of frames:
 a reduction's child is peeled on a frame above its waiting parent, so the
 depth of the reduction tree costs no Python recursion. Every transform is
-inverted and compared against its parent before use, every removal is
-re-verified (rainbow typing plus the goodness report of the remainder, which
-`check_goodness` derives from the parent's report and the removed cycle, and
-which always equals the full check's), and any failed verification falls
+inverted and compared against its parent before use, and every removal is
+re-verified: rainbow typing plus the goodness report of the remainder. A
+batch of cycles that covers its graph, as a lift or a base cycle does, is
+verified in one linear sweep: when its cycles are edge-disjoint and rainbow
+except one almost-rainbow at the bad vertex, every remainder is good or
+almost-good as the checks expect (the lemma in the coloring module
+docstring). Any other removal, and any batch the sweep cannot prove safe,
+is checked one cycle at a time by `check_goodness`, which derives the
+remainder's report from the parent's report and the removed cycle. Both
+agree with the full check at every step. Any failed verification falls
 back to a shortest-first search for a safely removable cycle. If that also
 fails, the nearest waiting parent runs the search on its own graph, and so
 on outward; past the root the run ends in a serializable, replayable
@@ -406,6 +412,36 @@ def _check_removal(h: EdgeColoredGraph, rep: GoodnessReport, cyc: Cycle,
         return (f"removing {cyc.vertices} leaves a {rep2.verdict.value} graph, "
                 f"expected {expected.value}"), None, rep2
     return None, h2, rep2
+
+
+def _covering_batch_passes(h: EdgeColoredGraph, rep: GoodnessReport,
+                           batch: Sequence[tuple[str, Cycle]]) -> bool:
+    """Whether removing the batch from h one cycle at a time passes every
+    `_check_removal`, decided in one O(sum |C|) sweep with no goodness check.
+
+    True when the batch's cycles are edge-disjoint, use every edge of h, and
+    are all rainbow except, when h is almost-good, one cycle almost-rainbow
+    at its bad vertex: then, by the lemma in the coloring module docstring,
+    every remainder is the good or almost-good graph `_check_removal`
+    expects, in any order. False means not proven, never rejected: the
+    per-cycle checks then decide. `rep` is h's report.
+    """
+    if not rep.ok or sum(len(cyc) for _, cyc in batch) != len(h.edges):
+        return False
+    bad = rep.bad_vertex
+    coloring = h.coloring
+    seen: set[Edge] = set()
+    for _, cyc in batch:
+        cols = set()
+        for e in cyc.edges:
+            if e in seen or e not in coloring:
+                return False
+            seen.add(e)
+            cols.add(coloring[e])
+        if len(cols) < len(cyc) and (
+                bad is None or not is_almost_rainbow_at(h, cyc, bad)):
+            return False
+    return True
 
 
 # ---------------------------------------------------------------------------
@@ -876,10 +912,9 @@ def _case2_2_1b(g, rep_g, p, child, cmap, to_parent, x_c, v_c) -> CaseReduction:
                if {i, j} == {order[0], order[1]})
 
     g1set = xb.x_blocks[bx]
-    keep = [e for e in child.edges if e[0] in g1set and e[1] in g1set]
     sub_ecg, sub_tf = _build_transform(
         child, "Subgraph",
-        drop=[e for e in child.edges if e not in set(keep)],
+        drop=[e for e in child.edges if e[0] not in g1set or e[1] not in g1set],
         delete=[u for u in range(child.n) if u not in g1set])
     sub_map = sub_tf.child_of()
     sub_back = sub_tf.to_parent()
@@ -1209,6 +1244,14 @@ def _dispatch(comp: EdgeColoredGraph, rep: GoodnessReport):
 def _apply_batch(comp: EdgeColoredGraph, rep: GoodnessReport,
                  batch: list[tuple[str, Cycle]],
                  ) -> tuple[EdgeColoredGraph, GoodnessReport, list[tuple[str, Cycle]]]:
+    """Remove the batch's cycles from comp in order, verifying each removal;
+    returns the remainder, its report and the cycles removed. A batch that
+    covers comp is verified in one sweep when that proves every removal
+    safe; otherwise each cycle goes through `_check_removal`, and the first
+    it rejects raises."""
+    if _covering_batch_passes(comp, rep, batch):
+        return comp.restrict_edges(()), GoodnessReport(
+            GoodnessVerdict.GOOD, None, ()), list(batch)
     h, r = comp, rep
     applied: list[tuple[str, Cycle]] = []
     for tag, cyc in batch:

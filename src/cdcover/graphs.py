@@ -121,8 +121,11 @@ class Cycle:
     def __contains__(self, v: int) -> bool:
         return v in self.vertices
 
-    @property
+    @cached_property
     def edges(self) -> tuple[Edge, ...]:
+        """The cycle's edges in order, edge i joining vertices i and i+1.
+
+        Cached like `Graph.adj`; equality and hashing use `vertices` only."""
         vs = self.vertices
         return tuple(edge(vs[i], vs[(i + 1) % len(vs)]) for i in range(len(vs)))
 

@@ -1,5 +1,7 @@
 import ast
 import functools
+import hashlib
+import itertools
 import json
 import random
 import sys
@@ -529,3 +531,261 @@ def test_decomposer_does_not_import_the_oracle():
                         and any(a.name == "oracle" for a in node.names))
         elif isinstance(node, ast.Import):
             assert not any("oracle" in a.name.split(".") for a in node.names)
+
+
+# ---------------------------------------------------------------------------
+# verifying a batch that covers its graph in one sweep
+
+
+@functools.cache
+def _recorded_batches() -> tuple[tuple[EdgeColoredGraph, GoodnessReport,
+                                       tuple[tuple[str, Cycle], ...]], ...]:
+    """The batches `_apply_batch` removes, with the graph and report they
+    are removed from, that use every edge of that graph, while decomposing
+    the line graphs of random cubic graphs with n = 10..20."""
+    seen = []
+    real = D._apply_batch
+
+    def record(comp, rep, batch):
+        seen.append((comp, rep, tuple(batch)))
+        return real(comp, rep, batch)
+
+    D._apply_batch = record
+    try:
+        for n in range(10, 21, 2):
+            for seed in range(3):
+                lg = build_line_graph(random_cubic_bridgeless(GeneratorConfig(n, seed))).lg
+                assert decompose(lg).success
+    finally:
+        D._apply_batch = real
+    return tuple(r for r in seen if _covers(r[0], r[2]))
+
+
+def _covers(g, batch) -> bool:
+    return sorted(e for _, c in batch for e in c.edges) == sorted(g.edges)
+
+
+def _one_at_a_time(g, rep, batch):
+    """The outcome of the per-cycle checks, as `_applied` reports it."""
+    h, r = g, rep
+    for tag, cyc in batch:
+        problem, h2, r2 = D._check_removal(h, r, cyc)
+        if problem is not None:
+            return "reject", str(CaseVerificationError(tag, problem)), tag, cyc
+        h, r = h2, r2
+    return "accept", h.edges, r
+
+
+def _applied(g, rep, batch):
+    try:
+        h, r, applied = D._apply_batch(g, rep, list(batch))
+    except CaseVerificationError as err:
+        return "reject", str(err), err.case, err.cycle
+    assert applied == list(batch)
+    return "accept", h.edges, r
+
+
+def _is_rainbow(g, c) -> bool:
+    return len({g.coloring[e] for e in c.edges}) == len(c)
+
+
+def _meeting_pairs(batch) -> list[tuple[int, int]]:
+    """Index pairs i < j of cycles that share exactly two vertices."""
+    return [(i, j) for i in range(len(batch)) for j in range(i + 1, len(batch))
+            if len(set(batch[i][1].vertices) & set(batch[j][1].vertices)) == 2]
+
+
+def _repaired(c1: Cycle, c2: Cycle) -> tuple[Cycle, Cycle]:
+    """Two cycles that meet exactly at u and w, re-paired there: each new
+    cycle runs from u to w along one and back along the other."""
+    u, w = sorted(set(c1.vertices) & set(c2.vertices))
+
+    def halves(c):
+        seq = list(c.vertices)
+        seq = seq[seq.index(u):] + seq[:seq.index(u)]
+        k = seq.index(w)
+        return seq[:k + 1], seq[k:] + [u]
+
+    (a1, b1), (a2, b2) = halves(c1), halves(c2)
+    return Cycle(tuple(a1 + b2[1:-1])), Cycle(tuple(a2 + b1[1:-1]))
+
+
+def test_recorded_batches_include_lifts_and_almost_good():
+    recorded = _recorded_batches()
+    tags = {t for _, _, batch in recorded for t, _ in batch}
+    assert {"Case1_1", "Case1_2", "Case2_1", "Case2_2_1a"} <= tags
+    assert sum(rep.verdict is GoodnessVerdict.ALMOST_GOOD
+               for _, rep, _ in recorded) > 20
+    # every covering batch the engine accepted is proven by the sweep
+    assert all(D._covering_batch_passes(*r) for r in recorded)
+
+
+MUTATIONS = ("none", "swap", "move almost-rainbow", "drop", "recolor", "re-pair",
+             "repeat", "reroute")
+
+
+def _equal_lengths(batch) -> list[tuple[int, int]]:
+    return [(i, j) for i in range(len(batch)) for j in range(len(batch))
+            if i != j and len(batch[i][1]) == len(batch[j][1])]
+
+
+def _mutated(data, mutation):
+    """A recorded batch, changed as `mutation` says; the report is
+    recomputed when the graph changes."""
+    recorded = _recorded_batches()
+    if mutation == "move almost-rainbow":
+        recorded = [r for r in recorded
+                    if r[1].verdict is GoodnessVerdict.ALMOST_GOOD]
+    elif mutation == "re-pair":
+        recorded = [r for r in recorded if _meeting_pairs(r[2])]
+    elif mutation == "repeat":
+        recorded = [r for r in recorded if _equal_lengths(r[2])]
+    elif mutation != "none":
+        recorded = [r for r in recorded if len(r[2]) > 1]
+    g, rep, batch = data.draw(st.sampled_from(recorded), label="recorded")
+    batch = list(batch)
+    k = len(batch)
+    if mutation == "swap":
+        i, j = data.draw(st.lists(st.integers(0, k - 1), min_size=2, max_size=2,
+                                  unique=True), label="swap")
+        batch[i], batch[j] = batch[j], batch[i]
+    elif mutation == "move almost-rainbow":
+        i = next(i for i, (_, c) in enumerate(batch) if not _is_rainbow(g, c))
+        batch.insert(data.draw(st.integers(0, k - 1), label="to"), batch.pop(i))
+    elif mutation == "drop":
+        batch.pop(data.draw(st.integers(0, k - 1), label="drop"))
+    elif mutation == "recolor":
+        _, c = data.draw(st.sampled_from(batch), label="cycle")
+        e = data.draw(st.sampled_from(c.edges), label="edge")
+        # a color of the same cycle, or one no edge has
+        col = data.draw(st.sampled_from(
+            sorted({g.coloring[f] for f in c.edges} | {-1})), label="color")
+        g = EdgeColoredGraph(g.graph, {**g.coloring, e: col})
+        rep = check_goodness(g)
+    elif mutation == "re-pair":
+        i, j = data.draw(st.sampled_from(_meeting_pairs(batch)), label="pair")
+        first, second = _repaired(batch[i][1], batch[j][1])
+        if data.draw(st.booleans(), label="flip"):
+            first, second = second, first
+        batch[i], batch[j] = (batch[i][0], first), (batch[j][0], second)
+    elif mutation == "repeat":
+        # one cycle in place of another as long, so the lengths still add up
+        i, j = data.draw(st.sampled_from(_equal_lengths(batch)), label="copy")
+        batch[j] = batch[i]
+    elif mutation == "reroute":
+        # two vertices of one cycle trade places, mostly taking it off the graph
+        at = data.draw(st.integers(0, k - 1), label="cycle")
+        tag, c = batch[at]
+        vs = list(c.vertices)
+        i, j = data.draw(st.lists(st.integers(0, len(vs) - 1), min_size=2,
+                                  max_size=2, unique=True), label="trade")
+        vs[i], vs[j] = vs[j], vs[i]
+        batch[at] = (tag, Cycle(tuple(vs)))
+    return g, rep, batch
+
+
+@settings(max_examples=300, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(st.data())
+def test_batch_sweep_matches_per_cycle_checks(data):
+    g, rep, batch = _mutated(
+        data, data.draw(st.sampled_from(MUTATIONS), label="mutation"))
+    if not rep.ok:
+        return  # the engine removes cycles only from good or almost-good graphs
+    loop = _one_at_a_time(g, rep, batch)
+    assert D._covering_batch_passes(g, rep, batch) == \
+        (_covers(g, batch) and loop[0] == "accept")
+    assert _applied(g, rep, batch) == loop
+
+
+def test_almost_good_batches_re_paired_at_the_bad_vertex_cycle():
+    """Re-pair an almost-good graph's almost-rainbow cycle with each cycle it
+    meets at two vertices, either way round, so the bad vertex ends up on
+    the earlier or the later cycle: the sweep proves exactly the batches
+    the per-cycle checks accept, and the rest fail with their message."""
+    outcomes = set()
+    for g, rep, batch in _recorded_batches():
+        if rep.verdict is not GoodnessVerdict.ALMOST_GOOD:
+            continue
+        at_bad = next(i for i, (_, c) in enumerate(batch) if rep.bad_vertex in c)
+        for i, j in _meeting_pairs(batch):
+            if at_bad not in (i, j):
+                continue
+            for first, second in itertools.permutations(
+                    _repaired(batch[i][1], batch[j][1])):
+                mutated = list(batch)
+                mutated[i] = (batch[i][0], first)
+                mutated[j] = (batch[j][0], second)
+                loop = _one_at_a_time(g, rep, mutated)
+                assert D._covering_batch_passes(g, rep, mutated) == (loop[0] == "accept")
+                assert _applied(g, rep, mutated) == loop
+                outcomes.add((loop[0], rep.bad_vertex in first))
+    assert outcomes == {(verdict, earlier) for verdict in ("accept", "reject")
+                        for earlier in (True, False)}
+
+
+def test_two_cycles_repeating_at_one_vertex_go_to_the_per_cycle_checks(monkeypatch):
+    # two 4-cycles through 0 and 2, each repeating its color at 0: the graph
+    # is good, but the batch is no rainbow split, so the sweep proves nothing
+    g = EdgeColoredGraph.from_triples(6, [
+        (0, 1, 0), (1, 2, 1), (2, 3, 2), (0, 3, 0),
+        (0, 4, 3), (2, 4, 1), (2, 5, 2), (0, 5, 3)])
+    rep = check_goodness(g)
+    assert rep.verdict is GoodnessVerdict.GOOD
+    batch = [(D.CASE_2_1, Cycle((0, 1, 2, 3))), (D.CASE_2_1, Cycle((0, 4, 2, 5)))]
+    assert _covers(g, batch)
+    assert not D._covering_batch_passes(g, rep, batch)
+    checked = []
+    real = D._check_removal
+    monkeypatch.setattr(D, "_check_removal",
+                        lambda h, r, c: checked.append(c) or real(h, r, c))
+    with pytest.raises(CaseVerificationError) as err:
+        D._apply_batch(g, rep, batch)
+    assert checked == [Cycle((0, 1, 2, 3))]
+    assert str(err.value) == ("Case2_1: cycle (0, 1, 2, 3) is neither rainbow "
+                              "nor almost-rainbow at the bad vertex")
+
+
+def test_full_lift_makes_no_goodness_check(monkeypatch):
+    calls = []
+    real_check = D.check_goodness
+    monkeypatch.setattr(D, "check_goodness",
+                        lambda *a, **k: calls.append(1) or real_check(*a, **k))
+    made = []  # (tags, covers its graph, goodness checks made)
+    real_apply = D._apply_batch
+
+    def apply(comp, rep, batch):
+        before = len(calls)
+        out = real_apply(comp, rep, batch)
+        made.append(({t for t, _ in batch}, _covers(comp, batch),
+                     len(calls) - before))
+        return out
+
+    monkeypatch.setattr(D, "_apply_batch", apply)
+    n, seed = CASE_RECIPES["Case2_1"]
+    assert decompose(build_line_graph(
+        random_cubic_bridgeless(GeneratorConfig(n, seed))).lg).success
+    assert any("Case2_1" in tags and covers for tags, covers, _ in made)
+    assert all(checks == 0 for _, covers, checks in made if covers)
+    assert any(checks > 0 for _, covers, checks in made if not covers)
+
+
+# sha256 over the trace JSON of every run below, in order; a change means
+# the engine's accepts, rejects, cycles or reports changed
+TRACE_DIGEST = "964e2b081a4dcc39acd2f10fdf719d65ddb76f15f74d8026f9c1bebe1426e5aa"
+
+
+def test_trace_digest_pinned():
+    h = hashlib.sha256()
+
+    def add(trace):
+        h.update(json.dumps(trace.to_json(), sort_keys=True).encode())
+
+    for n in range(10, 21, 2):
+        for seed in range(5):
+            lg = build_line_graph(random_cubic_bridgeless(GeneratorConfig(n, seed))).lg
+            for cap in (None, 6):
+                add(decompose(lg, fallback_max_len=cap))
+    fixture = Path(__file__).parent / "fixtures" / "good_but_undecomposable.txt"
+    add(decompose(parse_colored_edge_list(fixture.read_text())))
+    assert h.hexdigest() == TRACE_DIGEST
