@@ -16,7 +16,6 @@ import os
 import sys
 from pathlib import Path
 
-from .coloring import EdgeColoredGraph
 from .decomposer import decompose, decompose_goddyn
 from .graphs import (
     Cycle,
@@ -24,7 +23,6 @@ from .graphs import (
     GraphError,
     find_bridges,
     is_connected,
-    is_cubic,
     parse_edge_list,
     parse_graph6,
     serialize_graph6,
@@ -81,13 +79,30 @@ def _check_cubic_bridgeless(g: Graph) -> str | None:
 
 
 def _fallback_budget(args) -> int | None:
-    if args.fallback_budget is not None:
-        return args.fallback_budget
-    env = os.environ.get(BUDGET_ENV)
-    return int(env) if env else None
+    """The fallback's cycle-length budget from --fallback-budget, else from
+    the environment, else None; ValueError unless it is an integer >= 3,
+    the length of the shortest cycle."""
+    budget, source = args.fallback_budget, "--fallback-budget"
+    if budget is None:
+        env = os.environ.get(BUDGET_ENV)
+        if not env:
+            return None
+        source = BUDGET_ENV
+        try:
+            budget = int(env)
+        except ValueError:
+            raise ValueError(f"{source} must be an integer, got {env!r}") from None
+    if budget < 3:
+        raise ValueError(f"{source} must be at least 3, got {budget}")
+    return budget
 
 
 def cmd_decompose(args) -> int:
+    try:
+        budget = _fallback_budget(args)
+    except ValueError as err:
+        print(f"error: {err}", file=sys.stderr)
+        return 1
     try:
         g = _load_graph(args.input, args.format)
     except (GraphError, OSError) as err:
@@ -99,7 +114,6 @@ def cmd_decompose(args) -> int:
         return 1
     clg = build_line_graph(g)
 
-    budget = _fallback_budget(args)
     if args.goddyn_cycle:
         try:
             vs = tuple(int(t) for t in args.goddyn_cycle.replace(",", " ").split())
@@ -145,7 +159,11 @@ def cmd_verify(args) -> int:
     except (GraphError, OSError, json.JSONDecodeError) as err:
         print(f"error: {err}", file=sys.stderr)
         return 1
-    cycles = payload["cycles"] if isinstance(payload, dict) else payload
+    cycles = payload.get("cycles") if isinstance(payload, dict) else payload
+    if not isinstance(cycles, list):
+        print("error: cover must be a JSON list of cycles or an object with "
+              "a \"cycles\" list", file=sys.stderr)
+        return 1
     verdict = verify_cdc(g, cycles)
     _write_text(None, _dump(verdict.to_json()))
     return 0 if verdict.accepted else 1

@@ -12,30 +12,31 @@ dispatching on local structure:
   * otherwise a Type I vertex flanked by Type II vertices drives the
     Case2_2 family, splitting on how the flanking neighborhoods overlap.
 
-Reductions transform the component into a strictly smaller good or
-almost-good colored graph and lift the child's cycles back through the
-recorded transform. The engine is one loop over an explicit stack of frames:
-a reduction's child is peeled on a frame above its waiting parent, so the
-depth of the reduction tree costs no Python recursion. Every transform is
-inverted and compared against its parent before use, and every removal is
-re-verified: rainbow typing plus the goodness report of the remainder. A
-batch of cycles that covers its graph, as a lift or a base cycle does, is
-verified in one linear sweep: when its cycles are edge-disjoint and rainbow
-except one almost-rainbow at the bad vertex, every remainder is good or
-almost-good as the checks expect (the lemma in the coloring module
-docstring). Any other removal, and any batch the sweep cannot prove safe,
-is checked one cycle at a time by `check_goodness`, which derives the
-remainder's report from the parent's report and the removed cycle. Both
-agree with the full check at every step. Any failed verification falls
-back to a shortest-first search for a safely removable cycle. If that also
-fails, the nearest waiting parent runs the search on its own graph, and so
-on outward; past the root the run ends in a serializable, replayable
+A reduction builds a strictly smaller good or almost-good colored graph, the
+child, with a rule that lifts the child's cycles back to the parent through
+the vertex maps of the child's construction. The engine is one loop over an
+explicit stack of frames: a reduction's child is peeled on a frame above its
+waiting parent, so the depth of the reduction tree costs no Python
+recursion. Every lifted cycle, like every other removal, is re-verified
+against the parent: rainbow typing plus the goodness report of the
+remainder. A batch of cycles that covers its graph, as a lift or a base
+cycle does, is verified in one linear sweep: when its cycles are
+edge-disjoint and rainbow except one almost-rainbow at the bad vertex, every
+remainder is good or almost-good as the checks expect (the lemma in the
+coloring module docstring). Any other removal, and any batch the sweep
+cannot prove safe, is checked one cycle at a time by `check_goodness`, which
+derives the remainder's report from the parent's report and the removed
+cycle. Both agree with the full check at every step. Any failed verification
+falls back to a shortest-first search for a safely removable cycle. If that
+also fails, the nearest waiting parent runs the search on its own graph, and
+so on outward; past the root the run ends in a serializable, replayable
 CaseFailure instead of an unverified answer.
 """
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
-from typing import Callable, Iterable, Iterator, Sequence
+from typing import Callable, Collection, Iterable, Iterator, Sequence
 
 from .coloring import (
     EdgeColoredGraph,
@@ -104,52 +105,7 @@ class _EngineFailure(Exception):
 
 
 # ---------------------------------------------------------------------------
-# transforms
-
-
-@dataclass(frozen=True)
-class Transform:
-    """One invertible graph reduction step.
-
-    `to_child` maps surviving parent vertices to child ids (merged vertices
-    share a child id; deleted ones are absent). `edge_map` pairs every
-    non-added child edge with its parent edge; `removed` lists parent edges
-    with no child counterpart; `recolored` gives the parent color of child
-    edges whose color changed. Applying `invert` to the child reproduces the
-    parent colored graph exactly.
-    """
-
-    kind: str
-    parent_n: int
-    child_n: int
-    to_child: tuple[tuple[int, int], ...]
-    edge_map: tuple[tuple[Edge, Edge], ...]
-    added: tuple[tuple[Edge, int], ...]
-    removed: tuple[tuple[Edge, int], ...]
-    recolored: tuple[tuple[Edge, int], ...]
-
-    def child_of(self) -> dict[int, int]:
-        return dict(self.to_child)
-
-    def to_parent(self) -> dict[int, int]:
-        """Child id -> parent id, for child vertices with a unique preimage."""
-        counts: dict[int, int] = {}
-        for _, c in self.to_child:
-            counts[c] = counts.get(c, 0) + 1
-        return {c: p for p, c in self.to_child if counts[c] == 1}
-
-    def invert(self, child: EdgeColoredGraph) -> EdgeColoredGraph:
-        emap = dict(self.edge_map)
-        added = {e for e, _ in self.added}
-        recol = dict(self.recolored)
-        triples = []
-        for e in child.edges:
-            if e in added:
-                continue
-            pu, pv = emap[e]
-            triples.append((pu, pv, recol.get(e, child.coloring[e])))
-        triples.extend((u, v, c) for (u, v), c in self.removed)
-        return EdgeColoredGraph.from_triples(self.parent_n, triples)
+# reductions
 
 
 def _build_transform(parent: EdgeColoredGraph, kind: str, *,
@@ -158,8 +114,11 @@ def _build_transform(parent: EdgeColoredGraph, kind: str, *,
                      delete: Iterable[int] = (),
                      add: Iterable[tuple[int, int, int]] = (),
                      recolor: Iterable[tuple[Edge, int]] = (),
-                     ) -> tuple[EdgeColoredGraph, Transform]:
-    """Build the child graph for a reduction and its invertible record.
+                     ) -> tuple[EdgeColoredGraph, dict[int, int], dict[int, int]]:
+    """Build the child graph for a reduction; returns it with `to_child`,
+    which maps every surviving parent vertex to its child id (merged
+    vertices share one; deleted ones are absent), and `to_parent`, which
+    maps each child vertex with a unique preimage back.
 
     `drop`/`add`/`recolor` are in parent coordinates; `add` endpoints may
     name any member of a merge group. The child must stay simple; a clash is
@@ -188,7 +147,6 @@ def _build_transform(parent: EdgeColoredGraph, kind: str, *,
 
     recolor_map = {edge(*e): c for e, c in recolor}
     child_cols: dict[Edge, int] = {}
-    edge_map: dict[Edge, Edge] = {}
     for e in sorted(parent.edges):
         if e in dropset:
             continue
@@ -203,30 +161,17 @@ def _build_transform(parent: EdgeColoredGraph, kind: str, *,
         if ce in child_cols:
             raise CaseVerificationError(kind, f"edge {e} would become parallel")
         child_cols[ce] = recolor_map.get(e, parent.coloring[e])
-        edge_map[ce] = e
-    added: list[tuple[Edge, int]] = []
     for u, v, c in add:
         ce = edge(to_child[u], to_child[v])
         if ce in child_cols:
             raise CaseVerificationError(kind, f"added edge {(u, v)} would be parallel")
         child_cols[ce] = c
-        added.append((ce, c))
 
     child = EdgeColoredGraph.from_triples(len(survivors),
                                           [(u, v, c) for (u, v), c in child_cols.items()])
-    recolored = tuple(sorted(
-        (ce, parent.coloring[pe]) for ce, pe in edge_map.items()
-        if child_cols[ce] != parent.coloring[pe]))
-    tf = Transform(kind, parent.n, child.n,
-                   tuple(sorted(to_child.items())),
-                   tuple(sorted(edge_map.items())),
-                   tuple(sorted(added)),
-                   tuple(sorted((e, parent.coloring[e]) for e in dropset)),
-                   recolored)
-    back = tf.invert(child)
-    if back.graph != parent.graph or dict(back.coloring) != dict(parent.coloring):
-        raise CaseVerificationError(kind, "transform failed its inversion round-trip")
-    return child, tf
+    counts = Counter(to_child.values())
+    to_parent = {c: p for p, c in to_child.items() if counts[c] == 1}
+    return child, to_child, to_parent
 
 
 # ---------------------------------------------------------------------------
@@ -307,20 +252,17 @@ class CasePattern:
 
 @dataclass(frozen=True)
 class CaseReduction:
-    """A case's transform to a smaller graph plus its lift rule.
+    """A case's smaller graph plus its lift rule.
 
     The engine decomposes `child`, whose goodness report `report` the case
     has already computed, and hands the tagged cycles to `lift`, which maps
     them back to tagged cycles of the parent (possibly covering only part
     of the parent, in which case the engine keeps peeling the remainder).
-    `transform` maps the parent to `child`, except in Case2_2_1b: there the
-    child is an end x-block of the merged graph, and `transform` is the
-    Subgraph transform from the merged graph to that block.
+    Every lifted cycle is re-checked against the parent before it is
+    removed.
     """
 
-    case: str
     child: EdgeColoredGraph
-    transform: Transform
     lift: Callable[[list[tuple[str, Cycle]]], list[tuple[str, Cycle]]]
     report: GoodnessReport
 
@@ -355,6 +297,38 @@ def _lift_through(c: Cycle, m: int, to_parent: dict[int, int],
     rest = [to_parent[u] for u in rot[1:]]
     exp = expansion(rest[0], rest[-1])
     return Cycle(tuple(exp + rest))
+
+
+def _oriented(mid: list[int], near: Collection[int]) -> Callable[[int, int], list[int]]:
+    """An expansion for `_lift_through`: the path `mid`, whose last vertex is
+    adjacent to the vertices of `near`, turned to end next to a'."""
+    return lambda a, b: mid if a in near else mid[::-1]
+
+
+def _contraction(g: EdgeColoredGraph, tag: str, kind: str, noun: str,
+                 expansions: Sequence[Callable[[int, int], list[int]]],
+                 merge: Sequence[int], **build) -> CaseReduction:
+    """Merge the vertices of `merge` (with `build`'s other edits) into one
+    vertex m of a child that must be good. The lift expands the i-th child
+    cycle through m by `expansions[i]` and maps every other cycle back."""
+    child, to_child, to_parent = _build_transform(g, kind, merge=[merge], **build)
+    m = to_child[merge[0]]
+    crep = check_goodness(child)
+    _require(crep.verdict is GoodnessVerdict.GOOD, tag,
+             f"contracted graph is {crep.verdict.value}")
+    k = len(expansions)
+
+    def lift(sub: list[tuple[str, Cycle]]) -> list[tuple[str, Cycle]]:
+        through = [c for _, c in sub if m in c]
+        _require(len(through) == k, tag,
+                 f"expected {k} child {'cycle' if k == 1 else 'cycles'} "
+                 f"through the {noun}, got {len(through)}")
+        out = [(tag, _lift_through(c, m, to_parent, exp))
+               for c, exp in zip(through, expansions)]
+        out.extend((t, _map_cycle(c, to_parent)) for t, c in sub if m not in c)
+        return out
+
+    return CaseReduction(child, lift, crep)
 
 
 def _single_cycle(g: EdgeColoredGraph) -> Cycle | None:
@@ -454,8 +428,9 @@ def find_cycle_all_type2(g: EdgeColoredGraph,
 
     Starts at the minimum nonisolated vertex and always extends along the
     minimum-id neighbor whose edge color is unused; when stuck, the repeated
-    color's class is a triangle and closes the cycle. Verifies that removal
-    preserves goodness. `rep` is g's goodness report, computed when not
+    color's class is a triangle and closes the cycle. Whether removal
+    preserves goodness is left to the caller: the engine checks it as it
+    removes the cycle. `rep` is g's goodness report, computed when not
     given.
     """
     if rep is None:
@@ -507,10 +482,6 @@ def find_cycle_all_type2(g: EdgeColoredGraph,
             break
         path.append(step[0])
         used.add(step[1])
-
-    problem, _, _ = _check_removal(g, rep, cycle)
-    if problem:
-        raise CaseVerificationError(ALL_TYPE_II, problem, cycle)
     return cycle
 
 
@@ -543,36 +514,10 @@ def case1_1(g: EdgeColoredGraph, v: int) -> CaseReduction:
     _require(not (set(side1) & set(side2)), tag,
              "flanking neighborhoods overlap (rainbow triangle missed)")
 
-    child, tf = _build_transform(
-        g, "ContractTriangle",
-        drop=[edge(v, x1), edge(v, x2), edge(x1, x2)],
-        merge=[(v, x1, x2)])
-    x_child = tf.child_of()[x1]
-    crep = check_goodness(child)
-    _require(crep.verdict is GoodnessVerdict.GOOD, tag,
-             f"contracted graph is {crep.verdict.value}")
-    to_parent = tf.to_parent()
-    beta_side = set(side1)
-
-    def lift(sub: list[tuple[str, Cycle]]) -> list[tuple[str, Cycle]]:
-        through = [c for _, c in sub if x_child in c]
-        _require(len(through) == 2, tag,
-                 f"expected 2 child cycles through the merged vertex, got {len(through)}")
-
-        def expand_path(a: int, b: int) -> list[int]:
-            return [x2, v, x1] if a in beta_side else [x1, v, x2]
-
-        def expand_edge(a: int, b: int) -> list[int]:
-            return [x2, x1] if a in beta_side else [x1, x2]
-
-        first = _lift_through(through[0], x_child, to_parent, expand_path)
-        second = _lift_through(through[1], x_child, to_parent, expand_edge)
-        out = [(tag, first), (tag, second)]
-        out.extend((t, _map_cycle(c, to_parent)) for t, c in sub
-                   if x_child not in c)
-        return out
-
-    return CaseReduction(tag, child, tf, lift, report=crep)
+    return _contraction(
+        g, tag, "ContractTriangle", "merged vertex",
+        (_oriented([x2, v, x1], side1), _oriented([x2, x1], side1)),
+        merge=(v, x1, x2), drop=[edge(v, x1), edge(v, x2), edge(x1, x2)])
 
 
 def case1_2(g: EdgeColoredGraph, v: int) -> CaseReduction:
@@ -594,32 +539,10 @@ def case1_2(g: EdgeColoredGraph, v: int) -> CaseReduction:
     y2 = next(w for w in g.graph.adj[x2] if w != v)
     _require(y1 != x2 and y2 != x1, tag, "degenerate flank")
 
-    child, tf = _build_transform(
-        g, "ContractEdge",
-        drop=[edge(v, x1)],
-        merge=[(v, x1)])
-    m_child = tf.child_of()[v]
-    crep = check_goodness(child)
-    _require(crep.verdict is GoodnessVerdict.GOOD, tag,
-             f"contracted graph is {crep.verdict.value}")
-    to_parent = tf.to_parent()
-
-    def lift(sub: list[tuple[str, Cycle]]) -> list[tuple[str, Cycle]]:
-        through = [c for _, c in sub if m_child in c]
-        _require(len(through) == 1, tag,
-                 f"expected 1 child cycle through the merged vertex, got {len(through)}")
-
-        def expand(a: int, b: int) -> list[int]:
-            # merged vertex splits back into x1-v; x1 attaches toward y1
-            return [v, x1] if a == y1 else [x1, v]
-
-        first = _lift_through(through[0], m_child, to_parent, expand)
-        out = [(tag, first)]
-        out.extend((t, _map_cycle(c, to_parent)) for t, c in sub
-                   if m_child not in c)
-        return out
-
-    return CaseReduction(tag, child, tf, lift, report=crep)
+    # the merged vertex splits back into x1-v; x1 attaches toward y1
+    return _contraction(g, tag, "ContractEdge", "merged vertex",
+                        (_oriented([v, x1], (y1,)),),
+                        merge=(v, x1), drop=[edge(v, x1)])
 
 
 # ---------------------------------------------------------------------------
@@ -644,31 +567,9 @@ def case2_1(g: EdgeColoredGraph, path: Sequence[int]) -> CaseReduction:
     _require(cls.edges == frozenset({edge(v1, v2)}), tag,
              "interior color appears elsewhere")
 
-    child, tf = _build_transform(
-        g, "ContractEdge",
-        drop=[edge(v1, v2)],
-        merge=[(v1, v2)])
-    m_child = tf.child_of()[v1]
-    crep = check_goodness(child)
-    _require(crep.verdict is GoodnessVerdict.GOOD, tag,
-             f"contracted graph is {crep.verdict.value}")
-    to_parent = tf.to_parent()
-
-    def lift(sub: list[tuple[str, Cycle]]) -> list[tuple[str, Cycle]]:
-        through = [c for _, c in sub if m_child in c]
-        _require(len(through) == 1, tag,
-                 f"expected 1 child cycle through the merged vertex, got {len(through)}")
-
-        def expand(a: int, b: int) -> list[int]:
-            return [v2, v1] if a == v0 else [v1, v2]
-
-        first = _lift_through(through[0], m_child, to_parent, expand)
-        out = [(tag, first)]
-        out.extend((t, _map_cycle(c, to_parent)) for t, c in sub
-                   if m_child not in c)
-        return out
-
-    return CaseReduction(tag, child, tf, lift, report=crep)
+    return _contraction(g, tag, "ContractEdge", "merged vertex",
+                        (_oriented([v2, v1], (v0,)),),
+                        merge=(v1, v2), drop=[edge(v1, v2)])
 
 
 # ---------------------------------------------------------------------------
@@ -761,20 +662,18 @@ def case2_2_1(g: EdgeColoredGraph, rep: GoodnessReport, p: CasePattern,
     goodness report.
     """
     tag = CASE_2_2_1A
-    child, tf = _build_transform(
+    child, cmap, to_parent = _build_transform(
         g, "MergeVertices",
         drop=[edge(p.y1, p.x1), edge(p.x1, p.v), edge(p.v, p.x2), edge(p.x2, p.y2)],
         add=[(p.y1, p.v, p.alpha), (p.v, p.y2, p.beta)],
         merge=[(p.x1, p.x2)])
-    cmap = tf.child_of()
     x_c, v_c = cmap[p.x1], cmap[p.v]
     y1_c, y2_c = cmap[p.y1], cmap[p.y2]
-    to_parent = tf.to_parent()
     crep = check_goodness(child)
 
     if crep.verdict is GoodnessVerdict.GOOD:
         lift = _case2_2_1a_lift(g, p, child, to_parent, x_c, v_c, y1_c, y2_c)
-        return CaseReduction(CASE_2_2_1A, child, tf, lift, report=crep)
+        return CaseReduction(child, lift, crep)
 
     only_type_x = (crep.verdict is GoodnessVerdict.NOT_GOOD
                    and all(viol.condition == 6 for viol in crep.violations))
@@ -810,8 +709,10 @@ def _case2_2_1a_lift(g, p, child, to_parent, x_c, v_c, y1_c, y2_c):
                 h = h.remove_cycle(c)
             rep_h = check_goodness(h)
             last = None
+            # detour an x-cycle through v: x2-v-x1, x1 on the gamma side
+            detour = _oriented([p.x2, p.v, p.x1], (p.w1, p.z1))
             for cand in xcycles:
-                cyc = _lift_x_cycle_via_v(g, p, cand, x_c, to_parent)
+                cyc = _lift_through(cand, x_c, to_parent, detour)
                 problem, _, _ = _check_removal(h, rep_h, cyc)
                 if problem is None:
                     out.append((tag, cyc))
@@ -825,23 +726,13 @@ def _case2_2_1a_lift(g, p, child, to_parent, x_c, v_c, y1_c, y2_c):
         d2 = next(c for c in meeters if c is not d1)
         _require(x_c in d2 and v_c not in d2, tag, "second meeting cycle malformed")
         out.extend((tag, c) for c in _recombine_two_meeters(
-            g, p, d1, d2, x_c, v_c, y1_c, y2_c, to_parent, child))
+            p, d1, d2, x_c, v_c, y1_c, y2_c, to_parent, child))
         return out
 
     return lift
 
 
-def _lift_x_cycle_via_v(g, p, cand: Cycle, x_c: int, to_parent) -> Cycle:
-    """Lift a child cycle through the merged vertex by detouring x2-v-x1."""
-    def expand(a: int, b: int) -> list[int]:
-        # path ends adjacent to a (gamma side joins x1, delta side x2)
-        if a in (p.w1, p.z1):
-            return [p.x2, p.v, p.x1]
-        return [p.x1, p.v, p.x2]
-    return _lift_through(cand, x_c, to_parent, expand)
-
-
-def _recombine_two_meeters(g, p, d1: Cycle, d2: Cycle, x_c: int, v_c: int,
+def _recombine_two_meeters(p, d1: Cycle, d2: Cycle, x_c: int, v_c: int,
                            y1_c: int, y2_c: int, to_parent, child) -> list[Cycle]:
     """Split the two cycles that sweep the whole pattern into explicit
     rainbow cycles of the parent covering the same edges."""
@@ -912,12 +803,10 @@ def _case2_2_1b(g, rep_g, p, child, cmap, to_parent, x_c, v_c) -> CaseReduction:
                if {i, j} == {order[0], order[1]})
 
     g1set = xb.x_blocks[bx]
-    sub_ecg, sub_tf = _build_transform(
+    sub_ecg, sub_map, sub_back = _build_transform(
         child, "Subgraph",
         drop=[e for e in child.edges if e[0] not in g1set or e[1] not in g1set],
         delete=[u for u in range(child.n) if u not in g1set])
-    sub_map = sub_tf.child_of()
-    sub_back = sub_tf.to_parent()
     g1rep = check_goodness(sub_ecg)
     _require(g1rep.verdict is GoodnessVerdict.ALMOST_GOOD
              and g1rep.bad_vertex == sub_map[t_c], tag,
@@ -950,7 +839,7 @@ def _case2_2_1b(g, rep_g, p, child, cmap, to_parent, x_c, v_c) -> CaseReduction:
             last = problem
         raise CaseVerificationError(tag, f"detour cycle failed verification: {last}")
 
-    return CaseReduction(tag, sub_ecg, sub_tf, lift, report=g1rep)
+    return CaseReduction(sub_ecg, lift, g1rep)
 
 
 def _case2_2_2a(g: EdgeColoredGraph, rep: GoodnessReport, p: CasePattern):
@@ -974,14 +863,12 @@ def _case2_2_2a(g: EdgeColoredGraph, rep: GoodnessReport, p: CasePattern):
 
     drop = [edge(p.x1, q) for q in g.graph.adj[p.x1]]
     drop += [edge(p.x2, q) for q in g.graph.adj[p.x2]]
-    child, tf = _build_transform(
+    child, cmap, to_parent = _build_transform(
         g, "RewireDetour",
         drop=sorted(set(drop)),
         delete=[p.x1, p.x2],
         add=[(p.y1, w, p.alpha), (p.y2, w, p.beta),
              (p.z1, p.v, p.gamma), (p.z2, p.v, p.delta)])
-    cmap = tf.child_of()
-    to_parent = tf.to_parent()
     crep = check_goodness(child)
     _require(crep.verdict is GoodnessVerdict.GOOD, tag,
              f"rewired graph is {crep.verdict.value}")
@@ -997,19 +884,15 @@ def _case2_2_2a(g: EdgeColoredGraph, rep: GoodnessReport, p: CasePattern):
         _require(len(cz) == 1, tag, "expected one child cycle through v")
         cz = cz[0]
 
-        def expand_w(a: int, b: int) -> list[int]:
-            return [p.x1, w, p.x2] if a == p.y2 else [p.x2, w, p.x1]
-
-        def expand_v(a: int, b: int) -> list[int]:
-            return [p.x1, p.v, p.x2] if a == p.z2 else [p.x2, p.v, p.x1]
-
-        out = [(tag, _lift_through(cy, w_c, to_parent, expand_w)),
-               (tag, _lift_through(cz, v_c, to_parent, expand_v))]
+        out = [(tag, _lift_through(cy, w_c, to_parent,
+                                   _oriented([p.x1, w, p.x2], (p.y2,)))),
+               (tag, _lift_through(cz, v_c, to_parent,
+                                   _oriented([p.x1, p.v, p.x2], (p.z2,))))]
         out.extend((t, _map_cycle(c, to_parent)) for t, c in sub
                    if y1_c not in c and v_c not in c)
         return out
 
-    return CaseReduction(tag, child, tf, lift, report=crep)
+    return CaseReduction(child, lift, crep)
 
 
 def _case2_2_2b(g: EdgeColoredGraph, p: CasePattern) -> CaseReduction:
@@ -1018,33 +901,13 @@ def _case2_2_2b(g: EdgeColoredGraph, p: CasePattern) -> CaseReduction:
     y = p.y1
     _require(y == p.y2, tag, "shape b needs y1 == y2")
     _require(g.graph.degree(y) == 2, tag, "shared y must be Type I")
-    rect = [edge(p.v, p.x1), edge(p.x1, y), edge(y, p.x2), edge(p.x2, p.v)]
-    child, tf = _build_transform(
-        g, "ContractRectangle",
-        drop=rect,
-        merge=[(p.v, p.x1, y, p.x2)])
-    x_c = tf.child_of()[p.v]
-    to_parent = tf.to_parent()
-    crep = check_goodness(child)
-    _require(crep.verdict is GoodnessVerdict.GOOD, tag,
-             f"contracted graph is {crep.verdict.value}")
-    gamma_side = {p.w1, p.z1}
-
-    def lift(sub: list[tuple[str, Cycle]]) -> list[tuple[str, Cycle]]:
-        through = [c for _, c in sub if x_c in c]
-        _require(len(through) == 2, tag,
-                 f"expected 2 child cycles through the rectangle, got {len(through)}")
-        inserts = ([p.x2, p.v, p.x1], [p.x2, y, p.x1])
-        out = []
-        for mid, c in zip(inserts, through):
-            def expand(a: int, b: int, mid=mid) -> list[int]:
-                return mid if a in gamma_side else list(reversed(mid))
-            out.append((tag, _lift_through(c, x_c, to_parent, expand)))
-        out.extend((t, _map_cycle(c, to_parent)) for t, c in sub
-                   if x_c not in c)
-        return out
-
-    return CaseReduction(tag, child, tf, lift, report=crep)
+    gamma_side = (p.w1, p.z1)
+    return _contraction(
+        g, tag, "ContractRectangle", "rectangle",
+        (_oriented([p.x2, p.v, p.x1], gamma_side),
+         _oriented([p.x2, y, p.x1], gamma_side)),
+        merge=(p.v, p.x1, y, p.x2),
+        drop=[edge(p.v, p.x1), edge(p.x1, y), edge(y, p.x2), edge(p.x2, p.v)])
 
 
 def _case2_2_2c(g: EdgeColoredGraph, p: CasePattern) -> CaseReduction:
@@ -1057,44 +920,24 @@ def _case2_2_2c(g: EdgeColoredGraph, p: CasePattern) -> CaseReduction:
     _require(p.y1 == p.w2, tag, "shape c needs y1 == w2")
     _require(g.graph.degree(p.y1) == 2, tag, "shared vertex must be Type I")
     _require(not ({p.w1, p.z1} & {p.y2, p.z2}), tag, "shape c sides overlap")
-    rect = [edge(p.v, p.x1), edge(p.x1, p.y1), edge(p.y1, p.x2), edge(p.x2, p.v)]
-    child, tf = _build_transform(
-        g, "ContractRectangle",
-        drop=rect,
-        merge=[(p.v, p.x1, p.y1, p.x2)],
-        recolor=[(edge(p.x2, p.z2), p.beta)])
-    x_c = tf.child_of()[p.v]
-    to_parent = tf.to_parent()
-    crep = check_goodness(child)
-    _require(crep.verdict is GoodnessVerdict.GOOD, tag,
-             f"contracted graph is {crep.verdict.value}")
     gamma_side = {p.w1, p.z1}
+    seen_beta: set[int] = set()  # the lift runs once per reduction
 
-    def lift(sub: list[tuple[str, Cycle]]) -> list[tuple[str, Cycle]]:
-        through = [c for _, c in sub if x_c in c]
-        _require(len(through) == 2, tag,
-                 f"expected 2 child cycles through the rectangle, got {len(through)}")
-        out = []
-        seen_beta: set[int] = set()
-        for c in through:
-            rot = _rotate_to(c.vertices, x_c)
-            a, b = to_parent[rot[1]], to_parent[rot[-1]]
-            beta_end = b if a in gamma_side else a
-            _require(beta_end in (p.y2, p.z2), tag,
-                     "rectangle cycle lacks a beta-side edge")
-            _require(beta_end not in seen_beta, tag,
-                     "both rectangle cycles use the same beta edge")
-            seen_beta.add(beta_end)
-            mid = [p.x2, p.y1, p.x1] if beta_end == p.y2 else [p.x2, p.v, p.x1]
+    def expand(a: int, b: int) -> list[int]:
+        beta_end = b if a in gamma_side else a
+        _require(beta_end in (p.y2, p.z2), tag,
+                 "rectangle cycle lacks a beta-side edge")
+        _require(beta_end not in seen_beta, tag,
+                 "both rectangle cycles use the same beta edge")
+        seen_beta.add(beta_end)
+        mid = [p.x2, p.y1, p.x1] if beta_end == p.y2 else [p.x2, p.v, p.x1]
+        return mid if a in gamma_side else mid[::-1]
 
-            def expand(a2: int, b2: int, mid=mid) -> list[int]:
-                return mid if a2 in gamma_side else list(reversed(mid))
-            out.append((tag, _lift_through(c, x_c, to_parent, expand)))
-        out.extend((t, _map_cycle(c, to_parent)) for t, c in sub
-                   if x_c not in c)
-        return out
-
-    return CaseReduction(tag, child, tf, lift, report=crep)
+    return _contraction(
+        g, tag, "ContractRectangle", "rectangle", (expand, expand),
+        merge=(p.v, p.x1, p.y1, p.x2),
+        drop=[edge(p.v, p.x1), edge(p.x1, p.y1), edge(p.y1, p.x2), edge(p.x2, p.v)],
+        recolor=[(edge(p.x2, p.z2), p.beta)])
 
 
 def _case2_2_2d(g: EdgeColoredGraph, p: CasePattern) -> list[tuple[str, Cycle]]:

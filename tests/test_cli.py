@@ -186,3 +186,37 @@ def test_fallback_budget_env(k4_file, capsys, monkeypatch):
     monkeypatch.setenv("CDCOVER_FALLBACK_BUDGET", "10")
     code, _, _ = _run(capsys, "decompose", "--input", str(k4_file))
     assert code == 0
+
+
+@pytest.mark.parametrize("env, flag, problem", [
+    ("abc", None, "CDCOVER_FALLBACK_BUDGET must be an integer, got 'abc'"),
+    ("2", None, "CDCOVER_FALLBACK_BUDGET must be at least 3, got 2"),
+    (None, "0", "--fallback-budget must be at least 3, got 0"),
+    ("abc", "-1", "--fallback-budget must be at least 3, got -1"),
+])
+def test_fallback_budget_rejected(k4_file, capsys, monkeypatch, env, flag, problem):
+    if env is not None:
+        monkeypatch.setenv("CDCOVER_FALLBACK_BUDGET", env)
+    argv = ["decompose", "--input", str(k4_file)]
+    if flag is not None:
+        argv += ["--fallback-budget", flag]
+    code, out, err = _run(capsys, *argv)
+    assert code == 1 and out == ""
+    assert err == f"error: {problem}\n"
+
+
+def test_fallback_budget_flag_overrides_env(k4_file, capsys, monkeypatch):
+    monkeypatch.setenv("CDCOVER_FALLBACK_BUDGET", "abc")
+    code, _, _ = _run(capsys, "decompose", "--input", str(k4_file),
+                      "--fallback-budget", "3")
+    assert code == 0
+
+
+@pytest.mark.parametrize("payload", [{"foo": 1}, {"cycles": 5}, 5, "cycles"])
+def test_verify_command_rejects_malformed_cover(k4_file, tmp_path, capsys, payload):
+    cover = tmp_path / "cover.json"
+    cover.write_text(json.dumps(payload))
+    code, out, err = _run(capsys, "verify", "--graph", str(k4_file),
+                          "--cover", str(cover))
+    assert code == 1 and out == ""
+    assert err.startswith("error: cover must be a JSON list")

@@ -156,23 +156,65 @@ def test_case1_1_host_trace():
     assert len(set(cols)) == len(cols) - 1  # the almost-rainbow cycle leads
 
 
-def test_case1_1_transform_roundtrip():
+def _lifted_partition(g, red):
+    """Lift the child's decomposition; assert it partitions g's edges."""
+    sub = [(s.case, s.cycle) for s in decompose(red.child).steps]
+    lifted = [c for _, c in red.lift(sub)]
+    assert sorted(e for c in lifted for e in c.edges) == sorted(g.edges)
+    return lifted
+
+
+def test_case1_1_child_and_lift():
+    """The bad triangle 0-1-2 contracts to child vertex 0; the lift puts the
+    path 1-0-2 into one cycle and the edge 1-2 into the other."""
     g = case1_1_host()
     red = case1_1(g, 0)
-    back = red.transform.invert(red.child)
-    assert back.graph == g.graph and dict(back.coloring) == dict(g.coloring)
     assert red.child.n == g.n - 2
-    assert len(red.child.edges) == len(g.edges) - 3
+    assert dict(red.child.coloring) == {
+        (0, 1): 1, (0, 2): 1, (0, 3): 2, (0, 4): 2, (1, 3): 3, (2, 4): 4}
+    assert red.report.verdict is GoodnessVerdict.GOOD
+    lifted = _lifted_partition(g, red)
+    almost = [c for c in lifted if not _is_rainbow(g, c)]
+    assert len(almost) == 1 and {0, 1, 2} <= set(almost[0].vertices)
+    assert any((1, 2) in c.edges and 0 not in c for c in lifted)
+
+
+def _square_and_edge():
+    return EdgeColoredGraph.from_triples(6, [(0, 1, 0), (1, 2, 1), (2, 3, 2),
+                                             (0, 3, 3), (4, 5, 4)])
 
 
 def test_build_transform_accepts_one_shot_delete():
     """`delete` may be any iterable, an iterator included."""
-    g = EdgeColoredGraph.from_triples(6, [(0, 1, 0), (1, 2, 1), (2, 3, 2),
-                                          (0, 3, 3), (4, 5, 4)])
-    child, tf = D._build_transform(g, "Subgraph", drop=[(4, 5)],
-                                   delete=iter([4, 5]))
-    assert child.n == 4 and tf.child_of() == {0: 0, 1: 1, 2: 2, 3: 3}
-    assert tf.invert(child).graph == g.graph
+    g = _square_and_edge()
+    child, to_child, to_parent = D._build_transform(
+        g, "Subgraph", drop=[(4, 5)], delete=iter([4, 5]))
+    assert child.n == 4 and child.edges == g.edges - {(4, 5)}
+    assert to_child == {0: 0, 1: 1, 2: 2, 3: 3}
+    assert to_parent == {0: 0, 1: 1, 2: 2, 3: 3}
+
+
+def test_build_transform_maps_a_merged_vertex_one_way():
+    """A merged vertex has no unique preimage, so `to_parent` omits it."""
+    child, to_child, to_parent = D._build_transform(
+        _square_and_edge(), "ContractEdge", drop=[(0, 1)], merge=[(0, 1)])
+    assert dict(child.coloring) == {(0, 1): 1, (1, 2): 2, (0, 2): 3, (3, 4): 4}
+    assert to_child == {0: 0, 1: 0, 2: 1, 3: 2, 4: 3, 5: 4}
+    assert to_parent == {1: 2, 2: 3, 3: 4, 4: 5}
+
+
+@pytest.mark.parametrize("build, message", [
+    ({"drop": [(0, 2)]}, "dropping absent edges [(0, 2)]"),
+    ({"delete": [4]}, "surviving edge (4, 5) touches a deleted vertex"),
+    ({"merge": [(0, 1)]}, "edge (0, 1) collapses into a loop"),
+    ({"merge": [(0, 2)]}, "edge (1, 2) would become parallel"),
+    ({"add": [(0, 1, 9)]}, "added edge (0, 1) would be parallel"),
+], ids=["absent-drop", "deleted-vertex", "loop", "parallel", "parallel-add"])
+def test_build_transform_rejects(build, message):
+    with pytest.raises(CaseVerificationError) as info:
+        D._build_transform(_square_and_edge(), "Probe", **build)
+    assert info.value.case == "Probe"
+    assert str(info.value) == f"Probe: {message}"
 
 
 def test_case1_1_rejects_wrong_pattern():
@@ -186,12 +228,19 @@ def test_case1_2_host_trace():
     assert tr.steps[0].case == "Case1_2"
 
 
-def test_case1_2_transform_roundtrip():
+def test_case1_2_child_and_lift():
+    """The bad edge 0-1 contracts to child vertex 0; the lift subdivides the
+    one child cycle through it back into the almost-rainbow cycle."""
     g = case1_2_host()
     red = case1_2(g, 0)
-    back = red.transform.invert(red.child)
-    assert back.graph == g.graph and dict(back.coloring) == dict(g.coloring)
     assert red.child.n == g.n - 1
+    assert dict(red.child.coloring) == {
+        (0, 1): 0, (0, 2): 1, (1, 3): 2, (2, 4): 1, (3, 4): 2,
+        (2, 5): 3, (2, 6): 3, (3, 5): 4, (3, 6): 4}
+    assert red.report.verdict is GoodnessVerdict.GOOD
+    lifted = _lifted_partition(g, red)
+    almost = [c for c in lifted if not _is_rainbow(g, c)]
+    assert len(almost) == 1 and {0, 1, 2} <= set(almost[0].vertices)
 
 
 def test_case1_2_rejects_type_2_flank():
