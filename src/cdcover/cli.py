@@ -39,10 +39,20 @@ from .verify import verify_cdc
 BUDGET_ENV = "CDCOVER_FALLBACK_BUDGET"
 
 
+class _NotText(ValueError):
+    """An input file, or stdin, that does not decode as text."""
+
+
 def _read_text(path: str) -> str:
-    if path == "-":
-        return sys.stdin.read()
-    return Path(path).read_text()
+    """The text of the file at `path`, read as UTF-8, or of stdin for "-";
+    `_NotText` when it does not decode."""
+    try:
+        if path == "-":
+            return sys.stdin.read()
+        return Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as err:
+        raise _NotText(f"{'stdin' if path == '-' else path}: not {err.encoding} "
+                       f"text ({err.reason} at byte {err.start})") from None
 
 
 def _write_text(path: str | None, text: str) -> None:
@@ -105,7 +115,7 @@ def cmd_decompose(args) -> int:
         return 1
     try:
         g = _load_graph(args.input, args.format)
-    except (GraphError, OSError) as err:
+    except (GraphError, OSError, _NotText) as err:
         print(f"error: {err}", file=sys.stderr)
         return 1
     problem = _check_cubic_bridgeless(g)
@@ -156,7 +166,7 @@ def cmd_verify(args) -> int:
     try:
         g = _load_graph(args.graph, args.format)
         payload = json.loads(_read_text(args.cover))
-    except (GraphError, OSError, json.JSONDecodeError) as err:
+    except (GraphError, OSError, _NotText, json.JSONDecodeError) as err:
         print(f"error: {err}", file=sys.stderr)
         return 1
     cycles = payload.get("cycles") if isinstance(payload, dict) else payload
@@ -172,7 +182,7 @@ def cmd_verify(args) -> int:
 def cmd_oracle(args) -> int:
     try:
         g = _load_graph(args.input, args.format)
-    except (GraphError, OSError) as err:
+    except (GraphError, OSError, _NotText) as err:
         print(f"error: {err}", file=sys.stderr)
         return 1
     if args.mode == "cdc":

@@ -36,6 +36,28 @@ two cycles' edges at u; neither pair is monochromatic, since a cycle
 repeats a color only at b, which has degree 2. The decomposer verifies a
 batch of cycles that covers its graph this way
 (`decomposer._covering_batch_passes`).
+
+Contracting an edge inside a singular path keeps a good graph good unless it
+closes a two-colored triangle. Let v0 v1 v2 v3 be a path of a good graph on
+four distinct vertices whose inner vertices v1 and v2 are Type I, let
+a = c(v0v1) and b = c(v2v3), and let the child merge v1 and v2 into one
+vertex m, dropping the edge v1v2. Then a != b, since otherwise color a
+would span v0, v1, v2 and v3, against condition 5; and the color of v1v2 is
+on no other edge, for the same reason. So degrees and the vertex spans of
+the remaining colors do not change, and m sees the two colors a and b. The
+parent has no triangle through v1 or v2 (their neighbors are v0, v2 and
+v1, v3, and v0 != v3), so the only new triangle is (v0, m, v3), and it
+exists only when v0 ~ v3. The Type X vertices do not change either: the
+child is the parent with one degree-2 vertex suppressed, which changes
+neither the cut vertices of degree 4 nor how their edges, with their
+colors, split into sides. So the child is good unless v0 ~ v3 and
+c(v0v3) is a or b, when (v0, m, v3) breaks condition 3; the decomposer's
+Case2_1 derives its child's report this way (`decomposer.case2_1`). That
+exception does not arise on a good parent, though. If c(v0v3) = a, v3 can
+have no edges beyond v2v3 and v0v3: a second edge of color a, or two more
+of color b, would make that color span four vertices. So the cycle
+v0 v1 v2 v3 meets the rest of the graph at v0 alone, and v0 either sees one
+color or is a Type X cut vertex. The case c(v0v3) = b is symmetric.
 """
 from __future__ import annotations
 
@@ -100,9 +122,6 @@ class EdgeColoredGraph:
     def colors_at(self, v: int) -> tuple[int, ...]:
         return tuple(self.coloring[edge(v, w)] for w in self.graph.adj[v])
 
-    def color_degree(self, v: int) -> int:
-        return len(set(self.colors_at(v)))
-
     def remove_cycle(self, c: Cycle) -> "EdgeColoredGraph":
         graph = self.graph.remove_cycle(c)
         return EdgeColoredGraph(graph, {e: self.coloring[e] for e in graph.edges})
@@ -118,6 +137,19 @@ class EdgeColoredGraph:
     @cached_property
     def nonisolated(self) -> tuple[int, ...]:
         return tuple(v for v in range(self.n) if self.graph.degree(v) > 0)
+
+    @cached_property
+    def type1(self) -> frozenset[int]:
+        """The Type I vertices: degree 2, with two different colors."""
+        coloring = self.coloring
+        out = []
+        for v, nbrs in enumerate(self.graph.adj):
+            if len(nbrs) == 2:
+                a, b = nbrs
+                if coloring[(v, a) if v < a else (a, v)] != \
+                        coloring[(v, b) if v < b else (b, v)]:
+                    out.append(v)
+        return frozenset(out)
 
 
 @dataclass(frozen=True)
@@ -507,7 +539,7 @@ def find_rainbow_triangle(g: EdgeColoredGraph) -> Cycle | None:
     return None
 
 
-def _singular_walk(g: EdgeColoredGraph, type1: set[int], start: int,
+def _singular_walk(g: EdgeColoredGraph, type1: frozenset[int], start: int,
                    first: int) -> tuple[list[int], bool]:
     """Walk from `start` toward `first`, continuing through Type I vertices.
 
@@ -534,8 +566,7 @@ def longest_singular_path(g: EdgeColoredGraph) -> tuple[int, tuple[int, ...]]:
     length. With no Type I vertices the answer is a single edge (length 1).
     Ties break on the lexicographically least vertex sequence.
     """
-    type1 = {v for v in g.nonisolated
-             if g.graph.degree(v) == 2 and g.color_degree(v) == 2}
+    type1 = g.type1
     if not type1:
         if not g.edges:
             raise ColoredGraphError("no edges")

@@ -14,19 +14,24 @@ dispatching on local structure:
 
 A reduction builds a strictly smaller good or almost-good colored graph, the
 child, with a rule that lifts the child's cycles back to the parent through
-the vertex maps of the child's construction. The engine is one loop over an
-explicit stack of frames: a reduction's child is peeled on a frame above its
-waiting parent, so the depth of the reduction tree costs no Python
-recursion. Every lifted cycle, like every other removal, is re-verified
-against the parent: rainbow typing plus the goodness report of the
-remainder. A batch of cycles that covers its graph, as a lift or a base
+the vertex maps of the child's construction. The child's goodness report is
+checked in full, except in Case2_1: contracting an edge inside a singular
+path of a good graph keeps it good unless that closes a two-colored
+triangle (the lemma in the coloring module docstring), so Case2_1 builds
+its child from the parent's adjacency and derives the report. The engine is
+one loop over an explicit stack of frames: a reduction's child is peeled on
+a frame above its waiting parent, so the depth of the reduction tree costs
+no Python recursion. Every lifted cycle, like every other removal, is
+re-verified against the parent: rainbow typing plus the goodness report of
+the remainder. A batch of cycles that covers its graph, as a lift or a base
 cycle does, is verified in one linear sweep: when its cycles are
 edge-disjoint and rainbow except one almost-rainbow at the bad vertex, every
 remainder is good or almost-good as the checks expect (the lemma in the
 coloring module docstring). Any other removal, and any batch the sweep
 cannot prove safe, is checked one cycle at a time by `check_goodness`, which
 derives the remainder's report from the parent's report and the removed
-cycle. Both agree with the full check at every step. Any failed verification
+cycle; a single cycle its case has already checked so is not checked again.
+Both agree with the full check at every step. Any failed verification
 falls back to a shortest-first search for a safely removable cycle. If that
 also fails, the nearest waiting parent runs the search on its own graph, and
 so on outward; past the root the run ends in a serializable, replayable
@@ -43,7 +48,6 @@ from .coloring import (
     GoodnessReport,
     GoodnessVerdict,
     check_goodness,
-    color_classes,
     connected_nonisolated_components,
     find_rainbow_triangle,
     find_type_x_vertices,
@@ -54,8 +58,10 @@ from .coloring import (
     split_components,
     x_block_decomposition,
 )
-from .graphs import Cycle, Edge, edge
+from .graphs import Cycle, Edge, Graph, edge
 from .linegraph import ColoredLineGraph, project_cycle
+
+_GOOD = GoodnessReport(GoodnessVerdict.GOOD, None, ())
 
 BASE_CYCLE = "BaseCycle"
 RAINBOW_TRIANGLE = "RainbowTriangle"
@@ -309,13 +315,23 @@ def _contraction(g: EdgeColoredGraph, tag: str, kind: str, noun: str,
                  expansions: Sequence[Callable[[int, int], list[int]]],
                  merge: Sequence[int], **build) -> CaseReduction:
     """Merge the vertices of `merge` (with `build`'s other edits) into one
-    vertex m of a child that must be good. The lift expands the i-th child
-    cycle through m by `expansions[i]` and maps every other cycle back."""
+    vertex m of a child that must be good, lifted by `_contraction_lift`."""
     child, to_child, to_parent = _build_transform(g, kind, merge=[merge], **build)
     m = to_child[merge[0]]
     crep = check_goodness(child)
     _require(crep.verdict is GoodnessVerdict.GOOD, tag,
              f"contracted graph is {crep.verdict.value}")
+    return CaseReduction(
+        child, _contraction_lift(tag, noun, expansions, m, to_parent), crep)
+
+
+def _contraction_lift(tag: str, noun: str,
+                      expansions: Sequence[Callable[[int, int], list[int]]],
+                      m: int, to_parent: dict[int, int],
+                      ) -> Callable[[list[tuple[str, Cycle]]], list[tuple[str, Cycle]]]:
+    """The lift of a child in which a contraction made vertex m: it expands
+    the i-th child cycle through m by `expansions[i]` and maps every other
+    cycle back."""
     k = len(expansions)
 
     def lift(sub: list[tuple[str, Cycle]]) -> list[tuple[str, Cycle]]:
@@ -328,7 +344,39 @@ def _contraction(g: EdgeColoredGraph, tag: str, kind: str, noun: str,
         out.extend((t, _map_cycle(c, to_parent)) for t, c in sub if m not in c)
         return out
 
-    return CaseReduction(child, lift, crep)
+    return lift
+
+
+def _contract_edge(g: EdgeColoredGraph, u: int, v: int,
+                   ) -> tuple[EdgeColoredGraph, dict[int, int]]:
+    """Contract the edge uv between two degree-2 vertices with different
+    other neighbors into the vertex min(u, v); returns the child and its
+    `to_parent`, the same as `_build_transform(g, "ContractEdge",
+    merge=[(u, v)], drop=[edge(u, v)])` gives.
+
+    Only max(u, v) leaves, and the ids above it shift down by one, which
+    keeps every neighbor tuple sorted but those of the merged vertex and of
+    the neighbor it takes over; the child's adjacency is the parent's with
+    those two replaced.
+    """
+    lo, hi = (u, v) if u < v else (v, u)
+    padj = g.graph.adj
+    keep = next(w for w in padj[lo] if w != hi)  # lo's other neighbor
+    out = next(w for w in padj[hi] if w != lo)   # the neighbor lo takes over
+    cols = g.coloring
+    coloring = {(a - (a > hi), b - (b > hi)): c for (a, b), c in cols.items()
+                if a != hi and b != hi}
+    k, o = keep - (keep > hi), out - (out > hi)
+    coloring[(lo, o) if lo < o else (o, lo)] = cols[edge(hi, out)]
+    graph = Graph(g.n - 1, frozenset(coloring))
+    adj = [nbrs if not nbrs or nbrs[-1] < hi else tuple(w - (w > hi) for w in nbrs)
+           for nbrs in padj]
+    del adj[hi]
+    adj[lo] = (k, o) if k < o else (o, k)
+    adj[o] = tuple(sorted(lo if w == hi else w - (w > hi) for w in padj[out]))
+    graph.__dict__["adj"] = tuple(adj)  # fills the cached property
+    to_parent = {c: c + (c >= hi) for c in range(g.n - 1) if c != lo}
+    return EdgeColoredGraph(graph, coloring), to_parent
 
 
 def _single_cycle(g: EdgeColoredGraph) -> Cycle | None:
@@ -386,6 +434,19 @@ def _check_removal(h: EdgeColoredGraph, rep: GoodnessReport, cyc: Cycle,
         return (f"removing {cyc.vertices} leaves a {rep2.verdict.value} graph, "
                 f"expected {expected.value}"), None, rep2
     return None, h2, rep2
+
+
+class _Checked(list):
+    """A one-cycle batch [(tag, cycle)] whose removal its case has already
+    verified with `_check_removal` on the graph it is applied to. It carries
+    the remainder and its report, so `_apply_batch` does not check it again.
+    """
+
+    def __init__(self, tag: str, cycle: Cycle, rest: EdgeColoredGraph,
+                 report: GoodnessReport):
+        super().__init__([(tag, cycle)])
+        self.rest = rest
+        self.report = report
 
 
 def _covering_batch_passes(h: EdgeColoredGraph, rep: GoodnessReport,
@@ -549,27 +610,36 @@ def case1_2(g: EdgeColoredGraph, v: int) -> CaseReduction:
 # Case 2.1: a singular path of length >= 3
 
 
-def case2_1(g: EdgeColoredGraph, path: Sequence[int]) -> CaseReduction:
+def case2_1(g: EdgeColoredGraph, rep: GoodnessReport,
+            path: Sequence[int]) -> CaseReduction:
     """Contract the middle edge of a singular path v0 v1 v2 v3.
 
-    The interior color appears nowhere else, so the child cycle through the
-    merged vertex subdivides back; all other cycles lift unchanged.
+    `rep` is g's goodness report, which must be good. The child is built
+    from g directly, and its report is derived rather than checked (the
+    contraction lemma in the coloring module docstring): it is good unless
+    v0 ~ v3 and c(v0v3) is c(v0v1) or c(v2v3). The interior color appears
+    nowhere else, so the child cycle through the merged vertex subdivides
+    back; all other cycles lift unchanged.
     """
     tag = CASE_2_1
+    _require(rep.verdict is GoodnessVerdict.GOOD, tag,
+             f"singular path contraction needs a good graph, got {rep.verdict.value}")
     _require(len(path) >= 4, tag, "singular path too short")
     v0, v1, v2, v3 = path[0], path[1], path[2], path[3]
     _require(len({v0, v1, v2, v3}) == 4, tag, "singular path vertices repeat")
     for t in (v1, v2):
-        _require(g.graph.degree(t) == 2 and g.color_degree(t) == 2, tag,
-                 f"interior vertex {t} is not Type I")
-    alpha = g.color(v1, v2)
-    cls = color_classes(g)[alpha]
-    _require(cls.edges == frozenset({edge(v1, v2)}), tag,
-             "interior color appears elsewhere")
+        _require(t in g.type1, tag, f"interior vertex {t} is not Type I")
+    adj = g.graph.adj
+    _require(v0 in adj[v1] and v2 in adj[v1] and v3 in adj[v2], tag,
+             f"{(v0, v1, v2, v3)} is not a path of the graph")
+    if v3 in adj[v0]:
+        _require(g.color(v0, v3) not in (g.color(v0, v1), g.color(v2, v3)), tag,
+                 f"contracted graph is {GoodnessVerdict.NOT_GOOD.value}")
 
-    return _contraction(g, tag, "ContractEdge", "merged vertex",
-                        (_oriented([v2, v1], (v0,)),),
-                        merge=(v1, v2), drop=[edge(v1, v2)])
+    child, to_parent = _contract_edge(g, v1, v2)
+    lift = _contraction_lift(tag, "merged vertex", (_oriented([v2, v1], (v0,)),),
+                             min(v1, v2), to_parent)
+    return CaseReduction(child, lift, _GOOD)
 
 
 # ---------------------------------------------------------------------------
@@ -579,10 +649,8 @@ def case2_1(g: EdgeColoredGraph, path: Sequence[int]) -> CaseReduction:
 def extract_case2_2_pattern(g: EdgeColoredGraph) -> CasePattern:
     """Bind the local labels around the minimum Type I vertex."""
     tag = "Case2_2"
-    type1 = [v for v in g.nonisolated
-             if g.graph.degree(v) == 2 and g.color_degree(v) == 2]
-    _require(bool(type1), tag, "no Type I vertex")
-    v = min(type1)
+    _require(bool(g.type1), tag, "no Type I vertex")
+    v = min(g.type1)
     x1, x2 = sorted(g.graph.adj[v])
     alpha, beta = g.color(v, x1), g.color(v, x2)
     sides = []
@@ -833,9 +901,9 @@ def _case2_2_1b(g, rep_g, p, child, cmap, to_parent, x_c, v_c) -> CaseReduction:
                 continue
             path_p = [to_parent[u] for u in path_c]
             cyc = Cycle(tuple([p.v, p.x1] + path_p + [p.x2]))
-            problem, _, _ = _check_removal(g, rep_g, cyc)
+            problem, rest, rest_rep = _check_removal(g, rep_g, cyc)
             if problem is None:
-                return [(tag, cyc)]
+                return _Checked(tag, cyc, rest, rest_rep)
             last = problem
         raise CaseVerificationError(tag, f"detour cycle failed verification: {last}")
 
@@ -849,14 +917,14 @@ def _case2_2_2a(g: EdgeColoredGraph, rep: GoodnessReport, p: CasePattern):
     w = p.w1
     _require(w == p.w2, tag, "shape a needs w1 == w2")
     direct = Cycle((p.x1, p.v, p.x2, w))
-    problem, _, _ = _check_removal(g, rep, direct)
+    problem, rest, rest_rep = _check_removal(g, rep, direct)
     if problem is None:
-        return [(tag, direct)]
+        return _Checked(tag, direct, rest, rest_rep)
 
     # the direct cycle creates a Type X vertex; the derived structure must
     # then have w and all of y1, y2, z1, z2 of Type I with disjoint sides
     for u in (w, p.y1, p.y2, p.z1, p.z2):
-        _require(g.graph.degree(u) == 2 and g.color_degree(u) == 2, tag,
+        _require(u in g.type1, tag,
                  f"rewire precondition: vertex {u} is not Type I ({problem})")
     _require(not ({p.y1, p.z1} & {p.y2, p.z2}), tag,
              f"rewire precondition: sides overlap ({problem})")
@@ -1074,7 +1142,7 @@ def _dispatch(comp: EdgeColoredGraph, rep: GoodnessReport):
         return [(ALL_TYPE_II, find_cycle_all_type2(comp, rep))]
     length, path = longest_singular_path(comp)
     if length >= 3:
-        return case2_1(comp, path)
+        return case2_1(comp, rep, path)
     pat = extract_case2_2_pattern(comp)
     shape, pat = normalize_case2_2(pat)
     if shape == "disjoint":
@@ -1088,13 +1156,15 @@ def _apply_batch(comp: EdgeColoredGraph, rep: GoodnessReport,
                  batch: list[tuple[str, Cycle]],
                  ) -> tuple[EdgeColoredGraph, GoodnessReport, list[tuple[str, Cycle]]]:
     """Remove the batch's cycles from comp in order, verifying each removal;
-    returns the remainder, its report and the cycles removed. A batch that
-    covers comp is verified in one sweep when that proves every removal
-    safe; otherwise each cycle goes through `_check_removal`, and the first
-    it rejects raises."""
+    returns the remainder, its report and the cycles removed. A `_Checked`
+    batch carries its verified remainder. A batch that covers comp is
+    verified in one sweep when that proves every removal safe; otherwise
+    each cycle goes through `_check_removal`, and the first it rejects
+    raises."""
+    if isinstance(batch, _Checked):
+        return batch.rest, batch.report, list(batch)
     if _covering_batch_passes(comp, rep, batch):
-        return comp.restrict_edges(()), GoodnessReport(
-            GoodnessVerdict.GOOD, None, ()), list(batch)
+        return comp.restrict_edges(()), _GOOD, list(batch)
     h, r = comp, rep
     applied: list[tuple[str, Cycle]] = []
     for tag, cyc in batch:

@@ -220,3 +220,25 @@ def test_verify_command_rejects_malformed_cover(k4_file, tmp_path, capsys, paylo
                           "--cover", str(cover))
     assert code == 1 and out == ""
     assert err.startswith("error: cover must be a JSON list")
+
+
+@pytest.mark.parametrize("command, undecodable", [
+    ("decompose", "input"), ("oracle", "input"), ("verify", "graph"),
+    ("verify", "cover"),
+])
+def test_undecodable_input_is_an_error(k4_file, tmp_path, capsys, command,
+                                       undecodable):
+    binary = tmp_path / "bin.txt"
+    binary.write_bytes(b"\xff\xfe0 1\n")
+    cover = tmp_path / "cover.json"
+    cover.write_text(json.dumps({"cycles": []}))
+    files = {"input": binary, "graph": k4_file, "cover": cover}
+    files[undecodable] = binary
+    argv = [command]
+    for flag in (("graph", "cover") if command == "verify" else ("input",)):
+        argv += [f"--{flag}", str(files[flag])]
+    if undecodable != "cover":
+        argv += ["--format", "edgelist"]
+    code, out, err = _run(capsys, *argv)
+    assert code == 1 and out == ""
+    assert err == f"error: {binary}: not utf-8 text (invalid start byte at byte 0)\n"

@@ -33,7 +33,7 @@ from cdcover.decomposer import (
     normalize_case2_2,
     replay_case_failure,
 )
-from cdcover.graphs import Cycle
+from cdcover.graphs import Cycle, edge
 from cdcover.linegraph import build_line_graph, cover_from_decomposition, project_cycle
 from cdcover.oracle import GeneratorConfig, enumerate_cycles, random_cubic_bridgeless
 from cdcover.verify import verify_cdc, verify_rainbow_decomposition
@@ -251,7 +251,7 @@ def test_case1_2_rejects_type_2_flank():
 def test_case2_1_agrees_with_base_case_on_c5():
     g = EdgeColoredGraph.from_triples(5, [(0, 1, 0), (1, 2, 1), (2, 3, 2),
                                           (3, 4, 3), (0, 4, 4)])
-    red = case2_1(g, (0, 1, 2, 3))
+    red = case2_1(g, check_goodness(g), (0, 1, 2, 3))
     assert red.child.n == 4
     sub = [( "BaseCycle", c) for c in
            [next(iter(decompose(red.child).cycles))]]
@@ -265,7 +265,125 @@ def test_case2_1_agrees_with_base_case_on_c5():
 def test_case2_1_rejects_short_singular_path():
     g = case2_2_2d_host()
     with pytest.raises(CaseVerificationError):
-        case2_1(g, (1, 0, 2, 4))  # interior vertices not both Type I
+        case2_1(g, check_goodness(g), (1, 0, 2, 4))  # interior vertices not both Type I
+
+
+def test_case2_1_child_and_report_match_the_rebuilt_child(monkeypatch):
+    """Every Case2_1 child the engine makes, built from its parent, is the
+    child `_build_transform` builds, vertex maps included, and its derived
+    report is the one `check_goodness` gives."""
+    calls = []
+    real = D.case2_1
+    monkeypatch.setattr(D, "case2_1", lambda g, rep, path:
+                        calls.append((g, rep, path)) or real(g, rep, path))
+    for n in range(10, 21, 2):
+        for seed in range(3):
+            lg = build_line_graph(random_cubic_bridgeless(GeneratorConfig(n, seed))).lg
+            assert decompose(lg).success
+    assert len(calls) > 100
+    for g, rep, path in calls:
+        v1, v2 = path[1], path[2]
+        child, _, to_parent = D._build_transform(
+            g, "ContractEdge", merge=[(v1, v2)], drop=[edge(v1, v2)])
+        derived, derived_to_parent = D._contract_edge(g, v1, v2)
+        assert (derived.n, dict(derived.coloring), derived.graph.adj,
+                derived_to_parent) == (child.n, dict(child.coloring),
+                                       child.graph.adj, to_parent)
+        red = real(g, rep, path)
+        assert red.child == child
+        assert red.report == check_goodness(child)
+
+
+def test_case2_1_chord_of_a_third_color_closes_a_rainbow_triangle():
+    # the singular path 0 1 2 3 with a = 0 and b = 2, and the chord 0-3 of
+    # color 3, in a monochromatic triangle with 4; 0 and 3 are Type II
+    g = EdgeColoredGraph.from_triples(9, [
+        (0, 1, 0), (1, 2, 1), (2, 3, 2), (0, 3, 3), (0, 4, 3), (3, 4, 3),
+        (0, 5, 0), (3, 6, 2), (4, 7, 4), (4, 8, 4), (5, 7, 5), (6, 8, 6)])
+    rep = check_goodness(g)
+    assert rep.verdict is GoodnessVerdict.GOOD
+    red = case2_1(g, rep, (0, 1, 2, 3))
+    child, _, _ = D._build_transform(g, "ContractEdge", merge=[(1, 2)],
+                                     drop=[(1, 2)])
+    assert red.child == child
+    assert red.report == check_goodness(child)
+    assert red.report.verdict is GoodnessVerdict.GOOD
+    # 1 is the merged vertex, 2 is the old 3
+    assert [child.color(*e) for e in Cycle((0, 1, 2)).edges] == [0, 2, 3]
+
+
+@pytest.mark.parametrize("chord", [0, 2], ids=["a", "b"])
+def test_case2_1_chord_of_a_path_color(chord):
+    """A chord 0-3 of color a or b would leave the contracted triangle
+    (0, m, 3) two-colored. No good graph has one: condition 5 makes 3 (or 0)
+    Type I, and then 0 (or 3) is bad or a Type X cut vertex. So it comes as
+    this almost-good 4-cycle, which case2_1 rejects; told that the graph is
+    good, it rejects the contraction with the message a full check of the
+    child gave."""
+    g = EdgeColoredGraph.from_triples(4, [(0, 1, 0), (1, 2, 1), (2, 3, 2),
+                                          (0, 3, chord)])
+    rep = check_goodness(g)
+    assert rep.verdict is GoodnessVerdict.ALMOST_GOOD
+    child, _, _ = D._build_transform(g, "ContractEdge", merge=[(1, 2)],
+                                     drop=[(1, 2)])
+    assert check_goodness(child).verdict is GoodnessVerdict.NOT_GOOD
+    with pytest.raises(CaseVerificationError) as err:
+        case2_1(g, rep, (0, 1, 2, 3))
+    assert str(err.value) == ("Case2_1: singular path contraction needs a "
+                              "good graph, got almost_good")
+    with pytest.raises(CaseVerificationError) as err:
+        case2_1(g, GoodnessReport(GoodnessVerdict.GOOD, None, ()), (0, 1, 2, 3))
+    assert str(err.value) == "Case2_1: contracted graph is not_good"
+
+
+def test_case2_1_makes_no_rebuild_or_goodness_check(monkeypatch):
+    calls = []
+    for name in ("check_goodness", "_build_transform"):
+        monkeypatch.setattr(D, name, lambda *a, _name=name, _real=getattr(D, name),
+                            **k: calls.append(_name) or _real(*a, **k))
+    made = []  # the calls each case2_1 call made
+    real = D.case2_1
+
+    def case(*args):
+        before = len(calls)
+        red = real(*args)
+        made.append(calls[before:])
+        return red
+
+    monkeypatch.setattr(D, "case2_1", case)
+    n, seed = CASE_RECIPES["Case2_1"]
+    assert decompose(build_line_graph(
+        random_cubic_bridgeless(GeneratorConfig(n, seed))).lg).success
+    assert made and not any(made)
+    assert set(calls) == {"check_goodness", "_build_transform"}
+
+
+@pytest.mark.parametrize("tag", ["Case2_2_1b", "Case2_2_2a"])
+def test_single_cycle_step_is_checked_once(monkeypatch, tag):
+    """The cycle a case checks before it returns it, the Case2_2_2a
+    rectangle or the Case2_2_1b detour, is not checked again when the
+    engine removes it."""
+    checked = []
+    real_check = D._check_removal
+    monkeypatch.setattr(D, "_check_removal",
+                        lambda h, r, c: checked.append(c) or real_check(h, r, c))
+    steps = []  # (cycle, removal checks while removing it)
+    real_apply = D._apply_batch
+
+    def apply(comp, rep, batch):
+        before = len(checked)
+        out = real_apply(comp, rep, batch)
+        if [t for t, _ in batch] == [tag]:
+            steps.append((batch[0][1], len(checked) - before))
+        return out
+
+    monkeypatch.setattr(D, "_apply_batch", apply)
+    n, seed = CASE_RECIPES[tag]
+    assert decompose(build_line_graph(
+        random_cubic_bridgeless(GeneratorConfig(n, seed))).lg).success
+    assert steps
+    for cyc, checks in steps:
+        assert checks == 0 and cyc in checked
 
 
 def test_case2_2_pattern_extraction_and_shape_d():
