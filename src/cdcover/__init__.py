@@ -33,7 +33,6 @@ from .graphs import (
     Cycle,
     Graph,
     GraphError,
-    block_decomposition,
     connected_components,
     find_bridges,
     is_cubic,
@@ -71,7 +70,6 @@ __all__ = [
     "GoodnessVerdict",
     "Graph",
     "GraphError",
-    "block_decomposition",
     "brute_force_cdc",
     "brute_force_rainbow_decomposition",
     "build_line_graph",

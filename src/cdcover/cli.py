@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 from pathlib import Path
@@ -22,12 +23,16 @@ from .graphs import (
     Graph,
     GraphError,
     find_bridges,
-    is_connected,
     parse_edge_list,
     parse_graph6,
     serialize_graph6,
 )
-from .linegraph import LineGraphError, build_line_graph, cover_from_decomposition
+from .linegraph import (
+    ColoredLineGraph,
+    LineGraphError,
+    build_line_graph,
+    cover_from_decomposition,
+)
 from .oracle import (
     GeneratorConfig,
     brute_force_cdc,
@@ -76,16 +81,21 @@ def _load_graph(path: str, fmt: str) -> Graph:
     return parse_edge_list(text)
 
 
-def _check_cubic_bridgeless(g: Graph) -> str | None:
-    for v in range(g.n):
-        if g.degree(v) != 3:
-            return f"graph is not cubic: vertex {v} has degree {g.degree(v)}"
-    if not is_connected(g):
-        return "graph is not connected"
+def _bridgeless_line_graph(g: Graph) -> ColoredLineGraph:
+    """The colored line graph of g; LineGraphError unless g is cubic,
+    connected (both checked by `build_line_graph`) and bridgeless."""
+    clg = build_line_graph(g)
     bridges = find_bridges(g)
     if bridges:
-        return f"graph has a bridge: {sorted(bridges)[0]}"
-    return None
+        raise LineGraphError(f"graph has a bridge: {sorted(bridges)[0]}")
+    return clg
+
+
+def _oracle_budget(budget: float) -> str | None:
+    """Why an oracle --budget in seconds is unusable, or None."""
+    if math.isfinite(budget) and budget > 0:
+        return None
+    return f"--budget must be a finite number of seconds above 0, got {budget}"
 
 
 def _fallback_budget(args) -> int | None:
@@ -115,14 +125,10 @@ def cmd_decompose(args) -> int:
         return 1
     try:
         g = _load_graph(args.input, args.format)
-    except (GraphError, OSError, _NotText) as err:
+        clg = _bridgeless_line_graph(g)
+    except (GraphError, OSError, _NotText, LineGraphError) as err:
         print(f"error: {err}", file=sys.stderr)
         return 1
-    problem = _check_cubic_bridgeless(g)
-    if problem:
-        print(f"error: {problem}", file=sys.stderr)
-        return 1
-    clg = build_line_graph(g)
 
     if args.goddyn_cycle:
         try:
@@ -180,20 +186,20 @@ def cmd_verify(args) -> int:
 
 
 def cmd_oracle(args) -> int:
+    problem = _oracle_budget(args.budget)
+    if problem:
+        print(f"error: {problem}", file=sys.stderr)
+        return 1
     try:
         g = _load_graph(args.input, args.format)
-    except (GraphError, OSError, _NotText) as err:
+        lg = _bridgeless_line_graph(g).lg if args.mode == "rainbow" else None
+    except (GraphError, OSError, _NotText, LineGraphError) as err:
         print(f"error: {err}", file=sys.stderr)
         return 1
     if args.mode == "cdc":
         result = brute_force_cdc(g, time_budget=args.budget)
     else:
-        problem = _check_cubic_bridgeless(g)
-        if problem:
-            print(f"error: {problem}", file=sys.stderr)
-            return 1
-        clg = build_line_graph(g)
-        result = brute_force_rainbow_decomposition(clg.lg, time_budget=args.budget)
+        result = brute_force_rainbow_decomposition(lg, time_budget=args.budget)
     print(result.status)
     return 0 if result.status in ("found", "absent") else 3
 
@@ -217,6 +223,10 @@ def cmd_crosscheck(args) -> int:
     if args.n_max < 4 or args.n_max % 2:
         print(f"error: --n-max must be an even integer >= 4, got {args.n_max}",
               file=sys.stderr)
+        return 1
+    problem = _oracle_budget(args.budget)
+    if problem:
+        print(f"error: {problem}", file=sys.stderr)
         return 1
     rng = random.Random(args.seed)
     sizes = list(range(4, args.n_max + 1, 2))

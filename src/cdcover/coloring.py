@@ -58,6 +58,17 @@ have no edges beyond v2v3 and v0v3: a second edge of color a, or two more
 of color b, would make that color span four vertices. So the cycle
 v0 v1 v2 v3 meets the rest of the graph at v0 alone, and v0 either sees one
 color or is a Type X cut vertex. The case c(v0v3) = b is symmetric.
+
+The Type X search, which sorts u's neighbors by side, gives the x-blocks
+too. Join two edges when they share a vertex, except that at a Type X
+vertex u only the two edges of each side are joined; the x-blocks are the vertex sets of the classes of edges
+(`x_block_decomposition`). These are the blocks (maximal 2-connected
+subgraphs) merged at every cut vertex that is not Type X, and each Type X
+vertex lies in exactly two of them. A block's edges at u are one side pair,
+since the block minus u stays connected; so a block lies in one class.
+Blocks that meet at a cut vertex that is not Type X are joined there. And
+nothing joins the two sides of u: two edges joined at a vertex w != u lie
+on w's side, and at u the two pairs are never joined.
 """
 from __future__ import annotations
 
@@ -70,7 +81,6 @@ from .graphs import (
     Cycle,
     Edge,
     Graph,
-    block_decomposition,
     connected_components,
     edge,
 )
@@ -340,15 +350,20 @@ def find_type_x_vertices(g: EdgeColoredGraph) -> frozenset[int]:
     an even graph, there are two groups of two, and u is Type X when both
     pairs are monochromatic.
     """
+    _require_even(g)
+    return frozenset(_type_x_vertices(g))
+
+
+def _require_even(g: EdgeColoredGraph) -> None:
     odd = [v for v, nbrs in enumerate(g.graph.adj) if len(nbrs) % 2]
     if odd:
         raise ColoredGraphError(f"Type X detection requires an even graph; "
                                 f"odd-degree vertices {odd}")
-    return _type_x_vertices(g)
 
 
-def _type_x_vertices(g: EdgeColoredGraph) -> frozenset[int]:
-    """`find_type_x_vertices` for a graph whose degrees are known to be even."""
+def _type_x_vertices(g: EdgeColoredGraph) -> dict[int, tuple[tuple[int, ...], ...]]:
+    """`find_type_x_vertices` for a graph whose degrees are known to be even,
+    as a map from each Type X vertex to its two pairs of neighbors by side."""
     adj = g.graph.adj
     disc = [-1] * g.n
     low = [0] * g.n
@@ -383,7 +398,7 @@ def _type_x_vertices(g: EdgeColoredGraph) -> frozenset[int]:
                         split.setdefault(u, []).append(v)
 
     coloring = g.coloring
-    result = []
+    result = {}
     for u, kids in split.items():
         groups: dict[int, list[int]] = {}
         for w in adj[u]:
@@ -399,8 +414,8 @@ def _type_x_vertices(g: EdgeColoredGraph) -> frozenset[int]:
                 f"across components in an even graph")
         if all(coloring[edge(u, a)] == coloring[edge(u, b)]
                for a, b in groups.values()):
-            result.append(u)
-    return frozenset(result)
+            result[u] = tuple(tuple(ws) for ws in groups.values())
+    return result
 
 
 def connected_nonisolated_components(g: EdgeColoredGraph) -> list[frozenset[int]]:
@@ -474,48 +489,39 @@ class XBlockDecomposition:
 
 
 def x_block_decomposition(g: EdgeColoredGraph) -> XBlockDecomposition:
-    """Unique decomposition of a connected even colored graph into x-blocks."""
+    """Unique decomposition of a connected even colored graph into x-blocks,
+    ordered by least edge, from the Type X search (see the module docstring).
+    """
     comps = connected_nonisolated_components(g)
     if len(comps) != 1:
         raise ColoredGraphError("x-block decomposition requires a connected graph")
-    txv = find_type_x_vertices(g)
-    bd = block_decomposition(g.graph)
-    k = len(bd.blocks)
-    parent = list(range(k))
-
-    def find(a: int) -> int:
-        while parent[a] != a:
-            parent[a] = parent[parent[a]]
-            a = parent[a]
-        return a
-
-    def union(a: int, b: int) -> None:
-        ra, rb = find(a), find(b)
-        if ra != rb:
-            parent[max(ra, rb)] = min(ra, rb)
-
-    for c in sorted(bd.cut_vertices):
-        if c in txv:
+    _require_even(g)
+    sides = _type_x_vertices(g)
+    adj = g.graph.adj
+    block_of: dict[Edge, int] = {}
+    x_blocks = []
+    for first in sorted(g.edges):
+        if first in block_of:
             continue
-        at_c = bd.blocks_at(c)
-        for i in at_c[1:]:
-            union(at_c[0], i)
-
-    roots = sorted({find(i) for i in range(k)})
-    index = {r: i for i, r in enumerate(roots)}
-    vsets: list[set[int]] = [set() for _ in roots]
-    for i in range(k):
-        vsets[index[find(i)]].update(v for e in bd.blocks[i] for v in e)
-    x_blocks = tuple(frozenset(s) for s in vsets)
+        k = block_of[first] = len(x_blocks)
+        verts = set(first)
+        ends = [first, first[::-1]]  # (u, w): join the edges at u with uw
+        while ends:
+            u, w = ends.pop()
+            pairs = sides.get(u)
+            for x in adj[u] if pairs is None else pairs[w not in pairs[0]]:
+                e = (u, x) if u < x else (x, u)
+                if e not in block_of:
+                    block_of[e] = k
+                    verts.add(x)
+                    ends.append((x, u))
+        x_blocks.append(frozenset(verts))
 
     forest = []
-    for c in sorted(txv):
-        at_c = sorted({index[find(i)] for i in bd.blocks_at(c)})
-        if len(at_c) != 2:
-            raise ColoredGraphError(
-                f"Type X vertex {c} joins {len(at_c)} x-blocks; expected 2")
-        forest.append((at_c[0], at_c[1], c))
-    return XBlockDecomposition(x_blocks, txv, tuple(forest))
+    for c in sorted(sides):
+        i, j = sorted(block_of[edge(c, pair[0])] for pair in sides[c])
+        forest.append((i, j, c))
+    return XBlockDecomposition(tuple(x_blocks), frozenset(sides), tuple(forest))
 
 
 # ---------------------------------------------------------------------------

@@ -50,7 +50,6 @@ from .coloring import (
     check_goodness,
     connected_nonisolated_components,
     find_rainbow_triangle,
-    find_type_x_vertices,
     is_almost_rainbow_at,
     longest_singular_path,
     parse_colored_edge_list,
@@ -437,14 +436,14 @@ def _check_removal(h: EdgeColoredGraph, rep: GoodnessReport, cyc: Cycle,
 
 
 class _Checked(list):
-    """A one-cycle batch [(tag, cycle)] whose removal its case has already
-    verified with `_check_removal` on the graph it is applied to. It carries
-    the remainder and its report, so `_apply_batch` does not check it again.
-    """
+    """A batch [(tag, cycle), ...] whose removals, in order, its case has
+    already verified with `_check_removal` on the graph it is applied to. It
+    carries the remainder and its report, so `_apply_batch` does not check
+    it again."""
 
-    def __init__(self, tag: str, cycle: Cycle, rest: EdgeColoredGraph,
+    def __init__(self, batch: list[tuple[str, Cycle]], rest: EdgeColoredGraph,
                  report: GoodnessReport):
-        super().__init__([(tag, cycle)])
+        super().__init__(batch)
         self.rest = rest
         self.report = report
 
@@ -740,17 +739,19 @@ def case2_2_1(g: EdgeColoredGraph, rep: GoodnessReport, p: CasePattern,
     crep = check_goodness(child)
 
     if crep.verdict is GoodnessVerdict.GOOD:
-        lift = _case2_2_1a_lift(g, p, child, to_parent, x_c, v_c, y1_c, y2_c)
+        lift = _case2_2_1a_lift(g, rep, p, child, to_parent, x_c, v_c, y1_c, y2_c)
         return CaseReduction(child, lift, crep)
 
     only_type_x = (crep.verdict is GoodnessVerdict.NOT_GOOD
                    and all(viol.condition == 6 for viol in crep.violations))
     _require(only_type_x, tag,
              f"merged graph broken beyond Type X: {crep.to_json()['violations']}")
-    return _case2_2_1b(g, rep, p, child, cmap, to_parent, x_c, v_c)
+    return _case2_2_1b(g, rep, p, child, crep, cmap, to_parent, x_c, v_c)
 
 
-def _case2_2_1a_lift(g, p, child, to_parent, x_c, v_c, y1_c, y2_c):
+def _case2_2_1a_lift(g, rep, p, child, to_parent, x_c, v_c, y1_c, y2_c):
+    """Lift a good merged child. If it leaves an x-cycle in g, the lift
+    checks its batch itself and returns it `_Checked`. `rep` is g's report."""
     tag = CASE_2_2_1A
 
     def lift(sub: list[tuple[str, Cycle]]) -> list[tuple[str, Cycle]]:
@@ -772,19 +773,15 @@ def _case2_2_1a_lift(g, p, child, to_parent, x_c, v_c, y1_c, y2_c):
             _require(x_c not in d1, tag, "three meeting cycles but v-cycle uses x")
             xcycles = [c for c in meeters if c is not d1]
             _require(all(x_c in c for c in xcycles), tag, "meeting cycle misses x")
-            h = g
-            for _, c in out:
-                h = h.remove_cycle(c)
-            rep_h = check_goodness(h)
+            h, rep_h, out = _apply_batch(g, rep, out)
             last = None
             # detour an x-cycle through v: x2-v-x1, x1 on the gamma side
             detour = _oriented([p.x2, p.v, p.x1], (p.w1, p.z1))
             for cand in xcycles:
                 cyc = _lift_through(cand, x_c, to_parent, detour)
-                problem, _, _ = _check_removal(h, rep_h, cyc)
+                problem, rest, rest_rep = _check_removal(h, rep_h, cyc)
                 if problem is None:
-                    out.append((tag, cyc))
-                    return out
+                    return _Checked(out + [(tag, cyc)], rest, rest_rep)
                 last = problem
             raise CaseVerificationError(tag, f"both x-cycle detours failed: {last}")
 
@@ -846,11 +843,12 @@ def _recombine_two_meeters(p, d1: Cycle, d2: Cycle, x_c: int, v_c: int,
     return [big, small]
 
 
-def _case2_2_1b(g, rep_g, p, child, cmap, to_parent, x_c, v_c) -> CaseReduction:
+def _case2_2_1b(g, rep_g, p, child, crep, cmap, to_parent, x_c, v_c) -> CaseReduction:
     """Reduce to the merged graph's end x-block at the merged vertex; lift by
-    detouring one of its cycles through the merged vertex via v."""
+    detouring one of its cycles through the merged vertex via v. `crep` is
+    the merged graph's report; its violations name its Type X vertices."""
     tag = CASE_2_2_1B
-    txv = find_type_x_vertices(child)
+    txv = {viol.witness for viol in crep.violations}
     _require(x_c not in txv, tag, "merged vertex became Type X")
     xb = x_block_decomposition(child)
     _require(xb.is_path(), tag, "x-block forest is not a path")
@@ -903,7 +901,7 @@ def _case2_2_1b(g, rep_g, p, child, cmap, to_parent, x_c, v_c) -> CaseReduction:
             cyc = Cycle(tuple([p.v, p.x1] + path_p + [p.x2]))
             problem, rest, rest_rep = _check_removal(g, rep_g, cyc)
             if problem is None:
-                return _Checked(tag, cyc, rest, rest_rep)
+                return _Checked([(tag, cyc)], rest, rest_rep)
             last = problem
         raise CaseVerificationError(tag, f"detour cycle failed verification: {last}")
 
@@ -919,7 +917,7 @@ def _case2_2_2a(g: EdgeColoredGraph, rep: GoodnessReport, p: CasePattern):
     direct = Cycle((p.x1, p.v, p.x2, w))
     problem, rest, rest_rep = _check_removal(g, rep, direct)
     if problem is None:
-        return _Checked(tag, direct, rest, rest_rep)
+        return _Checked([(tag, direct)], rest, rest_rep)
 
     # the direct cycle creates a Type X vertex; the derived structure must
     # then have w and all of y1, y2, z1, z2 of Type I with disjoint sides

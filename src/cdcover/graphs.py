@@ -2,15 +2,16 @@
 
 Provides the plain graph value type, cycles in canonical form, parsing and
 serialization (graph6 and edge-list text), and the topological primitives the
-rest of the package is built on: connectivity, bridges and blocks.
+rest of the package is built on: connectivity and bridges. The cut
+structure the decomposer needs, Type X cut vertices and x-blocks, comes
+from one lowpoint search in the coloring module.
 
 All values are immutable after construction; every operation returns new
 values.
 """
 from __future__ import annotations
 
-import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 
 Edge = tuple[int, int]
@@ -62,9 +63,6 @@ class Graph:
 
     def degree(self, v: int) -> int:
         return len(self.adj[v])
-
-    def neighbors(self, v: int) -> tuple[int, ...]:
-        return self.adj[v]
 
     def remove_cycle(self, c: "Cycle") -> "Graph":
         """This graph minus the edges of c, which must all be present.
@@ -131,30 +129,6 @@ class Cycle:
 
     def is_cycle_of(self, g: Graph) -> bool:
         return all(e in g.edges for e in self.edges)
-
-
-@dataclass(frozen=True)
-class BlockDecomposition:
-    """Partition of a graph's edges into maximal 2-connected blocks.
-
-    `block_tree` lists (i, j, c): blocks i and j share the cut vertex c.
-    Blocks sharing one cut vertex are attached in a star on the
-    lowest-indexed block, which keeps the adjacency acyclic.
-    """
-
-    blocks: tuple[frozenset[Edge], ...]
-    cut_vertices: frozenset[int]
-    block_tree: tuple[tuple[int, int, int], ...]
-    # vertex -> ascending indices of the blocks containing it; vertices in no
-    # block are absent
-    _blocks_by_vertex: dict[int, tuple[int, ...]] = field(repr=False, compare=False)
-
-    def block_vertices(self, i: int) -> frozenset[int]:
-        return frozenset(itertools.chain.from_iterable(self.blocks[i]))
-
-    def blocks_at(self, v: int) -> tuple[int, ...]:
-        """Indices of the blocks containing v, ascending."""
-        return self._blocks_by_vertex.get(v, ())
 
 
 # ---------------------------------------------------------------------------
@@ -233,95 +207,6 @@ def find_bridges(g: Graph) -> frozenset[Edge]:
                     if low[v] > disc[u]:
                         bridges.add(edge(u, v))
     return frozenset(bridges)
-
-
-def block_decomposition(g: Graph) -> BlockDecomposition:
-    """Unique partition of E into maximal 2-connected blocks plus cut vertices.
-
-    Handles disconnected input (the block adjacency is then a forest); for
-    connected input it is a tree. Blocks are ordered by their least edge.
-    One lowpoint depth-first search (Tarjan 1972) pops each block together
-    with its vertex set, so the whole decomposition is O(V+E) apart from
-    ordering the blocks and the cut vertices.
-    """
-    adj = g.adj
-    disc = [-1] * g.n
-    low = [0] * g.n
-    timer = 0
-    edge_stack: list[Edge] = []
-    vertex_stack: list[int] = []
-    raw_blocks: list[list[Edge]] = []
-    raw_vertices: list[list[int]] = []
-    cut: set[int] = set()
-
-    for root in range(g.n):
-        if disc[root] != -1 or not adj[root]:
-            continue
-        disc[root] = low[root] = timer
-        timer += 1
-        root_blocks = 0
-        stack = [(root, -1, iter(adj[root]))]
-        while stack:
-            v, parent, it = stack[-1]
-            for w in it:
-                dw = disc[w]
-                if dw == -1:
-                    edge_stack.append((v, w) if v < w else (w, v))
-                    vertex_stack.append(w)
-                    disc[w] = low[w] = timer
-                    timer += 1
-                    stack.append((w, v, iter(adj[w])))
-                    break
-                if dw < disc[v] and w != parent:  # back edge; graphs are simple
-                    edge_stack.append((v, w) if v < w else (w, v))
-                    if dw < low[v]:
-                        low[v] = dw
-            else:
-                stack.pop()
-                if not stack:
-                    break
-                u = stack[-1][0]
-                if low[v] < low[u]:
-                    low[u] = low[v]
-                if low[v] >= disc[u]:
-                    # u separates the subtree at v: pop one block, whose
-                    # vertices are u and those discovered since v
-                    last = (u, v) if u < v else (v, u)
-                    blk: list[Edge] = []
-                    while True:
-                        e = edge_stack.pop()
-                        blk.append(e)
-                        if e == last:
-                            break
-                    verts = [u]
-                    while True:
-                        x = vertex_stack.pop()
-                        verts.append(x)
-                        if x == v:
-                            break
-                    raw_blocks.append(blk)
-                    raw_vertices.append(verts)
-                    if u == root:
-                        root_blocks += 1
-                    else:
-                        cut.add(u)
-        if root_blocks >= 2:
-            cut.add(root)
-
-    # Blocks are edge-disjoint, so their least edges are distinct and order
-    # them exactly as their sorted edge lists would.
-    order = sorted(range(len(raw_blocks)), key=lambda i: min(raw_blocks[i]))
-    blocks = tuple(frozenset(raw_blocks[i]) for i in order)
-    at: dict[int, list[int]] = {}
-    for i, raw in enumerate(order):
-        for v in raw_vertices[raw]:
-            at.setdefault(v, []).append(i)
-    by_vertex = {v: tuple(idx) for v, idx in at.items()}
-    tree: list[tuple[int, int, int]] = []
-    for c in sorted(cut):
-        hub, *rest = by_vertex[c]
-        tree.extend((hub, i, c) for i in rest)
-    return BlockDecomposition(blocks, frozenset(cut), tuple(tree), by_vertex)
 
 
 # ---------------------------------------------------------------------------

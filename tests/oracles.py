@@ -2,8 +2,9 @@
 
 Everything here is written from the definitions, sharing no code with the
 package internals it cross-checks: a condition-by-condition goodness
-evaluator, Type X detection by enumerating pseudoblock splits, a rainbow
-cycle enumerator, and a small isomorphism tester for deduplicating sampled
+evaluator, Type X detection by enumerating pseudoblock splits, x-blocks
+from the Type X vertices and the sides they separate, a rainbow cycle
+enumerator, and a small isomorphism tester for deduplicating sampled
 cubic graphs. The one exception is `exhaustive_fallback`, which cross-checks
 the fallback's search order and pruning only, so it reuses the engine's
 removal check and takes its cycles from the brute-force oracle.
@@ -14,6 +15,7 @@ import itertools
 
 from cdcover.coloring import (
     EdgeColoredGraph,
+    XBlockDecomposition,
     check_goodness,
     connected_nonisolated_components,
 )
@@ -81,6 +83,43 @@ def type_x_by_pseudoblock_splits(g: EdgeColoredGraph) -> set[int]:
                 result.add(v)
                 break
     return result
+
+
+def x_blocks_by_definition(g: EdgeColoredGraph) -> XBlockDecomposition:
+    """x-blocks by the definition: two edges at a vertex w are joined unless
+    w is Type X and their far ends lie in different components of g - w.
+    The x-blocks are the vertex sets of the classes of edges, ordered by
+    least edge; the forest pairs the two x-blocks at each Type X vertex."""
+    txv = type_x_by_pseudoblock_splits(g)
+    edges = sorted(g.coloring)
+    cls = {e: i for i, e in enumerate(edges)}  # edge -> its class's least edge
+
+    def join(e: tuple[int, int], f: tuple[int, int]) -> None:
+        a, b = sorted((cls[e], cls[f]))
+        for x in edges:
+            if cls[x] == b:
+                cls[x] = a
+
+    for w in range(g.n):
+        at_w = [e for e in edges if w in e]
+        sides = _components_avoiding(g.n, edges, w) if w in txv else []
+
+        def side(e):
+            far = e[0] + e[1] - w
+            return next(i for i, comp in enumerate(sides) if far in comp)
+
+        for e, f in itertools.combinations(at_w, 2):
+            if w not in txv or side(e) == side(f):
+                join(e, f)
+    roots = sorted(set(cls.values()))
+    x_blocks = tuple(frozenset(v for e in edges if cls[e] == r for v in e)
+                     for r in roots)
+    forest = []
+    for c in sorted(txv):
+        at_c = [i for i, blk in enumerate(x_blocks) if c in blk]
+        assert len(at_c) == 2, (c, at_c)
+        forest.append((at_c[0], at_c[1], c))
+    return XBlockDecomposition(x_blocks, frozenset(txv), tuple(forest))
 
 
 def naive_goodness(g: EdgeColoredGraph) -> tuple[str, int | None, set[int]]:

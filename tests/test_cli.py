@@ -212,6 +212,18 @@ def test_fallback_budget_flag_overrides_env(k4_file, capsys, monkeypatch):
     assert code == 0
 
 
+@pytest.mark.parametrize("command", ["oracle", "crosscheck"])
+@pytest.mark.parametrize("budget", ["0", "-1", "nan", "inf"])
+def test_oracle_budget_rejected(k4_file, capsys, command, budget):
+    argv = [command, "--budget", budget]
+    if command == "oracle":
+        argv += ["--input", str(k4_file)]
+    code, out, err = _run(capsys, *argv)
+    assert code == 1 and out == ""
+    assert err == (f"error: --budget must be a finite number of seconds "
+                   f"above 0, got {float(budget)}\n")
+
+
 @pytest.mark.parametrize("payload", [{"foo": 1}, {"cycles": 5}, 5, "cycles"])
 def test_verify_command_rejects_malformed_cover(k4_file, tmp_path, capsys, payload):
     cover = tmp_path / "cover.json"

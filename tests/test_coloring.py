@@ -1,3 +1,4 @@
+import functools
 import random
 
 import pytest
@@ -35,7 +36,7 @@ from graphsamples import (
     square_chain,
     two_squares_type_x,
 )
-from oracles import naive_goodness, type_x_by_pseudoblock_splits
+from oracles import naive_goodness, type_x_by_pseudoblock_splits, x_blocks_by_definition
 
 
 def test_color_classes_rainbow_c4():
@@ -318,28 +319,44 @@ def test_incremental_goodness_rejects_a_wrong_parent():
         check_goodness(g, after=(g, check_goodness(g), Cycle((0, 1, 2))))
 
 
-def test_type_x_true_positives_on_engine_graphs(monkeypatch):
-    """Every graph the decomposer asks for Type X vertices (Case2_2_1b's
-    merged graphs) at n=10..20, seeds 0-9; unlike the remainders above,
-    these carry Type X vertices."""
+@functools.cache
+def _x_block_inputs() -> tuple[EdgeColoredGraph, ...]:
+    """Every graph the decomposer hands `x_block_decomposition` (Case2_2_1b's
+    merged graphs) at n=10..20, seeds 0-9."""
     seen = []
-    real = D.find_type_x_vertices
+    real = D.x_block_decomposition
 
     def record(g):
         seen.append(g)
         return real(g)
 
-    monkeypatch.setattr(D, "find_type_x_vertices", record)
-    for n in range(10, 21, 2):
-        for seed in range(10):
-            lg = build_line_graph(random_cubic_bridgeless(GeneratorConfig(n, seed))).lg
-            decompose(lg, fallback_max_len=8)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(D, "x_block_decomposition", record)
+        for n in range(10, 21, 2):
+            for seed in range(10):
+                lg = build_line_graph(random_cubic_bridgeless(GeneratorConfig(n, seed))).lg
+                decompose(lg, fallback_max_len=8)
+    return tuple(seen)
+
+
+def test_type_x_true_positives_on_engine_graphs():
+    """Every graph the decomposer asks for x-blocks; unlike the remainders
+    above, these carry Type X vertices."""
     nonempty = 0
-    for g in seen:
+    for g in _x_block_inputs():
         txv = find_type_x_vertices(g)
         assert set(txv) == type_x_by_pseudoblock_splits(g)
         nonempty += bool(txv)
     assert nonempty >= 100
+
+
+def test_x_blocks_match_definition_on_engine_graphs():
+    with_forest = 0
+    for g in _x_block_inputs():
+        xb = x_block_decomposition(g)
+        assert xb == x_blocks_by_definition(g)
+        with_forest += bool(xb.forest)
+    assert with_forest >= 100
 
 
 def test_heredity_conditions_1_to_5_after_rainbow_removal():

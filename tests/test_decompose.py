@@ -386,6 +386,53 @@ def test_single_cycle_step_is_checked_once(monkeypatch, tag):
         assert checks == 0 and cyc in checked
 
 
+def test_three_meeter_lift_is_checked_once(monkeypatch):
+    """The Case2_2_1a lift that leaves one x-cycle in the parent removes the
+    other lifted cycles with `_apply_batch`, checks a detour on what is left
+    and returns the whole batch checked: the engine's `_apply_batch` makes
+    no removal check on it, and every goodness check the lift makes is
+    incremental."""
+    removals, goodness = [], []  # goodness: whether `after=` was passed
+    real_removal, real_goodness = D._check_removal, D.check_goodness
+    monkeypatch.setattr(D, "_check_removal",
+                        lambda h, r, c: removals.append(c) or real_removal(h, r, c))
+    monkeypatch.setattr(D, "check_goodness", lambda g, after=None: (
+        goodness.append(after is not None) or real_goodness(g, after=after)))
+    lifted = []  # (batch, goodness checks the lift made)
+    real_lift = D._case2_2_1a_lift
+
+    def traced_lift(*args):
+        lift = real_lift(*args)
+
+        def traced(sub):
+            before = len(goodness)
+            batch = lift(sub)
+            lifted.append((batch, goodness[before:]))
+            return batch
+        return traced
+
+    monkeypatch.setattr(D, "_case2_2_1a_lift", traced_lift)
+    engine_checks = []  # removal checks while the engine applies a lift's batch
+    real_apply = D._apply_batch
+
+    def apply(comp, rep, batch):
+        before = len(removals)
+        out = real_apply(comp, rep, batch)
+        if any(batch is b for b, _ in lifted):
+            engine_checks.append((batch, len(removals) - before))
+        return out
+
+    monkeypatch.setattr(D, "_apply_batch", apply)
+    n, seed = CASE_RECIPES["Case2_2_1a"]
+    assert decompose(build_line_graph(
+        random_cubic_bridgeless(GeneratorConfig(n, seed))).lg).success
+    three = [(b, calls) for b, calls in lifted if isinstance(b, D._Checked)]
+    assert three and all(calls and all(calls) for _, calls in three)
+    assert all(checks == 0 for b, checks in engine_checks
+               if isinstance(b, D._Checked))
+    assert sum(isinstance(b, D._Checked) for b, _ in engine_checks) == len(three)
+
+
 def test_case2_2_pattern_extraction_and_shape_d():
     g = case2_2_2d_host()
     pat = extract_case2_2_pattern(g)

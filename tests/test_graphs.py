@@ -1,12 +1,11 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from cdcover.coloring import EdgeColoredGraph, split_components, x_block_decomposition
 from cdcover.graphs import (
-    BlockDecomposition,
     Cycle,
     Graph,
     GraphError,
-    block_decomposition,
     connected_components,
     edge,
     find_bridges,
@@ -17,6 +16,7 @@ from cdcover.graphs import (
     serialize_graph6,
 )
 from graphsamples import k4, k33, petersen, prism
+from oracles import x_blocks_by_definition
 
 
 def test_parse_graph6_k4():
@@ -98,63 +98,6 @@ def test_find_bridges_k4_none():
     assert find_bridges(k4()) == frozenset()
 
 
-def test_block_decomposition_shared_vertex():
-    g = Graph.from_edges(5, [(0, 1), (1, 2), (0, 2), (2, 3), (3, 4), (2, 4)])
-    bd = block_decomposition(g)
-    assert len(bd.blocks) == 2
-    assert bd.cut_vertices == frozenset({2})
-    assert len(bd.block_tree) == 1
-
-
-def test_block_decomposition_k4():
-    bd = block_decomposition(k4())
-    assert len(bd.blocks) == 1 and not bd.cut_vertices
-
-
-def test_block_decomposition_path():
-    bd = block_decomposition(Graph.from_edges(3, [(0, 1), (1, 2)]))
-    assert len(bd.blocks) == 2
-    assert bd.cut_vertices == frozenset({1})
-
-
-def test_block_edges_partition():
-    g = petersen()
-    bd = block_decomposition(g)
-    union = set()
-    for b in bd.blocks:
-        assert not (union & b)
-        union |= b
-    assert union == set(g.edges)
-
-
-def _blocks_at_by_scan(bd, v):
-    return tuple(i for i, b in enumerate(bd.blocks) if any(v in e for e in b))
-
-
-def _block_tree_by_scan(bd):
-    tree = []
-    for c in sorted(bd.cut_vertices):
-        at_c = _blocks_at_by_scan(bd, c)
-        tree.extend((at_c[0], i, c) for i in at_c[1:])
-    return tuple(tree)
-
-
-def test_block_index_matches_scan_at_shared_cut_vertex():
-    # three triangles meet at 0, a square hangs off 6, a path 9-10-11, and
-    # 12 is isolated
-    g = Graph.from_edges(13, [
-        (0, 1), (1, 2), (0, 2), (0, 3), (3, 4), (0, 4), (0, 5), (5, 6), (0, 6),
-        (6, 7), (7, 8), (8, 9), (6, 9), (9, 10), (10, 11)])
-    bd = block_decomposition(g)
-    assert bd.cut_vertices == frozenset({0, 6, 9, 10})
-    assert len(bd.blocks_at(0)) == 3
-    for v in range(g.n):
-        assert bd.blocks_at(v) == _blocks_at_by_scan(bd, v)
-    assert bd.blocks_at(12) == ()
-    assert bd.block_tree == _block_tree_by_scan(bd)
-    assert len(bd.block_tree) == len(bd.blocks) - 1
-
-
 def test_cycle_canonical_forms():
     assert Cycle((2, 0, 1)).vertices == (0, 1, 2)
     assert Cycle((0, 2, 1)).vertices == (0, 1, 2)
@@ -215,26 +158,28 @@ def test_even_graphs_have_no_bridges(g):
     assert find_bridges(g) == frozenset()
 
 
-@given(even_graphs())
-@settings(max_examples=120, deadline=None)
-def test_even_graph_degree2_vertices_not_cut(g):
-    cut = block_decomposition(g).cut_vertices
-    for v in range(g.n):
-        if g.degree(v) == 2:
-            assert v not in cut
+@st.composite
+def glued_even_graphs(draw):
+    """Two to four `even_graphs`, each glued at one vertex to those before,
+    so that the glued vertices are cut vertices, many of degree 4."""
+    g = draw(even_graphs(max_n=7))
+    n, edges = g.n, set(g.edges)
+    for _ in range(draw(st.integers(1, 3))):
+        h = draw(even_graphs(max_n=7))
+        at = draw(st.integers(0, n - 1))
+        ren = [at] + list(range(n, n + h.n - 1))  # h's vertex 0 becomes `at`
+        edges |= {edge(ren[u], ren[v]) for u, v in h.edges}
+        n += h.n - 1
+    return Graph.from_edges(n, edges)
 
 
-@given(even_graphs())
+@given(glued_even_graphs(), st.data())
 @settings(max_examples=60, deadline=None)
-def test_block_partition_property(g):
-    bd = block_decomposition(g)
-    seen: set = set()
-    for b in bd.blocks:
-        assert not (seen & b)
-        seen |= b
-    assert seen == set(g.edges)
-    for c in bd.cut_vertices:
-        assert len(bd.blocks_at(c)) >= 2
-    for v in range(g.n):
-        assert bd.blocks_at(v) == _blocks_at_by_scan(bd, v)
-    assert bd.block_tree == _block_tree_by_scan(bd)
+def test_x_blocks_match_definition_on_even_graphs(g, data):
+    """x-blocks of every component, colored with three colors so that
+    monochromatic pairs, and so Type X vertices, are common (about a
+    quarter of the components have one)."""
+    colors = data.draw(st.lists(st.integers(0, 2), min_size=g.m, max_size=g.m))
+    cg = EdgeColoredGraph(g, dict(zip(sorted(g.edges), colors)))
+    for comp in split_components(cg):
+        assert x_block_decomposition(comp) == x_blocks_by_definition(comp)

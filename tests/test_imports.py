@@ -1,9 +1,12 @@
-"""Every module in src/cdcover uses each name it imports.
+"""Every module in src/cdcover uses each name it imports, and every
+definition in it is used somewhere.
 
-No linter ships with the project, so this is a stdlib stand-in for the
-unused-import check. `__init__.py` is exempt: its imports are re-exports.
+No linter ships with the project, so these are stdlib stand-ins for the
+unused-import and dead-code checks. `__init__.py` is exempt from the first:
+its imports are re-exports.
 """
 import ast
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -12,6 +15,7 @@ import cdcover
 
 SRC = Path(cdcover.__file__).parent
 MODULES = sorted(p for p in SRC.glob("*.py") if p.name != "__init__.py")
+ROOT = Path(__file__).resolve().parent.parent
 
 
 def unused_imports(source: str) -> list[str]:
@@ -41,3 +45,53 @@ def test_unused_imports_detects_and_allows():
 @pytest.mark.parametrize("path", MODULES, ids=[p.name for p in MODULES])
 def test_no_unused_imports(path):
     assert unused_imports(path.read_text()) == []
+
+
+def _names(tree: ast.AST) -> Counter:
+    """How often each name is read as a Name or an Attribute in tree."""
+    return Counter(node.id if isinstance(node, ast.Name) else node.attr
+                   for node in ast.walk(tree)
+                   if isinstance(node, (ast.Name, ast.Attribute)))
+
+
+def dead_definitions(sources: dict[str, str], others: list[str]) -> list[str]:
+    """`label:line: name` for each function, class or non-dunder method in
+    `sources` that no Name or Attribute in `sources` or `others` names
+    outside its own definition."""
+    trees = {label: ast.parse(text) for label, text in sources.items()}
+    used = Counter()
+    for tree in [*trees.values(), *map(ast.parse, others)]:
+        used += _names(tree)
+    dead = []
+    for label, tree in trees.items():
+        for node in ast.walk(tree):
+            if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
+                                     ast.ClassDef)):
+                continue
+            name = node.name
+            if name.startswith("__") and name.endswith("__"):
+                continue
+            if used[name] == _names(node)[name]:
+                dead.append((label, node.lineno, name))
+    return [f"{label}:{line}: {name}" for label, line, name in sorted(dead)]
+
+
+def test_dead_definitions_detects_and_allows():
+    src = ("class A:\n"
+           "    def __len__(self): return 0\n"
+           "    def used(self): return self.unused_elsewhere()\n"
+           "    def recursive(self): return self.recursive()\n"
+           "def helper(): return helper\n"
+           "def caller(): return A().used()\n")
+    assert dead_definitions({"m": src}, ["caller()\n"]) == [
+        "m:4: recursive", "m:5: helper"]
+    assert dead_definitions({"m": src}, ["caller(); helper(); A.recursive\n"]) == []
+
+
+def test_no_dead_definitions():
+    sources = {str(p.relative_to(ROOT)): p.read_text()
+               for p in sorted((ROOT / "src" / "cdcover").glob("*.py"))}
+    others = [p.read_text() for d in ("src", "tests", "perfbench")
+              for p in sorted((ROOT / d).rglob("*.py"))
+              if str(p.relative_to(ROOT)) not in sources]
+    assert dead_definitions(sources, others) == []
