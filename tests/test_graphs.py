@@ -158,6 +158,23 @@ def test_even_graphs_have_no_bridges(g):
     assert find_bridges(g) == frozenset()
 
 
+@given(even_graphs())
+@settings(max_examples=120, deadline=None)
+def test_even_graph_degree2_vertices_not_cut(g):
+    """Deleting a degree-2 vertex leaves its two neighbors connected, so,
+    with every edge one color, it lies in exactly one x-block."""
+    one_color = EdgeColoredGraph(g, {e: 0 for e in g.edges})
+    blocks = [b for comp in split_components(one_color)
+              for b in x_block_decomposition(comp).x_blocks]
+    for v in range(g.n):
+        if g.degree(v) != 2:
+            continue
+        a, b = g.adj[v]
+        rest = Graph.from_edges(g.n, [e for e in g.edges if v not in e])
+        assert any({a, b} <= c for c in connected_components(rest))
+        assert sum(v in blk for blk in blocks) == 1
+
+
 @st.composite
 def glued_even_graphs(draw):
     """Two to four `even_graphs`, each glued at one vertex to those before,
