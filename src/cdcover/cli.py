@@ -5,8 +5,8 @@ cover), `verify` (check a cover file), `oracle` (brute-force search),
 `gen` (random cubic bridgeless graphs), and `crosscheck` (generate, solve
 both ways, and compare).
 
-Exit codes: 0 success / definitive answer, 1 input or usage error,
-2 case failure or verification mismatch, 3 indeterminate oracle search.
+Exit codes: 0 success / definitive answer, 1 input, output or usage
+error, 2 case failure or verification mismatch, 3 indeterminate oracle search.
 """
 from __future__ import annotations
 
@@ -60,13 +60,22 @@ def _read_text(path: str) -> str:
                        f"text ({err.reason} at byte {err.start})") from None
 
 
+class _Unwritable(OSError):
+    """An output file that cannot be written."""
+
+
 def _write_text(path: str | None, text: str) -> None:
+    """Write text to the file at `path`, or to stdout for None or "-";
+    `_Unwritable` when the file cannot be written."""
     if path is None or path == "-":
         sys.stdout.write(text)
         if not text.endswith("\n"):
             sys.stdout.write("\n")
-    else:
+        return
+    try:
         Path(path).write_text(text)
+    except OSError as err:
+        raise _Unwritable(f"{path}: {err.strerror or err}") from None
 
 
 def _dump(obj) -> str:
@@ -204,7 +213,16 @@ def cmd_oracle(args) -> int:
     return 0 if result.status in ("found", "absent") else 3
 
 
+def _count_problem(count: int) -> str | None:
+    """Why a --count is unusable, or None."""
+    return None if count >= 0 else f"--count must be at least 0, got {count}"
+
+
 def cmd_gen(args) -> int:
+    problem = _count_problem(args.count)
+    if problem:
+        print(f"error: {problem}", file=sys.stderr)
+        return 1
     try:
         lines = []
         for i in range(args.count):
@@ -224,7 +242,7 @@ def cmd_crosscheck(args) -> int:
         print(f"error: --n-max must be an even integer >= 4, got {args.n_max}",
               file=sys.stderr)
         return 1
-    problem = _oracle_budget(args.budget)
+    problem = _count_problem(args.count) or _oracle_budget(args.budget)
     if problem:
         print(f"error: {problem}", file=sys.stderr)
         return 1
@@ -314,7 +332,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except _Unwritable as err:
+        print(f"error: {err}", file=sys.stderr)
+        return 1
 
 
 if __name__ == "__main__":

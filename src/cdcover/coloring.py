@@ -59,6 +59,23 @@ of color b, would make that color span four vertices. So the cycle
 v0 v1 v2 v3 meets the rest of the graph at v0 alone, and v0 either sees one
 color or is a Type X cut vertex. The case c(v0v3) = b is symmetric.
 
+The same contraction fixes the facts the decomposer's dispatch scans for.
+Let hi = max(v1, v2); the child's ids are the parent's with hi gone and
+those above it shifted down by one, x -> x - (x > hi), which keeps their
+order. Contracting an edge keeps each component connected, so a connected
+parent has a connected child. Degrees do not change, so a parent that is
+not a single cycle (it has a degree-4 vertex) has a child that is not one
+either. The triangles are the parent's plus (v0, m, v3) when v0 ~ v3, which
+is rainbow on a good parent (a != b, and c(v0v3) is neither); a parent with
+no rainbow triangle, as one that reaches Case2_1 has, so has a child whose
+only possible rainbow triangle is (v0, m, v3). Colors at a vertex do not
+change except that m sees a and b, so the Type I vertices are the parent's
+without hi, shifted, and the maximal chains through them (`singular_chains`)
+are the parent's, shifted, except that the chain through v1 and v2 loses
+hi and is one edge shorter. Case2_1 fills these into the child
+(`decomposer.case2_1`, `decomposer._contract_edge`) when the parent has
+computed its own.
+
 The Type X search, which sorts u's neighbors by side, gives the x-blocks
 too. Join two edges when they share a vertex, except that at a Type X
 vertex u only the two edges of each side are joined; the x-blocks are the vertex sets of the classes of edges
@@ -149,6 +166,12 @@ class EdgeColoredGraph:
         return tuple(v for v in range(self.n) if self.graph.degree(v) > 0)
 
     @cached_property
+    def components(self) -> tuple[frozenset[int], ...]:
+        """Vertex sets of the edge-bearing connected components, by min vertex."""
+        return tuple(c for c in connected_components(self.graph)
+                     if any(self.graph.degree(v) > 0 for v in c))
+
+    @cached_property
     def type1(self) -> frozenset[int]:
         """The Type I vertices: degree 2, with two different colors."""
         coloring = self.coloring
@@ -160,6 +183,47 @@ class EdgeColoredGraph:
                         coloring[(v, b) if v < b else (b, v)]:
                     out.append(v)
         return frozenset(out)
+
+    @cached_property
+    def rainbow_triangle(self) -> Cycle | None:
+        """The lexicographically least triangle with three distinct colors."""
+        for u, v, w in triangles(self.graph):
+            if len({self.color(u, v), self.color(v, w), self.color(u, w)}) == 3:
+                return Cycle((u, v, w))
+        return None
+
+    @cached_property
+    def singular_chains(self) -> tuple[tuple[int, tuple[int, ...]], ...]:
+        """Every maximal chain through Type I vertices as (length, vertices),
+        ordered by (-length, vertices); `longest_singular_path` is the first.
+
+        An open chain runs between two vertices that are not Type I (they may
+        be one vertex) and is oriented to its lexicographically least
+        reading. A closed chain is a cycle of Type I vertices, given as its
+        `Cycle` form with the first vertex repeated at the end; its length is
+        the cycle's.
+        """
+        type1 = self.type1
+        adj = self.graph.adj
+        chains = []
+        seen: set[int] = set()
+        for t in sorted(type1):
+            if t in seen:
+                continue
+            right, closed = _singular_walk(adj, type1, t, adj[t][0])
+            if closed:
+                chain = [t] + right  # all Type I, a full cycle
+                seen.update(chain)
+                cyc = Cycle(tuple(chain))
+                seq = cyc.vertices + (cyc.vertices[0],)
+            else:
+                left, _ = _singular_walk(adj, type1, t, adj[t][1])
+                fwd = tuple(list(reversed(left)) + [t] + right)
+                seen.update(v for v in fwd if v in type1)
+                seq = min(fwd, fwd[::-1])
+            chains.append((len(seq) - 1, seq))
+        chains.sort(key=lambda c: (-c[0], c[1]))
+        return tuple(chains)
 
 
 @dataclass(frozen=True)
@@ -418,19 +482,13 @@ def _type_x_vertices(g: EdgeColoredGraph) -> dict[int, tuple[tuple[int, ...], ..
     return result
 
 
-def connected_nonisolated_components(g: EdgeColoredGraph) -> list[frozenset[int]]:
-    """Vertex sets of the edge-bearing connected components, by min vertex."""
-    return [c for c in connected_components(g.graph)
-            if any(g.graph.degree(v) > 0 for v in c)]
-
-
 def split_components(g: EdgeColoredGraph) -> list[EdgeColoredGraph]:
     """One colored graph per edge-bearing component (vertex ids preserved).
 
     A graph with a single edge-bearing component is returned itself, not
     copied.
     """
-    comps = connected_nonisolated_components(g)
+    comps = g.components
     if len(comps) == 1:
         return [g]
     out = []
@@ -492,8 +550,7 @@ def x_block_decomposition(g: EdgeColoredGraph) -> XBlockDecomposition:
     """Unique decomposition of a connected even colored graph into x-blocks,
     ordered by least edge, from the Type X search (see the module docstring).
     """
-    comps = connected_nonisolated_components(g)
-    if len(comps) != 1:
+    if len(g.components) != 1:
         raise ColoredGraphError("x-block decomposition requires a connected graph")
     _require_even(g)
     sides = _type_x_vertices(g)
@@ -539,14 +596,11 @@ def is_almost_rainbow_at(g: EdgeColoredGraph, c: Cycle, v: int) -> bool:
 
 def find_rainbow_triangle(g: EdgeColoredGraph) -> Cycle | None:
     """Lexicographically least triangle with three distinct edge colors."""
-    for u, v, w in triangles(g.graph):
-        if len({g.color(u, v), g.color(v, w), g.color(u, w)}) == 3:
-            return Cycle((u, v, w))
-    return None
+    return g.rainbow_triangle
 
 
-def _singular_walk(g: EdgeColoredGraph, type1: frozenset[int], start: int,
-                   first: int) -> tuple[list[int], bool]:
+def _singular_walk(adj: tuple[tuple[int, ...], ...], type1: frozenset[int],
+                   start: int, first: int) -> tuple[list[int], bool]:
     """Walk from `start` toward `first`, continuing through Type I vertices.
 
     Returns (vertices after start, closed); closed means the walk returned to
@@ -560,7 +614,7 @@ def _singular_walk(g: EdgeColoredGraph, type1: frozenset[int], start: int,
         seq.append(cur)
         if cur not in type1:
             return seq, False
-        a, b = g.graph.adj[cur]
+        a, b = adj[cur]
         node, cur = cur, (b if a == node else a)
 
 
@@ -572,40 +626,12 @@ def longest_singular_path(g: EdgeColoredGraph) -> tuple[int, tuple[int, ...]]:
     length. With no Type I vertices the answer is a single edge (length 1).
     Ties break on the lexicographically least vertex sequence.
     """
-    type1 = g.type1
-    if not type1:
-        if not g.edges:
-            raise ColoredGraphError("no edges")
-        u, v = min(g.edges)
-        return 1, (u, v)
-
-    best: tuple[int, tuple[int, ...]] | None = None
-
-    def consider(seq: tuple[int, ...]) -> None:
-        nonlocal best
-        cand = (len(seq) - 1, seq)
-        if best is None or cand[0] > best[0] or \
-                (cand[0] == best[0] and cand[1] < best[1]):
-            best = cand
-
-    seen: set[int] = set()
-    for t in sorted(type1):
-        if t in seen:
-            continue
-        right, closed = _singular_walk(g, type1, t, g.graph.adj[t][0])
-        if closed:
-            chain = [t] + right  # all Type I, a full cycle
-            seen.update(chain)
-            cyc = Cycle(tuple(chain))
-            consider(cyc.vertices + (cyc.vertices[0],))
-            continue
-        left, _ = _singular_walk(g, type1, t, g.graph.adj[t][1])
-        chain = list(reversed(left)) + [t] + right
-        seen.update(v for v in chain if v in type1)
-        fwd = tuple(chain)
-        consider(min(fwd, tuple(reversed(fwd))))
-    assert best is not None
-    return best
+    if g.singular_chains:
+        return g.singular_chains[0]
+    if not g.edges:
+        raise ColoredGraphError("no edges")
+    u, v = min(g.edges)
+    return 1, (u, v)
 
 
 # ---------------------------------------------------------------------------

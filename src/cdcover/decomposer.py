@@ -18,24 +18,25 @@ the vertex maps of the child's construction. The child's goodness report is
 checked in full, except in Case2_1: contracting an edge inside a singular
 path of a good graph keeps it good unless that closes a two-colored
 triangle (the lemma in the coloring module docstring), so Case2_1 builds
-its child from the parent's adjacency and derives the report. The engine is
-one loop over an explicit stack of frames: a reduction's child is peeled on
-a frame above its waiting parent, so the depth of the reduction tree costs
-no Python recursion. Every lifted cycle, like every other removal, is
-re-verified against the parent: rainbow typing plus the goodness report of
-the remainder. A batch of cycles that covers its graph, as a lift or a base
-cycle does, is verified in one linear sweep: when its cycles are
-edge-disjoint and rainbow except one almost-rainbow at the bad vertex, every
-remainder is good or almost-good as the checks expect (the lemma in the
-coloring module docstring). Any other removal, and any batch the sweep
-cannot prove safe, is checked one cycle at a time by `check_goodness`, which
-derives the remainder's report from the parent's report and the removed
-cycle; a single cycle its case has already checked so is not checked again.
-Both agree with the full check at every step. Any failed verification
-falls back to a shortest-first search for a safely removable cycle. If that
-also fails, the nearest waiting parent runs the search on its own graph, and
-so on outward; past the root the run ends in a serializable, replayable
-CaseFailure instead of an unverified answer.
+its child from the parent's adjacency and derives the report, and the
+child's components, rainbow triangle and singular chains from the
+parent's. The engine is one loop over an explicit stack of frames: a
+reduction's child is peeled on a frame above its waiting parent, so the
+depth of the reduction tree costs no Python recursion. Every lifted cycle,
+like every other removal, is re-verified against the parent: rainbow typing
+plus the goodness report of the remainder. A batch of cycles that covers
+its graph, as a lift or a base cycle does, is verified in one linear sweep:
+when its cycles are edge-disjoint and rainbow except one almost-rainbow at
+the bad vertex, every remainder is good or almost-good as the checks expect
+(the lemma in the coloring module docstring). Any other removal, and any
+batch the sweep cannot prove safe, is checked one cycle at a time by
+`check_goodness`, which derives the remainder's report from the parent's
+report and the removed cycle; a single cycle its case has already checked
+so is not checked again. Both agree with the full check at every step. Any
+failed verification falls back to a shortest-first search for a safely
+removable cycle. If that also fails, the nearest waiting parent runs the
+search on its own graph, and so on outward; past the root the run ends in a
+serializable, replayable CaseFailure instead of an unverified answer.
 """
 from __future__ import annotations
 
@@ -48,7 +49,6 @@ from .coloring import (
     GoodnessReport,
     GoodnessVerdict,
     check_goodness,
-    connected_nonisolated_components,
     find_rainbow_triangle,
     is_almost_rainbow_at,
     longest_singular_path,
@@ -356,7 +356,10 @@ def _contract_edge(g: EdgeColoredGraph, u: int, v: int,
     Only max(u, v) leaves, and the ids above it shift down by one, which
     keeps every neighbor tuple sorted but those of the merged vertex and of
     the neighbor it takes over; the child's adjacency is the parent's with
-    those two replaced.
+    those two replaced. The child's nonisolated vertices, components and
+    Type I vertices are the parent's shifted the same way, with the merged
+    vertex Type I when its two edges differ in color; they are filled in
+    where the parent has them cached.
     """
     lo, hi = (u, v) if u < v else (v, u)
     padj = g.graph.adj
@@ -375,15 +378,26 @@ def _contract_edge(g: EdgeColoredGraph, u: int, v: int,
     adj[o] = tuple(sorted(lo if w == hi else w - (w > hi) for w in padj[out]))
     graph.__dict__["adj"] = tuple(adj)  # fills the cached property
     to_parent = {c: c + (c >= hi) for c in range(g.n - 1) if c != lo}
-    return EdgeColoredGraph(graph, coloring), to_parent
+    child = EdgeColoredGraph(graph, coloring)
+    # fill the child's cached properties from those g has computed
+    if "nonisolated" in g.__dict__:
+        child.__dict__["nonisolated"] = tuple(x - (x > hi) for x in g.nonisolated
+                                              if x != hi)
+    if "components" in g.__dict__:
+        child.__dict__["components"] = tuple(
+            frozenset(x - (x > hi) for x in comp if x != hi) for comp in g.components)
+    if "type1" in g.__dict__:
+        type1 = {x - (x > hi) for x in g.type1 if x != lo and x != hi}
+        if coloring[edge(lo, k)] != coloring[edge(lo, o)]:
+            type1.add(lo)
+        child.__dict__["type1"] = frozenset(type1)
+    return child, to_parent
 
 
 def _single_cycle(g: EdgeColoredGraph) -> Cycle | None:
     """The component's unique cycle, when its edges form exactly one."""
     vs = g.nonisolated
-    if not vs or any(g.graph.degree(v) != 2 for v in vs):
-        return None
-    if len(g.edges) != len(vs):
+    if not vs or len(g.edges) != len(vs) or any(g.graph.degree(v) != 2 for v in vs):
         return None
     start = vs[0]
     seq = [start]
@@ -401,6 +415,8 @@ def _single_cycle(g: EdgeColoredGraph) -> Cycle | None:
 
 
 def _all_type2(g: EdgeColoredGraph) -> bool:
+    if len(g.edges) != 2 * len(g.nonisolated):
+        return False  # not every nonisolated vertex has degree 4
     for v in g.nonisolated:
         cols = g.colors_at(v)
         if not (len(cols) == 4 and len(set(cols)) == 2
@@ -497,7 +513,7 @@ def find_cycle_all_type2(g: EdgeColoredGraph,
         rep = check_goodness(g)
     if rep.verdict is not GoodnessVerdict.GOOD:
         raise DecomposeError("greedy walk requires a good colored graph")
-    if len(connected_nonisolated_components(g)) != 1:
+    if len(g.components) != 1:
         raise DecomposeError("greedy walk requires a connected graph")
     if not _all_type2(g):
         raise DecomposeError("greedy walk requires every nonisolated vertex Type II")
@@ -619,6 +635,13 @@ def case2_1(g: EdgeColoredGraph, rep: GoodnessReport,
     v0 ~ v3 and c(v0v3) is c(v0v1) or c(v2v3). The interior color appears
     nowhere else, so the child cycle through the merged vertex subdivides
     back; all other cycles lift unchanged.
+
+    Where g has them cached, the child's rainbow triangle and singular
+    chains come from g's, by the same lemma on a good g: g's triangles
+    avoid v1 and v2, so with none of them rainbow the child's only one is
+    (v0, m, v3), rainbow when v0 ~ v3; and the child's chains are g's with
+    max(v1, v2) suppressed, its chain one edge shorter. The rest of the
+    child's dispatch facts come from `_contract_edge`.
     """
     tag = CASE_2_1
     _require(rep.verdict is GoodnessVerdict.GOOD, tag,
@@ -631,14 +654,42 @@ def case2_1(g: EdgeColoredGraph, rep: GoodnessReport,
     adj = g.graph.adj
     _require(v0 in adj[v1] and v2 in adj[v1] and v3 in adj[v2], tag,
              f"{(v0, v1, v2, v3)} is not a path of the graph")
-    if v3 in adj[v0]:
+    chord = v3 in adj[v0]
+    if chord:
         _require(g.color(v0, v3) not in (g.color(v0, v1), g.color(v2, v3)), tag,
                  f"contracted graph is {GoodnessVerdict.NOT_GOOD.value}")
 
     child, to_parent = _contract_edge(g, v1, v2)
+    lo, hi = min(v1, v2), max(v1, v2)
+    # fill the child's cached properties from those g has computed
+    if "rainbow_triangle" in g.__dict__ and g.rainbow_triangle is None:
+        child.__dict__["rainbow_triangle"] = (
+            Cycle((v0 - (v0 > hi), lo, v3 - (v3 > hi))) if chord else None)
+    if "singular_chains" in g.__dict__:
+        child.__dict__["singular_chains"] = _chains_without(g.singular_chains, hi)
     lift = _contraction_lift(tag, "merged vertex", (_oriented([v2, v1], (v0,)),),
-                             min(v1, v2), to_parent)
+                             lo, to_parent)
     return CaseReduction(child, lift, _GOOD)
+
+
+def _chains_without(chains: Sequence[tuple[int, tuple[int, ...]]], hi: int,
+                    ) -> tuple[tuple[int, tuple[int, ...]], ...]:
+    """`singular_chains` after Case2_1 merges hi into a smaller Type I
+    neighbor: ids above hi shift down by one, which keeps every other
+    chain's reading, and hi's chain is one edge shorter. hi is neither end
+    of its chain: an open chain ends at vertices that are not Type I, and a
+    closed one at its least vertex, which is not hi. So that chain keeps its
+    ends and only needs turning to its least reading, and the list only
+    needs re-sorting."""
+    out = []
+    for length, seq in chains:
+        if hi in seq:
+            seq = tuple(x - (x > hi) for x in seq if x != hi)
+            out.append((length - 1, min(seq, seq[::-1])))
+        else:
+            out.append((length, tuple(x - (x > hi) for x in seq)))
+    out.sort(key=lambda c: (-c[0], c[1]))
+    return tuple(out)
 
 
 # ---------------------------------------------------------------------------
@@ -1104,7 +1155,7 @@ def fallback_search(g: EdgeColoredGraph, max_len: int | None = None,
         raise DecomposeError("fallback requires a good or almost-good graph")
     if not g.edges:
         return FallbackResult("absent")
-    longest = max(len(c) for c in connected_nonisolated_components(g))
+    longest = max(len(c) for c in g.components)
     cap = max_len if max_len is not None else (longest if len(g.edges) < 64 else 24)
     truncated = cap < longest
     # the bad vertex has degree 2 and one color: the only color an

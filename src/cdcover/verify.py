@@ -31,8 +31,8 @@ def _cycle_vertices(item) -> list | None:
 def _cycle_problem(g: Graph, vs: list) -> str | None:
     if len(vs) < 3:
         return "shorter than 3 vertices"
-    if any(not isinstance(v, int) for v in vs):
-        return "non-integer vertex"
+    if any(not isinstance(v, int) or isinstance(v, bool) for v in vs):
+        return "non-integer vertex"  # JSON true and false are not vertex ids
     if any(v < 0 or v >= g.n for v in vs):
         return "vertex out of range"
     if len(set(vs)) != len(vs):

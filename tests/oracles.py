@@ -17,7 +17,6 @@ from cdcover.coloring import (
     EdgeColoredGraph,
     XBlockDecomposition,
     check_goodness,
-    connected_nonisolated_components,
 )
 from cdcover.decomposer import FallbackResult, _check_removal
 from cdcover.graphs import Graph
@@ -205,7 +204,7 @@ def exhaustive_fallback(g: EdgeColoredGraph,
     rep = check_goodness(g)
     if not g.edges:
         return FallbackResult("absent")
-    longest = max(len(c) for c in connected_nonisolated_components(g))
+    longest = max(len(c) for c in g.components)
     cap = max_len if max_len is not None else (longest if len(g.edges) < 64 else 24)
     for cyc in enumerate_cycles(g.graph, max_len=cap):
         problem, _, _ = _check_removal(g, rep, cyc)

@@ -112,6 +112,20 @@ def test_verify_command_mismatched_files(k4_file, tmp_path, capsys):
     assert code == 1
 
 
+def test_verify_command_rejects_boolean_vertex(k4_file, tmp_path, capsys):
+    cover = tmp_path / "cover.json"
+    _run(capsys, "decompose", "--input", str(k4_file), "--output", str(cover))
+    data = json.loads(cover.read_text())
+    data["cycles"] = [[True if v == 1 else v for v in c] for c in data["cycles"]]
+    cover.write_text(json.dumps(data))
+    assert "true" in cover.read_text()
+    code, out, _ = _run(capsys, "verify", "--graph", str(k4_file),
+                        "--cover", str(cover))
+    assert code == 1
+    assert "non-integer vertex" in {w.get("problem")
+                                    for w in json.loads(out)["witnesses"]}
+
+
 def test_oracle_cdc_found(k4_file, capsys):
     code, out, _ = _run(capsys, "oracle", "--input", str(k4_file), "--mode", "cdc")
     assert code == 0 and out.strip() == "found"
@@ -254,3 +268,28 @@ def test_undecodable_input_is_an_error(k4_file, tmp_path, capsys, command,
     code, out, err = _run(capsys, *argv)
     assert code == 1 and out == ""
     assert err == f"error: {binary}: not utf-8 text (invalid start byte at byte 0)\n"
+
+
+@pytest.mark.parametrize("argv", [
+    ["decompose", "--output"], ["decompose", "--trace"], ["gen", "--n", "4", "--output"],
+], ids=["decompose-output", "decompose-trace", "gen-output"])
+def test_unwritable_output_is_an_error(k4_file, tmp_path, capsys, argv):
+    target = tmp_path / "missing" / "x.json"
+    if argv[0] == "decompose":
+        argv = ["decompose", "--input", str(k4_file)] + argv[1:]
+    code, out, err = _run(capsys, *argv, str(target))
+    assert code == 1 and out == ""
+    assert err == f"error: {target}: No such file or directory\n"
+
+
+@pytest.mark.parametrize("command", ["gen", "crosscheck"])
+def test_negative_count_rejected(capsys, command):
+    argv = [command, "--count", "-1"] + (["--n", "4"] if command == "gen" else [])
+    code, out, err = _run(capsys, *argv)
+    assert code == 1 and out == ""
+    assert err == "error: --count must be at least 0, got -1\n"
+
+
+def test_gen_count_zero(capsys):
+    code, out, err = _run(capsys, "gen", "--n", "4", "--count", "0")
+    assert code == 0 and out == "\n" and err == ""

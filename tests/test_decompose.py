@@ -33,7 +33,7 @@ from cdcover.decomposer import (
     normalize_case2_2,
     replay_case_failure,
 )
-from cdcover.graphs import Cycle, edge
+from cdcover.graphs import Cycle, Graph, edge
 from cdcover.linegraph import build_line_graph, cover_from_decomposition, project_cycle
 from cdcover.oracle import GeneratorConfig, enumerate_cycles, random_cubic_bridgeless
 from cdcover.verify import verify_cdc, verify_rainbow_decomposition
@@ -334,6 +334,79 @@ def test_case2_1_chord_of_a_path_color(chord):
     with pytest.raises(CaseVerificationError) as err:
         case2_1(g, GoodnessReport(GoodnessVerdict.GOOD, None, ()), (0, 1, 2, 3))
     assert str(err.value) == "Case2_1: contracted graph is not_good"
+
+
+# the cached facts `_dispatch` and `_advance` read
+DISPATCH_FACTS = ("components", "rainbow_triangle", "singular_chains", "type1",
+                  "nonisolated")
+
+
+def _fresh_facts(g):
+    """The dispatch facts of a new, uncached graph with g's edges and colors."""
+    fresh = EdgeColoredGraph(Graph(g.n, g.edges), dict(g.coloring))
+    return {name: getattr(fresh, name) for name in DISPATCH_FACTS}
+
+
+def test_case2_1_child_facts_equal_fresh_ones(monkeypatch):
+    """At every Case2_1 step, each dispatch fact the child gets from its
+    parent, at the moment the child is made, is the one a fresh graph with
+    the child's edges and colors computes."""
+    made = []  # (child, its facts when case2_1 returned)
+    real = D.case2_1
+
+    def case(*args):
+        red = real(*args)
+        made.append((red.child, dict(red.child.__dict__)))
+        return red
+
+    monkeypatch.setattr(D, "case2_1", case)
+    fallbacks = []
+    real_fallback = D.fallback_search
+    monkeypatch.setattr(D, "fallback_search",
+                        lambda *a, **k: fallbacks.append(1) or real_fallback(*a, **k))
+    runs = [(n, seed) for n in range(10, 25, 2) for seed in range(5)]
+    runs += [(40, seed) for seed in range(3)]
+    for n, seed in runs:
+        decompose(build_line_graph(random_cubic_bridgeless(GeneratorConfig(n, seed))).lg)
+    assert len(made) > 1000 and fallbacks
+    for child, cached in made:
+        assert {name: cached[name] for name in DISPATCH_FACTS} == _fresh_facts(child)
+
+
+@pytest.mark.parametrize("triples, path, chains", [
+    # the singular path 0 1 2 3, whose chord 0-3 closes the rainbow
+    # triangle (0, m, 3) in the child
+    ([(0, 1, 0), (1, 2, 1), (2, 3, 2), (0, 3, 3), (0, 4, 3), (3, 4, 3),
+      (0, 5, 0), (3, 6, 2), (4, 7, 4), (4, 8, 4), (5, 7, 5), (6, 8, 6)],
+     (0, 1, 2, 3), ((3, (0, 4, 6, 3)), (3, (2, 5, 7, 3)), (2, (0, 1, 2)))),
+    # two chains from 0 back to 0; contracting 3-5 in (0, 4, 3, 5, 0)
+    # leaves (0, 4, 3, 0), which reads least the other way round
+    ([(0, 4, 0), (3, 4, 1), (3, 5, 2), (0, 5, 3), (0, 1, 0), (0, 2, 3),
+      (1, 2, 4)],
+     (4, 3, 5, 0), ((3, (0, 1, 2, 0)), (3, (0, 3, 4, 0)))),
+], ids=["chord", "loop"])
+def test_case2_1_child_facts_cached_or_not(triples, path, chains):
+    """case2_1 works on a graph with nothing cached, and the child computes
+    its facts when asked; on a graph whose facts are cached it derives the
+    child's, and they are the same."""
+    bare = EdgeColoredGraph.from_triples(1 + max(max(t[:2]) for t in triples),
+                                         triples)
+    rep = check_goodness(bare)
+    assert rep.verdict is GoodnessVerdict.GOOD
+    cached = EdgeColoredGraph(bare.graph, bare.coloring)
+    for name in DISPATCH_FACTS:
+        getattr(cached, name)
+    lazy = case2_1(bare, rep, path).child
+    assert not set(DISPATCH_FACTS) - {"type1"} & set(lazy.__dict__)
+    derived = case2_1(cached, rep, path).child
+    facts = _fresh_facts(lazy)
+    assert facts["singular_chains"] == chains
+    assert {name: getattr(lazy, name) for name in DISPATCH_FACTS} == facts
+    # a parent with a rainbow triangle leaves the child's to be computed
+    kept = set(DISPATCH_FACTS) - (
+        {"rainbow_triangle"} if cached.rainbow_triangle else set())
+    assert {name: derived.__dict__.get(name) for name in kept} == {
+        name: facts[name] for name in kept}
 
 
 def test_case2_1_makes_no_rebuild_or_goodness_check(monkeypatch):

@@ -95,3 +95,66 @@ def test_no_dead_definitions():
               for p in sorted((ROOT / d).rglob("*.py"))
               if str(p.relative_to(ROOT)) not in sources]
     assert dead_definitions(sources, others) == []
+
+
+def cached_properties(source: str) -> set[str]:
+    """Names of the methods in `source` decorated with `cached_property`."""
+    return {node.name for node in ast.walk(ast.parse(source))
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+            and any((d.id if isinstance(d, ast.Name) else getattr(d, "attr", None))
+                    == "cached_property" for d in node.decorator_list)}
+
+
+def stray_cache_keys(source: str, cached: set[str]) -> list[str]:
+    """`line N: key` for each `X.__dict__[key]` and `key in X.__dict__` in
+    `source` whose key is not a string naming one of `cached`. Such code
+    fills a cached property, or asks whether it is filled; a mistyped key
+    fills or finds nothing, and the value is computed again."""
+    stray = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Subscript):
+            holder, key = node.value, node.slice
+        elif (isinstance(node, ast.Compare) and len(node.ops) == 1
+              and isinstance(node.ops[0], (ast.In, ast.NotIn))):
+            holder, key = node.comparators[0], node.left
+        else:
+            continue
+        if not (isinstance(holder, ast.Attribute) and holder.attr == "__dict__"):
+            continue
+        name = key.value if isinstance(key, ast.Constant) else None
+        if not isinstance(name, str) or name not in cached:
+            stray.append(f"line {node.lineno}: {ast.unparse(key)}")
+    return stray
+
+
+def test_stray_cache_keys_detects_and_allows():
+    src = ("from functools import cached_property\n"
+           "class A:\n"
+           "    @cached_property\n"
+           "    def adj(self): return ()\n"
+           "a = A()\n"
+           "a.__dict__['adj'] = ()\n"
+           "a.__dict__['ajd'] = ()\n"
+           "d = a.__dict__\n"
+           "d['anything'] = 1\n"
+           "a.__dict__[key] = 1\n"
+           "if 'adj' in a.__dict__ and 'jda' not in a.__dict__: pass\n"
+           "'x' in d\n")
+    assert cached_properties(src) == {"adj"}
+    assert cached_properties("import functools\nclass B:\n"
+                             "    @functools.cached_property\n"
+                             "    def m(self): pass\n"
+                             "    @property\n"
+                             "    def p(self): pass\n") == {"m"}
+    assert stray_cache_keys(src, {"adj"}) == [
+        "line 7: 'ajd'", "line 10: key", "line 11: 'jda'"]
+    assert stray_cache_keys(src, {"adj", "ajd", "jda"}) == ["line 10: key"]
+
+
+def test_cache_keys_name_cached_properties():
+    paths = sorted(SRC.glob("*.py"))
+    sources = [p.read_text() for p in paths]
+    cached = set().union(*map(cached_properties, sources))
+    assert {"adj", "type1", "singular_chains"} <= cached
+    assert [f"{p.name}: {s}" for p, text in zip(paths, sources)
+            for s in stray_cache_keys(text, cached)] == []

@@ -36,6 +36,15 @@ def test_verify_cdc_rejects_foreign_vertex():
     assert any(w["kind"] == "cycle" for w in verdict.witnesses)
 
 
+def test_verify_cdc_rejects_boolean_vertices():
+    # True == 1 and hashes like it, so only its type tells it apart
+    cycles = [[True if v == 1 else v for v in c.vertices] for c in TRIANGLES]
+    verdict = verify_cdc(k4(), cycles)
+    assert not verdict.accepted
+    assert [w["problem"] for w in verdict.witnesses if w["kind"] == "cycle"] == [
+        "non-integer vertex"] * 3
+
+
 def test_verify_cdc_accepts_raw_vertex_lists():
     assert verify_cdc(k4(), [list(c.vertices) for c in TRIANGLES]).accepted
 
