@@ -60,21 +60,20 @@ v0 v1 v2 v3 meets the rest of the graph at v0 alone, and v0 either sees one
 color or is a Type X cut vertex. The case c(v0v3) = b is symmetric.
 
 The same contraction fixes the facts the decomposer's dispatch scans for.
-Let hi = max(v1, v2); the child's ids are the parent's with hi gone and
-those above it shifted down by one, x -> x - (x > hi), which keeps their
-order. Contracting an edge keeps each component connected, so a connected
-parent has a connected child. Degrees do not change, so a parent that is
-not a single cycle (it has a degree-4 vertex) has a child that is not one
-either. The triangles are the parent's plus (v0, m, v3) when v0 ~ v3, which
-is rainbow on a good parent (a != b, and c(v0v3) is neither); a parent with
-no rainbow triangle, as one that reaches Case2_1 has, so has a child whose
-only possible rainbow triangle is (v0, m, v3). Colors at a vertex do not
-change except that m sees a and b, so the Type I vertices are the parent's
-without hi, shifted, and the maximal chains through them (`singular_chains`)
-are the parent's, shifted, except that the chain through v1 and v2 loses
-hi and is one edge shorter. Case2_1 fills these into the child
-(`decomposer.case2_1`, `decomposer._contract_edge`) when the parent has
-computed its own.
+Let hi = max(v1, v2); the child keeps the parent's vertex ids, with
+m = min(v1, v2) and hi left isolated. Contracting an edge keeps each
+component connected, so a connected parent has a connected child. Degrees
+do not change, so a parent that is not a single cycle (it has a degree-4
+vertex) has a child that is not one either. The triangles are the
+parent's plus (v0, m, v3) when v0 ~ v3, which is rainbow on a good parent
+(a != b, and c(v0v3) is neither); a parent with no rainbow triangle, as
+one that reaches Case2_1 has, so has a child whose only possible rainbow
+triangle is (v0, m, v3). Colors at a vertex do not change except that m
+sees a and b, so the Type I vertices are the parent's without hi, and the
+maximal chains through them (`singular_chains`) are the parent's, except
+that the chain through v1 and v2 loses hi and is one edge shorter. Case2_1
+fills these into the child (`decomposer.case2_1`,
+`decomposer._contract_edge`) when the parent has computed its own.
 
 The Type X search, which sorts u's neighbors by side, gives the x-blocks
 too. Join two edges when they share a vertex, except that at a Type X

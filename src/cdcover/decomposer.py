@@ -13,8 +13,11 @@ dispatching on local structure:
     Case2_2 family, splitting on how the flanking neighborhoods overlap.
 
 A reduction builds a strictly smaller good or almost-good colored graph, the
-child, with a rule that lifts the child's cycles back to the parent through
-the vertex maps of the child's construction. The child's goodness report is
+child, with a rule that lifts the child's cycles back to the parent. The
+child keeps the parent's vertex ids: a merged group keeps its least id, and
+a deleted or merged-away vertex stays, isolated. So the lift rewrites only
+the child cycles through the vertices the reduction changed, and hands every
+other one up as it is, a cycle of the parent. The child's goodness report is
 checked in full, except in Case2_1: contracting an edge inside a singular
 path of a good graph keeps it good unless that closes a two-colored
 triangle (the lemma in the coloring module docstring), so Case2_1 builds
@@ -40,7 +43,6 @@ serializable, replayable CaseFailure instead of an unverified answer.
 """
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass
 from typing import Callable, Collection, Iterable, Iterator, Sequence
 
@@ -119,36 +121,21 @@ def _build_transform(parent: EdgeColoredGraph, kind: str, *,
                      delete: Iterable[int] = (),
                      add: Iterable[tuple[int, int, int]] = (),
                      recolor: Iterable[tuple[Edge, int]] = (),
-                     ) -> tuple[EdgeColoredGraph, dict[int, int], dict[int, int]]:
-    """Build the child graph for a reduction; returns it with `to_child`,
-    which maps every surviving parent vertex to its child id (merged
-    vertices share one; deleted ones are absent), and `to_parent`, which
-    maps each child vertex with a unique preimage back.
+                     ) -> EdgeColoredGraph:
+    """Build the child graph for a reduction on the parent's vertex ids: a
+    merge group becomes its least vertex, and the group's other vertices and
+    the deleted ones stay in range(n) with no edges.
 
-    `drop`/`add`/`recolor` are in parent coordinates; `add` endpoints may
-    name any member of a merge group. The child must stay simple; a clash is
-    reported as a verification error, never merged silently.
+    `add` endpoints may name any member of a merge group. The child must
+    stay simple; a clash is reported as a verification error, never merged
+    silently.
     """
     dropset = {edge(*e) for e in drop}
     absent = dropset - parent.edges
     if absent:
         raise CaseVerificationError(kind, f"dropping absent edges {sorted(absent)}")
     deleted = set(delete)
-    gone = set(deleted)
-    rep_of: dict[int, int] = {}
-    for grp in merge:
-        rep = min(grp)
-        for v in grp:
-            rep_of[v] = rep
-            if v != rep:
-                gone.add(v)
-    survivors = sorted(v for v in range(parent.n) if v not in gone)
-    slot = {v: i for i, v in enumerate(survivors)}
-    to_child: dict[int, int] = {}
-    for v in range(parent.n):
-        if v in deleted:
-            continue
-        to_child[v] = slot[rep_of.get(v, v)]
+    rep_of = {v: min(grp) for grp in merge for v in grp}
 
     recolor_map = {edge(*e): c for e, c in recolor}
     child_cols: dict[Edge, int] = {}
@@ -156,10 +143,10 @@ def _build_transform(parent: EdgeColoredGraph, kind: str, *,
         if e in dropset:
             continue
         u, v = e
-        if u not in to_child or v not in to_child:
+        if u in deleted or v in deleted:
             raise CaseVerificationError(
                 kind, f"surviving edge {e} touches a deleted vertex")
-        cu, cv = to_child[u], to_child[v]
+        cu, cv = rep_of.get(u, u), rep_of.get(v, v)
         if cu == cv:
             raise CaseVerificationError(kind, f"edge {e} collapses into a loop")
         ce = edge(cu, cv)
@@ -167,16 +154,11 @@ def _build_transform(parent: EdgeColoredGraph, kind: str, *,
             raise CaseVerificationError(kind, f"edge {e} would become parallel")
         child_cols[ce] = recolor_map.get(e, parent.coloring[e])
     for u, v, c in add:
-        ce = edge(to_child[u], to_child[v])
+        ce = edge(rep_of.get(u, u), rep_of.get(v, v))
         if ce in child_cols:
             raise CaseVerificationError(kind, f"added edge {(u, v)} would be parallel")
         child_cols[ce] = c
-
-    child = EdgeColoredGraph.from_triples(len(survivors),
-                                          [(u, v, c) for (u, v), c in child_cols.items()])
-    counts = Counter(to_child.values())
-    to_parent = {c: p for p, c in to_child.items() if counts[c] == 1}
-    return child, to_child, to_parent
+    return EdgeColoredGraph(Graph(parent.n, frozenset(child_cols)), child_cols)
 
 
 # ---------------------------------------------------------------------------
@@ -259,10 +241,11 @@ class CasePattern:
 class CaseReduction:
     """A case's smaller graph plus its lift rule.
 
-    The engine decomposes `child`, whose goodness report `report` the case
-    has already computed, and hands the tagged cycles to `lift`, which maps
-    them back to tagged cycles of the parent (possibly covering only part
-    of the parent, in which case the engine keeps peeling the remainder).
+    The engine decomposes `child`, which has the parent's vertex ids and
+    whose goodness report `report` the case has already computed, and hands
+    the tagged cycles to `lift`, which turns them into tagged cycles of the
+    parent (possibly covering only part of the parent, in which case the
+    engine keeps peeling the remainder).
     Every lifted cycle is re-checked against the parent before it is
     removed.
     """
@@ -281,32 +264,26 @@ def _require(cond: bool, case: str, message: str) -> None:
         raise CaseVerificationError(case, message)
 
 
-def _map_cycle(c: Cycle, to_parent: dict[int, int]) -> Cycle:
-    return Cycle(tuple(to_parent[v] for v in c.vertices))
-
-
 def _rotate_to(seq: Sequence[int], v: int) -> list[int]:
     i = list(seq).index(v)
     return list(seq[i:]) + list(seq[:i])
 
 
-def _lift_through(c: Cycle, m: int, to_parent: dict[int, int],
+def _lift_through(c: Cycle, m: int,
                   expansion: Callable[[int, int], list[int]]) -> Cycle:
     """Lift a child cycle through special vertex m.
 
-    Rotates the cycle to [m, a, ..., b], maps everything else via to_parent,
-    and replaces m by expansion(a', b'), a parent path whose last vertex is
-    adjacent to a' and whose first is adjacent to b'.
+    Rotates the cycle to [m, a, ..., b] and replaces m by expansion(a, b), a
+    parent path whose last vertex is adjacent to a and whose first is
+    adjacent to b. The child has the parent's vertex ids, so a ... b stays.
     """
-    rot = _rotate_to(c.vertices, m)
-    rest = [to_parent[u] for u in rot[1:]]
-    exp = expansion(rest[0], rest[-1])
-    return Cycle(tuple(exp + rest))
+    rest = _rotate_to(c.vertices, m)[1:]
+    return Cycle(tuple(expansion(rest[0], rest[-1]) + rest))
 
 
 def _oriented(mid: list[int], near: Collection[int]) -> Callable[[int, int], list[int]]:
     """An expansion for `_lift_through`: the path `mid`, whose last vertex is
-    adjacent to the vertices of `near`, turned to end next to a'."""
+    adjacent to the vertices of `near`, turned to end next to a."""
     return lambda a, b: mid if a in near else mid[::-1]
 
 
@@ -314,23 +291,24 @@ def _contraction(g: EdgeColoredGraph, tag: str, kind: str, noun: str,
                  expansions: Sequence[Callable[[int, int], list[int]]],
                  merge: Sequence[int], **build) -> CaseReduction:
     """Merge the vertices of `merge` (with `build`'s other edits) into one
-    vertex m of a child that must be good, lifted by `_contraction_lift`."""
-    child, to_child, to_parent = _build_transform(g, kind, merge=[merge], **build)
-    m = to_child[merge[0]]
+    vertex m = min(merge) of a child that must be good, lifted by
+    `_contraction_lift`."""
+    child = _build_transform(g, kind, merge=[merge], **build)
     crep = check_goodness(child)
     _require(crep.verdict is GoodnessVerdict.GOOD, tag,
              f"contracted graph is {crep.verdict.value}")
     return CaseReduction(
-        child, _contraction_lift(tag, noun, expansions, m, to_parent), crep)
+        child, _contraction_lift(tag, noun, expansions, min(merge)), crep)
 
 
 def _contraction_lift(tag: str, noun: str,
                       expansions: Sequence[Callable[[int, int], list[int]]],
-                      m: int, to_parent: dict[int, int],
+                      m: int,
                       ) -> Callable[[list[tuple[str, Cycle]]], list[tuple[str, Cycle]]]:
     """The lift of a child in which a contraction made vertex m: it expands
-    the i-th child cycle through m by `expansions[i]` and maps every other
-    cycle back."""
+    the i-th child cycle through m by `expansions[i]` and hands every other
+    cycle up as it is, since a child cycle that avoids m is a cycle of the
+    parent."""
     k = len(expansions)
 
     def lift(sub: list[tuple[str, Cycle]]) -> list[tuple[str, Cycle]]:
@@ -338,60 +316,54 @@ def _contraction_lift(tag: str, noun: str,
         _require(len(through) == k, tag,
                  f"expected {k} child {'cycle' if k == 1 else 'cycles'} "
                  f"through the {noun}, got {len(through)}")
-        out = [(tag, _lift_through(c, m, to_parent, exp))
-               for c, exp in zip(through, expansions)]
-        out.extend((t, _map_cycle(c, to_parent)) for t, c in sub if m not in c)
+        out = [(tag, _lift_through(c, m, exp)) for c, exp in zip(through, expansions)]
+        out.extend((t, c) for t, c in sub if m not in c)
         return out
 
     return lift
 
 
-def _contract_edge(g: EdgeColoredGraph, u: int, v: int,
-                   ) -> tuple[EdgeColoredGraph, dict[int, int]]:
+def _contract_edge(g: EdgeColoredGraph, u: int, v: int) -> EdgeColoredGraph:
     """Contract the edge uv between two degree-2 vertices with different
-    other neighbors into the vertex min(u, v); returns the child and its
-    `to_parent`, the same as `_build_transform(g, "ContractEdge",
-    merge=[(u, v)], drop=[edge(u, v)])` gives.
+    other neighbors into the vertex min(u, v); the child is the one
+    `_build_transform(g, "ContractEdge", merge=[(u, v)], drop=[edge(u, v)])`
+    gives.
 
-    Only max(u, v) leaves, and the ids above it shift down by one, which
-    keeps every neighbor tuple sorted but those of the merged vertex and of
-    the neighbor it takes over; the child's adjacency is the parent's with
-    those two replaced. The child's nonisolated vertices, components and
-    Type I vertices are the parent's shifted the same way, with the merged
-    vertex Type I when its two edges differ in color; they are filled in
-    where the parent has them cached.
+    max(u, v) is left isolated, and its edge to its other neighbor `out`
+    becomes the merged vertex's, with its color: the child's coloring is the
+    parent's with the entries of uv and of that edge swapped for one, and
+    its adjacency is the parent's with the neighbor tuples of u, v and `out`
+    replaced. The
+    child's nonisolated vertices, components and Type I vertices are the
+    parent's without max(u, v), with the merged vertex Type I when its two
+    edges differ in color; they are filled in where the parent has them
+    cached.
     """
     lo, hi = (u, v) if u < v else (v, u)
     padj = g.graph.adj
     keep = next(w for w in padj[lo] if w != hi)  # lo's other neighbor
     out = next(w for w in padj[hi] if w != lo)   # the neighbor lo takes over
-    cols = g.coloring
-    coloring = {(a - (a > hi), b - (b > hi)): c for (a, b), c in cols.items()
-                if a != hi and b != hi}
-    k, o = keep - (keep > hi), out - (out > hi)
-    coloring[(lo, o) if lo < o else (o, lo)] = cols[edge(hi, out)]
-    graph = Graph(g.n - 1, frozenset(coloring))
-    adj = [nbrs if not nbrs or nbrs[-1] < hi else tuple(w - (w > hi) for w in nbrs)
-           for nbrs in padj]
-    del adj[hi]
-    adj[lo] = (k, o) if k < o else (o, k)
-    adj[o] = tuple(sorted(lo if w == hi else w - (w > hi) for w in padj[out]))
+    coloring = dict(g.coloring)
+    del coloring[(lo, hi)]
+    coloring[edge(lo, out)] = coloring.pop(edge(hi, out))
+    graph = Graph(g.n, frozenset(coloring))
+    adj = list(padj)
+    adj[hi] = ()
+    adj[lo] = (keep, out) if keep < out else (out, keep)
+    adj[out] = tuple(sorted(lo if w == hi else w for w in padj[out]))
     graph.__dict__["adj"] = tuple(adj)  # fills the cached property
-    to_parent = {c: c + (c >= hi) for c in range(g.n - 1) if c != lo}
     child = EdgeColoredGraph(graph, coloring)
     # fill the child's cached properties from those g has computed
     if "nonisolated" in g.__dict__:
-        child.__dict__["nonisolated"] = tuple(x - (x > hi) for x in g.nonisolated
-                                              if x != hi)
+        child.__dict__["nonisolated"] = tuple(x for x in g.nonisolated if x != hi)
     if "components" in g.__dict__:
-        child.__dict__["components"] = tuple(
-            frozenset(x - (x > hi) for x in comp if x != hi) for comp in g.components)
+        child.__dict__["components"] = tuple(comp - {hi} for comp in g.components)
     if "type1" in g.__dict__:
-        type1 = {x - (x > hi) for x in g.type1 if x != lo and x != hi}
-        if coloring[edge(lo, k)] != coloring[edge(lo, o)]:
-            type1.add(lo)
-        child.__dict__["type1"] = frozenset(type1)
-    return child, to_parent
+        type1 = g.type1 - {lo, hi}
+        if coloring[edge(lo, keep)] != coloring[edge(lo, out)]:
+            type1 |= {lo}
+        child.__dict__["type1"] = type1
+    return child
 
 
 def _single_cycle(g: EdgeColoredGraph) -> Cycle | None:
@@ -659,35 +631,32 @@ def case2_1(g: EdgeColoredGraph, rep: GoodnessReport,
         _require(g.color(v0, v3) not in (g.color(v0, v1), g.color(v2, v3)), tag,
                  f"contracted graph is {GoodnessVerdict.NOT_GOOD.value}")
 
-    child, to_parent = _contract_edge(g, v1, v2)
+    child = _contract_edge(g, v1, v2)
     lo, hi = min(v1, v2), max(v1, v2)
     # fill the child's cached properties from those g has computed
     if "rainbow_triangle" in g.__dict__ and g.rainbow_triangle is None:
-        child.__dict__["rainbow_triangle"] = (
-            Cycle((v0 - (v0 > hi), lo, v3 - (v3 > hi))) if chord else None)
+        child.__dict__["rainbow_triangle"] = Cycle((v0, lo, v3)) if chord else None
     if "singular_chains" in g.__dict__:
         child.__dict__["singular_chains"] = _chains_without(g.singular_chains, hi)
-    lift = _contraction_lift(tag, "merged vertex", (_oriented([v2, v1], (v0,)),),
-                             lo, to_parent)
+    lift = _contraction_lift(tag, "merged vertex", (_oriented([v2, v1], (v0,)),), lo)
     return CaseReduction(child, lift, _GOOD)
 
 
 def _chains_without(chains: Sequence[tuple[int, tuple[int, ...]]], hi: int,
                     ) -> tuple[tuple[int, tuple[int, ...]], ...]:
     """`singular_chains` after Case2_1 merges hi into a smaller Type I
-    neighbor: ids above hi shift down by one, which keeps every other
-    chain's reading, and hi's chain is one edge shorter. hi is neither end
-    of its chain: an open chain ends at vertices that are not Type I, and a
-    closed one at its least vertex, which is not hi. So that chain keeps its
-    ends and only needs turning to its least reading, and the list only
-    needs re-sorting."""
+    neighbor: hi's chain loses hi and is one edge shorter, and every other
+    chain stays as it is. hi is neither end of its chain: an open chain ends
+    at vertices that are not Type I, and a closed one at its least vertex,
+    which is not hi. So that chain keeps its ends and only needs turning to
+    its least reading, and the list only needs re-sorting."""
     out = []
     for length, seq in chains:
         if hi in seq:
-            seq = tuple(x - (x > hi) for x in seq if x != hi)
+            seq = tuple(x for x in seq if x != hi)
             out.append((length - 1, min(seq, seq[::-1])))
         else:
-            out.append((length, tuple(x - (x > hi) for x in seq)))
+            out.append((length, seq))
     out.sort(key=lambda c: (-c[0], c[1]))
     return tuple(out)
 
@@ -771,65 +740,63 @@ def case2_2_1(g: EdgeColoredGraph, rep: GoodnessReport, p: CasePattern,
     """Disjoint flanking neighborhoods: reroute v and merge the flanks.
 
     Child construction: drop the four alpha/beta edges, connect v directly
-    to y1 and y2, and merge x1 with x2. If the child is good, child cycles
-    avoiding both v and the merged vertex lift unchanged and the leftover
+    to y1 and y2, and merge x1 with x2 into m = min(x1, x2). If the child is
+    good, child cycles avoiding both v and m lift unchanged and the leftover
     one-or-two meeting cycles recombine explicitly; if the child's only
     defect is a Type X cut vertex, the reduction's child is instead the end
     x-block of the merged graph, an almost-good graph, and one of its cycles
-    through the merged vertex detours through v (subcase b). `rep` is g's
-    goodness report.
+    through m detours through v (subcase b). `rep` is g's goodness report.
     """
     tag = CASE_2_2_1A
-    child, cmap, to_parent = _build_transform(
+    child = _build_transform(
         g, "MergeVertices",
         drop=[edge(p.y1, p.x1), edge(p.x1, p.v), edge(p.v, p.x2), edge(p.x2, p.y2)],
         add=[(p.y1, p.v, p.alpha), (p.v, p.y2, p.beta)],
         merge=[(p.x1, p.x2)])
-    x_c, v_c = cmap[p.x1], cmap[p.v]
-    y1_c, y2_c = cmap[p.y1], cmap[p.y2]
+    m = min(p.x1, p.x2)
     crep = check_goodness(child)
 
     if crep.verdict is GoodnessVerdict.GOOD:
-        lift = _case2_2_1a_lift(g, rep, p, child, to_parent, x_c, v_c, y1_c, y2_c)
-        return CaseReduction(child, lift, crep)
+        return CaseReduction(child, _case2_2_1a_lift(g, rep, p, child, m), crep)
 
     only_type_x = (crep.verdict is GoodnessVerdict.NOT_GOOD
                    and all(viol.condition == 6 for viol in crep.violations))
     _require(only_type_x, tag,
              f"merged graph broken beyond Type X: {crep.to_json()['violations']}")
-    return _case2_2_1b(g, rep, p, child, crep, cmap, to_parent, x_c, v_c)
+    return _case2_2_1b(g, rep, p, child, crep, m)
 
 
-def _case2_2_1a_lift(g, rep, p, child, to_parent, x_c, v_c, y1_c, y2_c):
-    """Lift a good merged child. If it leaves an x-cycle in g, the lift
-    checks its batch itself and returns it `_Checked`. `rep` is g's report."""
+def _case2_2_1a_lift(g, rep, p, child, m):
+    """Lift a good merged child whose merged vertex is m. If it leaves an
+    x-cycle in g, the lift checks its batch itself and returns it
+    `_Checked`. `rep` is g's report."""
     tag = CASE_2_2_1A
 
     def lift(sub: list[tuple[str, Cycle]]) -> list[tuple[str, Cycle]]:
         out: list[tuple[str, Cycle]] = []
         meeters: list[Cycle] = []
         for t, c in sub:
-            if x_c in c or v_c in c:
+            if m in c or p.v in c:
                 meeters.append(c)
             else:
-                out.append((t, _map_cycle(c, to_parent)))
+                out.append((t, c))
 
-        with_v = [c for c in meeters if v_c in c]
+        with_v = [c for c in meeters if p.v in c]
         _require(len(with_v) == 1, tag,
                  f"expected exactly one child cycle through v, got {len(with_v)}")
         d1 = with_v[0]
 
         if len(meeters) == 3:
             # v's cycle avoids the merged vertex: lift one x-cycle through v
-            _require(x_c not in d1, tag, "three meeting cycles but v-cycle uses x")
+            _require(m not in d1, tag, "three meeting cycles but v-cycle uses x")
             xcycles = [c for c in meeters if c is not d1]
-            _require(all(x_c in c for c in xcycles), tag, "meeting cycle misses x")
+            _require(all(m in c for c in xcycles), tag, "meeting cycle misses x")
             h, rep_h, out = _apply_batch(g, rep, out)
             last = None
             # detour an x-cycle through v: x2-v-x1, x1 on the gamma side
             detour = _oriented([p.x2, p.v, p.x1], (p.w1, p.z1))
             for cand in xcycles:
-                cyc = _lift_through(cand, x_c, to_parent, detour)
+                cyc = _lift_through(cand, m, detour)
                 problem, rest, rest_rep = _check_removal(h, rep_h, cyc)
                 if problem is None:
                     return _Checked(out + [(tag, cyc)], rest, rest_rep)
@@ -838,125 +805,117 @@ def _case2_2_1a_lift(g, rep, p, child, to_parent, x_c, v_c, y1_c, y2_c):
 
         _require(len(meeters) == 2, tag,
                  f"unexpected meeting-cycle count {len(meeters)}")
-        _require(x_c in d1, tag, "two meeting cycles but v-cycle avoids x")
+        _require(m in d1, tag, "two meeting cycles but v-cycle avoids x")
         d2 = next(c for c in meeters if c is not d1)
-        _require(x_c in d2 and v_c not in d2, tag, "second meeting cycle malformed")
-        out.extend((tag, c) for c in _recombine_two_meeters(
-            p, d1, d2, x_c, v_c, y1_c, y2_c, to_parent, child))
+        _require(m in d2 and p.v not in d2, tag, "second meeting cycle malformed")
+        out.extend((tag, c) for c in _recombine_two_meeters(p, d1, d2, m, child))
         return out
 
     return lift
 
 
-def _recombine_two_meeters(p, d1: Cycle, d2: Cycle, x_c: int, v_c: int,
-                           y1_c: int, y2_c: int, to_parent, child) -> list[Cycle]:
-    """Split the two cycles that sweep the whole pattern into explicit
-    rainbow cycles of the parent covering the same edges."""
+def _recombine_two_meeters(p, d1: Cycle, d2: Cycle, m: int, child) -> list[Cycle]:
+    """Split the two cycles that sweep the whole pattern, through v and
+    through the merged vertex m, into explicit rainbow cycles of the parent
+    covering the same edges."""
     tag = CASE_2_2_1A
-    seq = _rotate_to(d1.vertices, v_c)
-    _require({seq[1], seq[-1]} == {y1_c, y2_c}, tag, "v-cycle misses y1/y2")
-    if seq[1] != y2_c:
+    seq = _rotate_to(d1.vertices, p.v)
+    _require({seq[1], seq[-1]} == {p.y1, p.y2}, tag, "v-cycle misses y1/y2")
+    if seq[1] != p.y2:
         seq = [seq[0]] + list(reversed(seq[1:]))
-    xi = seq.index(x_c)
+    xi = seq.index(m)
     _require(2 <= xi <= len(seq) - 3, tag, "merged vertex adjacent to a y")
     s, t = seq[xi - 1], seq[xi + 1]
-    q2 = [to_parent[u] for u in seq[1:xi]]          # y2 ... s
-    q1 = [to_parent[u] for u in seq[xi + 1:]]       # t ... y1
-    col_s = child.coloring[edge(x_c, s)]
-    col_t = child.coloring[edge(x_c, t)]
+    q2 = seq[1:xi]          # y2 ... s
+    q1 = seq[xi + 1:]       # t ... y1
+    col_s = child.coloring[edge(m, s)]
+    col_t = child.coloring[edge(m, t)]
     _require({col_s, col_t} == {p.gamma, p.delta}, tag, "x-cycle colors broken")
 
-    rot2 = _rotate_to(d2.vertices, x_c)
-    a, b = rot2[1], rot2[-1]
-    p3 = [to_parent[u] for u in rot2[1:]]           # a ... b
+    p3 = _rotate_to(d2.vertices, m)[1:]     # a ... b
+    a, b = p3[0], p3[-1]
 
     if col_t == p.gamma:
-        w1p, w2p = to_parent[t], to_parent[s]
+        w1p, w2p = t, s
         z1p = p.z1 if w1p == p.w1 else p.w1
         z2p = p.z2 if w2p == p.w2 else p.w2
-        _require({to_parent[a], to_parent[b]} == {z1p, z2p}, tag,
+        _require({a, b} == {z1p, z2p}, tag,
                  "second cycle does not use the leftover flank edges")
         cyc1 = Cycle(tuple([p.x1] + q1))
         cyc2 = Cycle(tuple([p.x2] + list(reversed(q2))))
-        p3_seq = p3 if to_parent[a] == z2p else list(reversed(p3))
+        p3_seq = p3 if a == z2p else list(reversed(p3))
         cyc3 = Cycle(tuple([p.x1, p.v, p.x2] + p3_seq))
         return [cyc1, cyc2, cyc3]
 
     # t on the delta side: one large cycle plus the v detour
-    w2p, w1p = to_parent[t], to_parent[s]
+    w2p, w1p = t, s
     z1p = p.z1 if w1p == p.w1 else p.w1
     z2p = p.z2 if w2p == p.w2 else p.w2
-    _require({to_parent[a], to_parent[b]} == {z1p, z2p}, tag,
+    _require({a, b} == {z1p, z2p}, tag,
              "second cycle does not use the leftover flank edges")
     big = Cycle(tuple([p.x1] + list(reversed(q2)) + [p.x2] + q1))
-    p3_seq = p3 if to_parent[a] == z2p else list(reversed(p3))
+    p3_seq = p3 if a == z2p else list(reversed(p3))
     small = Cycle(tuple([p.x1, p.v, p.x2] + p3_seq))
     return [big, small]
 
 
-def _case2_2_1b(g, rep_g, p, child, crep, cmap, to_parent, x_c, v_c) -> CaseReduction:
-    """Reduce to the merged graph's end x-block at the merged vertex; lift by
-    detouring one of its cycles through the merged vertex via v. `crep` is
-    the merged graph's report; its violations name its Type X vertices."""
+def _case2_2_1b(g, rep_g, p, child, crep, m) -> CaseReduction:
+    """Reduce to the merged graph's end x-block at the merged vertex m; lift
+    by detouring one of its cycles through m via v. `crep` is the merged
+    graph's report; its violations name its Type X vertices."""
     tag = CASE_2_2_1B
     txv = {viol.witness for viol in crep.violations}
-    _require(x_c not in txv, tag, "merged vertex became Type X")
+    _require(m not in txv, tag, "merged vertex became Type X")
     xb = x_block_decomposition(child)
     _require(xb.is_path(), tag, "x-block forest is not a path")
     order = xb.path_order()
-    bx = xb.block_of(x_c)
+    bx = xb.block_of(m)
     _require(order[0] == bx or order[-1] == bx, tag,
              "merged vertex not in an end x-block")
     if order[0] != bx:
         order = list(reversed(order))
-    bv = xb.block_of(v_c)
+    bv = xb.block_of(p.v)
     _require(order[-1] == bv and bv != bx, tag,
              "v not in the opposite end x-block")
     for u in (p.w1, p.z1, p.w2, p.z2):
-        _require(cmap[u] in xb.x_blocks[bx], tag, f"flank {u} outside end block")
+        _require(u in xb.x_blocks[bx], tag, f"flank {u} outside end block")
     for u in (p.y1, p.y2):
-        _require(cmap[u] in xb.x_blocks[bv], tag, f"{u} outside the v block")
-    t_c = next(c for i, j, c in xb.forest
-               if {i, j} == {order[0], order[1]})
+        _require(u in xb.x_blocks[bv], tag, f"{u} outside the v block")
+    t = next(c for i, j, c in xb.forest if {i, j} == {order[0], order[1]})
 
-    g1set = xb.x_blocks[bx]
-    sub_ecg, sub_map, sub_back = _build_transform(
-        child, "Subgraph",
-        drop=[e for e in child.edges if e[0] not in g1set or e[1] not in g1set],
-        delete=[u for u in range(child.n) if u not in g1set])
-    g1rep = check_goodness(sub_ecg)
-    _require(g1rep.verdict is GoodnessVerdict.ALMOST_GOOD
-             and g1rep.bad_vertex == sub_map[t_c], tag,
+    block = xb.x_blocks[bx]
+    end = child.restrict_edges(e for e in child.edges
+                               if e[0] in block and e[1] in block)
+    end_rep = check_goodness(end)
+    _require(end_rep.verdict is GoodnessVerdict.ALMOST_GOOD
+             and end_rep.bad_vertex == t, tag,
              "end x-block is not almost-good at the joining vertex")
-    x_s, t_s = sub_map[x_c], sub_map[t_c]
 
     def lift(sub: list[tuple[str, Cycle]]) -> list[tuple[str, Cycle]]:
-        xcycles = [c for _, c in sub if x_s in c]
+        xcycles = [c for _, c in sub if m in c]
         _require(len(xcycles) == 2, tag,
                  f"expected 2 cycles through the merged vertex, got {len(xcycles)}")
-        candidates = [c for c in xcycles if t_s not in c]
+        candidates = [c for c in xcycles if t not in c]
         _require(candidates, tag, "both x-cycles pass through the joining vertex")
         last = None
         for cand in candidates:
-            rot = _rotate_to(cand.vertices, x_s)
-            path_c = [sub_back[u] for u in rot[1:]]
-            a, b = path_c[0], path_c[-1]
-            if child.coloring[edge(x_c, a)] != p.gamma:
-                path_c = list(reversed(path_c))
+            path = _rotate_to(cand.vertices, m)[1:]
+            a, b = path[0], path[-1]
+            if child.coloring[edge(m, a)] != p.gamma:
+                path = list(reversed(path))
                 a, b = b, a
-            if child.coloring[edge(x_c, a)] != p.gamma \
-                    or child.coloring[edge(x_c, b)] != p.delta:
+            if child.coloring[edge(m, a)] != p.gamma \
+                    or child.coloring[edge(m, b)] != p.delta:
                 last = "cycle through x does not pair gamma with delta"
                 continue
-            path_p = [to_parent[u] for u in path_c]
-            cyc = Cycle(tuple([p.v, p.x1] + path_p + [p.x2]))
+            cyc = Cycle(tuple([p.v, p.x1] + path + [p.x2]))
             problem, rest, rest_rep = _check_removal(g, rep_g, cyc)
             if problem is None:
                 return _Checked([(tag, cyc)], rest, rest_rep)
             last = problem
         raise CaseVerificationError(tag, f"detour cycle failed verification: {last}")
 
-    return CaseReduction(sub_ecg, lift, g1rep)
+    return CaseReduction(end, lift, end_rep)
 
 
 def _case2_2_2a(g: EdgeColoredGraph, rep: GoodnessReport, p: CasePattern):
@@ -980,7 +939,7 @@ def _case2_2_2a(g: EdgeColoredGraph, rep: GoodnessReport, p: CasePattern):
 
     drop = [edge(p.x1, q) for q in g.graph.adj[p.x1]]
     drop += [edge(p.x2, q) for q in g.graph.adj[p.x2]]
-    child, cmap, to_parent = _build_transform(
+    child = _build_transform(
         g, "RewireDetour",
         drop=sorted(set(drop)),
         delete=[p.x1, p.x2],
@@ -989,24 +948,20 @@ def _case2_2_2a(g: EdgeColoredGraph, rep: GoodnessReport, p: CasePattern):
     crep = check_goodness(child)
     _require(crep.verdict is GoodnessVerdict.GOOD, tag,
              f"rewired graph is {crep.verdict.value}")
-    w_c, v_c, y1_c = cmap[w], cmap[p.v], cmap[p.y1]
 
     def lift(sub: list[tuple[str, Cycle]]) -> list[tuple[str, Cycle]]:
-        cy = [c for _, c in sub if y1_c in c]
+        cy = [c for _, c in sub if p.y1 in c]
         _require(len(cy) == 1, tag, "expected one child cycle through y1")
         cy = cy[0]
-        _require(w_c in cy, tag, "y1 cycle misses w")
-        _require(v_c not in cy, tag, "y1 cycle passes through v; rewire lift invalid")
-        cz = [c for _, c in sub if v_c in c]
+        _require(w in cy, tag, "y1 cycle misses w")
+        _require(p.v not in cy, tag, "y1 cycle passes through v; rewire lift invalid")
+        cz = [c for _, c in sub if p.v in c]
         _require(len(cz) == 1, tag, "expected one child cycle through v")
         cz = cz[0]
 
-        out = [(tag, _lift_through(cy, w_c, to_parent,
-                                   _oriented([p.x1, w, p.x2], (p.y2,)))),
-               (tag, _lift_through(cz, v_c, to_parent,
-                                   _oriented([p.x1, p.v, p.x2], (p.z2,))))]
-        out.extend((t, _map_cycle(c, to_parent)) for t, c in sub
-                   if y1_c not in c and v_c not in c)
+        out = [(tag, _lift_through(cy, w, _oriented([p.x1, w, p.x2], (p.y2,)))),
+               (tag, _lift_through(cz, p.v, _oriented([p.x1, p.v, p.x2], (p.z2,))))]
+        out.extend((t, c) for t, c in sub if p.y1 not in c and p.v not in c)
         return out
 
     return CaseReduction(child, lift, crep)

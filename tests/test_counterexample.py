@@ -13,10 +13,12 @@ degree-4 hubs where rainbow cycles correspond exactly to vertex-simple
 cycles respecting each hub's color pairing; none of the 32 pairing systems
 partitions the 10 chains, which is how the certificate was verified by hand.
 """
+import re
 from pathlib import Path
 
 from cdcover.coloring import check_goodness, parse_colored_edge_list
 from cdcover.decomposer import decompose, fallback_search, replay_case_failure
+from cdcover.graphs import Cycle
 from cdcover.oracle import brute_force_rainbow_decomposition
 from oracles import naive_goodness
 
@@ -40,3 +42,14 @@ def test_certificate_yields_replayable_case_failure():
     again = replay_case_failure(trace.failure)
     assert not again.success
     assert again.failure.case == trace.failure.case
+
+
+def test_certificate_failure_names_a_cycle_of_its_graph():
+    """The cycle whose removal failed, two reductions below the root, is
+    named in the ids of the graph the failure serializes beside it."""
+    failure = decompose(parse_colored_edge_list(FIXTURE.read_text())).failure
+    named = re.findall(r"removing \(([\d, ]+)\)", failure.message)
+    assert named
+    graph = parse_colored_edge_list(failure.graph_text).graph
+    for text in named:
+        assert Cycle(tuple(int(v) for v in text.split(", "))).is_cycle_of(graph)

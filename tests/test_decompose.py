@@ -165,13 +165,14 @@ def _lifted_partition(g, red):
 
 
 def test_case1_1_child_and_lift():
-    """The bad triangle 0-1-2 contracts to child vertex 0; the lift puts the
-    path 1-0-2 into one cycle and the edge 1-2 into the other."""
+    """The bad triangle 0-1-2 contracts to vertex 0, and 1 and 2 are left
+    isolated; the lift puts the path 1-0-2 into one cycle and the edge 1-2
+    into the other."""
     g = case1_1_host()
     red = case1_1(g, 0)
-    assert red.child.n == g.n - 2
+    assert red.child.n == g.n
     assert dict(red.child.coloring) == {
-        (0, 1): 1, (0, 2): 1, (0, 3): 2, (0, 4): 2, (1, 3): 3, (2, 4): 4}
+        (0, 3): 1, (0, 4): 1, (0, 5): 2, (0, 6): 2, (3, 5): 3, (4, 6): 4}
     assert red.report.verdict is GoodnessVerdict.GOOD
     lifted = _lifted_partition(g, red)
     almost = [c for c in lifted if not _is_rainbow(g, c)]
@@ -185,22 +186,24 @@ def _square_and_edge():
 
 
 def test_build_transform_accepts_one_shot_delete():
-    """`delete` may be any iterable, an iterator included."""
+    """`delete` may be any iterable, an iterator included; the deleted
+    vertices stay, with no edges, and an edge left at one is rejected."""
     g = _square_and_edge()
-    child, to_child, to_parent = D._build_transform(
-        g, "Subgraph", drop=[(4, 5)], delete=iter([4, 5]))
-    assert child.n == 4 and child.edges == g.edges - {(4, 5)}
-    assert to_child == {0: 0, 1: 1, 2: 2, 3: 3}
-    assert to_parent == {0: 0, 1: 1, 2: 2, 3: 3}
+    child = D._build_transform(g, "Subgraph", drop=[(4, 5)], delete=iter([4, 5]))
+    assert child.n == 6
+    assert dict(child.coloring) == {(0, 1): 0, (1, 2): 1, (2, 3): 2, (0, 3): 3}
+    with pytest.raises(CaseVerificationError, match="touches a deleted vertex"):
+        D._build_transform(g, "Subgraph", delete=iter([4]))
 
 
-def test_build_transform_maps_a_merged_vertex_one_way():
-    """A merged vertex has no unique preimage, so `to_parent` omits it."""
-    child, to_child, to_parent = D._build_transform(
-        _square_and_edge(), "ContractEdge", drop=[(0, 1)], merge=[(0, 1)])
-    assert dict(child.coloring) == {(0, 1): 1, (1, 2): 2, (0, 2): 3, (3, 4): 4}
-    assert to_child == {0: 0, 1: 0, 2: 1, 3: 2, 4: 3, 5: 4}
-    assert to_parent == {1: 2, 2: 3, 3: 4, 4: 5}
+def test_build_transform_merges_a_group_onto_its_least_id():
+    """A merge group becomes its least vertex, whichever order it is given
+    in; its other vertices stay, with no edges, and no other id moves."""
+    child = D._build_transform(
+        _square_and_edge(), "ContractEdge", drop=[(0, 1)], merge=[(1, 0)])
+    assert child.n == 6
+    assert dict(child.coloring) == {(0, 2): 1, (2, 3): 2, (0, 3): 3, (4, 5): 4}
+    assert child.graph.adj[1] == ()
 
 
 @pytest.mark.parametrize("build, message", [
@@ -229,18 +232,33 @@ def test_case1_2_host_trace():
 
 
 def test_case1_2_child_and_lift():
-    """The bad edge 0-1 contracts to child vertex 0; the lift subdivides the
-    one child cycle through it back into the almost-rainbow cycle."""
+    """The bad edge 0-1 contracts to vertex 0, and 1 is left isolated; the
+    lift subdivides the one child cycle through 0 back into the
+    almost-rainbow cycle."""
     g = case1_2_host()
     red = case1_2(g, 0)
-    assert red.child.n == g.n - 1
+    assert red.child.n == g.n
     assert dict(red.child.coloring) == {
-        (0, 1): 0, (0, 2): 1, (1, 3): 2, (2, 4): 1, (3, 4): 2,
-        (2, 5): 3, (2, 6): 3, (3, 5): 4, (3, 6): 4}
+        (0, 2): 0, (0, 3): 1, (2, 4): 2, (3, 5): 1, (4, 5): 2,
+        (3, 6): 3, (3, 7): 3, (4, 6): 4, (4, 7): 4}
     assert red.report.verdict is GoodnessVerdict.GOOD
     lifted = _lifted_partition(g, red)
     almost = [c for c in lifted if not _is_rainbow(g, c)]
     assert len(almost) == 1 and {0, 1, 2} <= set(almost[0].vertices)
+
+
+def test_contraction_lift_passes_untouched_cycles_through():
+    """A contraction's lift rewrites only the child cycles through the
+    merged vertex; every other child cycle is a cycle of the parent and is
+    handed up as the same object, its cached edges included."""
+    g = case1_2_host()
+    red = case1_2(g, 0)
+    sub = [(s.case, s.cycle) for s in decompose(red.child).steps]
+    untouched = [c for _, c in sub if 0 not in c]
+    assert untouched and all(c.edges for c in untouched)  # fills the caches
+    lifted = [c for _, c in red.lift(sub)]
+    assert all(any(c is d for d in lifted) for c in untouched)
+    assert len(lifted) == len(sub)
 
 
 def test_case1_2_rejects_type_2_flank():
@@ -252,7 +270,7 @@ def test_case2_1_agrees_with_base_case_on_c5():
     g = EdgeColoredGraph.from_triples(5, [(0, 1, 0), (1, 2, 1), (2, 3, 2),
                                           (3, 4, 3), (0, 4, 4)])
     red = case2_1(g, check_goodness(g), (0, 1, 2, 3))
-    assert red.child.n == 4
+    assert red.child.n == 5 and red.child.graph.adj[2] == ()
     sub = [( "BaseCycle", c) for c in
            [next(iter(decompose(red.child).cycles))]]
     lifted = red.lift(sub)
@@ -270,8 +288,8 @@ def test_case2_1_rejects_short_singular_path():
 
 def test_case2_1_child_and_report_match_the_rebuilt_child(monkeypatch):
     """Every Case2_1 child the engine makes, built from its parent, is the
-    child `_build_transform` builds, vertex maps included, and its derived
-    report is the one `check_goodness` gives."""
+    child `_build_transform` builds, and its derived report is the one
+    `check_goodness` gives."""
     calls = []
     real = D.case2_1
     monkeypatch.setattr(D, "case2_1", lambda g, rep, path:
@@ -283,12 +301,11 @@ def test_case2_1_child_and_report_match_the_rebuilt_child(monkeypatch):
     assert len(calls) > 100
     for g, rep, path in calls:
         v1, v2 = path[1], path[2]
-        child, _, to_parent = D._build_transform(
+        child = D._build_transform(
             g, "ContractEdge", merge=[(v1, v2)], drop=[edge(v1, v2)])
-        derived, derived_to_parent = D._contract_edge(g, v1, v2)
-        assert (derived.n, dict(derived.coloring), derived.graph.adj,
-                derived_to_parent) == (child.n, dict(child.coloring),
-                                       child.graph.adj, to_parent)
+        derived = D._contract_edge(g, v1, v2)
+        assert (derived.n, dict(derived.coloring), derived.graph.adj) == \
+            (child.n, dict(child.coloring), child.graph.adj)
         red = real(g, rep, path)
         assert red.child == child
         assert red.report == check_goodness(child)
@@ -303,13 +320,12 @@ def test_case2_1_chord_of_a_third_color_closes_a_rainbow_triangle():
     rep = check_goodness(g)
     assert rep.verdict is GoodnessVerdict.GOOD
     red = case2_1(g, rep, (0, 1, 2, 3))
-    child, _, _ = D._build_transform(g, "ContractEdge", merge=[(1, 2)],
-                                     drop=[(1, 2)])
+    child = D._build_transform(g, "ContractEdge", merge=[(1, 2)], drop=[(1, 2)])
     assert red.child == child
     assert red.report == check_goodness(child)
     assert red.report.verdict is GoodnessVerdict.GOOD
-    # 1 is the merged vertex, 2 is the old 3
-    assert [child.color(*e) for e in Cycle((0, 1, 2)).edges] == [0, 2, 3]
+    # 1 is the merged vertex, and 2 is left isolated
+    assert [child.color(*e) for e in Cycle((0, 1, 3)).edges] == [0, 2, 3]
 
 
 @pytest.mark.parametrize("chord", [0, 2], ids=["a", "b"])
@@ -324,8 +340,7 @@ def test_case2_1_chord_of_a_path_color(chord):
                                           (0, 3, chord)])
     rep = check_goodness(g)
     assert rep.verdict is GoodnessVerdict.ALMOST_GOOD
-    child, _, _ = D._build_transform(g, "ContractEdge", merge=[(1, 2)],
-                                     drop=[(1, 2)])
+    child = D._build_transform(g, "ContractEdge", merge=[(1, 2)], drop=[(1, 2)])
     assert check_goodness(child).verdict is GoodnessVerdict.NOT_GOOD
     with pytest.raises(CaseVerificationError) as err:
         case2_1(g, rep, (0, 1, 2, 3))
@@ -378,7 +393,7 @@ def test_case2_1_child_facts_equal_fresh_ones(monkeypatch):
     # triangle (0, m, 3) in the child
     ([(0, 1, 0), (1, 2, 1), (2, 3, 2), (0, 3, 3), (0, 4, 3), (3, 4, 3),
       (0, 5, 0), (3, 6, 2), (4, 7, 4), (4, 8, 4), (5, 7, 5), (6, 8, 6)],
-     (0, 1, 2, 3), ((3, (0, 4, 6, 3)), (3, (2, 5, 7, 3)), (2, (0, 1, 2)))),
+     (0, 1, 2, 3), ((3, (0, 5, 7, 4)), (3, (3, 6, 8, 4)), (2, (0, 1, 3)))),
     # two chains from 0 back to 0; contracting 3-5 in (0, 4, 3, 5, 0)
     # leaves (0, 4, 3, 0), which reads least the other way round
     ([(0, 4, 0), (3, 4, 1), (3, 5, 2), (0, 5, 3), (0, 1, 0), (0, 2, 3),
@@ -429,6 +444,58 @@ def test_case2_1_makes_no_rebuild_or_goodness_check(monkeypatch):
         random_cubic_bridgeless(GeneratorConfig(n, seed))).lg).success
     assert made and not any(made)
     assert set(calls) == {"check_goodness", "_build_transform"}
+
+
+def _merge(*group):
+    """The vertices a merge of `group` leaves isolated, and the one it keeps."""
+    keep = min(group)
+    return set(group) - {keep}, {keep}
+
+
+# for each case that can reduce: the parent vertices its child leaves
+# isolated, and the vertices whose child cycles its lift rewrites
+REDUCTIONS = {
+    "case1_1": lambda g, v: _merge(v, *g.graph.adj[v]),
+    "case1_2": lambda g, v: _merge(v, min(g.graph.adj[v])),
+    "case2_1": lambda g, rep, path: _merge(path[1], path[2]),
+    "case2_2_1": lambda g, rep, p: (_merge(p.x1, p.x2)[0],
+                                    _merge(p.x1, p.x2)[1] | {p.v}),
+    "_case2_2_2a": lambda g, rep, p: ({p.x1, p.x2}, {p.w1, p.v}),
+    "_case2_2_2b": lambda g, p: _merge(p.v, p.x1, p.y1, p.x2),
+    "_case2_2_2c": lambda g, p: _merge(p.v, p.x1, p.y1, p.x2),
+}
+
+
+def test_reduction_child_keeps_parent_ids(monkeypatch):
+    """Every reduction the engine builds keeps its parent's vertex ids: the
+    child has the parent's n, the vertices the reduction merges away or
+    deletes have no edges, and every child edge that avoids the vertices
+    the lift rewrites is a parent edge with the parent's color."""
+    made = []  # (case, parent, isolated, rewritten, reduction)
+
+    def traced(name, real):
+        def case(g, *args):
+            out = real(g, *args)
+            if isinstance(out, D.CaseReduction):
+                made.append((name, g, *REDUCTIONS[name](g, *args), out))
+            return out
+        return case
+
+    for name in REDUCTIONS:
+        monkeypatch.setattr(D, name, traced(name, getattr(D, name)))
+    for n in range(10, 21, 2):
+        for seed in range(5):
+            lg = build_line_graph(random_cubic_bridgeless(GeneratorConfig(n, seed))).lg
+            assert decompose(lg).success
+    assert {m[0] for m in made} == set(REDUCTIONS)
+    assert len(made) > 800
+    for name, g, isolated, rewritten, red in made:
+        child = red.child
+        assert child.n == g.n, name
+        assert all(not child.graph.adj[u] for u in isolated), name
+        for e, c in child.coloring.items():
+            if not rewritten & set(e):
+                assert g.coloring.get(e) == c, (name, e)
 
 
 @pytest.mark.parametrize("tag", ["Case2_2_1b", "Case2_2_2a"])
@@ -1059,7 +1126,7 @@ def test_full_lift_makes_no_goodness_check(monkeypatch):
 
 # sha256 over the trace JSON of every run below, in order; a change means
 # the engine's accepts, rejects, cycles or reports changed
-TRACE_DIGEST = "964e2b081a4dcc39acd2f10fdf719d65ddb76f15f74d8026f9c1bebe1426e5aa"
+TRACE_DIGEST = "3dd5dba9f7e4ab5753562479b12175e94bc3c1060182a7fac251eb35b0ea8f11"
 
 
 def test_trace_digest_pinned():

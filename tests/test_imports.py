@@ -1,5 +1,6 @@
 """Every module in src/cdcover uses each name it imports, and every
-definition in it is used somewhere.
+definition in it is used somewhere. No module names a map between two
+vertex id spaces.
 
 No linter ships with the project, so these are stdlib stand-ins for the
 unused-import and dead-code checks. `__init__.py` is exempt from the first:
@@ -158,3 +159,50 @@ def test_cache_keys_name_cached_properties():
     assert {"adj", "type1", "singular_chains"} <= cached
     assert [f"{p.name}: {s}" for p, text in zip(paths, sources)
             for s in stray_cache_keys(text, cached)] == []
+
+
+# the names of the maps between a reduction child's ids and its parent's,
+# which the engine does without: a child keeps its parent's vertex ids
+ID_MAP_NAMES = frozenset({"to_parent", "to_child", "_map_cycle"})
+
+
+def named_identifiers(source: str, names: frozenset[str]) -> list[str]:
+    """`line N: name` for each identifier in `source` that is one of
+    `names`: a name read or bound, an attribute, a parameter, a keyword
+    argument, an import or a definition. Strings and comments do not
+    count."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Name):
+            ident = node.id
+        elif isinstance(node, ast.Attribute):
+            ident = node.attr
+        elif isinstance(node, (ast.arg, ast.keyword)):
+            ident = node.arg
+        elif isinstance(node, ast.alias):
+            ident = node.asname or node.name
+        elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            ident = node.name
+        else:
+            continue
+        if ident in names:
+            found.append((node.lineno, ident))
+    return [f"line {line}: {ident}" for line, ident in sorted(found)]
+
+
+def test_named_identifiers_detects_and_allows():
+    src = ("def _map_cycle(c, to_parent): pass\n"
+           "x = f(to_child=1)\n"
+           "y.to_parent[0] = 1\n"
+           "from m import to_child\n"
+           "'to_parent'  # to_child\n"
+           "to_parents = _map_cycles = 0\n")
+    assert named_identifiers(src, ID_MAP_NAMES) == [
+        "line 1: _map_cycle", "line 1: to_parent", "line 2: to_child",
+        "line 3: to_parent", "line 4: to_child"]
+
+
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")),
+                         ids=[p.name for p in sorted(SRC.glob("*.py"))])
+def test_no_vertex_id_maps(path):
+    assert named_identifiers(path.read_text(), ID_MAP_NAMES) == []
