@@ -258,8 +258,12 @@ def cmd_crosscheck(args) -> int:
         clg = build_line_graph(g)
         trace = decompose(clg.lg)
         if trace.success:
-            cover = cover_from_decomposition(clg, trace.cycles)
-            dec = "success" if verify_cdc(g, cover).accepted else "unverified"
+            try:
+                cover = cover_from_decomposition(clg, trace.cycles)
+            except LineGraphError:
+                dec = "lift_rejected"
+            else:
+                dec = "success" if verify_cdc(g, cover).accepted else "unverified"
         else:
             dec = "case_failure"
         oracle = brute_force_cdc(g, time_budget=args.budget)
@@ -273,9 +277,9 @@ def cmd_crosscheck(args) -> int:
                    "oracle": ora, "trace": trace.to_json()}
             (art_dir / f"crosscheck_{idx:04d}.json").write_text(_dump(art))
         rows.append((idx, n, gseed, dec, ora, "ok" if agree else "MISMATCH"))
-    print(f"{'idx':>4} {'n':>3} {'seed':>10} {'decompose':>12} {'oracle':>13} verdict")
+    print(f"{'idx':>4} {'n':>3} {'seed':>10} {'decompose':>13} {'oracle':>13} verdict")
     for row in rows:
-        print(f"{row[0]:>4} {row[1]:>3} {row[2]:>10} {row[3]:>12} {row[4]:>13} {row[5]}")
+        print(f"{row[0]:>4} {row[1]:>3} {row[2]:>10} {row[3]:>13} {row[4]:>13} {row[5]}")
     print(f"{args.count} instances, {bad} mismatches")
     return 2 if bad else 0
 

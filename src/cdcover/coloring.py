@@ -14,13 +14,27 @@ make one of them a bridge, and even graphs have none). One lowpoint
 depth-first search (Tarjan 1972) finds the sides: a vertex u separates the
 DFS subtree of its child c when no edge leaves that subtree for a proper
 ancestor of u, and u's neighbors on that side are exactly those discovered
-inside c's subtree, a contiguous range of discovery times.
+inside c's subtree, a contiguous range of discovery times. The search starts
+one DFS tree at the least vertex of each edge-bearing component, so the
+trees' vertex sets are the components, in order of least vertex; one search
+(`_cut_search`) gives both, and the graph caches both.
 
 Conditions 1, 2, 3 and 5 are hereditary under removing a cycle C: degrees
 fall by 2 at the vertices of C and stay even and at most 4, and triangles
 and the vertex spans of color classes only shrink. So the remainder of a
 good or almost-good graph needs condition 4 re-checked only at the vertices
 of C, and condition 6 from one DFS; `check_goodness(g, after=...)` does that.
+
+The same removal fixes the facts the decomposer's dispatch scans for, and
+`EdgeColoredGraph.remove_cycle` carries each one the parent has computed.
+Degrees and colors change only at the vertices of C. So the nonisolated
+vertices are the parent's without the vertices of C that are left with no
+edges, and the Type I vertices are the parent's, re-decided at the vertices
+of C. The rainbow triangles only shrink: a parent with none leaves a
+remainder with none, and the parent's least one is still the least if C
+takes none of its three edges; if C takes one, the remainder computes its
+own. The remainder's singular chains are computed afresh, and its
+components come from its own Type X search, which its goodness check runs.
 
 A split into rainbow cycles can be removed in any order. Let a good or
 almost-good graph be split into edge-disjoint cycles, all rainbow except,
@@ -91,15 +105,9 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterable, Mapping
+from typing import Iterable, Iterator, Mapping
 
-from .graphs import (
-    Cycle,
-    Edge,
-    Graph,
-    connected_components,
-    edge,
-)
+from .graphs import Cycle, Edge, Graph, edge
 
 
 class ColoredGraphError(ValueError):
@@ -149,8 +157,32 @@ class EdgeColoredGraph:
         return tuple(self.coloring[edge(v, w)] for w in self.graph.adj[v])
 
     def remove_cycle(self, c: Cycle) -> "EdgeColoredGraph":
+        """This graph minus the edges of c, which must all be present.
+
+        The remainder's `nonisolated`, `type1` and `rainbow_triangle` are
+        filled in from this graph's, where it has computed them, by the
+        removal rules in the module docstring.
+        """
         graph = self.graph.remove_cycle(c)
-        return EdgeColoredGraph(graph, {e: self.coloring[e] for e in graph.edges})
+        coloring = dict(self.coloring)
+        for e in c.edges:
+            del coloring[e]
+        child = EdgeColoredGraph(graph, coloring)
+        known = self.__dict__
+        adj = graph.adj
+        vs = c.vertices
+        if "nonisolated" in known:
+            emptied = {v for v in vs if not adj[v]}
+            child.__dict__["nonisolated"] = tuple(
+                v for v in self.nonisolated if v not in emptied)
+        if "type1" in known:
+            child.__dict__["type1"] = self.type1.difference(vs).union(
+                _type1_among(adj, coloring, vs))
+        if "rainbow_triangle" in known:
+            tri = self.rainbow_triangle
+            if tri is None or all(e in coloring for e in tri.edges):
+                child.__dict__["rainbow_triangle"] = tri
+        return child
 
     def restrict_edges(self, keep: Iterable[Edge]) -> "EdgeColoredGraph":
         kept = {edge(*e) for e in keep}
@@ -166,22 +198,22 @@ class EdgeColoredGraph:
 
     @cached_property
     def components(self) -> tuple[frozenset[int], ...]:
-        """Vertex sets of the edge-bearing connected components, by min vertex."""
-        return tuple(c for c in connected_components(self.graph)
-                     if any(self.graph.degree(v) > 0 for v in c))
+        """Vertex sets of the edge-bearing connected components, by min
+        vertex: the trees of the Type X search (`_cut_search`), which also
+        fills `type_x_sides` when every degree is even."""
+        even = not any(len(nbrs) & 1 for nbrs in self.graph.adj)
+        return _cut_search(self, type_x=even)[0]
+
+    @cached_property
+    def type_x_sides(self) -> dict[int, tuple[tuple[int, ...], ...]]:
+        """Each cut vertex of Type X, mapped to its two pairs of neighbors
+        by side. The degrees must be even; this is not checked."""
+        return _cut_search(self, type_x=True)[1]
 
     @cached_property
     def type1(self) -> frozenset[int]:
         """The Type I vertices: degree 2, with two different colors."""
-        coloring = self.coloring
-        out = []
-        for v, nbrs in enumerate(self.graph.adj):
-            if len(nbrs) == 2:
-                a, b = nbrs
-                if coloring[(v, a) if v < a else (a, v)] != \
-                        coloring[(v, b) if v < b else (b, v)]:
-                    out.append(v)
-        return frozenset(out)
+        return frozenset(_type1_among(self.graph.adj, self.coloring, range(self.n)))
 
     @cached_property
     def rainbow_triangle(self) -> Cycle | None:
@@ -223,6 +255,18 @@ class EdgeColoredGraph:
             chains.append((len(seq) - 1, seq))
         chains.sort(key=lambda c: (-c[0], c[1]))
         return tuple(chains)
+
+
+def _type1_among(adj: tuple[tuple[int, ...], ...], coloring: Mapping[Edge, int],
+                 vs: Iterable[int]) -> Iterator[int]:
+    """The Type I vertices among vs."""
+    for v in vs:
+        nbrs = adj[v]
+        if len(nbrs) == 2:
+            a, b = nbrs
+            if coloring[(v, a) if v < a else (a, v)] != \
+                    coloring[(v, b) if v < b else (b, v)]:
+                yield v
 
 
 @dataclass(frozen=True)
@@ -353,7 +397,7 @@ def check_goodness(g: EdgeColoredGraph,
     violations.extend(Violation(5, "color", c) for c, k in span.items() if k > 3)
 
     if even_ok:
-        for v in _type_x_vertices(g):
+        for v in g.type_x_sides:
             violations.append(Violation(6, "vertex", v))
 
     if len(bad_candidates) == 1 and not violations:
@@ -390,7 +434,7 @@ def _good_after_removal(g: EdgeColoredGraph, parent: EdgeColoredGraph,
             a, b = nbrs
             if coloring[edge(v, a)] == coloring[edge(v, b)]:
                 bad.append(v)
-    if len(bad) > 1 or _type_x_vertices(g):
+    if len(bad) > 1 or g.type_x_sides:
         return None
     if bad:
         return GoodnessReport(GoodnessVerdict.ALMOST_GOOD, bad[0],
@@ -403,18 +447,9 @@ def _good_after_removal(g: EdgeColoredGraph, parent: EdgeColoredGraph,
 
 
 def find_type_x_vertices(g: EdgeColoredGraph) -> frozenset[int]:
-    """All cut vertices of Type X.
-
-    Requires all degrees even. One lowpoint DFS records, for each degree-4
-    vertex u, the children c whose subtrees u separates (low[c] >= disc[u]).
-    u's neighbors fall into one group per such subtree, by whether their
-    discovery time lies in [disc[c], last[c]], plus one group of the rest.
-    One group means u is no cut vertex (a DFS root with one child); else, in
-    an even graph, there are two groups of two, and u is Type X when both
-    pairs are monochromatic.
-    """
+    """All cut vertices of Type X; requires all degrees even."""
     _require_even(g)
-    return frozenset(_type_x_vertices(g))
+    return frozenset(g.type_x_sides)
 
 
 def _require_even(g: EdgeColoredGraph) -> None:
@@ -424,20 +459,35 @@ def _require_even(g: EdgeColoredGraph) -> None:
                                 f"odd-degree vertices {odd}")
 
 
-def _type_x_vertices(g: EdgeColoredGraph) -> dict[int, tuple[tuple[int, ...], ...]]:
-    """`find_type_x_vertices` for a graph whose degrees are known to be even,
-    as a map from each Type X vertex to its two pairs of neighbors by side."""
+def _cut_search(g: EdgeColoredGraph, type_x: bool,
+                ) -> tuple[tuple[frozenset[int], ...],
+                           dict[int, tuple[tuple[int, ...], ...]] | None]:
+    """The Type X search: one lowpoint DFS, with one tree per edge-bearing
+    component, started at its least vertex. Returns the trees' vertex sets,
+    which are `components`, and, when `type_x` is set, `type_x_sides`; it
+    fills both into g's cache. Only the Type X grouping needs even degrees.
+
+    The DFS records, for each degree-4 vertex u, the children c whose
+    subtrees u separates (low[c] >= disc[u]). u's neighbors fall into one
+    group per such subtree, by whether their discovery time lies in
+    [disc[c], last[c]], plus one group of the rest. One group means u is no
+    cut vertex (a DFS root with one child); else, in an even graph, there
+    are two groups of two, and u is Type X when both pairs are
+    monochromatic.
+    """
     adj = g.graph.adj
     disc = [-1] * g.n
     low = [0] * g.n
     last = [0] * g.n  # the latest discovery time in the vertex's subtree
     split: dict[int, list[int]] = {}  # degree-4 vertex -> children it separates
+    trees = []
     timer = 0
     for root in range(g.n):
         if disc[root] != -1 or not adj[root]:
             continue
         disc[root] = low[root] = timer
         timer += 1
+        tree = [root]
         stack = [(root, -1, iter(adj[root]))]
         while stack:
             v, parent, it = stack[-1]
@@ -446,6 +496,7 @@ def _type_x_vertices(g: EdgeColoredGraph) -> dict[int, tuple[tuple[int, ...], ..
                 if dw == -1:
                     disc[w] = low[w] = timer
                     timer += 1
+                    tree.append(w)
                     stack.append((w, v, iter(adj[w])))
                     break
                 if dw < low[v] and w != parent:  # graphs are simple
@@ -459,6 +510,10 @@ def _type_x_vertices(g: EdgeColoredGraph) -> dict[int, tuple[tuple[int, ...], ..
                         low[u] = low[v]
                     if low[v] >= disc[u] and len(adj[u]) == 4:
                         split.setdefault(u, []).append(v)
+        trees.append(frozenset(tree))
+    components = g.__dict__["components"] = tuple(trees)
+    if not type_x:
+        return components, None
 
     coloring = g.coloring
     result = {}
@@ -478,7 +533,8 @@ def _type_x_vertices(g: EdgeColoredGraph) -> dict[int, tuple[tuple[int, ...], ..
         if all(coloring[edge(u, a)] == coloring[edge(u, b)]
                for a, b in groups.values()):
             result[u] = tuple(tuple(ws) for ws in groups.values())
-    return result
+    g.__dict__["type_x_sides"] = result
+    return components, result
 
 
 def split_components(g: EdgeColoredGraph) -> list[EdgeColoredGraph]:
@@ -552,7 +608,7 @@ def x_block_decomposition(g: EdgeColoredGraph) -> XBlockDecomposition:
     if len(g.components) != 1:
         raise ColoredGraphError("x-block decomposition requires a connected graph")
     _require_even(g)
-    sides = _type_x_vertices(g)
+    sides = g.type_x_sides
     adj = g.graph.adj
     block_of: dict[Edge, int] = {}
     x_blocks = []

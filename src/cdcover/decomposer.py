@@ -23,11 +23,13 @@ path of a good graph keeps it good unless that closes a two-colored
 triangle (the lemma in the coloring module docstring), so Case2_1 builds
 its child from the parent's adjacency and derives the report, and the
 child's components, rainbow triangle and singular chains from the
-parent's. The engine is one loop over an explicit stack of frames: a
-reduction's child is peeled on a frame above its waiting parent, so the
-depth of the reduction tree costs no Python recursion. Every lifted cycle,
-like every other removal, is re-verified against the parent: rainbow typing
-plus the goodness report of the remainder. A batch of cycles that covers
+parent's; the remainder of a peel likewise takes what it can from its
+parent (`EdgeColoredGraph.remove_cycle`). The engine is one loop over an
+explicit stack of frames: a reduction's child is peeled on a frame above
+its waiting parent, so the depth of the reduction tree costs no Python
+recursion. Every lifted cycle, like every other removal, is re-verified
+against the parent: rainbow typing plus the goodness report of the
+remainder. A batch of cycles that covers
 its graph, as a lift or a base cycle does, is verified in one linear sweep:
 when its cycles are edge-disjoint and rainbow except one almost-rainbow at
 the bad vertex, every remainder is good or almost-good as the checks expect
@@ -1335,7 +1337,7 @@ def decompose_goddyn(clg: ColoredLineGraph, first: Cycle,
     contains `first`.
     """
     if not isinstance(first, Cycle) or not first.is_cycle_of(clg.base):
-        raise DecomposeError(f"prescribed cycle is not a cycle of the base graph")
+        raise DecomposeError("prescribed cycle is not a cycle of the base graph")
     L = clg.lg
     rep = check_goodness(L)
     if rep.verdict is not GoodnessVerdict.GOOD or not _all_type2(L):

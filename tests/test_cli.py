@@ -183,6 +183,25 @@ def test_crosscheck_k4_path(capsys, tmp_path, monkeypatch):
     assert code == 0
 
 
+def test_crosscheck_records_a_rejected_lift(capsys, tmp_path, monkeypatch):
+    """A decomposition the lift rejects is a mismatch with an artifact, as
+    `cdcover decompose` reports it, not a traceback."""
+    import cdcover.cli as cli
+    from cdcover.linegraph import LineGraphError
+
+    def reject(clg, cycles):
+        raise LineGraphError("lift rejected")
+
+    monkeypatch.setattr(cli, "cover_from_decomposition", reject)
+    monkeypatch.chdir(tmp_path)
+    code, out, _ = _run(capsys, "crosscheck", "--n-max", "4", "--count", "1")
+    assert code == 2
+    assert "lift_rejected" in out and "1 mismatches" in out
+    art = json.loads((tmp_path / "crosscheck-artifacts"
+                      / "crosscheck_0000.json").read_text())
+    assert art["decompose"] == "lift_rejected"
+
+
 def test_crosscheck_count_zero(capsys):
     code, out, _ = _run(capsys, "crosscheck", "--n-max", "8", "--count", "0")
     assert code == 0

@@ -371,6 +371,77 @@ def test_heredity_conditions_1_to_5_after_rainbow_removal():
         assert all(v.condition == 6 for v in rep.violations)
 
 
+def _facts_of_fresh_copy(g, names):
+    fresh = EdgeColoredGraph(g.graph, dict(g.coloring))
+    return {name: getattr(fresh, name) for name in names}
+
+
+CARRIED = ("nonisolated", "type1", "rainbow_triangle")
+
+
+def test_remove_cycle_carries_facts_and_drops_a_consumed_triangle():
+    """Two rainbow triangles meeting at 2. Removing the least one leaves the
+    remainder's rainbow triangle to be computed; removing the other keeps
+    the parent's, which is still the least."""
+    g = EdgeColoredGraph.from_triples(6, [(0, 1, 0), (1, 2, 1), (0, 2, 2),
+                                          (2, 3, 3), (3, 4, 4), (2, 4, 5)])
+    for name in CARRIED:
+        getattr(g, name)
+    assert g.rainbow_triangle == Cycle((0, 1, 2))
+    h = g.remove_cycle(Cycle((0, 1, 2)))
+    assert "rainbow_triangle" not in h.__dict__
+    assert h.nonisolated == (2, 3, 4) and h.type1 == frozenset({2, 3, 4})
+    assert {name: getattr(h, name) for name in CARRIED} == \
+        _facts_of_fresh_copy(h, CARRIED)
+    assert h.rainbow_triangle == Cycle((2, 3, 4))
+    k = g.remove_cycle(Cycle((2, 3, 4)))
+    assert k.__dict__["rainbow_triangle"] == Cycle((0, 1, 2))
+    assert {name: k.__dict__[name] for name in CARRIED} == \
+        _facts_of_fresh_copy(k, CARRIED)
+    # no rainbow triangle before, none after
+    plain = EdgeColoredGraph.from_triples(6, [(0, 1, 0), (1, 2, 1), (2, 3, 0),
+                                              (0, 3, 1), (0, 4, 2), (4, 5, 2),
+                                              (0, 5, 2)])
+    assert plain.rainbow_triangle is None
+    assert plain.remove_cycle(Cycle((0, 1, 2, 3))).__dict__["rainbow_triangle"] is None
+
+
+def test_remove_cycle_that_disconnects():
+    """Triangles (0, 1, 2) and (3, 4, 5) joined by the square 2 6 3 7:
+    removing the square leaves two components, and 6 and 7 isolated."""
+    g = EdgeColoredGraph.from_triples(8, [
+        (0, 1, 0), (1, 2, 1), (0, 2, 2), (3, 4, 3), (4, 5, 4), (3, 5, 5),
+        (2, 6, 6), (3, 6, 7), (3, 7, 8), (2, 7, 9)])
+    assert g.components == (frozenset(range(8)),)
+    for name in CARRIED:
+        getattr(g, name)
+    h = g.remove_cycle(Cycle((2, 6, 3, 7)))
+    assert h.__dict__["nonisolated"] == (0, 1, 2, 3, 4, 5)
+    assert h.components == (frozenset({0, 1, 2}), frozenset({3, 4, 5}))
+    assert {name: getattr(h, name) for name in CARRIED + ("components",)} == \
+        _facts_of_fresh_copy(h, CARRIED + ("components",))
+    assert [p.edges for p in split_components(h)] == [
+        frozenset({(0, 1), (1, 2), (0, 2)}), frozenset({(3, 4), (4, 5), (3, 5)})]
+
+
+def test_components_on_an_odd_graph():
+    """`components` needs no even degrees. Vertex 0 has degree 4 and
+    splits its neighbors 3 to 1, which the Type X grouping rejects; only a
+    caller that asks for Type X sees that."""
+    g = EdgeColoredGraph.from_triples(7, [(0, 1, 0), (0, 2, 1), (0, 3, 2),
+                                          (0, 4, 3), (1, 2, 4), (2, 3, 5),
+                                          (5, 6, 6)])
+    assert g.components == (frozenset({0, 1, 2, 3, 4}), frozenset({5, 6}))
+    assert "type_x_sides" not in g.__dict__
+    with pytest.raises(ColoredGraphError, match="even graph; odd-degree"):
+        find_type_x_vertices(g)
+    with pytest.raises(ColoredGraphError, match="splits"):
+        g.type_x_sides
+    assert EdgeColoredGraph.from_triples(3, [(0, 1, 0)]).components == (
+        frozenset({0, 1}),)
+    assert EdgeColoredGraph.from_triples(3, []).components == ()
+
+
 def test_split_components():
     g = EdgeColoredGraph.from_triples(7, [(0, 1, 0), (1, 2, 1), (0, 2, 2),
                                           (3, 4, 3), (4, 5, 4), (3, 5, 5)])

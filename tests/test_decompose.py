@@ -388,6 +388,61 @@ def test_case2_1_child_facts_equal_fresh_ones(monkeypatch):
         assert {name: cached[name] for name in DISPATCH_FACTS} == _fresh_facts(child)
 
 
+def test_remainder_facts_equal_fresh_ones(monkeypatch):
+    """Every remainder `remove_cycle` makes while decomposing gets, at the
+    moment it is made, only dispatch facts that a fresh graph with its
+    edges and colors computes."""
+    compared = {name: 0 for name in DISPATCH_FACTS}
+    real = EdgeColoredGraph.remove_cycle
+
+    def remove_cycle(self, c):
+        child = real(self, c)
+        filled = {name: child.__dict__[name] for name in DISPATCH_FACTS
+                  if name in child.__dict__}
+        fresh = _fresh_facts(child)
+        assert filled == {name: fresh[name] for name in filled}
+        for name in filled:
+            compared[name] += 1
+        return child
+
+    monkeypatch.setattr(EdgeColoredGraph, "remove_cycle", remove_cycle)
+    runs = [(n, seed) for n in range(10, 25, 2) for seed in range(5)]
+    runs += [(40, seed) for seed in range(3)]
+    for n, seed in runs:
+        decompose(build_line_graph(random_cubic_bridgeless(GeneratorConfig(n, seed))).lg)
+    assert min(compared[name] for name in
+               ("nonisolated", "type1", "rainbow_triangle")) > 1000
+    assert compared["components"] == compared["singular_chains"] == 0
+
+
+def test_decompose_runs_one_cut_search_per_graph(monkeypatch):
+    """The engine never walks a graph for its components with
+    `graphs.connected_components`, and runs the Type X search at most once
+    on any graph: `components` and Type X come from the same search."""
+    import cdcover.coloring as C
+    import cdcover.graphs as G
+
+    graphs = [build_line_graph(random_cubic_bridgeless(GeneratorConfig(n, seed))).lg
+              for n, seed in [(12, 0), (20, 1), (20, 3), (24, 2)]]
+    walks = []
+    real_components = G.connected_components
+    monkeypatch.setattr(G, "connected_components",
+                        lambda g: walks.append(g) or real_components(g))
+    searched = []  # the graphs themselves, so that no id is reused
+    real_search = C._cut_search
+
+    def cut_search(g, type_x):
+        searched.append(g)
+        return real_search(g, type_x)
+
+    monkeypatch.setattr(C, "_cut_search", cut_search)
+    for g in graphs:
+        assert decompose(g).success
+    assert walks == []
+    assert len(searched) > 100
+    assert len({id(g) for g in searched}) == len(searched)
+
+
 @pytest.mark.parametrize("triples, path, chains", [
     # the singular path 0 1 2 3, whose chord 0-3 closes the rainbow
     # triangle (0, m, 3) in the child
@@ -406,7 +461,8 @@ def test_case2_1_child_facts_cached_or_not(triples, path, chains):
     child's, and they are the same."""
     bare = EdgeColoredGraph.from_triples(1 + max(max(t[:2]) for t in triples),
                                          triples)
-    rep = check_goodness(bare)
+    # checked on a copy: the check caches `components` on the graph it checks
+    rep = check_goodness(EdgeColoredGraph(bare.graph, bare.coloring))
     assert rep.verdict is GoodnessVerdict.GOOD
     cached = EdgeColoredGraph(bare.graph, bare.coloring)
     for name in DISPATCH_FACTS:

@@ -1,10 +1,10 @@
 """Every module in src/cdcover uses each name it imports, and every
-definition in it is used somewhere. No module names a map between two
-vertex id spaces.
+definition in it is used somewhere. No f-string in it lacks a
+placeholder. No module names a map between two vertex id spaces.
 
 No linter ships with the project, so these are stdlib stand-ins for the
-unused-import and dead-code checks. `__init__.py` is exempt from the first:
-its imports are re-exports.
+unused-import, dead-code and empty f-string checks. `__init__.py` is
+exempt from the first: its imports are re-exports.
 """
 import ast
 from collections import Counter
@@ -156,9 +156,39 @@ def test_cache_keys_name_cached_properties():
     paths = sorted(SRC.glob("*.py"))
     sources = [p.read_text() for p in paths]
     cached = set().union(*map(cached_properties, sources))
-    assert {"adj", "type1", "singular_chains"} <= cached
+    assert {"adj", "components", "rainbow_triangle", "type1",
+            "singular_chains", "type_x_sides"} <= cached
     assert [f"{p.name}: {s}" for p, text in zip(paths, sources)
             for s in stray_cache_keys(text, cached)] == []
+
+
+def placeholderless_fstrings(source: str) -> list[str]:
+    """`line N: text` for each f-string in `source` with no placeholder. The
+    format spec of a placeholder, as in `{x:>4}`, is an f-string nested in
+    it and does not count."""
+    tree = ast.parse(source)
+    specs = {id(node.format_spec) for node in ast.walk(tree)
+             if isinstance(node, ast.FormattedValue) and node.format_spec}
+    return [f"line {node.lineno}: {ast.unparse(node)}"
+            for node in ast.walk(tree)
+            if isinstance(node, ast.JoinedStr) and id(node) not in specs
+            and not any(isinstance(v, ast.FormattedValue) for v in node.values)]
+
+
+def test_placeholderless_fstrings_detects_and_allows():
+    src = ("a = f'plain'\n"
+           "b = f'{x}'\n"
+           "c = f'{x:>4} and {y!r}'\n"
+           "d = f'{x:{w}}'\n"
+           "e = 'not an f-string'\n"
+           "f = (f'joined'\n     f'{x}')\n")
+    assert placeholderless_fstrings(src) == ["line 1: f'plain'"]
+
+
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")),
+                         ids=[p.name for p in sorted(SRC.glob("*.py"))])
+def test_no_placeholderless_fstrings(path):
+    assert placeholderless_fstrings(path.read_text()) == []
 
 
 # the names of the maps between a reduction child's ids and its parent's,
