@@ -13,9 +13,7 @@ from .coloring import (
     GoodnessVerdict,
     check_goodness,
     color_classes,
-    find_rainbow_triangle,
     find_type_x_vertices,
-    longest_singular_path,
     parse_colored_edge_list,
     serialize_colored_edge_list,
     x_block_decomposition,
@@ -83,11 +81,9 @@ __all__ = [
     "fallback_search",
     "find_bridges",
     "find_cycle_all_type2",
-    "find_rainbow_triangle",
     "find_type_x_vertices",
     "is_cubic",
     "lift_rainbow_cycle",
-    "longest_singular_path",
     "parse_colored_edge_list",
     "parse_edge_list",
     "parse_graph6",

@@ -271,11 +271,14 @@ def cmd_crosscheck(args) -> int:
         agree = dec == "success" and ora in ("found", "indeterminate")
         if not agree:
             bad += 1
-            art_dir.mkdir(exist_ok=True)
+            try:
+                art_dir.mkdir(exist_ok=True)
+            except OSError as err:
+                raise _Unwritable(f"{art_dir}: {err.strerror or err}") from None
             art = {"index": idx, "n": n, "seed": gseed,
                    "graph6": serialize_graph6(g), "decompose": dec,
                    "oracle": ora, "trace": trace.to_json()}
-            (art_dir / f"crosscheck_{idx:04d}.json").write_text(_dump(art))
+            _write_text(str(art_dir / f"crosscheck_{idx:04d}.json"), _dump(art))
         rows.append((idx, n, gseed, dec, ora, "ok" if agree else "MISMATCH"))
     print(f"{'idx':>4} {'n':>3} {'seed':>10} {'decompose':>13} {'oracle':>13} verdict")
     for row in rows:

@@ -25,16 +25,8 @@ and the vertex spans of color classes only shrink. So the remainder of a
 good or almost-good graph needs condition 4 re-checked only at the vertices
 of C, and condition 6 from one DFS; `check_goodness(g, after=...)` does that.
 
-The same removal fixes the facts the decomposer's dispatch scans for, and
-`EdgeColoredGraph.remove_cycle` carries each one the parent has computed.
-Degrees and colors change only at the vertices of C. So the nonisolated
-vertices are the parent's without the vertices of C that are left with no
-edges, and the Type I vertices are the parent's, re-decided at the vertices
-of C. The rainbow triangles only shrink: a parent with none leaves a
-remainder with none, and the parent's least one is still the least if C
-takes none of its three edges; if C takes one, the remainder computes its
-own. The remainder's singular chains are computed afresh, and its
-components come from its own Type X search, which its goodness check runs.
+A remainder's components come from its own Type X search, which its
+goodness check runs.
 
 A split into rainbow cycles can be removed in any order. Let a good or
 almost-good graph be split into edge-disjoint cycles, all rainbow except,
@@ -73,21 +65,20 @@ of color b, would make that color span four vertices. So the cycle
 v0 v1 v2 v3 meets the rest of the graph at v0 alone, and v0 either sees one
 color or is a Type X cut vertex. The case c(v0v3) = b is symmetric.
 
-The same contraction fixes the facts the decomposer's dispatch scans for.
-Let hi = max(v1, v2); the child keeps the parent's vertex ids, with
-m = min(v1, v2) and hi left isolated. Contracting an edge keeps each
-component connected, so a connected parent has a connected child. Degrees
-do not change, so a parent that is not a single cycle (it has a degree-4
-vertex) has a child that is not one either. The triangles are the
-parent's plus (v0, m, v3) when v0 ~ v3, which is rainbow on a good parent
-(a != b, and c(v0v3) is neither); a parent with no rainbow triangle, as
-one that reaches Case2_1 has, so has a child whose only possible rainbow
-triangle is (v0, m, v3). Colors at a vertex do not change except that m
-sees a and b, so the Type I vertices are the parent's without hi, and the
-maximal chains through them (`singular_chains`) are the parent's, except
-that the chain through v1 and v2 loses hi and is one edge shorter. Case2_1
-fills these into the child (`decomposer.case2_1`,
-`decomposer._contract_edge`) when the parent has computed its own.
+The same contraction fixes three of the facts the decomposer's dispatch
+scans for. Let hi = max(v1, v2); the child keeps the parent's vertex ids,
+with m = min(v1, v2) and hi left isolated. Contracting an edge keeps each
+component connected, so the child's components are the parent's without
+hi. The triangles are the parent's plus (v0, m, v3) when v0 ~ v3, which is
+rainbow on a good parent (a != b, and c(v0v3) is neither); a parent with no
+rainbow triangle, as one that reaches Case2_1 has, so has a child whose
+only possible rainbow triangle is (v0, m, v3). Colors at a vertex do not
+change except that m sees a and b, so the Type I vertices are the parent's
+without hi, and the maximal chains through them (`singular_chains`) are
+the parent's, except that the chain through v1 and v2 loses hi and is one
+edge shorter. Case2_1 fills these three into the child
+(`decomposer.case2_1`, `decomposer._contract_edge`) when the parent has
+computed its own.
 
 The Type X search, which sorts u's neighbors by side, gives the x-blocks
 too. Join two edges when they share a vertex, except that at a Type X
@@ -105,7 +96,7 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterable, Iterator, Mapping
+from typing import Iterable, Mapping
 
 from .graphs import Cycle, Edge, Graph, edge
 
@@ -157,32 +148,11 @@ class EdgeColoredGraph:
         return tuple(self.coloring[edge(v, w)] for w in self.graph.adj[v])
 
     def remove_cycle(self, c: Cycle) -> "EdgeColoredGraph":
-        """This graph minus the edges of c, which must all be present.
-
-        The remainder's `nonisolated`, `type1` and `rainbow_triangle` are
-        filled in from this graph's, where it has computed them, by the
-        removal rules in the module docstring.
-        """
-        graph = self.graph.remove_cycle(c)
+        """This graph minus the edges of c, which must all be present."""
         coloring = dict(self.coloring)
         for e in c.edges:
             del coloring[e]
-        child = EdgeColoredGraph(graph, coloring)
-        known = self.__dict__
-        adj = graph.adj
-        vs = c.vertices
-        if "nonisolated" in known:
-            emptied = {v for v in vs if not adj[v]}
-            child.__dict__["nonisolated"] = tuple(
-                v for v in self.nonisolated if v not in emptied)
-        if "type1" in known:
-            child.__dict__["type1"] = self.type1.difference(vs).union(
-                _type1_among(adj, coloring, vs))
-        if "rainbow_triangle" in known:
-            tri = self.rainbow_triangle
-            if tri is None or all(e in coloring for e in tri.edges):
-                child.__dict__["rainbow_triangle"] = tri
-        return child
+        return EdgeColoredGraph(self.graph.remove_cycle(c), coloring)
 
     def restrict_edges(self, keep: Iterable[Edge]) -> "EdgeColoredGraph":
         kept = {edge(*e) for e in keep}
@@ -191,10 +161,6 @@ class EdgeColoredGraph:
             raise ColoredGraphError(f"cannot keep absent edges {sorted(absent)}")
         return EdgeColoredGraph(Graph(self.n, frozenset(kept)),
                                 {e: self.coloring[e] for e in kept})
-
-    @cached_property
-    def nonisolated(self) -> tuple[int, ...]:
-        return tuple(v for v in range(self.n) if self.graph.degree(v) > 0)
 
     @cached_property
     def components(self) -> tuple[frozenset[int], ...]:
@@ -213,7 +179,15 @@ class EdgeColoredGraph:
     @cached_property
     def type1(self) -> frozenset[int]:
         """The Type I vertices: degree 2, with two different colors."""
-        return frozenset(_type1_among(self.graph.adj, self.coloring, range(self.n)))
+        coloring = self.coloring
+        type1 = []
+        for v, nbrs in enumerate(self.graph.adj):
+            if len(nbrs) == 2:
+                a, b = nbrs
+                if coloring[(v, a) if v < a else (a, v)] != \
+                        coloring[(v, b) if v < b else (b, v)]:
+                    type1.append(v)
+        return frozenset(type1)
 
     @cached_property
     def rainbow_triangle(self) -> Cycle | None:
@@ -226,7 +200,7 @@ class EdgeColoredGraph:
     @cached_property
     def singular_chains(self) -> tuple[tuple[int, tuple[int, ...]], ...]:
         """Every maximal chain through Type I vertices as (length, vertices),
-        ordered by (-length, vertices); `longest_singular_path` is the first.
+        ordered by (-length, vertices).
 
         An open chain runs between two vertices that are not Type I (they may
         be one vertex) and is oriented to its lexicographically least
@@ -255,18 +229,6 @@ class EdgeColoredGraph:
             chains.append((len(seq) - 1, seq))
         chains.sort(key=lambda c: (-c[0], c[1]))
         return tuple(chains)
-
-
-def _type1_among(adj: tuple[tuple[int, ...], ...], coloring: Mapping[Edge, int],
-                 vs: Iterable[int]) -> Iterator[int]:
-    """The Type I vertices among vs."""
-    for v in vs:
-        nbrs = adj[v]
-        if len(nbrs) == 2:
-            a, b = nbrs
-            if coloring[(v, a) if v < a else (a, v)] != \
-                    coloring[(v, b) if v < b else (b, v)]:
-                yield v
 
 
 @dataclass(frozen=True)
@@ -649,11 +611,6 @@ def is_almost_rainbow_at(g: EdgeColoredGraph, c: Cycle, v: int) -> bool:
     return len(at_v) == 2 and at_v[0] == at_v[1]
 
 
-def find_rainbow_triangle(g: EdgeColoredGraph) -> Cycle | None:
-    """Lexicographically least triangle with three distinct edge colors."""
-    return g.rainbow_triangle
-
-
 def _singular_walk(adj: tuple[tuple[int, ...], ...], type1: frozenset[int],
                    start: int, first: int) -> tuple[list[int], bool]:
     """Walk from `start` toward `first`, continuing through Type I vertices.
@@ -671,22 +628,6 @@ def _singular_walk(adj: tuple[tuple[int, ...], ...], type1: frozenset[int],
             return seq, False
         a, b = adj[cur]
         node, cur = cur, (b if a == node else a)
-
-
-def longest_singular_path(g: EdgeColoredGraph) -> tuple[int, tuple[int, ...]]:
-    """Longest path whose internal vertices are all Type I.
-
-    Closed walks count: a chain that returns to its start vertex is reported
-    with the start repeated at the end, and its length is the full cycle
-    length. With no Type I vertices the answer is a single edge (length 1).
-    Ties break on the lexicographically least vertex sequence.
-    """
-    if g.singular_chains:
-        return g.singular_chains[0]
-    if not g.edges:
-        raise ColoredGraphError("no edges")
-    u, v = min(g.edges)
-    return 1, (u, v)
 
 
 # ---------------------------------------------------------------------------

@@ -23,14 +23,13 @@ path of a good graph keeps it good unless that closes a two-colored
 triangle (the lemma in the coloring module docstring), so Case2_1 builds
 its child from the parent's adjacency and derives the report, and the
 child's components, rainbow triangle and singular chains from the
-parent's; the remainder of a peel likewise takes what it can from its
-parent (`EdgeColoredGraph.remove_cycle`). The engine is one loop over an
-explicit stack of frames: a reduction's child is peeled on a frame above
-its waiting parent, so the depth of the reduction tree costs no Python
-recursion. Every lifted cycle, like every other removal, is re-verified
-against the parent: rainbow typing plus the goodness report of the
-remainder. A batch of cycles that covers
-its graph, as a lift or a base cycle does, is verified in one linear sweep:
+parent's. The engine is one loop over an explicit stack of frames: a
+reduction's child is peeled on a frame above its waiting parent, so the
+depth of the reduction tree costs no Python recursion. Every lifted cycle,
+like every other removal, is re-verified against the parent: rainbow
+typing plus the goodness report of the remainder. A batch of cycles that
+covers its graph, as a lift or a base cycle does, is verified in one
+linear sweep:
 when its cycles are edge-disjoint and rainbow except one almost-rainbow at
 the bad vertex, every remainder is good or almost-good as the checks expect
 (the lemma in the coloring module docstring). Any other removal, and any
@@ -53,9 +52,7 @@ from .coloring import (
     GoodnessReport,
     GoodnessVerdict,
     check_goodness,
-    find_rainbow_triangle,
     is_almost_rainbow_at,
-    longest_singular_path,
     parse_colored_edge_list,
     serialize_colored_edge_list,
     split_components,
@@ -335,11 +332,8 @@ def _contract_edge(g: EdgeColoredGraph, u: int, v: int) -> EdgeColoredGraph:
     becomes the merged vertex's, with its color: the child's coloring is the
     parent's with the entries of uv and of that edge swapped for one, and
     its adjacency is the parent's with the neighbor tuples of u, v and `out`
-    replaced. The
-    child's nonisolated vertices, components and Type I vertices are the
-    parent's without max(u, v), with the merged vertex Type I when its two
-    edges differ in color; they are filled in where the parent has them
-    cached.
+    replaced. The child's components are the parent's without max(u, v);
+    they are filled in where the parent has them cached.
     """
     lo, hi = (u, v) if u < v else (v, u)
     padj = g.graph.adj
@@ -355,48 +349,45 @@ def _contract_edge(g: EdgeColoredGraph, u: int, v: int) -> EdgeColoredGraph:
     adj[out] = tuple(sorted(lo if w == hi else w for w in padj[out]))
     graph.__dict__["adj"] = tuple(adj)  # fills the cached property
     child = EdgeColoredGraph(graph, coloring)
-    # fill the child's cached properties from those g has computed
-    if "nonisolated" in g.__dict__:
-        child.__dict__["nonisolated"] = tuple(x for x in g.nonisolated if x != hi)
-    if "components" in g.__dict__:
+    if "components" in g.__dict__:  # fills the cached property
         child.__dict__["components"] = tuple(comp - {hi} for comp in g.components)
-    if "type1" in g.__dict__:
-        type1 = g.type1 - {lo, hi}
-        if coloring[edge(lo, keep)] != coloring[edge(lo, out)]:
-            type1 |= {lo}
-        child.__dict__["type1"] = type1
     return child
 
 
 def _single_cycle(g: EdgeColoredGraph) -> Cycle | None:
-    """The component's unique cycle, when its edges form exactly one."""
-    vs = g.nonisolated
-    if not vs or len(g.edges) != len(vs) or any(g.graph.degree(v) != 2 for v in vs):
+    """The graph's unique cycle, when its edges form exactly one."""
+    comps = g.components
+    if len(comps) != 1:
         return None
-    start = vs[0]
+    comp = comps[0]
+    adj = g.graph.adj
+    if len(g.edges) != len(comp) or any(len(adj[v]) != 2 for v in comp):
+        return None
+    # a connected 2-regular graph is one cycle
+    start = min(comp)
     seq = [start]
     prev, cur = None, start
     while True:
-        a, b = g.graph.adj[cur]
+        a, b = adj[cur]
         nxt = b if a == prev else a
         if nxt == start:
-            break
+            return Cycle(tuple(seq))
         seq.append(nxt)
         prev, cur = cur, nxt
-    if len(seq) != len(vs):
-        return None  # more than one cycle; caller splits components first
-    return Cycle(tuple(seq))
 
 
 def _all_type2(g: EdgeColoredGraph) -> bool:
-    if len(g.edges) != 2 * len(g.nonisolated):
-        return False  # not every nonisolated vertex has degree 4
-    for v in g.nonisolated:
+    """Whether g is connected and every vertex with edges is Type II: degree
+    4, two colors, each on two of its edges."""
+    comps = g.components
+    if len(comps) != 1 or len(g.edges) != 2 * len(comps[0]):
+        return False  # not every vertex with edges has degree 4
+    for v in comps[0]:
         cols = g.colors_at(v)
         if not (len(cols) == 4 and len(set(cols)) == 2
                 and all(cols.count(c) == 2 for c in set(cols))):
             return False
-    return bool(g.nonisolated)
+    return True
 
 
 def _check_removal(h: EdgeColoredGraph, rep: GoodnessReport, cyc: Cycle,
@@ -476,7 +467,7 @@ def find_cycle_all_type2(g: EdgeColoredGraph,
                          rep: GoodnessReport | None = None) -> Cycle:
     """Rainbow cycle from the greedy color-avoiding walk.
 
-    Starts at the minimum nonisolated vertex and always extends along the
+    Starts at the minimum vertex with edges and always extends along the
     minimum-id neighbor whose edge color is unused; when stuck, the repeated
     color's class is a triangle and closes the cycle. Whether removal
     preserves goodness is left to the caller: the engine checks it as it
@@ -492,7 +483,7 @@ def find_cycle_all_type2(g: EdgeColoredGraph,
     if not _all_type2(g):
         raise DecomposeError("greedy walk requires every nonisolated vertex Type II")
 
-    start = g.nonisolated[0]
+    start = min(g.components[0])
     path = [start]
     used: set[int] = set()
     cycle: Cycle | None = None
@@ -614,8 +605,9 @@ def case2_1(g: EdgeColoredGraph, rep: GoodnessReport,
     chains come from g's, by the same lemma on a good g: g's triangles
     avoid v1 and v2, so with none of them rainbow the child's only one is
     (v0, m, v3), rainbow when v0 ~ v3; and the child's chains are g's with
-    max(v1, v2) suppressed, its chain one edge shorter. The rest of the
-    child's dispatch facts come from `_contract_edge`.
+    max(v1, v2) suppressed, its chain one edge shorter. The child's
+    components come from `_contract_edge`; it computes its other dispatch
+    facts when asked.
     """
     tag = CASE_2_1
     _require(rep.verdict is GoodnessVerdict.GOOD, tag,
@@ -1135,7 +1127,7 @@ def _dispatch(comp: EdgeColoredGraph, rep: GoodnessReport):
     base = _single_cycle(comp)
     if base is not None:
         return [(BASE_CYCLE, base)]
-    tri = find_rainbow_triangle(comp)
+    tri = comp.rainbow_triangle
     if tri is not None:
         return [(RAINBOW_TRIANGLE, tri)]
     if rep.verdict is GoodnessVerdict.ALMOST_GOOD:
@@ -1146,9 +1138,9 @@ def _dispatch(comp: EdgeColoredGraph, rep: GoodnessReport):
         return case1_2(comp, v)
     if _all_type2(comp):
         return [(ALL_TYPE_II, find_cycle_all_type2(comp, rep))]
-    length, path = longest_singular_path(comp)
-    if length >= 3:
-        return case2_1(comp, rep, path)
+    chains = comp.singular_chains
+    if chains and chains[0][0] >= 3:
+        return case2_1(comp, rep, chains[0][1])
     pat = extract_case2_2_pattern(comp)
     shape, pat = normalize_case2_2(pat)
     if shape == "disjoint":

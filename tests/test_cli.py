@@ -202,6 +202,23 @@ def test_crosscheck_records_a_rejected_lift(capsys, tmp_path, monkeypatch):
     assert art["decompose"] == "lift_rejected"
 
 
+def test_crosscheck_unwritable_artifacts(capsys, tmp_path, monkeypatch):
+    """A mismatch whose artifact cannot be written is an error message and
+    exit code 1, as an unwritable `--output` is, not a traceback."""
+    import cdcover.cli as cli
+    from cdcover.linegraph import LineGraphError
+
+    def reject(clg, cycles):
+        raise LineGraphError("lift rejected")
+
+    monkeypatch.setattr(cli, "cover_from_decomposition", reject)
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "crosscheck-artifacts").write_text("a file, not a directory\n")
+    code, out, err = _run(capsys, "crosscheck", "--n-max", "4", "--count", "1")
+    assert code == 1 and out == ""
+    assert err == "error: crosscheck-artifacts: File exists\n"
+
+
 def test_crosscheck_count_zero(capsys):
     code, out, _ = _run(capsys, "crosscheck", "--n-max", "8", "--count", "0")
     assert code == 0

@@ -10,9 +10,7 @@ from cdcover.coloring import (
     GoodnessVerdict,
     check_goodness,
     color_classes,
-    find_rainbow_triangle,
     find_type_x_vertices,
-    longest_singular_path,
     parse_colored_edge_list,
     serialize_colored_edge_list,
     split_components,
@@ -155,37 +153,34 @@ def test_x_block_interiors_good_up_to_joint_allowance():
 
 def test_find_rainbow_triangle_l_k4():
     lg = build_line_graph(k4()).lg
-    tri = find_rainbow_triangle(lg)
+    tri = lg.rainbow_triangle
     assert tri is not None
     cols = {lg.coloring[e] for e in tri.edges}
     assert len(cols) == 3
 
 
 def test_find_rainbow_triangle_absent_triangle_free_base():
-    assert find_rainbow_triangle(build_line_graph(k33()).lg) is None
+    assert build_line_graph(k33()).lg.rainbow_triangle is None
 
 
 def test_find_rainbow_triangle_mono_absent():
     g = EdgeColoredGraph.from_triples(3, [(0, 1, 5), (1, 2, 5), (0, 2, 5)])
-    assert find_rainbow_triangle(g) is None
+    assert g.rainbow_triangle is None
 
 
 def test_longest_singular_path_all_type2():
-    lg = build_line_graph(k4()).lg
-    length, path = longest_singular_path(lg)
-    assert length == 1 and len(path) == 2
+    assert build_line_graph(k4()).lg.singular_chains == ()
 
 
 def test_longest_singular_path_rainbow_c4():
-    length, path = longest_singular_path(rainbow_c4())
+    length, path = rainbow_c4().singular_chains[0]
     assert length == 4
     assert path == (0, 1, 2, 3, 0)
 
 
 def test_longest_singular_path_flanked():
     # Type I vertex 0 between two Type II vertices in the 2.2 host
-    from graphsamples import case2_2_2d_host
-    length, path = longest_singular_path(case2_2_2d_host())
+    length, path = case2_2_2d_host().singular_chains[0]
     assert length == 2
 
 
@@ -238,7 +233,7 @@ def test_goodness_and_type_x_match_oracles_on_engine_graphs(n, seed, data):
 def _random_cycle(g: EdgeColoredGraph, rng: random.Random) -> Cycle:
     """A cycle of an even graph with edges: walk at random, never straight
     back, until a vertex repeats; the loop closed there is the cycle."""
-    path = [rng.choice(g.nonisolated)]
+    path = [rng.choice([v for v in range(g.n) if g.graph.adj[v]])]
     at = {path[0]: 0}
     while True:
         back = path[-2] if len(path) > 1 else None
@@ -371,39 +366,23 @@ def test_heredity_conditions_1_to_5_after_rainbow_removal():
         assert all(v.condition == 6 for v in rep.violations)
 
 
-def _facts_of_fresh_copy(g, names):
-    fresh = EdgeColoredGraph(g.graph, dict(g.coloring))
-    return {name: getattr(fresh, name) for name in names}
-
-
-CARRIED = ("nonisolated", "type1", "rainbow_triangle")
-
-
-def test_remove_cycle_carries_facts_and_drops_a_consumed_triangle():
-    """Two rainbow triangles meeting at 2. Removing the least one leaves the
-    remainder's rainbow triangle to be computed; removing the other keeps
-    the parent's, which is still the least."""
+def test_remove_cycle_fills_no_fact_and_drops_a_consumed_triangle():
+    """Two rainbow triangles meeting at 2. A remainder computes its rainbow
+    triangle when asked: removing the least one leaves the other, and
+    removing the other leaves the least one."""
     g = EdgeColoredGraph.from_triples(6, [(0, 1, 0), (1, 2, 1), (0, 2, 2),
                                           (2, 3, 3), (3, 4, 4), (2, 4, 5)])
-    for name in CARRIED:
-        getattr(g, name)
     assert g.rainbow_triangle == Cycle((0, 1, 2))
     h = g.remove_cycle(Cycle((0, 1, 2)))
     assert "rainbow_triangle" not in h.__dict__
-    assert h.nonisolated == (2, 3, 4) and h.type1 == frozenset({2, 3, 4})
-    assert {name: getattr(h, name) for name in CARRIED} == \
-        _facts_of_fresh_copy(h, CARRIED)
     assert h.rainbow_triangle == Cycle((2, 3, 4))
-    k = g.remove_cycle(Cycle((2, 3, 4)))
-    assert k.__dict__["rainbow_triangle"] == Cycle((0, 1, 2))
-    assert {name: k.__dict__[name] for name in CARRIED} == \
-        _facts_of_fresh_copy(k, CARRIED)
+    assert g.remove_cycle(Cycle((2, 3, 4))).rainbow_triangle == Cycle((0, 1, 2))
     # no rainbow triangle before, none after
     plain = EdgeColoredGraph.from_triples(6, [(0, 1, 0), (1, 2, 1), (2, 3, 0),
                                               (0, 3, 1), (0, 4, 2), (4, 5, 2),
                                               (0, 5, 2)])
     assert plain.rainbow_triangle is None
-    assert plain.remove_cycle(Cycle((0, 1, 2, 3))).__dict__["rainbow_triangle"] is None
+    assert plain.remove_cycle(Cycle((0, 1, 2, 3))).rainbow_triangle is None
 
 
 def test_remove_cycle_that_disconnects():
@@ -413,13 +392,9 @@ def test_remove_cycle_that_disconnects():
         (0, 1, 0), (1, 2, 1), (0, 2, 2), (3, 4, 3), (4, 5, 4), (3, 5, 5),
         (2, 6, 6), (3, 6, 7), (3, 7, 8), (2, 7, 9)])
     assert g.components == (frozenset(range(8)),)
-    for name in CARRIED:
-        getattr(g, name)
     h = g.remove_cycle(Cycle((2, 6, 3, 7)))
-    assert h.__dict__["nonisolated"] == (0, 1, 2, 3, 4, 5)
+    assert "components" not in h.__dict__
     assert h.components == (frozenset({0, 1, 2}), frozenset({3, 4, 5}))
-    assert {name: getattr(h, name) for name in CARRIED + ("components",)} == \
-        _facts_of_fresh_copy(h, CARRIED + ("components",))
     assert [p.edges for p in split_components(h)] == [
         frozenset({(0, 1), (1, 2), (0, 2)}), frozenset({(3, 4), (4, 5), (3, 5)})]
 

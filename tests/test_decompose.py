@@ -351,9 +351,10 @@ def test_case2_1_chord_of_a_path_color(chord):
     assert str(err.value) == "Case2_1: contracted graph is not_good"
 
 
-# the cached facts `_dispatch` and `_advance` read
-DISPATCH_FACTS = ("components", "rainbow_triangle", "singular_chains", "type1",
-                  "nonisolated")
+# the cached facts `_dispatch` and `_advance` read, and those a Case2_1
+# child takes from its parent
+DISPATCH_FACTS = ("components", "rainbow_triangle", "singular_chains", "type1")
+CASE2_1_FACTS = ("components", "rainbow_triangle", "singular_chains")
 
 
 def _fresh_facts(g):
@@ -363,9 +364,10 @@ def _fresh_facts(g):
 
 
 def test_case2_1_child_facts_equal_fresh_ones(monkeypatch):
-    """At every Case2_1 step, each dispatch fact the child gets from its
-    parent, at the moment the child is made, is the one a fresh graph with
-    the child's edges and colors computes."""
+    """At every Case2_1 step the child gets its components, rainbow triangle
+    and singular chains from its parent, and no other fact, at the moment
+    it is made; each is the one a fresh graph with the child's edges and
+    colors computes."""
     made = []  # (child, its facts when case2_1 returned)
     real = D.case2_1
 
@@ -385,34 +387,45 @@ def test_case2_1_child_facts_equal_fresh_ones(monkeypatch):
         decompose(build_line_graph(random_cubic_bridgeless(GeneratorConfig(n, seed))).lg)
     assert len(made) > 1000 and fallbacks
     for child, cached in made:
-        assert {name: cached[name] for name in DISPATCH_FACTS} == _fresh_facts(child)
+        assert set(cached) == {"graph", "coloring", *CASE2_1_FACTS}
+        fresh = _fresh_facts(child)
+        assert {name: cached[name] for name in CASE2_1_FACTS} == {
+            name: fresh[name] for name in CASE2_1_FACTS}
 
 
 def test_remainder_facts_equal_fresh_ones(monkeypatch):
-    """Every remainder `remove_cycle` makes while decomposing gets, at the
-    moment it is made, only dispatch facts that a fresh graph with its
-    edges and colors computes."""
-    compared = {name: 0 for name in DISPATCH_FACTS}
-    real = EdgeColoredGraph.remove_cycle
+    """Every remainder `remove_cycle` makes while decomposing gets no
+    dispatch fact at the moment it is made, and after its goodness check
+    holds the components that a fresh graph with its edges and colors
+    computes: the check's Type X search filled them."""
+    made = 0
+    real_remove = EdgeColoredGraph.remove_cycle
 
     def remove_cycle(self, c):
-        child = real(self, c)
-        filled = {name: child.__dict__[name] for name in DISPATCH_FACTS
-                  if name in child.__dict__}
-        fresh = _fresh_facts(child)
-        assert filled == {name: fresh[name] for name in filled}
-        for name in filled:
-            compared[name] += 1
+        nonlocal made
+        child = real_remove(self, c)
+        assert not set(DISPATCH_FACTS) & set(child.__dict__)
+        made += 1
         return child
 
+    checked = 0
+    real_check = D.check_goodness
+
+    def check_goodness(g, after=None):
+        nonlocal checked
+        rep = real_check(g, after=after)
+        if after is not None:  # g is after[0] minus the cycle after[2]
+            assert g.__dict__["components"] == _fresh_facts(g)["components"]
+            checked += 1
+        return rep
+
     monkeypatch.setattr(EdgeColoredGraph, "remove_cycle", remove_cycle)
+    monkeypatch.setattr(D, "check_goodness", check_goodness)
     runs = [(n, seed) for n in range(10, 25, 2) for seed in range(5)]
     runs += [(40, seed) for seed in range(3)]
     for n, seed in runs:
         decompose(build_line_graph(random_cubic_bridgeless(GeneratorConfig(n, seed))).lg)
-    assert min(compared[name] for name in
-               ("nonisolated", "type1", "rainbow_triangle")) > 1000
-    assert compared["components"] == compared["singular_chains"] == 0
+    assert checked > 1000 and made >= checked
 
 
 def test_decompose_runs_one_cut_search_per_graph(monkeypatch):
@@ -458,7 +471,8 @@ def test_decompose_runs_one_cut_search_per_graph(monkeypatch):
 def test_case2_1_child_facts_cached_or_not(triples, path, chains):
     """case2_1 works on a graph with nothing cached, and the child computes
     its facts when asked; on a graph whose facts are cached it derives the
-    child's, and they are the same."""
+    child's components, rainbow triangle and singular chains, and they are
+    the same. The child gets no other fact."""
     bare = EdgeColoredGraph.from_triples(1 + max(max(t[:2]) for t in triples),
                                          triples)
     # checked on a copy: the check caches `components` on the graph it checks
@@ -468,15 +482,16 @@ def test_case2_1_child_facts_cached_or_not(triples, path, chains):
     for name in DISPATCH_FACTS:
         getattr(cached, name)
     lazy = case2_1(bare, rep, path).child
-    assert not set(DISPATCH_FACTS) - {"type1"} & set(lazy.__dict__)
+    assert not set(DISPATCH_FACTS) & set(lazy.__dict__)
     derived = case2_1(cached, rep, path).child
     facts = _fresh_facts(lazy)
     assert facts["singular_chains"] == chains
     assert {name: getattr(lazy, name) for name in DISPATCH_FACTS} == facts
     # a parent with a rainbow triangle leaves the child's to be computed
-    kept = set(DISPATCH_FACTS) - (
+    kept = set(CASE2_1_FACTS) - (
         {"rainbow_triangle"} if cached.rainbow_triangle else set())
-    assert {name: derived.__dict__.get(name) for name in kept} == {
+    assert set(DISPATCH_FACTS) & set(derived.__dict__) == kept
+    assert {name: derived.__dict__[name] for name in kept} == {
         name: facts[name] for name in kept}
 
 
@@ -686,6 +701,26 @@ def test_find_cycle_all_type2_preconditions():
     empty = EdgeColoredGraph.from_triples(3, [])
     with pytest.raises(DecomposeError):
         find_cycle_all_type2(empty)
+
+
+def _two_copies(g: EdgeColoredGraph) -> EdgeColoredGraph:
+    """Two disjoint copies of g, the second on ids shifted by g.n."""
+    triples = [(u, v, c) for (u, v), c in g.coloring.items()]
+    return EdgeColoredGraph.from_triples(
+        2 * g.n, triples + [(u + g.n, v + g.n, c) for u, v, c in triples])
+
+
+def test_single_cycle_and_all_type2_need_one_component():
+    """Both read the vertex set from `components`, so a graph that is two
+    copies of a cycle, or of an all-Type-II graph, is neither."""
+    tri = EdgeColoredGraph.from_triples(4, [(1, 2, 0), (2, 3, 1), (1, 3, 2)])
+    assert D._single_cycle(tri) == Cycle((1, 2, 3))
+    assert D._single_cycle(_two_copies(tri)) is None
+    assert D._single_cycle(EdgeColoredGraph.from_triples(3, [])) is None
+    lg = build_line_graph(k4()).lg
+    assert D._all_type2(lg)
+    assert not D._all_type2(_two_copies(lg))
+    assert not D._all_type2(EdgeColoredGraph.from_triples(3, []))
 
 
 def test_connectivity_after_rainbow_removal():

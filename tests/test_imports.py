@@ -1,6 +1,7 @@
 """Every module in src/cdcover uses each name it imports, and every
 definition in it is used somewhere. No f-string in it lacks a
-placeholder. No module names a map between two vertex id spaces.
+placeholder. No module names a map between two vertex id spaces. Cached
+properties are filled from outside their own code at a fixed list of sites.
 
 No linter ships with the project, so these are stdlib stand-ins for the
 unused-import, dead-code and empty f-string checks. `__init__.py` is
@@ -160,6 +161,70 @@ def test_cache_keys_name_cached_properties():
             "singular_chains", "type_x_sides"} <= cached
     assert [f"{p.name}: {s}" for p, text in zip(paths, sources)
             for s in stray_cache_keys(text, cached)] == []
+
+
+def cache_fills(source: str) -> list[tuple[str, str]]:
+    """(function, key) for each `X.__dict__[key] = ...` in `source`, sorted.
+    The function of a method is `Class.method`, of module code `<module>`;
+    a key that is not a string constant is given as its source text."""
+    fills = []
+
+    def visit(node: ast.AST, scope: tuple[str, ...]) -> None:
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef,
+                                  ast.ClassDef)):
+                visit(child, scope + (child.name,))
+                continue
+            if isinstance(child, ast.Assign):
+                for target in child.targets:
+                    if (isinstance(target, ast.Subscript)
+                            and isinstance(target.value, ast.Attribute)
+                            and target.value.attr == "__dict__"):
+                        key = target.slice
+                        fills.append((".".join(scope) or "<module>",
+                                      key.value if isinstance(key, ast.Constant)
+                                      else ast.unparse(key)))
+            visit(child, scope)
+
+    visit(ast.parse(source), ())
+    return sorted(fills)
+
+
+def test_cache_fills_detects_and_allows():
+    src = ("a.__dict__['x'] = 1\n"
+           "class A:\n"
+           "    def m(self, g):\n"
+           "        n = g.__dict__['y'] = 2\n"
+           "        if g:\n"
+           "            g.graph.__dict__[k] = 3\n"
+           "        def inner(): g.__dict__['z'] = 4\n"
+           "        return g.__dict__['read'], g.other['w']\n"
+           "def f(g):\n"
+           "    g.__dict__['y'] = 5\n"
+           "    g.__dict__['y'] = 6\n")
+    assert cache_fills(src) == [
+        ("<module>", "x"), ("A.m", "k"), ("A.m", "y"), ("A.m.inner", "z"),
+        ("f", "y"), ("f", "y")]
+
+
+# Each site that fills a cached property of another object: the parent's
+# facts a child takes over, or the results a search hands to the graph it
+# searched. A carried fact pays for itself only if a measurement shows it;
+# a new site should come with one.
+CACHE_FILLS = [
+    ("Graph.remove_cycle", "adj"),
+    ("_contract_edge", "adj"),
+    ("_contract_edge", "components"),
+    ("_cut_search", "components"),
+    ("_cut_search", "type_x_sides"),
+    ("case2_1", "rainbow_triangle"),
+    ("case2_1", "singular_chains"),
+]
+
+
+def test_cache_fill_sites():
+    assert sorted(fill for p in sorted(SRC.glob("*.py"))
+                  for fill in cache_fills(p.read_text())) == CACHE_FILLS
 
 
 def placeholderless_fstrings(source: str) -> list[str]:
