@@ -77,8 +77,7 @@ change except that m sees a and b, so the Type I vertices are the parent's
 without hi, and the maximal chains through them (`singular_chains`) are
 the parent's, except that the chain through v1 and v2 loses hi and is one
 edge shorter. Case2_1 fills these three into the child
-(`decomposer.case2_1`, `decomposer._contract_edge`) when the parent has
-computed its own.
+(`decomposer.case2_1`) when the parent has computed its own.
 
 The Type X search, which sorts u's neighbors by side, gives the x-blocks
 too. Join two edges when they share a vertex, except that at a Type X
@@ -147,12 +146,43 @@ class EdgeColoredGraph:
     def colors_at(self, v: int) -> tuple[int, ...]:
         return tuple(self.coloring[edge(v, w)] for w in self.graph.adj[v])
 
+    def edit(self, drop: Iterable[Edge] = (),
+             add: Mapping[Edge, int] | None = None) -> "EdgeColoredGraph":
+        """This graph minus the edges of `drop`, which must all be present,
+        plus the new canonical edges of `add` with their colors. Only the
+        endpoints of changed edges get new neighbor tuples, and only those
+        that gained a neighbor are sorted again."""
+        coloring = dict(self.coloring)
+        lost: dict[int, list[int]] = {}
+        absent = []
+        for e in drop:
+            if coloring.pop(e, None) is None:
+                absent.append(e)
+            u, v = e
+            lost.setdefault(u, []).append(v)
+            lost.setdefault(v, []).append(u)
+        if absent:
+            raise ColoredGraphError(f"cannot remove absent edges {sorted(absent)}")
+        gained: dict[int, list[int]] = {}
+        for e, c in (add or {}).items():
+            if e in coloring:
+                raise ColoredGraphError(f"cannot add present edge {e}")
+            coloring[e] = c
+            u, v = e
+            gained.setdefault(u, []).append(v)
+            gained.setdefault(v, []).append(u)
+        graph = Graph(self.n, frozenset(coloring))
+        adj = list(self.graph.adj)
+        for x, ws in lost.items():
+            adj[x] = tuple([w for w in adj[x] if w not in ws])
+        for x, ws in gained.items():
+            adj[x] = tuple(sorted([*adj[x], *ws]))
+        graph.__dict__["adj"] = tuple(adj)  # fills the cached property
+        return EdgeColoredGraph(graph, coloring)
+
     def remove_cycle(self, c: Cycle) -> "EdgeColoredGraph":
         """This graph minus the edges of c, which must all be present."""
-        coloring = dict(self.coloring)
-        for e in c.edges:
-            del coloring[e]
-        return EdgeColoredGraph(self.graph.remove_cycle(c), coloring)
+        return self.edit(drop=c.edges)
 
     def restrict_edges(self, keep: Iterable[Edge]) -> "EdgeColoredGraph":
         kept = {edge(*e) for e in keep}

@@ -12,34 +12,34 @@ dispatching on local structure:
   * otherwise a Type I vertex flanked by Type II vertices drives the
     Case2_2 family, splitting on how the flanking neighborhoods overlap.
 
-A reduction builds a strictly smaller good or almost-good colored graph, the
-child, with a rule that lifts the child's cycles back to the parent. The
-child keeps the parent's vertex ids: a merged group keeps its least id, and
-a deleted or merged-away vertex stays, isolated. So the lift rewrites only
-the child cycles through the vertices the reduction changed, and hands every
-other one up as it is, a cycle of the parent. The child's goodness report is
-checked in full, except in Case2_1: contracting an edge inside a singular
-path of a good graph keeps it good unless that closes a two-colored
-triangle (the lemma in the coloring module docstring), so Case2_1 builds
-its child from the parent's adjacency and derives the report, and the
-child's components, rainbow triangle and singular chains from the
-parent's. The engine is one loop over an explicit stack of frames: a
-reduction's child is peeled on a frame above its waiting parent, so the
-depth of the reduction tree costs no Python recursion. Every lifted cycle,
-like every other removal, is re-verified against the parent: rainbow
-typing plus the goodness report of the remainder. A batch of cycles that
-covers its graph, as a lift or a base cycle does, is verified in one
-linear sweep:
-when its cycles are edge-disjoint and rainbow except one almost-rainbow at
-the bad vertex, every remainder is good or almost-good as the checks expect
-(the lemma in the coloring module docstring). Any other removal, and any
-batch the sweep cannot prove safe, is checked one cycle at a time by
-`check_goodness`, which derives the remainder's report from the parent's
-report and the removed cycle; a single cycle its case has already checked
-so is not checked again. Both agree with the full check at every step. Any
-failed verification falls back to a shortest-first search for a safely
-removable cycle. If that also fails, the nearest waiting parent runs the
-search on its own graph, and so on outward; past the root the run ends in a
+A reduction builds a strictly smaller good or almost-good colored graph,
+the child, with a rule that lifts the child's cycles back to the parent.
+The child keeps the parent's vertex ids: a merged group keeps its least id,
+and a deleted or merged-away vertex stays, isolated. So every child, like
+every peel's remainder, is one local `edit` of its parent, and the lift
+rewrites only the child cycles through the vertices the reduction changed,
+and hands every other one up as it is, a cycle of the parent. The child's
+goodness report is checked in full, except in Case2_1: contracting an edge
+inside a singular path of a good graph keeps it good unless that closes a
+two-colored triangle (the lemma in the coloring module docstring), so
+Case2_1 derives the report, and the child's components, rainbow triangle
+and singular chains, from the parent's. The engine is one loop over an
+explicit stack of frames: a reduction's child is peeled on a frame above
+its waiting parent, so the depth of the reduction tree costs no Python
+recursion. Every lifted cycle, like every other removal, is re-verified
+against the parent: rainbow typing plus the goodness report of the
+remainder. A batch of cycles that covers its graph, as a lift or a base
+cycle does, is verified in one linear sweep: when its cycles are
+edge-disjoint and rainbow except one almost-rainbow at the bad vertex,
+every remainder is good or almost-good as the checks expect (the lemma in
+the coloring module docstring). Any other removal, and any batch the sweep
+cannot prove safe, is checked one cycle at a time by `check_goodness`,
+which derives the remainder's report from the parent's report and the
+removed cycle; a single cycle its case has already checked so is not
+checked again. Both agree with the full check at every step. Any failed
+verification falls back to a shortest-first search for a safely removable
+cycle. If that also fails, the nearest waiting parent runs the search on
+its own graph, and so on outward; past the root the run ends in a
 serializable, replayable CaseFailure instead of an unverified answer.
 """
 from __future__ import annotations
@@ -58,7 +58,7 @@ from .coloring import (
     split_components,
     x_block_decomposition,
 )
-from .graphs import Cycle, Edge, Graph, edge
+from .graphs import Cycle, Edge, edge
 from .linegraph import ColoredLineGraph, project_cycle
 
 _GOOD = GoodnessReport(GoodnessVerdict.GOOD, None, ())
@@ -127,7 +127,8 @@ def _build_transform(parent: EdgeColoredGraph, kind: str, *,
 
     `add` endpoints may name any member of a merge group. The child must
     stay simple; a clash is reported as a verification error, never merged
-    silently.
+    silently. Only the edges at merged or deleted vertices and the recolored
+    ones move, so the child is one `edit` of the parent.
     """
     dropset = {edge(*e) for e in drop}
     absent = dropset - parent.edges
@@ -135,12 +136,17 @@ def _build_transform(parent: EdgeColoredGraph, kind: str, *,
         raise CaseVerificationError(kind, f"dropping absent edges {sorted(absent)}")
     deleted = set(delete)
     rep_of = {v: min(grp) for grp in merge for v in grp}
-
     recolor_map = {edge(*e): c for e, c in recolor}
-    child_cols: dict[Edge, int] = {}
-    for e in sorted(parent.edges):
-        if e in dropset:
-            continue
+    coloring = parent.coloring
+    moved = {edge(x, w) for x in deleted.union(rep_of) for w in parent.graph.adj[x]}
+    moved.update(e for e in recolor_map if e in coloring)
+    moved -= dropset
+    gone = dropset | moved
+    # A moved edge lands on itself or at a merge group's least vertex, whose
+    # parent edges all move, so no kept edge clashes with one: scanning the
+    # moved edges in sorted order rejects the edge a scan of all would.
+    new: dict[Edge, int] = {}
+    for e in sorted(moved):
         u, v = e
         if u in deleted or v in deleted:
             raise CaseVerificationError(
@@ -149,15 +155,15 @@ def _build_transform(parent: EdgeColoredGraph, kind: str, *,
         if cu == cv:
             raise CaseVerificationError(kind, f"edge {e} collapses into a loop")
         ce = edge(cu, cv)
-        if ce in child_cols:
+        if ce in new:
             raise CaseVerificationError(kind, f"edge {e} would become parallel")
-        child_cols[ce] = recolor_map.get(e, parent.coloring[e])
+        new[ce] = recolor_map.get(e, coloring[e])
     for u, v, c in add:
         ce = edge(rep_of.get(u, u), rep_of.get(v, v))
-        if ce in child_cols:
+        if ce in new or (ce in coloring and ce not in gone):
             raise CaseVerificationError(kind, f"added edge {(u, v)} would be parallel")
-        child_cols[ce] = c
-    return EdgeColoredGraph(Graph(parent.n, frozenset(child_cols)), child_cols)
+        new[ce] = c
+    return parent.edit(drop=gone, add=new)
 
 
 # ---------------------------------------------------------------------------
@@ -320,38 +326,6 @@ def _contraction_lift(tag: str, noun: str,
         return out
 
     return lift
-
-
-def _contract_edge(g: EdgeColoredGraph, u: int, v: int) -> EdgeColoredGraph:
-    """Contract the edge uv between two degree-2 vertices with different
-    other neighbors into the vertex min(u, v); the child is the one
-    `_build_transform(g, "ContractEdge", merge=[(u, v)], drop=[edge(u, v)])`
-    gives.
-
-    max(u, v) is left isolated, and its edge to its other neighbor `out`
-    becomes the merged vertex's, with its color: the child's coloring is the
-    parent's with the entries of uv and of that edge swapped for one, and
-    its adjacency is the parent's with the neighbor tuples of u, v and `out`
-    replaced. The child's components are the parent's without max(u, v);
-    they are filled in where the parent has them cached.
-    """
-    lo, hi = (u, v) if u < v else (v, u)
-    padj = g.graph.adj
-    keep = next(w for w in padj[lo] if w != hi)  # lo's other neighbor
-    out = next(w for w in padj[hi] if w != lo)   # the neighbor lo takes over
-    coloring = dict(g.coloring)
-    del coloring[(lo, hi)]
-    coloring[edge(lo, out)] = coloring.pop(edge(hi, out))
-    graph = Graph(g.n, frozenset(coloring))
-    adj = list(padj)
-    adj[hi] = ()
-    adj[lo] = (keep, out) if keep < out else (out, keep)
-    adj[out] = tuple(sorted(lo if w == hi else w for w in padj[out]))
-    graph.__dict__["adj"] = tuple(adj)  # fills the cached property
-    child = EdgeColoredGraph(graph, coloring)
-    if "components" in g.__dict__:  # fills the cached property
-        child.__dict__["components"] = tuple(comp - {hi} for comp in g.components)
-    return child
 
 
 def _single_cycle(g: EdgeColoredGraph) -> Cycle | None:
@@ -594,20 +568,21 @@ def case2_1(g: EdgeColoredGraph, rep: GoodnessReport,
             path: Sequence[int]) -> CaseReduction:
     """Contract the middle edge of a singular path v0 v1 v2 v3.
 
-    `rep` is g's goodness report, which must be good. The child is built
-    from g directly, and its report is derived rather than checked (the
-    contraction lemma in the coloring module docstring): it is good unless
-    v0 ~ v3 and c(v0v3) is c(v0v1) or c(v2v3). The interior color appears
-    nowhere else, so the child cycle through the merged vertex subdivides
-    back; all other cycles lift unchanged.
+    `rep` is g's goodness report, which must be good. The child is one
+    `edit` of g: with lo, hi = min and max of v1, v2, it drops lo-hi and
+    hi's edge to its other neighbor, which comes back as lo's with its
+    color, and leaves hi isolated. Its report is derived rather than
+    checked (the contraction lemma in the coloring module docstring): it is
+    good unless v0 ~ v3 and c(v0v3) is c(v0v1) or c(v2v3). The interior
+    color appears nowhere else, so the child cycle through the merged
+    vertex subdivides back; all other cycles lift unchanged.
 
-    Where g has them cached, the child's rainbow triangle and singular
-    chains come from g's, by the same lemma on a good g: g's triangles
-    avoid v1 and v2, so with none of them rainbow the child's only one is
-    (v0, m, v3), rainbow when v0 ~ v3; and the child's chains are g's with
-    max(v1, v2) suppressed, its chain one edge shorter. The child's
-    components come from `_contract_edge`; it computes its other dispatch
-    facts when asked.
+    Where g has them cached, the child's components, rainbow triangle and
+    singular chains come from g's, by the same lemma on a good g: the
+    components lose hi; g's triangles avoid v1 and v2, so with none of them
+    rainbow the child's only one is (v0, m, v3), rainbow when v0 ~ v3; and
+    the child's chains are g's with hi suppressed, its chain one edge
+    shorter. The child computes its other dispatch facts when asked.
     """
     tag = CASE_2_1
     _require(rep.verdict is GoodnessVerdict.GOOD, tag,
@@ -615,9 +590,11 @@ def case2_1(g: EdgeColoredGraph, rep: GoodnessReport,
     _require(len(path) >= 4, tag, "singular path too short")
     v0, v1, v2, v3 = path[0], path[1], path[2], path[3]
     _require(len({v0, v1, v2, v3}) == 4, tag, "singular path vertices repeat")
-    for t in (v1, v2):
-        _require(t in g.type1, tag, f"interior vertex {t} is not Type I")
     adj = g.graph.adj
+    for t in (v1, v2):
+        nbrs = adj[t]
+        _require(len(nbrs) == 2 and g.color(t, nbrs[0]) != g.color(t, nbrs[1]),
+                 tag, f"interior vertex {t} is not Type I")
     _require(v0 in adj[v1] and v2 in adj[v1] and v3 in adj[v2], tag,
              f"{(v0, v1, v2, v3)} is not a path of the graph")
     chord = v3 in adj[v0]
@@ -625,9 +602,13 @@ def case2_1(g: EdgeColoredGraph, rep: GoodnessReport,
         _require(g.color(v0, v3) not in (g.color(v0, v1), g.color(v2, v3)), tag,
                  f"contracted graph is {GoodnessVerdict.NOT_GOOD.value}")
 
-    child = _contract_edge(g, v1, v2)
     lo, hi = min(v1, v2), max(v1, v2)
+    out = v3 if hi == v2 else v0
+    child = g.edit(drop=((lo, hi), edge(hi, out)),
+                   add={edge(lo, out): g.color(hi, out)})
     # fill the child's cached properties from those g has computed
+    if "components" in g.__dict__:
+        child.__dict__["components"] = tuple(comp - {hi} for comp in g.components)
     if "rainbow_triangle" in g.__dict__ and g.rainbow_triangle is None:
         child.__dict__["rainbow_triangle"] = Cycle((v0, lo, v3)) if chord else None
     if "singular_chains" in g.__dict__:

@@ -64,24 +64,6 @@ class Graph:
     def degree(self, v: int) -> int:
         return len(self.adj[v])
 
-    def remove_cycle(self, c: "Cycle") -> "Graph":
-        """This graph minus the edges of c, which must all be present.
-
-        The result's adjacency is derived from this graph's: only the
-        cycle's vertices get new neighbor tuples.
-        """
-        gone = set(c.edges)
-        if not gone <= self.edges:
-            raise GraphError(f"cannot remove absent edges {sorted(gone - self.edges)}")
-        h = Graph(self.n, self.edges - gone)
-        adj = list(self.adj)
-        vs = c.vertices
-        for i, v in enumerate(vs):
-            a, b = vs[i - 1], vs[(i + 1) % len(vs)]
-            adj[v] = tuple(w for w in adj[v] if w != a and w != b)
-        h.__dict__["adj"] = tuple(adj)  # fills the cached property
-        return h
-
     def has_edge(self, u: int, v: int) -> bool:
         return edge(u, v) in self.edges
 

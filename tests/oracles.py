@@ -7,7 +7,9 @@ from the Type X vertices and the sides they separate, a rainbow cycle
 enumerator, and a small isomorphism tester for deduplicating sampled
 cubic graphs. The one exception is `exhaustive_fallback`, which cross-checks
 the fallback's search order and pruning only, so it reuses the engine's
-removal check and takes its cycles from the brute-force oracle.
+removal check and takes its cycles from the brute-force oracle. The
+reference reduction builder, `build_transform_by_scan`, rebuilds the child
+from a scan over every parent edge, and raises the engine's error type.
 """
 from __future__ import annotations
 
@@ -18,8 +20,8 @@ from cdcover.coloring import (
     XBlockDecomposition,
     check_goodness,
 )
-from cdcover.decomposer import FallbackResult, _check_removal
-from cdcover.graphs import Graph
+from cdcover.decomposer import CaseVerificationError, FallbackResult, _check_removal
+from cdcover.graphs import Graph, edge
 from cdcover.oracle import enumerate_cycles
 
 
@@ -211,6 +213,42 @@ def exhaustive_fallback(g: EdgeColoredGraph,
         if problem is None:
             return FallbackResult("found", cyc)
     return FallbackResult("indeterminate" if cap < longest else "absent")
+
+
+def build_transform_by_scan(parent: EdgeColoredGraph, kind: str, *,
+                            drop=(), merge=(), delete=(), add=(), recolor=(),
+                            ) -> EdgeColoredGraph:
+    """`decomposer._build_transform` from scratch: scan every parent edge in
+    sorted order, map it into the child or reject it at the first clash,
+    and build the child graph, adjacency included, from its edge set."""
+    dropset = {edge(*e) for e in drop}
+    absent = dropset - parent.edges
+    if absent:
+        raise CaseVerificationError(kind, f"dropping absent edges {sorted(absent)}")
+    deleted = set(delete)
+    rep_of = {v: min(grp) for grp in merge for v in grp}
+    recolor_map = {edge(*e): c for e, c in recolor}
+    child_cols: dict[tuple[int, int], int] = {}
+    for e in sorted(parent.edges):
+        if e in dropset:
+            continue
+        u, v = e
+        if u in deleted or v in deleted:
+            raise CaseVerificationError(
+                kind, f"surviving edge {e} touches a deleted vertex")
+        cu, cv = rep_of.get(u, u), rep_of.get(v, v)
+        if cu == cv:
+            raise CaseVerificationError(kind, f"edge {e} collapses into a loop")
+        ce = edge(cu, cv)
+        if ce in child_cols:
+            raise CaseVerificationError(kind, f"edge {e} would become parallel")
+        child_cols[ce] = recolor_map.get(e, parent.coloring[e])
+    for u, v, c in add:
+        ce = edge(rep_of.get(u, u), rep_of.get(v, v))
+        if ce in child_cols:
+            raise CaseVerificationError(kind, f"added edge {(u, v)} would be parallel")
+        child_cols[ce] = c
+    return EdgeColoredGraph(Graph(parent.n, frozenset(child_cols)), child_cols)
 
 
 def connected_ignoring_isolated(n: int, edges) -> bool:

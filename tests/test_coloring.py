@@ -18,7 +18,7 @@ from cdcover.coloring import (
 )
 import cdcover.decomposer as D
 from cdcover.decomposer import decompose
-from cdcover.graphs import Cycle
+from cdcover.graphs import Cycle, Graph
 from cdcover.linegraph import build_line_graph
 from cdcover.oracle import GeneratorConfig, random_cubic_bridgeless
 from graphsamples import (
@@ -397,6 +397,51 @@ def test_remove_cycle_that_disconnects():
     assert h.components == (frozenset({0, 1, 2}), frozenset({3, 4, 5}))
     assert [p.edges for p in split_components(h)] == [
         frozenset({(0, 1), (1, 2), (0, 2)}), frozenset({(3, 4), (4, 5), (3, 5)})]
+
+
+def test_remove_cycle_derives_adjacency():
+    """A remainder's adjacency is derived from its parent's: the cycle's
+    vertices get new neighbor tuples, every other vertex keeps its own, and
+    all of them equal the ones built from the remainder's edge set."""
+    base = petersen()
+    g = EdgeColoredGraph(base, {e: i for i, e in enumerate(sorted(base.edges))})
+    c = Cycle((0, 1, 2, 3, 4))
+    h = g.remove_cycle(c)
+    assert h.edges == g.edges - set(c.edges)
+    assert dict(h.coloring) == {e: k for e, k in g.coloring.items()
+                                if e not in c.edges}
+    assert h.graph.adj == Graph(h.n, h.edges).adj
+    assert all(h.graph.adj[v] is g.graph.adj[v] for v in range(5, 10))
+    with pytest.raises(ColoredGraphError, match="absent"):
+        h.remove_cycle(c)
+
+
+def test_remove_cycle_with_absent_edges_names_them():
+    """A cycle with edges the graph lacks is refused with a ColoredGraphError
+    that names them, not a bare KeyError, and the graph is left as it was."""
+    g = rainbow_c4()
+    with pytest.raises(ColoredGraphError) as err:
+        g.remove_cycle(Cycle((0, 2, 1, 3)))
+    assert str(err.value) == "cannot remove absent edges [(0, 2), (1, 3)]"
+    assert g == rainbow_c4() and g.graph.adj == ((1, 3), (0, 2), (1, 3), (0, 2))
+
+
+def test_edit_drops_and_adds_locally():
+    """`edit` removes edges and inserts colored ones. Only the endpoints of
+    changed edges get new neighbor tuples, sorted; an edge dropped and added
+    again takes its new color; adding a present edge is refused."""
+    g = EdgeColoredGraph.from_triples(6, [(0, 1, 0), (1, 2, 1), (2, 3, 2),
+                                          (0, 3, 3), (4, 5, 4)])
+    h = g.edit(drop=[(0, 1), (2, 3)], add={(1, 3): 5, (0, 2): 6})
+    assert dict(h.coloring) == {(1, 2): 1, (0, 3): 3, (4, 5): 4,
+                                (1, 3): 5, (0, 2): 6}
+    assert h.graph.adj == Graph(h.n, h.edges).adj
+    assert h.graph.adj[0] == (2, 3) and h.graph.adj[4] is g.graph.adj[4]
+    assert g.edit(drop=[(0, 1)], add={(0, 1): 9}).color(1, 0) == 9
+    assert g.edit() == g
+    with pytest.raises(ColoredGraphError) as err:
+        g.edit(drop=[(0, 1)], add={(1, 2): 7})
+    assert str(err.value) == "cannot add present edge (1, 2)"
 
 
 def test_components_on_an_odd_graph():

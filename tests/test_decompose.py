@@ -50,6 +50,7 @@ from graphsamples import (
     two_squares_type_x,
 )
 from oracles import (
+    build_transform_by_scan,
     connected_ignoring_isolated,
     enumerate_rainbow_cycles,
     exhaustive_fallback,
@@ -220,6 +221,104 @@ def test_build_transform_rejects(build, message):
     assert str(info.value) == f"Probe: {message}"
 
 
+def _adj_from_scratch(g):
+    return Graph(g.n, g.edges).adj
+
+
+def _outcome(build, parent, kind, **kw):
+    """The child `build` returns, or the type and text of what it raises."""
+    try:
+        return build(parent, kind, **kw)
+    except Exception as err:
+        return type(err).__name__, str(err)
+
+
+def test_build_transform_matches_the_full_scan_on_random_edits():
+    """On random drops, merges, deletions, additions and recolorings of
+    small colored graphs, `_build_transform`, which examines only the edges
+    the edits touch, builds the child the full scan builds, adjacency
+    included, or rejects the same edge with the same message."""
+    rng = random.Random(14)
+    parents = [_square_and_edge(), case1_1_host(), case1_2_host(),
+               two_squares_type_x(), case2_2_2d_host()]
+    parents += [build_line_graph(random_cubic_bridgeless(GeneratorConfig(n, seed))).lg
+                for n, seed in [(10, 0), (12, 1), (14, 2)]]
+    kinds = ("absent", "deleted", "loop", "become parallel", "be parallel",
+             "self-loop")
+    seen = set()
+    for _ in range(3000):
+        g = rng.choice(parents)
+        adj = g.graph.adj
+        live = [v for v in range(g.n) if adj[v]]
+        merge, used = [], set()
+        for _ in range(rng.randrange(3)):
+            v = rng.choice(live)
+            grp = {v, *rng.sample(adj[v], rng.randrange(1, len(adj[v]) + 1))}
+            if grp & used:
+                continue
+            used |= grp
+            merge.append(tuple(rng.sample(sorted(grp), len(grp))))
+        delete = [v for v in rng.sample(live, rng.randrange(3)) if v not in used]
+        edges = sorted(g.edges)
+        drop = set(rng.sample(edges, rng.randrange(4)))
+        if rng.random() < 0.7:
+            drop |= {e for grp in merge for e in g.edges if set(e) <= set(grp)}
+        if rng.random() < 0.5:
+            drop |= {edge(v, w) for v in delete for w in adj[v]}
+        if rng.random() < 0.1:
+            drop.add((g.n - 1, g.n))  # absent
+        pairs = [(u, v) for u in range(g.n) for v in range(u + 1, g.n)]
+        add = [(u, v, rng.randrange(20)) for u, v in rng.sample(pairs, rng.randrange(3))]
+        recolor = [(e, rng.randrange(20)) for e in rng.sample(edges, rng.randrange(3))]
+        kw = {"drop": sorted(drop), "merge": merge, "delete": delete,
+              "add": add, "recolor": recolor}
+        made = _outcome(D._build_transform, g, "Probe", **kw)
+        ref = _outcome(build_transform_by_scan, g, "Probe", **kw)
+        if isinstance(ref, EdgeColoredGraph):
+            assert made == ref and made.graph.adj == _adj_from_scratch(ref)
+            seen.add("child")
+        else:
+            assert made == ref
+            seen.update(k for k in kinds if k in ref[1])
+    assert seen == {"child", *kinds}
+
+
+def test_build_transform_and_edit_match_the_full_scan(monkeypatch):
+    """While decomposing line graphs n = 10..20, every child
+    `_build_transform` builds is the one the full scan builds, or it is
+    rejected with the same message, and every `edit` result's adjacency is
+    the one built from its edge set."""
+    builds, edits = [], []
+    real_build = D._build_transform
+    real_edit = EdgeColoredGraph.edit
+
+    def build(parent, kind, **kw):
+        kw = {k: list(v) for k, v in kw.items()}
+        builds.append((parent, kind, kw))
+        return real_build(parent, kind, **kw)
+
+    def edit(self, *args, **kw):
+        h = real_edit(self, *args, **kw)
+        edits.append(h)
+        return h
+
+    monkeypatch.setattr(D, "_build_transform", build)
+    monkeypatch.setattr(EdgeColoredGraph, "edit", edit)
+    for n in range(10, 21, 2):
+        for seed in range(3):
+            lg = build_line_graph(random_cubic_bridgeless(GeneratorConfig(n, seed))).lg
+            assert decompose(lg).success
+    assert len(builds) > 100 and len(edits) > 1000
+    for parent, kind, kw in builds:
+        made = _outcome(real_build, parent, kind, **kw)
+        ref = _outcome(build_transform_by_scan, parent, kind, **kw)
+        assert made == ref
+        if isinstance(made, EdgeColoredGraph):
+            assert made.graph.adj == _adj_from_scratch(ref)
+    for h in edits:
+        assert h.graph.adj == _adj_from_scratch(h)
+
+
 def test_case1_1_rejects_wrong_pattern():
     with pytest.raises(CaseVerificationError):
         case1_1(case1_2_host(), 0)  # neighbors not adjacent: belongs to 1.2
@@ -286,9 +385,21 @@ def test_case2_1_rejects_short_singular_path():
         case2_1(g, check_goodness(g), (1, 0, 2, 4))  # interior vertices not both Type I
 
 
+@pytest.mark.parametrize("path", [(0, 1, 2, 3), (3, 2, 1, 0)], ids=["v1", "v2"])
+def test_case2_1_rejects_a_one_colored_interior_vertex(path):
+    """An interior vertex of degree 2 whose two edges share a color is not
+    Type I, at either interior position."""
+    g = EdgeColoredGraph.from_triples(5, [(0, 1, 0), (1, 2, 0), (2, 3, 1),
+                                          (3, 4, 2), (0, 4, 3)])
+    with pytest.raises(CaseVerificationError) as err:
+        case2_1(g, GoodnessReport(GoodnessVerdict.GOOD, None, ()), path)
+    assert str(err.value) == "Case2_1: interior vertex 1 is not Type I"
+
+
 def test_case2_1_child_and_report_match_the_rebuilt_child(monkeypatch):
-    """Every Case2_1 child the engine makes, built from its parent, is the
-    child `_build_transform` builds, and its derived report is the one
+    """Every Case2_1 child the engine makes, one `edit` of its parent, is
+    the child `_build_transform` builds and the one a full scan rebuilds
+    from scratch, adjacency included, and its derived report is the one
     `check_goodness` gives."""
     calls = []
     real = D.case2_1
@@ -301,13 +412,13 @@ def test_case2_1_child_and_report_match_the_rebuilt_child(monkeypatch):
     assert len(calls) > 100
     for g, rep, path in calls:
         v1, v2 = path[1], path[2]
-        child = D._build_transform(
-            g, "ContractEdge", merge=[(v1, v2)], drop=[edge(v1, v2)])
-        derived = D._contract_edge(g, v1, v2)
-        assert (derived.n, dict(derived.coloring), derived.graph.adj) == \
-            (child.n, dict(child.coloring), child.graph.adj)
+        build = {"merge": [(v1, v2)], "drop": [edge(v1, v2)]}
+        child = D._build_transform(g, "ContractEdge", **build)
+        rebuilt = build_transform_by_scan(g, "ContractEdge", **build)
         red = real(g, rep, path)
-        assert red.child == child
+        for made in (red.child, child):
+            assert (made.n, dict(made.coloring), made.graph.adj) == \
+                (rebuilt.n, dict(rebuilt.coloring), _adj_from_scratch(rebuilt))
         assert red.report == check_goodness(child)
 
 

@@ -80,15 +80,6 @@ def test_is_cubic():
     assert not is_cubic(c5)
 
 
-def test_remove_cycle_derives_adjacency():
-    g = petersen()
-    h = g.remove_cycle(Cycle((0, 1, 2, 3, 4)))
-    assert h.edges == g.edges - set(Cycle((0, 1, 2, 3, 4)).edges)
-    assert h.adj == Graph(h.n, h.edges).adj
-    with pytest.raises(GraphError, match="absent"):
-        h.remove_cycle(Cycle((0, 1, 2, 3, 4)))
-
-
 def test_find_bridges_two_triangles():
     g = Graph.from_edges(6, [(0, 1), (1, 2), (0, 2), (3, 4), (4, 5), (3, 5), (2, 3)])
     assert find_bridges(g) == frozenset({(2, 3)})

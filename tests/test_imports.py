@@ -2,6 +2,7 @@
 definition in it is used somewhere. No f-string in it lacks a
 placeholder. No module names a map between two vertex id spaces. Cached
 properties are filled from outside their own code at a fixed list of sites.
+The decomposer builds no graph from scratch.
 
 No linter ships with the project, so these are stdlib stand-ins for the
 unused-import, dead-code and empty f-string checks. `__init__.py` is
@@ -212,11 +213,10 @@ def test_cache_fills_detects_and_allows():
 # searched. A carried fact pays for itself only if a measurement shows it;
 # a new site should come with one.
 CACHE_FILLS = [
-    ("Graph.remove_cycle", "adj"),
-    ("_contract_edge", "adj"),
-    ("_contract_edge", "components"),
+    ("EdgeColoredGraph.edit", "adj"),
     ("_cut_search", "components"),
     ("_cut_search", "type_x_sides"),
+    ("case2_1", "components"),
     ("case2_1", "rainbow_triangle"),
     ("case2_1", "singular_chains"),
 ]
@@ -225,6 +225,40 @@ CACHE_FILLS = [
 def test_cache_fill_sites():
     assert sorted(fill for p in sorted(SRC.glob("*.py"))
                   for fill in cache_fills(p.read_text())) == CACHE_FILLS
+
+
+def graph_builds(source: str, classes: frozenset[str]) -> list[str]:
+    """`line N: call` for each call in `source` of one of `classes` or of an
+    attribute of one, such as a constructor or `from_triples`."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if not isinstance(node, ast.Call):
+            continue
+        func = node.func
+        if isinstance(func, ast.Attribute):
+            func = func.value
+        if isinstance(func, ast.Name) and func.id in classes:
+            found.append((node.lineno, ast.unparse(node.func)))
+    return [f"line {line}: {call}" for line, call in sorted(found)]
+
+
+GRAPH_CLASSES = frozenset({"Graph", "EdgeColoredGraph"})
+
+
+def test_graph_builds_detects_and_allows():
+    src = ("g = Graph(n, edges)\n"
+           "h = EdgeColoredGraph.from_triples(n, ts)\n"
+           "k = parent.edit(drop=ds)\n"
+           "def f(g: EdgeColoredGraph) -> Graph: return g.graph\n"
+           "isinstance(g, EdgeColoredGraph)\n")
+    assert graph_builds(src, GRAPH_CLASSES) == [
+        "line 1: Graph", "line 2: EdgeColoredGraph.from_triples"]
+
+
+def test_decomposer_builds_no_graph():
+    """Every reduction child and peel remainder is an `edit` of its parent;
+    the decomposer builds no graph from scratch."""
+    assert graph_builds((SRC / "decomposer.py").read_text(), GRAPH_CLASSES) == []
 
 
 def placeholderless_fstrings(source: str) -> list[str]:
