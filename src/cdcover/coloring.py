@@ -70,14 +70,22 @@ scans for. Let hi = max(v1, v2); the child keeps the parent's vertex ids,
 with m = min(v1, v2) and hi left isolated. Contracting an edge keeps each
 component connected, so the child's components are the parent's without
 hi. The triangles are the parent's plus (v0, m, v3) when v0 ~ v3, which is
-rainbow on a good parent (a != b, and c(v0v3) is neither); a parent with no
-rainbow triangle, as one that reaches Case2_1 has, so has a child whose
-only possible rainbow triangle is (v0, m, v3). Colors at a vertex do not
-change except that m sees a and b, so the Type I vertices are the parent's
-without hi, and the maximal chains through them (`singular_chains`) are
-the parent's, except that the chain through v1 and v2 loses hi and is one
-edge shorter. Case2_1 fills these three into the child
-(`decomposer.case2_1`) when the parent has computed its own.
+rainbow on a good parent (a != b, and c(v0v3) is neither); so the child's
+least rainbow triangle is the lesser of the parent's and that one. Colors
+at a vertex do not change except that m sees a and b, so the Type I
+vertices are the parent's without hi, and the maximal chains through them
+(`singular_chains`) are the parent's, except that the chain through v1 and
+v2 loses hi and is one edge shorter.
+
+The lemma applies step by step. On a good parent it proves the child
+good, so the child meets its hypotheses in turn: along a run of
+contractions, each along the first singular chain the last one left, every
+graph is good, and each step carries the three facts from its parent to
+its child. Case2_1 contracts such a run in one reduction and stops where
+the next dispatch would pick another case: a contraction has closed a
+rainbow triangle (v0, m, v3), or the first chain has become shorter than
+3. It reads the three facts from the graph it starts on, updates them at
+each step, and fills them into the run's last child (`decomposer.case2_1`).
 
 The Type X search, which sorts u's neighbors by side, gives the x-blocks
 too. Join two edges when they share a vertex, except that at a Type X
@@ -97,7 +105,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable, Mapping
 
-from .graphs import Cycle, Edge, Graph, edge
+from .graphs import Cycle, Edge, Graph, check_edge, edge
 
 
 class ColoredGraphError(ValueError):
@@ -151,7 +159,12 @@ class EdgeColoredGraph:
         """This graph minus the edges of `drop`, which must all be present,
         plus the new canonical edges of `add` with their colors. Only the
         endpoints of changed edges get new neighbor tuples, and only those
-        that gained a neighbor are sorted again."""
+        that gained a neighbor are sorted again.
+
+        Only the edges of `add` are validated, as `Graph` validates an edge:
+        the kept edges are this graph's, already valid, and every edge gets
+        a color by construction. So the child skips both constructors'
+        checks, which would cost O(m)."""
         coloring = dict(self.coloring)
         lost: dict[int, list[int]] = {}
         absent = []
@@ -165,20 +178,26 @@ class EdgeColoredGraph:
             raise ColoredGraphError(f"cannot remove absent edges {sorted(absent)}")
         gained: dict[int, list[int]] = {}
         for e, c in (add or {}).items():
+            check_edge(e, self.n)
             if e in coloring:
                 raise ColoredGraphError(f"cannot add present edge {e}")
             coloring[e] = c
             u, v = e
             gained.setdefault(u, []).append(v)
             gained.setdefault(v, []).append(u)
-        graph = Graph(self.n, frozenset(coloring))
         adj = list(self.graph.adj)
         for x, ws in lost.items():
             adj[x] = tuple([w for w in adj[x] if w not in ws])
         for x, ws in gained.items():
             adj[x] = tuple(sorted([*adj[x], *ws]))
+        graph = object.__new__(Graph)
+        object.__setattr__(graph, "n", self.n)
+        object.__setattr__(graph, "edges", frozenset(coloring))
         graph.__dict__["adj"] = tuple(adj)  # fills the cached property
-        return EdgeColoredGraph(graph, coloring)
+        child = object.__new__(EdgeColoredGraph)
+        object.__setattr__(child, "graph", graph)
+        object.__setattr__(child, "coloring", coloring)
+        return child
 
     def remove_cycle(self, c: Cycle) -> "EdgeColoredGraph":
         """This graph minus the edges of c, which must all be present."""

@@ -8,7 +8,8 @@ dispatching on local structure:
   * an almost-good component reduces through its bad vertex (Case1_1 when
     the bad vertex's neighbors are adjacent, Case1_2 otherwise);
   * an all-Type-II component yields a greedy color-avoiding cycle;
-  * a singular path of length >= 3 contracts one Type I edge (Case2_1);
+  * a singular path of length >= 3 contracts Type I edges, as long as the
+    next dispatch would contract again, in one reduction (Case2_1);
   * otherwise a Type I vertex flanked by Type II vertices drives the
     Case2_2 family, splitting on how the flanking neighborhoods overlap.
 
@@ -23,7 +24,11 @@ goodness report is checked in full, except in Case2_1: contracting an edge
 inside a singular path of a good graph keeps it good unless that closes a
 two-colored triangle (the lemma in the coloring module docstring), so
 Case2_1 derives the report, and the child's components, rainbow triangle
-and singular chains, from the parent's. The engine is one loop over an
+and singular chains, from the parent's. Applied step by step, the lemma
+lets one Case2_1 reduction contract a whole run of the paper's one-edge
+steps, each along the first singular chain the last one left, until the
+next dispatch would pick another case: the run has one child, one lift
+and one verification of its lifted cycles. The engine is one loop over an
 explicit stack of frames: a reduction's child is peeled on a frame above
 its waiting parent, so the depth of the reduction tree costs no Python
 recursion. Every lifted cycle, like every other removal, is re-verified
@@ -44,6 +49,7 @@ serializable, replayable CaseFailure instead of an unverified answer.
 """
 from __future__ import annotations
 
+from bisect import insort
 from dataclasses import dataclass
 from typing import Callable, Collection, Iterable, Iterator, Sequence
 
@@ -566,74 +572,131 @@ def case1_2(g: EdgeColoredGraph, v: int) -> CaseReduction:
 
 def case2_1(g: EdgeColoredGraph, rep: GoodnessReport,
             path: Sequence[int]) -> CaseReduction:
-    """Contract the middle edge of a singular path v0 v1 v2 v3.
+    """Contract the middle edge of a singular path v0 v1 v2 v3, and go on
+    while the next dispatch would pick Case2_1 again: while the contracted
+    graph has no rainbow triangle and its first singular chain still has
+    length at least 3, contract that chain's first inner edge. Each step is
+    the paper's one-edge Case 2.1; the run is one reduction.
 
-    `rep` is g's goodness report, which must be good. The child is one
-    `edit` of g: with lo, hi = min and max of v1, v2, it drops lo-hi and
-    hi's edge to its other neighbor, which comes back as lo's with its
-    color, and leaves hi isolated. Its report is derived rather than
-    checked (the contraction lemma in the coloring module docstring): it is
-    good unless v0 ~ v3 and c(v0v3) is c(v0v1) or c(v2v3). The interior
-    color appears nowhere else, so the child cycle through the merged
-    vertex subdivides back; all other cycles lift unchanged.
-
-    Where g has them cached, the child's components, rainbow triangle and
-    singular chains come from g's, by the same lemma on a good g: the
-    components lose hi; g's triangles avoid v1 and v2, so with none of them
-    rainbow the child's only one is (v0, m, v3), rainbow when v0 ~ v3; and
-    the child's chains are g's with hi suppressed, its chain one edge
-    shorter. The child computes its other dispatch facts when asked.
+    `rep` is g's report, which must be good. A step with lo, hi = min and
+    max of v1, v2 drops lo-hi and gives hi's other edge to lo with its
+    color, leaving hi isolated. By the contraction lemma in the coloring
+    module docstring, each step's child is good unless v0 ~ v3 and c(v0v3)
+    is c(v0v1) or c(v2v3), which is rejected, and g's components, rainbow
+    triangle and singular chains carry over from step to step. Each step
+    checks its path against the changed adjacency and colors only; the
+    child is one `edit` of g, with the three facts filled in, and its lift
+    (`_run_lift`) subdivides the merged vertices back.
     """
     tag = CASE_2_1
     _require(rep.verdict is GoodnessVerdict.GOOD, tag,
              f"singular path contraction needs a good graph, got {rep.verdict.value}")
-    _require(len(path) >= 4, tag, "singular path too short")
-    v0, v1, v2, v3 = path[0], path[1], path[2], path[3]
-    _require(len({v0, v1, v2, v3}) == 4, tag, "singular path vertices repeat")
-    adj = g.graph.adj
-    for t in (v1, v2):
-        nbrs = adj[t]
-        _require(len(nbrs) == 2 and g.color(t, nbrs[0]) != g.color(t, nbrs[1]),
-                 tag, f"interior vertex {t} is not Type I")
-    _require(v0 in adj[v1] and v2 in adj[v1] and v3 in adj[v2], tag,
-             f"{(v0, v1, v2, v3)} is not a path of the graph")
-    chord = v3 in adj[v0]
-    if chord:
-        _require(g.color(v0, v3) not in (g.color(v0, v1), g.color(v2, v3)), tag,
-                 f"contracted graph is {GoodnessVerdict.NOT_GOOD.value}")
+    base_adj, base_colors = g.graph.adj, g.coloring
+    adj: dict[int, tuple[int, ...]] = {}  # the neighbor tuples a step changed
+    added: dict[Edge, int] = {}  # edges the run added, with their colors
+    dropped: set[Edge] = set()  # edges of g the run dropped
+    tri = g.rainbow_triangle
+    chains = list(g.singular_chains)
+    steps: list[tuple[int, int, int, int]] = []
 
-    lo, hi = min(v1, v2), max(v1, v2)
-    out = v3 if hi == v2 else v0
-    child = g.edit(drop=((lo, hi), edge(hi, out)),
-                   add={edge(lo, out): g.color(hi, out)})
-    # fill the child's cached properties from those g has computed
-    if "components" in g.__dict__:
-        child.__dict__["components"] = tuple(comp - {hi} for comp in g.components)
-    if "rainbow_triangle" in g.__dict__ and g.rainbow_triangle is None:
-        child.__dict__["rainbow_triangle"] = Cycle((v0, lo, v3)) if chord else None
-    if "singular_chains" in g.__dict__:
-        child.__dict__["singular_chains"] = _chains_without(g.singular_chains, hi)
-    lift = _contraction_lift(tag, "merged vertex", (_oriented([v2, v1], (v0,)),), lo)
-    return CaseReduction(child, lift, _GOOD)
+    def nbrs(x: int) -> tuple[int, ...]:
+        return adj[x] if x in adj else base_adj[x]
+
+    def color(u: int, v: int) -> int:
+        e = edge(u, v)
+        return added[e] if e in added else base_colors[e]
+
+    while True:
+        _require(len(path) >= 4, tag, "singular path too short")
+        v0, v1, v2, v3 = path[0], path[1], path[2], path[3]
+        _require(len({v0, v1, v2, v3}) == 4, tag, "singular path vertices repeat")
+        for t in (v1, v2):
+            ts = nbrs(t)
+            _require(len(ts) == 2 and color(t, ts[0]) != color(t, ts[1]),
+                     tag, f"interior vertex {t} is not Type I")
+        _require(v0 in nbrs(v1) and v2 in nbrs(v1) and v3 in nbrs(v2), tag,
+                 f"{(v0, v1, v2, v3)} is not a path of the graph")
+        chord = v3 in nbrs(v0)
+        if chord:
+            _require(color(v0, v3) not in (color(v0, v1), color(v2, v3)), tag,
+                     f"contracted graph is {GoodnessVerdict.NOT_GOOD.value}")
+
+        lo, hi = min(v1, v2), max(v1, v2)
+        out = v3 if hi == v2 else v0
+        moved = color(hi, out)
+        for e in ((lo, hi), edge(hi, out)):
+            if added.pop(e, None) is None:
+                dropped.add(e)
+        added[edge(lo, out)] = moved
+        adj[lo] = (v0, v3) if v0 < v3 else (v3, v0)
+        adj[hi] = ()
+        adj[out] = tuple(sorted([lo if w == hi else w for w in nbrs(out)]))
+        steps.append((v0, v1, v2, lo))
+
+        if chord:
+            closed = Cycle((v0, lo, v3))
+            if tri is None or closed.vertices < tri.vertices:
+                tri = closed
+        i = next(i for i, (_, seq) in enumerate(chains) if hi in seq)
+        length, seq = chains.pop(i)
+        seq = tuple([x for x in seq if x != hi])
+        # hi is neither end of its chain, so the chain keeps its ends and
+        # only needs turning to its least reading
+        insort(chains, (length - 1, min(seq, seq[::-1])),
+               key=lambda c: (-c[0], c[1]))
+        if tri is not None or chains[0][0] < 3:
+            break
+        path = chains[0][1]
+
+    child = g.edit(drop=dropped, add=added)
+    gone = {v1 + v2 - lo for _, v1, v2, lo in steps}
+    # fill the child's cached properties with the facts carried to it
+    child.__dict__["components"] = tuple(comp - gone for comp in g.components)
+    child.__dict__["rainbow_triangle"] = tri
+    child.__dict__["singular_chains"] = tuple(chains)
+    return CaseReduction(child, _run_lift(steps), _GOOD)
 
 
-def _chains_without(chains: Sequence[tuple[int, tuple[int, ...]]], hi: int,
-                    ) -> tuple[tuple[int, tuple[int, ...]], ...]:
-    """`singular_chains` after Case2_1 merges hi into a smaller Type I
-    neighbor: hi's chain loses hi and is one edge shorter, and every other
-    chain stays as it is. hi is neither end of its chain: an open chain ends
-    at vertices that are not Type I, and a closed one at its least vertex,
-    which is not hi. So that chain keeps its ends and only needs turning to
-    its least reading, and the list only needs re-sorting."""
-    out = []
-    for length, seq in chains:
-        if hi in seq:
-            seq = tuple(x for x in seq if x != hi)
-            out.append((length - 1, min(seq, seq[::-1])))
-        else:
-            out.append((length, seq))
-    out.sort(key=lambda c: (-c[0], c[1]))
-    return tuple(out)
+def _run_lift(steps: Sequence[tuple[int, int, int, int]],
+              ) -> Callable[[list[tuple[str, Cycle]]], list[tuple[str, Cycle]]]:
+    """The lift of a run of Case2_1 steps, each given as (v0, v1, v2, lo)
+    with lo its merged vertex: the composition of the steps'
+    `_contraction_lift`s, innermost first, in one pass over the child's
+    cycles. Going back from the last step, the one cycle through lo gets lo
+    replaced by v1 v2, turned so that v1 meets v0, and moves to the front;
+    every cycle no step rewrites is handed up as it is."""
+    tag = CASE_2_1
+    run = {v for _, v1, v2, _ in steps for v in (v1, v2)}
+
+    def lift(sub: list[tuple[str, Cycle]]) -> list[tuple[str, Cycle]]:
+        seqs: dict[int, list[int]] = {}  # index in sub -> vertices, as lifted
+        holders: dict[int, list[int]] = {}  # run vertex -> indices through it
+        for i, (_, c) in enumerate(sub):
+            hit = run.intersection(c.vertices)
+            if hit:
+                seqs[i] = list(c.vertices)
+                for v in hit:
+                    holders.setdefault(v, []).append(i)
+        front: list[int] = []
+        for v0, v1, v2, lo in reversed(steps):
+            through = holders.get(lo, [])
+            _require(len(through) == 1, tag,
+                     f"expected 1 child cycle through the merged vertex, "
+                     f"got {len(through)}")
+            i = through[0]
+            seq = seqs[i]
+            p = seq.index(lo)
+            seq[p:p + 1] = [v2, v1] if seq[(p + 1) % len(seq)] == v0 else [v1, v2]
+            holders.setdefault(v1 + v2 - lo, []).append(i)
+            if i in front:
+                front.remove(i)
+            front.insert(0, i)
+        out = [(tag, Cycle(tuple(seqs[i]))) for i in front]
+        lifted = set(front)
+        out.extend(item for i, item in enumerate(sub) if i not in lifted)
+        return out
+
+    return lift
 
 
 # ---------------------------------------------------------------------------

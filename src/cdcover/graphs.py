@@ -28,6 +28,16 @@ def edge(u: int, v: int) -> Edge:
     return (u, v) if u < v else (v, u)
 
 
+def check_edge(e: object, n: int) -> None:
+    """Raise GraphError unless e is a canonical edge (u, v), u < v, of a
+    graph on vertices 0..n-1."""
+    if not (isinstance(e, tuple) and len(e) == 2):
+        raise GraphError(f"bad edge {e!r}")
+    u, v = e
+    if not (0 <= u < v < n):
+        raise GraphError(f"edge {e} out of range for n={n}")
+
+
 @dataclass(frozen=True)
 class Graph:
     """Simple undirected graph on vertices 0..n-1.
@@ -43,11 +53,7 @@ class Graph:
         if self.n < 0:
             raise GraphError(f"negative vertex count {self.n}")
         for e in self.edges:
-            if not (isinstance(e, tuple) and len(e) == 2):
-                raise GraphError(f"bad edge {e!r}")
-            u, v = e
-            if not (0 <= u < v < self.n):
-                raise GraphError(f"edge {e} out of range for n={self.n}")
+            check_edge(e, self.n)
 
     @classmethod
     def from_edges(cls, n: int, pairs) -> "Graph":

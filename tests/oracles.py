@@ -9,7 +9,9 @@ cubic graphs. The one exception is `exhaustive_fallback`, which cross-checks
 the fallback's search order and pruning only, so it reuses the engine's
 removal check and takes its cycles from the brute-force oracle. The
 reference reduction builder, `build_transform_by_scan`, rebuilds the child
-from a scan over every parent edge, and raises the engine's error type.
+from a scan over every parent edge, and raises the engine's error type;
+`case2_1_run_by_scan` repeats its one-edge contraction with full checks
+and fresh scans, as the engine's Case2_1 runs do with derived facts.
 """
 from __future__ import annotations
 
@@ -17,6 +19,8 @@ import itertools
 
 from cdcover.coloring import (
     EdgeColoredGraph,
+    GoodnessReport,
+    GoodnessVerdict,
     XBlockDecomposition,
     check_goodness,
 )
@@ -249,6 +253,34 @@ def build_transform_by_scan(parent: EdgeColoredGraph, kind: str, *,
             raise CaseVerificationError(kind, f"added edge {(u, v)} would be parallel")
         child_cols[ce] = c
     return EdgeColoredGraph(Graph(parent.n, frozenset(child_cols)), child_cols)
+
+
+def case2_1_run_by_scan(g: EdgeColoredGraph, path,
+                        ) -> tuple[EdgeColoredGraph, GoodnessReport,
+                                   list[tuple[int, int, int, int]]]:
+    """`decomposer.case2_1` one Case 2.1 step at a time: contract the middle
+    edge of v0 v1 v2 v3 with `build_transform_by_scan`, check the child in
+    full and scan a fresh copy of it, and go on along its first singular
+    chain while the engine's dispatch would pick Case2_1 on it: the child is
+    good, not a single cycle, has no rainbow triangle, and its first chain
+    has length at least 3. Returns the last child, its report and the paths
+    contracted, in order."""
+    paths = []
+    h = g
+    while True:
+        v0, v1, v2, v3 = path[:4]
+        paths.append((v0, v1, v2, v3))
+        h = build_transform_by_scan(h, "ContractEdge", merge=[(v1, v2)],
+                                    drop=[edge(v1, v2)])
+        rep = check_goodness(EdgeColoredGraph(h.graph, h.coloring))
+        single = (connected_ignoring_isolated(h.n, h.edges)
+                  and all(len(nbrs) in (0, 2) for nbrs in h.graph.adj))
+        chains = h.singular_chains
+        if (rep.verdict is not GoodnessVerdict.GOOD or single
+                or h.rainbow_triangle is not None
+                or not chains or chains[0][0] < 3):
+            return h, rep, paths
+        path = chains[0][1]
 
 
 def connected_ignoring_isolated(n: int, edges) -> bool:

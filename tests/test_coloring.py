@@ -18,7 +18,7 @@ from cdcover.coloring import (
 )
 import cdcover.decomposer as D
 from cdcover.decomposer import decompose
-from cdcover.graphs import Cycle, Graph
+from cdcover.graphs import Cycle, Graph, GraphError
 from cdcover.linegraph import build_line_graph
 from cdcover.oracle import GeneratorConfig, random_cubic_bridgeless
 from graphsamples import (
@@ -442,6 +442,57 @@ def test_edit_drops_and_adds_locally():
     with pytest.raises(ColoredGraphError) as err:
         g.edit(drop=[(0, 1)], add={(1, 2): 7})
     assert str(err.value) == "cannot add present edge (1, 2)"
+
+
+@pytest.mark.parametrize("bad, message", [
+    ((2, 6), "edge (2, 6) out of range for n=6"),
+    ((-1, 2), "edge (-1, 2) out of range for n=6"),
+    ((3, 1), "edge (3, 1) out of range for n=6"),
+    ((4, 4), "edge (4, 4) out of range for n=6"),
+    ((1, 2, 3), "bad edge (1, 2, 3)"),
+    ("ab", "bad edge 'ab'"),
+], ids=["high", "negative", "reversed", "loop", "triple", "not-a-tuple"])
+def test_edit_validates_added_edges_as_graph_does(bad, message):
+    """`edit` validates the edges it adds, and only those: an added edge
+    that is out of range, not canonical or not a pair raises the GraphError
+    the `Graph` constructor raises for it, and the graph is left as it
+    was."""
+    g = EdgeColoredGraph.from_triples(6, [(0, 1, 0), (1, 2, 1), (2, 3, 2),
+                                          (0, 3, 3), (4, 5, 4)])
+    adj = g.graph.adj
+    with pytest.raises(GraphError) as err:
+        g.edit(drop=[(0, 1)], add={(1, 3): 5, bad: 9})
+    assert str(err.value) == message
+    with pytest.raises(GraphError) as ref:
+        Graph(g.n, frozenset({bad}))
+    assert str(ref.value) == message
+    assert g.graph.adj is adj and len(g.edges) == 5
+
+
+def test_edit_results_equal_validated_graphs(monkeypatch):
+    """Every graph `edit` makes while decomposing line graphs n = 10..20,
+    seeds 0-3, equals the graph the validating `Graph` and
+    `EdgeColoredGraph` constructors accept for its edges and colors,
+    adjacency included."""
+    made = []
+    real = EdgeColoredGraph.edit
+
+    def edit(self, *args, **kw):
+        made.append(real(self, *args, **kw))
+        return made[-1]
+
+    monkeypatch.setattr(EdgeColoredGraph, "edit", edit)
+    for n in range(10, 21, 2):
+        for seed in range(4):
+            lg = build_line_graph(random_cubic_bridgeless(GeneratorConfig(n, seed))).lg
+            assert decompose(lg).success
+    assert len(made) > 1000
+    for h in made:
+        ref = EdgeColoredGraph(Graph(h.n, h.edges), dict(h.coloring))
+        assert type(h) is EdgeColoredGraph and type(h.graph) is Graph
+        assert type(h.edges) is frozenset and type(h.coloring) is dict
+        assert h == ref and hash(h.graph) == hash(ref.graph)
+        assert h.graph.adj == ref.graph.adj
 
 
 def test_components_on_an_odd_graph():

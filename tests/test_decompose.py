@@ -51,6 +51,7 @@ from graphsamples import (
 )
 from oracles import (
     build_transform_by_scan,
+    case2_1_run_by_scan,
     connected_ignoring_isolated,
     enumerate_rainbow_cycles,
     exhaustive_fallback,
@@ -284,7 +285,7 @@ def test_build_transform_matches_the_full_scan_on_random_edits():
 
 
 def test_build_transform_and_edit_match_the_full_scan(monkeypatch):
-    """While decomposing line graphs n = 10..20, every child
+    """While decomposing line graphs n = 10..20, seeds 0-3, every child
     `_build_transform` builds is the one the full scan builds, or it is
     rejected with the same message, and every `edit` result's adjacency is
     the one built from its edge set."""
@@ -305,7 +306,7 @@ def test_build_transform_and_edit_match_the_full_scan(monkeypatch):
     monkeypatch.setattr(D, "_build_transform", build)
     monkeypatch.setattr(EdgeColoredGraph, "edit", edit)
     for n in range(10, 21, 2):
-        for seed in range(3):
+        for seed in range(4):
             lg = build_line_graph(random_cubic_bridgeless(GeneratorConfig(n, seed))).lg
             assert decompose(lg).success
     assert len(builds) > 100 and len(edits) > 1000
@@ -396,30 +397,160 @@ def test_case2_1_rejects_a_one_colored_interior_vertex(path):
     assert str(err.value) == "Case2_1: interior vertex 1 is not Type I"
 
 
-def test_case2_1_child_and_report_match_the_rebuilt_child(monkeypatch):
-    """Every Case2_1 child the engine makes, one `edit` of its parent, is
-    the child `_build_transform` builds and the one a full scan rebuilds
-    from scratch, adjacency included, and its derived report is the one
-    `check_goodness` gives."""
-    calls = []
+# the cached facts `_dispatch` and `_advance` read, and those a Case2_1
+# child takes from its parent
+DISPATCH_FACTS = ("components", "rainbow_triangle", "singular_chains", "type1")
+CASE2_1_FACTS = ("components", "rainbow_triangle", "singular_chains")
+
+
+def _fresh_facts(g):
+    """The dispatch facts of a new, uncached graph with g's edges and colors."""
+    fresh = EdgeColoredGraph(Graph(g.n, g.edges), dict(g.coloring))
+    return {name: getattr(fresh, name) for name in DISPATCH_FACTS}
+
+
+def _line_graph(n, seed):
+    return build_line_graph(random_cubic_bridgeless(GeneratorConfig(n, seed))).lg
+
+
+# the line graphs whose Case2_1 runs are recorded below: the `small-default`
+# benchmark corpus (n = 20, seeds 0-69), n = 10..24 with seeds 0-4, and
+# n = 40 with seeds 0-2
+RUN_CORPUS = list(dict.fromkeys(
+    [(20, seed) for seed in range(70)]
+    + [(n, seed) for n in range(10, 25, 2) for seed in range(5)]
+    + [(40, seed) for seed in range(3)]))
+
+
+@functools.cache
+def _case2_1_runs() -> tuple[dict, ...]:
+    """Every `case2_1` call the engine makes while decomposing RUN_CORPUS:
+    its graph, report and path, the reduction it returned, the attributes
+    its child held when it was made, and the child cycles the engine handed
+    to its lift (None when the lift was not called)."""
+    runs = []
     real = D.case2_1
-    monkeypatch.setattr(D, "case2_1", lambda g, rep, path:
-                        calls.append((g, rep, path)) or real(g, rep, path))
-    for n in range(10, 21, 2):
-        for seed in range(3):
-            lg = build_line_graph(random_cubic_bridgeless(GeneratorConfig(n, seed))).lg
-            assert decompose(lg).success
-    assert len(calls) > 100
-    for g, rep, path in calls:
-        v1, v2 = path[1], path[2]
-        build = {"merge": [(v1, v2)], "drop": [edge(v1, v2)]}
-        child = D._build_transform(g, "ContractEdge", **build)
-        rebuilt = build_transform_by_scan(g, "ContractEdge", **build)
+    real_fallback = D.fallback_search
+    fallbacks = []
+
+    def fallback(*args, **kw):
+        fallbacks.append(1)
+        return real_fallback(*args, **kw)
+
+    def record(g, rep, path):
         red = real(g, rep, path)
+        run = {"graph": g, "report": rep, "path": path, "reduction": red,
+               "cached": dict(red.child.__dict__), "sub": None}
+        runs.append(run)
+
+        def lift(sub):
+            run["sub"] = list(sub)
+            return red.lift(sub)
+
+        return D.CaseReduction(red.child, lift, red.report)
+
+    D.case2_1, D.fallback_search = record, fallback
+    try:
+        for n, seed in RUN_CORPUS:
+            assert decompose(_line_graph(n, seed)).success
+    finally:
+        D.case2_1, D.fallback_search = real, real_fallback
+    assert fallbacks  # some runs are made after a fallback search
+    return tuple(runs)
+
+
+def _merged_groups(paths) -> list[set[int]]:
+    """The vertex groups that contracting the middle edges of `paths`, in
+    order, merges."""
+    group_of: dict[int, set[int]] = {}
+    for _, v1, v2, _ in paths:
+        grp = group_of.get(v1, {v1}) | group_of.get(v2, {v2})
+        for v in grp:
+            group_of[v] = grp
+    return list({id(grp): grp for grp in group_of.values()}.values())
+
+
+def test_case2_1_child_and_report_match_the_rebuilt_child():
+    """Every Case2_1 run the engine makes, one `edit` of its parent, ends
+    at the child that contracting one edge at a time with full rebuilds,
+    full checks and fresh scans ends at (`case2_1_run_by_scan`), which also
+    fixes where the run stops. The child equals that reference, adjacency
+    included, and the `_build_transform` child that merges the run's whole
+    set of merged pairs at once; its derived report is the reference's,
+    and the three facts it held when made are the reference's fresh ones."""
+    runs = _case2_1_runs()
+    assert len(runs) > 1500
+    steps = 0
+    for run in runs:
+        g, red = run["graph"], run["reduction"]
+        ref, ref_rep, paths = case2_1_run_by_scan(g, run["path"])
+        steps += len(paths)
+        groups = _merged_groups(paths)
+        inside = [e for e in g.edges if any(set(e) <= grp for grp in groups)]
+        child = D._build_transform(g, "ContractEdge", merge=groups, drop=inside)
         for made in (red.child, child):
             assert (made.n, dict(made.coloring), made.graph.adj) == \
-                (rebuilt.n, dict(rebuilt.coloring), _adj_from_scratch(rebuilt))
-        assert red.report == check_goodness(child)
+                (ref.n, dict(ref.coloring), _adj_from_scratch(ref))
+        assert red.report == ref_rep
+        assert {name: run["cached"][name] for name in CASE2_1_FACTS} == {
+            name: getattr(ref, name) for name in CASE2_1_FACTS}
+    assert steps > 2 * len(runs)  # a run takes more than two steps on average
+
+
+def _step_lifts(paths):
+    """The one-step Case2_1 lift of each path, as `_contraction_lift`."""
+    return [D._contraction_lift(D.CASE_2_1, "merged vertex",
+                                (D._oriented([v2, v1], (v0,)),), min(v1, v2))
+            for v0, v1, v2, _ in paths]
+
+
+def _composed(paths, sub):
+    """`sub` lifted through the one-step lift of each path, innermost
+    first."""
+    for lift in reversed(_step_lifts(paths)):
+        sub = lift(sub)
+    return sub
+
+
+def _outcome_of(lift, sub):
+    try:
+        return lift(sub)
+    except CaseVerificationError as err:
+        return str(err)
+
+
+def test_run_lift_is_the_composition_of_the_step_lifts():
+    """On every run of the corpus whose lift the engine called, the run's
+    lift returns what lifting through each step's one-edge lift returns,
+    innermost step first: the same cycles, tags and order (each lifted
+    cycle first, then the untouched ones as they came). Without the child
+    cycle through a step's merged vertex, or with a second one, both fail
+    with the same message."""
+    lifted = 0
+    for run in _case2_1_runs():
+        sub = run["sub"]
+        if sub is None:
+            continue
+        _, _, paths = case2_1_run_by_scan(run["graph"], run["path"])
+        assert run["reduction"].lift(sub) == _composed(paths, sub)
+        lifted += 1
+        # the child cycle through the last merged vertex, dropped or doubled
+        lo = min(paths[-1][1:3])
+        at = next(i for i, (_, c) in enumerate(sub) if lo in c)
+        for bad in (sub[:at] + sub[at + 1:], sub[:at + 1] + sub[at:]):
+            expected = _outcome_of(lambda s: _composed(paths, s), bad)
+            assert _outcome_of(run["reduction"].lift, bad) == expected
+            assert expected.startswith("Case2_1: expected 1 child cycle")
+    assert lifted > 1500
+
+
+def test_case2_1_is_never_called_on_a_case2_1_child():
+    """A run goes on while the next dispatch on its child would be Case2_1
+    again, so the engine never calls `case2_1` on a graph `case2_1` made."""
+    runs = _case2_1_runs()
+    children = {id(run["reduction"].child) for run in runs}  # all still alive
+    assert len(runs) > 1500
+    assert [run["path"] for run in runs if id(run["graph"]) in children] == []
 
 
 def test_case2_1_chord_of_a_third_color_closes_a_rainbow_triangle():
@@ -462,44 +593,17 @@ def test_case2_1_chord_of_a_path_color(chord):
     assert str(err.value) == "Case2_1: contracted graph is not_good"
 
 
-# the cached facts `_dispatch` and `_advance` read, and those a Case2_1
-# child takes from its parent
-DISPATCH_FACTS = ("components", "rainbow_triangle", "singular_chains", "type1")
-CASE2_1_FACTS = ("components", "rainbow_triangle", "singular_chains")
-
-
-def _fresh_facts(g):
-    """The dispatch facts of a new, uncached graph with g's edges and colors."""
-    fresh = EdgeColoredGraph(Graph(g.n, g.edges), dict(g.coloring))
-    return {name: getattr(fresh, name) for name in DISPATCH_FACTS}
-
-
-def test_case2_1_child_facts_equal_fresh_ones(monkeypatch):
-    """At every Case2_1 step the child gets its components, rainbow triangle
-    and singular chains from its parent, and no other fact, at the moment
-    it is made; each is the one a fresh graph with the child's edges and
-    colors computes."""
-    made = []  # (child, its facts when case2_1 returned)
-    real = D.case2_1
-
-    def case(*args):
-        red = real(*args)
-        made.append((red.child, dict(red.child.__dict__)))
-        return red
-
-    monkeypatch.setattr(D, "case2_1", case)
-    fallbacks = []
-    real_fallback = D.fallback_search
-    monkeypatch.setattr(D, "fallback_search",
-                        lambda *a, **k: fallbacks.append(1) or real_fallback(*a, **k))
-    runs = [(n, seed) for n in range(10, 25, 2) for seed in range(5)]
-    runs += [(40, seed) for seed in range(3)]
-    for n, seed in runs:
-        decompose(build_line_graph(random_cubic_bridgeless(GeneratorConfig(n, seed))).lg)
-    assert len(made) > 1000 and fallbacks
-    for child, cached in made:
+def test_case2_1_child_facts_equal_fresh_ones():
+    """At the end of every Case2_1 run the child gets its components,
+    rainbow triangle and singular chains, carried from its parent step by
+    step, and no other fact, at the moment it is made; each is the one a
+    fresh graph with the child's edges and colors computes."""
+    runs = _case2_1_runs()
+    assert len(runs) > 1000
+    for run in runs:
+        cached = run["cached"]
         assert set(cached) == {"graph", "coloring", *CASE2_1_FACTS}
-        fresh = _fresh_facts(child)
+        fresh = _fresh_facts(run["reduction"].child)
         assert {name: cached[name] for name in CASE2_1_FACTS} == {
             name: fresh[name] for name in CASE2_1_FACTS}
 
@@ -567,43 +671,50 @@ def test_decompose_runs_one_cut_search_per_graph(monkeypatch):
     assert len({id(g) for g in searched}) == len(searched)
 
 
-@pytest.mark.parametrize("triples, path, chains", [
+@pytest.mark.parametrize("triples, path, isolated, tri, chains", [
     # the singular path 0 1 2 3, whose chord 0-3 closes the rainbow
-    # triangle (0, m, 3) in the child
+    # triangle (0, m, 3) in the child: the run stops after one step
     ([(0, 1, 0), (1, 2, 1), (2, 3, 2), (0, 3, 3), (0, 4, 3), (3, 4, 3),
       (0, 5, 0), (3, 6, 2), (4, 7, 4), (4, 8, 4), (5, 7, 5), (6, 8, 6)],
-     (0, 1, 2, 3), ((3, (0, 5, 7, 4)), (3, (3, 6, 8, 4)), (2, (0, 1, 3)))),
-    # two chains from 0 back to 0; contracting 3-5 in (0, 4, 3, 5, 0)
-    # leaves (0, 4, 3, 0), which reads least the other way round
-    ([(0, 4, 0), (3, 4, 1), (3, 5, 2), (0, 5, 3), (0, 1, 0), (0, 2, 3),
-      (1, 2, 4)],
-     (4, 3, 5, 0), ((3, (0, 1, 2, 0)), (3, (0, 3, 4, 0)))),
+     (0, 1, 2, 3), {2}, (0, 1, 3),
+     ((3, (0, 5, 7, 4)), (3, (3, 6, 8, 4)), (2, (0, 1, 3)))),
+    # two chains from 0 back to 0, (0, 6, 7, 5, 8, 0) and (0, 1, 2, 3, 0),
+    # and no triangle: contracting 5-8 leaves (0, 6, 7, 5, 0), which reads
+    # least the other way round, and two chains of length 4; the run goes
+    # on into (0, 1, 2, 3, 0), the least, and stops when contracting 1-2
+    # closes the rainbow triangle (0, 1, 3)
+    ([(0, 1, 0), (1, 2, 2), (2, 3, 3), (0, 3, 1), (0, 6, 0), (6, 7, 4),
+      (5, 7, 5), (5, 8, 6), (0, 8, 1)],
+     (7, 5, 8, 0), {8, 2}, (0, 1, 3),
+     ((4, (0, 5, 7, 6, 0)), (3, (0, 1, 3, 0)))),
 ], ids=["chord", "loop"])
-def test_case2_1_child_facts_cached_or_not(triples, path, chains):
-    """case2_1 works on a graph with nothing cached, and the child computes
-    its facts when asked; on a graph whose facts are cached it derives the
-    child's components, rainbow triangle and singular chains, and they are
-    the same. The child gets no other fact."""
+def test_case2_1_child_facts_cached_or_not(triples, path, isolated, tri, chains):
+    """case2_1 reads its graph's components, rainbow triangle and singular
+    chains, so it works the same on a graph with nothing cached as on one
+    whose dispatch facts are cached: the two children are equal, each holds
+    exactly those three facts, carried through every step of the run, and
+    they are the facts a fresh graph with the child's edges computes."""
     bare = EdgeColoredGraph.from_triples(1 + max(max(t[:2]) for t in triples),
                                          triples)
     # checked on a copy: the check caches `components` on the graph it checks
     rep = check_goodness(EdgeColoredGraph(bare.graph, bare.coloring))
     assert rep.verdict is GoodnessVerdict.GOOD
+    assert bare.rainbow_triangle is None and "components" not in bare.__dict__
     cached = EdgeColoredGraph(bare.graph, bare.coloring)
     for name in DISPATCH_FACTS:
         getattr(cached, name)
     lazy = case2_1(bare, rep, path).child
-    assert not set(DISPATCH_FACTS) & set(lazy.__dict__)
     derived = case2_1(cached, rep, path).child
+    assert lazy == derived
+    assert {v for v in range(bare.n) if bare.graph.adj[v]
+            and not lazy.graph.adj[v]} == isolated
     facts = _fresh_facts(lazy)
+    assert facts["rainbow_triangle"] == Cycle(tri)
     assert facts["singular_chains"] == chains
-    assert {name: getattr(lazy, name) for name in DISPATCH_FACTS} == facts
-    # a parent with a rainbow triangle leaves the child's to be computed
-    kept = set(CASE2_1_FACTS) - (
-        {"rainbow_triangle"} if cached.rainbow_triangle else set())
-    assert set(DISPATCH_FACTS) & set(derived.__dict__) == kept
-    assert {name: derived.__dict__[name] for name in kept} == {
-        name: facts[name] for name in kept}
+    for child in (lazy, derived):
+        assert set(DISPATCH_FACTS) & set(child.__dict__) == set(CASE2_1_FACTS)
+        assert {name: child.__dict__[name] for name in CASE2_1_FACTS} == {
+            name: facts[name] for name in CASE2_1_FACTS}
 
 
 def test_case2_1_makes_no_rebuild_or_goodness_check(monkeypatch):
@@ -634,12 +745,21 @@ def _merge(*group):
     return set(group) - {keep}, {keep}
 
 
+def _run_merges(g, path):
+    """The vertices a Case2_1 run from `path` leaves isolated, and the
+    merged vertices it keeps: every pair the run merges, as the one-step
+    reference contracts them."""
+    _, _, paths = case2_1_run_by_scan(g, path)
+    gone = {max(v1, v2) for _, v1, v2, _ in paths}
+    return gone, {min(v1, v2) for _, v1, v2, _ in paths} - gone
+
+
 # for each case that can reduce: the parent vertices its child leaves
 # isolated, and the vertices whose child cycles its lift rewrites
 REDUCTIONS = {
     "case1_1": lambda g, v: _merge(v, *g.graph.adj[v]),
     "case1_2": lambda g, v: _merge(v, min(g.graph.adj[v])),
-    "case2_1": lambda g, rep, path: _merge(path[1], path[2]),
+    "case2_1": lambda g, rep, path: _run_merges(g, path),
     "case2_2_1": lambda g, rep, p: (_merge(p.x1, p.x2)[0],
                                     _merge(p.x1, p.x2)[1] | {p.v}),
     "_case2_2_2a": lambda g, rep, p: ({p.x1, p.x2}, {p.w1, p.v}),
@@ -666,7 +786,7 @@ def test_reduction_child_keeps_parent_ids(monkeypatch):
     for name in REDUCTIONS:
         monkeypatch.setattr(D, name, traced(name, getattr(D, name)))
     for n in range(10, 21, 2):
-        for seed in range(5):
+        for seed in range(10):
             lg = build_line_graph(random_cubic_bridgeless(GeneratorConfig(n, seed))).lg
             assert decompose(lg).success
     assert {m[0] for m in made} == set(REDUCTIONS)
@@ -907,7 +1027,7 @@ def test_case_failure_is_replayable(monkeypatch):
 
 def test_failure_unwinds_to_an_ancestor_fallback(monkeypatch):
     """When a frame and its fallback fail, the failure unwinds to the nearest
-    frame waiting on a reduction, which falls back on its own graph. Here 17
+    frame waiting on a reduction, which falls back on its own graph. Here 2
     fallbacks find nothing before an ancestor's finds a cycle."""
     statuses = []
     real = D.fallback_search
@@ -920,7 +1040,7 @@ def test_failure_unwinds_to_an_ancestor_fallback(monkeypatch):
     monkeypatch.setattr(D, "fallback_search", traced)
     lg = build_line_graph(random_cubic_bridgeless(GeneratorConfig(42, 4))).lg
     assert decompose(lg).success
-    assert statuses == ["found"] * 7 + ["absent"] * 17 + ["found"] * 2
+    assert statuses == ["found"] * 7 + ["absent"] * 2 + ["found"] * 2
 
 
 def test_engine_needs_no_deep_recursion(monkeypatch):
@@ -1013,7 +1133,7 @@ def test_goddyn_first_step_projection():
 @functools.cache
 def _dispatched_graphs() -> tuple[list[EdgeColoredGraph], list[EdgeColoredGraph]]:
     """Good and almost-good graphs handed to `_dispatch` while decomposing
-    the line graphs of random cubic graphs with n = 10..16."""
+    the line graphs of random cubic graphs with n = 10..16, seeds 0-5."""
     seen: list[tuple[EdgeColoredGraph, GoodnessReport]] = []
     real = D._dispatch
 
@@ -1024,7 +1144,7 @@ def _dispatched_graphs() -> tuple[list[EdgeColoredGraph], list[EdgeColoredGraph]
     D._dispatch = record
     try:
         for n in (10, 12, 14, 16):
-            for seed in range(4):
+            for seed in range(6):
                 lg = build_line_graph(random_cubic_bridgeless(GeneratorConfig(n, seed))).lg
                 assert decompose(lg).success
     finally:
@@ -1328,7 +1448,7 @@ def test_full_lift_makes_no_goodness_check(monkeypatch):
 
 # sha256 over the trace JSON of every run below, in order; a change means
 # the engine's accepts, rejects, cycles or reports changed
-TRACE_DIGEST = "3dd5dba9f7e4ab5753562479b12175e94bc3c1060182a7fac251eb35b0ea8f11"
+TRACE_DIGEST = "5ee931ce865d077086b760eb9e7464f26ddc4bfa1e1e2f50a97d085b1745d3d0"
 
 
 def test_trace_digest_pinned():

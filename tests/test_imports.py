@@ -2,7 +2,8 @@
 definition in it is used somewhere. No f-string in it lacks a
 placeholder. No module names a map between two vertex id spaces. Cached
 properties are filled from outside their own code at a fixed list of sites.
-The decomposer builds no graph from scratch.
+The decomposer builds no graph from scratch, and only `EdgeColoredGraph.edit`
+builds one without its validating constructor.
 
 No linter ships with the project, so these are stdlib stand-ins for the
 unused-import, dead-code and empty f-string checks. `__init__.py` is
@@ -164,11 +165,10 @@ def test_cache_keys_name_cached_properties():
             for s in stray_cache_keys(text, cached)] == []
 
 
-def cache_fills(source: str) -> list[tuple[str, str]]:
-    """(function, key) for each `X.__dict__[key] = ...` in `source`, sorted.
-    The function of a method is `Class.method`, of module code `<module>`;
-    a key that is not a string constant is given as its source text."""
-    fills = []
+def scoped_nodes(source: str) -> list[tuple[str, ast.AST]]:
+    """(function, node) for each node in `source` below a statement. The
+    function of a method is `Class.method`, of module code `<module>`."""
+    found = []
 
     def visit(node: ast.AST, scope: tuple[str, ...]) -> None:
         for child in ast.iter_child_nodes(node):
@@ -176,18 +176,28 @@ def cache_fills(source: str) -> list[tuple[str, str]]:
                                   ast.ClassDef)):
                 visit(child, scope + (child.name,))
                 continue
-            if isinstance(child, ast.Assign):
-                for target in child.targets:
-                    if (isinstance(target, ast.Subscript)
-                            and isinstance(target.value, ast.Attribute)
-                            and target.value.attr == "__dict__"):
-                        key = target.slice
-                        fills.append((".".join(scope) or "<module>",
-                                      key.value if isinstance(key, ast.Constant)
-                                      else ast.unparse(key)))
+            found.append((".".join(scope) or "<module>", child))
             visit(child, scope)
 
     visit(ast.parse(source), ())
+    return found
+
+
+def cache_fills(source: str) -> list[tuple[str, str]]:
+    """(function, key) for each `X.__dict__[key] = ...` in `source`, sorted,
+    with functions named as `scoped_nodes` names them; a key that is not a
+    string constant is given as its source text."""
+    fills = []
+    for scope, node in scoped_nodes(source):
+        if not isinstance(node, ast.Assign):
+            continue
+        for target in node.targets:
+            if (isinstance(target, ast.Subscript)
+                    and isinstance(target.value, ast.Attribute)
+                    and target.value.attr == "__dict__"):
+                key = target.slice
+                fills.append((scope, key.value if isinstance(key, ast.Constant)
+                               else ast.unparse(key)))
     return sorted(fills)
 
 
@@ -259,6 +269,65 @@ def test_decomposer_builds_no_graph():
     """Every reduction child and peel remainder is an `edit` of its parent;
     the decomposer builds no graph from scratch."""
     assert graph_builds((SRC / "decomposer.py").read_text(), GRAPH_CLASSES) == []
+
+
+def unconstructed_builds(source: str) -> list[tuple[str, str, str]]:
+    """(function, call, first argument) for each call in `source` that can
+    make or set up an object without running its constructor: a call of a
+    `__new__` or `__setattr__` attribute, such as `object.__new__(Graph)`,
+    or of `__dict__.update`. Sorted; functions as `scoped_nodes` names
+    them."""
+    found = []
+    for scope, node in scoped_nodes(source):
+        if not (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)):
+            continue
+        func = node.func
+        if func.attr in ("__new__", "__setattr__") or (
+                func.attr == "update" and isinstance(func.value, ast.Attribute)
+                and func.value.attr == "__dict__"):
+            first = ast.unparse(node.args[0]) if node.args else ""
+            found.append((scope, ast.unparse(func), first))
+    return sorted(found)
+
+
+def test_unconstructed_builds_detects_and_allows():
+    src = ("g = object.__new__(Graph)\n"
+           "class C:\n"
+           "    def __post_init__(self):\n"
+           "        object.__setattr__(self, 'vertices', ())\n"
+           "def f(h):\n"
+           "    h.__dict__.update(n=3)\n"
+           "    Graph.__new__(Graph)\n"
+           "    h.__dict__['adj'] = ()\n"
+           "    h.update(n=3)\n"
+           "    Graph(3, frozenset())\n")
+    assert unconstructed_builds(src) == [
+        ("<module>", "object.__new__", "Graph"),
+        ("C.__post_init__", "object.__setattr__", "self"),
+        ("f", "Graph.__new__", "Graph"),
+        ("f", "h.__dict__.update", "")]
+
+
+# Each call in src/ that makes an object or sets its fields without its
+# constructor. `Cycle` sets its own field to its canonical form; `edit` is
+# the one place that builds a `Graph` and an `EdgeColoredGraph` so, after
+# validating only the edges it adds. A second such path would skip the
+# constructors' checks unseen.
+UNCONSTRUCTED_BUILDS = [
+    ("Cycle.__post_init__", "object.__setattr__", "self"),
+    ("EdgeColoredGraph.edit", "object.__new__", "EdgeColoredGraph"),
+    ("EdgeColoredGraph.edit", "object.__new__", "Graph"),
+    ("EdgeColoredGraph.edit", "object.__setattr__", "child"),
+    ("EdgeColoredGraph.edit", "object.__setattr__", "child"),
+    ("EdgeColoredGraph.edit", "object.__setattr__", "graph"),
+    ("EdgeColoredGraph.edit", "object.__setattr__", "graph"),
+]
+
+
+def test_edit_is_the_only_unconstructed_graph_build():
+    assert sorted(build for p in sorted(SRC.glob("*.py"))
+                  for build in unconstructed_builds(p.read_text())) == \
+        UNCONSTRUCTED_BUILDS
 
 
 def placeholderless_fstrings(source: str) -> list[str]:
