@@ -13,7 +13,6 @@ from .coloring import (
     GoodnessVerdict,
     check_goodness,
     color_classes,
-    find_type_x_vertices,
     parse_colored_edge_list,
     serialize_colored_edge_list,
     x_block_decomposition,
@@ -36,7 +35,6 @@ from .graphs import (
     is_cubic,
     parse_edge_list,
     parse_graph6,
-    serialize_edge_list,
     serialize_graph6,
 )
 from .linegraph import (
@@ -54,7 +52,7 @@ from .oracle import (
     enumerate_cycles,
     random_cubic_bridgeless,
 )
-from .verify import verify_cdc, verify_is_almost_rainbow, verify_rainbow_decomposition
+from .verify import verify_cdc, verify_rainbow_decomposition
 
 __all__ = [
     "CaseFailure",
@@ -81,7 +79,6 @@ __all__ = [
     "fallback_search",
     "find_bridges",
     "find_cycle_all_type2",
-    "find_type_x_vertices",
     "is_cubic",
     "lift_rainbow_cycle",
     "parse_colored_edge_list",
@@ -91,10 +88,8 @@ __all__ = [
     "random_cubic_bridgeless",
     "replay_case_failure",
     "serialize_colored_edge_list",
-    "serialize_edge_list",
     "serialize_graph6",
     "verify_cdc",
-    "verify_is_almost_rainbow",
     "verify_rainbow_decomposition",
     "x_block_decomposition",
 ]

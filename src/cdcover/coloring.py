@@ -41,7 +41,10 @@ lies on two cycles of R, each within one side, so u's two pairs are the
 two cycles' edges at u; neither pair is monochromatic, since a cycle
 repeats a color only at b, which has degree 2. The decomposer verifies a
 batch of cycles that covers its graph this way
-(`decomposer._covering_batch_passes`).
+(`decomposer._covering_batch_passes`). Its output covers the root, so the
+lemma also certifies the whole run in one sweep, and gives each step's
+report without a goodness check: the root's, almost-good at b, while b's
+cycle is left, and good from that cycle on (`decomposer._verified_trace`).
 
 Contracting an edge inside a singular path keeps a good graph good unless it
 closes a two-colored triangle. Let v0 v1 v2 v3 be a path of a good graph on
@@ -455,12 +458,6 @@ def _good_after_removal(g: EdgeColoredGraph, parent: EdgeColoredGraph,
 
 # ---------------------------------------------------------------------------
 # cut structure
-
-
-def find_type_x_vertices(g: EdgeColoredGraph) -> frozenset[int]:
-    """All cut vertices of Type X; requires all degrees even."""
-    _require_even(g)
-    return frozenset(g.type_x_sides)
 
 
 def _require_even(g: EdgeColoredGraph) -> None:

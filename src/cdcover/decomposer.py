@@ -40,17 +40,19 @@ every remainder is good or almost-good as the checks expect (the lemma in
 the coloring module docstring). Any other removal, and any batch the sweep
 cannot prove safe, is checked one cycle at a time by `check_goodness`,
 which derives the remainder's report from the parent's report and the
-removed cycle; a single cycle its case has already checked so is not
-checked again. Both agree with the full check at every step. Any failed
+removed cycle; a cycle its case or the fallback search has checked so is
+not checked again. Both agree with the full check at every step. Any failed
 verification falls back to a shortest-first search for a safely removable
 cycle. If that also fails, the nearest waiting parent runs the search on
 its own graph, and so on outward; past the root the run ends in a
-serializable, replayable CaseFailure instead of an unverified answer.
+serializable, replayable CaseFailure instead of an unverified answer. The
+output covers the root, so one sweep certifies it there, and the lemma
+gives each step's report.
 """
 from __future__ import annotations
 
 from bisect import insort
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable, Collection, Iterable, Iterator, Sequence
 
 from .coloring import (
@@ -829,7 +831,7 @@ def _case2_2_1a_lift(g, rep, p, child, m):
             _require(m not in d1, tag, "three meeting cycles but v-cycle uses x")
             xcycles = [c for c in meeters if c is not d1]
             _require(all(m in c for c in xcycles), tag, "meeting cycle misses x")
-            h, rep_h, out = _apply_batch(g, rep, out)
+            h, rep_h = _apply_batch(g, rep, out)
             last = None
             # detour an x-cycle through v: x2-v-x1, x1 on the gamma side
             detour = _oriented([p.x2, p.v, p.x1], (p.w1, p.z1))
@@ -1066,8 +1068,13 @@ def _case2_2_2d(g: EdgeColoredGraph, p: CasePattern) -> list[tuple[str, Cycle]]:
 
 @dataclass(frozen=True)
 class FallbackResult:
+    """A search's outcome; a found cycle comes with the remainder and report
+    its removal check computed, which `==` ignores."""
+
     status: str  # "found" | "absent" | "indeterminate"
     cycle: Cycle | None = None
+    rest: EdgeColoredGraph | None = field(default=None, compare=False, repr=False)
+    report: GoodnessReport | None = field(default=None, compare=False, repr=False)
 
 
 def _color_pruned_cycles(g: EdgeColoredGraph, length: int,
@@ -1140,7 +1147,8 @@ def fallback_search(g: EdgeColoredGraph, max_len: int | None = None,
     vertex's, or that one twice) can only close into a cycle the removal
     check rejects. Unbounded below 64 edges; above that a length budget
     applies and exhausting it yields "indeterminate" rather than "absent".
-    `rep` is g's goodness report, computed when not given.
+    `rep` is g's goodness report, computed when not given. The engine takes
+    a found cycle's remainder from the result, unchecked again.
     """
     if rep is None:
         rep = check_goodness(g)
@@ -1156,9 +1164,9 @@ def fallback_search(g: EdgeColoredGraph, max_len: int | None = None,
     spare = None if rep.bad_vertex is None else g.colors_at(rep.bad_vertex)[0]
     for length in range(3, min(cap, longest) + 1):
         for cyc in _color_pruned_cycles(g, length, spare):
-            problem, _, _ = _check_removal(g, rep, cyc)
+            problem, rest, rest_rep = _check_removal(g, rep, cyc)
             if problem is None:
-                return FallbackResult("found", cyc)
+                return FallbackResult("found", cyc, rest, rest_rep)
     return FallbackResult("indeterminate" if truncated else "absent")
 
 
@@ -1196,26 +1204,22 @@ def _dispatch(comp: EdgeColoredGraph, rep: GoodnessReport):
 
 def _apply_batch(comp: EdgeColoredGraph, rep: GoodnessReport,
                  batch: list[tuple[str, Cycle]],
-                 ) -> tuple[EdgeColoredGraph, GoodnessReport, list[tuple[str, Cycle]]]:
+                 ) -> tuple[EdgeColoredGraph, GoodnessReport]:
     """Remove the batch's cycles from comp in order, verifying each removal;
-    returns the remainder, its report and the cycles removed. A `_Checked`
-    batch carries its verified remainder. A batch that covers comp is
-    verified in one sweep when that proves every removal safe; otherwise
-    each cycle goes through `_check_removal`, and the first it rejects
-    raises."""
+    returns the remainder and its report. A `_Checked` batch carries its
+    verified remainder. A batch that covers comp is verified in one sweep
+    when that proves every removal safe; otherwise each cycle goes through
+    `_check_removal`, and the first it rejects raises."""
     if isinstance(batch, _Checked):
-        return batch.rest, batch.report, list(batch)
+        return batch.rest, batch.report
     if _covering_batch_passes(comp, rep, batch):
-        return comp.restrict_edges(()), _GOOD, list(batch)
+        return comp.restrict_edges(()), _GOOD
     h, r = comp, rep
-    applied: list[tuple[str, Cycle]] = []
     for tag, cyc in batch:
-        problem, h2, r2 = _check_removal(h, r, cyc)
+        problem, h, r = _check_removal(h, r, cyc)
         if problem is not None:
             raise CaseVerificationError(tag, problem, cyc)
-        h, r = h2, r2
-        applied.append((tag, cyc))
-    return h, r, applied
+    return h, r
 
 
 @dataclass
@@ -1260,8 +1264,8 @@ def _advance(stack: list[_Frame]) -> None:
         batch = step
     if not batch:
         raise CaseVerificationError("Engine", "case produced no cycles")
-    fr.graph, fr.rep, applied = _apply_batch(fr.graph, fr.rep, batch)
-    fr.out.extend(applied)
+    fr.graph, fr.rep = _apply_batch(fr.graph, fr.rep, batch)
+    fr.out.extend(batch)
 
 
 def _recover(stack: list[_Frame], err: CaseVerificationError | _EngineFailure,
@@ -1271,8 +1275,9 @@ def _recover(stack: list[_Frame], err: CaseVerificationError | _EngineFailure,
     A CaseVerificationError is the top frame's own; an _EngineFailure
     unwinds past the frames above the nearest frame waiting on a reduction,
     which drops the reduction. The frame that takes the failure runs the
-    fallback on its own graph; if that fails too, its own failure unwinds in
-    turn, and past the root it ends the run.
+    fallback on its own graph, removing the cycle it finds as checked; if it
+    finds none, its own failure unwinds in turn, and past the root it ends
+    the run.
     """
     while True:
         if isinstance(err, _EngineFailure):
@@ -1283,67 +1288,59 @@ def _recover(stack: list[_Frame], err: CaseVerificationError | _EngineFailure,
                 raise err
             stack[-1].pending = None
         fr = stack[-1]
-        detail = str(err)
         fb = fallback_search(fr.graph, max_len=fallback_max_len, rep=fr.rep)
         if fb.status == "found":
-            try:
-                fr.graph, fr.rep, applied = _apply_batch(
-                    fr.graph, fr.rep, [(FALLBACK, fb.cycle)])
-                fr.out.extend(applied)
-                return
-            except CaseVerificationError as err2:
-                detail = f"{detail}; fallback cycle failed too: {err2}"
+            fr.graph, fr.rep = fb.rest, fb.report
+            fr.out.append((FALLBACK, fb.cycle))
+            return
         err = _EngineFailure(
             err.case, fr.graph,
-            f"case failed ({detail}); fallback search returned {fb.status}",
+            f"case failed ({err}); fallback search returned {fb.status}",
             err.cycle, fr.rep)
 
 
-def _verified_trace(g: EdgeColoredGraph,
+def _verified_trace(root: EdgeColoredGraph, rep: GoodnessReport,
                     tagged: list[tuple[str, Cycle]]) -> DecompositionTrace:
-    """Replay the removals from scratch, recording per-step goodness."""
-    steps: list[TraceStep] = []
-    h = g
-    rep = check_goodness(h)
-    for tag, cyc in tagged:
-        problem, h2, rep2 = _check_removal(h, rep, cyc)
-        if problem is not None:
-            failure = CaseFailure(tag, serialize_colored_edge_list(h),
-                                  f"replay verification failed: {problem}",
-                                  cyc, rep)
-            return DecompositionTrace(tuple(steps), None, failure)
-        steps.append(TraceStep(tag, cyc, rep2))
-        h, rep = h2, rep2
-    if h.edges:
-        failure = CaseFailure("Engine", serialize_colored_edge_list(h),
-                              "cycles do not cover every edge", None, rep)
-        return DecompositionTrace(tuple(steps), None, failure)
-    cycles = [c for _, c in tagged]
-    almost = [c for c in cycles
-              if len({g.coloring[e] for e in c.edges}) != len(c.edges)]
-    ordered = almost + [c for c in cycles if c not in almost]
-    return DecompositionTrace(tuple(steps), tuple(ordered), None)
+    """Certify `tagged` on `root`, whose report is `rep`, by `_apply_batch`:
+    its covering sweep proves every removal, or its per-cycle checks name the
+    first cycle that fails. By the covering lemma in the coloring module
+    docstring, each step leaves a graph almost-good at the bad vertex b, with
+    report `rep`, while b's cycle is left, and good from that cycle on; b's
+    cycle is listed first in `cycles`. A failure raises with `root`, `rep`."""
+    try:
+        rest, _ = _apply_batch(root, rep, tagged)
+    except CaseVerificationError as err:
+        raise _EngineFailure(err.case, root, f"replay verification failed: {err}",
+                             err.cycle, rep) from err
+    if rest.edges:
+        raise _EngineFailure("Engine", root, "cycles do not cover every edge", None, rep)
+    at = next((i for i, (_, c) in enumerate(tagged) if rep.bad_vertex in c),
+              len(tagged))
+    steps = tuple(TraceStep(tag, cyc, rep if i < at else _GOOD)
+                  for i, (tag, cyc) in enumerate(tagged))
+    ordered = tagged[at:at + 1] + tagged[:at] + tagged[at + 1:]
+    return DecompositionTrace(steps, tuple(c for _, c in ordered), None)
 
 
-def _run(root: EdgeColoredGraph, g: EdgeColoredGraph, rep: GoodnessReport,
-         out: list[tuple[str, Cycle]],
+def _run(root: EdgeColoredGraph, rep: GoodnessReport, top: _Frame,
          fallback_max_len: int | None) -> DecompositionTrace:
-    """Peel g (with report `rep`) onto `out` in one loop over a stack of
-    frames, then replay `out` on `root`; a failure that unwinds past the
-    root becomes the trace's CaseFailure."""
-    stack = [_Frame(g, rep, out)]
+    """Peel the top frame's graph onto its list in one loop over a stack of
+    frames, then certify the list on `root`, whose report is `rep`; a failure
+    that unwinds past the top frame, or of the certificate, becomes the
+    trace's CaseFailure."""
+    stack = [top]
     try:
         while stack:
             try:
                 _advance(stack)
             except (CaseVerificationError, _EngineFailure) as err:
                 _recover(stack, err, fallback_max_len)
+        return _verified_trace(root, rep, top.out)
     except _EngineFailure as f:
         return DecompositionTrace(
             (), None,
             CaseFailure(f.case, serialize_colored_edge_list(f.graph),
                         f.message, f.cycle, f.report))
-    return _verified_trace(root, out)
 
 
 def decompose(g: EdgeColoredGraph,
@@ -1360,7 +1357,7 @@ def decompose(g: EdgeColoredGraph,
         raise DecomposeError(
             f"input is {rep.verdict.value}: "
             f"{[v.to_json() for v in rep.violations][:4]}")
-    return _run(g, g, rep, [], fallback_max_len)
+    return _run(g, rep, _Frame(g, rep, []), fallback_max_len)
 
 
 def decompose_goddyn(clg: ColoredLineGraph, first: Cycle,
@@ -1385,7 +1382,8 @@ def decompose_goddyn(clg: ColoredLineGraph, first: Cycle,
             (), None,
             CaseFailure(ALL_TYPE_II, serialize_colored_edge_list(L),
                         f"prescribed cycle removal failed: {problem}", proj, rep))
-    return _run(L, h, hrep, [(ALL_TYPE_II, proj)], fallback_max_len)
+    return _run(L, rep, _Frame(h, hrep, [(ALL_TYPE_II, proj)]),
+                fallback_max_len)
 
 
 def replay_case_failure(failure: CaseFailure,

@@ -333,9 +333,3 @@ def parse_edge_list(text: str) -> Graph:
         bad = next(e for e in pairs if max(e) >= n)
         raise GraphError(f"edge {bad} out of range for declared n={n}")
     return Graph(n, frozenset(pairs))
-
-
-def serialize_edge_list(g: Graph) -> str:
-    lines = [f"n {g.n}"]
-    lines.extend(f"{u} {v}" for u, v in sorted(g.edges))
-    return "\n".join(lines) + "\n"

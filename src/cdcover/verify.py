@@ -74,21 +74,6 @@ def _color_runs(g: EdgeColoredGraph, vs: list) -> list[int]:
             for i in range(len(vs))]
 
 
-def verify_is_almost_rainbow(g: EdgeColoredGraph, c) -> bool:
-    """Exactly one color appears twice, on two cyclically consecutive edges."""
-    vs = _cycle_vertices(c)
-    if vs is None or _cycle_problem(g.graph, vs):
-        raise ValueError(f"not a cycle of the colored graph: {c!r}")
-    cols = _color_runs(g, vs)
-    if len(set(cols)) != len(cols) - 1:
-        return False
-    k = len(cols)
-    for i in range(k):
-        if cols[i] == cols[(i + 1) % k]:
-            return True
-    return False
-
-
 def _find_bad_vertex(g: EdgeColoredGraph) -> int | None:
     """The unique degree-2, color-degree-1 vertex, recomputed from scratch."""
     incident: dict[int, list[int]] = {}

@@ -12,6 +12,8 @@ reference reduction builder, `build_transform_by_scan`, rebuilds the child
 from a scan over every parent edge, and raises the engine's error type;
 `case2_1_run_by_scan` repeats its one-edge contraction with full checks
 and fresh scans, as the engine's Case2_1 runs do with derived facts.
+`find_type_x_vertices` and `serialize_edge_list` are plain helpers that
+only tests call, kept here rather than in the package's API.
 """
 from __future__ import annotations
 
@@ -22,6 +24,7 @@ from cdcover.coloring import (
     GoodnessReport,
     GoodnessVerdict,
     XBlockDecomposition,
+    _require_even,
     check_goodness,
 )
 from cdcover.decomposer import CaseVerificationError, FallbackResult, _check_removal
@@ -300,6 +303,20 @@ def connected_ignoring_isolated(n: int, edges) -> bool:
                 seen.add(b)
                 stack.append(b)
     return all(v in seen for v in live)
+
+
+def find_type_x_vertices(g: EdgeColoredGraph) -> frozenset[int]:
+    """The Type X cut vertices from the graph's own Type X search, after the
+    even-degree check the x-blocks make; an accessor, not an oracle."""
+    _require_even(g)
+    return frozenset(g.type_x_sides)
+
+
+def serialize_edge_list(g: Graph) -> str:
+    """g in the `n N` / `u v` text that `parse_edge_list` reads."""
+    lines = [f"n {g.n}"]
+    lines.extend(f"{u} {v}" for u, v in sorted(g.edges))
+    return "\n".join(lines) + "\n"
 
 
 # ---------------------------------------------------------------------------

@@ -12,7 +12,7 @@ import pytest
 
 import cdcover.decomposer as D
 from cdcover.cli import main as cli_main
-from cdcover.coloring import check_goodness, find_type_x_vertices, triangles
+from cdcover.coloring import check_goodness, triangles
 from cdcover.decomposer import decompose, decompose_goddyn, replay_case_failure
 from cdcover.graphs import Cycle, find_bridges, serialize_graph6
 from cdcover.linegraph import build_line_graph, cover_from_decomposition
@@ -40,6 +40,7 @@ from oracles import (
     IsoDeduper,
     connected_ignoring_isolated,
     enumerate_rainbow_cycles,
+    find_type_x_vertices,
     naive_goodness,
     type_x_by_pseudoblock_splits,
 )

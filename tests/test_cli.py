@@ -3,9 +3,10 @@ import json
 import pytest
 
 from cdcover.cli import main
-from cdcover.graphs import parse_graph6, serialize_graph6, serialize_edge_list
+from cdcover.graphs import parse_graph6, serialize_graph6
 from cdcover.verify import verify_cdc
 from graphsamples import bridged_cubic_10, k4, petersen
+from oracles import serialize_edge_list
 
 
 @pytest.fixture

@@ -10,7 +10,6 @@ from cdcover.coloring import (
     GoodnessVerdict,
     check_goodness,
     color_classes,
-    find_type_x_vertices,
     parse_colored_edge_list,
     serialize_colored_edge_list,
     split_components,
@@ -34,7 +33,12 @@ from graphsamples import (
     square_chain,
     two_squares_type_x,
 )
-from oracles import naive_goodness, type_x_by_pseudoblock_splits, x_blocks_by_definition
+from oracles import (
+    find_type_x_vertices,
+    naive_goodness,
+    type_x_by_pseudoblock_splits,
+    x_blocks_by_definition,
+)
 
 
 def test_color_classes_rainbow_c4():

@@ -17,6 +17,7 @@ from cdcover.coloring import (
     GoodnessVerdict,
     check_goodness,
     parse_colored_edge_list,
+    serialize_colored_edge_list,
 )
 from cdcover.decomposer import (
     CaseVerificationError,
@@ -133,16 +134,31 @@ def test_trace_json_shape():
 
 
 def test_prefix_goodness_replay():
-    """Removing the trace's cycles in order keeps every prefix good."""
-    for g in (build_line_graph(k33()).lg, build_line_graph(petersen()).lg,
-              case1_1_host()):
+    """Removing the trace's cycles in order leaves, after each step, a graph
+    whose full goodness report is the step's: the reports the root
+    certificate derives from the covering lemma, on good line graphs and
+    on almost-good roots, whose bad vertex's cycle is listed first."""
+    good, almost = _dispatched_graphs()
+    lines = [build_line_graph(random_cubic_bridgeless(GeneratorConfig(n, seed))).lg
+             for n in range(10, 21, 2) for seed in range(6)]
+    roots = [build_line_graph(k33()).lg, build_line_graph(petersen()).lg,
+             *lines, case1_1_host(), *almost]
+    verdicts, steps = [], 0
+    for g in roots:
+        rep = check_goodness(g)
         tr = decompose(g)
+        assert tr.success
+        if rep.bad_vertex is not None:
+            assert rep.bad_vertex in tr.cycles[0]
         h = g
         for step in tr.steps:
             h = h.remove_cycle(step.cycle)
-            rep = check_goodness(h)
-            assert rep.ok
-            assert rep.verdict == step.goodness.verdict
+            assert check_goodness(h) == step.goodness
+        assert not h.edges
+        verdicts.append(rep.verdict)
+        steps += len(tr.steps)
+    assert verdicts.count(GoodnessVerdict.ALMOST_GOOD) > 30
+    assert verdicts.count(GoodnessVerdict.GOOD) == 38 and steps > 500
 
 
 # ---------------------------------------------------------------------------
@@ -800,32 +816,104 @@ def test_reduction_child_keeps_parent_ids(monkeypatch):
                 assert g.coloring.get(e) == c, (name, e)
 
 
-@pytest.mark.parametrize("tag", ["Case2_2_1b", "Case2_2_2a"])
+@pytest.mark.parametrize("tag", ["Case2_2_1b", "Case2_2_2a", "Fallback"])
 def test_single_cycle_step_is_checked_once(monkeypatch, tag):
     """The cycle a case checks before it returns it, the Case2_2_2a
-    rectangle or the Case2_2_1b detour, is not checked again when the
-    engine removes it."""
-    checked = []
+    rectangle or the Case2_2_1b detour, and the cycle a fallback search
+    finds meet `_check_removal` once on the graph they are removed from:
+    inside the case or the search, and not again when the engine removes
+    them."""
+    checked = []  # (graph, cycle) of every removal check
     real_check = D._check_removal
-    monkeypatch.setattr(D, "_check_removal",
-                        lambda h, r, c: checked.append(c) or real_check(h, r, c))
-    steps = []  # (cycle, removal checks while removing it)
-    real_apply = D._apply_batch
+    monkeypatch.setattr(D, "_check_removal", lambda h, r, c: (
+        checked.append((h, c)) or real_check(h, r, c)))
+    steps = []  # (graph, cycle, the checks made before the engine removes it)
+    real_apply, real_fallback = D._apply_batch, D.fallback_search
 
     def apply(comp, rep, batch):
-        before = len(checked)
-        out = real_apply(comp, rep, batch)
         if [t for t, _ in batch] == [tag]:
-            steps.append((batch[0][1], len(checked) - before))
-        return out
+            steps.append((comp, batch[0][1], len(checked)))
+        return real_apply(comp, rep, batch)
+
+    def fallback(g, max_len=None, rep=None):
+        res = real_fallback(g, max_len, rep)
+        if tag == "Fallback" and res.status == "found":
+            steps.append((g, res.cycle, len(checked)))
+        return res
 
     monkeypatch.setattr(D, "_apply_batch", apply)
+    monkeypatch.setattr(D, "fallback_search", fallback)
     n, seed = CASE_RECIPES[tag]
     assert decompose(build_line_graph(
         random_cubic_bridgeless(GeneratorConfig(n, seed))).lg).success
     assert steps
-    for cyc, checks in steps:
-        assert checks == 0 and cyc in checked
+    for g, cyc, before in steps:
+        on_g = [i for i, (h, c) in enumerate(checked) if h is g and c == cyc]
+        assert len(on_g) == 1 and on_g[0] < before
+
+
+def test_root_certificate_makes_no_goodness_check_or_edit(monkeypatch):
+    """`_verified_trace` certifies the engine's output on the root by the
+    covering sweep alone, for decompose and decompose_goddyn, on good and
+    almost-good roots."""
+    calls = []
+    real_check, real_edit = D.check_goodness, EdgeColoredGraph.edit
+    monkeypatch.setattr(D, "check_goodness", lambda *a, **k: (
+        calls.append("check_goodness") or real_check(*a, **k)))
+    monkeypatch.setattr(EdgeColoredGraph, "edit", lambda self, *a, **k: (
+        calls.append("edit") or real_edit(self, *a, **k)))
+    made = []  # (trace, calls made while certifying it)
+    real_trace = D._verified_trace
+
+    def traced(root, rep, tagged):
+        before = len(calls)
+        tr = real_trace(root, rep, tagged)
+        made.append((tr, calls[before:]))
+        return tr
+
+    monkeypatch.setattr(D, "_verified_trace", traced)
+    clg = build_line_graph(petersen())
+    decompose_goddyn(clg, Cycle((0, 1, 2, 3, 4)))
+    for g in (clg.lg, case1_1_host(), *(
+            build_line_graph(random_cubic_bridgeless(GeneratorConfig(n, 0))).lg
+            for n in (12, 16, 20))):
+        decompose(g)
+    assert len(made) == 6 and calls
+    assert all(tr.success and not certified for tr, certified in made)
+
+
+@pytest.mark.parametrize("change", ["drop", "repeat"])
+@pytest.mark.parametrize("name", ["L(K33)", "Case1_1 host"])
+def test_uncertified_output_is_refused(monkeypatch, change, name):
+    """An engine output that misses a cycle, or repeats one, fails the root
+    certificate: the trace is a CaseFailure that carries the root graph and
+    its report, and replays through the same failure, and decomposes once
+    the defect is gone."""
+    g = {"L(K33)": build_line_graph(k33()).lg, "Case1_1 host": case1_1_host()}[name]
+    real = D._verified_trace
+
+    def broken(root, rep, tagged):
+        return real(root, rep, tagged[1:] if change == "drop" else tagged + tagged[:1])
+
+    monkeypatch.setattr(D, "_verified_trace", broken)
+    tr = decompose(g)
+    assert not tr.success and tr.steps == () and tr.cycles is None
+    f = tr.failure
+    assert f.graph_text == serialize_colored_edge_list(g)
+    assert parse_colored_edge_list(f.graph_text).graph == g.graph
+    assert f.goodness == check_goodness(g)
+    if change == "drop":
+        assert (f.case, f.cycle) == ("Engine", None)
+        assert f.message == "cycles do not cover every edge"
+    else:
+        assert f.cycle is not None and f.case in D.CASE_TAGS
+        assert f.message.endswith("is not a cycle of the current graph")
+    # parsing renumbers the colors, so the replay is compared without its text
+    again = replay_case_failure(f).failure
+    assert (again.case, again.message, again.cycle, again.goodness) == (
+        f.case, f.message, f.cycle, f.goodness)
+    monkeypatch.undo()
+    assert replay_case_failure(f).success
 
 
 def test_three_meeter_lift_is_checked_once(monkeypatch):
@@ -899,6 +987,7 @@ CASE_RECIPES = {
     "Case2_2_2a": (10, 1),
     "Case2_2_2b": (14, 4),
     "Case2_2_2c": (14, 0),
+    "Fallback": (16, 2),
 }
 
 
@@ -1254,10 +1343,9 @@ def _one_at_a_time(g, rep, batch):
 
 def _applied(g, rep, batch):
     try:
-        h, r, applied = D._apply_batch(g, rep, list(batch))
+        h, r = D._apply_batch(g, rep, list(batch))
     except CaseVerificationError as err:
         return "reject", str(err), err.case, err.cycle
-    assert applied == list(batch)
     return "accept", h.edges, r
 
 

@@ -12,11 +12,10 @@ from cdcover.graphs import (
     is_cubic,
     parse_edge_list,
     parse_graph6,
-    serialize_edge_list,
     serialize_graph6,
 )
 from graphsamples import k4, k33, petersen, prism
-from oracles import x_blocks_by_definition
+from oracles import serialize_edge_list, x_blocks_by_definition
 
 
 def test_parse_graph6_k4():

@@ -3,13 +3,17 @@ definition in it is used somewhere. No f-string in it lacks a
 placeholder. No module names a map between two vertex id spaces. Cached
 properties are filled from outside their own code at a fixed list of sites.
 The decomposer builds no graph from scratch, and only `EdgeColoredGraph.edit`
-builds one without its validating constructor.
+builds one without its validating constructor. Every layer the benchmark's
+tracer wraps still exists under the name it wraps.
 
 No linter ships with the project, so these are stdlib stand-ins for the
 unused-import, dead-code and empty f-string checks. `__init__.py` is
 exempt from the first: its imports are re-exports.
 """
 import ast
+import importlib
+import importlib.util
+import sys
 from collections import Counter
 from pathlib import Path
 
@@ -404,3 +408,32 @@ def test_named_identifiers_detects_and_allows():
                          ids=[p.name for p in sorted(SRC.glob("*.py"))])
 def test_no_vertex_id_maps(path):
     assert named_identifiers(path.read_text(), ID_MAP_NAMES) == []
+
+
+def test_bench_tracer_wraps_existing_layers(monkeypatch):
+    """Every (module, attr) that `perfbench/run.py` wraps for its per-layer
+    metrics exists, except `decomposer.enumerate_cycles`, which the
+    decomposer no longer imports since it stopped using the oracle. A
+    renamed layer would otherwise read 0 in those metrics, with no error."""
+    bench = ROOT / "perfbench"
+    monkeypatch.syspath_prepend(str(bench))
+    monkeypatch.setitem(sys.modules, "op", importlib.import_module("op"))
+    spec = importlib.util.spec_from_file_location("perfbench_run", bench / "run.py")
+    run = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, spec.name, run)
+    spec.loader.exec_module(run)
+
+    class Recorder:
+        def __init__(self):
+            self.wrapped = []
+
+        def wrap(self, module, attr, name, count=None):
+            self.wrapped.append((module.__name__, attr, hasattr(module, attr)))
+
+    tracer = Recorder()
+    run.install_spans(tracer)
+    assert [(m, a) for m, a, present in tracer.wrapped if not present] == [
+        ("cdcover.decomposer", "enumerate_cycles")]
+    assert {("cdcover.decomposer", "_verified_trace", True),
+            ("cdcover.decomposer", "fallback_search", True),
+            ("cdcover.decomposer", "check_goodness", True)} <= set(tracer.wrapped)

@@ -1,12 +1,7 @@
 import pytest
 
 from cdcover.graphs import Cycle
-from cdcover.verify import (
-    verify_cdc,
-    verify_is_almost_rainbow,
-    verify_rainbow_decomposition,
-)
-from cdcover.coloring import EdgeColoredGraph
+from cdcover.verify import verify_cdc, verify_rainbow_decomposition
 from cdcover.linegraph import build_line_graph
 from cdcover.oracle import brute_force_rainbow_decomposition
 from graphsamples import almost_good_c4, k4, rainbow_c4
@@ -47,20 +42,6 @@ def test_verify_cdc_rejects_boolean_vertices():
 
 def test_verify_cdc_accepts_raw_vertex_lists():
     assert verify_cdc(k4(), [list(c.vertices) for c in TRIANGLES]).accepted
-
-
-def test_verify_is_almost_rainbow():
-    g = almost_good_c4()
-    assert verify_is_almost_rainbow(g, Cycle((0, 1, 2, 3)))
-    abab = EdgeColoredGraph.from_triples(4, [(0, 1, 0), (1, 2, 1), (2, 3, 0),
-                                             (0, 3, 1)])
-    assert not verify_is_almost_rainbow(abab, Cycle((0, 1, 2, 3)))
-    assert not verify_is_almost_rainbow(rainbow_c4(), Cycle((0, 1, 2, 3)))
-
-
-def test_verify_is_almost_rainbow_rejects_non_cycle():
-    with pytest.raises(ValueError):
-        verify_is_almost_rainbow(rainbow_c4(), Cycle((0, 1, 9)))
 
 
 def test_verify_rainbow_decomposition_l_k4():
