@@ -19,32 +19,40 @@ one DFS tree at the least vertex of each edge-bearing component, so the
 trees' vertex sets are the components, in order of least vertex; one search
 (`_cut_search`) gives both, and the graph caches both.
 
-Conditions 1, 2, 3 and 5 are hereditary under removing a cycle C: degrees
-fall by 2 at the vertices of C and stay even and at most 4, and triangles
-and the vertex spans of color classes only shrink. So the remainder of a
-good or almost-good graph needs condition 4 re-checked only at the vertices
-of C, and condition 6 from one DFS; `check_goodness(g, after=...)` does that.
+Conditions 1, 2, 3 and 5 are hereditary under removing edge-disjoint
+cycles: degrees fall by 2 at a vertex per cycle through it and stay even
+and at most 4, and triangles and the vertex spans of color classes only
+shrink. So the remainder of a good or almost-good graph needs condition 4
+re-checked only at the cycles' vertices, and condition 6 from one DFS;
+`check_goodness(g, after=...)` does that.
 
 A remainder's components come from its own Type X search, which its
 goodness check runs.
 
-A split into rainbow cycles can be removed in any order. Let a good or
-almost-good graph be split into edge-disjoint cycles, all rainbow except,
-on an almost-good graph, the one through the bad vertex b, which repeats
-one color, on its two edges at b. What is left after removing any of them
-is the union R of the others, and R is almost-good at b while b's cycle is
-in it, and good once it is not. Conditions 1, 2, 3 and 5 are hereditary. A
-vertex of degree 4 in R keeps all its edges and so its two colors; one of
-degree 2 lies on one cycle of R and sees that cycle's two colors there,
-which differ except at b. For condition 6, a degree-4 cut vertex u of R
-lies on two cycles of R, each within one side, so u's two pairs are the
-two cycles' edges at u; neither pair is monochromatic, since a cycle
-repeats a color only at b, which has degree 2. The decomposer verifies a
-batch of cycles that covers its graph this way
-(`decomposer._covering_batch_passes`). Its output covers the root, so the
-lemma also certifies the whole run in one sweep, and gives each step's
-report without a goodness check: the root's, almost-good at b, while b's
-cycle is left, and good from that cycle on (`decomposer._verified_trace`).
+The removal lemma checks a batch of cycles by what it leaves. Let H be
+good, or almost-good at b, and C1, ..., Ck edge-disjoint cycles of H, all
+rainbow except at most one, almost-rainbow at b: one color repeated, on
+its two edges at b. Let H_i be H minus C1, ..., Ci, and call it right when
+it is good, if H is good or b's cycle is among C1, ..., Ci, and
+almost-good otherwise. If R = H_k is right, so is every H_i. Conditions
+1, 2, 3 and 5 are hereditary. A degree-4 vertex of H_i has all its edges
+of H, so two colors. A degree-2 one has both edges in R, where it sees two
+colors or is b, or on one later cycle, whose colors there differ except
+at b. A degree-4 cut vertex u of H_i with its four edges in R is a cut
+vertex of R with the same pairs, R being a subgraph, so not Type X; else a
+later cycle runs through u within one side, so that side's pair is the
+cycle's two edges at u, which differ in color, as b has degree 2. So H_i
+is good or almost-good at b, and b sees one color exactly while its edges
+are in H_i: H_i is right. Conversely, checking one cycle at a time ends
+in R. So one sweep that types the cycles, with the bad vertex b until its
+cycle, and one check that R is right accept exactly the batches that
+per-cycle checks accept (`decomposer._check_removal`). A batch that
+covers H leaves R empty, which is right, since b's cycle is then in the
+batch, so it needs no goodness check. The engine's output covers the
+root, so the lemma certifies the whole run in one sweep and gives each
+step's report without a goodness check: the root's, almost-good at b,
+while b's cycle is left, and good from that cycle on
+(`decomposer._verified_trace`).
 
 Contracting an edge inside a singular path keeps a good graph good unless it
 closes a two-colored triangle. Let v0 v1 v2 v3 be a path of a good graph on
@@ -106,7 +114,7 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterable, Mapping
+from typing import Iterable, Mapping, Sequence
 
 from .graphs import Cycle, Edge, Graph, check_edge, edge
 
@@ -201,10 +209,6 @@ class EdgeColoredGraph:
         object.__setattr__(child, "graph", graph)
         object.__setattr__(child, "coloring", coloring)
         return child
-
-    def remove_cycle(self, c: Cycle) -> "EdgeColoredGraph":
-        """This graph minus the edges of c, which must all be present."""
-        return self.edit(drop=c.edges)
 
     def restrict_edges(self, keep: Iterable[Edge]) -> "EdgeColoredGraph":
         kept = {edge(*e) for e in keep}
@@ -353,7 +357,8 @@ def triangles(g: Graph) -> list[tuple[int, int, int]]:
 
 
 def check_goodness(g: EdgeColoredGraph,
-                   after: tuple[EdgeColoredGraph, GoodnessReport, Cycle] | None = None,
+                   after: tuple[EdgeColoredGraph, GoodnessReport, Sequence[Cycle]]
+                   | None = None,
                    ) -> GoodnessReport:
     """Evaluate all six goodness conditions; failures are data, not errors.
 
@@ -362,13 +367,13 @@ def check_goodness(g: EdgeColoredGraph,
     takes one lowpoint DFS. For the degrees a good graph allows, the whole
     check is linear in the size of the graph.
 
-    `after=(parent, parent_report, cycle)` states that g is parent minus the
-    edges of cycle and that parent_report is parent's report. When that
-    report is good or almost-good, conditions 1, 2, 3 and 5 still hold (see
-    the module docstring), so only condition 4 at the cycle's vertices and
-    condition 6 are checked. A not-good outcome, or a not-good parent, is
-    left to the full sweep, so the report is always the one the full sweep
-    gives.
+    `after=(parent, parent_report, cycles)` states that g is parent minus
+    the edges of `cycles`, which are edge-disjoint, and that parent_report
+    is parent's report. When that report is good or almost-good, conditions
+    1, 2, 3 and 5 still hold (see the module docstring), so only condition 4
+    at the cycles' vertices and condition 6 are checked. A not-good outcome,
+    or a not-good parent, is left to the full sweep, so the report is always
+    the one the full sweep gives.
     """
     if after is not None:
         rep = _good_after_removal(g, *after)
@@ -427,26 +432,30 @@ def check_goodness(g: EdgeColoredGraph,
 
 
 def _good_after_removal(g: EdgeColoredGraph, parent: EdgeColoredGraph,
-                        prep: GoodnessReport, c: Cycle) -> GoodnessReport | None:
-    """g's report when g = parent - c is good or almost-good, else None.
+                        prep: GoodnessReport, cycles: Sequence[Cycle],
+                        ) -> GoodnessReport | None:
+    """g's report when g, parent minus the edge-disjoint `cycles`, is good
+    or almost-good, else None.
 
-    Costs O(|C|) plus one Type X search. None (the full sweep decides) when
-    parent is not good or almost-good, or when g is not.
+    Costs O(sum |C|) plus one Type X search. None (the full sweep decides)
+    when parent is not good or almost-good, or when g is not.
     """
     if not prep.ok:
         return None
-    if g.n != parent.n or len(g.edges) != len(parent.edges) - len(c):
-        raise ColoredGraphError(f"graph is not its parent minus cycle {c.vertices}")
+    if g.n != parent.n or len(g.edges) != len(parent.edges) - sum(map(len, cycles)):
+        raise ColoredGraphError(f"graph is not its parent minus the cycles "
+                                f"{[c.vertices for c in cycles]}")
     adj = g.graph.adj
     coloring = g.coloring
-    # off the cycle nothing changed, so the parent's bad vertex stays bad
-    bad = [] if prep.bad_vertex is None or prep.bad_vertex in c else [prep.bad_vertex]
-    for v in c.vertices:
+    # off the cycles nothing changed, so the parent's bad vertex stays bad
+    b = prep.bad_vertex
+    bad = [] if b is None or any(b in c for c in cycles) else [b]
+    for v in (v for c in cycles for v in c.vertices):
         nbrs = adj[v]
-        # degree 4 fell to 2 or degree 2 to 0; two edges, one or two colors
+        # each cycle took two edges; two left show one or two colors
         if nbrs:
-            a, b = nbrs
-            if coloring[edge(v, a)] == coloring[edge(v, b)]:
+            x, y = nbrs
+            if coloring[edge(v, x)] == coloring[edge(v, y)]:
                 bad.append(v)
     if len(bad) > 1 or g.type_x_sides:
         return None

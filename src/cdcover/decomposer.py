@@ -31,20 +31,15 @@ next dispatch would pick another case: the run has one child, one lift
 and one verification of its lifted cycles. The engine is one loop over an
 explicit stack of frames: a reduction's child is peeled on a frame above
 its waiting parent, so the depth of the reduction tree costs no Python
-recursion. Every lifted cycle, like every other removal, is re-verified
-against the parent: rainbow typing plus the goodness report of the
-remainder. A batch of cycles that covers its graph, as a lift or a base
-cycle does, is verified in one linear sweep: when its cycles are
-edge-disjoint and rainbow except one almost-rainbow at the bad vertex,
-every remainder is good or almost-good as the checks expect (the lemma in
-the coloring module docstring). Any other removal, and any batch the sweep
-cannot prove safe, is checked one cycle at a time by `check_goodness`,
-which derives the remainder's report from the parent's report and the
-removed cycle; a cycle its case or the fallback search has checked so is
-not checked again. Both agree with the full check at every step. Any failed
-verification falls back to a shortest-first search for a safely removable
-cycle. If that also fails, the nearest waiting parent runs the search on
-its own graph, and so on outward; past the root the run ends in a
+recursion. Every removal, a lift's batch like any other, is verified by
+`_check_removal`: one linear sweep types the batch's cycles, and one
+incremental `check_goodness` checks what the batch leaves, or none when it
+leaves nothing. By the removal lemma in the coloring module docstring, this
+accepts exactly the batches whose cycles pass the checks one at a time. A
+batch its case or the fallback search has checked so is not checked again.
+Any failed verification falls back to a shortest-first search for a safely
+removable cycle. If that also fails, the nearest waiting parent runs the
+search on its own graph, and so on outward; past the root the run ends in a
 serializable, replayable CaseFailure instead of an unverified answer. The
 output covers the root, so one sweep certifies it there, and the lemma
 gives each step's report.
@@ -372,35 +367,58 @@ def _all_type2(g: EdgeColoredGraph) -> bool:
     return True
 
 
-def _check_removal(h: EdgeColoredGraph, rep: GoodnessReport, cyc: Cycle,
-                   ) -> tuple[str | None, EdgeColoredGraph | None, GoodnessReport | None]:
-    """Validate one peel: cycle present, rainbow typing, goodness preserved.
-    `rep` is h's goodness report."""
-    if not cyc.is_cycle_of(h.graph):
-        return f"cycle {cyc.vertices} is not a cycle of the current graph", None, None
-    cols = [h.coloring[e] for e in cyc.edges]
-    rainbow = len(set(cols)) == len(cols)
+def _check_removal(h: EdgeColoredGraph, rep: GoodnessReport,
+                   batch: Sequence[tuple[str, Cycle]],
+                   ) -> tuple[str | None, tuple[str, Cycle] | None,
+                              EdgeColoredGraph | None, GoodnessReport | None]:
+    """Validate removing a batch [(tag, cycle), ...] from h, whose report
+    is `rep`: (problem, culprit, remainder, its report), with the problem
+    and its (tag, cycle) None on success, the remainder and report None on
+    failure.
+
+    One sweep types the cycles in order: each edge is in h and in no
+    earlier cycle, and each cycle is rainbow, but one may be almost-rainbow
+    at the bad vertex; the first that fails is the culprit. Then one check
+    of what the batch leaves, none if it leaves nothing: by the removal
+    lemma in the coloring module docstring, this accepts exactly what
+    checking one cycle at a time accepts. If that check fails, the batch's
+    last cycle is the culprit.
+    """
+    coloring = h.coloring
+    bad = rep.bad_vertex
     almost = False
-    if not rainbow:
-        if (rep.bad_vertex is None or rep.bad_vertex not in cyc
-                or not is_almost_rainbow_at(h, cyc, rep.bad_vertex)):
-            return (f"cycle {cyc.vertices} is neither rainbow nor "
-                    f"almost-rainbow at the bad vertex"), None, None
-        almost = True
-    h2 = h.remove_cycle(cyc)
-    rep2 = check_goodness(h2, after=(h, rep, cyc))
+    seen: set[Edge] = set()
+    for tag, cyc in batch:
+        cols = set()
+        for e in cyc.edges:
+            if e in seen or e not in coloring:
+                return (f"cycle {cyc.vertices} is not a cycle of the current graph",
+                        (tag, cyc), None, None)
+            seen.add(e)
+            cols.add(coloring[e])
+        if len(cols) < len(cyc):
+            # b has degree 2, so at most one cycle of the batch meets it
+            if bad is None or bad not in cyc or not is_almost_rainbow_at(h, cyc, bad):
+                return (f"cycle {cyc.vertices} is neither rainbow nor "
+                        f"almost-rainbow at the bad vertex"), (tag, cyc), None, None
+            almost = True
+    if rep.ok and len(seen) == len(coloring):
+        return None, None, h.restrict_edges(()), _GOOD
+    cycles = [cyc for _, cyc in batch]
+    rest = h.edit(drop=seen)
+    rest_rep = check_goodness(rest, after=(h, rep, cycles))
     expected = (GoodnessVerdict.GOOD
                 if rep.verdict is GoodnessVerdict.GOOD or almost
                 else GoodnessVerdict.ALMOST_GOOD)
-    if rep2.verdict is not expected:
-        return (f"removing {cyc.vertices} leaves a {rep2.verdict.value} graph, "
-                f"expected {expected.value}"), None, rep2
-    return None, h2, rep2
+    if rest_rep.verdict is not expected:
+        return (f"removing {cycles[-1].vertices} leaves a {rest_rep.verdict.value} "
+                f"graph, expected {expected.value}"), batch[-1], None, None
+    return None, None, rest, rest_rep
 
 
 class _Checked(list):
-    """A batch [(tag, cycle), ...] whose removals, in order, its case has
-    already verified with `_check_removal` on the graph it is applied to. It
+    """A batch [(tag, cycle), ...] whose removal from the graph it is
+    applied to its case has already verified with `_check_removal`. It
     carries the remainder and its report, so `_apply_batch` does not check
     it again."""
 
@@ -409,36 +427,6 @@ class _Checked(list):
         super().__init__(batch)
         self.rest = rest
         self.report = report
-
-
-def _covering_batch_passes(h: EdgeColoredGraph, rep: GoodnessReport,
-                           batch: Sequence[tuple[str, Cycle]]) -> bool:
-    """Whether removing the batch from h one cycle at a time passes every
-    `_check_removal`, decided in one O(sum |C|) sweep with no goodness check.
-
-    True when the batch's cycles are edge-disjoint, use every edge of h, and
-    are all rainbow except, when h is almost-good, one cycle almost-rainbow
-    at its bad vertex: then, by the lemma in the coloring module docstring,
-    every remainder is the good or almost-good graph `_check_removal`
-    expects, in any order. False means not proven, never rejected: the
-    per-cycle checks then decide. `rep` is h's report.
-    """
-    if not rep.ok or sum(len(cyc) for _, cyc in batch) != len(h.edges):
-        return False
-    bad = rep.bad_vertex
-    coloring = h.coloring
-    seen: set[Edge] = set()
-    for _, cyc in batch:
-        cols = set()
-        for e in cyc.edges:
-            if e in seen or e not in coloring:
-                return False
-            seen.add(e)
-            cols.add(coloring[e])
-        if len(cols) < len(cyc) and (
-                bad is None or not is_almost_rainbow_at(h, cyc, bad)):
-            return False
-    return True
 
 
 # ---------------------------------------------------------------------------
@@ -837,7 +825,7 @@ def _case2_2_1a_lift(g, rep, p, child, m):
             detour = _oriented([p.x2, p.v, p.x1], (p.w1, p.z1))
             for cand in xcycles:
                 cyc = _lift_through(cand, m, detour)
-                problem, rest, rest_rep = _check_removal(h, rep_h, cyc)
+                problem, _, rest, rest_rep = _check_removal(h, rep_h, [(tag, cyc)])
                 if problem is None:
                     return _Checked(out + [(tag, cyc)], rest, rest_rep)
                 last = problem
@@ -949,7 +937,7 @@ def _case2_2_1b(g, rep_g, p, child, crep, m) -> CaseReduction:
                 last = "cycle through x does not pair gamma with delta"
                 continue
             cyc = Cycle(tuple([p.v, p.x1] + path + [p.x2]))
-            problem, rest, rest_rep = _check_removal(g, rep_g, cyc)
+            problem, _, rest, rest_rep = _check_removal(g, rep_g, [(tag, cyc)])
             if problem is None:
                 return _Checked([(tag, cyc)], rest, rest_rep)
             last = problem
@@ -965,7 +953,7 @@ def _case2_2_2a(g: EdgeColoredGraph, rep: GoodnessReport, p: CasePattern):
     w = p.w1
     _require(w == p.w2, tag, "shape a needs w1 == w2")
     direct = Cycle((p.x1, p.v, p.x2, w))
-    problem, rest, rest_rep = _check_removal(g, rep, direct)
+    problem, _, rest, rest_rep = _check_removal(g, rep, [(tag, direct)])
     if problem is None:
         return _Checked([(tag, direct)], rest, rest_rep)
 
@@ -1164,7 +1152,7 @@ def fallback_search(g: EdgeColoredGraph, max_len: int | None = None,
     spare = None if rep.bad_vertex is None else g.colors_at(rep.bad_vertex)[0]
     for length in range(3, min(cap, longest) + 1):
         for cyc in _color_pruned_cycles(g, length, spare):
-            problem, rest, rest_rep = _check_removal(g, rep, cyc)
+            problem, _, rest, rest_rep = _check_removal(g, rep, [(FALLBACK, cyc)])
             if problem is None:
                 return FallbackResult("found", cyc, rest, rest_rep)
     return FallbackResult("indeterminate" if truncated else "absent")
@@ -1205,21 +1193,16 @@ def _dispatch(comp: EdgeColoredGraph, rep: GoodnessReport):
 def _apply_batch(comp: EdgeColoredGraph, rep: GoodnessReport,
                  batch: list[tuple[str, Cycle]],
                  ) -> tuple[EdgeColoredGraph, GoodnessReport]:
-    """Remove the batch's cycles from comp in order, verifying each removal;
-    returns the remainder and its report. A `_Checked` batch carries its
-    verified remainder. A batch that covers comp is verified in one sweep
-    when that proves every removal safe; otherwise each cycle goes through
-    `_check_removal`, and the first it rejects raises."""
+    """Remove the batch's cycles from comp, whose report is `rep`; returns
+    the remainder and its report. A `_Checked` batch carries its verified
+    remainder; any other goes through `_check_removal`, and a rejection
+    raises with the culprit's tag and cycle."""
     if isinstance(batch, _Checked):
         return batch.rest, batch.report
-    if _covering_batch_passes(comp, rep, batch):
-        return comp.restrict_edges(()), _GOOD
-    h, r = comp, rep
-    for tag, cyc in batch:
-        problem, h, r = _check_removal(h, r, cyc)
-        if problem is not None:
-            raise CaseVerificationError(tag, problem, cyc)
-    return h, r
+    problem, culprit, rest, rest_rep = _check_removal(comp, rep, batch)
+    if problem is not None:
+        raise CaseVerificationError(culprit[0], problem, culprit[1])
+    return rest, rest_rep
 
 
 @dataclass
@@ -1301,12 +1284,13 @@ def _recover(stack: list[_Frame], err: CaseVerificationError | _EngineFailure,
 
 def _verified_trace(root: EdgeColoredGraph, rep: GoodnessReport,
                     tagged: list[tuple[str, Cycle]]) -> DecompositionTrace:
-    """Certify `tagged` on `root`, whose report is `rep`, by `_apply_batch`:
-    its covering sweep proves every removal, or its per-cycle checks name the
-    first cycle that fails. By the covering lemma in the coloring module
-    docstring, each step leaves a graph almost-good at the bad vertex b, with
-    report `rep`, while b's cycle is left, and good from that cycle on; b's
-    cycle is listed first in `cycles`. A failure raises with `root`, `rep`."""
+    """Certify `tagged` on `root`, whose report is `rep`, by `_apply_batch`,
+    and check that it covers the root; an output that does is proved by the
+    typing sweep alone, with no goodness check. By the removal lemma in
+    the coloring module docstring, each step leaves a graph almost-good at
+    the bad vertex b, with report `rep`, while b's cycle is left, and good
+    from that cycle on; b's cycle is listed first in `cycles`. A failure
+    raises with `root`, `rep`."""
     try:
         rest, _ = _apply_batch(root, rep, tagged)
     except CaseVerificationError as err:
@@ -1376,7 +1360,7 @@ def decompose_goddyn(clg: ColoredLineGraph, first: Cycle,
     if rep.verdict is not GoodnessVerdict.GOOD or not _all_type2(L):
         raise DecomposeError("line graph is not a good all-Type-II graph")
     proj = project_cycle(clg, first)
-    problem, h, hrep = _check_removal(L, rep, proj)
+    problem, _, h, hrep = _check_removal(L, rep, [(ALL_TYPE_II, proj)])
     if problem is not None:
         return DecompositionTrace(
             (), None,

@@ -8,7 +8,10 @@ enumerator, and a small isomorphism tester for deduplicating sampled
 cubic graphs. The one exception is `exhaustive_fallback`, which cross-checks
 the fallback's search order and pruning only, so it reuses the engine's
 removal check and takes its cycles from the brute-force oracle. The
-reference reduction builder, `build_transform_by_scan`, rebuilds the child
+reference removal, `remove_one_at_a_time`, checks a batch of cycles the
+way the engine's one sweep and one goodness check are proved equal to:
+one cycle at a time, each typed on its own and followed by a full
+goodness check. The reference reduction builder, `build_transform_by_scan`, rebuilds the child
 from a scan over every parent edge, and raises the engine's error type;
 `case2_1_run_by_scan` repeats its one-edge contraction with full checks
 and fresh scans, as the engine's Case2_1 runs do with derived facts.
@@ -27,7 +30,12 @@ from cdcover.coloring import (
     _require_even,
     check_goodness,
 )
-from cdcover.decomposer import CaseVerificationError, FallbackResult, _check_removal
+from cdcover.decomposer import (
+    FALLBACK,
+    CaseVerificationError,
+    FallbackResult,
+    _check_removal,
+)
 from cdcover.graphs import Graph, edge
 from cdcover.oracle import enumerate_cycles
 
@@ -216,10 +224,49 @@ def exhaustive_fallback(g: EdgeColoredGraph,
     longest = max(len(c) for c in g.components)
     cap = max_len if max_len is not None else (longest if len(g.edges) < 64 else 24)
     for cyc in enumerate_cycles(g.graph, max_len=cap):
-        problem, _, _ = _check_removal(g, rep, cyc)
+        problem, _, _, _ = _check_removal(g, rep, [(FALLBACK, cyc)])
         if problem is None:
             return FallbackResult("found", cyc)
     return FallbackResult("indeterminate" if cap < longest else "absent")
+
+
+def remove_one_at_a_time(g: EdgeColoredGraph, rep: GoodnessReport, batch,
+                         ) -> tuple[str | None, tuple | None,
+                                    EdgeColoredGraph | None, GoodnessReport | None]:
+    """`decomposer._check_removal` one cycle at a time, from the
+    definitions: each (tag, cycle) of the batch must have all its edges in
+    the current graph and be rainbow, or almost-rainbow at the current
+    graph's bad vertex (one color repeated once, on the cycle's two edges
+    there); then the full goodness check of what is left must be good,
+    after an almost-rainbow cycle or from a good graph, else almost-good.
+    Returns (problem, the (tag, cycle) that failed first, remainder, its
+    report) as `_check_removal` does; the remainder is rebuilt by the
+    validating constructors."""
+    h, r = g, rep
+    for tag, cyc in batch:
+        vs = cyc.vertices
+        ring = [edge(u, w) for u, w in zip(vs, vs[1:] + vs[:1])]
+        cols = [h.coloring.get(e) for e in ring]
+        if None in cols:
+            return (f"cycle {vs} is not a cycle of the current graph",
+                    (tag, cyc), None, None)
+        # the cycle's two edges at vs[i] are ring[i - 1] and ring[i]
+        at_bad = vs.index(r.bad_vertex) if r.bad_vertex in vs else None
+        almost = (at_bad is not None and len(set(cols)) == len(cols) - 1
+                  and cols[at_bad] == cols[at_bad - 1])
+        if len(set(cols)) < len(cols) and not almost:
+            return (f"cycle {vs} is neither rainbow nor almost-rainbow at the "
+                    f"bad vertex"), (tag, cyc), None, None
+        rest = h.restrict_edges(h.edges - set(ring))
+        rest_rep = check_goodness(rest)
+        expected = (GoodnessVerdict.GOOD
+                    if r.verdict is GoodnessVerdict.GOOD or almost
+                    else GoodnessVerdict.ALMOST_GOOD)
+        if rest_rep.verdict is not expected:
+            return (f"removing {vs} leaves a {rest_rep.verdict.value} graph, "
+                    f"expected {expected.value}"), (tag, cyc), None, None
+        h, r = rest, rest_rep
+    return None, None, h, r
 
 
 def build_transform_by_scan(parent: EdgeColoredGraph, kind: str, *,

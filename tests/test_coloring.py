@@ -226,7 +226,7 @@ def test_goodness_and_type_x_match_oracles_on_engine_graphs(n, seed, data):
     k = data.draw(st.integers(0, len(trace.steps)), label="k")
     h = lg
     for step in trace.steps[:k]:
-        h = h.remove_cycle(step.cycle)
+        h = h.edit(drop=step.cycle.edges)
     assert set(find_type_x_vertices(h)) == type_x_by_pseudoblock_splits(h)
     rep = check_goodness(h)
     verdict, bad, violated = naive_goodness(h)
@@ -250,17 +250,22 @@ def _random_cycle(g: EdgeColoredGraph, rng: random.Random) -> Cycle:
 
 def _assert_incremental_matches_full(h: EdgeColoredGraph, rng: random.Random,
                                      removals: int) -> list[GoodnessVerdict]:
-    """Remove up to `removals` random cycles in turn (rainbow or not); each
-    remainder's report from its parent's equals its full check."""
+    """Remove up to `removals` random batches in turn, each of 1-4
+    edge-disjoint random cycles (rainbow or not); each remainder's report
+    from its parent's equals its full check."""
     verdicts = []
     rep = check_goodness(h)
     for _ in range(removals):
         if not h.edges:
             break
-        cyc = _random_cycle(h, rng)
-        h2 = h.remove_cycle(cyc)
+        cycles, h2 = [], h
+        for _ in range(rng.randint(1, 4)):
+            if not h2.edges:
+                break
+            cycles.append(_random_cycle(h2, rng))
+            h2 = h2.edit(drop=cycles[-1].edges)
         full = check_goodness(h2)
-        assert check_goodness(h2, after=(h, rep, cyc)) == full
+        assert check_goodness(h2, after=(h, rep, cycles)) == full
         verdicts.append(full.verdict)
         h, rep = h2, full
     return verdicts
@@ -276,7 +281,7 @@ def test_incremental_goodness_equals_full_on_engine_graphs(n, seed, data):
     k = data.draw(st.integers(0, len(trace.steps) - 1), label="k")
     h = lg
     for step in trace.steps[:k]:
-        h = h.remove_cycle(step.cycle)
+        h = h.edit(drop=step.cycle.edges)
     rng = data.draw(st.randoms(use_true_random=False), label="rng")
     _assert_incremental_matches_full(h, rng, removals=3)
 
@@ -314,8 +319,8 @@ def test_incremental_goodness_sees_every_verdict():
 
 def test_incremental_goodness_rejects_a_wrong_parent():
     g = case1_1_host()
-    with pytest.raises(ColoredGraphError, match="parent minus cycle"):
-        check_goodness(g, after=(g, check_goodness(g), Cycle((0, 1, 2))))
+    with pytest.raises(ColoredGraphError, match="parent minus the cycles"):
+        check_goodness(g, after=(g, check_goodness(g), [Cycle((0, 1, 2))]))
 
 
 @functools.cache
@@ -365,28 +370,29 @@ def test_heredity_conditions_1_to_5_after_rainbow_removal():
     cycles = enumerate_rainbow_cycles(lg)
     for _ in range(12):
         vs = cycles[rng.randrange(len(cycles))]
-        h = lg.remove_cycle(Cycle(vs))
+        h = lg.edit(drop=Cycle(vs).edges)
         rep = check_goodness(h)
         assert all(v.condition == 6 for v in rep.violations)
 
 
 def test_remove_cycle_fills_no_fact_and_drops_a_consumed_triangle():
-    """Two rainbow triangles meeting at 2. A remainder computes its rainbow
-    triangle when asked: removing the least one leaves the other, and
-    removing the other leaves the least one."""
+    """Two rainbow triangles meeting at 2. A cycle's remainder,
+    `edit(drop=c.edges)`, is made with no fact filled and computes its
+    rainbow triangle when asked: removing the least one leaves the other,
+    and removing the other leaves the least one."""
     g = EdgeColoredGraph.from_triples(6, [(0, 1, 0), (1, 2, 1), (0, 2, 2),
                                           (2, 3, 3), (3, 4, 4), (2, 4, 5)])
     assert g.rainbow_triangle == Cycle((0, 1, 2))
-    h = g.remove_cycle(Cycle((0, 1, 2)))
+    h = g.edit(drop=Cycle((0, 1, 2)).edges)
     assert "rainbow_triangle" not in h.__dict__
     assert h.rainbow_triangle == Cycle((2, 3, 4))
-    assert g.remove_cycle(Cycle((2, 3, 4))).rainbow_triangle == Cycle((0, 1, 2))
+    assert g.edit(drop=Cycle((2, 3, 4)).edges).rainbow_triangle == Cycle((0, 1, 2))
     # no rainbow triangle before, none after
     plain = EdgeColoredGraph.from_triples(6, [(0, 1, 0), (1, 2, 1), (2, 3, 0),
                                               (0, 3, 1), (0, 4, 2), (4, 5, 2),
                                               (0, 5, 2)])
     assert plain.rainbow_triangle is None
-    assert plain.remove_cycle(Cycle((0, 1, 2, 3))).rainbow_triangle is None
+    assert plain.edit(drop=Cycle((0, 1, 2, 3)).edges).rainbow_triangle is None
 
 
 def test_remove_cycle_that_disconnects():
@@ -396,7 +402,7 @@ def test_remove_cycle_that_disconnects():
         (0, 1, 0), (1, 2, 1), (0, 2, 2), (3, 4, 3), (4, 5, 4), (3, 5, 5),
         (2, 6, 6), (3, 6, 7), (3, 7, 8), (2, 7, 9)])
     assert g.components == (frozenset(range(8)),)
-    h = g.remove_cycle(Cycle((2, 6, 3, 7)))
+    h = g.edit(drop=Cycle((2, 6, 3, 7)).edges)
     assert "components" not in h.__dict__
     assert h.components == (frozenset({0, 1, 2}), frozenset({3, 4, 5}))
     assert [p.edges for p in split_components(h)] == [
@@ -410,22 +416,23 @@ def test_remove_cycle_derives_adjacency():
     base = petersen()
     g = EdgeColoredGraph(base, {e: i for i, e in enumerate(sorted(base.edges))})
     c = Cycle((0, 1, 2, 3, 4))
-    h = g.remove_cycle(c)
+    h = g.edit(drop=c.edges)
     assert h.edges == g.edges - set(c.edges)
     assert dict(h.coloring) == {e: k for e, k in g.coloring.items()
                                 if e not in c.edges}
     assert h.graph.adj == Graph(h.n, h.edges).adj
     assert all(h.graph.adj[v] is g.graph.adj[v] for v in range(5, 10))
     with pytest.raises(ColoredGraphError, match="absent"):
-        h.remove_cycle(c)
+        h.edit(drop=c.edges)
 
 
 def test_remove_cycle_with_absent_edges_names_them():
-    """A cycle with edges the graph lacks is refused with a ColoredGraphError
-    that names them, not a bare KeyError, and the graph is left as it was."""
+    """`edit` refuses to drop a cycle with edges the graph lacks, with a
+    ColoredGraphError that names them, not a bare KeyError, and leaves the
+    graph as it was."""
     g = rainbow_c4()
     with pytest.raises(ColoredGraphError) as err:
-        g.remove_cycle(Cycle((0, 2, 1, 3)))
+        g.edit(drop=Cycle((0, 2, 1, 3)).edges)
     assert str(err.value) == "cannot remove absent edges [(0, 2), (1, 3)]"
     assert g == rainbow_c4() and g.graph.adj == ((1, 3), (0, 2), (1, 3), (0, 2))
 
@@ -475,7 +482,7 @@ def test_edit_validates_added_edges_as_graph_does(bad, message):
 
 def test_edit_results_equal_validated_graphs(monkeypatch):
     """Every graph `edit` makes while decomposing line graphs n = 10..20,
-    seeds 0-3, equals the graph the validating `Graph` and
+    seeds 0-4, equals the graph the validating `Graph` and
     `EdgeColoredGraph` constructors accept for its edges and colors,
     adjacency included."""
     made = []
@@ -487,7 +494,7 @@ def test_edit_results_equal_validated_graphs(monkeypatch):
 
     monkeypatch.setattr(EdgeColoredGraph, "edit", edit)
     for n in range(10, 21, 2):
-        for seed in range(4):
+        for seed in range(5):
             lg = build_line_graph(random_cubic_bridgeless(GeneratorConfig(n, seed))).lg
             assert decompose(lg).success
     assert len(made) > 1000

@@ -56,6 +56,7 @@ from oracles import (
     connected_ignoring_isolated,
     enumerate_rainbow_cycles,
     exhaustive_fallback,
+    remove_one_at_a_time,
 )
 
 
@@ -152,7 +153,7 @@ def test_prefix_goodness_replay():
             assert rep.bad_vertex in tr.cycles[0]
         h = g
         for step in tr.steps:
-            h = h.remove_cycle(step.cycle)
+            h = h.edit(drop=step.cycle.edges)
             assert check_goodness(h) == step.goodness
         assert not h.edges
         verdicts.append(rep.verdict)
@@ -301,7 +302,7 @@ def test_build_transform_matches_the_full_scan_on_random_edits():
 
 
 def test_build_transform_and_edit_match_the_full_scan(monkeypatch):
-    """While decomposing line graphs n = 10..20, seeds 0-3, every child
+    """While decomposing line graphs n = 10..20, seeds 0-4, every child
     `_build_transform` builds is the one the full scan builds, or it is
     rejected with the same message, and every `edit` result's adjacency is
     the one built from its edge set."""
@@ -322,7 +323,7 @@ def test_build_transform_and_edit_match_the_full_scan(monkeypatch):
     monkeypatch.setattr(D, "_build_transform", build)
     monkeypatch.setattr(EdgeColoredGraph, "edit", edit)
     for n in range(10, 21, 2):
-        for seed in range(4):
+        for seed in range(5):
             lg = build_line_graph(random_cubic_bridgeless(GeneratorConfig(n, seed))).lg
             assert decompose(lg).success
     assert len(builds) > 100 and len(edits) > 1000
@@ -625,18 +626,17 @@ def test_case2_1_child_facts_equal_fresh_ones():
 
 
 def test_remainder_facts_equal_fresh_ones(monkeypatch):
-    """Every remainder `remove_cycle` makes while decomposing gets no
-    dispatch fact at the moment it is made, and after its goodness check
-    holds the components that a fresh graph with its edges and colors
-    computes: the check's Type X search filled them."""
-    made = 0
-    real_remove = EdgeColoredGraph.remove_cycle
+    """Every remainder `edit` makes while decomposing gets no dispatch fact
+    at the moment it is made, and after its goodness check holds the
+    components that a fresh graph with its edges and colors computes: the
+    check's Type X search filled them."""
+    made = []
+    real_edit = EdgeColoredGraph.edit
 
-    def remove_cycle(self, c):
-        nonlocal made
-        child = real_remove(self, c)
+    def edit(self, *args, **kw):
+        child = real_edit(self, *args, **kw)
         assert not set(DISPATCH_FACTS) & set(child.__dict__)
-        made += 1
+        made.append(child)
         return child
 
     checked = 0
@@ -645,18 +645,19 @@ def test_remainder_facts_equal_fresh_ones(monkeypatch):
     def check_goodness(g, after=None):
         nonlocal checked
         rep = real_check(g, after=after)
-        if after is not None:  # g is after[0] minus the cycle after[2]
+        if after is not None:  # g is after[0] minus the cycles after[2]
+            assert g is made[-1]  # the edit just before its check
             assert g.__dict__["components"] == _fresh_facts(g)["components"]
             checked += 1
         return rep
 
-    monkeypatch.setattr(EdgeColoredGraph, "remove_cycle", remove_cycle)
+    monkeypatch.setattr(EdgeColoredGraph, "edit", edit)
     monkeypatch.setattr(D, "check_goodness", check_goodness)
     runs = [(n, seed) for n in range(10, 25, 2) for seed in range(5)]
     runs += [(40, seed) for seed in range(3)]
     for n, seed in runs:
         decompose(build_line_graph(random_cubic_bridgeless(GeneratorConfig(n, seed))).lg)
-    assert checked > 1000 and made >= checked
+    assert checked > 1000
 
 
 def test_decompose_runs_one_cut_search_per_graph(monkeypatch):
@@ -823,10 +824,10 @@ def test_single_cycle_step_is_checked_once(monkeypatch, tag):
     finds meet `_check_removal` once on the graph they are removed from:
     inside the case or the search, and not again when the engine removes
     them."""
-    checked = []  # (graph, cycle) of every removal check
+    checked = []  # (graph, cycles) of every removal check
     real_check = D._check_removal
-    monkeypatch.setattr(D, "_check_removal", lambda h, r, c: (
-        checked.append((h, c)) or real_check(h, r, c)))
+    monkeypatch.setattr(D, "_check_removal", lambda h, r, batch: (
+        checked.append((h, [c for _, c in batch])) or real_check(h, r, batch)))
     steps = []  # (graph, cycle, the checks made before the engine removes it)
     real_apply, real_fallback = D._apply_batch, D.fallback_search
 
@@ -848,7 +849,7 @@ def test_single_cycle_step_is_checked_once(monkeypatch, tag):
         random_cubic_bridgeless(GeneratorConfig(n, seed))).lg).success
     assert steps
     for g, cyc, before in steps:
-        on_g = [i for i, (h, c) in enumerate(checked) if h is g and c == cyc]
+        on_g = [i for i, (h, cs) in enumerate(checked) if h is g and cs == [cyc]]
         assert len(on_g) == 1 and on_g[0] < before
 
 
@@ -924,8 +925,8 @@ def test_three_meeter_lift_is_checked_once(monkeypatch):
     incremental."""
     removals, goodness = [], []  # goodness: whether `after=` was passed
     real_removal, real_goodness = D._check_removal, D.check_goodness
-    monkeypatch.setattr(D, "_check_removal",
-                        lambda h, r, c: removals.append(c) or real_removal(h, r, c))
+    monkeypatch.setattr(D, "_check_removal", lambda h, r, batch: (
+        removals.append(batch) or real_removal(h, r, batch)))
     monkeypatch.setattr(D, "check_goodness", lambda g, after=None: (
         goodness.append(after is not None) or real_goodness(g, after=after)))
     lifted = []  # (batch, goodness checks the lift made)
@@ -1011,7 +1012,7 @@ def test_find_cycle_all_type2_l_k33():
     c = find_cycle_all_type2(lg)
     cols = [lg.coloring[e] for e in c.edges]
     assert len(set(cols)) == len(cols)
-    rep = check_goodness(lg.remove_cycle(c))
+    rep = check_goodness(lg.edit(drop=c.edges))
     assert rep.verdict is GoodnessVerdict.GOOD
 
 
@@ -1052,7 +1053,7 @@ def test_connectivity_after_rainbow_removal():
         cycles = enumerate_rainbow_cycles(lg)
         for _ in range(4):
             vs = cycles[rng.randrange(len(cycles))]
-            h = lg.remove_cycle(Cycle(vs))
+            h = lg.edit(drop=Cycle(vs).edges)
             assert connected_ignoring_isolated(h.n, h.edges)
             checked += 1
     assert checked == 100
@@ -1299,15 +1300,16 @@ def test_decomposer_does_not_import_the_oracle():
 
 
 # ---------------------------------------------------------------------------
-# verifying a batch that covers its graph in one sweep
+# verifying a batch by one typing sweep and one check of what it leaves
 
 
 @functools.cache
 def _recorded_batches() -> tuple[tuple[EdgeColoredGraph, GoodnessReport,
                                        tuple[tuple[str, Cycle], ...]], ...]:
-    """The batches `_apply_batch` removes, with the graph and report they
-    are removed from, that use every edge of that graph, while decomposing
-    the line graphs of random cubic graphs with n = 10..20."""
+    """Every batch `_apply_batch` removes, with the graph and report it is
+    removed from, while decomposing the line graphs of random cubic graphs
+    with n = 10..20, seeds 0-2: the cycles a case finds, a lift's batch,
+    whole or partial, and the root certificate."""
     seen = []
     real = D._apply_batch
 
@@ -1323,22 +1325,19 @@ def _recorded_batches() -> tuple[tuple[EdgeColoredGraph, GoodnessReport,
                 assert decompose(lg).success
     finally:
         D._apply_batch = real
-    return tuple(r for r in seen if _covers(r[0], r[2]))
+    return tuple(seen)
 
 
 def _covers(g, batch) -> bool:
     return sorted(e for _, c in batch for e in c.edges) == sorted(g.edges)
 
 
-def _one_at_a_time(g, rep, batch):
-    """The outcome of the per-cycle checks, as `_applied` reports it."""
-    h, r = g, rep
-    for tag, cyc in batch:
-        problem, h2, r2 = D._check_removal(h, r, cyc)
-        if problem is not None:
-            return "reject", str(CaseVerificationError(tag, problem)), tag, cyc
-        h, r = h2, r2
-    return "accept", h.edges, r
+def _reference(g, rep, batch):
+    """The per-cycle reference's outcome, as `_applied` reports it."""
+    problem, culprit, rest, rest_rep = remove_one_at_a_time(g, rep, batch)
+    if problem is not None:
+        return "reject", str(CaseVerificationError(culprit[0], problem)), *culprit
+    return "accept", rest.edges, rest_rep
 
 
 def _applied(g, rep, batch):
@@ -1347,6 +1346,39 @@ def _applied(g, rep, batch):
     except CaseVerificationError as err:
         return "reject", str(err), err.case, err.cycle
     return "accept", h.edges, r
+
+
+def _assert_matches_reference(g, rep, batch) -> str:
+    """`_apply_batch` accepts what the per-cycle reference accepts, with
+    the same remainder and report, and rejects the rest; returns the
+    verdict. A rejection has the reference's message and culprit, except
+    where the reference rejects a cycle of a batch of several for what its
+    removal leaves: the sweep types every cycle before its one check, so it
+    names a later cycle that its typing rejects, or the last cycle, with
+    the verdict of what the whole batch leaves."""
+    ref, got = _reference(g, rep, batch), _applied(g, rep, batch)
+    if ref[0] == "accept" or len(batch) == 1 or "leaves a" not in ref[1]:
+        assert got == ref
+        return ref[0]
+    assert got[0] == "reject"
+    first = batch.index(ref[2:])
+    last = len(batch) - 1 - batch[::-1].index(got[2:])
+    tag, cyc = got[2:]
+    if "leaves a" in got[1]:
+        assert last == len(batch) - 1
+        rest = g.restrict_edges(g.edges - {e for _, c in batch for e in c.edges})
+        expected = ("good" if rep.verdict is GoodnessVerdict.GOOD
+                    or not all(_is_rainbow(g, c) for _, c in batch) else "almost_good")
+        assert got[1] == (f"{tag}: removing {cyc.vertices} leaves a "
+                          f"{check_goodness(rest).verdict.value} graph, "
+                          f"expected {expected}")
+    else:
+        assert last > first
+        assert got[1] in (
+            f"{tag}: cycle {cyc.vertices} is not a cycle of the current graph",
+            f"{tag}: cycle {cyc.vertices} is neither rainbow nor "
+            f"almost-rainbow at the bad vertex")
+    return "reject"
 
 
 def _is_rainbow(g, c) -> bool:
@@ -1380,8 +1412,11 @@ def test_recorded_batches_include_lifts_and_almost_good():
     assert {"Case1_1", "Case1_2", "Case2_1", "Case2_2_1a"} <= tags
     assert sum(rep.verdict is GoodnessVerdict.ALMOST_GOOD
                for _, rep, _ in recorded) > 20
-    # every covering batch the engine accepted is proven by the sweep
-    assert all(D._covering_batch_passes(*r) for r in recorded)
+    # partial batches of several cycles, not only the ones that cover
+    assert sum(len(batch) > 1 and not _covers(g, batch)
+               for g, _, batch in recorded) > 20
+    # every batch the engine accepted passes the one check
+    assert all(D._check_removal(*r)[0] is None for r in recorded)
 
 
 MUTATIONS = ("none", "swap", "move almost-rainbow", "drop", "recolor", "re-pair",
@@ -1398,8 +1433,8 @@ def _mutated(data, mutation):
     recomputed when the graph changes."""
     recorded = _recorded_batches()
     if mutation == "move almost-rainbow":
-        recorded = [r for r in recorded
-                    if r[1].verdict is GoodnessVerdict.ALMOST_GOOD]
+        recorded = [r for r in recorded if len(r[2]) > 1
+                    and not all(_is_rainbow(r[0], c) for _, c in r[2])]
     elif mutation == "re-pair":
         recorded = [r for r in recorded if _meeting_pairs(r[2])]
     elif mutation == "repeat":
@@ -1456,22 +1491,21 @@ def test_batch_sweep_matches_per_cycle_checks(data):
         data, data.draw(st.sampled_from(MUTATIONS), label="mutation"))
     if not rep.ok:
         return  # the engine removes cycles only from good or almost-good graphs
-    loop = _one_at_a_time(g, rep, batch)
-    assert D._covering_batch_passes(g, rep, batch) == \
-        (_covers(g, batch) and loop[0] == "accept")
-    assert _applied(g, rep, batch) == loop
+    _assert_matches_reference(g, rep, batch)
 
 
 def test_almost_good_batches_re_paired_at_the_bad_vertex_cycle():
     """Re-pair an almost-good graph's almost-rainbow cycle with each cycle it
     meets at two vertices, either way round, so the bad vertex ends up on
-    the earlier or the later cycle: the sweep proves exactly the batches
-    the per-cycle checks accept, and the rest fail with their message."""
+    the earlier or the later cycle: the one check accepts exactly the
+    batches the per-cycle reference accepts, and the rest fail with their
+    message."""
     outcomes = set()
     for g, rep, batch in _recorded_batches():
         if rep.verdict is not GoodnessVerdict.ALMOST_GOOD:
             continue
-        at_bad = next(i for i, (_, c) in enumerate(batch) if rep.bad_vertex in c)
+        at_bad = next((i for i, (_, c) in enumerate(batch) if rep.bad_vertex in c),
+                      None)
         for i, j in _meeting_pairs(batch):
             if at_bad not in (i, j):
                 continue
@@ -1480,17 +1514,16 @@ def test_almost_good_batches_re_paired_at_the_bad_vertex_cycle():
                 mutated = list(batch)
                 mutated[i] = (batch[i][0], first)
                 mutated[j] = (batch[j][0], second)
-                loop = _one_at_a_time(g, rep, mutated)
-                assert D._covering_batch_passes(g, rep, mutated) == (loop[0] == "accept")
-                assert _applied(g, rep, mutated) == loop
-                outcomes.add((loop[0], rep.bad_vertex in first))
+                verdict = _assert_matches_reference(g, rep, mutated)
+                outcomes.add((verdict, rep.bad_vertex in first))
     assert outcomes == {(verdict, earlier) for verdict in ("accept", "reject")
                         for earlier in (True, False)}
 
 
-def test_two_cycles_repeating_at_one_vertex_go_to_the_per_cycle_checks(monkeypatch):
+def test_two_cycles_repeating_at_one_vertex_fail_the_typing_sweep(monkeypatch):
     # two 4-cycles through 0 and 2, each repeating its color at 0: the graph
-    # is good, but the batch is no rainbow split, so the sweep proves nothing
+    # is good, but the batch is no rainbow split, so the sweep rejects its
+    # first cycle before any goodness check or edit
     g = EdgeColoredGraph.from_triples(6, [
         (0, 1, 0), (1, 2, 1), (2, 3, 2), (0, 3, 0),
         (0, 4, 3), (2, 4, 1), (2, 5, 2), (0, 5, 3)])
@@ -1498,16 +1531,69 @@ def test_two_cycles_repeating_at_one_vertex_go_to_the_per_cycle_checks(monkeypat
     assert rep.verdict is GoodnessVerdict.GOOD
     batch = [(D.CASE_2_1, Cycle((0, 1, 2, 3))), (D.CASE_2_1, Cycle((0, 4, 2, 5)))]
     assert _covers(g, batch)
-    assert not D._covering_batch_passes(g, rep, batch)
-    checked = []
-    real = D._check_removal
-    monkeypatch.setattr(D, "_check_removal",
-                        lambda h, r, c: checked.append(c) or real(h, r, c))
-    with pytest.raises(CaseVerificationError) as err:
-        D._apply_batch(g, rep, batch)
-    assert checked == [Cycle((0, 1, 2, 3))]
-    assert str(err.value) == ("Case2_1: cycle (0, 1, 2, 3) is neither rainbow "
-                              "nor almost-rainbow at the bad vertex")
+    assert _reference(g, rep, batch) == (
+        "reject", "Case2_1: cycle (0, 1, 2, 3) is neither rainbow nor "
+        "almost-rainbow at the bad vertex", *batch[0])
+    calls = []
+    real_check, real_edit = D.check_goodness, EdgeColoredGraph.edit
+    monkeypatch.setattr(D, "check_goodness", lambda *a, **k: (
+        calls.append("check_goodness") or real_check(*a, **k)))
+    monkeypatch.setattr(EdgeColoredGraph, "edit", lambda self, *a, **k: (
+        calls.append("edit") or real_edit(self, *a, **k)))
+    assert _applied(g, rep, batch) == _reference(g, rep, batch)
+    assert calls == []
+
+
+def test_batch_that_fails_on_goodness_names_its_last_cycle():
+    """Removing the rainbow 5-cycle (1, 8, 11, 9, 10) from this good graph
+    makes 3 a Type X cut vertex, and removing the rainbow 4-cycle
+    (0, 4, 5, 9) as well leaves it so. The per-cycle reference rejects the
+    5-cycle; the one check of what the batch leaves rejects the batch and
+    names its last cycle, or names the first cycle after the 5-cycle that
+    fails its typing, here the 5-cycle again."""
+    g = EdgeColoredGraph.from_triples(12, [
+        (0, 4, 2), (0, 9, 4), (1, 2, 7), (1, 6, 3), (1, 8, 3), (1, 10, 7),
+        (2, 3, 1), (3, 4, 0), (3, 5, 0), (3, 6, 1), (4, 5, 0), (4, 7, 2),
+        (5, 9, 5), (5, 11, 5), (7, 11, 6), (8, 11, 6), (9, 10, 4), (9, 11, 5)])
+    rep = check_goodness(g)
+    assert rep.verdict is GoodnessVerdict.GOOD
+    five, four = Cycle((1, 8, 11, 9, 10)), Cycle((0, 4, 5, 9))
+    assert _is_rainbow(g, five) and _is_rainbow(g, four)
+    assert [v.witness for v in check_goodness(g.edit(drop=five.edges)).violations] == [3]
+    batch = [(D.CASE_2_1, five), (D.CASE_2_2_1A, four)]
+    assert _reference(g, rep, batch) == (
+        "reject", "Case2_1: removing (1, 8, 11, 9, 10) leaves a not_good graph, "
+        "expected good", *batch[0])
+    assert _applied(g, rep, batch) == (
+        "reject", "Case2_2_1a: removing (0, 4, 5, 9) leaves a not_good graph, "
+        "expected good", *batch[1])
+    again = [(D.CASE_2_1, five), (D.CASE_2_2_1A, five)]
+    assert _applied(g, rep, again) == (
+        "reject", "Case2_2_1a: cycle (1, 8, 11, 9, 10) is not a cycle of the "
+        "current graph", *again[1])
+    for b in (batch, again):
+        assert _assert_matches_reference(g, rep, b) == "reject"
+
+
+def test_partial_batch_makes_one_goodness_check_and_one_edit(monkeypatch):
+    """A batch of several cycles that leaves part of its graph, such as the
+    lifted cycles the Case2_2_1a lift removes before its detour, is
+    verified by one `edit` and one incremental goodness check of what it
+    leaves, however many cycles it has."""
+    partial = [r for r in _recorded_batches()
+               if len(r[2]) > 1 and not _covers(r[0], r[2])]
+    assert max(len(batch) for _, _, batch in partial) >= 4
+    calls = []
+    real_check, real_edit = D.check_goodness, EdgeColoredGraph.edit
+    monkeypatch.setattr(D, "check_goodness", lambda g, after=None: (
+        calls.append(("check_goodness", after is not None))
+        or real_check(g, after=after)))
+    monkeypatch.setattr(EdgeColoredGraph, "edit", lambda self, *a, **k: (
+        calls.append(("edit", True)) or real_edit(self, *a, **k)))
+    for g, rep, batch in partial:
+        calls.clear()
+        D._apply_batch(g, rep, list(batch))
+        assert sorted(calls) == [("check_goodness", True), ("edit", True)]
 
 
 def test_full_lift_makes_no_goodness_check(monkeypatch):

@@ -3,8 +3,9 @@ definition in it is used somewhere. No f-string in it lacks a
 placeholder. No module names a map between two vertex id spaces. Cached
 properties are filled from outside their own code at a fixed list of sites.
 The decomposer builds no graph from scratch, and only `EdgeColoredGraph.edit`
-builds one without its validating constructor. Every layer the benchmark's
-tracer wraps still exists under the name it wraps.
+builds one without its validating constructor. Only the decomposer's
+removal check asks for a goodness check from a parent's report. Every layer
+the benchmark's tracer wraps still exists under the name it wraps.
 
 No linter ships with the project, so these are stdlib stand-ins for the
 unused-import, dead-code and empty f-string checks. `__init__.py` is
@@ -408,6 +409,45 @@ def test_named_identifiers_detects_and_allows():
                          ids=[p.name for p in sorted(SRC.glob("*.py"))])
 def test_no_vertex_id_maps(path):
     assert named_identifiers(path.read_text(), ID_MAP_NAMES) == []
+
+
+def incremental_goodness_calls(source: str) -> list[str]:
+    """The function, as `scoped_nodes` names it, of each call in `source`
+    of `check_goodness` that says what the graph was made from: an `after=`
+    keyword or a second positional argument. Sorted."""
+    found = []
+    for scope, node in scoped_nodes(source):
+        if not isinstance(node, ast.Call):
+            continue
+        func = node.func
+        name = func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", None)
+        if name == "check_goodness" and (
+                len(node.args) > 1 or any(k.arg == "after" for k in node.keywords)):
+            found.append(scope)
+    return sorted(found)
+
+
+def test_incremental_goodness_calls_detects_and_allows():
+    src = ("check_goodness(g)\n"
+           "def f(h, rep, cycles):\n"
+           "    rest = h.edit(drop=[])\n"
+           "    return check_goodness(rest, after=(h, rep, cycles))\n"
+           "class A:\n"
+           "    def m(self, g):\n"
+           "        return C.check_goodness(g, (g, None, []))\n"
+           "def g(x):\n"
+           "    return check(x, after=1), check_goodness(x, **{})\n")
+    assert incremental_goodness_calls(src) == ["A.m", "f"]
+
+
+def test_one_function_checks_goodness_after_a_removal():
+    """Only `decomposer._check_removal` hands `check_goodness` the graph a
+    remainder came from: every removal is verified by its one typing sweep
+    and one check of what the batch leaves, so a second removal path, with
+    its own notion of which removals are safe, would show here."""
+    assert [f"{p.name}: {scope}" for p in MODULES
+            for scope in incremental_goodness_calls(p.read_text())] == [
+        "decomposer.py: _check_removal"]
 
 
 def test_bench_tracer_wraps_existing_layers(monkeypatch):
