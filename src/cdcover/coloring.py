@@ -29,6 +29,15 @@ re-checked only at the cycles' vertices, and condition 6 from one DFS;
 A remainder's components come from its own Type X search, which its
 goodness check runs.
 
+The component lemma: each edge-bearing component of a good graph is
+good; of a graph almost-good at b, b's component is almost-good at b and
+the others are good. Conditions 1-5 are local (a vertex's edges, a
+triangle, a color class), and a component has these as the graph does, or
+fewer. A cut vertex of a component has the same sides in the graph, as no
+other component meets it, so it is Type X in both or in neither. So the
+decomposer gives each component of a split its report unchecked
+(`decomposer._advance`).
+
 The removal lemma checks a batch of cycles by what it leaves. Let H be
 good, or almost-good at b, and C1, ..., Ck edge-disjoint cycles of H, all
 rainbow except at most one, almost-rainbow at b: one color repeated, on
@@ -702,7 +711,10 @@ def parse_colored_edge_list(text: str) -> EdgeColoredGraph:
         if toks[0] == "n":
             if len(toks) != 2:
                 raise ColoredGraphError("malformed vertex-count header")
-            declared_n = int(toks[1])
+            try:
+                declared_n = int(toks[1])
+            except ValueError:
+                raise ColoredGraphError(f"non-integer vertex count in {body[0]!r}")
             idx = 1
     for line in body[idx:]:
         toks = line.split()

@@ -1207,11 +1207,11 @@ def _apply_batch(comp: EdgeColoredGraph, rep: GoodnessReport,
 
 @dataclass
 class _Frame:
-    """A graph being peeled, its report (None until checked) and the list its
-    cycles go to; `pending` is a reduction waiting on its child's list."""
+    """A graph being peeled, its report and the list its cycles go to;
+    `pending` is a reduction waiting on its child's list."""
 
     graph: EdgeColoredGraph
-    rep: GoodnessReport | None
+    rep: GoodnessReport
     out: list[tuple[str, Cycle]]
     pending: tuple[CaseReduction, list[tuple[str, Cycle]]] | None = None
 
@@ -1219,7 +1219,8 @@ class _Frame:
 def _advance(stack: list[_Frame]) -> None:
     """Take one step on the top frame: finish it, split it into one frame
     per component (in order, sharing its list), lift its child's cycles, or
-    dispatch, pushing a frame for a reduction's child."""
+    dispatch, pushing a frame for a reduction's child. A component's report
+    follows from the component lemma in the coloring module docstring."""
     fr = stack[-1]
     if fr.pending is not None:
         red, sub = fr.pending
@@ -1232,13 +1233,10 @@ def _advance(stack: list[_Frame]) -> None:
         parts = split_components(fr.graph)
         if len(parts) > 1:
             stack.pop()
-            stack.extend(_Frame(part, None, fr.out) for part in reversed(parts))
+            b = fr.rep.bad_vertex
+            stack.extend(_Frame(part, fr.rep if b in part.components[0] else _GOOD,
+                                fr.out) for part in reversed(parts))
             return
-        if fr.rep is None:
-            fr.rep = check_goodness(fr.graph)
-        if not fr.rep.ok:
-            raise _EngineFailure("Engine", fr.graph,
-                                 "graph lost goodness between steps", None, fr.rep)
         step = _dispatch(fr.graph, fr.rep)
         if isinstance(step, CaseReduction):
             fr.pending = (step, [])
@@ -1317,7 +1315,7 @@ def _run(root: EdgeColoredGraph, rep: GoodnessReport, top: _Frame,
         while stack:
             try:
                 _advance(stack)
-            except (CaseVerificationError, _EngineFailure) as err:
+            except CaseVerificationError as err:
                 _recover(stack, err, fallback_max_len)
         return _verified_trace(root, rep, top.out)
     except _EngineFailure as f:

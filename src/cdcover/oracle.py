@@ -69,16 +69,15 @@ def enumerate_cycles(g: Graph, max_len: int | None = None) -> list[Cycle]:
 
 
 def _exact_multicover(edges: list[Edge], cycles: list[Cycle], demand: int,
-                      almost_ok: set[int] | None = None,
                       branch: str = "constrained",
                       deadline: float | None = None,
                       max_nodes: int | None = None) -> SearchResult:
     """Backtracking cover of every edge exactly `demand` times by cycles.
 
-    `almost_ok` marks cycle indices that may be used at most once in total
-    (the almost-rainbow members of an almost-good decomposition). `branch`
-    picks the next unsatisfied edge: "constrained" takes the edge with the
-    fewest usable cycles, "lowest" the lowest-indexed edge.
+    A cycle may be chosen again while its edges have demand left, so each
+    candidate is listed once. `branch` picks the next unsatisfied edge:
+    "constrained" takes the edge with the fewest usable cycles, "lowest"
+    the lowest-indexed edge.
     """
     remaining = {e: demand for e in edges}
     containing: dict[Edge, list[int]] = {e: [] for e in edges}
@@ -89,12 +88,9 @@ def _exact_multicover(edges: list[Edge], cycles: list[Cycle], demand: int,
             containing[e].append(i)
 
     chosen: list[int] = []
-    almost_used = [False]
     nodes = [0]
 
     def usable(i: int) -> bool:
-        if almost_ok is not None and i in almost_ok and almost_used[0]:
-            return False
         return all(remaining[e] > 0 for e in cycles[i].edges)
 
     def pick_edge() -> Edge | None:
@@ -120,15 +116,10 @@ def _exact_multicover(edges: list[Edge], cycles: list[Cycle], demand: int,
                 continue
             for f in cycles[i].edges:
                 remaining[f] -= 1
-            was_almost = almost_ok is not None and i in almost_ok
-            if was_almost:
-                almost_used[0] = True
             chosen.append(i)
             if search():
                 return True
             chosen.pop()
-            if was_almost:
-                almost_used[0] = False
             for f in cycles[i].edges:
                 remaining[f] += 1
         return False
@@ -148,19 +139,20 @@ def brute_force_cdc(g: Graph, time_budget: float | None = None,
     """Exhaustive search for a cycle double cover (cycles may repeat).
 
     Intended for small graphs; returns `indeterminate` when the node or time
-    budget runs out.
+    budget runs out. Each cycle is listed once and may fill both slots of
+    its edges. Listing it twice changes no answer: every edge's count of
+    usable candidates doubles, so `pick_edge` picks the same edge, and a
+    copy's subtree is its original's, so the first cover is the same. It
+    only explores each failed subtree twice, so it differs only by running
+    out of budget sooner.
     """
     if not g.edges:
         return SearchResult("found", ())
     if find_bridges(g):
         return SearchResult("absent")  # a bridge lies on no cycle
-    cycles = enumerate_cycles(g)
-    # demand 2 with repetition: list every cycle twice so the exact-cover
-    # engine can use one cycle for both slots of its edges
-    doubled = [c for c in cycles for _ in range(2)]
     deadline = time.monotonic() + time_budget if time_budget else None
-    return _exact_multicover(sorted(g.edges), doubled, 2, branch=branch,
-                             deadline=deadline, max_nodes=max_nodes)
+    return _exact_multicover(sorted(g.edges), enumerate_cycles(g), 2,
+                             branch=branch, deadline=deadline, max_nodes=max_nodes)
 
 
 def brute_force_rainbow_decomposition(g: EdgeColoredGraph,
@@ -169,25 +161,21 @@ def brute_force_rainbow_decomposition(g: EdgeColoredGraph,
                                       max_nodes: int | None = 2_000_000) -> SearchResult:
     """Exhaustive search for a partition of E into rainbow cycles.
 
-    On an almost-good input, exactly one member is allowed to be the
-    almost-rainbow cycle through the bad vertex.
+    On an almost-good input, one member may be almost-rainbow at the bad
+    vertex b. The demand of 1 per edge admits at most one such candidate:
+    b has degree 2 and its two edges share a color, so no rainbow cycle
+    uses them, and every almost-rainbow candidate uses both.
     """
     if not g.edges:
         return SearchResult("found", ())
     report = check_goodness(g)
     bad = report.bad_vertex
-    candidates: list[Cycle] = []
-    almost_idx: set[int] = set()
-    for c in enumerate_cycles(g.graph):
-        cols = [g.coloring[e] for e in c.edges]
-        if len(set(cols)) == len(cols):
-            candidates.append(c)
-        elif bad is not None and bad in c and is_almost_rainbow_at(g, c, bad):
-            almost_idx.add(len(candidates))
-            candidates.append(c)
+    candidates = [
+        c for c in enumerate_cycles(g.graph)
+        if len({g.coloring[e] for e in c.edges}) == len(c)
+        or (bad is not None and bad in c and is_almost_rainbow_at(g, c, bad))]
     deadline = time.monotonic() + time_budget if time_budget else None
-    return _exact_multicover(sorted(g.edges), candidates, 1,
-                             almost_ok=almost_idx or None, branch=branch,
+    return _exact_multicover(sorted(g.edges), candidates, 1, branch=branch,
                              deadline=deadline, max_nodes=max_nodes)
 
 

@@ -563,3 +563,8 @@ def test_colored_edge_list_roundtrip():
 def test_colored_edge_list_arbitrary_labels():
     g = parse_colored_edge_list("0 1 red\n1 2 blue\n2 0 red\n")
     assert g.color(0, 1) == g.color(0, 2) != g.color(1, 2)
+
+
+def test_colored_edge_list_non_integer_header():
+    with pytest.raises(ColoredGraphError, match="non-integer vertex count in 'n abc'"):
+        parse_colored_edge_list("n abc\n0 1 red\n")

@@ -115,6 +115,49 @@ def test_decompose_partition_invariant():
     assert seen == set(lg.edges)
 
 
+def _disjoint_union(parts: list[EdgeColoredGraph]) -> tuple[EdgeColoredGraph, list[int]]:
+    """The parts side by side, each one's vertex and color ids shifted past
+    the previous parts'; returns the union and each part's vertex offset."""
+    triples, offsets, n, colors = [], [], 0, 0
+    for g in parts:
+        triples += [(u + n, v + n, c + colors) for (u, v), c in g.coloring.items()]
+        offsets.append(n)
+        n += g.n
+        colors += 1 + max(g.coloring.values())
+    return EdgeColoredGraph.from_triples(n, triples), offsets
+
+
+@pytest.mark.parametrize("parts, mode", [
+    ((build_line_graph(k4()).lg, build_line_graph(k33()).lg), "Good"),
+    ((almost_good_c4(), build_line_graph(petersen()).lg), "AlmostGood"),
+    ((build_line_graph(k33()).lg, case1_1_host()), "AlmostGood"),
+], ids=["LK4+LK33", "almost_c4+LPetersen", "LK33+case1_1_host"])
+def test_decompose_disjoint_union(monkeypatch, parts, mode):
+    """A disconnected root splits into one frame per component, each given
+    its report by the component lemma instead of a goodness check: the
+    report every dispatch receives is the full check's, and each component
+    is peeled as it would be alone, shifted by its offset."""
+    union, offsets = _disjoint_union(list(parts))
+    dispatched = []
+    real = D._dispatch
+
+    def record(comp, rep):
+        dispatched.append((comp, rep))
+        return real(comp, rep)
+
+    monkeypatch.setattr(D, "_dispatch", record)
+    tr = _decomposed_ok(union, mode)
+    monkeypatch.undo()
+    alone = sorted(tuple(v + off for v in c.vertices)
+                   for g, off in zip(parts, offsets) for c in decompose(g).cycles)
+    assert sorted(c.vertices for c in tr.cycles) == alone
+    assert all(rep == check_goodness(comp) for comp, rep in dispatched)
+    # each component is dispatched whole, as split off the union
+    whole = {comp.edges for comp, _ in dispatched}
+    for g, off in zip(parts, offsets):
+        assert frozenset((u + off, v + off) for u, v in g.edges) in whole
+
+
 def test_decompose_deterministic():
     lg = build_line_graph(petersen()).lg
     a = decompose(lg)

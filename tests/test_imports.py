@@ -4,8 +4,9 @@ placeholder. No module names a map between two vertex id spaces. Cached
 properties are filled from outside their own code at a fixed list of sites.
 The decomposer builds no graph from scratch, and only `EdgeColoredGraph.edit`
 builds one without its validating constructor. Only the decomposer's
-removal check asks for a goodness check from a parent's report. Every layer
-the benchmark's tracer wraps still exists under the name it wraps.
+removal check asks for a goodness check from a parent's report. The
+brute-force oracle imports nothing from the decomposer it certifies. Every
+layer the benchmark's tracer wraps still exists under the name it wraps.
 
 No linter ships with the project, so these are stdlib stand-ins for the
 unused-import, dead-code and empty f-string checks. `__init__.py` is
@@ -448,6 +449,34 @@ def test_one_function_checks_goodness_after_a_removal():
     assert [f"{p.name}: {scope}" for p in MODULES
             for scope in incremental_goodness_calls(p.read_text())] == [
         "decomposer.py: _check_removal"]
+
+
+def imported_modules(source: str) -> list[str]:
+    """The dotted module paths that `source` imports, relative ones with
+    their leading dots; `from . import x` counts as importing `.x`."""
+    out = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            out.extend(a.name for a in node.names)
+        elif isinstance(node, ast.ImportFrom):
+            prefix = "." * node.level + (node.module or "")
+            if node.module is None:
+                out.extend(prefix + a.name for a in node.names)
+            else:
+                out.append(prefix)
+    return out
+
+
+def test_imported_modules_resolves_relative_imports():
+    assert imported_modules("import a.b\nfrom .c import d\nfrom .. import e\n") == [
+        "a.b", ".c", "..e"]
+
+
+def test_oracle_does_not_import_the_decomposer():
+    """The oracle certifies the engine, so it must not reuse the engine's
+    cycle search or removal check, however much faster they are."""
+    imported = imported_modules((SRC / "oracle.py").read_text())
+    assert imported and not [m for m in imported if "decomposer" in m.split(".")]
 
 
 def test_bench_tracer_wraps_existing_layers(monkeypatch):

@@ -1,6 +1,15 @@
+import hashlib
+from pathlib import Path
+
 import pytest
 
-from cdcover.coloring import EdgeColoredGraph, triangles
+import cdcover.decomposer as D
+from cdcover.coloring import (
+    EdgeColoredGraph,
+    GoodnessVerdict,
+    parse_colored_edge_list,
+    triangles,
+)
 from cdcover.graphs import Cycle, Graph, GraphError, find_bridges, is_cubic
 from cdcover.linegraph import build_line_graph
 from cdcover.oracle import (
@@ -12,7 +21,17 @@ from cdcover.oracle import (
     random_cubic_bridgeless,
 )
 from cdcover.verify import verify_cdc, verify_rainbow_decomposition
-from graphsamples import almost_good_c4, k4, petersen, rainbow_c4
+from graphsamples import (
+    almost_good_c4,
+    bridged_cubic_10,
+    case1_1_host,
+    case1_2_host,
+    k4,
+    k33,
+    petersen,
+    prism,
+    rainbow_c4,
+)
 
 
 def test_enumerate_cycles_k4():
@@ -92,6 +111,70 @@ def test_brute_force_rainbow_almost_good():
 def test_brute_force_indeterminate_on_tiny_budget():
     res = brute_force_cdc(petersen(), max_nodes=3)
     assert res.status == "indeterminate"
+
+
+def test_brute_force_cdc_searches_each_cycle_once():
+    """Each enumerated cycle is one candidate, usable for both slots of its
+    edges, so no failed subtree is explored twice: the first cover is found
+    within 11 nodes branching on the most constrained edge and 22 on the
+    lowest, where a list with every cycle twice needs 15 and 63."""
+    for branch, nodes in (("constrained", 11), ("lowest", 22)):
+        res = brute_force_cdc(petersen(), branch=branch, max_nodes=nodes)
+        assert res.found, branch
+        assert verify_cdc(petersen(), res.cycles).accepted
+
+
+def _almost_good_dispatched(monkeypatch) -> list[EdgeColoredGraph]:
+    """Almost-good graphs of at most 30 edges handed to `_dispatch` while
+    decomposing the line graphs of random cubic graphs, n = 10, 12, seeds
+    0-2."""
+    found = []
+    real = D._dispatch
+
+    def record(comp, rep):
+        if rep.verdict is GoodnessVerdict.ALMOST_GOOD and len(comp.edges) <= 30:
+            found.append(comp)
+        return real(comp, rep)
+
+    monkeypatch.setattr(D, "_dispatch", record)
+    for n in (10, 12):
+        for seed in range(3):
+            lg = build_line_graph(random_cubic_bridgeless(GeneratorConfig(n, seed))).lg
+            assert D.decompose(lg).success
+    monkeypatch.undo()
+    return found
+
+
+def _result_line(res: SearchResult) -> bytes:
+    cycles = " ".join(",".join(map(str, c.vertices)) for c in res.cycles or ())
+    return f"{res.status}:{cycles}\n".encode()
+
+
+# sha256 over the status and cycles of every search below, in order; a
+# change means an oracle's verdicts or the covers it finds changed
+CDC_DIGEST = "6191968c369e9cb647d71a558ca04f156a4d9eaec2b5a4d132a7512c3651b6fe"
+RAINBOW_DIGEST = "d3b8413c690cac327563b63681821d9ea1f1644d1b5b8bca4d49b540da1ff889"
+
+
+def test_oracle_results_pinned(monkeypatch):
+    cubic = [k4(), k33(), prism(), petersen(), bridged_cubic_10()]
+    cubic += [random_cubic_bridgeless(GeneratorConfig(n, seed))
+              for n in (6, 8, 10, 12) for seed in range(4)]
+    fixture = Path(__file__).parent / "fixtures" / "good_but_undecomposable.txt"
+    colored = [build_line_graph(g).lg for g in (k4(), k33(), prism(), petersen())]
+    colored += [almost_good_c4(), rainbow_c4(), case1_1_host(), case1_2_host(),
+                parse_colored_edge_list(fixture.read_text())]
+    almost = _almost_good_dispatched(monkeypatch)
+    assert len(almost) >= 10
+    colored += almost
+    cdc, rainbow = hashlib.sha256(), hashlib.sha256()
+    for branch in ("constrained", "lowest"):
+        for g in cubic:
+            cdc.update(_result_line(brute_force_cdc(g, branch=branch)))
+        for g in colored:
+            rainbow.update(_result_line(
+                brute_force_rainbow_decomposition(g, branch=branch)))
+    assert (cdc.hexdigest(), rainbow.hexdigest()) == (CDC_DIGEST, RAINBOW_DIGEST)
 
 
 def test_generator_n4_is_k4():
