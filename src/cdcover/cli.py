@@ -83,10 +83,14 @@ def _dump(obj) -> str:
 
 
 def _load_graph(path: str, fmt: str) -> Graph:
+    """The one graph in the file at `path`; a graph6 file holding more than
+    one graph is a GraphError, not its first graph."""
     text = _read_text(path)
     if fmt == "graph6":
-        line = next((ln for ln in text.splitlines() if ln.strip()), "")
-        return parse_graph6(line)
+        lines = [ln for ln in text.splitlines() if ln.strip()]
+        if len(lines) > 1:
+            raise GraphError(f"{path}: expected one graph6 line, got {len(lines)}")
+        return parse_graph6(lines[0] if lines else "")
     return parse_edge_list(text)
 
 

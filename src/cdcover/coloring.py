@@ -117,6 +117,30 @@ since the block minus u stays connected; so a block lies in one class.
 Blocks that meet at a cut vertex that is not Type X are joined there. And
 nothing joins the two sides of u: two edges joined at a vertex w != u lie
 on w's side, and at u the two pairs are never joined.
+
+In a connected even graph the x-blocks form a tree whose edges are the
+Type X vertices, each joining the two x-blocks it lies in. The tree is
+connected, as the graph is and x-blocks meet only at Type X vertices. Each
+of its edges u is a bridge: every x-block lies within one side of u (one
+that holds u has one side pair there, and any other is connected without
+u), u's two x-blocks lie on different sides, and only u joins the sides.
+So an x-block's degree in the tree is the number of Type X vertices it
+holds. When there is at least one, every x-block holds one or more, the
+tree is a path exactly when none holds three or more, and its two ends are
+then the x-blocks that hold exactly one (`decomposer._case2_2_1b`).
+
+The end-block lemma: let G be connected, with conditions 1-5 holding and
+no vertex of color degree 1, and let B be an x-block of G holding exactly
+one Type X vertex t. Then G restricted to B is almost-good at t. Every
+other vertex of B is not Type X, so it lies in no other x-block and has all
+its edges in B: conditions 1, 2 and 4 hold there as they do in G, and
+conditions 3 and 5 only get easier in a subgraph. t keeps one of its two
+side pairs, which is monochromatic, so t is B's only vertex of color degree
+1, and it has degree 2. A Type X vertex u of B has degree 4 in B, so u != t
+and all of u's edges are in B. B meets the rest of G only at t, so u is a
+cut vertex of G with the same pairs, so a Type X vertex of G in B other
+than t, and there is none. So Case2_2_1b gives its end x-block this report without a goodness
+check.
 """
 from __future__ import annotations
 
@@ -579,56 +603,8 @@ def split_components(g: EdgeColoredGraph) -> list[EdgeColoredGraph]:
     return out
 
 
-@dataclass(frozen=True)
-class XBlockDecomposition:
-    """Blocks merged along every cut vertex that is not Type X.
-
-    The pieces intersect pairwise in at most one Type X cut vertex, and their
-    adjacency (`forest`: pairs (i, j, cut vertex)) is a forest.
-    """
-
-    x_blocks: tuple[frozenset[int], ...]
-    x_cut_vertices: frozenset[int]
-    forest: tuple[tuple[int, int, int], ...]
-
-    def block_of(self, v: int) -> int:
-        """Index of an x-block containing v (the lowest if v is Type X)."""
-        for i, b in enumerate(self.x_blocks):
-            if v in b:
-                return i
-        raise ColoredGraphError(f"vertex {v} in no x-block")
-
-    def is_path(self) -> bool:
-        deg: dict[int, int] = {}
-        for i, j, _ in self.forest:
-            deg[i] = deg.get(i, 0) + 1
-            deg[j] = deg.get(j, 0) + 1
-        if len(self.forest) != len(self.x_blocks) - 1:
-            return False  # disconnected
-        return all(d <= 2 for d in deg.values())
-
-    def path_order(self) -> list[int]:
-        """Block indices along the path; requires is_path()."""
-        if not self.is_path():
-            raise ColoredGraphError("x-block forest is not a path")
-        if len(self.x_blocks) == 1:
-            return [0]
-        nbrs: dict[int, list[int]] = {i: [] for i in range(len(self.x_blocks))}
-        for i, j, _ in self.forest:
-            nbrs[i].append(j)
-            nbrs[j].append(i)
-        ends = sorted(i for i, ns in nbrs.items() if len(ns) == 1)
-        order = [ends[0]]
-        prev = None
-        while len(order) < len(self.x_blocks):
-            nxt = next(k for k in nbrs[order[-1]] if k != prev)
-            prev = order[-1]
-            order.append(nxt)
-        return order
-
-
-def x_block_decomposition(g: EdgeColoredGraph) -> XBlockDecomposition:
-    """Unique decomposition of a connected even colored graph into x-blocks,
+def x_block_decomposition(g: EdgeColoredGraph) -> tuple[frozenset[int], ...]:
+    """The vertex sets of the x-blocks of a connected even colored graph,
     ordered by least edge, from the Type X search (see the module docstring).
     """
     if len(g.components) != 1:
@@ -636,12 +612,12 @@ def x_block_decomposition(g: EdgeColoredGraph) -> XBlockDecomposition:
     _require_even(g)
     sides = g.type_x_sides
     adj = g.graph.adj
-    block_of: dict[Edge, int] = {}
+    seen: set[Edge] = set()
     x_blocks = []
     for first in sorted(g.edges):
-        if first in block_of:
+        if first in seen:
             continue
-        k = block_of[first] = len(x_blocks)
+        seen.add(first)
         verts = set(first)
         ends = [first, first[::-1]]  # (u, w): join the edges at u with uw
         while ends:
@@ -649,17 +625,12 @@ def x_block_decomposition(g: EdgeColoredGraph) -> XBlockDecomposition:
             pairs = sides.get(u)
             for x in adj[u] if pairs is None else pairs[w not in pairs[0]]:
                 e = (u, x) if u < x else (x, u)
-                if e not in block_of:
-                    block_of[e] = k
+                if e not in seen:
+                    seen.add(e)
                     verts.add(x)
                     ends.append((x, u))
         x_blocks.append(frozenset(verts))
-
-    forest = []
-    for c in sorted(sides):
-        i, j = sorted(block_of[edge(c, pair[0])] for pair in sides[c])
-        forest.append((i, j, c))
-    return XBlockDecomposition(tuple(x_blocks), frozenset(sides), tuple(forest))
+    return tuple(x_blocks)
 
 
 # ---------------------------------------------------------------------------

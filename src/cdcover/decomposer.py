@@ -28,11 +28,14 @@ and singular chains, from the parent's. Applied step by step, the lemma
 lets one Case2_1 reduction contract a whole run of the paper's one-edge
 steps, each along the first singular chain the last one left, until the
 next dispatch would pick another case: the run has one child, one lift
-and one verification of its lifted cycles. The engine is one loop over an
-explicit stack of frames: a reduction's child is peeled on a frame above
-its waiting parent, so the depth of the reduction tree costs no Python
-recursion. Every removal, a lift's batch like any other, is verified by
-`_check_removal`: one linear sweep types the batch's cycles, and one
+and one verification of its lifted cycles. Case2_2_1b's child, the end
+x-block of a merged graph whose only defect is Type X, is not checked
+either: the end-block lemma in the coloring module docstring proves it
+almost-good at the vertex that joins it to the rest. The engine is one
+loop over an explicit stack of frames: a reduction's child is peeled on a
+frame above its waiting parent, so the depth of the reduction tree costs
+no Python recursion. Every removal, a lift's batch like any other, is
+verified by `_check_removal`: one linear sweep types the batch's cycles, and one
 incremental `check_goodness` checks what the batch leaves, or none when it
 leaves nothing. By the removal lemma in the coloring module docstring, this
 accepts exactly the batches whose cycles pass the checks one at a time. A
@@ -47,13 +50,14 @@ gives each step's report.
 from __future__ import annotations
 
 from bisect import insort
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Callable, Collection, Iterable, Iterator, Sequence
 
 from .coloring import (
     EdgeColoredGraph,
     GoodnessReport,
     GoodnessVerdict,
+    Violation,
     check_goodness,
     is_almost_rainbow_at,
     parse_colored_edge_list,
@@ -725,11 +729,6 @@ def _swap_sides(p: CasePattern) -> CasePattern:
                        p.w2, p.w1, p.z2, p.z1, p.delta, p.gamma)
 
 
-def _with(p: CasePattern, **kw) -> CasePattern:
-    d = p.__dict__ | kw
-    return CasePattern(**d)
-
-
 def normalize_case2_2(p: CasePattern) -> tuple[str, CasePattern]:
     """Resolve the overlap shape, renaming labels so each subcase sees its
     canonical form: (a) w1 == w2, (b) y1 == y2, (c) y1 == w2 with the rest
@@ -739,9 +738,9 @@ def normalize_case2_2(p: CasePattern) -> tuple[str, CasePattern]:
     if shared:
         s = shared[0]
         if p.w1 != s:
-            p = _with(p, w1=p.z1, z1=p.w1)
+            p = replace(p, w1=p.z1, z1=p.w1)
         if p.w2 != s:
-            p = _with(p, w2=p.z2, z2=p.w2)
+            p = replace(p, w2=p.z2, z2=p.w2)
         return "a", p
     if p.y1 == p.y2:
         return "b", p
@@ -749,16 +748,16 @@ def normalize_case2_2(p: CasePattern) -> tuple[str, CasePattern]:
     y2_in = p.y2 in s1
     if y1_in and y2_in:
         if p.w2 != p.y1:
-            p = _with(p, w2=p.z2, z2=p.w2)
+            p = replace(p, w2=p.z2, z2=p.w2)
         if p.w1 != p.y2:
-            p = _with(p, w1=p.z1, z1=p.w1)
+            p = replace(p, w1=p.z1, z1=p.w1)
         return "d", p
     if y2_in and not y1_in:
         p = _swap_sides(p)
         y1_in = True
     if y1_in:
         if p.w2 != p.y1:
-            p = _with(p, w2=p.z2, z2=p.w2)
+            p = replace(p, w2=p.z2, z2=p.w2)
         return "c", p
     return "disjoint", p
 
@@ -797,7 +796,9 @@ def case2_2_1(g: EdgeColoredGraph, rep: GoodnessReport, p: CasePattern,
 def _case2_2_1a_lift(g, rep, p, child, m):
     """Lift a good merged child whose merged vertex is m. If it leaves an
     x-cycle in g, the lift checks its batch itself and returns it
-    `_Checked`. `rep` is g's report."""
+    `_Checked`: each detour it tries is one removal check of the whole
+    batch, which by the removal lemma accepts what removing the other
+    cycles and then the detour would. `rep` is g's report."""
     tag = CASE_2_2_1A
 
     def lift(sub: list[tuple[str, Cycle]]) -> list[tuple[str, Cycle]]:
@@ -819,15 +820,14 @@ def _case2_2_1a_lift(g, rep, p, child, m):
             _require(m not in d1, tag, "three meeting cycles but v-cycle uses x")
             xcycles = [c for c in meeters if c is not d1]
             _require(all(m in c for c in xcycles), tag, "meeting cycle misses x")
-            h, rep_h = _apply_batch(g, rep, out)
             last = None
             # detour an x-cycle through v: x2-v-x1, x1 on the gamma side
             detour = _oriented([p.x2, p.v, p.x1], (p.w1, p.z1))
             for cand in xcycles:
-                cyc = _lift_through(cand, m, detour)
-                problem, _, rest, rest_rep = _check_removal(h, rep_h, [(tag, cyc)])
+                batch = out + [(tag, _lift_through(cand, m, detour))]
+                problem, _, rest, rest_rep = _check_removal(g, rep, batch)
                 if problem is None:
-                    return _Checked(out + [(tag, cyc)], rest, rest_rep)
+                    return _Checked(batch, rest, rest_rep)
                 last = problem
             raise CaseVerificationError(tag, f"both x-cycle detours failed: {last}")
 
@@ -863,61 +863,48 @@ def _recombine_two_meeters(p, d1: Cycle, d2: Cycle, m: int, child) -> list[Cycle
     p3 = _rotate_to(d2.vertices, m)[1:]     # a ... b
     a, b = p3[0], p3[-1]
 
-    if col_t == p.gamma:
-        w1p, w2p = t, s
-        z1p = p.z1 if w1p == p.w1 else p.w1
-        z2p = p.z2 if w2p == p.w2 else p.w2
-        _require({a, b} == {z1p, z2p}, tag,
-                 "second cycle does not use the leftover flank edges")
-        cyc1 = Cycle(tuple([p.x1] + q1))
-        cyc2 = Cycle(tuple([p.x2] + list(reversed(q2))))
-        p3_seq = p3 if a == z2p else list(reversed(p3))
-        cyc3 = Cycle(tuple([p.x1, p.v, p.x2] + p3_seq))
-        return [cyc1, cyc2, cyc3]
-
-    # t on the delta side: one large cycle plus the v detour
-    w2p, w1p = t, s
+    # t on the gamma side: two cycles plus the v detour; else one large one
+    w1p, w2p = (t, s) if col_t == p.gamma else (s, t)
     z1p = p.z1 if w1p == p.w1 else p.w1
     z2p = p.z2 if w2p == p.w2 else p.w2
     _require({a, b} == {z1p, z2p}, tag,
              "second cycle does not use the leftover flank edges")
-    big = Cycle(tuple([p.x1] + list(reversed(q2)) + [p.x2] + q1))
     p3_seq = p3 if a == z2p else list(reversed(p3))
     small = Cycle(tuple([p.x1, p.v, p.x2] + p3_seq))
-    return [big, small]
+    if col_t == p.gamma:
+        return [Cycle(tuple([p.x1] + q1)), Cycle(tuple([p.x2] + list(reversed(q2)))),
+                small]
+    return [Cycle(tuple([p.x1] + list(reversed(q2)) + [p.x2] + q1)), small]
 
 
 def _case2_2_1b(g, rep_g, p, child, crep, m) -> CaseReduction:
     """Reduce to the merged graph's end x-block at the merged vertex m; lift
     by detouring one of its cycles through m via v. `crep` is the merged
-    graph's report; its violations name its Type X vertices."""
+    graph's report; its violations, all of condition 6, name its Type X
+    vertices, of which there is at least one.
+
+    An x-block's degree in the x-block tree is the number of Type X
+    vertices it holds (see the coloring module docstring). So the tree is
+    a path when no x-block holds three, m's x-block is an end when it holds
+    one, which is the joining vertex t, and v's is the other end when it is
+    another x-block that holds one. By the end-block lemma in the same
+    docstring, the end x-block is almost-good at t."""
     tag = CASE_2_2_1B
     txv = {viol.witness for viol in crep.violations}
     _require(m not in txv, tag, "merged vertex became Type X")
-    xb = x_block_decomposition(child)
-    _require(xb.is_path(), tag, "x-block forest is not a path")
-    order = xb.path_order()
-    bx = xb.block_of(m)
-    _require(order[0] == bx or order[-1] == bx, tag,
-             "merged vertex not in an end x-block")
-    if order[0] != bx:
-        order = list(reversed(order))
-    bv = xb.block_of(p.v)
-    _require(order[-1] == bv and bv != bx, tag,
+    blocks = x_block_decomposition(child)
+    _require(all(len(b & txv) < 3 for b in blocks), tag, "x-block forest is not a path")
+    bx = next(b for b in blocks if m in b)
+    _require(len(bx & txv) == 1, tag, "merged vertex not in an end x-block")
+    bv = next(b for b in blocks if p.v in b)
+    _require(bv is not bx and len(bv & txv) == 1, tag,
              "v not in the opposite end x-block")
     for u in (p.w1, p.z1, p.w2, p.z2):
-        _require(u in xb.x_blocks[bx], tag, f"flank {u} outside end block")
+        _require(u in bx, tag, f"flank {u} outside end block")
     for u in (p.y1, p.y2):
-        _require(u in xb.x_blocks[bv], tag, f"{u} outside the v block")
-    t = next(c for i, j, c in xb.forest if {i, j} == {order[0], order[1]})
-
-    block = xb.x_blocks[bx]
-    end = child.restrict_edges(e for e in child.edges
-                               if e[0] in block and e[1] in block)
-    end_rep = check_goodness(end)
-    _require(end_rep.verdict is GoodnessVerdict.ALMOST_GOOD
-             and end_rep.bad_vertex == t, tag,
-             "end x-block is not almost-good at the joining vertex")
+        _require(u in bv, tag, f"{u} outside the v block")
+    (t,) = bx & txv
+    end = child.restrict_edges(e for e in child.edges if e[0] in bx and e[1] in bx)
 
     def lift(sub: list[tuple[str, Cycle]]) -> list[tuple[str, Cycle]]:
         xcycles = [c for _, c in sub if m in c]
@@ -943,7 +930,8 @@ def _case2_2_1b(g, rep_g, p, child, crep, m) -> CaseReduction:
             last = problem
         raise CaseVerificationError(tag, f"detour cycle failed verification: {last}")
 
-    return CaseReduction(end, lift, end_rep)
+    return CaseReduction(end, lift, GoodnessReport(
+        GoodnessVerdict.ALMOST_GOOD, t, (Violation(4, "vertex", t),)))
 
 
 def _case2_2_2a(g: EdgeColoredGraph, rep: GoodnessReport, p: CasePattern):

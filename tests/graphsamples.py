@@ -58,6 +58,22 @@ def square_chain(k: int) -> EdgeColoredGraph:
     return EdgeColoredGraph.from_triples(3 * k + 1, triples)
 
 
+def pentagons_on_a_hexagon(joints: tuple[int, ...]) -> EdgeColoredGraph:
+    """A hexagon 0..5 with a pentagon hung at each of `joints`, no two of
+    them adjacent. At a joint both pairs, the hexagon's and the
+    pentagon's, are monochromatic, so the joints are the Type X vertices,
+    and conditions 1-5 hold with no vertex of color degree 1."""
+    color = {j: j for j in range(6)}  # hexagon edge j joins j and j + 1
+    for j in joints:
+        color[j] = color[(j - 1) % 6]
+    triples = [(j, (j + 1) % 6, color[j]) for j in range(6)]
+    for k, j in enumerate(joints):
+        a, b, c, d = range(6 + 4 * k, 10 + 4 * k)
+        triples += [(j, a, 6 + 4 * k), (j, d, 6 + 4 * k), (a, b, 7 + 4 * k),
+                    (b, c, 8 + 4 * k), (c, d, 9 + 4 * k)]
+    return EdgeColoredGraph.from_triples(6 + 4 * len(joints), triples)
+
+
 def almost_good_c4() -> EdgeColoredGraph:
     return EdgeColoredGraph.from_triples(4, [(0, 1, 0), (1, 2, 1), (2, 3, 2),
                                              (0, 3, 0)])

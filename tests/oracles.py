@@ -3,7 +3,8 @@
 Everything here is written from the definitions, sharing no code with the
 package internals it cross-checks: a condition-by-condition goodness
 evaluator, Type X detection by enumerating pseudoblock splits, x-blocks
-from the Type X vertices and the sides they separate, a rainbow cycle
+from the Type X vertices and the sides they separate, Case2_2_1b's checks
+by walking the tree of those x-blocks, a rainbow cycle
 enumerator, and a small isomorphism tester for deduplicating sampled
 cubic graphs. The one exception is `exhaustive_fallback`, which cross-checks
 the fallback's search order and pruning only, so it reuses the engine's
@@ -26,7 +27,6 @@ from cdcover.coloring import (
     EdgeColoredGraph,
     GoodnessReport,
     GoodnessVerdict,
-    XBlockDecomposition,
     _require_even,
     check_goodness,
 )
@@ -101,11 +101,11 @@ def type_x_by_pseudoblock_splits(g: EdgeColoredGraph) -> set[int]:
     return result
 
 
-def x_blocks_by_definition(g: EdgeColoredGraph) -> XBlockDecomposition:
+def x_blocks_by_definition(g: EdgeColoredGraph) -> tuple[frozenset[int], ...]:
     """x-blocks by the definition: two edges at a vertex w are joined unless
     w is Type X and their far ends lie in different components of g - w.
     The x-blocks are the vertex sets of the classes of edges, ordered by
-    least edge; the forest pairs the two x-blocks at each Type X vertex."""
+    least edge. Each Type X vertex lies in exactly two of them."""
     txv = type_x_by_pseudoblock_splits(g)
     edges = sorted(g.coloring)
     cls = {e: i for i, e in enumerate(edges)}  # edge -> its class's least edge
@@ -130,12 +130,50 @@ def x_blocks_by_definition(g: EdgeColoredGraph) -> XBlockDecomposition:
     roots = sorted(set(cls.values()))
     x_blocks = tuple(frozenset(v for e in edges if cls[e] == r for v in e)
                      for r in roots)
-    forest = []
-    for c in sorted(txv):
-        at_c = [i for i, blk in enumerate(x_blocks) if c in blk]
-        assert len(at_c) == 2, (c, at_c)
-        forest.append((at_c[0], at_c[1], c))
-    return XBlockDecomposition(x_blocks, frozenset(txv), tuple(forest))
+    for c in txv:
+        assert sum(c in blk for blk in x_blocks) == 2, c
+    return x_blocks
+
+
+def case2_2_1b_by_walking(child: EdgeColoredGraph, p, m: int) -> int | str:
+    """Case2_2_1b's checks on the merged graph `child`, made by building
+    the x-block tree and walking it: the joining vertex t of m's end
+    x-block, or the message of the first check that fails. The nodes are
+    the x-blocks by the definition, and each Type X vertex joins the two
+    that hold it. The tree must be a path, m's x-block one end of it and
+    v's the other, holding the flanks and y1, y2 respectively; t joins
+    m's x-block to the next one along the path."""
+    txv = type_x_by_pseudoblock_splits(child)
+    if m in txv:
+        return "merged vertex became Type X"
+    blocks = x_blocks_by_definition(child)
+    nbrs: dict[int, list[int]] = {i: [] for i in range(len(blocks))}
+    joint = {}
+    for c in txv:
+        i, j = [k for k, blk in enumerate(blocks) if c in blk]
+        nbrs[i].append(j)
+        nbrs[j].append(i)
+        joint[frozenset((i, j))] = c
+    if len(joint) != len(blocks) - 1 or any(len(ns) > 2 for ns in nbrs.values()):
+        return "x-block forest is not a path"
+    order = [next(i for i, ns in nbrs.items() if len(ns) <= 1)]
+    while len(order) < len(blocks):
+        order.append(next(k for k in nbrs[order[-1]] if k not in order))
+    bx = next(i for i, blk in enumerate(blocks) if m in blk)
+    if bx not in (order[0], order[-1]):
+        return "merged vertex not in an end x-block"
+    if order[0] != bx:
+        order.reverse()
+    bv = next(i for i, blk in enumerate(blocks) if p.v in blk)
+    if order[-1] != bv or bv == bx:
+        return "v not in the opposite end x-block"
+    for u in (p.w1, p.z1, p.w2, p.z2):
+        if u not in blocks[bx]:
+            return f"flank {u} outside end block"
+    for u in (p.y1, p.y2):
+        if u not in blocks[bv]:
+            return f"{u} outside the v block"
+    return joint[frozenset(order[:2])]
 
 
 def naive_goodness(g: EdgeColoredGraph) -> tuple[str, int | None, set[int]]:

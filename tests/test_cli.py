@@ -307,6 +307,23 @@ def test_undecodable_input_is_an_error(k4_file, tmp_path, capsys, command,
     assert err == f"error: {binary}: not utf-8 text (invalid start byte at byte 0)\n"
 
 
+@pytest.mark.parametrize("command", ["decompose", "verify", "oracle"])
+def test_multi_graph_graph6_file_is_rejected(tmp_path, capsys, command):
+    """A graph6 file with two graphs is an input error, not a run on the
+    first one."""
+    two = tmp_path / "two.g6"
+    code, out, _ = _run(capsys, "gen", "--n", "10", "--count", "2")
+    assert code == 0 and len(out.split()) == 2
+    two.write_text(out)
+    cover = tmp_path / "cover.json"
+    cover.write_text(json.dumps({"cycles": []}))
+    argv = ([command, "--graph", str(two), "--cover", str(cover)]
+            if command == "verify" else [command, "--input", str(two)])
+    code, out, err = _run(capsys, *argv)
+    assert code == 1 and out == ""
+    assert err == f"error: {two}: expected one graph6 line, got 2\n"
+
+
 @pytest.mark.parametrize("argv", [
     ["decompose", "--output"], ["decompose", "--trace"], ["gen", "--n", "4", "--output"],
 ], ids=["decompose-output", "decompose-trace", "gen-output"])

@@ -1,4 +1,5 @@
 import functools
+import itertools
 import random
 
 import pytest
@@ -28,12 +29,14 @@ from graphsamples import (
     case2_2_2d_host,
     k4,
     k33,
+    pentagons_on_a_hexagon,
     petersen,
     rainbow_c4,
     square_chain,
     two_squares_type_x,
 )
 from oracles import (
+    case2_2_1b_by_walking,
     find_type_x_vertices,
     naive_goodness,
     type_x_by_pseudoblock_splits,
@@ -112,27 +115,25 @@ def test_find_type_x_requires_even():
         find_type_x_vertices(g)
 
 
+def _type_x_per_block(g: EdgeColoredGraph) -> list[int]:
+    txv = find_type_x_vertices(g)
+    return [len(blk & txv) for blk in x_block_decomposition(g)]
+
+
 def test_x_block_single_when_no_type_x():
-    xb = x_block_decomposition(build_line_graph(k4()).lg)
-    assert len(xb.x_blocks) == 1 and not xb.forest
+    assert _type_x_per_block(build_line_graph(k4()).lg) == [0]
 
 
 def test_x_block_two_squares():
-    xb = x_block_decomposition(two_squares_type_x())
-    assert len(xb.x_blocks) == 2
-    assert xb.x_cut_vertices == frozenset({0})
-    assert xb.is_path() and len(xb.forest) == 1
+    assert _type_x_per_block(two_squares_type_x()) == [1, 1]
 
 
 def test_x_block_chain_is_path():
     g = square_chain(3)
-    xb = x_block_decomposition(g)
-    assert len(xb.x_blocks) == 3
-    assert xb.is_path()
-    assert len(xb.path_order()) == 3
+    assert _type_x_per_block(g) == [1, 2, 1]
     # edge sets of the x-blocks partition the edges
     seen = set()
-    for blk in xb.x_blocks:
+    for blk in x_block_decomposition(g):
         blk_edges = {e for e in g.edges if e[0] in blk and e[1] in blk}
         assert not (seen & blk_edges)
         seen |= blk_edges
@@ -144,15 +145,14 @@ def test_x_block_interiors_good_up_to_joint_allowance():
     color-degree-1 vertices at the Type X intersections."""
     for g in (two_squares_type_x(), square_chain(3), square_chain(4)):
         ambient = {(v.condition, v.witness) for v in check_goodness(g).violations}
-        xb = x_block_decomposition(g)
-        for blk in xb.x_blocks:
+        for blk in x_block_decomposition(g):
             sub = g.restrict_edges(
                 e for e in g.edges if e[0] in blk and e[1] in blk)
             for viol in check_goodness(sub).violations:
                 if (viol.condition, viol.witness) in ambient:
                     continue
                 assert viol.condition == 4
-                assert viol.witness in xb.x_cut_vertices
+                assert viol.witness in find_type_x_vertices(g)
 
 
 def test_find_rainbow_triangle_l_k4():
@@ -324,23 +324,29 @@ def test_incremental_goodness_rejects_a_wrong_parent():
 
 
 @functools.cache
-def _x_block_inputs() -> tuple[EdgeColoredGraph, ...]:
-    """Every graph the decomposer hands `x_block_decomposition` (Case2_2_1b's
-    merged graphs) at n=10..20, seeds 0-9."""
+def _case2_2_1b_calls() -> tuple[tuple, ...]:
+    """The arguments of every Case2_2_1b reduction the decomposer tries at
+    n=10..20, seeds 0-9: (g, rep_g, p, child, crep, m)."""
     seen = []
-    real = D.x_block_decomposition
+    real = D._case2_2_1b
 
-    def record(g):
-        seen.append(g)
-        return real(g)
+    def record(*args):
+        seen.append(args)
+        return real(*args)
 
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(D, "x_block_decomposition", record)
+        mp.setattr(D, "_case2_2_1b", record)
         for n in range(10, 21, 2):
             for seed in range(10):
                 lg = build_line_graph(random_cubic_bridgeless(GeneratorConfig(n, seed))).lg
                 decompose(lg, fallback_max_len=8)
     return tuple(seen)
+
+
+def _x_block_inputs() -> tuple[EdgeColoredGraph, ...]:
+    """Every graph the decomposer hands `x_block_decomposition`: the merged
+    graphs of Case2_2_1b."""
+    return tuple(args[3] for args in _case2_2_1b_calls())
 
 
 def test_type_x_true_positives_on_engine_graphs():
@@ -355,12 +361,59 @@ def test_type_x_true_positives_on_engine_graphs():
 
 
 def test_x_blocks_match_definition_on_engine_graphs():
-    with_forest = 0
+    several = 0
     for g in _x_block_inputs():
-        xb = x_block_decomposition(g)
-        assert xb == x_blocks_by_definition(g)
-        with_forest += bool(xb.forest)
-    assert with_forest >= 100
+        blocks = x_block_decomposition(g)
+        assert blocks == x_blocks_by_definition(g)
+        several += len(blocks) > 1
+    assert several >= 100
+
+
+def test_case2_2_1b_matches_the_walked_block_tree():
+    """Case2_2_1b reads the x-block path off the Type X counts per block and
+    derives its end block's report. On every merged graph the engine hands
+    it, its verdict and joining vertex t equal those found by walking the
+    x-block tree, and the derived report equals the full check's."""
+    reduced = 0
+    for g, rep, p, child, crep, m in _case2_2_1b_calls():
+        want = case2_2_1b_by_walking(child, p, m)
+        try:
+            red = D._case2_2_1b(g, rep, p, child, crep, m)
+        except D.CaseVerificationError as err:
+            assert str(err) == f"{D.CASE_2_2_1B}: {want}"
+            continue
+        assert red.report.bad_vertex == want
+        assert red.report == check_goodness(red.child)
+        reduced += 1
+    assert reduced >= 100
+
+
+def test_case2_2_1b_verdicts_on_longer_block_paths_and_a_star():
+    """The engine's merged graphs have two x-blocks, so this runs the same
+    comparison on hexagons with one, two and three pentagons hung on them
+    (x-block paths of two and three blocks, and a star), for every choice
+    of m and v. The flanks are put at m and y1, y2 at v, so only the tree
+    decides."""
+    outcomes = set()
+    for joints in ((0,), (0, 3), (0, 2, 4)):
+        child = pentagons_on_a_hexagon(joints)
+        crep = check_goodness(child)
+        for m, v in itertools.product(range(child.n), repeat=2):
+            p = D.CasePattern(v, -1, -1, 0, 0, v, v, m, m, m, m, 0, 0)
+            want = case2_2_1b_by_walking(child, p, m)
+            try:
+                red = D._case2_2_1b(None, None, p, child, crep, m)
+            except D.CaseVerificationError as err:
+                assert str(err) == f"{D.CASE_2_2_1B}: {want}"
+                outcomes.add(want)
+                continue
+            assert red.report.bad_vertex == want
+            assert red.report == check_goodness(red.child)
+            outcomes.add("reduced")
+    assert outcomes == {"reduced", "merged vertex became Type X",
+                        "x-block forest is not a path",
+                        "merged vertex not in an end x-block",
+                        "v not in the opposite end x-block"}
 
 
 def test_heredity_conditions_1_to_5_after_rainbow_removal():

@@ -961,27 +961,27 @@ def test_uncertified_output_is_refused(monkeypatch, change, name):
 
 
 def test_three_meeter_lift_is_checked_once(monkeypatch):
-    """The Case2_2_1a lift that leaves one x-cycle in the parent removes the
-    other lifted cycles with `_apply_batch`, checks a detour on what is left
-    and returns the whole batch checked: the engine's `_apply_batch` makes
-    no removal check on it, and every goodness check the lift makes is
-    incremental."""
+    """The Case2_2_1a lift that leaves one x-cycle in the parent tries each
+    detour with one removal check of the whole batch, the other lifted
+    cycles plus the detour, and returns the batch that passes checked: each
+    detour tried costs one incremental goodness check and nothing else, and
+    the engine's `_apply_batch` makes no removal check on the batch."""
     removals, goodness = [], []  # goodness: whether `after=` was passed
     real_removal, real_goodness = D._check_removal, D.check_goodness
     monkeypatch.setattr(D, "_check_removal", lambda h, r, batch: (
         removals.append(batch) or real_removal(h, r, batch)))
     monkeypatch.setattr(D, "check_goodness", lambda g, after=None: (
         goodness.append(after is not None) or real_goodness(g, after=after)))
-    lifted = []  # (batch, goodness checks the lift made)
+    lifted = []  # (batch, v, removal checks and goodness checks the lift made)
     real_lift = D._case2_2_1a_lift
 
-    def traced_lift(*args):
-        lift = real_lift(*args)
+    def traced_lift(g, rep, p, child, m):
+        lift = real_lift(g, rep, p, child, m)
 
         def traced(sub):
-            before = len(goodness)
+            tried, checked = len(removals), len(goodness)
             batch = lift(sub)
-            lifted.append((batch, goodness[before:]))
+            lifted.append((batch, p.v, removals[tried:], goodness[checked:]))
             return batch
         return traced
 
@@ -992,7 +992,7 @@ def test_three_meeter_lift_is_checked_once(monkeypatch):
     def apply(comp, rep, batch):
         before = len(removals)
         out = real_apply(comp, rep, batch)
-        if any(batch is b for b, _ in lifted):
+        if any(batch is b for b, *_ in lifted):
             engine_checks.append((batch, len(removals) - before))
         return out
 
@@ -1000,11 +1000,41 @@ def test_three_meeter_lift_is_checked_once(monkeypatch):
     n, seed = CASE_RECIPES["Case2_2_1a"]
     assert decompose(build_line_graph(
         random_cubic_bridgeless(GeneratorConfig(n, seed))).lg).success
-    three = [(b, calls) for b, calls in lifted if isinstance(b, D._Checked)]
-    assert three and all(calls and all(calls) for _, calls in three)
+    three = [item for item in lifted if isinstance(item[0], D._Checked)]
+    assert three
+    for batch, v, tried, checks in three:
+        assert tried and tried[-1] == batch
+        assert all(b[:-1] == batch[:-1] and v in b[-1][1] for b in tried)
+        assert checks == [True] * len(tried)
     assert all(checks == 0 for b, checks in engine_checks
                if isinstance(b, D._Checked))
     assert sum(isinstance(b, D._Checked) for b, _ in engine_checks) == len(three)
+
+
+def test_case2_2_1b_makes_no_goodness_check_of_its_end_block(monkeypatch):
+    """Case2_2_1b gives its end x-block the report the end-block lemma
+    proves, almost-good at the joining vertex t, so building the reduction
+    makes no goodness check."""
+    checked = []
+    real_goodness, real_1b = D.check_goodness, D._case2_2_1b
+    monkeypatch.setattr(D, "check_goodness", lambda g, after=None: (
+        checked.append(g) or real_goodness(g, after=after)))
+    built = []  # (reduction, goodness checks made while building it)
+
+    def traced(*args):
+        before = len(checked)
+        red = real_1b(*args)
+        built.append((red, len(checked) - before))
+        return red
+
+    monkeypatch.setattr(D, "_case2_2_1b", traced)
+    n, seed = CASE_RECIPES["Case2_2_1b"]
+    assert decompose(build_line_graph(
+        random_cubic_bridgeless(GeneratorConfig(n, seed))).lg).success
+    assert built
+    for red, checks in built:
+        assert checks == 0
+        assert red.report.verdict is GoodnessVerdict.ALMOST_GOOD
 
 
 def test_case2_2_pattern_extraction_and_shape_d():

@@ -155,7 +155,7 @@ def test_even_graph_degree2_vertices_not_cut(g):
     with every edge one color, it lies in exactly one x-block."""
     one_color = EdgeColoredGraph(g, {e: 0 for e in g.edges})
     blocks = [b for comp in split_components(one_color)
-              for b in x_block_decomposition(comp).x_blocks]
+              for b in x_block_decomposition(comp)]
     for v in range(g.n):
         if g.degree(v) != 2:
             continue

@@ -7,6 +7,7 @@ builds one without its validating constructor. Only the decomposer's
 removal check asks for a goodness check from a parent's report. The
 brute-force oracle imports nothing from the decomposer it certifies. Every
 layer the benchmark's tracer wraps still exists under the name it wraps.
+Only a pinned few definitions are called by tests alone.
 
 No linter ships with the project, so these are stdlib stand-ins for the
 unused-import, dead-code and empty f-string checks. `__init__.py` is
@@ -98,13 +99,37 @@ def test_dead_definitions_detects_and_allows():
     assert dead_definitions({"m": src}, ["caller(); helper(); A.recursive\n"]) == []
 
 
-def test_no_dead_definitions():
+def _dead_in_src(callers: tuple[str, ...]) -> list[str]:
     sources = {str(p.relative_to(ROOT)): p.read_text()
                for p in sorted((ROOT / "src" / "cdcover").glob("*.py"))}
-    others = [p.read_text() for d in ("src", "tests", "perfbench")
+    others = [p.read_text() for d in callers
               for p in sorted((ROOT / d).rglob("*.py"))
               if str(p.relative_to(ROOT)) not in sources]
-    assert dead_definitions(sources, others) == []
+    return dead_definitions(sources, others)
+
+
+def test_no_dead_definitions():
+    assert _dead_in_src(("src", "tests", "perfbench")) == []
+
+
+# The definitions in src/ that only tests call, and why each stays public.
+TEST_ONLY_API = {
+    # the README's entry point for replaying a serialized CaseFailure
+    ("src/cdcover/decomposer.py", "replay_case_failure"),
+    # the plain constructor of a Graph from an edge list
+    ("src/cdcover/graphs.py", "from_edges"),
+    # the independent checker of rainbow cycle decompositions
+    ("src/cdcover/verify.py", "verify_rainbow_decomposition"),
+}
+
+
+def test_public_api_that_only_tests_call_is_pinned():
+    """No public API that only tests call, beyond the pinned few: a
+    definition that loses its last caller in src/ or perfbench/ fails here
+    until it is deleted or pinned with a reason."""
+    found = {(entry.split(":")[0], entry.rsplit(": ", 1)[1])
+             for entry in _dead_in_src(("src", "perfbench"))}
+    assert found == TEST_ONLY_API
 
 
 def cached_properties(source: str) -> set[str]:
