@@ -342,7 +342,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    try:
+        args = build_parser().parse_args(argv)
+    except SystemExit as err:
+        # argparse exits 2 on a usage error, which here means a case failure
+        return 1 if err.code else 0
     try:
         return args.func(args)
     except _Unwritable as err:

@@ -38,8 +38,10 @@ no Python recursion. Every removal, a lift's batch like any other, is
 verified by `_check_removal`: one linear sweep types the batch's cycles, and one
 incremental `check_goodness` checks what the batch leaves, or none when it
 leaves nothing. By the removal lemma in the coloring module docstring, this
-accepts exactly the batches whose cycles pass the checks one at a time. A
-batch its case or the fallback search has checked so is not checked again.
+accepts exactly the batches whose cycles pass the checks one at a time.
+The check returns a `_Checked` record of the batch, the remainder and its
+report, or raises. A case, lift or fallback search that must check a batch
+to choose it hands the engine that record, which is applied as it is.
 Any failed verification falls back to a shortest-first search for a safely
 removable cycle. If that also fails, the nearest waiting parent runs the
 search on its own graph, and so on outward; past the root the run ends in a
@@ -96,10 +98,12 @@ class DecomposeError(ValueError):
 
 
 class CaseVerificationError(DecomposeError):
-    """A case's pattern or postcondition failed its runtime verification."""
+    """A case's pattern or postcondition failed its runtime verification;
+    `problem` is the message without the case's tag."""
 
     def __init__(self, case: str, message: str, cycle: Cycle | None = None):
         self.case = case
+        self.problem = message
         self.cycle = cycle
         super().__init__(f"{case}: {message}")
 
@@ -257,13 +261,13 @@ class CaseReduction:
     whose goodness report `report` the case has already computed, and hands
     the tagged cycles to `lift`, which turns them into tagged cycles of the
     parent (possibly covering only part of the parent, in which case the
-    engine keeps peeling the remainder).
-    Every lifted cycle is re-checked against the parent before it is
-    removed.
+    engine keeps peeling the remainder). The engine removes the lifted
+    batch by `_check_removal`, unless the lift returns the `_Checked` of
+    its own call of it.
     """
 
     child: EdgeColoredGraph
-    lift: Callable[[list[tuple[str, Cycle]]], list[tuple[str, Cycle]]]
+    lift: Callable[[list[tuple[str, Cycle]]], list[tuple[str, Cycle]] | _Checked]
     report: GoodnessReport
 
 
@@ -371,14 +375,23 @@ def _all_type2(g: EdgeColoredGraph) -> bool:
     return True
 
 
+@dataclass(frozen=True)
+class _Checked:
+    """A batch [(tag, cycle), ...] that `_check_removal`, the only place
+    one is made, accepted for removal from a graph, with what the removal
+    leaves, `rest`, and its report."""
+
+    batch: Sequence[tuple[str, Cycle]]
+    rest: EdgeColoredGraph
+    report: GoodnessReport
+
+
 def _check_removal(h: EdgeColoredGraph, rep: GoodnessReport,
-                   batch: Sequence[tuple[str, Cycle]],
-                   ) -> tuple[str | None, tuple[str, Cycle] | None,
-                              EdgeColoredGraph | None, GoodnessReport | None]:
+                   batch: Sequence[tuple[str, Cycle]]) -> _Checked:
     """Validate removing a batch [(tag, cycle), ...] from h, whose report
-    is `rep`: (problem, culprit, remainder, its report), with the problem
-    and its (tag, cycle) None on success, the remainder and report None on
-    failure.
+    is `rep`; raises a CaseVerificationError with the tag and cycle of the
+    culprit if it fails, or with the tag "Engine" for an empty batch on a
+    graph that still has edges.
 
     One sweep types the cycles in order: each edge is in h and in no
     earlier cycle, and each cycle is rainbow, but one may be almost-rainbow
@@ -389,6 +402,8 @@ def _check_removal(h: EdgeColoredGraph, rep: GoodnessReport,
     last cycle is the culprit.
     """
     coloring = h.coloring
+    if not batch and coloring:
+        raise CaseVerificationError("Engine", "case produced no cycles")
     bad = rep.bad_vertex
     almost = False
     seen: set[Edge] = set()
@@ -396,18 +411,20 @@ def _check_removal(h: EdgeColoredGraph, rep: GoodnessReport,
         cols = set()
         for e in cyc.edges:
             if e in seen or e not in coloring:
-                return (f"cycle {cyc.vertices} is not a cycle of the current graph",
-                        (tag, cyc), None, None)
+                raise CaseVerificationError(
+                    tag, f"cycle {cyc.vertices} is not a cycle of the current graph",
+                    cyc)
             seen.add(e)
             cols.add(coloring[e])
         if len(cols) < len(cyc):
             # b has degree 2, so at most one cycle of the batch meets it
             if bad is None or bad not in cyc or not is_almost_rainbow_at(h, cyc, bad):
-                return (f"cycle {cyc.vertices} is neither rainbow nor "
-                        f"almost-rainbow at the bad vertex"), (tag, cyc), None, None
+                raise CaseVerificationError(
+                    tag, f"cycle {cyc.vertices} is neither rainbow nor "
+                    f"almost-rainbow at the bad vertex", cyc)
             almost = True
     if rep.ok and len(seen) == len(coloring):
-        return None, None, h.restrict_edges(()), _GOOD
+        return _Checked(batch, h.restrict_edges(()), _GOOD)
     cycles = [cyc for _, cyc in batch]
     rest = h.edit(drop=seen)
     rest_rep = check_goodness(rest, after=(h, rep, cycles))
@@ -415,22 +432,11 @@ def _check_removal(h: EdgeColoredGraph, rep: GoodnessReport,
                 if rep.verdict is GoodnessVerdict.GOOD or almost
                 else GoodnessVerdict.ALMOST_GOOD)
     if rest_rep.verdict is not expected:
-        return (f"removing {cycles[-1].vertices} leaves a {rest_rep.verdict.value} "
-                f"graph, expected {expected.value}"), batch[-1], None, None
-    return None, None, rest, rest_rep
-
-
-class _Checked(list):
-    """A batch [(tag, cycle), ...] whose removal from the graph it is
-    applied to its case has already verified with `_check_removal`. It
-    carries the remainder and its report, so `_apply_batch` does not check
-    it again."""
-
-    def __init__(self, batch: list[tuple[str, Cycle]], rest: EdgeColoredGraph,
-                 report: GoodnessReport):
-        super().__init__(batch)
-        self.rest = rest
-        self.report = report
+        tag, cyc = batch[-1]
+        raise CaseVerificationError(
+            tag, f"removing {cyc.vertices} leaves a {rest_rep.verdict.value} "
+            f"graph, expected {expected.value}", cyc)
+    return _Checked(batch, rest, rest_rep)
 
 
 # ---------------------------------------------------------------------------
@@ -795,13 +801,13 @@ def case2_2_1(g: EdgeColoredGraph, rep: GoodnessReport, p: CasePattern,
 
 def _case2_2_1a_lift(g, rep, p, child, m):
     """Lift a good merged child whose merged vertex is m. If it leaves an
-    x-cycle in g, the lift checks its batch itself and returns it
-    `_Checked`: each detour it tries is one removal check of the whole
-    batch, which by the removal lemma accepts what removing the other
-    cycles and then the detour would. `rep` is g's report."""
+    x-cycle in g, the lift returns the `_Checked` of the first detour that
+    passes: each detour it tries is one removal check of the whole batch,
+    which by the removal lemma accepts what removing the other cycles and
+    then the detour would. `rep` is g's report."""
     tag = CASE_2_2_1A
 
-    def lift(sub: list[tuple[str, Cycle]]) -> list[tuple[str, Cycle]]:
+    def lift(sub: list[tuple[str, Cycle]]) -> list[tuple[str, Cycle]] | _Checked:
         out: list[tuple[str, Cycle]] = []
         meeters: list[Cycle] = []
         for t, c in sub:
@@ -824,11 +830,11 @@ def _case2_2_1a_lift(g, rep, p, child, m):
             # detour an x-cycle through v: x2-v-x1, x1 on the gamma side
             detour = _oriented([p.x2, p.v, p.x1], (p.w1, p.z1))
             for cand in xcycles:
-                batch = out + [(tag, _lift_through(cand, m, detour))]
-                problem, _, rest, rest_rep = _check_removal(g, rep, batch)
-                if problem is None:
-                    return _Checked(batch, rest, rest_rep)
-                last = problem
+                try:
+                    return _check_removal(
+                        g, rep, out + [(tag, _lift_through(cand, m, detour))])
+                except CaseVerificationError as err:
+                    last = err.problem
             raise CaseVerificationError(tag, f"both x-cycle detours failed: {last}")
 
         _require(len(meeters) == 2, tag,
@@ -906,7 +912,7 @@ def _case2_2_1b(g, rep_g, p, child, crep, m) -> CaseReduction:
     (t,) = bx & txv
     end = child.restrict_edges(e for e in child.edges if e[0] in bx and e[1] in bx)
 
-    def lift(sub: list[tuple[str, Cycle]]) -> list[tuple[str, Cycle]]:
+    def lift(sub: list[tuple[str, Cycle]]) -> _Checked:
         xcycles = [c for _, c in sub if m in c]
         _require(len(xcycles) == 2, tag,
                  f"expected 2 cycles through the merged vertex, got {len(xcycles)}")
@@ -924,10 +930,10 @@ def _case2_2_1b(g, rep_g, p, child, crep, m) -> CaseReduction:
                 last = "cycle through x does not pair gamma with delta"
                 continue
             cyc = Cycle(tuple([p.v, p.x1] + path + [p.x2]))
-            problem, _, rest, rest_rep = _check_removal(g, rep_g, [(tag, cyc)])
-            if problem is None:
-                return _Checked([(tag, cyc)], rest, rest_rep)
-            last = problem
+            try:
+                return _check_removal(g, rep_g, [(tag, cyc)])
+            except CaseVerificationError as err:
+                last = err.problem
         raise CaseVerificationError(tag, f"detour cycle failed verification: {last}")
 
     return CaseReduction(end, lift, GoodnessReport(
@@ -940,10 +946,10 @@ def _case2_2_2a(g: EdgeColoredGraph, rep: GoodnessReport, p: CasePattern):
     tag = CASE_2_2_2A
     w = p.w1
     _require(w == p.w2, tag, "shape a needs w1 == w2")
-    direct = Cycle((p.x1, p.v, p.x2, w))
-    problem, _, rest, rest_rep = _check_removal(g, rep, [(tag, direct)])
-    if problem is None:
-        return _Checked([(tag, direct)], rest, rest_rep)
+    try:
+        return _check_removal(g, rep, [(tag, Cycle((p.x1, p.v, p.x2, w)))])
+    except CaseVerificationError as err:
+        problem = err.problem
 
     # the direct cycle creates a Type X vertex; the derived structure must
     # then have w and all of y1, y2, z1, z2 of Type I with disjoint sides
@@ -1044,13 +1050,12 @@ def _case2_2_2d(g: EdgeColoredGraph, p: CasePattern) -> list[tuple[str, Cycle]]:
 
 @dataclass(frozen=True)
 class FallbackResult:
-    """A search's outcome; a found cycle comes with the remainder and report
-    its removal check computed, which `==` ignores."""
+    """A search's outcome; a found cycle comes with the `_Checked` its
+    removal check returned, which `==` ignores."""
 
     status: str  # "found" | "absent" | "indeterminate"
     cycle: Cycle | None = None
-    rest: EdgeColoredGraph | None = field(default=None, compare=False, repr=False)
-    report: GoodnessReport | None = field(default=None, compare=False, repr=False)
+    checked: _Checked | None = field(default=None, compare=False, repr=False)
 
 
 def _color_pruned_cycles(g: EdgeColoredGraph, length: int,
@@ -1123,8 +1128,9 @@ def fallback_search(g: EdgeColoredGraph, max_len: int | None = None,
     vertex's, or that one twice) can only close into a cycle the removal
     check rejects. Unbounded below 64 edges; above that a length budget
     applies and exhausting it yields "indeterminate" rather than "absent".
-    `rep` is g's goodness report, computed when not given. The engine takes
-    a found cycle's remainder from the result, unchecked again.
+    `rep` is g's goodness report, computed when not given. The engine
+    removes a found cycle by the result's `checked`, without checking it
+    again.
     """
     if rep is None:
         rep = check_goodness(g)
@@ -1140,9 +1146,11 @@ def fallback_search(g: EdgeColoredGraph, max_len: int | None = None,
     spare = None if rep.bad_vertex is None else g.colors_at(rep.bad_vertex)[0]
     for length in range(3, min(cap, longest) + 1):
         for cyc in _color_pruned_cycles(g, length, spare):
-            problem, _, rest, rest_rep = _check_removal(g, rep, [(FALLBACK, cyc)])
-            if problem is None:
-                return FallbackResult("found", cyc, rest, rest_rep)
+            try:
+                checked = _check_removal(g, rep, [(FALLBACK, cyc)])
+            except CaseVerificationError:
+                continue
+            return FallbackResult("found", cyc, checked)
     return FallbackResult("indeterminate" if truncated else "absent")
 
 
@@ -1151,7 +1159,8 @@ def fallback_search(g: EdgeColoredGraph, max_len: int | None = None,
 
 
 def _dispatch(comp: EdgeColoredGraph, rep: GoodnessReport):
-    """Pick the applicable case; returns a direct batch or a CaseReduction."""
+    """Pick the applicable case; returns a direct batch, a `_Checked` one
+    or a CaseReduction."""
     base = _single_cycle(comp)
     if base is not None:
         return [(BASE_CYCLE, base)]
@@ -1178,21 +1187,6 @@ def _dispatch(comp: EdgeColoredGraph, rep: GoodnessReport):
     return {"b": _case2_2_2b, "c": _case2_2_2c, "d": _case2_2_2d}[shape](comp, pat)
 
 
-def _apply_batch(comp: EdgeColoredGraph, rep: GoodnessReport,
-                 batch: list[tuple[str, Cycle]],
-                 ) -> tuple[EdgeColoredGraph, GoodnessReport]:
-    """Remove the batch's cycles from comp, whose report is `rep`; returns
-    the remainder and its report. A `_Checked` batch carries its verified
-    remainder; any other goes through `_check_removal`, and a rejection
-    raises with the culprit's tag and cycle."""
-    if isinstance(batch, _Checked):
-        return batch.rest, batch.report
-    problem, culprit, rest, rest_rep = _check_removal(comp, rep, batch)
-    if problem is not None:
-        raise CaseVerificationError(culprit[0], problem, culprit[1])
-    return rest, rest_rep
-
-
 @dataclass
 class _Frame:
     """A graph being peeled, its report and the list its cycles go to;
@@ -1202,6 +1196,12 @@ class _Frame:
     rep: GoodnessReport
     out: list[tuple[str, Cycle]]
     pending: tuple[CaseReduction, list[tuple[str, Cycle]]] | None = None
+
+    def take(self, checked: _Checked) -> None:
+        """Apply a checked removal: keep its remainder and report, and
+        list its cycles."""
+        self.graph, self.rep = checked.rest, checked.report
+        self.out.extend(checked.batch)
 
 
 def _advance(stack: list[_Frame]) -> None:
@@ -1213,7 +1213,7 @@ def _advance(stack: list[_Frame]) -> None:
     if fr.pending is not None:
         red, sub = fr.pending
         fr.pending = None
-        batch = red.lift(sub)
+        step = red.lift(sub)
     else:
         if not fr.graph.edges:
             stack.pop()
@@ -1230,11 +1230,8 @@ def _advance(stack: list[_Frame]) -> None:
             fr.pending = (step, [])
             stack.append(_Frame(step.child, step.report, fr.pending[1]))
             return
-        batch = step
-    if not batch:
-        raise CaseVerificationError("Engine", "case produced no cycles")
-    fr.graph, fr.rep = _apply_batch(fr.graph, fr.rep, batch)
-    fr.out.extend(batch)
+    fr.take(step if isinstance(step, _Checked)
+            else _check_removal(fr.graph, fr.rep, step))
 
 
 def _recover(stack: list[_Frame], err: CaseVerificationError | _EngineFailure,
@@ -1259,8 +1256,7 @@ def _recover(stack: list[_Frame], err: CaseVerificationError | _EngineFailure,
         fr = stack[-1]
         fb = fallback_search(fr.graph, max_len=fallback_max_len, rep=fr.rep)
         if fb.status == "found":
-            fr.graph, fr.rep = fb.rest, fb.report
-            fr.out.append((FALLBACK, fb.cycle))
+            fr.take(fb.checked)
             return
         err = _EngineFailure(
             err.case, fr.graph,
@@ -1270,7 +1266,7 @@ def _recover(stack: list[_Frame], err: CaseVerificationError | _EngineFailure,
 
 def _verified_trace(root: EdgeColoredGraph, rep: GoodnessReport,
                     tagged: list[tuple[str, Cycle]]) -> DecompositionTrace:
-    """Certify `tagged` on `root`, whose report is `rep`, by `_apply_batch`,
+    """Certify `tagged` on `root`, whose report is `rep`, by `_check_removal`,
     and check that it covers the root; an output that does is proved by the
     typing sweep alone, with no goodness check. By the removal lemma in
     the coloring module docstring, each step leaves a graph almost-good at
@@ -1278,7 +1274,7 @@ def _verified_trace(root: EdgeColoredGraph, rep: GoodnessReport,
     from that cycle on; b's cycle is listed first in `cycles`. A failure
     raises with `root`, `rep`."""
     try:
-        rest, _ = _apply_batch(root, rep, tagged)
+        rest = _check_removal(root, rep, tagged).rest if tagged else root
     except CaseVerificationError as err:
         raise _EngineFailure(err.case, root, f"replay verification failed: {err}",
                              err.cycle, rep) from err
@@ -1346,14 +1342,15 @@ def decompose_goddyn(clg: ColoredLineGraph, first: Cycle,
     if rep.verdict is not GoodnessVerdict.GOOD or not _all_type2(L):
         raise DecomposeError("line graph is not a good all-Type-II graph")
     proj = project_cycle(clg, first)
-    problem, _, h, hrep = _check_removal(L, rep, [(ALL_TYPE_II, proj)])
-    if problem is not None:
+    try:
+        first_removed = _check_removal(L, rep, [(ALL_TYPE_II, proj)])
+    except CaseVerificationError as err:
         return DecompositionTrace(
             (), None,
             CaseFailure(ALL_TYPE_II, serialize_colored_edge_list(L),
-                        f"prescribed cycle removal failed: {problem}", proj, rep))
-    return _run(L, rep, _Frame(h, hrep, [(ALL_TYPE_II, proj)]),
-                fallback_max_len)
+                        f"prescribed cycle removal failed: {err.problem}", proj, rep))
+    return _run(L, rep, _Frame(first_removed.rest, first_removed.report,
+                               [(ALL_TYPE_II, proj)]), fallback_max_len)
 
 
 def replay_case_failure(failure: CaseFailure,

@@ -160,6 +160,7 @@ def find_bridges(g: Graph) -> frozenset[Edge]:
 
     Iterative lowpoint depth-first search, O(V+E).
     """
+    adj = g.adj
     disc = [-1] * g.n
     low = [0] * g.n
     bridges: set[Edge] = set()
@@ -167,31 +168,25 @@ def find_bridges(g: Graph) -> frozenset[Edge]:
     for root in range(g.n):
         if disc[root] != -1:
             continue
-        # stack entries: (vertex, parent, iterator over neighbors)
-        stack = [(root, -1, iter(g.adj[root]))]
         disc[root] = low[root] = timer
         timer += 1
+        stack = [(root, -1, iter(adj[root]))]
         while stack:
             v, parent, it = stack[-1]
-            advanced = False
             for w in it:
                 if disc[w] == -1:
                     disc[w] = low[w] = timer
                     timer += 1
-                    stack.append((w, v, iter(g.adj[w])))
-                    advanced = True
+                    stack.append((w, v, iter(adj[w])))
                     break
-                elif w != parent:
-                    low[v] = min(low[v], disc[w])
-                elif parent >= 0 and w == parent:
-                    # simple graph: skip the tree edge exactly once
-                    parent = -2
-                    stack[-1] = (v, parent, it)
-            if not advanced:
+                if disc[w] < low[v] and w != parent:  # g is simple
+                    low[v] = disc[w]
+            else:
                 stack.pop()
                 if stack:
                     u = stack[-1][0]
-                    low[u] = min(low[u], low[v])
+                    if low[v] < low[u]:
+                        low[u] = low[v]
                     if low[v] > disc[u]:
                         bridges.add(edge(u, v))
     return frozenset(bridges)

@@ -262,49 +262,55 @@ def exhaustive_fallback(g: EdgeColoredGraph,
     longest = max(len(c) for c in g.components)
     cap = max_len if max_len is not None else (longest if len(g.edges) < 64 else 24)
     for cyc in enumerate_cycles(g.graph, max_len=cap):
-        problem, _, _, _ = _check_removal(g, rep, [(FALLBACK, cyc)])
-        if problem is None:
-            return FallbackResult("found", cyc)
+        try:
+            _check_removal(g, rep, [(FALLBACK, cyc)])
+        except CaseVerificationError:
+            continue
+        return FallbackResult("found", cyc)
     return FallbackResult("indeterminate" if cap < longest else "absent")
 
 
 def remove_one_at_a_time(g: EdgeColoredGraph, rep: GoodnessReport, batch,
-                         ) -> tuple[str | None, tuple | None,
-                                    EdgeColoredGraph | None, GoodnessReport | None]:
+                         ) -> tuple[EdgeColoredGraph, GoodnessReport]:
     """`decomposer._check_removal` one cycle at a time, from the
     definitions: each (tag, cycle) of the batch must have all its edges in
     the current graph and be rainbow, or almost-rainbow at the current
     graph's bad vertex (one color repeated once, on the cycle's two edges
     there); then the full goodness check of what is left must be good,
     after an almost-rainbow cycle or from a good graph, else almost-good.
-    Returns (problem, the (tag, cycle) that failed first, remainder, its
-    report) as `_check_removal` does; the remainder is rebuilt by the
-    validating constructors."""
+    Returns the remainder, rebuilt by the validating constructors, and its
+    report; raises the CaseVerificationError `_check_removal` raises, with
+    the tag and cycle of the first that fails, or the tag "Engine" for an
+    empty batch on a graph with edges."""
+    if not batch and g.edges:
+        raise CaseVerificationError("Engine", "case produced no cycles")
     h, r = g, rep
     for tag, cyc in batch:
         vs = cyc.vertices
         ring = [edge(u, w) for u, w in zip(vs, vs[1:] + vs[:1])]
         cols = [h.coloring.get(e) for e in ring]
         if None in cols:
-            return (f"cycle {vs} is not a cycle of the current graph",
-                    (tag, cyc), None, None)
+            raise CaseVerificationError(
+                tag, f"cycle {vs} is not a cycle of the current graph", cyc)
         # the cycle's two edges at vs[i] are ring[i - 1] and ring[i]
         at_bad = vs.index(r.bad_vertex) if r.bad_vertex in vs else None
         almost = (at_bad is not None and len(set(cols)) == len(cols) - 1
                   and cols[at_bad] == cols[at_bad - 1])
         if len(set(cols)) < len(cols) and not almost:
-            return (f"cycle {vs} is neither rainbow nor almost-rainbow at the "
-                    f"bad vertex"), (tag, cyc), None, None
+            raise CaseVerificationError(
+                tag, f"cycle {vs} is neither rainbow nor almost-rainbow at the "
+                f"bad vertex", cyc)
         rest = h.restrict_edges(h.edges - set(ring))
         rest_rep = check_goodness(rest)
         expected = (GoodnessVerdict.GOOD
                     if r.verdict is GoodnessVerdict.GOOD or almost
                     else GoodnessVerdict.ALMOST_GOOD)
         if rest_rep.verdict is not expected:
-            return (f"removing {vs} leaves a {rest_rep.verdict.value} graph, "
-                    f"expected {expected.value}"), (tag, cyc), None, None
+            raise CaseVerificationError(
+                tag, f"removing {vs} leaves a {rest_rep.verdict.value} graph, "
+                f"expected {expected.value}", cyc)
         h, r = rest, rest_rep
-    return None, None, h, r
+    return h, r
 
 
 def build_transform_by_scan(parent: EdgeColoredGraph, kind: str, *,

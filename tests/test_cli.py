@@ -347,3 +347,21 @@ def test_negative_count_rejected(capsys, command):
 def test_gen_count_zero(capsys):
     code, out, err = _run(capsys, "gen", "--n", "4", "--count", "0")
     assert code == 0 and out == "\n" and err == ""
+
+
+@pytest.mark.parametrize("argv", [
+    ["decompose"],
+    ["decompose", "--input", "x", "--format", "foo"],
+    ["gen", "--n", "abc"],
+])
+def test_usage_errors_exit_1(capsys, argv):
+    """argparse's own exit code, 2, is the code of a case failure here."""
+    code, out, err = _run(capsys, *argv)
+    assert code == 1 and out == ""
+    assert "usage: cdcover" in err and "error:" in err
+
+
+@pytest.mark.parametrize("argv", [["--help"], ["decompose", "--help"]])
+def test_help_exits_0(capsys, argv):
+    code, out, err = _run(capsys, *argv)
+    assert code == 0 and out.startswith("usage: cdcover") and err == ""

@@ -860,40 +860,56 @@ def test_reduction_child_keeps_parent_ids(monkeypatch):
                 assert g.coloring.get(e) == c, (name, e)
 
 
+def _record_removals(monkeypatch):
+    """Record every `_check_removal` call, as [graph, cycles, the `_Checked`
+    it returned or None], and every removal the engine applies, as (the
+    graph it is removed from, the `_Checked` applied, the number of calls
+    before and after the engine step that applied it). The step is the one
+    whose top frame's graph became the applied record's remainder."""
+    calls, steps = [], []
+    real_check = D._check_removal
+
+    def check(h, r, batch):
+        call = [h, [c for _, c in batch], None]
+        calls.append(call)
+        call[2] = real_check(h, r, batch)
+        return call[2]
+
+    def engine_step(real):
+        def traced(stack, *args):
+            before, graphs = len(calls), [(fr, fr.graph) for fr in stack]
+            real(stack, *args)
+            for fr, g in graphs:
+                if stack and fr is stack[-1] and fr.graph is not g:
+                    applied = next(c for _, _, c in reversed(calls)
+                                   if c is not None and c.rest is fr.graph)
+                    steps.append((g, applied, before, len(calls)))
+        return traced
+
+    monkeypatch.setattr(D, "_check_removal", check)
+    monkeypatch.setattr(D, "_advance", engine_step(D._advance))
+    monkeypatch.setattr(D, "_recover", engine_step(D._recover))
+    return calls, steps
+
+
 @pytest.mark.parametrize("tag", ["Case2_2_1b", "Case2_2_2a", "Fallback"])
 def test_single_cycle_step_is_checked_once(monkeypatch, tag):
     """The cycle a case checks before it returns it, the Case2_2_2a
     rectangle or the Case2_2_1b detour, and the cycle a fallback search
     finds meet `_check_removal` once on the graph they are removed from:
     inside the case or the search, and not again when the engine removes
-    them."""
-    checked = []  # (graph, cycles) of every removal check
-    real_check = D._check_removal
-    monkeypatch.setattr(D, "_check_removal", lambda h, r, batch: (
-        checked.append((h, [c for _, c in batch])) or real_check(h, r, batch)))
-    steps = []  # (graph, cycle, the checks made before the engine removes it)
-    real_apply, real_fallback = D._apply_batch, D.fallback_search
-
-    def apply(comp, rep, batch):
-        if [t for t, _ in batch] == [tag]:
-            steps.append((comp, batch[0][1], len(checked)))
-        return real_apply(comp, rep, batch)
-
-    def fallback(g, max_len=None, rep=None):
-        res = real_fallback(g, max_len, rep)
-        if tag == "Fallback" and res.status == "found":
-            steps.append((g, res.cycle, len(checked)))
-        return res
-
-    monkeypatch.setattr(D, "_apply_batch", apply)
-    monkeypatch.setattr(D, "fallback_search", fallback)
+    them, which it does by the `_Checked` of that one call."""
+    calls, steps = _record_removals(monkeypatch)
     n, seed = CASE_RECIPES[tag]
     assert decompose(build_line_graph(
         random_cubic_bridgeless(GeneratorConfig(n, seed))).lg).success
-    assert steps
-    for g, cyc, before in steps:
-        on_g = [i for i, (h, cs) in enumerate(checked) if h is g and cs == [cyc]]
-        assert len(on_g) == 1 and on_g[0] < before
+    mine = [s for s in steps if [t for t, _ in s[1].batch] == [tag]]
+    assert mine
+    for g, applied, _, after in mine:
+        cycles = [c for _, c in applied.batch]
+        on_g = [i for i, (h, cs, _) in enumerate(calls) if h is g and cs == cycles]
+        assert len(on_g) == 1 and on_g[0] < after
+        assert calls[on_g[0]][2] is applied
 
 
 def test_root_certificate_makes_no_goodness_check_or_edit(monkeypatch):
@@ -926,18 +942,19 @@ def test_root_certificate_makes_no_goodness_check_or_edit(monkeypatch):
     assert all(tr.success and not certified for tr, certified in made)
 
 
-@pytest.mark.parametrize("change", ["drop", "repeat"])
+@pytest.mark.parametrize("change", ["drop", "drop all", "repeat"])
 @pytest.mark.parametrize("name", ["L(K33)", "Case1_1 host"])
 def test_uncertified_output_is_refused(monkeypatch, change, name):
-    """An engine output that misses a cycle, or repeats one, fails the root
-    certificate: the trace is a CaseFailure that carries the root graph and
-    its report, and replays through the same failure, and decomposes once
-    the defect is gone."""
+    """An engine output that misses a cycle, misses every cycle, or repeats
+    one, fails the root certificate: the trace is a CaseFailure that carries
+    the root graph and its report, and replays through the same failure,
+    and decomposes once the defect is gone."""
     g = {"L(K33)": build_line_graph(k33()).lg, "Case1_1 host": case1_1_host()}[name]
     real = D._verified_trace
 
     def broken(root, rep, tagged):
-        return real(root, rep, tagged[1:] if change == "drop" else tagged + tagged[:1])
+        return real(root, rep, {"drop": tagged[1:], "drop all": [],
+                                "repeat": tagged + tagged[:1]}[change])
 
     monkeypatch.setattr(D, "_verified_trace", broken)
     tr = decompose(g)
@@ -946,7 +963,7 @@ def test_uncertified_output_is_refused(monkeypatch, change, name):
     assert f.graph_text == serialize_colored_edge_list(g)
     assert parse_colored_edge_list(f.graph_text).graph == g.graph
     assert f.goodness == check_goodness(g)
-    if change == "drop":
+    if change != "repeat":
         assert (f.case, f.cycle) == ("Engine", None)
         assert f.message == "cycles do not cover every edge"
     else:
@@ -963,13 +980,13 @@ def test_uncertified_output_is_refused(monkeypatch, change, name):
 def test_three_meeter_lift_is_checked_once(monkeypatch):
     """The Case2_2_1a lift that leaves one x-cycle in the parent tries each
     detour with one removal check of the whole batch, the other lifted
-    cycles plus the detour, and returns the batch that passes checked: each
-    detour tried costs one incremental goodness check and nothing else, and
-    the engine's `_apply_batch` makes no removal check on the batch."""
-    removals, goodness = [], []  # goodness: whether `after=` was passed
-    real_removal, real_goodness = D._check_removal, D.check_goodness
-    monkeypatch.setattr(D, "_check_removal", lambda h, r, batch: (
-        removals.append(batch) or real_removal(h, r, batch)))
+    cycles plus the detour, and returns the `_Checked` of the batch that
+    passes: each detour tried costs one incremental goodness check and
+    nothing else, and the engine applies that record with no removal check
+    of its own."""
+    calls, steps = _record_removals(monkeypatch)
+    goodness = []  # whether `after=` was passed
+    real_goodness = D.check_goodness
     monkeypatch.setattr(D, "check_goodness", lambda g, after=None: (
         goodness.append(after is not None) or real_goodness(g, after=after)))
     lifted = []  # (batch, v, removal checks and goodness checks the lift made)
@@ -979,36 +996,28 @@ def test_three_meeter_lift_is_checked_once(monkeypatch):
         lift = real_lift(g, rep, p, child, m)
 
         def traced(sub):
-            tried, checked = len(removals), len(goodness)
+            tried, checked = len(calls), len(goodness)
             batch = lift(sub)
-            lifted.append((batch, p.v, removals[tried:], goodness[checked:]))
+            lifted.append((batch, p.v, [cs for _, cs, _ in calls[tried:]],
+                           goodness[checked:]))
             return batch
         return traced
 
     monkeypatch.setattr(D, "_case2_2_1a_lift", traced_lift)
-    engine_checks = []  # removal checks while the engine applies a lift's batch
-    real_apply = D._apply_batch
-
-    def apply(comp, rep, batch):
-        before = len(removals)
-        out = real_apply(comp, rep, batch)
-        if any(batch is b for b, *_ in lifted):
-            engine_checks.append((batch, len(removals) - before))
-        return out
-
-    monkeypatch.setattr(D, "_apply_batch", apply)
     n, seed = CASE_RECIPES["Case2_2_1a"]
     assert decompose(build_line_graph(
         random_cubic_bridgeless(GeneratorConfig(n, seed))).lg).success
     three = [item for item in lifted if isinstance(item[0], D._Checked)]
     assert three
-    for batch, v, tried, checks in three:
-        assert tried and tried[-1] == batch
-        assert all(b[:-1] == batch[:-1] and v in b[-1][1] for b in tried)
+    for checked, v, tried, checks in three:
+        cycles = [c for _, c in checked.batch]
+        assert tried and tried[-1] == cycles
+        assert all(b[:-1] == cycles[:-1] and v in b[-1] for b in tried)
         assert checks == [True] * len(tried)
-    assert all(checks == 0 for b, checks in engine_checks
-               if isinstance(b, D._Checked))
-    assert sum(isinstance(b, D._Checked) for b, _ in engine_checks) == len(three)
+        # the engine step that lifted the batch made no check beyond the lift's
+        (step,) = [s for s in steps if s[1] is checked]
+        assert step[3] - step[2] == len(tried)
+    assert sum(any(s[1] is c for c, *_ in three) for s in steps) == len(three)
 
 
 def test_case2_2_1b_makes_no_goodness_check_of_its_end_block(monkeypatch):
@@ -1377,28 +1386,42 @@ def test_decomposer_does_not_import_the_oracle():
 
 
 @functools.cache
-def _recorded_batches() -> tuple[tuple[EdgeColoredGraph, GoodnessReport,
-                                       tuple[tuple[str, Cycle], ...]], ...]:
-    """Every batch `_apply_batch` removes, with the graph and report it is
-    removed from, while decomposing the line graphs of random cubic graphs
-    with n = 10..20, seeds 0-2: the cycles a case finds, a lift's batch,
-    whole or partial, and the root certificate."""
+def _removal_checks() -> tuple[tuple[str, EdgeColoredGraph, GoodnessReport,
+                                     tuple[tuple[str, Cycle], ...], bool], ...]:
+    """Every `_check_removal` call, as (the function that made it, the graph
+    and report the batch is removed from, the batch, whether it was
+    accepted), while decomposing the line graphs of random cubic graphs with
+    n = 10..20, seeds 0-2."""
     seen = []
-    real = D._apply_batch
+    real = D._check_removal
 
     def record(comp, rep, batch):
-        seen.append((comp, rep, tuple(batch)))
-        return real(comp, rep, batch)
+        call = (sys._getframe(1).f_code.co_name, comp, rep, tuple(batch))
+        try:
+            checked = real(comp, rep, batch)
+        except CaseVerificationError:
+            seen.append((*call, False))
+            raise
+        seen.append((*call, True))
+        return checked
 
-    D._apply_batch = record
+    D._check_removal = record
     try:
         for n in range(10, 21, 2):
             for seed in range(3):
                 lg = build_line_graph(random_cubic_bridgeless(GeneratorConfig(n, seed))).lg
                 assert decompose(lg).success
     finally:
-        D._apply_batch = real
+        D._check_removal = real
     return tuple(seen)
+
+
+def _recorded_batches() -> tuple[tuple[EdgeColoredGraph, GoodnessReport,
+                                       tuple[tuple[str, Cycle], ...]], ...]:
+    """Every batch `_check_removal` accepts in `_removal_checks`, with the
+    graph and report it is removed from: the cycles a case finds, a lift's
+    batch, whole or partial, a fallback's cycle and the root certificate."""
+    return tuple((g, rep, batch) for _, g, rep, batch, ok in _removal_checks() if ok)
 
 
 def _covers(g, batch) -> bool:
@@ -1407,22 +1430,23 @@ def _covers(g, batch) -> bool:
 
 def _reference(g, rep, batch):
     """The per-cycle reference's outcome, as `_applied` reports it."""
-    problem, culprit, rest, rest_rep = remove_one_at_a_time(g, rep, batch)
-    if problem is not None:
-        return "reject", str(CaseVerificationError(culprit[0], problem)), *culprit
+    try:
+        rest, rest_rep = remove_one_at_a_time(g, rep, batch)
+    except CaseVerificationError as err:
+        return "reject", str(err), err.case, err.cycle
     return "accept", rest.edges, rest_rep
 
 
 def _applied(g, rep, batch):
     try:
-        h, r = D._apply_batch(g, rep, list(batch))
+        checked = D._check_removal(g, rep, list(batch))
     except CaseVerificationError as err:
         return "reject", str(err), err.case, err.cycle
-    return "accept", h.edges, r
+    return "accept", checked.rest.edges, checked.report
 
 
 def _assert_matches_reference(g, rep, batch) -> str:
-    """`_apply_batch` accepts what the per-cycle reference accepts, with
+    """`_check_removal` accepts what the per-cycle reference accepts, with
     the same remainder and report, and rejects the rest; returns the
     verdict. A rejection has the reference's message and culprit, except
     where the reference rejects a cycle of a batch of several for what its
@@ -1488,8 +1512,13 @@ def test_recorded_batches_include_lifts_and_almost_good():
     # partial batches of several cycles, not only the ones that cover
     assert sum(len(batch) > 1 and not _covers(g, batch)
                for g, _, batch in recorded) > 20
-    # every batch the engine accepted passes the one check
-    assert all(D._check_removal(*r)[0] is None for r in recorded)
+    # the engine's own check of a step and the root certificate reject
+    # nothing; only a search that tries candidates in turn is refused
+    checks = _removal_checks()
+    callers = {caller for caller, *_ in checks}
+    assert {"_advance", "_verified_trace"} <= callers
+    refused = {caller for caller, *_, ok in checks if not ok}
+    assert refused <= {"fallback_search", "lift", "_case2_2_2a"}
 
 
 MUTATIONS = ("none", "swap", "move almost-rainbow", "drop", "recolor", "re-pair",
@@ -1665,7 +1694,7 @@ def test_partial_batch_makes_one_goodness_check_and_one_edit(monkeypatch):
         calls.append(("edit", True)) or real_edit(self, *a, **k)))
     for g, rep, batch in partial:
         calls.clear()
-        D._apply_batch(g, rep, list(batch))
+        D._check_removal(g, rep, list(batch))
         assert sorted(calls) == [("check_goodness", True), ("edit", True)]
 
 
@@ -1674,17 +1703,17 @@ def test_full_lift_makes_no_goodness_check(monkeypatch):
     real_check = D.check_goodness
     monkeypatch.setattr(D, "check_goodness",
                         lambda *a, **k: calls.append(1) or real_check(*a, **k))
-    made = []  # (tags, covers its graph, goodness checks made)
-    real_apply = D._apply_batch
+    made = []  # per accepted removal: (tags, covers its graph, goodness checks made)
+    real_removal = D._check_removal
 
-    def apply(comp, rep, batch):
+    def removal(comp, rep, batch):
         before = len(calls)
-        out = real_apply(comp, rep, batch)
+        checked = real_removal(comp, rep, batch)
         made.append(({t for t, _ in batch}, _covers(comp, batch),
                      len(calls) - before))
-        return out
+        return checked
 
-    monkeypatch.setattr(D, "_apply_batch", apply)
+    monkeypatch.setattr(D, "_check_removal", removal)
     n, seed = CASE_RECIPES["Case2_1"]
     assert decompose(build_line_graph(
         random_cubic_bridgeless(GeneratorConfig(n, seed))).lg).success

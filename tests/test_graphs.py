@@ -141,6 +141,44 @@ def test_edge_list_roundtrip_property(g):
     assert parse_edge_list(serialize_edge_list(g)) == g
 
 
+@st.composite
+def patchwork_graphs(draw, max_n=14):
+    """Simple graphs of one to four parts on disjoint vertex sets, each a
+    path, a tree or a random graph, plus up to three edges anywhere, with
+    the vertices shuffled."""
+    n = draw(st.integers(1, max_n))
+    order = draw(st.permutations(range(n)))
+    cuts = sorted(draw(st.lists(st.integers(1, n - 1), unique=True, max_size=3))
+                  if n > 1 else [])
+    edges: set = set()
+    for lo, hi in zip([0] + cuts, cuts + [n]):
+        part = order[lo:hi]
+        kind = draw(st.sampled_from(["path", "tree", "random"]))
+        if kind == "path":
+            edges.update(edge(a, b) for a, b in zip(part, part[1:]))
+        elif kind == "tree":
+            edges.update(edge(part[i], part[draw(st.integers(0, i - 1))])
+                         for i in range(1, len(part)))
+        elif len(part) > 1:
+            pairs = [edge(a, b) for i, a in enumerate(part) for b in part[i + 1:]]
+            edges.update(draw(st.lists(st.sampled_from(pairs), max_size=2 * len(part))))
+    if n > 1:
+        extra = st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)).filter(
+            lambda t: t[0] != t[1])
+        edges.update(edge(*t) for t in draw(st.lists(extra, max_size=3)))
+    return Graph.from_edges(n, edges)
+
+
+@given(patchwork_graphs())
+@settings(max_examples=300, deadline=None)
+def test_find_bridges_matches_the_definition(g):
+    """An edge is a bridge exactly when deleting it adds a component."""
+    count = len(connected_components(g))
+    assert find_bridges(g) == frozenset(
+        e for e in g.edges
+        if len(connected_components(Graph(g.n, g.edges - {e}))) > count)
+
+
 @given(even_graphs())
 @settings(max_examples=120, deadline=None)
 def test_even_graphs_have_no_bridges(g):

@@ -4,7 +4,8 @@ placeholder. No module names a map between two vertex id spaces. Cached
 properties are filled from outside their own code at a fixed list of sites.
 The decomposer builds no graph from scratch, and only `EdgeColoredGraph.edit`
 builds one without its validating constructor. Only the decomposer's
-removal check asks for a goodness check from a parent's report. The
+removal check asks for a goodness check from a parent's report, and only
+it makes the record of a removal it accepted. The
 brute-force oracle imports nothing from the decomposer it certifies. Every
 layer the benchmark's tracer wraps still exists under the name it wraps.
 Only a pinned few definitions are called by tests alone.
@@ -474,6 +475,45 @@ def test_one_function_checks_goodness_after_a_removal():
     assert [f"{p.name}: {scope}" for p in MODULES
             for scope in incremental_goodness_calls(p.read_text())] == [
         "decomposer.py: _check_removal"]
+
+
+def removal_records(source: str) -> list[str]:
+    """Where `source` makes a removal record or applies a batch beside the
+    removal check: the function, as `scoped_nodes` names it, of each call
+    of `_Checked` or of an attribute so named, and `def _apply_batch` for
+    each definition of that name. Sorted."""
+    found = [f"def {node.name}" for node in ast.walk(ast.parse(source))
+             if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
+                                  ast.ClassDef)) and node.name == "_apply_batch"]
+    for scope, node in scoped_nodes(source):
+        if isinstance(node, ast.Call):
+            func = node.func
+            name = func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", None)
+            if name == "_Checked":
+                found.append(scope)
+    return sorted(found)
+
+
+def test_removal_records_detects_and_allows():
+    src = ("def _check_removal(h, rep, batch):\n"
+           "    return _Checked(batch, h, rep)\n"
+           "def lift(sub):\n"
+           "    return D._Checked(sub, None, None)\n"
+           "class A:\n"
+           "    def _apply_batch(self, b):\n"
+           "        return isinstance(b, _Checked), b.rest, _Checked\n"
+           "x: _Checked = y\n")
+    assert removal_records(src) == ["_check_removal", "def _apply_batch", "lift"]
+
+
+def test_only_the_removal_check_makes_a_removal_record():
+    """Only `decomposer._check_removal` builds a `_Checked`, the record of a
+    batch it accepted with its remainder and report, and no `_apply_batch`
+    applies a batch beside it: so no case, lift or search can hand the
+    engine a remainder that was not checked."""
+    assert [f"{p.name}: {scope}" for p in MODULES
+            for scope in removal_records(p.read_text())] == [
+        "decomposer.py: _check_removal", "decomposer.py: _check_removal"]
 
 
 def imported_modules(source: str) -> list[str]:
