@@ -670,34 +670,45 @@ def _singular_walk(adj: tuple[tuple[int, ...], ...], type1: frozenset[int],
 
 
 def parse_colored_edge_list(text: str) -> EdgeColoredGraph:
-    lines = text.splitlines()
+    """Parse `u v color` lines after an optional `n N` header, skipping
+    blank lines and `#` comments. Colors are any tokens, numbered in order
+    of first appearance; without a header, n is one past the largest
+    vertex id. Malformed input raises ColoredGraphError naming its line."""
     declared_n: int | None = None
     triples: list[tuple[int, int, int]] = []
     labels: dict[str, int] = {}
     seen: set[Edge] = set()
-    body = [ln for ln in lines if ln.strip() and not ln.lstrip().startswith("#")]
-    idx = 0
-    if body:
-        toks = body[0].split()
-        if toks[0] == "n":
-            if len(toks) != 2:
-                raise ColoredGraphError("malformed vertex-count header")
-            try:
-                declared_n = int(toks[1])
-            except ValueError:
-                raise ColoredGraphError(f"non-integer vertex count in {body[0]!r}")
-            idx = 1
-    for line in body[idx:]:
+    body = [(i, ln) for i, ln in enumerate(text.splitlines(), 1)
+            if ln.strip() and not ln.lstrip().startswith("#")]
+    if body and body[0][1].split()[0] == "n":
+        i, line = body.pop(0)
+        toks = line.split()
+        if len(toks) != 2:
+            raise ColoredGraphError(f"line {i}: malformed vertex-count header")
+        try:
+            declared_n = int(toks[1])
+        except ValueError:
+            raise ColoredGraphError(f"line {i}: non-integer vertex count in {line!r}")
+        if declared_n < 0:
+            raise ColoredGraphError(f"line {i}: negative vertex count {declared_n}")
+    for i, line in body:
         toks = line.split()
         if len(toks) != 3:
-            raise ColoredGraphError(f"expected 'u v color', got {line!r}")
+            raise ColoredGraphError(f"line {i}: expected 'u v color', got {line!r}")
         try:
             u, v = int(toks[0]), int(toks[1])
         except ValueError:
-            raise ColoredGraphError(f"non-integer vertex id in {line!r}")
+            raise ColoredGraphError(f"line {i}: non-integer vertex id in {line!r}")
+        if u < 0 or v < 0:
+            raise ColoredGraphError(f"line {i}: negative vertex id in {line!r}")
+        if u == v:
+            raise ColoredGraphError(f"line {i}: self-loop at vertex {u}")
         e = edge(u, v)
+        if declared_n is not None and e[1] >= declared_n:
+            raise ColoredGraphError(
+                f"line {i}: edge {e} out of range for declared n={declared_n}")
         if e in seen:
-            raise ColoredGraphError(f"duplicate edge {e}")
+            raise ColoredGraphError(f"line {i}: duplicate edge {e}")
         seen.add(e)
         label = toks[2]
         if label not in labels:

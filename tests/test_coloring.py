@@ -1,4 +1,3 @@
-import functools
 import itertools
 import random
 
@@ -21,6 +20,7 @@ from cdcover.decomposer import decompose
 from cdcover.graphs import Cycle, Graph, GraphError
 from cdcover.linegraph import build_line_graph
 from cdcover.oracle import GeneratorConfig, random_cubic_bridgeless
+from enginecorpus import corpus
 from graphsamples import (
     almost_good_c4,
     bridged_cubic_10,
@@ -323,37 +323,13 @@ def test_incremental_goodness_rejects_a_wrong_parent():
         check_goodness(g, after=(g, check_goodness(g), [Cycle((0, 1, 2))]))
 
 
-@functools.cache
-def _case2_2_1b_calls() -> tuple[tuple, ...]:
-    """The arguments of every Case2_2_1b reduction the decomposer tries at
-    n=10..20, seeds 0-9: (g, rep_g, p, child, crep, m)."""
-    seen = []
-    real = D._case2_2_1b
-
-    def record(*args):
-        seen.append(args)
-        return real(*args)
-
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(D, "_case2_2_1b", record)
-        for n in range(10, 21, 2):
-            for seed in range(10):
-                lg = build_line_graph(random_cubic_bridgeless(GeneratorConfig(n, seed))).lg
-                decompose(lg, fallback_max_len=8)
-    return tuple(seen)
-
-
-def _x_block_inputs() -> tuple[EdgeColoredGraph, ...]:
-    """Every graph the decomposer hands `x_block_decomposition`: the merged
-    graphs of Case2_2_1b."""
-    return tuple(args[3] for args in _case2_2_1b_calls())
-
-
 def test_type_x_true_positives_on_engine_graphs():
-    """Every graph the decomposer asks for x-blocks; unlike the remainders
-    above, these carry Type X vertices."""
+    """Every graph the decomposer asks for x-blocks in the engine corpus,
+    the merged graphs of Case2_2_1b; unlike the remainders above, these
+    carry Type X vertices."""
     nonempty = 0
-    for g in _x_block_inputs():
+    for c in corpus().calls("_case2_2_1b"):
+        g = c.args[3]
         txv = find_type_x_vertices(g)
         assert set(txv) == type_x_by_pseudoblock_splits(g)
         nonempty += bool(txv)
@@ -362,9 +338,9 @@ def test_type_x_true_positives_on_engine_graphs():
 
 def test_x_blocks_match_definition_on_engine_graphs():
     several = 0
-    for g in _x_block_inputs():
-        blocks = x_block_decomposition(g)
-        assert blocks == x_blocks_by_definition(g)
+    for c in corpus().calls("_case2_2_1b"):
+        blocks = x_block_decomposition(c.args[3])
+        assert blocks == x_blocks_by_definition(c.args[3])
         several += len(blocks) > 1
     assert several >= 100
 
@@ -375,7 +351,8 @@ def test_case2_2_1b_matches_the_walked_block_tree():
     it, its verdict and joining vertex t equal those found by walking the
     x-block tree, and the derived report equals the full check's."""
     reduced = 0
-    for g, rep, p, child, crep, m in _case2_2_1b_calls():
+    for c in corpus().calls("_case2_2_1b"):
+        g, rep, p, child, crep, m = c.args
         want = case2_2_1b_by_walking(child, p, m)
         try:
             red = D._case2_2_1b(g, rep, p, child, crep, m)
@@ -533,23 +510,11 @@ def test_edit_validates_added_edges_as_graph_does(bad, message):
     assert g.graph.adj is adj and len(g.edges) == 5
 
 
-def test_edit_results_equal_validated_graphs(monkeypatch):
-    """Every graph `edit` makes while decomposing line graphs n = 10..20,
-    seeds 0-4, equals the graph the validating `Graph` and
-    `EdgeColoredGraph` constructors accept for its edges and colors,
-    adjacency included."""
-    made = []
-    real = EdgeColoredGraph.edit
-
-    def edit(self, *args, **kw):
-        made.append(real(self, *args, **kw))
-        return made[-1]
-
-    monkeypatch.setattr(EdgeColoredGraph, "edit", edit)
-    for n in range(10, 21, 2):
-        for seed in range(5):
-            lg = build_line_graph(random_cubic_bridgeless(GeneratorConfig(n, seed))).lg
-            assert decompose(lg).success
+def test_edit_results_equal_validated_graphs():
+    """Every graph `edit` makes in the engine corpus equals the graph the
+    validating `Graph` and `EdgeColoredGraph` constructors accept for its
+    edges and colors, adjacency included."""
+    made = [c.result for c in corpus().calls("edit")]
     assert len(made) > 1000
     for h in made:
         ref = EdgeColoredGraph(Graph(h.n, h.edges), dict(h.coloring))
@@ -621,3 +586,19 @@ def test_colored_edge_list_arbitrary_labels():
 def test_colored_edge_list_non_integer_header():
     with pytest.raises(ColoredGraphError, match="non-integer vertex count in 'n abc'"):
         parse_colored_edge_list("n abc\n0 1 red\n")
+
+
+@pytest.mark.parametrize("text, message", [
+    ("0 0 1\n", "line 1: self-loop at vertex 0"),
+    ("-1 2 0\n", "line 1: negative vertex id in '-1 2 0'"),
+    ("n 3\n0 5 1\n", "line 2: edge (0, 5) out of range for declared n=3"),
+    ("n -1\n", "line 1: negative vertex count -1"),
+    ("# two blank lines follow\n\n\n0 1 a\n3 3 b\n", "line 5: self-loop at vertex 3"),
+], ids=["self-loop", "negative-id", "out-of-range", "negative-count", "after-comments"])
+def test_colored_edge_list_names_the_bad_line(text, message):
+    """Ids and counts that `Graph` would reject are rejected by the parser
+    with its own error, which names the line: `replay_case_failure` reads
+    this format from files."""
+    with pytest.raises(ColoredGraphError) as err:
+        parse_colored_edge_list(text)
+    assert str(err.value) == message

@@ -38,6 +38,7 @@ from cdcover.graphs import Cycle, Graph, edge
 from cdcover.linegraph import build_line_graph, cover_from_decomposition, project_cycle
 from cdcover.oracle import GeneratorConfig, enumerate_cycles, random_cubic_bridgeless
 from cdcover.verify import verify_cdc, verify_rainbow_decomposition
+from enginecorpus import Call, corpus, recording
 from graphsamples import (
     almost_good_c4,
     case1_1_host,
@@ -58,6 +59,8 @@ from oracles import (
     exhaustive_fallback,
     remove_one_at_a_time,
 )
+
+FIXTURES = Path(__file__).parent / "fixtures"
 
 
 def _decomposed_ok(g, mode="Good"):
@@ -132,22 +135,15 @@ def _disjoint_union(parts: list[EdgeColoredGraph]) -> tuple[EdgeColoredGraph, li
     ((almost_good_c4(), build_line_graph(petersen()).lg), "AlmostGood"),
     ((build_line_graph(k33()).lg, case1_1_host()), "AlmostGood"),
 ], ids=["LK4+LK33", "almost_c4+LPetersen", "LK33+case1_1_host"])
-def test_decompose_disjoint_union(monkeypatch, parts, mode):
+def test_decompose_disjoint_union(parts, mode):
     """A disconnected root splits into one frame per component, each given
     its report by the component lemma instead of a goodness check: the
     report every dispatch receives is the full check's, and each component
     is peeled as it would be alone, shifted by its offset."""
     union, offsets = _disjoint_union(list(parts))
-    dispatched = []
-    real = D._dispatch
-
-    def record(comp, rep):
-        dispatched.append((comp, rep))
-        return real(comp, rep)
-
-    monkeypatch.setattr(D, "_dispatch", record)
-    tr = _decomposed_ok(union, mode)
-    monkeypatch.undo()
+    with recording() as log:
+        tr = _decomposed_ok(union, mode)
+    dispatched = [c.args for c in log if c.name == "_dispatch"]
     alone = sorted(tuple(v + off for v in c.vertices)
                    for g, off in zip(parts, offsets) for c in decompose(g).cycles)
     assert sorted(c.vertices for c in tr.cycles) == alone
@@ -180,17 +176,20 @@ def test_trace_json_shape():
 def test_prefix_goodness_replay():
     """Removing the trace's cycles in order leaves, after each step, a graph
     whose full goodness report is the step's: the reports the root
-    certificate derives from the covering lemma, on good line graphs and
-    on almost-good roots, whose bad vertex's cycle is listed first."""
-    good, almost = _dispatched_graphs()
-    lines = [build_line_graph(random_cubic_bridgeless(GeneratorConfig(n, seed))).lg
-             for n in range(10, 21, 2) for seed in range(6)]
-    roots = [build_line_graph(k33()).lg, build_line_graph(petersen()).lg,
-             *lines, case1_1_host(), *almost]
+    certificate derives from the covering lemma, on good line graphs (the
+    corpus's uncapped runs, L(K33) and L(Petersen)) and on almost-good
+    roots (the Case1_1 host and every 8th almost-good graph the corpus
+    dispatches, which are decomposed again here), whose bad vertex's cycle
+    is listed first."""
+    cp = corpus()
+    almost = [c.args[0] for c in cp.calls("_dispatch")
+              if c.args[1].verdict is GoodnessVerdict.ALMOST_GOOD][::8]
+    good = [(r.clg.lg, r.trace) for r in cp.runs if r.cap is None]
+    good += [(lg, decompose(lg)) for lg in (build_line_graph(k33()).lg,
+                                            build_line_graph(petersen()).lg)]
     verdicts, steps = [], 0
-    for g in roots:
+    for g, tr in good + [(g, decompose(g)) for g in (case1_1_host(), *almost)]:
         rep = check_goodness(g)
-        tr = decompose(g)
         assert tr.success
         if rep.bad_vertex is not None:
             assert rep.bad_vertex in tr.cycles[0]
@@ -201,8 +200,9 @@ def test_prefix_goodness_replay():
         assert not h.edges
         verdicts.append(rep.verdict)
         steps += len(tr.steps)
-    assert verdicts.count(GoodnessVerdict.ALMOST_GOOD) > 30
-    assert verdicts.count(GoodnessVerdict.GOOD) == 38 and steps > 500
+    assert verdicts == ([GoodnessVerdict.GOOD] * len(good)
+                        + [GoodnessVerdict.ALMOST_GOOD] * (1 + len(almost)))
+    assert len(almost) > 30 and steps > 500
 
 
 # ---------------------------------------------------------------------------
@@ -344,40 +344,21 @@ def test_build_transform_matches_the_full_scan_on_random_edits():
     assert seen == {"child", *kinds}
 
 
-def test_build_transform_and_edit_match_the_full_scan(monkeypatch):
-    """While decomposing line graphs n = 10..20, seeds 0-4, every child
-    `_build_transform` builds is the one the full scan builds, or it is
-    rejected with the same message, and every `edit` result's adjacency is
-    the one built from its edge set."""
-    builds, edits = [], []
-    real_build = D._build_transform
-    real_edit = EdgeColoredGraph.edit
-
-    def build(parent, kind, **kw):
-        kw = {k: list(v) for k, v in kw.items()}
-        builds.append((parent, kind, kw))
-        return real_build(parent, kind, **kw)
-
-    def edit(self, *args, **kw):
-        h = real_edit(self, *args, **kw)
-        edits.append(h)
-        return h
-
-    monkeypatch.setattr(D, "_build_transform", build)
-    monkeypatch.setattr(EdgeColoredGraph, "edit", edit)
-    for n in range(10, 21, 2):
-        for seed in range(5):
-            lg = build_line_graph(random_cubic_bridgeless(GeneratorConfig(n, seed))).lg
-            assert decompose(lg).success
+def test_build_transform_and_edit_match_the_full_scan():
+    """In the corpus, every child `_build_transform` builds is the one the
+    full scan builds, or it is rejected with the same message, and every
+    `edit` result's adjacency is the one built from its edge set."""
+    cp = corpus()
+    builds, edits = cp.calls("_build_transform"), cp.calls("edit")
     assert len(builds) > 100 and len(edits) > 1000
-    for parent, kind, kw in builds:
-        made = _outcome(real_build, parent, kind, **kw)
-        ref = _outcome(build_transform_by_scan, parent, kind, **kw)
+    for c in builds:
+        made = _outcome(D._build_transform, *c.args, **c.kw)
+        ref = _outcome(build_transform_by_scan, *c.args, **c.kw)
         assert made == ref
         if isinstance(made, EdgeColoredGraph):
             assert made.graph.adj == _adj_from_scratch(ref)
-    for h in edits:
-        assert h.graph.adj == _adj_from_scratch(h)
+    for c in edits:
+        assert c.result.graph.adj == _adj_from_scratch(c.result)
 
 
 def test_case1_1_rejects_wrong_pattern():
@@ -469,54 +450,12 @@ def _fresh_facts(g):
     return {name: getattr(fresh, name) for name in DISPATCH_FACTS}
 
 
-def _line_graph(n, seed):
-    return build_line_graph(random_cubic_bridgeless(GeneratorConfig(n, seed))).lg
-
-
-# the line graphs whose Case2_1 runs are recorded below: the `small-default`
-# benchmark corpus (n = 20, seeds 0-69), n = 10..24 with seeds 0-4, and
-# n = 40 with seeds 0-2
-RUN_CORPUS = list(dict.fromkeys(
-    [(20, seed) for seed in range(70)]
-    + [(n, seed) for n in range(10, 25, 2) for seed in range(5)]
-    + [(40, seed) for seed in range(3)]))
-
-
 @functools.cache
-def _case2_1_runs() -> tuple[dict, ...]:
-    """Every `case2_1` call the engine makes while decomposing RUN_CORPUS:
-    its graph, report and path, the reduction it returned, the attributes
-    its child held when it was made, and the child cycles the engine handed
-    to its lift (None when the lift was not called)."""
-    runs = []
-    real = D.case2_1
-    real_fallback = D.fallback_search
-    fallbacks = []
-
-    def fallback(*args, **kw):
-        fallbacks.append(1)
-        return real_fallback(*args, **kw)
-
-    def record(g, rep, path):
-        red = real(g, rep, path)
-        run = {"graph": g, "report": rep, "path": path, "reduction": red,
-               "cached": dict(red.child.__dict__), "sub": None}
-        runs.append(run)
-
-        def lift(sub):
-            run["sub"] = list(sub)
-            return red.lift(sub)
-
-        return D.CaseReduction(red.child, lift, red.report)
-
-    D.case2_1, D.fallback_search = record, fallback
-    try:
-        for n, seed in RUN_CORPUS:
-            assert decompose(_line_graph(n, seed)).success
-    finally:
-        D.case2_1, D.fallback_search = real, real_fallback
-    assert fallbacks  # some runs are made after a fallback search
-    return tuple(runs)
+def _by_scan(run: Call) -> tuple[EdgeColoredGraph, GoodnessReport, list]:
+    """What `case2_1_run_by_scan` makes of a `case2_1` call's graph and
+    path: the child, its report and the paths it contracts."""
+    g, _, path = run.args
+    return case2_1_run_by_scan(g, path)
 
 
 def _merged_groups(paths) -> list[set[int]]:
@@ -538,12 +477,13 @@ def test_case2_1_child_and_report_match_the_rebuilt_child():
     included, and the `_build_transform` child that merges the run's whole
     set of merged pairs at once; its derived report is the reference's,
     and the three facts it held when made are the reference's fresh ones."""
-    runs = _case2_1_runs()
+    runs = corpus().calls("case2_1")
     assert len(runs) > 1500
+    assert corpus().calls("fallback_search")  # some runs come after a fallback
     steps = 0
     for run in runs:
-        g, red = run["graph"], run["reduction"]
-        ref, ref_rep, paths = case2_1_run_by_scan(g, run["path"])
+        g, red = run.args[0], run.result
+        ref, ref_rep, paths = _by_scan(run)
         steps += len(paths)
         groups = _merged_groups(paths)
         inside = [e for e in g.edges if any(set(e) <= grp for grp in groups)]
@@ -552,7 +492,7 @@ def test_case2_1_child_and_report_match_the_rebuilt_child():
             assert (made.n, dict(made.coloring), made.graph.adj) == \
                 (ref.n, dict(ref.coloring), _adj_from_scratch(ref))
         assert red.report == ref_rep
-        assert {name: run["cached"][name] for name in CASE2_1_FACTS} == {
+        assert {name: run.cached[name] for name in CASE2_1_FACTS} == {
             name: getattr(ref, name) for name in CASE2_1_FACTS}
     assert steps > 2 * len(runs)  # a run takes more than two steps on average
 
@@ -587,19 +527,19 @@ def test_run_lift_is_the_composition_of_the_step_lifts():
     cycle through a step's merged vertex, or with a second one, both fail
     with the same message."""
     lifted = 0
-    for run in _case2_1_runs():
-        sub = run["sub"]
-        if sub is None:
+    for run in corpus().calls("case2_1"):
+        if run.lift is None:
             continue
-        _, _, paths = case2_1_run_by_scan(run["graph"], run["path"])
-        assert run["reduction"].lift(sub) == _composed(paths, sub)
+        (sub,) = run.lift.args
+        _, _, paths = _by_scan(run)
+        assert run.result.lift(sub) == _composed(paths, sub)
         lifted += 1
         # the child cycle through the last merged vertex, dropped or doubled
         lo = min(paths[-1][1:3])
         at = next(i for i, (_, c) in enumerate(sub) if lo in c)
         for bad in (sub[:at] + sub[at + 1:], sub[:at + 1] + sub[at:]):
             expected = _outcome_of(lambda s: _composed(paths, s), bad)
-            assert _outcome_of(run["reduction"].lift, bad) == expected
+            assert _outcome_of(run.result.lift, bad) == expected
             assert expected.startswith("Case2_1: expected 1 child cycle")
     assert lifted > 1500
 
@@ -607,10 +547,10 @@ def test_run_lift_is_the_composition_of_the_step_lifts():
 def test_case2_1_is_never_called_on_a_case2_1_child():
     """A run goes on while the next dispatch on its child would be Case2_1
     again, so the engine never calls `case2_1` on a graph `case2_1` made."""
-    runs = _case2_1_runs()
-    children = {id(run["reduction"].child) for run in runs}  # all still alive
+    runs = corpus().calls("case2_1")
+    children = {id(run.result.child) for run in runs}  # all still alive
     assert len(runs) > 1500
-    assert [run["path"] for run in runs if id(run["graph"]) in children] == []
+    assert [run.args[2] for run in runs if id(run.args[0]) in children] == []
 
 
 def test_case2_1_chord_of_a_third_color_closes_a_rainbow_triangle():
@@ -658,77 +598,44 @@ def test_case2_1_child_facts_equal_fresh_ones():
     rainbow triangle and singular chains, carried from its parent step by
     step, and no other fact, at the moment it is made; each is the one a
     fresh graph with the child's edges and colors computes."""
-    runs = _case2_1_runs()
+    runs = corpus().calls("case2_1")
     assert len(runs) > 1000
     for run in runs:
-        cached = run["cached"]
+        cached = run.cached
         assert set(cached) == {"graph", "coloring", *CASE2_1_FACTS}
-        fresh = _fresh_facts(run["reduction"].child)
+        fresh = _fresh_facts(run.result.child)
         assert {name: cached[name] for name in CASE2_1_FACTS} == {
             name: fresh[name] for name in CASE2_1_FACTS}
 
 
-def test_remainder_facts_equal_fresh_ones(monkeypatch):
-    """Every remainder `edit` makes while decomposing gets no dispatch fact
-    at the moment it is made, and after its goodness check holds the
+def test_remainder_facts_equal_fresh_ones():
+    """Every remainder `edit` makes in the corpus gets no dispatch fact at
+    the moment it is made, and after its goodness check holds the
     components that a fresh graph with its edges and colors computes: the
     check's Type X search filled them."""
-    made = []
-    real_edit = EdgeColoredGraph.edit
-
-    def edit(self, *args, **kw):
-        child = real_edit(self, *args, **kw)
-        assert not set(DISPATCH_FACTS) & set(child.__dict__)
-        made.append(child)
-        return child
-
-    checked = 0
-    real_check = D.check_goodness
-
-    def check_goodness(g, after=None):
-        nonlocal checked
-        rep = real_check(g, after=after)
-        if after is not None:  # g is after[0] minus the cycles after[2]
-            assert g is made[-1]  # the edit just before its check
-            assert g.__dict__["components"] == _fresh_facts(g)["components"]
+    checked, made = 0, None
+    for c in corpus().log:
+        if c.name == "edit":
+            assert not set(DISPATCH_FACTS) & set(c.cached)
+            made = c.result
+        elif c.name == "check_goodness" and c.kw.get("after") is not None:
+            # g is after[0] minus the cycles after[2]
+            g = c.args[0]
+            assert g is made  # the edit just before its check
+            assert c.cached["components"] == _fresh_facts(g)["components"]
             checked += 1
-        return rep
-
-    monkeypatch.setattr(EdgeColoredGraph, "edit", edit)
-    monkeypatch.setattr(D, "check_goodness", check_goodness)
-    runs = [(n, seed) for n in range(10, 25, 2) for seed in range(5)]
-    runs += [(40, seed) for seed in range(3)]
-    for n, seed in runs:
-        decompose(build_line_graph(random_cubic_bridgeless(GeneratorConfig(n, seed))).lg)
     assert checked > 1000
 
 
-def test_decompose_runs_one_cut_search_per_graph(monkeypatch):
+def test_decompose_runs_one_cut_search_per_graph():
     """The engine never walks a graph for its components with
     `graphs.connected_components`, and runs the Type X search at most once
     on any graph: `components` and Type X come from the same search."""
-    import cdcover.coloring as C
-    import cdcover.graphs as G
-
-    graphs = [build_line_graph(random_cubic_bridgeless(GeneratorConfig(n, seed))).lg
-              for n, seed in [(12, 0), (20, 1), (20, 3), (24, 2)]]
-    walks = []
-    real_components = G.connected_components
-    monkeypatch.setattr(G, "connected_components",
-                        lambda g: walks.append(g) or real_components(g))
-    searched = []  # the graphs themselves, so that no id is reused
-    real_search = C._cut_search
-
-    def cut_search(g, type_x):
-        searched.append(g)
-        return real_search(g, type_x)
-
-    monkeypatch.setattr(C, "_cut_search", cut_search)
-    for g in graphs:
-        assert decompose(g).success
-    assert walks == []
+    cp = corpus()
+    assert cp.calls("connected_components") == ()
+    searched = cp.calls("_cut_search")  # the calls keep the graphs alive
     assert len(searched) > 100
-    assert len({id(g) for g in searched}) == len(searched)
+    assert len({id(c.args[0]) for c in searched}) == len(searched)
 
 
 @pytest.mark.parametrize("triples, path, isolated, tri, chains", [
@@ -777,26 +684,12 @@ def test_case2_1_child_facts_cached_or_not(triples, path, isolated, tri, chains)
             name: facts[name] for name in CASE2_1_FACTS}
 
 
-def test_case2_1_makes_no_rebuild_or_goodness_check(monkeypatch):
-    calls = []
-    for name in ("check_goodness", "_build_transform"):
-        monkeypatch.setattr(D, name, lambda *a, _name=name, _real=getattr(D, name),
-                            **k: calls.append(_name) or _real(*a, **k))
-    made = []  # the calls each case2_1 call made
-    real = D.case2_1
-
-    def case(*args):
-        before = len(calls)
-        red = real(*args)
-        made.append(calls[before:])
-        return red
-
-    monkeypatch.setattr(D, "case2_1", case)
-    n, seed = CASE_RECIPES["Case2_1"]
-    assert decompose(build_line_graph(
-        random_cubic_bridgeless(GeneratorConfig(n, seed))).lg).success
-    assert made and not any(made)
-    assert set(calls) == {"check_goodness", "_build_transform"}
+def test_case2_1_makes_no_rebuild_or_goodness_check():
+    cp = corpus()
+    runs = cp.calls("case2_1")
+    assert runs and cp.calls("check_goodness") and cp.calls("_build_transform")
+    assert not [c.name for run in runs for c in run.inner()
+                if c.name in ("check_goodness", "_build_transform")]
 
 
 def _merge(*group):
@@ -805,141 +698,85 @@ def _merge(*group):
     return set(group) - {keep}, {keep}
 
 
-def _run_merges(g, path):
-    """The vertices a Case2_1 run from `path` leaves isolated, and the
-    merged vertices it keeps: every pair the run merges, as the one-step
-    reference contracts them."""
-    _, _, paths = case2_1_run_by_scan(g, path)
+def _run_merges(run):
+    """The vertices a Case2_1 run leaves isolated, and the merged vertices
+    it keeps: every pair the run merges, as the one-step reference
+    contracts them."""
+    _, _, paths = _by_scan(run)
     gone = {max(v1, v2) for _, v1, v2, _ in paths}
     return gone, {min(v1, v2) for _, v1, v2, _ in paths} - gone
 
 
-# for each case that can reduce: the parent vertices its child leaves
-# isolated, and the vertices whose child cycles its lift rewrites
+# for each case that can reduce, from a call and its arguments: the parent
+# vertices its child leaves isolated, and the vertices whose child cycles
+# its lift rewrites
 REDUCTIONS = {
-    "case1_1": lambda g, v: _merge(v, *g.graph.adj[v]),
-    "case1_2": lambda g, v: _merge(v, min(g.graph.adj[v])),
-    "case2_1": lambda g, rep, path: _run_merges(g, path),
-    "case2_2_1": lambda g, rep, p: (_merge(p.x1, p.x2)[0],
-                                    _merge(p.x1, p.x2)[1] | {p.v}),
-    "_case2_2_2a": lambda g, rep, p: ({p.x1, p.x2}, {p.w1, p.v}),
-    "_case2_2_2b": lambda g, p: _merge(p.v, p.x1, p.y1, p.x2),
-    "_case2_2_2c": lambda g, p: _merge(p.v, p.x1, p.y1, p.x2),
+    "case1_1": lambda c, g, v: _merge(v, *g.graph.adj[v]),
+    "case1_2": lambda c, g, v: _merge(v, min(g.graph.adj[v])),
+    "case2_1": lambda c, g, rep, path: _run_merges(c),
+    "case2_2_1": lambda c, g, rep, p: (_merge(p.x1, p.x2)[0],
+                                       _merge(p.x1, p.x2)[1] | {p.v}),
+    "_case2_2_2a": lambda c, g, rep, p: ({p.x1, p.x2}, {p.w1, p.v}),
+    "_case2_2_2b": lambda c, g, p: _merge(p.v, p.x1, p.y1, p.x2),
+    "_case2_2_2c": lambda c, g, p: _merge(p.v, p.x1, p.y1, p.x2),
 }
 
 
-def test_reduction_child_keeps_parent_ids(monkeypatch):
-    """Every reduction the engine builds keeps its parent's vertex ids: the
-    child has the parent's n, the vertices the reduction merges away or
-    deletes have no edges, and every child edge that avoids the vertices
-    the lift rewrites is a parent edge with the parent's color."""
-    made = []  # (case, parent, isolated, rewritten, reduction)
-
-    def traced(name, real):
-        def case(g, *args):
-            out = real(g, *args)
-            if isinstance(out, D.CaseReduction):
-                made.append((name, g, *REDUCTIONS[name](g, *args), out))
-            return out
-        return case
-
-    for name in REDUCTIONS:
-        monkeypatch.setattr(D, name, traced(name, getattr(D, name)))
-    for n in range(10, 21, 2):
-        for seed in range(10):
-            lg = build_line_graph(random_cubic_bridgeless(GeneratorConfig(n, seed))).lg
-            assert decompose(lg).success
-    assert {m[0] for m in made} == set(REDUCTIONS)
+def test_reduction_child_keeps_parent_ids():
+    """Every reduction the engine builds in the corpus keeps its parent's
+    vertex ids: the child has the parent's n, the vertices the reduction
+    merges away or deletes have no edges, and every child edge that avoids
+    the vertices the lift rewrites is a parent edge with the parent's
+    color."""
+    made = [c for c in corpus().log
+            if c.name in REDUCTIONS and isinstance(c.result, D.CaseReduction)]
+    assert {c.name for c in made} == set(REDUCTIONS)
     assert len(made) > 800
-    for name, g, isolated, rewritten, red in made:
-        child = red.child
+    for c in made:
+        name, g, child = c.name, c.args[0], c.result.child
+        isolated, rewritten = REDUCTIONS[name](c, *c.args)
         assert child.n == g.n, name
         assert all(not child.graph.adj[u] for u in isolated), name
-        for e, c in child.coloring.items():
+        for e, col in child.coloring.items():
             if not rewritten & set(e):
-                assert g.coloring.get(e) == c, (name, e)
-
-
-def _record_removals(monkeypatch):
-    """Record every `_check_removal` call, as [graph, cycles, the `_Checked`
-    it returned or None], and every removal the engine applies, as (the
-    graph it is removed from, the `_Checked` applied, the number of calls
-    before and after the engine step that applied it). The step is the one
-    whose top frame's graph became the applied record's remainder."""
-    calls, steps = [], []
-    real_check = D._check_removal
-
-    def check(h, r, batch):
-        call = [h, [c for _, c in batch], None]
-        calls.append(call)
-        call[2] = real_check(h, r, batch)
-        return call[2]
-
-    def engine_step(real):
-        def traced(stack, *args):
-            before, graphs = len(calls), [(fr, fr.graph) for fr in stack]
-            real(stack, *args)
-            for fr, g in graphs:
-                if stack and fr is stack[-1] and fr.graph is not g:
-                    applied = next(c for _, _, c in reversed(calls)
-                                   if c is not None and c.rest is fr.graph)
-                    steps.append((g, applied, before, len(calls)))
-        return traced
-
-    monkeypatch.setattr(D, "_check_removal", check)
-    monkeypatch.setattr(D, "_advance", engine_step(D._advance))
-    monkeypatch.setattr(D, "_recover", engine_step(D._recover))
-    return calls, steps
+                assert g.coloring.get(e) == col, (name, e)
 
 
 @pytest.mark.parametrize("tag", ["Case2_2_1b", "Case2_2_2a", "Fallback"])
-def test_single_cycle_step_is_checked_once(monkeypatch, tag):
+def test_single_cycle_step_is_checked_once(tag):
     """The cycle a case checks before it returns it, the Case2_2_2a
     rectangle or the Case2_2_1b detour, and the cycle a fallback search
     finds meet `_check_removal` once on the graph they are removed from:
     inside the case or the search, and not again when the engine removes
     them, which it does by the `_Checked` of that one call."""
-    calls, steps = _record_removals(monkeypatch)
-    n, seed = CASE_RECIPES[tag]
-    assert decompose(build_line_graph(
-        random_cubic_bridgeless(GeneratorConfig(n, seed))).lg).success
-    mine = [s for s in steps if [t for t, _ in s[1].batch] == [tag]]
+    cp = corpus()
+    on = {}  # the removal checks on each graph
+    for c in cp.calls("_check_removal"):
+        on.setdefault(id(c.args[0]), []).append(c)
+    mine = [t for t in cp.calls("take") if [tg for tg, _ in t.args[1].batch] == [tag]]
     assert mine
-    for g, applied, _, after in mine:
+    for take in mine:
+        g, applied = take.args
         cycles = [c for _, c in applied.batch]
-        on_g = [i for i, (h, cs, _) in enumerate(calls) if h is g and cs == cycles]
-        assert len(on_g) == 1 and on_g[0] < after
-        assert calls[on_g[0]][2] is applied
+        (check,) = [c for c in on[id(g)] if [cy for _, cy in c.args[2]] == cycles]
+        assert check.at < take.at and check.result is applied
 
 
-def test_root_certificate_makes_no_goodness_check_or_edit(monkeypatch):
+def test_root_certificate_makes_no_goodness_check_or_edit():
     """`_verified_trace` certifies the engine's output on the root by the
     covering sweep alone, for decompose and decompose_goddyn, on good and
     almost-good roots."""
-    calls = []
-    real_check, real_edit = D.check_goodness, EdgeColoredGraph.edit
-    monkeypatch.setattr(D, "check_goodness", lambda *a, **k: (
-        calls.append("check_goodness") or real_check(*a, **k)))
-    monkeypatch.setattr(EdgeColoredGraph, "edit", lambda self, *a, **k: (
-        calls.append("edit") or real_edit(self, *a, **k)))
-    made = []  # (trace, calls made while certifying it)
-    real_trace = D._verified_trace
-
-    def traced(root, rep, tagged):
-        before = len(calls)
-        tr = real_trace(root, rep, tagged)
-        made.append((tr, calls[before:]))
-        return tr
-
-    monkeypatch.setattr(D, "_verified_trace", traced)
     clg = build_line_graph(petersen())
-    decompose_goddyn(clg, Cycle((0, 1, 2, 3, 4)))
-    for g in (clg.lg, case1_1_host(), *(
-            build_line_graph(random_cubic_bridgeless(GeneratorConfig(n, 0))).lg
-            for n in (12, 16, 20))):
-        decompose(g)
-    assert len(made) == 6 and calls
-    assert all(tr.success and not certified for tr, certified in made)
+    with recording() as log:
+        decompose_goddyn(clg, Cycle((0, 1, 2, 3, 4)))
+        decompose(clg.lg)
+        decompose(case1_1_host())
+    made = [c for c in (*log, *corpus().log) if c.name == "_verified_trace"]
+    assert len(made) == 3 + len(corpus().runs)
+    assert any(c.name in ("check_goodness", "edit") for c in log)
+    for c in made:
+        assert c.result.success
+        assert not [i.name for i in c.inner() if i.name in ("check_goodness", "edit")]
 
 
 @pytest.mark.parametrize("change", ["drop", "drop all", "repeat"])
@@ -977,73 +814,46 @@ def test_uncertified_output_is_refused(monkeypatch, change, name):
     assert replay_case_failure(f).success
 
 
-def test_three_meeter_lift_is_checked_once(monkeypatch):
+def test_three_meeter_lift_is_checked_once():
     """The Case2_2_1a lift that leaves one x-cycle in the parent tries each
     detour with one removal check of the whole batch, the other lifted
     cycles plus the detour, and returns the `_Checked` of the batch that
     passes: each detour tried costs one incremental goodness check and
     nothing else, and the engine applies that record with no removal check
     of its own."""
-    calls, steps = _record_removals(monkeypatch)
-    goodness = []  # whether `after=` was passed
-    real_goodness = D.check_goodness
-    monkeypatch.setattr(D, "check_goodness", lambda g, after=None: (
-        goodness.append(after is not None) or real_goodness(g, after=after)))
-    lifted = []  # (batch, v, removal checks and goodness checks the lift made)
-    real_lift = D._case2_2_1a_lift
-
-    def traced_lift(g, rep, p, child, m):
-        lift = real_lift(g, rep, p, child, m)
-
-        def traced(sub):
-            tried, checked = len(calls), len(goodness)
-            batch = lift(sub)
-            lifted.append((batch, p.v, [cs for _, cs, _ in calls[tried:]],
-                           goodness[checked:]))
-            return batch
-        return traced
-
-    monkeypatch.setattr(D, "_case2_2_1a_lift", traced_lift)
-    n, seed = CASE_RECIPES["Case2_2_1a"]
-    assert decompose(build_line_graph(
-        random_cubic_bridgeless(GeneratorConfig(n, seed))).lg).success
-    three = [item for item in lifted if isinstance(item[0], D._Checked)]
+    cp = corpus()
+    # the lifts of Case2_2_1a, whose child is good, unlike Case2_2_1b's
+    three = [(c.args[2].v, c.lift) for c in cp.calls("case2_2_1")
+             if c.lift is not None and c.result.report.verdict is GoodnessVerdict.GOOD
+             and isinstance(c.lift.result, D._Checked)]
     assert three
-    for checked, v, tried, checks in three:
+    takes = {}  # the engine's applications of each record
+    for t in cp.calls("take"):
+        takes.setdefault(id(t.args[1]), []).append(t)
+    for v, lift in three:
+        checked = lift.result
         cycles = [c for _, c in checked.batch]
+        tried = [[cy for _, cy in c.args[2]] for c in lift.inner()
+                 if c.name == "_check_removal"]
         assert tried and tried[-1] == cycles
         assert all(b[:-1] == cycles[:-1] and v in b[-1] for b in tried)
-        assert checks == [True] * len(tried)
+        assert [c.kw.get("after") is not None for c in lift.inner()
+                if c.name == "check_goodness"] == [True] * len(tried)
         # the engine step that lifted the batch made no check beyond the lift's
-        (step,) = [s for s in steps if s[1] is checked]
-        assert step[3] - step[2] == len(tried)
-    assert sum(any(s[1] is c for c, *_ in three) for s in steps) == len(three)
+        (take,) = takes[id(checked)]
+        assert not [c for c in cp.log[lift.end:take.at] if c.name == "_check_removal"]
 
 
-def test_case2_2_1b_makes_no_goodness_check_of_its_end_block(monkeypatch):
+def test_case2_2_1b_makes_no_goodness_check_of_its_end_block():
     """Case2_2_1b gives its end x-block the report the end-block lemma
     proves, almost-good at the joining vertex t, so building the reduction
     makes no goodness check."""
-    checked = []
-    real_goodness, real_1b = D.check_goodness, D._case2_2_1b
-    monkeypatch.setattr(D, "check_goodness", lambda g, after=None: (
-        checked.append(g) or real_goodness(g, after=after)))
-    built = []  # (reduction, goodness checks made while building it)
-
-    def traced(*args):
-        before = len(checked)
-        red = real_1b(*args)
-        built.append((red, len(checked) - before))
-        return red
-
-    monkeypatch.setattr(D, "_case2_2_1b", traced)
-    n, seed = CASE_RECIPES["Case2_2_1b"]
-    assert decompose(build_line_graph(
-        random_cubic_bridgeless(GeneratorConfig(n, seed))).lg).success
+    built = corpus().calls("_case2_2_1b")
     assert built
-    for red, checks in built:
-        assert checks == 0
-        assert red.report.verdict is GoodnessVerdict.ALMOST_GOOD
+    for c in built:
+        assert not [i for i in c.inner() if i.name == "check_goodness"]
+        if c.error is None:
+            assert c.result.report.verdict is GoodnessVerdict.ALMOST_GOOD
 
 
 def test_case2_2_pattern_extraction_and_shape_d():
@@ -1062,27 +872,16 @@ def test_case2_2_2d_host_trace():
     assert tr.steps[0].cycle == Cycle((1, 3, 2, 4))
 
 
-CASE_RECIPES = {
-    "AllTypeII": (12, 0),
-    "Case2_1": (8, 0),
-    "Case2_2_1a": (12, 0),
-    "Case2_2_1b": (8, 0),
-    "Case2_2_2a": (10, 1),
-    "Case2_2_2b": (14, 4),
-    "Case2_2_2c": (14, 0),
-    "Fallback": (16, 2),
-}
-
-
-@pytest.mark.parametrize("tag", sorted(CASE_RECIPES))
+@pytest.mark.parametrize("tag", ["AllTypeII", "Case2_1", "Case2_2_1a", "Case2_2_1b",
+                                 "Case2_2_2a", "Case2_2_2b", "Case2_2_2c"])
 def test_case_reachable_and_verified(tag):
-    n, seed = CASE_RECIPES[tag]
-    g = random_cubic_bridgeless(GeneratorConfig(n, seed))
-    clg = build_line_graph(g)
-    tr = _decomposed_ok(clg.lg)
-    assert tag in [s.case for s in tr.steps]
-    cover = cover_from_decomposition(clg, tr.cycles)
-    assert verify_cdc(g, cover).accepted
+    """Each case's cycles reach the output of some corpus run, whose
+    decomposition and cover verify."""
+    assert any(
+        tag in [s.case for s in r.trace.steps]
+        and verify_rainbow_decomposition(r.clg.lg, r.trace.cycles, "Good").accepted
+        and verify_cdc(r.clg.base, cover_from_decomposition(r.clg, r.trace.cycles)).accepted
+        for r in corpus().runs)
 
 
 # ---------------------------------------------------------------------------
@@ -1169,11 +968,12 @@ def test_engine_recovers_via_fallback(monkeypatch):
     def boom(g, rep=None):
         raise CaseVerificationError("AllTypeII", "simulated defect")
     monkeypatch.setattr(D, "find_cycle_all_type2", boom)
-    lg = build_line_graph(k33()).lg
-    tr = decompose(lg)
+    clg = build_line_graph(k33())
+    tr = decompose(clg.lg)
     assert tr.success
     assert "Fallback" in [s.case for s in tr.steps]
-    assert verify_rainbow_decomposition(lg, tr.cycles, "Good").accepted
+    assert verify_rainbow_decomposition(clg.lg, tr.cycles, "Good").accepted
+    assert verify_cdc(k33(), cover_from_decomposition(clg, tr.cycles)).accepted
 
 
 def test_case_failure_is_replayable(monkeypatch):
@@ -1199,20 +999,41 @@ def test_case_failure_is_replayable(monkeypatch):
 
 def test_failure_unwinds_to_an_ancestor_fallback(monkeypatch):
     """When a frame and its fallback fail, the failure unwinds to the nearest
-    frame waiting on a reduction, which falls back on its own graph. Here 2
-    fallbacks find nothing before an ancestor's finds a cycle."""
-    statuses = []
-    real = D.fallback_search
+    frame waiting on a reduction, which falls back on its own graph. The
+    good graph with no rainbow decomposition fails on every frame: a
+    Case2_2_1a lift fails, the fallback finds nothing on the 20-edge child
+    nor on the 22-edge root, and the run ends in the lift's failure. When
+    the Case1_1 host's child fails, by a stub, and so does its fallback, the
+    root's fallback removes a cycle and the run goes on to a verified
+    decomposition."""
+    g = parse_colored_edge_list((FIXTURES / "good_but_undecomposable.txt").read_text())
+    with recording() as log:
+        tr = decompose(g)
+    assert [(len(c.args[0].edges), c.result.status) for c in log
+            if c.name == "fallback_search"] == [(20, "absent"), (22, "absent")]
+    assert not tr.success and tr.failure.case == "Case2_2_1a"
 
-    def traced(g, max_len=None, rep=None):
-        res = real(g, max_len)
-        statuses.append(res.status)
-        return res
+    g = case1_1_host()
+    real_dispatch, real_fallback = D._dispatch, D.fallback_search
+    dispatched, searched = [], []
 
-    monkeypatch.setattr(D, "fallback_search", traced)
-    lg = build_line_graph(random_cubic_bridgeless(GeneratorConfig(42, 4))).lg
-    assert decompose(lg).success
-    assert statuses == ["found"] * 7 + ["absent"] * 2 + ["found"] * 2
+    def dispatch(comp, rep):
+        dispatched.append(comp)
+        if len(dispatched) == 2:  # the root's Case1_1 child
+            raise CaseVerificationError("Case2_1", "simulated defect")
+        return real_dispatch(comp, rep)
+
+    def fallback(h, max_len=None, rep=None):
+        searched.append(h)
+        return (FallbackResult("absent") if len(searched) == 1
+                else real_fallback(h, max_len, rep))
+
+    monkeypatch.setattr(D, "_dispatch", dispatch)
+    monkeypatch.setattr(D, "fallback_search", fallback)
+    tr = decompose(g)
+    assert searched[:2] == [dispatched[1], g]
+    assert tr.success and tr.steps[0].case == "Fallback"
+    assert verify_rainbow_decomposition(g, tr.cycles, "AlmostGood").accepted
 
 
 def test_engine_needs_no_deep_recursion(monkeypatch):
@@ -1302,60 +1123,43 @@ def test_goddyn_first_step_projection():
 # fallback search against the exhaustive oracle
 
 
-@functools.cache
-def _dispatched_graphs() -> tuple[list[EdgeColoredGraph], list[EdgeColoredGraph]]:
-    """Good and almost-good graphs handed to `_dispatch` while decomposing
-    the line graphs of random cubic graphs with n = 10..16, seeds 0-5."""
-    seen: list[tuple[EdgeColoredGraph, GoodnessReport]] = []
-    real = D._dispatch
-
-    def record(comp, rep):
-        seen.append((comp, rep))
-        return real(comp, rep)
-
-    D._dispatch = record
-    try:
-        for n in (10, 12, 14, 16):
-            for seed in range(6):
-                lg = build_line_graph(random_cubic_bridgeless(GeneratorConfig(n, seed))).lg
-                assert decompose(lg).success
-    finally:
-        D._dispatch = real
-    good = [g for g, rep in seen if rep.verdict is GoodnessVerdict.GOOD]
-    almost = [g for g, rep in seen if rep.verdict is GoodnessVerdict.ALMOST_GOOD]
-    return good, almost
-
-
 def test_dispatched_graphs_include_almost_good():
-    good, almost = _dispatched_graphs()
-    assert len(good) > 500 and len(almost) > 30
+    verdicts = [rep.verdict for _, rep in (c.args for c in corpus().calls("_dispatch"))]
+    assert verdicts.count(GoodnessVerdict.GOOD) > 500
+    assert verdicts.count(GoodnessVerdict.ALMOST_GOOD) > 30
+
+
+@functools.cache
+def _small_dispatched(verdict: GoodnessVerdict) -> list[EdgeColoredGraph]:
+    """The graphs on at most 24 vertices, those of the corpus's runs with
+    n <= 16, that the engine dispatches with a report of `verdict`."""
+    return [g for g, rep in (c.args for c in corpus().calls("_dispatch"))
+            if rep.verdict is verdict and g.n <= 24]
 
 
 @settings(max_examples=200, deadline=None,
           suppress_health_check=[HealthCheck.too_slow])
 @given(st.data())
 def test_fallback_matches_exhaustive_oracle(data):
-    good, almost = _dispatched_graphs()
-    pool = almost if data.draw(st.booleans(), label="almost_good") else good
-    g = data.draw(st.sampled_from(pool), label="graph")
-    # the oracle enumerates every cycle before testing one, so the uncapped
-    # search is compared where that takes well under a second
+    """On the good and almost-good graphs the corpus dispatches on at most
+    24 vertices: the oracle enumerates every cycle before testing one, so
+    larger graphs would cost more than the rest of the suite."""
+    pool = _small_dispatched(GoodnessVerdict.ALMOST_GOOD if data.draw(
+        st.booleans(), label="almost_good") else GoodnessVerdict.GOOD)
+    g = pool[data.draw(st.integers(0, len(pool) - 1), label="graph")]
+    # the uncapped search is compared where that takes well under a second
     caps = [3, 4, 6, 8] + ([None] if len(g.edges) <= 32 else [])
     for k in caps:
         assert fallback_search(g, max_len=k) == exhaustive_fallback(g, max_len=k), k
 
 
 def test_fallback_is_lazy(monkeypatch):
-    graphs = []
-    real = D.fallback_search
-    monkeypatch.setattr(D, "fallback_search",
-                        lambda g, max_len=None, rep=None: graphs.append(g) or real(g, max_len))
-    lg = build_line_graph(random_cubic_bridgeless(GeneratorConfig(20, 8))).lg
-    assert decompose(lg).success
-    # this graph has 111,784 simple cycles; the first safe one has 4 vertices
-    g = graphs[0]
+    """The first graph the engine searched for a fallback cycle on, while
+    decomposing the line graph of n=20 seed 8, has 44 edges and 111,784
+    simple cycles; the first safe one has 4 vertices, and no longer cycle
+    is generated. A serialized copy finds the same cycle."""
+    g = parse_colored_edge_list((FIXTURES / "fallback_44_edges.txt").read_text())
     assert len(g.edges) == 44
-
     lengths = []
     real_gen = D._color_pruned_cycles
 
@@ -1365,9 +1169,11 @@ def test_fallback_is_lazy(monkeypatch):
             yield c
 
     monkeypatch.setattr(D, "_color_pruned_cycles", counted)
-    res = real(g)
-    assert res.status == "found" and len(res.cycle) == 4
+    res = fallback_search(g)
+    assert res.status == "found" and res.cycle == Cycle((23, 24, 28, 27))
     assert lengths and max(lengths) <= len(res.cycle)
+    again = parse_colored_edge_list(serialize_colored_edge_list(g))
+    assert fallback_search(again).cycle == res.cycle
 
 
 def test_decomposer_does_not_import_the_oracle():
@@ -1383,45 +1189,6 @@ def test_decomposer_does_not_import_the_oracle():
 
 # ---------------------------------------------------------------------------
 # verifying a batch by one typing sweep and one check of what it leaves
-
-
-@functools.cache
-def _removal_checks() -> tuple[tuple[str, EdgeColoredGraph, GoodnessReport,
-                                     tuple[tuple[str, Cycle], ...], bool], ...]:
-    """Every `_check_removal` call, as (the function that made it, the graph
-    and report the batch is removed from, the batch, whether it was
-    accepted), while decomposing the line graphs of random cubic graphs with
-    n = 10..20, seeds 0-2."""
-    seen = []
-    real = D._check_removal
-
-    def record(comp, rep, batch):
-        call = (sys._getframe(1).f_code.co_name, comp, rep, tuple(batch))
-        try:
-            checked = real(comp, rep, batch)
-        except CaseVerificationError:
-            seen.append((*call, False))
-            raise
-        seen.append((*call, True))
-        return checked
-
-    D._check_removal = record
-    try:
-        for n in range(10, 21, 2):
-            for seed in range(3):
-                lg = build_line_graph(random_cubic_bridgeless(GeneratorConfig(n, seed))).lg
-                assert decompose(lg).success
-    finally:
-        D._check_removal = real
-    return tuple(seen)
-
-
-def _recorded_batches() -> tuple[tuple[EdgeColoredGraph, GoodnessReport,
-                                       tuple[tuple[str, Cycle], ...]], ...]:
-    """Every batch `_check_removal` accepts in `_removal_checks`, with the
-    graph and report it is removed from: the cycles a case finds, a lift's
-    batch, whole or partial, a fallback's cycle and the root certificate."""
-    return tuple((g, rep, batch) for _, g, rep, batch, ok in _removal_checks() if ok)
 
 
 def _covers(g, batch) -> bool:
@@ -1504,7 +1271,12 @@ def _repaired(c1: Cycle, c2: Cycle) -> tuple[Cycle, Cycle]:
 
 
 def test_recorded_batches_include_lifts_and_almost_good():
-    recorded = _recorded_batches()
+    """The batches `_check_removal` accepts in the corpus, with the graph
+    and report each is removed from, which the tests below take as
+    samples: the cycles a case finds, a lift's batch, whole or partial, a
+    fallback's cycle and the root certificate."""
+    checks = corpus().calls("_check_removal")
+    recorded = [c.args for c in checks if c.error is None]
     tags = {t for _, _, batch in recorded for t, _ in batch}
     assert {"Case1_1", "Case1_2", "Case2_1", "Case2_2_1a"} <= tags
     assert sum(rep.verdict is GoodnessVerdict.ALMOST_GOOD
@@ -1514,10 +1286,8 @@ def test_recorded_batches_include_lifts_and_almost_good():
                for g, _, batch in recorded) > 20
     # the engine's own check of a step and the root certificate reject
     # nothing; only a search that tries candidates in turn is refused
-    checks = _removal_checks()
-    callers = {caller for caller, *_ in checks}
-    assert {"_advance", "_verified_trace"} <= callers
-    refused = {caller for caller, *_, ok in checks if not ok}
+    assert {"_advance", "_verified_trace"} <= {c.caller for c in checks}
+    refused = {c.caller for c in checks if c.error is not None}
     assert refused <= {"fallback_search", "lift", "_case2_2_2a"}
 
 
@@ -1530,20 +1300,29 @@ def _equal_lengths(batch) -> list[tuple[int, int]]:
             if i != j and len(batch[i][1]) == len(batch[j][1])]
 
 
+@functools.cache
+def _mutable(mutation) -> list:
+    """The recorded batches on at most 30 vertices that `mutation` can
+    change."""
+    recorded = [c.args for c in corpus().calls("_check_removal")
+                if c.error is None and c.args[0].n <= 30]
+    if mutation == "move almost-rainbow":
+        return [r for r in recorded if len(r[2]) > 1
+                and not all(_is_rainbow(r[0], c) for _, c in r[2])]
+    if mutation == "re-pair":
+        return [r for r in recorded if _meeting_pairs(r[2])]
+    if mutation == "repeat":
+        return [r for r in recorded if _equal_lengths(r[2])]
+    if mutation != "none":
+        return [r for r in recorded if len(r[2]) > 1]
+    return recorded
+
+
 def _mutated(data, mutation):
     """A recorded batch, changed as `mutation` says; the report is
     recomputed when the graph changes."""
-    recorded = _recorded_batches()
-    if mutation == "move almost-rainbow":
-        recorded = [r for r in recorded if len(r[2]) > 1
-                    and not all(_is_rainbow(r[0], c) for _, c in r[2])]
-    elif mutation == "re-pair":
-        recorded = [r for r in recorded if _meeting_pairs(r[2])]
-    elif mutation == "repeat":
-        recorded = [r for r in recorded if _equal_lengths(r[2])]
-    elif mutation != "none":
-        recorded = [r for r in recorded if len(r[2]) > 1]
-    g, rep, batch = data.draw(st.sampled_from(recorded), label="recorded")
+    pool = _mutable(mutation)
+    g, rep, batch = pool[data.draw(st.integers(0, len(pool) - 1), label="recorded")]
     batch = list(batch)
     k = len(batch)
     if mutation == "swap":
@@ -1589,6 +1368,10 @@ def _mutated(data, mutation):
           suppress_health_check=[HealthCheck.too_slow])
 @given(st.data())
 def test_batch_sweep_matches_per_cycle_checks(data):
+    """On the recorded batches of graphs on at most 30 vertices, those of
+    the corpus's runs with n <= 20: the reference checks the goodness of
+    every prefix in full, so larger graphs would cost more than the rest
+    of the suite."""
     g, rep, batch = _mutated(
         data, data.draw(st.sampled_from(MUTATIONS), label="mutation"))
     if not rep.ok:
@@ -1603,7 +1386,8 @@ def test_almost_good_batches_re_paired_at_the_bad_vertex_cycle():
     batches the per-cycle reference accepts, and the rest fail with their
     message."""
     outcomes = set()
-    for g, rep, batch in _recorded_batches():
+    for g, rep, batch in (c.args for c in corpus().calls("_check_removal")
+                          if c.error is None):
         if rep.verdict is not GoodnessVerdict.ALMOST_GOOD:
             continue
         at_bad = next((i for i, (_, c) in enumerate(batch) if rep.bad_vertex in c),
@@ -1622,7 +1406,7 @@ def test_almost_good_batches_re_paired_at_the_bad_vertex_cycle():
                         for earlier in (True, False)}
 
 
-def test_two_cycles_repeating_at_one_vertex_fail_the_typing_sweep(monkeypatch):
+def test_two_cycles_repeating_at_one_vertex_fail_the_typing_sweep():
     # two 4-cycles through 0 and 2, each repeating its color at 0: the graph
     # is good, but the batch is no rainbow split, so the sweep rejects its
     # first cycle before any goodness check or edit
@@ -1636,14 +1420,10 @@ def test_two_cycles_repeating_at_one_vertex_fail_the_typing_sweep(monkeypatch):
     assert _reference(g, rep, batch) == (
         "reject", "Case2_1: cycle (0, 1, 2, 3) is neither rainbow nor "
         "almost-rainbow at the bad vertex", *batch[0])
-    calls = []
-    real_check, real_edit = D.check_goodness, EdgeColoredGraph.edit
-    monkeypatch.setattr(D, "check_goodness", lambda *a, **k: (
-        calls.append("check_goodness") or real_check(*a, **k)))
-    monkeypatch.setattr(EdgeColoredGraph, "edit", lambda self, *a, **k: (
-        calls.append("edit") or real_edit(self, *a, **k)))
-    assert _applied(g, rep, batch) == _reference(g, rep, batch)
-    assert calls == []
+    with recording() as log:
+        got = _applied(g, rep, batch)
+    assert got == _reference(g, rep, batch)
+    assert [c.name for c in log] == ["_check_removal"]
 
 
 def test_batch_that_fails_on_goodness_names_its_last_cycle():
@@ -1677,46 +1457,25 @@ def test_batch_that_fails_on_goodness_names_its_last_cycle():
         assert _assert_matches_reference(g, rep, b) == "reject"
 
 
-def test_partial_batch_makes_one_goodness_check_and_one_edit(monkeypatch):
+def test_partial_batch_makes_one_goodness_check_and_one_edit():
     """A batch of several cycles that leaves part of its graph, such as the
     lifted cycles the Case2_2_1a lift removes before its detour, is
     verified by one `edit` and one incremental goodness check of what it
     leaves, however many cycles it has."""
-    partial = [r for r in _recorded_batches()
-               if len(r[2]) > 1 and not _covers(r[0], r[2])]
-    assert max(len(batch) for _, _, batch in partial) >= 4
-    calls = []
-    real_check, real_edit = D.check_goodness, EdgeColoredGraph.edit
-    monkeypatch.setattr(D, "check_goodness", lambda g, after=None: (
-        calls.append(("check_goodness", after is not None))
-        or real_check(g, after=after)))
-    monkeypatch.setattr(EdgeColoredGraph, "edit", lambda self, *a, **k: (
-        calls.append(("edit", True)) or real_edit(self, *a, **k)))
-    for g, rep, batch in partial:
-        calls.clear()
-        D._check_removal(g, rep, list(batch))
-        assert sorted(calls) == [("check_goodness", True), ("edit", True)]
+    partial = [c for c in corpus().calls("_check_removal") if c.error is None
+               and len(c.args[2]) > 1 and not _covers(c.args[0], c.args[2])]
+    assert max(len(c.args[2]) for c in partial) >= 4
+    for c in partial:
+        made = [i for i in c.inner() if i.name in ("check_goodness", "edit")]
+        assert [i.name for i in made] == ["edit", "check_goodness"]
+        assert made[1].kw["after"] is not None
 
 
-def test_full_lift_makes_no_goodness_check(monkeypatch):
-    calls = []
-    real_check = D.check_goodness
-    monkeypatch.setattr(D, "check_goodness",
-                        lambda *a, **k: calls.append(1) or real_check(*a, **k))
-    made = []  # per accepted removal: (tags, covers its graph, goodness checks made)
-    real_removal = D._check_removal
-
-    def removal(comp, rep, batch):
-        before = len(calls)
-        checked = real_removal(comp, rep, batch)
-        made.append(({t for t, _ in batch}, _covers(comp, batch),
-                     len(calls) - before))
-        return checked
-
-    monkeypatch.setattr(D, "_check_removal", removal)
-    n, seed = CASE_RECIPES["Case2_1"]
-    assert decompose(build_line_graph(
-        random_cubic_bridgeless(GeneratorConfig(n, seed))).lg).success
+def test_full_lift_makes_no_goodness_check():
+    # per accepted removal: (tags, covers its graph, goodness checks made)
+    made = [({t for t, _ in c.args[2]}, _covers(c.args[0], c.args[2]),
+             sum(i.name == "check_goodness" for i in c.inner()))
+            for c in corpus().calls("_check_removal") if c.error is None]
     assert any("Case2_1" in tags and covers for tags, covers, _ in made)
     assert all(checks == 0 for _, covers, checks in made if covers)
     assert any(checks > 0 for _, covers, checks in made if not covers)
@@ -1728,16 +1487,14 @@ TRACE_DIGEST = "5ee931ce865d077086b760eb9e7464f26ddc4bfa1e1e2f50a97d085b1745d3d0
 
 
 def test_trace_digest_pinned():
+    """The corpus's runs n = 10..20, seeds 0-4, with the fallback uncapped
+    and capped at 6, then the good graph with no rainbow decomposition."""
+    runs = {(r.n, r.seed, r.cap): r for r in corpus().runs}
+    traces = [runs[n, seed, cap].trace for n in range(10, 21, 2)
+              for seed in range(5) for cap in (None, 6)]
+    traces.append(decompose(parse_colored_edge_list(
+        (FIXTURES / "good_but_undecomposable.txt").read_text())))
     h = hashlib.sha256()
-
-    def add(trace):
+    for trace in traces:
         h.update(json.dumps(trace.to_json(), sort_keys=True).encode())
-
-    for n in range(10, 21, 2):
-        for seed in range(5):
-            lg = build_line_graph(random_cubic_bridgeless(GeneratorConfig(n, seed))).lg
-            for cap in (None, 6):
-                add(decompose(lg, fallback_max_len=cap))
-    fixture = Path(__file__).parent / "fixtures" / "good_but_undecomposable.txt"
-    add(decompose(parse_colored_edge_list(fixture.read_text())))
     assert h.hexdigest() == TRACE_DIGEST

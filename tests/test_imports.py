@@ -8,7 +8,9 @@ removal check asks for a goodness check from a parent's report, and only
 it makes the record of a removal it accepted. The
 brute-force oracle imports nothing from the decomposer it certifies. Every
 layer the benchmark's tracer wraps still exists under the name it wraps.
-Only a pinned few definitions are called by tests alone.
+Only a pinned few definitions are called by tests alone. Outside the
+engine corpus, no test both generates random graphs and patches the
+engine.
 
 No linter ships with the project, so these are stdlib stand-ins for the
 unused-import, dead-code and empty f-string checks. `__init__.py` is
@@ -514,6 +516,86 @@ def test_only_the_removal_check_makes_a_removal_record():
     assert [f"{p.name}: {scope}" for p in MODULES
             for scope in removal_records(p.read_text())] == [
         "decomposer.py: _check_removal", "decomposer.py: _check_removal"]
+
+
+# the engine modules and class that a test may patch, while it generates
+# graphs, only through the engine corpus's recorder
+PATCHED_TARGETS = ("cdcover.decomposer", "cdcover.coloring",
+                   "cdcover.coloring.EdgeColoredGraph")
+
+
+def engine_harvests(source: str) -> list[str]:
+    """The top-level functions and classes of `source` (with their nested
+    functions), or `<module>`, that both call `random_cubic_bridgeless`
+    and patch an attribute of something in PATCHED_TARGETS: by a `setattr`
+    call, which may name its target as a dotted string, or by assigning to
+    the attribute. Sorted."""
+    nodes = scoped_nodes(source)
+    aliases = {}  # a local name -> the dotted name it was imported as
+    for _, node in nodes:
+        if isinstance(node, ast.Import):
+            aliases.update((a.asname, a.name) for a in node.names if a.asname)
+        elif isinstance(node, ast.ImportFrom) and node.module:
+            aliases.update((a.asname or a.name, f"{node.module}.{a.name}")
+                           for a in node.names)
+
+    def target(node: ast.AST) -> bool:
+        if isinstance(node, ast.Constant) and isinstance(node.value, str):
+            return node.value.rsplit(".", 1)[0] in PATCHED_TARGETS
+        if isinstance(node, ast.Name):
+            return aliases.get(node.id) in PATCHED_TARGETS
+        return isinstance(node, ast.Attribute) and ast.unparse(node) in PATCHED_TARGETS
+
+    generating, patching = set(), set()
+    for scope, node in nodes:
+        top = scope.split(".")[0]
+        if isinstance(node, ast.Call):
+            func = node.func
+            name = func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", None)
+            if name == "random_cubic_bridgeless":
+                generating.add(top)
+            elif name == "setattr" and node.args and target(node.args[0]):
+                patching.add(top)
+        elif (isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Store)
+              and target(node.value)):
+            patching.add(top)
+    return sorted(generating & patching)
+
+
+def test_engine_harvests_detects_and_allows():
+    src = ("import sys\nimport cdcover.decomposer as D\nimport cdcover\n"
+           "from cdcover.coloring import EdgeColoredGraph as ECG\n"
+           "def test_a(monkeypatch):\n"
+           "    monkeypatch.setattr(D, 'x', 1)\n"
+           "    random_cubic_bridgeless(c)\n"
+           "def _harvest():\n"
+           "    def record():\n"
+           "        return oracle.random_cubic_bridgeless(c)\n"
+           "    D.case2_1, other.y = record, 1\n"
+           "def test_b(mp):\n"
+           "    mp.setattr(ECG, 'edit', None)\n"
+           "    mp.setattr('cdcover.coloring.check_goodness', None)\n"
+           "def test_c(mp):\n"
+           "    mp.setattr(sys, 'setrecursionlimit', None)\n"
+           "    ECG.edit(g), D.x, random_cubic_bridgeless(c)\n"
+           "class T:\n"
+           "    def test_d(self):\n"
+           "        setattr(ECG, 'edit', None)\n"
+           "        cdcover.coloring.x = random_cubic_bridgeless(c)\n"
+           "def test_e(monkeypatch):\n"
+           "    monkeypatch.setattr('cdcover.decomposer.x', random_cubic_bridgeless(c))\n")
+    assert engine_harvests(src) == ["T", "_harvest", "test_a", "test_e"]
+
+
+def test_engine_is_harvested_only_by_the_corpus():
+    """Outside `tests/enginecorpus.py`, no test both generates random cubic
+    graphs and patches the engine to watch it: the tests read what the
+    engine does on generated graphs from the corpus's one recorded run, so
+    a change to the engine moves one list, not one harvest per test."""
+    paths = sorted(p for p in (ROOT / "tests").glob("*.py")
+                   if p.name != "enginecorpus.py")
+    assert [f"{p.name}: {f}" for p in paths
+            for f in engine_harvests(p.read_text())] == []
 
 
 def imported_modules(source: str) -> list[str]:

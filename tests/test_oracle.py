@@ -1,15 +1,10 @@
 import hashlib
+import json
 from pathlib import Path
 
 import pytest
 
-import cdcover.decomposer as D
-from cdcover.coloring import (
-    EdgeColoredGraph,
-    GoodnessVerdict,
-    parse_colored_edge_list,
-    triangles,
-)
+from cdcover.coloring import EdgeColoredGraph, parse_colored_edge_list, triangles
 from cdcover.graphs import Cycle, Graph, GraphError, find_bridges, is_cubic
 from cdcover.linegraph import build_line_graph
 from cdcover.oracle import (
@@ -124,27 +119,6 @@ def test_brute_force_cdc_searches_each_cycle_once():
         assert verify_cdc(petersen(), res.cycles).accepted
 
 
-def _almost_good_dispatched(monkeypatch) -> list[EdgeColoredGraph]:
-    """Almost-good graphs of at most 30 edges handed to `_dispatch` while
-    decomposing the line graphs of random cubic graphs, n = 10, 12, seeds
-    0-2."""
-    found = []
-    real = D._dispatch
-
-    def record(comp, rep):
-        if rep.verdict is GoodnessVerdict.ALMOST_GOOD and len(comp.edges) <= 30:
-            found.append(comp)
-        return real(comp, rep)
-
-    monkeypatch.setattr(D, "_dispatch", record)
-    for n in (10, 12):
-        for seed in range(3):
-            lg = build_line_graph(random_cubic_bridgeless(GeneratorConfig(n, seed))).lg
-            assert D.decompose(lg).success
-    monkeypatch.undo()
-    return found
-
-
 def _result_line(res: SearchResult) -> bytes:
     cycles = " ".join(",".join(map(str, c.vertices)) for c in res.cycles or ())
     return f"{res.status}:{cycles}\n".encode()
@@ -156,17 +130,21 @@ CDC_DIGEST = "6191968c369e9cb647d71a558ca04f156a4d9eaec2b5a4d132a7512c3651b6fe"
 RAINBOW_DIGEST = "d3b8413c690cac327563b63681821d9ea1f1644d1b5b8bca4d49b540da1ff889"
 
 
-def test_oracle_results_pinned(monkeypatch):
+def test_oracle_results_pinned():
+    """The colored graphs end with the 11 almost-good graphs of at most 30
+    edges that the engine once dispatched while decomposing the line graphs
+    of n = 10, 12, seeds 0-2, frozen in a fixture."""
     cubic = [k4(), k33(), prism(), petersen(), bridged_cubic_10()]
     cubic += [random_cubic_bridgeless(GeneratorConfig(n, seed))
               for n in (6, 8, 10, 12) for seed in range(4)]
-    fixture = Path(__file__).parent / "fixtures" / "good_but_undecomposable.txt"
+    fixtures = Path(__file__).parent / "fixtures"
     colored = [build_line_graph(g).lg for g in (k4(), k33(), prism(), petersen())]
     colored += [almost_good_c4(), rainbow_c4(), case1_1_host(), case1_2_host(),
-                parse_colored_edge_list(fixture.read_text())]
-    almost = _almost_good_dispatched(monkeypatch)
-    assert len(almost) >= 10
-    colored += almost
+                parse_colored_edge_list(
+                    (fixtures / "good_but_undecomposable.txt").read_text())]
+    almost = json.loads((fixtures / "almost_good_dispatched.json").read_text())
+    assert len(almost) == 11
+    colored += [parse_colored_edge_list(text) for text in almost]
     cdc, rainbow = hashlib.sha256(), hashlib.sha256()
     for branch in ("constrained", "lowest"):
         for g in cubic:
