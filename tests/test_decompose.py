@@ -873,7 +873,7 @@ def test_case2_2_2d_host_trace():
 
 
 @pytest.mark.parametrize("tag", ["AllTypeII", "Case2_1", "Case2_2_1a", "Case2_2_1b",
-                                 "Case2_2_2a", "Case2_2_2b", "Case2_2_2c"])
+                                 "Case2_2_2a", "Case2_2_2b", "Case2_2_2c", "Fallback"])
 def test_case_reachable_and_verified(tag):
     """Each case's cycles reach the output of some corpus run, whose
     decomposition and cover verify."""
