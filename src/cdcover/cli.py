@@ -7,6 +7,9 @@ both ways, and compare).
 
 Exit codes: 0 success / definitive answer, 1 input, output or usage
 error, 2 case failure or verification mismatch, 3 indeterminate oracle search.
+Every refusal of an input, an output or an option exits 1 and prints exactly
+one `error: <message>` line on stderr and nothing on stdout; only a
+`--trace -` written before an unwritable `--output` stays on stdout.
 """
 from __future__ import annotations
 
@@ -44,29 +47,26 @@ from .verify import verify_cdc
 BUDGET_ENV = "CDCOVER_FALLBACK_BUDGET"
 
 
-class _NotText(ValueError):
-    """An input file, or stdin, that does not decode as text."""
+class _Refused(Exception):
+    """Input, output or an option that a command refuses; `main` prints it
+    as one `error: <message>` line on stderr and exits 1."""
 
 
 def _read_text(path: str) -> str:
-    """The text of the file at `path`, read as UTF-8, or of stdin for "-";
-    `_NotText` when it does not decode."""
+    """The text of the file at `path`, read as UTF-8, or of stdin for "-"."""
     try:
         if path == "-":
             return sys.stdin.read()
         return Path(path).read_text(encoding="utf-8")
+    except OSError as err:
+        raise _Refused(str(err)) from None
     except UnicodeDecodeError as err:
-        raise _NotText(f"{'stdin' if path == '-' else path}: not {err.encoding} "
+        raise _Refused(f"{'stdin' if path == '-' else path}: not {err.encoding} "
                        f"text ({err.reason} at byte {err.start})") from None
 
 
-class _Unwritable(OSError):
-    """An output file that cannot be written."""
-
-
 def _write_text(path: str | None, text: str) -> None:
-    """Write text to the file at `path`, or to stdout for None or "-";
-    `_Unwritable` when the file cannot be written."""
+    """Write text to the file at `path`, or to stdout for None or "-"."""
     if path is None or path == "-":
         sys.stdout.write(text)
         if not text.endswith("\n"):
@@ -75,7 +75,7 @@ def _write_text(path: str | None, text: str) -> None:
     try:
         Path(path).write_text(text)
     except OSError as err:
-        raise _Unwritable(f"{path}: {err.strerror or err}") from None
+        raise _Refused(f"{path}: {err.strerror or err}") from None
 
 
 def _dump(obj) -> str:
@@ -84,37 +84,48 @@ def _dump(obj) -> str:
 
 def _load_graph(path: str, fmt: str) -> Graph:
     """The one graph in the file at `path`; a graph6 file holding more than
-    one graph is a GraphError, not its first graph."""
+    one graph is refused, not read as its first graph."""
     text = _read_text(path)
-    if fmt == "graph6":
+    try:
+        if fmt == "edgelist":
+            return parse_edge_list(text)
         lines = [ln for ln in text.splitlines() if ln.strip()]
         if len(lines) > 1:
             raise GraphError(f"{path}: expected one graph6 line, got {len(lines)}")
         return parse_graph6(lines[0] if lines else "")
-    return parse_edge_list(text)
+    except GraphError as err:
+        raise _Refused(str(err)) from None
 
 
 def _bridgeless_line_graph(g: Graph) -> ColoredLineGraph:
-    """The colored line graph of g; LineGraphError unless g is cubic,
-    connected (both checked by `build_line_graph`) and bridgeless."""
-    clg = build_line_graph(g)
+    """The colored line graph of g; refused unless g is cubic, connected
+    (both checked by `build_line_graph`) and bridgeless."""
+    try:
+        clg = build_line_graph(g)
+    except LineGraphError as err:
+        raise _Refused(str(err)) from None
     bridges = find_bridges(g)
     if bridges:
-        raise LineGraphError(f"graph has a bridge: {sorted(bridges)[0]}")
+        raise _Refused(f"graph has a bridge: {sorted(bridges)[0]}")
     return clg
 
 
-def _oracle_budget(budget: float) -> str | None:
-    """Why an oracle --budget in seconds is unusable, or None."""
-    if math.isfinite(budget) and budget > 0:
-        return None
-    return f"--budget must be a finite number of seconds above 0, got {budget}"
+def _check_budget(budget: float) -> None:
+    """Refuse an oracle --budget in seconds that is not finite and above 0."""
+    if not (math.isfinite(budget) and budget > 0):
+        raise _Refused(
+            f"--budget must be a finite number of seconds above 0, got {budget}")
+
+
+def _check_count(count: int) -> None:
+    if count < 0:
+        raise _Refused(f"--count must be at least 0, got {count}")
 
 
 def _fallback_budget(args) -> int | None:
     """The fallback's cycle-length budget from --fallback-budget, else from
-    the environment, else None; ValueError unless it is an integer >= 3,
-    the length of the shortest cycle."""
+    the environment, else None; refused unless it is an integer >= 3, the
+    length of the shortest cycle."""
     budget, source = args.fallback_budget, "--fallback-budget"
     if budget is None:
         env = os.environ.get(BUDGET_ENV)
@@ -124,36 +135,24 @@ def _fallback_budget(args) -> int | None:
         try:
             budget = int(env)
         except ValueError:
-            raise ValueError(f"{source} must be an integer, got {env!r}") from None
+            raise _Refused(f"{source} must be an integer, got {env!r}") from None
     if budget < 3:
-        raise ValueError(f"{source} must be at least 3, got {budget}")
+        raise _Refused(f"{source} must be at least 3, got {budget}")
     return budget
 
 
 def cmd_decompose(args) -> int:
-    try:
-        budget = _fallback_budget(args)
-    except ValueError as err:
-        print(f"error: {err}", file=sys.stderr)
-        return 1
-    try:
-        g = _load_graph(args.input, args.format)
-        clg = _bridgeless_line_graph(g)
-    except (GraphError, OSError, _NotText, LineGraphError) as err:
-        print(f"error: {err}", file=sys.stderr)
-        return 1
-
+    budget = _fallback_budget(args)
+    g = _load_graph(args.input, args.format)
+    clg = _bridgeless_line_graph(g)
     if args.goddyn_cycle:
         try:
             vs = tuple(int(t) for t in args.goddyn_cycle.replace(",", " ").split())
             first = Cycle(vs)
-        except (ValueError, GraphError) as err:
-            print(f"error: bad --goddyn-cycle: {err}", file=sys.stderr)
-            return 1
+        except ValueError as err:  # GraphError included
+            raise _Refused(f"bad --goddyn-cycle: {err}") from None
         if not first.is_cycle_of(g):
-            print(f"error: --goddyn-cycle {vs} is not a cycle of the input graph",
-                  file=sys.stderr)
-            return 1
+            raise _Refused(f"--goddyn-cycle {vs} is not a cycle of the input graph")
         trace = decompose_goddyn(clg, first, fallback_max_len=budget)
     else:
         trace = decompose(clg.lg, fallback_max_len=budget)
@@ -182,59 +181,41 @@ def cmd_decompose(args) -> int:
 
 
 def cmd_verify(args) -> int:
+    g = _load_graph(args.graph, args.format)
     try:
-        g = _load_graph(args.graph, args.format)
         payload = json.loads(_read_text(args.cover))
-    except (GraphError, OSError, _NotText, json.JSONDecodeError) as err:
-        print(f"error: {err}", file=sys.stderr)
-        return 1
+    except json.JSONDecodeError as err:
+        raise _Refused(str(err)) from None
     cycles = payload.get("cycles") if isinstance(payload, dict) else payload
     if not isinstance(cycles, list):
-        print("error: cover must be a JSON list of cycles or an object with "
-              "a \"cycles\" list", file=sys.stderr)
-        return 1
+        raise _Refused('cover must be a JSON list of cycles or an object with '
+                       'a "cycles" list')
     verdict = verify_cdc(g, cycles)
     _write_text(None, _dump(verdict.to_json()))
     return 0 if verdict.accepted else 1
 
 
 def cmd_oracle(args) -> int:
-    problem = _oracle_budget(args.budget)
-    if problem:
-        print(f"error: {problem}", file=sys.stderr)
-        return 1
-    try:
-        g = _load_graph(args.input, args.format)
-        lg = _bridgeless_line_graph(g).lg if args.mode == "rainbow" else None
-    except (GraphError, OSError, _NotText, LineGraphError) as err:
-        print(f"error: {err}", file=sys.stderr)
-        return 1
+    _check_budget(args.budget)
+    g = _load_graph(args.input, args.format)
     if args.mode == "cdc":
         result = brute_force_cdc(g, time_budget=args.budget)
     else:
+        lg = _bridgeless_line_graph(g).lg
         result = brute_force_rainbow_decomposition(lg, time_budget=args.budget)
     print(result.status)
     return 0 if result.status in ("found", "absent") else 3
 
 
-def _count_problem(count: int) -> str | None:
-    """Why a --count is unusable, or None."""
-    return None if count >= 0 else f"--count must be at least 0, got {count}"
-
-
 def cmd_gen(args) -> int:
-    problem = _count_problem(args.count)
-    if problem:
-        print(f"error: {problem}", file=sys.stderr)
-        return 1
+    _check_count(args.count)
     try:
         lines = []
         for i in range(args.count):
             cfg = GeneratorConfig(args.n, args.seed + i)
             lines.append(serialize_graph6(random_cubic_bridgeless(cfg)))
     except GraphError as err:
-        print(f"error: {err}", file=sys.stderr)
-        return 1
+        raise _Refused(str(err)) from None
     _write_text(args.output, "\n".join(lines) + ("\n" if lines else ""))
     return 0
 
@@ -243,13 +224,9 @@ def cmd_crosscheck(args) -> int:
     import random
 
     if args.n_max < 4 or args.n_max % 2:
-        print(f"error: --n-max must be an even integer >= 4, got {args.n_max}",
-              file=sys.stderr)
-        return 1
-    problem = _count_problem(args.count) or _oracle_budget(args.budget)
-    if problem:
-        print(f"error: {problem}", file=sys.stderr)
-        return 1
+        raise _Refused(f"--n-max must be an even integer >= 4, got {args.n_max}")
+    _check_count(args.count)
+    _check_budget(args.budget)
     rng = random.Random(args.seed)
     sizes = list(range(4, args.n_max + 1, 2))
     art_dir = Path("crosscheck-artifacts")
@@ -278,7 +255,7 @@ def cmd_crosscheck(args) -> int:
             try:
                 art_dir.mkdir(exist_ok=True)
             except OSError as err:
-                raise _Unwritable(f"{art_dir}: {err.strerror or err}") from None
+                raise _Refused(f"{art_dir}: {err.strerror or err}") from None
             art = {"index": idx, "n": n, "seed": gseed,
                    "graph6": serialize_graph6(g), "decompose": dec,
                    "oracle": ora, "trace": trace.to_json()}
@@ -349,7 +326,7 @@ def main(argv=None) -> int:
         return 1 if err.code else 0
     try:
         return args.func(args)
-    except _Unwritable as err:
+    except _Refused as err:
         print(f"error: {err}", file=sys.stderr)
         return 1
 

@@ -149,7 +149,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable, Mapping, Sequence
 
-from .graphs import Cycle, Edge, Graph, check_edge, edge
+from .graphs import Cycle, Edge, Graph, GraphError, check_edge, edge, read_edge_lines
 
 
 class ColoredGraphError(ValueError):
@@ -670,53 +670,16 @@ def _singular_walk(adj: tuple[tuple[int, ...], ...], type1: frozenset[int],
 
 
 def parse_colored_edge_list(text: str) -> EdgeColoredGraph:
-    """Parse `u v color` lines after an optional `n N` header, skipping
-    blank lines and `#` comments. Colors are any tokens, numbered in order
-    of first appearance; without a header, n is one past the largest
-    vertex id. Malformed input raises ColoredGraphError naming its line."""
-    declared_n: int | None = None
-    triples: list[tuple[int, int, int]] = []
+    """The colored graph of edge-list text with `u v color` lines
+    (`read_edge_lines`). Colors are any tokens, numbered in order of first
+    appearance. Malformed input raises ColoredGraphError naming its line."""
+    try:
+        n, rows = read_edge_lines(text, "u v color")
+    except GraphError as err:
+        raise ColoredGraphError(str(err)) from None
     labels: dict[str, int] = {}
-    seen: set[Edge] = set()
-    body = [(i, ln) for i, ln in enumerate(text.splitlines(), 1)
-            if ln.strip() and not ln.lstrip().startswith("#")]
-    if body and body[0][1].split()[0] == "n":
-        i, line = body.pop(0)
-        toks = line.split()
-        if len(toks) != 2:
-            raise ColoredGraphError(f"line {i}: malformed vertex-count header")
-        try:
-            declared_n = int(toks[1])
-        except ValueError:
-            raise ColoredGraphError(f"line {i}: non-integer vertex count in {line!r}")
-        if declared_n < 0:
-            raise ColoredGraphError(f"line {i}: negative vertex count {declared_n}")
-    for i, line in body:
-        toks = line.split()
-        if len(toks) != 3:
-            raise ColoredGraphError(f"line {i}: expected 'u v color', got {line!r}")
-        try:
-            u, v = int(toks[0]), int(toks[1])
-        except ValueError:
-            raise ColoredGraphError(f"line {i}: non-integer vertex id in {line!r}")
-        if u < 0 or v < 0:
-            raise ColoredGraphError(f"line {i}: negative vertex id in {line!r}")
-        if u == v:
-            raise ColoredGraphError(f"line {i}: self-loop at vertex {u}")
-        e = edge(u, v)
-        if declared_n is not None and e[1] >= declared_n:
-            raise ColoredGraphError(
-                f"line {i}: edge {e} out of range for declared n={declared_n}")
-        if e in seen:
-            raise ColoredGraphError(f"line {i}: duplicate edge {e}")
-        seen.add(e)
-        label = toks[2]
-        if label not in labels:
-            labels[label] = len(labels)
-        triples.append((u, v, labels[label]))
-    n = declared_n if declared_n is not None else (
-        1 + max((max(u, v) for u, v, _ in triples), default=-1))
-    return EdgeColoredGraph.from_triples(n, triples)
+    return EdgeColoredGraph.from_triples(
+        n, [(u, v, labels.setdefault(c, len(labels))) for u, v, c in rows])
 
 
 def serialize_colored_edge_list(g: EdgeColoredGraph) -> str:

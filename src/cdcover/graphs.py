@@ -279,52 +279,58 @@ def serialize_graph6(g: Graph) -> str:
 
 
 # ---------------------------------------------------------------------------
-# edge-list text format: optional first line "n <count>", then "u v" lines
+# edge-list text: an optional first line "n <count>", then one edge per line,
+# "u v" or "u v color"; blank lines and "#" comments are skipped
 
 
-def parse_edge_list(text: str) -> Graph:
-    lines = text.splitlines()
+def read_edge_lines(text: str, fields: str) -> tuple[int, list[tuple]]:
+    """The vertex count and the rows of edge-list text whose lines hold the
+    whitespace-separated `fields`, the first two the integer ends u and v.
+    Each row is (u, v, *the other tokens). Without a header, n is one past
+    the largest vertex id. Malformed input raises GraphError naming its
+    line."""
+    body = [(i, s) for i, ln in enumerate(text.splitlines(), 1)
+            if (s := ln.strip()) and not s.startswith("#")]
     declared_n: int | None = None
-    pairs: list[Edge] = []
-    seen: set[Edge] = set()
-    start = 0
-    for start, line in enumerate(lines):
-        if line.strip() and not line.lstrip().startswith("#"):
-            break
-    else:
-        start = len(lines)
-    if start < len(lines):
-        toks = lines[start].split()
-        if toks and toks[0] == "n":
-            if len(toks) != 2:
-                raise GraphError(f"line {start + 1}: malformed vertex-count header")
-            try:
-                declared_n = int(toks[1])
-            except ValueError:
-                raise GraphError(f"line {start + 1}: non-integer vertex count {toks[1]!r}")
-            start += 1
-    for i in range(start, len(lines)):
-        line = lines[i].strip()
-        if not line or line.startswith("#"):
-            continue
+    if body and body[0][1].split()[0] == "n":
+        i, line = body.pop(0)
         toks = line.split()
         if len(toks) != 2:
-            raise GraphError(f"line {i + 1}: expected 'u v', got {line!r}")
+            raise GraphError(f"line {i}: malformed vertex-count header")
+        try:
+            declared_n = int(toks[1])
+        except ValueError:
+            raise GraphError(f"line {i}: non-integer vertex count in {line!r}") from None
+        if declared_n < 0:
+            raise GraphError(f"line {i}: negative vertex count {declared_n}")
+    width = len(fields.split())
+    rows: list[tuple] = []
+    seen: set[Edge] = set()
+    for i, line in body:
+        toks = line.split()
+        if len(toks) != width:
+            raise GraphError(f"line {i}: expected '{fields}', got {line!r}")
         try:
             u, v = int(toks[0]), int(toks[1])
         except ValueError:
-            raise GraphError(f"line {i + 1}: non-integer vertex id in {line!r}")
+            raise GraphError(f"line {i}: non-integer vertex id in {line!r}") from None
         if u < 0 or v < 0:
-            raise GraphError(f"line {i + 1}: negative vertex id in {line!r}")
+            raise GraphError(f"line {i}: negative vertex id in {line!r}")
         if u == v:
-            raise GraphError(f"line {i + 1}: self-loop at vertex {u}")
+            raise GraphError(f"line {i}: self-loop at vertex {u}")
         e = edge(u, v)
+        if declared_n is not None and e[1] >= declared_n:
+            raise GraphError(
+                f"line {i}: edge {e} out of range for declared n={declared_n}")
         if e in seen:
-            raise GraphError(f"line {i + 1}: duplicate edge {e}")
+            raise GraphError(f"line {i}: duplicate edge {e}")
         seen.add(e)
-        pairs.append(e)
-    n = declared_n if declared_n is not None else (1 + max((max(e) for e in pairs), default=-1))
-    if any(max(e) >= n for e in pairs):
-        bad = next(e for e in pairs if max(e) >= n)
-        raise GraphError(f"edge {bad} out of range for declared n={n}")
-    return Graph(n, frozenset(pairs))
+        rows.append((u, v, *toks[2:]))
+    if declared_n is None:
+        declared_n = 1 + max((max(u, v) for u, v, *_ in rows), default=-1)
+    return declared_n, rows
+
+
+def parse_edge_list(text: str) -> Graph:
+    """The graph of edge-list text with `u v` lines (`read_edge_lines`)."""
+    return Graph.from_edges(*read_edge_lines(text, "u v"))

@@ -15,19 +15,19 @@ from typing import Literal
 from .coloring import EdgeColoredGraph, check_goodness, is_almost_rainbow_at
 from .graphs import Cycle, Edge, Graph, GraphError, edge, find_bridges, is_connected
 
+# samples the pairing model draws before `random_cubic_bridgeless` gives up
+MAX_REJECTIONS = 20000
+
 
 @dataclass(frozen=True)
 class GeneratorConfig:
     vertex_count: int
     seed: int
-    max_rejections: int = 20000
 
     def __post_init__(self) -> None:
         if self.vertex_count < 4 or self.vertex_count % 2:
             raise GraphError(
                 f"cubic graphs need an even vertex count >= 4, got {self.vertex_count}")
-        if self.max_rejections < 1:
-            raise GraphError("max_rejections must be positive")
 
 
 @dataclass(frozen=True)
@@ -189,7 +189,7 @@ def random_cubic_bridgeless(cfg: GeneratorConfig) -> Graph:
     """
     rng = random.Random(cfg.seed)
     n = cfg.vertex_count
-    for _ in range(cfg.max_rejections):
+    for _ in range(MAX_REJECTIONS):
         stubs = [v for v in range(n) for _ in range(3)]
         for i in range(len(stubs) - 1, 0, -1):
             j = rng.randrange(i + 1)
@@ -207,4 +207,4 @@ def random_cubic_bridgeless(cfg: GeneratorConfig) -> Graph:
             continue
         return g
     raise GraphError(
-        f"pairing sampler exhausted {cfg.max_rejections} rejections at n={n}")
+        f"pairing sampler exhausted {MAX_REJECTIONS} rejections at n={n}")

@@ -8,9 +8,6 @@ import random
 import time
 from pathlib import Path
 
-import pytest
-
-import cdcover.decomposer as D
 from cdcover.cli import main as cli_main
 from cdcover.coloring import check_goodness, triangles
 from cdcover.decomposer import decompose, decompose_goddyn, replay_case_failure

@@ -36,7 +36,7 @@ from cdcover.decomposer import (
 )
 from cdcover.graphs import Cycle, Graph, edge
 from cdcover.linegraph import build_line_graph, cover_from_decomposition, project_cycle
-from cdcover.oracle import GeneratorConfig, enumerate_cycles, random_cubic_bridgeless
+from cdcover.oracle import GeneratorConfig, random_cubic_bridgeless
 from cdcover.verify import verify_cdc, verify_rainbow_decomposition
 from enginecorpus import Call, corpus, recording
 from graphsamples import (

@@ -1,7 +1,14 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from cdcover.coloring import EdgeColoredGraph, split_components, x_block_decomposition
+from cdcover.cli import main
+from cdcover.coloring import (
+    ColoredGraphError,
+    EdgeColoredGraph,
+    parse_colored_edge_list,
+    split_components,
+    x_block_decomposition,
+)
 from cdcover.graphs import (
     Cycle,
     Graph,
@@ -14,7 +21,7 @@ from cdcover.graphs import (
     parse_graph6,
     serialize_graph6,
 )
-from graphsamples import k4, k33, petersen, prism
+from graphsamples import k4, petersen
 from oracles import serialize_edge_list, x_blocks_by_definition
 
 
@@ -65,6 +72,44 @@ def test_parse_edge_list_errors():
 def test_parse_edge_list_header():
     g = parse_edge_list("n 5\n0 1\n")
     assert g.n == 5 and g.degree(4) == 0
+
+
+@pytest.mark.parametrize("lines, message", [
+    (["n"], "line 1: malformed vertex-count header"),
+    (["n 3 4"], "line 1: malformed vertex-count header"),
+    (["n x"], "line 1: non-integer vertex count in 'n x'"),
+    (["n -1"], "line 1: negative vertex count -1"),
+    (["0 1", "2"], "line 2: expected '{fields}', got '2{color}'"),
+    (["0 1 2 3"], "line 1: expected '{fields}', got '0 1 2 3{color}'"),
+    (["0 x"], "line 1: non-integer vertex id in '0 x{color}'"),
+    (["0 -1"], "line 1: negative vertex id in '0 -1{color}'"),
+    (["# a loop", "", "1 1"], "line 3: self-loop at vertex 1"),
+    (["n 2", "0 5"], "line 2: edge (0, 5) out of range for declared n=2"),
+    (["0 1", "1 0"], "line 2: duplicate edge (0, 1)"),
+], ids=["short-header", "long-header", "non-integer-count", "negative-count",
+        "short-line", "long-line", "non-integer-id", "negative-id", "self-loop",
+        "out-of-range", "duplicate"])
+def test_edge_list_parsers_refuse_alike(lines, message):
+    """The plain and the colored edge-list parser refuse the same malformed
+    text with the same message naming its line; the colored parser's edge
+    lines carry a color token and it expects one more field."""
+    for parse, error, fields, color in [
+            (parse_edge_list, GraphError, "u v", ""),
+            (parse_colored_edge_list, ColoredGraphError, "u v color", " c")]:
+        text = "".join(ln + (color if ln[:1].isdigit() else "") + "\n"
+                       for ln in lines)
+        with pytest.raises(error) as err:
+            parse(text)
+        assert str(err.value) == message.format(fields=fields, color=color)
+
+
+def test_edge_list_refusal_reaches_the_cli(tmp_path, capsys):
+    path = tmp_path / "g.txt"
+    path.write_text("n 2\n0 5\n")
+    code = main(["decompose", "--input", str(path), "--format", "edgelist"])
+    captured = capsys.readouterr()
+    assert code == 1 and captured.out == ""
+    assert captured.err == "error: line 2: edge (0, 5) out of range for declared n=2\n"
 
 
 def test_edge_list_roundtrip():

@@ -1,5 +1,3 @@
-import itertools
-
 import pytest
 
 from cdcover.coloring import GoodnessVerdict, check_goodness, triangles

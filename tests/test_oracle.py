@@ -5,7 +5,7 @@ from pathlib import Path
 import pytest
 
 from cdcover.coloring import EdgeColoredGraph, parse_colored_edge_list, triangles
-from cdcover.graphs import Cycle, Graph, GraphError, find_bridges, is_cubic
+from cdcover.graphs import Graph, GraphError, find_bridges, is_cubic
 from cdcover.linegraph import build_line_graph
 from cdcover.oracle import (
     GeneratorConfig,
