@@ -54,15 +54,16 @@ class _Refused(Exception):
 
 def _read_text(path: str) -> str:
     """The text of the file at `path`, read as UTF-8, or of stdin for "-"."""
+    name = "stdin" if path == "-" else path
     try:
         if path == "-":
             return sys.stdin.read()
         return Path(path).read_text(encoding="utf-8")
     except OSError as err:
-        raise _Refused(str(err)) from None
+        raise _Refused(f"{name}: {err.strerror or err}") from None
     except UnicodeDecodeError as err:
-        raise _Refused(f"{'stdin' if path == '-' else path}: not {err.encoding} "
-                       f"text ({err.reason} at byte {err.start})") from None
+        raise _Refused(f"{name}: not {err.encoding} text "
+                       f"({err.reason} at byte {err.start})") from None
 
 
 def _write_text(path: str | None, text: str) -> None:

@@ -166,6 +166,11 @@ class EdgeColoredGraph:
     graph: Graph
     coloring: Mapping[Edge, int]
 
+    def __hash__(self) -> int:
+        # the generated hash would hash the coloring dict; this one agrees
+        # with the generated __eq__, which compares graph and coloring
+        return hash((self.graph, frozenset(self.coloring.items())))
+
     def __post_init__(self) -> None:
         missing = self.graph.edges - set(self.coloring)
         extra = set(self.coloring) - self.graph.edges

@@ -78,29 +78,60 @@ def _exact_multicover(edges: list[Edge], cycles: list[Cycle], demand: int,
     candidate is listed once. `branch` picks the next unsatisfied edge:
     "constrained" takes the edge with the fewest usable cycles, "lowest"
     the lowest-indexed edge.
-    """
-    remaining = {e: demand for e in edges}
-    containing: dict[Edge, list[int]] = {e: [] for e in edges}
-    for i, c in enumerate(cycles):
-        for e in c.edges:
-            if e not in containing:
-                return SearchResult("absent")
-            containing[e].append(i)
 
+    Edge k is `edges[k]` and each candidate is held as its edges' indices.
+    Three arrays carry the state, in the manner of the column sizes of
+    Knuth's Dancing Links: `remaining[k]` is the demand left on edge k,
+    `blocked[i]` the number of candidate i's edges with none left, and
+    `live[k]` the number of candidates through edge k with `blocked` 0,
+    that is, the usable ones. `blocked` and `live` change only when a
+    demand reaches 0 as a cycle is taken, or leaves 0 as it is given back,
+    so no node recounts them. Both callers pass the edges sorted, so the
+    first open edge with the smallest `live` is the minimum of
+    (usable count, edge), the edge a recount would pick.
+    """
+    index = {e: k for k, e in enumerate(edges)}
+    cands: list[tuple[int, ...]] = []
+    containing: list[list[int]] = [[] for _ in edges]
+    for i, c in enumerate(cycles):
+        if any(e not in index for e in c.edges):
+            return SearchResult("absent")
+        cands.append(tuple(index[e] for e in c.edges))
+        for k in cands[i]:
+            containing[k].append(i)
+    remaining = [demand] * len(edges)
+    blocked = [0] * len(cycles)
+    live = [len(through) for through in containing]
     chosen: list[int] = []
     nodes = [0]
 
-    def usable(i: int) -> bool:
-        return all(remaining[e] > 0 for e in cycles[i].edges)
+    def take(i: int) -> None:
+        for k in cands[i]:
+            remaining[k] -= 1
+            if not remaining[k]:
+                for j in containing[k]:
+                    if not blocked[j]:
+                        for f in cands[j]:
+                            live[f] -= 1
+                    blocked[j] += 1
 
-    def pick_edge() -> Edge | None:
-        open_edges = [e for e in edges if remaining[e] > 0]
+    def give_back(i: int) -> None:
+        for k in reversed(cands[i]):
+            if not remaining[k]:
+                for j in reversed(containing[k]):
+                    blocked[j] -= 1
+                    if not blocked[j]:
+                        for f in cands[j]:
+                            live[f] += 1
+            remaining[k] += 1
+
+    def pick_edge() -> int | None:
+        open_edges = [k for k, left in enumerate(remaining) if left]
         if not open_edges:
             return None
         if branch == "lowest":
             return open_edges[0]
-        return min(open_edges,
-                   key=lambda e: (sum(1 for i in containing[e] if usable(i)), e))
+        return min(open_edges, key=live.__getitem__)
 
     def search() -> bool:
         nodes[0] += 1
@@ -108,20 +139,18 @@ def _exact_multicover(edges: list[Edge], cycles: list[Cycle], demand: int,
             raise TimeoutError
         if deadline is not None and nodes[0] % 64 == 0 and time.monotonic() > deadline:
             raise TimeoutError
-        e = pick_edge()
-        if e is None:
+        k = pick_edge()
+        if k is None:
             return True
-        for i in containing[e]:
-            if not usable(i):
+        for i in containing[k]:
+            if blocked[i]:
                 continue
-            for f in cycles[i].edges:
-                remaining[f] -= 1
+            take(i)
             chosen.append(i)
             if search():
                 return True
             chosen.pop()
-            for f in cycles[i].edges:
-                remaining[f] += 1
+            give_back(i)
         return False
 
     try:

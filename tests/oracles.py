@@ -16,6 +16,9 @@ goodness check. The reference reduction builder, `build_transform_by_scan`, rebu
 from a scan over every parent edge, and raises the engine's error type;
 `case2_1_run_by_scan` repeats its one-edge contraction with full checks
 and fresh scans, as the engine's Case2_1 runs do with derived facts.
+`exact_multicover_by_recount` is the oracle's exact-cover search as it
+was before it kept each edge's count of usable candidates up to date: it
+recounts them at every node, and reports how many nodes it visited.
 `find_type_x_vertices` and `serialize_edge_list` are plain helpers that
 only tests call, kept here rather than in the package's API.
 """
@@ -37,7 +40,7 @@ from cdcover.decomposer import (
     _check_removal,
 )
 from cdcover.graphs import Graph, edge
-from cdcover.oracle import enumerate_cycles
+from cdcover.oracle import SearchResult, enumerate_cycles
 
 
 def _incident(g: EdgeColoredGraph) -> dict[int, list[tuple[int, int]]]:
@@ -268,6 +271,67 @@ def exhaustive_fallback(g: EdgeColoredGraph,
             continue
         return FallbackResult("found", cyc)
     return FallbackResult("indeterminate" if cap < longest else "absent")
+
+
+def exact_multicover_by_recount(edges, cycles, demand: int,
+                                branch: str = "constrained",
+                                max_nodes: int | None = None,
+                                ) -> tuple[SearchResult, int]:
+    """`oracle._exact_multicover` as it was before it kept counts: every
+    node recounts each open edge's usable candidates, one scan of a
+    candidate's edges each, and branches on the minimum of (count, edge),
+    or on the lowest open edge. Returns the result and the nodes visited,
+    `max_nodes + 1` when that budget ran out."""
+    remaining = {e: demand for e in edges}
+    containing = {e: [] for e in edges}
+    for i, c in enumerate(cycles):
+        for e in c.edges:
+            if e not in containing:
+                return SearchResult("absent"), 0
+            containing[e].append(i)
+    chosen: list[int] = []
+    nodes = 0
+
+    def usable(i: int) -> bool:
+        return all(remaining[e] > 0 for e in cycles[i].edges)
+
+    def pick_edge():
+        open_edges = [e for e in edges if remaining[e] > 0]
+        if not open_edges:
+            return None
+        if branch == "lowest":
+            return open_edges[0]
+        return min(open_edges,
+                   key=lambda e: (sum(1 for i in containing[e] if usable(i)), e))
+
+    def search() -> bool:
+        nonlocal nodes
+        nodes += 1
+        if max_nodes is not None and nodes > max_nodes:
+            raise TimeoutError
+        e = pick_edge()
+        if e is None:
+            return True
+        for i in containing[e]:
+            if not usable(i):
+                continue
+            for f in cycles[i].edges:
+                remaining[f] -= 1
+            chosen.append(i)
+            if search():
+                return True
+            chosen.pop()
+            for f in cycles[i].edges:
+                remaining[f] += 1
+        return False
+
+    try:
+        ok = search()
+    except TimeoutError:
+        return SearchResult("indeterminate"), nodes
+    if not ok:
+        return SearchResult("absent"), nodes
+    return SearchResult("found", tuple(cycles[i] for i in chosen)), nodes
 
 
 def remove_one_at_a_time(g: EdgeColoredGraph, rep: GoodnessReport, batch,

@@ -336,6 +336,14 @@ def test_unwritable_output_is_an_error(k4_file, tmp_path, capsys, argv):
     assert err == f"error: {target}: No such file or directory\n"
 
 
+def test_unreadable_input_is_an_error(tmp_path, capsys):
+    """A missing input is refused in the words an unwritable output is."""
+    missing = tmp_path / "missing"
+    code, out, err = _run(capsys, "decompose", "--input", str(missing))
+    assert code == 1 and out == ""
+    assert err == f"error: {missing}: No such file or directory\n"
+
+
 @pytest.mark.parametrize("command", ["gen", "crosscheck"])
 def test_negative_count_rejected(capsys, command):
     argv = [command, "--count", "-1"] + (["--n", "4"] if command == "gen" else [])

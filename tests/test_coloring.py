@@ -1,3 +1,4 @@
+import functools
 import itertools
 import random
 
@@ -522,6 +523,34 @@ def test_edit_results_equal_validated_graphs():
         assert type(h.edges) is frozenset and type(h.coloring) is dict
         assert h == ref and hash(h.graph) == hash(ref.graph)
         assert h.graph.adj == ref.graph.adj
+
+
+def test_equal_colored_graphs_hash_equal():
+    """Equal graphs hash equal however they were built, so a colored graph
+    can key a set or a cache; a recoloring makes an unequal graph."""
+    g = rainbow_c4()
+    built = [
+        EdgeColoredGraph.from_triples(4, [(3, 0, 3), (2, 3, 2), (1, 2, 1),
+                                          (0, 1, 0)]),
+        EdgeColoredGraph(Graph.from_edges(4, list(g.coloring)), dict(g.coloring)),
+        EdgeColoredGraph.from_triples(4, [(0, 1, 0), (1, 2, 1), (2, 3, 2),
+                                          (0, 3, 3), (0, 2, 4)]
+                                      ).restrict_edges(g.edges),
+    ]
+    for h in built:
+        assert h == g and h is not g and hash(h) == hash(g)
+    assert len({g, *built}) == 1
+    calls = []
+
+    @functools.cache
+    def edge_count(h: EdgeColoredGraph) -> int:
+        calls.append(h)
+        return len(h.edges)
+
+    assert [edge_count(h) for h in (g, *built)] == [4] * 4 and calls == [g]
+    recolored = almost_good_c4()
+    assert recolored.graph == g.graph and recolored != g
+    assert len({g, recolored}) == 2
 
 
 def test_components_on_an_odd_graph():

@@ -1,15 +1,23 @@
 import hashlib
 import json
+from functools import partial
 from pathlib import Path
 
 import pytest
 
-from cdcover.coloring import EdgeColoredGraph, parse_colored_edge_list, triangles
+from cdcover.coloring import (
+    EdgeColoredGraph,
+    check_goodness,
+    is_almost_rainbow_at,
+    parse_colored_edge_list,
+    triangles,
+)
 from cdcover.graphs import Graph, GraphError, find_bridges, is_cubic
 from cdcover.linegraph import build_line_graph
 from cdcover.oracle import (
     GeneratorConfig,
     SearchResult,
+    _exact_multicover,
     brute_force_cdc,
     brute_force_rainbow_decomposition,
     enumerate_cycles,
@@ -27,6 +35,7 @@ from graphsamples import (
     prism,
     rainbow_c4,
 )
+from oracles import exact_multicover_by_recount
 
 
 def test_enumerate_cycles_k4():
@@ -124,19 +133,12 @@ def _result_line(res: SearchResult) -> bytes:
     return f"{res.status}:{cycles}\n".encode()
 
 
-# sha256 over the status and cycles of every search below, in order; a
-# change means an oracle's verdicts or the covers it finds changed
-CDC_DIGEST = "6191968c369e9cb647d71a558ca04f156a4d9eaec2b5a4d132a7512c3651b6fe"
-RAINBOW_DIGEST = "d3b8413c690cac327563b63681821d9ea1f1644d1b5b8bca4d49b540da1ff889"
-
-
-def test_oracle_results_pinned():
-    """The colored graphs end with the 11 almost-good graphs of at most 30
-    edges that the engine once dispatched while decomposing the line graphs
-    of n = 10, 12, seeds 0-2, frozen in a fixture."""
-    cubic = [k4(), k33(), prism(), petersen(), bridged_cubic_10()]
-    cubic += [random_cubic_bridgeless(GeneratorConfig(n, seed))
-              for n in (6, 8, 10, 12) for seed in range(4)]
+def _colored_samples() -> list[EdgeColoredGraph]:
+    """The line graphs of four small cubic graphs, the colored samples, the
+    good graph with no rainbow decomposition, then the 11 almost-good
+    graphs of at most 30 edges that the engine once dispatched while
+    decomposing the line graphs of n = 10, 12, seeds 0-2, frozen in a
+    fixture."""
     fixtures = Path(__file__).parent / "fixtures"
     colored = [build_line_graph(g).lg for g in (k4(), k33(), prism(), petersen())]
     colored += [almost_good_c4(), rainbow_c4(), case1_1_host(), case1_2_host(),
@@ -144,7 +146,23 @@ def test_oracle_results_pinned():
                     (fixtures / "good_but_undecomposable.txt").read_text())]
     almost = json.loads((fixtures / "almost_good_dispatched.json").read_text())
     assert len(almost) == 11
-    colored += [parse_colored_edge_list(text) for text in almost]
+    return colored + [parse_colored_edge_list(text) for text in almost]
+
+
+# sha256 over the status and cycles of every search below, in order; a
+# change means an oracle's verdicts or the covers it finds changed
+CDC_DIGEST = "6191968c369e9cb647d71a558ca04f156a4d9eaec2b5a4d132a7512c3651b6fe"
+RAINBOW_DIGEST = "d3b8413c690cac327563b63681821d9ea1f1644d1b5b8bca4d49b540da1ff889"
+# the same over the crosscheck benchmark's larger sizes, recorded before
+# the search kept its counts of usable candidates up to date
+LARGE_CDC_DIGEST = "2b5747ef13b39b420cc6f7e3bc91ee0707d68af74fe83586e9b9aee7755bbc2d"
+
+
+def test_oracle_results_pinned():
+    cubic = [k4(), k33(), prism(), petersen(), bridged_cubic_10()]
+    cubic += [random_cubic_bridgeless(GeneratorConfig(n, seed))
+              for n in (6, 8, 10, 12) for seed in range(4)]
+    colored = _colored_samples()
     cdc, rainbow = hashlib.sha256(), hashlib.sha256()
     for branch in ("constrained", "lowest"):
         for g in cubic:
@@ -153,6 +171,69 @@ def test_oracle_results_pinned():
             rainbow.update(_result_line(
                 brute_force_rainbow_decomposition(g, branch=branch)))
     assert (cdc.hexdigest(), rainbow.hexdigest()) == (CDC_DIGEST, RAINBOW_DIGEST)
+
+
+def test_oracle_results_pinned_on_benchmark_sizes():
+    """`brute_force_cdc` on n = 14 and 16, seeds 0-11, both branch rules:
+    the sizes the crosscheck benchmark searches."""
+    cubic = [random_cubic_bridgeless(GeneratorConfig(n, seed))
+             for n in (14, 16) for seed in range(12)]
+    cdc = hashlib.sha256()
+    for branch in ("constrained", "lowest"):
+        for g in cubic:
+            cdc.update(_result_line(brute_force_cdc(g, branch=branch)))
+    assert cdc.hexdigest() == LARGE_CDC_DIGEST
+
+
+def _rainbow_candidates(g: EdgeColoredGraph) -> list:
+    """The cycles of g that are rainbow, or almost-rainbow at its bad
+    vertex: the candidates `brute_force_rainbow_decomposition` searches."""
+    bad = check_goodness(g).bad_vertex
+    return [c for c in enumerate_cycles(g.graph)
+            if len({g.coloring[e] for e in c.edges}) == len(c)
+            or (bad is not None and bad in c and is_almost_rainbow_at(g, c, bad))]
+
+
+def _nodes_needed(search) -> int:
+    """The nodes `search(max_nodes=...)` visits, by bisecting its budget:
+    it answers `indeterminate` exactly when it needs more than the budget."""
+    hi = 1
+    while search(max_nodes=hi).status == "indeterminate":
+        hi *= 2
+    lo = hi // 2  # too few, or 0
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        if search(max_nodes=mid).status == "indeterminate":
+            lo = mid
+        else:
+            hi = mid
+    return hi
+
+
+@pytest.mark.parametrize("branch", ["constrained", "lowest"])
+def test_multicover_search_matches_the_recount(branch):
+    """The search that keeps each edge's count of usable candidates up to
+    date finds what the search that recounts them at every node finds, and
+    visits as many nodes: demand 2 on cubic graphs of n = 6-16, demand 1
+    on the colored samples, an `absent` one among them."""
+    cases = []
+    for n in range(6, 18, 2):
+        for seed in range(3):
+            g = random_cubic_bridgeless(GeneratorConfig(n, seed))
+            cases.append((brute_force_cdc(g, branch=branch),
+                          sorted(g.edges), enumerate_cycles(g), 2))
+    for g in _colored_samples():
+        cases.append((brute_force_rainbow_decomposition(g, branch=branch),
+                      sorted(g.edges), _rainbow_candidates(g), 1))
+    statuses = set()
+    for result, edges, candidates, demand in cases:
+        expected, nodes = exact_multicover_by_recount(edges, candidates, demand,
+                                                      branch=branch)
+        assert result == expected
+        search = partial(_exact_multicover, edges, candidates, demand, branch=branch)
+        assert _nodes_needed(search) == nodes
+        statuses.add(expected.status)
+    assert statuses == {"found", "absent"}
 
 
 def test_generator_n4_is_k4():
