@@ -443,19 +443,15 @@ def _check_removal(h: EdgeColoredGraph, rep: GoodnessReport,
 # greedy cycle in an all-Type-II graph
 
 
-def find_cycle_all_type2(g: EdgeColoredGraph,
-                         rep: GoodnessReport | None = None) -> Cycle:
+def find_cycle_all_type2(g: EdgeColoredGraph, rep: GoodnessReport) -> Cycle:
     """Rainbow cycle from the greedy color-avoiding walk.
 
     Starts at the minimum vertex with edges and always extends along the
     minimum-id neighbor whose edge color is unused; when stuck, the repeated
     color's class is a triangle and closes the cycle. Whether removal
     preserves goodness is left to the caller: the engine checks it as it
-    removes the cycle. `rep` is g's goodness report, computed when not
-    given.
+    removes the cycle. `rep` is g's goodness report.
     """
-    if rep is None:
-        rep = check_goodness(g)
     if rep.verdict is not GoodnessVerdict.GOOD:
         raise DecomposeError("greedy walk requires a good colored graph")
     if len(g.components) != 1:
@@ -1114,8 +1110,8 @@ def _color_pruned_cycles(g: EdgeColoredGraph, length: int,
             frames.append(iter(adj[w]))
 
 
-def fallback_search(g: EdgeColoredGraph, max_len: int | None = None,
-                    rep: GoodnessReport | None = None) -> FallbackResult:
+def fallback_search(g: EdgeColoredGraph, rep: GoodnessReport,
+                    max_len: int | None = None) -> FallbackResult:
     """Lazy hunt for one safely removable cycle, shortest first.
 
     On a good graph: a rainbow cycle whose removal stays good. On an
@@ -1128,12 +1124,9 @@ def fallback_search(g: EdgeColoredGraph, max_len: int | None = None,
     vertex's, or that one twice) can only close into a cycle the removal
     check rejects. Unbounded below 64 edges; above that a length budget
     applies and exhausting it yields "indeterminate" rather than "absent".
-    `rep` is g's goodness report, computed when not given. The engine
-    removes a found cycle by the result's `checked`, without checking it
-    again.
+    `rep` is g's goodness report. The engine removes a found cycle by the
+    result's `checked`, without checking it again.
     """
-    if rep is None:
-        rep = check_goodness(g)
     if not rep.ok:
         raise DecomposeError("fallback requires a good or almost-good graph")
     if not g.edges:
@@ -1254,7 +1247,7 @@ def _recover(stack: list[_Frame], err: CaseVerificationError | _EngineFailure,
                 raise err
             stack[-1].pending = None
         fr = stack[-1]
-        fb = fallback_search(fr.graph, max_len=fallback_max_len, rep=fr.rep)
+        fb = fallback_search(fr.graph, fr.rep, max_len=fallback_max_len)
         if fb.status == "found":
             fr.take(fb.checked)
             return
@@ -1353,8 +1346,8 @@ def decompose_goddyn(clg: ColoredLineGraph, first: Cycle,
                                [(ALL_TYPE_II, proj)]), fallback_max_len)
 
 
-def replay_case_failure(failure: CaseFailure,
-                        fallback_max_len: int | None = None) -> DecompositionTrace:
-    """Re-run decomposition on a failure's serialized graph."""
-    g = parse_colored_edge_list(failure.graph_text)
-    return decompose(g, fallback_max_len=fallback_max_len)
+def replay_case_failure(failure: CaseFailure) -> DecompositionTrace:
+    """Re-run decomposition on a failure's serialized graph at default
+    settings: a failure found under a `fallback_max_len` cap (the CLI's
+    `--fallback-budget`) is replayed with the fallback uncapped."""
+    return decompose(parse_colored_edge_list(failure.graph_text))

@@ -17,6 +17,8 @@ from .graphs import Cycle, Edge, Graph, GraphError, edge, find_bridges, is_conne
 
 # samples the pairing model draws before `random_cubic_bridgeless` gives up
 MAX_REJECTIONS = 20000
+# search nodes an exhaustive search visits before it answers `indeterminate`
+MAX_NODES = 2_000_000
 
 
 @dataclass(frozen=True)
@@ -69,15 +71,13 @@ def enumerate_cycles(g: Graph, max_len: int | None = None) -> list[Cycle]:
 
 
 def _exact_multicover(edges: list[Edge], cycles: list[Cycle], demand: int,
-                      branch: str = "constrained",
                       deadline: float | None = None,
                       max_nodes: int | None = None) -> SearchResult:
     """Backtracking cover of every edge exactly `demand` times by cycles.
 
     A cycle may be chosen again while its edges have demand left, so each
-    candidate is listed once. `branch` picks the next unsatisfied edge:
-    "constrained" takes the edge with the fewest usable cycles, "lowest"
-    the lowest-indexed edge.
+    candidate is listed once. Each node branches on the unsatisfied edge
+    with the fewest usable cycles.
 
     Edge k is `edges[k]` and each candidate is held as its edges' indices.
     Three arrays carry the state, in the manner of the column sizes of
@@ -129,8 +129,6 @@ def _exact_multicover(edges: list[Edge], cycles: list[Cycle], demand: int,
         open_edges = [k for k, left in enumerate(remaining) if left]
         if not open_edges:
             return None
-        if branch == "lowest":
-            return open_edges[0]
         return min(open_edges, key=live.__getitem__)
 
     def search() -> bool:
@@ -163,17 +161,16 @@ def _exact_multicover(edges: list[Edge], cycles: list[Cycle], demand: int,
 
 
 def brute_force_cdc(g: Graph, time_budget: float | None = None,
-                    branch: str = "constrained",
-                    max_nodes: int | None = 2_000_000) -> SearchResult:
+                    max_nodes: int | None = MAX_NODES) -> SearchResult:
     """Exhaustive search for a cycle double cover (cycles may repeat).
 
-    Intended for small graphs; returns `indeterminate` when the node or time
-    budget runs out. Each cycle is listed once and may fill both slots of
-    its edges. Listing it twice changes no answer: every edge's count of
-    usable candidates doubles, so `pick_edge` picks the same edge, and a
-    copy's subtree is its original's, so the first cover is the same. It
-    only explores each failed subtree twice, so it differs only by running
-    out of budget sooner.
+    Intended for small graphs; returns `indeterminate` when `time_budget`
+    seconds or `max_nodes` search nodes run out. Each cycle is listed once
+    and may fill both slots of its edges. Listing it twice changes no
+    answer: every edge's count of usable candidates doubles, so `pick_edge`
+    picks the same edge, and a copy's subtree is its original's, so the
+    first cover is the same. It only explores each failed subtree twice, so
+    it differs only by running out of budget sooner.
     """
     if not g.edges:
         return SearchResult("found", ())
@@ -181,19 +178,19 @@ def brute_force_cdc(g: Graph, time_budget: float | None = None,
         return SearchResult("absent")  # a bridge lies on no cycle
     deadline = time.monotonic() + time_budget if time_budget else None
     return _exact_multicover(sorted(g.edges), enumerate_cycles(g), 2,
-                             branch=branch, deadline=deadline, max_nodes=max_nodes)
+                             deadline=deadline, max_nodes=max_nodes)
 
 
 def brute_force_rainbow_decomposition(g: EdgeColoredGraph,
-                                      time_budget: float | None = None,
-                                      branch: str = "constrained",
-                                      max_nodes: int | None = 2_000_000) -> SearchResult:
+                                      time_budget: float | None = None) -> SearchResult:
     """Exhaustive search for a partition of E into rainbow cycles.
 
-    On an almost-good input, one member may be almost-rainbow at the bad
-    vertex b. The demand of 1 per edge admits at most one such candidate:
-    b has degree 2 and its two edges share a color, so no rainbow cycle
-    uses them, and every almost-rainbow candidate uses both.
+    Returns `indeterminate` when `time_budget` seconds or MAX_NODES search
+    nodes run out. On an almost-good input, one member may be
+    almost-rainbow at the bad vertex b. The demand of 1 per edge admits at
+    most one such candidate: b has degree 2 and its two edges share a
+    color, so no rainbow cycle uses them, and every almost-rainbow
+    candidate uses both.
     """
     if not g.edges:
         return SearchResult("found", ())
@@ -204,8 +201,8 @@ def brute_force_rainbow_decomposition(g: EdgeColoredGraph,
         if len({g.coloring[e] for e in c.edges}) == len(c)
         or (bad is not None and bad in c and is_almost_rainbow_at(g, c, bad))]
     deadline = time.monotonic() + time_budget if time_budget else None
-    return _exact_multicover(sorted(g.edges), candidates, 1, branch=branch,
-                             deadline=deadline, max_nodes=max_nodes)
+    return _exact_multicover(sorted(g.edges), candidates, 1,
+                             deadline=deadline, max_nodes=MAX_NODES)
 
 
 def random_cubic_bridgeless(cfg: GeneratorConfig) -> Graph:

@@ -21,6 +21,11 @@ class Verdict:
         return {"accepted": self.accepted, "witnesses": list(self.witnesses)}
 
 
+def _not_a_sequence() -> Verdict:
+    """The verdict on a cover or decomposition that is not a list or tuple."""
+    return Verdict(False, ({"kind": "cover", "problem": "not a sequence of cycles"},))
+
+
 def _cycle_vertices(item) -> list | None:
     vs = getattr(item, "vertices", item)
     if not isinstance(vs, (list, tuple)):
@@ -46,8 +51,10 @@ def _cycle_problem(g: Graph, vs: list) -> str | None:
 
 def verify_cdc(g: Graph, cover) -> Verdict:
     """Accept iff every member is a cycle of g and every edge is used twice."""
-    witnesses: list[dict] = []
     items = getattr(cover, "cycles", cover)
+    if not isinstance(items, (list, tuple)):
+        return _not_a_sequence()
+    witnesses: list[dict] = []
     counts = {e: 0 for e in g.edges}
     for idx, item in enumerate(items):
         vs = _cycle_vertices(item)
@@ -95,11 +102,12 @@ def verify_rainbow_decomposition(g: EdgeColoredGraph, cycles,
     """
     if mode not in ("Good", "AlmostGood"):
         raise ValueError(f"mode must be 'Good' or 'AlmostGood', got {mode!r}")
+    if not isinstance(cycles, (list, tuple)):
+        return _not_a_sequence()
     witnesses: list[dict] = []
     counts = {e: 0 for e in g.graph.edges}
     almost_members: list[int] = []
-    items = list(cycles)
-    for idx, item in enumerate(items):
+    for idx, item in enumerate(cycles):
         vs = _cycle_vertices(item)
         problem = None if vs is not None else "not a vertex sequence"
         problem = problem or _cycle_problem(g.graph, vs)
@@ -135,7 +143,7 @@ def verify_rainbow_decomposition(g: EdgeColoredGraph, cycles,
                                          f"got {len(almost_members)}"})
         else:
             idx = almost_members[0]
-            vs = _cycle_vertices(items[idx])
+            vs = _cycle_vertices(cycles[idx])
             bad = _find_bad_vertex(g)
             cols = _color_runs(g, vs)
             k = len(cols)

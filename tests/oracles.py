@@ -18,7 +18,11 @@ from a scan over every parent edge, and raises the engine's error type;
 and fresh scans, as the engine's Case2_1 runs do with derived facts.
 `exact_multicover_by_recount` is the oracle's exact-cover search as it
 was before it kept each edge's count of usable candidates up to date: it
-recounts them at every node, and reports how many nodes it visited.
+recounts them at every node, and reports how many nodes it visited. It
+also keeps the second branching rule the package has dropped, on the
+lowest open edge; `cdc_by_lowest_edge` and
+`rainbow_decomposition_by_lowest_edge` run the oracle's two searches
+under that rule.
 `find_type_x_vertices` and `serialize_edge_list` are plain helpers that
 only tests call, kept here rather than in the package's API.
 """
@@ -32,6 +36,7 @@ from cdcover.coloring import (
     GoodnessVerdict,
     _require_even,
     check_goodness,
+    is_almost_rainbow_at,
 )
 from cdcover.decomposer import (
     FALLBACK,
@@ -39,8 +44,8 @@ from cdcover.decomposer import (
     FallbackResult,
     _check_removal,
 )
-from cdcover.graphs import Graph, edge
-from cdcover.oracle import SearchResult, enumerate_cycles
+from cdcover.graphs import Cycle, Graph, edge, find_bridges
+from cdcover.oracle import MAX_NODES, SearchResult, enumerate_cycles
 
 
 def _incident(g: EdgeColoredGraph) -> dict[int, list[tuple[int, int]]]:
@@ -280,8 +285,9 @@ def exact_multicover_by_recount(edges, cycles, demand: int,
     """`oracle._exact_multicover` as it was before it kept counts: every
     node recounts each open edge's usable candidates, one scan of a
     candidate's edges each, and branches on the minimum of (count, edge),
-    or on the lowest open edge. Returns the result and the nodes visited,
-    `max_nodes + 1` when that budget ran out."""
+    the package's rule, or with `branch="lowest"` on the lowest open edge.
+    Returns the result and the nodes visited, `max_nodes + 1` when that
+    budget ran out."""
     remaining = {e: demand for e in edges}
     containing = {e: [] for e in edges}
     for i, c in enumerate(cycles):
@@ -332,6 +338,37 @@ def exact_multicover_by_recount(edges, cycles, demand: int,
     if not ok:
         return SearchResult("absent"), nodes
     return SearchResult("found", tuple(cycles[i] for i in chosen)), nodes
+
+
+def cdc_by_lowest_edge(g: Graph) -> SearchResult:
+    """`oracle.brute_force_cdc` branching on the lowest open edge: its
+    answers on an empty or bridged graph, then the search above on the
+    same candidates and node budget."""
+    if not g.edges:
+        return SearchResult("found", ())
+    if find_bridges(g):
+        return SearchResult("absent")
+    return exact_multicover_by_recount(sorted(g.edges), enumerate_cycles(g), 2,
+                                       branch="lowest", max_nodes=MAX_NODES)[0]
+
+
+def rainbow_candidates(g: EdgeColoredGraph) -> list[Cycle]:
+    """The cycles of g that are rainbow, or almost-rainbow at its bad
+    vertex: the candidates `brute_force_rainbow_decomposition` searches."""
+    bad = check_goodness(g).bad_vertex
+    return [c for c in enumerate_cycles(g.graph)
+            if len({g.coloring[e] for e in c.edges}) == len(c)
+            or (bad is not None and bad in c and is_almost_rainbow_at(g, c, bad))]
+
+
+def rainbow_decomposition_by_lowest_edge(g: EdgeColoredGraph) -> SearchResult:
+    """`oracle.brute_force_rainbow_decomposition` branching on the lowest
+    open edge: its answer on an empty graph, then the search above on the
+    same candidates and node budget."""
+    if not g.edges:
+        return SearchResult("found", ())
+    return exact_multicover_by_recount(sorted(g.edges), rainbow_candidates(g), 1,
+                                       branch="lowest", max_nodes=MAX_NODES)[0]
 
 
 def remove_one_at_a_time(g: EdgeColoredGraph, rep: GoodnessReport, batch,

@@ -6,7 +6,8 @@ goodness conditions, yet its edges cannot be partitioned into rainbow
 cycles at all. The decomposer correctly refuses to guess and returns a
 replayable CaseFailure. This file keeps that certificate honest: goodness is
 confirmed by two independent checkers, and nonexistence by the exhaustive
-oracle under both branching orders.
+oracle and by the tests' reference search, which branches on the lowest
+open edge instead.
 
 Contracting the forced Type I chains reduces the graph to a K5 on its five
 degree-4 hubs where rainbow cycles correspond exactly to vertex-simple
@@ -20,7 +21,7 @@ from cdcover.coloring import check_goodness, parse_colored_edge_list
 from cdcover.decomposer import decompose, fallback_search, replay_case_failure
 from cdcover.graphs import Cycle
 from cdcover.oracle import brute_force_rainbow_decomposition
-from oracles import naive_goodness
+from oracles import naive_goodness, rainbow_decomposition_by_lowest_edge
 
 FIXTURE = Path(__file__).parent / "fixtures" / "good_but_undecomposable.txt"
 
@@ -30,9 +31,9 @@ def test_certificate_is_good_but_undecomposable():
     rep = check_goodness(g)
     assert rep.verdict.value == "good" and not rep.violations
     assert naive_goodness(g)[0] == "good"
-    for branch in ("constrained", "lowest"):
-        assert brute_force_rainbow_decomposition(g, branch=branch).status == "absent"
-    assert fallback_search(g).status == "absent"
+    assert brute_force_rainbow_decomposition(g).status == "absent"
+    assert rainbow_decomposition_by_lowest_edge(g).status == "absent"
+    assert fallback_search(g, rep).status == "absent"
 
 
 def test_certificate_yields_replayable_case_failure():

@@ -890,7 +890,7 @@ def test_case_reachable_and_verified(tag):
 
 def test_find_cycle_all_type2_l_k33():
     lg = build_line_graph(k33()).lg
-    c = find_cycle_all_type2(lg)
+    c = find_cycle_all_type2(lg, check_goodness(lg))
     cols = [lg.coloring[e] for e in c.edges]
     assert len(set(cols)) == len(cols)
     rep = check_goodness(lg.edit(drop=c.edges))
@@ -898,11 +898,12 @@ def test_find_cycle_all_type2_l_k33():
 
 
 def test_find_cycle_all_type2_preconditions():
+    c4 = rainbow_c4()
     with pytest.raises(DecomposeError):
-        find_cycle_all_type2(rainbow_c4())  # Type I vertices, not all Type II
+        find_cycle_all_type2(c4, check_goodness(c4))  # Type I vertices, not all Type II
     empty = EdgeColoredGraph.from_triples(3, [])
     with pytest.raises(DecomposeError):
-        find_cycle_all_type2(empty)
+        find_cycle_all_type2(empty, check_goodness(empty))
 
 
 def _two_copies(g: EdgeColoredGraph) -> EdgeColoredGraph:
@@ -942,30 +943,31 @@ def test_connectivity_after_rainbow_removal():
 
 def test_fallback_finds_triangle_in_l_k4():
     lg = build_line_graph(k4()).lg
-    res = fallback_search(lg)
+    res = fallback_search(lg, check_goodness(lg))
     assert res.status == "found"
     assert len(res.cycle) == 3
 
 
 def test_fallback_single_rainbow_c4():
-    res = fallback_search(rainbow_c4())
+    c4 = rainbow_c4()
+    res = fallback_search(c4, check_goodness(c4))
     assert res.status == "found"
     assert res.cycle == Cycle((0, 1, 2, 3))
 
 
 def test_fallback_empty_graph_absent():
     empty = EdgeColoredGraph.from_triples(3, [])
-    assert fallback_search(empty).status == "absent"
+    assert fallback_search(empty, check_goodness(empty)).status == "absent"
 
 
 def test_fallback_indeterminate_when_capped():
     lg = build_line_graph(k33()).lg  # girth of rainbow cycles here is 4
-    res = fallback_search(lg, max_len=3)
+    res = fallback_search(lg, check_goodness(lg), max_len=3)
     assert res.status == "indeterminate"
 
 
 def test_engine_recovers_via_fallback(monkeypatch):
-    def boom(g, rep=None):
+    def boom(g, rep):
         raise CaseVerificationError("AllTypeII", "simulated defect")
     monkeypatch.setattr(D, "find_cycle_all_type2", boom)
     clg = build_line_graph(k33())
@@ -977,11 +979,11 @@ def test_engine_recovers_via_fallback(monkeypatch):
 
 
 def test_case_failure_is_replayable(monkeypatch):
-    def boom(g, rep=None):
+    def boom(g, rep):
         raise CaseVerificationError("AllTypeII", "simulated defect")
     monkeypatch.setattr(D, "find_cycle_all_type2", boom)
     monkeypatch.setattr(D, "fallback_search",
-                        lambda g, max_len=None, rep=None: FallbackResult("absent"))
+                        lambda g, rep, max_len=None: FallbackResult("absent"))
     lg = build_line_graph(k33()).lg
     tr = decompose(lg)
     assert not tr.success
@@ -1023,10 +1025,10 @@ def test_failure_unwinds_to_an_ancestor_fallback(monkeypatch):
             raise CaseVerificationError("Case2_1", "simulated defect")
         return real_dispatch(comp, rep)
 
-    def fallback(h, max_len=None, rep=None):
+    def fallback(h, rep, max_len=None):
         searched.append(h)
         return (FallbackResult("absent") if len(searched) == 1
-                else real_fallback(h, max_len, rep))
+                else real_fallback(h, rep, max_len))
 
     monkeypatch.setattr(D, "_dispatch", dispatch)
     monkeypatch.setattr(D, "fallback_search", fallback)
@@ -1149,8 +1151,9 @@ def test_fallback_matches_exhaustive_oracle(data):
     g = pool[data.draw(st.integers(0, len(pool) - 1), label="graph")]
     # the uncapped search is compared where that takes well under a second
     caps = [3, 4, 6, 8] + ([None] if len(g.edges) <= 32 else [])
+    rep = check_goodness(g)
     for k in caps:
-        assert fallback_search(g, max_len=k) == exhaustive_fallback(g, max_len=k), k
+        assert fallback_search(g, rep, max_len=k) == exhaustive_fallback(g, max_len=k), k
 
 
 def test_fallback_is_lazy(monkeypatch):
@@ -1169,11 +1172,11 @@ def test_fallback_is_lazy(monkeypatch):
             yield c
 
     monkeypatch.setattr(D, "_color_pruned_cycles", counted)
-    res = fallback_search(g)
+    res = fallback_search(g, check_goodness(g))
     assert res.status == "found" and res.cycle == Cycle((23, 24, 28, 27))
     assert lengths and max(lengths) <= len(res.cycle)
     again = parse_colored_edge_list(serialize_colored_edge_list(g))
-    assert fallback_search(again).cycle == res.cycle
+    assert fallback_search(again, check_goodness(again)).cycle == res.cycle
 
 
 def test_decomposer_does_not_import_the_oracle():

@@ -8,9 +8,9 @@ removal check asks for a goodness check from a parent's report, and only
 it makes the record of a removal it accepted. The
 brute-force oracle imports nothing from the decomposer it certifies. Every
 layer the benchmark's tracer wraps still exists under the name it wraps.
-Only a pinned few definitions are called by tests alone. Outside the
-engine corpus, no test both generates random graphs and patches the
-engine.
+Only a pinned few definitions are called, and a pinned few parameters
+set, by tests alone. Outside the engine corpus, no test both generates
+random graphs and patches the engine.
 
 No linter ships with the project, so these are stdlib stand-ins for the
 unused-import, dead-code and empty f-string checks. `__init__.py` is
@@ -134,6 +134,95 @@ def test_public_api_that_only_tests_call_is_pinned():
     found = {(entry.split(":")[0], entry.rsplit(": ", 1)[1])
              for entry in _dead_in_src(("src", "perfbench"))}
     assert found == TEST_ONLY_API
+
+
+def unset_parameters(sources: dict[str, str], others: list[str]) -> list[str]:
+    """`label: function(parameter)` for each parameter with a default of a
+    `def` in `sources` that no call in `sources` or `others` sets. A call
+    is matched to a definition by the name it calls, an `__init__` by its
+    class's name, and sets a parameter by keyword or by position, or sets
+    all of them through `*` or `**`. A method's first parameter, `self` or
+    `cls`, takes no position."""
+    trees = {label: ast.parse(text) for label, text in sources.items()}
+    calls: dict[str, list[tuple[int, set[str] | None]]] = {}
+    for tree in [*trees.values(), *map(ast.parse, others)]:
+        for node in ast.walk(tree):
+            if not isinstance(node, ast.Call):
+                continue
+            func = node.func
+            name = func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", None)
+            spread = (any(isinstance(a, ast.Starred) for a in node.args)
+                      or any(k.arg is None for k in node.keywords))
+            calls.setdefault(name, []).append(
+                (len(node.args), None if spread else {k.arg for k in node.keywords}))
+    unset = []
+    for label, tree in trees.items():
+        methods = {id(f): cls.name for cls in ast.walk(tree) if isinstance(cls, ast.ClassDef)
+                   for f in cls.body if isinstance(f, ast.FunctionDef)
+                   and not any(getattr(d, "id", None) == "staticmethod"
+                               for d in f.decorator_list)}
+        for node in ast.walk(tree):
+            if not isinstance(node, ast.FunctionDef):
+                continue
+            a = node.args
+            positional = [x.arg for x in a.posonlyargs + a.args]
+            defaulted = positional[len(positional) - len(a.defaults):]
+            defaulted += [x.arg for x, d in zip(a.kwonlyargs, a.kw_defaults) if d]
+            if id(node) in methods:
+                positional = positional[1:]
+            called = (methods[id(node)] if node.name == "__init__" and id(node) in methods
+                      else node.name)
+            for param in defaulted:
+                at = positional.index(param) if param in positional else None
+                if not any(keywords is None or param in keywords
+                           or (at is not None and count > at)
+                           for count, keywords in calls.get(called, ())):
+                    unset.append((label, node.lineno, f"{node.name}({param})"))
+    return [f"{label}: {entry}" for label, _, entry in sorted(unset)]
+
+
+def test_unset_parameters_detects_and_allows():
+    src = ("class A:\n"
+           "    def __init__(self, x=1, y=2): pass\n"
+           "    def m(self, a, b=0, *, c=None): pass\n"
+           "    @staticmethod\n"
+           "    def s(p=0): pass\n"
+           "def f(u, v=1, w=2): pass\n"
+           "def g(k=0): pass\n"
+           "def h(q=0): pass\n"
+           "A(5)\n"
+           "A().m(1, c=2)\n"
+           "A.s(1)\n"
+           "f(0, w=3)\n"
+           "g(*args)\n")
+    assert unset_parameters({"m": src}, []) == [
+        "m: __init__(y)", "m: m(b)", "m: f(v)", "m: h(q)"]
+    assert unset_parameters({"m": src}, ["A(y=1)\nx.m(1, 2)\nf(**kw)\nh(0)\n"]) == []
+
+
+# The parameters of definitions in src/ that only tests set, and why each
+# stays; the definitions pinned in TEST_ONLY_API are exempt.
+TEST_ONLY_PARAMETERS = {
+    # the console entry point calls `main()`, which reads `sys.argv`
+    "src/cdcover/cli.py: main(argv)",
+    # `tests/oracles.exhaustive_fallback` caps the cycles it lists by it
+    "src/cdcover/oracle.py: enumerate_cycles(max_len)",
+    # tests bound it to pin node counts and the `indeterminate` answer
+    "src/cdcover/oracle.py: brute_force_cdc(max_nodes)",
+}
+
+
+def test_no_parameter_that_only_tests_set():
+    """No parameter that only tests set, beyond the pinned few: a default
+    that nothing in src/ or perfbench/ overrides is a second code path that
+    only tests take, and fails here until it is deleted or pinned with a
+    reason."""
+    sources = {str(p.relative_to(ROOT)): p.read_text() for p in sorted(SRC.glob("*.py"))}
+    others = [p.read_text() for p in sorted((ROOT / "perfbench").rglob("*.py"))]
+    exempt = {f"{path}: {name}(" for path, name in TEST_ONLY_API}
+    found = {entry for entry in unset_parameters(sources, others)
+             if not any(entry.startswith(prefix) for prefix in exempt)}
+    assert found == TEST_ONLY_PARAMETERS
 
 
 def cached_properties(source: str) -> set[str]:

@@ -5,13 +5,7 @@ from pathlib import Path
 
 import pytest
 
-from cdcover.coloring import (
-    EdgeColoredGraph,
-    check_goodness,
-    is_almost_rainbow_at,
-    parse_colored_edge_list,
-    triangles,
-)
+from cdcover.coloring import EdgeColoredGraph, parse_colored_edge_list, triangles
 from cdcover.graphs import Graph, GraphError, find_bridges, is_cubic
 from cdcover.linegraph import build_line_graph
 from cdcover.oracle import (
@@ -35,7 +29,12 @@ from graphsamples import (
     prism,
     rainbow_c4,
 )
-from oracles import exact_multicover_by_recount
+from oracles import (
+    cdc_by_lowest_edge,
+    exact_multicover_by_recount,
+    rainbow_candidates,
+    rainbow_decomposition_by_lowest_edge,
+)
 
 
 def test_enumerate_cycles_k4():
@@ -81,10 +80,10 @@ def test_brute_force_cdc_petersen():
 
 
 def test_brute_force_cdc_branch_orders_agree():
+    """The oracle, branching on the most constrained edge, and the
+    reference search on the lowest both find a cover."""
     for g in (k4(), petersen()):
-        a = brute_force_cdc(g, branch="constrained")
-        b = brute_force_cdc(g, branch="lowest")
-        assert a.status == b.status == "found"
+        assert brute_force_cdc(g).status == cdc_by_lowest_edge(g).status == "found"
 
 
 def test_brute_force_rainbow_l_k4():
@@ -120,12 +119,15 @@ def test_brute_force_indeterminate_on_tiny_budget():
 def test_brute_force_cdc_searches_each_cycle_once():
     """Each enumerated cycle is one candidate, usable for both slots of its
     edges, so no failed subtree is explored twice: the first cover is found
-    within 11 nodes branching on the most constrained edge and 22 on the
-    lowest, where a list with every cycle twice needs 15 and 63."""
-    for branch, nodes in (("constrained", 11), ("lowest", 22)):
-        res = brute_force_cdc(petersen(), branch=branch, max_nodes=nodes)
-        assert res.found, branch
-        assert verify_cdc(petersen(), res.cycles).accepted
+    within 11 nodes by the oracle, branching on the most constrained edge,
+    and 22 by the reference search on the lowest, where a list with every
+    cycle twice needs 15 and 63."""
+    g = petersen()
+    lowest, _ = exact_multicover_by_recount(sorted(g.edges), enumerate_cycles(g), 2,
+                                            branch="lowest", max_nodes=22)
+    for res in (brute_force_cdc(g, max_nodes=11), lowest):
+        assert res.found
+        assert verify_cdc(g, res.cycles).accepted
 
 
 def _result_line(res: SearchResult) -> bytes:
@@ -149,8 +151,9 @@ def _colored_samples() -> list[EdgeColoredGraph]:
     return colored + [parse_colored_edge_list(text) for text in almost]
 
 
-# sha256 over the status and cycles of every search below, in order; a
-# change means an oracle's verdicts or the covers it finds changed
+# sha256 over the status and cycles of every search below, in order, first
+# the oracle's, then the reference's on the lowest open edge; a change
+# means an oracle's verdicts or the covers it finds changed
 CDC_DIGEST = "6191968c369e9cb647d71a558ca04f156a4d9eaec2b5a4d132a7512c3651b6fe"
 RAINBOW_DIGEST = "d3b8413c690cac327563b63681821d9ea1f1644d1b5b8bca4d49b540da1ff889"
 # the same over the crosscheck benchmark's larger sizes, recorded before
@@ -164,34 +167,27 @@ def test_oracle_results_pinned():
               for n in (6, 8, 10, 12) for seed in range(4)]
     colored = _colored_samples()
     cdc, rainbow = hashlib.sha256(), hashlib.sha256()
-    for branch in ("constrained", "lowest"):
+    for cdc_search, rainbow_search in (
+            (brute_force_cdc, brute_force_rainbow_decomposition),
+            (cdc_by_lowest_edge, rainbow_decomposition_by_lowest_edge)):
         for g in cubic:
-            cdc.update(_result_line(brute_force_cdc(g, branch=branch)))
+            cdc.update(_result_line(cdc_search(g)))
         for g in colored:
-            rainbow.update(_result_line(
-                brute_force_rainbow_decomposition(g, branch=branch)))
+            rainbow.update(_result_line(rainbow_search(g)))
     assert (cdc.hexdigest(), rainbow.hexdigest()) == (CDC_DIGEST, RAINBOW_DIGEST)
 
 
 def test_oracle_results_pinned_on_benchmark_sizes():
-    """`brute_force_cdc` on n = 14 and 16, seeds 0-11, both branch rules:
-    the sizes the crosscheck benchmark searches."""
+    """`brute_force_cdc`, then the reference search on the lowest open
+    edge, on n = 14 and 16, seeds 0-11: the sizes the crosscheck benchmark
+    searches."""
     cubic = [random_cubic_bridgeless(GeneratorConfig(n, seed))
              for n in (14, 16) for seed in range(12)]
     cdc = hashlib.sha256()
-    for branch in ("constrained", "lowest"):
+    for search in (brute_force_cdc, cdc_by_lowest_edge):
         for g in cubic:
-            cdc.update(_result_line(brute_force_cdc(g, branch=branch)))
+            cdc.update(_result_line(search(g)))
     assert cdc.hexdigest() == LARGE_CDC_DIGEST
-
-
-def _rainbow_candidates(g: EdgeColoredGraph) -> list:
-    """The cycles of g that are rainbow, or almost-rainbow at its bad
-    vertex: the candidates `brute_force_rainbow_decomposition` searches."""
-    bad = check_goodness(g).bad_vertex
-    return [c for c in enumerate_cycles(g.graph)
-            if len({g.coloring[e] for e in c.edges}) == len(c)
-            or (bad is not None and bad in c and is_almost_rainbow_at(g, c, bad))]
 
 
 def _nodes_needed(search) -> int:
@@ -210,27 +206,27 @@ def _nodes_needed(search) -> int:
     return hi
 
 
-@pytest.mark.parametrize("branch", ["constrained", "lowest"])
+@pytest.mark.parametrize("branch", ["constrained"])
 def test_multicover_search_matches_the_recount(branch):
     """The search that keeps each edge's count of usable candidates up to
     date finds what the search that recounts them at every node finds, and
     visits as many nodes: demand 2 on cubic graphs of n = 6-16, demand 1
-    on the colored samples, an `absent` one among them."""
+    on the colored samples, an `absent` one among them. The package
+    branches by one rule, the reference's `branch="constrained"`."""
     cases = []
     for n in range(6, 18, 2):
         for seed in range(3):
             g = random_cubic_bridgeless(GeneratorConfig(n, seed))
-            cases.append((brute_force_cdc(g, branch=branch),
-                          sorted(g.edges), enumerate_cycles(g), 2))
+            cases.append((brute_force_cdc(g), sorted(g.edges), enumerate_cycles(g), 2))
     for g in _colored_samples():
-        cases.append((brute_force_rainbow_decomposition(g, branch=branch),
-                      sorted(g.edges), _rainbow_candidates(g), 1))
+        cases.append((brute_force_rainbow_decomposition(g),
+                      sorted(g.edges), rainbow_candidates(g), 1))
     statuses = set()
     for result, edges, candidates, demand in cases:
         expected, nodes = exact_multicover_by_recount(edges, candidates, demand,
                                                       branch=branch)
         assert result == expected
-        search = partial(_exact_multicover, edges, candidates, demand, branch=branch)
+        search = partial(_exact_multicover, edges, candidates, demand)
         assert _nodes_needed(search) == nodes
         statuses.add(expected.status)
     assert statuses == {"found", "absent"}

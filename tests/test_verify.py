@@ -1,7 +1,7 @@
 import pytest
 
 from cdcover.graphs import Cycle
-from cdcover.verify import verify_cdc, verify_rainbow_decomposition
+from cdcover.verify import Verdict, verify_cdc, verify_rainbow_decomposition
 from cdcover.linegraph import build_line_graph
 from cdcover.oracle import brute_force_rainbow_decomposition
 from graphsamples import almost_good_c4, k4, rainbow_c4
@@ -73,3 +73,13 @@ def test_verifiers_total_on_garbage():
     verdict = verify_cdc(k4(), ["nope", 7, [0], [0, 1, 1]])
     assert not verdict.accepted
     assert len(verdict.witnesses) >= 4
+
+
+@pytest.mark.parametrize("cover", [None, 5, "cycles", {0: [0, 1, 2]}])
+def test_verifiers_reject_a_cover_that_is_not_a_sequence(cover):
+    """A cover that is not a list or tuple of cycles is rejected with one
+    witness, not a crash."""
+    witness = {"kind": "cover", "problem": "not a sequence of cycles"}
+    for verdict in (verify_cdc(k4(), cover),
+                    verify_rainbow_decomposition(rainbow_c4(), cover)):
+        assert verdict == Verdict(False, (witness,))
