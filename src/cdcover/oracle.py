@@ -48,31 +48,63 @@ class SearchResult:
         return self.status == "found"
 
 
-def enumerate_cycles(g: Graph, max_len: int | None = None) -> list[Cycle]:
+def enumerate_cycles(g: Graph, max_len: int | None = None, *,
+                     deadline: float | None = None) -> list[Cycle]:
     """All simple cycles of g, canonical and sorted by (length, vertices).
 
-    Each cycle is discovered once: paths start at their minimum vertex and
-    the second vertex is kept smaller than the last.
+    One backtracking walk per start vertex s extends a single path through
+    vertices above s, with a per-vertex `on_path` flag and a stack of
+    neighbour iterators, and backs off in place. It records each edge as it
+    goes, from a table of (w, edge(v, w)) built once. A closed walk counts
+    only when `path[1] < path[-1]`, so each cycle is found once, and its
+    tuples are already canonical: it starts at its minimum vertex s and its
+    second vertex is the smaller of s's two cycle neighbours. Its edge i
+    joins vertices i and i+1, so the recorded edges fill `Cycle.edges`.
+
+    Raises TimeoutError once `time.monotonic()` passes `deadline`, read
+    every few hundred extensions.
     """
-    out: list[Cycle] = []
+    steps_per_check = 256
     cap = max_len if max_len is not None else g.n
+    nbrs = [tuple((w, edge(v, w)) for w in ws) for v, ws in enumerate(g.adj)]
+    on_path = [False] * g.n
+    out: list[Cycle] = []
+    countdown = steps_per_check
     for s in range(g.n):
-        # iterative DFS over simple paths s, v1, v2, ... with vi > s
-        stack: list[tuple[list[int], set[int]]] = [([s], {s})]
+        # s stays flagged once its walk ends, so later walks skip every
+        # vertex below their start by the same test as the path's own
+        path, edges = [s], []
+        on_path[s] = True
+        stack = [iter(nbrs[s])]
         while stack:
-            path, on_path = stack.pop()
-            v = path[-1]
-            for w in g.adj[v]:
-                if w == s and len(path) >= 3 and path[1] < path[-1]:
-                    out.append(Cycle(tuple(path)))
-                elif w > s and w not in on_path and len(path) < cap:
-                    stack.append((path + [w], on_path | {w}))
+            for w, e in stack[-1]:
+                if w == s:
+                    if len(path) >= 3 and path[1] < path[-1]:
+                        c = Cycle(tuple(path))
+                        c.__dict__["edges"] = (*edges, e)  # fills the cached property
+                        out.append(c)
+                elif not on_path[w] and len(path) < cap:
+                    countdown -= 1
+                    if not countdown:
+                        countdown = steps_per_check
+                        if deadline is not None and time.monotonic() > deadline:
+                            raise TimeoutError
+                    path.append(w)
+                    edges.append(e)
+                    on_path[w] = True
+                    stack.append(iter(nbrs[w]))
+                    break
+            else:
+                stack.pop()
+                if edges:
+                    on_path[path.pop()] = False
+                    edges.pop()
     return sorted(out, key=lambda c: (len(c), c.vertices))
 
 
 def _exact_multicover(edges: list[Edge], cycles: list[Cycle], demand: int,
-                      deadline: float | None = None,
-                      max_nodes: int | None = None) -> SearchResult:
+                      deadline: float | None,
+                      max_nodes: int | None) -> SearchResult:
     """Backtracking cover of every edge exactly `demand` times by cycles.
 
     A cycle may be chosen again while its edges have demand left, so each
@@ -165,19 +197,24 @@ def brute_force_cdc(g: Graph, time_budget: float | None = None,
     """Exhaustive search for a cycle double cover (cycles may repeat).
 
     Intended for small graphs; returns `indeterminate` when `time_budget`
-    seconds or `max_nodes` search nodes run out. Each cycle is listed once
-    and may fill both slots of its edges. Listing it twice changes no
-    answer: every edge's count of usable candidates doubles, so `pick_edge`
-    picks the same edge, and a copy's subtree is its original's, so the
-    first cover is the same. It only explores each failed subtree twice, so
-    it differs only by running out of budget sooner.
+    seconds, which bound the cycle enumeration too, or `max_nodes` search
+    nodes run out. Each cycle is listed once and may fill both slots of its
+    edges. Listing it twice changes no answer: every edge's count of usable
+    candidates doubles, so `pick_edge` picks the same edge, and a copy's
+    subtree is its original's, so the first cover is the same. It only
+    explores each failed subtree twice, so it differs only by running out
+    of budget sooner.
     """
+    deadline = time.monotonic() + time_budget if time_budget is not None else None
     if not g.edges:
         return SearchResult("found", ())
     if find_bridges(g):
         return SearchResult("absent")  # a bridge lies on no cycle
-    deadline = time.monotonic() + time_budget if time_budget else None
-    return _exact_multicover(sorted(g.edges), enumerate_cycles(g), 2,
+    try:
+        cycles = enumerate_cycles(g, deadline=deadline)
+    except TimeoutError:
+        return SearchResult("indeterminate")
+    return _exact_multicover(sorted(g.edges), cycles, 2,
                              deadline=deadline, max_nodes=max_nodes)
 
 
@@ -185,22 +222,25 @@ def brute_force_rainbow_decomposition(g: EdgeColoredGraph,
                                       time_budget: float | None = None) -> SearchResult:
     """Exhaustive search for a partition of E into rainbow cycles.
 
-    Returns `indeterminate` when `time_budget` seconds or MAX_NODES search
-    nodes run out. On an almost-good input, one member may be
-    almost-rainbow at the bad vertex b. The demand of 1 per edge admits at
-    most one such candidate: b has degree 2 and its two edges share a
-    color, so no rainbow cycle uses them, and every almost-rainbow
-    candidate uses both.
+    Returns `indeterminate` when `time_budget` seconds, which bound the
+    cycle enumeration too, or MAX_NODES search nodes run out. On an
+    almost-good input, one member may be almost-rainbow at the bad vertex
+    b. The demand of 1 per edge admits at most one such candidate: b has
+    degree 2 and its two edges share a color, so no rainbow cycle uses
+    them, and every almost-rainbow candidate uses both.
     """
+    deadline = time.monotonic() + time_budget if time_budget is not None else None
     if not g.edges:
         return SearchResult("found", ())
-    report = check_goodness(g)
-    bad = report.bad_vertex
+    bad = check_goodness(g).bad_vertex
+    try:
+        cycles = enumerate_cycles(g.graph, deadline=deadline)
+    except TimeoutError:
+        return SearchResult("indeterminate")
     candidates = [
-        c for c in enumerate_cycles(g.graph)
+        c for c in cycles
         if len({g.coloring[e] for e in c.edges}) == len(c)
         or (bad is not None and bad in c and is_almost_rainbow_at(g, c, bad))]
-    deadline = time.monotonic() + time_budget if time_budget else None
     return _exact_multicover(sorted(g.edges), candidates, 1,
                              deadline=deadline, max_nodes=MAX_NODES)
 

@@ -16,6 +16,8 @@ goodness check. The reference reduction builder, `build_transform_by_scan`, rebu
 from a scan over every parent edge, and raises the engine's error type;
 `case2_1_run_by_scan` repeats its one-edge contraction with full checks
 and fresh scans, as the engine's Case2_1 runs do with derived facts.
+`enumerate_cycles_by_copying` is the oracle's cycle enumerator as it was
+before it walked one path in place, copying the path at every extension.
 `exact_multicover_by_recount` is the oracle's exact-cover search as it
 was before it kept each edge's count of usable candidates up to date: it
 recounts them at every node, and reports how many nodes it visited. It
@@ -276,6 +278,25 @@ def exhaustive_fallback(g: EdgeColoredGraph,
             continue
         return FallbackResult("found", cyc)
     return FallbackResult("indeterminate" if cap < longest else "absent")
+
+
+def enumerate_cycles_by_copying(g: Graph, max_len: int | None = None) -> list[Cycle]:
+    """`oracle.enumerate_cycles` as it was before it walked one path: a
+    stack of (path, vertex set) pairs, each extension a fresh copy of both,
+    and each cycle's edges left for `Cycle.edges` to compute."""
+    out: list[Cycle] = []
+    cap = max_len if max_len is not None else g.n
+    for s in range(g.n):
+        stack: list[tuple[list[int], set[int]]] = [([s], {s})]
+        while stack:
+            path, on_path = stack.pop()
+            v = path[-1]
+            for w in g.adj[v]:
+                if w == s and len(path) >= 3 and path[1] < path[-1]:
+                    out.append(Cycle(tuple(path)))
+                elif w > s and w not in on_path and len(path) < cap:
+                    stack.append((path + [w], on_path | {w}))
+    return sorted(out, key=lambda c: (len(c), c.vertices))
 
 
 def exact_multicover_by_recount(edges, cycles, demand: int,

@@ -345,7 +345,10 @@ def test_cache_fills_detects_and_allows():
 # Each site that fills a cached property of another object: the parent's
 # facts a child takes over, or the results a search hands to the graph it
 # searched. A carried fact pays for itself only if a measurement shows it;
-# a new site should come with one.
+# a new site should come with one. The cycle enumeration hands each cycle
+# the edges its walk recorded: `brute_force_cdc` on n = 12-16, seeds 0-15,
+# took 0.27 s with them and 0.31-0.33 s when the search recomputed them
+# (median of 7 passes each, on a 2-vCPU VM).
 CACHE_FILLS = [
     ("EdgeColoredGraph.edit", "adj"),
     ("_cut_search", "components"),
@@ -353,6 +356,7 @@ CACHE_FILLS = [
     ("case2_1", "components"),
     ("case2_1", "rainbow_triangle"),
     ("case2_1", "singular_chains"),
+    ("enumerate_cycles", "edges"),
 ]
 
 

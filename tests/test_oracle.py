@@ -1,12 +1,14 @@
 import hashlib
 import json
+import time
 from functools import partial
 from pathlib import Path
 
 import pytest
 
+from cdcover import oracle
 from cdcover.coloring import EdgeColoredGraph, parse_colored_edge_list, triangles
-from cdcover.graphs import Graph, GraphError, find_bridges, is_cubic
+from cdcover.graphs import Graph, GraphError, edge, find_bridges, is_cubic
 from cdcover.linegraph import build_line_graph
 from cdcover.oracle import (
     GeneratorConfig,
@@ -31,6 +33,7 @@ from graphsamples import (
 )
 from oracles import (
     cdc_by_lowest_edge,
+    enumerate_cycles_by_copying,
     exact_multicover_by_recount,
     rainbow_candidates,
     rainbow_decomposition_by_lowest_edge,
@@ -60,6 +63,72 @@ def test_enumerate_cycles_max_len():
 def test_enumerate_cycles_space_dimension_bound():
     for g in (k4(), petersen()):
         assert len(enumerate_cycles(g)) >= g.m - g.n + 1
+
+
+def test_enumerate_cycles_matches_the_reference():
+    """The walk lists the cycles the path-copying reference lists, in the
+    same order, and hands each one the edges it recorded, which are the
+    edges its vertices give: cubic graphs, the degree-4 line graphs of K4,
+    K33 and Petersen, and graphs with no cycle, one cycle, isolated
+    vertices or three components, under several length caps."""
+    graphs = [random_cubic_bridgeless(GeneratorConfig(n, seed))
+              for n in range(4, 18, 2) for seed in range(3)]
+    graphs += [build_line_graph(g).lg.graph for g in (k4(), k33(), petersen())]
+    graphs += [
+        Graph.from_edges(4, [(0, 1), (1, 2), (1, 3)]),
+        Graph.from_edges(5, [(i, (i + 1) % 5) for i in range(5)]),
+        Graph.from_edges(8, [(1, 3), (3, 6), (6, 1), (6, 4), (4, 1)]),
+        Graph.from_edges(9, [(8, 0), (0, 5), (5, 8), (1, 7), (7, 2), (2, 6),
+                             (6, 1), (1, 2), (3, 4)]),
+    ]
+    for g in graphs:
+        for max_len in (None, 3, 4, 5):
+            cycles = enumerate_cycles(g, max_len)
+            assert ([c.vertices for c in cycles]
+                    == [c.vertices for c in enumerate_cycles_by_copying(g, max_len)])
+            for c in cycles:
+                vs = c.vertices
+                assert "edges" in c.__dict__
+                assert c.edges == tuple(edge(vs[i], vs[(i + 1) % len(vs)])
+                                        for i in range(len(vs)))
+
+
+def test_enumeration_is_bounded_by_the_budget():
+    """The budget bounds the cycle enumeration, not only the cover search:
+    on n = 34 the enumeration alone takes seconds, and the search used to
+    run past a 0.1 s budget until it answered `found`."""
+    g = random_cubic_bridgeless(GeneratorConfig(34, 0))
+    start = time.monotonic()
+    assert brute_force_cdc(g, time_budget=0.1).status == "indeterminate"
+    assert time.monotonic() - start < 1.0
+    deadline = time.monotonic() + 0.1
+    with pytest.raises(TimeoutError):
+        enumerate_cycles(g, deadline=deadline)
+
+
+def test_zero_budget_is_a_budget():
+    """A budget of 0 s runs out at once; it does not mean no budget."""
+    g = random_cubic_bridgeless(GeneratorConfig(16, 0))
+    assert brute_force_cdc(g, time_budget=0.0).status == "indeterminate"
+    lg = build_line_graph(g).lg
+    assert brute_force_rainbow_decomposition(lg, time_budget=0.0).status == "indeterminate"
+
+
+def test_each_oracle_enumerates_cycles_once(monkeypatch):
+    """Both oracles call `enumerate_cycles` once per search, looked up on
+    the module, where the benchmark's span of that layer wraps it."""
+    calls = []
+
+    def counting(*args, **kwargs):
+        calls.append(args[0])
+        return enumerate_cycles(*args, **kwargs)
+
+    monkeypatch.setattr(oracle, "enumerate_cycles", counting)
+    g, lg = petersen(), build_line_graph(k4()).lg
+    assert brute_force_cdc(g).found
+    assert calls == [g]
+    assert brute_force_rainbow_decomposition(lg).found
+    assert calls == [g, lg.graph]
 
 
 def test_brute_force_cdc_k4():
@@ -226,7 +295,7 @@ def test_multicover_search_matches_the_recount(branch):
         expected, nodes = exact_multicover_by_recount(edges, candidates, demand,
                                                       branch=branch)
         assert result == expected
-        search = partial(_exact_multicover, edges, candidates, demand)
+        search = partial(_exact_multicover, edges, candidates, demand, deadline=None)
         assert _nodes_needed(search) == nodes
         statuses.add(expected.status)
     assert statuses == {"found", "absent"}
