@@ -16,7 +16,6 @@ from __future__ import annotations
 import argparse
 import json
 import math
-import os
 import sys
 from pathlib import Path
 
@@ -43,9 +42,6 @@ from .oracle import (
     random_cubic_bridgeless,
 )
 from .verify import verify_cdc
-
-BUDGET_ENV = "CDCOVER_FALLBACK_BUDGET"
-
 
 class _Refused(Exception):
     """Input, output or an option that a command refuses; `main` prints it
@@ -123,30 +119,10 @@ def _check_count(count: int) -> None:
         raise _Refused(f"--count must be at least 0, got {count}")
 
 
-def _fallback_budget(args) -> int | None:
-    """The fallback's cycle-length budget from --fallback-budget, else from
-    the environment, else None; refused unless it is an integer >= 3, the
-    length of the shortest cycle."""
-    budget, source = args.fallback_budget, "--fallback-budget"
-    if budget is None:
-        env = os.environ.get(BUDGET_ENV)
-        if not env:
-            return None
-        source = BUDGET_ENV
-        try:
-            budget = int(env)
-        except ValueError:
-            raise _Refused(f"{source} must be an integer, got {env!r}") from None
-    if budget < 3:
-        raise _Refused(f"{source} must be at least 3, got {budget}")
-    return budget
-
-
 def cmd_decompose(args) -> int:
-    budget = _fallback_budget(args)
     g = _load_graph(args.input, args.format)
     clg = _bridgeless_line_graph(g)
-    if args.goddyn_cycle:
+    if args.goddyn_cycle is not None:
         try:
             vs = tuple(int(t) for t in args.goddyn_cycle.replace(",", " ").split())
             first = Cycle(vs)
@@ -154,9 +130,9 @@ def cmd_decompose(args) -> int:
             raise _Refused(f"bad --goddyn-cycle: {err}") from None
         if not first.is_cycle_of(g):
             raise _Refused(f"--goddyn-cycle {vs} is not a cycle of the input graph")
-        trace = decompose_goddyn(clg, first, fallback_max_len=budget)
+        trace = decompose_goddyn(clg, first)
     else:
-        trace = decompose(clg.lg, fallback_max_len=budget)
+        trace = decompose(clg.lg)
 
     if args.trace:
         _write_text(args.trace, _dump(trace.to_json()))
@@ -283,9 +259,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="cycle of the input graph the cover must contain")
     p.add_argument("--output", default=None, help="cover JSON (default stdout)")
     p.add_argument("--trace", default=None, help="write the decomposition trace JSON")
-    p.add_argument("--fallback-budget", type=int, default=None,
-                   help=f"cycle-length budget for the fallback search "
-                        f"(env {BUDGET_ENV})")
     p.set_defaults(func=cmd_decompose)
 
     p = sub.add_parser("verify", help="verify a cover file against a graph")

@@ -1110,8 +1110,14 @@ def _color_pruned_cycles(g: EdgeColoredGraph, length: int,
             frames.append(iter(adj[w]))
 
 
+def _fallback_cap(g: EdgeColoredGraph) -> int:
+    """The longest cycle `fallback_search` tries on g: every length below 64
+    edges, else 24 vertices."""
+    return max(len(c) for c in g.components) if len(g.edges) < 64 else 24
+
+
 def fallback_search(g: EdgeColoredGraph, rep: GoodnessReport,
-                    max_len: int | None = None) -> FallbackResult:
+                    max_len: int) -> FallbackResult:
     """Lazy hunt for one safely removable cycle, shortest first.
 
     On a good graph: a rainbow cycle whose removal stays good. On an
@@ -1122,8 +1128,9 @@ def fallback_search(g: EdgeColoredGraph, rep: GoodnessReport,
     cycles; nothing longer is generated. The DFS is pruned by color: a path
     that repeats a color (on an almost-good graph, any color but the bad
     vertex's, or that one twice) can only close into a cycle the removal
-    check rejects. Unbounded below 64 edges; above that a length budget
-    applies and exhausting it yields "indeterminate" rather than "absent".
+    check rejects. No cycle longer than `max_len` is tried; the engine
+    passes `_fallback_cap(g)`, and when the cap is below g's longest
+    component, exhausting it yields "indeterminate" rather than "absent".
     `rep` is g's goodness report. The engine removes a found cycle by the
     result's `checked`, without checking it again.
     """
@@ -1132,19 +1139,17 @@ def fallback_search(g: EdgeColoredGraph, rep: GoodnessReport,
     if not g.edges:
         return FallbackResult("absent")
     longest = max(len(c) for c in g.components)
-    cap = max_len if max_len is not None else (longest if len(g.edges) < 64 else 24)
-    truncated = cap < longest
     # the bad vertex has degree 2 and one color: the only color an
     # almost-rainbow cycle may repeat
     spare = None if rep.bad_vertex is None else g.colors_at(rep.bad_vertex)[0]
-    for length in range(3, min(cap, longest) + 1):
+    for length in range(3, min(max_len, longest) + 1):
         for cyc in _color_pruned_cycles(g, length, spare):
             try:
                 checked = _check_removal(g, rep, [(FALLBACK, cyc)])
             except CaseVerificationError:
                 continue
             return FallbackResult("found", cyc, checked)
-    return FallbackResult("indeterminate" if truncated else "absent")
+    return FallbackResult("indeterminate" if max_len < longest else "absent")
 
 
 # ---------------------------------------------------------------------------
@@ -1227,8 +1232,7 @@ def _advance(stack: list[_Frame]) -> None:
             else _check_removal(fr.graph, fr.rep, step))
 
 
-def _recover(stack: list[_Frame], err: CaseVerificationError | _EngineFailure,
-             fallback_max_len: int | None) -> None:
+def _recover(stack: list[_Frame], err: CaseVerificationError | _EngineFailure) -> None:
     """Remove a fallback cycle where a step failed.
 
     A CaseVerificationError is the top frame's own; an _EngineFailure
@@ -1247,7 +1251,7 @@ def _recover(stack: list[_Frame], err: CaseVerificationError | _EngineFailure,
                 raise err
             stack[-1].pending = None
         fr = stack[-1]
-        fb = fallback_search(fr.graph, fr.rep, max_len=fallback_max_len)
+        fb = fallback_search(fr.graph, fr.rep, _fallback_cap(fr.graph))
         if fb.status == "found":
             fr.take(fb.checked)
             return
@@ -1281,8 +1285,7 @@ def _verified_trace(root: EdgeColoredGraph, rep: GoodnessReport,
     return DecompositionTrace(steps, tuple(c for _, c in ordered), None)
 
 
-def _run(root: EdgeColoredGraph, rep: GoodnessReport, top: _Frame,
-         fallback_max_len: int | None) -> DecompositionTrace:
+def _run(root: EdgeColoredGraph, rep: GoodnessReport, top: _Frame) -> DecompositionTrace:
     """Peel the top frame's graph onto its list in one loop over a stack of
     frames, then certify the list on `root`, whose report is `rep`; a failure
     that unwinds past the top frame, or of the certificate, becomes the
@@ -1293,7 +1296,7 @@ def _run(root: EdgeColoredGraph, rep: GoodnessReport, top: _Frame,
             try:
                 _advance(stack)
             except CaseVerificationError as err:
-                _recover(stack, err, fallback_max_len)
+                _recover(stack, err)
         return _verified_trace(root, rep, top.out)
     except _EngineFailure as f:
         return DecompositionTrace(
@@ -1302,8 +1305,7 @@ def _run(root: EdgeColoredGraph, rep: GoodnessReport, top: _Frame,
                         f.message, f.cycle, f.report))
 
 
-def decompose(g: EdgeColoredGraph,
-              fallback_max_len: int | None = None) -> DecompositionTrace:
+def decompose(g: EdgeColoredGraph) -> DecompositionTrace:
     """Decompose a good or almost-good colored graph into rainbow cycles.
 
     On success the returned cycles partition the edges, all rainbow except
@@ -1316,11 +1318,10 @@ def decompose(g: EdgeColoredGraph,
         raise DecomposeError(
             f"input is {rep.verdict.value}: "
             f"{[v.to_json() for v in rep.violations][:4]}")
-    return _run(g, rep, _Frame(g, rep, []), fallback_max_len)
+    return _run(g, rep, _Frame(g, rep, []))
 
 
-def decompose_goddyn(clg: ColoredLineGraph, first: Cycle,
-                     fallback_max_len: int | None = None) -> DecompositionTrace:
+def decompose_goddyn(clg: ColoredLineGraph, first: Cycle) -> DecompositionTrace:
     """Decompose the line graph with a prescribed first cycle.
 
     `first` is a cycle of the base cubic graph; its projection is removed
@@ -1343,11 +1344,11 @@ def decompose_goddyn(clg: ColoredLineGraph, first: Cycle,
             CaseFailure(ALL_TYPE_II, serialize_colored_edge_list(L),
                         f"prescribed cycle removal failed: {err.problem}", proj, rep))
     return _run(L, rep, _Frame(first_removed.rest, first_removed.report,
-                               [(ALL_TYPE_II, proj)]), fallback_max_len)
+                               [(ALL_TYPE_II, proj)]))
 
 
 def replay_case_failure(failure: CaseFailure) -> DecompositionTrace:
-    """Re-run decomposition on a failure's serialized graph at default
-    settings: a failure found under a `fallback_max_len` cap (the CLI's
-    `--fallback-budget`) is replayed with the fallback uncapped."""
+    """Re-run decomposition on a failure's serialized graph. The engine has
+    no settings, so the replay searches with the same fallback cap rule as
+    the run that failed."""
     return decompose(parse_colored_edge_list(failure.graph_text))

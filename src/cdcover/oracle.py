@@ -126,10 +126,11 @@ def _exact_multicover(edges: list[Edge], cycles: list[Cycle], demand: int,
     cands: list[tuple[int, ...]] = []
     containing: list[list[int]] = [[] for _ in edges]
     for i, c in enumerate(cycles):
-        if any(e not in index for e in c.edges):
+        cand = tuple(map(index.get, c.edges))
+        if None in cand:  # an edge the demand does not name
             return SearchResult("absent")
-        cands.append(tuple(index[e] for e in c.edges))
-        for k in cands[i]:
+        cands.append(cand)
+        for k in cand:
             containing[k].append(i)
     remaining = [demand] * len(edges)
     blocked = [0] * len(cycles)

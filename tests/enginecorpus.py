@@ -1,8 +1,9 @@
 """One recorded run of the engine over a fixed corpus, shared by the tests.
 
 `corpus()` decomposes the line graph of every (n, seed, fallback cap) in
-`RUNS`, once per session, under `recording()`. That wraps the engine
-points the tests read and appends each call, as it starts, to one log:
+`RUNS`, once per session, under `recording()`, and a run with a cap under
+`fallback_capped` as well. `recording()` wraps the engine points the tests
+read and appends each call, as it starts, to one log:
 
   * `_dispatch`, and each reduction function in `REDUCTIONS`; a reduction
     the engine gets from `_dispatch` has its lift wrapped, so the call that
@@ -129,6 +130,18 @@ def recording() -> Iterator[list[Call]]:
         yield log
 
 
+@contextmanager
+def fallback_capped(cap: int | None) -> Iterator[None]:
+    """Cap every fallback search of the engine at `cap` vertices, by patching
+    `_fallback_cap`; None keeps the engine's own rule. A test that generates
+    graphs may make this one engine patch: it changes what the engine
+    searches, and records nothing."""
+    with pytest.MonkeyPatch.context() as mp:
+        if cap is not None:
+            mp.setattr(D, "_fallback_cap", lambda g: cap)
+        yield
+
+
 @dataclass(frozen=True)
 class Run:
     """One decomposition of the corpus: its line graph and its trace."""
@@ -165,7 +178,8 @@ def corpus() -> Corpus:
     try:
         with recording() as log:
             for (n, seed, cap), clg in zip(RUNS, lines):
-                trace = D.decompose(clg.lg, fallback_max_len=cap)
+                with fallback_capped(cap):
+                    trace = D.decompose(clg.lg)
                 runs.append(Run(n, seed, cap, clg, trace))
     finally:
         gc.freeze()

@@ -262,22 +262,20 @@ def enumerate_rainbow_cycles(g: EdgeColoredGraph) -> list[tuple[int, ...]]:
     return sorted(out, key=lambda t: (len(t), t))
 
 
-def exhaustive_fallback(g: EdgeColoredGraph,
-                        max_len: int | None = None) -> FallbackResult:
-    """`fallback_search` by enumerating and sorting every cycle up to the cap
-    before testing any, with the same cap rule and statuses."""
+def exhaustive_fallback(g: EdgeColoredGraph, max_len: int) -> FallbackResult:
+    """`fallback_search` by enumerating and sorting every cycle of up to
+    `max_len` vertices before testing any, with the same statuses."""
     rep = check_goodness(g)
     if not g.edges:
         return FallbackResult("absent")
     longest = max(len(c) for c in g.components)
-    cap = max_len if max_len is not None else (longest if len(g.edges) < 64 else 24)
-    for cyc in enumerate_cycles(g.graph, max_len=cap):
+    for cyc in enumerate_cycles(g.graph, max_len=max_len):
         try:
             _check_removal(g, rep, [(FALLBACK, cyc)])
         except CaseVerificationError:
             continue
         return FallbackResult("found", cyc)
-    return FallbackResult("indeterminate" if cap < longest else "absent")
+    return FallbackResult("indeterminate" if max_len < longest else "absent")
 
 
 def enumerate_cycles_by_copying(g: Graph, max_len: int | None = None) -> list[Cycle]:

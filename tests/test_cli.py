@@ -69,9 +69,13 @@ def test_decompose_rejects_non_cubic(tmp_path, capsys):
 
 
 def test_decompose_rejects_bad_goddyn_cycle(k4_file, capsys):
-    code, _, err = _run(capsys, "decompose", "--input", str(k4_file),
-                        "--goddyn-cycle", "0,1,2,9")
-    assert code == 1
+    """A prescribed cycle that is not one of the graph's, or names no vertex
+    at all (an empty value included), is refused, not ignored."""
+    for cycle in ("0,1,2,9", " , ", ""):
+        code, out, err = _run(capsys, "decompose", "--input", str(k4_file),
+                              "--goddyn-cycle", cycle)
+        assert code == 1 and out == "", cycle
+        assert err.startswith("error: ") and err.count("\n") == 1, cycle
 
 
 def test_decompose_edgelist_format(tmp_path, capsys):
@@ -233,34 +237,22 @@ def test_stdin_input(capsys, monkeypatch):
     assert code == 0
 
 
-def test_fallback_budget_env(k4_file, capsys, monkeypatch):
-    monkeypatch.setenv("CDCOVER_FALLBACK_BUDGET", "10")
-    code, _, _ = _run(capsys, "decompose", "--input", str(k4_file))
-    assert code == 0
-
-
-@pytest.mark.parametrize("env, flag, problem", [
-    ("abc", None, "CDCOVER_FALLBACK_BUDGET must be an integer, got 'abc'"),
-    ("2", None, "CDCOVER_FALLBACK_BUDGET must be at least 3, got 2"),
-    (None, "0", "--fallback-budget must be at least 3, got 0"),
-    ("abc", "-1", "--fallback-budget must be at least 3, got -1"),
-])
-def test_fallback_budget_rejected(k4_file, capsys, monkeypatch, env, flag, problem):
-    if env is not None:
-        monkeypatch.setenv("CDCOVER_FALLBACK_BUDGET", env)
-    argv = ["decompose", "--input", str(k4_file)]
-    if flag is not None:
-        argv += ["--fallback-budget", flag]
-    code, out, err = _run(capsys, *argv)
+def test_fallback_budget_flag_is_gone(k4_file, capsys):
+    """The fallback has one cap rule and no option: the old flag is a usage
+    error."""
+    code, out, _ = _run(capsys, "decompose", "--input", str(k4_file),
+                        "--fallback-budget", "5")
     assert code == 1 and out == ""
-    assert err == f"error: {problem}\n"
 
 
-def test_fallback_budget_flag_overrides_env(k4_file, capsys, monkeypatch):
-    monkeypatch.setenv("CDCOVER_FALLBACK_BUDGET", "abc")
-    code, _, _ = _run(capsys, "decompose", "--input", str(k4_file),
-                      "--fallback-budget", "3")
-    assert code == 0
+def test_fallback_budget_env_is_ignored(k4_file, capsys, monkeypatch):
+    """The old environment variable neither refuses a run nor changes its
+    cover."""
+    code, plain, _ = _run(capsys, "decompose", "--input", str(k4_file))
+    monkeypatch.setenv("CDCOVER_FALLBACK_BUDGET", "2")
+    code_env, out, err = _run(capsys, "decompose", "--input", str(k4_file))
+    assert code == code_env == 0 and err == ""
+    assert out == plain
 
 
 @pytest.mark.parametrize("command", ["oracle", "crosscheck"])

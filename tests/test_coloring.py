@@ -21,7 +21,7 @@ from cdcover.decomposer import decompose
 from cdcover.graphs import Cycle, Graph, GraphError
 from cdcover.linegraph import build_line_graph
 from cdcover.oracle import GeneratorConfig, random_cubic_bridgeless
-from enginecorpus import corpus
+from enginecorpus import corpus, fallback_capped
 from graphsamples import (
     almost_good_c4,
     bridged_cubic_10,
@@ -221,8 +221,9 @@ def test_goodness_and_type_x_match_oracles_on_engine_graphs(n, seed, data):
     bridgeless graph minus the first k cycles of its decomposition. They
     carry many cut vertices, unlike the hand-built Type X samples."""
     lg = build_line_graph(random_cubic_bridgeless(GeneratorConfig(n, seed))).lg
-    # a small fallback budget keeps every decomposition well under a second
-    trace = decompose(lg, fallback_max_len=8)
+    # a small fallback cap keeps every decomposition well under a second
+    with fallback_capped(8):
+        trace = decompose(lg)
     assume(trace.cycles is not None)
     k = data.draw(st.integers(0, len(trace.steps)), label="k")
     h = lg
@@ -277,7 +278,8 @@ def _assert_incremental_matches_full(h: EdgeColoredGraph, rng: random.Random,
 @settings(max_examples=40, deadline=None)
 def test_incremental_goodness_equals_full_on_engine_graphs(n, seed, data):
     lg = build_line_graph(random_cubic_bridgeless(GeneratorConfig(n, seed))).lg
-    trace = decompose(lg, fallback_max_len=8)
+    with fallback_capped(8):
+        trace = decompose(lg)
     assume(trace.cycles is not None)
     k = data.draw(st.integers(0, len(trace.steps) - 1), label="k")
     h = lg

@@ -943,26 +943,37 @@ def test_connectivity_after_rainbow_removal():
 
 def test_fallback_finds_triangle_in_l_k4():
     lg = build_line_graph(k4()).lg
-    res = fallback_search(lg, check_goodness(lg))
+    res = fallback_search(lg, check_goodness(lg), D._fallback_cap(lg))
     assert res.status == "found"
     assert len(res.cycle) == 3
 
 
 def test_fallback_single_rainbow_c4():
     c4 = rainbow_c4()
-    res = fallback_search(c4, check_goodness(c4))
+    res = fallback_search(c4, check_goodness(c4), D._fallback_cap(c4))
     assert res.status == "found"
     assert res.cycle == Cycle((0, 1, 2, 3))
 
 
 def test_fallback_empty_graph_absent():
     empty = EdgeColoredGraph.from_triples(3, [])
-    assert fallback_search(empty, check_goodness(empty)).status == "absent"
+    assert fallback_search(empty, check_goodness(empty), 3).status == "absent"
+
+
+def test_fallback_cap_threshold():
+    """Below 64 edges the fallback tries every length up to the longest
+    component; from 64 edges on, cycles of up to 24 vertices. A cubic graph
+    on n vertices has a line graph with 3n edges: 60 at n=20, 66 at n=22."""
+    lines = {(r.n, r.seed, r.cap): r.clg.lg for r in corpus().runs}
+    below, above = lines[20, 0, None], lines[22, 0, None]
+    assert (len(below.edges), len(above.edges)) == (60, 66)
+    assert D._fallback_cap(below) == max(len(c) for c in below.components) == 30
+    assert D._fallback_cap(above) == 24
 
 
 def test_fallback_indeterminate_when_capped():
     lg = build_line_graph(k33()).lg  # girth of rainbow cycles here is 4
-    res = fallback_search(lg, check_goodness(lg), max_len=3)
+    res = fallback_search(lg, check_goodness(lg), 3)
     assert res.status == "indeterminate"
 
 
@@ -983,7 +994,7 @@ def test_case_failure_is_replayable(monkeypatch):
         raise CaseVerificationError("AllTypeII", "simulated defect")
     monkeypatch.setattr(D, "find_cycle_all_type2", boom)
     monkeypatch.setattr(D, "fallback_search",
-                        lambda g, rep, max_len=None: FallbackResult("absent"))
+                        lambda g, rep, max_len: FallbackResult("absent"))
     lg = build_line_graph(k33()).lg
     tr = decompose(lg)
     assert not tr.success
@@ -1025,7 +1036,7 @@ def test_failure_unwinds_to_an_ancestor_fallback(monkeypatch):
             raise CaseVerificationError("Case2_1", "simulated defect")
         return real_dispatch(comp, rep)
 
-    def fallback(h, rep, max_len=None):
+    def fallback(h, rep, max_len):
         searched.append(h)
         return (FallbackResult("absent") if len(searched) == 1
                 else real_fallback(h, rep, max_len))
@@ -1149,11 +1160,11 @@ def test_fallback_matches_exhaustive_oracle(data):
     pool = _small_dispatched(GoodnessVerdict.ALMOST_GOOD if data.draw(
         st.booleans(), label="almost_good") else GoodnessVerdict.GOOD)
     g = pool[data.draw(st.integers(0, len(pool) - 1), label="graph")]
-    # the uncapped search is compared where that takes well under a second
-    caps = [3, 4, 6, 8] + ([None] if len(g.edges) <= 32 else [])
+    # the engine's own cap is compared where that takes well under a second
+    caps = [3, 4, 6, 8] + ([D._fallback_cap(g)] if len(g.edges) <= 32 else [])
     rep = check_goodness(g)
     for k in caps:
-        assert fallback_search(g, rep, max_len=k) == exhaustive_fallback(g, max_len=k), k
+        assert fallback_search(g, rep, k) == exhaustive_fallback(g, k), k
 
 
 def test_fallback_is_lazy(monkeypatch):
@@ -1172,11 +1183,12 @@ def test_fallback_is_lazy(monkeypatch):
             yield c
 
     monkeypatch.setattr(D, "_color_pruned_cycles", counted)
-    res = fallback_search(g, check_goodness(g))
+    res = fallback_search(g, check_goodness(g), D._fallback_cap(g))
     assert res.status == "found" and res.cycle == Cycle((23, 24, 28, 27))
     assert lengths and max(lengths) <= len(res.cycle)
     again = parse_colored_edge_list(serialize_colored_edge_list(g))
-    assert fallback_search(again, check_goodness(again)).cycle == res.cycle
+    assert fallback_search(again, check_goodness(again),
+                           D._fallback_cap(again)).cycle == res.cycle
 
 
 def test_decomposer_does_not_import_the_oracle():

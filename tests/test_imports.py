@@ -1,7 +1,8 @@
 """Every module in src/cdcover and tests/ uses each name it imports. Every
 definition in src/cdcover is used somewhere, and no f-string in it lacks a
-placeholder. No module names a map between two vertex id spaces. Cached
-properties are filled from outside their own code at a fixed list of sites.
+placeholder. No module names a map between two vertex id spaces, and none
+in src/cdcover reads the environment. Cached properties are filled from
+outside their own code at a fixed list of sites.
 The decomposer builds no graph from scratch, and only `EdgeColoredGraph.edit`
 builds one without its validating constructor. Only the decomposer's
 removal check asks for a goodness check from a parent's report, and only
@@ -532,6 +533,32 @@ def test_named_identifiers_detects_and_allows():
                          ids=[p.name for p in sorted(SRC.glob("*.py"))])
 def test_no_vertex_id_maps(path):
     assert named_identifiers(path.read_text(), ID_MAP_NAMES) == []
+
+
+# the names by which Python code reads the process environment
+ENVIRONMENT_NAMES = frozenset({"environ", "environb", "getenv", "getenvb"})
+
+# the reads of the environment in src/, as `path: line N: name`, and why
+# each stays; a run of the program is set by its arguments alone
+ENVIRONMENT_READS: set[str] = set()
+
+
+def test_environment_reads_detected():
+    src = ("import os\n"
+           "x = os.environ.get('A')\n"
+           "from os import getenv\n"
+           "y = 'environ'  # os.getenv\n")
+    assert named_identifiers(src, ENVIRONMENT_NAMES) == [
+        "line 2: environ", "line 3: getenv"]
+
+
+def test_no_environment_reads():
+    """Nothing in src/ reads the environment beyond the pinned reads: a
+    setting made there changes a run without showing in its command line,
+    and a failure found under it does not replay."""
+    found = {f"{p.relative_to(ROOT)}: {entry}" for p in sorted(SRC.glob("*.py"))
+             for entry in named_identifiers(p.read_text(), ENVIRONMENT_NAMES)}
+    assert found == ENVIRONMENT_READS
 
 
 def incremental_goodness_calls(source: str) -> list[str]:
