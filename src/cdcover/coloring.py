@@ -107,6 +107,108 @@ rainbow triangle (v0, m, v3), or the first chain has become shorter than
 3. It reads the three facts from the graph it starts on, updates them at
 each step, and fills them into the run's last child (`decomposer.case2_1`).
 
+The reduction lemmas. The other reductions build their child by one
+`decomposer._build_transform` of a parent H that is good (Case2_2_1,
+Case2_2_2a, 2b, 2c) or almost-good at the case's vertex v (Case1_1,
+Case1_2); Case2_2_1b then keeps an end x-block of Case2_2_1's child, by
+the end-block lemma below. By the lemma for its case, the child meets
+conditions 1-5, and no vertex sees one color, except in one local
+configuration that the case rejects before it builds. So the child's full
+report is its Type X search's (`report_from_type_x`). The labels are the
+case's. In the Case2_2 family (`decomposer.CasePattern`), v is Type I
+with colors alpha and beta; x1 pairs alpha, to v and y1, with gamma, to
+w1 and z1; x2 pairs beta, to v and y2, with delta, to w2 and z2. Two facts
+recur. (i) A class of color c that spans three vertices spans no fourth,
+so an edge with an end outside that span is not of color c. In the
+Case2_2 family, alpha spans v, x1 and y1, so its class is the two edges
+vx1, x1y1, as v has degree 2; likewise beta. (ii) A vertex whose edges
+keep their colors, whatever their other ends become, still meets
+conditions 1, 2 and 4.
+
+The pair lemma. Let H meet conditions 1-5, with its bad vertex, if any,
+in a set S. Let the child merge S into m = min S and drop the edges inside
+S, where the edges that leave S are a pair xa, xb of one color c and a
+pair x'a', x'b' of another color c'. Here x and x' are in S, a, b, a' and
+b' are four distinct vertices, and no other vertex of S sees c or c'. Then
+the child meets conditions 1-5, and no vertex sees one color. Every vertex
+outside S keeps its colors by (ii), and m has degree 4 and sees c and c'.
+The class of c spans m, a and b in place of x, a and b, and m did not see
+c unless m = x. The same holds for c', and every other class only loses
+edges. A triangle through m is either (m, a, b), which needs a ~ b, so
+(x, a, b) was a monochromatic triangle of H and the new one keeps its
+colors, or one like (m, a, a'). Edge aa' is not of color c by (i), as a'
+is outside c's span x, a, b, and not c' either, so that triangle is
+rainbow.
+
+Case1_1 contracts the monochromatic triangle S = {v, x1, x2} at the bad
+vertex v. The case checks that x1's other two edges have one color, beta,
+and x2's one color, gamma, with beta != gamma, and that the two pairs have
+no common end. v sees only alpha, the triangle's color, and x2 sees alpha
+and gamma, so no other vertex of S sees beta. Likewise no other vertex
+sees gamma, and the pair lemma applies. Case2_2_2b contracts the rectangle
+S = {v, x1, y, x2}, where y = y1 = y2 is Type I, so v and y see alpha and
+beta only. The pairs are x1's gamma pair and x2's delta pair, which have
+no common end, or the shape would be a. gamma is not alpha, as x1 sees two
+colors. It is not beta, by (i), since x1 is outside beta's span v, x2, y.
+It is not delta, which the pattern checks. So x2 does not see gamma, and
+likewise x1 does not see delta: the pair lemma applies.
+
+The merge lemma (Case2_2_1, the disjoint shape). The child replaces the
+path y1 x1 v x2 y2 by y1 v y2 and merges x1 and x2 into m. So alpha's
+class becomes {y1v} and beta's {vy2}, and y1, v and y2 keep their colors.
+What is left at x1 and x2 is their gamma and delta pairs, and
+{w1, z1} and {w2, z2} do not meet in this shape. x2 does not see gamma,
+which is neither beta (by (i): x1 is outside v, x2, y2) nor delta, and
+likewise x1 does not see delta. So the pair lemma's argument holds for m.
+The one other new triangle is (v, y1, y2), when y1 ~ y2. Its third edge
+is not alpha by (i), as y2 is outside v, x1, y1, nor beta likewise, so it
+is rainbow. So the merged child of a good graph is good or fails
+condition 6 alone; then Case2_2_1b's end-block lemma below applies.
+
+The recolored rectangle lemma (Case2_2_2c, where y1 = w2 is Type I).
+Let S = {v, x1, y1, x2} be the rectangle, with edge x2z2 recolored from
+delta to beta. beta's class is {vx2, x2y2}, and delta's is {x2y1, x2z2},
+by (i) and since y1 has degree 2. So the child's beta class is {my2, mz2},
+which spans three vertices, and its delta class is empty. z2 had one
+delta edge and did not see beta, as it is outside v, x2, y2, so it still
+sees two colors. y2 keeps its colors, and (ii) covers the rest. Then the
+pair lemma's argument holds, with x1's gamma pair and beta at m, except
+for the triangle (m, y2, z2) when y2 ~ z2. Then (x2, y2, z2) was a
+triangle of H with colors beta and delta, so rainbow, and the new one
+has beta twice and a third color. The case rejects that configuration. A
+good H never has it. y2 sees beta once and z2 sees delta once, so each
+has degree 2: three edges of its other color would make that color span
+four vertices. So x2, v, y1, y2 and z2 have no neighbors but each other
+and x1, and x1 separates its alpha pair from its gamma pair: it is a
+Type X cut vertex.
+
+The edge lemma (Case1_2). H is almost-good at v, and v's neighbors x1 and
+x2 have degree 2 and are not adjacent. Let y1 and y2 be their other
+neighbors. The child merges v and x1 into m and drops vx1. So m has
+degree 2, with m x2 of color alpha and m y1 of color a1 = c(x1y1), which
+is not alpha, as x1 sees two colors. alpha's class is {vx1, vx2}, by (i)
+and since x1 is not adjacent to x2, and it becomes {mx2}. a1's class
+spans m in place of x1, as v sees only alpha. (ii) covers every other
+vertex, and v, the one vertex of color degree 1, is merged. The one
+triangle through m is (m, x2, y1), when y1 = y2. Its colors are alpha, a1
+and a2 = c(x2y2), which is not alpha either, so it is rainbow unless
+a1 = a2. The case rejects that configuration. An almost-good H never has
+it: y = y1 = y2 then sees a1 on its edges to x1 and x2. With degree 2, y
+is a second vertex of color degree 1. With degree 4, the cycle v x1 y x2
+meets the rest at y alone, which makes y a Type X cut vertex.
+
+The rewire lemma (Case2_2_2a, where w = w1 = w2). The case checks that w,
+y1, y2, z1 and z2 are Type I and that {y1, z1} and {y2, z2} do not meet.
+The child deletes x1 and x2 with their edges and adds y1w (alpha), y2w
+(beta), z1v (gamma) and z2v (delta). So y1, y2, z1 and z2 keep their
+colors, v sees gamma and delta, and w sees alpha and beta. alpha's and
+beta's classes become one edge each. So do gamma's and delta's, which were
+{x1w, x1z1} and {x2w, x2z2} by (i), as w has degree 2. Each new triangle
+passes through v or w. (v, z1, z2), when z1 ~ z2, has a third edge of
+neither gamma (z2 is outside x1, w, z1) nor delta (likewise), so it is
+rainbow. The same holds for (w, y1, y2). So the rewired child of a good
+graph is good or fails condition 6 alone.
+
 The Type X search, which sorts u's neighbors by side, gives the x-blocks
 too. Join two edges when they share a vertex, except that at a Type X
 vertex u only the two edges of each side are joined; the x-blocks are the vertex sets of the classes of edges
@@ -203,7 +305,7 @@ class EdgeColoredGraph:
     def colors_at(self, v: int) -> tuple[int, ...]:
         return tuple(self.coloring[edge(v, w)] for w in self.graph.adj[v])
 
-    def edit(self, drop: Iterable[Edge] = (),
+    def edit(self, drop: Iterable[Edge],
              add: Mapping[Edge, int] | None = None) -> "EdgeColoredGraph":
         """This graph minus the edges of `drop`, which must all be present,
         plus the new canonical edges of `add` with their colors. Only the
@@ -454,18 +556,35 @@ def check_goodness(g: EdgeColoredGraph,
     violations.extend(Violation(5, "color", c) for c, k in span.items() if k > 3)
 
     if even_ok:
-        for v in g.type_x_sides:
-            violations.append(Violation(6, "vertex", v))
+        violations.extend(report_from_type_x(g).violations)
 
     if len(bad_candidates) == 1 and not violations:
         v = bad_candidates[0]
         return GoodnessReport(GoodnessVerdict.ALMOST_GOOD, v,
                               (Violation(4, "vertex", v),))
     violations.extend(Violation(4, "vertex", v) for v in bad_candidates)
-    # every (condition, witness) occurs once, so this fixes the order
-    violations.sort(key=lambda x: (x.condition, str(x.witness)))
+    violations.sort(key=_report_order)
     if violations:
         return GoodnessReport(GoodnessVerdict.NOT_GOOD, None, tuple(violations))
+    return GoodnessReport(GoodnessVerdict.GOOD, None, ())
+
+
+def _report_order(x: Violation) -> tuple[int, str]:
+    # every (condition, witness) occurs once, so this fixes the order
+    return x.condition, str(x.witness)
+
+
+def report_from_type_x(g: EdgeColoredGraph) -> GoodnessReport:
+    """The report of an even graph that meets conditions 1-5 with no vertex
+    of color degree 1, from one Type X search: good, or not good with one
+    condition-6 violation per Type X vertex, in `check_goodness`'s order.
+    `check_goodness` takes its condition 6 from here, and a reduction whose
+    child meets the other five by a lemma of the module docstring takes
+    the child's whole report."""
+    found = sorted((Violation(6, "vertex", v) for v in g.type_x_sides),
+                   key=_report_order)
+    if found:
+        return GoodnessReport(GoodnessVerdict.NOT_GOOD, None, tuple(found))
     return GoodnessReport(GoodnessVerdict.GOOD, None, ())
 
 

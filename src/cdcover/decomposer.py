@@ -19,26 +19,30 @@ The child keeps the parent's vertex ids: a merged group keeps its least id,
 and a deleted or merged-away vertex stays, isolated. So every child, like
 every peel's remainder, is one local `edit` of its parent, and the lift
 rewrites only the child cycles through the vertices the reduction changed,
-and hands every other one up as it is, a cycle of the parent. The child's
-goodness report is checked in full, except in Case2_1: contracting an edge
-inside a singular path of a good graph keeps it good unless that closes a
-two-colored triangle (the lemma in the coloring module docstring), so
-Case2_1 derives the report, and the child's components, rainbow triangle
-and singular chains, from the parent's. Applied step by step, the lemma
-lets one Case2_1 reduction contract a whole run of the paper's one-edge
-steps, each along the first singular chain the last one left, until the
-next dispatch would pick another case: the run has one child, one lift
-and one verification of its lifted cycles. Case2_2_1b's child, the end
-x-block of a merged graph whose only defect is Type X, is not checked
-either: the end-block lemma in the coloring module docstring proves it
-almost-good at the vertex that joins it to the rest. The engine is one
-loop over an explicit stack of frames: a reduction's child is peeled on a
-frame above its waiting parent, so the depth of the reduction tree costs
-no Python recursion. Every removal, a lift's batch like any other, is
-verified by `_check_removal`: one linear sweep types the batch's cycles, and one
-incremental `check_goodness` checks what the batch leaves, or none when it
-leaves nothing. By the removal lemma in the coloring module docstring, this
-accepts exactly the batches whose cycles pass the checks one at a time.
+and hands every other one up as it is, a cycle of the parent. No child's
+goodness is checked in full; each case derives its child's report by a
+lemma in the coloring module docstring. Contracting an edge inside a
+singular path of a good graph keeps it good unless that closes a
+two-colored triangle, so Case2_1 derives the report, and the child's
+components, rainbow triangle and singular chains, from the parent's.
+Applied step by step, the lemma lets one Case2_1 reduction contract a
+whole run of the paper's one-edge steps, each along the first singular
+chain the last one left, until the next dispatch would pick another case:
+the run has one child, one lift and one verification of its lifted
+cycles. The other reduction lemmas show that every other child meets
+conditions 1-5, once its case has rejected the one local configuration
+that would break them, so its report is its Type X search's. Case2_2_1b's
+child, the end x-block of a merged graph whose only defect is Type X,
+needs no search: the end-block lemma proves it almost-good at the vertex
+that joins it to the rest. Only the entry points check their input in
+full. The engine is one loop over an explicit stack of frames: a
+reduction's child is peeled on a frame above its waiting parent, so the
+depth of the reduction tree costs no Python recursion. Every removal, a
+lift's batch like any other, is verified by `_check_removal`: one linear
+sweep types the batch's cycles, and one incremental `check_goodness`
+checks what the batch leaves, or none when it leaves nothing. By the
+removal lemma in the coloring module docstring, this accepts exactly the
+batches whose cycles pass the checks one at a time.
 The check returns a `_Checked` record of the batch, the remainder and its
 report, or raises. A case, lift or fallback search that must check a batch
 to choose it hands the engine that record, which is applied as it is.
@@ -63,6 +67,7 @@ from .coloring import (
     check_goodness,
     is_almost_rainbow_at,
     parse_colored_edge_list,
+    report_from_type_x,
     serialize_colored_edge_list,
     split_components,
     x_block_decomposition,
@@ -308,9 +313,11 @@ def _contraction(g: EdgeColoredGraph, tag: str, kind: str, noun: str,
                  merge: Sequence[int], **build) -> CaseReduction:
     """Merge the vertices of `merge` (with `build`'s other edits) into one
     vertex m = min(merge) of a child that must be good, lifted by
-    `_contraction_lift`."""
+    `_contraction_lift`. The caller's reduction lemma in the coloring module
+    docstring proves that the child meets conditions 1-5 with no vertex of
+    color degree 1, so its report is its Type X search's."""
     child = _build_transform(g, kind, merge=[merge], **build)
-    crep = check_goodness(child)
+    crep = report_from_type_x(child)
     _require(crep.verdict is GoodnessVerdict.GOOD, tag,
              f"contracted graph is {crep.verdict.value}")
     return CaseReduction(
@@ -511,6 +518,8 @@ def case1_1(g: EdgeColoredGraph, v: int) -> CaseReduction:
 
     The two child cycles through the merged vertex lift by inserting the
     path x1-v-x2 (giving the one almost-rainbow cycle) and the edge x1-x2.
+    g must be almost-good at v; the child's report is its Type X search's,
+    by the pair lemma in the coloring module docstring.
     """
     tag = CASE_1_1
     _require(g.graph.degree(v) == 2, tag, f"bad vertex {v} must have degree 2")
@@ -541,7 +550,9 @@ def case1_2(g: EdgeColoredGraph, v: int) -> CaseReduction:
     """Bad vertex with non-adjacent Type I neighbors: contract one bad edge.
 
     The child cycle through the merged vertex subdivides back into the
-    almost-rainbow cycle through v; everything else lifts unchanged.
+    almost-rainbow cycle through v; everything else lifts unchanged. g must
+    be almost-good at v; the child's report is its Type X search's, by the
+    edge lemma in the coloring module docstring.
     """
     tag = CASE_1_2
     _require(g.graph.degree(v) == 2, tag, f"bad vertex {v} must have degree 2")
@@ -555,6 +566,10 @@ def case1_2(g: EdgeColoredGraph, v: int) -> CaseReduction:
     y1 = next(w for w in g.graph.adj[x1] if w != v)
     y2 = next(w for w in g.graph.adj[x2] if w != v)
     _require(y1 != x2 and y2 != x1, tag, "degenerate flank")
+    # the one configuration in which the edge lemma's child breaks a
+    # condition: the triangle (m, x2, y1) with two colors
+    _require(y1 != y2 or g.color(x1, y1) != g.color(x2, y2), tag,
+             f"contracted graph is {GoodnessVerdict.NOT_GOOD.value}")
 
     # the merged vertex splits back into x1-v; x1 attaches toward y1
     return _contraction(g, tag, "ContractEdge", "merged vertex",
@@ -769,29 +784,25 @@ def case2_2_1(g: EdgeColoredGraph, rep: GoodnessReport, p: CasePattern,
     """Disjoint flanking neighborhoods: reroute v and merge the flanks.
 
     Child construction: drop the four alpha/beta edges, connect v directly
-    to y1 and y2, and merge x1 with x2 into m = min(x1, x2). If the child is
-    good, child cycles avoiding both v and m lift unchanged and the leftover
-    one-or-two meeting cycles recombine explicitly; if the child's only
-    defect is a Type X cut vertex, the reduction's child is instead the end
-    x-block of the merged graph, an almost-good graph, and one of its cycles
-    through m detours through v (subcase b). `rep` is g's goodness report.
+    to y1 and y2, and merge x1 with x2 into m = min(x1, x2). g must be good,
+    and `rep` is its report. By the merge lemma in the coloring module
+    docstring the child meets conditions 1-5, so its only possible defect
+    is a Type X cut vertex, and its report is its Type X search's. If the
+    child is good, child cycles avoiding both v and m lift unchanged and
+    the leftover one-or-two meeting cycles recombine explicitly; if not,
+    the reduction's child is instead the end x-block of the merged graph,
+    an almost-good graph, and one of its cycles through m detours through
+    v (subcase b).
     """
-    tag = CASE_2_2_1A
     child = _build_transform(
         g, "MergeVertices",
         drop=[edge(p.y1, p.x1), edge(p.x1, p.v), edge(p.v, p.x2), edge(p.x2, p.y2)],
         add=[(p.y1, p.v, p.alpha), (p.v, p.y2, p.beta)],
         merge=[(p.x1, p.x2)])
     m = min(p.x1, p.x2)
-    crep = check_goodness(child)
-
+    crep = report_from_type_x(child)
     if crep.verdict is GoodnessVerdict.GOOD:
         return CaseReduction(child, _case2_2_1a_lift(g, rep, p, child, m), crep)
-
-    only_type_x = (crep.verdict is GoodnessVerdict.NOT_GOOD
-                   and all(viol.condition == 6 for viol in crep.violations))
-    _require(only_type_x, tag,
-             f"merged graph broken beyond Type X: {crep.to_json()['violations']}")
     return _case2_2_1b(g, rep, p, child, crep, m)
 
 
@@ -938,7 +949,9 @@ def _case2_2_1b(g, rep_g, p, child, crep, m) -> CaseReduction:
 
 def _case2_2_2a(g: EdgeColoredGraph, rep: GoodnessReport, p: CasePattern):
     """Shared gamma/delta neighbor w: try the direct rectangle through w,
-    else rewire both flanks away and reduce. `rep` is g's goodness report."""
+    else rewire both flanks away and reduce. g must be good, and `rep` is
+    its report; the rewired child's report is its Type X search's, by the
+    rewire lemma in the coloring module docstring."""
     tag = CASE_2_2_2A
     w = p.w1
     _require(w == p.w2, tag, "shape a needs w1 == w2")
@@ -963,7 +976,7 @@ def _case2_2_2a(g: EdgeColoredGraph, rep: GoodnessReport, p: CasePattern):
         delete=[p.x1, p.x2],
         add=[(p.y1, w, p.alpha), (p.y2, w, p.beta),
              (p.z1, p.v, p.gamma), (p.z2, p.v, p.delta)])
-    crep = check_goodness(child)
+    crep = report_from_type_x(child)
     _require(crep.verdict is GoodnessVerdict.GOOD, tag,
              f"rewired graph is {crep.verdict.value}")
 
@@ -986,7 +999,9 @@ def _case2_2_2a(g: EdgeColoredGraph, rep: GoodnessReport, p: CasePattern):
 
 
 def _case2_2_2b(g: EdgeColoredGraph, p: CasePattern) -> CaseReduction:
-    """Shared alpha/beta neighbor y: contract the rectangle x1-y-x2-v."""
+    """Shared alpha/beta neighbor y: contract the rectangle x1-y-x2-v. g
+    must be good; the child's report is its Type X search's, by the pair
+    lemma in the coloring module docstring."""
     tag = CASE_2_2_2B
     y = p.y1
     _require(y == p.y2, tag, "shape b needs y1 == y2")
@@ -1005,11 +1020,17 @@ def _case2_2_2c(g: EdgeColoredGraph, p: CasePattern) -> CaseReduction:
 
     A child cycle through the merged vertex must use one of its two beta
     edges; the one toward y2 expands through y1, the one toward z2 through v.
+    g must be good; the child's report is its Type X search's, by the
+    recolored rectangle lemma in the coloring module docstring.
     """
     tag = CASE_2_2_2C
     _require(p.y1 == p.w2, tag, "shape c needs y1 == w2")
     _require(g.graph.degree(p.y1) == 2, tag, "shared vertex must be Type I")
     _require(not ({p.w1, p.z1} & {p.y2, p.z2}), tag, "shape c sides overlap")
+    # the one configuration in which the lemma's child breaks a condition:
+    # the triangle (m, y2, z2) with two colors
+    _require(not g.graph.has_edge(p.y2, p.z2), tag,
+             f"contracted graph is {GoodnessVerdict.NOT_GOOD.value}")
     gamma_side = {p.w1, p.z1}
     seen_beta: set[int] = set()  # the lift runs once per reduction
 
@@ -1325,9 +1346,9 @@ def decompose_goddyn(clg: ColoredLineGraph, first: Cycle) -> DecompositionTrace:
     """Decompose the line graph with a prescribed first cycle.
 
     `first` is a cycle of the base cubic graph; its projection is removed
-    first (safe: the line graph is all Type II, and removing any rainbow
-    cycle from such a graph preserves goodness), so the lifted cover
-    contains `first`.
+    first, so the lifted cover contains `first`. `_check_removal` checks
+    that removal like any other, and a refusal is returned as a
+    CaseFailure.
     """
     if not isinstance(first, Cycle) or not first.is_cycle_of(clg.base):
         raise DecomposeError("prescribed cycle is not a cycle of the base graph")

@@ -482,7 +482,7 @@ def test_edit_drops_and_adds_locally():
     assert h.graph.adj == Graph(h.n, h.edges).adj
     assert h.graph.adj[0] == (2, 3) and h.graph.adj[4] is g.graph.adj[4]
     assert g.edit(drop=[(0, 1)], add={(0, 1): 9}).color(1, 0) == 9
-    assert g.edit() == g
+    assert g.edit(drop=()) == g
     with pytest.raises(ColoredGraphError) as err:
         g.edit(drop=[(0, 1)], add={(1, 2): 7})
     assert str(err.value) == "cannot add present edge (1, 2)"

@@ -36,7 +36,7 @@ from cdcover.decomposer import (
 )
 from cdcover.graphs import Cycle, Graph, edge
 from cdcover.linegraph import build_line_graph, cover_from_decomposition, project_cycle
-from cdcover.oracle import GeneratorConfig, random_cubic_bridgeless
+from cdcover.oracle import GeneratorConfig, enumerate_cycles, random_cubic_bridgeless
 from cdcover.verify import verify_cdc, verify_rainbow_decomposition
 from enginecorpus import Call, corpus, recording
 from graphsamples import (
@@ -856,6 +856,112 @@ def test_case2_2_1b_makes_no_goodness_check_of_its_end_block():
             assert c.result.report.verdict is GoodnessVerdict.ALMOST_GOOD
 
 
+# the cases whose child gets its report from its Type X search, by a
+# reduction lemma in the coloring module docstring
+DERIVED_REPORTS = ("case1_1", "case1_2", "case2_2_1", "_case2_2_2a", "_case2_2_2b",
+                   "_case2_2_2c")
+
+
+def _fresh_report(g: EdgeColoredGraph) -> GoodnessReport:
+    """The full check of a new, uncached graph with g's edges and colors."""
+    return check_goodness(EdgeColoredGraph(Graph(g.n, g.edges), dict(g.coloring)))
+
+
+def test_derived_child_reports_equal_fresh_full_checks():
+    """Every child in the corpus whose report a case derives from its Type
+    X search alone has the report that the full check of a fresh copy
+    gives. Case2_2_1's merged graph is compared whether it is good or hands
+    its Type X vertices to Case2_2_1b; each kind of child has a floor."""
+    cp = corpus()
+    made = {name: [(c.result.child, c.result.report) for c in cp.calls(name)
+                   if isinstance(c.result, D.CaseReduction)]
+            for name in DERIVED_REPORTS}
+    # Case2_2_1 returns Case2_2_1b's reduction when its merged graph is not good
+    made["case2_2_1"] = [(child, rep) for child, rep in made["case2_2_1"]
+                         if rep.verdict is GoodnessVerdict.GOOD]
+    made["_case2_2_1b"] = [(c.args[3], c.args[4]) for c in cp.calls("_case2_2_1b")]
+    floors = {"case1_1": 300, "case1_2": 25, "case2_2_1": 500, "_case2_2_1b": 300,
+              "_case2_2_2a": 10, "_case2_2_2b": 100, "_case2_2_2c": 50}
+    assert set(made) == set(floors)
+    assert {name: len(made[name]) for name in floors
+            if len(made[name]) < floors[name]} == {}
+    assert all(rep.verdict is GoodnessVerdict.NOT_GOOD for _, rep in made["_case2_2_1b"])
+    for name, pairs in made.items():
+        for child, rep in pairs:
+            assert rep == _fresh_report(child), name
+
+
+def test_reductions_make_no_goodness_check_of_their_child():
+    """No case that derives its child's report checks the child's goodness:
+    the only goodness checks made inside one are the incremental checks of
+    what a removal leaves, when Case2_2_2a tries its rectangle."""
+    cp = corpus()
+    for name in DERIVED_REPORTS:
+        calls = cp.calls(name)
+        assert calls, name
+        for c in calls:
+            built = [i.result for i in c.inner() if i.name == "_build_transform"]
+            for i in c.inner():
+                if i.name == "check_goodness":
+                    assert i.kw.get("after") is not None, name
+                    assert not any(i.args[0] is child for child in built), name
+
+
+@pytest.mark.parametrize("far", [1, 2], ids=["two-colored", "rainbow"])
+def test_case1_2_contraction_closing_a_triangle(far):
+    """Case1_2 on the 4-cycle 0 1 2 3 at the vertex 0: contracting 0-1
+    closes the triangle (0, 2, 3). When 2-3 has the color of 1-2, the
+    triangle is two-colored, the one configuration in which the lemma's
+    child breaks a condition, and case1_2 rejects it before building, with
+    the message a full check of the child gives. No almost-good graph has
+    it, as 2 sees one color too. Otherwise the child is good, and its
+    derived report is the full check's."""
+    g = EdgeColoredGraph.from_triples(4, [(0, 1, 0), (1, 2, 1), (2, 3, far), (0, 3, 0)])
+    child = D._build_transform(g, "ContractEdge", merge=[(0, 1)], drop=[(0, 1)])
+    if far == 1:
+        assert check_goodness(g).verdict is GoodnessVerdict.NOT_GOOD
+        assert [(v.condition, v.witness) for v in check_goodness(child).violations] == [
+            (3, (0, 2, 3)), (4, 2)]
+        with recording() as log, pytest.raises(CaseVerificationError) as err:
+            D.case1_2(g, 0)
+        assert str(err.value) == "Case1_2: contracted graph is not_good"
+        assert [c.name for c in log] == ["case1_2"]
+    else:
+        assert check_goodness(g).bad_vertex == 0
+        red = case1_2(g, 0)
+        assert red.child == child
+        assert red.report == check_goodness(child) == D._GOOD
+
+
+@pytest.mark.parametrize("join", [[(4, 5, 4)], [(4, 9, 4), (5, 9, 7)]],
+                         ids=["chord", "path"])
+def test_case2_2_2c_contraction_closing_a_triangle_or_a_cut(join):
+    """Shape c (v = 0, x1 = 1, x2 = 2, y1 = w2 = 3, y2 = 4, z2 = 5), with y2
+    and z2 joined by a chord or by a path. The chord makes the child's
+    triangle (m, y2, z2) two-colored, the one configuration in which the
+    lemma's child breaks a condition: _case2_2_2c rejects it before
+    building. No good graph has it, since x1 is then a Type X cut vertex,
+    as it is here. Along the path, the child meets conditions 1-5 and its
+    derived report names the merged vertex, Type X: the case rejects it
+    with the same message, the one a full check of the child gives."""
+    g = EdgeColoredGraph.from_triples(10, [
+        (0, 1, 0), (0, 2, 1), (1, 3, 0), (1, 6, 2), (1, 7, 2), (2, 4, 1),
+        (2, 3, 3), (2, 5, 3), (6, 8, 5), (7, 8, 6), *join])
+    assert [(v.condition, v.witness) for v in check_goodness(g).violations] == [(6, 1)]
+    shape, p = normalize_case2_2(extract_case2_2_pattern(g))
+    assert shape == "c" and (p.v, p.x1, p.x2, p.y1, p.y2, p.z2) == (0, 1, 2, 3, 4, 5)
+    child = D._build_transform(g, "ContractRectangle", merge=[(0, 1, 3, 2)],
+                               drop=[(0, 1), (1, 3), (2, 3), (0, 2)],
+                               recolor=[((2, 5), 1)])
+    full = check_goodness(child)
+    assert {v.condition for v in full.violations} == ({3, 6} if len(join) == 1 else {6})
+    with recording() as log, pytest.raises(CaseVerificationError) as err:
+        D._case2_2_2c(g, p)
+    assert str(err.value) == f"Case2_2_2c: contracted graph is {full.verdict.value}"
+    built = [c.name for c in log if c.name == "_build_transform"]
+    assert built == ([] if len(join) == 1 else ["_build_transform"])
+
+
 def test_case2_2_pattern_extraction_and_shape_d():
     g = case2_2_2d_host()
     pat = extract_case2_2_pattern(g)
@@ -1130,6 +1236,27 @@ def test_goddyn_first_step_projection():
     first = Cycle((0, 1, 3, 2))
     tr = decompose_goddyn(clg, first)
     assert tr.steps[0].cycle == project_cycle(clg, first)
+
+
+def test_goddyn_on_every_cycle_of_small_graphs():
+    """The paper's stronger claim, that every cycle C of a cubic bridgeless
+    graph lies in some cycle double cover, on every cycle of the seeded
+    graphs with n = 10, 12, 14 and seeds 0-2 (922 cycles, a set fixed by
+    its run time): each prescribed run succeeds, and its lifted cover
+    holds C and passes `verify_cdc`."""
+    tried = 0
+    for n in (10, 12, 14):
+        for seed in range(3):
+            base = random_cubic_bridgeless(GeneratorConfig(n, seed))
+            clg = build_line_graph(base)
+            for first in enumerate_cycles(base):
+                tr = decompose_goddyn(clg, first)
+                assert tr.success, (n, seed, first, tr.failure)
+                cover = cover_from_decomposition(clg, tr.cycles)
+                assert first in cover.cycles, (n, seed, first)
+                assert verify_cdc(base, cover).accepted, (n, seed, first)
+                tried += 1
+    assert tried == 922
 
 
 # ---------------------------------------------------------------------------

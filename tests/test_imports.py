@@ -5,13 +5,15 @@ in src/cdcover reads the environment. Cached properties are filled from
 outside their own code at a fixed list of sites.
 The decomposer builds no graph from scratch, and only `EdgeColoredGraph.edit`
 builds one without its validating constructor. Only the decomposer's
-removal check asks for a goodness check from a parent's report, and only
-it makes the record of a removal it accepted. The
+removal check asks for a goodness check from a parent's report, only its
+entry points check a graph in full, and only the removal check makes the
+record of a removal it accepted. The
 brute-force oracle imports nothing from the decomposer it certifies. Every
 layer the benchmark's tracer wraps still exists under the name it wraps.
 Only a pinned few definitions are called, and a pinned few parameters
 set, by tests alone. Outside the engine corpus, no test both generates
-random graphs and patches the engine.
+random graphs and patches the engine, by `setattr`, an assignment or a
+`unittest.mock` patch.
 
 No linter ships with the project, so these are stdlib stand-ins for the
 unused-import, dead-code and empty f-string checks. `__init__.py` is
@@ -561,33 +563,42 @@ def test_no_environment_reads():
     assert found == ENVIRONMENT_READS
 
 
-def incremental_goodness_calls(source: str) -> list[str]:
+def goodness_calls(source: str, incremental: bool) -> list[str]:
     """The function, as `scoped_nodes` names it, of each call in `source`
-    of `check_goodness` that says what the graph was made from: an `after=`
-    keyword or a second positional argument. Sorted."""
+    of `check_goodness` that says what the graph was made from (an `after=`
+    keyword or a second positional argument) if `incremental`, else of each
+    call that does not. Sorted."""
     found = []
     for scope, node in scoped_nodes(source):
         if not isinstance(node, ast.Call):
             continue
         func = node.func
         name = func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", None)
-        if name == "check_goodness" and (
+        if name == "check_goodness" and incremental == (
                 len(node.args) > 1 or any(k.arg == "after" for k in node.keywords)):
             found.append(scope)
     return sorted(found)
 
 
+
+# two full checks (`<module>` and `g`) and two incremental ones
+GOODNESS_CALLS = ("check_goodness(g)\n"
+                  "def f(h, rep, cycles):\n"
+                  "    rest = h.edit(drop=[])\n"
+                  "    return check_goodness(rest, after=(h, rep, cycles))\n"
+                  "class A:\n"
+                  "    def m(self, g):\n"
+                  "        return C.check_goodness(g, (g, None, []))\n"
+                  "def g(x):\n"
+                  "    return check(x, after=1), check_goodness(x, **{})\n")
+
+
 def test_incremental_goodness_calls_detects_and_allows():
-    src = ("check_goodness(g)\n"
-           "def f(h, rep, cycles):\n"
-           "    rest = h.edit(drop=[])\n"
-           "    return check_goodness(rest, after=(h, rep, cycles))\n"
-           "class A:\n"
-           "    def m(self, g):\n"
-           "        return C.check_goodness(g, (g, None, []))\n"
-           "def g(x):\n"
-           "    return check(x, after=1), check_goodness(x, **{})\n")
-    assert incremental_goodness_calls(src) == ["A.m", "f"]
+    assert goodness_calls(GOODNESS_CALLS, incremental=True) == ["A.m", "f"]
+
+
+def test_full_goodness_calls_detects_and_allows():
+    assert goodness_calls(GOODNESS_CALLS, incremental=False) == ["<module>", "g"]
 
 
 def test_one_function_checks_goodness_after_a_removal():
@@ -596,8 +607,18 @@ def test_one_function_checks_goodness_after_a_removal():
     and one check of what the batch leaves, so a second removal path, with
     its own notion of which removals are safe, would show here."""
     assert [f"{p.name}: {scope}" for p in MODULES
-            for scope in incremental_goodness_calls(p.read_text())] == [
+            for scope in goodness_calls(p.read_text(), incremental=True)] == [
         "decomposer.py: _check_removal"]
+
+
+def test_full_goodness_checks_only_at_the_roots():
+    """In the decomposer, only the entry points check a graph's goodness in
+    full, on the graph they are given. Every other report is derived: by
+    the incremental check of what a removal leaves, or by a lemma of the
+    coloring module docstring, for a reduction's child (from its Type X
+    search alone, or with no search), a component or an end x-block."""
+    source = (SRC / "decomposer.py").read_text()
+    assert goodness_calls(source, incremental=False) == ["decompose", "decompose_goddyn"]
 
 
 def removal_records(source: str) -> list[str]:
@@ -649,8 +670,10 @@ def engine_harvests(source: str) -> list[str]:
     """The top-level functions and classes of `source` (with their nested
     functions), or `<module>`, that both call `random_cubic_bridgeless`
     and patch an attribute of something in PATCHED_TARGETS: by a `setattr`
-    call, which may name its target as a dotted string, or by assigning to
-    the attribute. Sorted."""
+    call or a `unittest.mock` patch (`patch.object(target, ...)`, or
+    `patch(...)` with a dotted string), called or used in a `with`, or by
+    assigning to the attribute. A `setattr` may name its target as a
+    dotted string too. Sorted."""
     nodes = scoped_nodes(source)
     aliases = {}  # a local name -> the dotted name it was imported as
     for _, node in nodes:
@@ -673,9 +696,12 @@ def engine_harvests(source: str) -> list[str]:
         if isinstance(node, ast.Call):
             func = node.func
             name = func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", None)
+            # `patch` and `patch.object` name their target first, as `setattr`
+            patcher = (name in ("setattr", "patch")
+                       or ast.unparse(func).split(".")[-2:] == ["patch", "object"])
             if name == "random_cubic_bridgeless":
                 generating.add(top)
-            elif name == "setattr" and node.args and target(node.args[0]):
+            elif patcher and node.args and target(node.args[0]):
                 patching.add(top)
         elif (isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Store)
               and target(node.value)):
@@ -706,6 +732,28 @@ def test_engine_harvests_detects_and_allows():
            "def test_e(monkeypatch):\n"
            "    monkeypatch.setattr('cdcover.decomposer.x', random_cubic_bridgeless(c))\n")
     assert engine_harvests(src) == ["T", "_harvest", "test_a", "test_e"]
+    mocked = ("from unittest import mock\n"
+              "from unittest.mock import patch\n"
+              "import cdcover.decomposer as D\n"
+              "def test_f():\n"
+              "    with mock.patch.object(D, '_fallback_cap', lambda g: 6):\n"
+              "        random_cubic_bridgeless(c)\n"
+              "def test_g():\n"
+              "    patch.object(D, 'x', 1).start()\n"
+              "    random_cubic_bridgeless(c)\n"
+              "def test_h():\n"
+              "    with patch('cdcover.decomposer.x', 1):\n"
+              "        random_cubic_bridgeless(c)\n"
+              "def test_i():\n"
+              "    mock.patch('cdcover.coloring.check_goodness').start()\n"
+              "    random_cubic_bridgeless(c)\n"
+              "def test_j():\n"
+              "    with mock.patch.object(os, 'x', 1), patch('os.path.x', 1):\n"
+              "        random_cubic_bridgeless(c), D.patch(c), mock.patch.dict(D)\n"
+              "def test_k():\n"
+              "    with mock.patch('cdcover.decomposer.x', 1):\n"
+              "        pass\n")
+    assert engine_harvests(mocked) == ["test_f", "test_g", "test_h", "test_i"]
 
 
 def test_engine_is_harvested_only_by_the_corpus():
