@@ -6,7 +6,9 @@ cover), `verify` (check a cover file), `oracle` (brute-force search),
 both ways, and compare).
 
 Exit codes: 0 success / definitive answer, 1 input, output or usage
-error, 2 case failure or verification mismatch, 3 indeterminate oracle search.
+error, 2 case failure or verification mismatch (a cover from `decompose`
+or `oracle` that the independent verifier rejects), 3 indeterminate
+oracle search.
 Every refusal of an input, an output or an option exits 1 and prints exactly
 one `error: <message>` line on stderr and nothing on stdout; only a
 `--trace -` written before an unwritable `--output` stays on stdout.
@@ -41,7 +43,7 @@ from .oracle import (
     brute_force_rainbow_decomposition,
     random_cubic_bridgeless,
 )
-from .verify import verify_cdc
+from .verify import verify_cdc, verify_rainbow_decomposition
 
 class _Refused(Exception):
     """Input, output or an option that a command refuses; `main` prints it
@@ -177,9 +179,16 @@ def cmd_oracle(args) -> int:
     g = _load_graph(args.input, args.format)
     if args.mode == "cdc":
         result = brute_force_cdc(g, time_budget=args.budget)
+        verdict = verify_cdc(g, result.cycles) if result.found else None
     else:
         lg = _bridgeless_line_graph(g).lg
         result = brute_force_rainbow_decomposition(lg, time_budget=args.budget)
+        verdict = (verify_rainbow_decomposition(lg, result.cycles, "Good")
+                   if result.found else None)
+    if verdict is not None and not verdict.accepted:
+        print("error: oracle cover rejected by the independent verifier", file=sys.stderr)
+        _write_text(None, _dump(verdict.to_json()))
+        return 2
     print(result.status)
     return 0 if result.status in ("found", "absent") else 3
 

@@ -285,6 +285,16 @@ def _require(cond: bool, case: str, message: str) -> None:
         raise CaseVerificationError(case, message)
 
 
+def _require_verdict(rep: GoodnessReport, case: str, verdict: GoodnessVerdict,
+                     bad: int | None = None) -> None:
+    """Refuse a parent whose report `rep` is not the hypothesis of the
+    case's lemma: `verdict`, with the bad vertex `bad`."""
+    if rep.verdict is not verdict or rep.bad_vertex != bad:
+        got = rep.verdict.value + ("" if rep.bad_vertex is None else f" at {rep.bad_vertex}")
+        want = verdict.value + ("" if bad is None else f" at {bad}")
+        raise CaseVerificationError(case, f"parent is {got}, the lemma needs {want}")
+
+
 def _rotate_to(seq: Sequence[int], v: int) -> list[int]:
     i = list(seq).index(v)
     return list(seq[i:]) + list(seq[:i])
@@ -513,15 +523,17 @@ def find_cycle_all_type2(g: EdgeColoredGraph, rep: GoodnessReport) -> Cycle:
 # Case 1: almost-good
 
 
-def case1_1(g: EdgeColoredGraph, v: int) -> CaseReduction:
+def case1_1(g: EdgeColoredGraph, rep: GoodnessReport, v: int) -> CaseReduction:
     """Bad vertex with adjacent neighbors: contract the monochromatic triangle.
 
     The two child cycles through the merged vertex lift by inserting the
     path x1-v-x2 (giving the one almost-rainbow cycle) and the edge x1-x2.
-    g must be almost-good at v; the child's report is its Type X search's,
-    by the pair lemma in the coloring module docstring.
+    `rep` is g's report, which must be almost-good at v; the child's
+    report is its Type X search's, by the pair lemma in the coloring
+    module docstring.
     """
     tag = CASE_1_1
+    _require_verdict(rep, tag, GoodnessVerdict.ALMOST_GOOD, v)
     _require(g.graph.degree(v) == 2, tag, f"bad vertex {v} must have degree 2")
     x1, x2 = sorted(g.graph.adj[v])
     alpha = g.color(v, x1)
@@ -546,15 +558,16 @@ def case1_1(g: EdgeColoredGraph, v: int) -> CaseReduction:
         merge=(v, x1, x2), drop=[edge(v, x1), edge(v, x2), edge(x1, x2)])
 
 
-def case1_2(g: EdgeColoredGraph, v: int) -> CaseReduction:
+def case1_2(g: EdgeColoredGraph, rep: GoodnessReport, v: int) -> CaseReduction:
     """Bad vertex with non-adjacent Type I neighbors: contract one bad edge.
 
     The child cycle through the merged vertex subdivides back into the
-    almost-rainbow cycle through v; everything else lifts unchanged. g must
-    be almost-good at v; the child's report is its Type X search's, by the
-    edge lemma in the coloring module docstring.
+    almost-rainbow cycle through v; everything else lifts unchanged. `rep`
+    is g's report, which must be almost-good at v; the child's report is
+    its Type X search's, by the edge lemma in the coloring module docstring.
     """
     tag = CASE_1_2
+    _require_verdict(rep, tag, GoodnessVerdict.ALMOST_GOOD, v)
     _require(g.graph.degree(v) == 2, tag, f"bad vertex {v} must have degree 2")
     x1, x2 = sorted(g.graph.adj[v])
     alpha = g.color(v, x1)
@@ -600,8 +613,7 @@ def case2_1(g: EdgeColoredGraph, rep: GoodnessReport,
     (`_run_lift`) subdivides the merged vertices back.
     """
     tag = CASE_2_1
-    _require(rep.verdict is GoodnessVerdict.GOOD, tag,
-             f"singular path contraction needs a good graph, got {rep.verdict.value}")
+    _require_verdict(rep, tag, GoodnessVerdict.GOOD)
     base_adj, base_colors = g.graph.adj, g.coloring
     adj: dict[int, tuple[int, ...]] = {}  # the neighbor tuples a step changed
     added: dict[Edge, int] = {}  # edges the run added, with their colors
@@ -998,11 +1010,13 @@ def _case2_2_2a(g: EdgeColoredGraph, rep: GoodnessReport, p: CasePattern):
     return CaseReduction(child, lift, crep)
 
 
-def _case2_2_2b(g: EdgeColoredGraph, p: CasePattern) -> CaseReduction:
-    """Shared alpha/beta neighbor y: contract the rectangle x1-y-x2-v. g
-    must be good; the child's report is its Type X search's, by the pair
-    lemma in the coloring module docstring."""
+def _case2_2_2b(g: EdgeColoredGraph, rep: GoodnessReport,
+                p: CasePattern) -> CaseReduction:
+    """Shared alpha/beta neighbor y: contract the rectangle x1-y-x2-v.
+    `rep` is g's report, which must be good; the child's report is its
+    Type X search's, by the pair lemma in the coloring module docstring."""
     tag = CASE_2_2_2B
+    _require_verdict(rep, tag, GoodnessVerdict.GOOD)
     y = p.y1
     _require(y == p.y2, tag, "shape b needs y1 == y2")
     _require(g.graph.degree(y) == 2, tag, "shared y must be Type I")
@@ -1015,15 +1029,18 @@ def _case2_2_2b(g: EdgeColoredGraph, p: CasePattern) -> CaseReduction:
         drop=[edge(p.v, p.x1), edge(p.x1, y), edge(y, p.x2), edge(p.x2, p.v)])
 
 
-def _case2_2_2c(g: EdgeColoredGraph, p: CasePattern) -> CaseReduction:
+def _case2_2_2c(g: EdgeColoredGraph, rep: GoodnessReport,
+                p: CasePattern) -> CaseReduction:
     """y1 == w2: contract the rectangle x1-y1-x2-v, folding delta into beta.
 
     A child cycle through the merged vertex must use one of its two beta
     edges; the one toward y2 expands through y1, the one toward z2 through v.
-    g must be good; the child's report is its Type X search's, by the
-    recolored rectangle lemma in the coloring module docstring.
+    `rep` is g's report, which must be good; the child's report is its Type
+    X search's, by the recolored rectangle lemma in the coloring module
+    docstring.
     """
     tag = CASE_2_2_2C
+    _require_verdict(rep, tag, GoodnessVerdict.GOOD)
     _require(p.y1 == p.w2, tag, "shape c needs y1 == w2")
     _require(g.graph.degree(p.y1) == 2, tag, "shared vertex must be Type I")
     _require(not ({p.w1, p.z1} & {p.y2, p.z2}), tag, "shape c sides overlap")
@@ -1190,8 +1207,8 @@ def _dispatch(comp: EdgeColoredGraph, rep: GoodnessReport):
         v = rep.bad_vertex
         x1, x2 = sorted(comp.graph.adj[v])
         if comp.graph.has_edge(x1, x2):
-            return case1_1(comp, v)
-        return case1_2(comp, v)
+            return case1_1(comp, rep, v)
+        return case1_2(comp, rep, v)
     if _all_type2(comp):
         return [(ALL_TYPE_II, find_cycle_all_type2(comp, rep))]
     chains = comp.singular_chains
@@ -1201,9 +1218,9 @@ def _dispatch(comp: EdgeColoredGraph, rep: GoodnessReport):
     shape, pat = normalize_case2_2(pat)
     if shape == "disjoint":
         return case2_2_1(comp, rep, pat)
-    if shape == "a":
-        return _case2_2_2a(comp, rep, pat)
-    return {"b": _case2_2_2b, "c": _case2_2_2c, "d": _case2_2_2d}[shape](comp, pat)
+    if shape == "d":
+        return _case2_2_2d(comp, pat)
+    return {"a": _case2_2_2a, "b": _case2_2_2b, "c": _case2_2_2c}[shape](comp, rep, pat)
 
 
 @dataclass

@@ -108,84 +108,66 @@ def _exact_multicover(edges: list[Edge], cycles: list[Cycle], demand: int,
     """Backtracking cover of every edge exactly `demand` times by cycles.
 
     A cycle may be chosen again while its edges have demand left, so each
-    candidate is listed once. Each node branches on the unsatisfied edge
-    with the fewest usable cycles.
+    candidate is listed once. Edge k is `edges[k]`, and a set of
+    candidates is one int, bit i for candidate i: `through[k]` is the set
+    of candidates through edge k. `remaining[k]` is the demand left on
+    edge k, and a node's `usable` set, the candidates with no full edge,
+    is its argument, so backtracking restores it through the call stack.
 
-    Edge k is `edges[k]` and each candidate is held as its edges' indices.
-    Three arrays carry the state, in the manner of the column sizes of
-    Knuth's Dancing Links: `remaining[k]` is the demand left on edge k,
-    `blocked[i]` the number of candidate i's edges with none left, and
-    `live[k]` the number of candidates through edge k with `blocked` 0,
-    that is, the usable ones. `blocked` and `live` change only when a
-    demand reaches 0 as a cycle is taken, or leaves 0 as it is given back,
-    so no node recounts them. Both callers pass the edges sorted, so the
-    first open edge with the smallest `live` is the minimum of
-    (usable count, edge), the edge a recount would pick.
+    A node counts each open edge's usable candidates as
+    `(through[k] & usable).bit_count()` and branches on the first open edge
+    with the fewest; both callers pass the edges sorted, so that edge is
+    the minimum of (usable count, edge), the edge a recount would pick. It
+    tries that edge's usable candidates from the lowest bit up. Taking
+    candidate i lowers `remaining` on its edges and, for each edge k that
+    reaches 0, clears `through[k]` from the usable set of the child.
     """
     index = {e: k for k, e in enumerate(edges)}
     cands: list[tuple[int, ...]] = []
-    containing: list[list[int]] = [[] for _ in edges]
+    through = [0] * len(edges)
     for i, c in enumerate(cycles):
         cand = tuple(map(index.get, c.edges))
         if None in cand:  # an edge the demand does not name
             return SearchResult("absent")
         cands.append(cand)
         for k in cand:
-            containing[k].append(i)
+            through[k] |= 1 << i
     remaining = [demand] * len(edges)
-    blocked = [0] * len(cycles)
-    live = [len(through) for through in containing]
+    closed = len(cycles) + 1  # above every count, for an edge with no demand left
     chosen: list[int] = []
     nodes = [0]
 
-    def take(i: int) -> None:
-        for k in cands[i]:
-            remaining[k] -= 1
-            if not remaining[k]:
-                for j in containing[k]:
-                    if not blocked[j]:
-                        for f in cands[j]:
-                            live[f] -= 1
-                    blocked[j] += 1
-
-    def give_back(i: int) -> None:
-        for k in reversed(cands[i]):
-            if not remaining[k]:
-                for j in reversed(containing[k]):
-                    blocked[j] -= 1
-                    if not blocked[j]:
-                        for f in cands[j]:
-                            live[f] += 1
-            remaining[k] += 1
-
-    def pick_edge() -> int | None:
-        open_edges = [k for k, left in enumerate(remaining) if left]
-        if not open_edges:
-            return None
-        return min(open_edges, key=live.__getitem__)
-
-    def search() -> bool:
+    def search(usable: int) -> bool:
         nodes[0] += 1
         if max_nodes is not None and nodes[0] > max_nodes:
             raise TimeoutError
         if deadline is not None and nodes[0] % 64 == 0 and time.monotonic() > deadline:
             raise TimeoutError
-        k = pick_edge()
-        if k is None:
+        counts = [(t & usable).bit_count() if left else closed
+                  for t, left in zip(through, remaining)]
+        fewest = min(counts, default=closed)
+        if fewest == closed:
             return True
-        for i in containing[k]:
-            if blocked[i]:
-                continue
-            take(i)
+        options = through[counts.index(fewest)] & usable
+        while options:
+            low = options & -options
+            options ^= low
+            i = low.bit_length() - 1
+            child = usable
+            for k in cands[i]:
+                remaining[k] -= 1
+                if not remaining[k]:
+                    child &= ~through[k]
             chosen.append(i)
-            if search():
+            if search(child):
                 return True
             chosen.pop()
-            give_back(i)
+            for k in cands[i]:
+                remaining[k] += 1
         return False
 
     try:
-        ok = search()
+        ok = search((1 << len(cycles)) - 1)
     except TimeoutError:
         return SearchResult("indeterminate")
     if not ok:
@@ -200,11 +182,11 @@ def brute_force_cdc(g: Graph, time_budget: float | None = None,
     Intended for small graphs; returns `indeterminate` when `time_budget`
     seconds, which bound the cycle enumeration too, or `max_nodes` search
     nodes run out. Each cycle is listed once and may fill both slots of its
-    edges. Listing it twice changes no answer: every edge's count of usable
-    candidates doubles, so `pick_edge` picks the same edge, and a copy's
-    subtree is its original's, so the first cover is the same. It only
-    explores each failed subtree twice, so it differs only by running out
-    of budget sooner.
+    edges. Listing it twice changes no answer: every open edge's
+    `bit_count` of usable candidates doubles, so each node branches on the
+    same edge, and a copy's subtree is its original's, so the first cover
+    is the same. It only explores each failed subtree twice, so it differs
+    only by running out of budget sooner.
     """
     deadline = time.monotonic() + time_budget if time_budget is not None else None
     if not g.edges:

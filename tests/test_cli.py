@@ -2,8 +2,10 @@ import json
 
 import pytest
 
+from cdcover import cli
 from cdcover.cli import main
-from cdcover.graphs import parse_graph6, serialize_graph6
+from cdcover.graphs import Cycle, parse_graph6, serialize_graph6
+from cdcover.oracle import SearchResult
 from cdcover.verify import verify_cdc
 from graphsamples import bridged_cubic_10, k4, petersen
 from oracles import serialize_edge_list
@@ -150,6 +152,21 @@ def test_oracle_rainbow_petersen(tmp_path, capsys):
     code, out, _ = _run(capsys, "oracle", "--input", str(path),
                         "--mode", "rainbow", "--budget", "60")
     assert code == 0 and out.strip() == "found"
+
+
+@pytest.mark.parametrize("mode, search", [("cdc", "brute_force_cdc"),
+                                          ("rainbow", "brute_force_rainbow_decomposition")])
+def test_oracle_checks_the_cover_it_reports(k4_file, capsys, monkeypatch, mode, search):
+    """`oracle` checks a found cover with the independent verifier before
+    it answers `found`: a bogus one, the single triangle 0 1 2, exits 2
+    with the verifier's witnesses on stdout."""
+    bogus = SearchResult("found", (Cycle((0, 1, 2)),))
+    monkeypatch.setattr(cli, search, lambda *args, **kwargs: bogus)
+    code, out, err = _run(capsys, "oracle", "--input", str(k4_file), "--mode", mode)
+    assert code == 2
+    assert err == "error: oracle cover rejected by the independent verifier\n"
+    verdict = json.loads(out)
+    assert not verdict["accepted"] and verdict["witnesses"]
 
 
 def test_gen_k4(capsys):

@@ -231,7 +231,7 @@ def test_case1_1_child_and_lift():
     isolated; the lift puts the path 1-0-2 into one cycle and the edge 1-2
     into the other."""
     g = case1_1_host()
-    red = case1_1(g, 0)
+    red = case1_1(g, check_goodness(g), 0)
     assert red.child.n == g.n
     assert dict(red.child.coloring) == {
         (0, 3): 1, (0, 4): 1, (0, 5): 2, (0, 6): 2, (3, 5): 3, (4, 6): 4}
@@ -362,8 +362,28 @@ def test_build_transform_and_edit_match_the_full_scan():
 
 
 def test_case1_1_rejects_wrong_pattern():
+    g = case1_2_host()
     with pytest.raises(CaseVerificationError):
-        case1_1(case1_2_host(), 0)  # neighbors not adjacent: belongs to 1.2
+        case1_1(g, check_goodness(g), 0)  # neighbors not adjacent: belongs to 1.2
+
+
+def test_case1_1_refuses_a_parent_outside_its_lemma():
+    """case1_1_host() with a disjoint two-colored triangle 7-8-9 is not
+    good: the pattern at 0 is Case1_1's, but the pair lemma's hypothesis
+    fails, and its child's derived report would be wrong. Told that the
+    parent is almost-good at 0, the case derives a good child that the
+    full check finds not good; given the parent's report, it refuses."""
+    host = case1_1_host()
+    g = EdgeColoredGraph.from_triples(
+        10, [(*e, c) for e, c in host.coloring.items()] + [(7, 8, 5), (8, 9, 5), (7, 9, 6)])
+    rep = check_goodness(g)
+    assert rep.verdict is GoodnessVerdict.NOT_GOOD
+    with pytest.raises(CaseVerificationError) as err:
+        case1_1(g, rep, 0)
+    assert str(err.value) == "Case1_1: parent is not_good, the lemma needs almost_good at 0"
+    told = case1_1(g, GoodnessReport(GoodnessVerdict.ALMOST_GOOD, 0, ()), 0)
+    assert told.report.verdict is GoodnessVerdict.GOOD
+    assert check_goodness(told.child).verdict is GoodnessVerdict.NOT_GOOD
 
 
 def test_case1_2_host_trace():
@@ -377,7 +397,7 @@ def test_case1_2_child_and_lift():
     lift subdivides the one child cycle through 0 back into the
     almost-rainbow cycle."""
     g = case1_2_host()
-    red = case1_2(g, 0)
+    red = case1_2(g, check_goodness(g), 0)
     assert red.child.n == g.n
     assert dict(red.child.coloring) == {
         (0, 2): 0, (0, 3): 1, (2, 4): 2, (3, 5): 1, (4, 5): 2,
@@ -393,7 +413,7 @@ def test_contraction_lift_passes_untouched_cycles_through():
     merged vertex; every other child cycle is a cycle of the parent and is
     handed up as the same object, its cached edges included."""
     g = case1_2_host()
-    red = case1_2(g, 0)
+    red = case1_2(g, check_goodness(g), 0)
     sub = [(s.case, s.cycle) for s in decompose(red.child).steps]
     untouched = [c for _, c in sub if 0 not in c]
     assert untouched and all(c.edges for c in untouched)  # fills the caches
@@ -403,8 +423,9 @@ def test_contraction_lift_passes_untouched_cycles_through():
 
 
 def test_case1_2_rejects_type_2_flank():
+    g = case1_1_host()
     with pytest.raises(CaseVerificationError):
-        case1_2(case1_1_host(), 0)  # x1 adjacent to x2: belongs to 1.1
+        case1_2(g, check_goodness(g), 0)  # x1 adjacent to x2: belongs to 1.1
 
 
 def test_case2_1_agrees_with_base_case_on_c5():
@@ -586,8 +607,8 @@ def test_case2_1_chord_of_a_path_color(chord):
     assert check_goodness(child).verdict is GoodnessVerdict.NOT_GOOD
     with pytest.raises(CaseVerificationError) as err:
         case2_1(g, rep, (0, 1, 2, 3))
-    assert str(err.value) == ("Case2_1: singular path contraction needs a "
-                              "good graph, got almost_good")
+    assert str(err.value) == (f"Case2_1: parent is almost_good at {rep.bad_vertex}, "
+                              "the lemma needs good")
     with pytest.raises(CaseVerificationError) as err:
         case2_1(g, GoodnessReport(GoodnessVerdict.GOOD, None, ()), (0, 1, 2, 3))
     assert str(err.value) == "Case2_1: contracted graph is not_good"
@@ -711,14 +732,14 @@ def _run_merges(run):
 # vertices its child leaves isolated, and the vertices whose child cycles
 # its lift rewrites
 REDUCTIONS = {
-    "case1_1": lambda c, g, v: _merge(v, *g.graph.adj[v]),
-    "case1_2": lambda c, g, v: _merge(v, min(g.graph.adj[v])),
+    "case1_1": lambda c, g, rep, v: _merge(v, *g.graph.adj[v]),
+    "case1_2": lambda c, g, rep, v: _merge(v, min(g.graph.adj[v])),
     "case2_1": lambda c, g, rep, path: _run_merges(c),
     "case2_2_1": lambda c, g, rep, p: (_merge(p.x1, p.x2)[0],
                                        _merge(p.x1, p.x2)[1] | {p.v}),
     "_case2_2_2a": lambda c, g, rep, p: ({p.x1, p.x2}, {p.w1, p.v}),
-    "_case2_2_2b": lambda c, g, p: _merge(p.v, p.x1, p.y1, p.x2),
-    "_case2_2_2c": lambda c, g, p: _merge(p.v, p.x1, p.y1, p.x2),
+    "_case2_2_2b": lambda c, g, rep, p: _merge(p.v, p.x1, p.y1, p.x2),
+    "_case2_2_2c": lambda c, g, rep, p: _merge(p.v, p.x1, p.y1, p.x2),
 }
 
 
@@ -907,28 +928,61 @@ def test_reductions_make_no_goodness_check_of_their_child():
                     assert not any(i.args[0] is child for child in built), name
 
 
+@pytest.mark.parametrize("name", ["case1_1", "case1_2", "_case2_2_2b", "_case2_2_2c"])
+def test_reductions_check_their_lemmas_hypothesis(name):
+    """Every call of a contraction in the corpus is given its parent's
+    report, the one its lemma needs, by `_dispatch`. Made again with any
+    other verdict or bad vertex, each refuses at once, before it calls
+    anything."""
+    calls = corpus().calls(name)
+    assert calls
+    need_almost = name in ("case1_1", "case1_2")
+    for c in calls:
+        rep = c.args[1]
+        assert c.caller == "_dispatch"
+        assert rep.verdict is (GoodnessVerdict.ALMOST_GOOD if need_almost
+                               else GoodnessVerdict.GOOD)
+        if need_almost:
+            assert rep.bad_vertex == c.args[2]
+    g, rep, arg = calls[0].args
+    wrong = [GoodnessReport(GoodnessVerdict.NOT_GOOD, None, ()),
+             GoodnessReport(GoodnessVerdict.ALMOST_GOOD, g.n, ())]
+    if need_almost:
+        wrong.append(D._GOOD)
+    for told in wrong:
+        with recording() as log, pytest.raises(CaseVerificationError, match="parent is"):
+            getattr(D, name)(g, told, arg)
+        assert [i.name for i in log] == [name]
+
+
 @pytest.mark.parametrize("far", [1, 2], ids=["two-colored", "rainbow"])
 def test_case1_2_contraction_closing_a_triangle(far):
     """Case1_2 on the 4-cycle 0 1 2 3 at the vertex 0: contracting 0-1
     closes the triangle (0, 2, 3). When 2-3 has the color of 1-2, the
     triangle is two-colored, the one configuration in which the lemma's
-    child breaks a condition, and case1_2 rejects it before building, with
-    the message a full check of the child gives. No almost-good graph has
-    it, as 2 sees one color too. Otherwise the child is good, and its
-    derived report is the full check's."""
+    child breaks a condition. No almost-good graph has it, as 2 sees one
+    color too, so case1_2 rejects this one by its report; told that it is
+    almost-good at 0, it rejects the contraction before building, with the
+    message a full check of the child gives. Otherwise the child is good,
+    and its derived report is the full check's."""
     g = EdgeColoredGraph.from_triples(4, [(0, 1, 0), (1, 2, 1), (2, 3, far), (0, 3, 0)])
     child = D._build_transform(g, "ContractEdge", merge=[(0, 1)], drop=[(0, 1)])
+    rep = check_goodness(g)
     if far == 1:
-        assert check_goodness(g).verdict is GoodnessVerdict.NOT_GOOD
+        assert rep.verdict is GoodnessVerdict.NOT_GOOD
         assert [(v.condition, v.witness) for v in check_goodness(child).violations] == [
             (3, (0, 2, 3)), (4, 2)]
+        with pytest.raises(CaseVerificationError) as err:
+            case1_2(g, rep, 0)
+        assert str(err.value) == "Case1_2: parent is not_good, the lemma needs almost_good at 0"
+        told = GoodnessReport(GoodnessVerdict.ALMOST_GOOD, 0, ())
         with recording() as log, pytest.raises(CaseVerificationError) as err:
-            D.case1_2(g, 0)
+            D.case1_2(g, told, 0)
         assert str(err.value) == "Case1_2: contracted graph is not_good"
         assert [c.name for c in log] == ["case1_2"]
     else:
-        assert check_goodness(g).bad_vertex == 0
-        red = case1_2(g, 0)
+        assert rep.bad_vertex == 0
+        red = case1_2(g, rep, 0)
         assert red.child == child
         assert red.report == check_goodness(child) == D._GOOD
 
@@ -939,15 +993,17 @@ def test_case2_2_2c_contraction_closing_a_triangle_or_a_cut(join):
     """Shape c (v = 0, x1 = 1, x2 = 2, y1 = w2 = 3, y2 = 4, z2 = 5), with y2
     and z2 joined by a chord or by a path. The chord makes the child's
     triangle (m, y2, z2) two-colored, the one configuration in which the
-    lemma's child breaks a condition: _case2_2_2c rejects it before
-    building. No good graph has it, since x1 is then a Type X cut vertex,
-    as it is here. Along the path, the child meets conditions 1-5 and its
+    lemma's child breaks a condition. No good graph has it, since x1 is
+    then a Type X cut vertex, as it is here, so _case2_2_2c rejects this
+    graph by its report; told that it is good, the case rejects the chord
+    before building. Along the path, the child meets conditions 1-5 and its
     derived report names the merged vertex, Type X: the case rejects it
     with the same message, the one a full check of the child gives."""
     g = EdgeColoredGraph.from_triples(10, [
         (0, 1, 0), (0, 2, 1), (1, 3, 0), (1, 6, 2), (1, 7, 2), (2, 4, 1),
         (2, 3, 3), (2, 5, 3), (6, 8, 5), (7, 8, 6), *join])
-    assert [(v.condition, v.witness) for v in check_goodness(g).violations] == [(6, 1)]
+    rep = check_goodness(g)
+    assert [(v.condition, v.witness) for v in rep.violations] == [(6, 1)]
     shape, p = normalize_case2_2(extract_case2_2_pattern(g))
     assert shape == "c" and (p.v, p.x1, p.x2, p.y1, p.y2, p.z2) == (0, 1, 2, 3, 4, 5)
     child = D._build_transform(g, "ContractRectangle", merge=[(0, 1, 3, 2)],
@@ -955,8 +1011,11 @@ def test_case2_2_2c_contraction_closing_a_triangle_or_a_cut(join):
                                recolor=[((2, 5), 1)])
     full = check_goodness(child)
     assert {v.condition for v in full.violations} == ({3, 6} if len(join) == 1 else {6})
+    with pytest.raises(CaseVerificationError) as err:
+        D._case2_2_2c(g, rep, p)
+    assert str(err.value) == "Case2_2_2c: parent is not_good, the lemma needs good"
     with recording() as log, pytest.raises(CaseVerificationError) as err:
-        D._case2_2_2c(g, p)
+        D._case2_2_2c(g, D._GOOD, p)
     assert str(err.value) == f"Case2_2_2c: contracted graph is {full.verdict.value}"
     built = [c.name for c in log if c.name == "_build_transform"]
     assert built == ([] if len(join) == 1 else ["_build_transform"])

@@ -125,8 +125,6 @@ def test_no_dead_definitions():
 TEST_ONLY_API = {
     # the README's entry point for replaying a serialized CaseFailure
     ("src/cdcover/decomposer.py", "replay_case_failure"),
-    # the independent checker of rainbow cycle decompositions
-    ("src/cdcover/verify.py", "verify_rainbow_decomposition"),
 }
 
 

@@ -1,10 +1,11 @@
 import hashlib
 import json
 import time
-from functools import partial
+from functools import cache, partial
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from cdcover import oracle
 from cdcover.coloring import EdgeColoredGraph, parse_colored_edge_list, triangles
@@ -277,11 +278,12 @@ def _nodes_needed(search) -> int:
 
 @pytest.mark.parametrize("branch", ["constrained"])
 def test_multicover_search_matches_the_recount(branch):
-    """The search that keeps each edge's count of usable candidates up to
-    date finds what the search that recounts them at every node finds, and
-    visits as many nodes: demand 2 on cubic graphs of n = 6-16, demand 1
-    on the colored samples, an `absent` one among them. The package
-    branches by one rule, the reference's `branch="constrained"`."""
+    """The bitset search, which holds a node's usable candidates as one
+    int and counts an edge's with `bit_count`, finds what the search that
+    rescans every candidate's edges at every node finds, and visits as
+    many nodes: demand 2 on cubic graphs of n = 6-16, demand 1 on the
+    colored samples, an `absent` one among them. The package branches by
+    one rule, the reference's `branch="constrained"`."""
     cases = []
     for n in range(6, 18, 2):
         for seed in range(3):
@@ -299,6 +301,62 @@ def test_multicover_search_matches_the_recount(branch):
         assert _nodes_needed(search) == nodes
         statuses.add(expected.status)
     assert statuses == {"found", "absent"}
+
+
+def test_search_checks_its_deadline():
+    """A double cover of n = 10, seed 0 by its cycles of at least 6
+    vertices needs 345 search nodes, more than the 64 between two deadline
+    checks. With a deadline already past and no node budget, the search
+    answers `indeterminate` at its first check, on node 64; with no
+    deadline it finds the cover below. A search of fewer than 64 nodes
+    never reads the clock."""
+    g = random_cubic_bridgeless(GeneratorConfig(10, 0))
+    cycles = [c for c in enumerate_cycles(g) if len(c) >= 6]
+    search = partial(_exact_multicover, sorted(g.edges), cycles, 2)
+    assert _nodes_needed(partial(search, deadline=None)) == 345
+    past = time.monotonic() - 1.0
+    assert search(deadline=past, max_nodes=None).status == "indeterminate"
+    res = search(deadline=None, max_nodes=None)
+    assert [c.vertices for c in res.cycles] == [
+        (0, 6, 4, 5, 3, 2, 7, 8, 1, 9), (0, 8, 1, 2, 7, 5, 3, 4, 6, 9),
+        (0, 6, 9, 1, 2, 3, 4, 5, 7, 8)]
+    assert verify_cdc(g, res.cycles).accepted
+    p = petersen()
+    assert _exact_multicover(sorted(p.edges), enumerate_cycles(p), 2,
+                             deadline=past, max_nodes=None) == brute_force_cdc(p)
+
+
+@cache
+def _edges_and_cycles(n: int, seed: int) -> tuple[list, list]:
+    g = random_cubic_bridgeless(GeneratorConfig(n, seed))
+    return sorted(g.edges), enumerate_cycles(g)
+
+
+@st.composite
+def _multicover_instances(draw):
+    """A cubic graph of n = 6-12, a sub-list of its cycles in their order,
+    and a demand of 1 or 2."""
+    edges, cycles = _edges_and_cycles(draw(st.sampled_from((6, 8, 10, 12))),
+                                      draw(st.integers(0, 3)))
+    keep = draw(st.lists(st.booleans(), min_size=len(cycles), max_size=len(cycles)))
+    return edges, [c for c, k in zip(cycles, keep) if k], draw(st.sampled_from((1, 2)))
+
+
+@given(_multicover_instances())
+@settings(max_examples=60, deadline=None)
+def test_multicover_search_matches_the_recount_on_sub_lists(instance):
+    """On any sub-list of a graph's cycles, where `absent` and deep
+    backtracking are common, the search answers what the recount answers,
+    within the same node budget, and needs as many nodes: it answers with
+    `nodes` and not with one fewer."""
+    edges, cycles, demand = instance
+    cap = 3000
+    expected, nodes = exact_multicover_by_recount(edges, cycles, demand, max_nodes=cap)
+    search = partial(_exact_multicover, edges, cycles, demand, deadline=None)
+    assert search(max_nodes=cap) == expected
+    if expected.status != "indeterminate":
+        assert search(max_nodes=nodes) == expected
+        assert search(max_nodes=nodes - 1).status == "indeterminate"
 
 
 def test_generator_n4_is_k4():
