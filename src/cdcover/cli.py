@@ -183,7 +183,7 @@ def cmd_oracle(args) -> int:
     else:
         lg = _bridgeless_line_graph(g).lg
         result = brute_force_rainbow_decomposition(lg, time_budget=args.budget)
-        verdict = (verify_rainbow_decomposition(lg, result.cycles, "Good")
+        verdict = (verify_rainbow_decomposition(lg, result.cycles)
                    if result.found else None)
     if verdict is not None and not verdict.accepted:
         print("error: oracle cover rejected by the independent verifier", file=sys.stderr)
@@ -235,6 +235,8 @@ def cmd_crosscheck(args) -> int:
             dec = "case_failure"
         oracle = brute_force_cdc(g, time_budget=args.budget)
         ora = oracle.status
+        if oracle.found and not verify_cdc(g, oracle.cycles).accepted:
+            ora = "unverified"
         agree = dec == "success" and ora in ("found", "indeterminate")
         if not agree:
             bad += 1

@@ -208,7 +208,7 @@ def _g6_decode_n(data: bytes) -> tuple[int, int]:
     if len(data) < 4:
         raise GraphError(f"graph6 parse error at byte {len(data)}: truncated extended header")
     if data[1] == 126:
-        raise GraphError("graph6 parse error at byte 1: >68-bit vertex counts unsupported")
+        raise GraphError("graph6 parse error at byte 1: vertex counts above 258047 unsupported")
     n = 0
     for i in (1, 2, 3):
         b = data[i]
@@ -222,12 +222,17 @@ def parse_graph6(text: str) -> Graph:
     """Parse one graph6 line into a Graph.
 
     Accepts an optional ">>graph6<<" prefix and trailing whitespace.
-    Errors carry the byte offset of the offending character.
+    Errors carry the byte offset of the offending character; a non-ASCII
+    character is refused, not replaced.
     """
     s = text.strip()
     if s.startswith(">>graph6<<"):
         s = s[len(">>graph6<<"):]
-    data = s.encode("ascii", errors="replace")
+    try:
+        data = s.encode("ascii")
+    except UnicodeEncodeError as err:  # every character before it is one byte
+        raise GraphError(
+            f"graph6 parse error at byte {err.start}: non-ASCII character") from None
     n, off = _g6_decode_n(data)
     nbits = n * (n - 1) // 2
     nbytes = (nbits + 5) // 6

@@ -4,6 +4,10 @@ These certify the main algorithm on small instances: exhaustive simple-cycle
 enumeration, exact-cover backtracking for cycle double covers (per-edge
 demand 2) and rainbow decompositions (demand 1), and a pairing-model sampler
 for random cubic bridgeless graphs.
+
+Both oracles require a budget in seconds (`math.inf` for none), one deadline
+for the enumeration and the cover search, which also stops after MAX_NODES
+nodes, read as it starts; either limit answers `indeterminate`.
 """
 from __future__ import annotations
 
@@ -48,8 +52,7 @@ class SearchResult:
         return self.status == "found"
 
 
-def enumerate_cycles(g: Graph, max_len: int | None = None, *,
-                     deadline: float | None = None) -> list[Cycle]:
+def enumerate_cycles(g: Graph, deadline: float) -> list[Cycle]:
     """All simple cycles of g, canonical and sorted by (length, vertices).
 
     One backtracking walk per start vertex s extends a single path through
@@ -65,7 +68,6 @@ def enumerate_cycles(g: Graph, max_len: int | None = None, *,
     every few hundred extensions.
     """
     steps_per_check = 256
-    cap = max_len if max_len is not None else g.n
     nbrs = [tuple((w, edge(v, w)) for w in ws) for v, ws in enumerate(g.adj)]
     on_path = [False] * g.n
     out: list[Cycle] = []
@@ -83,11 +85,11 @@ def enumerate_cycles(g: Graph, max_len: int | None = None, *,
                         c = Cycle(tuple(path))
                         c.__dict__["edges"] = (*edges, e)  # fills the cached property
                         out.append(c)
-                elif not on_path[w] and len(path) < cap:
+                elif not on_path[w]:
                     countdown -= 1
                     if not countdown:
                         countdown = steps_per_check
-                        if deadline is not None and time.monotonic() > deadline:
+                        if time.monotonic() > deadline:
                             raise TimeoutError
                     path.append(w)
                     edges.append(e)
@@ -103,8 +105,7 @@ def enumerate_cycles(g: Graph, max_len: int | None = None, *,
 
 
 def _exact_multicover(edges: list[Edge], cycles: list[Cycle], demand: int,
-                      deadline: float | None,
-                      max_nodes: int | None) -> SearchResult:
+                      deadline: float) -> SearchResult:
     """Backtracking cover of every edge exactly `demand` times by cycles.
 
     A cycle may be chosen again while its edges have demand left, so each
@@ -133,15 +134,16 @@ def _exact_multicover(edges: list[Edge], cycles: list[Cycle], demand: int,
         for k in cand:
             through[k] |= 1 << i
     remaining = [demand] * len(edges)
+    max_nodes = MAX_NODES
     closed = len(cycles) + 1  # above every count, for an edge with no demand left
     chosen: list[int] = []
     nodes = [0]
 
     def search(usable: int) -> bool:
         nodes[0] += 1
-        if max_nodes is not None and nodes[0] > max_nodes:
+        if nodes[0] > max_nodes:
             raise TimeoutError
-        if deadline is not None and nodes[0] % 64 == 0 and time.monotonic() > deadline:
+        if nodes[0] % 64 == 0 and time.monotonic() > deadline:
             raise TimeoutError
         counts = [(t & usable).bit_count() if left else closed
                   for t, left in zip(through, remaining)]
@@ -175,12 +177,11 @@ def _exact_multicover(edges: list[Edge], cycles: list[Cycle], demand: int,
     return SearchResult("found", tuple(cycles[i] for i in chosen))
 
 
-def brute_force_cdc(g: Graph, time_budget: float | None = None,
-                    max_nodes: int | None = MAX_NODES) -> SearchResult:
+def brute_force_cdc(g: Graph, time_budget: float) -> SearchResult:
     """Exhaustive search for a cycle double cover (cycles may repeat).
 
     Intended for small graphs; returns `indeterminate` when `time_budget`
-    seconds, which bound the cycle enumeration too, or `max_nodes` search
+    seconds, which bound the cycle enumeration too, or MAX_NODES search
     nodes run out. Each cycle is listed once and may fill both slots of its
     edges. Listing it twice changes no answer: every open edge's
     `bit_count` of usable candidates doubles, so each node branches on the
@@ -188,21 +189,20 @@ def brute_force_cdc(g: Graph, time_budget: float | None = None,
     is the same. It only explores each failed subtree twice, so it differs
     only by running out of budget sooner.
     """
-    deadline = time.monotonic() + time_budget if time_budget is not None else None
+    deadline = time.monotonic() + time_budget
     if not g.edges:
         return SearchResult("found", ())
     if find_bridges(g):
         return SearchResult("absent")  # a bridge lies on no cycle
     try:
-        cycles = enumerate_cycles(g, deadline=deadline)
+        cycles = enumerate_cycles(g, deadline)
     except TimeoutError:
         return SearchResult("indeterminate")
-    return _exact_multicover(sorted(g.edges), cycles, 2,
-                             deadline=deadline, max_nodes=max_nodes)
+    return _exact_multicover(sorted(g.edges), cycles, 2, deadline)
 
 
 def brute_force_rainbow_decomposition(g: EdgeColoredGraph,
-                                      time_budget: float | None = None) -> SearchResult:
+                                      time_budget: float) -> SearchResult:
     """Exhaustive search for a partition of E into rainbow cycles.
 
     Returns `indeterminate` when `time_budget` seconds, which bound the
@@ -212,20 +212,19 @@ def brute_force_rainbow_decomposition(g: EdgeColoredGraph,
     degree 2 and its two edges share a color, so no rainbow cycle uses
     them, and every almost-rainbow candidate uses both.
     """
-    deadline = time.monotonic() + time_budget if time_budget is not None else None
+    deadline = time.monotonic() + time_budget
     if not g.edges:
         return SearchResult("found", ())
     bad = check_goodness(g).bad_vertex
     try:
-        cycles = enumerate_cycles(g.graph, deadline=deadline)
+        cycles = enumerate_cycles(g.graph, deadline)
     except TimeoutError:
         return SearchResult("indeterminate")
     candidates = [
         c for c in cycles
         if len({g.coloring[e] for e in c.edges}) == len(c)
         or (bad is not None and bad in c and is_almost_rainbow_at(g, c, bad))]
-    return _exact_multicover(sorted(g.edges), candidates, 1,
-                             deadline=deadline, max_nodes=MAX_NODES)
+    return _exact_multicover(sorted(g.edges), candidates, 1, deadline)
 
 
 def random_cubic_bridgeless(cfg: GeneratorConfig) -> Graph:

@@ -2,7 +2,8 @@
 
 Everything here recomputes from raw adjacency and raw colorings, deliberately
 sharing no logic with the constructions it checks. Verifiers are total: any
-input yields an accept/reject verdict with witnesses, never a crash.
+input yields an accept/reject verdict with witnesses, never a crash, and
+reads the rule it checks off the graph alone.
 """
 from __future__ import annotations
 
@@ -92,16 +93,13 @@ def _find_bad_vertex(g: EdgeColoredGraph) -> int | None:
     return bads[0] if len(bads) == 1 else None
 
 
-def verify_rainbow_decomposition(g: EdgeColoredGraph, cycles,
-                                 mode: str = "Good") -> Verdict:
-    """Accept iff `cycles` partition E(g) with the required rainbow typing.
-
-    mode "Good": every member rainbow. mode "AlmostGood": exactly one member
-    is almost-rainbow with its repeated color on the two edges at the graph's
-    bad vertex; the rest rainbow.
+def verify_rainbow_decomposition(g: EdgeColoredGraph, cycles) -> Verdict:
+    """Accept iff `cycles` partition E(g) with the rainbow typing that g
+    asks for: if g has a bad vertex, exactly one member is almost-rainbow,
+    with its repeated color on the two edges there, and the rest rainbow;
+    otherwise every member is rainbow. The member through a bad vertex uses
+    both its edges, which share a color, so no graph admits both typings.
     """
-    if mode not in ("Good", "AlmostGood"):
-        raise ValueError(f"mode must be 'Good' or 'AlmostGood', got {mode!r}")
     if not isinstance(cycles, (list, tuple)):
         return _not_a_sequence()
     witnesses: list[dict] = []
@@ -132,28 +130,23 @@ def verify_rainbow_decomposition(g: EdgeColoredGraph, cycles,
         if k != 1:
             witnesses.append({"kind": "edge", "edge": list(e), "count": k})
 
-    if mode == "Good":
+    bad = _find_bad_vertex(g)
+    if bad is None:
         for idx in almost_members:
             witnesses.append({"kind": "cycle", "index": idx,
-                              "problem": "almost-rainbow cycle in Good mode"})
+                              "problem": "almost-rainbow cycle, but no bad vertex"})
+    elif len(almost_members) != 1:
+        witnesses.append({"kind": "typing",
+                          "problem": f"expected exactly 1 almost-rainbow cycle, "
+                                     f"got {len(almost_members)}"})
     else:
-        if len(almost_members) != 1:
-            witnesses.append({"kind": "typing",
-                              "problem": f"expected exactly 1 almost-rainbow cycle, "
-                                         f"got {len(almost_members)}"})
-        else:
-            idx = almost_members[0]
-            vs = _cycle_vertices(cycles[idx])
-            bad = _find_bad_vertex(g)
-            cols = _color_runs(g, vs)
-            k = len(cols)
-            # the repeat must sit on the two edges at the bad vertex
-            ok = False
-            if bad is not None:
-                for i in range(k):
-                    if cols[i] == cols[(i + 1) % k] and vs[(i + 1) % k] == bad:
-                        ok = True
-            if not ok:
-                witnesses.append({"kind": "typing", "index": idx,
-                                  "problem": "almost-rainbow repeat is not at the bad vertex"})
+        idx = almost_members[0]
+        vs = _cycle_vertices(cycles[idx])
+        cols = _color_runs(g, vs)
+        k = len(cols)
+        # the repeat must sit on the two edges at the bad vertex
+        if not any(cols[i] == cols[(i + 1) % k] and vs[(i + 1) % k] == bad
+                   for i in range(k)):
+            witnesses.append({"kind": "typing", "index": idx,
+                              "problem": "almost-rainbow repeat is not at the bad vertex"})
     return Verdict(not witnesses, tuple(witnesses))

@@ -8,16 +8,18 @@ by walking the tree of those x-blocks, a rainbow cycle
 enumerator, and a small isomorphism tester for deduplicating sampled
 cubic graphs. The one exception is `exhaustive_fallback`, which cross-checks
 the fallback's search order and pruning only, so it reuses the engine's
-removal check and takes its cycles from the brute-force oracle. The
-reference removal, `remove_one_at_a_time`, checks a batch of cycles the
-way the engine's one sweep and one goodness check are proved equal to:
+removal check. The reference removal, `remove_one_at_a_time`, checks a
+batch of cycles the way the engine's one sweep and one goodness check are
+proved equal to:
 one cycle at a time, each typed on its own and followed by a full
 goodness check. The reference reduction builder, `build_transform_by_scan`, rebuilds the child
 from a scan over every parent edge, and raises the engine's error type;
 `case2_1_run_by_scan` repeats its one-edge contraction with full checks
 and fresh scans, as the engine's Case2_1 runs do with derived facts.
 `enumerate_cycles_by_copying` is the oracle's cycle enumerator as it was
-before it walked one path in place, copying the path at every extension.
+before it walked one path in place, copying the path at every extension,
+and it keeps the length cap the oracle has dropped, which
+`exhaustive_fallback` lists its cycles by.
 `exact_multicover_by_recount` is the oracle's exact-cover search as it
 was before it kept each edge's count of usable candidates up to date: it
 recounts them at every node, and reports how many nodes it visited. It
@@ -31,6 +33,7 @@ only tests call, kept here rather than in the package's API.
 from __future__ import annotations
 
 import itertools
+import math
 
 from cdcover.coloring import (
     EdgeColoredGraph,
@@ -269,7 +272,7 @@ def exhaustive_fallback(g: EdgeColoredGraph, max_len: int) -> FallbackResult:
     if not g.edges:
         return FallbackResult("absent")
     longest = max(len(c) for c in g.components)
-    for cyc in enumerate_cycles(g.graph, max_len=max_len):
+    for cyc in enumerate_cycles_by_copying(g.graph, max_len):
         try:
             _check_removal(g, rep, [(FALLBACK, cyc)])
         except CaseVerificationError:
@@ -367,7 +370,7 @@ def cdc_by_lowest_edge(g: Graph) -> SearchResult:
         return SearchResult("found", ())
     if find_bridges(g):
         return SearchResult("absent")
-    return exact_multicover_by_recount(sorted(g.edges), enumerate_cycles(g), 2,
+    return exact_multicover_by_recount(sorted(g.edges), enumerate_cycles(g, math.inf), 2,
                                        branch="lowest", max_nodes=MAX_NODES)[0]
 
 
@@ -375,7 +378,7 @@ def rainbow_candidates(g: EdgeColoredGraph) -> list[Cycle]:
     """The cycles of g that are rainbow, or almost-rainbow at its bad
     vertex: the candidates `brute_force_rainbow_decomposition` searches."""
     bad = check_goodness(g).bad_vertex
-    return [c for c in enumerate_cycles(g.graph)
+    return [c for c in enumerate_cycles(g.graph, math.inf)
             if len({g.coloring[e] for e in c.edges}) == len(c)
             or (bad is not None and bad in c and is_almost_rainbow_at(g, c, bad))]
 

@@ -224,6 +224,21 @@ def test_crosscheck_records_a_rejected_lift(capsys, tmp_path, monkeypatch):
     assert art["decompose"] == "lift_rejected"
 
 
+def test_crosscheck_checks_the_oracle_cover(capsys, tmp_path, monkeypatch):
+    """`crosscheck` checks a found oracle cover with the independent
+    verifier, as `oracle` does: a bogus one, the single triangle 0 1 2, is
+    reported as `unverified`, a mismatch with an artifact."""
+    bogus = SearchResult("found", (Cycle((0, 1, 2)),))
+    monkeypatch.setattr(cli, "brute_force_cdc", lambda *args, **kwargs: bogus)
+    monkeypatch.chdir(tmp_path)
+    code, out, _ = _run(capsys, "crosscheck", "--n-max", "4", "--count", "1")
+    assert code == 2
+    assert "unverified" in out and "1 mismatches" in out
+    art = json.loads((tmp_path / "crosscheck-artifacts"
+                      / "crosscheck_0000.json").read_text())
+    assert (art["decompose"], art["oracle"]) == ("success", "unverified")
+
+
 def test_crosscheck_unwritable_artifacts(capsys, tmp_path, monkeypatch):
     """A mismatch whose artifact cannot be written is an error message and
     exit code 1, as an unwritable `--output` is, not a traceback."""
@@ -314,6 +329,22 @@ def test_undecodable_input_is_an_error(k4_file, tmp_path, capsys, command,
     code, out, err = _run(capsys, *argv)
     assert code == 1 and out == ""
     assert err == f"error: {binary}: not utf-8 text (invalid start byte at byte 0)\n"
+
+
+@pytest.mark.parametrize("command", ["verify", "oracle"])
+def test_non_ascii_graph6_is_refused(tmp_path, capsys, command):
+    """A graph6 file holding `Cé` is refused, not read as 4 isolated
+    vertices, whose empty cover `verify` would accept and `oracle` would
+    answer `found`."""
+    bad = tmp_path / "bad.g6"
+    bad.write_text("Cé\n", encoding="utf-8")
+    cover = tmp_path / "cover.json"
+    cover.write_text(json.dumps({"cycles": []}))
+    argv = ([command, "--graph", str(bad), "--cover", str(cover)]
+            if command == "verify" else [command, "--input", str(bad)])
+    code, out, err = _run(capsys, *argv)
+    assert code == 1 and out == ""
+    assert err == "error: graph6 parse error at byte 1: non-ASCII character\n"
 
 
 @pytest.mark.parametrize("command", ["decompose", "verify", "oracle"])

@@ -14,6 +14,7 @@ degree-4 hubs where rainbow cycles correspond exactly to vertex-simple
 cycles respecting each hub's color pairing; none of the 32 pairing systems
 partitions the 10 chains, which is how the certificate was verified by hand.
 """
+import math
 import re
 from pathlib import Path
 
@@ -36,7 +37,7 @@ def test_certificate_is_good_but_undecomposable():
     rep = check_goodness(g)
     assert rep.verdict.value == "good" and not rep.violations
     assert naive_goodness(g)[0] == "good"
-    assert brute_force_rainbow_decomposition(g).status == "absent"
+    assert brute_force_rainbow_decomposition(g, math.inf).status == "absent"
     assert rainbow_decomposition_by_lowest_edge(g).status == "absent"
     assert fallback_search(g, rep, _fallback_cap(g)).status == "absent"
 

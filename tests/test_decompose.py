@@ -3,6 +3,7 @@ import functools
 import hashlib
 import itertools
 import json
+import math
 import random
 import sys
 from pathlib import Path
@@ -63,10 +64,10 @@ from oracles import (
 FIXTURES = Path(__file__).parent / "fixtures"
 
 
-def _decomposed_ok(g, mode="Good"):
+def _decomposed_ok(g):
     tr = decompose(g)
     assert tr.success, tr.failure and tr.failure.message
-    assert verify_rainbow_decomposition(g, tr.cycles, mode).accepted
+    assert verify_rainbow_decomposition(g, tr.cycles).accepted
     return tr
 
 
@@ -77,7 +78,7 @@ def test_decompose_rainbow_c4_single_cycle():
 
 
 def test_decompose_almost_good_c4():
-    tr = _decomposed_ok(almost_good_c4(), "AlmostGood")
+    tr = _decomposed_ok(almost_good_c4())
     assert [s.case for s in tr.steps] == ["BaseCycle"]
 
 
@@ -85,7 +86,7 @@ def test_decompose_almost_good_c6_bypasses_case_1_2():
     g = EdgeColoredGraph.from_triples(6, [
         (0, 1, 0), (0, 5, 0), (1, 2, 1), (2, 3, 2), (3, 4, 3), (4, 5, 4)])
     assert check_goodness(g).verdict is GoodnessVerdict.ALMOST_GOOD
-    tr = _decomposed_ok(g, "AlmostGood")
+    tr = _decomposed_ok(g)
     assert [s.case for s in tr.steps] == ["BaseCycle"]
     assert len(tr.cycles) == 1
 
@@ -130,19 +131,19 @@ def _disjoint_union(parts: list[EdgeColoredGraph]) -> tuple[EdgeColoredGraph, li
     return EdgeColoredGraph.from_triples(n, triples), offsets
 
 
-@pytest.mark.parametrize("parts, mode", [
-    ((build_line_graph(k4()).lg, build_line_graph(k33()).lg), "Good"),
-    ((almost_good_c4(), build_line_graph(petersen()).lg), "AlmostGood"),
-    ((build_line_graph(k33()).lg, case1_1_host()), "AlmostGood"),
+@pytest.mark.parametrize("parts", [
+    (build_line_graph(k4()).lg, build_line_graph(k33()).lg),
+    (almost_good_c4(), build_line_graph(petersen()).lg),
+    (build_line_graph(k33()).lg, case1_1_host()),
 ], ids=["LK4+LK33", "almost_c4+LPetersen", "LK33+case1_1_host"])
-def test_decompose_disjoint_union(parts, mode):
+def test_decompose_disjoint_union(parts):
     """A disconnected root splits into one frame per component, each given
     its report by the component lemma instead of a goodness check: the
     report every dispatch receives is the full check's, and each component
     is peeled as it would be alone, shifted by its offset."""
     union, offsets = _disjoint_union(list(parts))
     with recording() as log:
-        tr = _decomposed_ok(union, mode)
+        tr = _decomposed_ok(union)
     dispatched = [c.args for c in log if c.name == "_dispatch"]
     alone = sorted(tuple(v + off for v in c.vertices)
                    for g, off in zip(parts, offsets) for c in decompose(g).cycles)
@@ -211,7 +212,7 @@ def test_prefix_goodness_replay():
 
 def test_case1_1_host_trace():
     g = case1_1_host()
-    tr = _decomposed_ok(g, "AlmostGood")
+    tr = _decomposed_ok(g)
     assert tr.steps[0].case == "Case1_1"
     first = tr.cycles[0]
     cols = [g.coloring[e] for e in first.edges]
@@ -388,7 +389,7 @@ def test_case1_1_refuses_a_parent_outside_its_lemma():
 
 def test_case1_2_host_trace():
     g = case1_2_host()
-    tr = _decomposed_ok(g, "AlmostGood")
+    tr = _decomposed_ok(g)
     assert tr.steps[0].case == "Case1_2"
 
 
@@ -1044,7 +1045,7 @@ def test_case_reachable_and_verified(tag):
     decomposition and cover verify."""
     assert any(
         tag in [s.case for s in r.trace.steps]
-        and verify_rainbow_decomposition(r.clg.lg, r.trace.cycles, "Good").accepted
+        and verify_rainbow_decomposition(r.clg.lg, r.trace.cycles).accepted
         and verify_cdc(r.clg.base, cover_from_decomposition(r.clg, r.trace.cycles)).accepted
         for r in corpus().runs)
 
@@ -1150,7 +1151,7 @@ def test_engine_recovers_via_fallback(monkeypatch):
     tr = decompose(clg.lg)
     assert tr.success
     assert "Fallback" in [s.case for s in tr.steps]
-    assert verify_rainbow_decomposition(clg.lg, tr.cycles, "Good").accepted
+    assert verify_rainbow_decomposition(clg.lg, tr.cycles).accepted
     assert verify_cdc(k33(), cover_from_decomposition(clg, tr.cycles)).accepted
 
 
@@ -1211,7 +1212,7 @@ def test_failure_unwinds_to_an_ancestor_fallback(monkeypatch):
     tr = decompose(g)
     assert searched[:2] == [dispatched[1], g]
     assert tr.success and tr.steps[0].case == "Fallback"
-    assert verify_rainbow_decomposition(g, tr.cycles, "AlmostGood").accepted
+    assert verify_rainbow_decomposition(g, tr.cycles).accepted
 
 
 def test_engine_needs_no_deep_recursion(monkeypatch):
@@ -1308,7 +1309,7 @@ def test_goddyn_on_every_cycle_of_small_graphs():
         for seed in range(3):
             base = random_cubic_bridgeless(GeneratorConfig(n, seed))
             clg = build_line_graph(base)
-            for first in enumerate_cycles(base):
+            for first in enumerate_cycles(base, math.inf):
                 tr = decompose_goddyn(clg, first)
                 assert tr.success, (n, seed, first, tr.failure)
                 cover = cover_from_decomposition(clg, tr.cycles)

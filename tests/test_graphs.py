@@ -55,6 +55,24 @@ def test_parse_graph6_header_prefix():
     assert parse_graph6(">>graph6<<C~").edges == k4().edges
 
 
+def test_parse_graph6_refuses_non_ascii():
+    """A non-ASCII character is refused at its offset, not replaced by
+    `?`, which is a valid data byte: `Cé` is not 4 isolated vertices."""
+    with pytest.raises(GraphError) as err:
+        parse_graph6("Cé")
+    assert str(err.value) == "graph6 parse error at byte 1: non-ASCII character"
+    with pytest.raises(GraphError, match="at byte 0: non-ASCII character"):
+        parse_graph6(">>graph6<<éC~")
+
+
+def test_parse_graph6_refuses_the_36_bit_header():
+    """`~~` opens graph6's header for n >= 258048, which is unsupported."""
+    with pytest.raises(GraphError) as err:
+        parse_graph6("~~" + "?" * 6)
+    assert str(err.value) == (
+        "graph6 parse error at byte 1: vertex counts above 258047 unsupported")
+
+
 def test_parse_edge_list_triangle():
     g = parse_edge_list("0 1\n1 2\n2 0\n")
     assert g.n == 3 and g.m == 3

@@ -11,7 +11,8 @@ record of a removal it accepted. The
 brute-force oracle imports nothing from the decomposer it certifies. Every
 layer the benchmark's tracer wraps still exists under the name it wraps.
 Only a pinned few definitions are called, and a pinned few parameters
-set, by tests alone. Outside the engine corpus, no test both generates
+set, by tests alone, and no default is overridden by every call outside
+the tests. Outside the engine corpus, no test both generates
 random graphs and patches the engine, by `setattr`, an assignment or a
 `unittest.mock` patch.
 
@@ -137,13 +138,15 @@ def test_public_api_that_only_tests_call_is_pinned():
     assert found == TEST_ONLY_API
 
 
-def unset_parameters(sources: dict[str, str], others: list[str]) -> list[str]:
-    """`label: function(parameter)` for each parameter with a default of a
-    `def` in `sources` that no call in `sources` or `others` sets. A call
-    is matched to a definition by the name it calls, an `__init__` by its
-    class's name, and sets a parameter by keyword or by position, or sets
-    all of them through `*` or `**`. A method's first parameter, `self` or
-    `cls`, takes no position."""
+def default_settings(sources: dict[str, str], others: list[str],
+                     ) -> list[tuple[str, str, list[bool | None]]]:
+    """(label, `function(parameter)`, settings) for each parameter with a
+    default of a `def` in `sources`, sorted by label and line. Settings has
+    one entry per call in `sources` or `others`: True if the call sets the
+    parameter by keyword or by position, False if it does not, None if it
+    spreads `*` or `**`, which may or may not. A call is matched to a
+    definition by the name it calls, an `__init__` by its class's name. A
+    method's first parameter, `self` or `cls`, takes no position."""
     trees = {label: ast.parse(text) for label, text in sources.items()}
     calls: dict[str, list[tuple[int, set[str] | None]]] = {}
     for tree in [*trees.values(), *map(ast.parse, others)]:
@@ -156,7 +159,7 @@ def unset_parameters(sources: dict[str, str], others: list[str]) -> list[str]:
                       or any(k.arg is None for k in node.keywords))
             calls.setdefault(name, []).append(
                 (len(node.args), None if spread else {k.arg for k in node.keywords}))
-    unset = []
+    found = []
     for label, tree in trees.items():
         methods = {id(f): cls.name for cls in ast.walk(tree) if isinstance(cls, ast.ClassDef)
                    for f in cls.body if isinstance(f, ast.FunctionDef)
@@ -175,11 +178,29 @@ def unset_parameters(sources: dict[str, str], others: list[str]) -> list[str]:
                       else node.name)
             for param in defaulted:
                 at = positional.index(param) if param in positional else None
-                if not any(keywords is None or param in keywords
-                           or (at is not None and count > at)
-                           for count, keywords in calls.get(called, ())):
-                    unset.append((label, node.lineno, f"{node.name}({param})"))
-    return [f"{label}: {entry}" for label, _, entry in sorted(unset)]
+                settings = [None if keywords is None
+                            else param in keywords or (at is not None and count > at)
+                            for count, keywords in calls.get(called, ())]
+                found.append((label, node.lineno, f"{node.name}({param})", settings))
+    return [(label, entry, settings) for label, _, entry, settings in sorted(found)]
+
+
+def unset_parameters(sources: dict[str, str], others: list[str]) -> list[str]:
+    """`label: function(parameter)` for each parameter with a default that
+    no call sets, as `default_settings` matches them; a call through `*` or
+    `**` counts as setting it."""
+    return [f"{label}: {entry}" for label, entry, settings
+            in default_settings(sources, others)
+            if not any(s is None or s for s in settings)]
+
+
+def overridden_defaults(sources: dict[str, str], others: list[str]) -> list[str]:
+    """`label: function(parameter)` for each parameter with a default that
+    every call sets, when there is one, as `default_settings` matches them;
+    a call through `*` or `**` counts as not setting it."""
+    return [f"{label}: {entry}" for label, entry, settings
+            in default_settings(sources, others)
+            if settings and all(s is True for s in settings)]
 
 
 def test_unset_parameters_detects_and_allows():
@@ -201,15 +222,33 @@ def test_unset_parameters_detects_and_allows():
     assert unset_parameters({"m": src}, ["A(y=1)\nx.m(1, 2)\nf(**kw)\nh(0)\n"]) == []
 
 
+def test_overridden_defaults_detects_and_allows():
+    src = ("def f(a, b=1, *, c=2, d=3): pass\n"
+           "def g(k=0): pass\n"
+           "def h(q=0): pass\n"
+           "class A:\n"
+           "    def __init__(self, x=1): pass\n"
+           "f(0, 5, c=1)\n"
+           "f(0, 6, c=2, d=4)\n"
+           "g(k=1)\n"
+           "g(**kw)\n"
+           "A(2)\n")
+    assert overridden_defaults({"m": src}, []) == [
+        "m: f(b)", "m: f(c)", "m: __init__(x)"]
+    assert overridden_defaults({"m": src}, ["f(0, d=3)\nA()\n"]) == []
+
+
+def _src_and_callers() -> tuple[dict[str, str], list[str]]:
+    """The modules of src/ by path, and the texts of perfbench/'s."""
+    sources = {str(p.relative_to(ROOT)): p.read_text() for p in sorted(SRC.glob("*.py"))}
+    return sources, [p.read_text() for p in sorted((ROOT / "perfbench").rglob("*.py"))]
+
+
 # The parameters of definitions in src/ that only tests set, and why each
 # stays; the definitions pinned in TEST_ONLY_API are exempt.
 TEST_ONLY_PARAMETERS = {
     # the console entry point calls `main()`, which reads `sys.argv`
     "src/cdcover/cli.py: main(argv)",
-    # `tests/oracles.exhaustive_fallback` caps the cycles it lists by it
-    "src/cdcover/oracle.py: enumerate_cycles(max_len)",
-    # tests bound it to pin node counts and the `indeterminate` answer
-    "src/cdcover/oracle.py: brute_force_cdc(max_nodes)",
 }
 
 
@@ -218,12 +257,17 @@ def test_no_parameter_that_only_tests_set():
     that nothing in src/ or perfbench/ overrides is a second code path that
     only tests take, and fails here until it is deleted or pinned with a
     reason."""
-    sources = {str(p.relative_to(ROOT)): p.read_text() for p in sorted(SRC.glob("*.py"))}
-    others = [p.read_text() for p in sorted((ROOT / "perfbench").rglob("*.py"))]
     exempt = {f"{path}: {name}(" for path, name in TEST_ONLY_API}
-    found = {entry for entry in unset_parameters(sources, others)
+    found = {entry for entry in unset_parameters(*_src_and_callers())
              if not any(entry.startswith(prefix) for prefix in exempt)}
     assert found == TEST_ONLY_PARAMETERS
+
+
+def test_no_default_that_only_tests_rely_on():
+    """No default that every call in src/ and perfbench/ overrides: the
+    path it stands for is taken by tests alone, so the parameter should be
+    required, and tests should pass what they mean."""
+    assert overridden_defaults(*_src_and_callers()) == []
 
 
 def cached_properties(source: str) -> set[str]:

@@ -1,3 +1,5 @@
+import math
+
 import pytest
 
 from cdcover.coloring import GoodnessVerdict, check_goodness, triangles
@@ -11,7 +13,7 @@ from cdcover.linegraph import (
 )
 from cdcover.oracle import enumerate_cycles
 from graphsamples import k4, k33, petersen, prism
-from oracles import enumerate_rainbow_cycles
+from oracles import enumerate_cycles_by_copying, enumerate_rainbow_cycles
 
 
 def test_build_line_graph_k4_shape():
@@ -72,7 +74,7 @@ def test_project_rejects_non_cycle():
 def test_lift_project_bijection_small_graphs():
     for g in (k4(), k33(), prism()):
         clg = build_line_graph(g)
-        base_cycles = enumerate_cycles(g)
+        base_cycles = enumerate_cycles(g, math.inf)
         projected = set()
         for c in base_cycles:
             p = project_cycle(clg, c)
@@ -87,7 +89,7 @@ def test_lift_project_bijection_small_graphs():
 
 def test_cover_from_four_triangles():
     clg = build_line_graph(k4())
-    tris = [c for c in enumerate_cycles(clg.lg.graph, max_len=3)
+    tris = [c for c in enumerate_cycles_by_copying(clg.lg.graph, 3)
             if len({clg.lg.coloring[e] for e in c.edges}) == 3]
     assert len(tris) == 4
     cover = cover_from_decomposition(clg, tris)
@@ -105,7 +107,7 @@ def test_cover_from_hamiltonian_projections():
 
 def test_cover_rejects_partial_decomposition():
     clg = build_line_graph(k4())
-    tris = [c for c in enumerate_cycles(clg.lg.graph, max_len=3)
+    tris = [c for c in enumerate_cycles_by_copying(clg.lg.graph, 3)
             if len({clg.lg.coloring[e] for e in c.edges}) == 3]
     with pytest.raises(LineGraphError, match="partition"):
         cover_from_decomposition(clg, tris[:-1])

@@ -1,8 +1,10 @@
 import hashlib
 import json
+import math
 import time
 from functools import cache, partial
 from pathlib import Path
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -42,28 +44,24 @@ from oracles import (
 
 
 def test_enumerate_cycles_k4():
-    cycles = enumerate_cycles(k4())
+    cycles = enumerate_cycles(k4(), math.inf)
     assert len(cycles) == 7
     assert sorted(len(c) for c in cycles) == [3, 3, 3, 3, 4, 4, 4]
 
 
 def test_enumerate_cycles_c5():
     c5 = Graph.from_edges(5, [(i, (i + 1) % 5) for i in range(5)])
-    assert len(enumerate_cycles(c5)) == 1
+    assert len(enumerate_cycles(c5, math.inf)) == 1
 
 
 def test_enumerate_cycles_tree():
     tree = Graph.from_edges(4, [(0, 1), (1, 2), (1, 3)])
-    assert enumerate_cycles(tree) == []
-
-
-def test_enumerate_cycles_max_len():
-    assert all(len(c) == 3 for c in enumerate_cycles(k4(), max_len=3))
+    assert enumerate_cycles(tree, math.inf) == []
 
 
 def test_enumerate_cycles_space_dimension_bound():
     for g in (k4(), petersen()):
-        assert len(enumerate_cycles(g)) >= g.m - g.n + 1
+        assert len(enumerate_cycles(g, math.inf)) >= g.m - g.n + 1
 
 
 def test_enumerate_cycles_matches_the_reference():
@@ -71,7 +69,7 @@ def test_enumerate_cycles_matches_the_reference():
     same order, and hands each one the edges it recorded, which are the
     edges its vertices give: cubic graphs, the degree-4 line graphs of K4,
     K33 and Petersen, and graphs with no cycle, one cycle, isolated
-    vertices or three components, under several length caps."""
+    vertices or three components."""
     graphs = [random_cubic_bridgeless(GeneratorConfig(n, seed))
               for n in range(4, 18, 2) for seed in range(3)]
     graphs += [build_line_graph(g).lg.graph for g in (k4(), k33(), petersen())]
@@ -83,15 +81,14 @@ def test_enumerate_cycles_matches_the_reference():
                              (6, 1), (1, 2), (3, 4)]),
     ]
     for g in graphs:
-        for max_len in (None, 3, 4, 5):
-            cycles = enumerate_cycles(g, max_len)
-            assert ([c.vertices for c in cycles]
-                    == [c.vertices for c in enumerate_cycles_by_copying(g, max_len)])
-            for c in cycles:
-                vs = c.vertices
-                assert "edges" in c.__dict__
-                assert c.edges == tuple(edge(vs[i], vs[(i + 1) % len(vs)])
-                                        for i in range(len(vs)))
+        cycles = enumerate_cycles(g, math.inf)
+        assert ([c.vertices for c in cycles]
+                == [c.vertices for c in enumerate_cycles_by_copying(g)])
+        for c in cycles:
+            vs = c.vertices
+            assert "edges" in c.__dict__
+            assert c.edges == tuple(edge(vs[i], vs[(i + 1) % len(vs)])
+                                    for i in range(len(vs)))
 
 
 def test_enumeration_is_bounded_by_the_budget():
@@ -104,7 +101,7 @@ def test_enumeration_is_bounded_by_the_budget():
     assert time.monotonic() - start < 1.0
     deadline = time.monotonic() + 0.1
     with pytest.raises(TimeoutError):
-        enumerate_cycles(g, deadline=deadline)
+        enumerate_cycles(g, deadline)
 
 
 def test_zero_budget_is_a_budget():
@@ -126,25 +123,25 @@ def test_each_oracle_enumerates_cycles_once(monkeypatch):
 
     monkeypatch.setattr(oracle, "enumerate_cycles", counting)
     g, lg = petersen(), build_line_graph(k4()).lg
-    assert brute_force_cdc(g).found
+    assert brute_force_cdc(g, math.inf).found
     assert calls == [g]
-    assert brute_force_rainbow_decomposition(lg).found
+    assert brute_force_rainbow_decomposition(lg, math.inf).found
     assert calls == [g, lg.graph]
 
 
 def test_brute_force_cdc_k4():
-    res = brute_force_cdc(k4())
+    res = brute_force_cdc(k4(), math.inf)
     assert res.found
     assert verify_cdc(k4(), res.cycles).accepted
 
 
 def test_brute_force_cdc_bridge_absent():
     g = Graph.from_edges(6, [(0, 1), (1, 2), (0, 2), (3, 4), (4, 5), (3, 5), (2, 3)])
-    assert brute_force_cdc(g).status == "absent"
+    assert brute_force_cdc(g, math.inf).status == "absent"
 
 
 def test_brute_force_cdc_petersen():
-    res = brute_force_cdc(petersen())
+    res = brute_force_cdc(petersen(), math.inf)
     assert res.found
     assert verify_cdc(petersen(), res.cycles).accepted
 
@@ -153,36 +150,42 @@ def test_brute_force_cdc_branch_orders_agree():
     """The oracle, branching on the most constrained edge, and the
     reference search on the lowest both find a cover."""
     for g in (k4(), petersen()):
-        assert brute_force_cdc(g).status == cdc_by_lowest_edge(g).status == "found"
+        assert brute_force_cdc(g, math.inf).status == cdc_by_lowest_edge(g).status == "found"
 
 
 def test_brute_force_rainbow_l_k4():
     lg = build_line_graph(k4()).lg
-    res = brute_force_rainbow_decomposition(lg)
+    res = brute_force_rainbow_decomposition(lg, math.inf)
     assert res.found
-    assert verify_rainbow_decomposition(lg, res.cycles, "Good").accepted
+    assert verify_rainbow_decomposition(lg, res.cycles).accepted
 
 
 def test_brute_force_rainbow_mono_triangle_absent():
     g = EdgeColoredGraph.from_triples(3, [(0, 1, 5), (1, 2, 5), (0, 2, 5)])
-    assert brute_force_rainbow_decomposition(g).status == "absent"
+    assert brute_force_rainbow_decomposition(g, math.inf).status == "absent"
 
 
 def test_brute_force_rainbow_single_c4():
     g = rainbow_c4()
-    res = brute_force_rainbow_decomposition(g)
+    res = brute_force_rainbow_decomposition(g, math.inf)
     assert res.found and len(res.cycles) == 1
 
 
 def test_brute_force_rainbow_almost_good():
     g = almost_good_c4()
-    res = brute_force_rainbow_decomposition(g)
+    res = brute_force_rainbow_decomposition(g, math.inf)
     assert res.found
-    assert verify_rainbow_decomposition(g, res.cycles, "AlmostGood").accepted
+    assert verify_rainbow_decomposition(g, res.cycles).accepted
+
+
+def _within(nodes, search, *args) -> SearchResult:
+    """`search(*args)` with `oracle.MAX_NODES` set to `nodes`."""
+    with mock.patch.object(oracle, "MAX_NODES", nodes):
+        return search(*args)
 
 
 def test_brute_force_indeterminate_on_tiny_budget():
-    res = brute_force_cdc(petersen(), max_nodes=3)
+    res = _within(3, brute_force_cdc, petersen(), math.inf)
     assert res.status == "indeterminate"
 
 
@@ -193,9 +196,9 @@ def test_brute_force_cdc_searches_each_cycle_once():
     and 22 by the reference search on the lowest, where a list with every
     cycle twice needs 15 and 63."""
     g = petersen()
-    lowest, _ = exact_multicover_by_recount(sorted(g.edges), enumerate_cycles(g), 2,
-                                            branch="lowest", max_nodes=22)
-    for res in (brute_force_cdc(g, max_nodes=11), lowest):
+    lowest, _ = exact_multicover_by_recount(sorted(g.edges), enumerate_cycles(g, math.inf),
+                                            2, branch="lowest", max_nodes=22)
+    for res in (_within(11, brute_force_cdc, g, math.inf), lowest):
         assert res.found
         assert verify_cdc(g, res.cycles).accepted
 
@@ -238,7 +241,8 @@ def test_oracle_results_pinned():
     colored = _colored_samples()
     cdc, rainbow = hashlib.sha256(), hashlib.sha256()
     for cdc_search, rainbow_search in (
-            (brute_force_cdc, brute_force_rainbow_decomposition),
+            (partial(brute_force_cdc, time_budget=math.inf),
+             partial(brute_force_rainbow_decomposition, time_budget=math.inf)),
             (cdc_by_lowest_edge, rainbow_decomposition_by_lowest_edge)):
         for g in cubic:
             cdc.update(_result_line(cdc_search(g)))
@@ -254,22 +258,22 @@ def test_oracle_results_pinned_on_benchmark_sizes():
     cubic = [random_cubic_bridgeless(GeneratorConfig(n, seed))
              for n in (14, 16) for seed in range(12)]
     cdc = hashlib.sha256()
-    for search in (brute_force_cdc, cdc_by_lowest_edge):
+    for search in (partial(brute_force_cdc, time_budget=math.inf), cdc_by_lowest_edge):
         for g in cubic:
             cdc.update(_result_line(search(g)))
     assert cdc.hexdigest() == LARGE_CDC_DIGEST
 
 
 def _nodes_needed(search) -> int:
-    """The nodes `search(max_nodes=...)` visits, by bisecting its budget:
-    it answers `indeterminate` exactly when it needs more than the budget."""
+    """The nodes `search()` visits, by bisecting `oracle.MAX_NODES`: it
+    answers `indeterminate` exactly when it needs more than that."""
     hi = 1
-    while search(max_nodes=hi).status == "indeterminate":
+    while _within(hi, search).status == "indeterminate":
         hi *= 2
     lo = hi // 2  # too few, or 0
     while hi - lo > 1:
         mid = (lo + hi) // 2
-        if search(max_nodes=mid).status == "indeterminate":
+        if _within(mid, search).status == "indeterminate":
             lo = mid
         else:
             hi = mid
@@ -288,16 +292,17 @@ def test_multicover_search_matches_the_recount(branch):
     for n in range(6, 18, 2):
         for seed in range(3):
             g = random_cubic_bridgeless(GeneratorConfig(n, seed))
-            cases.append((brute_force_cdc(g), sorted(g.edges), enumerate_cycles(g), 2))
+            cases.append((brute_force_cdc(g, math.inf), sorted(g.edges),
+                          enumerate_cycles(g, math.inf), 2))
     for g in _colored_samples():
-        cases.append((brute_force_rainbow_decomposition(g),
+        cases.append((brute_force_rainbow_decomposition(g, math.inf),
                       sorted(g.edges), rainbow_candidates(g), 1))
     statuses = set()
     for result, edges, candidates, demand in cases:
         expected, nodes = exact_multicover_by_recount(edges, candidates, demand,
                                                       branch=branch)
         assert result == expected
-        search = partial(_exact_multicover, edges, candidates, demand, deadline=None)
+        search = partial(_exact_multicover, edges, candidates, demand, math.inf)
         assert _nodes_needed(search) == nodes
         statuses.add(expected.status)
     assert statuses == {"found", "absent"}
@@ -311,25 +316,25 @@ def test_search_checks_its_deadline():
     deadline it finds the cover below. A search of fewer than 64 nodes
     never reads the clock."""
     g = random_cubic_bridgeless(GeneratorConfig(10, 0))
-    cycles = [c for c in enumerate_cycles(g) if len(c) >= 6]
+    cycles = [c for c in enumerate_cycles(g, math.inf) if len(c) >= 6]
     search = partial(_exact_multicover, sorted(g.edges), cycles, 2)
-    assert _nodes_needed(partial(search, deadline=None)) == 345
+    assert _nodes_needed(partial(search, math.inf)) == 345
     past = time.monotonic() - 1.0
-    assert search(deadline=past, max_nodes=None).status == "indeterminate"
-    res = search(deadline=None, max_nodes=None)
+    assert _within(math.inf, search, past).status == "indeterminate"
+    res = _within(math.inf, search, math.inf)
     assert [c.vertices for c in res.cycles] == [
         (0, 6, 4, 5, 3, 2, 7, 8, 1, 9), (0, 8, 1, 2, 7, 5, 3, 4, 6, 9),
         (0, 6, 9, 1, 2, 3, 4, 5, 7, 8)]
     assert verify_cdc(g, res.cycles).accepted
     p = petersen()
-    assert _exact_multicover(sorted(p.edges), enumerate_cycles(p), 2,
-                             deadline=past, max_nodes=None) == brute_force_cdc(p)
+    assert _within(math.inf, _exact_multicover, sorted(p.edges),
+                   enumerate_cycles(p, math.inf), 2, past) == brute_force_cdc(p, math.inf)
 
 
 @cache
 def _edges_and_cycles(n: int, seed: int) -> tuple[list, list]:
     g = random_cubic_bridgeless(GeneratorConfig(n, seed))
-    return sorted(g.edges), enumerate_cycles(g)
+    return sorted(g.edges), enumerate_cycles(g, math.inf)
 
 
 @st.composite
@@ -352,11 +357,11 @@ def test_multicover_search_matches_the_recount_on_sub_lists(instance):
     edges, cycles, demand = instance
     cap = 3000
     expected, nodes = exact_multicover_by_recount(edges, cycles, demand, max_nodes=cap)
-    search = partial(_exact_multicover, edges, cycles, demand, deadline=None)
-    assert search(max_nodes=cap) == expected
+    search = partial(_exact_multicover, edges, cycles, demand, math.inf)
+    assert _within(cap, search) == expected
     if expected.status != "indeterminate":
-        assert search(max_nodes=nodes) == expected
-        assert search(max_nodes=nodes - 1).status == "indeterminate"
+        assert _within(nodes, search) == expected
+        assert _within(nodes - 1, search).status == "indeterminate"
 
 
 def test_generator_n4_is_k4():
@@ -395,6 +400,6 @@ def test_generator_contract_holds():
 def test_cdc_self_consistency():
     for seed in range(5):
         g = random_cubic_bridgeless(GeneratorConfig(8, seed))
-        res = brute_force_cdc(g)
+        res = brute_force_cdc(g, math.inf)
         assert res.found
         assert verify_cdc(g, res.cycles).accepted

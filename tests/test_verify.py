@@ -1,5 +1,8 @@
+import math
+
 import pytest
 
+from cdcover.coloring import EdgeColoredGraph
 from cdcover.graphs import Cycle
 from cdcover.verify import Verdict, verify_cdc, verify_rainbow_decomposition
 from cdcover.linegraph import build_line_graph
@@ -46,27 +49,35 @@ def test_verify_cdc_accepts_raw_vertex_lists():
 
 def test_verify_rainbow_decomposition_l_k4():
     lg = build_line_graph(k4()).lg
-    res = brute_force_rainbow_decomposition(lg)
-    assert verify_rainbow_decomposition(lg, res.cycles, "Good").accepted
+    res = brute_force_rainbow_decomposition(lg, math.inf)
+    assert verify_rainbow_decomposition(lg, res.cycles).accepted
     partial = res.cycles[:-1]
-    assert not verify_rainbow_decomposition(lg, partial, "Good").accepted
+    assert not verify_rainbow_decomposition(lg, partial).accepted
 
 
 def test_verify_rainbow_decomposition_typing():
+    """On a graph with a bad vertex, one member is almost-rainbow there."""
     g = almost_good_c4()
-    cycle = [Cycle((0, 1, 2, 3))]
-    assert verify_rainbow_decomposition(g, cycle, "AlmostGood").accepted
-    assert not verify_rainbow_decomposition(g, cycle, "Good").accepted
+    assert verify_rainbow_decomposition(g, [Cycle((0, 1, 2, 3))]).accepted
 
 
 def test_verify_rainbow_decomposition_good_on_rainbow_c4():
     g = rainbow_c4()
-    assert verify_rainbow_decomposition(g, [Cycle((0, 1, 2, 3))], "Good").accepted
+    assert verify_rainbow_decomposition(g, [Cycle((0, 1, 2, 3))]).accepted
 
 
-def test_verify_rainbow_decomposition_bad_mode():
-    with pytest.raises(ValueError):
-        verify_rainbow_decomposition(rainbow_c4(), [], "Sometimes")
+def test_verify_rainbow_decomposition_two_color_degree_1_vertices():
+    """With two degree-2 vertices whose edges share a color, the graph has
+    no bad vertex, so every member must be rainbow: each almost-rainbow
+    member is rejected, though each repeats its color at such a vertex."""
+    g = EdgeColoredGraph.from_triples(8, [
+        (0, 1, 0), (1, 2, 1), (2, 3, 2), (0, 3, 0),
+        (4, 5, 4), (5, 6, 5), (6, 7, 6), (4, 7, 4)])
+    verdict = verify_rainbow_decomposition(g, [Cycle((0, 1, 2, 3)), Cycle((4, 5, 6, 7))])
+    assert not verdict.accepted
+    assert [(w["index"], w["problem"]) for w in verdict.witnesses] == [
+        (0, "almost-rainbow cycle, but no bad vertex"),
+        (1, "almost-rainbow cycle, but no bad vertex")]
 
 
 def test_verifiers_total_on_garbage():
