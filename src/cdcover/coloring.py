@@ -24,7 +24,7 @@ cycles: degrees fall by 2 at a vertex per cycle through it and stay even
 and at most 4, and triangles and the vertex spans of color classes only
 shrink. So the remainder of a good or almost-good graph needs condition 4
 re-checked only at the cycles' vertices, and condition 6 from one DFS;
-`check_goodness(g, after=...)` does that.
+`report_after_removal` does that.
 
 A remainder's components come from its own Type X search, which its
 goodness check runs.
@@ -496,29 +496,15 @@ def triangles(g: Graph) -> list[tuple[int, int, int]]:
     return sorted(out)
 
 
-def check_goodness(g: EdgeColoredGraph,
-                   after: tuple[EdgeColoredGraph, GoodnessReport, Sequence[Cycle]]
-                   | None = None,
-                   ) -> GoodnessReport:
+def check_goodness(g: EdgeColoredGraph) -> GoodnessReport:
     """Evaluate all six goodness conditions; failures are data, not errors.
 
     Conditions 1-5 come from one sweep over the vertices: degree, the colors
     at the vertex, and the triangles whose least vertex it is. Condition 6
     takes one lowpoint DFS. For the degrees a good graph allows, the whole
-    check is linear in the size of the graph.
-
-    `after=(parent, parent_report, cycles)` states that g is parent minus
-    the edges of `cycles`, which are edge-disjoint, and that parent_report
-    is parent's report. When that report is good or almost-good, conditions
-    1, 2, 3 and 5 still hold (see the module docstring), so only condition 4
-    at the cycles' vertices and condition 6 are checked. A not-good outcome,
-    or a not-good parent, is left to the full sweep, so the report is always
-    the one the full sweep gives.
+    check is linear in the size of the graph. What a removal leaves is
+    checked by `report_after_removal` instead.
     """
-    if after is not None:
-        rep = _good_after_removal(g, *after)
-        if rep is not None:
-            return rep
     adj = g.graph.adj
     coloring = g.coloring
     violations: list[Violation] = []
@@ -588,17 +574,19 @@ def report_from_type_x(g: EdgeColoredGraph) -> GoodnessReport:
     return GoodnessReport(GoodnessVerdict.GOOD, None, ())
 
 
-def _good_after_removal(g: EdgeColoredGraph, parent: EdgeColoredGraph,
-                        prep: GoodnessReport, cycles: Sequence[Cycle],
-                        ) -> GoodnessReport | None:
-    """g's report when g, parent minus the edge-disjoint `cycles`, is good
-    or almost-good, else None.
+def report_after_removal(g: EdgeColoredGraph, parent: EdgeColoredGraph,
+                         prep: GoodnessReport, cycles: Sequence[Cycle],
+                         ) -> GoodnessReport | None:
+    """The report of g, parent minus the edge-disjoint `cycles`, when g is
+    good or almost-good, else None; `prep` is parent's report, which must
+    be good or almost-good.
 
-    Costs O(sum |C|) plus one Type X search. None (the full sweep decides)
-    when parent is not good or almost-good, or when g is not.
+    Conditions 1, 2, 3 and 5 still hold (see the module docstring), so only
+    condition 4 at the cycles' vertices and condition 6 are checked: this
+    costs O(sum |C|) plus one Type X search.
     """
     if not prep.ok:
-        return None
+        raise ColoredGraphError("a removal's report needs a good or almost-good parent")
     if g.n != parent.n or len(g.edges) != len(parent.edges) - sum(map(len, cycles)):
         raise ColoredGraphError(f"graph is not its parent minus the cycles "
                                 f"{[c.vertices for c in cycles]}")

@@ -34,13 +34,13 @@ conditions 1-5, once its case has rejected the one local configuration
 that would break them, so its report is its Type X search's. Case2_2_1b's
 child, the end x-block of a merged graph whose only defect is Type X,
 needs no search: the end-block lemma proves it almost-good at the vertex
-that joins it to the rest. Only the entry points check their input in
-full. The engine is one loop over an explicit stack of frames: a
+that joins it to the rest. Only the one entry, `_run`, checks a graph in
+full: the root. The engine is one loop over an explicit stack of frames: a
 reduction's child is peeled on a frame above its waiting parent, so the
 depth of the reduction tree costs no Python recursion. Every removal, a
 lift's batch like any other, is verified by `_check_removal`: one linear
-sweep types the batch's cycles, and one incremental `check_goodness`
-checks what the batch leaves, or none when it leaves nothing. By the
+sweep types the batch's cycles, and one `report_after_removal` checks
+what the batch leaves, or none when it leaves nothing. By the
 removal lemma in the coloring module docstring, this accepts exactly the
 batches whose cycles pass the checks one at a time.
 The check returns a `_Checked` record of the batch, the remainder and its
@@ -67,6 +67,7 @@ from .coloring import (
     check_goodness,
     is_almost_rainbow_at,
     parse_colored_edge_list,
+    report_after_removal,
     report_from_type_x,
     serialize_colored_edge_list,
     split_components,
@@ -412,11 +413,12 @@ def _check_removal(h: EdgeColoredGraph, rep: GoodnessReport,
 
     One sweep types the cycles in order: each edge is in h and in no
     earlier cycle, and each cycle is rainbow, but one may be almost-rainbow
-    at the bad vertex; the first that fails is the culprit. Then one check
-    of what the batch leaves, none if it leaves nothing: by the removal
-    lemma in the coloring module docstring, this accepts exactly what
-    checking one cycle at a time accepts. If that check fails, the batch's
-    last cycle is the culprit.
+    at the bad vertex; the first that fails is the culprit. Then one
+    `report_after_removal` of what the batch leaves, none if it leaves
+    nothing: by the removal lemma in the coloring module docstring, this
+    accepts exactly what checking one cycle at a time accepts. If that
+    check fails, the batch's last cycle is the culprit, and the remainder
+    is not_good when the check returns no report.
     """
     coloring = h.coloring
     if not batch and coloring:
@@ -444,14 +446,15 @@ def _check_removal(h: EdgeColoredGraph, rep: GoodnessReport,
         return _Checked(batch, h.restrict_edges(()), _GOOD)
     cycles = [cyc for _, cyc in batch]
     rest = h.edit(drop=seen)
-    rest_rep = check_goodness(rest, after=(h, rep, cycles))
+    rest_rep = report_after_removal(rest, h, rep, cycles)
+    got = GoodnessVerdict.NOT_GOOD if rest_rep is None else rest_rep.verdict
     expected = (GoodnessVerdict.GOOD
                 if rep.verdict is GoodnessVerdict.GOOD or almost
                 else GoodnessVerdict.ALMOST_GOOD)
-    if rest_rep.verdict is not expected:
+    if got is not expected:
         tag, cyc = batch[-1]
         raise CaseVerificationError(
-            tag, f"removing {cyc.vertices} leaves a {rest_rep.verdict.value} "
+            tag, f"removing {cyc.vertices} leaves a {got.value} "
             f"graph, expected {expected.value}", cyc)
     return _Checked(batch, rest, rest_rep)
 
@@ -1323,13 +1326,28 @@ def _verified_trace(root: EdgeColoredGraph, rep: GoodnessReport,
     return DecompositionTrace(steps, tuple(c for _, c in ordered), None)
 
 
-def _run(root: EdgeColoredGraph, rep: GoodnessReport, top: _Frame) -> DecompositionTrace:
-    """Peel the top frame's graph onto its list in one loop over a stack of
-    frames, then certify the list on `root`, whose report is `rep`; a failure
-    that unwinds past the top frame, or of the certificate, becomes the
-    trace's CaseFailure."""
+def _run(root: EdgeColoredGraph, first: list[tuple[str, Cycle]]) -> DecompositionTrace:
+    """The one entry: check `root` in full, remove the prescribed batch
+    `first` from it by `_check_removal`, peel what is left onto one list in
+    one loop over a stack of frames, then certify the list on `root`. A
+    root that is neither good nor almost-good raises; a refusal of `first`,
+    a failure that unwinds past the root's frame, or one of the certificate
+    becomes the trace's CaseFailure."""
+    rep = check_goodness(root)
+    if not rep.ok:
+        raise DecomposeError(
+            f"input is {rep.verdict.value}: "
+            f"{[v.to_json() for v in rep.violations][:4]}")
+    top = _Frame(root, rep, [])
     stack = [top]
     try:
+        if first:
+            try:
+                top.take(_check_removal(root, rep, first))
+            except CaseVerificationError as err:
+                raise _EngineFailure(
+                    err.case, root, f"prescribed cycle removal failed: {err.problem}",
+                    err.cycle, rep) from err
         while stack:
             try:
                 _advance(stack)
@@ -1351,38 +1369,23 @@ def decompose(g: EdgeColoredGraph) -> DecompositionTrace:
     almost-good. A defect in any case's argument surfaces as a CaseFailure
     outcome carrying the serialized graph, never as an unverified answer.
     """
-    rep = check_goodness(g)
-    if not rep.ok:
-        raise DecomposeError(
-            f"input is {rep.verdict.value}: "
-            f"{[v.to_json() for v in rep.violations][:4]}")
-    return _run(g, rep, _Frame(g, rep, []))
+    return _run(g, [])
 
 
 def decompose_goddyn(clg: ColoredLineGraph, first: Cycle) -> DecompositionTrace:
     """Decompose the line graph with a prescribed first cycle.
 
     `first` is a cycle of the base cubic graph; its projection is removed
-    first, so the lifted cover contains `first`. `_check_removal` checks
-    that removal like any other, and a refusal is returned as a
-    CaseFailure.
+    first, so the lifted cover contains `first`. `_run` checks that removal
+    like any other, and returns a refusal as a CaseFailure. An all-Type-II
+    graph has no vertex of degree 2, so `_run` accepts it only if it is
+    good.
     """
     if not isinstance(first, Cycle) or not first.is_cycle_of(clg.base):
         raise DecomposeError("prescribed cycle is not a cycle of the base graph")
-    L = clg.lg
-    rep = check_goodness(L)
-    if rep.verdict is not GoodnessVerdict.GOOD or not _all_type2(L):
-        raise DecomposeError("line graph is not a good all-Type-II graph")
-    proj = project_cycle(clg, first)
-    try:
-        first_removed = _check_removal(L, rep, [(ALL_TYPE_II, proj)])
-    except CaseVerificationError as err:
-        return DecompositionTrace(
-            (), None,
-            CaseFailure(ALL_TYPE_II, serialize_colored_edge_list(L),
-                        f"prescribed cycle removal failed: {err.problem}", proj, rep))
-    return _run(L, rep, _Frame(first_removed.rest, first_removed.report,
-                               [(ALL_TYPE_II, proj)]))
+    if not _all_type2(clg.lg):
+        raise DecomposeError("line graph is not an all-Type-II graph")
+    return _run(clg.lg, [(ALL_TYPE_II, project_cycle(clg, first))])
 
 
 def replay_case_failure(failure: CaseFailure) -> DecompositionTrace:

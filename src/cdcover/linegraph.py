@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .coloring import EdgeColoredGraph
+from .coloring import EdgeColoredGraph, color_classes
 from .graphs import Cycle, Edge, Graph, edge, is_connected
 
 
@@ -77,7 +77,6 @@ def build_line_graph(g: Graph) -> ColoredLineGraph:
     # structural invariants of line graphs of cubic graphs
     assert all(lg.graph.degree(x) == 4 for x in range(lg.n))
     assert lg.graph.m == 3 * g.n
-    from .coloring import color_classes
     for cls in color_classes(lg).values():
         assert len(cls.vertices) == 3 and len(cls.edges) == 3
     return ColoredLineGraph(g, lg, tuple(base_edges), vertex_of_edge)

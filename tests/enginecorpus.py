@@ -12,9 +12,9 @@ read and appends each call, as it starts, to one log:
   * `_check_removal`, with the function that called it and the `_Checked`
     it returned or the error it raised, and `_Frame.take`, which applies
     one, with the graph it is applied to;
-  * `check_goodness`, `EdgeColoredGraph.edit`, `_build_transform`, the
-    Type X search `_cut_search`, `graphs.connected_components`,
-    `_verified_trace` and `fallback_search`.
+  * `check_goodness`, `report_after_removal`, `EdgeColoredGraph.edit`,
+    `_build_transform`, the Type X search `_cut_search`,
+    `graphs.connected_components`, `_verified_trace` and `fallback_search`.
 
 A call's inner calls are the log between its own entry and its return, so
 a test of the form "made no X while doing Y" reads `Call.inner` of Y.
@@ -56,6 +56,7 @@ REDUCTIONS = ("case1_1", "case1_2", "case2_1", "case2_2_1", "_case2_2_1b",
 
 WRAPPED = ((D, "_dispatch"), *((D, name) for name in REDUCTIONS),
            (D, "_check_removal"), (D._Frame, "take"), (D, "check_goodness"),
+           (D, "report_after_removal"),
            (EdgeColoredGraph, "edit"), (D, "_build_transform"),
            (C, "_cut_search"), (G, "connected_components"),
            (D, "_verified_trace"), (D, "fallback_search"))
@@ -67,8 +68,8 @@ class Call:
     `_build_transform`'s keyword iterables are listed (so the call can be
     made again) and `take`'s frame is replaced by the graph it held. For a
     call that made or checked a graph (`edit`, `_build_transform`, a
-    reduction's child, `check_goodness`'s graph), `cached` is that graph's
-    attributes just after the call."""
+    reduction's child, the graph a goodness check reports on), `cached` is
+    that graph's attributes just after the call."""
 
     log: list[Call] = field(repr=False)
     name: str
@@ -107,7 +108,7 @@ def _recorded(log: list[Call], name: str, real, made_by: Call | None = None):
         finally:
             c.end = len(log)
         c.result = out
-        if name == "check_goodness":
+        if name in ("check_goodness", "report_after_removal"):
             c.cached = dict(args[0].__dict__)
         elif isinstance(out, EdgeColoredGraph):
             c.cached = dict(out.__dict__)

@@ -12,6 +12,7 @@ from cdcover.coloring import (
     check_goodness,
     color_classes,
     parse_colored_edge_list,
+    report_after_removal,
     serialize_colored_edge_list,
     split_components,
     x_block_decomposition,
@@ -250,11 +251,14 @@ def _random_cycle(g: EdgeColoredGraph, rng: random.Random) -> Cycle:
         path.append(w)
 
 
-def _assert_incremental_matches_full(h: EdgeColoredGraph, rng: random.Random,
-                                     removals: int) -> list[GoodnessVerdict]:
+def _assert_removal_report_matches_full(h: EdgeColoredGraph, rng: random.Random,
+                                        removals: int) -> list[GoodnessVerdict]:
     """Remove up to `removals` random batches in turn, each of 1-4
-    edge-disjoint random cycles (rainbow or not); each remainder's report
-    from its parent's equals its full check."""
+    edge-disjoint random cycles (rainbow or not). From a good or
+    almost-good parent, `report_after_removal` gives the remainder's full
+    report when that is good or almost-good, and None otherwise; from any
+    other parent it refuses. Returns the full verdicts of the remainders of
+    good or almost-good parents."""
     verdicts = []
     rep = check_goodness(h)
     for _ in range(removals):
@@ -267,8 +271,12 @@ def _assert_incremental_matches_full(h: EdgeColoredGraph, rng: random.Random,
             cycles.append(_random_cycle(h2, rng))
             h2 = h2.edit(drop=cycles[-1].edges)
         full = check_goodness(h2)
-        assert check_goodness(h2, after=(h, rep, cycles)) == full
-        verdicts.append(full.verdict)
+        if rep.ok:
+            assert report_after_removal(h2, h, rep, cycles) == (full if full.ok else None)
+            verdicts.append(full.verdict)
+        else:
+            with pytest.raises(ColoredGraphError, match="good or almost-good parent"):
+                report_after_removal(h2, h, rep, cycles)
         h, rep = h2, full
     return verdicts
 
@@ -286,7 +294,7 @@ def test_incremental_goodness_equals_full_on_engine_graphs(n, seed, data):
     for step in trace.steps[:k]:
         h = h.edit(drop=step.cycle.edges)
     rng = data.draw(st.randoms(use_true_random=False), label="rng")
-    _assert_incremental_matches_full(h, rng, removals=3)
+    _assert_removal_report_matches_full(h, rng, removals=3)
 
 
 _SAMPLES = {
@@ -306,24 +314,32 @@ _SAMPLES = {
        rng=st.randoms(use_true_random=False))
 @settings(max_examples=150, deadline=None)
 def test_incremental_goodness_equals_full_on_samples(name, rng):
-    _assert_incremental_matches_full(_SAMPLES[name], rng, removals=4)
+    _assert_removal_report_matches_full(_SAMPLES[name], rng, removals=4)
 
 
 def test_incremental_goodness_sees_every_verdict():
-    """The sample removals reach good, almost-good and not-good remainders,
-    so the property above covers each way the incremental check ends."""
+    """The sample removals from good or almost-good parents reach good,
+    almost-good and not-good remainders, so the property above covers each
+    way `report_after_removal` ends."""
     rng = random.Random(11)
     seen = set()
     for g in _SAMPLES.values():
         for _ in range(20):
-            seen.update(_assert_incremental_matches_full(g, rng, removals=4))
+            seen.update(_assert_removal_report_matches_full(g, rng, removals=4))
     assert seen == set(GoodnessVerdict)
 
 
 def test_incremental_goodness_rejects_a_wrong_parent():
+    """A graph that is not its parent minus the cycles, or a parent that is
+    not good or almost-good, is refused, not given a report."""
     g = case1_1_host()
     with pytest.raises(ColoredGraphError, match="parent minus the cycles"):
-        check_goodness(g, after=(g, check_goodness(g), [Cycle((0, 1, 2))]))
+        report_after_removal(g, g, check_goodness(g), [Cycle((0, 1, 2))])
+    x = two_squares_type_x()
+    rep = check_goodness(x)
+    assert rep.verdict is GoodnessVerdict.NOT_GOOD
+    with pytest.raises(ColoredGraphError, match="good or almost-good parent"):
+        report_after_removal(x, x, rep, [])
 
 
 def test_type_x_true_positives_on_engine_graphs():

@@ -42,6 +42,7 @@ from cdcover.verify import verify_cdc, verify_rainbow_decomposition
 from enginecorpus import Call, corpus, recording
 from graphsamples import (
     almost_good_c4,
+    bridged_cubic_10,
     case1_1_host,
     case1_2_host,
     case2_2_2d_host,
@@ -62,6 +63,10 @@ from oracles import (
 )
 
 FIXTURES = Path(__file__).parent / "fixtures"
+
+# the recorded goodness checks: the full one of a root, and the one of what
+# a removal leaves
+GOODNESS = ("check_goodness", "report_after_removal")
 
 
 def _decomposed_ok(g):
@@ -632,20 +637,22 @@ def test_case2_1_child_facts_equal_fresh_ones():
 
 def test_remainder_facts_equal_fresh_ones():
     """Every remainder `edit` makes in the corpus gets no dispatch fact at
-    the moment it is made, and after its goodness check holds the
-    components that a fresh graph with its edges and colors computes: the
-    check's Type X search filled them."""
+    the moment it is made, and is the graph of the next goodness check,
+    `report_after_removal`. A remainder it gives a report holds, after it,
+    the components that a fresh graph with its edges and colors computes:
+    the check's Type X search filled them. A refused one is dropped."""
     checked, made = 0, None
     for c in corpus().log:
         if c.name == "edit":
             assert not set(DISPATCH_FACTS) & set(c.cached)
             made = c.result
-        elif c.name == "check_goodness" and c.kw.get("after") is not None:
-            # g is after[0] minus the cycles after[2]
+        elif c.name == "report_after_removal":
+            # g is args[1] minus the cycles args[3]
             g = c.args[0]
             assert g is made  # the edit just before its check
-            assert c.cached["components"] == _fresh_facts(g)["components"]
-            checked += 1
+            if c.result is not None:
+                assert c.cached["components"] == _fresh_facts(g)["components"]
+                checked += 1
     assert checked > 1000
 
 
@@ -711,7 +718,7 @@ def test_case2_1_makes_no_rebuild_or_goodness_check():
     runs = cp.calls("case2_1")
     assert runs and cp.calls("check_goodness") and cp.calls("_build_transform")
     assert not [c.name for run in runs for c in run.inner()
-                if c.name in ("check_goodness", "_build_transform")]
+                if c.name in (*GOODNESS, "_build_transform")]
 
 
 def _merge(*group):
@@ -795,10 +802,10 @@ def test_root_certificate_makes_no_goodness_check_or_edit():
         decompose(case1_1_host())
     made = [c for c in (*log, *corpus().log) if c.name == "_verified_trace"]
     assert len(made) == 3 + len(corpus().runs)
-    assert any(c.name in ("check_goodness", "edit") for c in log)
+    assert any(c.name in (*GOODNESS, "edit") for c in log)
     for c in made:
         assert c.result.success
-        assert not [i.name for i in c.inner() if i.name in ("check_goodness", "edit")]
+        assert not [i.name for i in c.inner() if i.name in (*GOODNESS, "edit")]
 
 
 @pytest.mark.parametrize("change", ["drop", "drop all", "repeat"])
@@ -840,9 +847,9 @@ def test_three_meeter_lift_is_checked_once():
     """The Case2_2_1a lift that leaves one x-cycle in the parent tries each
     detour with one removal check of the whole batch, the other lifted
     cycles plus the detour, and returns the `_Checked` of the batch that
-    passes: each detour tried costs one incremental goodness check and
-    nothing else, and the engine applies that record with no removal check
-    of its own."""
+    passes: each detour tried costs one `report_after_removal` and no full
+    goodness check, and the engine applies that record with no removal
+    check of its own."""
     cp = corpus()
     # the lifts of Case2_2_1a, whose child is good, unlike Case2_2_1b's
     three = [(c.args[2].v, c.lift) for c in cp.calls("case2_2_1")
@@ -859,8 +866,8 @@ def test_three_meeter_lift_is_checked_once():
                  if c.name == "_check_removal"]
         assert tried and tried[-1] == cycles
         assert all(b[:-1] == cycles[:-1] and v in b[-1] for b in tried)
-        assert [c.kw.get("after") is not None for c in lift.inner()
-                if c.name == "check_goodness"] == [True] * len(tried)
+        assert [c.name for c in lift.inner() if c.name in GOODNESS] == [
+            "report_after_removal"] * len(tried)
         # the engine step that lifted the batch made no check beyond the lift's
         (take,) = takes[id(checked)]
         assert not [c for c in cp.log[lift.end:take.at] if c.name == "_check_removal"]
@@ -873,7 +880,7 @@ def test_case2_2_1b_makes_no_goodness_check_of_its_end_block():
     built = corpus().calls("_case2_2_1b")
     assert built
     for c in built:
-        assert not [i for i in c.inner() if i.name == "check_goodness"]
+        assert not [i for i in c.inner() if i.name in GOODNESS]
         if c.error is None:
             assert c.result.report.verdict is GoodnessVerdict.ALMOST_GOOD
 
@@ -915,8 +922,9 @@ def test_derived_child_reports_equal_fresh_full_checks():
 
 def test_reductions_make_no_goodness_check_of_their_child():
     """No case that derives its child's report checks the child's goodness:
-    the only goodness checks made inside one are the incremental checks of
-    what a removal leaves, when Case2_2_2a tries its rectangle."""
+    the only goodness checks made inside one are the checks of what a
+    removal leaves, `report_after_removal`, when Case2_2_2a tries its
+    rectangle; none is a full check."""
     cp = corpus()
     for name in DERIVED_REPORTS:
         calls = cp.calls(name)
@@ -924,8 +932,8 @@ def test_reductions_make_no_goodness_check_of_their_child():
         for c in calls:
             built = [i.result for i in c.inner() if i.name == "_build_transform"]
             for i in c.inner():
-                if i.name == "check_goodness":
-                    assert i.kw.get("after") is not None, name
+                assert i.name != "check_goodness", name
+                if i.name == "report_after_removal":
                     assert not any(i.args[0] is child for child in built), name
 
 
@@ -1289,6 +1297,47 @@ def test_goddyn_rejects_non_cycle():
     clg = build_line_graph(petersen())
     with pytest.raises(DecomposeError):
         decompose_goddyn(clg, Cycle((0, 1, 2)))  # not a cycle of Petersen
+
+
+def test_goddyn_rejects_a_root_that_is_not_good():
+    """The line graph of a bridged cubic graph is all-Type-II, but the
+    bridge's vertex is Type X: the root check that `decompose_goddyn`
+    shares with `decompose` refuses it before any removal."""
+    clg = build_line_graph(bridged_cubic_10())
+    assert check_goodness(clg.lg).verdict is GoodnessVerdict.NOT_GOOD
+    with recording() as log:
+        with pytest.raises(DecomposeError, match="input is not_good"):
+            decompose_goddyn(clg, Cycle((0, 2, 3)))
+    assert not [c for c in log if c.name == "_check_removal"]
+
+
+def test_goddyn_refused_first_cycle_is_a_case_failure(monkeypatch):
+    """A refused removal of the prescribed cycle's projection ends the run
+    in a CaseFailure of the whole line graph that names the projection,
+    with no steps. The engine accepts the projection of every cycle it has
+    been given, so `_check_removal` is made to refuse the first batch."""
+    clg = build_line_graph(petersen())
+    first = Cycle((0, 1, 2, 3, 4))
+    proj = project_cycle(clg, first)
+    real = D._check_removal
+    refused = []
+
+    def refuse_first(h, rep, batch):
+        if not refused:
+            refused.append((h, list(batch)))
+            raise CaseVerificationError(batch[0][0], "refused", batch[0][1])
+        return real(h, rep, batch)
+
+    monkeypatch.setattr(D, "_check_removal", refuse_first)
+    tr = decompose_goddyn(clg, first)
+    assert refused == [(clg.lg, [(D.ALL_TYPE_II, proj)])]
+    assert not tr.success and tr.steps == () and tr.cycles is None
+    f = tr.failure
+    assert f.case == D.ALL_TYPE_II
+    assert f.graph_text == serialize_colored_edge_list(clg.lg)
+    assert f.message == "prescribed cycle removal failed: refused"
+    assert f.cycle == proj
+    assert f.goodness == check_goodness(clg.lg)
 
 
 def test_goddyn_first_step_projection():
@@ -1662,21 +1711,21 @@ def test_batch_that_fails_on_goodness_names_its_last_cycle():
 def test_partial_batch_makes_one_goodness_check_and_one_edit():
     """A batch of several cycles that leaves part of its graph, such as the
     lifted cycles the Case2_2_1a lift removes before its detour, is
-    verified by one `edit` and one incremental goodness check of what it
-    leaves, however many cycles it has."""
+    verified by one `edit` and one `report_after_removal` of the graph the
+    edit made, however many cycles it has, and no full goodness check."""
     partial = [c for c in corpus().calls("_check_removal") if c.error is None
                and len(c.args[2]) > 1 and not _covers(c.args[0], c.args[2])]
     assert max(len(c.args[2]) for c in partial) >= 4
     for c in partial:
-        made = [i for i in c.inner() if i.name in ("check_goodness", "edit")]
-        assert [i.name for i in made] == ["edit", "check_goodness"]
-        assert made[1].kw["after"] is not None
+        made = [i for i in c.inner() if i.name in (*GOODNESS, "edit")]
+        assert [i.name for i in made] == ["edit", "report_after_removal"]
+        assert made[1].args[0] is made[0].result and made[1].args[1] is c.args[0]
 
 
 def test_full_lift_makes_no_goodness_check():
     # per accepted removal: (tags, covers its graph, goodness checks made)
     made = [({t for t, _ in c.args[2]}, _covers(c.args[0], c.args[2]),
-             sum(i.name == "check_goodness" for i in c.inner()))
+             sum(i.name in GOODNESS for i in c.inner()))
             for c in corpus().calls("_check_removal") if c.error is None]
     assert any("Case2_1" in tags and covers for tags, covers, _ in made)
     assert all(checks == 0 for _, covers, checks in made if covers)

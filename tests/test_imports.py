@@ -605,62 +605,67 @@ def test_no_environment_reads():
     assert found == ENVIRONMENT_READS
 
 
-def goodness_calls(source: str, incremental: bool) -> list[str]:
+def call_scopes(source: str, name: str) -> list[str]:
     """The function, as `scoped_nodes` names it, of each call in `source`
-    of `check_goodness` that says what the graph was made from (an `after=`
-    keyword or a second positional argument) if `incremental`, else of each
-    call that does not. Sorted."""
+    of `name` or of an attribute so named. Sorted."""
     found = []
     for scope, node in scoped_nodes(source):
-        if not isinstance(node, ast.Call):
-            continue
-        func = node.func
-        name = func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", None)
-        if name == "check_goodness" and incremental == (
-                len(node.args) > 1 or any(k.arg == "after" for k in node.keywords)):
-            found.append(scope)
+        if isinstance(node, ast.Call):
+            func = node.func
+            called = func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", None)
+            if called == name:
+                found.append(scope)
     return sorted(found)
 
 
-
-# two full checks (`<module>` and `g`) and two incremental ones
-GOODNESS_CALLS = ("check_goodness(g)\n"
-                  "def f(h, rep, cycles):\n"
-                  "    rest = h.edit(drop=[])\n"
-                  "    return check_goodness(rest, after=(h, rep, cycles))\n"
-                  "class A:\n"
-                  "    def m(self, g):\n"
-                  "        return C.check_goodness(g, (g, None, []))\n"
-                  "def g(x):\n"
-                  "    return check(x, after=1), check_goodness(x, **{})\n")
-
-
-def test_incremental_goodness_calls_detects_and_allows():
-    assert goodness_calls(GOODNESS_CALLS, incremental=True) == ["A.m", "f"]
+CALLS = ("check_goodness(g)\n"
+         "def f(h, rep, cycles):\n"
+         "    rest = h.edit(drop=[])\n"
+         "    return report_after_removal(rest, h, rep, cycles)\n"
+         "class A:\n"
+         "    def m(self, g):\n"
+         "        return C.check_goodness(g), D.CaseFailure('x', '', '')\n"
+         "def g(x):\n"
+         "    y = check_goodness\n"
+         "    return check(x), y(x), check_goodness.__name__, CaseFailure\n"
+         "    def inner():\n"
+         "        return CaseFailure(case, text, message)\n")
 
 
-def test_full_goodness_calls_detects_and_allows():
-    assert goodness_calls(GOODNESS_CALLS, incremental=False) == ["<module>", "g"]
+def test_call_scopes_detects_and_allows():
+    assert call_scopes(CALLS, "check_goodness") == ["<module>", "A.m"]
+    assert call_scopes(CALLS, "report_after_removal") == ["f"]
+    assert call_scopes(CALLS, "CaseFailure") == ["A.m", "g.inner"]
 
 
 def test_one_function_checks_goodness_after_a_removal():
-    """Only `decomposer._check_removal` hands `check_goodness` the graph a
-    remainder came from: every removal is verified by its one typing sweep
-    and one check of what the batch leaves, so a second removal path, with
-    its own notion of which removals are safe, would show here."""
+    """Only `decomposer._check_removal` checks what a removal leaves, by
+    `report_after_removal`: every removal is verified by its one typing
+    sweep and that one check, so a second removal path, with its own
+    notion of which removals are safe, would show here."""
     assert [f"{p.name}: {scope}" for p in MODULES
-            for scope in goodness_calls(p.read_text(), incremental=True)] == [
+            for scope in call_scopes(p.read_text(), "report_after_removal")] == [
         "decomposer.py: _check_removal"]
 
 
 def test_full_goodness_checks_only_at_the_roots():
-    """In the decomposer, only the entry points check a graph's goodness in
-    full, on the graph they are given. Every other report is derived: by
-    the incremental check of what a removal leaves, or by a lemma of the
-    coloring module docstring, for a reduction's child (from its Type X
-    search alone, or with no search), a component or an end x-block."""
+    """In the decomposer, only the one entry, `_run`, which `decompose` and
+    `decompose_goddyn` share, checks a graph's goodness in full, on the root
+    it is given. Every other report is derived: by `report_after_removal`
+    for what a removal leaves, or by a lemma of the coloring module
+    docstring, for a reduction's child (from its Type X search alone, or
+    with no search), a component or an end x-block."""
     source = (SRC / "decomposer.py").read_text()
-    assert goodness_calls(source, incremental=False) == ["decompose", "decompose_goddyn"]
+    assert call_scopes(source, "check_goodness") == ["_run"]
+
+
+def test_one_function_builds_a_case_failure():
+    """Only `decomposer._run` builds a `CaseFailure`: every failure of a
+    run, the refusal of a prescribed cycle too, reaches it as an
+    `_EngineFailure`, so every failure a run reports is serialized one
+    way."""
+    source = (SRC / "decomposer.py").read_text()
+    assert call_scopes(source, "CaseFailure") == ["_run"]
 
 
 def removal_records(source: str) -> list[str]:
@@ -671,13 +676,7 @@ def removal_records(source: str) -> list[str]:
     found = [f"def {node.name}" for node in ast.walk(ast.parse(source))
              if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
                                   ast.ClassDef)) and node.name == "_apply_batch"]
-    for scope, node in scoped_nodes(source):
-        if isinstance(node, ast.Call):
-            func = node.func
-            name = func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", None)
-            if name == "_Checked":
-                found.append(scope)
-    return sorted(found)
+    return sorted(found + call_scopes(source, "_Checked"))
 
 
 def test_removal_records_detects_and_allows():
