@@ -632,9 +632,15 @@ CALLS = ("check_goodness(g)\n"
          "        return CaseFailure(case, text, message)\n")
 
 
-def test_call_scopes_detects_and_allows():
+def test_full_goodness_calls_detects_and_allows():
     assert call_scopes(CALLS, "check_goodness") == ["<module>", "A.m"]
+
+
+def test_incremental_goodness_calls_detects_and_allows():
     assert call_scopes(CALLS, "report_after_removal") == ["f"]
+
+
+def test_case_failure_calls_detects_and_allows():
     assert call_scopes(CALLS, "CaseFailure") == ["A.m", "g.inner"]
 
 
