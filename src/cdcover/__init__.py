@@ -21,7 +21,6 @@ from .decomposer import (
     CaseFailure,
     DecompositionTrace,
     decompose,
-    decompose_goddyn,
     fallback_search,
     find_cycle_all_type2,
     replay_case_failure,
@@ -74,7 +73,6 @@ __all__ = [
     "connected_components",
     "cover_from_decomposition",
     "decompose",
-    "decompose_goddyn",
     "enumerate_cycles",
     "fallback_search",
     "find_bridges",

@@ -21,7 +21,7 @@ import math
 import sys
 from pathlib import Path
 
-from .decomposer import decompose, decompose_goddyn
+from .decomposer import decompose
 from .graphs import (
     Cycle,
     Graph,
@@ -36,6 +36,7 @@ from .linegraph import (
     LineGraphError,
     build_line_graph,
     cover_from_decomposition,
+    project_cycle,
 )
 from .oracle import (
     GeneratorConfig,
@@ -124,6 +125,7 @@ def _check_count(count: int) -> None:
 def cmd_decompose(args) -> int:
     g = _load_graph(args.input, args.format)
     clg = _bridgeless_line_graph(g)
+    prescribed = None
     if args.goddyn_cycle is not None:
         try:
             vs = tuple(int(t) for t in args.goddyn_cycle.replace(",", " ").split())
@@ -132,9 +134,8 @@ def cmd_decompose(args) -> int:
             raise _Refused(f"bad --goddyn-cycle: {err}") from None
         if not first.is_cycle_of(g):
             raise _Refused(f"--goddyn-cycle {vs} is not a cycle of the input graph")
-        trace = decompose_goddyn(clg, first)
-    else:
-        trace = decompose(clg.lg)
+        prescribed = project_cycle(clg, first)
+    trace = decompose(clg.lg, prescribed)
 
     if args.trace:
         _write_text(args.trace, _dump(trace.to_json()))

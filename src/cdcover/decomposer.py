@@ -34,7 +34,7 @@ conditions 1-5, once its case has rejected the one local configuration
 that would break them, so its report is its Type X search's. Case2_2_1b's
 child, the end x-block of a merged graph whose only defect is Type X,
 needs no search: the end-block lemma proves it almost-good at the vertex
-that joins it to the rest. Only the one entry, `_run`, checks a graph in
+that joins it to the rest. Only the one entry, `decompose`, checks a graph in
 full: the root. The engine is one loop over an explicit stack of frames: a
 reduction's child is peeled on a frame above its waiting parent, so the
 depth of the reduction tree costs no Python recursion. Every removal, a
@@ -74,7 +74,6 @@ from .coloring import (
     x_block_decomposition,
 )
 from .graphs import Cycle, Edge, edge
-from .linegraph import ColoredLineGraph, project_cycle
 
 _GOOD = GoodnessReport(GoodnessVerdict.GOOD, None, ())
 
@@ -200,19 +199,25 @@ class TraceStep:
 
 @dataclass(frozen=True)
 class CaseFailure:
-    """Replayable evidence that some case (and the fallback) failed."""
+    """Replayable evidence that some case (and the fallback) failed.
+    `prescribed` is the run's prescribed cycle when `graph_text` is the
+    run's input, so that a replay is the run that failed."""
 
     case: str
     graph_text: str
     message: str
     cycle: Cycle | None = None
     goodness: GoodnessReport | None = None
+    prescribed: Cycle | None = None
 
     def to_json(self) -> dict:
-        return {"status": "case_failure", "case": self.case,
-                "graph": self.graph_text, "message": self.message,
-                "cycle": list(self.cycle.vertices) if self.cycle else None,
-                "goodness": self.goodness.to_json() if self.goodness else None}
+        out = {"status": "case_failure", "case": self.case,
+               "graph": self.graph_text, "message": self.message,
+               "cycle": list(self.cycle.vertices) if self.cycle else None,
+               "goodness": self.goodness.to_json() if self.goodness else None}
+        if self.prescribed is not None:
+            out["prescribed"] = list(self.prescribed.vertices)
+        return out
 
 
 @dataclass(frozen=True)
@@ -940,20 +945,14 @@ def _case2_2_1b(g, rep_g, p, child, crep, m) -> CaseReduction:
                  f"expected 2 cycles through the merged vertex, got {len(xcycles)}")
         candidates = [c for c in xcycles if t not in c]
         _require(candidates, tag, "both x-cycles pass through the joining vertex")
+        # The end block is almost-good at t and m != t, so a candidate was
+        # typed rainbow: it leaves m by one gamma edge, toward w1 or z1, and
+        # one delta edge, and detours as the three-meeter lift's x-cycle does.
+        detour = _oriented([p.x2, p.v, p.x1], (p.w1, p.z1))
         last = None
         for cand in candidates:
-            path = _rotate_to(cand.vertices, m)[1:]
-            a, b = path[0], path[-1]
-            if child.coloring[edge(m, a)] != p.gamma:
-                path = list(reversed(path))
-                a, b = b, a
-            if child.coloring[edge(m, a)] != p.gamma \
-                    or child.coloring[edge(m, b)] != p.delta:
-                last = "cycle through x does not pair gamma with delta"
-                continue
-            cyc = Cycle(tuple([p.v, p.x1] + path + [p.x2]))
             try:
-                return _check_removal(g, rep_g, [(tag, cyc)])
+                return _check_removal(g, rep_g, [(tag, _lift_through(cand, m, detour))])
             except CaseVerificationError as err:
                 last = err.problem
         raise CaseVerificationError(tag, f"detour cycle failed verification: {last}")
@@ -1326,70 +1325,59 @@ def _verified_trace(root: EdgeColoredGraph, rep: GoodnessReport,
     return DecompositionTrace(steps, tuple(c for _, c in ordered), None)
 
 
-def _run(root: EdgeColoredGraph, first: list[tuple[str, Cycle]]) -> DecompositionTrace:
-    """The one entry: check `root` in full, remove the prescribed batch
-    `first` from it by `_check_removal`, peel what is left onto one list in
-    one loop over a stack of frames, then certify the list on `root`. A
-    root that is neither good nor almost-good raises; a refusal of `first`,
-    a failure that unwinds past the root's frame, or one of the certificate
-    becomes the trace's CaseFailure."""
-    rep = check_goodness(root)
+def decompose(g: EdgeColoredGraph, prescribed: Cycle | None = None) -> DecompositionTrace:
+    """Decompose a good or almost-good colored graph into rainbow cycles.
+
+    On success the returned cycles partition the edges, all rainbow except
+    at most one almost-rainbow cycle (listed first) when the input was
+    almost-good. A `prescribed` cycle of an all-Type-II g, for a line
+    graph the projection of a base-graph cycle, is removed first, as an
+    AllTypeII step, so it is one of the cycles.
+
+    The one entry: check g in full, remove `prescribed` by
+    `_check_removal`, peel what is left onto one list in one loop over a
+    stack of frames, then certify the list on g. A bad argument raises; a
+    refusal of `prescribed`, a failure that unwinds past g's frame, or one
+    of the certificate becomes the trace's CaseFailure, never an
+    unverified answer. A failure whose graph is g carries `prescribed`.
+    """
+    if prescribed is not None:
+        if not isinstance(prescribed, Cycle) or not prescribed.is_cycle_of(g.graph):
+            raise DecomposeError("prescribed cycle is not a cycle of the graph")
+        if not _all_type2(g):
+            raise DecomposeError("line graph is not an all-Type-II graph")
+    rep = check_goodness(g)
     if not rep.ok:
         raise DecomposeError(
             f"input is {rep.verdict.value}: "
             f"{[v.to_json() for v in rep.violations][:4]}")
-    top = _Frame(root, rep, [])
+    top = _Frame(g, rep, [])
     stack = [top]
     try:
-        if first:
+        if prescribed is not None:
             try:
-                top.take(_check_removal(root, rep, first))
+                top.take(_check_removal(g, rep, [(ALL_TYPE_II, prescribed)]))
             except CaseVerificationError as err:
                 raise _EngineFailure(
-                    err.case, root, f"prescribed cycle removal failed: {err.problem}",
+                    err.case, g, f"prescribed cycle removal failed: {err.problem}",
                     err.cycle, rep) from err
         while stack:
             try:
                 _advance(stack)
             except CaseVerificationError as err:
                 _recover(stack, err)
-        return _verified_trace(root, rep, top.out)
+        return _verified_trace(g, rep, top.out)
     except _EngineFailure as f:
         return DecompositionTrace(
             (), None,
             CaseFailure(f.case, serialize_colored_edge_list(f.graph),
-                        f.message, f.cycle, f.report))
-
-
-def decompose(g: EdgeColoredGraph) -> DecompositionTrace:
-    """Decompose a good or almost-good colored graph into rainbow cycles.
-
-    On success the returned cycles partition the edges, all rainbow except
-    at most one almost-rainbow cycle (listed first) when the input was
-    almost-good. A defect in any case's argument surfaces as a CaseFailure
-    outcome carrying the serialized graph, never as an unverified answer.
-    """
-    return _run(g, [])
-
-
-def decompose_goddyn(clg: ColoredLineGraph, first: Cycle) -> DecompositionTrace:
-    """Decompose the line graph with a prescribed first cycle.
-
-    `first` is a cycle of the base cubic graph; its projection is removed
-    first, so the lifted cover contains `first`. `_run` checks that removal
-    like any other, and returns a refusal as a CaseFailure. An all-Type-II
-    graph has no vertex of degree 2, so `_run` accepts it only if it is
-    good.
-    """
-    if not isinstance(first, Cycle) or not first.is_cycle_of(clg.base):
-        raise DecomposeError("prescribed cycle is not a cycle of the base graph")
-    if not _all_type2(clg.lg):
-        raise DecomposeError("line graph is not an all-Type-II graph")
-    return _run(clg.lg, [(ALL_TYPE_II, project_cycle(clg, first))])
+                        f.message, f.cycle, f.report,
+                        prescribed if f.graph is g else None))
 
 
 def replay_case_failure(failure: CaseFailure) -> DecompositionTrace:
-    """Re-run decomposition on a failure's serialized graph. The engine has
-    no settings, so the replay searches with the same fallback cap rule as
-    the run that failed."""
-    return decompose(parse_colored_edge_list(failure.graph_text))
+    """Re-run decomposition on a failure's serialized graph, with its
+    prescribed cycle if it has one. The engine has no settings, so the
+    replay searches with the same fallback cap rule as the run that
+    failed."""
+    return decompose(parse_colored_edge_list(failure.graph_text), failure.prescribed)

@@ -11,9 +11,9 @@ from pathlib import Path
 
 from cdcover.cli import main as cli_main
 from cdcover.coloring import check_goodness, triangles
-from cdcover.decomposer import decompose, decompose_goddyn, replay_case_failure
+from cdcover.decomposer import decompose, replay_case_failure
 from cdcover.graphs import Cycle, find_bridges, serialize_graph6
-from cdcover.linegraph import build_line_graph, cover_from_decomposition
+from cdcover.linegraph import build_line_graph, cover_from_decomposition, project_cycle
 from cdcover.oracle import (
     GeneratorConfig,
     brute_force_cdc,
@@ -175,7 +175,7 @@ def test_criterion_5_structural_properties():
               random_cubic_bridgeless(GeneratorConfig(10, 1)),
               random_cubic_bridgeless(GeneratorConfig(12, 2)),
               petersen()]
-    from cdcover.linegraph import lift_rainbow_cycle, project_cycle
+    from cdcover.linegraph import lift_rainbow_cycle
     pairs = 0
     for g in corpus:
         clg = build_line_graph(g)
@@ -233,7 +233,7 @@ def test_criterion_6_goddyn_mode():
     checked = 0
     clg = build_line_graph(k4())
     for c in enumerate_cycles(k4(), math.inf):
-        tr = decompose_goddyn(clg, c)
+        tr = decompose(clg.lg, project_cycle(clg, c))
         assert tr.success
         cover = cover_from_decomposition(clg, tr.cycles)
         assert c in cover.cycles
@@ -246,7 +246,7 @@ def test_criterion_6_goddyn_mode():
     cycles = enumerate_cycles(pet, math.inf)
     for _ in range(20):
         c = cycles[rng.randrange(len(cycles))]
-        tr = decompose_goddyn(clg, c)
+        tr = decompose(clg.lg, project_cycle(clg, c))
         assert tr.success
         cover = cover_from_decomposition(clg, tr.cycles)
         assert c in cover.cycles
@@ -278,7 +278,7 @@ def test_criterion_7_determinism(tmp_path):
         blobs.append(json.dumps(tr.to_json(), sort_keys=True).encode())
         # a goddyn run
         clg = build_line_graph(petersen())
-        tr = decompose_goddyn(clg, Cycle((0, 1, 2, 3, 4)))
+        tr = decompose(clg.lg, project_cycle(clg, Cycle((0, 1, 2, 3, 4))))
         cover = cover_from_decomposition(clg, tr.cycles)
         blobs.append(json.dumps(cover.to_json(petersen()),
                                 sort_keys=True).encode())

@@ -2,9 +2,12 @@ import json
 
 import pytest
 
+import cdcover.decomposer as D
 from cdcover import cli
 from cdcover.cli import main
+from cdcover.decomposer import DecompositionTrace
 from cdcover.graphs import Cycle, parse_graph6, serialize_graph6
+from cdcover.linegraph import CycleDoubleCover, build_line_graph, project_cycle
 from cdcover.oracle import SearchResult
 from cdcover.verify import verify_cdc
 from graphsamples import bridged_cubic_10, k4, petersen
@@ -78,6 +81,62 @@ def test_decompose_rejects_bad_goddyn_cycle(k4_file, capsys):
                               "--goddyn-cycle", cycle)
         assert code == 1 and out == "", cycle
         assert err.startswith("error: ") and err.count("\n") == 1, cycle
+
+
+def test_decompose_case_failure_exits_2(tmp_path, capsys, monkeypatch):
+    """A refused prescribed cycle ends `decompose` with exit 2, one `case
+    failure in ...` line on stderr and, with no --trace, the trace JSON on
+    stdout, whose failure carries the projected prescribed cycle."""
+    path = tmp_path / "petersen.g6"
+    path.write_text(serialize_graph6(petersen()) + "\n")
+    proj = project_cycle(build_line_graph(petersen()), Cycle((0, 1, 2, 3, 4)))
+    real = D._check_removal
+
+    def refuse_prescribed(h, rep, batch):
+        if [c for _, c in batch] == [proj]:
+            raise D.CaseVerificationError(batch[0][0], "refused", batch[0][1])
+        return real(h, rep, batch)
+
+    monkeypatch.setattr(D, "_check_removal", refuse_prescribed)
+    code, out, err = _run(capsys, "decompose", "--input", str(path),
+                          "--goddyn-cycle", "0,1,2,3,4")
+    assert code == 2
+    assert err == "case failure in AllTypeII: prescribed cycle removal failed: refused\n"
+    outcome = json.loads(out)["outcome"]
+    assert outcome["status"] == "case_failure"
+    assert outcome["prescribed"] == list(proj.vertices)
+
+
+def test_decompose_unliftable_decomposition_exits_2(k4_file, capsys, monkeypatch):
+    """A decomposition that `cover_from_decomposition` refuses exits 2 with
+    one error line and nothing on stdout."""
+    real = cli.decompose
+
+    def short(lg, prescribed):
+        tr = real(lg, prescribed)
+        return DecompositionTrace(tr.steps, tr.cycles[1:])
+
+    monkeypatch.setattr(cli, "decompose", short)
+    code, out, err = _run(capsys, "decompose", "--input", str(k4_file))
+    assert code == 2 and out == ""
+    assert err.startswith("error: produced decomposition failed verification: "
+                          "not a partition")
+    assert err.count("\n") == 1
+
+
+def test_decompose_rejected_cover_exits_2(k4_file, capsys, monkeypatch):
+    """A cover that `verify_cdc` rejects exits 2 with one error line on
+    stderr and the verifier's verdict on stdout."""
+    real = cli.cover_from_decomposition
+
+    def short(clg, cycles):
+        return CycleDoubleCover(real(clg, cycles).cycles[1:])
+
+    monkeypatch.setattr(cli, "cover_from_decomposition", short)
+    code, out, err = _run(capsys, "decompose", "--input", str(k4_file))
+    assert code == 2
+    assert err == "error: cover rejected by the independent verifier\n"
+    assert json.loads(out)["accepted"] is False
 
 
 def test_decompose_edgelist_format(tmp_path, capsys):

@@ -28,7 +28,6 @@ from cdcover.decomposer import (
     case1_2,
     case2_1,
     decompose,
-    decompose_goddyn,
     extract_case2_2_pattern,
     fallback_search,
     find_cycle_all_type2,
@@ -793,11 +792,11 @@ def test_single_cycle_step_is_checked_once(tag):
 
 def test_root_certificate_makes_no_goodness_check_or_edit():
     """`_verified_trace` certifies the engine's output on the root by the
-    covering sweep alone, for decompose and decompose_goddyn, on good and
+    covering sweep alone, with a prescribed cycle and without, on good and
     almost-good roots."""
     clg = build_line_graph(petersen())
     with recording() as log:
-        decompose_goddyn(clg, Cycle((0, 1, 2, 3, 4)))
+        decompose(clg.lg, project_cycle(clg, Cycle((0, 1, 2, 3, 4))))
         decompose(clg.lg)
         decompose(case1_1_host())
     made = [c for c in (*log, *corpus().log) if c.name == "_verified_trace"]
@@ -809,21 +808,29 @@ def test_root_certificate_makes_no_goodness_check_or_edit():
 
 
 @pytest.mark.parametrize("change", ["drop", "drop all", "repeat"])
-@pytest.mark.parametrize("name", ["L(K33)", "Case1_1 host"])
+@pytest.mark.parametrize("name", ["L(K33)", "Case1_1 host", "L(Petersen) prescribed"])
 def test_uncertified_output_is_refused(monkeypatch, change, name):
     """An engine output that misses a cycle, misses every cycle, or repeats
     one, fails the root certificate: the trace is a CaseFailure that carries
-    the root graph and its report, and replays through the same failure,
-    and decomposes once the defect is gone."""
-    g = {"L(K33)": build_line_graph(k33()).lg, "Case1_1 host": case1_1_host()}[name]
+    the root graph, its report and any prescribed cycle, and replays
+    through the same failure, certifying a list that starts with the
+    prescribed cycle, and decomposes once the defect is gone."""
+    pet = build_line_graph(petersen())
+    g, prescribed = {
+        "L(K33)": (build_line_graph(k33()).lg, None),
+        "Case1_1 host": (case1_1_host(), None),
+        "L(Petersen) prescribed": (pet.lg, project_cycle(pet, Cycle((0, 1, 2, 3, 4)))),
+    }[name]
     real = D._verified_trace
+    heads = []  # the first cycle of each list certified
 
     def broken(root, rep, tagged):
+        heads.append(tagged[0])
         return real(root, rep, {"drop": tagged[1:], "drop all": [],
                                 "repeat": tagged + tagged[:1]}[change])
 
     monkeypatch.setattr(D, "_verified_trace", broken)
-    tr = decompose(g)
+    tr = decompose(g, prescribed)
     assert not tr.success and tr.steps == () and tr.cycles is None
     f = tr.failure
     assert f.graph_text == serialize_colored_edge_list(g)
@@ -835,10 +842,13 @@ def test_uncertified_output_is_refused(monkeypatch, change, name):
     else:
         assert f.cycle is not None and f.case in D.CASE_TAGS
         assert f.message.endswith("is not a cycle of the current graph")
+    assert f.prescribed == prescribed
     # parsing renumbers the colors, so the replay is compared without its text
     again = replay_case_failure(f).failure
-    assert (again.case, again.message, again.cycle, again.goodness) == (
-        f.case, f.message, f.cycle, f.goodness)
+    assert (again.case, again.message, again.cycle, again.goodness, again.prescribed) == (
+        f.case, f.message, f.cycle, f.goodness, prescribed)
+    if prescribed is not None:
+        assert heads == [(D.ALL_TYPE_II, prescribed)] * 2
     monkeypatch.undo()
     assert replay_case_failure(f).success
 
@@ -1223,6 +1233,26 @@ def test_failure_unwinds_to_an_ancestor_fallback(monkeypatch):
     assert verify_rainbow_decomposition(g, tr.cycles).accepted
 
 
+def test_failure_unwinds_past_sibling_components():
+    """A failure that no frame of its component recovers unwinds past the
+    frames of the components still waiting beside it: the disjoint union
+    of the good graph with no rainbow decomposition and a rainbow 4-cycle
+    on higher ids fails as the graph does alone, on the 22-edge component,
+    with no prescribed cycle, and that failure replays."""
+    g = parse_colored_edge_list((FIXTURES / "good_but_undecomposable.txt").read_text())
+    alone = decompose(g).failure
+    shift, hue = g.n, max(g.coloring.values()) + 1
+    union = EdgeColoredGraph.from_triples(g.n + 4, [
+        *((u, v, c) for (u, v), c in g.coloring.items()),
+        *((u + shift, v + shift, c + hue) for (u, v), c in rainbow_c4().coloring.items())])
+    assert len(union.components) == 2
+    f = decompose(union).failure
+    assert (f.case, f.message, f.prescribed) == (D.CASE_2_2_1A, alone.message, None)
+    assert len(parse_colored_edge_list(f.graph_text).edges) == 22
+    again = replay_case_failure(f).failure
+    assert (again.case, again.message) == (f.case, f.message)
+
+
 def test_engine_needs_no_deep_recursion(monkeypatch):
     """The reduction tree of n=40 seed 1 is about 45 levels deep; the engine
     peels it within 60 frames of its caller and never raises the limit."""
@@ -1268,7 +1298,7 @@ def test_case_failure_graph_parses():
 def test_goddyn_k4_triangle():
     clg = build_line_graph(k4())
     first = Cycle((0, 1, 2))
-    tr = decompose_goddyn(clg, first)
+    tr = decompose(clg.lg, project_cycle(clg, first))
     assert tr.success
     cover = cover_from_decomposition(clg, tr.cycles)
     assert first in cover.cycles
@@ -1278,7 +1308,7 @@ def test_goddyn_k4_triangle():
 def test_goddyn_k4_hamiltonian():
     clg = build_line_graph(k4())
     first = Cycle((0, 1, 2, 3))
-    tr = decompose_goddyn(clg, first)
+    tr = decompose(clg.lg, project_cycle(clg, first))
     assert tr.success
     assert first in cover_from_decomposition(clg, tr.cycles).cycles
 
@@ -1286,7 +1316,7 @@ def test_goddyn_k4_hamiltonian():
 def test_goddyn_petersen_five_cycle():
     clg = build_line_graph(petersen())
     first = Cycle((0, 1, 2, 3, 4))
-    tr = decompose_goddyn(clg, first)
+    tr = decompose(clg.lg, project_cycle(clg, first))
     assert tr.success
     cover = cover_from_decomposition(clg, tr.cycles)
     assert first in cover.cycles
@@ -1294,42 +1324,54 @@ def test_goddyn_petersen_five_cycle():
 
 
 def test_goddyn_rejects_non_cycle():
-    clg = build_line_graph(petersen())
-    with pytest.raises(DecomposeError):
-        decompose_goddyn(clg, Cycle((0, 1, 2)))  # not a cycle of Petersen
+    """A prescribed cycle on the line graph's vertices that is not one of
+    its cycles, or that is no `Cycle` at all, is refused before the root
+    check."""
+    lg = build_line_graph(petersen()).lg
+    bad = Cycle((0, 5, 10))
+    assert not bad.is_cycle_of(lg.graph)
+    for prescribed in (bad, (0, 1, 2)):
+        with recording() as log:
+            with pytest.raises(DecomposeError,
+                               match="prescribed cycle is not a cycle of the graph"):
+                decompose(lg, prescribed)
+        assert not [c for c in log if c.name == "check_goodness"]
 
 
 def test_goddyn_rejects_a_root_that_is_not_good():
     """The line graph of a bridged cubic graph is all-Type-II, but the
-    bridge's vertex is Type X: the root check that `decompose_goddyn`
-    shares with `decompose` refuses it before any removal."""
+    bridge's vertex is Type X: the root check refuses it, with a
+    prescribed cycle as without, before any removal."""
     clg = build_line_graph(bridged_cubic_10())
     assert check_goodness(clg.lg).verdict is GoodnessVerdict.NOT_GOOD
     with recording() as log:
         with pytest.raises(DecomposeError, match="input is not_good"):
-            decompose_goddyn(clg, Cycle((0, 2, 3)))
+            decompose(clg.lg, project_cycle(clg, Cycle((0, 2, 3))))
     assert not [c for c in log if c.name == "_check_removal"]
 
 
 def test_goddyn_refused_first_cycle_is_a_case_failure(monkeypatch):
     """A refused removal of the prescribed cycle's projection ends the run
     in a CaseFailure of the whole line graph that names the projection,
-    with no steps. The engine accepts the projection of every cycle it has
-    been given, so `_check_removal` is made to refuse the first batch."""
+    with no steps, and carries it as the prescribed cycle, in its JSON too.
+    So it replays as that run: the replay fails through the same refusal,
+    and once the refusal is gone it succeeds. The engine accepts the
+    projection of every cycle it has been given, so `_check_removal` is
+    made to refuse the prescribed batch."""
     clg = build_line_graph(petersen())
     first = Cycle((0, 1, 2, 3, 4))
     proj = project_cycle(clg, first)
     real = D._check_removal
     refused = []
 
-    def refuse_first(h, rep, batch):
-        if not refused:
+    def refuse_prescribed(h, rep, batch):
+        if [c for _, c in batch] == [proj]:
             refused.append((h, list(batch)))
             raise CaseVerificationError(batch[0][0], "refused", batch[0][1])
         return real(h, rep, batch)
 
-    monkeypatch.setattr(D, "_check_removal", refuse_first)
-    tr = decompose_goddyn(clg, first)
+    monkeypatch.setattr(D, "_check_removal", refuse_prescribed)
+    tr = decompose(clg.lg, proj)
     assert refused == [(clg.lg, [(D.ALL_TYPE_II, proj)])]
     assert not tr.success and tr.steps == () and tr.cycles is None
     f = tr.failure
@@ -1338,12 +1380,20 @@ def test_goddyn_refused_first_cycle_is_a_case_failure(monkeypatch):
     assert f.message == "prescribed cycle removal failed: refused"
     assert f.cycle == proj
     assert f.goodness == check_goodness(clg.lg)
+    assert f.prescribed == proj
+    assert f.to_json()["prescribed"] == list(proj.vertices)
+    again = replay_case_failure(f).failure
+    assert (again.case, again.message, again.prescribed) == (f.case, f.message, proj)
+    assert len(refused) == 2
+    monkeypatch.undo()
+    healed = replay_case_failure(f)
+    assert healed.success and healed.steps[0].cycle == proj
 
 
 def test_goddyn_first_step_projection():
     clg = build_line_graph(k4())
     first = Cycle((0, 1, 3, 2))
-    tr = decompose_goddyn(clg, first)
+    tr = decompose(clg.lg, project_cycle(clg, first))
     assert tr.steps[0].cycle == project_cycle(clg, first)
 
 
@@ -1359,7 +1409,7 @@ def test_goddyn_on_every_cycle_of_small_graphs():
             base = random_cubic_bridgeless(GeneratorConfig(n, seed))
             clg = build_line_graph(base)
             for first in enumerate_cycles(base, math.inf):
-                tr = decompose_goddyn(clg, first)
+                tr = decompose(clg.lg, project_cycle(clg, first))
                 assert tr.success, (n, seed, first, tr.failure)
                 cover = cover_from_decomposition(clg, tr.cycles)
                 assert first in cover.cycles, (n, seed, first)
@@ -1425,6 +1475,19 @@ def test_fallback_is_lazy(monkeypatch):
     again = parse_colored_edge_list(serialize_colored_edge_list(g))
     assert fallback_search(again, check_goodness(again),
                            D._fallback_cap(again)).cycle == res.cycle
+
+
+def test_decomposer_does_not_import_the_line_graph():
+    """The engine works on colored graphs only: a caller projects a
+    base-graph cycle to the line graph before prescribing it."""
+    tree = ast.parse(Path(D.__file__).read_text())
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom):
+            assert "linegraph" not in (node.module or "").split("."), ast.dump(node)
+            assert not (node.level and node.module is None
+                        and any(a.name == "linegraph" for a in node.names))
+        elif isinstance(node, ast.Import):
+            assert not any("linegraph" in a.name.split(".") for a in node.names)
 
 
 def test_decomposer_does_not_import_the_oracle():

@@ -655,23 +655,23 @@ def test_one_function_checks_goodness_after_a_removal():
 
 
 def test_full_goodness_checks_only_at_the_roots():
-    """In the decomposer, only the one entry, `_run`, which `decompose` and
-    `decompose_goddyn` share, checks a graph's goodness in full, on the root
-    it is given. Every other report is derived: by `report_after_removal`
+    """In the decomposer, only the one entry, `decompose`, checks a graph's
+    goodness in full, on the root it is given, with a prescribed cycle or
+    without. Every other report is derived: by `report_after_removal`
     for what a removal leaves, or by a lemma of the coloring module
     docstring, for a reduction's child (from its Type X search alone, or
     with no search), a component or an end x-block."""
     source = (SRC / "decomposer.py").read_text()
-    assert call_scopes(source, "check_goodness") == ["_run"]
+    assert call_scopes(source, "check_goodness") == ["decompose"]
 
 
 def test_one_function_builds_a_case_failure():
-    """Only `decomposer._run` builds a `CaseFailure`: every failure of a
-    run, the refusal of a prescribed cycle too, reaches it as an
-    `_EngineFailure`, so every failure a run reports is serialized one
-    way."""
+    """Only `decomposer.decompose` builds a `CaseFailure`: every failure of
+    a run, the refusal of a prescribed cycle too, reaches it as an
+    `_EngineFailure`, so every failure a run reports is serialized one way
+    and carries the prescribed cycle when its graph is the input."""
     source = (SRC / "decomposer.py").read_text()
-    assert call_scopes(source, "CaseFailure") == ["_run"]
+    assert call_scopes(source, "CaseFailure") == ["decompose"]
 
 
 def removal_records(source: str) -> list[str]:

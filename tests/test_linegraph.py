@@ -113,6 +113,27 @@ def test_cover_rejects_partial_decomposition():
         cover_from_decomposition(clg, tris[:-1])
 
 
+@pytest.mark.parametrize("member, message", [
+    ("tuple", "not a cycle of the line graph"),
+    ("mono triangle", "decomposition member is not rainbow"),
+    ("repeat", "decomposition reuses line-graph edge"),
+])
+def test_cover_refuses_a_bad_member(member, message):
+    """Every member is checked before anything is lifted: a member that is
+    no `Cycle`, a monochromatic triangle and a member given twice are each
+    refused by name."""
+    clg = build_line_graph(k4())
+    tris = [c for c in enumerate_cycles_by_copying(clg.lg.graph, 3)
+            if len({clg.lg.coloring[e] for e in c.edges}) == 3]
+    mono = next(c for c in enumerate_cycles_by_copying(clg.lg.graph, 3)
+                if len({clg.lg.coloring[e] for e in c.edges}) == 1)
+    cycles = {"tuple": [*tris[:-1], tris[-1].vertices],
+              "mono triangle": [mono, *tris],
+              "repeat": [*tris, tris[0]]}[member]
+    with pytest.raises(LineGraphError, match=message):
+        cover_from_decomposition(clg, cycles)
+
+
 def test_cover_length_identity():
     for g in (k4(), prism(), k33(), petersen()):
         clg = build_line_graph(g)
