@@ -1099,55 +1099,67 @@ def _color_pruned_cycles(g: EdgeColoredGraph, length: int,
     """Canonical cycles of exactly `length` vertices, in sorted order, that
     repeat no color except at most one repeat of `spare`.
 
-    A path starts at its minimum vertex and its second vertex is kept smaller
-    than its last, so each cycle is met once, already in `Cycle` form. The
-    DFS takes start vertices and neighbors in ascending order, so equal-length
-    cycles come out sorted by their vertices. A path is dropped as soon as an
-    edge repeats a color it may not.
+    A path starts at its minimum vertex s, and its second vertex a is kept
+    smaller than its last, a *closer*: a neighbor of s above a. So each
+    cycle is met once, already in `Cycle` form. The DFS takes start vertices
+    and neighbors in ascending order, so equal-length cycles come out sorted
+    by their vertices. A path is dropped as soon as an edge repeats a color
+    it may not. Two cuts drop only paths that cannot close: no path starts
+    by s's largest neighbor above s, which has no closer, and a path with
+    every closer on it stops growing. The closing test does not ask for a
+    closer off the path, so the path that takes the last one still closes.
     """
     adj = g.graph.adj
     coloring = g.coloring
     for s in range(g.n):
-        path = [s]
-        on_path = {s}
-        used: set[int] = set()
-        # per path edge: the color it added to `used`, or None for the repeat
-        added: list[int | None] = []
-        spent = False  # the one repeat of `spare` is taken
-        frames = [iter(adj[s])]
-        while frames:
-            w = next(frames[-1], None)
-            v = path[-1]
-            if w is None:
-                frames.pop()
-                if added:
+        above = [w for w in adj[s] if w > s]
+        for i, a in enumerate(above[:-1]):
+            closers = set(above[i + 1:])
+            free = len(closers)  # closers not on the path
+            path = [s, a]
+            on_path = {s, a}
+            c = coloring[(s, a)]
+            used = {c}
+            # per path edge: the color it added to `used`, or None for the repeat
+            added: list[int | None] = [c]
+            spent = False  # the one repeat of `spare` is taken
+            frames = [iter(adj[a])]
+            while frames:
+                w = next(frames[-1], None)
+                v = path[-1]
+                if w is None:
+                    frames.pop()
                     path.pop()
                     on_path.discard(v)
+                    if v in closers:
+                        free += 1
                     c = added.pop()
                     if c is None:
                         spent = False
                     else:
                         used.discard(c)
-                continue
-            c = coloring[(v, w) if v < w else (w, v)]
-            repeat = c in used
-            if repeat and (c != spare or spent):
-                continue
-            if len(path) == length:
-                if w == s and path[1] < v:
-                    yield Cycle(tuple(path))
-                continue
-            if w < s or w in on_path:
-                continue
-            path.append(w)
-            on_path.add(w)
-            if repeat:
-                spent = True
-                added.append(None)
-            else:
-                used.add(c)
-                added.append(c)
-            frames.append(iter(adj[w]))
+                    continue
+                c = coloring[(v, w) if v < w else (w, v)]
+                repeat = c in used
+                if repeat and (c != spare or spent):
+                    continue
+                if len(path) == length:
+                    if w == s and v in closers:
+                        yield Cycle(tuple(path))
+                    continue
+                if not free or w < s or w in on_path:
+                    continue
+                path.append(w)
+                on_path.add(w)
+                if w in closers:
+                    free -= 1
+                if repeat:
+                    spent = True
+                    added.append(None)
+                else:
+                    used.add(c)
+                    added.append(c)
+                frames.append(iter(adj[w]))
 
 
 def _fallback_cap(g: EdgeColoredGraph) -> int:

@@ -55,14 +55,22 @@ class SearchResult:
 def enumerate_cycles(g: Graph, deadline: float) -> list[Cycle]:
     """All simple cycles of g, canonical and sorted by (length, vertices).
 
-    One backtracking walk per start vertex s extends a single path through
-    vertices above s, with a per-vertex `on_path` flag and a stack of
-    neighbour iterators, and backs off in place. It records each edge as it
-    goes, from a table of (w, edge(v, w)) built once. A closed walk counts
-    only when `path[1] < path[-1]`, so each cycle is found once, and its
-    tuples are already canonical: it starts at its minimum vertex s and its
-    second vertex is the smaller of s's two cycle neighbours. Its edge i
-    joins vertices i and i+1, so the recorded edges fill `Cycle.edges`.
+    Each cycle is walked once, as (s, a, ..., b) with s its minimum vertex
+    and a < b its two neighbours on the cycle, so its tuples are already
+    canonical. For each start s and each first step a, in ascending order,
+    one backtracking walk extends a single path through vertices above s,
+    with a per-vertex `on_path` flag and a stack of neighbour iterators,
+    and backs off in place. It records each edge as it goes, from a table
+    of (w, edge(v, w)) built once; edge i of a cycle joins vertices i and
+    i+1, so the recorded edges fill `Cycle.edges`.
+
+    The walk only closes through a *closer*, a neighbour of s above a, and
+    two cuts drop only paths that cannot close. The largest neighbour of s
+    above s has no closer, so no walk starts there. A count of the closers
+    not on the path falls when one is appended and rises when it is
+    popped; at 0 the path stops growing, as every closer it could end at
+    is on it. The closing test at the path's end does not read the count,
+    so the path that takes the last free closer still closes.
 
     Raises TimeoutError once `time.monotonic()` passes `deadline`, read
     every few hundred extensions.
@@ -70,38 +78,57 @@ def enumerate_cycles(g: Graph, deadline: float) -> list[Cycle]:
     steps_per_check = 256
     nbrs = [tuple((w, edge(v, w)) for w in ws) for v, ws in enumerate(g.adj)]
     on_path = [False] * g.n
-    out: list[Cycle] = []
+    closer = [False] * g.n
+    found: list[tuple[int, tuple[int, ...], tuple[Edge, ...]]] = []
     countdown = steps_per_check
     for s in range(g.n):
-        # s stays flagged once its walk ends, so later walks skip every
+        # s stays flagged once its walks end, so later walks skip every
         # vertex below their start by the same test as the path's own
-        path, edges = [s], []
         on_path[s] = True
-        stack = [iter(nbrs[s])]
-        while stack:
-            for w, e in stack[-1]:
-                if w == s:
-                    if len(path) >= 3 and path[1] < path[-1]:
-                        c = Cycle(tuple(path))
-                        c.__dict__["edges"] = (*edges, e)  # fills the cached property
-                        out.append(c)
-                elif not on_path[w]:
-                    countdown -= 1
-                    if not countdown:
-                        countdown = steps_per_check
-                        if time.monotonic() > deadline:
-                            raise TimeoutError
-                    path.append(w)
-                    edges.append(e)
-                    on_path[w] = True
-                    stack.append(iter(nbrs[w]))
-                    break
-            else:
-                stack.pop()
-                if edges:
-                    on_path[path.pop()] = False
+        firsts = [(w, e) for w, e in nbrs[s] if w > s]
+        for w, _ in firsts:
+            closer[w] = True
+        free = len(firsts)
+        for a, first in firsts[:-1]:
+            closer[a] = False
+            free -= 1
+            path, edges = [s, a], [first]
+            on_path[a] = True
+            stack = [iter(nbrs[a])]
+            while stack:
+                for w, e in stack[-1]:
+                    if w == s:
+                        if closer[path[-1]]:
+                            found.append((len(path), tuple(path), (*edges, e)))
+                    elif free and not on_path[w]:
+                        countdown -= 1
+                        if not countdown:
+                            countdown = steps_per_check
+                            if time.monotonic() > deadline:
+                                raise TimeoutError
+                        path.append(w)
+                        edges.append(e)
+                        on_path[w] = True
+                        if closer[w]:
+                            free -= 1
+                        stack.append(iter(nbrs[w]))
+                        break
+                else:
+                    stack.pop()
+                    v = path.pop()
+                    on_path[v] = False
                     edges.pop()
-    return sorted(out, key=lambda c: (len(c), c.vertices))
+                    if closer[v]:
+                        free += 1
+        if firsts:
+            closer[firsts[-1][0]] = False
+    found.sort()  # vertex tuples are distinct, so no two edge tuples are compared
+    out = []
+    for _, vertices, edges in found:
+        c = Cycle(vertices)
+        c.__dict__["edges"] = edges  # fills the cached property
+        out.append(c)
+    return out
 
 
 def _exact_multicover(edges: list[Edge], cycles: list[Cycle], demand: int,

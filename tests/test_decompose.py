@@ -1,4 +1,5 @@
 import ast
+import collections
 import functools
 import hashlib
 import itertools
@@ -56,6 +57,7 @@ from oracles import (
     build_transform_by_scan,
     case2_1_run_by_scan,
     connected_ignoring_isolated,
+    enumerate_cycles_by_copying,
     enumerate_rainbow_cycles,
     exhaustive_fallback,
     remove_one_at_a_time,
@@ -1451,6 +1453,39 @@ def test_fallback_matches_exhaustive_oracle(data):
     rep = check_goodness(g)
     for k in caps:
         assert fallback_search(g, rep, k) == exhaustive_fallback(g, k), k
+
+
+def test_color_pruned_cycles_match_the_reference():
+    """The fallback's walk yields, for each length, exactly the reference's
+    cycles of that length that repeat no color but `spare`, that one at
+    most twice, in the reference's order: on the dispatched graphs of at
+    most 24 edges (good ones with no spare, almost-good ones with the bad
+    vertex's color) at every length up to their largest component, on both
+    certificates, and on the 44-edge fallback graph up to 6 vertices."""
+    cases = []
+    for verdict in (GoodnessVerdict.GOOD, GoodnessVerdict.ALMOST_GOOD):
+        for g in _small_dispatched(verdict):
+            if len(g.edges) <= 24:
+                bad = check_goodness(g).bad_vertex
+                spare = None if bad is None else g.colors_at(bad)[0]
+                cases.append((g, spare, max(len(c) for c in g.components)))
+    assert {spare is None for _, spare, _ in cases} == {True, False}
+    for name in ("good_but_undecomposable.txt", "good_but_undecomposable_k5_20.txt"):
+        g = parse_colored_edge_list((FIXTURES / name).read_text())
+        cases.append((g, None, max(len(c) for c in g.components)))
+    cases.append((parse_colored_edge_list(
+        (FIXTURES / "fallback_44_edges.txt").read_text()), None, 6))
+    for g, spare, longest in cases:
+        allowed = {c: 1 for c in g.coloring.values()}
+        if spare is not None:
+            allowed[spare] = 2
+        reference = [
+            c for c in enumerate_cycles_by_copying(g.graph, longest)
+            if all(n <= allowed[col] for col, n in
+                   collections.Counter(g.coloring[e] for e in c.edges).items())]
+        for length in range(3, longest + 1):
+            assert (list(D._color_pruned_cycles(g, length, spare))
+                    == [c for c in reference if len(c) == length]), length
 
 
 def test_fallback_is_lazy(monkeypatch):

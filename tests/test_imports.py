@@ -392,8 +392,8 @@ def test_cache_fills_detects_and_allows():
 # searched. A carried fact pays for itself only if a measurement shows it;
 # a new site should come with one. The cycle enumeration hands each cycle
 # the edges its walk recorded: `brute_force_cdc` on n = 12-16, seeds 0-15,
-# took 0.27 s with them and 0.31-0.33 s when the search recomputed them
-# (median of 7 passes each, on a 2-vCPU VM).
+# took 0.072 s with them and 0.110 s when the search recomputed them
+# (median of 7 interleaved passes each, on a 2-vCPU VM).
 CACHE_FILLS = [
     ("EdgeColoredGraph.edit", "adj"),
     ("_cut_search", "components"),

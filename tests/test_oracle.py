@@ -91,10 +91,36 @@ def test_enumerate_cycles_matches_the_reference():
                                     for i in range(len(vs)))
 
 
+@st.composite
+def _simple_graphs(draw):
+    """A simple graph on 0-9 vertices with each pair joined at its own
+    drawn chance, so degrees, isolated vertices and components vary."""
+    n = draw(st.integers(0, 9))
+    pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+    keep = draw(st.lists(st.booleans(), min_size=len(pairs), max_size=len(pairs)))
+    return Graph.from_edges(n, [p for p, k in zip(pairs, keep) if k])
+
+
+@given(_simple_graphs())
+@settings(max_examples=300, deadline=None)
+def test_enumerate_cycles_matches_the_reference_on_any_graph(g):
+    """On any simple graph, whatever the number of neighbours above each
+    start the walk's cuts branch on, the walk lists the reference's cycles,
+    in its order, with the edges their vertices give."""
+    cycles = enumerate_cycles(g, math.inf)
+    assert ([c.vertices for c in cycles]
+            == [c.vertices for c in enumerate_cycles_by_copying(g)])
+    for c in cycles:
+        vs = c.vertices
+        assert c.edges == tuple(edge(vs[i], vs[(i + 1) % len(vs)])
+                                for i in range(len(vs)))
+
+
 def test_enumeration_is_bounded_by_the_budget():
     """The budget bounds the cycle enumeration, not only the cover search:
-    on n = 34 the enumeration alone takes seconds, and the search used to
-    run past a 0.1 s budget until it answered `found`."""
+    on n = 34 the enumeration alone takes 0.9-1.7 s on a 2-vCPU VM, many
+    times a 0.1 s budget, and the search used to run past that budget
+    until it answered `found`."""
     g = random_cubic_bridgeless(GeneratorConfig(34, 0))
     start = time.monotonic()
     assert brute_force_cdc(g, time_budget=0.1).status == "indeterminate"
