@@ -81,14 +81,18 @@ def test_enumerate_cycles_matches_the_reference():
                              (6, 1), (1, 2), (3, 4)]),
     ]
     for g in graphs:
-        cycles = enumerate_cycles(g, math.inf)
-        assert ([c.vertices for c in cycles]
-                == [c.vertices for c in enumerate_cycles_by_copying(g)])
-        for c in cycles:
-            vs = c.vertices
-            assert "edges" in c.__dict__
-            assert c.edges == tuple(edge(vs[i], vs[(i + 1) % len(vs)])
-                                    for i in range(len(vs)))
+        _assert_matches_the_reference(g)
+
+
+def _assert_matches_the_reference(g: Graph) -> None:
+    cycles = enumerate_cycles(g, math.inf)
+    assert ([c.vertices for c in cycles]
+            == [c.vertices for c in enumerate_cycles_by_copying(g)])
+    for c in cycles:
+        vs = c.vertices
+        assert "edges" in c.__dict__
+        assert c.edges == tuple(edge(vs[i], vs[(i + 1) % len(vs)])
+                                for i in range(len(vs)))
 
 
 @st.composite
@@ -106,14 +110,8 @@ def _simple_graphs(draw):
 def test_enumerate_cycles_matches_the_reference_on_any_graph(g):
     """On any simple graph, whatever the number of neighbours above each
     start the walk's cuts branch on, the walk lists the reference's cycles,
-    in its order, with the edges their vertices give."""
-    cycles = enumerate_cycles(g, math.inf)
-    assert ([c.vertices for c in cycles]
-            == [c.vertices for c in enumerate_cycles_by_copying(g)])
-    for c in cycles:
-        vs = c.vertices
-        assert c.edges == tuple(edge(vs[i], vs[(i + 1) % len(vs)])
-                                for i in range(len(vs)))
+    in its order, with the edges it recorded, which their vertices give."""
+    _assert_matches_the_reference(g)
 
 
 def test_enumeration_is_bounded_by_the_budget():
