@@ -22,7 +22,6 @@ from .decomposer import (
     DecompositionTrace,
     decompose,
     fallback_search,
-    find_cycle_all_type2,
     replay_case_failure,
 )
 from .graphs import (
@@ -76,7 +75,6 @@ __all__ = [
     "enumerate_cycles",
     "fallback_search",
     "find_bridges",
-    "find_cycle_all_type2",
     "is_cubic",
     "lift_rainbow_cycle",
     "parse_colored_edge_list",

@@ -486,6 +486,15 @@ class GoodnessReport:
                 "violations": [v.to_json() for v in self.violations]}
 
 
+GOOD_REPORT = GoodnessReport(GoodnessVerdict.GOOD, None, ())
+
+
+def almost_good_at(v: int) -> GoodnessReport:
+    """The report of a graph almost-good at v: its one violation is v's
+    condition 4."""
+    return GoodnessReport(GoodnessVerdict.ALMOST_GOOD, v, (Violation(4, "vertex", v),))
+
+
 def triangles(g: Graph) -> list[tuple[int, int, int]]:
     """All triangles as sorted vertex triples, lexicographically ordered."""
     out = []
@@ -545,14 +554,12 @@ def check_goodness(g: EdgeColoredGraph) -> GoodnessReport:
         violations.extend(report_from_type_x(g).violations)
 
     if len(bad_candidates) == 1 and not violations:
-        v = bad_candidates[0]
-        return GoodnessReport(GoodnessVerdict.ALMOST_GOOD, v,
-                              (Violation(4, "vertex", v),))
+        return almost_good_at(bad_candidates[0])
     violations.extend(Violation(4, "vertex", v) for v in bad_candidates)
     violations.sort(key=_report_order)
     if violations:
         return GoodnessReport(GoodnessVerdict.NOT_GOOD, None, tuple(violations))
-    return GoodnessReport(GoodnessVerdict.GOOD, None, ())
+    return GOOD_REPORT
 
 
 def _report_order(x: Violation) -> tuple[int, str]:
@@ -571,7 +578,7 @@ def report_from_type_x(g: EdgeColoredGraph) -> GoodnessReport:
                    key=_report_order)
     if found:
         return GoodnessReport(GoodnessVerdict.NOT_GOOD, None, tuple(found))
-    return GoodnessReport(GoodnessVerdict.GOOD, None, ())
+    return GOOD_REPORT
 
 
 def report_after_removal(g: EdgeColoredGraph, parent: EdgeColoredGraph,
@@ -604,10 +611,7 @@ def report_after_removal(g: EdgeColoredGraph, parent: EdgeColoredGraph,
                 bad.append(v)
     if len(bad) > 1 or g.type_x_sides:
         return None
-    if bad:
-        return GoodnessReport(GoodnessVerdict.ALMOST_GOOD, bad[0],
-                              (Violation(4, "vertex", bad[0]),))
-    return GoodnessReport(GoodnessVerdict.GOOD, None, ())
+    return almost_good_at(bad[0]) if bad else GOOD_REPORT
 
 
 # ---------------------------------------------------------------------------

@@ -39,19 +39,19 @@ full: the root. The engine is one loop over an explicit stack of frames: a
 reduction's child is peeled on a frame above its waiting parent, so the
 depth of the reduction tree costs no Python recursion. Every removal, a
 lift's batch like any other, is verified by `_check_removal`: one linear
-sweep types the batch's cycles, and one `report_after_removal` checks
-what the batch leaves, or none when it leaves nothing. By the
-removal lemma in the coloring module docstring, this accepts exactly the
-batches whose cycles pass the checks one at a time.
-The check returns a `_Checked` record of the batch, the remainder and its
-report, or raises. A case, lift or fallback search that must check a batch
-to choose it hands the engine that record, which is applied as it is.
-Any failed verification falls back to a shortest-first search for a safely
-removable cycle. If that also fails, the nearest waiting parent runs the
-search on its own graph, and so on outward; past the root the run ends in a
-serializable, replayable CaseFailure instead of an unverified answer. The
-output covers the root, so one sweep certifies it there, and the lemma
-gives each step's report.
+sweep types the batch's cycles, and one `report_after_removal` checks what
+the batch leaves, or none when it leaves nothing. By the removal lemma in
+the coloring module docstring, this accepts exactly the batches whose
+cycles pass the checks one at a time. So a direct peel, one cycle and no
+child, has no check of its own. The check returns a `_Checked` record of
+the batch, the remainder and its report, or raises. A case, lift or
+fallback search that must check a batch to choose it hands the engine
+that record, which is applied as it is. Any failed verification falls
+back to a shortest-first search for a safely removable cycle. If that also
+fails, the nearest waiting parent runs the search on its own graph, and so
+on outward; past the root the run ends in a serializable, replayable
+CaseFailure instead of an unverified answer. The output covers the root,
+so one sweep certifies it there, and the lemma gives each step's report.
 """
 from __future__ import annotations
 
@@ -60,10 +60,11 @@ from dataclasses import dataclass, field, replace
 from typing import Callable, Collection, Iterable, Iterator, Sequence
 
 from .coloring import (
+    GOOD_REPORT,
     EdgeColoredGraph,
     GoodnessReport,
     GoodnessVerdict,
-    Violation,
+    almost_good_at,
     check_goodness,
     is_almost_rainbow_at,
     parse_colored_edge_list,
@@ -74,8 +75,6 @@ from .coloring import (
     x_block_decomposition,
 )
 from .graphs import Cycle, Edge, edge
-
-_GOOD = GoodnessReport(GoodnessVerdict.GOOD, None, ())
 
 BASE_CYCLE = "BaseCycle"
 RAINBOW_TRIANGLE = "RainbowTriangle"
@@ -448,7 +447,7 @@ def _check_removal(h: EdgeColoredGraph, rep: GoodnessReport,
                     f"almost-rainbow at the bad vertex", cyc)
             almost = True
     if rep.ok and len(seen) == len(coloring):
-        return _Checked(batch, h.restrict_edges(()), _GOOD)
+        return _Checked(batch, h.restrict_edges(()), GOOD_REPORT)
     cycles = [cyc for _, cyc in batch]
     rest = h.edit(drop=seen)
     rest_rep = report_after_removal(rest, h, rep, cycles)
@@ -468,63 +467,32 @@ def _check_removal(h: EdgeColoredGraph, rep: GoodnessReport,
 # greedy cycle in an all-Type-II graph
 
 
-def find_cycle_all_type2(g: EdgeColoredGraph, rep: GoodnessReport) -> Cycle:
-    """Rainbow cycle from the greedy color-avoiding walk.
+def _all_type2_cycle(g: EdgeColoredGraph) -> Cycle:
+    """The greedy color-avoiding walk's cycle on a good all-Type-II graph.
 
-    Starts at the minimum vertex with edges and always extends along the
-    minimum-id neighbor whose edge color is unused; when stuck, the repeated
-    color's class is a triangle and closes the cycle. Whether removal
-    preserves goodness is left to the caller: the engine checks it as it
-    removes the cycle. `rep` is g's goodness report.
-    """
-    if rep.verdict is not GoodnessVerdict.GOOD:
-        raise DecomposeError("greedy walk requires a good colored graph")
-    if len(g.components) != 1:
-        raise DecomposeError("greedy walk requires a connected graph")
-    if not _all_type2(g):
-        raise DecomposeError("greedy walk requires every nonisolated vertex Type II")
-
+    From the least vertex, step to the least neighbor by an unused color;
+    the start counts once the path has 3 vertices. Color classes are
+    triangles, so no vertex repeats, and stuck at cur, cur's color alpha
+    other than its arrival color was used on the edge joining its two
+    alpha-neighbors: the path after that edge is the cycle."""
     start = min(g.components[0])
     path = [start]
-    used: set[int] = set()
-    cycle: Cycle | None = None
-    while cycle is None:
+    at: dict[int, int] = {}  # used color -> index of the path edge using it
+    while True:
         cur = path[-1]
-        step = None
-        for w in sorted(g.graph.adj[cur]):
-            col = g.color(cur, w)
-            if col in used:
-                continue
-            if w == start:
-                if len(path) >= 3:
-                    cycle = Cycle(tuple(path))
-                    break
-                continue
-            step = (w, col)
-            break
-        if cycle is not None:
-            break
-        if step is None:
-            # stuck: the unused color at cur closes a monochromatic triangle
+        nxt = next((w for w in g.graph.adj[cur] if g.color(cur, w) not in at
+                    and (w != start or len(path) >= 3)), None)
+        if nxt == start:
+            return Cycle(tuple(path))
+        if nxt is None:
             arrive = g.color(path[-2], cur)
             alpha = next(c for c in g.colors_at(cur) if c != arrive)
-            ends = sorted(w for w in g.graph.adj[cur] if g.color(cur, w) == alpha)
-            _require(len(ends) == 2, ALL_TYPE_II,
-                     f"expected two edges of color {alpha} at {cur}")
-            j = None
-            for i in range(len(path) - 1):
-                if {path[i], path[i + 1]} == set(ends):
-                    j = i
-                    break
-            _require(j is not None, ALL_TYPE_II,
-                     f"repeated color {alpha} not found along the walk")
-            _require(len(path) - (j + 1) >= 2, ALL_TYPE_II,
-                     "degenerate closure; walk too short")
-            cycle = Cycle(tuple(path[j + 1:]))
-            break
-        path.append(step[0])
-        used.add(step[1])
-    return cycle
+            j = at.get(alpha)
+            _require(j is not None and len(path) - j - 1 >= 3, ALL_TYPE_II,
+                     f"color {alpha} at {cur} closes no cycle of the walk")
+            return Cycle(tuple(path[j + 1:]))
+        at[g.color(cur, nxt)] = len(path) - 1
+        path.append(nxt)
 
 
 # ---------------------------------------------------------------------------
@@ -685,7 +653,7 @@ def case2_1(g: EdgeColoredGraph, rep: GoodnessReport,
     child.__dict__["components"] = tuple(comp - gone for comp in g.components)
     child.__dict__["rainbow_triangle"] = tri
     child.__dict__["singular_chains"] = tuple(chains)
-    return CaseReduction(child, _run_lift(steps), _GOOD)
+    return CaseReduction(child, _run_lift(steps), GOOD_REPORT)
 
 
 def _run_lift(steps: Sequence[tuple[int, int, int, int]],
@@ -957,8 +925,7 @@ def _case2_2_1b(g, rep_g, p, child, crep, m) -> CaseReduction:
                 last = err.problem
         raise CaseVerificationError(tag, f"detour cycle failed verification: {last}")
 
-    return CaseReduction(end, lift, GoodnessReport(
-        GoodnessVerdict.ALMOST_GOOD, t, (Violation(4, "vertex", t),)))
+    return CaseReduction(end, lift, almost_good_at(t))
 
 
 def _case2_2_2a(g: EdgeColoredGraph, rep: GoodnessReport, p: CasePattern):
@@ -1070,14 +1037,13 @@ def _case2_2_2c(g: EdgeColoredGraph, rep: GoodnessReport,
         recolor=[(edge(p.x2, p.z2), p.beta)])
 
 
-def _case2_2_2d(g: EdgeColoredGraph, p: CasePattern) -> list[tuple[str, Cycle]]:
-    """Doubly-shared neighbors: the rectangle x1-y1-x2-y2 itself is rainbow."""
-    tag = CASE_2_2_2D
-    _require(p.y1 == p.w2 and p.y2 == p.w1, tag, "shape d labels wrong")
-    cyc = Cycle((p.x1, p.y1, p.x2, p.y2))
-    cols = [g.coloring[e] for e in cyc.edges]
-    _require(len(set(cols)) == 4, tag, "rectangle is not rainbow")
-    return [(tag, cyc)]
+def _case2_2_2d(p: CasePattern) -> list[tuple[str, Cycle]]:
+    """Doubly-shared neighbors: the rectangle x1-y1-x2-y2 is rainbow. Its
+    colors alpha, delta, beta, gamma differ: x1 and x2 are Type II, the
+    pattern has alpha != beta and gamma != delta, and fact (i) of the
+    coloring module docstring gives the rest."""
+    _require(p.y1 == p.w2 and p.y2 == p.w1, CASE_2_2_2D, "shape d labels wrong")
+    return [(CASE_2_2_2D, Cycle((p.x1, p.y1, p.x2, p.y2)))]
 
 
 # ---------------------------------------------------------------------------
@@ -1163,13 +1129,11 @@ def _color_pruned_cycles(g: EdgeColoredGraph, length: int,
 
 
 def _fallback_cap(g: EdgeColoredGraph) -> int:
-    """The longest cycle `fallback_search` tries on g: every length below 64
-    edges, else 24 vertices."""
+    """The longest cycle `fallback_search` tries: any under 64 edges, else 24 vertices."""
     return max(len(c) for c in g.components) if len(g.edges) < 64 else 24
 
 
-def fallback_search(g: EdgeColoredGraph, rep: GoodnessReport,
-                    max_len: int) -> FallbackResult:
+def fallback_search(g: EdgeColoredGraph, rep: GoodnessReport) -> FallbackResult:
     """Lazy hunt for one safely removable cycle, shortest first.
 
     On a good graph: a rainbow cycle whose removal stays good. On an
@@ -1180,8 +1144,8 @@ def fallback_search(g: EdgeColoredGraph, rep: GoodnessReport,
     cycles; nothing longer is generated. The DFS is pruned by color: a path
     that repeats a color (on an almost-good graph, any color but the bad
     vertex's, or that one twice) can only close into a cycle the removal
-    check rejects. No cycle longer than `max_len` is tried; the engine
-    passes `_fallback_cap(g)`, and when the cap is below g's longest
+    check rejects. The search works out its own cap, `_fallback_cap(g)`,
+    and tries no longer cycle; when the cap is below g's longest
     component, exhausting it yields "indeterminate" rather than "absent".
     `rep` is g's goodness report. The engine removes a found cycle by the
     result's `checked`, without checking it again.
@@ -1191,17 +1155,18 @@ def fallback_search(g: EdgeColoredGraph, rep: GoodnessReport,
     if not g.edges:
         return FallbackResult("absent")
     longest = max(len(c) for c in g.components)
+    cap = min(_fallback_cap(g), longest)
     # the bad vertex has degree 2 and one color: the only color an
     # almost-rainbow cycle may repeat
     spare = None if rep.bad_vertex is None else g.colors_at(rep.bad_vertex)[0]
-    for length in range(3, min(max_len, longest) + 1):
+    for length in range(3, cap + 1):
         for cyc in _color_pruned_cycles(g, length, spare):
             try:
                 checked = _check_removal(g, rep, [(FALLBACK, cyc)])
             except CaseVerificationError:
                 continue
             return FallbackResult("found", cyc, checked)
-    return FallbackResult("indeterminate" if max_len < longest else "absent")
+    return FallbackResult("indeterminate" if cap < longest else "absent")
 
 
 # ---------------------------------------------------------------------------
@@ -1224,7 +1189,7 @@ def _dispatch(comp: EdgeColoredGraph, rep: GoodnessReport):
             return case1_1(comp, rep, v)
         return case1_2(comp, rep, v)
     if _all_type2(comp):
-        return [(ALL_TYPE_II, find_cycle_all_type2(comp, rep))]
+        return [(ALL_TYPE_II, _all_type2_cycle(comp))]
     chains = comp.singular_chains
     if chains and chains[0][0] >= 3:
         return case2_1(comp, rep, chains[0][1])
@@ -1233,7 +1198,7 @@ def _dispatch(comp: EdgeColoredGraph, rep: GoodnessReport):
     if shape == "disjoint":
         return case2_2_1(comp, rep, pat)
     if shape == "d":
-        return _case2_2_2d(comp, pat)
+        return _case2_2_2d(pat)
     return {"a": _case2_2_2a, "b": _case2_2_2b, "c": _case2_2_2c}[shape](comp, rep, pat)
 
 
@@ -1272,7 +1237,7 @@ def _advance(stack: list[_Frame]) -> None:
         if len(parts) > 1:
             stack.pop()
             b = fr.rep.bad_vertex
-            stack.extend(_Frame(part, fr.rep if b in part.components[0] else _GOOD,
+            stack.extend(_Frame(part, fr.rep if b in part.components[0] else GOOD_REPORT,
                                 fr.out) for part in reversed(parts))
             return
         step = _dispatch(fr.graph, fr.rep)
@@ -1303,7 +1268,7 @@ def _recover(stack: list[_Frame], err: CaseVerificationError | _EngineFailure) -
                 raise err
             stack[-1].pending = None
         fr = stack[-1]
-        fb = fallback_search(fr.graph, fr.rep, _fallback_cap(fr.graph))
+        fb = fallback_search(fr.graph, fr.rep)
         if fb.status == "found":
             fr.take(fb.checked)
             return
@@ -1331,7 +1296,7 @@ def _verified_trace(root: EdgeColoredGraph, rep: GoodnessReport,
         raise _EngineFailure("Engine", root, "cycles do not cover every edge", None, rep)
     at = next((i for i, (_, c) in enumerate(tagged) if rep.bad_vertex in c),
               len(tagged))
-    steps = tuple(TraceStep(tag, cyc, rep if i < at else _GOOD)
+    steps = tuple(TraceStep(tag, cyc, rep if i < at else GOOD_REPORT)
                   for i, (tag, cyc) in enumerate(tagged))
     ordered = tagged[at:at + 1] + tagged[:at] + tagged[at + 1:]
     return DecompositionTrace(steps, tuple(c for _, c in ordered), None)

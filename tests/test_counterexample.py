@@ -23,12 +23,7 @@ import re
 from pathlib import Path
 
 from cdcover.coloring import check_goodness, parse_colored_edge_list
-from cdcover.decomposer import (
-    _fallback_cap,
-    decompose,
-    fallback_search,
-    replay_case_failure,
-)
+from cdcover.decomposer import decompose, fallback_search, replay_case_failure
 from cdcover.graphs import Cycle
 from cdcover.oracle import brute_force_rainbow_decomposition
 from oracles import naive_goodness, rainbow_decomposition_by_lowest_edge
@@ -51,7 +46,7 @@ def test_certificate_is_good_but_undecomposable():
         assert naive_goodness(g)[0] == "good"
         assert brute_force_rainbow_decomposition(g, math.inf).status == "absent"
         assert rainbow_decomposition_by_lowest_edge(g).status == "absent"
-        assert fallback_search(g, rep, _fallback_cap(g)).status == "absent"
+        assert fallback_search(g, rep).status == "absent"
 
 
 def test_certificate_yields_replayable_case_failure():

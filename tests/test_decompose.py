@@ -14,6 +14,7 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 
 import cdcover.decomposer as D
 from cdcover.coloring import (
+    GOOD_REPORT,
     EdgeColoredGraph,
     GoodnessReport,
     GoodnessVerdict,
@@ -31,15 +32,14 @@ from cdcover.decomposer import (
     decompose,
     extract_case2_2_pattern,
     fallback_search,
-    find_cycle_all_type2,
     normalize_case2_2,
     replay_case_failure,
 )
-from cdcover.graphs import Cycle, Graph, edge
+from cdcover.graphs import Cycle, Graph, edge, parse_graph6
 from cdcover.linegraph import build_line_graph, cover_from_decomposition, project_cycle
 from cdcover.oracle import GeneratorConfig, enumerate_cycles, random_cubic_bridgeless
 from cdcover.verify import verify_cdc, verify_rainbow_decomposition
-from enginecorpus import Call, corpus, recording
+from enginecorpus import Call, corpus, fallback_capped, recording
 from graphsamples import (
     almost_good_c4,
     bridged_cubic_10,
@@ -969,7 +969,7 @@ def test_reductions_check_their_lemmas_hypothesis(name):
     wrong = [GoodnessReport(GoodnessVerdict.NOT_GOOD, None, ()),
              GoodnessReport(GoodnessVerdict.ALMOST_GOOD, g.n, ())]
     if need_almost:
-        wrong.append(D._GOOD)
+        wrong.append(GOOD_REPORT)
     for told in wrong:
         with recording() as log, pytest.raises(CaseVerificationError, match="parent is"):
             getattr(D, name)(g, told, arg)
@@ -1005,7 +1005,7 @@ def test_case1_2_contraction_closing_a_triangle(far):
         assert rep.bad_vertex == 0
         red = case1_2(g, rep, 0)
         assert red.child == child
-        assert red.report == check_goodness(child) == D._GOOD
+        assert red.report == check_goodness(child) == GOOD_REPORT
 
 
 @pytest.mark.parametrize("join", [[(4, 5, 4)], [(4, 9, 4), (5, 9, 7)]],
@@ -1036,7 +1036,7 @@ def test_case2_2_2c_contraction_closing_a_triangle_or_a_cut(join):
         D._case2_2_2c(g, rep, p)
     assert str(err.value) == "Case2_2_2c: parent is not_good, the lemma needs good"
     with recording() as log, pytest.raises(CaseVerificationError) as err:
-        D._case2_2_2c(g, D._GOOD, p)
+        D._case2_2_2c(g, GOOD_REPORT, p)
     assert str(err.value) == f"Case2_2_2c: contracted graph is {full.verdict.value}"
     built = [c.name for c in log if c.name == "_build_transform"]
     assert built == ([] if len(join) == 1 else ["_build_transform"])
@@ -1074,22 +1074,32 @@ def test_case_reachable_and_verified(tag):
 # all-Type-II cycles and fallback
 
 
-def test_find_cycle_all_type2_l_k33():
-    lg = build_line_graph(k33()).lg
-    c = find_cycle_all_type2(lg, check_goodness(lg))
+def _assert_safe_rainbow(lg: EdgeColoredGraph, c: Cycle) -> None:
     cols = [lg.coloring[e] for e in c.edges]
     assert len(set(cols)) == len(cols)
-    rep = check_goodness(lg.edit(drop=c.edges))
-    assert rep.verdict is GoodnessVerdict.GOOD
+    assert check_goodness(lg.edit(drop=c.edges)).verdict is GoodnessVerdict.GOOD
 
 
-def test_find_cycle_all_type2_preconditions():
-    c4 = rainbow_c4()
-    with pytest.raises(DecomposeError):
-        find_cycle_all_type2(c4, check_goodness(c4))  # Type I vertices, not all Type II
-    empty = EdgeColoredGraph.from_triples(3, [])
-    with pytest.raises(DecomposeError):
-        find_cycle_all_type2(empty, check_goodness(empty))
+def test_find_cycle_all_type2_l_k33():
+    """On L(K3,3) the greedy walk gets back to its start: the cycle is the
+    whole path."""
+    lg = build_line_graph(k33()).lg
+    c = D._all_type2_cycle(lg)
+    assert c == Cycle((0, 1, 4, 3))
+    _assert_safe_rainbow(lg, c)
+
+
+def test_find_cycle_all_type2_closes_through_the_used_color():
+    """On the line graph of the n=8 seed 2 cubic graph the greedy walk gets
+    stuck, and the cycle is the path after the edge that used the color it
+    is stuck on."""
+    g = parse_graph6("GRca]G")
+    assert g == random_cubic_bridgeless(GeneratorConfig(8, 2))
+    lg = build_line_graph(g).lg
+    c = D._all_type2_cycle(lg)
+    assert c == Cycle((3, 4, 9, 8))
+    assert min(lg.components[0]) not in c  # the walk's start is cut off
+    _assert_safe_rainbow(lg, c)
 
 
 def _two_copies(g: EdgeColoredGraph) -> EdgeColoredGraph:
@@ -1129,21 +1139,21 @@ def test_connectivity_after_rainbow_removal():
 
 def test_fallback_finds_triangle_in_l_k4():
     lg = build_line_graph(k4()).lg
-    res = fallback_search(lg, check_goodness(lg), D._fallback_cap(lg))
+    res = fallback_search(lg, check_goodness(lg))
     assert res.status == "found"
     assert len(res.cycle) == 3
 
 
 def test_fallback_single_rainbow_c4():
     c4 = rainbow_c4()
-    res = fallback_search(c4, check_goodness(c4), D._fallback_cap(c4))
+    res = fallback_search(c4, check_goodness(c4))
     assert res.status == "found"
     assert res.cycle == Cycle((0, 1, 2, 3))
 
 
 def test_fallback_empty_graph_absent():
     empty = EdgeColoredGraph.from_triples(3, [])
-    assert fallback_search(empty, check_goodness(empty), 3).status == "absent"
+    assert fallback_search(empty, check_goodness(empty)).status == "absent"
 
 
 def test_fallback_cap_threshold():
@@ -1159,14 +1169,15 @@ def test_fallback_cap_threshold():
 
 def test_fallback_indeterminate_when_capped():
     lg = build_line_graph(k33()).lg  # girth of rainbow cycles here is 4
-    res = fallback_search(lg, check_goodness(lg), 3)
+    with fallback_capped(3):
+        res = fallback_search(lg, check_goodness(lg))
     assert res.status == "indeterminate"
 
 
 def test_engine_recovers_via_fallback(monkeypatch):
-    def boom(g, rep):
+    def boom(g):
         raise CaseVerificationError("AllTypeII", "simulated defect")
-    monkeypatch.setattr(D, "find_cycle_all_type2", boom)
+    monkeypatch.setattr(D, "_all_type2_cycle", boom)
     clg = build_line_graph(k33())
     tr = decompose(clg.lg)
     assert tr.success
@@ -1176,11 +1187,11 @@ def test_engine_recovers_via_fallback(monkeypatch):
 
 
 def test_case_failure_is_replayable(monkeypatch):
-    def boom(g, rep):
+    def boom(g):
         raise CaseVerificationError("AllTypeII", "simulated defect")
-    monkeypatch.setattr(D, "find_cycle_all_type2", boom)
+    monkeypatch.setattr(D, "_all_type2_cycle", boom)
     monkeypatch.setattr(D, "fallback_search",
-                        lambda g, rep, max_len: FallbackResult("absent"))
+                        lambda g, rep: FallbackResult("absent"))
     lg = build_line_graph(k33()).lg
     tr = decompose(lg)
     assert not tr.success
@@ -1222,10 +1233,10 @@ def test_failure_unwinds_to_an_ancestor_fallback(monkeypatch):
             raise CaseVerificationError("Case2_1", "simulated defect")
         return real_dispatch(comp, rep)
 
-    def fallback(h, rep, max_len):
+    def fallback(h, rep):
         searched.append(h)
         return (FallbackResult("absent") if len(searched) == 1
-                else real_fallback(h, rep, max_len))
+                else real_fallback(h, rep))
 
     monkeypatch.setattr(D, "_dispatch", dispatch)
     monkeypatch.setattr(D, "fallback_search", fallback)
@@ -1449,10 +1460,12 @@ def test_fallback_matches_exhaustive_oracle(data):
         st.booleans(), label="almost_good") else GoodnessVerdict.GOOD)
     g = pool[data.draw(st.integers(0, len(pool) - 1), label="graph")]
     # the engine's own cap is compared where that takes well under a second
-    caps = [3, 4, 6, 8] + ([D._fallback_cap(g)] if len(g.edges) <= 32 else [])
+    caps = [3, 4, 6, 8] + ([None] if len(g.edges) <= 32 else [])
     rep = check_goodness(g)
     for k in caps:
-        assert fallback_search(g, rep, k) == exhaustive_fallback(g, k), k
+        with fallback_capped(k):
+            cap = D._fallback_cap(g)
+            assert fallback_search(g, rep) == exhaustive_fallback(g, cap), k
 
 
 def test_color_pruned_cycles_match_the_reference():
@@ -1504,12 +1517,11 @@ def test_fallback_is_lazy(monkeypatch):
             yield c
 
     monkeypatch.setattr(D, "_color_pruned_cycles", counted)
-    res = fallback_search(g, check_goodness(g), D._fallback_cap(g))
+    res = fallback_search(g, check_goodness(g))
     assert res.status == "found" and res.cycle == Cycle((23, 24, 28, 27))
     assert lengths and max(lengths) <= len(res.cycle)
     again = parse_colored_edge_list(serialize_colored_edge_list(g))
-    assert fallback_search(again, check_goodness(again),
-                           D._fallback_cap(again)).cycle == res.cycle
+    assert fallback_search(again, check_goodness(again)).cycle == res.cycle
 
 
 def test_decomposer_does_not_import_the_line_graph():

@@ -18,7 +18,8 @@ random graphs and patches the engine, by `setattr`, an assignment or a
 
 No linter ships with the project, so these are stdlib stand-ins for the
 unused-import, dead-code and empty f-string checks. `__init__.py` is
-exempt from the first: its imports are re-exports.
+exempt from the first: its imports are re-exports, and the package's
+`__all__` lists exactly those names, once each.
 """
 import ast
 import importlib
@@ -66,6 +67,37 @@ def test_unused_imports_detects_and_allows():
     ids=[p.name for p in MODULES] + [f"tests/{p.name}" for p in TEST_MODULES])
 def test_no_unused_imports(path):
     assert unused_imports(path.read_text()) == []
+
+
+def export_mismatches(source: str, exported: list[str]) -> list[str]:
+    """How `exported`, a package's `__all__`, differs from the names that
+    its `__init__` `source` binds by a `from ... import`: `missing: name`
+    for an import it lacks, `stale: name` for an export no import binds,
+    and `repeated: name` for one it lists twice. Sorted."""
+    imported = {alias.asname or alias.name for node in ast.walk(ast.parse(source))
+                if isinstance(node, ast.ImportFrom) and node.module != "__future__"
+                for alias in node.names}
+    counts = Counter(exported)
+    return sorted([f"missing: {name}" for name in imported - counts.keys()]
+                  + [f"stale: {name}" for name in counts.keys() - imported]
+                  + [f"repeated: {name}" for name, k in counts.items() if k > 1])
+
+
+def test_export_mismatches_detects_and_allows():
+    src = ("from __future__ import annotations\n"
+           "from .a import b, c as d\n"
+           "from .e import (\n    f,\n)\n"
+           "import os\n")
+    assert export_mismatches(src, ["b", "c", "f", "f"]) == [
+        "missing: d", "repeated: f", "stale: c"]
+    assert export_mismatches(src, ["f", "d", "b"]) == []
+
+
+def test_exports_are_the_imports():
+    """`cdcover.__all__` is the set of names `__init__.py` imports: a public
+    name removed from its module fails the import, and so cannot leave a
+    stale export behind, and no re-export goes unlisted."""
+    assert export_mismatches((SRC / "__init__.py").read_text(), cdcover.__all__) == []
 
 
 def _names(tree: ast.AST) -> Counter:
