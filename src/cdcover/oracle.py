@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from typing import Literal
 
 from .coloring import EdgeColoredGraph, check_goodness, is_almost_rainbow_at
-from .graphs import Cycle, Edge, Graph, GraphError, edge, find_bridges, is_connected
+from .graphs import Cycle, Graph, GraphError, edge, find_bridges, is_connected
 
 # samples the pairing model draws before `random_cubic_bridgeless` gives up
 MAX_REJECTIONS = 20000
@@ -52,17 +52,21 @@ class SearchResult:
         return self.status == "found"
 
 
-def enumerate_cycles(g: Graph, deadline: float) -> list[Cycle]:
-    """All simple cycles of g, canonical and sorted by (length, vertices).
+def enumerate_cycles(g: Graph, deadline: float,
+                     ) -> list[tuple[tuple[int, ...], tuple[int, ...]]]:
+    """All simple cycles of g, as (vertices, edge ids) pairs sorted by
+    (length, vertices).
 
-    Each cycle is walked once, as (s, a, ..., b) with s its minimum vertex
-    and a < b its two neighbours on the cycle, so its tuples are already
-    canonical. For each start s and each first step a, in ascending order,
-    one backtracking walk extends a single path through vertices above s,
-    with a per-vertex `on_path` flag and a stack of neighbour iterators,
-    and backs off in place. It records each edge as it goes, from a table
-    of (w, edge(v, w)) built once; edge i of a cycle joins vertices i and
-    i+1, so the recorded edges fill `Cycle.edges`.
+    An edge's id is its index in `sorted(g.edges)`. Each cycle is walked
+    once, as (s, a, ..., b) with s its minimum vertex and a < b its two
+    neighbours on the cycle, so its vertex tuple is already canonical, the
+    tuple `Cycle(vertices)` keeps. For each start s and each first step a,
+    in ascending order, one backtracking walk extends a single path through
+    vertices above s, with a per-vertex `on_path` flag and a stack of
+    neighbour iterators, and backs off in place. It records each edge's id
+    as it goes, from a table of (w, id of edge(v, w)) built once; id i of a
+    cycle names the edge joining vertices i and i+1, the edge
+    `Cycle(vertices).edges[i]`.
 
     The walk only closes through a *closer*, a neighbour of s above a, and
     two cuts drop only paths that cannot close. The largest neighbour of s
@@ -76,10 +80,11 @@ def enumerate_cycles(g: Graph, deadline: float) -> list[Cycle]:
     every few hundred extensions.
     """
     steps_per_check = 256
-    nbrs = [tuple((w, edge(v, w)) for w in ws) for v, ws in enumerate(g.adj)]
+    index = {e: k for k, e in enumerate(sorted(g.edges))}
+    nbrs = [tuple((w, index[edge(v, w)]) for w in ws) for v, ws in enumerate(g.adj)]
     on_path = [False] * g.n
     closer = [False] * g.n
-    found: list[tuple[int, tuple[int, ...], tuple[Edge, ...]]] = []
+    found: list[tuple[int, tuple[int, ...], tuple[int, ...]]] = []
     countdown = steps_per_check
     for s in range(g.n):
         # s stays flagged once its walks end, so later walks skip every
@@ -92,14 +97,14 @@ def enumerate_cycles(g: Graph, deadline: float) -> list[Cycle]:
         for a, first in firsts[:-1]:
             closer[a] = False
             free -= 1
-            path, edges = [s, a], [first]
+            path, ids = [s, a], [first]
             on_path[a] = True
             stack = [iter(nbrs[a])]
             while stack:
                 for w, e in stack[-1]:
                     if w == s:
                         if closer[path[-1]]:
-                            found.append((len(path), tuple(path), (*edges, e)))
+                            found.append((len(path), tuple(path), (*ids, e)))
                     elif free and not on_path[w]:
                         countdown -= 1
                         if not countdown:
@@ -107,7 +112,7 @@ def enumerate_cycles(g: Graph, deadline: float) -> list[Cycle]:
                             if time.monotonic() > deadline:
                                 raise TimeoutError
                         path.append(w)
-                        edges.append(e)
+                        ids.append(e)
                         on_path[w] = True
                         if closer[w]:
                             free -= 1
@@ -117,50 +122,45 @@ def enumerate_cycles(g: Graph, deadline: float) -> list[Cycle]:
                     stack.pop()
                     v = path.pop()
                     on_path[v] = False
-                    edges.pop()
+                    ids.pop()
                     if closer[v]:
                         free += 1
         if firsts:
             closer[firsts[-1][0]] = False
-    found.sort()  # vertex tuples are distinct, so no two edge tuples are compared
-    out = []
-    for _, vertices, edges in found:
-        c = Cycle(vertices)
-        c.__dict__["edges"] = edges  # fills the cached property
-        out.append(c)
-    return out
+    found.sort()  # vertex tuples are distinct, so no two id tuples are compared
+    return [(vertices, ids) for _, vertices, ids in found]
 
 
-def _exact_multicover(edges: list[Edge], cycles: list[Cycle], demand: int,
-                      deadline: float) -> SearchResult:
-    """Backtracking cover of every edge exactly `demand` times by cycles.
+def _exact_multicover(m: int, cycles: list[tuple[tuple[int, ...], tuple[int, ...]]],
+                      demand: int, deadline: float) -> SearchResult:
+    """Backtracking cover of each of m edges exactly `demand` times by
+    cycles, given as `enumerate_cycles` lists them: (vertices, edge ids)
+    pairs, the ids in 0..m-1.
 
     A cycle may be chosen again while its edges have demand left, so each
-    candidate is listed once. Edge k is `edges[k]`, and a set of
-    candidates is one int, bit i for candidate i: `through[k]` is the set
-    of candidates through edge k. `remaining[k]` is the demand left on
-    edge k, and a node's `usable` set, the candidates with no full edge,
-    is its argument, so backtracking restores it through the call stack.
+    candidate is listed once. A set of candidates is one int, bit i for
+    candidate i: `through[k]` is the set of candidates through edge k.
+    `remaining[k]` is the demand left on edge k, and a node's `usable` set,
+    the candidates with no full edge, is its argument, so backtracking
+    restores it through the call stack.
 
     A node counts each open edge's usable candidates as
     `(through[k] & usable).bit_count()` and branches on the first open edge
-    with the fewest; both callers pass the edges sorted, so that edge is
-    the minimum of (usable count, edge), the edge a recount would pick. It
-    tries that edge's usable candidates from the lowest bit up. Taking
-    candidate i lowers `remaining` on its edges and, for each edge k that
-    reaches 0, clears `through[k]` from the usable set of the child.
+    with the fewest, the minimum of (usable count, id); both callers number
+    the edges in sorted order, so that is the minimum of (usable count,
+    edge), the edge a recount would pick. It tries that edge's usable
+    candidates from the lowest bit up. Taking candidate i lowers
+    `remaining` on its edges and, for each edge k that reaches 0, clears
+    `through[k]` from the usable set of the child. Only the members of the
+    cover it returns become `Cycle`s.
     """
-    index = {e: k for k, e in enumerate(edges)}
-    cands: list[tuple[int, ...]] = []
-    through = [0] * len(edges)
-    for i, c in enumerate(cycles):
-        cand = tuple(map(index.get, c.edges))
-        if None in cand:  # an edge the demand does not name
-            return SearchResult("absent")
-        cands.append(cand)
-        for k in cand:
-            through[k] |= 1 << i
-    remaining = [demand] * len(edges)
+    cands = [ids for _, ids in cycles]
+    through = [0] * m
+    for i, ids in enumerate(cands):
+        bit = 1 << i
+        for k in ids:
+            through[k] |= bit
+    remaining = [demand] * m
     max_nodes = MAX_NODES
     closed = len(cycles) + 1  # above every count, for an edge with no demand left
     chosen: list[int] = []
@@ -201,7 +201,7 @@ def _exact_multicover(edges: list[Edge], cycles: list[Cycle], demand: int,
         return SearchResult("indeterminate")
     if not ok:
         return SearchResult("absent")
-    return SearchResult("found", tuple(cycles[i] for i in chosen))
+    return SearchResult("found", tuple(Cycle(cycles[i][0]) for i in chosen))
 
 
 def brute_force_cdc(g: Graph, time_budget: float) -> SearchResult:
@@ -209,12 +209,14 @@ def brute_force_cdc(g: Graph, time_budget: float) -> SearchResult:
 
     Intended for small graphs; returns `indeterminate` when `time_budget`
     seconds, which bound the cycle enumeration too, or MAX_NODES search
-    nodes run out. Each cycle is listed once and may fill both slots of its
-    edges. Listing it twice changes no answer: every open edge's
-    `bit_count` of usable candidates doubles, so each node branches on the
-    same edge, and a copy's subtree is its original's, so the first cover
-    is the same. It only explores each failed subtree twice, so it differs
-    only by running out of budget sooner.
+    nodes run out. Every enumerated cycle is a candidate, by its edge ids;
+    only the members of a found cover become `Cycle`s. Each cycle is
+    listed once and may fill both slots of its edges. Listing it twice
+    changes no answer: every open edge's `bit_count` of usable candidates
+    doubles, so each node branches on the same edge, and a copy's subtree
+    is its original's, so the first cover is the same. It only explores
+    each failed subtree twice, so it differs only by running out of budget
+    sooner.
     """
     deadline = time.monotonic() + time_budget
     if not g.edges:
@@ -225,7 +227,7 @@ def brute_force_cdc(g: Graph, time_budget: float) -> SearchResult:
         cycles = enumerate_cycles(g, deadline)
     except TimeoutError:
         return SearchResult("indeterminate")
-    return _exact_multicover(sorted(g.edges), cycles, 2, deadline)
+    return _exact_multicover(g.m, cycles, 2, deadline)
 
 
 def brute_force_rainbow_decomposition(g: EdgeColoredGraph,
@@ -233,11 +235,14 @@ def brute_force_rainbow_decomposition(g: EdgeColoredGraph,
     """Exhaustive search for a partition of E into rainbow cycles.
 
     Returns `indeterminate` when `time_budget` seconds, which bound the
-    cycle enumeration too, or MAX_NODES search nodes run out. On an
-    almost-good input, one member may be almost-rainbow at the bad vertex
-    b. The demand of 1 per edge admits at most one such candidate: b has
-    degree 2 and its two edges share a color, so no rainbow cycle uses
-    them, and every almost-rainbow candidate uses both.
+    cycle enumeration too, or MAX_NODES search nodes run out. A cycle is a
+    rainbow candidate when its edge ids name distinct colors, read from
+    one list of colors by id. On an almost-good input, one member may be
+    almost-rainbow at the bad vertex b; a cycle through b becomes a `Cycle`
+    for `is_almost_rainbow_at`, and otherwise only the members of a found
+    decomposition do. The demand of 1 per edge admits at most one such
+    candidate: b has degree 2 and its two edges share a color, so no
+    rainbow cycle uses them, and every almost-rainbow candidate uses both.
     """
     deadline = time.monotonic() + time_budget
     if not g.edges:
@@ -247,11 +252,13 @@ def brute_force_rainbow_decomposition(g: EdgeColoredGraph,
         cycles = enumerate_cycles(g.graph, deadline)
     except TimeoutError:
         return SearchResult("indeterminate")
+    colors = [g.coloring[e] for e in sorted(g.edges)]
     candidates = [
-        c for c in cycles
-        if len({g.coloring[e] for e in c.edges}) == len(c)
-        or (bad is not None and bad in c and is_almost_rainbow_at(g, c, bad))]
-    return _exact_multicover(sorted(g.edges), candidates, 1, deadline)
+        (vertices, ids) for vertices, ids in cycles
+        if len({colors[k] for k in ids}) == len(ids)
+        or (bad is not None and bad in vertices
+            and is_almost_rainbow_at(g, Cycle(vertices), bad))]
+    return _exact_multicover(len(colors), candidates, 1, deadline)
 
 
 def random_cubic_bridgeless(cfg: GeneratorConfig) -> Graph:

@@ -19,7 +19,10 @@ and fresh scans, as the engine's Case2_1 runs do with derived facts.
 `enumerate_cycles_by_copying` is the oracle's cycle enumerator as it was
 before it walked one path in place, copying the path at every extension,
 and it keeps the length cap the oracle has dropped, which
-`exhaustive_fallback` lists its cycles by.
+`exhaustive_fallback` lists its cycles by. `cycles_of` turns the
+oracle's (vertices, edge ids) pairs into `Cycle`s for the tests that want
+them, and `with_edge_ids` turns `Cycle`s back into the pairs the oracle's
+cover search takes.
 `exact_multicover_by_recount` is the oracle's exact-cover search as it
 was before it kept each edge's count of usable candidates up to date: it
 recounts them at every node, and reports how many nodes it visited. It
@@ -300,11 +303,24 @@ def enumerate_cycles_by_copying(g: Graph, max_len: int | None = None) -> list[Cy
     return sorted(out, key=lambda c: (len(c), c.vertices))
 
 
+def cycles_of(g: Graph) -> list[Cycle]:
+    """Every cycle of g as a `Cycle`, in `oracle.enumerate_cycles` order."""
+    return [Cycle(vertices) for vertices, _ in enumerate_cycles(g, math.inf)]
+
+
+def with_edge_ids(edges, cycles) -> list[tuple[tuple[int, ...], tuple[int, ...]]]:
+    """Each cycle as the (vertices, edge ids) pair `oracle._exact_multicover`
+    takes, an edge's id its index in `edges`, from `Cycle.edges`."""
+    index = {e: k for k, e in enumerate(edges)}
+    return [(c.vertices, tuple(index[e] for e in c.edges)) for c in cycles]
+
+
 def exact_multicover_by_recount(edges, cycles, demand: int,
                                 branch: str = "constrained",
                                 max_nodes: int | None = None,
                                 ) -> tuple[SearchResult, int]:
-    """`oracle._exact_multicover` as it was before it kept counts: every
+    """`oracle._exact_multicover` as it was before it kept counts and took
+    edge ids, on `Cycle`s: every
     node recounts each open edge's usable candidates, one scan of a
     candidate's edges each, and branches on the minimum of (count, edge),
     the package's rule, or with `branch="lowest"` on the lowest open edge.
@@ -370,7 +386,7 @@ def cdc_by_lowest_edge(g: Graph) -> SearchResult:
         return SearchResult("found", ())
     if find_bridges(g):
         return SearchResult("absent")
-    return exact_multicover_by_recount(sorted(g.edges), enumerate_cycles(g, math.inf), 2,
+    return exact_multicover_by_recount(sorted(g.edges), cycles_of(g), 2,
                                        branch="lowest", max_nodes=MAX_NODES)[0]
 
 
@@ -378,7 +394,7 @@ def rainbow_candidates(g: EdgeColoredGraph) -> list[Cycle]:
     """The cycles of g that are rainbow, or almost-rainbow at its bad
     vertex: the candidates `brute_force_rainbow_decomposition` searches."""
     bad = check_goodness(g).bad_vertex
-    return [c for c in enumerate_cycles(g.graph, math.inf)
+    return [c for c in cycles_of(g.graph)
             if len({g.coloring[e] for e in c.edges}) == len(c)
             or (bad is not None and bad in c and is_almost_rainbow_at(g, c, bad))]
 

@@ -4,7 +4,6 @@ Run with `pytest tests/test_acceptance.py -v -s` to see the per-criterion
 lines. Everything is seeded and deterministic.
 """
 import json
-import math
 import random
 import time
 from pathlib import Path
@@ -17,7 +16,6 @@ from cdcover.linegraph import build_line_graph, cover_from_decomposition, projec
 from cdcover.oracle import (
     GeneratorConfig,
     brute_force_cdc,
-    enumerate_cycles,
     random_cubic_bridgeless,
 )
 from cdcover.verify import verify_cdc, verify_rainbow_decomposition
@@ -37,6 +35,7 @@ from graphsamples import (
 from oracles import (
     IsoDeduper,
     connected_ignoring_isolated,
+    cycles_of,
     enumerate_rainbow_cycles,
     find_type_x_vertices,
     naive_goodness,
@@ -179,7 +178,7 @@ def test_criterion_5_structural_properties():
     pairs = 0
     for g in corpus:
         clg = build_line_graph(g)
-        base_cycles = enumerate_cycles(g, math.inf)
+        base_cycles = cycles_of(g)
         projected = set()
         for c in base_cycles:
             p = project_cycle(clg, c)
@@ -232,7 +231,7 @@ def test_criterion_6_goddyn_mode():
     t0 = time.monotonic()
     checked = 0
     clg = build_line_graph(k4())
-    for c in enumerate_cycles(k4(), math.inf):
+    for c in cycles_of(k4()):
         tr = decompose(clg.lg, project_cycle(clg, c))
         assert tr.success
         cover = cover_from_decomposition(clg, tr.cycles)
@@ -243,7 +242,7 @@ def test_criterion_6_goddyn_mode():
     rng = random.Random(6)
     pet = petersen()
     clg = build_line_graph(pet)
-    cycles = enumerate_cycles(pet, math.inf)
+    cycles = cycles_of(pet)
     for _ in range(20):
         c = cycles[rng.randrange(len(cycles))]
         tr = decompose(clg.lg, project_cycle(clg, c))

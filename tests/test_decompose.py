@@ -4,7 +4,6 @@ import functools
 import hashlib
 import itertools
 import json
-import math
 import random
 import sys
 from pathlib import Path
@@ -37,7 +36,7 @@ from cdcover.decomposer import (
 )
 from cdcover.graphs import Cycle, Graph, edge, parse_graph6
 from cdcover.linegraph import build_line_graph, cover_from_decomposition, project_cycle
-from cdcover.oracle import GeneratorConfig, enumerate_cycles, random_cubic_bridgeless
+from cdcover.oracle import GeneratorConfig, random_cubic_bridgeless
 from cdcover.verify import verify_cdc, verify_rainbow_decomposition
 from enginecorpus import Call, corpus, fallback_capped, recording
 from graphsamples import (
@@ -57,6 +56,7 @@ from oracles import (
     build_transform_by_scan,
     case2_1_run_by_scan,
     connected_ignoring_isolated,
+    cycles_of,
     enumerate_cycles_by_copying,
     enumerate_rainbow_cycles,
     exhaustive_fallback,
@@ -1421,7 +1421,7 @@ def test_goddyn_on_every_cycle_of_small_graphs():
         for seed in range(3):
             base = random_cubic_bridgeless(GeneratorConfig(n, seed))
             clg = build_line_graph(base)
-            for first in enumerate_cycles(base, math.inf):
+            for first in cycles_of(base):
                 tr = decompose(clg.lg, project_cycle(clg, first))
                 assert tr.success, (n, seed, first, tr.failure)
                 cover = cover_from_decomposition(clg, tr.cycles)

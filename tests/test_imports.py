@@ -422,10 +422,9 @@ def test_cache_fills_detects_and_allows():
 # Each site that fills a cached property of another object: the parent's
 # facts a child takes over, or the results a search hands to the graph it
 # searched. A carried fact pays for itself only if a measurement shows it;
-# a new site should come with one. The cycle enumeration hands each cycle
-# the edges its walk recorded: `brute_force_cdc` on n = 12-16, seeds 0-15,
-# took 0.072 s with them and 0.110 s when the search recomputed them
-# (median of 7 interleaved passes each, on a 2-vCPU VM).
+# a new site should come with one. The cycle enumeration fills none: it
+# hands the cover search edge ids, not `Cycle`s, and the oracles build a
+# `Cycle` only for a member of the cover they return.
 CACHE_FILLS = [
     ("EdgeColoredGraph.edit", "adj"),
     ("_cut_search", "components"),
@@ -433,7 +432,6 @@ CACHE_FILLS = [
     ("case2_1", "components"),
     ("case2_1", "rainbow_triangle"),
     ("case2_1", "singular_chains"),
-    ("enumerate_cycles", "edges"),
 ]
 
 

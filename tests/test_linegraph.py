@@ -1,5 +1,3 @@
-import math
-
 import pytest
 
 from cdcover.coloring import GoodnessVerdict, check_goodness, triangles
@@ -11,9 +9,8 @@ from cdcover.linegraph import (
     lift_rainbow_cycle,
     project_cycle,
 )
-from cdcover.oracle import enumerate_cycles
 from graphsamples import k4, k33, petersen, prism
-from oracles import enumerate_cycles_by_copying, enumerate_rainbow_cycles
+from oracles import cycles_of, enumerate_cycles_by_copying, enumerate_rainbow_cycles
 
 
 def test_build_line_graph_k4_shape():
@@ -74,7 +71,7 @@ def test_project_rejects_non_cycle():
 def test_lift_project_bijection_small_graphs():
     for g in (k4(), k33(), prism()):
         clg = build_line_graph(g)
-        base_cycles = enumerate_cycles(g, math.inf)
+        base_cycles = cycles_of(g)
         projected = set()
         for c in base_cycles:
             p = project_cycle(clg, c)

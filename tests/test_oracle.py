@@ -10,8 +10,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from cdcover import oracle
-from cdcover.coloring import EdgeColoredGraph, parse_colored_edge_list, triangles
-from cdcover.graphs import Graph, GraphError, edge, find_bridges, is_cubic
+from cdcover.coloring import EdgeColoredGraph, check_goodness, parse_colored_edge_list, triangles
+from cdcover.graphs import Cycle, Graph, GraphError, find_bridges, is_cubic
 from cdcover.linegraph import build_line_graph
 from cdcover.oracle import (
     GeneratorConfig,
@@ -36,17 +36,19 @@ from graphsamples import (
 )
 from oracles import (
     cdc_by_lowest_edge,
+    cycles_of,
     enumerate_cycles_by_copying,
     exact_multicover_by_recount,
     rainbow_candidates,
     rainbow_decomposition_by_lowest_edge,
+    with_edge_ids,
 )
 
 
 def test_enumerate_cycles_k4():
     cycles = enumerate_cycles(k4(), math.inf)
     assert len(cycles) == 7
-    assert sorted(len(c) for c in cycles) == [3, 3, 3, 3, 4, 4, 4]
+    assert sorted(len(vertices) for vertices, _ in cycles) == [3, 3, 3, 3, 4, 4, 4]
 
 
 def test_enumerate_cycles_c5():
@@ -66,7 +68,7 @@ def test_enumerate_cycles_space_dimension_bound():
 
 def test_enumerate_cycles_matches_the_reference():
     """The walk lists the cycles the path-copying reference lists, in the
-    same order, and hands each one the edges it recorded, which are the
+    same order, and the edge ids it recorded for each name, in order, the
     edges its vertices give: cubic graphs, the degree-4 line graphs of K4,
     K33 and Petersen, and graphs with no cycle, one cycle, isolated
     vertices or three components."""
@@ -86,13 +88,11 @@ def test_enumerate_cycles_matches_the_reference():
 
 def _assert_matches_the_reference(g: Graph) -> None:
     cycles = enumerate_cycles(g, math.inf)
-    assert ([c.vertices for c in cycles]
-            == [c.vertices for c in enumerate_cycles_by_copying(g)])
-    for c in cycles:
-        vs = c.vertices
-        assert "edges" in c.__dict__
-        assert c.edges == tuple(edge(vs[i], vs[(i + 1) % len(vs)])
-                                for i in range(len(vs)))
+    reference = enumerate_cycles_by_copying(g)
+    assert [vertices for vertices, _ in cycles] == [c.vertices for c in reference]
+    edges = sorted(g.edges)
+    for (_, ids), c in zip(cycles, reference):
+        assert tuple(edges[k] for k in ids) == c.edges
 
 
 @st.composite
@@ -110,7 +110,7 @@ def _simple_graphs(draw):
 def test_enumerate_cycles_matches_the_reference_on_any_graph(g):
     """On any simple graph, whatever the number of neighbours above each
     start the walk's cuts branch on, the walk lists the reference's cycles,
-    in its order, with the edges it recorded, which their vertices give."""
+    in its order, with the ids of the edges their vertices give, in order."""
     _assert_matches_the_reference(g)
 
 
@@ -151,6 +151,43 @@ def test_each_oracle_enumerates_cycles_once(monkeypatch):
     assert calls == [g]
     assert brute_force_rainbow_decomposition(lg, math.inf).found
     assert calls == [g, lg.graph]
+
+
+def test_oracles_build_cycles_only_for_the_cover(monkeypatch):
+    """The oracles search the enumerated cycles by their edge ids and build
+    a `Cycle` only for each member of the cover they return: none on
+    `absent` or `indeterminate`. The rainbow oracle also builds one for
+    each cycle through the bad vertex, to test it for almost-rainbow; no
+    such cycle is rainbow, as the bad vertex's two edges share a color."""
+    built = []
+
+    def counting(vertices):
+        built.append(vertices)
+        return Cycle(vertices)
+
+    monkeypatch.setattr(oracle, "Cycle", counting)
+
+    def builds(search, *args) -> tuple[SearchResult, int]:
+        built.clear()
+        res = search(*args, math.inf)
+        return res, len(built)
+
+    for g in (petersen(), random_cubic_bridgeless(GeneratorConfig(16, 0))):
+        res, count = builds(brute_force_cdc, g)
+        assert res.found and count == len(res.cycles)
+    res, count = builds(partial(_within, 3, brute_force_cdc), petersen())
+    assert res.status == "indeterminate" and count == 0
+    for g in (build_line_graph(k4()).lg, rainbow_c4()):
+        res, count = builds(brute_force_rainbow_decomposition, g)
+        assert res.found and count == len(res.cycles)
+    mono = EdgeColoredGraph.from_triples(3, [(0, 1, 5), (1, 2, 5), (0, 2, 5)])
+    res, count = builds(brute_force_rainbow_decomposition, mono)
+    assert res.status == "absent" and count == 0
+    g = almost_good_c4()
+    bad = check_goodness(g).bad_vertex
+    through_bad = sum(bad in vertices for vertices, _ in enumerate_cycles(g.graph, math.inf))
+    res, count = builds(brute_force_rainbow_decomposition, g)
+    assert res.found and through_bad and count == len(res.cycles) + through_bad
 
 
 def test_brute_force_cdc_k4():
@@ -220,7 +257,7 @@ def test_brute_force_cdc_searches_each_cycle_once():
     and 22 by the reference search on the lowest, where a list with every
     cycle twice needs 15 and 63."""
     g = petersen()
-    lowest, _ = exact_multicover_by_recount(sorted(g.edges), enumerate_cycles(g, math.inf),
+    lowest, _ = exact_multicover_by_recount(sorted(g.edges), cycles_of(g),
                                             2, branch="lowest", max_nodes=22)
     for res in (_within(11, brute_force_cdc, g, math.inf), lowest):
         assert res.found
@@ -317,7 +354,7 @@ def test_multicover_search_matches_the_recount(branch):
         for seed in range(3):
             g = random_cubic_bridgeless(GeneratorConfig(n, seed))
             cases.append((brute_force_cdc(g, math.inf), sorted(g.edges),
-                          enumerate_cycles(g, math.inf), 2))
+                          cycles_of(g), 2))
     for g in _colored_samples():
         cases.append((brute_force_rainbow_decomposition(g, math.inf),
                       sorted(g.edges), rainbow_candidates(g), 1))
@@ -326,7 +363,8 @@ def test_multicover_search_matches_the_recount(branch):
         expected, nodes = exact_multicover_by_recount(edges, candidates, demand,
                                                       branch=branch)
         assert result == expected
-        search = partial(_exact_multicover, edges, candidates, demand, math.inf)
+        search = partial(_exact_multicover, len(edges), with_edge_ids(edges, candidates),
+                         demand, math.inf)
         assert _nodes_needed(search) == nodes
         statuses.add(expected.status)
     assert statuses == {"found", "absent"}
@@ -340,8 +378,9 @@ def test_search_checks_its_deadline():
     deadline it finds the cover below. A search of fewer than 64 nodes
     never reads the clock."""
     g = random_cubic_bridgeless(GeneratorConfig(10, 0))
-    cycles = [c for c in enumerate_cycles(g, math.inf) if len(c) >= 6]
-    search = partial(_exact_multicover, sorted(g.edges), cycles, 2)
+    cycles = [(vertices, ids) for vertices, ids in enumerate_cycles(g, math.inf)
+              if len(vertices) >= 6]
+    search = partial(_exact_multicover, g.m, cycles, 2)
     assert _nodes_needed(partial(search, math.inf)) == 345
     past = time.monotonic() - 1.0
     assert _within(math.inf, search, past).status == "indeterminate"
@@ -351,14 +390,14 @@ def test_search_checks_its_deadline():
         (0, 6, 9, 1, 2, 3, 4, 5, 7, 8)]
     assert verify_cdc(g, res.cycles).accepted
     p = petersen()
-    assert _within(math.inf, _exact_multicover, sorted(p.edges),
+    assert _within(math.inf, _exact_multicover, p.m,
                    enumerate_cycles(p, math.inf), 2, past) == brute_force_cdc(p, math.inf)
 
 
 @cache
 def _edges_and_cycles(n: int, seed: int) -> tuple[list, list]:
     g = random_cubic_bridgeless(GeneratorConfig(n, seed))
-    return sorted(g.edges), enumerate_cycles(g, math.inf)
+    return sorted(g.edges), cycles_of(g)
 
 
 @st.composite
@@ -381,7 +420,8 @@ def test_multicover_search_matches_the_recount_on_sub_lists(instance):
     edges, cycles, demand = instance
     cap = 3000
     expected, nodes = exact_multicover_by_recount(edges, cycles, demand, max_nodes=cap)
-    search = partial(_exact_multicover, edges, cycles, demand, math.inf)
+    search = partial(_exact_multicover, len(edges), with_edge_ids(edges, cycles), demand,
+                     math.inf)
     assert _within(cap, search) == expected
     if expected.status != "indeterminate":
         assert _within(nodes, search) == expected
