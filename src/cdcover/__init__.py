@@ -12,23 +12,19 @@ from .coloring import (
     GoodnessReport,
     GoodnessVerdict,
     check_goodness,
-    color_classes,
     parse_colored_edge_list,
     serialize_colored_edge_list,
-    x_block_decomposition,
 )
 from .decomposer import (
     CaseFailure,
     DecompositionTrace,
     decompose,
-    fallback_search,
     replay_case_failure,
 )
 from .graphs import (
     Cycle,
     Graph,
     GraphError,
-    connected_components,
     find_bridges,
     is_cubic,
     parse_edge_list,
@@ -40,14 +36,12 @@ from .linegraph import (
     CycleDoubleCover,
     build_line_graph,
     cover_from_decomposition,
-    lift_rainbow_cycle,
     project_cycle,
 )
 from .oracle import (
     GeneratorConfig,
     brute_force_cdc,
     brute_force_rainbow_decomposition,
-    enumerate_cycles,
     random_cubic_bridgeless,
 )
 from .verify import verify_cdc, verify_rainbow_decomposition
@@ -68,15 +62,10 @@ __all__ = [
     "brute_force_rainbow_decomposition",
     "build_line_graph",
     "check_goodness",
-    "color_classes",
-    "connected_components",
     "cover_from_decomposition",
     "decompose",
-    "enumerate_cycles",
-    "fallback_search",
     "find_bridges",
     "is_cubic",
-    "lift_rainbow_cycle",
     "parse_colored_edge_list",
     "parse_edge_list",
     "parse_graph6",
@@ -87,5 +76,4 @@ __all__ = [
     "serialize_graph6",
     "verify_cdc",
     "verify_rainbow_decomposition",
-    "x_block_decomposition",
 ]

@@ -1,9 +1,10 @@
 """Command-line front end.
 
 Subcommands: `decompose` (cubic bridgeless graph -> verified cycle double
-cover), `verify` (check a cover file), `oracle` (brute-force search),
-`gen` (random cubic bridgeless graphs), and `crosscheck` (generate, solve
-both ways, and compare).
+cover), `replay` (re-run the case failure of a `decompose` trace or a
+`crosscheck` artifact), `verify` (check a cover file), `oracle`
+(brute-force search), `gen` (random cubic bridgeless graphs), and
+`crosscheck` (generate, solve both ways, and compare).
 
 Exit codes: 0 success / definitive answer, 1 input, output or usage
 error, 2 case failure or verification mismatch (a cover from `decompose`
@@ -21,7 +22,7 @@ import math
 import sys
 from pathlib import Path
 
-from .decomposer import decompose
+from .decomposer import DecomposeError, decompose, replay_case_failure
 from .graphs import (
     Cycle,
     Graph,
@@ -69,7 +70,7 @@ def _write_text(path: str | None, text: str) -> None:
     """Write text to the file at `path`, or to stdout for None or "-"."""
     if path is None or path == "-":
         sys.stdout.write(text)
-        if not text.endswith("\n"):
+        if text and not text.endswith("\n"):
             sys.stdout.write("\n")
         return
     try:
@@ -122,6 +123,11 @@ def _check_count(count: int) -> None:
         raise _Refused(f"--count must be at least 0, got {count}")
 
 
+def _print_case_failure(trace) -> None:
+    print(f"case failure in {trace.failure.case}: {trace.failure.message}",
+          file=sys.stderr)
+
+
 def cmd_decompose(args) -> int:
     g = _load_graph(args.input, args.format)
     clg = _bridgeless_line_graph(g)
@@ -140,8 +146,7 @@ def cmd_decompose(args) -> int:
     if args.trace:
         _write_text(args.trace, _dump(trace.to_json()))
     if not trace.success:
-        print(f"case failure in {trace.failure.case}: {trace.failure.message}",
-              file=sys.stderr)
+        _print_case_failure(trace)
         if not args.trace:
             _write_text(None, _dump(trace.to_json()))
         return 2
@@ -158,6 +163,27 @@ def cmd_decompose(args) -> int:
         return 2
     _write_text(args.output, _dump(cover.to_json(g)))
     return 0
+
+
+def cmd_replay(args) -> int:
+    """Replay the case failure of a trace, or of the trace that a
+    crosscheck artifact holds under "trace"; print the new trace."""
+    name = "stdin" if args.input == "-" else args.input
+    try:
+        data = json.loads(_read_text(args.input))
+    except json.JSONDecodeError as err:
+        raise _Refused(f"{name}: not JSON: {err}") from None
+    if isinstance(data, dict) and "trace" in data:
+        data = data["trace"]
+    outcome = data.get("outcome") if isinstance(data, dict) else None
+    try:
+        trace = replay_case_failure(outcome)
+    except DecomposeError as err:
+        raise _Refused(f"{name}: {err}") from None
+    if not trace.success:
+        _print_case_failure(trace)
+    _write_text(None, _dump(trace.to_json()))
+    return 0 if trace.success else 2
 
 
 def cmd_verify(args) -> int:
@@ -272,6 +298,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--output", default=None, help="cover JSON (default stdout)")
     p.add_argument("--trace", default=None, help="write the decomposition trace JSON")
     p.set_defaults(func=cmd_decompose)
+
+    p = sub.add_parser("replay", help="re-run a serialized case failure")
+    p.add_argument("--input", required=True,
+                   help="trace JSON from decompose, or a crosscheck artifact; "
+                        "- for stdin")
+    p.set_defaults(func=cmd_replay)
 
     p = sub.add_parser("verify", help="verify a cover file against a graph")
     p.add_argument("--graph", required=True)

@@ -821,16 +821,8 @@ def _case2_2_1a_lift(g, rep, p, child, m):
             _require(m not in d1, tag, "three meeting cycles but v-cycle uses x")
             xcycles = [c for c in meeters if c is not d1]
             _require(all(m in c for c in xcycles), tag, "meeting cycle misses x")
-            last = None
-            # detour an x-cycle through v: x2-v-x1, x1 on the gamma side
-            detour = _oriented([p.x2, p.v, p.x1], (p.w1, p.z1))
-            for cand in xcycles:
-                try:
-                    return _check_removal(
-                        g, rep, out + [(tag, _lift_through(cand, m, detour))])
-                except CaseVerificationError as err:
-                    last = err.problem
-            raise CaseVerificationError(tag, f"both x-cycle detours failed: {last}")
+            return _detour_x_cycle(g, rep, p, m, tag, out, xcycles,
+                                   "both x-cycle detours failed")
 
         _require(len(meeters) == 2, tag,
                  f"unexpected meeting-cycle count {len(meeters)}")
@@ -841,6 +833,23 @@ def _case2_2_1a_lift(g, rep, p, child, m):
         return out
 
     return lift
+
+
+def _detour_x_cycle(g, rep, p, m, tag: str, kept: list[tuple[str, Cycle]],
+                    xcycles: list[Cycle], failure: str) -> _Checked:
+    """The `_Checked` of the first of `xcycles`, child cycles through the
+    merged vertex m, whose detour through v (x2-v-x1, x1 on the gamma side)
+    passes one removal check from g with the `kept` batch. If none does,
+    raise with `failure` and the last detour's problem. `rep` is g's
+    report."""
+    detour = _oriented([p.x2, p.v, p.x1], (p.w1, p.z1))
+    last = None
+    for cand in xcycles:
+        try:
+            return _check_removal(g, rep, kept + [(tag, _lift_through(cand, m, detour))])
+        except CaseVerificationError as err:
+            last = err.problem
+    raise CaseVerificationError(tag, f"{failure}: {last}")
 
 
 def _recombine_two_meeters(p, d1: Cycle, d2: Cycle, m: int, child) -> list[Cycle]:
@@ -916,14 +925,8 @@ def _case2_2_1b(g, rep_g, p, child, crep, m) -> CaseReduction:
         # The end block is almost-good at t and m != t, so a candidate was
         # typed rainbow: it leaves m by one gamma edge, toward w1 or z1, and
         # one delta edge, and detours as the three-meeter lift's x-cycle does.
-        detour = _oriented([p.x2, p.v, p.x1], (p.w1, p.z1))
-        last = None
-        for cand in candidates:
-            try:
-                return _check_removal(g, rep_g, [(tag, _lift_through(cand, m, detour))])
-            except CaseVerificationError as err:
-                last = err.problem
-        raise CaseVerificationError(tag, f"detour cycle failed verification: {last}")
+        return _detour_x_cycle(g, rep_g, p, m, tag, [], candidates,
+                               "detour cycle failed verification")
 
     return CaseReduction(end, lift, almost_good_at(t))
 
@@ -1352,9 +1355,21 @@ def decompose(g: EdgeColoredGraph, prescribed: Cycle | None = None) -> Decomposi
                         prescribed if f.graph is g else None))
 
 
-def replay_case_failure(failure: CaseFailure) -> DecompositionTrace:
-    """Re-run decomposition on a failure's serialized graph, with its
-    prescribed cycle if it has one. The engine has no settings, so the
-    replay searches with the same fallback cap rule as the run that
-    failed."""
-    return decompose(parse_colored_edge_list(failure.graph_text), failure.prescribed)
+def replay_case_failure(failure: dict) -> DecompositionTrace:
+    """Re-run decomposition on a `case_failure` object as
+    `CaseFailure.to_json` writes it: on its `graph`, edge-list text, with
+    its `prescribed` cycle if it has one. The engine has no settings, so
+    the replay searches with the same fallback cap rule as the run that
+    failed. A malformed object raises DecomposeError."""
+    if not isinstance(failure, dict) or not isinstance(failure.get("graph"), str):
+        raise DecomposeError('a case failure holds its "graph" as edge-list text')
+    prescribed = failure.get("prescribed")
+    if prescribed is not None and not (
+            isinstance(prescribed, list) and all(type(v) is int for v in prescribed)):
+        raise DecomposeError('a case failure\'s "prescribed" is a list of vertex ids')
+    try:
+        g = parse_colored_edge_list(failure["graph"])
+        cycle = None if prescribed is None else Cycle(tuple(prescribed))
+    except ValueError as err:
+        raise DecomposeError(f"malformed case failure: {err}") from None
+    return decompose(g, cycle)

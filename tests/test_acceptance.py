@@ -125,11 +125,14 @@ def test_criterion_3_defensive_fuzz_500(tmp_path):
             artifact = tmp_path / f"fuzz_{i:04d}.json"
             artifact.write_text(json.dumps(trace.to_json(), indent=2,
                                            sort_keys=True))
-            replay = replay_case_failure(trace.failure)
-            failures.append((i, n, trace.failure.case, replay.success))
+            outcome = json.loads(artifact.read_text())["outcome"]
+            again = replay_case_failure(outcome).failure
+            failures.append((trace.failure, again))
     assert unverified == 0
-    for _, _, _, replays_ok in failures:
-        assert isinstance(replays_ok, bool)
+    # each failure replays from its artifact to the same case and message
+    for failure, again in failures:
+        assert again is not None
+        assert (again.case, again.message) == (failure.case, failure.message)
     # the committed artifact pins the failure JSON, nested message included
     assert (tmp_path / "fuzz_0106.json").read_bytes() == \
         (FIXTURE_DIR / "fuzz_0106.json").read_bytes()

@@ -1,4 +1,5 @@
 import json
+from pathlib import Path
 
 import pytest
 
@@ -83,10 +84,12 @@ def test_decompose_rejects_bad_goddyn_cycle(k4_file, capsys):
         assert err.startswith("error: ") and err.count("\n") == 1, cycle
 
 
-def test_decompose_case_failure_exits_2(tmp_path, capsys, monkeypatch):
-    """A refused prescribed cycle ends `decompose` with exit 2, one `case
-    failure in ...` line on stderr and, with no --trace, the trace JSON on
-    stdout, whose failure carries the projected prescribed cycle."""
+REFUSED = "case failure in AllTypeII: prescribed cycle removal failed: refused\n"
+
+
+def _refuse_prescribed(tmp_path, monkeypatch) -> tuple[Path, Cycle]:
+    """A Petersen graph file, and the projection of its cycle 0,1,2,3,4,
+    whose removal as a prescribed cycle the engine now refuses."""
     path = tmp_path / "petersen.g6"
     path.write_text(serialize_graph6(petersen()) + "\n")
     proj = project_cycle(build_line_graph(petersen()), Cycle((0, 1, 2, 3, 4)))
@@ -98,13 +101,81 @@ def test_decompose_case_failure_exits_2(tmp_path, capsys, monkeypatch):
         return real(h, rep, batch)
 
     monkeypatch.setattr(D, "_check_removal", refuse_prescribed)
+    return path, proj
+
+
+def test_decompose_case_failure_exits_2(tmp_path, capsys, monkeypatch):
+    """A refused prescribed cycle ends `decompose` with exit 2, one `case
+    failure in ...` line on stderr and, with no --trace, the trace JSON on
+    stdout, whose failure carries the projected prescribed cycle."""
+    path, proj = _refuse_prescribed(tmp_path, monkeypatch)
     code, out, err = _run(capsys, "decompose", "--input", str(path),
                           "--goddyn-cycle", "0,1,2,3,4")
     assert code == 2
-    assert err == "case failure in AllTypeII: prescribed cycle removal failed: refused\n"
+    assert err == REFUSED
     outcome = json.loads(out)["outcome"]
     assert outcome["status"] == "case_failure"
     assert outcome["prescribed"] == list(proj.vertices)
+
+
+def test_replay_round_trip(tmp_path, capsys):
+    """The case failure that `decompose` writes for n=12 seed 10106
+    replays through `replay`, from the trace file and from the crosscheck
+    artifact that holds it, to the same case and message, with exit 2 and
+    decompose's stderr line."""
+    code, out, _ = _run(capsys, "gen", "--n", "12", "--seed", "10106")
+    assert code == 0 and out == "KAqOH_JOD?cQ\n"
+    graph = tmp_path / "g.g6"
+    graph.write_text(out)
+    trace = tmp_path / "t.json"
+    code, out, err = _run(capsys, "decompose", "--input", str(graph),
+                          "--trace", str(trace))
+    assert code == 2 and out == "" and err.startswith("case failure in Case2_2_1a: ")
+    failed = json.loads(trace.read_text())["outcome"]
+    artifact = tmp_path / "crosscheck_0000.json"
+    artifact.write_text(json.dumps({"graph6": "KAqOH_JOD?cQ",
+                                    "trace": json.loads(trace.read_text())}))
+    for path in (trace, artifact):
+        code, out, again = _run(capsys, "replay", "--input", str(path))
+        assert code == 2 and again == err
+        outcome = json.loads(out)["outcome"]
+        assert (outcome["case"], outcome["message"]) == (failed["case"], failed["message"])
+
+
+def test_replay_exits_0_once_the_failure_is_healed(tmp_path, capsys, monkeypatch):
+    """A failure replays, prescribed cycle included, while its defect
+    lasts, and once it is gone the replay succeeds: exit 0, nothing on
+    stderr, and a trace that removes the prescribed cycle first."""
+    path, proj = _refuse_prescribed(tmp_path, monkeypatch)
+    trace = tmp_path / "t.json"
+    code, _, _ = _run(capsys, "decompose", "--input", str(path),
+                      "--goddyn-cycle", "0,1,2,3,4", "--trace", str(trace))
+    assert code == 2
+    code, _, err = _run(capsys, "replay", "--input", str(trace))
+    assert code == 2 and err == REFUSED
+    monkeypatch.undo()
+    code, out, err = _run(capsys, "replay", "--input", str(trace))
+    assert code == 0 and err == ""
+    data = json.loads(out)
+    assert data["outcome"]["status"] == "success"
+    assert data["steps"][0]["cycle"] == list(proj.vertices)
+
+
+@pytest.mark.parametrize("text, message", [
+    ("case failure\n", "not JSON: Expecting value: line 1 column 1 (char 0)"),
+    ('{"outcome": {"status": "success", "cycles": []}}',
+     'a case failure holds its "graph" as edge-list text'),
+    ('{"outcome": {"graph": "n 2\\n0 5 a\\n"}}',
+     "malformed case failure: line 2: edge (0, 5) out of range for declared n=2"),
+    ('{"outcome": {"graph": "0 1 a\\n", "prescribed": [0, "1", 2]}}',
+     'a case failure\'s "prescribed" is a list of vertex ids'),
+], ids=["not-json", "no-graph", "malformed-graph", "malformed-prescribed"])
+def test_replay_refuses_bad_input(tmp_path, capsys, text, message):
+    path = tmp_path / "t.json"
+    path.write_text(text)
+    code, out, err = _run(capsys, "replay", "--input", str(path))
+    assert code == 1 and out == ""
+    assert err == f"error: {path}: {message}\n"
 
 
 def test_decompose_unliftable_decomposition_exits_2(k4_file, capsys, monkeypatch):
@@ -453,7 +524,7 @@ def test_negative_count_rejected(capsys, command):
 
 def test_gen_count_zero(capsys):
     code, out, err = _run(capsys, "gen", "--n", "4", "--count", "0")
-    assert code == 0 and out == "\n" and err == ""
+    assert code == 0 and out == "" and err == ""
 
 
 @pytest.mark.parametrize("argv", [

@@ -644,8 +644,8 @@ def test_colored_edge_list_non_integer_header():
 ], ids=["self-loop", "negative-id", "out-of-range", "negative-count", "after-comments"])
 def test_colored_edge_list_names_the_bad_line(text, message):
     """Ids and counts that `Graph` would reject are rejected by the parser
-    with its own error, which names the line: `replay_case_failure` reads
-    this format from files."""
+    with its own error, which names the line: `cdcover replay` reads this
+    format from the "graph" of a case failure in a trace file."""
     with pytest.raises(ColoredGraphError) as err:
         parse_colored_edge_list(text)
     assert str(err.value) == message

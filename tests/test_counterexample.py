@@ -54,7 +54,7 @@ def test_certificate_yields_replayable_case_failure():
         trace = decompose(g)
         assert not trace.success
         assert trace.failure.case == "Case2_2_1a"
-        again = replay_case_failure(trace.failure)
+        again = replay_case_failure(trace.failure.to_json())
         assert not again.success
         assert again.failure.case == trace.failure.case
 

@@ -846,13 +846,13 @@ def test_uncertified_output_is_refused(monkeypatch, change, name):
         assert f.message.endswith("is not a cycle of the current graph")
     assert f.prescribed == prescribed
     # parsing renumbers the colors, so the replay is compared without its text
-    again = replay_case_failure(f).failure
+    again = replay_case_failure(f.to_json()).failure
     assert (again.case, again.message, again.cycle, again.goodness, again.prescribed) == (
         f.case, f.message, f.cycle, f.goodness, prescribed)
     if prescribed is not None:
         assert heads == [(D.ALL_TYPE_II, prescribed)] * 2
     monkeypatch.undo()
-    assert replay_case_failure(f).success
+    assert replay_case_failure(f.to_json()).success
 
 
 def test_three_meeter_lift_is_checked_once():
@@ -1199,11 +1199,11 @@ def test_case_failure_is_replayable(monkeypatch):
     data = tr.to_json()
     assert data["outcome"]["status"] == "case_failure"
     # the embedded graph replays through the same failure
-    again = replay_case_failure(tr.failure)
+    again = replay_case_failure(data["outcome"])
     assert not again.success and again.failure.case == "AllTypeII"
     # and decomposes fine once the simulated defect is gone
     monkeypatch.undo()
-    healed = replay_case_failure(tr.failure)
+    healed = replay_case_failure(data["outcome"])
     assert healed.success
 
 
@@ -1262,7 +1262,7 @@ def test_failure_unwinds_past_sibling_components():
     f = decompose(union).failure
     assert (f.case, f.message, f.prescribed) == (D.CASE_2_2_1A, alone.message, None)
     assert len(parse_colored_edge_list(f.graph_text).edges) == 22
-    again = replay_case_failure(f).failure
+    again = replay_case_failure(f.to_json()).failure
     assert (again.case, again.message) == (f.case, f.message)
 
 
@@ -1395,11 +1395,11 @@ def test_goddyn_refused_first_cycle_is_a_case_failure(monkeypatch):
     assert f.goodness == check_goodness(clg.lg)
     assert f.prescribed == proj
     assert f.to_json()["prescribed"] == list(proj.vertices)
-    again = replay_case_failure(f).failure
+    again = replay_case_failure(f.to_json()).failure
     assert (again.case, again.message, again.prescribed) == (f.case, f.message, proj)
     assert len(refused) == 2
     monkeypatch.undo()
-    healed = replay_case_failure(f)
+    healed = replay_case_failure(f.to_json())
     assert healed.success and healed.steps[0].cycle == proj
 
 
@@ -1649,7 +1649,7 @@ def test_recorded_batches_include_lifts_and_almost_good():
     # nothing; only a search that tries candidates in turn is refused
     assert {"_advance", "_verified_trace"} <= {c.caller for c in checks}
     refused = {c.caller for c in checks if c.error is not None}
-    assert refused <= {"fallback_search", "lift", "_case2_2_2a"}
+    assert refused <= {"fallback_search", "_detour_x_cycle", "_case2_2_2a"}
 
 
 MUTATIONS = ("none", "swap", "move almost-rainbow", "drop", "recolor", "re-pair",

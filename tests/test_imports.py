@@ -19,11 +19,13 @@ random graphs and patches the engine, by `setattr`, an assignment or a
 No linter ships with the project, so these are stdlib stand-ins for the
 unused-import, dead-code and empty f-string checks. `__init__.py` is
 exempt from the first: its imports are re-exports, and the package's
-`__all__` lists exactly those names, once each.
+`__all__` lists exactly those names, once each, which are the names the
+README's Library section lists.
 """
 import ast
 import importlib
 import importlib.util
+import re
 import sys
 from collections import Counter
 from pathlib import Path
@@ -100,6 +102,28 @@ def test_exports_are_the_imports():
     assert export_mismatches((SRC / "__init__.py").read_text(), cdcover.__all__) == []
 
 
+def documented_exports(readme: str) -> set[str]:
+    """The names in backticks in the `## Library` section of `readme`, up
+    to the next `## ` heading; a span that is not one identifier, such as
+    `cdcover.graphs` or `f(x)`, is prose, not a name."""
+    section = readme.partition("\n## Library\n")[2].partition("\n## ")[0]
+    return set(re.findall(r"`([A-Za-z_]\w*)`", section))
+
+
+def test_documented_exports_detects_and_allows():
+    readme = ("# pkg\n`before`\n## Library\n\nFrom `pkg.mod`: `f`, `G` and\n"
+              "`f(x)`; see `tests/t.py`.\n- `_h`\n## Formats\n`after`\n")
+    assert documented_exports(readme) == {"f", "G", "_h"}
+    assert documented_exports("# pkg\n`f`\n") == set()
+
+
+def test_exports_are_the_readme_library():
+    """`cdcover.__all__` is the README's Library list: a new export fails
+    here until the README lists it, and so does a listed name that is no
+    longer exported."""
+    assert documented_exports((ROOT / "README.md").read_text()) == set(cdcover.__all__)
+
+
 def _names(tree: ast.AST) -> Counter:
     """How often each name is read as a Name or an Attribute in tree."""
     return Counter(node.id if isinstance(node, ast.Name) else node.attr
@@ -155,10 +179,7 @@ def test_no_dead_definitions():
 
 
 # The definitions in src/ that only tests call, and why each stays public.
-TEST_ONLY_API = {
-    # the README's entry point for replaying a serialized CaseFailure
-    ("src/cdcover/decomposer.py", "replay_case_failure"),
-}
+TEST_ONLY_API: set[tuple[str, str]] = set()
 
 
 def test_public_api_that_only_tests_call_is_pinned():
