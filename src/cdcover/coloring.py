@@ -14,10 +14,11 @@ make one of them a bridge, and even graphs have none). One lowpoint
 depth-first search (Tarjan 1972) finds the sides: a vertex u separates the
 DFS subtree of its child c when no edge leaves that subtree for a proper
 ancestor of u, and u's neighbors on that side are exactly those discovered
-inside c's subtree, a contiguous range of discovery times. The search starts
-one DFS tree at the least vertex of each edge-bearing component, so the
-trees' vertex sets are the components, in order of least vertex; one search
-(`_cut_search`) gives both, and the graph caches both.
+inside c's subtree, a contiguous range of discovery times. The search
+(`graphs.lowpoint_search`) starts one DFS tree at the least vertex of each
+edge-bearing component, so the trees' vertex sets are the components, in
+order of least vertex; `_cut_search` reads both from one search, and the
+graph caches both.
 
 Conditions 1, 2, 3 and 5 are hereditary under removing edge-disjoint
 cycles: degrees fall by 2 at a vertex per cycle through it and stay even
@@ -251,7 +252,8 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable, Mapping, Sequence
 
-from .graphs import Cycle, Edge, Graph, GraphError, check_edge, edge, read_edge_lines
+from .graphs import (Cycle, Edge, Graph, GraphError, check_edge, edge,
+                     lowpoint_search, read_edge_lines)
 
 
 class ColoredGraphError(ValueError):
@@ -260,7 +262,7 @@ class ColoredGraphError(ValueError):
 
 @dataclass(frozen=True)
 class EdgeColoredGraph:
-    """A graph plus a total edge coloring (dense integer color ids).
+    """A graph plus a total edge coloring by integer color ids.
 
     Treated as immutable; all transformations return new instances.
     """
@@ -361,8 +363,9 @@ class EdgeColoredGraph:
     @cached_property
     def components(self) -> tuple[frozenset[int], ...]:
         """Vertex sets of the edge-bearing connected components, by min
-        vertex: the trees of the Type X search (`_cut_search`), which also
-        fills `type_x_sides` when every degree is even."""
+        vertex: the trees of the lowpoint search that the Type X search
+        (`_cut_search`) reads, which also fills `type_x_sides` when every
+        degree is even."""
         even = not any(len(nbrs) & 1 for nbrs in self.graph.adj)
         return _cut_search(self, type_x=even)[0]
 
@@ -628,62 +631,29 @@ def _require_even(g: EdgeColoredGraph) -> None:
 def _cut_search(g: EdgeColoredGraph, type_x: bool,
                 ) -> tuple[tuple[frozenset[int], ...],
                            dict[int, tuple[tuple[int, ...], ...]] | None]:
-    """The Type X search: one lowpoint DFS, with one tree per edge-bearing
-    component, started at its least vertex. Returns the trees' vertex sets,
-    which are `components`, and, when `type_x` is set, `type_x_sides`; it
-    fills both into g's cache. Only the Type X grouping needs even degrees.
+    """The Type X search, read from one `graphs.lowpoint_search` of g.
+    Returns the search's trees as vertex sets, which are `components`, and,
+    when `type_x` is set, `type_x_sides`; it fills both into g's cache. Only
+    the Type X grouping needs even degrees.
 
-    The DFS records, for each degree-4 vertex u, the children c whose
-    subtrees u separates (low[c] >= disc[u]). u's neighbors fall into one
-    group per such subtree, by whether their discovery time lies in
-    [disc[c], last[c]], plus one group of the rest. One group means u is no
-    cut vertex (a DFS root with one child); else, in an even graph, there
-    are two groups of two, and u is Type X when both pairs are
-    monochromatic.
+    For each degree-4 vertex u that separates the subtrees of some children
+    c (low[c] >= disc[u]), u's neighbors fall into one group per such
+    subtree, by whether their discovery time lies in [disc[c], last[c]],
+    plus one group of the rest. One group means u is no cut vertex (a DFS
+    root with one child); else, in an even graph, there are two groups of
+    two, and u is Type X when both pairs are monochromatic.
     """
     adj = g.graph.adj
-    disc = [-1] * g.n
-    low = [0] * g.n
-    last = [0] * g.n  # the latest discovery time in the vertex's subtree
-    split: dict[int, list[int]] = {}  # degree-4 vertex -> children it separates
-    trees = []
-    timer = 0
-    for root in range(g.n):
-        if disc[root] != -1 or not adj[root]:
-            continue
-        disc[root] = low[root] = timer
-        timer += 1
-        tree = [root]
-        stack = [(root, -1, iter(adj[root]))]
-        while stack:
-            v, parent, it = stack[-1]
-            for w in it:
-                dw = disc[w]
-                if dw == -1:
-                    disc[w] = low[w] = timer
-                    timer += 1
-                    tree.append(w)
-                    stack.append((w, v, iter(adj[w])))
-                    break
-                if dw < low[v] and w != parent:  # graphs are simple
-                    low[v] = dw
-            else:
-                stack.pop()
-                last[v] = timer - 1
-                if stack:
-                    u = stack[-1][0]
-                    if low[v] < low[u]:
-                        low[u] = low[v]
-                    if low[v] >= disc[u] and len(adj[u]) == 4:
-                        split.setdefault(u, []).append(v)
-        trees.append(frozenset(tree))
-    components = g.__dict__["components"] = tuple(trees)
+    disc, _, last, trees, split = lowpoint_search(adj)
+    components = g.__dict__["components"] = tuple(map(frozenset, trees))
     if not type_x:
         return components, None
 
     coloring = g.coloring
     result = {}
     for u, kids in split.items():
+        if len(adj[u]) != 4:
+            continue
         groups: dict[int, list[int]] = {}
         for w in adj[u]:
             dw = disc[w]
@@ -787,12 +757,17 @@ def _singular_walk(adj: tuple[tuple[int, ...], ...], type1: frozenset[int],
 
 def parse_colored_edge_list(text: str) -> EdgeColoredGraph:
     """The colored graph of edge-list text with `u v color` lines
-    (`read_edge_lines`). Colors are any tokens, numbered in order of first
-    appearance. Malformed input raises ColoredGraphError naming its line."""
+    (`read_edge_lines`). Colors are any tokens. When every token is a
+    non-negative decimal integer, each color is that integer, so the text
+    `serialize_colored_edge_list` writes reads back to an equal graph;
+    else colors are numbered in order of first appearance. Malformed input
+    raises ColoredGraphError naming its line."""
     try:
         n, rows = read_edge_lines(text, "u v color")
     except GraphError as err:
         raise ColoredGraphError(str(err)) from None
+    if all(c.isascii() and c.isdigit() for _, _, c in rows):
+        return EdgeColoredGraph.from_triples(n, [(u, v, int(c)) for u, v, c in rows])
     labels: dict[str, int] = {}
     return EdgeColoredGraph.from_triples(
         n, [(u, v, labels.setdefault(c, len(labels))) for u, v, c in rows])

@@ -2,9 +2,10 @@
 
 Provides the plain graph value type, cycles in canonical form, parsing and
 serialization (graph6 and edge-list text), and the topological primitives the
-rest of the package is built on: connectivity and bridges. The cut
-structure the decomposer needs, Type X cut vertices and x-blocks, comes
-from one lowpoint search in the coloring module.
+rest of the package is built on. One lowpoint search, `lowpoint_search`,
+is the package's one search for connectivity and cuts: connectivity and
+bridges here, and the components and Type X cut vertices of a colored
+graph in the coloring module, are read from it.
 
 All values are immutable after construction; every operation returns new
 values.
@@ -128,68 +129,78 @@ def is_cubic(g: Graph) -> bool:
     return all(g.degree(v) == 3 for v in range(g.n))
 
 
-def connected_components(g: Graph) -> list[frozenset[int]]:
-    """Vertex sets of the connected components, isolated vertices included.
+def lowpoint_search(adj: tuple[tuple[int, ...], ...]) -> tuple[
+        list[int], list[int], list[int], list[list[int]], dict[int, list[int]]]:
+    """One iterative lowpoint depth-first search (Tarjan 1972) of the graph
+    with neighbor tuples `adj`, in O(V+E): the package's one search for
+    connectivity and cuts. It starts one DFS tree at the least vertex of
+    each edge-bearing component, so the trees are the components, in order
+    of least vertex.
 
-    Components are ordered by their minimum vertex.
+    Returns (disc, low, last, trees, split):
+      * disc[v], v's discovery time, -1 for an isolated vertex;
+      * low[v], the least of disc[v] and the discovery times that v's
+        subtree reaches by one back edge;
+      * last[v], the latest discovery time in v's subtree, so that the
+        subtree is the range [disc[v], last[v]];
+      * trees, each tree's vertices in discovery order;
+      * split[u], for each vertex u that has one, the children c whose
+        subtrees u separates, low[c] >= disc[u]. Such a tree edge (u, c) is
+        a bridge when low[c] > disc[u].
     """
-    seen = [False] * g.n
-    comps = []
-    for s in range(g.n):
-        if seen[s]:
-            continue
-        stack, comp = [s], []
-        seen[s] = True
-        while stack:
-            v = stack.pop()
-            comp.append(v)
-            for w in g.adj[v]:
-                if not seen[w]:
-                    seen[w] = True
-                    stack.append(w)
-        comps.append(frozenset(comp))
-    return comps
-
-
-def is_connected(g: Graph) -> bool:
-    return len(connected_components(g)) <= 1
-
-
-def find_bridges(g: Graph) -> frozenset[Edge]:
-    """All edges whose removal disconnects their component.
-
-    Iterative lowpoint depth-first search, O(V+E).
-    """
-    adj = g.adj
-    disc = [-1] * g.n
-    low = [0] * g.n
-    bridges: set[Edge] = set()
+    n = len(adj)
+    disc = [-1] * n
+    low = [0] * n
+    last = [0] * n
+    split: dict[int, list[int]] = {}
+    trees = []
     timer = 0
-    for root in range(g.n):
-        if disc[root] != -1:
+    for root in range(n):
+        if disc[root] != -1 or not adj[root]:
             continue
         disc[root] = low[root] = timer
         timer += 1
+        tree = [root]
         stack = [(root, -1, iter(adj[root]))]
         while stack:
             v, parent, it = stack[-1]
             for w in it:
-                if disc[w] == -1:
+                dw = disc[w]
+                if dw == -1:
                     disc[w] = low[w] = timer
                     timer += 1
+                    tree.append(w)
                     stack.append((w, v, iter(adj[w])))
                     break
-                if disc[w] < low[v] and w != parent:  # g is simple
-                    low[v] = disc[w]
+                if dw < low[v] and w != parent:  # graphs are simple
+                    low[v] = dw
             else:
                 stack.pop()
+                last[v] = timer - 1
                 if stack:
                     u = stack[-1][0]
                     if low[v] < low[u]:
                         low[u] = low[v]
-                    if low[v] > disc[u]:
-                        bridges.add(edge(u, v))
-    return frozenset(bridges)
+                    if low[v] >= disc[u]:
+                        split.setdefault(u, []).append(v)
+        trees.append(tree)
+    return disc, low, last, trees, split
+
+
+def is_connected(g: Graph) -> bool:
+    """At most one component, counting isolated vertices (`lowpoint_search`
+    gives the others)."""
+    adj = g.adj
+    trees = lowpoint_search(adj)[3]
+    return len(trees) + sum(not nbrs for nbrs in adj) <= 1
+
+
+def find_bridges(g: Graph) -> frozenset[Edge]:
+    """All edges whose removal disconnects their component: the tree edges
+    (u, c) of `lowpoint_search` with low[c] > disc[u]."""
+    disc, low, _, _, split = lowpoint_search(g.adj)
+    return frozenset(edge(u, c) for u, kids in split.items() for c in kids
+                     if low[c] > disc[u])
 
 
 # ---------------------------------------------------------------------------

@@ -87,13 +87,14 @@ def lift_rainbow_cycle(clg: ColoredLineGraph, c: Cycle) -> Cycle:
 
     The lifted cycle's vertices are the colors of consecutive L-edges; its
     edge set is exactly the set of G-edges named by the L-vertices of c.
+    Refuses a c that is not a cycle of L, or not rainbow, with the messages
+    `cover_from_decomposition` gives for a decomposition member.
     """
     if not c.is_cycle_of(clg.lg.graph):
         raise LineGraphError(f"not a cycle of the line graph: {c.vertices}")
     cols = [clg.lg.coloring[e] for e in c.edges]
-    dup = {x for x in cols if cols.count(x) > 1}
-    if dup:
-        raise LineGraphError(f"cycle is not rainbow: color {min(dup)} repeats")
+    if len(set(cols)) != len(cols):
+        raise LineGraphError(f"decomposition member is not rainbow: {c.vertices}")
     lifted = Cycle(tuple(cols))
     expect = {clg.edge_of_vertex[x] for x in c.vertices}
     if set(lifted.edges) != expect:
@@ -114,19 +115,19 @@ def project_cycle(clg: ColoredLineGraph, c: Cycle) -> Cycle:
 def cover_from_decomposition(clg: ColoredLineGraph, cycles) -> CycleDoubleCover:
     """Lift a rainbow cycle decomposition of L to a verified CDC of the base.
 
-    Re-verifies everything: the members must be edge-disjoint rainbow cycles
-    of L whose union is E(L), and the lifted cycles must use every base edge
-    exactly twice.
+    Re-verifies everything, each member once: `lift_rainbow_cycle` checks
+    that it is a rainbow cycle of L and that its lift runs on the base
+    edges it names; here, that the members are edge-disjoint, that their
+    union is E(L), and that the lifted cycles use every base edge exactly
+    twice.
     """
-    cycles = list(cycles)
+    lifted = []
     used: set[Edge] = set()
     for c in cycles:
-        if not isinstance(c, Cycle) or not c.is_cycle_of(clg.lg.graph):
+        if not isinstance(c, Cycle):
             raise LineGraphError(f"not a cycle of the line graph: {c}")
-        cols = [clg.lg.coloring[e] for e in c.edges]
-        if len(set(cols)) != len(cols):
-            raise LineGraphError(f"decomposition member is not rainbow: {c.vertices}")
-        overlap = used & set(c.edges)
+        lifted.append(lift_rainbow_cycle(clg, c))
+        overlap = used.intersection(c.edges)
         if overlap:
             raise LineGraphError(f"decomposition reuses line-graph edge {min(overlap)}")
         used.update(c.edges)
@@ -134,13 +135,9 @@ def cover_from_decomposition(clg: ColoredLineGraph, cycles) -> CycleDoubleCover:
     if missing:
         raise LineGraphError(f"not a partition of the line graph's edges: "
                              f"{min(missing)} uncovered")
-
-    lifted = [lift_rainbow_cycle(clg, c) for c in cycles]
     counts: dict[Edge, int] = {e: 0 for e in clg.base.edges}
     for lc in lifted:
         for e in lc.edges:
-            if e not in counts:
-                raise LineGraphError(f"lifted cycle leaves the base graph at {e}")
             counts[e] += 1
     wrong = {e: k for e, k in counts.items() if k != 2}
     if wrong:

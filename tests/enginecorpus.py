@@ -13,8 +13,8 @@ read and appends each call, as it starts, to one log:
     it returned or the error it raised, and `_Frame.take`, which applies
     one, with the graph it is applied to;
   * `check_goodness`, `report_after_removal`, `EdgeColoredGraph.edit`,
-    `_build_transform`, the Type X search `_cut_search`,
-    `graphs.connected_components`, `_verified_trace` and `fallback_search`.
+    `_build_transform`, the Type X search `_cut_search`, `_verified_trace`
+    and `fallback_search`.
 
 A call's inner calls are the log between its own entry and its return, so
 a test of the form "made no X while doing Y" reads `Call.inner` of Y.
@@ -35,7 +35,6 @@ import pytest
 
 import cdcover.coloring as C
 import cdcover.decomposer as D
-import cdcover.graphs as G
 from cdcover.coloring import EdgeColoredGraph
 from cdcover.linegraph import ColoredLineGraph, build_line_graph
 from cdcover.oracle import GeneratorConfig, random_cubic_bridgeless
@@ -58,8 +57,8 @@ WRAPPED = ((D, "_dispatch"), *((D, name) for name in REDUCTIONS),
            (D, "_check_removal"), (D._Frame, "take"), (D, "check_goodness"),
            (D, "report_after_removal"),
            (EdgeColoredGraph, "edit"), (D, "_build_transform"),
-           (C, "_cut_search"), (G, "connected_components"),
-           (D, "_verified_trace"), (D, "fallback_search"))
+           (C, "_cut_search"), (D, "_verified_trace"),
+           (D, "fallback_search"))
 
 
 @dataclass(eq=False)

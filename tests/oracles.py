@@ -87,6 +87,14 @@ def _components_avoiding(n: int, edges, banned: int) -> list[set[int]]:
     return comps
 
 
+def component_count(n: int, edges) -> int:
+    """The number of components of the graph on 0..n-1 with `edges`,
+    isolated vertices included: `_components_avoiding` skips those."""
+    edges = list(edges)
+    return (len(_components_avoiding(n, edges, -1))
+            + n - len({v for e in edges for v in e}))
+
+
 def type_x_by_pseudoblock_splits(g: EdgeColoredGraph) -> set[int]:
     """Type X by the definition: enumerate every split of the branches at a
     degree-4 cut vertex into two pseudoblocks and look for a monochromatic

@@ -129,10 +129,10 @@ def test_criterion_3_defensive_fuzz_500(tmp_path):
             again = replay_case_failure(outcome).failure
             failures.append((trace.failure, again))
     assert unverified == 0
-    # each failure replays from its artifact to the same case and message
+    # each failure replays from its artifact to an equal failure, graph
+    # text included
     for failure, again in failures:
-        assert again is not None
-        assert (again.case, again.message) == (failure.case, failure.message)
+        assert again == failure
     # the committed artifact pins the failure JSON, nested message included
     assert (tmp_path / "fuzz_0106.json").read_bytes() == \
         (FIXTURE_DIR / "fuzz_0106.json").read_bytes()

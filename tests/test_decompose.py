@@ -658,11 +658,9 @@ def test_remainder_facts_equal_fresh_ones():
 
 
 def test_decompose_runs_one_cut_search_per_graph():
-    """The engine never walks a graph for its components with
-    `graphs.connected_components`, and runs the Type X search at most once
-    on any graph: `components` and Type X come from the same search."""
+    """The engine runs the Type X search at most once on any graph:
+    `components` and Type X come from the same search."""
     cp = corpus()
-    assert cp.calls("connected_components") == ()
     searched = cp.calls("_cut_search")  # the calls keep the graphs alive
     assert len(searched) > 100
     assert len({id(c.args[0]) for c in searched}) == len(searched)
@@ -845,10 +843,7 @@ def test_uncertified_output_is_refused(monkeypatch, change, name):
         assert f.cycle is not None and f.case in D.CASE_TAGS
         assert f.message.endswith("is not a cycle of the current graph")
     assert f.prescribed == prescribed
-    # parsing renumbers the colors, so the replay is compared without its text
-    again = replay_case_failure(f.to_json()).failure
-    assert (again.case, again.message, again.cycle, again.goodness, again.prescribed) == (
-        f.case, f.message, f.cycle, f.goodness, prescribed)
+    assert replay_case_failure(f.to_json()).failure == f
     if prescribed is not None:
         assert heads == [(D.ALL_TYPE_II, prescribed)] * 2
     monkeypatch.undo()
@@ -1843,8 +1838,9 @@ def test_full_lift_makes_no_goodness_check():
 
 
 # sha256 over the trace JSON of every run below, in order; a change means
-# the engine's accepts, rejects, cycles or reports changed
-TRACE_DIGEST = "5ee931ce865d077086b760eb9e7464f26ddc4bfa1e1e2f50a97d085b1745d3d0"
+# the engine's accepts, rejects, cycles or reports changed, or the failure's
+# graph text, which keeps the color ids the fixture gives
+TRACE_DIGEST = "4295b800fbc75ff5de8a142c8705731e593d1867249e4d422a2f16bd33c62916"
 
 
 def test_trace_digest_pinned():

@@ -13,16 +13,21 @@ from cdcover.graphs import (
     Cycle,
     Graph,
     GraphError,
-    connected_components,
     edge,
     find_bridges,
+    is_connected,
     is_cubic,
     parse_edge_list,
     parse_graph6,
     serialize_graph6,
 )
 from graphsamples import k4, petersen
-from oracles import serialize_edge_list, x_blocks_by_definition
+from oracles import (
+    _components_avoiding,
+    component_count,
+    serialize_edge_list,
+    x_blocks_by_definition,
+)
 
 
 def test_parse_graph6_k4():
@@ -165,10 +170,18 @@ def test_cycle_rejects_bad_input():
         Cycle((0, 1, 1))
 
 
-def test_connected_components():
-    g = Graph.from_edges(5, [(0, 1), (2, 3)])
-    comps = connected_components(g)
-    assert frozenset({0, 1}) in comps and frozenset({4}) in comps
+def test_is_connected():
+    """Isolated vertices count as components; no vertex and one vertex are
+    connected."""
+    assert is_connected(Graph(0, frozenset()))
+    assert is_connected(Graph(1, frozenset()))
+    assert not is_connected(Graph(2, frozenset()))
+    assert is_connected(Graph.from_edges(2, [(0, 1)]))
+    assert is_connected(petersen())
+    assert not is_connected(Graph.from_edges(3, [(0, 1)]))
+    assert not is_connected(Graph.from_edges(5, [(0, 1), (2, 3)]))
+    assert not is_connected(Graph.from_edges(5, [(0, 1), (1, 2), (2, 3)]))
+    assert is_connected(Graph.from_edges(5, [(0, 1), (1, 2), (2, 3), (3, 4)]))
 
 
 @st.composite
@@ -235,11 +248,12 @@ def patchwork_graphs(draw, max_n=14):
 @given(patchwork_graphs())
 @settings(max_examples=300, deadline=None)
 def test_find_bridges_matches_the_definition(g):
-    """An edge is a bridge exactly when deleting it adds a component."""
-    count = len(connected_components(g))
+    """An edge is a bridge exactly when deleting it adds a component, and
+    the graph is connected when it has at most one."""
+    count = component_count(g.n, g.edges)
+    assert is_connected(g) == (count <= 1)
     assert find_bridges(g) == frozenset(
-        e for e in g.edges
-        if len(connected_components(Graph(g.n, g.edges - {e}))) > count)
+        e for e in g.edges if component_count(g.n, g.edges - {e}) > count)
 
 
 @given(even_graphs())
@@ -261,8 +275,7 @@ def test_even_graph_degree2_vertices_not_cut(g):
         if g.degree(v) != 2:
             continue
         a, b = g.adj[v]
-        rest = Graph.from_edges(g.n, [e for e in g.edges if v not in e])
-        assert any({a, b} <= c for c in connected_components(rest))
+        assert any({a, b} <= c for c in _components_avoiding(g.n, g.edges, v))
         assert sum(v in blk for blk in blocks) == 1
 
 

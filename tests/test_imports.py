@@ -7,7 +7,8 @@ The decomposer builds no graph from scratch, and only `EdgeColoredGraph.edit`
 builds one without its validating constructor. Only the decomposer's
 removal check asks for a goodness check from a parent's report, only its
 entry points check a graph in full, and only the removal check makes the
-record of a removal it accepted. The
+record of a removal it accepted. Only
+`graphs.lowpoint_search` stores discovery times and lowpoints. The
 brute-force oracle imports nothing from the decomposer it certifies. Every
 layer the benchmark's tracer wraps still exists under the name it wraps.
 Only a pinned few definitions are called, and a pinned few parameters
@@ -891,6 +892,49 @@ def test_oracle_does_not_import_the_decomposer():
     cycle search or removal check, however much faster they are."""
     imported = imported_modules((SRC / "oracle.py").read_text())
     assert imported and not [m for m in imported if "decomposer" in m.split(".")]
+
+
+LOWPOINT_NAMES = frozenset({"low", "disc"})
+
+
+def lowpoint_stores(source: str) -> list[str]:
+    """The functions, as `scoped_nodes` names them, that store into a
+    `low[...]` or `disc[...]` subscript (of a name or an attribute so
+    named) in `source`. Sorted, each once. Reads are not stores."""
+    found = set()
+    for scope, node in scoped_nodes(source):
+        if isinstance(node, ast.Subscript) and isinstance(node.ctx, ast.Store):
+            held = node.value
+            name = held.attr if isinstance(held, ast.Attribute) else getattr(held, "id", None)
+            if name in LOWPOINT_NAMES:
+                found.add(scope)
+    return sorted(found)
+
+
+def test_lowpoint_stores_detects_and_allows():
+    src = ("def search(adj):\n"
+           "    disc = [-1] * len(adj)\n"
+           "    disc[0] = low[0] = 0\n"
+           "class A:\n"
+           "    def m(self):\n"
+           "        self.low[2] += 1\n"
+           "def bridges(disc, low, split):\n"
+           "    lows, d = [0], {}\n"
+           "    lows[0] = d['low'] = d['disc'] = 1\n"
+           "    return [c for u in split for c in split[u] if low[c] > disc[u]]\n"
+           "def nested():\n"
+           "    def inner(): disc[1] = 1\n")
+    assert lowpoint_stores(src) == ["A.m", "nested.inner", "search"]
+
+
+def test_one_lowpoint_search():
+    """`graphs.lowpoint_search` is the one function in src/ that computes
+    discovery times and lowpoints: bridges, connectivity, components and
+    the Type X cut vertices are all read from it, so a second copy of the
+    search would show here."""
+    assert [f"{p.name}: {scope}" for p in MODULES
+            for scope in lowpoint_stores(p.read_text())] == [
+        "graphs.py: lowpoint_search"]
 
 
 def test_bench_tracer_wraps_existing_layers(monkeypatch):

@@ -116,8 +116,8 @@ def test_cover_rejects_partial_decomposition():
     ("repeat", "decomposition reuses line-graph edge"),
 ])
 def test_cover_refuses_a_bad_member(member, message):
-    """Every member is checked before anything is lifted: a member that is
-    no `Cycle`, a monochromatic triangle and a member given twice are each
+    """Every member is checked once, as it is lifted: a member that is no
+    `Cycle`, a monochromatic triangle and a member given twice are each
     refused by name."""
     clg = build_line_graph(k4())
     tris = [c for c in enumerate_cycles_by_copying(clg.lg.graph, 3)
