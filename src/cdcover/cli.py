@@ -52,9 +52,14 @@ class _Refused(Exception):
     as one `error: <message>` line on stderr and exits 1."""
 
 
+def _name(path: str) -> str:
+    """How a refusal names the input at `path`: "stdin" for "-"."""
+    return "stdin" if path == "-" else path
+
+
 def _read_text(path: str) -> str:
     """The text of the file at `path`, read as UTF-8, or of stdin for "-"."""
-    name = "stdin" if path == "-" else path
+    name = _name(path)
     try:
         if path == "-":
             return sys.stdin.read()
@@ -83,19 +88,22 @@ def _dump(obj) -> str:
     return json.dumps(obj, indent=2, sort_keys=True)
 
 
-def _load_graph(path: str, fmt: str) -> Graph:
-    """The one graph in the file at `path`; a graph6 file holding more than
-    one graph is refused, not read as its first graph."""
+def _load_graph(path: str) -> Graph:
+    """The one graph in the file at `path`: edge-list text when its first
+    line that is neither blank nor a `#` comment holds two or more tokens,
+    else graph6, whose lines are single tokens. A graph6 file holding more
+    than one graph is refused, not read as its first graph."""
     text = _read_text(path)
+    lines = [s for ln in text.splitlines() if (s := ln.strip())]
+    first = next((s for s in lines if not s.startswith("#")), "")
     try:
-        if fmt == "edgelist":
+        if len(first.split()) > 1:
             return parse_edge_list(text)
-        lines = [ln for ln in text.splitlines() if ln.strip()]
         if len(lines) > 1:
-            raise GraphError(f"{path}: expected one graph6 line, got {len(lines)}")
+            raise GraphError(f"expected one graph6 line, got {len(lines)}")
         return parse_graph6(lines[0] if lines else "")
     except GraphError as err:
-        raise _Refused(str(err)) from None
+        raise _Refused(f"{_name(path)}: {err}") from None
 
 
 def _bridgeless_line_graph(g: Graph) -> ColoredLineGraph:
@@ -129,7 +137,7 @@ def _print_case_failure(trace) -> None:
 
 
 def cmd_decompose(args) -> int:
-    g = _load_graph(args.input, args.format)
+    g = _load_graph(args.input)
     clg = _bridgeless_line_graph(g)
     prescribed = None
     if args.goddyn_cycle is not None:
@@ -168,7 +176,7 @@ def cmd_decompose(args) -> int:
 def cmd_replay(args) -> int:
     """Replay the case failure of a trace, or of the trace that a
     crosscheck artifact holds under "trace"; print the new trace."""
-    name = "stdin" if args.input == "-" else args.input
+    name = _name(args.input)
     try:
         data = json.loads(_read_text(args.input))
     except json.JSONDecodeError as err:
@@ -187,15 +195,16 @@ def cmd_replay(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    g = _load_graph(args.graph, args.format)
+    g = _load_graph(args.graph)
+    name = _name(args.cover)
     try:
         payload = json.loads(_read_text(args.cover))
     except json.JSONDecodeError as err:
-        raise _Refused(str(err)) from None
+        raise _Refused(f"{name}: not JSON: {err}") from None
     cycles = payload.get("cycles") if isinstance(payload, dict) else payload
     if not isinstance(cycles, list):
-        raise _Refused('cover must be a JSON list of cycles or an object with '
-                       'a "cycles" list')
+        raise _Refused(f'{name}: cover must be a JSON list of cycles or an '
+                       f'object with a "cycles" list')
     verdict = verify_cdc(g, cycles)
     _write_text(None, _dump(verdict.to_json()))
     return 0 if verdict.accepted else 1
@@ -203,7 +212,7 @@ def cmd_verify(args) -> int:
 
 def cmd_oracle(args) -> int:
     _check_budget(args.budget)
-    g = _load_graph(args.input, args.format)
+    g = _load_graph(args.input)
     if args.mode == "cdc":
         result = brute_force_cdc(g, time_budget=args.budget)
         verdict = verify_cdc(g, result.cycles) if result.found else None
@@ -292,7 +301,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("decompose", help="compute a verified cycle double cover")
     p.add_argument("--input", required=True, help="graph file, or - for stdin")
-    p.add_argument("--format", choices=["graph6", "edgelist"], default="graph6")
     p.add_argument("--goddyn-cycle", default=None, metavar="V0,V1,...",
                    help="cycle of the input graph the cover must contain")
     p.add_argument("--output", default=None, help="cover JSON (default stdout)")
@@ -308,12 +316,10 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("verify", help="verify a cover file against a graph")
     p.add_argument("--graph", required=True)
     p.add_argument("--cover", required=True)
-    p.add_argument("--format", choices=["graph6", "edgelist"], default="graph6")
     p.set_defaults(func=cmd_verify)
 
     p = sub.add_parser("oracle", help="brute-force search for covers")
     p.add_argument("--input", required=True)
-    p.add_argument("--format", choices=["graph6", "edgelist"], default="graph6")
     p.add_argument("--mode", choices=["cdc", "rainbow"], default="cdc",
                    help="cdc on the graph, or rainbow on its line graph")
     p.add_argument("--budget", type=float, default=60.0, help="seconds")

@@ -511,11 +511,12 @@ def triangles(g: Graph) -> list[tuple[int, int, int]]:
 def check_goodness(g: EdgeColoredGraph) -> GoodnessReport:
     """Evaluate all six goodness conditions; failures are data, not errors.
 
-    Conditions 1-5 come from one sweep over the vertices: degree, the colors
-    at the vertex, and the triangles whose least vertex it is. Condition 6
-    takes one lowpoint DFS. For the degrees a good graph allows, the whole
-    check is linear in the size of the graph. What a removal leaves is
-    checked by `report_after_removal` instead.
+    Conditions 1, 2, 4 and 5 come from one sweep over the vertices: degree
+    and the colors at the vertex. Condition 3 reads `triangles`, as
+    `rainbow_triangle` does. Condition 6 takes one lowpoint DFS. For the
+    degrees a good graph allows, the whole check is linear in the size of
+    the graph. What a removal leaves is checked by `report_after_removal`
+    instead.
     """
     adj = g.graph.adj
     coloring = g.coloring
@@ -542,15 +543,9 @@ def check_goodness(g: EdgeColoredGraph) -> GoodnessReport:
                 bad_candidates.append(v)
             else:
                 violations.append(Violation(4, "vertex", v))
-        for i, a in enumerate(nbrs):
-            if a < v:
-                continue
-            adj_a = adj[a]
-            for j in range(i + 1, d):
-                b = nbrs[j]
-                if b in adj_a and len({cols[i], cols[j], coloring[(a, b)]}) == 2:
-                    violations.append(Violation(3, "triangle", (v, a, b)))
-
+    for a, b, c in triangles(g.graph):
+        if len({coloring[(a, b)], coloring[(b, c)], coloring[(a, c)]}) == 2:
+            violations.append(Violation(3, "triangle", (a, b, c)))
     violations.extend(Violation(5, "color", c) for c, k in span.items() if k > 3)
 
     if even_ok:

@@ -219,8 +219,6 @@ def brute_force_cdc(g: Graph, time_budget: float) -> SearchResult:
     sooner.
     """
     deadline = time.monotonic() + time_budget
-    if not g.edges:
-        return SearchResult("found", ())
     if find_bridges(g):
         return SearchResult("absent")  # a bridge lies on no cycle
     try:
@@ -245,8 +243,6 @@ def brute_force_rainbow_decomposition(g: EdgeColoredGraph,
     rainbow cycle uses them, and every almost-rainbow candidate uses both.
     """
     deadline = time.monotonic() + time_budget
-    if not g.edges:
-        return SearchResult("found", ())
     bad = check_goodness(g).bad_vertex
     try:
         cycles = enumerate_cycles(g.graph, deadline)

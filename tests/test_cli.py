@@ -1,3 +1,4 @@
+import io
 import json
 from pathlib import Path
 
@@ -11,7 +12,7 @@ from cdcover.graphs import Cycle, parse_graph6, serialize_graph6
 from cdcover.linegraph import CycleDoubleCover, build_line_graph, project_cycle
 from cdcover.oracle import SearchResult
 from cdcover.verify import verify_cdc
-from graphsamples import bridged_cubic_10, k4, petersen
+from graphsamples import bridged_cubic_10, k4, k33, petersen, prism
 from oracles import serialize_edge_list
 
 
@@ -211,9 +212,57 @@ def test_decompose_rejected_cover_exits_2(k4_file, capsys, monkeypatch):
 def test_decompose_edgelist_format(tmp_path, capsys):
     path = tmp_path / "k4.txt"
     path.write_text(serialize_edge_list(k4()))
-    code, out, _ = _run(capsys, "decompose", "--input", str(path),
-                        "--format", "edgelist")
+    code, out, _ = _run(capsys, "decompose", "--input", str(path))
     assert code == 0
+
+
+def _graph_texts(g) -> list[str]:
+    """g as graph6, bare and with its `>>graph6<<` prefix, and as edge-list
+    text, with its `n` header and without it but after a `#` comment."""
+    g6 = serialize_graph6(g)
+    edges = serialize_edge_list(g)
+    return [g6 + "\n", ">>graph6<<" + g6 + "\n", edges,
+            "# no header\n\n" + edges.partition("\n")[2]]
+
+
+@pytest.mark.parametrize("graph", [k4, k33, prism, petersen, bridged_cubic_10])
+def test_graph_format_is_read_from_the_text(graph, tmp_path, capsys):
+    """Every command that reads a graph answers alike, exit code, stdout and
+    stderr, on each way of writing it; no option names the format."""
+    cover = tmp_path / "cover.json"
+    cover.write_text(json.dumps({"cycles": [[0, 1, 2]]}))
+    runs = []
+    for i, text in enumerate(_graph_texts(graph())):
+        path = tmp_path / f"g{i}"
+        path.write_text(text)
+        runs.append([_run(capsys, *argv) for argv in (
+            ["decompose", "--input", str(path)],
+            ["verify", "--graph", str(path), "--cover", str(cover)],
+            ["oracle", "--input", str(path), "--mode", "cdc"],
+            ["oracle", "--input", str(path), "--mode", "rainbow"])])
+    assert all(run == runs[0] for run in runs)
+
+
+@pytest.mark.parametrize("text, message", [
+    ("", "graph6 parse error at byte 0: empty input (truncated)"),
+    ("\n  \n", "graph6 parse error at byte 0: empty input (truncated)"),
+    ("# a comment\n", "graph6 parse error at byte 0: bad header byte 35"),
+])
+def test_input_with_no_graph_line_is_refused(tmp_path, capsys, text, message):
+    """Text with no line but blanks and comments is read as graph6 and
+    refused, not read as a graph with no vertices."""
+    path = tmp_path / "g"
+    path.write_text(text)
+    code, out, err = _run(capsys, "oracle", "--input", str(path))
+    assert code == 1 and out == ""
+    assert err == f"error: {path}: {message}\n"
+
+
+def test_declared_empty_graph_is_read(tmp_path, capsys):
+    path = tmp_path / "g"
+    path.write_text("n 0\n")
+    code, out, _ = _run(capsys, "oracle", "--input", str(path))
+    assert code == 0 and out == "found\n"
 
 
 def test_verify_command(k4_file, tmp_path, capsys):
@@ -269,8 +318,7 @@ def test_oracle_cdc_found(k4_file, capsys):
 def test_oracle_cdc_absent(tmp_path, capsys):
     path = tmp_path / "bridged.txt"
     path.write_text("0 1\n1 2\n2 0\n3 4\n4 5\n5 3\n2 3\n")
-    code, out, _ = _run(capsys, "oracle", "--input", str(path),
-                        "--format", "edgelist", "--mode", "cdc")
+    code, out, _ = _run(capsys, "oracle", "--input", str(path), "--mode", "cdc")
     assert code == 0 and out.strip() == "absent"
 
 
@@ -391,10 +439,33 @@ def test_crosscheck_count_zero(capsys):
 
 
 def test_stdin_input(capsys, monkeypatch):
-    import io
     monkeypatch.setattr("sys.stdin", io.StringIO("C~\n"))
     code, out, _ = _run(capsys, "decompose", "--input", "-")
     assert code == 0
+
+
+def test_stdin_refusal_names_stdin(capsys, monkeypatch):
+    monkeypatch.setattr("sys.stdin", io.StringIO("C~\nC~\n"))
+    code, out, err = _run(capsys, "decompose", "--input", "-")
+    assert code == 1 and out == ""
+    assert err == "error: stdin: expected one graph6 line, got 2\n"
+
+
+@pytest.mark.parametrize("via_stdin", [False, True], ids=["file", "stdin"])
+def test_verify_refuses_a_cover_that_is_not_json(k4_file, tmp_path, capsys,
+                                                  monkeypatch, via_stdin):
+    """A cover that is not JSON is refused in `replay`'s words, naming it."""
+    text = "{cycles: []}"
+    if via_stdin:
+        monkeypatch.setattr("sys.stdin", io.StringIO(text))
+        cover, name = "-", "stdin"
+    else:
+        cover = name = str(tmp_path / "cover.json")
+        Path(cover).write_text(text)
+    code, out, err = _run(capsys, "verify", "--graph", str(k4_file), "--cover", cover)
+    assert code == 1 and out == ""
+    assert err == (f"error: {name}: not JSON: Expecting property name enclosed "
+                   f"in double quotes: line 1 column 2 (char 1)\n")
 
 
 def test_fallback_budget_flag_is_gone(k4_file, capsys):
@@ -434,7 +505,7 @@ def test_verify_command_rejects_malformed_cover(k4_file, tmp_path, capsys, paylo
     code, out, err = _run(capsys, "verify", "--graph", str(k4_file),
                           "--cover", str(cover))
     assert code == 1 and out == ""
-    assert err.startswith("error: cover must be a JSON list")
+    assert err.startswith(f"error: {cover}: cover must be a JSON list")
 
 
 @pytest.mark.parametrize("command, undecodable", [
@@ -452,8 +523,6 @@ def test_undecodable_input_is_an_error(k4_file, tmp_path, capsys, command,
     argv = [command]
     for flag in (("graph", "cover") if command == "verify" else ("input",)):
         argv += [f"--{flag}", str(files[flag])]
-    if undecodable != "cover":
-        argv += ["--format", "edgelist"]
     code, out, err = _run(capsys, *argv)
     assert code == 1 and out == ""
     assert err == f"error: {binary}: not utf-8 text (invalid start byte at byte 0)\n"
@@ -472,7 +541,7 @@ def test_non_ascii_graph6_is_refused(tmp_path, capsys, command):
             if command == "verify" else [command, "--input", str(bad)])
     code, out, err = _run(capsys, *argv)
     assert code == 1 and out == ""
-    assert err == "error: graph6 parse error at byte 1: non-ASCII character\n"
+    assert err == f"error: {bad}: graph6 parse error at byte 1: non-ASCII character\n"
 
 
 @pytest.mark.parametrize("command", ["decompose", "verify", "oracle"])
@@ -529,9 +598,13 @@ def test_gen_count_zero(capsys):
     ["decompose"],
     ["decompose", "--input", "x", "--format", "foo"],
     ["gen", "--n", "abc"],
+    ["decompose", "--input", "x", "--format", "edgelist"],
+    ["verify", "--graph", "x", "--cover", "y", "--format", "edgelist"],
+    ["oracle", "--input", "x", "--format", "graph6"],
 ])
 def test_usage_errors_exit_1(capsys, argv):
-    """argparse's own exit code, 2, is the code of a case failure here."""
+    """argparse's own exit code, 2, is the code of a case failure here. A
+    graph's format is read from its text, so `--format` is no option."""
     code, out, err = _run(capsys, *argv)
     assert code == 1 and out == ""
     assert "usage: cdcover" in err and "error:" in err

@@ -129,10 +129,11 @@ def test_edge_list_parsers_refuse_alike(lines, message):
 def test_edge_list_refusal_reaches_the_cli(tmp_path, capsys):
     path = tmp_path / "g.txt"
     path.write_text("n 2\n0 5\n")
-    code = main(["decompose", "--input", str(path), "--format", "edgelist"])
+    code = main(["decompose", "--input", str(path)])
     captured = capsys.readouterr()
     assert code == 1 and captured.out == ""
-    assert captured.err == "error: line 2: edge (0, 5) out of range for declared n=2\n"
+    assert captured.err == (f"error: {path}: line 2: edge (0, 5) out of range "
+                            f"for declared n=2\n")
 
 
 def test_edge_list_roundtrip():

@@ -9,20 +9,22 @@ removal check asks for a goodness check from a parent's report, only its
 entry points check a graph in full, and only the removal check makes the
 record of a removal it accepted. Only
 `graphs.lowpoint_search` stores discovery times and lowpoints. The
-brute-force oracle imports nothing from the decomposer it certifies. Every
-layer the benchmark's tracer wraps still exists under the name it wraps.
-Only a pinned few definitions are called, and a pinned few parameters
-set, by tests alone, and no default is overridden by every call outside
-the tests. Outside the engine corpus, no test both generates
-random graphs and patches the engine, by `setattr`, an assignment or a
-`unittest.mock` patch.
+brute-force oracle and the decomposer it certifies import nothing from
+each other. Every layer the benchmark's tracer wraps still exists under
+the name it wraps. Only a pinned few definitions are called, and a
+pinned few parameters set, by tests alone, and no default is overridden
+by every call outside the tests. Outside the engine corpus, no test
+both generates random graphs and patches the engine, by `setattr`, an
+assignment or a `unittest.mock` patch.
 
 No linter ships with the project, so these are stdlib stand-ins for the
 unused-import, dead-code and empty f-string checks. `__init__.py` is
 exempt from the first: its imports are re-exports, and the package's
 `__all__` lists exactly those names, once each, which are the names the
-README's Library section lists.
+README's Library section lists. The CLI's options are the flags the README
+names.
 """
+import argparse
 import ast
 import importlib
 import importlib.util
@@ -34,6 +36,7 @@ from pathlib import Path
 import pytest
 
 import cdcover
+from cdcover.cli import build_parser
 
 SRC = Path(cdcover.__file__).parent
 MODULES = sorted(p for p in SRC.glob("*.py") if p.name != "__init__.py")
@@ -123,6 +126,44 @@ def test_exports_are_the_readme_library():
     here until the README lists it, and so does a listed name that is no
     longer exported."""
     assert documented_exports((ROOT / "README.md").read_text()) == set(cdcover.__all__)
+
+
+def documented_flags(readme: str) -> set[str]:
+    """The `--flags` that `readme` names outside its `## Install and test`
+    section, whose flags are pip's, not the CLI's."""
+    before, _, after = readme.partition("\n## Install and test\n")
+    text = before + after.partition("\n## ")[2]
+    return set(re.findall(r"(?<![\w-])--[a-z][a-z0-9-]*", text))
+
+
+def parser_flags(parser) -> set[str]:
+    """The `--` options, bar `--help`, of `parser` and its subcommands."""
+    flags = set()
+    for action in parser._actions:
+        flags.update(o for o in action.option_strings if o.startswith("--"))
+        if isinstance(action, argparse._SubParsersAction):
+            for sub in action.choices.values():
+                flags |= parser_flags(sub)
+    return flags - {"--help"}
+
+
+def test_documented_flags_detects_and_allows():
+    readme = ("# pkg\n`x --input -`\n## Install and test\npip --no-deps\n"
+              "## CLI\n--n-max, a--b, ---c and --n\n## Formats\n(--mode)\n")
+    assert documented_flags(readme) == {"--input", "--n-max", "--n", "--mode"}
+    parser = argparse.ArgumentParser()
+    parser.add_argument("--top")
+    sub = parser.add_subparsers().add_parser("go")
+    sub.add_argument("-q", "--quiet")
+    sub.add_argument("path")
+    assert parser_flags(parser) == {"--top", "--quiet"}
+
+
+def test_cli_options_are_the_readme_flags():
+    """The options `cli.build_parser()` defines are the flags the README
+    names: an option the README omits fails here, and so does a flag the
+    README still names after its option is gone."""
+    assert documented_flags((ROOT / "README.md").read_text()) == parser_flags(build_parser())
 
 
 def _names(tree: ast.AST) -> Counter:
@@ -892,6 +933,13 @@ def test_oracle_does_not_import_the_decomposer():
     cycle search or removal check, however much faster they are."""
     imported = imported_modules((SRC / "oracle.py").read_text())
     assert imported and not [m for m in imported if "decomposer" in m.split(".")]
+
+
+def test_decomposer_does_not_import_the_oracle():
+    """The decomposer must not lean on the search that certifies it: a
+    cover the oracle's own search found would check nothing."""
+    imported = imported_modules((SRC / "decomposer.py").read_text())
+    assert imported and not [m for m in imported if "oracle" in m.split(".")]
 
 
 LOWPOINT_NAMES = frozenset({"low", "disc"})
