@@ -19,8 +19,8 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import os
 import sys
-from pathlib import Path
 
 from .decomposer import DecomposeError, decompose, replay_case_failure
 from .graphs import (
@@ -63,7 +63,8 @@ def _read_text(path: str) -> str:
     try:
         if path == "-":
             return sys.stdin.read()
-        return Path(path).read_text(encoding="utf-8")
+        with open(path, encoding="utf-8") as f:
+            return f.read()
     except OSError as err:
         raise _Refused(f"{name}: {err.strerror or err}") from None
     except UnicodeDecodeError as err:
@@ -72,14 +73,16 @@ def _read_text(path: str) -> str:
 
 
 def _write_text(path: str | None, text: str) -> None:
-    """Write text to the file at `path`, or to stdout for None or "-"."""
+    """Write text to the file at `path`, as UTF-8, or to stdout for None or
+    "-"."""
     if path is None or path == "-":
         sys.stdout.write(text)
         if text and not text.endswith("\n"):
             sys.stdout.write("\n")
         return
     try:
-        Path(path).write_text(text)
+        with open(path, "w", encoding="utf-8") as f:
+            f.write(text)
     except OSError as err:
         raise _Refused(f"{path}: {err.strerror or err}") from None
 
@@ -251,7 +254,7 @@ def cmd_crosscheck(args) -> int:
     _check_budget(args.budget)
     rng = random.Random(args.seed)
     sizes = list(range(4, args.n_max + 1, 2))
-    art_dir = Path("crosscheck-artifacts")
+    art_dir = "crosscheck-artifacts"
     rows = []
     bad = 0
     for idx in range(args.count):
@@ -277,13 +280,13 @@ def cmd_crosscheck(args) -> int:
         if not agree:
             bad += 1
             try:
-                art_dir.mkdir(exist_ok=True)
+                os.makedirs(art_dir, exist_ok=True)
             except OSError as err:
                 raise _Refused(f"{art_dir}: {err.strerror or err}") from None
             art = {"index": idx, "n": n, "seed": gseed,
                    "graph6": serialize_graph6(g), "decompose": dec,
                    "oracle": ora, "trace": trace.to_json()}
-            _write_text(str(art_dir / f"crosscheck_{idx:04d}.json"), _dump(art))
+            _write_text(os.path.join(art_dir, f"crosscheck_{idx:04d}.json"), _dump(art))
         rows.append((idx, n, gseed, dec, ora, "ok" if agree else "MISMATCH"))
     print(f"{'idx':>4} {'n':>3} {'seed':>10} {'decompose':>13} {'oracle':>13} verdict")
     for row in rows:

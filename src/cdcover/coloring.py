@@ -248,11 +248,10 @@ check.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable, Mapping, Sequence
 
-from .graphs import (Cycle, Edge, Graph, GraphError, check_edge, edge,
+from .graphs import (Cycle, Edge, Graph, GraphError, _Record, check_edge, edge,
                      lowpoint_search, read_edge_lines)
 
 
@@ -260,28 +259,25 @@ class ColoredGraphError(ValueError):
     """Malformed colored-graph input or an illegal operation."""
 
 
-@dataclass(frozen=True)
-class EdgeColoredGraph:
+class EdgeColoredGraph(_Record):
     """A graph plus a total edge coloring by integer color ids.
 
     Treated as immutable; all transformations return new instances.
     """
 
-    graph: Graph
-    coloring: Mapping[Edge, int]
-
-    def __hash__(self) -> int:
-        # the generated hash would hash the coloring dict; this one agrees
-        # with the generated __eq__, which compares graph and coloring
-        return hash((self.graph, frozenset(self.coloring.items())))
-
-    def __post_init__(self) -> None:
-        missing = self.graph.edges - set(self.coloring)
-        extra = set(self.coloring) - self.graph.edges
+    def __init__(self, graph: Graph, coloring: Mapping[Edge, int]) -> None:
+        missing = graph.edges - set(coloring)
+        extra = set(coloring) - graph.edges
         if missing or extra:
             raise ColoredGraphError(
                 f"coloring must be total: missing {sorted(missing)}, "
                 f"extra {sorted(extra)}")
+        self._set(graph=graph, coloring=coloring)
+
+    def __hash__(self) -> int:
+        # the base's hash would hash the coloring dict; this one agrees
+        # with its ==, which compares graph and coloring
+        return hash((self.graph, frozenset(self.coloring.items())))
 
     @classmethod
     def from_triples(cls, n: int, triples: Iterable[tuple[int, int, int]]) -> "EdgeColoredGraph":
@@ -430,11 +426,10 @@ class EdgeColoredGraph:
         return tuple(chains)
 
 
-@dataclass(frozen=True)
-class ColorClass:
-    color: int
-    edges: frozenset[Edge]
-    vertices: frozenset[int]
+class ColorClass(_Record):
+    def __init__(self, color: int, edges: frozenset[Edge],
+                 vertices: frozenset[int]) -> None:
+        self._set(color=color, edges=edges, vertices=vertices)
 
 
 def color_classes(g: EdgeColoredGraph) -> dict[int, ColorClass]:
@@ -455,17 +450,15 @@ class GoodnessVerdict(enum.Enum):
     NOT_GOOD = "not_good"
 
 
-@dataclass(frozen=True)
-class Violation:
+class Violation(_Record):
     """One failed goodness condition with a concrete witness.
 
     `kind` is one of "vertex", "triangle", "color"; `witness` is the vertex
     id, the sorted vertex triple, or the color id respectively.
     """
 
-    condition: int
-    kind: str
-    witness: object
+    def __init__(self, condition: int, kind: str, witness: object) -> None:
+        self._set(condition=condition, kind=kind, witness=witness)
 
     def to_json(self) -> dict:
         w = self.witness
@@ -473,11 +466,10 @@ class Violation:
                 "witness": list(w) if isinstance(w, tuple) else w}
 
 
-@dataclass(frozen=True)
-class GoodnessReport:
-    verdict: GoodnessVerdict
-    bad_vertex: int | None
-    violations: tuple[Violation, ...]
+class GoodnessReport(_Record):
+    def __init__(self, verdict: GoodnessVerdict, bad_vertex: int | None,
+                 violations: tuple[Violation, ...]) -> None:
+        self._set(verdict=verdict, bad_vertex=bad_vertex, violations=violations)
 
     @property
     def ok(self) -> bool:

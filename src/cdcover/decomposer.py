@@ -56,7 +56,6 @@ so one sweep certifies it there, and the lemma gives each step's report.
 from __future__ import annotations
 
 from bisect import insort
-from dataclasses import dataclass, field, replace
 from typing import Callable, Collection, Iterable, Iterator, Sequence
 
 from .coloring import (
@@ -74,7 +73,7 @@ from .coloring import (
     split_components,
     x_block_decomposition,
 )
-from .graphs import Cycle, Edge, edge
+from .graphs import Cycle, Edge, _Record, edge
 
 BASE_CYCLE = "BaseCycle"
 RAINBOW_TRIANGLE = "RainbowTriangle"
@@ -185,29 +184,25 @@ def _build_transform(parent: EdgeColoredGraph, kind: str, *,
 # trace types
 
 
-@dataclass(frozen=True)
-class TraceStep:
-    case: str
-    cycle: Cycle
-    goodness: GoodnessReport
+class TraceStep(_Record):
+    def __init__(self, case: str, cycle: Cycle, goodness: GoodnessReport) -> None:
+        self._set(case=case, cycle=cycle, goodness=goodness)
 
     def to_json(self) -> dict:
         return {"case": self.case, "cycle": list(self.cycle.vertices),
                 "goodness": self.goodness.to_json()}
 
 
-@dataclass(frozen=True)
-class CaseFailure:
+class CaseFailure(_Record):
     """Replayable evidence that some case (and the fallback) failed.
     `prescribed` is the run's prescribed cycle when `graph_text` is the
     run's input, so that a replay is the run that failed."""
 
-    case: str
-    graph_text: str
-    message: str
-    cycle: Cycle | None = None
-    goodness: GoodnessReport | None = None
-    prescribed: Cycle | None = None
+    def __init__(self, case: str, graph_text: str, message: str,
+                 cycle: Cycle | None, goodness: GoodnessReport | None,
+                 prescribed: Cycle | None) -> None:
+        self._set(case=case, graph_text=graph_text, message=message,
+                  cycle=cycle, goodness=goodness, prescribed=prescribed)
 
     def to_json(self) -> dict:
         out = {"status": "case_failure", "case": self.case,
@@ -219,11 +214,11 @@ class CaseFailure:
         return out
 
 
-@dataclass(frozen=True)
-class DecompositionTrace:
-    steps: tuple[TraceStep, ...]
-    cycles: tuple[Cycle, ...] | None   # set on success, almost-rainbow first
-    failure: CaseFailure | None = None
+class DecompositionTrace(_Record):
+    def __init__(self, steps: tuple[TraceStep, ...],
+                 cycles: tuple[Cycle, ...] | None,  # set on success, almost-rainbow first
+                 failure: CaseFailure | None = None) -> None:
+        self._set(steps=steps, cycles=cycles, failure=failure)
 
     @property
     def success(self) -> bool:
@@ -239,31 +234,23 @@ class DecompositionTrace:
         return out
 
 
-@dataclass(frozen=True)
 class CasePattern:
-    """Bound local labels for the Case2_2 family.
+    """Bound local labels for the Case2_2 family, all ints.
 
     v is Type I with neighbors x1, x2 (both Type II); alpha/beta are the
     colors at v, doubled at x1/x2 toward y1/y2; gamma/delta are the second
     colors at x1/x2, toward {w1, z1} and {w2, z2}.
     """
 
-    v: int
-    x1: int
-    x2: int
-    alpha: int
-    beta: int
-    y1: int
-    y2: int
-    w1: int
-    w2: int
-    z1: int
-    z2: int
-    gamma: int
-    delta: int
+    __slots__ = ("v", "x1", "x2", "alpha", "beta", "y1", "y2",
+                 "w1", "w2", "z1", "z2", "gamma", "delta")
+
+    def __init__(self, v, x1, x2, alpha, beta, y1, y2, w1, w2, z1, z2, gamma, delta):
+        self.v, self.x1, self.x2, self.alpha, self.beta = v, x1, x2, alpha, beta
+        self.y1, self.y2, self.w1, self.w2, self.z1, self.z2 = y1, y2, w1, w2, z1, z2
+        self.gamma, self.delta = gamma, delta
 
 
-@dataclass(frozen=True)
 class CaseReduction:
     """A case's smaller graph plus its lift rule.
 
@@ -276,9 +263,13 @@ class CaseReduction:
     its own call of it.
     """
 
-    child: EdgeColoredGraph
-    lift: Callable[[list[tuple[str, Cycle]]], list[tuple[str, Cycle]] | _Checked]
-    report: GoodnessReport
+    __slots__ = ("child", "lift", "report")
+
+    def __init__(self, child: EdgeColoredGraph,
+                 lift: Callable[[list[tuple[str, Cycle]]],
+                                list[tuple[str, Cycle]] | _Checked],
+                 report: GoodnessReport) -> None:
+        self.child, self.lift, self.report = child, lift, report
 
 
 # ---------------------------------------------------------------------------
@@ -397,15 +388,16 @@ def _all_type2(g: EdgeColoredGraph) -> bool:
     return True
 
 
-@dataclass(frozen=True)
 class _Checked:
     """A batch [(tag, cycle), ...] that `_check_removal`, the only place
     one is made, accepted for removal from a graph, with what the removal
     leaves, `rest`, and its report."""
 
-    batch: Sequence[tuple[str, Cycle]]
-    rest: EdgeColoredGraph
-    report: GoodnessReport
+    __slots__ = ("batch", "rest", "report")
+
+    def __init__(self, batch: Sequence[tuple[str, Cycle]], rest: EdgeColoredGraph,
+                 report: GoodnessReport) -> None:
+        self.batch, self.rest, self.report = batch, rest, report
 
 
 def _check_removal(h: EdgeColoredGraph, rep: GoodnessReport,
@@ -734,6 +726,15 @@ def _swap_sides(p: CasePattern) -> CasePattern:
                        p.w2, p.w1, p.z2, p.z1, p.delta, p.gamma)
 
 
+def _with_w(p: CasePattern, w1: int, w2: int) -> CasePattern:
+    """p relabelled so that w1 and w2 are the given members of {w1, z1} and
+    {w2, z2}, and z1 and z2 the others."""
+    z1 = p.z1 if w1 == p.w1 else p.w1
+    z2 = p.z2 if w2 == p.w2 else p.w2
+    return CasePattern(p.v, p.x1, p.x2, p.alpha, p.beta, p.y1, p.y2,
+                       w1, w2, z1, z2, p.gamma, p.delta)
+
+
 def normalize_case2_2(p: CasePattern) -> tuple[str, CasePattern]:
     """Resolve the overlap shape, renaming labels so each subcase sees its
     canonical form: (a) w1 == w2, (b) y1 == y2, (c) y1 == w2 with the rest
@@ -741,29 +742,18 @@ def normalize_case2_2(p: CasePattern) -> tuple[str, CasePattern]:
     s1, s2 = {p.w1, p.z1}, {p.w2, p.z2}
     shared = sorted(s1 & s2)
     if shared:
-        s = shared[0]
-        if p.w1 != s:
-            p = replace(p, w1=p.z1, z1=p.w1)
-        if p.w2 != s:
-            p = replace(p, w2=p.z2, z2=p.w2)
-        return "a", p
+        return "a", _with_w(p, shared[0], shared[0])
     if p.y1 == p.y2:
         return "b", p
     y1_in = p.y1 in s2
     y2_in = p.y2 in s1
     if y1_in and y2_in:
-        if p.w2 != p.y1:
-            p = replace(p, w2=p.z2, z2=p.w2)
-        if p.w1 != p.y2:
-            p = replace(p, w1=p.z1, z1=p.w1)
-        return "d", p
+        return "d", _with_w(p, p.y2, p.y1)
     if y2_in and not y1_in:
         p = _swap_sides(p)
         y1_in = True
     if y1_in:
-        if p.w2 != p.y1:
-            p = replace(p, w2=p.z2, z2=p.w2)
-        return "c", p
+        return "c", _with_w(p, p.w1, p.y1)
     return "disjoint", p
 
 
@@ -1053,14 +1043,20 @@ def _case2_2_2d(p: CasePattern) -> list[tuple[str, Cycle]]:
 # fallback search
 
 
-@dataclass(frozen=True)
 class FallbackResult:
     """A search's outcome; a found cycle comes with the `_Checked` its
     removal check returned, which `==` ignores."""
 
-    status: str  # "found" | "absent" | "indeterminate"
-    cycle: Cycle | None = None
-    checked: _Checked | None = field(default=None, compare=False, repr=False)
+    __slots__ = ("status", "cycle", "checked")
+
+    def __init__(self, status: str,  # "found" | "absent" | "indeterminate"
+                 cycle: Cycle | None = None, checked: _Checked | None = None) -> None:
+        self.status, self.cycle, self.checked = status, cycle, checked
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.status, self.cycle) == (other.status, other.cycle)
 
 
 def _color_pruned_cycles(g: EdgeColoredGraph, length: int,
@@ -1205,15 +1201,16 @@ def _dispatch(comp: EdgeColoredGraph, rep: GoodnessReport):
     return {"a": _case2_2_2a, "b": _case2_2_2b, "c": _case2_2_2c}[shape](comp, rep, pat)
 
 
-@dataclass
 class _Frame:
     """A graph being peeled, its report and the list its cycles go to;
     `pending` is a reduction waiting on its child's list."""
 
-    graph: EdgeColoredGraph
-    rep: GoodnessReport
-    out: list[tuple[str, Cycle]]
-    pending: tuple[CaseReduction, list[tuple[str, Cycle]]] | None = None
+    __slots__ = ("graph", "rep", "out", "pending")
+
+    def __init__(self, graph: EdgeColoredGraph, rep: GoodnessReport,
+                 out: list[tuple[str, Cycle]]) -> None:
+        self.graph, self.rep, self.out = graph, rep, out
+        self.pending: tuple[CaseReduction, list[tuple[str, Cycle]]] | None = None
 
     def take(self, checked: _Checked) -> None:
         """Apply a checked removal: keep its remainder and report, and
@@ -1302,7 +1299,7 @@ def _verified_trace(root: EdgeColoredGraph, rep: GoodnessReport,
     steps = tuple(TraceStep(tag, cyc, rep if i < at else GOOD_REPORT)
                   for i, (tag, cyc) in enumerate(tagged))
     ordered = tagged[at:at + 1] + tagged[:at] + tagged[at + 1:]
-    return DecompositionTrace(steps, tuple(c for _, c in ordered), None)
+    return DecompositionTrace(steps, tuple(c for _, c in ordered))
 
 
 def decompose(g: EdgeColoredGraph, prescribed: Cycle | None = None) -> DecompositionTrace:

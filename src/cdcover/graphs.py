@@ -8,11 +8,11 @@ bridges here, and the components and Type X cut vertices of a colored
 graph in the coloring module, are read from it.
 
 All values are immutable after construction; every operation returns new
-values.
+values. The package's public records are plain classes on `_Record`, which
+makes them values: compared, hashed and shown by their fields.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cached_property
 
 Edge = tuple[int, int]
@@ -39,22 +39,59 @@ def check_edge(e: object, n: int) -> None:
         raise GraphError(f"edge {e} out of range for n={n}")
 
 
-@dataclass(frozen=True)
-class Graph:
+class _Record:
+    """The base of the package's public records. A record's fields are the
+    parameters of its class's `__init__`, in order, which sets them once,
+    by name, through `_set`. Records of one class with equal fields are equal and hash
+    alike, as the tuple of their fields does; records of two classes are
+    never equal. The repr is `Name(field=value, ...)`, and assigning or
+    deleting an attribute raises AttributeError. The fields sit in the
+    instance `__dict__`, beside the values of cached properties."""
+
+    _fields: tuple[str, ...]
+
+    def __init_subclass__(cls) -> None:
+        code = cls.__init__.__code__
+        cls._fields = code.co_varnames[1:code.co_argcount]
+
+    def _set(self, **fields) -> None:
+        self.__dict__.update(fields)
+
+    def _values(self) -> tuple:
+        return tuple([getattr(self, name) for name in self._fields])
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._values() == other._values()
+
+    def __hash__(self) -> int:
+        return hash(self._values())
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
+        return f"{type(self).__qualname__}({fields})"
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r}")
+
+
+class Graph(_Record):
     """Simple undirected graph on vertices 0..n-1.
 
     Isolated vertices are representable: `n` may exceed the number of
     vertices that appear in `edges`.
     """
 
-    n: int
-    edges: frozenset[Edge]
-
-    def __post_init__(self) -> None:
-        if self.n < 0:
-            raise GraphError(f"negative vertex count {self.n}")
-        for e in self.edges:
-            check_edge(e, self.n)
+    def __init__(self, n: int, edges: frozenset[Edge]) -> None:
+        if n < 0:
+            raise GraphError(f"negative vertex count {n}")
+        for e in edges:
+            check_edge(e, n)
+        self._set(n=n, edges=edges)
 
     @classmethod
     def from_edges(cls, n: int, pairs) -> "Graph":
@@ -78,9 +115,20 @@ class Graph:
     def m(self) -> int:
         return len(self.edges)
 
+    @cached_property
+    def connectivity(self) -> tuple[bool, frozenset[Edge]]:
+        """(connected, bridges), both from one `lowpoint_search`: whether
+        the graph has at most one component, counting isolated vertices,
+        and the edges whose removal disconnects their component, the tree
+        edges (u, c) with low[c] > disc[u]."""
+        adj = self.adj
+        disc, low, _, trees, split = lowpoint_search(adj)
+        connected = len(trees) + sum(not nbrs for nbrs in adj) <= 1
+        return connected, frozenset(edge(u, c) for u, kids in split.items()
+                                    for c in kids if low[c] > disc[u])
 
-@dataclass(frozen=True)
-class Cycle:
+
+class Cycle(_Record):
     """A vertex-simple cycle, stored canonically.
 
     Canonical form: rotated so the minimum vertex is first, oriented so the
@@ -88,10 +136,8 @@ class Cycle:
     This makes equality and set membership well defined.
     """
 
-    vertices: tuple[int, ...]
-
-    def __post_init__(self) -> None:
-        seq = tuple(self.vertices)
+    def __init__(self, vertices: tuple[int, ...]) -> None:
+        seq = tuple(vertices)
         if len(seq) < 3:
             raise GraphError(f"cycle needs at least 3 vertices, got {seq}")
         if len(set(seq)) != len(seq):
@@ -100,7 +146,7 @@ class Cycle:
         rot = seq[i:] + seq[:i]
         if rot[1] > rot[-1]:
             rot = (rot[0],) + tuple(reversed(rot[1:]))
-        object.__setattr__(self, "vertices", rot)
+        self._set(vertices=rot)
 
     def __len__(self) -> int:
         return len(self.vertices)
@@ -188,19 +234,16 @@ def lowpoint_search(adj: tuple[tuple[int, ...], ...]) -> tuple[
 
 
 def is_connected(g: Graph) -> bool:
-    """At most one component, counting isolated vertices (`lowpoint_search`
-    gives the others)."""
-    adj = g.adj
-    trees = lowpoint_search(adj)[3]
-    return len(trees) + sum(not nbrs for nbrs in adj) <= 1
+    """At most one component, counting isolated vertices. Read from
+    `Graph.connectivity`, which `find_bridges` shares, so the input checks
+    search a graph once."""
+    return g.connectivity[0]
 
 
 def find_bridges(g: Graph) -> frozenset[Edge]:
-    """All edges whose removal disconnects their component: the tree edges
-    (u, c) of `lowpoint_search` with low[c] > disc[u]."""
-    disc, low, _, _, split = lowpoint_search(g.adj)
-    return frozenset(edge(u, c) for u, kids in split.items() for c in kids
-                     if low[c] > disc[u])
+    """All edges whose removal disconnects their component, read from
+    `Graph.connectivity`."""
+    return g.connectivity[1]
 
 
 # ---------------------------------------------------------------------------

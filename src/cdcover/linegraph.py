@@ -9,35 +9,34 @@ exactly twice.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .coloring import EdgeColoredGraph, color_classes
-from .graphs import Cycle, Edge, Graph, edge, is_connected
+from .graphs import Cycle, Edge, Graph, _Record, edge, is_connected
 
 
 class LineGraphError(ValueError):
     """Bad input to a line-graph construction or correspondence."""
 
 
-@dataclass(frozen=True)
-class ColoredLineGraph:
+class ColoredLineGraph(_Record):
     """The colored line graph plus both directions of the correspondence.
 
     L-vertex ids follow the sorted order of the base graph's edges, and color
     ids equal base-graph vertex ids.
     """
 
-    base: Graph
-    lg: EdgeColoredGraph
-    edge_of_vertex: tuple[Edge, ...]      # L-vertex id -> G-edge
-    vertex_of_edge: dict[Edge, int]       # G-edge -> L-vertex id
+    def __init__(self, base: Graph, lg: EdgeColoredGraph,
+                 edge_of_vertex: tuple[Edge, ...],    # L-vertex id -> G-edge
+                 vertex_of_edge: dict[Edge, int],     # G-edge -> L-vertex id
+                 ) -> None:
+        self._set(base=base, lg=lg,
+                  edge_of_vertex=edge_of_vertex, vertex_of_edge=vertex_of_edge)
 
 
-@dataclass(frozen=True)
-class CycleDoubleCover:
+class CycleDoubleCover(_Record):
     """Cycles of a graph in which every edge appears exactly twice."""
 
-    cycles: tuple[Cycle, ...]
+    def __init__(self, cycles: tuple[Cycle, ...]) -> None:
+        self._set(cycles=cycles)
 
     def edge_counts(self, g: Graph) -> dict[Edge, int]:
         counts = {e: 0 for e in g.edges}

@@ -13,11 +13,10 @@ from __future__ import annotations
 
 import random
 import time
-from dataclasses import dataclass
 from typing import Literal
 
 from .coloring import EdgeColoredGraph, check_goodness, is_almost_rainbow_at
-from .graphs import Cycle, Graph, GraphError, edge, find_bridges, is_connected
+from .graphs import Cycle, Graph, GraphError, _Record, edge, find_bridges, is_connected
 
 # samples the pairing model draws before `random_cubic_bridgeless` gives up
 MAX_REJECTIONS = 20000
@@ -25,27 +24,24 @@ MAX_REJECTIONS = 20000
 MAX_NODES = 2_000_000
 
 
-@dataclass(frozen=True)
-class GeneratorConfig:
-    vertex_count: int
-    seed: int
-
-    def __post_init__(self) -> None:
-        if self.vertex_count < 4 or self.vertex_count % 2:
+class GeneratorConfig(_Record):
+    def __init__(self, vertex_count: int, seed: int) -> None:
+        if vertex_count < 4 or vertex_count % 2:
             raise GraphError(
-                f"cubic graphs need an even vertex count >= 4, got {self.vertex_count}")
+                f"cubic graphs need an even vertex count >= 4, got {vertex_count}")
+        self._set(vertex_count=vertex_count, seed=seed)
 
 
-@dataclass(frozen=True)
-class SearchResult:
+class SearchResult(_Record):
     """Outcome of a budgeted exhaustive search.
 
     `indeterminate` means the budget ran out: distinct from `absent`, so a
     timeout is never mistaken for a proof of nonexistence.
     """
 
-    status: Literal["found", "absent", "indeterminate"]
-    cycles: tuple[Cycle, ...] | None = None
+    def __init__(self, status: Literal["found", "absent", "indeterminate"],
+                 cycles: tuple[Cycle, ...] | None = None) -> None:
+        self._set(status=status, cycles=cycles)
 
     @property
     def found(self) -> bool:

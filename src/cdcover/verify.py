@@ -7,16 +7,13 @@ reads the rule it checks off the graph alone.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .coloring import EdgeColoredGraph
-from .graphs import Graph
+from .graphs import Graph, _Record
 
 
-@dataclass(frozen=True)
-class Verdict:
-    accepted: bool
-    witnesses: tuple[dict, ...] = ()
+class Verdict(_Record):
+    def __init__(self, accepted: bool, witnesses: tuple[dict, ...]) -> None:
+        self._set(accepted=accepted, witnesses=witnesses)
 
     def to_json(self) -> dict:
         return {"accepted": self.accepted, "witnesses": list(self.witnesses)}

@@ -17,11 +17,12 @@ from cdcover.graphs import (
     find_bridges,
     is_connected,
     is_cubic,
+    lowpoint_search,
     parse_edge_list,
     parse_graph6,
     serialize_graph6,
 )
-from graphsamples import k4, petersen
+from graphsamples import bridged_cubic_10, k4, petersen
 from oracles import (
     _components_avoiding,
     component_count,
@@ -162,6 +163,7 @@ def test_cycle_canonical_forms():
     assert Cycle((0, 2, 1)).vertices == (0, 1, 2)
     assert Cycle((3, 2, 1, 0)).vertices == (0, 1, 2, 3)
     assert Cycle((1, 0, 3, 2)).vertices == (0, 1, 2, 3)
+    assert Cycle([3, 2, 1, 0]).vertices == (0, 1, 2, 3)
 
 
 def test_cycle_rejects_bad_input():
@@ -169,6 +171,19 @@ def test_cycle_rejects_bad_input():
         Cycle((0, 1))
     with pytest.raises(GraphError):
         Cycle((0, 1, 1))
+
+
+def test_connectivity_and_bridges_share_one_search(monkeypatch):
+    """The input checks ask both questions of one graph: one lowpoint
+    search per graph answers both."""
+    calls = []
+    monkeypatch.setattr("cdcover.graphs.lowpoint_search",
+                        lambda adj: calls.append(adj) or lowpoint_search(adj))
+    for g, bridges in ((petersen(), 0), (bridged_cubic_10(), 1)):
+        calls.clear()
+        assert is_connected(g) and len(find_bridges(g)) == bridges
+        assert is_connected(g) and len(find_bridges(g)) == bridges
+        assert calls == [g.adj]
 
 
 def test_is_connected():

@@ -10,7 +10,9 @@ entry points check a graph in full, and only the removal check makes the
 record of a removal it accepted. Only
 `graphs.lowpoint_search` stores discovery times and lowpoints. The
 brute-force oracle and the decomposer it certifies import nothing from
-each other. Every layer the benchmark's tracer wraps still exists under
+each other. No module in src/cdcover imports `dataclasses`, and importing
+the package and its CLI loads none of `dataclasses`, `inspect`, `ast` and
+`pathlib`. Every layer the benchmark's tracer wraps still exists under
 the name it wraps. Only a pinned few definitions are called, and a
 pinned few parameters set, by tests alone, and no default is overridden
 by every call outside the tests. Outside the engine corpus, no test
@@ -28,7 +30,9 @@ import argparse
 import ast
 import importlib
 import importlib.util
+import os
 import re
+import subprocess
 import sys
 from collections import Counter
 from pathlib import Path
@@ -575,18 +579,19 @@ def test_unconstructed_builds_detects_and_allows():
 
 
 # Each call in src/ that makes an object or sets its fields without its
-# constructor. `Cycle` sets its own field to its canonical form; `edit` is
-# the one place that builds a `Graph` and an `EdgeColoredGraph` so, after
-# validating only the edges it adds. A second such path would skip the
-# constructors' checks unseen.
+# constructor. `_Record._set` is the one way a record's constructor sets its
+# fields; `edit` is the one place that builds a `Graph` and an
+# `EdgeColoredGraph` without their constructors, after validating only the
+# edges it adds. A second such path would skip the constructors' checks
+# unseen.
 UNCONSTRUCTED_BUILDS = [
-    ("Cycle.__post_init__", "object.__setattr__", "self"),
     ("EdgeColoredGraph.edit", "object.__new__", "EdgeColoredGraph"),
     ("EdgeColoredGraph.edit", "object.__new__", "Graph"),
     ("EdgeColoredGraph.edit", "object.__setattr__", "child"),
     ("EdgeColoredGraph.edit", "object.__setattr__", "child"),
     ("EdgeColoredGraph.edit", "object.__setattr__", "graph"),
     ("EdgeColoredGraph.edit", "object.__setattr__", "graph"),
+    ("_Record._set", "self.__dict__.update", "fields"),
 ]
 
 
@@ -940,6 +945,45 @@ def test_decomposer_does_not_import_the_oracle():
     cover the oracle's own search found would check nothing."""
     imported = imported_modules((SRC / "decomposer.py").read_text())
     assert imported and not [m for m in imported if "oracle" in m.split(".")]
+
+
+def imports_module(source: str, module: str) -> bool:
+    """Whether `source` imports the absolute module `module`, or one of
+    its submodules, anywhere, a function body included."""
+    return any(m.split(".")[0] == module for m in imported_modules(source))
+
+
+def test_imports_module_detects_and_allows():
+    assert imports_module("from dataclasses import dataclass\n", "dataclasses")
+    assert imports_module("def f():\n    import dataclasses as dc\n", "dataclasses")
+    assert imports_module("import os.path\n", "os")
+    assert not imports_module("from .dataclasses import x\nimport dataclasses_json\n"
+                              "# import dataclasses\ns = 'import dataclasses'\n",
+                              "dataclasses")
+
+
+def test_src_does_not_import_dataclasses():
+    """The records are plain classes on `graphs._Record`: `dataclasses`
+    imports `inspect`, `ast`, `dis` and `tokenize`, and execs the methods
+    of each class it decorates, which cost `cdcover` most of its start-up."""
+    assert [p.name for p in sorted(SRC.glob("*.py"))
+            if imports_module(p.read_text(), "dataclasses")] == []
+
+
+# standard modules that no `cdcover` import should load
+UNLOADED_AT_IMPORT = ("dataclasses", "inspect", "ast", "pathlib")
+
+
+def test_import_leaves_slow_modules_unloaded():
+    """`import cdcover, cdcover.cli` in a fresh interpreter loads none of
+    `UNLOADED_AT_IMPORT`, directly or through another module. `-S` skips
+    `site`, whose `.pth` files may load some of them first."""
+    code = ("import sys\nimport cdcover, cdcover.cli\n"
+            f"print([m for m in {UNLOADED_AT_IMPORT!r} if m in sys.modules])\n")
+    done = subprocess.run([sys.executable, "-S", "-c", code], capture_output=True,
+                          text=True, timeout=60, check=True,
+                          env={**os.environ, "PYTHONPATH": str(SRC.parent)})
+    assert done.stdout.strip() == "[]"
 
 
 LOWPOINT_NAMES = frozenset({"low", "disc"})
