@@ -248,8 +248,8 @@ check.
 from __future__ import annotations
 
 import enum
+from collections.abc import Iterable, Mapping, Sequence
 from functools import cached_property
-from typing import Iterable, Mapping, Sequence
 
 from .graphs import (Cycle, Edge, Graph, GraphError, _Record, check_edge, edge,
                      lowpoint_search, read_edge_lines)
@@ -424,24 +424,6 @@ class EdgeColoredGraph(_Record):
             chains.append((len(seq) - 1, seq))
         chains.sort(key=lambda c: (-c[0], c[1]))
         return tuple(chains)
-
-
-class ColorClass(_Record):
-    def __init__(self, color: int, edges: frozenset[Edge],
-                 vertices: frozenset[int]) -> None:
-        self._set(color=color, edges=edges, vertices=vertices)
-
-
-def color_classes(g: EdgeColoredGraph) -> dict[int, ColorClass]:
-    """Partition of the edges by color, with the vertex span of each class."""
-    by_color: dict[int, set[Edge]] = {}
-    for e, c in g.coloring.items():
-        by_color.setdefault(c, set()).add(e)
-    return {
-        c: ColorClass(c, frozenset(es),
-                      frozenset(v for e in es for v in e))
-        for c, es in sorted(by_color.items())
-    }
 
 
 class GoodnessVerdict(enum.Enum):

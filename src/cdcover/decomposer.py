@@ -56,7 +56,7 @@ so one sweep certifies it there, and the lemma gives each step's report.
 from __future__ import annotations
 
 from bisect import insort
-from typing import Callable, Collection, Iterable, Iterator, Sequence
+from collections.abc import Callable, Collection, Iterable, Iterator, Sequence
 
 from .coloring import (
     GOOD_REPORT,

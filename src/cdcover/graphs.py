@@ -13,6 +13,7 @@ makes them values: compared, hashed and shown by their fields.
 """
 from __future__ import annotations
 
+import math
 from functools import cached_property
 
 Edge = tuple[int, int]
@@ -247,7 +248,11 @@ def find_bridges(g: Graph) -> frozenset[Edge]:
 
 
 # ---------------------------------------------------------------------------
-# graph6 format (McKay's encoding), one graph per line
+# graph6 format (McKay's encoding), one graph per line. Bit k of the body,
+# 6 bits to a byte from the high bit down, is edge (u, v), u < v, for
+# k = v(v-1)/2 + u; each byte holds 63 plus its 6 bits.
+
+_G6_DIGITS = bytes.maketrans(bytes(range(64)), bytes(range(63, 127)))
 
 
 def _g6_decode_n(data: bytes) -> tuple[int, int]:
@@ -297,19 +302,18 @@ def parse_graph6(text: str) -> Graph:
             f"(need {nbytes} bytes, got {len(body)})")
     if len(body) > nbytes:
         raise GraphError(f"graph6 parse error at byte {off + nbytes}: trailing data")
-    bits = []
+    edges = []
     for i, b in enumerate(body):
-        if not (63 <= b <= 126):
+        if b == 63:  # "?", no bit set
+            continue
+        if not (63 < b <= 126):
             raise GraphError(f"graph6 parse error at byte {off + i}: out-of-range character {b}")
         x = b - 63
-        bits.extend((x >> k) & 1 for k in range(5, -1, -1))
-    edges = set()
-    idx = 0
-    for v in range(1, n):
-        for u in range(v):
-            if bits[idx]:
-                edges.add((u, v))
-            idx += 1
+        for j in range(6):
+            k = 6 * i + j
+            if x & (32 >> j) and k < nbits:  # padding bits are ignored
+                v = (1 + math.isqrt(8 * k + 1)) // 2
+                edges.append((k - v * (v - 1) // 2, v))
     return Graph(n, frozenset(edges))
 
 
@@ -322,19 +326,11 @@ def serialize_graph6(g: Graph) -> str:
         head = [126, 63 + ((n >> 12) & 63), 63 + ((n >> 6) & 63), 63 + (n & 63)]
     else:
         raise GraphError(f"graph too large for supported graph6 headers: n={n}")
-    bits = []
-    for v in range(1, n):
-        for u in range(v):
-            bits.append(1 if (u, v) in g.edges else 0)
-    while len(bits) % 6:
-        bits.append(0)
-    body = []
-    for i in range(0, len(bits), 6):
-        x = 0
-        for b in bits[i:i + 6]:
-            x = (x << 1) | b
-        body.append(63 + x)
-    return bytes(head + body).decode("ascii")
+    body = bytearray((n * (n - 1) // 2 + 5) // 6)
+    for u, v in g.edges:
+        k = v * (v - 1) // 2 + u
+        body[k // 6] |= 32 >> (k % 6)
+    return (bytes(head) + body.translate(_G6_DIGITS)).decode("ascii")
 
 
 # ---------------------------------------------------------------------------

@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import random
 import time
-from typing import Literal
 
 from .coloring import EdgeColoredGraph, check_goodness, is_almost_rainbow_at
 from .graphs import Cycle, Graph, GraphError, _Record, edge, find_bridges, is_connected
@@ -39,7 +38,7 @@ class SearchResult(_Record):
     timeout is never mistaken for a proof of nonexistence.
     """
 
-    def __init__(self, status: Literal["found", "absent", "indeterminate"],
+    def __init__(self, status: str,  # "found" | "absent" | "indeterminate"
                  cycles: tuple[Cycle, ...] | None = None) -> None:
         self._set(status=status, cycles=cycles)
 

@@ -11,6 +11,12 @@ def k4() -> Graph:
     return Graph.from_edges(4, [(a, b) for a in range(4) for b in range(a + 1, 4)])
 
 
+def two_k4s() -> Graph:
+    """Two disjoint K4s: cubic and bridgeless, but not connected."""
+    return Graph.from_edges(8, [(a + s, b + s) for s in (0, 4)
+                                for a in range(4) for b in range(a + 1, 4)])
+
+
 def k33() -> Graph:
     return Graph.from_edges(6, [(a, b) for a in (0, 1, 2) for b in (3, 4, 5)])
 

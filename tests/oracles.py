@@ -30,8 +30,12 @@ also keeps the second branching rule the package has dropped, on the
 lowest open edge; `cdc_by_lowest_edge` and
 `rainbow_decomposition_by_lowest_edge` run the oracle's two searches
 under that rule.
-`find_type_x_vertices` and `serialize_edge_list` are plain helpers that
-only tests call, kept here rather than in the package's API.
+`find_type_x_vertices`, `serialize_edge_list` and `color_classes` are
+plain helpers that only tests call, kept here rather than in the package's
+API. `parse_graph6_by_bit_list` and `serialize_graph6_by_bit_list` are the
+package's graph6 codec as it was before it read and wrote the bits in
+place: they build the list of all n(n-1)/2 bits, in order, and share only
+the header decoder with the package.
 """
 from __future__ import annotations
 
@@ -52,7 +56,7 @@ from cdcover.decomposer import (
     FallbackResult,
     _check_removal,
 )
-from cdcover.graphs import Cycle, Graph, edge, find_bridges
+from cdcover.graphs import Cycle, Graph, GraphError, _g6_decode_n, edge, find_bridges
 from cdcover.oracle import MAX_NODES, SearchResult, enumerate_cycles
 
 
@@ -555,6 +559,67 @@ def serialize_edge_list(g: Graph) -> str:
     lines = [f"n {g.n}"]
     lines.extend(f"{u} {v}" for u, v in sorted(g.edges))
     return "\n".join(lines) + "\n"
+
+
+def color_classes(g: EdgeColoredGraph) -> dict[int, frozenset]:
+    """Each color's edges, by color."""
+    by_color: dict[int, set] = {}
+    for e, c in g.coloring.items():
+        by_color.setdefault(c, set()).add(e)
+    return {c: frozenset(es) for c, es in sorted(by_color.items())}
+
+
+# ---------------------------------------------------------------------------
+# graph6 by the list of all n(n-1)/2 bits
+
+
+def parse_graph6_by_bit_list(text: str) -> Graph:
+    """One graph6 line, read through the list of all its body bits."""
+    s = text.strip()
+    if s.startswith(">>graph6<<"):
+        s = s[len(">>graph6<<"):]
+    data = s.encode("ascii")
+    n, off = _g6_decode_n(data)
+    nbits = n * (n - 1) // 2
+    body = data[off:]
+    if len(body) != (nbits + 5) // 6:
+        raise GraphError(f"graph6 body of {len(body)} bytes for n={n}")
+    bits = []
+    for b in body:
+        if not (63 <= b <= 126):
+            raise GraphError(f"out-of-range character {b}")
+        x = b - 63
+        bits.extend((x >> k) & 1 for k in range(5, -1, -1))
+    edges = set()
+    idx = 0
+    for v in range(1, n):
+        for u in range(v):
+            if bits[idx]:
+                edges.add((u, v))
+            idx += 1
+    return Graph(n, frozenset(edges))
+
+
+def serialize_graph6_by_bit_list(g: Graph) -> str:
+    """g as graph6, through the list of all its body bits."""
+    n = g.n
+    if n <= 62:
+        head = [63 + n]
+    else:
+        head = [126, 63 + ((n >> 12) & 63), 63 + ((n >> 6) & 63), 63 + (n & 63)]
+    bits = []
+    for v in range(1, n):
+        for u in range(v):
+            bits.append(1 if (u, v) in g.edges else 0)
+    while len(bits) % 6:
+        bits.append(0)
+    body = []
+    for i in range(0, len(bits), 6):
+        x = 0
+        for b in bits[i:i + 6]:
+            x = (x << 1) | b
+        body.append(63 + x)
+    return bytes(head + body).decode("ascii")
 
 
 # ---------------------------------------------------------------------------

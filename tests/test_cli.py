@@ -12,7 +12,7 @@ from cdcover.graphs import Cycle, parse_graph6, serialize_graph6
 from cdcover.linegraph import CycleDoubleCover, build_line_graph, project_cycle
 from cdcover.oracle import SearchResult
 from cdcover.verify import verify_cdc
-from graphsamples import bridged_cubic_10, k4, k33, petersen, prism
+from graphsamples import bridged_cubic_10, k4, k33, petersen, prism, two_k4s
 from oracles import serialize_edge_list
 
 
@@ -73,6 +73,13 @@ def test_decompose_rejects_non_cubic(tmp_path, capsys):
     code, _, err = _run(capsys, "decompose", "--input", str(path))
     assert code == 1
     assert "cubic" in err
+
+
+def test_decompose_rejects_disconnected(tmp_path, capsys):
+    path = tmp_path / "two_k4.g6"
+    path.write_text(serialize_graph6(two_k4s()) + "\n")
+    code, out, err = _run(capsys, "decompose", "--input", str(path))
+    assert (code, out, err) == (1, "", "error: graph is not connected\n")
 
 
 def test_decompose_rejects_bad_goddyn_cycle(k4_file, capsys):
@@ -365,6 +372,13 @@ def test_gen_contract(capsys):
 def test_gen_rejects_odd(capsys):
     code, _, err = _run(capsys, "gen", "--n", "7", "--count", "1")
     assert code == 1 and "even" in err
+
+
+@pytest.mark.parametrize("n_max", ["5", "2"])
+def test_crosscheck_refuses_a_bad_n_max(capsys, n_max):
+    code, out, err = _run(capsys, "crosscheck", "--n-max", n_max, "--count", "1")
+    assert (code, out) == (1, "")
+    assert err == f"error: --n-max must be an even integer >= 4, got {n_max}\n"
 
 
 def test_crosscheck_small(capsys, tmp_path, monkeypatch):

@@ -10,7 +10,6 @@ from cdcover.coloring import (
     EdgeColoredGraph,
     GoodnessVerdict,
     check_goodness,
-    color_classes,
     parse_colored_edge_list,
     report_after_removal,
     serialize_colored_edge_list,
@@ -39,6 +38,7 @@ from graphsamples import (
 )
 from oracles import (
     case2_2_1b_by_walking,
+    color_classes,
     find_type_x_vertices,
     naive_goodness,
     type_x_by_pseudoblock_splits,
@@ -49,21 +49,27 @@ from oracles import (
 def test_color_classes_rainbow_c4():
     classes = color_classes(rainbow_c4())
     assert len(classes) == 4
-    assert all(len(c.edges) == 1 for c in classes.values())
+    assert all(len(es) == 1 for es in classes.values())
 
 
 def test_color_classes_line_graph_k4():
     lg = build_line_graph(k4()).lg
     classes = color_classes(lg)
     assert len(classes) == 4
-    for cls in classes.values():
-        assert len(cls.edges) == 3 and len(cls.vertices) == 3
+    for es in classes.values():
+        assert len(es) == 3 and len({v for e in es for v in e}) == 3
 
 
 def test_color_classes_mono_triangle():
     g = EdgeColoredGraph.from_triples(3, [(0, 1, 5), (1, 2, 5), (0, 2, 5)])
     classes = color_classes(g)
-    assert len(classes) == 1 and len(classes[5].edges) == 3
+    assert len(classes) == 1 and len(classes[5]) == 3
+
+
+def test_from_triples_refuses_an_edge_in_two_colors():
+    with pytest.raises(ColoredGraphError) as err:
+        EdgeColoredGraph.from_triples(3, [(0, 1, 5), (1, 2, 5), (1, 0, 6)])
+    assert str(err.value) == "edge (0, 1) given two colors"
 
 
 def test_goodness_line_graph_good():

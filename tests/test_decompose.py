@@ -1346,6 +1346,19 @@ def test_goddyn_rejects_non_cycle():
         assert not [c for c in log if c.name == "check_goodness"]
 
 
+def test_goddyn_rejects_a_good_graph_that_is_not_all_type2():
+    """A prescribed cycle is taken only on an all-Type-II graph: on the
+    good rainbow 4-cycle, whose vertices have degree 2, its own cycle is
+    refused before the root check."""
+    g = rainbow_c4()
+    assert check_goodness(g).verdict is GoodnessVerdict.GOOD
+    with recording() as log:
+        with pytest.raises(DecomposeError) as err:
+            decompose(g, Cycle((0, 1, 2, 3)))
+    assert str(err.value) == "line graph is not an all-Type-II graph"
+    assert not [c for c in log if c.name == "check_goodness"]
+
+
 def test_goddyn_rejects_a_root_that_is_not_good():
     """The line graph of a bridged cubic graph is all-Type-II, but the
     bridge's vertex is Type X: the root check refuses it, with a

@@ -971,7 +971,7 @@ def test_src_does_not_import_dataclasses():
 
 
 # standard modules that no `cdcover` import should load
-UNLOADED_AT_IMPORT = ("dataclasses", "inspect", "ast", "pathlib")
+UNLOADED_AT_IMPORT = ("dataclasses", "inspect", "ast", "pathlib", "typing")
 
 
 def test_import_leaves_slow_modules_unloaded():

@@ -1,7 +1,11 @@
+from collections import Counter
+
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from cdcover.coloring import GoodnessVerdict, check_goodness, triangles
-from cdcover.graphs import Cycle, Graph
+from cdcover.decomposer import decompose
+from cdcover.graphs import Cycle, Graph, edge
 from cdcover.linegraph import (
     LineGraphError,
     build_line_graph,
@@ -9,8 +13,10 @@ from cdcover.linegraph import (
     lift_rainbow_cycle,
     project_cycle,
 )
-from graphsamples import k4, k33, petersen, prism
-from oracles import cycles_of, enumerate_cycles_by_copying, enumerate_rainbow_cycles
+from cdcover.oracle import GeneratorConfig, random_cubic_bridgeless
+from graphsamples import k4, k33, petersen, prism, two_k4s
+from oracles import (color_classes, cycles_of, enumerate_cycles_by_copying,
+                     enumerate_rainbow_cycles)
 
 
 def test_build_line_graph_k4_shape():
@@ -23,7 +29,6 @@ def test_build_line_graph_k4_shape():
 def test_build_line_graph_petersen_shape():
     clg = build_line_graph(petersen())
     assert clg.lg.n == 15 and clg.lg.graph.m == 30
-    from cdcover.coloring import color_classes
     assert len(color_classes(clg.lg)) == 10
 
 
@@ -31,6 +36,39 @@ def test_build_line_graph_rejects_non_cubic():
     c5 = Graph.from_edges(5, [(i, (i + 1) % 5) for i in range(5)])
     with pytest.raises(LineGraphError, match="not cubic"):
         build_line_graph(c5)
+
+
+def test_build_line_graph_rejects_disconnected():
+    with pytest.raises(LineGraphError) as err:
+        build_line_graph(two_k4s())
+    assert str(err.value) == "graph is not connected"
+
+
+@given(st.sampled_from(range(4, 17, 2)), st.integers(0, 2**32 - 1))
+@settings(max_examples=40, deadline=None)
+def test_line_graph_lemmas(n, seed):
+    """On the line graph L of a random cubic graph G: L is 4-regular with
+    3n edges, and each color class is the triangle on a G-vertex's three
+    edges. The lift of every rainbow cycle of L runs on exactly the G-edges
+    its L-vertices name, and the lifts of a partition of E(L) into rainbow
+    cycles use every G-edge twice. `lift_rainbow_cycle` and
+    `cover_from_decomposition` rely on these and do not re-check them."""
+    g = random_cubic_bridgeless(GeneratorConfig(n, seed))
+    clg = build_line_graph(g)
+    base_edges = sorted(g.edges)
+    assert all(clg.lg.graph.degree(x) == 4 for x in range(clg.lg.n))
+    assert clg.lg.graph.m == 3 * n
+    for v, es in color_classes(clg.lg).items():
+        spanned = {x for e in es for x in e}
+        assert len(es) == 3 and {base_edges[x] for x in spanned} == {
+            edge(v, w) for w in g.adj[v]}
+    rainbow = [Cycle(vs) for vs in enumerate_rainbow_cycles(clg.lg)] if n <= 10 else []
+    members = decompose(clg.lg).cycles
+    lifts = {c: lift_rainbow_cycle(clg, c) for c in [*rainbow, *members]}
+    for c, lifted in lifts.items():
+        assert set(lifted.edges) == {base_edges[x] for x in c.vertices}
+    counts = Counter(e for c in members for e in lifts[c].edges)
+    assert counts == dict.fromkeys(g.edges, 2)
 
 
 def test_line_graph_always_good():
@@ -57,9 +95,18 @@ def test_project_and_lift_k4_triangle():
 def test_lift_monochromatic_triangle_rejected():
     clg = build_line_graph(k4())
     # the color class of base vertex 0: its three incident edges
-    ids = [i for i, e in enumerate(clg.edge_of_vertex) if 0 in e]
+    ids = [i for i, e in enumerate(sorted(clg.base.edges)) if 0 in e]
     with pytest.raises(LineGraphError, match="rainbow"):
         lift_rainbow_cycle(clg, Cycle(tuple(ids)))
+
+
+def test_lift_refuses_a_non_cycle_of_the_line_graph():
+    """In L(K4), L-vertices 0 and 5 are the opposite edges (0, 1) and
+    (2, 3), so 0 1 5 is no cycle of L."""
+    clg = build_line_graph(k4())
+    with pytest.raises(LineGraphError) as err:
+        lift_rainbow_cycle(clg, Cycle((0, 1, 5)))
+    assert str(err.value) == "not a cycle of the line graph: (0, 1, 5)"
 
 
 def test_project_rejects_non_cycle():

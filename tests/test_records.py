@@ -4,8 +4,8 @@ closed to assignment and deletion; with their defaults; and refusing what
 their constructors refuse, with the same messages."""
 import pytest
 
-from cdcover.coloring import (ColorClass, ColoredGraphError, EdgeColoredGraph,
-                              GoodnessReport, GoodnessVerdict, Violation)
+from cdcover.coloring import (ColoredGraphError, EdgeColoredGraph, GoodnessReport,
+                              GoodnessVerdict, Violation)
 from cdcover.decomposer import CaseFailure, DecompositionTrace, TraceStep
 from cdcover.graphs import Cycle, Graph, GraphError
 from cdcover.linegraph import ColoredLineGraph, CycleDoubleCover
@@ -26,11 +26,10 @@ def samples():
         ((3, frozenset({(0, 1), (1, 2)})), Graph),
         (((0, 1, 2),), Cycle),
         ((edge_graph, {(0, 1): 5}), EdgeColoredGraph),
-        ((5, frozenset({(0, 1)}), frozenset({0, 1})), ColorClass),
         ((4, "vertex", 2), Violation),
         ((GoodnessVerdict.ALMOST_GOOD, 2, (Violation(4, "vertex", 2),)), GoodnessReport),
-        ((edge_graph, EdgeColoredGraph(Graph(1, frozenset()), {}), ((0, 1),),
-          {(0, 1): 0}), ColoredLineGraph),
+        ((edge_graph, EdgeColoredGraph(Graph(1, frozenset()), {}), {(0, 1): 0}),
+         ColoredLineGraph),
         (((Cycle((0, 1, 2)),),), CycleDoubleCover),
         ((6, 1), GeneratorConfig),
         (("found", (Cycle((0, 1, 2)),)), SearchResult),
@@ -46,10 +45,9 @@ FIELDS = {
     "Graph": ("n", "edges"),
     "Cycle": ("vertices",),
     "EdgeColoredGraph": ("graph", "coloring"),
-    "ColorClass": ("color", "edges", "vertices"),
     "Violation": ("condition", "kind", "witness"),
     "GoodnessReport": ("verdict", "bad_vertex", "violations"),
-    "ColoredLineGraph": ("base", "lg", "edge_of_vertex", "vertex_of_edge"),
+    "ColoredLineGraph": ("base", "lg", "vertex_of_edge"),
     "CycleDoubleCover": ("cycles",),
     "GeneratorConfig": ("vertex_count", "seed"),
     "SearchResult": ("status", "cycles"),
@@ -102,7 +100,7 @@ def test_records_of_two_classes_with_equal_values_differ():
         for b in pairs[i + 1:]:
             assert a != b and not a == b
     assert Cycle((0, 1, 2)) != CycleDoubleCover((0, 1, 2))
-    assert ColorClass(4, "vertex", 2) != Violation(4, "vertex", 2)
+    assert GoodnessReport(4, "vertex", 2) != Violation(4, "vertex", 2)
     assert Violation(4, "vertex", 2) != TraceStep(4, "vertex", 2)
 
 
@@ -134,17 +132,14 @@ REPRS = [
     (Cycle((2, 0, 1)), "Cycle(vertices=(0, 1, 2))"),
     (EdgeColoredGraph(Graph(2, frozenset({(0, 1)})), {(0, 1): 5}),
      "EdgeColoredGraph(graph=Graph(n=2, edges=frozenset({(0, 1)})), coloring={(0, 1): 5})"),
-    (ColorClass(5, frozenset({(0, 1)}), frozenset({0})),
-     "ColorClass(color=5, edges=frozenset({(0, 1)}), vertices=frozenset({0}))"),
     (Violation(6, "triangle", (0, 1, 2)),
      "Violation(condition=6, kind='triangle', witness=(0, 1, 2))"),
     (AT_2, "GoodnessReport(verdict=<GoodnessVerdict.ALMOST_GOOD: 'almost_good'>, "
            "bad_vertex=2, violations=(Violation(condition=4, kind='vertex', witness=2),))"),
     (ColoredLineGraph(Graph(0, frozenset()), EdgeColoredGraph(Graph(0, frozenset()), {}),
-                      (), {}),
+                      {}),
      "ColoredLineGraph(base=Graph(n=0, edges=frozenset()), lg=EdgeColoredGraph("
-     "graph=Graph(n=0, edges=frozenset()), coloring={}), edge_of_vertex=(), "
-     "vertex_of_edge={})"),
+     "graph=Graph(n=0, edges=frozenset()), coloring={}), vertex_of_edge={})"),
     (CycleDoubleCover((TRI,)), "CycleDoubleCover(cycles=(Cycle(vertices=(0, 1, 2)),))"),
     (GeneratorConfig(6, 1), "GeneratorConfig(vertex_count=6, seed=1)"),
     (SearchResult("absent"), "SearchResult(status='absent', cycles=None)"),

@@ -80,6 +80,48 @@ def test_verify_rainbow_decomposition_two_color_degree_1_vertices():
         (1, "almost-rainbow cycle, but no bad vertex")]
 
 
+# a 4-cycle whose vertex 0 is the bad vertex, its two edges both color 0,
+# beside two 4-cycles that share vertex 4 and so give it degree 4; the first
+# of them repeats color 4 at vertex 4, the second is rainbow
+BAD_AT_0_BESIDE_A_REPEAT_AT_4 = [
+    (0, 1, 0), (1, 2, 1), (2, 3, 2), (0, 3, 0),
+    (4, 5, 4), (5, 6, 5), (6, 7, 6), (4, 7, 4),
+    (4, 8, 8), (8, 9, 9), (9, 10, 10), (4, 10, 11)]
+
+
+def test_verify_rainbow_decomposition_names_a_malformed_member():
+    verdict = verify_rainbow_decomposition(rainbow_c4(), [Cycle((0, 1, 2, 3)), 7])
+    assert verdict == Verdict(False, (
+        {"kind": "cycle", "index": 1, "problem": "not a vertex sequence"},))
+
+
+def test_verify_rainbow_decomposition_wants_exactly_one_almost_rainbow_member():
+    """With a bad vertex, none or two almost-rainbow members are refused by
+    count, whatever else is wrong."""
+    two = EdgeColoredGraph.from_triples(11, BAD_AT_0_BESIDE_A_REPEAT_AT_4)
+    verdict = verify_rainbow_decomposition(
+        two, [Cycle((0, 1, 2, 3)), Cycle((4, 5, 6, 7)), Cycle((4, 8, 9, 10))])
+    assert verdict == Verdict(False, (
+        {"kind": "typing", "problem": "expected exactly 1 almost-rainbow cycle, got 2"},))
+    verdict = verify_rainbow_decomposition(almost_good_c4(), [])
+    assert not verdict.accepted
+    assert verdict.witnesses[-1] == {
+        "kind": "typing", "problem": "expected exactly 1 almost-rainbow cycle, got 0"}
+    assert [w["kind"] for w in verdict.witnesses[:-1]] == ["edge"] * 4
+
+
+def test_verify_rainbow_decomposition_wants_the_repeat_at_the_bad_vertex():
+    """The one almost-rainbow member repeats its color at vertex 4, not at
+    the bad vertex 0, whose 4-cycle is left out."""
+    g = EdgeColoredGraph.from_triples(11, BAD_AT_0_BESIDE_A_REPEAT_AT_4)
+    verdict = verify_rainbow_decomposition(g, [Cycle((4, 5, 6, 7)), Cycle((4, 8, 9, 10))])
+    uncovered = [{"kind": "edge", "edge": list(e), "count": 0}
+                 for e in [(0, 1), (0, 3), (1, 2), (2, 3)]]
+    assert verdict == Verdict(False, (*uncovered, {
+        "kind": "typing", "index": 0,
+        "problem": "almost-rainbow repeat is not at the bad vertex"}))
+
+
 def test_verifiers_total_on_garbage():
     verdict = verify_cdc(k4(), ["nope", 7, [0], [0, 1, 1]])
     assert not verdict.accepted
