@@ -259,25 +259,22 @@ class ColoredGraphError(ValueError):
     """Malformed colored-graph input or an illegal operation."""
 
 
-class EdgeColoredGraph(_Record):
-    """A graph plus a total edge coloring by integer color ids.
+class EdgeColoredGraph(Graph):
+    """A graph whose edges are the keys of its edge coloring by integer
+    color ids, so that a coloring is total by construction. A colored
+    graph is a `Graph`, and any graph reader takes it as it is.
 
     Treated as immutable; all transformations return new instances.
     """
 
-    def __init__(self, graph: Graph, coloring: Mapping[Edge, int]) -> None:
-        missing = graph.edges - set(coloring)
-        extra = set(coloring) - graph.edges
-        if missing or extra:
-            raise ColoredGraphError(
-                f"coloring must be total: missing {sorted(missing)}, "
-                f"extra {sorted(extra)}")
-        self._set(graph=graph, coloring=coloring)
+    def __init__(self, n: int, coloring: Mapping[Edge, int]) -> None:
+        super().__init__(n, frozenset(coloring))
+        self._set(coloring=coloring)
 
     def __hash__(self) -> int:
         # the base's hash would hash the coloring dict; this one agrees
-        # with its ==, which compares graph and coloring
-        return hash((self.graph, frozenset(self.coloring.items())))
+        # with its ==, which compares n and coloring
+        return hash((self.n, frozenset(self.coloring.items())))
 
     @classmethod
     def from_triples(cls, n: int, triples: Iterable[tuple[int, int, int]]) -> "EdgeColoredGraph":
@@ -287,21 +284,13 @@ class EdgeColoredGraph(_Record):
             if e in coloring and coloring[e] != c:
                 raise ColoredGraphError(f"edge {e} given two colors")
             coloring[e] = c
-        return cls(Graph(n, frozenset(coloring)), coloring)
-
-    @property
-    def n(self) -> int:
-        return self.graph.n
-
-    @property
-    def edges(self) -> frozenset[Edge]:
-        return self.graph.edges
+        return cls(n, coloring)
 
     def color(self, u: int, v: int) -> int:
         return self.coloring[edge(u, v)]
 
     def colors_at(self, v: int) -> tuple[int, ...]:
-        return tuple(self.coloring[edge(v, w)] for w in self.graph.adj[v])
+        return tuple(self.coloring[edge(v, w)] for w in self.adj[v])
 
     def edit(self, drop: Iterable[Edge],
              add: Mapping[Edge, int] | None = None) -> "EdgeColoredGraph":
@@ -311,9 +300,8 @@ class EdgeColoredGraph(_Record):
         that gained a neighbor are sorted again.
 
         Only the edges of `add` are validated, as `Graph` validates an edge:
-        the kept edges are this graph's, already valid, and every edge gets
-        a color by construction. So the child skips both constructors'
-        checks, which would cost O(m)."""
+        the kept edges are this graph's, already valid. So the child skips
+        the constructor's check, which would cost O(m)."""
         coloring = dict(self.coloring)
         lost: dict[int, list[int]] = {}
         absent = []
@@ -334,27 +322,22 @@ class EdgeColoredGraph(_Record):
             u, v = e
             gained.setdefault(u, []).append(v)
             gained.setdefault(v, []).append(u)
-        adj = list(self.graph.adj)
+        adj = list(self.adj)
         for x, ws in lost.items():
             adj[x] = tuple([w for w in adj[x] if w not in ws])
         for x, ws in gained.items():
             adj[x] = tuple(sorted([*adj[x], *ws]))
-        graph = object.__new__(Graph)
-        object.__setattr__(graph, "n", self.n)
-        object.__setattr__(graph, "edges", frozenset(coloring))
-        graph.__dict__["adj"] = tuple(adj)  # fills the cached property
         child = object.__new__(EdgeColoredGraph)
-        object.__setattr__(child, "graph", graph)
-        object.__setattr__(child, "coloring", coloring)
+        child.__dict__.update(n=self.n, edges=frozenset(coloring), coloring=coloring)
+        child.__dict__["adj"] = tuple(adj)  # fills the cached property
         return child
 
     def restrict_edges(self, keep: Iterable[Edge]) -> "EdgeColoredGraph":
         kept = {edge(*e) for e in keep}
-        absent = kept - self.graph.edges
+        absent = kept - self.edges
         if absent:
             raise ColoredGraphError(f"cannot keep absent edges {sorted(absent)}")
-        return EdgeColoredGraph(Graph(self.n, frozenset(kept)),
-                                {e: self.coloring[e] for e in kept})
+        return EdgeColoredGraph(self.n, {e: self.coloring[e] for e in kept})
 
     @cached_property
     def components(self) -> tuple[frozenset[int], ...]:
@@ -362,7 +345,7 @@ class EdgeColoredGraph(_Record):
         vertex: the trees of the lowpoint search that the Type X search
         (`_cut_search`) reads, which also fills `type_x_sides` when every
         degree is even."""
-        even = not any(len(nbrs) & 1 for nbrs in self.graph.adj)
+        even = not any(len(nbrs) & 1 for nbrs in self.adj)
         return _cut_search(self, type_x=even)[0]
 
     @cached_property
@@ -376,7 +359,7 @@ class EdgeColoredGraph(_Record):
         """The Type I vertices: degree 2, with two different colors."""
         coloring = self.coloring
         type1 = []
-        for v, nbrs in enumerate(self.graph.adj):
+        for v, nbrs in enumerate(self.adj):
             if len(nbrs) == 2:
                 a, b = nbrs
                 if coloring[(v, a) if v < a else (a, v)] != \
@@ -387,7 +370,7 @@ class EdgeColoredGraph(_Record):
     @cached_property
     def rainbow_triangle(self) -> Cycle | None:
         """The lexicographically least triangle with three distinct colors."""
-        for u, v, w in triangles(self.graph):
+        for u, v, w in triangles(self):
             if len({self.color(u, v), self.color(v, w), self.color(u, w)}) == 3:
                 return Cycle((u, v, w))
         return None
@@ -404,7 +387,7 @@ class EdgeColoredGraph(_Record):
         the cycle's.
         """
         type1 = self.type1
-        adj = self.graph.adj
+        adj = self.adj
         chains = []
         seen: set[int] = set()
         for t in sorted(type1):
@@ -492,7 +475,7 @@ def check_goodness(g: EdgeColoredGraph) -> GoodnessReport:
     the graph. What a removal leaves is checked by `report_after_removal`
     instead.
     """
-    adj = g.graph.adj
+    adj = g.adj
     coloring = g.coloring
     violations: list[Violation] = []
     bad_candidates: list[int] = []
@@ -517,7 +500,7 @@ def check_goodness(g: EdgeColoredGraph) -> GoodnessReport:
                 bad_candidates.append(v)
             else:
                 violations.append(Violation(4, "vertex", v))
-    for a, b, c in triangles(g.graph):
+    for a, b, c in triangles(g):
         if len({coloring[(a, b)], coloring[(b, c)], coloring[(a, c)]}) == 2:
             violations.append(Violation(3, "triangle", (a, b, c)))
     violations.extend(Violation(5, "color", c) for c, k in span.items() if k > 3)
@@ -569,7 +552,7 @@ def report_after_removal(g: EdgeColoredGraph, parent: EdgeColoredGraph,
     if g.n != parent.n or len(g.edges) != len(parent.edges) - sum(map(len, cycles)):
         raise ColoredGraphError(f"graph is not its parent minus the cycles "
                                 f"{[c.vertices for c in cycles]}")
-    adj = g.graph.adj
+    adj = g.adj
     coloring = g.coloring
     # off the cycles nothing changed, so the parent's bad vertex stays bad
     b = prep.bad_vertex
@@ -591,7 +574,7 @@ def report_after_removal(g: EdgeColoredGraph, parent: EdgeColoredGraph,
 
 
 def _require_even(g: EdgeColoredGraph) -> None:
-    odd = [v for v, nbrs in enumerate(g.graph.adj) if len(nbrs) % 2]
+    odd = [v for v, nbrs in enumerate(g.adj) if len(nbrs) % 2]
     if odd:
         raise ColoredGraphError(f"Type X detection requires an even graph; "
                                 f"odd-degree vertices {odd}")
@@ -612,7 +595,7 @@ def _cut_search(g: EdgeColoredGraph, type_x: bool,
     root with one child); else, in an even graph, there are two groups of
     two, and u is Type X when both pairs are monochromatic.
     """
-    adj = g.graph.adj
+    adj = g.adj
     disc, _, last, trees, split = lowpoint_search(adj)
     components = g.__dict__["components"] = tuple(map(frozenset, trees))
     if not type_x:
@@ -643,7 +626,8 @@ def _cut_search(g: EdgeColoredGraph, type_x: bool,
 
 
 def split_components(g: EdgeColoredGraph) -> list[EdgeColoredGraph]:
-    """One colored graph per edge-bearing component (vertex ids preserved).
+    """One colored graph per edge-bearing component (vertex ids preserved),
+    each an `edit` of g that drops the other components' edges.
 
     A graph with a single edge-bearing component is returned itself, not
     copied.
@@ -651,11 +635,7 @@ def split_components(g: EdgeColoredGraph) -> list[EdgeColoredGraph]:
     comps = g.components
     if len(comps) == 1:
         return [g]
-    out = []
-    for comp in comps:
-        keep = [e for e in g.edges if e[0] in comp]
-        out.append(g.restrict_edges(keep))
-    return out
+    return [g.edit(drop=[e for e in g.edges if e[0] not in comp]) for comp in comps]
 
 
 def x_block_decomposition(g: EdgeColoredGraph) -> tuple[frozenset[int], ...]:
@@ -666,7 +646,7 @@ def x_block_decomposition(g: EdgeColoredGraph) -> tuple[frozenset[int], ...]:
         raise ColoredGraphError("x-block decomposition requires a connected graph")
     _require_even(g)
     sides = g.type_x_sides
-    adj = g.graph.adj
+    adj = g.adj
     seen: set[Edge] = set()
     x_blocks = []
     for first in sorted(g.edges):

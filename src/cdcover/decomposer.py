@@ -152,7 +152,7 @@ def _build_transform(parent: EdgeColoredGraph, kind: str, *,
     rep_of = {v: min(grp) for grp in merge for v in grp}
     recolor_map = {edge(*e): c for e, c in recolor}
     coloring = parent.coloring
-    moved = {edge(x, w) for x in deleted.union(rep_of) for w in parent.graph.adj[x]}
+    moved = {edge(x, w) for x in deleted.union(rep_of) for w in parent.adj[x]}
     moved.update(e for e in recolor_map if e in coloring)
     moved -= dropset
     gone = dropset | moved
@@ -358,7 +358,7 @@ def _single_cycle(g: EdgeColoredGraph) -> Cycle | None:
     if len(comps) != 1:
         return None
     comp = comps[0]
-    adj = g.graph.adj
+    adj = g.adj
     if len(g.edges) != len(comp) or any(len(adj[v]) != 2 for v in comp):
         return None
     # a connected 2-regular graph is one cycle
@@ -472,7 +472,7 @@ def _all_type2_cycle(g: EdgeColoredGraph) -> Cycle:
     at: dict[int, int] = {}  # used color -> index of the path edge using it
     while True:
         cur = path[-1]
-        nxt = next((w for w in g.graph.adj[cur] if g.color(cur, w) not in at
+        nxt = next((w for w in g.adj[cur] if g.color(cur, w) not in at
                     and (w != start or len(path) >= 3)), None)
         if nxt == start:
             return Cycle(tuple(path))
@@ -502,15 +502,15 @@ def case1_1(g: EdgeColoredGraph, rep: GoodnessReport, v: int) -> CaseReduction:
     """
     tag = CASE_1_1
     _require_verdict(rep, tag, GoodnessVerdict.ALMOST_GOOD, v)
-    _require(g.graph.degree(v) == 2, tag, f"bad vertex {v} must have degree 2")
-    x1, x2 = sorted(g.graph.adj[v])
+    _require(g.degree(v) == 2, tag, f"bad vertex {v} must have degree 2")
+    x1, x2 = sorted(g.adj[v])
     alpha = g.color(v, x1)
     _require(g.color(v, x2) == alpha, tag, "bad vertex colors disagree")
-    _require(g.graph.has_edge(x1, x2), tag, "neighbors not adjacent")
+    _require(g.has_edge(x1, x2), tag, "neighbors not adjacent")
     _require(g.color(x1, x2) == alpha, tag,
              "triangle at the bad vertex is not monochromatic")
-    side1 = [w for w in g.graph.adj[x1] if w not in (v, x2)]
-    side2 = [w for w in g.graph.adj[x2] if w not in (v, x1)]
+    side1 = [w for w in g.adj[x1] if w not in (v, x2)]
+    side2 = [w for w in g.adj[x2] if w not in (v, x1)]
     _require(len(side1) == 2 and len(side2) == 2, tag,
              "bad vertex neighbors are not Type II")
     beta = {g.color(x1, w) for w in side1}
@@ -536,16 +536,16 @@ def case1_2(g: EdgeColoredGraph, rep: GoodnessReport, v: int) -> CaseReduction:
     """
     tag = CASE_1_2
     _require_verdict(rep, tag, GoodnessVerdict.ALMOST_GOOD, v)
-    _require(g.graph.degree(v) == 2, tag, f"bad vertex {v} must have degree 2")
-    x1, x2 = sorted(g.graph.adj[v])
+    _require(g.degree(v) == 2, tag, f"bad vertex {v} must have degree 2")
+    x1, x2 = sorted(g.adj[v])
     alpha = g.color(v, x1)
     _require(g.color(v, x2) == alpha, tag, "bad vertex colors disagree")
-    _require(not g.graph.has_edge(x1, x2), tag, "neighbors adjacent; wrong case")
+    _require(not g.has_edge(x1, x2), tag, "neighbors adjacent; wrong case")
     for x in (x1, x2):
-        _require(g.graph.degree(x) == 2, tag,
+        _require(g.degree(x) == 2, tag,
                  f"neighbor {x} of the bad vertex is not Type I")
-    y1 = next(w for w in g.graph.adj[x1] if w != v)
-    y2 = next(w for w in g.graph.adj[x2] if w != v)
+    y1 = next(w for w in g.adj[x1] if w != v)
+    y2 = next(w for w in g.adj[x2] if w != v)
     _require(y1 != x2 and y2 != x1, tag, "degenerate flank")
     # the one configuration in which the edge lemma's child breaks a
     # condition: the triangle (m, x2, y1) with two colors
@@ -582,7 +582,7 @@ def case2_1(g: EdgeColoredGraph, rep: GoodnessReport,
     """
     tag = CASE_2_1
     _require_verdict(rep, tag, GoodnessVerdict.GOOD)
-    base_adj, base_colors = g.graph.adj, g.coloring
+    base_adj, base_colors = g.adj, g.coloring
     adj: dict[int, tuple[int, ...]] = {}  # the neighbor tuples a step changed
     added: dict[Edge, int] = {}  # edges the run added, with their colors
     dropped: set[Edge] = set()  # edges of g the run dropped
@@ -699,12 +699,12 @@ def extract_case2_2_pattern(g: EdgeColoredGraph) -> CasePattern:
     tag = "Case2_2"
     _require(bool(g.type1), tag, "no Type I vertex")
     v = min(g.type1)
-    x1, x2 = sorted(g.graph.adj[v])
+    x1, x2 = sorted(g.adj[v])
     alpha, beta = g.color(v, x1), g.color(v, x2)
     sides = []
     for x, a in ((x1, alpha), (x2, beta)):
-        _require(g.graph.degree(x) == 4, tag, f"flank {x} is not Type II")
-        others = [w for w in g.graph.adj[x] if w != v]
+        _require(g.degree(x) == 4, tag, f"flank {x} is not Type II")
+        others = [w for w in g.adj[x] if w != v]
         ys = [w for w in others if g.color(x, w) == a]
         _require(len(ys) == 1, tag, f"flank {x} lacks a second edge of the v color")
         rest = [w for w in others if g.color(x, w) != a]
@@ -904,7 +904,7 @@ def _case2_2_1b(g, rep_g, p, child, crep, m) -> CaseReduction:
     for u in (p.y1, p.y2):
         _require(u in bv, tag, f"{u} outside the v block")
     (t,) = bx & txv
-    end = child.restrict_edges(e for e in child.edges if e[0] in bx and e[1] in bx)
+    end = child.edit(drop=[e for e in child.edges if e[0] not in bx or e[1] not in bx])
 
     def lift(sub: list[tuple[str, Cycle]]) -> _Checked:
         xcycles = [c for _, c in sub if m in c]
@@ -942,8 +942,8 @@ def _case2_2_2a(g: EdgeColoredGraph, rep: GoodnessReport, p: CasePattern):
     _require(not ({p.y1, p.z1} & {p.y2, p.z2}), tag,
              f"rewire precondition: sides overlap ({problem})")
 
-    drop = [edge(p.x1, q) for q in g.graph.adj[p.x1]]
-    drop += [edge(p.x2, q) for q in g.graph.adj[p.x2]]
+    drop = [edge(p.x1, q) for q in g.adj[p.x1]]
+    drop += [edge(p.x2, q) for q in g.adj[p.x2]]
     child = _build_transform(
         g, "RewireDetour",
         drop=sorted(set(drop)),
@@ -981,7 +981,7 @@ def _case2_2_2b(g: EdgeColoredGraph, rep: GoodnessReport,
     _require_verdict(rep, tag, GoodnessVerdict.GOOD)
     y = p.y1
     _require(y == p.y2, tag, "shape b needs y1 == y2")
-    _require(g.graph.degree(y) == 2, tag, "shared y must be Type I")
+    _require(g.degree(y) == 2, tag, "shared y must be Type I")
     gamma_side = (p.w1, p.z1)
     return _contraction(
         g, tag, "ContractRectangle", "rectangle",
@@ -1004,11 +1004,11 @@ def _case2_2_2c(g: EdgeColoredGraph, rep: GoodnessReport,
     tag = CASE_2_2_2C
     _require_verdict(rep, tag, GoodnessVerdict.GOOD)
     _require(p.y1 == p.w2, tag, "shape c needs y1 == w2")
-    _require(g.graph.degree(p.y1) == 2, tag, "shared vertex must be Type I")
+    _require(g.degree(p.y1) == 2, tag, "shared vertex must be Type I")
     _require(not ({p.w1, p.z1} & {p.y2, p.z2}), tag, "shape c sides overlap")
     # the one configuration in which the lemma's child breaks a condition:
     # the triangle (m, y2, z2) with two colors
-    _require(not g.graph.has_edge(p.y2, p.z2), tag,
+    _require(not g.has_edge(p.y2, p.z2), tag,
              f"contracted graph is {GoodnessVerdict.NOT_GOOD.value}")
     gamma_side = {p.w1, p.z1}
     seen_beta: set[int] = set()  # the lift runs once per reduction
@@ -1074,7 +1074,7 @@ def _color_pruned_cycles(g: EdgeColoredGraph, length: int,
     every closer on it stops growing. The closing test does not ask for a
     closer off the path, so the path that takes the last one still closes.
     """
-    adj = g.graph.adj
+    adj = g.adj
     coloring = g.coloring
     for s in range(g.n):
         above = [w for w in adj[s] if w > s]
@@ -1183,8 +1183,8 @@ def _dispatch(comp: EdgeColoredGraph, rep: GoodnessReport):
         return [(RAINBOW_TRIANGLE, tri)]
     if rep.verdict is GoodnessVerdict.ALMOST_GOOD:
         v = rep.bad_vertex
-        x1, x2 = sorted(comp.graph.adj[v])
-        if comp.graph.has_edge(x1, x2):
+        x1, x2 = sorted(comp.adj[v])
+        if comp.has_edge(x1, x2):
             return case1_1(comp, rep, v)
         return case1_2(comp, rep, v)
     if _all_type2(comp):
@@ -1319,7 +1319,7 @@ def decompose(g: EdgeColoredGraph, prescribed: Cycle | None = None) -> Decomposi
     unverified answer. A failure whose graph is g carries `prescribed`.
     """
     if prescribed is not None:
-        if not isinstance(prescribed, Cycle) or not prescribed.is_cycle_of(g.graph):
+        if not isinstance(prescribed, Cycle) or not prescribed.is_cycle_of(g):
             raise DecomposeError("prescribed cycle is not a cycle of the graph")
         if not _all_type2(g):
             raise DecomposeError("line graph is not an all-Type-II graph")

@@ -94,9 +94,11 @@ class Graph(_Record):
             check_edge(e, n)
         self._set(n=n, edges=edges)
 
-    @classmethod
-    def from_edges(cls, n: int, pairs) -> "Graph":
-        return cls(n, frozenset(edge(u, v) for u, v in pairs))
+    @staticmethod
+    def from_edges(n: int, pairs) -> "Graph":
+        """The graph on n vertices with the edges of `pairs`, each in either
+        order: a plain `Graph`, also when called on a subclass."""
+        return Graph(n, frozenset(edge(u, v) for u, v in pairs))
 
     @cached_property
     def adj(self) -> tuple[tuple[int, ...], ...]:

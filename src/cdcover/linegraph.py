@@ -83,7 +83,7 @@ def lift_rainbow_cycle(clg: ColoredLineGraph, c: Cycle) -> Cycle:
     not a cycle of L, or not rainbow, with the messages
     `cover_from_decomposition` gives for a decomposition member.
     """
-    if not c.is_cycle_of(clg.lg.graph):
+    if not c.is_cycle_of(clg.lg):
         raise LineGraphError(f"not a cycle of the line graph: {c.vertices}")
     cols = [clg.lg.coloring[e] for e in c.edges]
     if len(set(cols)) != len(cols):
@@ -121,7 +121,7 @@ def cover_from_decomposition(clg: ColoredLineGraph, cycles) -> CycleDoubleCover:
         if overlap:
             raise LineGraphError(f"decomposition reuses line-graph edge {min(overlap)}")
         used.update(c.edges)
-    missing = clg.lg.graph.edges - used
+    missing = clg.lg.edges - used
     if missing:
         raise LineGraphError(f"not a partition of the line graph's edges: "
                              f"{min(missing)} uncovered")

@@ -240,7 +240,7 @@ def brute_force_rainbow_decomposition(g: EdgeColoredGraph,
     deadline = time.monotonic() + time_budget
     bad = check_goodness(g).bad_vertex
     try:
-        cycles = enumerate_cycles(g.graph, deadline)
+        cycles = enumerate_cycles(g, deadline)
     except TimeoutError:
         return SearchResult("indeterminate")
     colors = [g.coloring[e] for e in sorted(g.edges)]

@@ -100,12 +100,12 @@ def verify_rainbow_decomposition(g: EdgeColoredGraph, cycles) -> Verdict:
     if not isinstance(cycles, (list, tuple)):
         return _not_a_sequence()
     witnesses: list[dict] = []
-    counts = {e: 0 for e in g.graph.edges}
+    counts = {e: 0 for e in g.edges}
     almost_members: list[int] = []
     for idx, item in enumerate(cycles):
         vs = _cycle_vertices(item)
         problem = None if vs is not None else "not a vertex sequence"
-        problem = problem or _cycle_problem(g.graph, vs)
+        problem = problem or _cycle_problem(g, vs)
         if problem:
             witnesses.append({"kind": "cycle", "index": idx, "problem": problem})
             continue

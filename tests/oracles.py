@@ -287,7 +287,7 @@ def exhaustive_fallback(g: EdgeColoredGraph, max_len: int) -> FallbackResult:
     if not g.edges:
         return FallbackResult("absent")
     longest = max(len(c) for c in g.components)
-    for cyc in enumerate_cycles_by_copying(g.graph, max_len):
+    for cyc in enumerate_cycles_by_copying(g, max_len):
         try:
             _check_removal(g, rep, [(FALLBACK, cyc)])
         except CaseVerificationError:
@@ -406,7 +406,7 @@ def rainbow_candidates(g: EdgeColoredGraph) -> list[Cycle]:
     """The cycles of g that are rainbow, or almost-rainbow at its bad
     vertex: the candidates `brute_force_rainbow_decomposition` searches."""
     bad = check_goodness(g).bad_vertex
-    return [c for c in cycles_of(g.graph)
+    return [c for c in cycles_of(g)
             if len({g.coloring[e] for e in c.edges}) == len(c)
             or (bad is not None and bad in c and is_almost_rainbow_at(g, c, bad))]
 
@@ -497,7 +497,7 @@ def build_transform_by_scan(parent: EdgeColoredGraph, kind: str, *,
         if ce in child_cols:
             raise CaseVerificationError(kind, f"added edge {(u, v)} would be parallel")
         child_cols[ce] = c
-    return EdgeColoredGraph(Graph(parent.n, frozenset(child_cols)), child_cols)
+    return EdgeColoredGraph(parent.n, child_cols)
 
 
 def case2_1_run_by_scan(g: EdgeColoredGraph, path,
@@ -517,9 +517,9 @@ def case2_1_run_by_scan(g: EdgeColoredGraph, path,
         paths.append((v0, v1, v2, v3))
         h = build_transform_by_scan(h, "ContractEdge", merge=[(v1, v2)],
                                     drop=[edge(v1, v2)])
-        rep = check_goodness(EdgeColoredGraph(h.graph, h.coloring))
+        rep = check_goodness(EdgeColoredGraph(h.n, h.coloring))
         single = (connected_ignoring_isolated(h.n, h.edges)
-                  and all(len(nbrs) in (0, 2) for nbrs in h.graph.adj))
+                  and all(len(nbrs) in (0, 2) for nbrs in h.adj))
         chains = h.singular_chains
         if (rep.verdict is not GoodnessVerdict.GOOD or single
                 or h.rainbow_triangle is not None

@@ -222,7 +222,7 @@ def test_criterion_5_structural_properties():
     # line graphs of triangle-free cubic graphs have only mono triangles
     for g in (k33(), petersen()):
         lg = build_line_graph(g).lg
-        for u, v, w in triangles(lg.graph):
+        for u, v, w in triangles(lg):
             assert len({lg.color(u, v), lg.color(v, w), lg.color(u, w)}) == 1
     _report(5, True, f"cycle bijection over {pairs} cycles on 7 graphs; "
                      f"connectivity after {connectivity_checked} removals; "

@@ -414,6 +414,28 @@ def test_crosscheck_records_a_rejected_lift(capsys, tmp_path, monkeypatch):
     assert art["decompose"] == "lift_rejected"
 
 
+def test_crosscheck_records_a_case_failure(capsys, tmp_path, monkeypatch):
+    """A decomposition that ends in a case failure is a `case_failure`
+    mismatch whose artifact holds the failed trace, and `replay` of that
+    artifact fails again, with decompose's exit code 2. The failure is the
+    replay of the fuzz fixture's, which fails again in Case2_2_1a."""
+    fixture = Path(__file__).parent / "fixtures" / "casefailures" / "fuzz_0106.json"
+    outcome = json.loads(fixture.read_text())["outcome"]
+    monkeypatch.setattr(cli, "decompose", lambda lg: D.replay_case_failure(outcome))
+    monkeypatch.chdir(tmp_path)
+    code, out, _ = _run(capsys, "crosscheck", "--n-max", "4", "--count", "1")
+    assert code == 2
+    assert out.splitlines()[1].split()[3:] == ["case_failure", "found", "MISMATCH"]
+    assert out.splitlines()[-1] == "1 instances, 1 mismatches"
+    artifact = tmp_path / "crosscheck-artifacts" / "crosscheck_0000.json"
+    art = json.loads(artifact.read_text())
+    assert (art["decompose"], art["oracle"]) == ("case_failure", "found")
+    assert art["trace"]["outcome"]["case"] == "Case2_2_1a"
+    code, out, err = _run(capsys, "replay", "--input", str(artifact))
+    assert code == 2 and err.startswith("case failure in Case2_2_1a: ")
+    assert json.loads(out) == art["trace"]
+
+
 def test_crosscheck_checks_the_oracle_cover(capsys, tmp_path, monkeypatch):
     """`crosscheck` checks a found oracle cover with the independent
     verifier, as `oracle` does: a bogus one, the single triangle 0 1 2, is

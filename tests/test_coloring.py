@@ -1,5 +1,6 @@
 import functools
 import itertools
+import math
 import random
 
 import pytest
@@ -14,13 +15,15 @@ from cdcover.coloring import (
     report_after_removal,
     serialize_colored_edge_list,
     split_components,
+    triangles,
     x_block_decomposition,
 )
 import cdcover.decomposer as D
 from cdcover.decomposer import decompose
-from cdcover.graphs import Cycle, Graph, GraphError
+from cdcover.graphs import (Cycle, Graph, GraphError, find_bridges, is_connected,
+                            is_cubic, lowpoint_search, serialize_graph6)
 from cdcover.linegraph import build_line_graph
-from cdcover.oracle import GeneratorConfig, random_cubic_bridgeless
+from cdcover.oracle import GeneratorConfig, enumerate_cycles, random_cubic_bridgeless
 from enginecorpus import corpus, fallback_capped
 from graphsamples import (
     almost_good_c4,
@@ -32,6 +35,7 @@ from graphsamples import (
     k33,
     pentagons_on_a_hexagon,
     petersen,
+    prism,
     rainbow_c4,
     square_chain,
     two_squares_type_x,
@@ -126,6 +130,14 @@ def test_find_type_x_requires_even():
 def _type_x_per_block(g: EdgeColoredGraph) -> list[int]:
     txv = find_type_x_vertices(g)
     return [len(blk & txv) for blk in x_block_decomposition(g)]
+
+
+def test_x_block_decomposition_refuses_a_disconnected_graph():
+    g = EdgeColoredGraph.from_triples(6, [(0, 1, 0), (1, 2, 1), (0, 2, 2),
+                                          (3, 4, 0), (4, 5, 1), (3, 5, 2)])
+    with pytest.raises(ColoredGraphError) as err:
+        x_block_decomposition(g)
+    assert str(err.value) == "x-block decomposition requires a connected graph"
 
 
 def test_x_block_single_when_no_type_x():
@@ -246,11 +258,11 @@ def test_goodness_and_type_x_match_oracles_on_engine_graphs(n, seed, data):
 def _random_cycle(g: EdgeColoredGraph, rng: random.Random) -> Cycle:
     """A cycle of an even graph with edges: walk at random, never straight
     back, until a vertex repeats; the loop closed there is the cycle."""
-    path = [rng.choice([v for v in range(g.n) if g.graph.adj[v]])]
+    path = [rng.choice([v for v in range(g.n) if g.adj[v]])]
     at = {path[0]: 0}
     while True:
         back = path[-2] if len(path) > 1 else None
-        w = rng.choice([u for u in g.graph.adj[path[-1]] if u != back])
+        w = rng.choice([u for u in g.adj[path[-1]] if u != back])
         if w in at:
             return Cycle(tuple(path[at[w]:]))
         at[w] = len(path)
@@ -469,14 +481,14 @@ def test_remove_cycle_derives_adjacency():
     vertices get new neighbor tuples, every other vertex keeps its own, and
     all of them equal the ones built from the remainder's edge set."""
     base = petersen()
-    g = EdgeColoredGraph(base, {e: i for i, e in enumerate(sorted(base.edges))})
+    g = EdgeColoredGraph(base.n, {e: i for i, e in enumerate(sorted(base.edges))})
     c = Cycle((0, 1, 2, 3, 4))
     h = g.edit(drop=c.edges)
     assert h.edges == g.edges - set(c.edges)
     assert dict(h.coloring) == {e: k for e, k in g.coloring.items()
                                 if e not in c.edges}
-    assert h.graph.adj == Graph(h.n, h.edges).adj
-    assert all(h.graph.adj[v] is g.graph.adj[v] for v in range(5, 10))
+    assert h.adj == Graph(h.n, h.edges).adj
+    assert all(h.adj[v] is g.adj[v] for v in range(5, 10))
     with pytest.raises(ColoredGraphError, match="absent"):
         h.edit(drop=c.edges)
 
@@ -489,7 +501,14 @@ def test_remove_cycle_with_absent_edges_names_them():
     with pytest.raises(ColoredGraphError) as err:
         g.edit(drop=Cycle((0, 2, 1, 3)).edges)
     assert str(err.value) == "cannot remove absent edges [(0, 2), (1, 3)]"
-    assert g == rainbow_c4() and g.graph.adj == ((1, 3), (0, 2), (1, 3), (0, 2))
+    assert g == rainbow_c4() and g.adj == ((1, 3), (0, 2), (1, 3), (0, 2))
+
+
+def test_restrict_edges_refuses_absent_edges():
+    g = rainbow_c4()
+    with pytest.raises(ColoredGraphError) as err:
+        g.restrict_edges([(0, 1), (2, 0)])
+    assert str(err.value) == "cannot keep absent edges [(0, 2)]"
 
 
 def test_edit_drops_and_adds_locally():
@@ -501,8 +520,8 @@ def test_edit_drops_and_adds_locally():
     h = g.edit(drop=[(0, 1), (2, 3)], add={(1, 3): 5, (0, 2): 6})
     assert dict(h.coloring) == {(1, 2): 1, (0, 3): 3, (4, 5): 4,
                                 (1, 3): 5, (0, 2): 6}
-    assert h.graph.adj == Graph(h.n, h.edges).adj
-    assert h.graph.adj[0] == (2, 3) and h.graph.adj[4] is g.graph.adj[4]
+    assert h.adj == Graph(h.n, h.edges).adj
+    assert h.adj[0] == (2, 3) and h.adj[4] is g.adj[4]
     assert g.edit(drop=[(0, 1)], add={(0, 1): 9}).color(1, 0) == 9
     assert g.edit(drop=()) == g
     with pytest.raises(ColoredGraphError) as err:
@@ -525,28 +544,80 @@ def test_edit_validates_added_edges_as_graph_does(bad, message):
     was."""
     g = EdgeColoredGraph.from_triples(6, [(0, 1, 0), (1, 2, 1), (2, 3, 2),
                                           (0, 3, 3), (4, 5, 4)])
-    adj = g.graph.adj
+    adj = g.adj
     with pytest.raises(GraphError) as err:
         g.edit(drop=[(0, 1)], add={(1, 3): 5, bad: 9})
     assert str(err.value) == message
     with pytest.raises(GraphError) as ref:
         Graph(g.n, frozenset({bad}))
     assert str(ref.value) == message
-    assert g.graph.adj is adj and len(g.edges) == 5
+    assert g.adj is adj and len(g.edges) == 5
 
 
 def test_edit_results_equal_validated_graphs():
     """Every graph `edit` makes in the engine corpus equals the graph the
-    validating `Graph` and `EdgeColoredGraph` constructors accept for its
-    edges and colors, adjacency included."""
+    validating `EdgeColoredGraph` constructor accepts for its colored
+    edges, adjacency included."""
     made = [c.result for c in corpus().calls("edit")]
     assert len(made) > 1000
     for h in made:
-        ref = EdgeColoredGraph(Graph(h.n, h.edges), dict(h.coloring))
-        assert type(h) is EdgeColoredGraph and type(h.graph) is Graph
+        ref = EdgeColoredGraph(h.n, dict(h.coloring))
+        assert type(h) is EdgeColoredGraph
         assert type(h.edges) is frozenset and type(h.coloring) is dict
-        assert h == ref and hash(h.graph) == hash(ref.graph)
-        assert h.graph.adj == ref.graph.adj
+        assert h == ref and hash(h) == hash(ref) and h.edges == ref.edges
+        assert h.adj == ref.adj
+
+
+def _graph_readings(g: Graph, probes: list[Cycle]) -> tuple:
+    """What each graph reader of the package answers on g; `probes` are
+    the cycles asked about."""
+    return (is_connected(g), find_bridges(g), is_cubic(g), triangles(g),
+            lowpoint_search(g.adj), [c.is_cycle_of(g) for c in probes],
+            enumerate_cycles(g, math.inf), serialize_graph6(g))
+
+
+def _assert_read_as_its_graph(g: EdgeColoredGraph) -> None:
+    plain = Graph(g.n, g.edges)
+    assert isinstance(g, Graph) and type(plain) is Graph
+    probes = [Cycle(vs) for vs, _ in enumerate_cycles(plain, math.inf)[::7]]
+    if g.n >= 3:
+        probes.append(Cycle(tuple(range(g.n))))  # mostly not a cycle of g
+    assert _graph_readings(g, probes) == _graph_readings(plain, probes)
+
+
+def test_colored_graphs_read_as_their_graphs_on_line_graphs():
+    """A colored graph is the `Graph` of its edges: every graph reader
+    answers on it as on `Graph(g.n, g.edges)`, for sample line graphs, two
+    disjoint copies of L(K4) and the components of these, and for what a
+    peel of their least triangle leaves; `edit` makes the components and
+    the remainders, with their neighbor tuples filled."""
+    lines = [build_line_graph(base).lg
+             for base in (k4(), k33(), prism(), petersen(), bridged_cubic_10())]
+    first = lines[0].coloring
+    lines.append(EdgeColoredGraph(12, {**first, **{(u + 6, v + 6): c + 4
+                                                   for (u, v), c in first.items()}}))
+    for lg in lines:
+        peeled = lg.edit(drop=Cycle(triangles(lg)[0]).edges)
+        for g in (lg, *split_components(lg), peeled, *split_components(peeled)):
+            _assert_read_as_its_graph(g)
+
+
+@given(data=st.data())
+@settings(max_examples=60, deadline=None)
+def test_colored_graphs_read_as_their_graphs_on_drawn_graphs(data):
+    n = data.draw(st.integers(0, 8), label="n")
+    pairs = [(u, v) for v in range(n) for u in range(v)]
+    coloring = data.draw(st.dictionaries(
+        st.sampled_from(pairs), st.integers(0, 3)) if pairs else st.just({}),
+        label="coloring")
+    _assert_read_as_its_graph(EdgeColoredGraph(n, coloring))
+
+
+def test_from_edges_builds_a_plain_graph():
+    """The inherited `from_edges` has no coloring to give, so it makes a
+    plain `Graph`, also when called on `EdgeColoredGraph`."""
+    g = EdgeColoredGraph.from_edges(3, [(1, 0), (1, 2)])
+    assert type(g) is Graph and g == Graph(3, frozenset({(0, 1), (1, 2)}))
 
 
 def test_equal_colored_graphs_hash_equal():
@@ -556,7 +627,7 @@ def test_equal_colored_graphs_hash_equal():
     built = [
         EdgeColoredGraph.from_triples(4, [(3, 0, 3), (2, 3, 2), (1, 2, 1),
                                           (0, 1, 0)]),
-        EdgeColoredGraph(Graph.from_edges(4, list(g.coloring)), dict(g.coloring)),
+        EdgeColoredGraph(4, dict(g.coloring)),
         EdgeColoredGraph.from_triples(4, [(0, 1, 0), (1, 2, 1), (2, 3, 2),
                                           (0, 3, 3), (0, 2, 4)]
                                       ).restrict_edges(g.edges),
@@ -573,7 +644,7 @@ def test_equal_colored_graphs_hash_equal():
 
     assert [edge_count(h) for h in (g, *built)] == [4] * 4 and calls == [g]
     recolored = almost_good_c4()
-    assert recolored.graph == g.graph and recolored != g
+    assert (recolored.n, recolored.edges) == (g.n, g.edges) and recolored != g
     assert len({g, recolored}) == 2
 
 
@@ -625,7 +696,7 @@ def test_colored_edge_list_roundtrip():
     """Integer colors read back as themselves, also when they are sparse
     and not in order of first appearance, as after a peel."""
     g = case1_1_host()
-    sparse = EdgeColoredGraph(g.graph, {e: 40 - 3 * c for e, c in g.coloring.items()})
+    sparse = EdgeColoredGraph(g.n, {e: 40 - 3 * c for e, c in g.coloring.items()})
     for h in (g, sparse):
         text = serialize_colored_edge_list(h)
         back = parse_colored_edge_list(text)

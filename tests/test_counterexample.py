@@ -67,6 +67,6 @@ def test_certificate_failure_names_a_cycle_of_its_graph():
         failure = decompose(g).failure
         named = re.findall(r"removing \(([\d, ]+)\)", failure.message)
         assert named
-        graph = parse_colored_edge_list(failure.graph_text).graph
+        graph = parse_colored_edge_list(failure.graph_text)
         for text in named:
             assert Cycle(tuple(int(v) for v in text.split(", "))).is_cycle_of(graph)

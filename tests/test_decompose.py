@@ -272,7 +272,7 @@ def test_build_transform_merges_a_group_onto_its_least_id():
         _square_and_edge(), "ContractEdge", drop=[(0, 1)], merge=[(1, 0)])
     assert child.n == 6
     assert dict(child.coloring) == {(0, 2): 1, (2, 3): 2, (0, 3): 3, (4, 5): 4}
-    assert child.graph.adj[1] == ()
+    assert child.adj[1] == ()
 
 
 @pytest.mark.parametrize("build, message", [
@@ -316,7 +316,7 @@ def test_build_transform_matches_the_full_scan_on_random_edits():
     seen = set()
     for _ in range(3000):
         g = rng.choice(parents)
-        adj = g.graph.adj
+        adj = g.adj
         live = [v for v in range(g.n) if adj[v]]
         merge, used = [], set()
         for _ in range(rng.randrange(3)):
@@ -343,7 +343,7 @@ def test_build_transform_matches_the_full_scan_on_random_edits():
         made = _outcome(D._build_transform, g, "Probe", **kw)
         ref = _outcome(build_transform_by_scan, g, "Probe", **kw)
         if isinstance(ref, EdgeColoredGraph):
-            assert made == ref and made.graph.adj == _adj_from_scratch(ref)
+            assert made == ref and made.adj == _adj_from_scratch(ref)
             seen.add("child")
         else:
             assert made == ref
@@ -363,9 +363,9 @@ def test_build_transform_and_edit_match_the_full_scan():
         ref = _outcome(build_transform_by_scan, *c.args, **c.kw)
         assert made == ref
         if isinstance(made, EdgeColoredGraph):
-            assert made.graph.adj == _adj_from_scratch(ref)
+            assert made.adj == _adj_from_scratch(ref)
     for c in edits:
-        assert c.result.graph.adj == _adj_from_scratch(c.result)
+        assert c.result.adj == _adj_from_scratch(c.result)
 
 
 def test_case1_1_rejects_wrong_pattern():
@@ -439,7 +439,7 @@ def test_case2_1_agrees_with_base_case_on_c5():
     g = EdgeColoredGraph.from_triples(5, [(0, 1, 0), (1, 2, 1), (2, 3, 2),
                                           (3, 4, 3), (0, 4, 4)])
     red = case2_1(g, check_goodness(g), (0, 1, 2, 3))
-    assert red.child.n == 5 and red.child.graph.adj[2] == ()
+    assert red.child.n == 5 and red.child.adj[2] == ()
     sub = [( "BaseCycle", c) for c in
            [next(iter(decompose(red.child).cycles))]]
     lifted = red.lift(sub)
@@ -474,7 +474,7 @@ CASE2_1_FACTS = ("components", "rainbow_triangle", "singular_chains")
 
 def _fresh_facts(g):
     """The dispatch facts of a new, uncached graph with g's edges and colors."""
-    fresh = EdgeColoredGraph(Graph(g.n, g.edges), dict(g.coloring))
+    fresh = EdgeColoredGraph(g.n, dict(g.coloring))
     return {name: getattr(fresh, name) for name in DISPATCH_FACTS}
 
 
@@ -517,7 +517,7 @@ def test_case2_1_child_and_report_match_the_rebuilt_child():
         inside = [e for e in g.edges if any(set(e) <= grp for grp in groups)]
         child = D._build_transform(g, "ContractEdge", merge=groups, drop=inside)
         for made in (red.child, child):
-            assert (made.n, dict(made.coloring), made.graph.adj) == \
+            assert (made.n, dict(made.coloring), made.adj) == \
                 (ref.n, dict(ref.coloring), _adj_from_scratch(ref))
         assert red.report == ref_rep
         assert {name: run.cached[name] for name in CASE2_1_FACTS} == {
@@ -624,13 +624,14 @@ def test_case2_1_chord_of_a_path_color(chord):
 def test_case2_1_child_facts_equal_fresh_ones():
     """At the end of every Case2_1 run the child gets its components,
     rainbow triangle and singular chains, carried from its parent step by
-    step, and no other fact, at the moment it is made; each is the one a
-    fresh graph with the child's edges and colors computes."""
+    step, and no other fact but the neighbor tuples `edit` fills, at the
+    moment it is made; each is the one a fresh graph with the child's edges
+    and colors computes."""
     runs = corpus().calls("case2_1")
     assert len(runs) > 1000
     for run in runs:
         cached = run.cached
-        assert set(cached) == {"graph", "coloring", *CASE2_1_FACTS}
+        assert set(cached) == {"n", "edges", "coloring", "adj", *CASE2_1_FACTS}
         fresh = _fresh_facts(run.result.child)
         assert {name: cached[name] for name in CASE2_1_FACTS} == {
             name: fresh[name] for name in CASE2_1_FACTS}
@@ -692,17 +693,17 @@ def test_case2_1_child_facts_cached_or_not(triples, path, isolated, tri, chains)
     bare = EdgeColoredGraph.from_triples(1 + max(max(t[:2]) for t in triples),
                                          triples)
     # checked on a copy: the check caches `components` on the graph it checks
-    rep = check_goodness(EdgeColoredGraph(bare.graph, bare.coloring))
+    rep = check_goodness(EdgeColoredGraph(bare.n, bare.coloring))
     assert rep.verdict is GoodnessVerdict.GOOD
     assert bare.rainbow_triangle is None and "components" not in bare.__dict__
-    cached = EdgeColoredGraph(bare.graph, bare.coloring)
+    cached = EdgeColoredGraph(bare.n, bare.coloring)
     for name in DISPATCH_FACTS:
         getattr(cached, name)
     lazy = case2_1(bare, rep, path).child
     derived = case2_1(cached, rep, path).child
     assert lazy == derived
-    assert {v for v in range(bare.n) if bare.graph.adj[v]
-            and not lazy.graph.adj[v]} == isolated
+    assert {v for v in range(bare.n) if bare.adj[v]
+            and not lazy.adj[v]} == isolated
     facts = _fresh_facts(lazy)
     assert facts["rainbow_triangle"] == Cycle(tri)
     assert facts["singular_chains"] == chains
@@ -739,8 +740,8 @@ def _run_merges(run):
 # vertices its child leaves isolated, and the vertices whose child cycles
 # its lift rewrites
 REDUCTIONS = {
-    "case1_1": lambda c, g, rep, v: _merge(v, *g.graph.adj[v]),
-    "case1_2": lambda c, g, rep, v: _merge(v, min(g.graph.adj[v])),
+    "case1_1": lambda c, g, rep, v: _merge(v, *g.adj[v]),
+    "case1_2": lambda c, g, rep, v: _merge(v, min(g.adj[v])),
     "case2_1": lambda c, g, rep, path: _run_merges(c),
     "case2_2_1": lambda c, g, rep, p: (_merge(p.x1, p.x2)[0],
                                        _merge(p.x1, p.x2)[1] | {p.v}),
@@ -764,7 +765,7 @@ def test_reduction_child_keeps_parent_ids():
         name, g, child = c.name, c.args[0], c.result.child
         isolated, rewritten = REDUCTIONS[name](c, *c.args)
         assert child.n == g.n, name
-        assert all(not child.graph.adj[u] for u in isolated), name
+        assert all(not child.adj[u] for u in isolated), name
         for e, col in child.coloring.items():
             if not rewritten & set(e):
                 assert g.coloring.get(e) == col, (name, e)
@@ -834,7 +835,7 @@ def test_uncertified_output_is_refused(monkeypatch, change, name):
     assert not tr.success and tr.steps == () and tr.cycles is None
     f = tr.failure
     assert f.graph_text == serialize_colored_edge_list(g)
-    assert parse_colored_edge_list(f.graph_text).graph == g.graph
+    assert parse_colored_edge_list(f.graph_text) == g
     assert f.goodness == check_goodness(g)
     if change != "repeat":
         assert (f.case, f.cycle) == ("Engine", None)
@@ -900,7 +901,7 @@ DERIVED_REPORTS = ("case1_1", "case1_2", "case2_2_1", "_case2_2_2a", "_case2_2_2
 
 def _fresh_report(g: EdgeColoredGraph) -> GoodnessReport:
     """The full check of a new, uncached graph with g's edges and colors."""
-    return check_goodness(EdgeColoredGraph(Graph(g.n, g.edges), dict(g.coloring)))
+    return check_goodness(EdgeColoredGraph(g.n, dict(g.coloring)))
 
 
 def test_derived_child_reports_equal_fresh_full_checks():
@@ -1151,6 +1152,37 @@ def test_fallback_empty_graph_absent():
     assert fallback_search(empty, check_goodness(empty)).status == "absent"
 
 
+def test_fallback_refuses_a_not_good_graph():
+    g = two_squares_type_x()
+    rep = check_goodness(g)
+    assert rep.verdict is GoodnessVerdict.NOT_GOOD
+    with pytest.raises(DecomposeError) as err:
+        fallback_search(g, rep)
+    assert str(err.value) == "fallback requires a good or almost-good graph"
+
+
+def test_fallback_results_equal_only_fallback_results():
+    """`==` compares status and cycle within the class and leaves any other
+    type to its own `==`, so a result never equals its fields' tuple."""
+    found = FallbackResult("found", Cycle((0, 1, 2)))
+    assert found == FallbackResult("found", Cycle((0, 1, 2)))
+    assert found != FallbackResult("found", Cycle((0, 1, 3)))
+    assert found.__eq__(("found", Cycle((0, 1, 2)))) is NotImplemented
+    assert found != ("found", Cycle((0, 1, 2)))
+
+
+def test_check_removal_refuses_an_empty_batch_on_a_graph_with_edges():
+    """An empty batch is the engine's fault, tagged "Engine", when edges are
+    left; on a graph with no edges it is accepted and leaves the empty
+    graph."""
+    g = rainbow_c4()
+    with pytest.raises(CaseVerificationError) as err:
+        D._check_removal(g, check_goodness(g), [])
+    assert (err.value.case, str(err.value)) == ("Engine", "Engine: case produced no cycles")
+    empty = EdgeColoredGraph(4, {})
+    assert D._check_removal(empty, GOOD_REPORT, []).rest == empty
+
+
 def test_fallback_cap_threshold():
     """Below 64 edges the fallback tries every length up to the longest
     component; from 64 edges on, cycles of up to 24 vertices. A cubic graph
@@ -1296,7 +1328,7 @@ def test_case_failure_graph_parses():
     from cdcover.coloring import serialize_colored_edge_list
     text = serialize_colored_edge_list(g)
     back = parse_colored_edge_list(text)
-    assert back.graph == g.graph
+    assert back == g
 
 
 # ---------------------------------------------------------------------------
@@ -1337,7 +1369,7 @@ def test_goddyn_rejects_non_cycle():
     check."""
     lg = build_line_graph(petersen()).lg
     bad = Cycle((0, 5, 10))
-    assert not bad.is_cycle_of(lg.graph)
+    assert not bad.is_cycle_of(lg)
     for prescribed in (bad, (0, 1, 2)):
         with recording() as log:
             with pytest.raises(DecomposeError,
@@ -1355,6 +1387,19 @@ def test_goddyn_rejects_a_good_graph_that_is_not_all_type2():
     with recording() as log:
         with pytest.raises(DecomposeError) as err:
             decompose(g, Cycle((0, 1, 2, 3)))
+    assert str(err.value) == "line graph is not an all-Type-II graph"
+    assert not [c for c in log if c.name == "check_goodness"]
+
+
+def test_goddyn_rejects_a_4_regular_graph_with_a_vertex_of_three_colors():
+    """Every vertex of K5 has degree 4, but vertex 0 sees three colors, so
+    K5 is not all-Type-II: a prescribed cycle is refused before the root
+    check."""
+    g = EdgeColoredGraph(5, {(u, v): {(0, 1): 1, (0, 2): 2}.get((u, v), 0)
+                             for v in range(5) for u in range(v)})
+    with recording() as log:
+        with pytest.raises(DecomposeError) as err:
+            decompose(g, Cycle((0, 1, 2)))
     assert str(err.value) == "line graph is not an all-Type-II graph"
     assert not [c for c in log if c.name == "check_goodness"]
 
@@ -1501,7 +1546,7 @@ def test_color_pruned_cycles_match_the_reference():
         if spare is not None:
             allowed[spare] = 2
         reference = [
-            c for c in enumerate_cycles_by_copying(g.graph, longest)
+            c for c in enumerate_cycles_by_copying(g, longest)
             if all(n <= allowed[col] for col, n in
                    collections.Counter(g.coloring[e] for e in c.edges).items())]
         for length in range(3, longest + 1):
@@ -1709,7 +1754,7 @@ def _mutated(data, mutation):
         # a color of the same cycle, or one no edge has
         col = data.draw(st.sampled_from(
             sorted({g.coloring[f] for f in c.edges} | {-1})), label="color")
-        g = EdgeColoredGraph(g.graph, {**g.coloring, e: col})
+        g = EdgeColoredGraph(g.n, {**g.coloring, e: col})
         rep = check_goodness(g)
     elif mutation == "re-pair":
         i, j = data.draw(st.sampled_from(_meeting_pairs(batch)), label="pair")

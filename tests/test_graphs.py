@@ -84,6 +84,14 @@ def test_parse_graph6_refuses_the_36_bit_header():
         "graph6 parse error at byte 1: vertex counts above 258047 unsupported")
 
 
+def test_serialize_graph6_refuses_n_above_258047():
+    """The 36-bit header that n >= 258048 needs is unsupported: the
+    refusal comes before the bit-vector is allocated."""
+    with pytest.raises(GraphError) as err:
+        serialize_graph6(Graph(258048, frozenset()))
+    assert str(err.value) == "graph too large for supported graph6 headers: n=258048"
+
+
 @pytest.mark.parametrize("n, head", [(63, "~??~"), (64, "~?@?")])
 def test_graph6_four_byte_headers(n, head):
     """n > 62 takes `~` and then n in three 6-bit digits, high first."""
@@ -371,7 +379,7 @@ def test_even_graphs_have_no_bridges(g):
 def test_even_graph_degree2_vertices_not_cut(g):
     """Deleting a degree-2 vertex leaves its two neighbors connected, so,
     with every edge one color, it lies in exactly one x-block."""
-    one_color = EdgeColoredGraph(g, {e: 0 for e in g.edges})
+    one_color = EdgeColoredGraph(g.n, {e: 0 for e in g.edges})
     blocks = [b for comp in split_components(one_color)
               for b in x_block_decomposition(comp)]
     for v in range(g.n):
@@ -404,6 +412,6 @@ def test_x_blocks_match_definition_on_even_graphs(g, data):
     monochromatic pairs, and so Type X vertices, are common (about a
     quarter of the components have one)."""
     colors = data.draw(st.lists(st.integers(0, 2), min_size=g.m, max_size=g.m))
-    cg = EdgeColoredGraph(g, dict(zip(sorted(g.edges), colors)))
+    cg = EdgeColoredGraph(g.n, dict(zip(sorted(g.edges), colors)))
     for comp in split_components(cg):
         assert x_block_decomposition(comp) == x_blocks_by_definition(comp)

@@ -22,13 +22,13 @@ from oracles import (color_classes, cycles_of, enumerate_cycles_by_copying,
 def test_build_line_graph_k4_shape():
     clg = build_line_graph(k4())
     assert clg.lg.n == 6
-    assert clg.lg.graph.m == 12
-    assert all(clg.lg.graph.degree(v) == 4 for v in range(6))
+    assert clg.lg.m == 12
+    assert all(clg.lg.degree(v) == 4 for v in range(6))
 
 
 def test_build_line_graph_petersen_shape():
     clg = build_line_graph(petersen())
-    assert clg.lg.n == 15 and clg.lg.graph.m == 30
+    assert clg.lg.n == 15 and clg.lg.m == 30
     assert len(color_classes(clg.lg)) == 10
 
 
@@ -56,8 +56,8 @@ def test_line_graph_lemmas(n, seed):
     g = random_cubic_bridgeless(GeneratorConfig(n, seed))
     clg = build_line_graph(g)
     base_edges = sorted(g.edges)
-    assert all(clg.lg.graph.degree(x) == 4 for x in range(clg.lg.n))
-    assert clg.lg.graph.m == 3 * n
+    assert all(clg.lg.degree(x) == 4 for x in range(clg.lg.n))
+    assert clg.lg.m == 3 * n
     for v, es in color_classes(clg.lg).items():
         spanned = {x for e in es for x in e}
         assert len(es) == 3 and {base_edges[x] for x in spanned} == {
@@ -79,7 +79,7 @@ def test_line_graph_always_good():
 def test_triangle_free_base_gives_only_mono_triangles():
     for g in (k33(), petersen()):
         lg = build_line_graph(g).lg
-        for u, v, w in triangles(lg.graph):
+        for u, v, w in triangles(lg):
             cols = {lg.color(u, v), lg.color(v, w), lg.color(u, w)}
             assert len(cols) == 1
 
@@ -133,7 +133,7 @@ def test_lift_project_bijection_small_graphs():
 
 def test_cover_from_four_triangles():
     clg = build_line_graph(k4())
-    tris = [c for c in enumerate_cycles_by_copying(clg.lg.graph, 3)
+    tris = [c for c in enumerate_cycles_by_copying(clg.lg, 3)
             if len({clg.lg.coloring[e] for e in c.edges}) == 3]
     assert len(tris) == 4
     cover = cover_from_decomposition(clg, tris)
@@ -151,7 +151,7 @@ def test_cover_from_hamiltonian_projections():
 
 def test_cover_rejects_partial_decomposition():
     clg = build_line_graph(k4())
-    tris = [c for c in enumerate_cycles_by_copying(clg.lg.graph, 3)
+    tris = [c for c in enumerate_cycles_by_copying(clg.lg, 3)
             if len({clg.lg.coloring[e] for e in c.edges}) == 3]
     with pytest.raises(LineGraphError, match="partition"):
         cover_from_decomposition(clg, tris[:-1])
@@ -167,9 +167,9 @@ def test_cover_refuses_a_bad_member(member, message):
     `Cycle`, a monochromatic triangle and a member given twice are each
     refused by name."""
     clg = build_line_graph(k4())
-    tris = [c for c in enumerate_cycles_by_copying(clg.lg.graph, 3)
+    tris = [c for c in enumerate_cycles_by_copying(clg.lg, 3)
             if len({clg.lg.coloring[e] for e in c.edges}) == 3]
-    mono = next(c for c in enumerate_cycles_by_copying(clg.lg.graph, 3)
+    mono = next(c for c in enumerate_cycles_by_copying(clg.lg, 3)
                 if len({clg.lg.coloring[e] for e in c.edges}) == 1)
     cycles = {"tuple": [*tris[:-1], tris[-1].vertices],
               "mono triangle": [mono, *tris],

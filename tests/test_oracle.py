@@ -74,7 +74,7 @@ def test_enumerate_cycles_matches_the_reference():
     vertices or three components."""
     graphs = [random_cubic_bridgeless(GeneratorConfig(n, seed))
               for n in range(4, 18, 2) for seed in range(3)]
-    graphs += [build_line_graph(g).lg.graph for g in (k4(), k33(), petersen())]
+    graphs += [build_line_graph(g).lg for g in (k4(), k33(), petersen())]
     graphs += [
         Graph.from_edges(4, [(0, 1), (1, 2), (1, 3)]),
         Graph.from_edges(5, [(i, (i + 1) % 5) for i in range(5)]),
@@ -150,7 +150,7 @@ def test_each_oracle_enumerates_cycles_once(monkeypatch):
     assert brute_force_cdc(g, math.inf).found
     assert calls == [g]
     assert brute_force_rainbow_decomposition(lg, math.inf).found
-    assert calls == [g, lg.graph]
+    assert calls == [g, lg]
 
 
 def test_oracles_build_cycles_only_for_the_cover(monkeypatch):
@@ -185,7 +185,7 @@ def test_oracles_build_cycles_only_for_the_cover(monkeypatch):
     assert res.status == "absent" and count == 0
     g = almost_good_c4()
     bad = check_goodness(g).bad_vertex
-    through_bad = sum(bad in vertices for vertices, _ in enumerate_cycles(g.graph, math.inf))
+    through_bad = sum(bad in vertices for vertices, _ in enumerate_cycles(g, math.inf))
     res, count = builds(brute_force_rainbow_decomposition, g)
     assert res.found and through_bad and count == len(res.cycles) + through_bad
 

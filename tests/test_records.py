@@ -4,8 +4,7 @@ closed to assignment and deletion; with their defaults; and refusing what
 their constructors refuse, with the same messages."""
 import pytest
 
-from cdcover.coloring import (ColoredGraphError, EdgeColoredGraph, GoodnessReport,
-                              GoodnessVerdict, Violation)
+from cdcover.coloring import EdgeColoredGraph, GoodnessReport, GoodnessVerdict, Violation
 from cdcover.decomposer import CaseFailure, DecompositionTrace, TraceStep
 from cdcover.graphs import Cycle, Graph, GraphError
 from cdcover.linegraph import ColoredLineGraph, CycleDoubleCover
@@ -13,7 +12,6 @@ from cdcover.oracle import GeneratorConfig, SearchResult
 from cdcover.verify import Verdict
 
 TRI = Cycle((2, 0, 1))
-PATH = Graph(3, frozenset({(0, 1), (1, 2)}))
 AT_2 = GoodnessReport(GoodnessVerdict.ALMOST_GOOD, 2, (Violation(4, "vertex", 2),))
 
 
@@ -25,10 +23,10 @@ def samples():
     return [
         ((3, frozenset({(0, 1), (1, 2)})), Graph),
         (((0, 1, 2),), Cycle),
-        ((edge_graph, {(0, 1): 5}), EdgeColoredGraph),
+        ((2, {(0, 1): 5}), EdgeColoredGraph),
         ((4, "vertex", 2), Violation),
         ((GoodnessVerdict.ALMOST_GOOD, 2, (Violation(4, "vertex", 2),)), GoodnessReport),
-        ((edge_graph, EdgeColoredGraph(Graph(1, frozenset()), {}), {(0, 1): 0}),
+        ((edge_graph, EdgeColoredGraph(1, {}), {(0, 1): 0}),
          ColoredLineGraph),
         (((Cycle((0, 1, 2)),),), CycleDoubleCover),
         ((6, 1), GeneratorConfig),
@@ -44,7 +42,7 @@ def samples():
 FIELDS = {
     "Graph": ("n", "edges"),
     "Cycle": ("vertices",),
-    "EdgeColoredGraph": ("graph", "coloring"),
+    "EdgeColoredGraph": ("n", "coloring"),
     "Violation": ("condition", "kind", "witness"),
     "GoodnessReport": ("verdict", "bad_vertex", "violations"),
     "ColoredLineGraph": ("base", "lg", "vertex_of_edge"),
@@ -84,8 +82,8 @@ def test_records_differ_by_any_field():
     assert Cycle((0, 1, 2)) != Cycle((0, 1, 3))
     assert Violation(4, "vertex", 2) != Violation(4, "vertex", 3)
     assert GoodnessReport(GoodnessVerdict.GOOD, None, ()) != AT_2
-    assert EdgeColoredGraph(Graph(2, frozenset({(0, 1)})), {(0, 1): 5}) != \
-        EdgeColoredGraph(Graph(2, frozenset({(0, 1)})), {(0, 1): 6})
+    assert EdgeColoredGraph(2, {(0, 1): 5}) != EdgeColoredGraph(2, {(0, 1): 6})
+    assert EdgeColoredGraph(2, {}) != EdgeColoredGraph(3, {})
     assert CaseFailure("X", "t", "m", None, None, None) != \
         CaseFailure("X", "t", "m", None, None, TRI)
     assert Verdict(True, ()) != Verdict(False, ())
@@ -100,6 +98,8 @@ def test_records_of_two_classes_with_equal_values_differ():
         for b in pairs[i + 1:]:
             assert a != b and not a == b
     assert Cycle((0, 1, 2)) != CycleDoubleCover((0, 1, 2))
+    # a colored graph is a Graph, but never equal to a plain one
+    assert EdgeColoredGraph(2, {(0, 1): 5}) != Graph(2, frozenset({(0, 1)}))
     assert GoodnessReport(4, "vertex", 2) != Violation(4, "vertex", 2)
     assert Violation(4, "vertex", 2) != TraceStep(4, "vertex", 2)
 
@@ -117,7 +117,7 @@ def test_hash_is_the_hash_of_the_fields(index):
         return
     key = tuple(getattr(a, f) for f in FIELDS[cls.__name__])
     if cls is EdgeColoredGraph:
-        key = (a.graph, frozenset(a.coloring.items()))
+        key = (a.n, frozenset(a.coloring.items()))
     assert hash(a) == hash(b) == hash(key)
     assert len({a, b}) == 1
 
@@ -130,16 +130,14 @@ def test_hash_of_records_with_empty_fields():
 REPRS = [
     (Graph(3, frozenset({(0, 1)})), "Graph(n=3, edges=frozenset({(0, 1)}))"),
     (Cycle((2, 0, 1)), "Cycle(vertices=(0, 1, 2))"),
-    (EdgeColoredGraph(Graph(2, frozenset({(0, 1)})), {(0, 1): 5}),
-     "EdgeColoredGraph(graph=Graph(n=2, edges=frozenset({(0, 1)})), coloring={(0, 1): 5})"),
+    (EdgeColoredGraph(2, {(0, 1): 5}), "EdgeColoredGraph(n=2, coloring={(0, 1): 5})"),
     (Violation(6, "triangle", (0, 1, 2)),
      "Violation(condition=6, kind='triangle', witness=(0, 1, 2))"),
     (AT_2, "GoodnessReport(verdict=<GoodnessVerdict.ALMOST_GOOD: 'almost_good'>, "
            "bad_vertex=2, violations=(Violation(condition=4, kind='vertex', witness=2),))"),
-    (ColoredLineGraph(Graph(0, frozenset()), EdgeColoredGraph(Graph(0, frozenset()), {}),
-                      {}),
+    (ColoredLineGraph(Graph(0, frozenset()), EdgeColoredGraph(0, {}), {}),
      "ColoredLineGraph(base=Graph(n=0, edges=frozenset()), lg=EdgeColoredGraph("
-     "graph=Graph(n=0, edges=frozenset()), coloring={}), vertex_of_edge={})"),
+     "n=0, coloring={}), vertex_of_edge={})"),
     (CycleDoubleCover((TRI,)), "CycleDoubleCover(cycles=(Cycle(vertices=(0, 1, 2)),))"),
     (GeneratorConfig(6, 1), "GeneratorConfig(vertex_count=6, seed=1)"),
     (SearchResult("absent"), "SearchResult(status='absent', cycles=None)"),
@@ -195,17 +193,16 @@ def test_defaults():
     (lambda: Graph(3, frozenset({(0, 3)})), GraphError, "edge (0, 3) out of range for n=3"),
     (lambda: Graph(3, frozenset({(1, 0)})), GraphError, "edge (1, 0) out of range for n=3"),
     (lambda: Graph(3, frozenset({(0, 1, 2)})), GraphError, "bad edge (0, 1, 2)"),
-    (lambda: EdgeColoredGraph(PATH, {(0, 1): 0}), ColoredGraphError,
-     "coloring must be total: missing [(1, 2)], extra []"),
-    (lambda: EdgeColoredGraph(PATH, {(0, 1): 0, (1, 2): 1, (0, 2): 2}), ColoredGraphError,
-     "coloring must be total: missing [], extra [(0, 2)]"),
+    (lambda: EdgeColoredGraph(3, {(0, 1): 0, (1, 3): 1}), GraphError,
+     "edge (1, 3) out of range for n=3"),
+    (lambda: EdgeColoredGraph(-1, {}), GraphError, "negative vertex count -1"),
     (lambda: GeneratorConfig(7, 0), GraphError,
      "cubic graphs need an even vertex count >= 4, got 7"),
     (lambda: GeneratorConfig(2, 0), GraphError,
      "cubic graphs need an even vertex count >= 4, got 2"),
 ], ids=["cycle-short", "cycle-empty", "cycle-repeat", "graph-negative-n",
-        "graph-edge-range", "graph-edge-order", "graph-bad-edge", "colored-missing",
-        "colored-extra", "generator-odd", "generator-small"])
+        "graph-edge-range", "graph-edge-order", "graph-bad-edge", "colored-edge-range",
+        "colored-negative-n", "generator-odd", "generator-small"])
 def test_constructor_refusals(build, error, message):
     with pytest.raises(error) as err:
         build()
