@@ -114,13 +114,13 @@ Case2_2_2a, 2b, 2c) or almost-good at the case's vertex v (Case1_1,
 Case1_2); Case2_2_1b then keeps an end x-block of Case2_2_1's child, by
 the end-block lemma below. By the lemma for its case, the child meets
 conditions 1-5, and no vertex sees one color, except in one local
-configuration that the case rejects before it builds. So the child's full
-report is its Type X search's (`report_from_type_x`). The labels are the
-case's. In the Case2_2 family (`decomposer.CasePattern`), v is Type I
-with colors alpha and beta; x1 pairs alpha, to v and y1, with gamma, to
-w1 and z1; x2 pairs beta, to v and y2, with delta, to w2 and z2. Two facts
-recur. (i) A class of color c that spans three vertices spans no fourth,
-so an edge with an end outside that span is not of color c. In the
+configuration that the case rejects before it builds. So the child is good
+exactly when its Type X search finds nothing (`type_x_sides`). The labels
+are the case's. In the Case2_2 family (`decomposer.CasePattern`), v is
+Type I with colors alpha and beta; x1 pairs alpha, to v and y1, with
+gamma, to w1 and z1; x2 pairs beta, to v and y2, with delta, to w2 and z2.
+Two facts recur. (i) A class of color c that spans three vertices spans no
+fourth, so an edge with an end outside that span is not of color c. In the
 Case2_2 family, alpha spans v, x1 and y1, so its class is the two edges
 vx1, x1y1, as v has degree 2; likewise beta. (ii) A vertex whose edges
 keep their colors, whatever their other ends become, still meets
@@ -332,27 +332,19 @@ class EdgeColoredGraph(Graph):
         child.__dict__["adj"] = tuple(adj)  # fills the cached property
         return child
 
-    def restrict_edges(self, keep: Iterable[Edge]) -> "EdgeColoredGraph":
-        kept = {edge(*e) for e in keep}
-        absent = kept - self.edges
-        if absent:
-            raise ColoredGraphError(f"cannot keep absent edges {sorted(absent)}")
-        return EdgeColoredGraph(self.n, {e: self.coloring[e] for e in kept})
-
     @cached_property
     def components(self) -> tuple[frozenset[int], ...]:
         """Vertex sets of the edge-bearing connected components, by min
         vertex: the trees of the lowpoint search that the Type X search
-        (`_cut_search`) reads, which also fills `type_x_sides` when every
-        degree is even."""
-        even = not any(len(nbrs) & 1 for nbrs in self.adj)
-        return _cut_search(self, type_x=even)[0]
+        (`_cut_search`) reads, which also fills `type_x_sides`."""
+        return _cut_search(self)[0]
 
     @cached_property
     def type_x_sides(self) -> dict[int, tuple[tuple[int, ...], ...]]:
-        """Each cut vertex of Type X, mapped to its two pairs of neighbors
-        by side. The degrees must be even; this is not checked."""
-        return _cut_search(self, type_x=True)[1]
+        """Each degree-4 cut vertex whose neighbors fall into two sides of
+        two, each pair monochromatic, mapped to its two pairs by side. On an
+        even graph these are exactly the cut vertices of Type X."""
+        return _cut_search(self)[1]
 
     @cached_property
     def type1(self) -> frozenset[int]:
@@ -462,7 +454,7 @@ def triangles(g: Graph) -> list[tuple[int, int, int]]:
         for w in g.adj[u]:
             if w > v and w in g.adj[v]:
                 out.append((u, v, w))
-    return sorted(out)
+    return out
 
 
 def check_goodness(g: EdgeColoredGraph) -> GoodnessReport:
@@ -506,7 +498,7 @@ def check_goodness(g: EdgeColoredGraph) -> GoodnessReport:
     violations.extend(Violation(5, "color", c) for c, k in span.items() if k > 3)
 
     if even_ok:
-        violations.extend(report_from_type_x(g).violations)
+        violations.extend(Violation(6, "vertex", v) for v in g.type_x_sides)
 
     if len(bad_candidates) == 1 and not violations:
         return almost_good_at(bad_candidates[0])
@@ -520,20 +512,6 @@ def check_goodness(g: EdgeColoredGraph) -> GoodnessReport:
 def _report_order(x: Violation) -> tuple[int, str]:
     # every (condition, witness) occurs once, so this fixes the order
     return x.condition, str(x.witness)
-
-
-def report_from_type_x(g: EdgeColoredGraph) -> GoodnessReport:
-    """The report of an even graph that meets conditions 1-5 with no vertex
-    of color degree 1, from one Type X search: good, or not good with one
-    condition-6 violation per Type X vertex, in `check_goodness`'s order.
-    `check_goodness` takes its condition 6 from here, and a reduction whose
-    child meets the other five by a lemma of the module docstring takes
-    the child's whole report."""
-    found = sorted((Violation(6, "vertex", v) for v in g.type_x_sides),
-                   key=_report_order)
-    if found:
-        return GoodnessReport(GoodnessVerdict.NOT_GOOD, None, tuple(found))
-    return GOOD_REPORT
 
 
 def report_after_removal(g: EdgeColoredGraph, parent: EdgeColoredGraph,
@@ -573,34 +551,24 @@ def report_after_removal(g: EdgeColoredGraph, parent: EdgeColoredGraph,
 # cut structure
 
 
-def _require_even(g: EdgeColoredGraph) -> None:
-    odd = [v for v, nbrs in enumerate(g.adj) if len(nbrs) % 2]
-    if odd:
-        raise ColoredGraphError(f"Type X detection requires an even graph; "
-                                f"odd-degree vertices {odd}")
-
-
-def _cut_search(g: EdgeColoredGraph, type_x: bool,
+def _cut_search(g: EdgeColoredGraph,
                 ) -> tuple[tuple[frozenset[int], ...],
-                           dict[int, tuple[tuple[int, ...], ...]] | None]:
+                           dict[int, tuple[tuple[int, ...], ...]]]:
     """The Type X search, read from one `graphs.lowpoint_search` of g.
-    Returns the search's trees as vertex sets, which are `components`, and,
-    when `type_x` is set, `type_x_sides`; it fills both into g's cache. Only
-    the Type X grouping needs even degrees.
+    Returns the search's trees as vertex sets, which are `components`, and
+    `type_x_sides`; it fills both into g's cache.
 
     For each degree-4 vertex u that separates the subtrees of some children
     c (low[c] >= disc[u]), u's neighbors fall into one group per such
     subtree, by whether their discovery time lies in [disc[c], last[c]],
-    plus one group of the rest. One group means u is no cut vertex (a DFS
-    root with one child); else, in an even graph, there are two groups of
-    two, and u is Type X when both pairs are monochromatic.
+    plus one group of the rest. u is kept when there are two groups of two
+    and both pairs are monochromatic. One group means u is no cut vertex (a
+    DFS root with one child); any other split cannot occur in an even
+    graph, where a branch meets u by an even number of edges.
     """
     adj = g.adj
     disc, _, last, trees, split = lowpoint_search(adj)
     components = g.__dict__["components"] = tuple(map(frozenset, trees))
-    if not type_x:
-        return components, None
-
     coloring = g.coloring
     result = {}
     for u, kids in split.items():
@@ -611,13 +579,8 @@ def _cut_search(g: EdgeColoredGraph, type_x: bool,
             dw = disc[w]
             side = next((k for k in kids if disc[k] <= dw <= last[k]), -1)
             groups.setdefault(side, []).append(w)
-        if len(groups) == 1:
-            continue
         if len(groups) != 2 or any(len(ws) != 2 for ws in groups.values()):
-            # cannot happen in an even graph; surface it rather than guess
-            raise ColoredGraphError(
-                f"degree-4 cut vertex {u} splits {sorted(groups.values())} "
-                f"across components in an even graph")
+            continue
         if all(coloring[edge(u, a)] == coloring[edge(u, b)]
                for a, b in groups.values()):
             result[u] = tuple(tuple(ws) for ws in groups.values())
@@ -639,12 +602,12 @@ def split_components(g: EdgeColoredGraph) -> list[EdgeColoredGraph]:
 
 
 def x_block_decomposition(g: EdgeColoredGraph) -> tuple[frozenset[int], ...]:
-    """The vertex sets of the x-blocks of a connected even colored graph,
-    ordered by least edge, from the Type X search (see the module docstring).
-    """
+    """The vertex sets of the x-blocks of a connected colored graph, ordered
+    by least edge, read from `type_x_sides` (see the module docstring); on
+    an even graph these are the blocks merged at every cut vertex that is
+    not Type X."""
     if len(g.components) != 1:
         raise ColoredGraphError("x-block decomposition requires a connected graph")
-    _require_even(g)
     sides = g.type_x_sides
     adj = g.adj
     seen: set[Edge] = set()

@@ -31,27 +31,28 @@ chain the last one left, until the next dispatch would pick another case:
 the run has one child, one lift and one verification of its lifted
 cycles. The other reduction lemmas show that every other child meets
 conditions 1-5, once its case has rejected the one local configuration
-that would break them, so its report is its Type X search's. Case2_2_1b's
-child, the end x-block of a merged graph whose only defect is Type X,
-needs no search: the end-block lemma proves it almost-good at the vertex
-that joins it to the rest. Only the one entry, `decompose`, checks a graph in
-full: the root. The engine is one loop over an explicit stack of frames: a
-reduction's child is peeled on a frame above its waiting parent, so the
-depth of the reduction tree costs no Python recursion. Every removal, a
-lift's batch like any other, is verified by `_check_removal`: one linear
-sweep types the batch's cycles, and one `report_after_removal` checks what
-the batch leaves, or none when it leaves nothing. By the removal lemma in
-the coloring module docstring, this accepts exactly the batches whose
-cycles pass the checks one at a time. So a direct peel, one cycle and no
-child, has no check of its own. The check returns a `_Checked` record of
-the batch, the remainder and its report, or raises. A case, lift or
-fallback search that must check a batch to choose it hands the engine
-that record, which is applied as it is. Any failed verification falls
-back to a shortest-first search for a safely removable cycle. If that also
-fails, the nearest waiting parent runs the search on its own graph, and so
-on outward; past the root the run ends in a serializable, replayable
-CaseFailure instead of an unverified answer. The output covers the root,
-so one sweep certifies it there, and the lemma gives each step's report.
+that would break them, so it is good exactly when its Type X search finds
+nothing. Case2_2_1b's child, the end x-block of a merged graph whose only
+defect is Type X, needs no search: the end-block lemma proves it
+almost-good at the vertex that joins it to the rest. Only the one entry,
+`decompose`, checks a graph in full: the root. The engine is one loop over
+an explicit stack of frames: a reduction's child is peeled on a frame
+above its waiting parent, so the depth of the reduction tree costs no
+Python recursion. Every removal, a lift's batch like any other, is
+verified by `_check_removal`: one linear sweep types the batch's cycles,
+and one `report_after_removal` checks what the batch leaves, or none when
+it leaves nothing. By the removal lemma in the coloring module docstring,
+this accepts exactly the batches whose cycles pass the checks one at a
+time. So a direct peel, one cycle and no child, has no check of its own.
+The check returns a `_Checked` record of the batch, the remainder and its
+report, or raises. A case, lift or fallback search that must check a batch
+to choose it hands the engine that record, which is applied as it is. Any
+failed verification falls back to a shortest-first search for a safely
+removable cycle. If that also fails, the nearest waiting parent runs the
+search on its own graph, and so on outward; past the root the run ends in
+a serializable, replayable CaseFailure instead of an unverified answer.
+The output covers the root, so one sweep certifies it there, and the lemma
+gives each step's report.
 """
 from __future__ import annotations
 
@@ -68,7 +69,6 @@ from .coloring import (
     is_almost_rainbow_at,
     parse_colored_edge_list,
     report_after_removal,
-    report_from_type_x,
     serialize_colored_edge_list,
     split_components,
     x_block_decomposition,
@@ -321,13 +321,12 @@ def _contraction(g: EdgeColoredGraph, tag: str, kind: str, noun: str,
     vertex m = min(merge) of a child that must be good, lifted by
     `_contraction_lift`. The caller's reduction lemma in the coloring module
     docstring proves that the child meets conditions 1-5 with no vertex of
-    color degree 1, so its report is its Type X search's."""
+    color degree 1, so it is good exactly when it has no Type X vertex."""
     child = _build_transform(g, kind, merge=[merge], **build)
-    crep = report_from_type_x(child)
-    _require(crep.verdict is GoodnessVerdict.GOOD, tag,
-             f"contracted graph is {crep.verdict.value}")
+    _require(not child.type_x_sides, tag,
+             f"contracted graph is {GoodnessVerdict.NOT_GOOD.value}")
     return CaseReduction(
-        child, _contraction_lift(tag, noun, expansions, min(merge)), crep)
+        child, _contraction_lift(tag, noun, expansions, min(merge)), GOOD_REPORT)
 
 
 def _contraction_lift(tag: str, noun: str,
@@ -439,7 +438,7 @@ def _check_removal(h: EdgeColoredGraph, rep: GoodnessReport,
                     f"almost-rainbow at the bad vertex", cyc)
             almost = True
     if rep.ok and len(seen) == len(coloring):
-        return _Checked(batch, h.restrict_edges(()), GOOD_REPORT)
+        return _Checked(batch, EdgeColoredGraph(h.n, {}), GOOD_REPORT)
     cycles = [cyc for _, cyc in batch]
     rest = h.edit(drop=seen)
     rest_rep = report_after_removal(rest, h, rep, cycles)
@@ -765,8 +764,8 @@ def case2_2_1(g: EdgeColoredGraph, rep: GoodnessReport, p: CasePattern,
     to y1 and y2, and merge x1 with x2 into m = min(x1, x2). g must be good,
     and `rep` is its report. By the merge lemma in the coloring module
     docstring the child meets conditions 1-5, so its only possible defect
-    is a Type X cut vertex, and its report is its Type X search's. If the
-    child is good, child cycles avoiding both v and m lift unchanged and
+    is a Type X cut vertex, and it is good when `type_x_sides` is empty. If
+    the child is good, child cycles avoiding both v and m lift unchanged and
     the leftover one-or-two meeting cycles recombine explicitly; if not,
     the reduction's child is instead the end x-block of the merged graph,
     an almost-good graph, and one of its cycles through m detours through
@@ -778,10 +777,9 @@ def case2_2_1(g: EdgeColoredGraph, rep: GoodnessReport, p: CasePattern,
         add=[(p.y1, p.v, p.alpha), (p.v, p.y2, p.beta)],
         merge=[(p.x1, p.x2)])
     m = min(p.x1, p.x2)
-    crep = report_from_type_x(child)
-    if crep.verdict is GoodnessVerdict.GOOD:
-        return CaseReduction(child, _case2_2_1a_lift(g, rep, p, child, m), crep)
-    return _case2_2_1b(g, rep, p, child, crep, m)
+    if not child.type_x_sides:
+        return CaseReduction(child, _case2_2_1a_lift(g, rep, p, child, m), GOOD_REPORT)
+    return _case2_2_1b(g, rep, p, child, m)
 
 
 def _case2_2_1a_lift(g, rep, p, child, m):
@@ -877,11 +875,11 @@ def _recombine_two_meeters(p, d1: Cycle, d2: Cycle, m: int, child) -> list[Cycle
     return [Cycle(tuple([p.x1] + list(reversed(q2)) + [p.x2] + q1)), small]
 
 
-def _case2_2_1b(g, rep_g, p, child, crep, m) -> CaseReduction:
+def _case2_2_1b(g, rep_g, p, child, m) -> CaseReduction:
     """Reduce to the merged graph's end x-block at the merged vertex m; lift
-    by detouring one of its cycles through m via v. `crep` is the merged
-    graph's report; its violations, all of condition 6, name its Type X
-    vertices, of which there is at least one.
+    by detouring one of its cycles through m via v. The merged graph
+    `child` has at least one Type X vertex, the keys of its
+    `type_x_sides`.
 
     An x-block's degree in the x-block tree is the number of Type X
     vertices it holds (see the coloring module docstring). So the tree is
@@ -890,7 +888,7 @@ def _case2_2_1b(g, rep_g, p, child, crep, m) -> CaseReduction:
     another x-block that holds one. By the end-block lemma in the same
     docstring, the end x-block is almost-good at t."""
     tag = CASE_2_2_1B
-    txv = {viol.witness for viol in crep.violations}
+    txv = set(child.type_x_sides)
     _require(m not in txv, tag, "merged vertex became Type X")
     blocks = x_block_decomposition(child)
     _require(all(len(b & txv) < 3 for b in blocks), tag, "x-block forest is not a path")
@@ -924,8 +922,8 @@ def _case2_2_1b(g, rep_g, p, child, crep, m) -> CaseReduction:
 def _case2_2_2a(g: EdgeColoredGraph, rep: GoodnessReport, p: CasePattern):
     """Shared gamma/delta neighbor w: try the direct rectangle through w,
     else rewire both flanks away and reduce. g must be good, and `rep` is
-    its report; the rewired child's report is its Type X search's, by the
-    rewire lemma in the coloring module docstring."""
+    its report; by the rewire lemma in the coloring module docstring, the
+    rewired child is good exactly when it has no Type X vertex."""
     tag = CASE_2_2_2A
     w = p.w1
     _require(w == p.w2, tag, "shape a needs w1 == w2")
@@ -950,9 +948,8 @@ def _case2_2_2a(g: EdgeColoredGraph, rep: GoodnessReport, p: CasePattern):
         delete=[p.x1, p.x2],
         add=[(p.y1, w, p.alpha), (p.y2, w, p.beta),
              (p.z1, p.v, p.gamma), (p.z2, p.v, p.delta)])
-    crep = report_from_type_x(child)
-    _require(crep.verdict is GoodnessVerdict.GOOD, tag,
-             f"rewired graph is {crep.verdict.value}")
+    _require(not child.type_x_sides, tag,
+             f"rewired graph is {GoodnessVerdict.NOT_GOOD.value}")
 
     def lift(sub: list[tuple[str, Cycle]]) -> list[tuple[str, Cycle]]:
         cy = [c for _, c in sub if p.y1 in c]
@@ -969,7 +966,7 @@ def _case2_2_2a(g: EdgeColoredGraph, rep: GoodnessReport, p: CasePattern):
         out.extend((t, c) for t, c in sub if p.y1 not in c and p.v not in c)
         return out
 
-    return CaseReduction(child, lift, crep)
+    return CaseReduction(child, lift, GOOD_REPORT)
 
 
 def _case2_2_2b(g: EdgeColoredGraph, rep: GoodnessReport,

@@ -121,12 +121,6 @@ def test_find_type_x_bridge_line_graph():
     assert bridge_vertex in find_type_x_vertices(clg.lg)
 
 
-def test_find_type_x_requires_even():
-    g = EdgeColoredGraph.from_triples(3, [(0, 1, 0)])
-    with pytest.raises(ColoredGraphError, match="even"):
-        find_type_x_vertices(g)
-
-
 def _type_x_per_block(g: EdgeColoredGraph) -> list[int]:
     txv = find_type_x_vertices(g)
     return [len(blk & txv) for blk in x_block_decomposition(g)]
@@ -166,8 +160,7 @@ def test_x_block_interiors_good_up_to_joint_allowance():
     for g in (two_squares_type_x(), square_chain(3), square_chain(4)):
         ambient = {(v.condition, v.witness) for v in check_goodness(g).violations}
         for blk in x_block_decomposition(g):
-            sub = g.restrict_edges(
-                e for e in g.edges if e[0] in blk and e[1] in blk)
+            sub = g.edit(drop=[e for e in g.edges if e[0] not in blk or e[1] not in blk])
             for viol in check_goodness(sub).violations:
                 if (viol.condition, viol.witness) in ambient:
                     continue
@@ -389,10 +382,10 @@ def test_case2_2_1b_matches_the_walked_block_tree():
     x-block tree, and the derived report equals the full check's."""
     reduced = 0
     for c in corpus().calls("_case2_2_1b"):
-        g, rep, p, child, crep, m = c.args
+        g, rep, p, child, m = c.args
         want = case2_2_1b_by_walking(child, p, m)
         try:
-            red = D._case2_2_1b(g, rep, p, child, crep, m)
+            red = D._case2_2_1b(g, rep, p, child, m)
         except D.CaseVerificationError as err:
             assert str(err) == f"{D.CASE_2_2_1B}: {want}"
             continue
@@ -411,12 +404,11 @@ def test_case2_2_1b_verdicts_on_longer_block_paths_and_a_star():
     outcomes = set()
     for joints in ((0,), (0, 3), (0, 2, 4)):
         child = pentagons_on_a_hexagon(joints)
-        crep = check_goodness(child)
         for m, v in itertools.product(range(child.n), repeat=2):
             p = D.CasePattern(v, -1, -1, 0, 0, v, v, m, m, m, m, 0, 0)
             want = case2_2_1b_by_walking(child, p, m)
             try:
-                red = D._case2_2_1b(None, None, p, child, crep, m)
+                red = D._case2_2_1b(None, None, p, child, m)
             except D.CaseVerificationError as err:
                 assert str(err) == f"{D.CASE_2_2_1B}: {want}"
                 outcomes.add(want)
@@ -502,13 +494,6 @@ def test_remove_cycle_with_absent_edges_names_them():
         g.edit(drop=Cycle((0, 2, 1, 3)).edges)
     assert str(err.value) == "cannot remove absent edges [(0, 2), (1, 3)]"
     assert g == rainbow_c4() and g.adj == ((1, 3), (0, 2), (1, 3), (0, 2))
-
-
-def test_restrict_edges_refuses_absent_edges():
-    g = rainbow_c4()
-    with pytest.raises(ColoredGraphError) as err:
-        g.restrict_edges([(0, 1), (2, 0)])
-    assert str(err.value) == "cannot keep absent edges [(0, 2)]"
 
 
 def test_edit_drops_and_adds_locally():
@@ -630,7 +615,7 @@ def test_equal_colored_graphs_hash_equal():
         EdgeColoredGraph(4, dict(g.coloring)),
         EdgeColoredGraph.from_triples(4, [(0, 1, 0), (1, 2, 1), (2, 3, 2),
                                           (0, 3, 3), (0, 2, 4)]
-                                      ).restrict_edges(g.edges),
+                                      ).edit(drop=[(0, 2)]),
     ]
     for h in built:
         assert h == g and h is not g and hash(h) == hash(g)
@@ -649,18 +634,16 @@ def test_equal_colored_graphs_hash_equal():
 
 
 def test_components_on_an_odd_graph():
-    """`components` needs no even degrees. Vertex 0 has degree 4 and
-    splits its neighbors 3 to 1, which the Type X grouping rejects; only a
-    caller that asks for Type X sees that."""
+    """`components` and `type_x_sides` need no even degrees. Vertex 0 has
+    degree 4 and splits its neighbors 3 to 1, a split no even graph has, so
+    the one search that fills both skips it: the graph has no Type X
+    vertex."""
     g = EdgeColoredGraph.from_triples(7, [(0, 1, 0), (0, 2, 1), (0, 3, 2),
                                           (0, 4, 3), (1, 2, 4), (2, 3, 5),
                                           (5, 6, 6)])
     assert g.components == (frozenset({0, 1, 2, 3, 4}), frozenset({5, 6}))
-    assert "type_x_sides" not in g.__dict__
-    with pytest.raises(ColoredGraphError, match="even graph; odd-degree"):
-        find_type_x_vertices(g)
-    with pytest.raises(ColoredGraphError, match="splits"):
-        g.type_x_sides
+    assert g.__dict__["type_x_sides"] == {}
+    assert g.type_x_sides == {} and find_type_x_vertices(g) == frozenset()
     assert EdgeColoredGraph.from_triples(3, [(0, 1, 0)]).components == (
         frozenset({0, 1}),)
     assert EdgeColoredGraph.from_triples(3, []).components == ()

@@ -17,6 +17,7 @@ from cdcover.coloring import (
     EdgeColoredGraph,
     GoodnessReport,
     GoodnessVerdict,
+    Violation,
     check_goodness,
     parse_colored_edge_list,
     serialize_colored_edge_list,
@@ -916,13 +917,18 @@ def test_derived_child_reports_equal_fresh_full_checks():
     # Case2_2_1 returns Case2_2_1b's reduction when its merged graph is not good
     made["case2_2_1"] = [(child, rep) for child, rep in made["case2_2_1"]
                          if rep.verdict is GoodnessVerdict.GOOD]
-    made["_case2_2_1b"] = [(c.args[3], c.args[4]) for c in cp.calls("_case2_2_1b")]
+    # Case2_2_1b reads its merged graph's Type X vertices, and a full check
+    # of that graph must find those as its only violations
+    made["_case2_2_1b"] = [
+        (child, GoodnessReport(GoodnessVerdict.NOT_GOOD, None, tuple(
+            Violation(6, "vertex", v) for v in sorted(child.type_x_sides, key=str))))
+        for child in (c.args[3] for c in cp.calls("_case2_2_1b"))]
     floors = {"case1_1": 300, "case1_2": 25, "case2_2_1": 500, "_case2_2_1b": 300,
               "_case2_2_2a": 10, "_case2_2_2b": 100, "_case2_2_2c": 50}
     assert set(made) == set(floors)
     assert {name: len(made[name]) for name in floors
             if len(made[name]) < floors[name]} == {}
-    assert all(rep.verdict is GoodnessVerdict.NOT_GOOD for _, rep in made["_case2_2_1b"])
+    assert all(child.type_x_sides for child, _ in made["_case2_2_1b"])
     for name, pairs in made.items():
         for child, rep in pairs:
             assert rep == _fresh_report(child), name
@@ -1644,7 +1650,7 @@ def _assert_matches_reference(g, rep, batch) -> str:
     tag, cyc = got[2:]
     if "leaves a" in got[1]:
         assert last == len(batch) - 1
-        rest = g.restrict_edges(g.edges - {e for _, c in batch for e in c.edges})
+        rest = g.edit(drop={e for _, c in batch for e in c.edges})
         expected = ("good" if rep.verdict is GoodnessVerdict.GOOD
                     or not all(_is_rainbow(g, c) for _, c in batch) else "almost_good")
         assert got[1] == (f"{tag}: removing {cyc.vertices} leaves a "

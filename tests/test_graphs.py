@@ -1,3 +1,4 @@
+import itertools
 import tracemalloc
 
 import pytest
@@ -9,6 +10,7 @@ from cdcover.coloring import (
     EdgeColoredGraph,
     parse_colored_edge_list,
     split_components,
+    triangles,
     x_block_decomposition,
 )
 from cdcover.graphs import (
@@ -32,6 +34,7 @@ from oracles import (
     parse_graph6_by_bit_list,
     serialize_edge_list,
     serialize_graph6_by_bit_list,
+    type_x_by_pseudoblock_splits,
     x_blocks_by_definition,
 )
 
@@ -415,3 +418,40 @@ def test_x_blocks_match_definition_on_even_graphs(g, data):
     cg = EdgeColoredGraph(g.n, dict(zip(sorted(g.edges), colors)))
     for comp in split_components(cg):
         assert x_block_decomposition(comp) == x_blocks_by_definition(comp)
+        assert set(comp.type_x_sides) == type_x_by_pseudoblock_splits(comp)
+
+
+@given(graphs(), st.data())
+@settings(max_examples=200, deadline=None)
+def test_type_x_search_on_any_graph(g, data):
+    """The Type X search reads any graph, even or not, colored with three
+    colors: its components are those of a traversal, and each vertex it
+    keeps has degree 4 and two monochromatic pairs of neighbors, each
+    within one branch of g - u, in two different branches. A degree-4 cut
+    vertex split 3+1 or 2+1+1, which no even graph has, is skipped."""
+    colors = data.draw(st.lists(st.integers(0, 2), min_size=g.m, max_size=g.m))
+    cg = EdgeColoredGraph(g.n, dict(zip(sorted(g.edges), colors)))
+    assert cg.components == tuple(
+        frozenset(c) for c in _components_avoiding(g.n, g.edges, -1))
+    for u, sides in cg.type_x_sides.items():
+        assert cg.degree(u) == 4 and len(sides) == 2
+        assert sorted(w for pair in sides for w in pair) == list(cg.adj[u])
+        branches = _components_avoiding(g.n, g.edges, u)
+        at = []
+        for a, b in sides:
+            assert cg.color(u, a) == cg.color(u, b)
+            (branch,) = [i for i, c in enumerate(branches) if a in c]
+            assert b in branches[branch]
+            at.append(branch)
+        assert at[0] != at[1]
+
+
+@given(graphs())
+@settings(max_examples=150, deadline=None)
+def test_triangles_are_the_edge_triples_in_order(g):
+    """`triangles` lists every triple of pairwise adjacent vertices once,
+    sorted within and in lexicographic order, as `combinations` yields
+    them."""
+    assert triangles(g) == [
+        t for t in itertools.combinations(range(g.n), 3)
+        if all(g.has_edge(a, b) for a, b in itertools.combinations(t, 2))]

@@ -508,18 +508,19 @@ def test_cache_fill_sites():
 
 
 def graph_builds(source: str, classes: frozenset[str]) -> list[str]:
-    """`line N: call` for each call in `source` of one of `classes` or of an
-    attribute of one, such as a constructor or `from_triples`."""
+    """`function: call` for each call in `source` of one of `classes` or of
+    an attribute of one, such as a constructor or `from_triples`, with
+    functions as `scoped_nodes` names them. Sorted."""
     found = []
-    for node in ast.walk(ast.parse(source)):
+    for scope, node in scoped_nodes(source):
         if not isinstance(node, ast.Call):
             continue
         func = node.func
         if isinstance(func, ast.Attribute):
             func = func.value
         if isinstance(func, ast.Name) and func.id in classes:
-            found.append((node.lineno, ast.unparse(node.func)))
-    return [f"line {line}: {call}" for line, call in sorted(found)]
+            found.append(f"{scope}: {ast.unparse(node.func)}")
+    return sorted(found)
 
 
 GRAPH_CLASSES = frozenset({"Graph", "EdgeColoredGraph"})
@@ -530,18 +531,23 @@ def test_graph_builds_detects_and_allows():
            "h = EdgeColoredGraph.from_triples(n, ts)\n"
            "k = parent.edit(drop=ds)\n"
            "def f(g: EdgeColoredGraph) -> Graph: return g.graph\n"
-           "isinstance(g, EdgeColoredGraph)\n")
+           "isinstance(g, EdgeColoredGraph)\n"
+           "def h(g):\n"
+           "    return EdgeColoredGraph(g.n, {})\n")
     assert graph_builds(src, GRAPH_CLASSES) == [
-        "line 1: Graph", "line 2: EdgeColoredGraph.from_triples"]
+        "<module>: EdgeColoredGraph.from_triples", "<module>: Graph",
+        "h: EdgeColoredGraph"]
 
 
 def test_decomposer_builds_no_graph():
     """Every reduction child, component part and peel remainder is an
     `edit` of its parent, with one exception: the empty remainder of a
-    batch that covers its graph, which `_check_removal` builds by
-    `restrict_edges(())`, as copying the whole coloring to drop every edge
-    costs more. The decomposer names no graph constructor."""
-    assert graph_builds((SRC / "decomposer.py").read_text(), GRAPH_CLASSES) == []
+    batch that covers its graph, which `_check_removal` builds as
+    `EdgeColoredGraph(h.n, {})`, as copying the whole coloring to drop
+    every edge costs more. The decomposer calls no other graph
+    constructor."""
+    assert graph_builds((SRC / "decomposer.py").read_text(), GRAPH_CLASSES) == [
+        "_check_removal: EdgeColoredGraph"]
 
 
 def unconstructed_builds(source: str) -> list[tuple[str, str, str]]:
@@ -759,6 +765,26 @@ def test_full_goodness_checks_only_at_the_roots():
     with no search), a component or an end x-block."""
     source = (SRC / "decomposer.py").read_text()
     assert call_scopes(source, "check_goodness") == ["decompose"]
+
+
+def test_two_readers_run_the_type_x_search():
+    """Only the two cached properties it fills, `components` and
+    `type_x_sides`, call `_cut_search`: every other reader of the cut
+    structure reads those as they are."""
+    assert [f"{p.name}: {scope}" for p in MODULES
+            for scope in call_scopes(p.read_text(), "_cut_search")] == [
+        "coloring.py: EdgeColoredGraph.components",
+        "coloring.py: EdgeColoredGraph.type_x_sides"]
+
+
+def test_decomposer_builds_no_report_or_violation():
+    """The decomposer takes every report it hands on from the coloring
+    module (`GOOD_REPORT`, `almost_good_at`, `check_goodness`,
+    `report_after_removal`) and reads a child's Type X vertices from
+    `type_x_sides`, so it builds no `GoodnessReport` or `Violation`."""
+    source = (SRC / "decomposer.py").read_text()
+    assert [scope for name in ("GoodnessReport", "Violation")
+            for scope in call_scopes(source, name)] == []
 
 
 def test_one_function_builds_a_case_failure():
