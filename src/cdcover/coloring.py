@@ -167,8 +167,8 @@ is rainbow. So the merged child of a good graph is good or fails
 condition 6 alone; then Case2_2_1b's end-block lemma below applies.
 
 The recolored rectangle lemma (Case2_2_2c, where y1 = w2 is Type I).
-Let S = {v, x1, y1, x2} be the rectangle, with edge x2z2 recolored from
-delta to beta. beta's class is {vx2, x2y2}, and delta's is {x2y1, x2z2},
+Let S = {v, x1, y1, x2} be the rectangle, with x2z2 dropped and added at
+m with color beta. beta's class is {vx2, x2y2}, and delta's is {x2y1, x2z2},
 by (i) and since y1 has degree 2. So the child's beta class is {my2, mz2},
 which spans three vertices, and its delta class is empty. z2 had one
 delta edge and did not see beta, as it is outside v, x2, y2, so it still
@@ -200,7 +200,7 @@ meets the rest at y alone, which makes y a Type X cut vertex.
 
 The rewire lemma (Case2_2_2a, where w = w1 = w2). The case checks that w,
 y1, y2, z1 and z2 are Type I and that {y1, z1} and {y2, z2} do not meet.
-The child deletes x1 and x2 with their edges and adds y1w (alpha), y2w
+The child drops every edge at x1 and x2 and adds y1w (alpha), y2w
 (beta), z1v (gamma) and z2v (delta). So y1, y2, z1 and z2 keep their
 colors, v sees gamma and delta, and w sees alpha and beta. alpha's and
 beta's classes become one edge each. So do gamma's and delta's, which were
@@ -376,7 +376,9 @@ class EdgeColoredGraph(Graph):
         be one vertex) and is oriented to its lexicographically least
         reading. A closed chain is a cycle of Type I vertices, given as its
         `Cycle` form with the first vertex repeated at the end; its length is
-        the cycle's.
+        the cycle's. So a component that is one cycle has one chain, closed
+        if it is good, or b ... b if it is almost-good at b, and the
+        decomposer's BaseCycle reads the cycle off it.
         """
         type1 = self.type1
         adj = self.adj

@@ -3,7 +3,8 @@
 The engine peels one batch of cycles at a time from each connected component,
 dispatching on local structure:
 
-  * a component that is a single cycle is emitted directly;
+  * a component that is a single cycle, its one singular chain, is
+    emitted directly;
   * a rainbow triangle is always safe to remove;
   * an almost-good component reduces through its bad vertex (Case1_1 when
     the bad vertex's neighbors are adjacent, Case1_2 otherwise);
@@ -15,9 +16,10 @@ dispatching on local structure:
 
 A reduction builds a strictly smaller good or almost-good colored graph,
 the child, with a rule that lifts the child's cycles back to the parent.
-The child keeps the parent's vertex ids: a merged group keeps its least id,
-and a deleted or merged-away vertex stays, isolated. So every child, like
-every peel's remainder, is one local `edit` of its parent, and the lift
+A child is built by drops, merges and adds on the parent's vertex ids: a
+merged group keeps its least id, and a merged-away vertex, or one whose
+edges are all dropped, stays, isolated. So every child, like every
+peel's remainder, is one local `edit` of its parent, and the lift
 rewrites only the child cycles through the vertices the reduction changed,
 and hands every other one up as it is, a cycle of the parent. No child's
 goodness is checked in full; each case derives its child's report by a
@@ -128,54 +130,47 @@ class _EngineFailure(Exception):
 # reductions
 
 
-def _build_transform(parent: EdgeColoredGraph, kind: str, *,
+def _build_transform(parent: EdgeColoredGraph, tag: str, *,
                      drop: Iterable[Edge] = (),
                      merge: Iterable[Sequence[int]] = (),
-                     delete: Iterable[int] = (),
                      add: Iterable[tuple[int, int, int]] = (),
-                     recolor: Iterable[tuple[Edge, int]] = (),
                      ) -> EdgeColoredGraph:
-    """Build the child graph for a reduction on the parent's vertex ids: a
-    merge group becomes its least vertex, and the group's other vertices and
-    the deleted ones stay in range(n) with no edges.
+    """Build the child graph for a reduction on the parent's vertex ids
+    from three edits: `drop` parent edges, `merge` groups of vertices, and
+    `add` colored edges. A merge group becomes its least vertex, and the
+    group's other vertices, like a vertex whose edges are all dropped,
+    stay in range(n) with no edges.
 
     `add` endpoints may name any member of a merge group. The child must
-    stay simple; a clash is reported as a verification error, never merged
-    silently. Only the edges at merged or deleted vertices and the recolored
-    ones move, so the child is one `edit` of the parent.
+    stay simple; a clash is refused under the case `tag`, never merged
+    silently. Only the edges at merged vertices move, so the child is one
+    `edit` of the parent.
     """
     dropset = {edge(*e) for e in drop}
     absent = dropset - parent.edges
     if absent:
-        raise CaseVerificationError(kind, f"dropping absent edges {sorted(absent)}")
-    deleted = set(delete)
+        raise CaseVerificationError(tag, f"dropping absent edges {sorted(absent)}")
     rep_of = {v: min(grp) for grp in merge for v in grp}
-    recolor_map = {edge(*e): c for e, c in recolor}
     coloring = parent.coloring
-    moved = {edge(x, w) for x in deleted.union(rep_of) for w in parent.adj[x]}
-    moved.update(e for e in recolor_map if e in coloring)
-    moved -= dropset
+    moved = {edge(x, w) for x in rep_of for w in parent.adj[x]} - dropset
     gone = dropset | moved
-    # A moved edge lands on itself or at a merge group's least vertex, whose
-    # parent edges all move, so no kept edge clashes with one: scanning the
-    # moved edges in sorted order rejects the edge a scan of all would.
+    # A moved edge lands at a merge group's least vertex, whose parent edges
+    # all move, so no kept edge clashes with one: scanning the moved edges
+    # in sorted order rejects the edge a scan of all would.
     new: dict[Edge, int] = {}
     for e in sorted(moved):
         u, v = e
-        if u in deleted or v in deleted:
-            raise CaseVerificationError(
-                kind, f"surviving edge {e} touches a deleted vertex")
         cu, cv = rep_of.get(u, u), rep_of.get(v, v)
         if cu == cv:
-            raise CaseVerificationError(kind, f"edge {e} collapses into a loop")
+            raise CaseVerificationError(tag, f"edge {e} collapses into a loop")
         ce = edge(cu, cv)
         if ce in new:
-            raise CaseVerificationError(kind, f"edge {e} would become parallel")
-        new[ce] = recolor_map.get(e, coloring[e])
+            raise CaseVerificationError(tag, f"edge {e} would become parallel")
+        new[ce] = coloring[e]
     for u, v, c in add:
         ce = edge(rep_of.get(u, u), rep_of.get(v, v))
         if ce in new or (ce in coloring and ce not in gone):
-            raise CaseVerificationError(kind, f"added edge {(u, v)} would be parallel")
+            raise CaseVerificationError(tag, f"added edge {(u, v)} would be parallel")
         new[ce] = c
     return parent.edit(drop=gone, add=new)
 
@@ -314,22 +309,23 @@ def _oriented(mid: list[int], near: Collection[int]) -> Callable[[int, int], lis
     return lambda a, b: mid if a in near else mid[::-1]
 
 
-def _contraction(g: EdgeColoredGraph, tag: str, kind: str, noun: str,
+def _contraction(g: EdgeColoredGraph, tag: str,
                  expansions: Sequence[Callable[[int, int], list[int]]],
                  merge: Sequence[int], **build) -> CaseReduction:
-    """Merge the vertices of `merge` (with `build`'s other edits) into one
-    vertex m = min(merge) of a child that must be good, lifted by
-    `_contraction_lift`. The caller's reduction lemma in the coloring module
-    docstring proves that the child meets conditions 1-5 with no vertex of
-    color degree 1, so it is good exactly when it has no Type X vertex."""
-    child = _build_transform(g, kind, merge=[merge], **build)
+    """Merge the vertices of `merge` into one vertex m = min(merge) of a
+    child that must be good, with `build`'s drops and adds, and lift it by
+    `_contraction_lift`; a refusal names the case `tag`. The case's
+    reduction lemma in the coloring module docstring proves that the child
+    meets conditions 1-5 with no vertex of color degree 1, so it is good
+    exactly when it has no Type X vertex."""
+    child = _build_transform(g, tag, merge=[merge], **build)
     _require(not child.type_x_sides, tag,
              f"contracted graph is {GoodnessVerdict.NOT_GOOD.value}")
     return CaseReduction(
-        child, _contraction_lift(tag, noun, expansions, min(merge)), GOOD_REPORT)
+        child, _contraction_lift(tag, expansions, min(merge)), GOOD_REPORT)
 
 
-def _contraction_lift(tag: str, noun: str,
+def _contraction_lift(tag: str,
                       expansions: Sequence[Callable[[int, int], list[int]]],
                       m: int,
                       ) -> Callable[[list[tuple[str, Cycle]]], list[tuple[str, Cycle]]]:
@@ -343,34 +339,12 @@ def _contraction_lift(tag: str, noun: str,
         through = [c for _, c in sub if m in c]
         _require(len(through) == k, tag,
                  f"expected {k} child {'cycle' if k == 1 else 'cycles'} "
-                 f"through the {noun}, got {len(through)}")
+                 f"through the merged vertex, got {len(through)}")
         out = [(tag, _lift_through(c, m, exp)) for c, exp in zip(through, expansions)]
         out.extend((t, c) for t, c in sub if m not in c)
         return out
 
     return lift
-
-
-def _single_cycle(g: EdgeColoredGraph) -> Cycle | None:
-    """The graph's unique cycle, when its edges form exactly one."""
-    comps = g.components
-    if len(comps) != 1:
-        return None
-    comp = comps[0]
-    adj = g.adj
-    if len(g.edges) != len(comp) or any(len(adj[v]) != 2 for v in comp):
-        return None
-    # a connected 2-regular graph is one cycle
-    start = min(comp)
-    seq = [start]
-    prev, cur = None, start
-    while True:
-        a, b = adj[cur]
-        nxt = b if a == prev else a
-        if nxt == start:
-            return Cycle(tuple(seq))
-        seq.append(nxt)
-        prev, cur = cur, nxt
 
 
 def _all_type2(g: EdgeColoredGraph) -> bool:
@@ -520,8 +494,7 @@ def case1_1(g: EdgeColoredGraph, rep: GoodnessReport, v: int) -> CaseReduction:
              "flanking neighborhoods overlap (rainbow triangle missed)")
 
     return _contraction(
-        g, tag, "ContractTriangle", "merged vertex",
-        (_oriented([x2, v, x1], side1), _oriented([x2, x1], side1)),
+        g, tag, (_oriented([x2, v, x1], side1), _oriented([x2, x1], side1)),
         merge=(v, x1, x2), drop=[edge(v, x1), edge(v, x2), edge(x1, x2)])
 
 
@@ -552,8 +525,7 @@ def case1_2(g: EdgeColoredGraph, rep: GoodnessReport, v: int) -> CaseReduction:
              f"contracted graph is {GoodnessVerdict.NOT_GOOD.value}")
 
     # the merged vertex splits back into x1-v; x1 attaches toward y1
-    return _contraction(g, tag, "ContractEdge", "merged vertex",
-                        (_oriented([v, x1], (y1,)),),
+    return _contraction(g, tag, (_oriented([v, x1], (y1,)),),
                         merge=(v, x1), drop=[edge(v, x1)])
 
 
@@ -772,7 +744,7 @@ def case2_2_1(g: EdgeColoredGraph, rep: GoodnessReport, p: CasePattern,
     v (subcase b).
     """
     child = _build_transform(
-        g, "MergeVertices",
+        g, "Case2_2_1",
         drop=[edge(p.y1, p.x1), edge(p.x1, p.v), edge(p.v, p.x2), edge(p.x2, p.y2)],
         add=[(p.y1, p.v, p.alpha), (p.v, p.y2, p.beta)],
         merge=[(p.x1, p.x2)])
@@ -940,12 +912,9 @@ def _case2_2_2a(g: EdgeColoredGraph, rep: GoodnessReport, p: CasePattern):
     _require(not ({p.y1, p.z1} & {p.y2, p.z2}), tag,
              f"rewire precondition: sides overlap ({problem})")
 
-    drop = [edge(p.x1, q) for q in g.adj[p.x1]]
-    drop += [edge(p.x2, q) for q in g.adj[p.x2]]
     child = _build_transform(
-        g, "RewireDetour",
-        drop=sorted(set(drop)),
-        delete=[p.x1, p.x2],
+        g, tag,
+        drop=[edge(x, q) for x in (p.x1, p.x2) for q in g.adj[x]],
         add=[(p.y1, w, p.alpha), (p.y2, w, p.beta),
              (p.z1, p.v, p.gamma), (p.z2, p.v, p.delta)])
     _require(not child.type_x_sides, tag,
@@ -981,7 +950,7 @@ def _case2_2_2b(g: EdgeColoredGraph, rep: GoodnessReport,
     _require(g.degree(y) == 2, tag, "shared y must be Type I")
     gamma_side = (p.w1, p.z1)
     return _contraction(
-        g, tag, "ContractRectangle", "rectangle",
+        g, tag,
         (_oriented([p.x2, p.v, p.x1], gamma_side),
          _oriented([p.x2, y, p.x1], gamma_side)),
         merge=(p.v, p.x1, y, p.x2),
@@ -1021,10 +990,10 @@ def _case2_2_2c(g: EdgeColoredGraph, rep: GoodnessReport,
         return mid if a in gamma_side else mid[::-1]
 
     return _contraction(
-        g, tag, "ContractRectangle", "rectangle", (expand, expand),
-        merge=(p.v, p.x1, p.y1, p.x2),
-        drop=[edge(p.v, p.x1), edge(p.x1, p.y1), edge(p.y1, p.x2), edge(p.x2, p.v)],
-        recolor=[(edge(p.x2, p.z2), p.beta)])
+        g, tag, (expand, expand), merge=(p.v, p.x1, p.y1, p.x2),
+        drop=[edge(p.v, p.x1), edge(p.x1, p.y1), edge(p.y1, p.x2), edge(p.x2, p.v),
+              edge(p.x2, p.z2)],
+        add=[(p.x2, p.z2, p.beta)])
 
 
 def _case2_2_2d(p: CasePattern) -> list[tuple[str, Cycle]]:
@@ -1172,9 +1141,14 @@ def fallback_search(g: EdgeColoredGraph, rep: GoodnessReport) -> FallbackResult:
 def _dispatch(comp: EdgeColoredGraph, rep: GoodnessReport):
     """Pick the applicable case; returns a direct batch, a `_Checked` one
     or a CaseReduction."""
-    base = _single_cycle(comp)
-    if base is not None:
-        return [(BASE_CYCLE, base)]
+    m = len(comp.edges)
+    if m == len(comp.components[0]):
+        # degrees 2 and 4 and as many edges as vertices: every degree is 2,
+        # so comp is one cycle, and its one singular chain is the cycle,
+        # closed if comp is good, or b ... b if comp is almost-good at b
+        seq = next((seq for length, seq in comp.singular_chains if length == m), None)
+        _require(seq is not None, BASE_CYCLE, f"no singular chain runs round the {m}-cycle")
+        return [(BASE_CYCLE, Cycle(seq[:-1]))]
     tri = comp.rainbow_triangle
     if tri is not None:
         return [(RAINBOW_TRIANGLE, tri)]

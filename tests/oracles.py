@@ -463,38 +463,32 @@ def remove_one_at_a_time(g: EdgeColoredGraph, rep: GoodnessReport, batch,
     return h, r
 
 
-def build_transform_by_scan(parent: EdgeColoredGraph, kind: str, *,
-                            drop=(), merge=(), delete=(), add=(), recolor=(),
-                            ) -> EdgeColoredGraph:
+def build_transform_by_scan(parent: EdgeColoredGraph, tag: str, *,
+                            drop=(), merge=(), add=()) -> EdgeColoredGraph:
     """`decomposer._build_transform` from scratch: scan every parent edge in
     sorted order, map it into the child or reject it at the first clash,
     and build the child graph, adjacency included, from its edge set."""
     dropset = {edge(*e) for e in drop}
     absent = dropset - parent.edges
     if absent:
-        raise CaseVerificationError(kind, f"dropping absent edges {sorted(absent)}")
-    deleted = set(delete)
+        raise CaseVerificationError(tag, f"dropping absent edges {sorted(absent)}")
     rep_of = {v: min(grp) for grp in merge for v in grp}
-    recolor_map = {edge(*e): c for e, c in recolor}
     child_cols: dict[tuple[int, int], int] = {}
     for e in sorted(parent.edges):
         if e in dropset:
             continue
         u, v = e
-        if u in deleted or v in deleted:
-            raise CaseVerificationError(
-                kind, f"surviving edge {e} touches a deleted vertex")
         cu, cv = rep_of.get(u, u), rep_of.get(v, v)
         if cu == cv:
-            raise CaseVerificationError(kind, f"edge {e} collapses into a loop")
+            raise CaseVerificationError(tag, f"edge {e} collapses into a loop")
         ce = edge(cu, cv)
         if ce in child_cols:
-            raise CaseVerificationError(kind, f"edge {e} would become parallel")
-        child_cols[ce] = recolor_map.get(e, parent.coloring[e])
+            raise CaseVerificationError(tag, f"edge {e} would become parallel")
+        child_cols[ce] = parent.coloring[e]
     for u, v, c in add:
         ce = edge(rep_of.get(u, u), rep_of.get(v, v))
         if ce in child_cols:
-            raise CaseVerificationError(kind, f"added edge {(u, v)} would be parallel")
+            raise CaseVerificationError(tag, f"added edge {(u, v)} would be parallel")
         child_cols[ce] = c
     return EdgeColoredGraph(parent.n, child_cols)
 
@@ -514,7 +508,7 @@ def case2_1_run_by_scan(g: EdgeColoredGraph, path,
     while True:
         v0, v1, v2, v3 = path[:4]
         paths.append((v0, v1, v2, v3))
-        h = build_transform_by_scan(h, "ContractEdge", merge=[(v1, v2)],
+        h = build_transform_by_scan(h, "Case2_1", merge=[(v1, v2)],
                                     drop=[edge(v1, v2)])
         rep = check_goodness(EdgeColoredGraph(h.n, h.coloring))
         single = (connected_ignoring_isolated(h.n, h.edges)

@@ -35,7 +35,7 @@ from cdcover.decomposer import (
     normalize_case2_2,
     replay_case_failure,
 )
-from cdcover.graphs import Cycle, Graph, edge, parse_graph6
+from cdcover.graphs import Cycle, Graph, parse_graph6
 from cdcover.linegraph import build_line_graph, cover_from_decomposition, project_cycle
 from cdcover.oracle import GeneratorConfig, random_cubic_bridgeless
 from cdcover.verify import verify_cdc, verify_rainbow_decomposition
@@ -96,6 +96,74 @@ def test_decompose_almost_good_c6_bypasses_case_1_2():
     tr = _decomposed_ok(g)
     assert [s.case for s in tr.steps] == ["BaseCycle"]
     assert len(tr.cycles) == 1
+
+
+@st.composite
+def colored_cycles(draw, may_be_almost=True):
+    """A cycle of 3-12 vertices on shuffled ids of a larger n, as (n, its
+    vertices in order, its colored edges, its bad vertex or None). It is
+    good, every edge of its own color, or, from 4 vertices on and when
+    `may_be_almost`, almost-good at one vertex whose two edges share a
+    color."""
+    m = draw(st.integers(3, 12), label="length")
+    n = m + draw(st.integers(0, 6), label="spare ids")
+    vs = draw(st.permutations(range(n)), label="ids")[:m]
+    colors = draw(st.permutations(range(m + 4)), label="colors")[:m]
+    bad = None
+    if may_be_almost and m >= 4 and draw(st.booleans(), label="almost"):
+        i = draw(st.integers(0, m - 1), label="bad")
+        colors[i] = colors[i - 1]  # edges i - 1 and i meet at vs[i]
+        bad = vs[i]
+    return n, vs, [(vs[i], vs[(i + 1) % m], colors[i]) for i in range(m)], bad
+
+
+@settings(max_examples=150, deadline=None)
+@given(colored_cycles())
+def test_a_cycle_is_one_base_cycle_step(drawn):
+    """A good or almost-good cycle has one singular chain, closed at its
+    least vertex or running from the bad vertex back to it, as long as the
+    cycle; `decompose` reads the cycle off it as its one BaseCycle step."""
+    n, vs, triples, bad = drawn
+    g = EdgeColoredGraph.from_triples(n, triples)
+    rep = check_goodness(g)
+    assert (rep.verdict, rep.bad_vertex) == (
+        (GoodnessVerdict.GOOD, None) if bad is None
+        else (GoodnessVerdict.ALMOST_GOOD, bad))
+    ((length, seq),) = g.singular_chains
+    assert length == len(vs) and set(seq) == set(vs)
+    assert seq[0] == seq[-1] == (min(vs) if bad is None else bad)
+    tr = decompose(g)
+    assert [(s.case, s.cycle) for s in tr.steps] == [("BaseCycle", Cycle(tuple(vs)))]
+
+
+@settings(max_examples=100, deadline=None)
+@given(colored_cycles(), colored_cycles(may_be_almost=False))
+def test_two_disjoint_cycles_are_two_base_cycle_steps(first, second):
+    """The disjoint union of two such cycles, on disjoint ids and colors,
+    the second good, splits into its two cycles, each one BaseCycle step."""
+    n1, vs1, triples1, _ = first
+    n2, vs2, triples2, _ = second
+    g = EdgeColoredGraph.from_triples(
+        n1 + n2, triples1 + [(u + n1, v + n1, c + 100) for u, v, c in triples2])
+    tr = decompose(g)
+    assert tr.success
+    assert [s.case for s in tr.steps] == ["BaseCycle", "BaseCycle"]
+    assert {s.cycle for s in tr.steps} == {
+        Cycle(tuple(vs1)), Cycle(tuple(v + n1 for v in vs2))}
+
+
+@pytest.mark.parametrize("colors", [(0, 0, 0), (0, 0, 1, 1)],
+                         ids=["monochromatic", "two-bad-vertices"])
+def test_base_cycle_refuses_a_cycle_that_is_not_one_chain(colors):
+    """Told that a cycle is good, when it has no singular chain as long as
+    itself (none at all, or two from one bad vertex to the other), the
+    dispatch refuses under BaseCycle rather than build a cycle from it."""
+    m = len(colors)
+    g = EdgeColoredGraph.from_triples(m, [(i, (i + 1) % m, c) for i, c in enumerate(colors)])
+    assert check_goodness(g).verdict is GoodnessVerdict.NOT_GOOD
+    with pytest.raises(CaseVerificationError) as err:
+        D._dispatch(g, GOOD_REPORT)
+    assert str(err.value) == f"BaseCycle: no singular chain runs round the {m}-cycle"
 
 
 def test_decompose_l_k4():
@@ -255,22 +323,11 @@ def _square_and_edge():
                                              (0, 3, 3), (4, 5, 4)])
 
 
-def test_build_transform_accepts_one_shot_delete():
-    """`delete` may be any iterable, an iterator included; the deleted
-    vertices stay, with no edges, and an edge left at one is rejected."""
-    g = _square_and_edge()
-    child = D._build_transform(g, "Subgraph", drop=[(4, 5)], delete=iter([4, 5]))
-    assert child.n == 6
-    assert dict(child.coloring) == {(0, 1): 0, (1, 2): 1, (2, 3): 2, (0, 3): 3}
-    with pytest.raises(CaseVerificationError, match="touches a deleted vertex"):
-        D._build_transform(g, "Subgraph", delete=iter([4]))
-
-
 def test_build_transform_merges_a_group_onto_its_least_id():
     """A merge group becomes its least vertex, whichever order it is given
     in; its other vertices stay, with no edges, and no other id moves."""
     child = D._build_transform(
-        _square_and_edge(), "ContractEdge", drop=[(0, 1)], merge=[(1, 0)])
+        _square_and_edge(), "Probe", drop=[(0, 1)], merge=[(1, 0)])
     assert child.n == 6
     assert dict(child.coloring) == {(0, 2): 1, (2, 3): 2, (0, 3): 3, (4, 5): 4}
     assert child.adj[1] == ()
@@ -278,11 +335,10 @@ def test_build_transform_merges_a_group_onto_its_least_id():
 
 @pytest.mark.parametrize("build, message", [
     ({"drop": [(0, 2)]}, "dropping absent edges [(0, 2)]"),
-    ({"delete": [4]}, "surviving edge (4, 5) touches a deleted vertex"),
     ({"merge": [(0, 1)]}, "edge (0, 1) collapses into a loop"),
     ({"merge": [(0, 2)]}, "edge (1, 2) would become parallel"),
     ({"add": [(0, 1, 9)]}, "added edge (0, 1) would be parallel"),
-], ids=["absent-drop", "deleted-vertex", "loop", "parallel", "parallel-add"])
+], ids=["absent-drop", "loop", "parallel", "parallel-add"])
 def test_build_transform_rejects(build, message):
     with pytest.raises(CaseVerificationError) as info:
         D._build_transform(_square_and_edge(), "Probe", **build)
@@ -294,26 +350,25 @@ def _adj_from_scratch(g):
     return Graph(g.n, g.edges).adj
 
 
-def _outcome(build, parent, kind, **kw):
+def _outcome(build, parent, tag, **kw):
     """The child `build` returns, or the type and text of what it raises."""
     try:
-        return build(parent, kind, **kw)
+        return build(parent, tag, **kw)
     except Exception as err:
         return type(err).__name__, str(err)
 
 
 def test_build_transform_matches_the_full_scan_on_random_edits():
-    """On random drops, merges, deletions, additions and recolorings of
-    small colored graphs, `_build_transform`, which examines only the edges
-    the edits touch, builds the child the full scan builds, adjacency
-    included, or rejects the same edge with the same message."""
+    """On random drops, merges and additions on small colored graphs,
+    `_build_transform`, which examines only the edges the edits touch,
+    builds the child the full scan builds, adjacency included, or rejects
+    the same edge with the same message."""
     rng = random.Random(14)
     parents = [_square_and_edge(), case1_1_host(), case1_2_host(),
                two_squares_type_x(), case2_2_2d_host()]
     parents += [build_line_graph(random_cubic_bridgeless(GeneratorConfig(n, seed))).lg
                 for n, seed in [(10, 0), (12, 1), (14, 2)]]
-    kinds = ("absent", "deleted", "loop", "become parallel", "be parallel",
-             "self-loop")
+    kinds = ("absent", "loop", "become parallel", "be parallel", "self-loop")
     seen = set()
     for _ in range(3000):
         g = rng.choice(parents)
@@ -327,20 +382,15 @@ def test_build_transform_matches_the_full_scan_on_random_edits():
                 continue
             used |= grp
             merge.append(tuple(rng.sample(sorted(grp), len(grp))))
-        delete = [v for v in rng.sample(live, rng.randrange(3)) if v not in used]
         edges = sorted(g.edges)
         drop = set(rng.sample(edges, rng.randrange(4)))
         if rng.random() < 0.7:
             drop |= {e for grp in merge for e in g.edges if set(e) <= set(grp)}
-        if rng.random() < 0.5:
-            drop |= {edge(v, w) for v in delete for w in adj[v]}
         if rng.random() < 0.1:
             drop.add((g.n - 1, g.n))  # absent
         pairs = [(u, v) for u in range(g.n) for v in range(u + 1, g.n)]
         add = [(u, v, rng.randrange(20)) for u, v in rng.sample(pairs, rng.randrange(3))]
-        recolor = [(e, rng.randrange(20)) for e in rng.sample(edges, rng.randrange(3))]
-        kw = {"drop": sorted(drop), "merge": merge, "delete": delete,
-              "add": add, "recolor": recolor}
+        kw = {"drop": sorted(drop), "merge": merge, "add": add}
         made = _outcome(D._build_transform, g, "Probe", **kw)
         ref = _outcome(build_transform_by_scan, g, "Probe", **kw)
         if isinstance(ref, EdgeColoredGraph):
@@ -516,7 +566,7 @@ def test_case2_1_child_and_report_match_the_rebuilt_child():
         steps += len(paths)
         groups = _merged_groups(paths)
         inside = [e for e in g.edges if any(set(e) <= grp for grp in groups)]
-        child = D._build_transform(g, "ContractEdge", merge=groups, drop=inside)
+        child = D._build_transform(g, "Probe", merge=groups, drop=inside)
         for made in (red.child, child):
             assert (made.n, dict(made.coloring), made.adj) == \
                 (ref.n, dict(ref.coloring), _adj_from_scratch(ref))
@@ -528,8 +578,8 @@ def test_case2_1_child_and_report_match_the_rebuilt_child():
 
 def _step_lifts(paths):
     """The one-step Case2_1 lift of each path, as `_contraction_lift`."""
-    return [D._contraction_lift(D.CASE_2_1, "merged vertex",
-                                (D._oriented([v2, v1], (v0,)),), min(v1, v2))
+    return [D._contraction_lift(D.CASE_2_1, (D._oriented([v2, v1], (v0,)),),
+                                min(v1, v2))
             for v0, v1, v2, _ in paths]
 
 
@@ -591,7 +641,7 @@ def test_case2_1_chord_of_a_third_color_closes_a_rainbow_triangle():
     rep = check_goodness(g)
     assert rep.verdict is GoodnessVerdict.GOOD
     red = case2_1(g, rep, (0, 1, 2, 3))
-    child = D._build_transform(g, "ContractEdge", merge=[(1, 2)], drop=[(1, 2)])
+    child = D._build_transform(g, "Probe", merge=[(1, 2)], drop=[(1, 2)])
     assert red.child == child
     assert red.report == check_goodness(child)
     assert red.report.verdict is GoodnessVerdict.GOOD
@@ -611,7 +661,7 @@ def test_case2_1_chord_of_a_path_color(chord):
                                           (0, 3, chord)])
     rep = check_goodness(g)
     assert rep.verdict is GoodnessVerdict.ALMOST_GOOD
-    child = D._build_transform(g, "ContractEdge", merge=[(1, 2)], drop=[(1, 2)])
+    child = D._build_transform(g, "Probe", merge=[(1, 2)], drop=[(1, 2)])
     assert check_goodness(child).verdict is GoodnessVerdict.NOT_GOOD
     with pytest.raises(CaseVerificationError) as err:
         case2_1(g, rep, (0, 1, 2, 3))
@@ -755,9 +805,9 @@ REDUCTIONS = {
 def test_reduction_child_keeps_parent_ids():
     """Every reduction the engine builds in the corpus keeps its parent's
     vertex ids: the child has the parent's n, the vertices the reduction
-    merges away or deletes have no edges, and every child edge that avoids
-    the vertices the lift rewrites is a parent edge with the parent's
-    color."""
+    merges away, and those whose every edge it drops, have no edges, and
+    every child edge that avoids the vertices the lift rewrites is a parent
+    edge with the parent's color."""
     made = [c for c in corpus().log
             if c.name in REDUCTIONS and isinstance(c.result, D.CaseReduction)]
     assert {c.name for c in made} == set(REDUCTIONS)
@@ -989,7 +1039,7 @@ def test_case1_2_contraction_closing_a_triangle(far):
     message a full check of the child gives. Otherwise the child is good,
     and its derived report is the full check's."""
     g = EdgeColoredGraph.from_triples(4, [(0, 1, 0), (1, 2, 1), (2, 3, far), (0, 3, 0)])
-    child = D._build_transform(g, "ContractEdge", merge=[(0, 1)], drop=[(0, 1)])
+    child = D._build_transform(g, "Probe", merge=[(0, 1)], drop=[(0, 1)])
     rep = check_goodness(g)
     if far == 1:
         assert rep.verdict is GoodnessVerdict.NOT_GOOD
@@ -1029,9 +1079,9 @@ def test_case2_2_2c_contraction_closing_a_triangle_or_a_cut(join):
     assert [(v.condition, v.witness) for v in rep.violations] == [(6, 1)]
     shape, p = normalize_case2_2(extract_case2_2_pattern(g))
     assert shape == "c" and (p.v, p.x1, p.x2, p.y1, p.y2, p.z2) == (0, 1, 2, 3, 4, 5)
-    child = D._build_transform(g, "ContractRectangle", merge=[(0, 1, 3, 2)],
-                               drop=[(0, 1), (1, 3), (2, 3), (0, 2)],
-                               recolor=[((2, 5), 1)])
+    child = D._build_transform(g, "Probe", merge=[(0, 1, 3, 2)],
+                               drop=[(0, 1), (1, 3), (2, 3), (0, 2), (2, 5)],
+                               add=[(2, 5, 1)])
     full = check_goodness(child)
     assert {v.condition for v in full.violations} == ({3, 6} if len(join) == 1 else {6})
     with pytest.raises(CaseVerificationError) as err:
@@ -1111,13 +1161,9 @@ def _two_copies(g: EdgeColoredGraph) -> EdgeColoredGraph:
         2 * g.n, triples + [(u + g.n, v + g.n, c) for u, v, c in triples])
 
 
-def test_single_cycle_and_all_type2_need_one_component():
-    """Both read the vertex set from `components`, so a graph that is two
-    copies of a cycle, or of an all-Type-II graph, is neither."""
-    tri = EdgeColoredGraph.from_triples(4, [(1, 2, 0), (2, 3, 1), (1, 3, 2)])
-    assert D._single_cycle(tri) == Cycle((1, 2, 3))
-    assert D._single_cycle(_two_copies(tri)) is None
-    assert D._single_cycle(EdgeColoredGraph.from_triples(3, [])) is None
+def test_all_type2_needs_one_component():
+    """`_all_type2` reads the vertex set from `components`, so a graph that
+    is two copies of an all-Type-II graph is not one."""
     lg = build_line_graph(k4()).lg
     assert D._all_type2(lg)
     assert not D._all_type2(_two_copies(lg))

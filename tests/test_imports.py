@@ -796,6 +796,58 @@ def test_one_function_builds_a_case_failure():
     assert call_scopes(source, "CaseFailure") == ["decompose"]
 
 
+# the decomposer's calls that name a case, each with the index of its
+# message argument, which may be any text, or None when it has none
+CASE_NAMING_CALLS = {"CaseVerificationError": 1, "_EngineFailure": 2, "_require": 2,
+                     "_require_verdict": None, "_build_transform": None,
+                     "_contraction": None}
+
+
+def literal_case_names(source: str) -> list[str]:
+    """`function: text` for each string literal that `source` passes to a
+    call of `CASE_NAMING_CALLS`, or of an attribute so named, other than as
+    its message, with functions as `scoped_nodes` names them. Sorted."""
+    found = []
+    for scope, node in scoped_nodes(source):
+        if not isinstance(node, ast.Call):
+            continue
+        func = node.func
+        name = func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", None)
+        if name not in CASE_NAMING_CALLS:
+            continue
+        args = [a for i, a in enumerate(node.args) if i != CASE_NAMING_CALLS[name]]
+        args += [k.value for k in node.keywords]
+        found += [f"{scope}: {a.value}" for a in args
+                  if isinstance(a, ast.Constant) and isinstance(a.value, str)]
+    return sorted(found)
+
+
+def test_literal_case_names_detects_and_allows():
+    src = ("def f(g, tag):\n"
+           "    _require(ok, tag, 'any message')\n"
+           "    _require(ok, 'Case2_2', f'{x} message')\n"
+           "    raise CaseVerificationError('Engine', 'case produced no cycles')\n"
+           "def h(g):\n"
+           "    child = D._build_transform(g, 'ContractEdge', drop=[e])\n"
+           "    return _contraction(g, CASE_1_1, 'rectangle', merge=m)\n"
+           "_EngineFailure('Probe', g, 'message', None, rep)\n"
+           "check(g, 'Probe')\n")
+    assert literal_case_names(src) == [
+        "<module>: Probe", "f: Case2_2", "f: Engine", "h: ContractEdge", "h: rectangle"]
+
+
+def test_every_decomposer_refusal_names_a_case():
+    """Every refusal the decomposer raises, and so the `case` of every
+    `case_failure` it writes, names a case: one of `CASE_TAGS`, passed by
+    its constant, or `Engine` (the engine's own checks), `Case2_2` (the
+    pattern every Case2_2 subcase starts from) or `Case2_2_1` (the merged
+    child its two subcases share). A child is built under its case's
+    name, not under a name for the edit that builds it."""
+    allowed = {"Engine", "Case2_2", "Case2_2_1"}
+    assert [entry for entry in literal_case_names((SRC / "decomposer.py").read_text())
+            if entry.split(": ", 1)[1] not in allowed] == []
+
+
 def removal_records(source: str) -> list[str]:
     """Where `source` makes a removal record or applies a batch beside the
     removal check: the function, as `scoped_nodes` names it, of each call
