@@ -336,13 +336,18 @@ def _contraction_lift(tag: str,
     k = len(expansions)
 
     def lift(sub: list[tuple[str, Cycle]]) -> list[tuple[str, Cycle]]:
-        through = [c for _, c in sub if m in c]
+        through: list[Cycle] = []
+        rest: list[tuple[str, Cycle]] = []
+        for t, c in sub:
+            if m in c.vertices:
+                through.append(c)
+            else:
+                rest.append((t, c))
         _require(len(through) == k, tag,
                  f"expected {k} child {'cycle' if k == 1 else 'cycles'} "
                  f"through the merged vertex, got {len(through)}")
-        out = [(tag, _lift_through(c, m, exp)) for c, exp in zip(through, expansions)]
-        out.extend((t, c) for t, c in sub if m not in c)
-        return out
+        return [(tag, _lift_through(c, m, exp))
+                for c, exp in zip(through, expansions)] + rest
 
     return lift
 
@@ -548,8 +553,10 @@ def case2_1(g: EdgeColoredGraph, rep: GoodnessReport,
     is c(v0v1) or c(v2v3), which is rejected, and g's components, rainbow
     triangle and singular chains carry over from step to step. Each step
     checks its path against the changed adjacency and colors only; the
-    child is one `edit` of g, with the three facts filled in, and its lift
-    (`_run_lift`) subdivides the merged vertices back.
+    child is one `edit` of g, with the three facts filled in. Its lift
+    (`_run_lift`) is the steps' one-edge lifts, `_contraction_lift`s
+    applied innermost first, each of which subdivides its merged vertex
+    back as the paper's one-edge step does.
     """
     tag = CASE_2_1
     _require_verdict(rep, tag, GoodnessVerdict.GOOD)
@@ -622,41 +629,16 @@ def case2_1(g: EdgeColoredGraph, rep: GoodnessReport,
 def _run_lift(steps: Sequence[tuple[int, int, int, int]],
               ) -> Callable[[list[tuple[str, Cycle]]], list[tuple[str, Cycle]]]:
     """The lift of a run of Case2_1 steps, each given as (v0, v1, v2, lo)
-    with lo its merged vertex: the composition of the steps'
-    `_contraction_lift`s, innermost first, in one pass over the child's
-    cycles. Going back from the last step, the one cycle through lo gets lo
-    replaced by v1 v2, turned so that v1 meets v0, and moves to the front;
-    every cycle no step rewrites is handed up as it is."""
-    tag = CASE_2_1
-    run = {v for _, v1, v2, _ in steps for v in (v1, v2)}
+    with lo its merged vertex: the steps' one-edge `_contraction_lift`s,
+    innermost first, each of which splits lo back into v1 v2, turned so
+    that v1 meets v0."""
+    lifts = [_contraction_lift(CASE_2_1, (_oriented([v2, v1], (v0,)),), lo)
+             for v0, v1, v2, lo in reversed(steps)]
 
     def lift(sub: list[tuple[str, Cycle]]) -> list[tuple[str, Cycle]]:
-        seqs: dict[int, list[int]] = {}  # index in sub -> vertices, as lifted
-        holders: dict[int, list[int]] = {}  # run vertex -> indices through it
-        for i, (_, c) in enumerate(sub):
-            hit = run.intersection(c.vertices)
-            if hit:
-                seqs[i] = list(c.vertices)
-                for v in hit:
-                    holders.setdefault(v, []).append(i)
-        front: list[int] = []
-        for v0, v1, v2, lo in reversed(steps):
-            through = holders.get(lo, [])
-            _require(len(through) == 1, tag,
-                     f"expected 1 child cycle through the merged vertex, "
-                     f"got {len(through)}")
-            i = through[0]
-            seq = seqs[i]
-            p = seq.index(lo)
-            seq[p:p + 1] = [v2, v1] if seq[(p + 1) % len(seq)] == v0 else [v1, v2]
-            holders.setdefault(v1 + v2 - lo, []).append(i)
-            if i in front:
-                front.remove(i)
-            front.insert(0, i)
-        out = [(tag, Cycle(tuple(seqs[i]))) for i in front]
-        lifted = set(front)
-        out.extend(item for i, item in enumerate(sub) if i not in lifted)
-        return out
+        for step in lifts:
+            sub = step(sub)
+        return sub
 
     return lift
 
@@ -1011,18 +993,13 @@ def _case2_2_2d(p: CasePattern) -> list[tuple[str, Cycle]]:
 
 class FallbackResult:
     """A search's outcome; a found cycle comes with the `_Checked` its
-    removal check returned, which `==` ignores."""
+    removal check returned."""
 
     __slots__ = ("status", "cycle", "checked")
 
     def __init__(self, status: str,  # "found" | "absent" | "indeterminate"
                  cycle: Cycle | None = None, checked: _Checked | None = None) -> None:
         self.status, self.cycle, self.checked = status, cycle, checked
-
-    def __eq__(self, other: object) -> bool:
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return (self.status, self.cycle) == (other.status, other.cycle)
 
 
 def _color_pruned_cycles(g: EdgeColoredGraph, length: int,

@@ -95,10 +95,7 @@ def project_cycle(clg: ColoredLineGraph, c: Cycle) -> Cycle:
     """Map a base-graph cycle to the rainbow L-cycle on its edges."""
     if not c.is_cycle_of(clg.base):
         raise LineGraphError(f"not a cycle of the base graph: {c.vertices}")
-    vs = c.vertices
-    ids = [clg.vertex_of_edge[edge(vs[i], vs[(i + 1) % len(vs)])]
-           for i in range(len(vs))]
-    return Cycle(tuple(ids))
+    return Cycle(tuple(clg.vertex_of_edge[e] for e in c.edges))
 
 
 def cover_from_decomposition(clg: ColoredLineGraph, cycles) -> CycleDoubleCover:

@@ -599,11 +599,13 @@ def _outcome_of(lift, sub):
 
 
 def test_run_lift_is_the_composition_of_the_step_lifts():
-    """On every run of the corpus whose lift the engine called, the run's
-    lift returns what lifting through each step's one-edge lift returns,
-    innermost step first: the same cycles, tags and order (each lifted
+    """The run's lift is the one-edge lifts of the steps `case2_1`
+    recorded, innermost first; this checks those steps against the paths
+    `case2_1_run_by_scan` contracts. On every run of the corpus whose lift
+    the engine called, it returns what the one-edge lifts of the
+    reference's paths return: the same cycles, tags and order (each lifted
     cycle first, then the untouched ones as they came). Without the child
-    cycle through a step's merged vertex, or with a second one, both fail
+    cycle through the last merged vertex, or with a second one, both fail
     with the same message."""
     lifted = 0
     for run in corpus().calls("case2_1"):
@@ -944,6 +946,24 @@ def test_case2_2_1b_makes_no_goodness_check_of_its_end_block():
             assert c.result.report.verdict is GoodnessVerdict.ALMOST_GOOD
 
 
+def test_child_work_the_merge_lifts_throw_away():
+    """How much finished child work the corpus's Case2_2_1 lifts throw
+    away, pinned so that a change to it shows: the Case2_2_1b lifts; the
+    child cycles they drop, since each hands up only its detour, so
+    `len(sub) - 1` per lift that returns and the parent peels the rest
+    again; and the three-meeter Case2_2_1a lifts that fail both detours,
+    which drop their whole child run. ROADMAP item 2 (step A salvages the
+    three-meeter lift, step B keeps the end block's other cycles) is meant
+    to lower all three numbers, and re-pins them when it does."""
+    merges = [c for c in corpus().calls("case2_2_1") if c.lift is not None]
+    end_block = [c.lift for c in merges
+                 if c.result.report.verdict is GoodnessVerdict.ALMOST_GOOD]
+    dropped = sum(len(lift.args[0]) - 1 for lift in end_block if lift.error is None)
+    failed = [c.lift for c in merges if c.lift.error is not None
+              and c.lift.error.problem.startswith("both x-cycle detours failed")]
+    assert (len(end_block), dropped, len(failed)) == (381, 1539, 33)
+
+
 # the cases whose child gets its report from its Type X search, by a
 # reduction lemma in the coloring module docstring
 DERIVED_REPORTS = ("case1_1", "case1_2", "case2_2_1", "_case2_2_2a", "_case2_2_2b",
@@ -1211,16 +1231,6 @@ def test_fallback_refuses_a_not_good_graph():
     with pytest.raises(DecomposeError) as err:
         fallback_search(g, rep)
     assert str(err.value) == "fallback requires a good or almost-good graph"
-
-
-def test_fallback_results_equal_only_fallback_results():
-    """`==` compares status and cycle within the class and leaves any other
-    type to its own `==`, so a result never equals its fields' tuple."""
-    found = FallbackResult("found", Cycle((0, 1, 2)))
-    assert found == FallbackResult("found", Cycle((0, 1, 2)))
-    assert found != FallbackResult("found", Cycle((0, 1, 3)))
-    assert found.__eq__(("found", Cycle((0, 1, 2)))) is NotImplemented
-    assert found != ("found", Cycle((0, 1, 2)))
 
 
 def test_check_removal_refuses_an_empty_batch_on_a_graph_with_edges():
@@ -1570,7 +1580,8 @@ def test_fallback_matches_exhaustive_oracle(data):
     for k in caps:
         with fallback_capped(k):
             cap = D._fallback_cap(g)
-            assert fallback_search(g, rep) == exhaustive_fallback(g, cap), k
+            got, want = fallback_search(g, rep), exhaustive_fallback(g, cap)
+            assert (got.status, got.cycle) == (want.status, want.cycle), k
 
 
 def test_color_pruned_cycles_match_the_reference():
