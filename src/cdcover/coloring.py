@@ -248,11 +248,10 @@ check.
 from __future__ import annotations
 
 import enum
-from collections.abc import Iterable, Mapping, Sequence
-from functools import cached_property
+from collections.abc import Iterable, Iterator, Mapping, Sequence
 
-from .graphs import (Cycle, Edge, Graph, GraphError, _Record, check_edge, edge,
-                     lowpoint_search, read_edge_lines)
+from .graphs import (Cycle, Edge, Graph, GraphError, _Record, cached_property,
+                     check_edge, edge, lowpoint_search, read_edge_lines)
 
 
 class ColoredGraphError(ValueError):
@@ -361,9 +360,12 @@ class EdgeColoredGraph(Graph):
 
     @cached_property
     def rainbow_triangle(self) -> Cycle | None:
-        """The lexicographically least triangle with three distinct colors."""
-        for u, v, w in triangles(self):
-            if len({self.color(u, v), self.color(v, w), self.color(u, w)}) == 3:
+        """The lexicographically least triangle with three distinct colors:
+        the first rainbow one of the walk that `triangles` lists."""
+        coloring = self.coloring
+        for u, v, w in _triangle_walk(self.adj):
+            a, b = coloring[(u, v)], coloring[(v, w)]
+            if a != b and coloring[(u, w)] not in (a, b):
                 return Cycle((u, v, w))
         return None
 
@@ -449,25 +451,34 @@ def almost_good_at(v: int) -> GoodnessReport:
     return GoodnessReport(GoodnessVerdict.ALMOST_GOOD, v, (Violation(4, "vertex", v),))
 
 
+def _triangle_walk(adj: Sequence[tuple[int, ...]]) -> Iterator[tuple[int, int, int]]:
+    """Each triangle of the graph with sorted neighbor tuples `adj` once,
+    as a sorted vertex triple, in lexicographic order: for each vertex u,
+    its neighbors v > u in order, and for each, the neighbors w > v of u
+    that are neighbors of v."""
+    for u, nu in enumerate(adj):
+        for v in nu:
+            if v > u:
+                nv = adj[v]
+                for w in nu:
+                    if w > v and w in nv:
+                        yield u, v, w
+
+
 def triangles(g: Graph) -> list[tuple[int, int, int]]:
     """All triangles as sorted vertex triples, lexicographically ordered."""
-    out = []
-    for u, v in sorted(g.edges):
-        for w in g.adj[u]:
-            if w > v and w in g.adj[v]:
-                out.append((u, v, w))
-    return out
+    return list(_triangle_walk(g.adj))
 
 
 def check_goodness(g: EdgeColoredGraph) -> GoodnessReport:
     """Evaluate all six goodness conditions; failures are data, not errors.
 
     Conditions 1, 2, 4 and 5 come from one sweep over the vertices: degree
-    and the colors at the vertex. Condition 3 reads `triangles`, as
-    `rainbow_triangle` does. Condition 6 takes one lowpoint DFS. For the
-    degrees a good graph allows, the whole check is linear in the size of
-    the graph. What a removal leaves is checked by `report_after_removal`
-    instead.
+    and the colors at the vertex. Condition 3 reads `triangles`, the list
+    of the walk whose first rainbow triple is `rainbow_triangle`.
+    Condition 6 takes one lowpoint DFS. For the degrees a good graph
+    allows, the whole check is linear in the size of the graph. What a
+    removal leaves is checked by `report_after_removal` instead.
     """
     adj = g.adj
     coloring = g.coloring

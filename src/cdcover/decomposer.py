@@ -271,9 +271,13 @@ class CaseReduction:
 # small helpers
 
 
-def _require(cond: bool, case: str, message: str) -> None:
+def _require(cond: bool, case: str, message: str, *args: object) -> None:
+    """Refuse under the case `case` unless `cond` holds. The refusal's text
+    is `message.format(*args)`, built only when it refuses: the checks pass
+    on almost every call, and formatting each one's text would cost more
+    than the check."""
     if not cond:
-        raise CaseVerificationError(case, message)
+        raise CaseVerificationError(case, message.format(*args))
 
 
 def _require_verdict(rep: GoodnessReport, case: str, verdict: GoodnessVerdict,
@@ -320,7 +324,7 @@ def _contraction(g: EdgeColoredGraph, tag: str,
     exactly when it has no Type X vertex."""
     child = _build_transform(g, tag, merge=[merge], **build)
     _require(not child.type_x_sides, tag,
-             f"contracted graph is {GoodnessVerdict.NOT_GOOD.value}")
+             "contracted graph is not_good")
     return CaseReduction(
         child, _contraction_lift(tag, expansions, min(merge)), GOOD_REPORT)
 
@@ -344,8 +348,8 @@ def _contraction_lift(tag: str,
             else:
                 rest.append((t, c))
         _require(len(through) == k, tag,
-                 f"expected {k} child {'cycle' if k == 1 else 'cycles'} "
-                 f"through the merged vertex, got {len(through)}")
+                 "expected {} child {} through the merged vertex, got {}",
+                 k, "cycle" if k == 1 else "cycles", len(through))
         return [(tag, _lift_through(c, m, exp))
                 for c, exp in zip(through, expansions)] + rest
 
@@ -459,7 +463,7 @@ def _all_type2_cycle(g: EdgeColoredGraph) -> Cycle:
             alpha = next(c for c in g.colors_at(cur) if c != arrive)
             j = at.get(alpha)
             _require(j is not None and len(path) - j - 1 >= 3, ALL_TYPE_II,
-                     f"color {alpha} at {cur} closes no cycle of the walk")
+                     "color {} at {} closes no cycle of the walk", alpha, cur)
             return Cycle(tuple(path[j + 1:]))
         at[g.color(cur, nxt)] = len(path) - 1
         path.append(nxt)
@@ -480,7 +484,7 @@ def case1_1(g: EdgeColoredGraph, rep: GoodnessReport, v: int) -> CaseReduction:
     """
     tag = CASE_1_1
     _require_verdict(rep, tag, GoodnessVerdict.ALMOST_GOOD, v)
-    _require(g.degree(v) == 2, tag, f"bad vertex {v} must have degree 2")
+    _require(g.degree(v) == 2, tag, "bad vertex {} must have degree 2", v)
     x1, x2 = sorted(g.adj[v])
     alpha = g.color(v, x1)
     _require(g.color(v, x2) == alpha, tag, "bad vertex colors disagree")
@@ -513,21 +517,21 @@ def case1_2(g: EdgeColoredGraph, rep: GoodnessReport, v: int) -> CaseReduction:
     """
     tag = CASE_1_2
     _require_verdict(rep, tag, GoodnessVerdict.ALMOST_GOOD, v)
-    _require(g.degree(v) == 2, tag, f"bad vertex {v} must have degree 2")
+    _require(g.degree(v) == 2, tag, "bad vertex {} must have degree 2", v)
     x1, x2 = sorted(g.adj[v])
     alpha = g.color(v, x1)
     _require(g.color(v, x2) == alpha, tag, "bad vertex colors disagree")
     _require(not g.has_edge(x1, x2), tag, "neighbors adjacent; wrong case")
     for x in (x1, x2):
         _require(g.degree(x) == 2, tag,
-                 f"neighbor {x} of the bad vertex is not Type I")
+                 "neighbor {} of the bad vertex is not Type I", x)
     y1 = next(w for w in g.adj[x1] if w != v)
     y2 = next(w for w in g.adj[x2] if w != v)
     _require(y1 != x2 and y2 != x1, tag, "degenerate flank")
     # the one configuration in which the edge lemma's child breaks a
     # condition: the triangle (m, x2, y1) with two colors
     _require(y1 != y2 or g.color(x1, y1) != g.color(x2, y2), tag,
-             f"contracted graph is {GoodnessVerdict.NOT_GOOD.value}")
+             "contracted graph is not_good")
 
     # the merged vertex splits back into x1-v; x1 attaches toward y1
     return _contraction(g, tag, (_oriented([v, x1], (y1,)),),
@@ -582,13 +586,13 @@ def case2_1(g: EdgeColoredGraph, rep: GoodnessReport,
         for t in (v1, v2):
             ts = nbrs(t)
             _require(len(ts) == 2 and color(t, ts[0]) != color(t, ts[1]),
-                     tag, f"interior vertex {t} is not Type I")
+                     tag, "interior vertex {} is not Type I", t)
         _require(v0 in nbrs(v1) and v2 in nbrs(v1) and v3 in nbrs(v2), tag,
-                 f"{(v0, v1, v2, v3)} is not a path of the graph")
+                 "({}, {}, {}, {}) is not a path of the graph", v0, v1, v2, v3)
         chord = v3 in nbrs(v0)
         if chord:
             _require(color(v0, v3) not in (color(v0, v1), color(v2, v3)), tag,
-                     f"contracted graph is {GoodnessVerdict.NOT_GOOD.value}")
+                     "contracted graph is not_good")
 
         lo, hi = min(v1, v2), max(v1, v2)
         out = v3 if hi == v2 else v0
@@ -656,14 +660,14 @@ def extract_case2_2_pattern(g: EdgeColoredGraph) -> CasePattern:
     alpha, beta = g.color(v, x1), g.color(v, x2)
     sides = []
     for x, a in ((x1, alpha), (x2, beta)):
-        _require(g.degree(x) == 4, tag, f"flank {x} is not Type II")
+        _require(g.degree(x) == 4, tag, "flank {} is not Type II", x)
         others = [w for w in g.adj[x] if w != v]
         ys = [w for w in others if g.color(x, w) == a]
-        _require(len(ys) == 1, tag, f"flank {x} lacks a second edge of the v color")
+        _require(len(ys) == 1, tag, "flank {} lacks a second edge of the v color", x)
         rest = [w for w in others if g.color(x, w) != a]
         cols = {g.color(x, w) for w in rest}
         _require(len(rest) == 2 and len(cols) == 1, tag,
-                 f"flank {x} second color pair malformed")
+                 "flank {} second color pair malformed", x)
         sides.append((ys[0], sorted(rest), cols.pop()))
     (y1, (w1, z1), gamma), (y2, (w2, z2), delta) = sides
     _require(y1 not in (v, x2) and y2 not in (v, x1), tag, "degenerate pattern")
@@ -755,7 +759,7 @@ def _case2_2_1a_lift(g, rep, p, child, m):
 
         with_v = [c for c in meeters if p.v in c]
         _require(len(with_v) == 1, tag,
-                 f"expected exactly one child cycle through v, got {len(with_v)}")
+                 "expected exactly one child cycle through v, got {}", len(with_v))
         d1 = with_v[0]
 
         if len(meeters) == 3:
@@ -767,7 +771,7 @@ def _case2_2_1a_lift(g, rep, p, child, m):
                                    "both x-cycle detours failed")
 
         _require(len(meeters) == 2, tag,
-                 f"unexpected meeting-cycle count {len(meeters)}")
+                 "unexpected meeting-cycle count {}", len(meeters))
         _require(m in d1, tag, "two meeting cycles but v-cycle avoids x")
         d2 = next(c for c in meeters if c is not d1)
         _require(m in d2 and p.v not in d2, tag, "second meeting cycle malformed")
@@ -852,16 +856,16 @@ def _case2_2_1b(g, rep_g, p, child, m) -> CaseReduction:
     _require(bv is not bx and len(bv & txv) == 1, tag,
              "v not in the opposite end x-block")
     for u in (p.w1, p.z1, p.w2, p.z2):
-        _require(u in bx, tag, f"flank {u} outside end block")
+        _require(u in bx, tag, "flank {} outside end block", u)
     for u in (p.y1, p.y2):
-        _require(u in bv, tag, f"{u} outside the v block")
+        _require(u in bv, tag, "{} outside the v block", u)
     (t,) = bx & txv
     end = child.edit(drop=[e for e in child.edges if e[0] not in bx or e[1] not in bx])
 
     def lift(sub: list[tuple[str, Cycle]]) -> _Checked:
         xcycles = [c for _, c in sub if m in c]
         _require(len(xcycles) == 2, tag,
-                 f"expected 2 cycles through the merged vertex, got {len(xcycles)}")
+                 "expected 2 cycles through the merged vertex, got {}", len(xcycles))
         candidates = [c for c in xcycles if t not in c]
         _require(candidates, tag, "both x-cycles pass through the joining vertex")
         # The end block is almost-good at t and m != t, so a candidate was
@@ -890,9 +894,9 @@ def _case2_2_2a(g: EdgeColoredGraph, rep: GoodnessReport, p: CasePattern):
     # then have w and all of y1, y2, z1, z2 of Type I with disjoint sides
     for u in (w, p.y1, p.y2, p.z1, p.z2):
         _require(u in g.type1, tag,
-                 f"rewire precondition: vertex {u} is not Type I ({problem})")
+                 "rewire precondition: vertex {} is not Type I ({})", u, problem)
     _require(not ({p.y1, p.z1} & {p.y2, p.z2}), tag,
-             f"rewire precondition: sides overlap ({problem})")
+             "rewire precondition: sides overlap ({})", problem)
 
     child = _build_transform(
         g, tag,
@@ -900,7 +904,7 @@ def _case2_2_2a(g: EdgeColoredGraph, rep: GoodnessReport, p: CasePattern):
         add=[(p.y1, w, p.alpha), (p.y2, w, p.beta),
              (p.z1, p.v, p.gamma), (p.z2, p.v, p.delta)])
     _require(not child.type_x_sides, tag,
-             f"rewired graph is {GoodnessVerdict.NOT_GOOD.value}")
+             "rewired graph is not_good")
 
     def lift(sub: list[tuple[str, Cycle]]) -> list[tuple[str, Cycle]]:
         cy = [c for _, c in sub if p.y1 in c]
@@ -957,7 +961,7 @@ def _case2_2_2c(g: EdgeColoredGraph, rep: GoodnessReport,
     # the one configuration in which the lemma's child breaks a condition:
     # the triangle (m, y2, z2) with two colors
     _require(not g.has_edge(p.y2, p.z2), tag,
-             f"contracted graph is {GoodnessVerdict.NOT_GOOD.value}")
+             "contracted graph is not_good")
     gamma_side = {p.w1, p.z1}
     seen_beta: set[int] = set()  # the lift runs once per reduction
 
@@ -1124,7 +1128,7 @@ def _dispatch(comp: EdgeColoredGraph, rep: GoodnessReport):
         # so comp is one cycle, and its one singular chain is the cycle,
         # closed if comp is good, or b ... b if comp is almost-good at b
         seq = next((seq for length, seq in comp.singular_chains if length == m), None)
-        _require(seq is not None, BASE_CYCLE, f"no singular chain runs round the {m}-cycle")
+        _require(seq is not None, BASE_CYCLE, "no singular chain runs round the {}-cycle", m)
         return [(BASE_CYCLE, Cycle(seq[:-1]))]
     tri = comp.rainbow_triangle
     if tri is not None:

@@ -9,12 +9,13 @@ graph in the coloring module, are read from it.
 
 All values are immutable after construction; every operation returns new
 values. The package's public records are plain classes on `_Record`, which
-makes them values: compared, hashed and shown by their fields.
+makes them values: compared, hashed and shown by their fields. A fact
+derived from a value, such as a graph's neighbor tuples, is computed on
+its first read and kept by `cached_property`, which takes no lock.
 """
 from __future__ import annotations
 
 import math
-from functools import cached_property
 
 Edge = tuple[int, int]
 
@@ -38,6 +39,23 @@ def check_edge(e: object, n: int) -> None:
     u, v = e
     if not (0 <= u < v < n):
         raise GraphError(f"edge {e} out of range for n={n}")
+
+
+class cached_property:
+    """A fact of a value, computed on its first read and stored under the
+    function's name in the instance `__dict__`, where every later read
+    finds it before this descriptor. Unlike `functools.cached_property` on
+    Python 3.11, it takes no lock: the values it caches are immutable, and
+    a fact computed twice is the same fact."""
+
+    def __init__(self, func) -> None:
+        self.func, self.name, self.__doc__ = func, func.__name__, func.__doc__
+
+    def __get__(self, obj, cls):
+        if obj is None:
+            return self
+        value = obj.__dict__[self.name] = self.func(obj)
+        return value
 
 
 class _Record:

@@ -30,6 +30,9 @@ also keeps the second branching rule the package has dropped, on the
 lowest open edge; `cdc_by_lowest_edge` and
 `rainbow_decomposition_by_lowest_edge` run the oracle's two searches
 under that rule.
+`triangles_by_sorting` is the package's triangle listing as it was before
+it walked each vertex's sorted neighbors: it sorts every edge, and reads
+each edge's common neighbors above it.
 `find_type_x_vertices`, `serialize_edge_list` and `color_classes` are
 plain helpers that only tests call, kept here rather than in the package's
 API. `parse_graph6_by_bit_list` and `serialize_graph6_by_bit_list` are the
@@ -538,6 +541,18 @@ def connected_ignoring_isolated(n: int, edges) -> bool:
                 seen.add(b)
                 stack.append(b)
     return all(v in seen for v in live)
+
+
+def triangles_by_sorting(g: Graph) -> list[tuple[int, int, int]]:
+    """All triangles as sorted vertex triples, lexicographically ordered:
+    for each edge (u, v) in sorted order, the neighbors w > v of u that
+    are neighbors of v."""
+    out = []
+    for u, v in sorted(g.edges):
+        for w in g.adj[u]:
+            if w > v and w in g.adj[v]:
+                out.append((u, v, w))
+    return out
 
 
 def find_type_x_vertices(g: EdgeColoredGraph) -> frozenset[int]:

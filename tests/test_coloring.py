@@ -33,6 +33,7 @@ from graphsamples import (
     case2_2_2d_host,
     k4,
     k33,
+    mutate_coloring,
     pentagons_on_a_hexagon,
     petersen,
     prism,
@@ -45,6 +46,7 @@ from oracles import (
     color_classes,
     find_type_x_vertices,
     naive_goodness,
+    triangles_by_sorting,
     type_x_by_pseudoblock_splits,
     x_blocks_by_definition,
 )
@@ -202,7 +204,6 @@ def test_longest_singular_path_flanked():
 
 
 def test_goodness_matches_naive_on_mutations():
-    from graphsamples import mutate_coloring
     rng = random.Random(7)
     seeds = [almost_good_c4(), rainbow_c4(), two_squares_type_x(),
              case1_1_host(), build_line_graph(k4()).lg]
@@ -306,6 +307,64 @@ def test_incremental_goodness_equals_full_on_engine_graphs(n, seed, data):
         h = h.edit(drop=step.cycle.edges)
     rng = data.draw(st.randoms(use_true_random=False), label="rng")
     _assert_removal_report_matches_full(h, rng, removals=3)
+
+
+def _assert_triangles_match_reference(g: EdgeColoredGraph) -> list[tuple[int, int, int]]:
+    """`triangles` lists what the sort-based reference lists, in its order,
+    and `rainbow_triangle`, read fresh, is the reference's first triple
+    with three colors, or None when it has none. Returns the rainbow
+    triples."""
+    ref = triangles_by_sorting(g)
+    assert triangles(g) == ref
+    col = g.coloring
+    rainbow = [(u, v, w) for u, v, w in ref
+               if len({col[(u, v)], col[(v, w)], col[(u, w)]}) == 3]
+    assert "rainbow_triangle" not in g.__dict__
+    assert g.rainbow_triangle == (Cycle(rainbow[0]) if rainbow else None)
+    return rainbow
+
+
+@given(n=st.sampled_from(range(8, 25, 2)), seed=st.integers(0, 999),
+       rng=st.randoms(use_true_random=False))
+@settings(max_examples=60, deadline=None)
+def test_triangle_walk_matches_the_sort_based_reference(n, seed, rng):
+    """On the line graph of a random cubic bridgeless graph, on what
+    peeling random cycles off it by `edit` leaves, and on recolorings of
+    each, which make two-colored and new rainbow triangles."""
+    h = build_line_graph(random_cubic_bridgeless(GeneratorConfig(n, seed))).lg
+    for _ in range(rng.randint(0, 4)):
+        _assert_triangles_match_reference(h)
+        _assert_triangles_match_reference(mutate_coloring(h, rng))
+        if not h.edges:
+            break
+        h = h.edit(drop=_random_cycle(h, rng).edges)
+    _assert_triangles_match_reference(h)
+
+
+@given(data=st.data())
+@settings(max_examples=80, deadline=None)
+def test_triangle_walk_matches_the_sort_based_reference_on_drawn_graphs(data):
+    """On any colored graph: dense ones, with many triangles of every kind."""
+    n = data.draw(st.integers(0, 9), label="n")
+    pairs = [(u, v) for v in range(n) for u in range(v)]
+    coloring = data.draw(st.dictionaries(
+        st.sampled_from(pairs), st.integers(0, 3)) if pairs else st.just({}),
+        label="coloring")
+    _assert_triangles_match_reference(EdgeColoredGraph(n, coloring))
+
+
+def test_triangle_walk_matches_the_sort_based_reference_on_almost_good_graphs():
+    """On every almost-good graph the engine corpus dispatches, read
+    through a copy that `edit` makes with its neighbor tuples, and on the
+    Case 1 hosts; some of them have a rainbow triangle."""
+    almost = [c.args[0] for c in corpus().calls("_dispatch")
+              if c.args[1].verdict is GoodnessVerdict.ALMOST_GOOD]
+    almost += [almost_good_c4(), case1_1_host(), case1_2_host()]
+    assert len(almost) > 500
+    with_rainbow = 0
+    for g in almost:
+        with_rainbow += bool(_assert_triangles_match_reference(g.edit(drop=())))
+    assert 100 < with_rainbow < len(almost)
 
 
 _SAMPLES = {

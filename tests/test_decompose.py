@@ -674,6 +674,64 @@ def test_case2_1_chord_of_a_path_color(chord):
     assert str(err.value) == "Case2_1: contracted graph is not_good"
 
 
+class _Unformattable:
+    """An argument that fails the test if a refusal text is built from it."""
+
+    def __format__(self, spec: str) -> str:
+        raise AssertionError("formatted a message that was not refused")
+
+
+def test_require_formats_nothing_when_it_holds():
+    D._require(True, "Probe", "flank {} is not Type II", _Unformattable())
+    with pytest.raises(AssertionError, match="formatted a message"):
+        D._require(False, "Probe", "flank {} is not Type II", _Unformattable())
+
+
+@pytest.mark.parametrize("k", [1, 2])
+def test_require_refuses_with_the_text_of_its_template(k):
+    """The refusal's text is the template formatted with the arguments, as
+    the f-string each site passed before read."""
+    v0, v1, v2, v3, u, problem, got = 4, 1, 12, 3, 7, "cycle (0, 1, 2) is not a cycle", 0
+    cases = [
+        (("bad vertex {} must have degree 2", u), f"bad vertex {u} must have degree 2"),
+        (("rewire precondition: vertex {} is not Type I ({})", u, problem),
+         f"rewire precondition: vertex {u} is not Type I ({problem})"),
+        (("expected {} child {} through the merged vertex, got {}",
+          k, "cycle" if k == 1 else "cycles", got),
+         f"expected {k} child {'cycle' if k == 1 else 'cycles'} "
+         f"through the merged vertex, got {got}"),
+        (("({}, {}, {}, {}) is not a path of the graph", v0, v1, v2, v3),
+         f"{(v0, v1, v2, v3)} is not a path of the graph"),
+        (("contracted graph is not_good",),
+         f"contracted graph is {GoodnessVerdict.NOT_GOOD.value}"),
+    ]
+    for (message, *args), text in cases:
+        with pytest.raises(CaseVerificationError) as err:
+            D._require(False, "Probe", message, *args)
+        assert (err.value.case, err.value.problem) == ("Probe", text)
+        assert str(err.value) == f"Probe: {text}"
+
+
+def test_case2_1_refusals_read_as_before():
+    """The two refusals of `case2_1` whose text is not built from plain
+    ints alone: a step that is not a path prints the four vertices as a
+    tuple, and a chord of a path color prints the not-good verdict's
+    value. 1 and 2 are Type I, and 4 is no neighbor of 2."""
+    g = EdgeColoredGraph.from_triples(9, [
+        (0, 1, 0), (1, 2, 1), (2, 3, 2), (0, 3, 3), (0, 4, 3), (3, 4, 3),
+        (0, 5, 0), (3, 6, 2), (4, 7, 4), (4, 8, 4), (5, 7, 5), (6, 8, 6)])
+    rep = check_goodness(g)
+    assert rep.verdict is GoodnessVerdict.GOOD
+    with pytest.raises(CaseVerificationError) as err:
+        case2_1(g, rep, (0, 1, 2, 4))
+    assert str(err.value) == f"Case2_1: {(0, 1, 2, 4)} is not a path of the graph"
+    chorded = EdgeColoredGraph.from_triples(4, [(0, 1, 0), (1, 2, 1), (2, 3, 2),
+                                                (0, 3, 0)])
+    with pytest.raises(CaseVerificationError) as err:
+        case2_1(chorded, GOOD_REPORT, (0, 1, 2, 3))
+    assert str(err.value) == f"Case2_1: contracted graph is {GoodnessVerdict.NOT_GOOD.value}"
+
+
 def test_case2_1_child_facts_equal_fresh_ones():
     """At the end of every Case2_1 run the child gets its components,
     rainbow triangle and singular chains, carried from its parent step by

@@ -2,7 +2,9 @@
 definition in src/cdcover is used somewhere, and no f-string in it lacks a
 placeholder. No module names a map between two vertex id spaces, and none
 in src/cdcover reads the environment. Cached properties are filled from
-outside their own code at a fixed list of sites.
+outside their own code at a fixed list of sites, and none is a
+`functools.cached_property`. Every `_require` passes a constant template
+as its message, so a check that holds builds no text.
 The decomposer builds no graph from scratch, and only `EdgeColoredGraph.edit`
 builds one without its validating constructor. Only the decomposer's
 removal check asks for a goodness check from a parent's report, only its
@@ -377,13 +379,19 @@ def cached_properties(source: str) -> set[str]:
                     == "cached_property" for d in node.decorator_list)}
 
 
+# The one cache fill whose key is not a string: the `cached_property`
+# descriptor's, which stores each cached fact under its function's name.
+DESCRIPTOR_FILL = ("cached_property.__get__", "self.name")
+
+
 def stray_cache_keys(source: str, cached: set[str]) -> list[str]:
     """`line N: key` for each `X.__dict__[key]` and `key in X.__dict__` in
-    `source` whose key is not a string naming one of `cached`. Such code
-    fills a cached property, or asks whether it is filled; a mistyped key
-    fills or finds nothing, and the value is computed again."""
+    `source` whose key is not a string naming one of `cached`, except the
+    descriptor's own fill, `DESCRIPTOR_FILL`. Such code fills a cached property,
+    or asks whether it is filled; a mistyped key fills or finds nothing,
+    and the value is computed again."""
     stray = []
-    for node in ast.walk(ast.parse(source)):
+    for scope, node in scoped_nodes(source):
         if isinstance(node, ast.Subscript):
             holder, key = node.value, node.slice
         elif (isinstance(node, ast.Compare) and len(node.ops) == 1
@@ -392,6 +400,9 @@ def stray_cache_keys(source: str, cached: set[str]) -> list[str]:
         else:
             continue
         if not (isinstance(holder, ast.Attribute) and holder.attr == "__dict__"):
+            continue
+        if (isinstance(node, ast.Subscript) and isinstance(node.ctx, ast.Store)
+                and (scope, ast.unparse(key)) == DESCRIPTOR_FILL):
             continue
         name = key.value if isinstance(key, ast.Constant) else None
         if not isinstance(name, str) or name not in cached:
@@ -421,6 +432,19 @@ def test_stray_cache_keys_detects_and_allows():
     assert stray_cache_keys(src, {"adj"}) == [
         "line 7: 'ajd'", "line 10: key", "line 11: 'jda'"]
     assert stray_cache_keys(src, {"adj", "ajd", "jda"}) == ["line 10: key"]
+    descriptor = ("class cached_property:\n"
+                  "    def __get__(self, obj, cls):\n"
+                  "        obj.__dict__[self.name] = 1\n"
+                  "        obj.__dict__[self.func] = 2\n"
+                  "        return self.name in obj.__dict__\n"
+                  "class Other:\n"
+                  "    def __get__(self, obj, cls):\n"
+                  "        obj.__dict__[self.name] = 3\n"
+                  "def f(self, obj):\n"
+                  "    obj.__dict__[self.name] = 4\n")
+    assert stray_cache_keys(descriptor, {"adj"}) == [
+        "line 4: self.func", "line 5: self.name", "line 8: self.name",
+        "line 10: self.name"]
 
 
 def test_cache_keys_name_cached_properties():
@@ -480,10 +504,14 @@ def test_cache_fills_detects_and_allows():
            "        return g.__dict__['read'], g.other['w']\n"
            "def f(g):\n"
            "    g.__dict__['y'] = 5\n"
-           "    g.__dict__['y'] = 6\n")
+           "    g.__dict__['y'] = 6\n"
+           "class cached_property:\n"
+           "    def __get__(self, obj, cls):\n"
+           "        value = obj.__dict__[self.name] = self.func(obj)\n"
+           "        return value\n")
     assert cache_fills(src) == [
         ("<module>", "x"), ("A.m", "k"), ("A.m", "y"), ("A.m.inner", "z"),
-        ("f", "y"), ("f", "y")]
+        DESCRIPTOR_FILL, ("f", "y"), ("f", "y")]
 
 
 # Each site that fills a cached property of another object: the parent's
@@ -491,11 +519,13 @@ def test_cache_fills_detects_and_allows():
 # searched. A carried fact pays for itself only if a measurement shows it;
 # a new site should come with one. The cycle enumeration fills none: it
 # hands the cover search edge ids, not `Cycle`s, and the oracles build a
-# `Cycle` only for a member of the cover they return.
+# `Cycle` only for a member of the cover they return. The descriptor's one
+# generic fill, `DESCRIPTOR_FILL`, is how every cached fact is first stored.
 CACHE_FILLS = [
     ("EdgeColoredGraph.edit", "adj"),
     ("_cut_search", "components"),
     ("_cut_search", "type_x_sides"),
+    DESCRIPTOR_FILL,
     ("case2_1", "components"),
     ("case2_1", "rainbow_triangle"),
     ("case2_1", "singular_chains"),
@@ -505,6 +535,42 @@ CACHE_FILLS = [
 def test_cache_fill_sites():
     assert sorted(fill for p in sorted(SRC.glob("*.py"))
                   for fill in cache_fills(p.read_text())) == CACHE_FILLS
+
+
+def functools_cached_properties(source: str) -> list[str]:
+    """`line N` for each import of `cached_property` from `functools` in
+    `source`, and each read of `functools.cached_property`. On Python 3.11
+    that descriptor takes a class-wide lock on the first read of every
+    cached fact; `graphs.cached_property` takes none."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.ImportFrom):
+            hit = node.module == "functools" and any(
+                a.name == "cached_property" for a in node.names)
+        else:
+            hit = (isinstance(node, ast.Attribute) and node.attr == "cached_property"
+                   and isinstance(node.value, ast.Name) and node.value.id == "functools")
+        if hit:
+            found.append(f"line {node.lineno}")
+    return found
+
+
+def test_functools_cached_properties_detects_and_allows():
+    src = ("from functools import cached_property\n"
+           "from functools import cache, cached_property as cp\n"
+           "import functools\n"
+           "x = functools.cached_property\n"
+           "from .graphs import cached_property\n"
+           "from functools import cache\n"
+           "class cached_property:\n"
+           "    pass\n"
+           "y = graphs.cached_property\n")
+    assert functools_cached_properties(src) == ["line 1", "line 2", "line 4"]
+
+
+def test_no_functools_cached_property():
+    assert [f"{p.name}: {hit}" for p in sorted(SRC.glob("*.py"))
+            for hit in functools_cached_properties(p.read_text())] == []
 
 
 def graph_builds(source: str, classes: frozenset[str]) -> list[str]:
@@ -846,6 +912,54 @@ def test_every_decomposer_refusal_names_a_case():
     allowed = {"Engine", "Case2_2", "Case2_2_1"}
     assert [entry for entry in literal_case_names((SRC / "decomposer.py").read_text())
             if entry.split(": ", 1)[1] not in allowed] == []
+
+
+def built_require_messages(source: str) -> list[str]:
+    """`line N: message` for each call of `_require`, or of an attribute so
+    named, in `source` whose message, its third argument or `message=`, is
+    not a string constant. An f-string, `.format`, `%` or `+` there builds
+    the refusal's text on every call, though almost no call refuses; the
+    constant is a template that `_require` formats with its further
+    arguments when it refuses."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if not isinstance(node, ast.Call):
+            continue
+        func = node.func
+        name = func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", None)
+        if name != "_require":
+            continue
+        message = node.args[2] if len(node.args) > 2 else next(
+            (k.value for k in node.keywords if k.arg == "message"), None)
+        if not (isinstance(message, ast.Constant) and isinstance(message.value, str)):
+            found.append(f"line {node.lineno}: "
+                         f"{'<none>' if message is None else ast.unparse(message)}")
+    return found
+
+
+def test_built_require_messages_detects_and_allows():
+    src = ("_require(ok, tag, 'flank {} is not Type II', x)\n"
+           "_require(ok, tag, f'flank {x} is not Type II')\n"
+           "_require(ok, tag, 'flank {}'.format(x))\n"
+           "_require(ok, tag, 'flank %d' % x)\n"
+           "D._require(ok, tag, 'flank ' + s)\n"
+           "_require(ok, tag, message=f'{x}')\n"
+           "_require(ok, tag, message='flank {}')\n"
+           "_require(ok, tag, text)\n"
+           "_require(ok, tag)\n"
+           "_require_verdict(rep, tag, f'{x}')\n"
+           "raise CaseVerificationError(tag, f'{x}')\n")
+    assert built_require_messages(src) == [
+        "line 2: f'flank {x} is not Type II'", "line 3: 'flank {}'.format(x)",
+        "line 4: 'flank %d' % x", "line 5: 'flank ' + s", "line 6: f'{x}'",
+        "line 8: text", "line 9: <none>"]
+
+
+def test_require_messages_are_constant_templates():
+    """Every `_require` in src/ passes its refusal text as a constant
+    template, so a check that holds formats nothing."""
+    assert [f"{p.name}: {hit}" for p in MODULES
+            for hit in built_require_messages(p.read_text())] == []
 
 
 def removal_records(source: str) -> list[str]:

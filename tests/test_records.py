@@ -1,12 +1,13 @@
 """The package's public records behave as values: equal, and hashed alike,
 field by field and only within one class; shown as `Name(field=value, ...)`;
 closed to assignment and deletion; with their defaults; and refusing what
-their constructors refuse, with the same messages."""
+their constructors refuse, with the same messages. Their cached facts are
+computed once per record, into its `__dict__`."""
 import pytest
 
 from cdcover.coloring import EdgeColoredGraph, GoodnessReport, GoodnessVerdict, Violation
 from cdcover.decomposer import CaseFailure, DecompositionTrace, TraceStep
-from cdcover.graphs import Cycle, Graph, GraphError
+from cdcover.graphs import Cycle, Graph, GraphError, _Record, cached_property
 from cdcover.linegraph import ColoredLineGraph, CycleDoubleCover
 from cdcover.oracle import GeneratorConfig, SearchResult
 from cdcover.verify import Verdict
@@ -207,3 +208,50 @@ def test_constructor_refusals(build, error, message):
     with pytest.raises(error) as err:
         build()
     assert str(err.value) == message
+
+
+def test_cached_facts_are_computed_once_into_the_instance_dict():
+    """`cached_property` computes a fact on its first read, once per
+    record, and stores it in the record's `__dict__`, where later reads
+    find it; read from the class, it is the descriptor, with the fact's
+    docstring. The record stays closed to assignment and deletion, and its
+    cached facts take no part in its equality."""
+    computed = []
+
+    class Probe(_Record):
+        def __init__(self, x: int) -> None:
+            self._set(x=x)
+
+        @cached_property
+        def double(self) -> int:
+            """Twice x."""
+            computed.append(self.x)
+            return 2 * self.x
+
+    a, b = Probe(3), Probe(4)
+    assert "double" not in a.__dict__
+    assert (a.double, a.double, b.double, b.double) == (6, 6, 8, 8)
+    assert computed == [3, 4]
+    assert a.__dict__ == {"x": 3, "double": 6}
+    assert isinstance(Probe.double, cached_property)
+    assert Probe.double.__doc__ == "Twice x."
+    for name in ("double", "x"):
+        with pytest.raises(AttributeError):
+            setattr(a, name, 0)
+        with pytest.raises(AttributeError):
+            delattr(a, name)
+    assert a.double == 6 and computed == [3, 4]
+    assert a == Probe(3) and hash(a) == hash(Probe(3))
+
+
+def test_package_facts_are_cached_by_the_lock_free_descriptor():
+    g = EdgeColoredGraph(3, {(0, 1): 0, (1, 2): 1, (0, 2): 2})
+    for cls, name in [(Graph, "adj"), (Graph, "connectivity"), (Cycle, "edges"),
+                      (EdgeColoredGraph, "components"), (EdgeColoredGraph, "type_x_sides"),
+                      (EdgeColoredGraph, "type1"), (EdgeColoredGraph, "rainbow_triangle"),
+                      (EdgeColoredGraph, "singular_chains")]:
+        fact = getattr(cls, name)
+        assert isinstance(fact, cached_property) and fact.__doc__ == fact.func.__doc__
+    assert g.adj is g.adj is g.__dict__["adj"]
+    assert g.rainbow_triangle is g.__dict__["rainbow_triangle"] == TRI
+    assert TRI.edges is TRI.__dict__["edges"]
