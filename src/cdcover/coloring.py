@@ -116,9 +116,11 @@ the end-block lemma below. By the lemma for its case, the child meets
 conditions 1-5, and no vertex sees one color, except in one local
 configuration that the case rejects before it builds. So the child is good
 exactly when its Type X search finds nothing (`type_x_sides`). The labels
-are the case's. In the Case2_2 family (`decomposer.CasePattern`), v is
-Type I with colors alpha and beta; x1 pairs alpha, to v and y1, with
-gamma, to w1 and z1; x2 pairs beta, to v and y2, with delta, to w2 and z2.
+are the case's. In the Case2_2 family (`decomposer.CasePattern`, which
+`decomposer.extract_case2_2_pattern` labels once, as its shape's subcase
+reads it), v is Type I with colors alpha and beta; x1 pairs alpha, to v
+and y1, with gamma, to w1 and z1; x2 pairs beta, to v and y2, with delta,
+to w2 and z2.
 Two facts recur. (i) A class of color c that spans three vertices spans no
 fourth, so an edge with an end outside that span is not of color c. In the
 Case2_2 family, alpha spans v, x1 and y1, so its class is the two edges

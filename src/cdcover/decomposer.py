@@ -234,7 +234,9 @@ class CasePattern:
 
     v is Type I with neighbors x1, x2 (both Type II); alpha/beta are the
     colors at v, doubled at x1/x2 toward y1/y2; gamma/delta are the second
-    colors at x1/x2, toward {w1, z1} and {w2, z2}.
+    colors at x1/x2, toward {w1, z1} and {w2, z2}. Only
+    `extract_case2_2_pattern` builds one, already labelled as its shape's
+    subcase reads it, so no subcase relabels it.
     """
 
     __slots__ = ("v", "x1", "x2", "alpha", "beta", "y1", "y2",
@@ -336,7 +338,8 @@ def _contraction_lift(tag: str,
     """The lift of a child in which a contraction made vertex m: it expands
     the i-th child cycle through m by `expansions[i]` and hands every other
     cycle up as it is, since a child cycle that avoids m is a cycle of the
-    parent."""
+    parent. m may also be Case2_2_2a's rewired w or v, a vertex of degree
+    2 that the lift puts x1 and x2 back around."""
     k = len(expansions)
 
     def lift(sub: list[tuple[str, Cycle]]) -> list[tuple[str, Cycle]]:
@@ -651,15 +654,19 @@ def _run_lift(steps: Sequence[tuple[int, int, int, int]],
 # Case 2.2: Type I vertex flanked by Type II vertices
 
 
-def extract_case2_2_pattern(g: EdgeColoredGraph) -> CasePattern:
-    """Bind the local labels around the minimum Type I vertex."""
+def extract_case2_2_pattern(g: EdgeColoredGraph) -> tuple[str, CasePattern]:
+    """Bind the labels around the minimum Type I vertex, as the subcase
+    of their overlap shape reads them: (a) w1 == w2, (b) y1 == y2, (c) y1
+    == w2 with the rest disjoint, (d) y1 == w2 and y2 == w1, else
+    "disjoint". x1 < x2 but in a shape c seen from x2; w1, w2 are the
+    least of their pairs unless the shape names them."""
     tag = "Case2_2"
     _require(bool(g.type1), tag, "no Type I vertex")
     v = min(g.type1)
     x1, x2 = sorted(g.adj[v])
-    alpha, beta = g.color(v, x1), g.color(v, x2)
     sides = []
-    for x, a in ((x1, alpha), (x2, beta)):
+    for x in (x1, x2):
+        a = g.color(v, x)
         _require(g.degree(x) == 4, tag, "flank {} is not Type II", x)
         others = [w for w in g.adj[x] if w != v]
         ys = [w for w in others if g.color(x, w) == a]
@@ -668,50 +675,27 @@ def extract_case2_2_pattern(g: EdgeColoredGraph) -> CasePattern:
         cols = {g.color(x, w) for w in rest}
         _require(len(rest) == 2 and len(cols) == 1, tag,
                  "flank {} second color pair malformed", x)
-        sides.append((ys[0], sorted(rest), cols.pop()))
-    (y1, (w1, z1), gamma), (y2, (w2, z2), delta) = sides
+        sides.append((x, a, ys[0], sorted(rest), cols.pop()))
+    (_, alpha, y1, s1, gamma), (_, beta, y2, s2, delta) = sides
     _require(y1 not in (v, x2) and y2 not in (v, x1), tag, "degenerate pattern")
-    _require(x2 not in (y1, w1, z1) and x1 not in (y2, w2, z2), tag,
+    _require(x2 not in (y1, *s1) and x1 not in (y2, *s2), tag,
              "flanks adjacent; rainbow triangle missed")
     _require(gamma != delta and alpha != beta, tag, "color degeneracy")
-    return CasePattern(v, x1, x2, alpha, beta, y1, y2, w1, w2, z1, z2,
-                       gamma, delta)
-
-
-def _swap_sides(p: CasePattern) -> CasePattern:
-    return CasePattern(p.v, p.x2, p.x1, p.beta, p.alpha, p.y2, p.y1,
-                       p.w2, p.w1, p.z2, p.z1, p.delta, p.gamma)
-
-
-def _with_w(p: CasePattern, w1: int, w2: int) -> CasePattern:
-    """p relabelled so that w1 and w2 are the given members of {w1, z1} and
-    {w2, z2}, and z1 and z2 the others."""
-    z1 = p.z1 if w1 == p.w1 else p.w1
-    z2 = p.z2 if w2 == p.w2 else p.w2
-    return CasePattern(p.v, p.x1, p.x2, p.alpha, p.beta, p.y1, p.y2,
-                       w1, w2, z1, z2, p.gamma, p.delta)
-
-
-def normalize_case2_2(p: CasePattern) -> tuple[str, CasePattern]:
-    """Resolve the overlap shape, renaming labels so each subcase sees its
-    canonical form: (a) w1 == w2, (b) y1 == y2, (c) y1 == w2 with the rest
-    disjoint, (d) y1 == w2 and y2 == w1, else the disjoint case."""
-    s1, s2 = {p.w1, p.z1}, {p.w2, p.z2}
-    shared = sorted(s1 & s2)
+    shared = sorted(set(s1) & set(s2))
+    if not shared and y1 != y2 and y2 in s1 and y1 not in s2:
+        sides.reverse()  # shape c seen from x2
+    (x1, alpha, y1, s1, gamma), (x2, beta, y2, s2, delta) = sides
     if shared:
-        return "a", _with_w(p, shared[0], shared[0])
-    if p.y1 == p.y2:
-        return "b", p
-    y1_in = p.y1 in s2
-    y2_in = p.y2 in s1
-    if y1_in and y2_in:
-        return "d", _with_w(p, p.y2, p.y1)
-    if y2_in and not y1_in:
-        p = _swap_sides(p)
-        y1_in = True
-    if y1_in:
-        return "c", _with_w(p, p.w1, p.y1)
-    return "disjoint", p
+        shape, w1, w2 = "a", shared[0], shared[0]
+    elif y1 == y2:
+        shape, w1, w2 = "b", s1[0], s2[0]
+    elif y1 in s2:
+        shape, w1, w2 = ("d", y2, y1) if y2 in s1 else ("c", s1[0], y1)
+    else:
+        shape, w1, w2 = "disjoint", s1[0], s2[0]
+    (z1,), (z2,) = set(s1) - {w1}, set(s2) - {w2}
+    return shape, CasePattern(v, x1, x2, alpha, beta, y1, y2, w1, w2, z1, z2,
+                              gamma, delta)
 
 
 def case2_2_1(g: EdgeColoredGraph, rep: GoodnessReport, p: CasePattern,
@@ -881,7 +865,9 @@ def _case2_2_2a(g: EdgeColoredGraph, rep: GoodnessReport, p: CasePattern):
     """Shared gamma/delta neighbor w: try the direct rectangle through w,
     else rewire both flanks away and reduce. g must be good, and `rep` is
     its report; by the rewire lemma in the coloring module docstring, the
-    rewired child is good exactly when it has no Type X vertex."""
+    rewired child is good exactly when it has no Type X vertex. The lift
+    puts x1 and x2 back around v, then w, by `_contraction_lift`s, so the
+    child cycle through w must avoid v."""
     tag = CASE_2_2_2A
     w = p.w1
     _require(w == p.w2, tag, "shape a needs w1 == w2")
@@ -906,20 +892,13 @@ def _case2_2_2a(g: EdgeColoredGraph, rep: GoodnessReport, p: CasePattern):
     _require(not child.type_x_sides, tag,
              "rewired graph is not_good")
 
-    def lift(sub: list[tuple[str, Cycle]]) -> list[tuple[str, Cycle]]:
-        cy = [c for _, c in sub if p.y1 in c]
-        _require(len(cy) == 1, tag, "expected one child cycle through y1")
-        cy = cy[0]
-        _require(w in cy, tag, "y1 cycle misses w")
-        _require(p.v not in cy, tag, "y1 cycle passes through v; rewire lift invalid")
-        cz = [c for _, c in sub if p.v in c]
-        _require(len(cz) == 1, tag, "expected one child cycle through v")
-        cz = cz[0]
+    lift_v = _contraction_lift(tag, (_oriented([p.x1, p.v, p.x2], (p.z2,)),), p.v)
+    lift_w = _contraction_lift(tag, (_oriented([p.x1, w, p.x2], (p.y2,)),), w)
 
-        out = [(tag, _lift_through(cy, w, _oriented([p.x1, w, p.x2], (p.y2,)))),
-               (tag, _lift_through(cz, p.v, _oriented([p.x1, p.v, p.x2], (p.z2,))))]
-        out.extend((t, c) for t, c in sub if p.y1 not in c and p.v not in c)
-        return out
+    def lift(sub: list[tuple[str, Cycle]]) -> list[tuple[str, Cycle]]:
+        _require(not any(w in c and p.v in c for _, c in sub), tag,
+                 "y1 cycle passes through v; rewire lift invalid")
+        return lift_w(lift_v(sub))
 
     return CaseReduction(child, lift, GOOD_REPORT)
 
@@ -982,7 +961,8 @@ def _case2_2_2c(g: EdgeColoredGraph, rep: GoodnessReport,
         add=[(p.x2, p.z2, p.beta)])
 
 
-def _case2_2_2d(p: CasePattern) -> list[tuple[str, Cycle]]:
+def _case2_2_2d(g: EdgeColoredGraph, rep: GoodnessReport,
+                p: CasePattern) -> list[tuple[str, Cycle]]:
     """Doubly-shared neighbors: the rectangle x1-y1-x2-y2 is rainbow. Its
     colors alpha, delta, beta, gamma differ: x1 and x2 are Type II, the
     pattern has alpha != beta and gamma != delta, and fact (i) of the
@@ -1121,7 +1101,8 @@ def fallback_search(g: EdgeColoredGraph, rep: GoodnessReport) -> FallbackResult:
 
 def _dispatch(comp: EdgeColoredGraph, rep: GoodnessReport):
     """Pick the applicable case; returns a direct batch, a `_Checked` one
-    or a CaseReduction."""
+    or a CaseReduction. A Case2_2 graph goes by its pattern's shape, from
+    `extract_case2_2_pattern`, through one table to its subcase."""
     m = len(comp.edges)
     if m == len(comp.components[0]):
         # degrees 2 and 4 and as many edges as vertices: every degree is 2,
@@ -1144,13 +1125,10 @@ def _dispatch(comp: EdgeColoredGraph, rep: GoodnessReport):
     chains = comp.singular_chains
     if chains and chains[0][0] >= 3:
         return case2_1(comp, rep, chains[0][1])
-    pat = extract_case2_2_pattern(comp)
-    shape, pat = normalize_case2_2(pat)
-    if shape == "disjoint":
-        return case2_2_1(comp, rep, pat)
-    if shape == "d":
-        return _case2_2_2d(pat)
-    return {"a": _case2_2_2a, "b": _case2_2_2b, "c": _case2_2_2c}[shape](comp, rep, pat)
+    shape, pat = extract_case2_2_pattern(comp)
+    # built per call, so that a patched module attribute is the one called
+    return {"disjoint": case2_2_1, "a": _case2_2_2a, "b": _case2_2_2b,
+            "c": _case2_2_2c, "d": _case2_2_2d}[shape](comp, rep, pat)
 
 
 class _Frame:

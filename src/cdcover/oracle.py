@@ -194,6 +194,10 @@ def _exact_multicover(m: int, cycles: list[tuple[tuple[int, ...], tuple[int, ...
         ok = search((1 << len(cycles)) - 1)
     except TimeoutError:
         return SearchResult("indeterminate")
+    finally:
+        # `search` calls itself through its closure cell, a reference
+        # cycle: empty the cell, so that its lists are freed on return
+        del search
     if not ok:
         return SearchResult("absent")
     return SearchResult("found", tuple(Cycle(cycles[i][0]) for i in chosen))

@@ -32,7 +32,6 @@ from cdcover.decomposer import (
     decompose,
     extract_case2_2_pattern,
     fallback_search,
-    normalize_case2_2,
     replay_case_failure,
 )
 from cdcover.graphs import Cycle, Graph, parse_graph6
@@ -1007,8 +1006,8 @@ def test_case2_2_1b_makes_no_goodness_check_of_its_end_block():
 def test_child_work_the_merge_lifts_throw_away():
     """How much finished child work the corpus's Case2_2_1 lifts throw
     away, pinned so that a change to it shows: the Case2_2_1b lifts; the
-    child cycles they drop, since each hands up only its detour, so
-    `len(sub) - 1` per lift that returns and the parent peels the rest
+    child cycles they drop, those that a lift that returns does not hand
+    up, `len(sub)` less the length of its batch, which the parent peels
     again; and the three-meeter Case2_2_1a lifts that fail both detours,
     which drop their whole child run. ROADMAP item 2 (step A salvages the
     three-meeter lift, step B keeps the end block's other cycles) is meant
@@ -1016,7 +1015,8 @@ def test_child_work_the_merge_lifts_throw_away():
     merges = [c for c in corpus().calls("case2_2_1") if c.lift is not None]
     end_block = [c.lift for c in merges
                  if c.result.report.verdict is GoodnessVerdict.ALMOST_GOOD]
-    dropped = sum(len(lift.args[0]) - 1 for lift in end_block if lift.error is None)
+    dropped = sum(len(lift.args[0]) - len(lift.result.batch)
+                  for lift in end_block if lift.error is None)
     failed = [c.lift for c in merges if c.lift.error is not None
               and c.lift.error.problem.startswith("both x-cycle detours failed")]
     assert (len(end_block), dropped, len(failed)) == (381, 1539, 33)
@@ -1155,7 +1155,7 @@ def test_case2_2_2c_contraction_closing_a_triangle_or_a_cut(join):
         (2, 3, 3), (2, 5, 3), (6, 8, 5), (7, 8, 6), *join])
     rep = check_goodness(g)
     assert [(v.condition, v.witness) for v in rep.violations] == [(6, 1)]
-    shape, p = normalize_case2_2(extract_case2_2_pattern(g))
+    shape, p = extract_case2_2_pattern(g)
     assert shape == "c" and (p.v, p.x1, p.x2, p.y1, p.y2, p.z2) == (0, 1, 2, 3, 4, 5)
     child = D._build_transform(g, "Probe", merge=[(0, 1, 3, 2)],
                                drop=[(0, 1), (1, 3), (2, 3), (0, 2), (2, 5)],
@@ -1174,11 +1174,51 @@ def test_case2_2_2c_contraction_closing_a_triangle_or_a_cut(join):
 
 def test_case2_2_pattern_extraction_and_shape_d():
     g = case2_2_2d_host()
-    pat = extract_case2_2_pattern(g)
+    shape, pat = extract_case2_2_pattern(g)
     assert pat.v == 0 and (pat.x1, pat.x2) == (1, 2)
-    shape, norm = normalize_case2_2(pat)
     assert shape == "d"
-    assert norm.w2 == norm.y1 and norm.w1 == norm.y2
+    assert pat.w2 == pat.y1 and pat.w1 == pat.y2
+
+
+# the functions `_dispatch` sends a Case2_2 graph to, but Case2_2_2d, whose
+# dispatch is known by the cycle it returns
+CASE2_2_FAMILY = frozenset({"case2_2_1", "_case2_2_2a", "_case2_2_2b", "_case2_2_2c"})
+
+
+def test_case2_2_patterns_meet_their_shapes():
+    """Every pattern that the corpus's Case2_2 graphs give meets its
+    shape's equalities, and {y1, w1, z1} and {y2, w2, z2} meet in nothing
+    else, but in shape a, which is read first. Each flank's second-color
+    neighbors are its pair, the w that the shape does not name is the
+    least of its pair, and the flanks are in sorted order but in a shape c
+    seen from x2. Every shape occurs, and c in both orders."""
+    seen = set()
+    for c in corpus().calls("_dispatch"):
+        if not ({i.name for i in c.inner() if i.caller == "_dispatch"} & CASE2_2_FAMILY
+                or (isinstance(c.result, list) and c.result[0][0] == D.CASE_2_2_2D)):
+            continue
+        g = c.args[0]
+        shape, p = extract_case2_2_pattern(g)
+        seen.add((shape, p.x1 < p.x2))
+        for x, a, y, w, z, c in ((p.x1, p.alpha, p.y1, p.w1, p.z1, p.gamma),
+                                 (p.x2, p.beta, p.y2, p.w2, p.z2, p.delta)):
+            assert set(g.adj[x]) == {p.v, y, w, z}
+            assert g.color(x, p.v) == g.color(x, y) == a
+            assert g.color(x, w) == g.color(x, z) == c
+        assert {"a": p.w1 == p.w2, "b": p.y1 == p.y2, "c": p.y1 == p.w2,
+                "d": p.y1 == p.w2 and p.y2 == p.w1, "disjoint": True}[shape]
+        shared = {p.y1, p.w1, p.z1} & {p.y2, p.w2, p.z2}
+        if shape == "a":  # read first, so other overlaps may come with it
+            assert p.w1 == min({p.w1, p.z1} & {p.w2, p.z2})
+        else:
+            assert shared == {"b": {p.y1}, "c": {p.y1}, "d": {p.y1, p.y2},
+                              "disjoint": set()}[shape], shape
+        # the w a shape does not name is the least of its pair
+        assert p.w1 < p.z1 or shape in ("a", "d")
+        assert p.w2 < p.z2 or shape in ("a", "c", "d")
+        assert p.x1 < p.x2 or shape == "c"
+    assert seen == {("a", True), ("b", True), ("c", True), ("c", False), ("d", True),
+                    ("disjoint", True)}
 
 
 def test_case2_2_2d_host_trace():

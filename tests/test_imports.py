@@ -8,8 +8,9 @@ as its message, so a check that holds builds no text.
 The decomposer builds no graph from scratch, and only `EdgeColoredGraph.edit`
 builds one without its validating constructor. Only the decomposer's
 removal check asks for a goodness check from a parent's report, only its
-entry points check a graph in full, and only the removal check makes the
-record of a removal it accepted. Only
+entry points check a graph in full, only the removal check makes the
+record of a removal it accepted, and only `extract_case2_2_pattern`
+builds a `CasePattern`. Only
 `graphs.lowpoint_search` stores discovery times and lowpoints. The
 brute-force oracle and the decomposer it certifies import nothing from
 each other. No module in src/cdcover imports `dataclasses`, and importing
@@ -860,6 +861,25 @@ def test_one_function_builds_a_case_failure():
     and carries the prescribed cycle when its graph is the input."""
     source = (SRC / "decomposer.py").read_text()
     assert call_scopes(source, "CaseFailure") == ["decompose"]
+
+
+def test_case_pattern_calls_detects_and_allows():
+    src = ("def extract(g):\n"
+           "    return 'a', CasePattern(v, x1, x2)\n"
+           "def _swap_sides(p):\n"
+           "    return D.CasePattern(p.v, p.x2, p.x1)\n"
+           "def reads(p: CasePattern) -> CasePattern:\n"
+           "    return isinstance(p, CasePattern) and p\n")
+    assert call_scopes(src, "CasePattern") == ["_swap_sides", "extract"]
+
+
+def test_one_function_builds_a_case_pattern():
+    """Only `decomposer.extract_case2_2_pattern` builds a `CasePattern`,
+    labelled as the subcase of its shape reads it, so no helper relabels
+    one."""
+    assert [f"{p.name}: {scope}" for p in MODULES
+            for scope in call_scopes(p.read_text(), "CasePattern")] == [
+        "decomposer.py: extract_case2_2_pattern"]
 
 
 # the decomposer's calls that name a case, each with the index of its

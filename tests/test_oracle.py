@@ -1,3 +1,4 @@
+import gc
 import hashlib
 import json
 import math
@@ -11,6 +12,7 @@ from hypothesis import given, settings, strategies as st
 
 from cdcover import oracle
 from cdcover.coloring import EdgeColoredGraph, check_goodness, parse_colored_edge_list, triangles
+from cdcover.decomposer import decompose
 from cdcover.graphs import Cycle, Graph, GraphError, find_bridges, is_cubic
 from cdcover.linegraph import build_line_graph
 from cdcover.oracle import (
@@ -248,6 +250,29 @@ def _within(nodes, search, *args) -> SearchResult:
 def test_brute_force_indeterminate_on_tiny_budget():
     res = _within(3, brute_force_cdc, petersen(), math.inf)
     assert res.status == "indeterminate"
+
+
+def test_searches_leave_no_garbage():
+    """With the cyclic collector paused, no oracle search, found or run out
+    of nodes, leaves garbage for it: the search's lists and candidate
+    tuples are freed as it returns. The engine, run on a line graph,
+    leaves none either."""
+    g = random_cubic_bridgeless(GeneratorConfig(16, 3))
+    lg = build_line_graph(random_cubic_bridgeless(GeneratorConfig(10, 0))).lg
+    calls = [partial(brute_force_cdc, g, math.inf),
+             partial(brute_force_rainbow_decomposition, lg, math.inf),
+             partial(_within, 3, brute_force_cdc, petersen(), math.inf),
+             partial(decompose, lg)]
+    collecting = gc.isenabled()
+    gc.disable()
+    try:
+        gc.collect()
+        for call in calls:
+            call()
+            assert gc.collect() == 0, call
+    finally:
+        if collecting:
+            gc.enable()
 
 
 def test_brute_force_cdc_searches_each_cycle_once():
