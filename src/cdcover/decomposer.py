@@ -46,6 +46,11 @@ and one `report_after_removal` checks what the batch leaves, or none when
 it leaves nothing. By the removal lemma in the coloring module docstring,
 this accepts exactly the batches whose cycles pass the checks one at a
 time. So a direct peel, one cycle and no child, has no check of its own.
+A lift refuses nothing its input proves: the input is the child's
+partition into checked cycles, so a vertex of degree 2k in the child lies
+on exactly k of them, and a rainbow one through a vertex of two colors
+uses one edge of each. So each lift is checked once, by the check of its
+batch; Case2_2_2a's keeps the one refusal the partition leaves open.
 The check returns a `_Checked` record of the batch, the remainder and its
 report, or raises. A case, lift or fallback search that must check a batch
 to choose it hands the engine that record, which is applied as it is. Any
@@ -338,9 +343,9 @@ def _contraction_lift(tag: str,
     """The lift of a child in which a contraction made vertex m: it expands
     the i-th child cycle through m by `expansions[i]` and hands every other
     cycle up as it is, since a child cycle that avoids m is a cycle of the
-    parent. m may also be Case2_2_2a's rewired w or v, a vertex of degree
-    2 that the lift puts x1 and x2 back around."""
-    k = len(expansions)
+    parent. m has degree 2k in the child, for k expansions, so it lies on
+    exactly k of the child's cycles. m may also be Case2_2_2a's rewired w
+    or v, a vertex of degree 2 that the lift puts x1 and x2 back around."""
 
     def lift(sub: list[tuple[str, Cycle]]) -> list[tuple[str, Cycle]]:
         through: list[Cycle] = []
@@ -350,9 +355,6 @@ def _contraction_lift(tag: str,
                 through.append(c)
             else:
                 rest.append((t, c))
-        _require(len(through) == k, tag,
-                 "expected {} child {} through the merged vertex, got {}",
-                 k, "cycle" if k == 1 else "cycles", len(through))
         return [(tag, _lift_through(c, m, exp))
                 for c, exp in zip(through, expansions)] + rest
 
@@ -708,10 +710,10 @@ def case2_2_1(g: EdgeColoredGraph, rep: GoodnessReport, p: CasePattern,
     docstring the child meets conditions 1-5, so its only possible defect
     is a Type X cut vertex, and it is good when `type_x_sides` is empty. If
     the child is good, child cycles avoiding both v and m lift unchanged and
-    the leftover one-or-two meeting cycles recombine explicitly; if not,
-    the reduction's child is instead the end x-block of the merged graph,
-    an almost-good graph, and one of its cycles through m detours through
-    v (subcase b).
+    the two or three that meet them are put back explicitly; if not, the
+    reduction's child is instead the end x-block of the merged graph, an
+    almost-good graph, and one of its cycles through m detours through v
+    (subcase b). Every lift puts m back by one detour, `_v_detour`.
     """
     child = _build_transform(
         g, "Case2_2_1",
@@ -720,46 +722,36 @@ def case2_2_1(g: EdgeColoredGraph, rep: GoodnessReport, p: CasePattern,
         merge=[(p.x1, p.x2)])
     m = min(p.x1, p.x2)
     if not child.type_x_sides:
-        return CaseReduction(child, _case2_2_1a_lift(g, rep, p, child, m), GOOD_REPORT)
+        return CaseReduction(child, _case2_2_1a_lift(g, rep, p, m), GOOD_REPORT)
     return _case2_2_1b(g, rep, p, child, m)
 
 
-def _case2_2_1a_lift(g, rep, p, child, m):
-    """Lift a good merged child whose merged vertex is m. If it leaves an
-    x-cycle in g, the lift returns the `_Checked` of the first detour that
-    passes: each detour it tries is one removal check of the whole batch,
-    which by the removal lemma accepts what removing the other cycles and
-    then the detour would. `rep` is g's report."""
+def _v_detour(p: CasePattern) -> Callable[[int, int], list[int]]:
+    """The expansion that puts Case 2.2.1's merged vertex m back: the path
+    x2-v-x1, turned so that x1 meets the gamma side {w1, z1}. A rainbow
+    child cycle through m leaves it by one gamma and one delta edge, so
+    this is a cycle of the parent through v."""
+    return _oriented([p.x2, p.v, p.x1], (p.w1, p.z1))
+
+
+def _case2_2_1a_lift(g, rep, p, m):
+    """Lift a good merged child whose merged vertex is m, of degree 4, on
+    two child cycles; v, of degree 2, is on one. If v's avoids m, the lift
+    leaves an x-cycle in g and returns the `_Checked` of the first detour
+    that passes: each detour it tries is one removal check of the whole
+    batch, which by the removal lemma accepts what removing the other
+    cycles and then the detour would. `rep` is g's report."""
     tag = CASE_2_2_1A
 
     def lift(sub: list[tuple[str, Cycle]]) -> list[tuple[str, Cycle]] | _Checked:
-        out: list[tuple[str, Cycle]] = []
-        meeters: list[Cycle] = []
-        for t, c in sub:
-            if m in c or p.v in c:
-                meeters.append(c)
-            else:
-                out.append((t, c))
-
-        with_v = [c for c in meeters if p.v in c]
-        _require(len(with_v) == 1, tag,
-                 "expected exactly one child cycle through v, got {}", len(with_v))
-        d1 = with_v[0]
-
-        if len(meeters) == 3:
+        out = [(t, c) for t, c in sub if m not in c and p.v not in c]
+        d1 = next(c for _, c in sub if p.v in c)
+        xcycles = [c for _, c in sub if m in c and c is not d1]
+        if len(xcycles) == 2:
             # v's cycle avoids the merged vertex: lift one x-cycle through v
-            _require(m not in d1, tag, "three meeting cycles but v-cycle uses x")
-            xcycles = [c for c in meeters if c is not d1]
-            _require(all(m in c for c in xcycles), tag, "meeting cycle misses x")
             return _detour_x_cycle(g, rep, p, m, tag, out, xcycles,
                                    "both x-cycle detours failed")
-
-        _require(len(meeters) == 2, tag,
-                 "unexpected meeting-cycle count {}", len(meeters))
-        _require(m in d1, tag, "two meeting cycles but v-cycle avoids x")
-        d2 = next(c for c in meeters if c is not d1)
-        _require(m in d2 and p.v not in d2, tag, "second meeting cycle malformed")
-        out.extend((tag, c) for c in _recombine_two_meeters(p, d1, d2, m, child))
+        out.extend((tag, c) for c in _recombine_two_meeters(p, d1, xcycles[0], m))
         return out
 
     return lift
@@ -768,11 +760,10 @@ def _case2_2_1a_lift(g, rep, p, child, m):
 def _detour_x_cycle(g, rep, p, m, tag: str, kept: list[tuple[str, Cycle]],
                     xcycles: list[Cycle], failure: str) -> _Checked:
     """The `_Checked` of the first of `xcycles`, child cycles through the
-    merged vertex m, whose detour through v (x2-v-x1, x1 on the gamma side)
-    passes one removal check from g with the `kept` batch. If none does,
-    raise with `failure` and the last detour's problem. `rep` is g's
-    report."""
-    detour = _oriented([p.x2, p.v, p.x1], (p.w1, p.z1))
+    merged vertex m, whose detour through v, `_v_detour`, passes one
+    removal check from g with the `kept` batch. If none does, raise with
+    `failure` and the last detour's problem. `rep` is g's report."""
+    detour = _v_detour(p)
     last = None
     for cand in xcycles:
         try:
@@ -782,39 +773,23 @@ def _detour_x_cycle(g, rep, p, m, tag: str, kept: list[tuple[str, Cycle]],
     raise CaseVerificationError(tag, f"{failure}: {last}")
 
 
-def _recombine_two_meeters(p, d1: Cycle, d2: Cycle, m: int, child) -> list[Cycle]:
-    """Split the two cycles that sweep the whole pattern, through v and
-    through the merged vertex m, into explicit rainbow cycles of the parent
-    covering the same edges."""
-    tag = CASE_2_2_1A
+def _recombine_two_meeters(p, d1: Cycle, d2: Cycle, m: int) -> list[Cycle]:
+    """Split the two cycles that sweep the whole pattern, d1 through v and
+    d2 through the merged vertex m, into rainbow cycles of the parent
+    covering the same edges. d1 runs v y2 ... s m t ... y1, and splits at m
+    into two cycles if t is on the gamma side, else turns into one; d2
+    detours through v."""
     seq = _rotate_to(d1.vertices, p.v)
-    _require({seq[1], seq[-1]} == {p.y1, p.y2}, tag, "v-cycle misses y1/y2")
     if seq[1] != p.y2:
         seq = [seq[0]] + list(reversed(seq[1:]))
     xi = seq.index(m)
-    _require(2 <= xi <= len(seq) - 3, tag, "merged vertex adjacent to a y")
-    s, t = seq[xi - 1], seq[xi + 1]
     q2 = seq[1:xi]          # y2 ... s
     q1 = seq[xi + 1:]       # t ... y1
-    col_s = child.coloring[edge(m, s)]
-    col_t = child.coloring[edge(m, t)]
-    _require({col_s, col_t} == {p.gamma, p.delta}, tag, "x-cycle colors broken")
-
-    p3 = _rotate_to(d2.vertices, m)[1:]     # a ... b
-    a, b = p3[0], p3[-1]
-
-    # t on the gamma side: two cycles plus the v detour; else one large one
-    w1p, w2p = (t, s) if col_t == p.gamma else (s, t)
-    z1p = p.z1 if w1p == p.w1 else p.w1
-    z2p = p.z2 if w2p == p.w2 else p.w2
-    _require({a, b} == {z1p, z2p}, tag,
-             "second cycle does not use the leftover flank edges")
-    p3_seq = p3 if a == z2p else list(reversed(p3))
-    small = Cycle(tuple([p.x1, p.v, p.x2] + p3_seq))
-    if col_t == p.gamma:
+    third = _lift_through(d2, m, _v_detour(p))
+    if q1[0] in (p.w1, p.z1):
         return [Cycle(tuple([p.x1] + q1)), Cycle(tuple([p.x2] + list(reversed(q2)))),
-                small]
-    return [Cycle(tuple([p.x1] + list(reversed(q2)) + [p.x2] + q1)), small]
+                third]
+    return [Cycle(tuple([p.x1] + list(reversed(q2)) + [p.x2] + q1)), third]
 
 
 def _case2_2_1b(g, rep_g, p, child, m) -> CaseReduction:
@@ -828,7 +803,9 @@ def _case2_2_1b(g, rep_g, p, child, m) -> CaseReduction:
     a path when no x-block holds three, m's x-block is an end when it holds
     one, which is the joining vertex t, and v's is the other end when it is
     another x-block that holds one. By the end-block lemma in the same
-    docstring, the end x-block is almost-good at t."""
+    docstring, the end x-block is almost-good at t. m is no Type X vertex,
+    so its four edges, toward the flanks, lie in its x-block, and v has
+    degree 2, so y1 and y2 lie in v's."""
     tag = CASE_2_2_1B
     txv = set(child.type_x_sides)
     _require(m not in txv, tag, "merged vertex became Type X")
@@ -839,22 +816,15 @@ def _case2_2_1b(g, rep_g, p, child, m) -> CaseReduction:
     bv = next(b for b in blocks if p.v in b)
     _require(bv is not bx and len(bv & txv) == 1, tag,
              "v not in the opposite end x-block")
-    for u in (p.w1, p.z1, p.w2, p.z2):
-        _require(u in bx, tag, "flank {} outside end block", u)
-    for u in (p.y1, p.y2):
-        _require(u in bv, tag, "{} outside the v block", u)
     (t,) = bx & txv
     end = child.edit(drop=[e for e in child.edges if e[0] not in bx or e[1] not in bx])
 
     def lift(sub: list[tuple[str, Cycle]]) -> _Checked:
-        xcycles = [c for _, c in sub if m in c]
-        _require(len(xcycles) == 2, tag,
-                 "expected 2 cycles through the merged vertex, got {}", len(xcycles))
-        candidates = [c for c in xcycles if t not in c]
-        _require(candidates, tag, "both x-cycles pass through the joining vertex")
-        # The end block is almost-good at t and m != t, so a candidate was
-        # typed rainbow: it leaves m by one gamma edge, toward w1 or z1, and
-        # one delta edge, and detours as the three-meeter lift's x-cycle does.
+        # m has degree 4 in the end block and t degree 2, so m lies on two
+        # child cycles and t on one: at least one of m's avoids t. As m !=
+        # t, such a candidate was typed rainbow, and detours as the
+        # three-meeter lift's x-cycle does.
+        candidates = [c for _, c in sub if m in c and t not in c]
         return _detour_x_cycle(g, rep_g, p, m, tag, [], candidates,
                                "detour cycle failed verification")
 
@@ -926,11 +896,12 @@ def _case2_2_2c(g: EdgeColoredGraph, rep: GoodnessReport,
                 p: CasePattern) -> CaseReduction:
     """y1 == w2: contract the rectangle x1-y1-x2-v, folding delta into beta.
 
-    A child cycle through the merged vertex must use one of its two beta
-    edges; the one toward y2 expands through y1, the one toward z2 through v.
-    `rep` is g's report, which must be good; the child's report is its Type
-    X search's, by the recolored rectangle lemma in the coloring module
-    docstring.
+    The merged vertex has degree 4, gamma toward w1, z1 and beta toward y2,
+    z2, so it lies on two child cycles, and each, rainbow, uses one of its
+    gamma edges and one of its beta edges; the one toward y2 expands
+    through y1, the one toward z2 through v. `rep` is g's report, which
+    must be good; the child's report is its Type X search's, by the
+    recolored rectangle lemma in the coloring module docstring.
     """
     tag = CASE_2_2_2C
     _require_verdict(rep, tag, GoodnessVerdict.GOOD)
@@ -942,15 +913,9 @@ def _case2_2_2c(g: EdgeColoredGraph, rep: GoodnessReport,
     _require(not g.has_edge(p.y2, p.z2), tag,
              "contracted graph is not_good")
     gamma_side = {p.w1, p.z1}
-    seen_beta: set[int] = set()  # the lift runs once per reduction
 
     def expand(a: int, b: int) -> list[int]:
         beta_end = b if a in gamma_side else a
-        _require(beta_end in (p.y2, p.z2), tag,
-                 "rectangle cycle lacks a beta-side edge")
-        _require(beta_end not in seen_beta, tag,
-                 "both rectangle cycles use the same beta edge")
-        seen_beta.add(beta_end)
         mid = [p.x2, p.y1, p.x1] if beta_end == p.y2 else [p.x2, p.v, p.x1]
         return mid if a in gamma_side else mid[::-1]
 

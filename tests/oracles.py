@@ -172,7 +172,10 @@ def case2_2_1b_by_walking(child: EdgeColoredGraph, p, m: int) -> int | str:
     the x-blocks by the definition, and each Type X vertex joins the two
     that hold it. The tree must be a path, m's x-block one end of it and
     v's the other, holding the flanks and y1, y2 respectively; t joins
-    m's x-block to the next one along the path."""
+    m's x-block to the next one along the path. Case2_2_1b makes no check
+    of the flanks or of y1, y2: m is no Type X vertex and v has degree 2,
+    so each holds its neighbors. This reference keeps both, so that a
+    comparison with it tests that implication."""
     txv = type_x_by_pseudoblock_splits(child)
     if m in txv:
         return "merged vertex became Type X"

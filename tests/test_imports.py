@@ -10,9 +10,9 @@ builds one without its validating constructor. Only the decomposer's
 removal check asks for a goodness check from a parent's report, only its
 entry points check a graph in full, only the removal check makes the
 record of a removal it accepted, and only `extract_case2_2_pattern`
-builds a `CasePattern`. Only
-`graphs.lowpoint_search` stores discovery times and lowpoints. The
-brute-force oracle and the decomposer it certifies import nothing from
+builds a `CasePattern`. No lift in the decomposer refuses, but
+Case2_2_2a's. Only `graphs.lowpoint_search` stores discovery times and
+lowpoints. The brute-force oracle and the decomposer it certifies import nothing from
 each other. No module in src/cdcover imports `dataclasses`, and importing
 the package and its CLI loads none of `dataclasses`, `inspect`, `ast` and
 `pathlib`. Every layer the benchmark's tracer wraps still exists under
@@ -980,6 +980,63 @@ def test_require_messages_are_constant_templates():
     template, so a check that holds formats nothing."""
     assert [f"{p.name}: {hit}" for p in MODULES
             for hit in built_require_messages(p.read_text())] == []
+
+
+def lift_refusals(source: str) -> list[str]:
+    """`function: name` for each call of `_require`, or of an attribute so
+    named, and each reading of `CaseVerificationError`, in a function
+    named `lift` or `expand` nested in another, or in one nested in such
+    a function, with functions as `scoped_nodes` names them. Sorted."""
+    found = []
+    for scope, node in scoped_nodes(source):
+        if not {"lift", "expand"} & set(scope.split(".")[1:]):
+            continue
+        if isinstance(node, ast.Call):
+            func = node.func
+            name = func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", None)
+            if name == "_require":
+                found.append(f"{scope}: _require")
+        elif isinstance(node, (ast.Name, ast.Attribute)):
+            name = node.id if isinstance(node, ast.Name) else node.attr
+            if name == "CaseVerificationError":
+                found.append(f"{scope}: CaseVerificationError")
+    return sorted(found)
+
+
+def test_lift_refusals_detects_and_allows():
+    src = ("def _contraction_lift(tag, m):\n"
+           "    _require(m, tag, 'outside the lift')\n"
+           "    def lift(sub):\n"
+           "        _require(sub, tag, 'expected {}', len(sub))\n"
+           "        return sub\n"
+           "    return lift\n"
+           "def _case(g, p):\n"
+           "    def expand(a, b):\n"
+           "        def turned(path):\n"
+           "            raise D.CaseVerificationError(tag, 'no end')\n"
+           "        return turned([a])\n"
+           "    def lift(sub):\n"
+           "        try:\n"
+           "            return _check_removal(g, rep, sub)\n"
+           "        except CaseVerificationError:\n"
+           "            return D._require(False, tag, 'x')\n"
+           "    def build(sub):\n"
+           "        _require(sub, tag, 'not a lift')\n"
+           "def lift(sub):\n"
+           "    _require(sub, tag, 'a module-level function')\n")
+    assert lift_refusals(src) == [
+        "_case.expand.turned: CaseVerificationError", "_case.lift: CaseVerificationError",
+        "_case.lift: _require", "_contraction_lift.lift: _require"]
+
+
+def test_lifts_refuse_nothing_their_input_proves():
+    """A lift's input is the child's partition into checked cycles, and
+    the removal check of its batch is its one check, so no nested `lift`
+    or `expand` in the decomposer refuses. The one exception is
+    Case2_2_2a's lift, whose refusal, that the child cycle through w
+    avoids v, the partition leaves open."""
+    assert lift_refusals((SRC / "decomposer.py").read_text()) == [
+        "_case2_2_2a.lift: _require"]
 
 
 def removal_records(source: str) -> list[str]:
