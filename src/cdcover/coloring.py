@@ -114,9 +114,11 @@ Case2_2_2a, 2b, 2c) or almost-good at the case's vertex v (Case1_1,
 Case1_2); Case2_2_1b then keeps an end x-block of Case2_2_1's child, by
 the end-block lemma below. By the lemma for its case, the child meets
 conditions 1-5, and no vertex sees one color, except in one local
-configuration that the case rejects before it builds. So the child is good
-exactly when its Type X search finds nothing (`type_x_sides`). The labels
-are the case's. In the Case2_2 family (`decomposer.CasePattern`, which
+configuration that no good or almost-good parent has. So the child is good
+exactly when its Type X search finds nothing (`type_x_sides`). No case
+but Case2_2_2a checks the pattern its lemma reads: as each lemma shows,
+the parent's report and the dispatch that reaches the case imply it.
+The labels are the case's. In the Case2_2 family (`decomposer.CasePattern`, which
 `decomposer.extract_case2_2_pattern` labels once, as its shape's subcase
 reads it), v is Type I with colors alpha and beta; x1 pairs alpha, to v
 and y1, with gamma, to w1 and z1; x2 pairs beta, to v and y2, with delta,
@@ -124,9 +126,11 @@ to w2 and z2.
 Two facts recur. (i) A class of color c that spans three vertices spans no
 fourth, so an edge with an end outside that span is not of color c. In the
 Case2_2 family, alpha spans v, x1 and y1, so its class is the two edges
-vx1, x1y1, as v has degree 2; likewise beta. (ii) A vertex whose edges
-keep their colors, whatever their other ends become, still meets
-conditions 1, 2 and 4.
+vx1, x1y1, as v has degree 2; likewise beta. So a vertex that sees two
+such colors has degree 2, as y does in shape b and y1 in shape c. And
+gamma != delta, or that class would span x1, x2, w1 and z1. (ii) A
+vertex whose edges keep their colors, whatever their other ends become,
+still meets conditions 1, 2 and 4.
 
 The pair lemma. Let H meet conditions 1-5, with its bad vertex, if any,
 in a set S. Let the child merge S into m = min S and drop the edges inside
@@ -143,17 +147,20 @@ colors, or one like (m, a, a'). Edge aa' is not of color c by (i), as a'
 is outside c's span x, a, b, and not c' either, so that triangle is
 rainbow.
 
-Case1_1 contracts the monochromatic triangle S = {v, x1, x2} at the bad
-vertex v. The case checks that x1's other two edges have one color, beta,
-and x2's one color, gamma, with beta != gamma, and that the two pairs have
-no common end. v sees only alpha, the triangle's color, and x2 sees alpha
+Case1_1 contracts the triangle S = {v, x1, x2} at the bad vertex v,
+which condition 3 makes monochromatic, of v's color alpha. x1 sees a
+second color, so it has degree 4, and as alpha spans v, x1 and x2, its
+other two edges have one color, beta; likewise x2's have one color,
+gamma. beta != gamma, or beta would span four vertices, and the two
+pairs have no common end w, or (x1, x2, w) would be a rainbow triangle,
+which the dispatch removes first. v sees only alpha, and x2 sees alpha
 and gamma, so no other vertex of S sees beta. Likewise no other vertex
 sees gamma, and the pair lemma applies. Case2_2_2b contracts the rectangle
 S = {v, x1, y, x2}, where y = y1 = y2 is Type I, so v and y see alpha and
 beta only. The pairs are x1's gamma pair and x2's delta pair, which have
 no common end, or the shape would be a. gamma is not alpha, as x1 sees two
 colors. It is not beta, by (i), since x1 is outside beta's span v, x2, y.
-It is not delta, which the pattern checks. So x2 does not see gamma, and
+It is not delta, as shown above. So x2 does not see gamma, and
 likewise x1 does not see delta: the pair lemma applies.
 
 The merge lemma (Case2_2_1, the disjoint shape). The child replaces the
@@ -178,15 +185,16 @@ sees two colors. y2 keeps its colors, and (ii) covers the rest. Then the
 pair lemma's argument holds, with x1's gamma pair and beta at m, except
 for the triangle (m, y2, z2) when y2 ~ z2. Then (x2, y2, z2) was a
 triangle of H with colors beta and delta, so rainbow, and the new one
-has beta twice and a third color. The case rejects that configuration. A
-good H never has it. y2 sees beta once and z2 sees delta once, so each
-has degree 2: three edges of its other color would make that color span
-four vertices. So x2, v, y1, y2 and z2 have no neighbors but each other
-and x1, and x1 separates its alpha pair from its gamma pair: it is a
-Type X cut vertex.
+has beta twice and a third color. A good H never has it. y2 sees beta
+once and z2 sees delta once, so each has degree 2: three edges of its
+other color would make that color span four vertices. So x2, v, y1, y2
+and z2 have no neighbors but each other and x1, and x1 separates its
+alpha pair from its gamma pair: it is a Type X cut vertex.
 
-The edge lemma (Case1_2). H is almost-good at v, and v's neighbors x1 and
-x2 have degree 2 and are not adjacent. Let y1 and y2 be their other
+The edge lemma (Case1_2). H is almost-good at v, and v's neighbors x1
+and x2 are not adjacent. Then x1 has degree 2: alpha spans v, x1 and x2,
+so vx1 is x1's one alpha edge, and three edges of its other color would
+span four vertices; likewise x2. Let y1 and y2 be their other
 neighbors. The child merges v and x1 into m and drops vx1. So m has
 degree 2, with m x2 of color alpha and m y1 of color a1 = c(x1y1), which
 is not alpha, as x1 sees two colors. alpha's class is {vx1, vx2}, by (i)
@@ -195,10 +203,10 @@ spans m in place of x1, as v sees only alpha. (ii) covers every other
 vertex, and v, the one vertex of color degree 1, is merged. The one
 triangle through m is (m, x2, y1), when y1 = y2. Its colors are alpha, a1
 and a2 = c(x2y2), which is not alpha either, so it is rainbow unless
-a1 = a2. The case rejects that configuration. An almost-good H never has
-it: y = y1 = y2 then sees a1 on its edges to x1 and x2. With degree 2, y
-is a second vertex of color degree 1. With degree 4, the cycle v x1 y x2
-meets the rest at y alone, which makes y a Type X cut vertex.
+a1 = a2. An almost-good H never has it: y = y1 = y2 then sees a1 on its
+edges to x1 and x2. With degree 2, y is a second vertex of color
+degree 1. With degree 4, the cycle v x1 y x2 meets the rest at y alone,
+which makes y a Type X cut vertex.
 
 The rewire lemma (Case2_2_2a, where w = w1 = w2). The case checks that w,
 y1, y2, z1 and z2 are Type I and that {y1, z1} and {y2, z2} do not meet.

@@ -32,11 +32,20 @@ whole run of the paper's one-edge steps, each along the first singular
 chain the last one left, until the next dispatch would pick another case:
 the run has one child, one lift and one verification of its lifted
 cycles. The other reduction lemmas show that every other child meets
-conditions 1-5, once its case has rejected the one local configuration
-that would break them, so it is good exactly when its Type X search finds
+conditions 1-5, so it is good exactly when its Type X search finds
 nothing. Case2_2_1b's child, the end x-block of a merged graph whose only
 defect is Type X, needs no search: the end-block lemma proves it
-almost-good at the vertex that joins it to the rest. Only the one entry,
+almost-good at the vertex that joins it to the rest.
+A reduction refuses nothing its parent's report proves. A case's
+hypothesis is the parent's verdict, which `_require_verdict` checks, so
+that a direct call with a wrong report refuses; the dispatch's branch that
+reaches it, which each public case checks at most once; and, for a Case2_2
+subcase, the shape `extract_case2_2_pattern` read. The pattern the case
+reads off follows from these by the lemma's own argument, so no case
+re-checks a degree, a color or an overlap, nor the one configuration that
+would break a lemma, which no good or almost-good parent has. What is
+left are the Type X decisions, Case2_2_2a's rewire preconditions and the
+x-block path of Case2_2_1b, which no lemma yet decides. Only the one entry,
 `decompose`, checks a graph in full: the root. The engine is one loop over
 an explicit stack of frames: a reduction's child is peeled on a frame
 above its waiting parent, so the depth of the reduction tree costs no
@@ -453,7 +462,8 @@ def _all_type2_cycle(g: EdgeColoredGraph) -> Cycle:
     the start counts once the path has 3 vertices. Color classes are
     triangles, so no vertex repeats, and stuck at cur, cur's color alpha
     other than its arrival color was used on the edge joining its two
-    alpha-neighbors: the path after that edge is the cycle."""
+    alpha-neighbors: the path after that edge is the cycle, of at least 3
+    vertices, as cur's arrival edge is not of color alpha."""
     start = min(g.components[0])
     path = [start]
     at: dict[int, int] = {}  # used color -> index of the path edge using it
@@ -466,10 +476,7 @@ def _all_type2_cycle(g: EdgeColoredGraph) -> Cycle:
         if nxt is None:
             arrive = g.color(path[-2], cur)
             alpha = next(c for c in g.colors_at(cur) if c != arrive)
-            j = at.get(alpha)
-            _require(j is not None and len(path) - j - 1 >= 3, ALL_TYPE_II,
-                     "color {} at {} closes no cycle of the walk", alpha, cur)
-            return Cycle(tuple(path[j + 1:]))
+            return Cycle(tuple(path[at[alpha] + 1:]))
         at[g.color(cur, nxt)] = len(path) - 1
         path.append(nxt)
 
@@ -485,28 +492,15 @@ def case1_1(g: EdgeColoredGraph, rep: GoodnessReport, v: int) -> CaseReduction:
     path x1-v-x2 (giving the one almost-rainbow cycle) and the edge x1-x2.
     `rep` is g's report, which must be almost-good at v; the child's
     report is its Type X search's, by the pair lemma in the coloring
-    module docstring.
+    module docstring. The case checks only that x1 ~ x2, the dispatch's
+    branch: the report and the branch prove the rest of the lemma's
+    pattern (see the Case1_1 paragraph there).
     """
     tag = CASE_1_1
     _require_verdict(rep, tag, GoodnessVerdict.ALMOST_GOOD, v)
-    _require(g.degree(v) == 2, tag, "bad vertex {} must have degree 2", v)
     x1, x2 = sorted(g.adj[v])
-    alpha = g.color(v, x1)
-    _require(g.color(v, x2) == alpha, tag, "bad vertex colors disagree")
     _require(g.has_edge(x1, x2), tag, "neighbors not adjacent")
-    _require(g.color(x1, x2) == alpha, tag,
-             "triangle at the bad vertex is not monochromatic")
     side1 = [w for w in g.adj[x1] if w not in (v, x2)]
-    side2 = [w for w in g.adj[x2] if w not in (v, x1)]
-    _require(len(side1) == 2 and len(side2) == 2, tag,
-             "bad vertex neighbors are not Type II")
-    beta = {g.color(x1, w) for w in side1}
-    gamma = {g.color(x2, w) for w in side2}
-    _require(len(beta) == 1 and len(gamma) == 1 and beta != gamma, tag,
-             "flanking color pairs are malformed")
-    _require(not (set(side1) & set(side2)), tag,
-             "flanking neighborhoods overlap (rainbow triangle missed)")
-
     return _contraction(
         g, tag, (_oriented([x2, v, x1], side1), _oriented([x2, x1], side1)),
         merge=(v, x1, x2), drop=[edge(v, x1), edge(v, x2), edge(x1, x2)])
@@ -519,25 +513,15 @@ def case1_2(g: EdgeColoredGraph, rep: GoodnessReport, v: int) -> CaseReduction:
     almost-rainbow cycle through v; everything else lifts unchanged. `rep`
     is g's report, which must be almost-good at v; the child's report is
     its Type X search's, by the edge lemma in the coloring module docstring.
+    The case checks only that x1 and x2 are not adjacent, the dispatch's
+    branch: by that lemma, x1 and x2 then have degree 2, and no
+    almost-good parent closes a two-colored triangle (m, x2, y1).
     """
     tag = CASE_1_2
     _require_verdict(rep, tag, GoodnessVerdict.ALMOST_GOOD, v)
-    _require(g.degree(v) == 2, tag, "bad vertex {} must have degree 2", v)
     x1, x2 = sorted(g.adj[v])
-    alpha = g.color(v, x1)
-    _require(g.color(v, x2) == alpha, tag, "bad vertex colors disagree")
     _require(not g.has_edge(x1, x2), tag, "neighbors adjacent; wrong case")
-    for x in (x1, x2):
-        _require(g.degree(x) == 2, tag,
-                 "neighbor {} of the bad vertex is not Type I", x)
     y1 = next(w for w in g.adj[x1] if w != v)
-    y2 = next(w for w in g.adj[x2] if w != v)
-    _require(y1 != x2 and y2 != x1, tag, "degenerate flank")
-    # the one configuration in which the edge lemma's child breaks a
-    # condition: the triangle (m, x2, y1) with two colors
-    _require(y1 != y2 or g.color(x1, y1) != g.color(x2, y2), tag,
-             "contracted graph is not_good")
-
     # the merged vertex splits back into x1-v; x1 attaches toward y1
     return _contraction(g, tag, (_oriented([v, x1], (y1,)),),
                         merge=(v, x1), drop=[edge(v, x1)])
@@ -547,34 +531,38 @@ def case1_2(g: EdgeColoredGraph, rep: GoodnessReport, v: int) -> CaseReduction:
 # Case 2.1: a singular path of length >= 3
 
 
-def case2_1(g: EdgeColoredGraph, rep: GoodnessReport,
-            path: Sequence[int]) -> CaseReduction:
-    """Contract the middle edge of a singular path v0 v1 v2 v3, and go on
-    while the next dispatch would pick Case2_1 again: while the contracted
-    graph has no rainbow triangle and its first singular chain still has
-    length at least 3, contract that chain's first inner edge. Each step is
-    the paper's one-edge Case 2.1; the run is one reduction.
+def case2_1(g: EdgeColoredGraph, rep: GoodnessReport) -> CaseReduction:
+    """Contract the middle edge of the singular path v0 v1 v2 v3 that opens
+    g's first singular chain, and go on while the next dispatch would pick
+    Case2_1 again: while the contracted graph has no rainbow triangle and
+    its first singular chain still has length at least 3, contract that
+    chain's first inner edge. Each step is the paper's one-edge Case 2.1;
+    the run is one reduction.
 
-    `rep` is g's report, which must be good. A step with lo, hi = min and
-    max of v1, v2 drops lo-hi and gives hi's other edge to lo with its
-    color, leaving hi isolated. By the contraction lemma in the coloring
-    module docstring, each step's child is good unless v0 ~ v3 and c(v0v3)
-    is c(v0v1) or c(v2v3), which is rejected, and g's components, rainbow
-    triangle and singular chains carry over from step to step. Each step
-    checks its path against the changed adjacency and colors only; the
-    child is one `edit` of g, with the three facts filled in. Its lift
-    (`_run_lift`) is the steps' one-edge lifts, `_contraction_lift`s
-    applied innermost first, each of which subdivides its merged vertex
-    back as the paper's one-edge step does.
+    `rep` is g's report, which must be good, and the case checks only that
+    the first chain has length at least 3, the dispatch's branch. A step
+    with lo, hi = min and max of v1, v2 drops lo-hi and gives hi's other
+    edge to lo with its color, leaving hi isolated. By the contraction
+    lemma in the coloring module docstring, each step's child is good, as
+    no good parent has a chord v0v3 of color c(v0v1) or c(v2v3), and g's
+    components, rainbow triangle and singular chains carry over from step
+    to step. So each step's path, the first four vertices of the first
+    chain, needs no check of its own: they are distinct, as a chain of
+    length 3 that closes is a triangle through two Type I vertices, so
+    rainbow, and the run stops at one. The child is one `edit` of g, with
+    the three facts filled in. Its lift (`_run_lift`) is the steps' one-edge lifts,
+    `_contraction_lift`s applied innermost first, each of which
+    subdivides its merged vertex back as the paper's one-edge step does.
     """
     tag = CASE_2_1
     _require_verdict(rep, tag, GoodnessVerdict.GOOD)
+    chains = list(g.singular_chains)
+    _require(bool(chains) and chains[0][0] >= 3, tag, "singular path too short")
     base_adj, base_colors = g.adj, g.coloring
     adj: dict[int, tuple[int, ...]] = {}  # the neighbor tuples a step changed
     added: dict[Edge, int] = {}  # edges the run added, with their colors
     dropped: set[Edge] = set()  # edges of g the run dropped
     tri = g.rainbow_triangle
-    chains = list(g.singular_chains)
     steps: list[tuple[int, int, int, int]] = []
 
     def nbrs(x: int) -> tuple[int, ...]:
@@ -585,20 +573,8 @@ def case2_1(g: EdgeColoredGraph, rep: GoodnessReport,
         return added[e] if e in added else base_colors[e]
 
     while True:
-        _require(len(path) >= 4, tag, "singular path too short")
-        v0, v1, v2, v3 = path[0], path[1], path[2], path[3]
-        _require(len({v0, v1, v2, v3}) == 4, tag, "singular path vertices repeat")
-        for t in (v1, v2):
-            ts = nbrs(t)
-            _require(len(ts) == 2 and color(t, ts[0]) != color(t, ts[1]),
-                     tag, "interior vertex {} is not Type I", t)
-        _require(v0 in nbrs(v1) and v2 in nbrs(v1) and v3 in nbrs(v2), tag,
-                 "({}, {}, {}, {}) is not a path of the graph", v0, v1, v2, v3)
-        chord = v3 in nbrs(v0)
-        if chord:
-            _require(color(v0, v3) not in (color(v0, v1), color(v2, v3)), tag,
-                     "contracted graph is not_good")
-
+        length, seq = chains.pop(0)
+        v0, v1, v2, v3 = seq[:4]
         lo, hi = min(v1, v2), max(v1, v2)
         out = v3 if hi == v2 else v0
         moved = color(hi, out)
@@ -611,20 +587,16 @@ def case2_1(g: EdgeColoredGraph, rep: GoodnessReport,
         adj[out] = tuple(sorted([lo if w == hi else w for w in nbrs(out)]))
         steps.append((v0, v1, v2, lo))
 
-        if chord:
+        if v3 in nbrs(v0):  # the step closed the triangle (v0, lo, v3)
             closed = Cycle((v0, lo, v3))
             if tri is None or closed.vertices < tri.vertices:
                 tri = closed
-        i = next(i for i, (_, seq) in enumerate(chains) if hi in seq)
-        length, seq = chains.pop(i)
-        seq = tuple([x for x in seq if x != hi])
-        # hi is neither end of its chain, so the chain keeps its ends and
-        # only needs turning to its least reading
-        insort(chains, (length - 1, min(seq, seq[::-1])),
+        # the chain keeps its ends, and its second vertex becomes lo, no
+        # greater than before, so it still reads least from v0
+        insort(chains, (length - 1, (v0, lo, *seq[3:])),
                key=lambda c: (-c[0], c[1]))
         if tri is not None or chains[0][0] < 3:
             break
-        path = chains[0][1]
 
     child = g.edit(drop=dropped, add=added)
     gone = {v1 + v2 - lo for _, v1, v2, lo in steps}
@@ -661,28 +633,26 @@ def extract_case2_2_pattern(g: EdgeColoredGraph) -> tuple[str, CasePattern]:
     of their overlap shape reads them: (a) w1 == w2, (b) y1 == y2, (c) y1
     == w2 with the rest disjoint, (d) y1 == w2 and y2 == w1, else
     "disjoint". x1 < x2 but in a shape c seen from x2; w1, w2 are the
-    least of their pairs unless the shape names them."""
-    tag = "Case2_2"
-    _require(bool(g.type1), tag, "no Type I vertex")
+    least of their pairs unless the shape names them.
+
+    The one check is that g has a Type I vertex, which the dispatch's
+    branch, a good graph not all Type II, gives. The rest of the pattern
+    follows from goodness and the branch: a Type I flank would lie on a
+    chain of length 3, so each flank is Type II, each of its colors on two
+    edges by condition 5; the flanks are not adjacent, or (v, x1, x2) would
+    be a two-colored triangle or the rainbow one the dispatch takes
+    first; and gamma != delta, or gamma would span x1, x2, w1 and z1."""
+    _require(bool(g.type1), "Case2_2", "no Type I vertex")
     v = min(g.type1)
     x1, x2 = sorted(g.adj[v])
     sides = []
     for x in (x1, x2):
         a = g.color(v, x)
-        _require(g.degree(x) == 4, tag, "flank {} is not Type II", x)
         others = [w for w in g.adj[x] if w != v]
-        ys = [w for w in others if g.color(x, w) == a]
-        _require(len(ys) == 1, tag, "flank {} lacks a second edge of the v color", x)
-        rest = [w for w in others if g.color(x, w) != a]
-        cols = {g.color(x, w) for w in rest}
-        _require(len(rest) == 2 and len(cols) == 1, tag,
-                 "flank {} second color pair malformed", x)
-        sides.append((x, a, ys[0], sorted(rest), cols.pop()))
-    (_, alpha, y1, s1, gamma), (_, beta, y2, s2, delta) = sides
-    _require(y1 not in (v, x2) and y2 not in (v, x1), tag, "degenerate pattern")
-    _require(x2 not in (y1, *s1) and x1 not in (y2, *s2), tag,
-             "flanks adjacent; rainbow triangle missed")
-    _require(gamma != delta and alpha != beta, tag, "color degeneracy")
+        y = next(w for w in others if g.color(x, w) == a)
+        rest = sorted(w for w in others if w != y)
+        sides.append((x, a, y, rest, g.color(x, rest[0])))
+    (_, _, y1, s1, _), (_, _, y2, s2, _) = sides
     shared = sorted(set(s1) & set(s2))
     if not shared and y1 != y2 and y2 in s1 and y1 not in s2:
         sides.reverse()  # shape c seen from x2
@@ -837,10 +807,9 @@ def _case2_2_2a(g: EdgeColoredGraph, rep: GoodnessReport, p: CasePattern):
     its report; by the rewire lemma in the coloring module docstring, the
     rewired child is good exactly when it has no Type X vertex. The lift
     puts x1 and x2 back around v, then w, by `_contraction_lift`s, so the
-    child cycle through w must avoid v."""
+    child cycle through w must avoid v. `p` is shape a's, with w1 == w2."""
     tag = CASE_2_2_2A
     w = p.w1
-    _require(w == p.w2, tag, "shape a needs w1 == w2")
     try:
         return _check_removal(g, rep, [(tag, Cycle((p.x1, p.v, p.x2, w)))])
     except CaseVerificationError as err:
@@ -877,17 +846,14 @@ def _case2_2_2b(g: EdgeColoredGraph, rep: GoodnessReport,
                 p: CasePattern) -> CaseReduction:
     """Shared alpha/beta neighbor y: contract the rectangle x1-y-x2-v.
     `rep` is g's report, which must be good; the child's report is its
-    Type X search's, by the pair lemma in the coloring module docstring."""
+    Type X search's, by the pair lemma in the coloring module docstring.
+    `p` is shape b's, with y1 == y2, and y is Type I by fact (i) there,
+    as it sees alpha and beta, whose classes span three vertices each."""
     tag = CASE_2_2_2B
     _require_verdict(rep, tag, GoodnessVerdict.GOOD)
     y = p.y1
-    _require(y == p.y2, tag, "shape b needs y1 == y2")
-    _require(g.degree(y) == 2, tag, "shared y must be Type I")
-    gamma_side = (p.w1, p.z1)
     return _contraction(
-        g, tag,
-        (_oriented([p.x2, p.v, p.x1], gamma_side),
-         _oriented([p.x2, y, p.x1], gamma_side)),
+        g, tag, (_v_detour(p), _oriented([p.x2, y, p.x1], (p.w1, p.z1))),
         merge=(p.v, p.x1, y, p.x2),
         drop=[edge(p.v, p.x1), edge(p.x1, y), edge(y, p.x2), edge(p.x2, p.v)])
 
@@ -901,17 +867,13 @@ def _case2_2_2c(g: EdgeColoredGraph, rep: GoodnessReport,
     gamma edges and one of its beta edges; the one toward y2 expands
     through y1, the one toward z2 through v. `rep` is g's report, which
     must be good; the child's report is its Type X search's, by the
-    recolored rectangle lemma in the coloring module docstring.
+    recolored rectangle lemma in the coloring module docstring. `p` is
+    shape c's: y1 == w2, Type I by fact (i), and {w1, z1} misses {y2, z2};
+    and no good parent has the edge y2z2 that would close a two-colored
+    triangle (m, y2, z2).
     """
     tag = CASE_2_2_2C
     _require_verdict(rep, tag, GoodnessVerdict.GOOD)
-    _require(p.y1 == p.w2, tag, "shape c needs y1 == w2")
-    _require(g.degree(p.y1) == 2, tag, "shared vertex must be Type I")
-    _require(not ({p.w1, p.z1} & {p.y2, p.z2}), tag, "shape c sides overlap")
-    # the one configuration in which the lemma's child breaks a condition:
-    # the triangle (m, y2, z2) with two colors
-    _require(not g.has_edge(p.y2, p.z2), tag,
-             "contracted graph is not_good")
     gamma_side = {p.w1, p.z1}
 
     def expand(a: int, b: int) -> list[int]:
@@ -931,8 +893,8 @@ def _case2_2_2d(g: EdgeColoredGraph, rep: GoodnessReport,
     """Doubly-shared neighbors: the rectangle x1-y1-x2-y2 is rainbow. Its
     colors alpha, delta, beta, gamma differ: x1 and x2 are Type II, the
     pattern has alpha != beta and gamma != delta, and fact (i) of the
-    coloring module docstring gives the rest."""
-    _require(p.y1 == p.w2 and p.y2 == p.w1, CASE_2_2_2D, "shape d labels wrong")
+    coloring module docstring gives the rest. `p` is shape d's, with
+    y1 == w2 and y2 == w1."""
     return [(CASE_2_2_2D, Cycle((p.x1, p.y1, p.x2, p.y2)))]
 
 
@@ -1068,14 +1030,11 @@ def _dispatch(comp: EdgeColoredGraph, rep: GoodnessReport):
     """Pick the applicable case; returns a direct batch, a `_Checked` one
     or a CaseReduction. A Case2_2 graph goes by its pattern's shape, from
     `extract_case2_2_pattern`, through one table to its subcase."""
-    m = len(comp.edges)
-    if m == len(comp.components[0]):
+    if len(comp.edges) == len(comp.components[0]):
         # degrees 2 and 4 and as many edges as vertices: every degree is 2,
         # so comp is one cycle, and its one singular chain is the cycle,
         # closed if comp is good, or b ... b if comp is almost-good at b
-        seq = next((seq for length, seq in comp.singular_chains if length == m), None)
-        _require(seq is not None, BASE_CYCLE, "no singular chain runs round the {}-cycle", m)
-        return [(BASE_CYCLE, Cycle(seq[:-1]))]
+        return [(BASE_CYCLE, Cycle(comp.singular_chains[0][1][:-1]))]
     tri = comp.rainbow_triangle
     if tri is not None:
         return [(RAINBOW_TRIANGLE, tri)]
@@ -1089,7 +1048,7 @@ def _dispatch(comp: EdgeColoredGraph, rep: GoodnessReport):
         return [(ALL_TYPE_II, _all_type2_cycle(comp))]
     chains = comp.singular_chains
     if chains and chains[0][0] >= 3:
-        return case2_1(comp, rep, chains[0][1])
+        return case2_1(comp, rep)
     shape, pat = extract_case2_2_pattern(comp)
     # built per call, so that a patched module attribute is the one called
     return {"disjoint": case2_2_1, "a": _case2_2_2a, "b": _case2_2_2b,

@@ -499,18 +499,19 @@ def build_transform_by_scan(parent: EdgeColoredGraph, tag: str, *,
     return EdgeColoredGraph(parent.n, child_cols)
 
 
-def case2_1_run_by_scan(g: EdgeColoredGraph, path,
-                        ) -> tuple[EdgeColoredGraph, GoodnessReport,
-                                   list[tuple[int, int, int, int]]]:
+def case2_1_run_by_scan(g: EdgeColoredGraph) -> tuple[
+        EdgeColoredGraph, GoodnessReport, list[tuple[int, int, int, int]]]:
     """`decomposer.case2_1` one Case 2.1 step at a time: contract the middle
-    edge of v0 v1 v2 v3 with `build_transform_by_scan`, check the child in
-    full and scan a fresh copy of it, and go on along its first singular
-    chain while the engine's dispatch would pick Case2_1 on it: the child is
+    edge of the path v0 v1 v2 v3 that opens the first singular chain of a
+    fresh copy of g with `build_transform_by_scan`, check the child in full
+    and scan a fresh copy of it, and go on along its first singular chain
+    while the engine's dispatch would pick Case2_1 on it: the child is
     good, not a single cycle, has no rainbow triangle, and its first chain
     has length at least 3. Returns the last child, its report and the paths
     contracted, in order."""
     paths = []
     h = g
+    path = EdgeColoredGraph(g.n, g.coloring).singular_chains[0][1]
     while True:
         v0, v1, v2, v3 = path[:4]
         paths.append((v0, v1, v2, v3))

@@ -38,6 +38,7 @@ import re
 import subprocess
 import sys
 from collections import Counter
+from collections.abc import Callable
 from pathlib import Path
 
 import pytest
@@ -982,14 +983,14 @@ def test_require_messages_are_constant_templates():
             for hit in built_require_messages(p.read_text())] == []
 
 
-def lift_refusals(source: str) -> list[str]:
+def refusals(source: str, within: Callable[[list[str]], bool]) -> list[str]:
     """`function: name` for each call of `_require`, or of an attribute so
-    named, and each reading of `CaseVerificationError`, in a function
-    named `lift` or `expand` nested in another, or in one nested in such
-    a function, with functions as `scoped_nodes` names them. Sorted."""
+    named, and each reading of `CaseVerificationError`, in a function whose
+    name as `scoped_nodes` gives it, split at its dots, `within` accepts.
+    Sorted."""
     found = []
     for scope, node in scoped_nodes(source):
-        if not {"lift", "expand"} & set(scope.split(".")[1:]):
+        if not within(scope.split(".")):
             continue
         if isinstance(node, ast.Call):
             func = node.func
@@ -1001,6 +1002,25 @@ def lift_refusals(source: str) -> list[str]:
             if name == "CaseVerificationError":
                 found.append(f"{scope}: CaseVerificationError")
     return sorted(found)
+
+
+def lift_refusals(source: str) -> list[str]:
+    """The `refusals` in a function named `lift` or `expand` nested in
+    another, or in one nested in such a function."""
+    return refusals(source, lambda names: bool({"lift", "expand"} & set(names[1:])))
+
+
+# the decomposer's top-level functions that dispatch, peel or reduce
+CASE_FUNCTIONS = frozenset({
+    "_dispatch", "_all_type2_cycle", "_contraction", "case1_1", "case1_2", "case2_1",
+    "extract_case2_2_pattern", "case2_2_1", "_case2_2_1b", "_case2_2_2a",
+    "_case2_2_2b", "_case2_2_2c", "_case2_2_2d"})
+
+
+def case_refusals(source: str) -> list[str]:
+    """The `refusals` in the body of a top-level function of
+    `CASE_FUNCTIONS`, outside the functions nested in it."""
+    return refusals(source, lambda names: len(names) == 1 and names[0] in CASE_FUNCTIONS)
 
 
 def test_lift_refusals_detects_and_allows():
@@ -1023,10 +1043,26 @@ def test_lift_refusals_detects_and_allows():
            "    def build(sub):\n"
            "        _require(sub, tag, 'not a lift')\n"
            "def lift(sub):\n"
-           "    _require(sub, tag, 'a module-level function')\n")
+           "    _require(sub, tag, 'a module-level function')\n"
+           "def case1_1(g, rep, v):\n"
+           "    _require_verdict(rep, tag, verdict)\n"
+           "    D._require(g, tag, 'wrong case')\n"
+           "    def lift(sub):\n"
+           "        _require(sub, tag, 'nested')\n"
+           "    return _contraction(g, tag)\n"
+           "def _contraction(g, tag):\n"
+           "    _require(g, tag, 'not good')\n"
+           "    raise CaseVerificationError(tag, 'x')\n"
+           "class A:\n"
+           "    def case1_2(self):\n"
+           "        _require(self, tag, 'a method')\n")
     assert lift_refusals(src) == [
         "_case.expand.turned: CaseVerificationError", "_case.lift: CaseVerificationError",
-        "_case.lift: _require", "_contraction_lift.lift: _require"]
+        "_case.lift: _require", "_contraction_lift.lift: _require",
+        "case1_1.lift: _require"]
+    assert case_refusals(src) == [
+        "_contraction: CaseVerificationError", "_contraction: _require",
+        "case1_1: _require"]
 
 
 def test_lifts_refuse_nothing_their_input_proves():
@@ -1037,6 +1073,26 @@ def test_lifts_refuse_nothing_their_input_proves():
     avoids v, the partition leaves open."""
     assert lift_refusals((SRC / "decomposer.py").read_text()) == [
         "_case2_2_2a.lift: _require"]
+
+
+def test_reductions_refuse_nothing_their_report_proves():
+    """A case's hypothesis is its parent's verdict, which `_require_verdict`
+    checks, the dispatch branch that reaches it, and for a Case2_2 subcase
+    the shape `extract_case2_2_pattern` read; the pattern the case reads
+    follows from them. So a case function refuses only what they leave
+    open: each public case its one wrong-case guard, the Type X decisions
+    of `_contraction` and Case2_2_2a's rewired child, Case2_2_2a's rewire
+    preconditions, and Case2_2_1b's x-block path. Case2_2_2a also reads
+    `CaseVerificationError` to catch its rectangle's refusal."""
+    assert case_refusals((SRC / "decomposer.py").read_text()) == [
+        *["_case2_2_1b: _require"] * 4,
+        "_case2_2_2a: CaseVerificationError",
+        *["_case2_2_2a: _require"] * 3,
+        "_contraction: _require",
+        "case1_1: _require",
+        "case1_2: _require",
+        "case2_1: _require",
+        "extract_case2_2_pattern: _require"]
 
 
 def removal_records(source: str) -> list[str]:
