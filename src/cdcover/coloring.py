@@ -115,9 +115,11 @@ Case1_2); Case2_2_1b then keeps an end x-block of Case2_2_1's child, by
 the end-block lemma below. By the lemma for its case, the child meets
 conditions 1-5, and no vertex sees one color, except in one local
 configuration that no good or almost-good parent has. So the child is good
-exactly when its Type X search finds nothing (`type_x_sides`). No case
-but Case2_2_2a checks the pattern its lemma reads: as each lemma shows,
-the parent's report and the dispatch that reaches the case imply it.
+exactly when it has no Type X vertex, and the Type X contraction lemma
+below shows that a contraction's child has none. No case checks the
+pattern its lemma reads: as each lemma shows, the parent's report and the
+dispatch that reaches the case imply it. Nor does `_build_transform` look
+for a loop or a parallel edge: each lemma's edits make none.
 The labels are the case's. In the Case2_2 family (`decomposer.CasePattern`, which
 `decomposer.extract_case2_2_pattern` labels once, as its shape's subcase
 reads it), v is Type I with colors alpha and beta; x1 pairs alpha, to v
@@ -208,12 +210,51 @@ edges to x1 and x2. With degree 2, y is a second vertex of color
 degree 1. With degree 4, the cycle v x1 y x2 meets the rest at y alone,
 which makes y a Type X cut vertex.
 
-The rewire lemma (Case2_2_2a, where w = w1 = w2). The case checks that w,
-y1, y2, z1 and z2 are Type I and that {y1, z1} and {y2, z2} do not meet.
-The child drops every edge at x1 and x2 and adds y1w (alpha), y2w
-(beta), z1v (gamma) and z2v (delta). So y1, y2, z1 and z2 keep their
-colors, v sees gamma and delta, and w sees alpha and beta. alpha's and
-beta's classes become one edge each. So do gamma's and delta's, which were
+The Type X contraction lemma. Let the child contract a connected set S of
+H into m, as Case1_1, Case1_2, Case2_2_2b and Case2_2_2c do. Then the
+child has no Type X vertex. Take a vertex u outside S. Its edges keep
+their colors, but for Case2_2_2c's z2, which has degree 2: its one delta
+edge is x2z2, and three edges of its other color would span four
+vertices. A path of H - u through S becomes a path of the child - u
+through m, and a path of the child - u through m becomes one of H - u
+through S, as S stays joined by its dropped inner edges. So u's edges
+split into the same sides in both graphs, and u is not Type X in the
+child, as H has no Type X vertex. Case1_2's m has degree 2. Otherwise
+the edges that leave S are x1's pair and x2's, for flanks x1 and x2 of
+S, and the rest of S has no edge out, as its other vertices, v and, in a
+rectangle, y1, have degree 2. x1 is not Type X in H, so a path of H - x1
+joins its outer pair to its inner pair, and it enters S at x2, by x2's
+outer pair. Its part up to there joins m's two pairs once m is removed
+from the child, so m is not Type X either (`decomposer._contraction`).
+
+The rectangle lemma (Case2_2_2a, where w = w1 = w2). Let R be the
+rectangle x1 v x2 w of the good H, whose colors alpha, beta, delta and
+gamma differ. If H - R is not good, then w has degree 2, y1, y2, z1 and
+z2 are Type I, and the sides {y1, z1} and {y2, z2} do not meet. By fact
+(i), y1 and y2 have degree 2, and condition 4 gives them two colors.
+Conditions 1, 2, 3 and 5 are hereditary, and in H - R, x1 keeps alpha
+and gamma, x2 beta and delta, v is isolated, and w, which sees gamma and
+delta only, keeps one edge of each or none. So H - R can fail only
+condition 6. Suppose w has degree 4. By fact (i) its second gamma edge
+goes to z1 and its second delta edge to z2, so H - R keeps the path
+x1 z1 w z2 x2. For a vertex u off R and that path, what R joined in H - u
+the path joins in H - R - u, so u has the same sides in both, and it is
+not Type X. Nor is z1. If it were, in H - R, its gamma pair {x1, w} would
+be one side, which holds x2 too, by w z2 x2; putting R back then joins
+nothing new to z1's sides, and z1 would be Type X in H. Likewise z2, and
+x1, x2 and w have degree 2 in H - R, so H - R is good. So w has degree 2,
+and it is Type I, as it sees gamma and delta. Then gamma's class is
+{x1w, x1z1}, so z1 sees gamma once, and three edges of its other color
+would span four vertices: z1 is Type I of degree 2, and likewise z2. If
+the sides shared a vertex s, then H - R would have the path x1 s x2, and
+the same argument, with s of degree 2, shows that H - R is good.
+
+The rewire lemma (Case2_2_2a, where w = w1 = w2, once the rectangle is
+refused). By the rectangle lemma, w, y1, y2, z1 and z2 are Type I, and
+{y1, z1} and {y2, z2} do not meet. The child drops every edge at x1 and
+x2 and adds y1w (alpha), y2w (beta), z1v (gamma) and z2v (delta). So y1,
+y2, z1 and z2 keep their colors, v sees gamma and delta, and w sees
+alpha and beta. alpha's and beta's classes become one edge each. So do gamma's and delta's, which were
 {x1w, x1z1} and {x2w, x2z2} by (i), as w has degree 2. Each new triangle
 passes through v or w. (v, z1, z2), when z1 ~ z2, has a third edge of
 neither gamma (z2 is outside x1, w, z1) nor delta (likewise), so it is
@@ -240,7 +281,7 @@ u), u's two x-blocks lie on different sides, and only u joins the sides.
 So an x-block's degree in the tree is the number of Type X vertices it
 holds. When there is at least one, every x-block holds one or more, the
 tree is a path exactly when none holds three or more, and its two ends are
-then the x-blocks that hold exactly one (`decomposer._case2_2_1b`).
+then the x-blocks that hold exactly one.
 
 The end-block lemma: let G be connected, with conditions 1-5 holding and
 no vertex of color degree 1, and let B be an x-block of G holding exactly
@@ -254,6 +295,30 @@ and all of u's edges are in B. B meets the rest of G only at t, so u is a
 cut vertex of G with the same pairs, so a Type X vertex of G in B other
 than t, and there is none. So Case2_2_1b gives its end x-block this report without a goodness
 check.
+
+The end-block path lemma: let H be good and connected, with a Case2_2
+pattern of the disjoint shape, and let C be Case2_2_1's merged child, with
+at least one Type X vertex. Then m is not Type X, and every Type X vertex
+u of C separates v from m. First, if C - m split m's gamma pair {w1, z1}
+from its delta pair {w2, z2}, then y1, v and y2, which C joins, would lie
+with one pair or with neither, so one pair, say {w1, z1}, would lie in a
+component K of C - m without v. In H, K meets the rest only at x1, which
+then separates its gamma pair from its alpha pair {v, y1}: a Type X
+vertex of H. Next, u has degree 4, so it is none of v, y1 and y2, which
+have degree 2 by fact (i), and its edges keep their colors. A path of
+C - u becomes a walk of H - u, with m read as x1, x2 or x1 v x2, and y1 v
+as y1 x1 v, likewise y2. So H - u joins whatever C - u joins. If it split
+u's edges, it would split them into C's two sides, two monochromatic
+pairs, and u would be Type X in H; so H - u is connected. Take a vertex s
+of C - u other than v and m, and a path of H - u from s to v. Up to its
+first vertex of x1 or x2, it is a path of C - u too, and it ends at a y,
+which C joins to v, or at a w or z, which C joins to m. So every
+component of C - u holds v or m. u's own component of C splits into two
+or more without u, so it is all of C, and C - u has two components, one
+holding v and the other m. Each Type X vertex is an edge of the x-block
+tree, then, on its path from m's x-block to v's, each unique as neither
+m nor v is Type X. So the tree is that path, and m's x-block is an end
+of it, holding exactly one Type X vertex (`decomposer._case2_2_1b`).
 """
 from __future__ import annotations
 

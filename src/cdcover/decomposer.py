@@ -32,10 +32,13 @@ whole run of the paper's one-edge steps, each along the first singular
 chain the last one left, until the next dispatch would pick another case:
 the run has one child, one lift and one verification of its lifted
 cycles. The other reduction lemmas show that every other child meets
-conditions 1-5, so it is good exactly when its Type X search finds
-nothing. Case2_2_1b's child, the end x-block of a merged graph whose only
-defect is Type X, needs no search: the end-block lemma proves it
-almost-good at the vertex that joins it to the rest.
+conditions 1-5, and the Type X contraction lemma that a contraction's
+child, Case1_1's, Case1_2's, Case2_2_2b's or Case2_2_2c's, has no Type X
+vertex either, so it is good with no search. Case2_2_1b's child, the end
+x-block of a merged graph whose only defect is Type X, needs no search
+either: the end-block path lemma puts the merged vertex in an end x-block,
+and the end-block lemma proves it almost-good at the vertex that joins it
+to the rest.
 A reduction refuses nothing its parent's report proves. A case's
 hypothesis is the parent's verdict, which `_require_verdict` checks, so
 that a direct call with a wrong report refuses; the dispatch's branch that
@@ -43,13 +46,15 @@ reaches it, which each public case checks at most once; and, for a Case2_2
 subcase, the shape `extract_case2_2_pattern` read. The pattern the case
 reads off follows from these by the lemma's own argument, so no case
 re-checks a degree, a color or an overlap, nor the one configuration that
-would break a lemma, which no good or almost-good parent has. What is
-left are the Type X decisions, Case2_2_2a's rewire preconditions and the
-x-block path of Case2_2_1b, which no lemma yet decides. Only the one entry,
-`decompose`, checks a graph in full: the root. The engine is one loop over
-an explicit stack of frames: a reduction's child is peeled on a frame
-above its waiting parent, so the depth of the reduction tree costs no
-Python recursion. Every removal, a lift's batch like any other, is
+would break a lemma, which no good or almost-good parent has, nor a loop
+or parallel edge in its child. What is left are Case2_2_2a's Type X
+search of its rewired child and its lift's check that the child cycle
+through w avoids v, which no lemma yet decides; the Type X search of
+Case2_2_1's merged child refuses nothing, as it picks the subcase. Only
+the one entry, `decompose`, checks a graph in full: the root. The engine
+is one loop over an explicit stack of frames: a reduction's child is
+peeled on a frame above its waiting parent, so the depth of the reduction
+tree costs no Python recursion. Every removal, a lift's batch like any other, is
 verified by `_check_removal`: one linear sweep types the batch's cycles,
 and one `report_after_removal` checks what the batch leaves, or none when
 it leaves nothing. By the removal lemma in the coloring module docstring,
@@ -144,7 +149,7 @@ class _EngineFailure(Exception):
 # reductions
 
 
-def _build_transform(parent: EdgeColoredGraph, tag: str, *,
+def _build_transform(parent: EdgeColoredGraph, *,
                      drop: Iterable[Edge] = (),
                      merge: Iterable[Sequence[int]] = (),
                      add: Iterable[tuple[int, int, int]] = (),
@@ -155,38 +160,17 @@ def _build_transform(parent: EdgeColoredGraph, tag: str, *,
     group's other vertices, like a vertex whose edges are all dropped,
     stay in range(n) with no edges.
 
-    `add` endpoints may name any member of a merge group. The child must
-    stay simple; a clash is refused under the case `tag`, never merged
-    silently. Only the edges at merged vertices move, so the child is one
-    `edit` of the parent.
-    """
-    dropset = {edge(*e) for e in drop}
-    absent = dropset - parent.edges
-    if absent:
-        raise CaseVerificationError(tag, f"dropping absent edges {sorted(absent)}")
+    `add` endpoints may name any member of a merge group. Only the edges at
+    merged vertices move, so the child is one `edit` of the parent. Each
+    case's reduction lemma in the coloring module docstring shows that its
+    edits make no loop and no parallel edge, so none is looked for."""
     rep_of = {v: min(grp) for grp in merge for v in grp}
-    coloring = parent.coloring
+    dropset = {edge(*e) for e in drop}
     moved = {edge(x, w) for x in rep_of for w in parent.adj[x]} - dropset
-    gone = dropset | moved
-    # A moved edge lands at a merge group's least vertex, whose parent edges
-    # all move, so no kept edge clashes with one: scanning the moved edges
-    # in sorted order rejects the edge a scan of all would.
-    new: dict[Edge, int] = {}
-    for e in sorted(moved):
-        u, v = e
-        cu, cv = rep_of.get(u, u), rep_of.get(v, v)
-        if cu == cv:
-            raise CaseVerificationError(tag, f"edge {e} collapses into a loop")
-        ce = edge(cu, cv)
-        if ce in new:
-            raise CaseVerificationError(tag, f"edge {e} would become parallel")
-        new[ce] = coloring[e]
-    for u, v, c in add:
-        ce = edge(rep_of.get(u, u), rep_of.get(v, v))
-        if ce in new or (ce in coloring and ce not in gone):
-            raise CaseVerificationError(tag, f"added edge {(u, v)} would be parallel")
-        new[ce] = c
-    return parent.edit(drop=gone, add=new)
+    new = {edge(rep_of.get(u, u), rep_of.get(v, v)): parent.coloring[(u, v)]
+           for u, v in moved}
+    new.update((edge(rep_of.get(u, u), rep_of.get(v, v)), c) for u, v, c in add)
+    return parent.edit(drop=dropset | moved, add=new)
 
 
 # ---------------------------------------------------------------------------
@@ -287,13 +271,11 @@ class CaseReduction:
 # small helpers
 
 
-def _require(cond: bool, case: str, message: str, *args: object) -> None:
-    """Refuse under the case `case` unless `cond` holds. The refusal's text
-    is `message.format(*args)`, built only when it refuses: the checks pass
-    on almost every call, and formatting each one's text would cost more
-    than the check."""
+def _require(cond: bool, case: str, message: str) -> None:
+    """Refuse under the case `case`, with the constant text `message`,
+    unless `cond` holds."""
     if not cond:
-        raise CaseVerificationError(case, message.format(*args))
+        raise CaseVerificationError(case, message)
 
 
 def _require_verdict(rep: GoodnessReport, case: str, verdict: GoodnessVerdict,
@@ -332,15 +314,14 @@ def _oriented(mid: list[int], near: Collection[int]) -> Callable[[int, int], lis
 def _contraction(g: EdgeColoredGraph, tag: str,
                  expansions: Sequence[Callable[[int, int], list[int]]],
                  merge: Sequence[int], **build) -> CaseReduction:
-    """Merge the vertices of `merge` into one vertex m = min(merge) of a
-    child that must be good, with `build`'s drops and adds, and lift it by
-    `_contraction_lift`; a refusal names the case `tag`. The case's
-    reduction lemma in the coloring module docstring proves that the child
-    meets conditions 1-5 with no vertex of color degree 1, so it is good
-    exactly when it has no Type X vertex."""
-    child = _build_transform(g, tag, merge=[merge], **build)
-    _require(not child.type_x_sides, tag,
-             "contracted graph is not_good")
+    """Merge the connected set `merge` into one vertex m = min(merge) of a
+    good child, with `build`'s drops and adds, and lift it by
+    `_contraction_lift`, under the case `tag`. The case's reduction lemma
+    in the coloring module docstring proves that the child meets
+    conditions 1-5 with no vertex of color degree 1, and the Type X
+    contraction lemma there that it has no Type X vertex, so its report is
+    `GOOD_REPORT` with no search."""
+    child = _build_transform(g, merge=[merge], **build)
     return CaseReduction(
         child, _contraction_lift(tag, expansions, min(merge)), GOOD_REPORT)
 
@@ -372,7 +353,9 @@ def _contraction_lift(tag: str,
 
 def _all_type2(g: EdgeColoredGraph) -> bool:
     """Whether g is connected and every vertex with edges is Type II: degree
-    4, two colors, each on two of its edges."""
+    4, two colors, each on two of its edges. `decompose` asks it of a
+    graph with a prescribed cycle before it checks the graph's goodness;
+    on a good component, the dispatch reads the same from `type1`."""
     comps = g.components
     if len(comps) != 1 or len(g.edges) != 2 * len(comps[0]):
         return False  # not every vertex with edges has degree 4
@@ -490,11 +473,11 @@ def case1_1(g: EdgeColoredGraph, rep: GoodnessReport, v: int) -> CaseReduction:
 
     The two child cycles through the merged vertex lift by inserting the
     path x1-v-x2 (giving the one almost-rainbow cycle) and the edge x1-x2.
-    `rep` is g's report, which must be almost-good at v; the child's
-    report is its Type X search's, by the pair lemma in the coloring
-    module docstring. The case checks only that x1 ~ x2, the dispatch's
-    branch: the report and the branch prove the rest of the lemma's
-    pattern (see the Case1_1 paragraph there).
+    `rep` is g's report, which must be almost-good at v; the child is
+    good, by the pair lemma and the Type X contraction lemma in the
+    coloring module docstring. The case checks only that x1 ~ x2, the
+    dispatch's branch: the report and the branch prove the rest of the
+    lemma's pattern (see the Case1_1 paragraph there).
     """
     tag = CASE_1_1
     _require_verdict(rep, tag, GoodnessVerdict.ALMOST_GOOD, v)
@@ -511,11 +494,11 @@ def case1_2(g: EdgeColoredGraph, rep: GoodnessReport, v: int) -> CaseReduction:
 
     The child cycle through the merged vertex subdivides back into the
     almost-rainbow cycle through v; everything else lifts unchanged. `rep`
-    is g's report, which must be almost-good at v; the child's report is
-    its Type X search's, by the edge lemma in the coloring module docstring.
-    The case checks only that x1 and x2 are not adjacent, the dispatch's
-    branch: by that lemma, x1 and x2 then have degree 2, and no
-    almost-good parent closes a two-colored triangle (m, x2, y1).
+    is g's report, which must be almost-good at v; the child is good, by
+    the edge lemma and the Type X contraction lemma in the coloring module
+    docstring. The case checks only that x1 and x2 are not adjacent, the
+    dispatch's branch: by that lemma, x1 and x2 then have degree 2, and
+    no almost-good parent closes a two-colored triangle (m, x2, y1).
     """
     tag = CASE_1_2
     _require_verdict(rep, tag, GoodnessVerdict.ALMOST_GOOD, v)
@@ -686,8 +669,7 @@ def case2_2_1(g: EdgeColoredGraph, rep: GoodnessReport, p: CasePattern,
     (subcase b). Every lift puts m back by one detour, `_v_detour`.
     """
     child = _build_transform(
-        g, "Case2_2_1",
-        drop=[edge(p.y1, p.x1), edge(p.x1, p.v), edge(p.v, p.x2), edge(p.x2, p.y2)],
+        g, drop=[edge(p.y1, p.x1), edge(p.x1, p.v), edge(p.v, p.x2), edge(p.x2, p.y2)],
         add=[(p.y1, p.v, p.alpha), (p.v, p.y2, p.beta)],
         merge=[(p.x1, p.x2)])
     m = min(p.x1, p.x2)
@@ -765,28 +747,17 @@ def _recombine_two_meeters(p, d1: Cycle, d2: Cycle, m: int) -> list[Cycle]:
 def _case2_2_1b(g, rep_g, p, child, m) -> CaseReduction:
     """Reduce to the merged graph's end x-block at the merged vertex m; lift
     by detouring one of its cycles through m via v. The merged graph
-    `child` has at least one Type X vertex, the keys of its
+    `child` of the good g has at least one Type X vertex, the keys of its
     `type_x_sides`.
 
-    An x-block's degree in the x-block tree is the number of Type X
-    vertices it holds (see the coloring module docstring). So the tree is
-    a path when no x-block holds three, m's x-block is an end when it holds
-    one, which is the joining vertex t, and v's is the other end when it is
-    another x-block that holds one. By the end-block lemma in the same
-    docstring, the end x-block is almost-good at t. m is no Type X vertex,
-    so its four edges, toward the flanks, lie in its x-block, and v has
-    degree 2, so y1 and y2 lie in v's."""
+    By the end-block path lemma in the coloring module docstring, m is no
+    Type X vertex, and every Type X vertex separates v from m, so the
+    x-block tree is the path from m's x-block to v's. m's x-block is then
+    an end of it, holding exactly one Type X vertex, the joining vertex t,
+    and by the end-block lemma there it is almost-good at t."""
     tag = CASE_2_2_1B
-    txv = set(child.type_x_sides)
-    _require(m not in txv, tag, "merged vertex became Type X")
-    blocks = x_block_decomposition(child)
-    _require(all(len(b & txv) < 3 for b in blocks), tag, "x-block forest is not a path")
-    bx = next(b for b in blocks if m in b)
-    _require(len(bx & txv) == 1, tag, "merged vertex not in an end x-block")
-    bv = next(b for b in blocks if p.v in b)
-    _require(bv is not bx and len(bv & txv) == 1, tag,
-             "v not in the opposite end x-block")
-    (t,) = bx & txv
+    bx = next(b for b in x_block_decomposition(child) if m in b)
+    (t,) = bx & child.type_x_sides.keys()
     end = child.edit(drop=[e for e in child.edges if e[0] not in bx or e[1] not in bx])
 
     def lift(sub: list[tuple[str, Cycle]]) -> _Checked:
@@ -804,28 +775,21 @@ def _case2_2_1b(g, rep_g, p, child, m) -> CaseReduction:
 def _case2_2_2a(g: EdgeColoredGraph, rep: GoodnessReport, p: CasePattern):
     """Shared gamma/delta neighbor w: try the direct rectangle through w,
     else rewire both flanks away and reduce. g must be good, and `rep` is
-    its report; by the rewire lemma in the coloring module docstring, the
-    rewired child is good exactly when it has no Type X vertex. The lift
-    puts x1 and x2 back around v, then w, by `_contraction_lift`s, so the
-    child cycle through w must avoid v. `p` is shape a's, with w1 == w2."""
+    its report. By the rectangle lemma in the coloring module docstring, a
+    refused rectangle has w, y1, y2, z1 and z2 of Type I and disjoint
+    sides {y1, z1} and {y2, z2}, and by the rewire lemma there the rewired
+    child is then good exactly when it has no Type X vertex. The lift puts
+    x1 and x2 back around v, then w, by `_contraction_lift`s, so the child
+    cycle through w must avoid v. `p` is shape a's, with w1 == w2."""
     tag = CASE_2_2_2A
     w = p.w1
     try:
         return _check_removal(g, rep, [(tag, Cycle((p.x1, p.v, p.x2, w)))])
-    except CaseVerificationError as err:
-        problem = err.problem
-
-    # the direct cycle creates a Type X vertex; the derived structure must
-    # then have w and all of y1, y2, z1, z2 of Type I with disjoint sides
-    for u in (w, p.y1, p.y2, p.z1, p.z2):
-        _require(u in g.type1, tag,
-                 "rewire precondition: vertex {} is not Type I ({})", u, problem)
-    _require(not ({p.y1, p.z1} & {p.y2, p.z2}), tag,
-             "rewire precondition: sides overlap ({})", problem)
+    except CaseVerificationError:
+        pass  # the rectangle leaves a Type X vertex: rewire
 
     child = _build_transform(
-        g, tag,
-        drop=[edge(x, q) for x in (p.x1, p.x2) for q in g.adj[x]],
+        g, drop=[edge(x, q) for x in (p.x1, p.x2) for q in g.adj[x]],
         add=[(p.y1, w, p.alpha), (p.y2, w, p.beta),
              (p.z1, p.v, p.gamma), (p.z2, p.v, p.delta)])
     _require(not child.type_x_sides, tag,
@@ -845,10 +809,11 @@ def _case2_2_2a(g: EdgeColoredGraph, rep: GoodnessReport, p: CasePattern):
 def _case2_2_2b(g: EdgeColoredGraph, rep: GoodnessReport,
                 p: CasePattern) -> CaseReduction:
     """Shared alpha/beta neighbor y: contract the rectangle x1-y-x2-v.
-    `rep` is g's report, which must be good; the child's report is its
-    Type X search's, by the pair lemma in the coloring module docstring.
-    `p` is shape b's, with y1 == y2, and y is Type I by fact (i) there,
-    as it sees alpha and beta, whose classes span three vertices each."""
+    `rep` is g's report, which must be good; the child is good, by the
+    pair lemma and the Type X contraction lemma in the coloring module
+    docstring. `p` is shape b's, with y1 == y2, and y is Type I by fact
+    (i) there, as it sees alpha and beta, whose classes span three
+    vertices each."""
     tag = CASE_2_2_2B
     _require_verdict(rep, tag, GoodnessVerdict.GOOD)
     y = p.y1
@@ -866,8 +831,8 @@ def _case2_2_2c(g: EdgeColoredGraph, rep: GoodnessReport,
     z2, so it lies on two child cycles, and each, rainbow, uses one of its
     gamma edges and one of its beta edges; the one toward y2 expands
     through y1, the one toward z2 through v. `rep` is g's report, which
-    must be good; the child's report is its Type X search's, by the
-    recolored rectangle lemma in the coloring module docstring. `p` is
+    must be good; the child is good, by the recolored rectangle lemma and
+    the Type X contraction lemma in the coloring module docstring. `p` is
     shape c's: y1 == w2, Type I by fact (i), and {w1, z1} misses {y2, z2};
     and no good parent has the edge y2z2 that would close a two-colored
     triangle (m, y2, z2).
@@ -1044,7 +1009,9 @@ def _dispatch(comp: EdgeColoredGraph, rep: GoodnessReport):
         if comp.has_edge(x1, x2):
             return case1_1(comp, rep, v)
         return case1_2(comp, rep, v)
-    if _all_type2(comp):
+    if not comp.type1:
+        # a good component's degree-4 vertices are Type II, as a 3+1 split
+        # of two colors breaks condition 5, so with no Type I vertex all are
         return [(ALL_TYPE_II, _all_type2_cycle(comp))]
     chains = comp.singular_chains
     if chains and chains[0][0] >= 3:

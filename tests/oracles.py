@@ -13,7 +13,8 @@ batch of cycles the way the engine's one sweep and one goodness check are
 proved equal to:
 one cycle at a time, each typed on its own and followed by a full
 goodness check. The reference reduction builder, `build_transform_by_scan`, rebuilds the child
-from a scan over every parent edge, and raises the engine's error type;
+from a scan over every parent edge, and refuses each clash, which the
+engine's builder does not look for;
 `case2_1_run_by_scan` repeats its one-edge contraction with full checks
 and fresh scans, as the engine's Case2_1 runs do with derived facts.
 `enumerate_cycles_by_copying` is the oracle's cycle enumerator as it was
@@ -166,16 +167,15 @@ def x_blocks_by_definition(g: EdgeColoredGraph) -> tuple[frozenset[int], ...]:
 
 
 def case2_2_1b_by_walking(child: EdgeColoredGraph, p, m: int) -> int | str:
-    """Case2_2_1b's checks on the merged graph `child`, made by building
-    the x-block tree and walking it: the joining vertex t of m's end
-    x-block, or the message of the first check that fails. The nodes are
-    the x-blocks by the definition, and each Type X vertex joins the two
-    that hold it. The tree must be a path, m's x-block one end of it and
-    v's the other, holding the flanks and y1, y2 respectively; t joins
-    m's x-block to the next one along the path. Case2_2_1b makes no check
-    of the flanks or of y1, y2: m is no Type X vertex and v has degree 2,
-    so each holds its neighbors. This reference keeps both, so that a
-    comparison with it tests that implication."""
+    """The end-block path lemma's conclusion on the merged graph `child`,
+    checked by building the x-block tree and walking it: the joining
+    vertex t of m's end x-block, or the message of the first part that
+    fails. The nodes are the x-blocks by the definition, and each Type X
+    vertex joins the two that hold it. The tree must be a path, m's
+    x-block one end of it and v's the other, holding the flanks and y1,
+    y2 respectively; t joins m's x-block to the next one along the path.
+    Case2_2_1b checks none of this, as the lemma proves it of the merged
+    child of a good graph; a comparison with this reference tests that."""
     txv = type_x_by_pseudoblock_splits(child)
     if m in txv:
         return "merged vertex became Type X"
@@ -469,15 +469,17 @@ def remove_one_at_a_time(g: EdgeColoredGraph, rep: GoodnessReport, batch,
     return h, r
 
 
-def build_transform_by_scan(parent: EdgeColoredGraph, tag: str, *,
+def build_transform_by_scan(parent: EdgeColoredGraph, *,
                             drop=(), merge=(), add=()) -> EdgeColoredGraph:
     """`decomposer._build_transform` from scratch: scan every parent edge in
-    sorted order, map it into the child or reject it at the first clash,
-    and build the child graph, adjacency included, from its edge set."""
+    sorted order, map it into the child or reject it with a ValueError at
+    the first clash, and build the child graph, adjacency included, from
+    its edge set. `_build_transform` looks for no clash, as no case's edits
+    make one."""
     dropset = {edge(*e) for e in drop}
     absent = dropset - parent.edges
     if absent:
-        raise CaseVerificationError(tag, f"dropping absent edges {sorted(absent)}")
+        raise ValueError(f"dropping absent edges {sorted(absent)}")
     rep_of = {v: min(grp) for grp in merge for v in grp}
     child_cols: dict[tuple[int, int], int] = {}
     for e in sorted(parent.edges):
@@ -486,15 +488,15 @@ def build_transform_by_scan(parent: EdgeColoredGraph, tag: str, *,
         u, v = e
         cu, cv = rep_of.get(u, u), rep_of.get(v, v)
         if cu == cv:
-            raise CaseVerificationError(tag, f"edge {e} collapses into a loop")
+            raise ValueError(f"edge {e} collapses into a loop")
         ce = edge(cu, cv)
         if ce in child_cols:
-            raise CaseVerificationError(tag, f"edge {e} would become parallel")
+            raise ValueError(f"edge {e} would become parallel")
         child_cols[ce] = parent.coloring[e]
     for u, v, c in add:
         ce = edge(rep_of.get(u, u), rep_of.get(v, v))
         if ce in child_cols:
-            raise CaseVerificationError(tag, f"added edge {(u, v)} would be parallel")
+            raise ValueError(f"added edge {(u, v)} would be parallel")
         child_cols[ce] = c
     return EdgeColoredGraph(parent.n, child_cols)
 
@@ -515,8 +517,7 @@ def case2_1_run_by_scan(g: EdgeColoredGraph) -> tuple[
     while True:
         v0, v1, v2, v3 = path[:4]
         paths.append((v0, v1, v2, v3))
-        h = build_transform_by_scan(h, "Case2_1", merge=[(v1, v2)],
-                                    drop=[edge(v1, v2)])
+        h = build_transform_by_scan(h, merge=[(v1, v2)], drop=[edge(v1, v2)])
         rep = check_goodness(EdgeColoredGraph(h.n, h.coloring))
         single = (connected_ignoring_isolated(h.n, h.edges)
                   and all(len(nbrs) in (0, 2) for nbrs in h.adj))

@@ -435,20 +435,16 @@ def test_x_blocks_match_definition_on_engine_graphs():
 
 
 def test_case2_2_1b_matches_the_walked_block_tree():
-    """Case2_2_1b reads the x-block path off the Type X counts per block and
-    derives its end block's report. On every merged graph the engine hands
-    it, its verdict and joining vertex t equal those found by walking the
-    x-block tree, and the derived report equals the full check's."""
+    """Case2_2_1b reads its end block off m's x-block and derives its
+    report. On every merged graph the engine hands it, the walk of the
+    x-block tree finds the path from m's x-block to v's that the end-block
+    path lemma proves, and the same joining vertex t, and the derived
+    report equals the full check's."""
     reduced = 0
     for c in corpus().calls("_case2_2_1b"):
         g, rep, p, child, m = c.args
-        want = case2_2_1b_by_walking(child, p, m)
-        try:
-            red = D._case2_2_1b(g, rep, p, child, m)
-        except D.CaseVerificationError as err:
-            assert str(err) == f"{D.CASE_2_2_1B}: {want}"
-            continue
-        assert red.report.bad_vertex == want
+        red = D._case2_2_1b(g, rep, p, child, m)
+        assert red.report.bad_vertex == case2_2_1b_by_walking(child, p, m)
         assert red.report == check_goodness(red.child)
         reduced += 1
     assert reduced >= 100
@@ -458,27 +454,24 @@ def test_case2_2_1b_verdicts_on_longer_block_paths_and_a_star():
     """The engine's merged graphs have two x-blocks, so this runs the same
     comparison on hexagons with one, two and three pentagons hung on them
     (x-block paths of two and three blocks, and a star), for every choice
-    of m and v. The flanks are put at m and y1, y2 at v, so only the tree
-    decides."""
-    outcomes = set()
+    of m and v that meets the end-block path lemma's conclusion, which
+    the walk of the tree checks: m is not Type X, and the tree is the path
+    from m's x-block to v's. The flanks are put at m and y1, y2 at v, so
+    only the tree decides."""
+    reduced = skipped = 0
     for joints in ((0,), (0, 3), (0, 2, 4)):
         child = pentagons_on_a_hexagon(joints)
         for m, v in itertools.product(range(child.n), repeat=2):
             p = D.CasePattern(v, -1, -1, 0, 0, v, v, m, m, m, m, 0, 0)
             want = case2_2_1b_by_walking(child, p, m)
-            try:
-                red = D._case2_2_1b(None, None, p, child, m)
-            except D.CaseVerificationError as err:
-                assert str(err) == f"{D.CASE_2_2_1B}: {want}"
-                outcomes.add(want)
+            if isinstance(want, str):
+                skipped += 1
                 continue
+            red = D._case2_2_1b(None, None, p, child, m)
             assert red.report.bad_vertex == want
             assert red.report == check_goodness(red.child)
-            outcomes.add("reduced")
-    assert outcomes == {"reduced", "merged vertex became Type X",
-                        "x-block forest is not a path",
-                        "merged vertex not in an end x-block",
-                        "v not in the opposite end x-block"}
+            reduced += 1
+    assert reduced and skipped
 
 
 def test_heredity_conditions_1_to_5_after_rainbow_removal():

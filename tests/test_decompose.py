@@ -6,6 +6,7 @@ import itertools
 import json
 import random
 import sys
+from collections.abc import Iterable, Iterator
 from pathlib import Path
 
 import pytest
@@ -21,6 +22,7 @@ from cdcover.coloring import (
     check_goodness,
     parse_colored_edge_list,
     serialize_colored_edge_list,
+    split_components,
 )
 from cdcover.decomposer import (
     CaseVerificationError,
@@ -53,6 +55,7 @@ from graphsamples import (
     two_squares_type_x,
 )
 from oracles import (
+    _components_avoiding,
     build_transform_by_scan,
     case2_1_run_by_scan,
     connected_ignoring_isolated,
@@ -326,50 +329,30 @@ def _square_and_edge():
 def test_build_transform_merges_a_group_onto_its_least_id():
     """A merge group becomes its least vertex, whichever order it is given
     in; its other vertices stay, with no edges, and no other id moves."""
-    child = D._build_transform(
-        _square_and_edge(), "Probe", drop=[(0, 1)], merge=[(1, 0)])
+    child = D._build_transform(_square_and_edge(), drop=[(0, 1)], merge=[(1, 0)])
     assert child.n == 6
     assert dict(child.coloring) == {(0, 2): 1, (2, 3): 2, (0, 3): 3, (4, 5): 4}
     assert child.adj[1] == ()
-
-
-@pytest.mark.parametrize("build, message", [
-    ({"drop": [(0, 2)]}, "dropping absent edges [(0, 2)]"),
-    ({"merge": [(0, 1)]}, "edge (0, 1) collapses into a loop"),
-    ({"merge": [(0, 2)]}, "edge (1, 2) would become parallel"),
-    ({"add": [(0, 1, 9)]}, "added edge (0, 1) would be parallel"),
-], ids=["absent-drop", "loop", "parallel", "parallel-add"])
-def test_build_transform_rejects(build, message):
-    with pytest.raises(CaseVerificationError) as info:
-        D._build_transform(_square_and_edge(), "Probe", **build)
-    assert info.value.case == "Probe"
-    assert str(info.value) == f"Probe: {message}"
 
 
 def _adj_from_scratch(g):
     return Graph(g.n, g.edges).adj
 
 
-def _outcome(build, parent, tag, **kw):
-    """The child `build` returns, or the type and text of what it raises."""
-    try:
-        return build(parent, tag, **kw)
-    except Exception as err:
-        return type(err).__name__, str(err)
-
-
 def test_build_transform_matches_the_full_scan_on_random_edits():
-    """On random drops, merges and additions on small colored graphs,
-    `_build_transform`, which examines only the edges the edits touch,
-    builds the child the full scan builds, adjacency included, or rejects
-    the same edge with the same message."""
+    """On random drops, merges and additions on small colored graphs that
+    the full scan accepts, `_build_transform`, which examines only the
+    edges the edits touch, builds the child the full scan builds,
+    adjacency included. The edits include clashes of every kind the scan
+    refuses, which `_build_transform` does not look for: no case's edits
+    make one, by its lemma in the coloring module docstring."""
     rng = random.Random(14)
     parents = [_square_and_edge(), case1_1_host(), case1_2_host(),
                two_squares_type_x(), case2_2_2d_host()]
     parents += [build_line_graph(random_cubic_bridgeless(GeneratorConfig(n, seed))).lg
                 for n, seed in [(10, 0), (12, 1), (14, 2)]]
     kinds = ("absent", "loop", "become parallel", "be parallel", "self-loop")
-    seen = set()
+    seen, children = set(), 0
     for _ in range(3000):
         g = rng.choice(parents)
         adj = g.adj
@@ -391,30 +374,28 @@ def test_build_transform_matches_the_full_scan_on_random_edits():
         pairs = [(u, v) for u in range(g.n) for v in range(u + 1, g.n)]
         add = [(u, v, rng.randrange(20)) for u, v in rng.sample(pairs, rng.randrange(3))]
         kw = {"drop": sorted(drop), "merge": merge, "add": add}
-        made = _outcome(D._build_transform, g, "Probe", **kw)
-        ref = _outcome(build_transform_by_scan, g, "Probe", **kw)
-        if isinstance(ref, EdgeColoredGraph):
-            assert made == ref and made.adj == _adj_from_scratch(ref)
-            seen.add("child")
-        else:
-            assert made == ref
-            seen.update(k for k in kinds if k in ref[1])
-    assert seen == {"child", *kinds}
+        try:
+            ref = build_transform_by_scan(g, **kw)
+        except ValueError as err:
+            seen.update(k for k in kinds if k in str(err))
+            continue
+        made = D._build_transform(g, **kw)
+        assert made == ref and made.adj == _adj_from_scratch(ref)
+        children += 1
+    assert seen == set(kinds) and children > 500
 
 
 def test_build_transform_and_edit_match_the_full_scan():
     """In the corpus, every child `_build_transform` builds is the one the
-    full scan builds, or it is rejected with the same message, and every
-    `edit` result's adjacency is the one built from its edge set."""
+    full scan builds, which refuses no clash there, and every `edit`
+    result's adjacency is the one built from its edge set."""
     cp = corpus()
     builds, edits = cp.calls("_build_transform"), cp.calls("edit")
     assert len(builds) > 100 and len(edits) > 1000
     for c in builds:
-        made = _outcome(D._build_transform, *c.args, **c.kw)
-        ref = _outcome(build_transform_by_scan, *c.args, **c.kw)
-        assert made == ref
-        if isinstance(made, EdgeColoredGraph):
-            assert made.adj == _adj_from_scratch(ref)
+        made = D._build_transform(*c.args, **c.kw)
+        assert made == build_transform_by_scan(*c.args, **c.kw)
+        assert made.adj == _adj_from_scratch(made)
     for c in edits:
         assert c.result.adj == _adj_from_scratch(c.result)
 
@@ -577,7 +558,7 @@ def test_case2_1_child_and_report_match_the_rebuilt_child():
         steps += len(paths)
         groups = _merged_groups(paths)
         inside = [e for e in g.edges if any(set(e) <= grp for grp in groups)]
-        child = D._build_transform(g, "Probe", merge=groups, drop=inside)
+        child = D._build_transform(g, merge=groups, drop=inside)
         for made in (red.child, child):
             assert (made.n, dict(made.coloring), made.adj) == \
                 (ref.n, dict(ref.coloring), _adj_from_scratch(ref))
@@ -639,7 +620,7 @@ def test_case2_1_chord_of_a_third_color_closes_a_rainbow_triangle():
     assert rep.verdict is GoodnessVerdict.GOOD
     assert g.singular_chains[0] == (3, (0, 1, 2, 3))
     red = case2_1(g, rep)
-    child = D._build_transform(g, "Probe", merge=[(1, 2)], drop=[(1, 2)])
+    child = D._build_transform(g, merge=[(1, 2)], drop=[(1, 2)])
     assert red.child == child
     assert red.report == check_goodness(child)
     assert red.report.verdict is GoodnessVerdict.GOOD
@@ -657,50 +638,12 @@ def test_case2_1_chord_of_a_path_color(chord):
                                           (0, 3, chord)])
     rep = check_goodness(g)
     assert rep.verdict is GoodnessVerdict.ALMOST_GOOD
-    child = D._build_transform(g, "Probe", merge=[(1, 2)], drop=[(1, 2)])
+    child = D._build_transform(g, merge=[(1, 2)], drop=[(1, 2)])
     assert check_goodness(child).verdict is GoodnessVerdict.NOT_GOOD
     with pytest.raises(CaseVerificationError) as err:
         case2_1(g, rep)
     assert str(err.value) == (f"Case2_1: parent is almost_good at {rep.bad_vertex}, "
                               "the lemma needs good")
-
-
-class _Unformattable:
-    """An argument that fails the test if a refusal text is built from it."""
-
-    def __format__(self, spec: str) -> str:
-        raise AssertionError("formatted a message that was not refused")
-
-
-def test_require_formats_nothing_when_it_holds():
-    D._require(True, "Probe", "flank {} is not Type II", _Unformattable())
-    with pytest.raises(AssertionError, match="formatted a message"):
-        D._require(False, "Probe", "flank {} is not Type II", _Unformattable())
-
-
-@pytest.mark.parametrize("k", [1, 2])
-def test_require_refuses_with_the_text_of_its_template(k):
-    """The refusal's text is the template formatted with the arguments, as
-    the f-string each site passed before read."""
-    v0, v1, v2, v3, u, problem, got = 4, 1, 12, 3, 7, "cycle (0, 1, 2) is not a cycle", 0
-    cases = [
-        (("bad vertex {} must have degree 2", u), f"bad vertex {u} must have degree 2"),
-        (("rewire precondition: vertex {} is not Type I ({})", u, problem),
-         f"rewire precondition: vertex {u} is not Type I ({problem})"),
-        (("expected {} child {} through the merged vertex, got {}",
-          k, "cycle" if k == 1 else "cycles", got),
-         f"expected {k} child {'cycle' if k == 1 else 'cycles'} "
-         f"through the merged vertex, got {got}"),
-        (("({}, {}, {}, {}) is not a path of the graph", v0, v1, v2, v3),
-         f"{(v0, v1, v2, v3)} is not a path of the graph"),
-        (("contracted graph is not_good",),
-         f"contracted graph is {GoodnessVerdict.NOT_GOOD.value}"),
-    ]
-    for (message, *args), text in cases:
-        with pytest.raises(CaseVerificationError) as err:
-            D._require(False, "Probe", message, *args)
-        assert (err.value.case, err.value.problem) == ("Probe", text)
-        assert str(err.value) == f"Probe: {text}"
 
 
 def test_case2_1_child_facts_equal_fresh_ones():
@@ -1101,10 +1044,11 @@ def _fresh_report(g: EdgeColoredGraph) -> GoodnessReport:
 
 
 def test_derived_child_reports_equal_fresh_full_checks():
-    """Every child in the corpus whose report a case derives from its Type
-    X search alone has the report that the full check of a fresh copy
-    gives. Case2_2_1's merged graph is compared whether it is good or hands
-    its Type X vertices to Case2_2_1b; each kind of child has a floor."""
+    """Every child in the corpus whose report a case derives, by a lemma
+    or from its Type X search alone, has the report that the full check of
+    a fresh copy gives. Case2_2_1's merged graph is compared whether it is
+    good or hands its Type X vertices to Case2_2_1b; each kind of child
+    has a floor."""
     cp = corpus()
     made = {name: [(c.result.child, c.result.report) for c in cp.calls(name)
                    if isinstance(c.result, D.CaseReduction)]
@@ -1127,6 +1071,111 @@ def test_derived_child_reports_equal_fresh_full_checks():
     for name, pairs in made.items():
         for child, rep in pairs:
             assert rep == _fresh_report(child), name
+
+
+def _rainbow_walk_cycle(g: EdgeColoredGraph, rng: random.Random) -> Cycle | None:
+    """A rainbow cycle of g, or None: walk at random from a random vertex
+    by edges of colors the walk has not used, until a vertex repeats; the
+    loop closed there repeats no color."""
+    path = [rng.choice([v for v in range(g.n) if g.adj[v]])]
+    at, used = {path[0]: 0}, set()
+    while True:
+        steps = [w for w in g.adj[path[-1]] if g.color(path[-1], w) not in used
+                 and (len(path) < 2 or w != path[-2])]
+        if not steps:
+            return None
+        w = rng.choice(steps)
+        if w in at:
+            return Cycle(tuple(path[at[w]:]))
+        used.add(g.color(path[-1], w))
+        at[w] = len(path)
+        path.append(w)
+
+
+def _case2_2_components(seeds: Iterable[tuple[int, int]]) -> Iterator[EdgeColoredGraph]:
+    """The good components that `_dispatch` sends to Case 2.2, met while
+    peeling random checked rainbow cycles off the line graph of each (n,
+    seed): each is connected, not one cycle, with no rainbow triangle, a
+    Type I vertex, and no singular chain of length 3 or more."""
+    for n, seed in seeds:
+        rng = random.Random(seed)
+        h = build_line_graph(random_cubic_bridgeless(GeneratorConfig(n, seed))).lg
+        rep = check_goodness(h)
+        while h.edges:
+            for _ in range(20):
+                cyc = _rainbow_walk_cycle(h, rng)
+                try:
+                    checked = D._check_removal(h, rep, [("Probe", cyc)]) if cyc else None
+                except CaseVerificationError:
+                    checked = None
+                if checked is not None:
+                    break
+            else:
+                break
+            h, rep = checked.rest, checked.report
+            for comp in split_components(h) if h.edges else ():
+                # a component the cycle missed was met after an earlier peel
+                chains = comp.singular_chains
+                if (not comp.components[0].isdisjoint(cyc.vertices)
+                        and len(comp.edges) > len(comp.components[0]) and comp.type1
+                        and comp.rainbow_triangle is None
+                        and not (chains and chains[0][0] >= 3)):
+                    yield comp
+
+
+def _pattern_at(g: EdgeColoredGraph, v: int) -> tuple[str, D.CasePattern]:
+    """The shape and pattern `extract_case2_2_pattern` reads at the Type I
+    vertex v, not only at the least one: read on a copy of g whose Type I
+    set is filled as {v}."""
+    view = g.edit(drop=())
+    view.__dict__["type1"] = frozenset({v})
+    return extract_case2_2_pattern(view)
+
+
+def test_reduction_lemmas_hold_at_every_type1_vertex():
+    """The end-block path, rectangle and Type X contraction lemmas of the
+    coloring module docstring, which let the Case 2.2 reductions refuse
+    nothing, on good graphs that dispatch to Case 2.2, read at every Type
+    I vertex, not only at the least one the engine picks. The merged
+    child of a disjoint pattern has m not Type X, and every Type X vertex
+    separates v from m, which the child joins; a refused shape-a
+    rectangle has w of degree 2, w, y1, y2, z1 and z2 of Type I and
+    disjoint sides; and the contraction children of shapes b and c have
+    no Type X vertex. No line graph here has a shape b."""
+    seen = collections.Counter()
+    for g in _case2_2_components((n, seed) for n in range(10, 25, 2)
+                                 for seed in range(70)):
+        for v in sorted(g.type1):
+            shape, p = _pattern_at(g, v)
+            seen[shape] += 1
+            if shape == "disjoint":
+                merged = D._build_transform(
+                    g, drop=[(p.y1, p.x1), (p.x1, p.v), (p.v, p.x2), (p.x2, p.y2)],
+                    add=[(p.y1, p.v, p.alpha), (p.v, p.y2, p.beta)],
+                    merge=[(p.x1, p.x2)])
+                m = min(p.x1, p.x2)
+                txv = merged.type_x_sides
+                assert m not in txv
+                if txv:
+                    # the child joins v to m (-1 is no vertex), and no
+                    # path avoiding a Type X vertex does
+                    for u in (-1, *txv):
+                        assert any({v, m} <= comp for comp in _components_avoiding(
+                            merged.n, merged.edges, u)) == (u == -1)
+                    seen["type x child"] += 1
+            elif shape == "a":
+                try:
+                    D._check_removal(g, GOOD_REPORT, [("Probe", Cycle((p.x1, v, p.x2, p.w1)))])
+                except CaseVerificationError:
+                    seen["refused"] += 1
+                    assert len(g.adj[p.w1]) == 2
+                    assert {p.w1, p.y1, p.y2, p.z1, p.z2} <= g.type1
+                    assert not {p.y1, p.z1} & {p.y2, p.z2}
+            elif shape in ("b", "c"):
+                case = D._case2_2_2b if shape == "b" else D._case2_2_2c
+                assert not case(g, GOOD_REPORT, p).child.type_x_sides
+    floors = {"disjoint": 1000, "type x child": 50, "a": 150, "refused": 2, "c": 100}
+    assert {k: seen[k] for k in floors if seen[k] < floors[k]} == {}
 
 
 def test_reductions_make_no_goodness_check_of_their_child():
@@ -1182,7 +1231,7 @@ def test_case1_2_contraction_closing_a_triangle(far):
     color too, so case1_2 rejects this one by its report. Otherwise the
     child is good, and its derived report is the full check's."""
     g = EdgeColoredGraph.from_triples(4, [(0, 1, 0), (1, 2, 1), (2, 3, far), (0, 3, 0)])
-    child = D._build_transform(g, "Probe", merge=[(0, 1)], drop=[(0, 1)])
+    child = D._build_transform(g, merge=[(0, 1)], drop=[(0, 1)])
     rep = check_goodness(g)
     if far == 1:
         assert rep.verdict is GoodnessVerdict.NOT_GOOD
@@ -1207,9 +1256,11 @@ def test_case2_2_2c_contraction_closing_a_triangle_or_a_cut(join):
     lemma's child breaks a condition. No good graph has it, since x1 is
     then a Type X cut vertex, as it is here, so _case2_2_2c rejects this
     graph by its report. Along the path, the child meets conditions 1-5.
-    Told that the graph is good, the case builds its child either way, and
-    its Type X search, which finds the merged vertex, rejects it with the
-    message a full check of the child gives."""
+    Told that the graph is good, the case builds its child either way and
+    hands it on as good, as the Type X contraction lemma proves of the
+    child of a good parent; the full check of this child finds the merged
+    vertex Type X, as x1 is in g. So the parent's verdict is the case's
+    one guard."""
     g = EdgeColoredGraph.from_triples(10, [
         (0, 1, 0), (0, 2, 1), (1, 3, 0), (1, 6, 2), (1, 7, 2), (2, 4, 1),
         (2, 3, 3), (2, 5, 3), (6, 8, 5), (7, 8, 6), *join])
@@ -1217,7 +1268,7 @@ def test_case2_2_2c_contraction_closing_a_triangle_or_a_cut(join):
     assert [(v.condition, v.witness) for v in rep.violations] == [(6, 1)]
     shape, p = extract_case2_2_pattern(g)
     assert shape == "c" and (p.v, p.x1, p.x2, p.y1, p.y2, p.z2) == (0, 1, 2, 3, 4, 5)
-    child = D._build_transform(g, "Probe", merge=[(0, 1, 3, 2)],
+    child = D._build_transform(g, merge=[(0, 1, 3, 2)],
                                drop=[(0, 1), (1, 3), (2, 3), (0, 2), (2, 5)],
                                add=[(2, 5, 1)])
     full = check_goodness(child)
@@ -1225,9 +1276,10 @@ def test_case2_2_2c_contraction_closing_a_triangle_or_a_cut(join):
     with pytest.raises(CaseVerificationError) as err:
         D._case2_2_2c(g, rep, p)
     assert str(err.value) == "Case2_2_2c: parent is not_good, the lemma needs good"
-    with recording() as log, pytest.raises(CaseVerificationError) as err:
-        D._case2_2_2c(g, GOOD_REPORT, p)
-    assert str(err.value) == f"Case2_2_2c: contracted graph is {full.verdict.value}"
+    assert (6, 0) in [(v.condition, v.witness) for v in full.violations]
+    with recording() as log:
+        red = D._case2_2_2c(g, GOOD_REPORT, p)
+    assert red.child == child and red.report == GOOD_REPORT
     assert [c.name for c in log if c.name == "_build_transform"] == ["_build_transform"]
 
 

@@ -3,15 +3,16 @@ definition in src/cdcover is used somewhere, and no f-string in it lacks a
 placeholder. No module names a map between two vertex id spaces, and none
 in src/cdcover reads the environment. Cached properties are filled from
 outside their own code at a fixed list of sites, and none is a
-`functools.cached_property`. Every `_require` passes a constant template
-as its message, so a check that holds builds no text.
+`functools.cached_property`. Every `_require` passes constant text as
+its message, so a check that holds builds no text.
 The decomposer builds no graph from scratch, and only `EdgeColoredGraph.edit`
 builds one without its validating constructor. Only the decomposer's
 removal check asks for a goodness check from a parent's report, only its
 entry points check a graph in full, only the removal check makes the
 record of a removal it accepted, and only `extract_case2_2_pattern`
 builds a `CasePattern`. No lift in the decomposer refuses, but
-Case2_2_2a's. Only `graphs.lowpoint_search` stores discovery times and
+Case2_2_2a's, and no reduction or child builder refuses what a lemma
+proves. Only `graphs.lowpoint_search` stores discovery times and
 lowpoints. The brute-force oracle and the decomposer it certifies import nothing from
 each other. No module in src/cdcover imports `dataclasses`, and importing
 the package and its CLI loads none of `dataclasses`, `inspect`, `ast` and
@@ -886,8 +887,7 @@ def test_one_function_builds_a_case_pattern():
 # the decomposer's calls that name a case, each with the index of its
 # message argument, which may be any text, or None when it has none
 CASE_NAMING_CALLS = {"CaseVerificationError": 1, "_EngineFailure": 2, "_require": 2,
-                     "_require_verdict": None, "_build_transform": None,
-                     "_contraction": None}
+                     "_require_verdict": None, "_contraction": None}
 
 
 def literal_case_names(source: str) -> list[str]:
@@ -915,8 +915,8 @@ def test_literal_case_names_detects_and_allows():
            "    _require(ok, 'Case2_2', f'{x} message')\n"
            "    raise CaseVerificationError('Engine', 'case produced no cycles')\n"
            "def h(g):\n"
-           "    child = D._build_transform(g, 'ContractEdge', drop=[e])\n"
-           "    return _contraction(g, CASE_1_1, 'rectangle', merge=m)\n"
+           "    child = D._build_transform(g, drop=[e])\n"
+           "    return _contraction(g, 'ContractEdge', 'rectangle', merge=m)\n"
            "_EngineFailure('Probe', g, 'message', None, rep)\n"
            "check(g, 'Probe')\n")
     assert literal_case_names(src) == [
@@ -926,11 +926,10 @@ def test_literal_case_names_detects_and_allows():
 def test_every_decomposer_refusal_names_a_case():
     """Every refusal the decomposer raises, and so the `case` of every
     `case_failure` it writes, names a case: one of `CASE_TAGS`, passed by
-    its constant, or `Engine` (the engine's own checks), `Case2_2` (the
-    pattern every Case2_2 subcase starts from) or `Case2_2_1` (the merged
-    child its two subcases share). A child is built under its case's
-    name, not under a name for the edit that builds it."""
-    allowed = {"Engine", "Case2_2", "Case2_2_1"}
+    its constant, or `Engine` (the engine's own checks) or `Case2_2` (the
+    pattern every Case2_2 subcase starts from). A child is lifted under
+    its case's name, not under a name for the edit that builds it."""
+    allowed = {"Engine", "Case2_2"}
     assert [entry for entry in literal_case_names((SRC / "decomposer.py").read_text())
             if entry.split(": ", 1)[1] not in allowed] == []
 
@@ -939,9 +938,7 @@ def built_require_messages(source: str) -> list[str]:
     """`line N: message` for each call of `_require`, or of an attribute so
     named, in `source` whose message, its third argument or `message=`, is
     not a string constant. An f-string, `.format`, `%` or `+` there builds
-    the refusal's text on every call, though almost no call refuses; the
-    constant is a template that `_require` formats with its further
-    arguments when it refuses."""
+    the refusal's text on every call, though almost no call refuses."""
     found = []
     for node in ast.walk(ast.parse(source)):
         if not isinstance(node, ast.Call):
@@ -959,7 +956,7 @@ def built_require_messages(source: str) -> list[str]:
 
 
 def test_built_require_messages_detects_and_allows():
-    src = ("_require(ok, tag, 'flank {} is not Type II', x)\n"
+    src = ("_require(ok, tag, 'flank is not Type II')\n"
            "_require(ok, tag, f'flank {x} is not Type II')\n"
            "_require(ok, tag, 'flank {}'.format(x))\n"
            "_require(ok, tag, 'flank %d' % x)\n"
@@ -977,8 +974,8 @@ def test_built_require_messages_detects_and_allows():
 
 
 def test_require_messages_are_constant_templates():
-    """Every `_require` in src/ passes its refusal text as a constant
-    template, so a check that holds formats nothing."""
+    """Every `_require` in src/ passes its refusal text as constant text,
+    so a check that holds builds none."""
     assert [f"{p.name}: {hit}" for p in MODULES
             for hit in built_require_messages(p.read_text())] == []
 
@@ -1010,9 +1007,11 @@ def lift_refusals(source: str) -> list[str]:
     return refusals(source, lambda names: bool({"lift", "expand"} & set(names[1:])))
 
 
-# the decomposer's top-level functions that dispatch, peel or reduce
+# the decomposer's top-level functions that dispatch, peel or reduce, and
+# the builder of a reduction's child
 CASE_FUNCTIONS = frozenset({
-    "_dispatch", "_all_type2_cycle", "_contraction", "case1_1", "case1_2", "case2_1",
+    "_dispatch", "_all_type2_cycle", "_build_transform", "_contraction",
+    "case1_1", "case1_2", "case2_1",
     "extract_case2_2_pattern", "case2_2_1", "_case2_2_1b", "_case2_2_2a",
     "_case2_2_2b", "_case2_2_2c", "_case2_2_2d"})
 
@@ -1053,6 +1052,12 @@ def test_lift_refusals_detects_and_allows():
            "def _contraction(g, tag):\n"
            "    _require(g, tag, 'not good')\n"
            "    raise CaseVerificationError(tag, 'x')\n"
+           "def _build_transform(parent, *, drop):\n"
+           "    if drop - parent.edges:\n"
+           "        raise D.CaseVerificationError('Engine', 'absent edges')\n"
+           "    return parent.edit(drop=drop)\n"
+           "def _build_child(parent):\n"
+           "    raise CaseVerificationError('Engine', 'not a case function')\n"
            "class A:\n"
            "    def case1_2(self):\n"
            "        _require(self, tag, 'a method')\n")
@@ -1061,6 +1066,7 @@ def test_lift_refusals_detects_and_allows():
         "_case.lift: _require", "_contraction_lift.lift: _require",
         "case1_1.lift: _require"]
     assert case_refusals(src) == [
+        "_build_transform: CaseVerificationError",
         "_contraction: CaseVerificationError", "_contraction: _require",
         "case1_1: _require"]
 
@@ -1079,16 +1085,17 @@ def test_reductions_refuse_nothing_their_report_proves():
     """A case's hypothesis is its parent's verdict, which `_require_verdict`
     checks, the dispatch branch that reaches it, and for a Case2_2 subcase
     the shape `extract_case2_2_pattern` read; the pattern the case reads
-    follows from them. So a case function refuses only what they leave
-    open: each public case its one wrong-case guard, the Type X decisions
-    of `_contraction` and Case2_2_2a's rewired child, Case2_2_2a's rewire
-    preconditions, and Case2_2_1b's x-block path. Case2_2_2a also reads
-    `CaseVerificationError` to catch its rectangle's refusal."""
+    and the child it builds follow from them by the lemmas in the coloring
+    module docstring, the Type X contraction, end-block path and rectangle
+    lemmas included. So a case function refuses only what they leave
+    open: each public case its one wrong-case guard, and Case2_2_2a the
+    Type X search of its rewired child and, in its lift, a child cycle
+    through both w and v. Case2_2_2a also reads `CaseVerificationError` to
+    catch its rectangle's refusal, and `_build_transform` refuses
+    nothing."""
     assert case_refusals((SRC / "decomposer.py").read_text()) == [
-        *["_case2_2_1b: _require"] * 4,
         "_case2_2_2a: CaseVerificationError",
-        *["_case2_2_2a: _require"] * 3,
-        "_contraction: _require",
+        "_case2_2_2a: _require",
         "case1_1: _require",
         "case1_2: _require",
         "case2_1: _require",
