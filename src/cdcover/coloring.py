@@ -24,11 +24,39 @@ Conditions 1, 2, 3 and 5 are hereditary under removing edge-disjoint
 cycles: degrees fall by 2 at a vertex per cycle through it and stay even
 and at most 4, and triangles and the vertex spans of color classes only
 shrink. So the remainder of a good or almost-good graph needs condition 4
-re-checked only at the cycles' vertices, and condition 6 from one DFS;
-`report_after_removal` does that.
+re-checked only at the cycles' vertices, and condition 6, which the
+one-arc removal lemma below settles for most single cycles with no search;
+`report_after_removal` does that, and runs one Type X search only where
+the lemma does not apply.
 
-A remainder's components come from its own Type X search, which its
-goodness check runs.
+The one-arc removal lemma. Let H be connected and good, or almost-good at
+b, and let C be a cycle of H that is rainbow, or almost-rainbow at b.
+Suppose C has at least one degree-4 vertex, and its degree-4 vertices are
+consecutive along C. Then H - C is connected and has no Type X vertex.
+Every degree-4 vertex of H is Type II: a color on three of its four edges
+would span four vertices (condition 5). Take a C-edge xy between two
+degree-4 vertices, of color c. x has a second edge xw of color c and y
+one yw', and w = w', or c would span x, y, w and w'. C uses c once, on xy:
+the color an almost-rainbow C repeats is on b's two edges, and b has
+degree 2. So xw and yw are edges of H - C, and they join x and y there. A
+vertex with edges in H - C is joined in H to C, and the first vertex of C
+on such a path is entered by an edge off C, so it has degree 4; hence
+H - C is connected. Now suppose u were Type X in H - C. It has degree 4
+there, so it is off C, and its edges are its edges in H. Two consecutive
+degree-4 vertices x and y of C lie on one side of u: the path x w y
+avoids u, or w = u, and then ux and uy have the one color c, so they are
+one of u's two monochromatic pairs. So the degree-4 vertices of C lie on
+one side, and the other side holds no vertex of C, as the degree-2 ones
+are isolated in H - C. That side's vertices have all their edges of H, so
+it meets the rest of H only at u, by the same pair, and u would already be
+Type X in H. The proof reads C's colors only through w. So
+`report_after_removal` checks, in O(|C|), that the degree-4 vertices of
+one removed cycle are one arc and that each two consecutive ones x, y keep
+edges xw, yw of color c(xy) in H - C, which the hypothesis implies. Then
+it fills the remainder's components, H's without the vertices of C that
+had degree 2, and its empty Type X map, with no search. Every rainbow
+triangle is one arc, as any set of a triangle's vertices is consecutive,
+and so is every cycle of an all-Type-II graph.
 
 The component lemma: each edge-bearing component of a good graph is
 good; of a graph almost-good at b, b's component is almost-good at b and
@@ -350,6 +378,15 @@ class EdgeColoredGraph(Graph):
         # with its ==, which compares n and coloring
         return hash((self.n, frozenset(self.coloring.items())))
 
+    @cached_property
+    def edges(self) -> frozenset[Edge]:
+        """The coloring's keys. An `edit` does not build this set; the
+        engine reads `coloring` instead."""
+        return frozenset(self.coloring)
+
+    def has_edge(self, u: int, v: int) -> bool:
+        return edge(u, v) in self.coloring
+
     @classmethod
     def from_triples(cls, n: int, triples: Iterable[tuple[int, int, int]]) -> "EdgeColoredGraph":
         coloring = {}
@@ -375,7 +412,8 @@ class EdgeColoredGraph(Graph):
 
         Only the edges of `add` are validated, as `Graph` validates an edge:
         the kept edges are this graph's, already valid. So the child skips
-        the constructor's check, which would cost O(m)."""
+        the constructor's check, which would cost O(m), and its edge set,
+        which `edges` builds if it is read."""
         coloring = dict(self.coloring)
         lost: dict[int, list[int]] = {}
         absent = []
@@ -402,7 +440,7 @@ class EdgeColoredGraph(Graph):
         for x, ws in gained.items():
             adj[x] = tuple(sorted([*adj[x], *ws]))
         child = object.__new__(EdgeColoredGraph)
-        child.__dict__.update(n=self.n, edges=frozenset(coloring), coloring=coloring)
+        child.__dict__.update(n=self.n, coloring=coloring)
         child.__dict__["adj"] = tuple(adj)  # fills the cached property
         return child
 
@@ -410,7 +448,10 @@ class EdgeColoredGraph(Graph):
     def components(self) -> tuple[frozenset[int], ...]:
         """Vertex sets of the edge-bearing connected components, by min
         vertex: the trees of the lowpoint search that the Type X search
-        (`_cut_search`) reads, which also fills `type_x_sides`."""
+        (`_cut_search`) reads, which also fills `type_x_sides`. Where a
+        lemma proves a graph has no Type X vertex, both facts are filled
+        with no search when it is made (`report_after_removal`,
+        `decomposer._contraction`, `decomposer._case2_2_1b`)."""
         return _cut_search(self)[0]
 
     @cached_property
@@ -610,12 +651,15 @@ def report_after_removal(g: EdgeColoredGraph, parent: EdgeColoredGraph,
     be good or almost-good.
 
     Conditions 1, 2, 3 and 5 still hold (see the module docstring), so only
-    condition 4 at the cycles' vertices and condition 6 are checked: this
-    costs O(sum |C|) plus one Type X search.
+    condition 4 at the cycles' vertices and condition 6 are checked. When
+    the parent is connected and one cycle is removed whose degree-4
+    vertices are one arc, the one-arc removal lemma there settles
+    condition 6 and fills g's components and Type X map: this costs
+    O(|C|). Otherwise g's Type X search settles it.
     """
     if not prep.ok:
         raise ColoredGraphError("a removal's report needs a good or almost-good parent")
-    if g.n != parent.n or len(g.edges) != len(parent.edges) - sum(map(len, cycles)):
+    if g.n != parent.n or len(g.coloring) != len(parent.coloring) - sum(map(len, cycles)):
         raise ColoredGraphError(f"graph is not its parent minus the cycles "
                                 f"{[c.vertices for c in cycles]}")
     adj = g.adj
@@ -623,6 +667,7 @@ def report_after_removal(g: EdgeColoredGraph, parent: EdgeColoredGraph,
     # off the cycles nothing changed, so the parent's bad vertex stays bad
     b = prep.bad_vertex
     bad = [] if b is None or any(b in c for c in cycles) else [b]
+    gone = []  # the cycles' vertices of degree 2, isolated in g
     for v in (v for c in cycles for v in c.vertices):
         nbrs = adj[v]
         # each cycle took two edges; two left show one or two colors
@@ -630,9 +675,43 @@ def report_after_removal(g: EdgeColoredGraph, parent: EdgeColoredGraph,
             x, y = nbrs
             if coloring[edge(v, x)] == coloring[edge(v, y)]:
                 bad.append(v)
-    if len(bad) > 1 or g.type_x_sides:
+        else:
+            gone.append(v)
+    if len(bad) > 1:
+        return None
+    if len(cycles) == 1 and len(parent.components) == 1 \
+            and _one_arc(g, parent, cycles[0]):
+        (comp,) = parent.components
+        g.__dict__["components"] = (comp.difference(gone) if gone else comp,)
+        g.__dict__["type_x_sides"] = {}
+    elif g.type_x_sides:
         return None
     return almost_good_at(bad[0]) if bad else GOOD_REPORT
+
+
+def _one_arc(g: EdgeColoredGraph, parent: EdgeColoredGraph, cyc: Cycle) -> bool:
+    """Whether the removal of `cyc` from `parent`, which leaves g, meets the
+    one-arc removal lemma's hypothesis as `report_after_removal` checks
+    it: the vertices of `cyc` that keep edges in g, its degree-4 vertices,
+    are one arc of it or all of it, and each two consecutive ones x, y
+    keep edges xw and yw of color c(xy)."""
+    adj, coloring = g.adj, g.coloring
+    vs = cyc.vertices
+    starts = 0  # degree-4 vertices that follow a degree-2 one
+    x = vs[-1]
+    for y in vs:
+        if adj[y]:
+            if not adj[x]:
+                starts += 1
+            else:
+                c = parent.coloring[(x, y) if x < y else (y, x)]
+                ny = adj[y]
+                if not any(w in ny and coloring[(x, w) if x < w else (w, x)] == c
+                           and coloring[(y, w) if y < w else (w, y)] == c
+                           for w in adj[x]):
+                    return False
+        x = y
+    return starts == 1 or (starts == 0 and bool(adj[vs[0]]))
 
 
 # ---------------------------------------------------------------------------
@@ -686,7 +765,7 @@ def split_components(g: EdgeColoredGraph) -> list[EdgeColoredGraph]:
     comps = g.components
     if len(comps) == 1:
         return [g]
-    return [g.edit(drop=[e for e in g.edges if e[0] not in comp]) for comp in comps]
+    return [g.edit(drop=[e for e in g.coloring if e[0] not in comp]) for comp in comps]
 
 
 def x_block_decomposition(g: EdgeColoredGraph) -> tuple[frozenset[int], ...]:
@@ -700,7 +779,7 @@ def x_block_decomposition(g: EdgeColoredGraph) -> tuple[frozenset[int], ...]:
     adj = g.adj
     seen: set[Edge] = set()
     x_blocks = []
-    for first in sorted(g.edges):
+    for first in sorted(g.coloring):
         if first in seen:
             continue
         seen.add(first)
@@ -775,5 +854,5 @@ def parse_colored_edge_list(text: str) -> EdgeColoredGraph:
 
 def serialize_colored_edge_list(g: EdgeColoredGraph) -> str:
     lines = [f"n {g.n}"]
-    lines.extend(f"{u} {v} {g.coloring[(u, v)]}" for u, v in sorted(g.edges))
+    lines.extend(f"{u} {v} {g.coloring[(u, v)]}" for u, v in sorted(g.coloring))
     return "\n".join(lines) + "\n"

@@ -38,7 +38,8 @@ vertex either, so it is good with no search. Case2_2_1b's child, the end
 x-block of a merged graph whose only defect is Type X, needs no search
 either: the end-block path lemma puts the merged vertex in an end x-block,
 and the end-block lemma proves it almost-good at the vertex that joins it
-to the rest.
+to the rest. Both lemmas also give these children their components and
+an empty Type X map, filled where each child is made.
 A reduction refuses nothing its parent's report proves. A case's
 hypothesis is the parent's verdict, which `_require_verdict` checks, so
 that a direct call with a wrong report refuses; the dispatch's branch that
@@ -57,7 +58,10 @@ peeled on a frame above its waiting parent, so the depth of the reduction
 tree costs no Python recursion. Every removal, a lift's batch like any other, is
 verified by `_check_removal`: one linear sweep types the batch's cycles,
 and one `report_after_removal` checks what the batch leaves, or none when
-it leaves nothing. By the removal lemma in the coloring module docstring,
+it leaves nothing. That check runs a Type X search only when the one-arc
+removal lemma does not settle condition 6: for a batch of several cycles,
+or one cycle whose degree-4 vertices lie on two or more arcs. By the
+removal lemma in the coloring module docstring,
 this accepts exactly the batches whose cycles pass the checks one at a
 time. So a direct peel, one cycle and no child, has no check of its own.
 A lift refuses nothing its input proves: the input is the child's
@@ -320,10 +324,16 @@ def _contraction(g: EdgeColoredGraph, tag: str,
     in the coloring module docstring proves that the child meets
     conditions 1-5 with no vertex of color degree 1, and the Type X
     contraction lemma there that it has no Type X vertex, so its report is
-    `GOOD_REPORT` with no search."""
+    `GOOD_REPORT` with no search. The child's two cut facts are filled
+    where it is made: contracting a connected set keeps each component
+    connected, so its components are g's without the merged-away
+    vertices, and its Type X map is empty."""
     child = _build_transform(g, merge=[merge], **build)
-    return CaseReduction(
-        child, _contraction_lift(tag, expansions, min(merge)), GOOD_REPORT)
+    m = min(merge)
+    gone = set(merge) - {m}
+    child.__dict__["components"] = tuple(comp - gone for comp in g.components)
+    child.__dict__["type_x_sides"] = {}
+    return CaseReduction(child, _contraction_lift(tag, expansions, m), GOOD_REPORT)
 
 
 def _contraction_lift(tag: str,
@@ -357,7 +367,7 @@ def _all_type2(g: EdgeColoredGraph) -> bool:
     graph with a prescribed cycle before it checks the graph's goodness;
     on a good component, the dispatch reads the same from `type1`."""
     comps = g.components
-    if len(comps) != 1 or len(g.edges) != 2 * len(comps[0]):
+    if len(comps) != 1 or len(g.coloring) != 2 * len(comps[0]):
         return False  # not every vertex with edges has degree 4
     for v in comps[0]:
         cols = g.colors_at(v)
@@ -754,11 +764,15 @@ def _case2_2_1b(g, rep_g, p, child, m) -> CaseReduction:
     Type X vertex, and every Type X vertex separates v from m, so the
     x-block tree is the path from m's x-block to v's. m's x-block is then
     an end of it, holding exactly one Type X vertex, the joining vertex t,
-    and by the end-block lemma there it is almost-good at t."""
+    and by the end-block lemma there it is almost-good at t. So the end
+    block, which an x-block's edges join, is one component with no Type
+    X vertex, and both facts are filled where it is made."""
     tag = CASE_2_2_1B
     bx = next(b for b in x_block_decomposition(child) if m in b)
     (t,) = bx & child.type_x_sides.keys()
-    end = child.edit(drop=[e for e in child.edges if e[0] not in bx or e[1] not in bx])
+    end = child.edit(drop=[e for e in child.coloring if e[0] not in bx or e[1] not in bx])
+    end.__dict__["components"] = (bx,)
+    end.__dict__["type_x_sides"] = {}
 
     def lift(sub: list[tuple[str, Cycle]]) -> _Checked:
         # m has degree 4 in the end block and t degree 2, so m lies on two
@@ -948,7 +962,7 @@ def _color_pruned_cycles(g: EdgeColoredGraph, length: int,
 
 def _fallback_cap(g: EdgeColoredGraph) -> int:
     """The longest cycle `fallback_search` tries: any under 64 edges, else 24 vertices."""
-    return max(len(c) for c in g.components) if len(g.edges) < 64 else 24
+    return max(len(c) for c in g.components) if len(g.coloring) < 64 else 24
 
 
 def fallback_search(g: EdgeColoredGraph, rep: GoodnessReport) -> FallbackResult:
@@ -970,7 +984,7 @@ def fallback_search(g: EdgeColoredGraph, rep: GoodnessReport) -> FallbackResult:
     """
     if not rep.ok:
         raise DecomposeError("fallback requires a good or almost-good graph")
-    if not g.edges:
+    if not g.coloring:
         return FallbackResult("absent")
     longest = max(len(c) for c in g.components)
     cap = min(_fallback_cap(g), longest)
@@ -995,7 +1009,7 @@ def _dispatch(comp: EdgeColoredGraph, rep: GoodnessReport):
     """Pick the applicable case; returns a direct batch, a `_Checked` one
     or a CaseReduction. A Case2_2 graph goes by its pattern's shape, from
     `extract_case2_2_pattern`, through one table to its subcase."""
-    if len(comp.edges) == len(comp.components[0]):
+    if len(comp.coloring) == len(comp.components[0]):
         # degrees 2 and 4 and as many edges as vertices: every degree is 2,
         # so comp is one cycle, and its one singular chain is the cycle,
         # closed if comp is good, or b ... b if comp is almost-good at b
@@ -1051,7 +1065,7 @@ def _advance(stack: list[_Frame]) -> None:
         fr.pending = None
         step = red.lift(sub)
     else:
-        if not fr.graph.edges:
+        if not fr.graph.coloring:
             stack.pop()
             return
         parts = split_components(fr.graph)
@@ -1113,7 +1127,7 @@ def _verified_trace(root: EdgeColoredGraph, rep: GoodnessReport,
     except CaseVerificationError as err:
         raise _EngineFailure(err.case, root, f"replay verification failed: {err}",
                              err.cycle, rep) from err
-    if rest.edges:
+    if rest.coloring:
         raise _EngineFailure("Engine", root, "cycles do not cover every edge", None, rep)
     at = next((i for i, (_, c) in enumerate(tagged) if rep.bad_vertex in c),
               len(tagged))

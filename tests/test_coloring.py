@@ -10,7 +10,10 @@ from cdcover.coloring import (
     ColoredGraphError,
     EdgeColoredGraph,
     GoodnessVerdict,
+    _cut_search,
+    _one_arc,
     check_goodness,
+    is_almost_rainbow_at,
     parse_colored_edge_list,
     report_after_removal,
     serialize_colored_edge_list,
@@ -410,6 +413,133 @@ def test_incremental_goodness_rejects_a_wrong_parent():
     assert rep.verdict is GoodnessVerdict.NOT_GOOD
     with pytest.raises(ColoredGraphError, match="good or almost-good parent"):
         report_after_removal(x, x, rep, [])
+
+
+def _checked_peels(h: EdgeColoredGraph, rng: random.Random,
+                   edges: int) -> EdgeColoredGraph:
+    """h less random cycles, each removed only when the engine's removal
+    check accepts it, so every graph on the way is good or almost-good,
+    until at most `edges` edges are left or 200 cycles have been tried. A
+    graph that is not good or almost-good is returned as it is."""
+    rep = check_goodness(h)
+    for _ in range(200):
+        if len(h.coloring) <= edges or not rep.ok:
+            break
+        try:
+            checked = D._check_removal(h, rep, [("peel", _random_cycle(h, rng))])
+        except D.CaseVerificationError:
+            continue
+        h, rep = checked.rest, checked.report
+    return h
+
+
+def _meets_one_arc_hypothesis(h: EdgeColoredGraph, bad: int | None, c: Cycle) -> bool:
+    """The one-arc removal lemma's hypothesis, read off its statement: c is
+    rainbow, or almost-rainbow at the bad vertex, has a vertex of degree 4
+    in h, and its degree-4 vertices are consecutive along it."""
+    cols = [h.coloring[e] for e in c.edges]
+    if len(set(cols)) < len(cols) and not (bad in c and is_almost_rainbow_at(h, c, bad)):
+        return False
+    deg4 = [len(h.adj[v]) == 4 for v in c.vertices]
+    arcs = sum(d and not deg4[i - 1] for i, d in enumerate(deg4))
+    return arcs == 1 or all(deg4)
+
+
+def _assert_one_arc_lemma(g: EdgeColoredGraph) -> None:
+    """For each good or almost-good component H of g, and every cycle C of
+    H that meets the one-arc removal lemma's hypothesis, a fresh Type X
+    search of H - C finds one component and no Type X vertex, and the
+    removal check's own test, `_one_arc`, accepts C."""
+    for h in split_components(g):
+        rep = check_goodness(h)
+        if not rep.ok:
+            continue
+        for vs, _ in enumerate_cycles(h, math.inf):
+            c = Cycle(vs)
+            if not _meets_one_arc_hypothesis(h, rep.bad_vertex, c):
+                continue
+            rest = h.edit(drop=c.edges)
+            assert _one_arc(rest, h, c), vs
+            comps, sides = _cut_search(EdgeColoredGraph(rest.n, dict(rest.coloring)))
+            assert (len(comps), sides) == (1, {}), vs
+
+
+@given(n=st.sampled_from(range(8, 17, 2)), seed=st.integers(0, 999),
+       edges=st.integers(24, 40), rng=st.randoms(use_true_random=False))
+@settings(max_examples=30, deadline=None)
+def test_one_arc_removal_lemma_on_peeled_line_graphs(n, seed, edges, rng):
+    """An attempt to refute the one-arc removal lemma on line graphs less
+    random checked peels, down to at most `edges` edges, which keeps the
+    list of their cycles short."""
+    lg = build_line_graph(random_cubic_bridgeless(GeneratorConfig(n, seed))).lg
+    _assert_one_arc_lemma(_checked_peels(lg, rng, edges))
+
+
+@given(name=st.sampled_from(sorted(_SAMPLES)), edges=st.integers(0, 30),
+       rng=st.randoms(use_true_random=False))
+@settings(max_examples=40, deadline=None)
+def test_one_arc_removal_lemma_on_samples(name, edges, rng):
+    """The same attempt on the hand-built samples and what checked peels
+    leave of them; those that are not good are skipped."""
+    _assert_one_arc_lemma(_checked_peels(_SAMPLES[name], rng, edges))
+
+
+def test_two_arc_removal_can_leave_a_type_x_vertex():
+    """The one-arc hypothesis is needed. A Case2_2_2a rectangle that the
+    engine refused on the line graph of n=20, seed 15, relabelled: the good
+    graph's rainbow rectangle x1 v x2 w = 1 0 2 3, with v and w of degree 2,
+    has its degree-4 vertices x1 and x2 on two arcs, and removing it leaves
+    8 a Type X vertex, between the squares 1 4 8 6 and 2 5 8 7. Every
+    rectangle that Case2_2_2a refuses in the engine corpus is two-arc."""
+    g = EdgeColoredGraph.from_triples(9, [
+        (0, 1, 0), (0, 2, 1), (1, 6, 2), (1, 3, 2), (2, 3, 3), (1, 4, 0),
+        (2, 7, 3), (2, 5, 1), (6, 8, 4), (4, 8, 4), (7, 8, 5), (5, 8, 5)])
+    rep = check_goodness(g)
+    assert rep.verdict is GoodnessVerdict.GOOD
+    rect = Cycle((1, 0, 2, 3))
+    assert len({g.coloring[e] for e in rect.edges}) == 4
+    assert not _meets_one_arc_hypothesis(g, None, rect)
+    rest = g.edit(drop=rect.edges)
+    assert not _one_arc(rest, g, rect)
+    assert report_after_removal(rest, g, rep, [rect]) is None
+    assert rest.type_x_sides == {8: ((4, 6), (5, 7))}
+    refused = 0
+    for c in corpus().calls("_case2_2_2a"):
+        h, _, p = c.args
+        if next(i for i in c.inner() if i.name == "_check_removal").error is None:
+            continue
+        rect = Cycle((p.x1, p.v, p.x2, p.w1))
+        assert [len(h.adj[v]) for v in (p.x1, p.v, p.x2, p.w1)] == [4, 2, 4, 2]
+        assert not _one_arc(h.edit(drop=rect.edges), h, rect)
+        refused += 1
+    assert refused >= 5
+
+
+def test_one_arc_check_reads_the_common_neighbor():
+    """The lemma's proof reads C's colors only through the vertex w that
+    joins two consecutive degree-4 vertices, so the check tests w itself
+    and holds for a cycle that is not rainbow. In this good graph, left by
+    checked peels of the line graph of n=10, seed 3, C = 1 2 5 14 repeats
+    color 9, its degree-4 vertices 2 5 14 are one arc, and it leaves one
+    vertex of one color, 5. But 2 and 5 keep no common neighbor by color
+    9, and removing C leaves 8 a Type X vertex, so the check is not met
+    and the search refuses the remainder, as the full check does."""
+    g = EdgeColoredGraph.from_triples(15, [
+        (0, 2, 0), (0, 8, 7), (1, 2, 0), (1, 14, 8), (2, 5, 9), (2, 14, 9),
+        (3, 4, 1), (3, 5, 1), (3, 9, 3), (3, 10, 3), (4, 5, 1), (4, 11, 5),
+        (4, 12, 5), (5, 14, 9), (6, 7, 2), (6, 8, 2), (6, 9, 4), (6, 11, 4),
+        (7, 8, 2), (7, 10, 6), (7, 12, 6), (8, 13, 7), (13, 14, 8)])
+    rep = check_goodness(g)
+    assert rep.verdict is GoodnessVerdict.GOOD
+    c = Cycle((1, 2, 5, 14))
+    assert [g.coloring[e] for e in c.edges] == [0, 9, 9, 8]
+    assert [len(g.adj[v]) for v in c.vertices] == [2, 4, 4, 4]
+    rest = g.edit(drop=c.edges)
+    assert not _one_arc(rest, g, c)
+    assert report_after_removal(rest, g, rep, [c]) is None
+    assert rest.type_x_sides == {8: ((0, 13), (6, 7))}
+    assert check_goodness(EdgeColoredGraph(rest.n, dict(rest.coloring))).verdict \
+        is GoodnessVerdict.NOT_GOOD
 
 
 def test_type_x_true_positives_on_engine_graphs():

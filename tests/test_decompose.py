@@ -651,24 +651,36 @@ def test_case2_1_child_facts_equal_fresh_ones():
     rainbow triangle and singular chains, carried from its parent step by
     step, and no other fact but the neighbor tuples `edit` fills, at the
     moment it is made; each is the one a fresh graph with the child's edges
-    and colors computes."""
+    and colors computes. The edge set is not among them: it is the
+    coloring's keys, built only if read."""
     runs = corpus().calls("case2_1")
     assert len(runs) > 1000
     for run in runs:
         cached = run.cached
-        assert set(cached) == {"n", "edges", "coloring", "adj", *CASE2_1_FACTS}
+        assert set(cached) == {"n", "coloring", "adj", *CASE2_1_FACTS}
+        assert run.result.child.edges == frozenset(run.result.child.coloring)
         fresh = _fresh_facts(run.result.child)
         assert {name: cached[name] for name in CASE2_1_FACTS} == {
             name: fresh[name] for name in CASE2_1_FACTS}
+
+
+def _fresh_cut_facts(g) -> tuple:
+    """The components and Type X map of a new, uncached graph with g's
+    edges and colors, from its own Type X search."""
+    fresh = EdgeColoredGraph(g.n, dict(g.coloring))
+    return fresh.components, fresh.type_x_sides
 
 
 def test_remainder_facts_equal_fresh_ones():
     """Every remainder `edit` makes in the corpus gets no dispatch fact at
     the moment it is made, and is the graph of the next goodness check,
     `report_after_removal`. A remainder it gives a report holds, after it,
-    the components that a fresh graph with its edges and colors computes:
-    the check's Type X search filled them. A refused one is dropped."""
-    checked, made = 0, None
+    the components and Type X map that a fresh graph with its edges and
+    colors computes: the one-arc removal lemma filled them, with no
+    search, or the check's Type X search did. A refused one is dropped.
+    Both ways have a floor."""
+    by_lemma = by_search = 0
+    made = None
     for c in corpus().log:
         if c.name == "edit":
             assert not set(DISPATCH_FACTS) & set(c.cached)
@@ -678,9 +690,54 @@ def test_remainder_facts_equal_fresh_ones():
             g = c.args[0]
             assert g is made  # the edit just before its check
             if c.result is not None:
-                assert c.cached["components"] == _fresh_facts(g)["components"]
-                checked += 1
-    assert checked > 1000
+                assert (c.cached["components"], c.cached["type_x_sides"]) == \
+                    _fresh_cut_facts(g)
+                if any(i.name == "_cut_search" for i in c.inner()):
+                    by_search += 1
+                else:
+                    by_lemma += 1
+    assert by_lemma > 2000 and by_search > 800
+
+
+def test_contraction_and_end_block_facts_equal_fresh_ones():
+    """Every contraction's child (Case1_1, Case1_2, Case2_2_2b, Case2_2_2c)
+    and every Case2_2_1b end block in the corpus holds, when it is made,
+    the components and empty Type X map that a fresh graph with its edges
+    and colors computes, though no search made them: the Type X
+    contraction lemma and the end-block lemma prove the child has no Type
+    X vertex. Each fill site has a floor."""
+    sites = {"_contraction": ("case1_1", "case1_2", "_case2_2_2b", "_case2_2_2c"),
+             "_case2_2_1b": ("_case2_2_1b",)}
+    met = dict.fromkeys(sites, 0)
+    for site, names in sites.items():
+        for name in names:
+            for c in corpus().calls(name):
+                if not isinstance(c.result, D.CaseReduction):
+                    continue
+                assert not any(i.name == "_cut_search" for i in c.inner()), name
+                assert (c.cached["components"], c.cached["type_x_sides"]) == \
+                    _fresh_cut_facts(c.result.child)
+                met[site] += 1
+    assert met["_contraction"] > 500 and met["_case2_2_1b"] > 300
+
+
+def test_type_x_search_count_is_pinned():
+    """The Type X searches that the corpus's runs of n=20, seeds 0-9, make,
+    each one `lowpoint_search` by `_cut_search`, and the removals the
+    one-arc removal lemma answers with none. Before the lemma, and the
+    filled facts of contraction children and end blocks, these runs made
+    497 searches. A change that brings searches back shows here."""
+    cp = corpus()
+    assert [(r.n, r.seed, r.cap) for r in cp.runs[:10]] == [(20, s, None) for s in range(10)]
+    # each run starts with the one full check of its root
+    start, end = (cp.calls("check_goodness")[i].at for i in (0, 10))
+    searches = answered = 0
+    for c in cp.log[start:end]:
+        if c.name == "_cut_search":
+            searches += 1
+        elif c.name == "report_after_removal" and c.result is not None:
+            answered += not any(i.name == "_cut_search" for i in c.inner())
+    assert (searches, answered) == (194, 212)
 
 
 def test_decompose_runs_one_cut_search_per_graph():
