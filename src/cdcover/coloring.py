@@ -144,7 +144,8 @@ the end-block lemma below. By the lemma for its case, the child meets
 conditions 1-5, and no vertex sees one color, except in one local
 configuration that no good or almost-good parent has. So the child is good
 exactly when it has no Type X vertex, and the Type X contraction lemma
-below shows that a contraction's child has none. No case checks the
+below shows that a contraction's child has none, and the rewired-child
+lemma that Case2_2_2a's rewired child has none. No case checks the
 pattern its lemma reads: as each lemma shows, the parent's report and the
 dispatch that reaches the case imply it. Nor does `_build_transform` look
 for a loop or a parallel edge: each lemma's edits make none.
@@ -253,7 +254,8 @@ S, and the rest of S has no edge out, as its other vertices, v and, in a
 rectangle, y1, have degree 2. x1 is not Type X in H, so a path of H - x1
 joins its outer pair to its inner pair, and it enters S at x2, by x2's
 outer pair. Its part up to there joins m's two pairs once m is removed
-from the child, so m is not Type X either (`decomposer._contraction`).
+from the child, so m is not Type X either (`decomposer._contraction`,
+which fills the child's facts by `decomposer._good_reduction`).
 
 The rectangle lemma (Case2_2_2a, where w = w1 = w2). Let R be the
 rectangle x1 v x2 w of the good H, whose colors alpha, beta, delta and
@@ -289,10 +291,67 @@ neither gamma (z2 is outside x1, w, z1) nor delta (likewise), so it is
 rainbow. The same holds for (w, y1, y2). So the rewired child of a good
 graph is good or fails condition 6 alone.
 
+The pivot lemma (Case2_2_2a, once the rectangle R = x1 v x2 w of a good
+and connected H is refused). By the rectangle lemma, H - R fails
+condition 6 alone, so it has a Type X vertex u0. u0 has degree 4, so it
+is none of x1, x2, v, w, y1, y2, z1 and z2, which have degree 2 or none
+in H - R. Then u0's two sides separate {x1, y1, z1} from {x2, y2, z2}.
+Each triple is joined in H - R, by y1 x1 z1 and by y2 x2 z2, so it lies
+on one side of u0 or off u0's component. If one side S of u0 held
+neither, its vertices, which are not x1, x2, v or w, would have all
+their edges of H, so S would meet the rest of H only at u0, and u0 would
+be Type X in H. For the same reason H - R has no component without u0.
+Let P1 and P2 be the sides that hold x1 and x2. Each component, a part,
+of P1 - x1 holds y1 or z1, as P1 is connected and x1 has no other
+neighbor there, and it has an edge to u0. Otherwise its one edge out
+would be x1y1 or x1z1, a bridge of the even graph H - R, or it would
+hold both, and be all of P1 - x1, which holds the ends of u0's pair into
+P1. Likewise for P2 - x2. So H - R less x1 and x2 is connected: every
+part hangs on u0.
+
+The rewired-child lemma (Case2_2_2a). The rewired child C of such an H is
+connected on the vertices of H other than x1 and x2, and has no Type X
+vertex, so it is good, by the rewire lemma. C is H - R less x1 and x2,
+plus the paths y1 w y2 and z1 v z2, so it is connected, by the pivot
+lemma. Suppose u were Type X in C. It has degree 4, so it is none of v,
+w, y1, y2, z1 and z2, and it has all its edges of H, with their colors.
+The two paths avoid u, so each lies on one side of u. If both lay on
+one side, the other side would hold no vertex the rewire changed, so it
+would meet the rest of H only at u, and u would be Type X in H. So y1,
+w, y2 lie on one side P of u, and z1, v, z2 on the other, Q. Then u0
+cannot exist. If u0 is in P: each part of Q - v holds z1 or z2 and has
+an edge to u, or vz1 or vz2 would be a bridge of the even graph C; so
+Q - v and u join z1 to z2 by edges of H - R - u0, against the pivot
+lemma. If u0 is in Q, the same holds for y1 and y2, with P - w. If
+u0 = u, no part of H - R less x1, x2 and u holds both a y and a z, as
+P != Q. So P1 - x1 has two parts, one holding y1 and one z1, and so has
+P2 - x2, and each part gets one of u's four edges. u's pair into P, to
+y1's part and y2's, has one color, and its pair into Q, to z1's part and
+z2's, the other. So the pair into P1 has two colors, and u0 would not
+be Type X in H - R. Case2_2_2a fills C's components, H's less x1 and x2,
+and its empty Type X map with no search (`decomposer._good_reduction`).
+
+The split lemma (Case2_2_2a). In any rainbow decomposition of C, v and
+w lie on different cycles. Let S1 = P1 - x1 and S2 = P2 - x2. Every
+edge of C lies in S1 and u0, or in S2 and u0, or is one of y1w, wy2,
+z1v and vz2, with y1 and z1 in S1 and y2 and z2 in S2. So a cycle of C
+crosses between S1 and S2 only at u0, v or w, an even number of times.
+A cycle through v or w crosses there, and a rainbow cycle through u0
+crosses there too, as it uses one edge of each of u0's colors, and u0's
+pair into S1 has one color and its pair into S2 the other. u0, of degree
+4, lies on two cycles of the decomposition, each of which needs one more
+crossing, and v and w, of degree 2, lie on one cycle each. So one of
+u0's cycles holds v and the other w. Case2_2_2a's lift then puts x1 and
+x2 back around v, on the cycle z1 v z2, and around w, on y1 w y2, and
+each lifted cycle is rainbow: v's gains alpha and beta, which C has only
+on w's edges, and w's gains gamma and delta, which C has only on v's.
+
 The Type X search, which sorts u's neighbors by side, gives the x-blocks
 too. Join two edges when they share a vertex, except that at a Type X
-vertex u only the two edges of each side are joined; the x-blocks are the vertex sets of the classes of edges
-(`x_block_decomposition`). These are the blocks (maximal 2-connected
+vertex u only the two edges of each side are joined; the x-blocks are
+the vertex sets of the classes of edges. `x_block(g, v)` walks one class,
+from the edges at a vertex v that is not Type X, which are all joined
+there. These are the blocks (maximal 2-connected
 subgraphs) merged at every cut vertex that is not Type X, and each Type X
 vertex lies in exactly two of them. A block's edges at u are one side pair,
 since the block minus u stays connected; so a block lies in one class.
@@ -451,7 +510,7 @@ class EdgeColoredGraph(Graph):
         (`_cut_search`) reads, which also fills `type_x_sides`. Where a
         lemma proves a graph has no Type X vertex, both facts are filled
         with no search when it is made (`report_after_removal`,
-        `decomposer._contraction`, `decomposer._case2_2_1b`)."""
+        `decomposer._good_reduction`, `decomposer._case2_2_1b`)."""
         return _cut_search(self)[0]
 
     @cached_property
@@ -768,34 +827,25 @@ def split_components(g: EdgeColoredGraph) -> list[EdgeColoredGraph]:
     return [g.edit(drop=[e for e in g.coloring if e[0] not in comp]) for comp in comps]
 
 
-def x_block_decomposition(g: EdgeColoredGraph) -> tuple[frozenset[int], ...]:
-    """The vertex sets of the x-blocks of a connected colored graph, ordered
-    by least edge, read from `type_x_sides` (see the module docstring); on
-    an even graph these are the blocks merged at every cut vertex that is
-    not Type X."""
-    if len(g.components) != 1:
-        raise ColoredGraphError("x-block decomposition requires a connected graph")
+def x_block(g: EdgeColoredGraph, v: int) -> frozenset[int]:
+    """The vertex set of the x-block that holds v, a vertex with edges
+    that is not Type X, read from `type_x_sides` (see the module
+    docstring): the class of v's edges, which are all joined at v."""
     sides = g.type_x_sides
     adj = g.adj
-    seen: set[Edge] = set()
-    x_blocks = []
-    for first in sorted(g.coloring):
-        if first in seen:
-            continue
-        seen.add(first)
-        verts = set(first)
-        ends = [first, first[::-1]]  # (u, w): join the edges at u with uw
-        while ends:
-            u, w = ends.pop()
-            pairs = sides.get(u)
-            for x in adj[u] if pairs is None else pairs[w not in pairs[0]]:
-                e = (u, x) if u < x else (x, u)
-                if e not in seen:
-                    seen.add(e)
-                    verts.add(x)
-                    ends.append((x, u))
-        x_blocks.append(frozenset(verts))
-    return tuple(x_blocks)
+    seen = {(v, w) if v < w else (w, v) for w in adj[v]}
+    verts = {v, *adj[v]}
+    ends = [(w, v) for w in adj[v]]  # (u, w): join the edges at u with uw
+    while ends:
+        u, w = ends.pop()
+        pairs = sides.get(u)
+        for x in adj[u] if pairs is None else pairs[w not in pairs[0]]:
+            e = (u, x) if u < x else (x, u)
+            if e not in seen:
+                seen.add(e)
+                verts.add(x)
+                ends.append((x, u))
+    return frozenset(verts)
 
 
 # ---------------------------------------------------------------------------

@@ -32,14 +32,16 @@ whole run of the paper's one-edge steps, each along the first singular
 chain the last one left, until the next dispatch would pick another case:
 the run has one child, one lift and one verification of its lifted
 cycles. The other reduction lemmas show that every other child meets
-conditions 1-5, and the Type X contraction lemma that a contraction's
-child, Case1_1's, Case1_2's, Case2_2_2b's or Case2_2_2c's, has no Type X
-vertex either, so it is good with no search. Case2_2_1b's child, the end
+conditions 1-5, the Type X contraction lemma that a contraction's child,
+Case1_1's, Case1_2's, Case2_2_2b's or Case2_2_2c's, has no Type X vertex
+either, and the rewired-child lemma the same of Case2_2_2a's rewired
+child, so each is good with no search. Each lemma-good child is made one
+way, by `_good_reduction`, which fills its components and its empty Type
+X map, and lifts it by `_contraction_lift`s. Case2_2_1b's child, the end
 x-block of a merged graph whose only defect is Type X, needs no search
 either: the end-block path lemma puts the merged vertex in an end x-block,
 and the end-block lemma proves it almost-good at the vertex that joins it
-to the rest. Both lemmas also give these children their components and
-an empty Type X map, filled where each child is made.
+to the rest, and gives it the same two facts.
 A reduction refuses nothing its parent's report proves. A case's
 hypothesis is the parent's verdict, which `_require_verdict` checks, so
 that a direct call with a wrong report refuses; the dispatch's branch that
@@ -48,27 +50,28 @@ subcase, the shape `extract_case2_2_pattern` read. The pattern the case
 reads off follows from these by the lemma's own argument, so no case
 re-checks a degree, a color or an overlap, nor the one configuration that
 would break a lemma, which no good or almost-good parent has, nor a loop
-or parallel edge in its child. What is left are Case2_2_2a's Type X
-search of its rewired child and its lift's check that the child cycle
-through w avoids v, which no lemma yet decides; the Type X search of
-Case2_2_1's merged child refuses nothing, as it picks the subcase. Only
-the one entry, `decompose`, checks a graph in full: the root. The engine
-is one loop over an explicit stack of frames: a reduction's child is
-peeled on a frame above its waiting parent, so the depth of the reduction
-tree costs no Python recursion. Every removal, a lift's batch like any other, is
-verified by `_check_removal`: one linear sweep types the batch's cycles,
-and one `report_after_removal` checks what the batch leaves, or none when
-it leaves nothing. That check runs a Type X search only when the one-arc
-removal lemma does not settle condition 6: for a batch of several cycles,
-or one cycle whose degree-4 vertices lie on two or more arcs. By the
-removal lemma in the coloring module docstring,
-this accepts exactly the batches whose cycles pass the checks one at a
-time. So a direct peel, one cycle and no child, has no check of its own.
+or parallel edge in its child. What is left are the four wrong-case
+guards; the Type X search of Case2_2_1's merged child refuses nothing,
+as it picks the subcase. Only the one entry, `decompose`, checks a graph
+in full: the root. The engine is one loop over an explicit stack of
+frames: a reduction's child is peeled on a frame above its waiting
+parent, so the depth of the reduction tree costs no Python recursion.
+The waiting frame keeps the reduction's lift and not its child, which is
+freed once its own frame takes its first batch. Every removal, a lift's
+batch like any other, is verified by `_check_removal`: one linear sweep
+types the batch's cycles, and one `report_after_removal` checks what the
+batch leaves, or none when it leaves nothing. That check runs a Type X
+search only when the one-arc removal lemma does not settle condition 6:
+for a batch of several cycles, or one cycle whose degree-4 vertices lie
+on two or more arcs. By the removal lemma in the coloring module
+docstring, this accepts exactly the batches whose cycles pass the checks
+one at a time. So a direct peel, one cycle and no child, has no check of its own.
 A lift refuses nothing its input proves: the input is the child's
 partition into checked cycles, so a vertex of degree 2k in the child lies
 on exactly k of them, and a rainbow one through a vertex of two colors
-uses one edge of each. So each lift is checked once, by the check of its
-batch; Case2_2_2a's keeps the one refusal the partition leaves open.
+uses one edge of each, and by the split lemma Case2_2_2a's child puts
+v and w on different cycles. So each lift is checked once, by the check
+of its batch, and refuses nothing.
 The check returns a `_Checked` record of the batch, the remainder and its
 report, or raises. A case, lift or fallback search that must check a batch
 to choose it hands the engine that record, which is applied as it is. Any
@@ -96,7 +99,7 @@ from .coloring import (
     report_after_removal,
     serialize_colored_edge_list,
     split_components,
-    x_block_decomposition,
+    x_block,
 )
 from .graphs import Cycle, Edge, _Record, edge
 
@@ -315,6 +318,25 @@ def _oriented(mid: list[int], near: Collection[int]) -> Callable[[int, int], lis
     return lambda a, b: mid if a in near else mid[::-1]
 
 
+def _good_reduction(g: EdgeColoredGraph, child: EdgeColoredGraph, gone: Collection[int],
+                    lifts: Sequence[Callable[[list[tuple[str, Cycle]]],
+                                             list[tuple[str, Cycle]]]]) -> CaseReduction:
+    """The reduction of g to `child`, which a lemma in the coloring module
+    docstring proves good, with g's components less the vertices `gone`
+    as its components, so its report is `GOOD_REPORT` with no search.
+    Both cut facts are filled here: those components and the empty Type X
+    map. Its lift applies the `_contraction_lift`s in `lifts` in order."""
+    child.__dict__["components"] = tuple(comp - gone for comp in g.components)
+    child.__dict__["type_x_sides"] = {}
+
+    def lift(sub: list[tuple[str, Cycle]]) -> list[tuple[str, Cycle]]:
+        for step in lifts:
+            sub = step(sub)
+        return sub
+
+    return CaseReduction(child, lift, GOOD_REPORT)
+
+
 def _contraction(g: EdgeColoredGraph, tag: str,
                  expansions: Sequence[Callable[[int, int], list[int]]],
                  merge: Sequence[int], **build) -> CaseReduction:
@@ -323,17 +345,12 @@ def _contraction(g: EdgeColoredGraph, tag: str,
     `_contraction_lift`, under the case `tag`. The case's reduction lemma
     in the coloring module docstring proves that the child meets
     conditions 1-5 with no vertex of color degree 1, and the Type X
-    contraction lemma there that it has no Type X vertex, so its report is
-    `GOOD_REPORT` with no search. The child's two cut facts are filled
-    where it is made: contracting a connected set keeps each component
-    connected, so its components are g's without the merged-away
-    vertices, and its Type X map is empty."""
-    child = _build_transform(g, merge=[merge], **build)
+    contraction lemma there that it has no Type X vertex; contracting a
+    connected set keeps each component connected, so `_good_reduction`
+    makes it, with the merged-away vertices gone."""
     m = min(merge)
-    gone = set(merge) - {m}
-    child.__dict__["components"] = tuple(comp - gone for comp in g.components)
-    child.__dict__["type_x_sides"] = {}
-    return CaseReduction(child, _contraction_lift(tag, expansions, m), GOOD_REPORT)
+    return _good_reduction(g, _build_transform(g, merge=[merge], **build),
+                           set(merge) - {m}, [_contraction_lift(tag, expansions, m)])
 
 
 def _contraction_lift(tag: str,
@@ -542,10 +559,12 @@ def case2_1(g: EdgeColoredGraph, rep: GoodnessReport) -> CaseReduction:
     to step. So each step's path, the first four vertices of the first
     chain, needs no check of its own: they are distinct, as a chain of
     length 3 that closes is a triangle through two Type I vertices, so
-    rainbow, and the run stops at one. The child is one `edit` of g, with
-    the three facts filled in. Its lift (`_run_lift`) is the steps' one-edge lifts,
-    `_contraction_lift`s applied innermost first, each of which
-    subdivides its merged vertex back as the paper's one-edge step does.
+    rainbow, and the run stops at one. The child is one `edit` of g. It
+    gets its rainbow triangle and singular chains here, and its components
+    and empty Type X map from `_good_reduction`, whose lift applies the
+    steps' one-edge `_contraction_lift`s, innermost first: each splits its
+    merged vertex lo back into v1 v2, turned so that v1 meets v0, as the
+    paper's one-edge step does.
     """
     tag = CASE_2_1
     _require_verdict(rep, tag, GoodnessVerdict.GOOD)
@@ -592,29 +611,13 @@ def case2_1(g: EdgeColoredGraph, rep: GoodnessReport) -> CaseReduction:
             break
 
     child = g.edit(drop=dropped, add=added)
-    gone = {v1 + v2 - lo for _, v1, v2, lo in steps}
     # fill the child's cached properties with the facts carried to it
-    child.__dict__["components"] = tuple(comp - gone for comp in g.components)
     child.__dict__["rainbow_triangle"] = tri
     child.__dict__["singular_chains"] = tuple(chains)
-    return CaseReduction(child, _run_lift(steps), GOOD_REPORT)
-
-
-def _run_lift(steps: Sequence[tuple[int, int, int, int]],
-              ) -> Callable[[list[tuple[str, Cycle]]], list[tuple[str, Cycle]]]:
-    """The lift of a run of Case2_1 steps, each given as (v0, v1, v2, lo)
-    with lo its merged vertex: the steps' one-edge `_contraction_lift`s,
-    innermost first, each of which splits lo back into v1 v2, turned so
-    that v1 meets v0."""
-    lifts = [_contraction_lift(CASE_2_1, (_oriented([v2, v1], (v0,)),), lo)
-             for v0, v1, v2, lo in reversed(steps)]
-
-    def lift(sub: list[tuple[str, Cycle]]) -> list[tuple[str, Cycle]]:
-        for step in lifts:
-            sub = step(sub)
-        return sub
-
-    return lift
+    return _good_reduction(
+        g, child, {v1 + v2 - lo for _, v1, v2, lo in steps},
+        [_contraction_lift(tag, (_oriented([v2, v1], (v0,)),), lo)
+         for v0, v1, v2, lo in reversed(steps)])
 
 
 # ---------------------------------------------------------------------------
@@ -768,7 +771,7 @@ def _case2_2_1b(g, rep_g, p, child, m) -> CaseReduction:
     block, which an x-block's edges join, is one component with no Type
     X vertex, and both facts are filled where it is made."""
     tag = CASE_2_2_1B
-    bx = next(b for b in x_block_decomposition(child) if m in b)
+    bx = x_block(child, m)
     (t,) = bx & child.type_x_sides.keys()
     end = child.edit(drop=[e for e in child.coloring if e[0] not in bx or e[1] not in bx])
     end.__dict__["components"] = (bx,)
@@ -791,10 +794,11 @@ def _case2_2_2a(g: EdgeColoredGraph, rep: GoodnessReport, p: CasePattern):
     else rewire both flanks away and reduce. g must be good, and `rep` is
     its report. By the rectangle lemma in the coloring module docstring, a
     refused rectangle has w, y1, y2, z1 and z2 of Type I and disjoint
-    sides {y1, z1} and {y2, z2}, and by the rewire lemma there the rewired
-    child is then good exactly when it has no Type X vertex. The lift puts
-    x1 and x2 back around v, then w, by `_contraction_lift`s, so the child
-    cycle through w must avoid v. `p` is shape a's, with w1 == w2."""
+    sides {y1, z1} and {y2, z2}; by the rewire and rewired-child lemmas
+    there, the rewired child is then good and connected on g's vertices
+    less x1 and x2. The lift puts x1 and x2 back around v, then w, by
+    `_contraction_lift`s, and by the split lemma there no child cycle
+    passes through both. `p` is shape a's, with w1 == w2."""
     tag = CASE_2_2_2A
     w = p.w1
     try:
@@ -806,18 +810,9 @@ def _case2_2_2a(g: EdgeColoredGraph, rep: GoodnessReport, p: CasePattern):
         g, drop=[edge(x, q) for x in (p.x1, p.x2) for q in g.adj[x]],
         add=[(p.y1, w, p.alpha), (p.y2, w, p.beta),
              (p.z1, p.v, p.gamma), (p.z2, p.v, p.delta)])
-    _require(not child.type_x_sides, tag,
-             "rewired graph is not_good")
-
-    lift_v = _contraction_lift(tag, (_oriented([p.x1, p.v, p.x2], (p.z2,)),), p.v)
-    lift_w = _contraction_lift(tag, (_oriented([p.x1, w, p.x2], (p.y2,)),), w)
-
-    def lift(sub: list[tuple[str, Cycle]]) -> list[tuple[str, Cycle]]:
-        _require(not any(w in c and p.v in c for _, c in sub), tag,
-                 "y1 cycle passes through v; rewire lift invalid")
-        return lift_w(lift_v(sub))
-
-    return CaseReduction(child, lift, GOOD_REPORT)
+    return _good_reduction(g, child, {p.x1, p.x2}, [
+        _contraction_lift(tag, (_oriented([p.x1, p.v, p.x2], (p.z2,)),), p.v),
+        _contraction_lift(tag, (_oriented([p.x1, w, p.x2], (p.y2,)),), w)])
 
 
 def _case2_2_2b(g: EdgeColoredGraph, rep: GoodnessReport,
@@ -1038,14 +1033,14 @@ def _dispatch(comp: EdgeColoredGraph, rep: GoodnessReport):
 
 class _Frame:
     """A graph being peeled, its report and the list its cycles go to;
-    `pending` is a reduction waiting on its child's list."""
+    `pending` is the lift of a reduction waiting on its child's list."""
 
     __slots__ = ("graph", "rep", "out", "pending")
 
     def __init__(self, graph: EdgeColoredGraph, rep: GoodnessReport,
                  out: list[tuple[str, Cycle]]) -> None:
         self.graph, self.rep, self.out = graph, rep, out
-        self.pending: tuple[CaseReduction, list[tuple[str, Cycle]]] | None = None
+        self.pending: tuple[Callable, list[tuple[str, Cycle]]] | None = None
 
     def take(self, checked: _Checked) -> None:
         """Apply a checked removal: keep its remainder and report, and
@@ -1061,9 +1056,9 @@ def _advance(stack: list[_Frame]) -> None:
     follows from the component lemma in the coloring module docstring."""
     fr = stack[-1]
     if fr.pending is not None:
-        red, sub = fr.pending
+        lift, sub = fr.pending
         fr.pending = None
-        step = red.lift(sub)
+        step = lift(sub)
     else:
         if not fr.graph.coloring:
             stack.pop()
@@ -1077,7 +1072,9 @@ def _advance(stack: list[_Frame]) -> None:
             return
         step = _dispatch(fr.graph, fr.rep)
         if isinstance(step, CaseReduction):
-            fr.pending = (step, [])
+            # the frame keeps the lift alone, so that the child is freed
+            # once its own frame takes its first batch
+            fr.pending = (step.lift, [])
             stack.append(_Frame(step.child, step.report, fr.pending[1]))
             return
     fr.take(step if isinstance(step, _Checked)

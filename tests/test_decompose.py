@@ -4,8 +4,10 @@ import functools
 import hashlib
 import itertools
 import json
+import math
 import random
 import sys
+import weakref
 from collections.abc import Iterable, Iterator
 from pathlib import Path
 
@@ -38,7 +40,8 @@ from cdcover.decomposer import (
 )
 from cdcover.graphs import Cycle, Graph, parse_graph6
 from cdcover.linegraph import build_line_graph, cover_from_decomposition, project_cycle
-from cdcover.oracle import GeneratorConfig, random_cubic_bridgeless
+from cdcover.oracle import (GeneratorConfig, brute_force_rainbow_decomposition,
+                            random_cubic_bridgeless)
 from cdcover.verify import verify_cdc, verify_rainbow_decomposition
 from enginecorpus import Call, corpus, fallback_capped, recording
 from graphsamples import (
@@ -511,15 +514,17 @@ def test_case2_1_rejects_a_one_colored_interior_vertex(bad):
 
 
 # the cached facts `_dispatch` and `_advance` read, and those a Case2_1
-# child takes from its parent
+# child is given when it is made: carried from its parent, or, its empty
+# Type X map, proved by the contraction lemma
 DISPATCH_FACTS = ("components", "rainbow_triangle", "singular_chains", "type1")
-CASE2_1_FACTS = ("components", "rainbow_triangle", "singular_chains")
+CASE2_1_FACTS = ("components", "rainbow_triangle", "singular_chains", "type_x_sides")
 
 
 def _fresh_facts(g):
-    """The dispatch facts of a new, uncached graph with g's edges and colors."""
+    """The dispatch facts and Type X map of a new, uncached graph with g's
+    edges and colors."""
     fresh = EdgeColoredGraph(g.n, dict(g.coloring))
-    return {name: getattr(fresh, name) for name in DISPATCH_FACTS}
+    return {name: getattr(fresh, name) for name in (*DISPATCH_FACTS, "type_x_sides")}
 
 
 @functools.cache
@@ -547,7 +552,7 @@ def test_case2_1_child_and_report_match_the_rebuilt_child():
     fixes where the run stops. The child equals that reference, adjacency
     included, and the `_build_transform` child that merges the run's whole
     set of merged pairs at once; its derived report is the reference's,
-    and the three facts it held when made are the reference's fresh ones."""
+    and the four facts it held when made are the reference's fresh ones."""
     runs = corpus().calls("case2_1")
     assert len(runs) > 1500
     assert corpus().calls("fallback_search")  # some runs come after a fallback
@@ -649,10 +654,10 @@ def test_case2_1_chord_of_a_path_color(chord):
 def test_case2_1_child_facts_equal_fresh_ones():
     """At the end of every Case2_1 run the child gets its components,
     rainbow triangle and singular chains, carried from its parent step by
-    step, and no other fact but the neighbor tuples `edit` fills, at the
-    moment it is made; each is the one a fresh graph with the child's edges
-    and colors computes. The edge set is not among them: it is the
-    coloring's keys, built only if read."""
+    step, and its empty Type X map, and no other fact but the neighbor
+    tuples `edit` fills, at the moment it is made; each is the one a fresh
+    graph with the child's edges and colors computes. The edge set is not
+    among them: it is the coloring's keys, built only if read."""
     runs = corpus().calls("case2_1")
     assert len(runs) > 1000
     for run in runs:
@@ -700,25 +705,29 @@ def test_remainder_facts_equal_fresh_ones():
 
 
 def test_contraction_and_end_block_facts_equal_fresh_ones():
-    """Every contraction's child (Case1_1, Case1_2, Case2_2_2b, Case2_2_2c)
-    and every Case2_2_1b end block in the corpus holds, when it is made,
-    the components and empty Type X map that a fresh graph with its edges
-    and colors computes, though no search made them: the Type X
-    contraction lemma and the end-block lemma prove the child has no Type
-    X vertex. Each fill site has a floor."""
-    sites = {"_contraction": ("case1_1", "case1_2", "_case2_2_2b", "_case2_2_2c"),
-             "_case2_2_1b": ("_case2_2_1b",)}
-    met = dict.fromkeys(sites, 0)
-    for site, names in sites.items():
-        for name in names:
-            for c in corpus().calls(name):
-                if not isinstance(c.result, D.CaseReduction):
-                    continue
-                assert not any(i.name == "_cut_search" for i in c.inner()), name
-                assert (c.cached["components"], c.cached["type_x_sides"]) == \
-                    _fresh_cut_facts(c.result.child)
-                met[site] += 1
-    assert met["_contraction"] > 500 and met["_case2_2_1b"] > 300
+    """Every child that a lemma proves good in the corpus, a contraction's
+    (Case1_1, Case1_2, Case2_2_2b, Case2_2_2c), a Case2_1 run's and
+    Case2_2_2a's rewired child, all made by `_good_reduction`, and every
+    Case2_2_1b end block, holds, when it is made, the components and
+    empty Type X map that a fresh graph with its edges and colors
+    computes, though no search made them: the Type X contraction,
+    contraction, rewired-child and end-block lemmas prove the child has no
+    Type X vertex. Each case has a floor."""
+    floors = {"case1_1": 300, "case1_2": 25, "case2_1": 1500, "_case2_2_2a": 10,
+              "_case2_2_2b": 100, "_case2_2_2c": 50, "_case2_2_1b": 300}
+    met = dict.fromkeys(floors, 0)
+    for name in floors:
+        for c in corpus().calls(name):
+            if not isinstance(c.result, D.CaseReduction):
+                continue
+            # only Case2_2_2a's rectangle check, before it rewires, searches
+            checks = [i for i in c.inner() if i.name == "_check_removal"]
+            assert all(any(k.at < i.at < k.end for k in checks)
+                       for i in c.inner() if i.name == "_cut_search"), name
+            assert (c.cached["components"], c.cached["type_x_sides"]) == \
+                _fresh_cut_facts(c.result.child)
+            met[name] += 1
+    assert {name: met[name] for name in floors if met[name] < floors[name]} == {}
 
 
 def test_type_x_search_count_is_pinned():
@@ -771,7 +780,8 @@ def test_case2_1_child_facts_cached_or_not(triples, isolated, tri, chains):
     chains, so it works the same on a graph with nothing cached as on one
     whose dispatch facts are cached: the two children are equal, each holds
     exactly those three facts, carried through every step of the run, and
-    they are the facts a fresh graph with the child's edges computes."""
+    its empty Type X map, and they are the facts a fresh graph with the
+    child's edges computes."""
     bare = EdgeColoredGraph.from_triples(1 + max(max(t[:2]) for t in triples),
                                          triples)
     # checked on a copy: the check caches `components` on the graph it checks
@@ -790,7 +800,8 @@ def test_case2_1_child_facts_cached_or_not(triples, isolated, tri, chains):
     assert facts["rainbow_triangle"] == Cycle(tri)
     assert facts["singular_chains"] == chains
     for child in (lazy, derived):
-        assert set(DISPATCH_FACTS) & set(child.__dict__) == set(CASE2_1_FACTS)
+        assert {*DISPATCH_FACTS, "type_x_sides"} & set(child.__dict__) == \
+            set(CASE2_1_FACTS)
         assert {name: child.__dict__[name] for name in CASE2_1_FACTS} == {
             name: facts[name] for name in CASE2_1_FACTS}
 
@@ -1056,6 +1067,46 @@ def test_lift_inputs_partition_the_child():
     assert set(seen) == set(REDUCTIONS) and all(seen.values())
 
 
+def test_a_waiting_frame_keeps_the_lift_not_the_child(monkeypatch):
+    """A frame that waits on a reduction keeps only the reduction's lift,
+    so a reduction's child is freed once its own frame has taken its first
+    batch: a weak reference to each child is dead when the `_advance` in
+    which the child's frame takes a batch returns. On the line graph of
+    the Petersen graph and the five harvested Case2_2_2a parents, whose
+    children are made by contractions, Case2_1 runs and rewires."""
+    real_dispatch, real_take, real_advance = D._dispatch, D._Frame.take, D._advance
+    children = []  # weak references to the children no frame has taken from
+    taken = []
+    freed = collections.Counter()
+
+    def dispatch(comp, rep):
+        step = real_dispatch(comp, rep)
+        if isinstance(step, D.CaseReduction):
+            children.append(weakref.ref(step.child))
+        return step
+
+    def take(fr, checked):
+        taken.extend(r for r in children if r() is fr.graph)
+        real_take(fr, checked)
+
+    def advance(stack):
+        real_advance(stack)
+        for r in taken:
+            children.remove(r)
+            freed[r() is None] += 1
+        taken.clear()
+
+    monkeypatch.setattr(D, "_dispatch", dispatch)
+    monkeypatch.setattr(D._Frame, "take", take)
+    monkeypatch.setattr(D, "_advance", advance)
+    graphs = [build_line_graph(petersen()).lg] + [
+        parse_colored_edge_list(text) for text in
+        json.loads((FIXTURES / "case2_2_2a_rewired.json").read_text())]
+    for g in graphs:
+        assert decompose(g).success
+    assert freed[False] == 0 and freed[True] >= 40
+
+
 def test_a_faulty_lift_is_refused_by_the_check_of_its_batch(monkeypatch):
     """With `_oriented` never turning its path, the lifts put merged
     vertices back the wrong way round. The engine's removal check of a
@@ -1190,15 +1241,16 @@ def _pattern_at(g: EdgeColoredGraph, v: int) -> tuple[str, D.CasePattern]:
 
 
 def test_reduction_lemmas_hold_at_every_type1_vertex():
-    """The end-block path, rectangle and Type X contraction lemmas of the
-    coloring module docstring, which let the Case 2.2 reductions refuse
-    nothing, on good graphs that dispatch to Case 2.2, read at every Type
-    I vertex, not only at the least one the engine picks. The merged
-    child of a disjoint pattern has m not Type X, and every Type X vertex
-    separates v from m, which the child joins; a refused shape-a
-    rectangle has w of degree 2, w, y1, y2, z1 and z2 of Type I and
-    disjoint sides; and the contraction children of shapes b and c have
-    no Type X vertex. No line graph here has a shape b."""
+    """The end-block path, rectangle, pivot, rewired-child, split and Type
+    X contraction lemmas of the coloring module docstring, which let the
+    Case 2.2 reductions refuse nothing, on good graphs that dispatch to
+    Case 2.2, read at every Type I vertex, not only at the least one the
+    engine picks. The merged child of a disjoint pattern has m not Type
+    X, and every Type X vertex separates v from m, which the child joins;
+    a refused shape-a rectangle has w of degree 2, w, y1, y2, z1 and z2 of
+    Type I and disjoint sides, and its rewire meets
+    `_assert_rewire_lemmas`; and the contraction children of shapes b and
+    c have no Type X vertex. No line graph here has a shape b."""
     seen = collections.Counter()
     for g in _case2_2_components((n, seed) for n in range(10, 25, 2)
                                  for seed in range(70)):
@@ -1228,11 +1280,99 @@ def test_reduction_lemmas_hold_at_every_type1_vertex():
                     assert len(g.adj[p.w1]) == 2
                     assert {p.w1, p.y1, p.y2, p.z1, p.z2} <= g.type1
                     assert not {p.y1, p.z1} & {p.y2, p.z2}
+                    _assert_rewire_lemmas(g, p)
             elif shape in ("b", "c"):
                 case = D._case2_2_2b if shape == "b" else D._case2_2_2c
                 assert not case(g, GOOD_REPORT, p).child.type_x_sides
     floors = {"disjoint": 1000, "type x child": 50, "a": 150, "refused": 2, "c": 100}
     assert {k: seen[k] for k in floors if seen[k] < floors[k]} == {}
+
+
+def _assert_rewire_lemmas(g: EdgeColoredGraph, p: D.CasePattern) -> D.CaseReduction:
+    """The pivot, rewired-child and split lemmas of the coloring module
+    docstring on a good, connected g whose shape-a rectangle x1 v x2 w is
+    refused; returns Case2_2_2a's reduction. Every Type X vertex of g less
+    the rectangle separates {x1, y1, z1} from {x2, y2, z2}. The rewired
+    child holds the components and empty Type X map that a fresh search
+    finds, one component, g's less x1 and x2. For a child of at most 40
+    edges, no rainbow cycle through both v and w leaves a graph with a
+    rainbow decomposition, and the child's brute-force decomposition puts
+    v and w on different cycles and lifts to a decomposition of g that
+    the removal check accepts."""
+    w = p.w1
+    rest = g.edit(drop=Cycle((p.x1, p.v, p.x2, w)).edges)
+    txv = EdgeColoredGraph(rest.n, dict(rest.coloring)).type_x_sides
+    assert txv
+    for u in txv:
+        sides = _components_avoiding(rest.n, rest.coloring, u)
+        (s1,) = [s for s in sides if p.x1 in s]
+        (s2,) = [s for s in sides if p.x2 in s]
+        assert s1 != s2 and {p.y1, p.z1} <= s1 and {p.y2, p.z2} <= s2
+    red = D._case2_2_2a(g, GOOD_REPORT, p)
+    child = red.child
+    assert red.report == GOOD_REPORT
+    assert (child.components, child.type_x_sides) == _fresh_cut_facts(child)
+    assert child.components == (g.components[0] - {p.x1, p.x2},)
+    if len(child.coloring) <= 40:
+        for vs in enumerate_rainbow_cycles(child):
+            if p.v in vs and w in vs:
+                assert brute_force_rainbow_decomposition(
+                    child.edit(drop=Cycle(vs).edges), math.inf).status == "absent"
+        found = brute_force_rainbow_decomposition(child, math.inf)
+        assert found.found
+        assert not any(p.v in c and w in c for c in found.cycles)
+        lifted = red.lift([("Probe", c) for c in found.cycles])
+        assert not D._check_removal(g, GOOD_REPORT, lifted).rest.coloring
+    return red
+
+
+def test_case2_2_2a_rewires_meet_their_lemmas():
+    """Every Case2_2_2a call of the corpus that refuses its rectangle and
+    rewires meets the pivot, rewired-child and split lemmas
+    (`_assert_rewire_lemmas`). It searches for Type X vertices only in its
+    rectangle's removal check, and nothing searches its child, whose
+    facts it fills. Its lift is handed no child cycle through both v and
+    w, and returns a batch that the removal check accepts."""
+    cp = corpus()
+    searched = {id(c.args[0]) for c in cp.calls("_cut_search")}
+    rewired = 0
+    for c in cp.calls("_case2_2_2a"):
+        if not isinstance(c.result, D.CaseReduction):
+            continue
+        g, _, p = c.args
+        check = next(i for i in c.inner() if i.name == "_check_removal")
+        assert check.error is not None
+        assert all(check.at < i.at < check.end
+                   for i in c.inner() if i.name == "_cut_search")
+        assert id(c.result.child) not in searched
+        (sub,) = c.lift.args
+        assert not any(p.v in cyc and p.w1 in cyc for _, cyc in sub)
+        assert c.lift.error is None
+        _assert_rewire_lemmas(g, p)
+        rewired += 1
+    assert rewired >= 10
+
+
+def test_case2_2_2a_rewire_lemmas_on_harvested_parents():
+    """The same lemmas on five graphs that Case2_2_2a rewired while the
+    engine decomposed the line graphs of random cubic bridgeless graphs
+    (n=56 seed 14, n=80 seed 13, n=26 seed 54, n=64 seed 1 and n=26 seed
+    38), whose children, of 16 to 39 edges, are larger than any the
+    corpus rewires, which have 8. In the first two, one rainbow cycle of
+    the child passes through both v and w, so connectivity alone does not
+    keep them apart: only the colors keep that cycle out of every
+    rainbow decomposition."""
+    texts = json.loads((FIXTURES / "case2_2_2a_rewired.json").read_text())
+    joined = []
+    for text in texts:
+        g = parse_colored_edge_list(text)
+        assert check_goodness(g).verdict is GoodnessVerdict.GOOD
+        assert len(g.components) == 1
+        shape, p = extract_case2_2_pattern(g)
+        assert shape == "a"
+        child = _assert_rewire_lemmas(g, p).child
+        joined.append(sum(p.v in vs and p.w1 in vs for vs in enumerate_rainbow_cycles(child)))
+    assert joined == [1, 1, 0, 0, 0]
 
 
 def test_reductions_make_no_goodness_check_of_their_child():

@@ -11,7 +11,7 @@ from cdcover.coloring import (
     parse_colored_edge_list,
     split_components,
     triangles,
-    x_block_decomposition,
+    x_block,
 )
 from cdcover.graphs import (
     Cycle,
@@ -381,10 +381,13 @@ def test_even_graphs_have_no_bridges(g):
 @settings(max_examples=120, deadline=None)
 def test_even_graph_degree2_vertices_not_cut(g):
     """Deleting a degree-2 vertex leaves its two neighbors connected, so,
-    with every edge one color, it lies in exactly one x-block."""
+    with every edge one color, it lies in exactly one x-block: of those
+    that `x_block` walks from the vertices with edges that are not Type
+    X, every x-block that holds a vertex of degree 2."""
     one_color = EdgeColoredGraph(g.n, {e: 0 for e in g.edges})
-    blocks = [b for comp in split_components(one_color)
-              for b in x_block_decomposition(comp)]
+    txv = one_color.type_x_sides
+    blocks = {x_block(one_color, u) for u in range(g.n)
+              if g.degree(u) and u not in txv}
     for v in range(g.n):
         if g.degree(v) != 2:
             continue
@@ -413,12 +416,21 @@ def glued_even_graphs(draw):
 def test_x_blocks_match_definition_on_even_graphs(g, data):
     """x-blocks of every component, colored with three colors so that
     monochromatic pairs, and so Type X vertices, are common (about a
-    quarter of the components have one)."""
+    quarter of the components have one): from every vertex with edges
+    that is not Type X, `x_block` walks the x-block by the definition
+    that holds it, and the walks meet every x-block that holds such a
+    vertex."""
     colors = data.draw(st.lists(st.integers(0, 2), min_size=g.m, max_size=g.m))
     cg = EdgeColoredGraph(g.n, dict(zip(sorted(g.edges), colors)))
     for comp in split_components(cg):
-        assert x_block_decomposition(comp) == x_blocks_by_definition(comp)
-        assert set(comp.type_x_sides) == type_x_by_pseudoblock_splits(comp)
+        txv = type_x_by_pseudoblock_splits(comp)
+        assert set(comp.type_x_sides) == txv
+        blocks = x_blocks_by_definition(comp)
+        starts = [v for v in range(comp.n) if comp.adj[v] and v not in txv]
+        for v in starts:
+            (holder,) = [b for b in blocks if v in b]
+            assert x_block(comp, v) == holder
+        assert {b for b in blocks if b - txv} == {x_block(comp, v) for v in starts}
 
 
 @given(graphs(), st.data())

@@ -10,9 +10,8 @@ builds one without its validating constructor. Only the decomposer's
 removal check asks for a goodness check from a parent's report, only its
 entry points check a graph in full, only the removal check makes the
 record of a removal it accepted, and only `extract_case2_2_pattern`
-builds a `CasePattern`. No lift in the decomposer refuses, but
-Case2_2_2a's, and no reduction or child builder refuses what a lemma
-proves. Only `graphs.lowpoint_search` stores discovery times and
+builds a `CasePattern`. No lift in the decomposer refuses, and no
+reduction or child builder refuses what a lemma proves. Only `graphs.lowpoint_search` stores discovery times and
 lowpoints. The brute-force oracle and the decomposer it certifies import nothing from
 each other. No module in src/cdcover imports `dataclasses`, and importing
 the package and its CLI loads none of `dataclasses`, `inspect`, `ast` and
@@ -526,8 +525,9 @@ def test_cache_fills_detects_and_allows():
 # generic fill, `DESCRIPTOR_FILL`, is how every cached fact is first stored.
 # Three sites fill a graph's components and empty Type X map by a lemma of
 # the coloring module docstring, in place of a Type X search: a removal
-# that meets the one-arc removal lemma (`report_after_removal`), a
-# contraction's child (`_contraction`) and Case2_2_1b's end x-block
+# that meets the one-arc removal lemma (`report_after_removal`), a child
+# that a lemma proves good (`_good_reduction`: a contraction's, a Case2_1
+# run's and Case2_2_2a's rewired child) and Case2_2_1b's end x-block
 # (`_case2_2_1b`). With them, one pass of the `small-default` bench
 # corpus runs 1,311 Type X searches, not 3,247, and one of `crosscheck`
 # 421, not 1,118; `test_type_x_search_count_is_pinned` pins a count.
@@ -535,12 +535,11 @@ CACHE_FILLS = [
     ("EdgeColoredGraph.edit", "adj"),
     ("_case2_2_1b", "components"),
     ("_case2_2_1b", "type_x_sides"),
-    ("_contraction", "components"),
-    ("_contraction", "type_x_sides"),
     ("_cut_search", "components"),
     ("_cut_search", "type_x_sides"),
+    ("_good_reduction", "components"),
+    ("_good_reduction", "type_x_sides"),
     DESCRIPTOR_FILL,
-    ("case2_1", "components"),
     ("case2_1", "rainbow_triangle"),
     ("case2_1", "singular_chains"),
     ("report_after_removal", "components"),
@@ -1024,7 +1023,7 @@ def lift_refusals(source: str) -> list[str]:
 # the builder of a reduction's child
 CASE_FUNCTIONS = frozenset({
     "_dispatch", "_all_type2_cycle", "_build_transform", "_contraction",
-    "case1_1", "case1_2", "case2_1",
+    "_good_reduction", "case1_1", "case1_2", "case2_1",
     "extract_case2_2_pattern", "case2_2_1", "_case2_2_1b", "_case2_2_2a",
     "_case2_2_2b", "_case2_2_2c", "_case2_2_2d"})
 
@@ -1087,11 +1086,10 @@ def test_lift_refusals_detects_and_allows():
 def test_lifts_refuse_nothing_their_input_proves():
     """A lift's input is the child's partition into checked cycles, and
     the removal check of its batch is its one check, so no nested `lift`
-    or `expand` in the decomposer refuses. The one exception is
-    Case2_2_2a's lift, whose refusal, that the child cycle through w
-    avoids v, the partition leaves open."""
-    assert lift_refusals((SRC / "decomposer.py").read_text()) == [
-        "_case2_2_2a.lift: _require"]
+    or `expand` in the decomposer refuses. Case2_2_2a's lift needs no
+    check that the child cycle through w avoids v: the split lemma in
+    the coloring module docstring proves it."""
+    assert lift_refusals((SRC / "decomposer.py").read_text()) == []
 
 
 def test_reductions_refuse_nothing_their_report_proves():
@@ -1099,16 +1097,14 @@ def test_reductions_refuse_nothing_their_report_proves():
     checks, the dispatch branch that reaches it, and for a Case2_2 subcase
     the shape `extract_case2_2_pattern` read; the pattern the case reads
     and the child it builds follow from them by the lemmas in the coloring
-    module docstring, the Type X contraction, end-block path and rectangle
-    lemmas included. So a case function refuses only what they leave
-    open: each public case its one wrong-case guard, and Case2_2_2a the
-    Type X search of its rewired child and, in its lift, a child cycle
-    through both w and v. Case2_2_2a also reads `CaseVerificationError` to
-    catch its rectangle's refusal, and `_build_transform` refuses
-    nothing."""
+    module docstring, the Type X contraction, end-block path, rectangle
+    and rewired-child lemmas included. So a case function refuses only
+    what they leave open, each public case its one wrong-case guard.
+    Case2_2_2a
+    reads `CaseVerificationError` only to catch its rectangle's refusal,
+    and `_build_transform` and `_good_reduction` refuse nothing."""
     assert case_refusals((SRC / "decomposer.py").read_text()) == [
         "_case2_2_2a: CaseVerificationError",
-        "_case2_2_2a: _require",
         "case1_1: _require",
         "case1_2: _require",
         "case2_1: _require",
