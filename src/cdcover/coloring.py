@@ -23,10 +23,12 @@ graph caches both.
 Conditions 1, 2, 3 and 5 are hereditary under removing edge-disjoint
 cycles: degrees fall by 2 at a vertex per cycle through it and stay even
 and at most 4, and triangles and the vertex spans of color classes only
-shrink. So the remainder of a good or almost-good graph needs condition 4
-re-checked only at the cycles' vertices, and condition 6, which the
-one-arc removal lemma below settles for most single cycles with no search;
-`report_after_removal` does that, and runs one Type X search only where
+shrink. By the typing lemma below, so does condition 4, as almost-good
+relaxes it at the bad vertex while that vertex's cycle is left, when each
+cycle is rainbow, or almost-rainbow at the bad vertex. So the remainder
+of such cycles needs only condition 6 checked, which the one-arc removal
+lemma below settles for most single cycles with no search;
+`removal_leaves_type_x` does that, and runs one Type X search only where
 the lemma does not apply.
 
 The one-arc removal lemma. Let H be connected and good, or almost-good at
@@ -50,13 +52,13 @@ one side, and the other side holds no vertex of C, as the degree-2 ones
 are isolated in H - C. That side's vertices have all their edges of H, so
 it meets the rest of H only at u, by the same pair, and u would already be
 Type X in H. The proof reads C's colors only through w. So
-`report_after_removal` checks, in O(|C|), that the degree-4 vertices of
+`removal_leaves_type_x` checks, in O(|C|), that the degree-4 vertices of
 one removed cycle are one arc and that each two consecutive ones x, y keep
 edges xw, yw of color c(xy) in H - C, which the hypothesis implies. Then
 it fills the remainder's components, H's without the vertices of C that
-had degree 2, and its empty Type X map, with no search. Every rainbow
-triangle is one arc, as any set of a triangle's vertices is consecutive,
-and so is every cycle of an all-Type-II graph.
+had degree 2, and its empty Type X map, with no search, and answers no.
+Every rainbow triangle is one arc, as any set of a triangle's vertices is
+consecutive, and so is every cycle of an all-Type-II graph.
 
 The component lemma: each edge-bearing component of a good graph is
 good; of a graph almost-good at b, b's component is almost-good at b and
@@ -66,6 +68,23 @@ fewer. A cut vertex of a component has the same sides in the graph, as no
 other component meets it, so it is Type X in both or in neither. So the
 decomposer gives each component of a split its report unchecked
 (`decomposer._advance`).
+
+The typing lemma. Let H be good, or almost-good at b, and C1, ..., Ck
+edge-disjoint cycles of H, each rainbow, or almost-rainbow at b: one
+color repeated, on its two edges at b. Then R = H - C1 - ... - Ck meets
+conditions 1-5 with no vertex of color degree 1, but b when no Ci passes
+through b. Every degree-4 vertex of H is Type II: a color on three of its
+four edges would span four vertices (condition 5). A typed cycle uses two
+edges of different colors at each vertex it passes but b, as a rainbow
+cycle repeats no color, and an almost-rainbow one repeats its color only
+at b. So a degree-4 vertex on one Ci keeps one edge of each of its
+colors, one on two keeps none, a degree-2 vertex on a Ci keeps none, and
+a vertex on none keeps its edges. b has degree 2 and sees one color, so
+no rainbow cycle passes through it: it is isolated in R when its
+almost-rainbow cycle is among the Ci, and keeps its one color otherwise.
+So R is good, or almost-good at b while b's cycle is left, exactly when
+it has no Type X vertex; `decomposer._check_removal` sets R's bad vertex
+so, and asks only for condition 6.
 
 The removal lemma checks a batch of cycles by what it leaves. Let H be
 good, or almost-good at b, and C1, ..., Ck edge-disjoint cycles of H, all
@@ -83,10 +102,11 @@ cycle's two edges at u, which differ in color, as b has degree 2. So H_i
 is good or almost-good at b, and b sees one color exactly while its edges
 are in H_i: H_i is right. Conversely, checking one cycle at a time ends
 in R. So one sweep that types the cycles, with the bad vertex b until its
-cycle, and one check that R is right accept exactly the batches that
-per-cycle checks accept (`decomposer._check_removal`). A batch that
-covers H leaves R empty, which is right, since b's cycle is then in the
-batch, so it needs no goodness check. The engine's output covers the
+cycle, and one check that R is right, by the typing lemma that R has no
+Type X vertex, accept exactly the batches that per-cycle checks accept
+(`decomposer._check_removal`). A batch that covers H leaves R empty,
+which is right, since b's cycle is then in the batch, so it needs no
+goodness check. The engine's output covers the
 root, so the lemma certifies the whole run in one sweep and gives each
 step's report without a goodness check: the root's, almost-good at b,
 while b's cycle is left, and good from that cycle on
@@ -509,7 +529,7 @@ class EdgeColoredGraph(Graph):
         vertex: the trees of the lowpoint search that the Type X search
         (`_cut_search`) reads, which also fills `type_x_sides`. Where a
         lemma proves a graph has no Type X vertex, both facts are filled
-        with no search when it is made (`report_after_removal`,
+        with no search when it is made (`removal_leaves_type_x`,
         `decomposer._good_reduction`, `decomposer._case2_2_1b`)."""
         return _cut_search(self)[0]
 
@@ -653,7 +673,7 @@ def check_goodness(g: EdgeColoredGraph) -> GoodnessReport:
     of the walk whose first rainbow triple is `rainbow_triangle`.
     Condition 6 takes one lowpoint DFS. For the degrees a good graph
     allows, the whole check is linear in the size of the graph. What a
-    removal leaves is checked by `report_after_removal` instead.
+    removal leaves is checked by `removal_leaves_type_x` instead.
     """
     adj = g.adj
     coloring = g.coloring
@@ -702,55 +722,29 @@ def _report_order(x: Violation) -> tuple[int, str]:
     return x.condition, str(x.witness)
 
 
-def report_after_removal(g: EdgeColoredGraph, parent: EdgeColoredGraph,
-                         prep: GoodnessReport, cycles: Sequence[Cycle],
-                         ) -> GoodnessReport | None:
-    """The report of g, parent minus the edge-disjoint `cycles`, when g is
-    good or almost-good, else None; `prep` is parent's report, which must
-    be good or almost-good.
-
-    Conditions 1, 2, 3 and 5 still hold (see the module docstring), so only
-    condition 4 at the cycles' vertices and condition 6 are checked. When
-    the parent is connected and one cycle is removed whose degree-4
-    vertices are one arc, the one-arc removal lemma there settles
-    condition 6 and fills g's components and Type X map: this costs
-    O(|C|). Otherwise g's Type X search settles it.
+def removal_leaves_type_x(g: EdgeColoredGraph, parent: EdgeColoredGraph,
+                          cycles: Sequence[Cycle]) -> bool:
+    """Whether g, the good or almost-good `parent` minus the edge-disjoint
+    typed `cycles`, has a Type X vertex, the one condition the typing lemma
+    in the module docstring leaves open. When the parent is connected and
+    one cycle is removed whose degree-4 vertices are one arc, the one-arc
+    removal lemma there answers no and fills g's components and Type X
+    map: this costs O(|C|). Otherwise g's Type X search answers.
     """
-    if not prep.ok:
-        raise ColoredGraphError("a removal's report needs a good or almost-good parent")
-    if g.n != parent.n or len(g.coloring) != len(parent.coloring) - sum(map(len, cycles)):
-        raise ColoredGraphError(f"graph is not its parent minus the cycles "
-                                f"{[c.vertices for c in cycles]}")
-    adj = g.adj
-    coloring = g.coloring
-    # off the cycles nothing changed, so the parent's bad vertex stays bad
-    b = prep.bad_vertex
-    bad = [] if b is None or any(b in c for c in cycles) else [b]
-    gone = []  # the cycles' vertices of degree 2, isolated in g
-    for v in (v for c in cycles for v in c.vertices):
-        nbrs = adj[v]
-        # each cycle took two edges; two left show one or two colors
-        if nbrs:
-            x, y = nbrs
-            if coloring[edge(v, x)] == coloring[edge(v, y)]:
-                bad.append(v)
-        else:
-            gone.append(v)
-    if len(bad) > 1:
-        return None
     if len(cycles) == 1 and len(parent.components) == 1 \
             and _one_arc(g, parent, cycles[0]):
         (comp,) = parent.components
+        # the cycle's vertices of degree 2, isolated in g
+        gone = [v for v in cycles[0].vertices if not g.adj[v]]
         g.__dict__["components"] = (comp.difference(gone) if gone else comp,)
         g.__dict__["type_x_sides"] = {}
-    elif g.type_x_sides:
-        return None
-    return almost_good_at(bad[0]) if bad else GOOD_REPORT
+        return False
+    return bool(g.type_x_sides)
 
 
 def _one_arc(g: EdgeColoredGraph, parent: EdgeColoredGraph, cyc: Cycle) -> bool:
     """Whether the removal of `cyc` from `parent`, which leaves g, meets the
-    one-arc removal lemma's hypothesis as `report_after_removal` checks
+    one-arc removal lemma's hypothesis as `removal_leaves_type_x` checks
     it: the vertices of `cyc` that keep edges in g, its degree-4 vertices,
     are one arc of it or all of it, and each two consecutive ones x, y
     keep edges xw and yw of color c(xy)."""

@@ -42,26 +42,31 @@ x-block of a merged graph whose only defect is Type X, needs no search
 either: the end-block path lemma puts the merged vertex in an end x-block,
 and the end-block lemma proves it almost-good at the vertex that joins it
 to the rest, and gives it the same two facts.
-A reduction refuses nothing its parent's report proves. A case's
-hypothesis is the parent's verdict, which `_require_verdict` checks, so
-that a direct call with a wrong report refuses; the dispatch's branch that
-reaches it, which each public case checks at most once; and, for a Case2_2
-subcase, the shape `extract_case2_2_pattern` read. The pattern the case
-reads off follows from these by the lemma's own argument, so no case
+The engine's state is a graph and its bad vertex, `bad`, or None when
+the graph is good: the one defect a good or almost-good graph may have.
+A reduction refuses nothing its parent's goodness proves. A case's
+hypothesis is in its signature: Case1_1 and Case1_2 take the bad vertex,
+and every other case a good graph, with no report; the dispatch's branch
+that reaches it, which each public case checks at most once; and, for a
+Case2_2 subcase, the shape `extract_case2_2_pattern` read. The pattern
+the case reads off follows from these by the lemma's own argument, so no case
 re-checks a degree, a color or an overlap, nor the one configuration that
 would break a lemma, which no good or almost-good parent has, nor a loop
 or parallel edge in its child. What is left are the four wrong-case
 guards; the Type X search of Case2_2_1's merged child refuses nothing,
 as it picks the subcase. Only the one entry, `decompose`, checks a graph
-in full: the root. The engine is one loop over an explicit stack of
+in full, the root, and only it and `_verified_trace` read a
+`GoodnessReport`. The engine is one loop over an explicit stack of
 frames: a reduction's child is peeled on a frame above its waiting
 parent, so the depth of the reduction tree costs no Python recursion.
 The waiting frame keeps the reduction's lift and not its child, which is
 freed once its own frame takes its first batch. Every removal, a lift's
 batch like any other, is verified by `_check_removal`: one linear sweep
-types the batch's cycles, and one `report_after_removal` checks what the
-batch leaves, or none when it leaves nothing. That check runs a Type X
-search only when the one-arc removal lemma does not settle condition 6:
+types the batch's cycles, which by the typing lemma in the coloring
+module docstring settles conditions 1-5 of what the batch leaves, and its
+bad vertex, and one `removal_leaves_type_x` settles condition 6, or none
+when the batch leaves nothing. That check runs a Type X search only when
+the one-arc removal lemma does not settle condition 6:
 for a batch of several cycles, or one cycle whose degree-4 vertices lie
 on two or more arcs. By the removal lemma in the coloring module
 docstring, this accepts exactly the batches whose cycles pass the checks
@@ -73,8 +78,8 @@ uses one edge of each, and by the split lemma Case2_2_2a's child puts
 v and w on different cycles. So each lift is checked once, by the check
 of its batch, and refuses nothing.
 The check returns a `_Checked` record of the batch, the remainder and its
-report, or raises. A case, lift or fallback search that must check a batch
-to choose it hands the engine that record, which is applied as it is. Any
+bad vertex, or raises. A case, lift or fallback search that must check a
+batch to choose it hands the engine that record, which is applied as it is. Any
 failed verification falls back to a shortest-first search for a safely
 removable cycle. If that also fails, the nearest waiting parent runs the
 search on its own graph, and so on outward; past the root the run ends in
@@ -91,12 +96,11 @@ from .coloring import (
     GOOD_REPORT,
     EdgeColoredGraph,
     GoodnessReport,
-    GoodnessVerdict,
     almost_good_at,
     check_goodness,
     is_almost_rainbow_at,
     parse_colored_edge_list,
-    report_after_removal,
+    removal_leaves_type_x,
     serialize_colored_edge_list,
     split_components,
     x_block,
@@ -140,15 +144,16 @@ class CaseVerificationError(DecomposeError):
 
 
 class _EngineFailure(Exception):
-    """Internal: no case and no fallback made progress; carries diagnostics."""
+    """Internal: no case and no fallback made progress; carries diagnostics,
+    with the bad vertex of `graph`, or None when it is good."""
 
     def __init__(self, case: str, graph: EdgeColoredGraph, message: str,
-                 cycle: Cycle | None, report: GoodnessReport | None):
+                 cycle: Cycle | None, bad: int | None):
         self.case = case
         self.graph = graph
         self.message = message
         self.cycle = cycle
-        self.report = report
+        self.bad = bad
         super().__init__(message)
 
 
@@ -257,21 +262,21 @@ class CaseReduction:
     """A case's smaller graph plus its lift rule.
 
     The engine decomposes `child`, which has the parent's vertex ids and
-    whose goodness report `report` the case has already computed, and hands
-    the tagged cycles to `lift`, which turns them into tagged cycles of the
-    parent (possibly covering only part of the parent, in which case the
-    engine keeps peeling the remainder). The engine removes the lifted
-    batch by `_check_removal`, unless the lift returns the `_Checked` of
-    its own call of it.
+    which the case's lemma proves good, or almost-good at the vertex
+    `bad`, and hands the tagged cycles to `lift`, which turns them into
+    tagged cycles of the parent (possibly covering only part of the
+    parent, in which case the engine keeps peeling the remainder). The
+    engine removes the lifted batch by `_check_removal`, unless the lift
+    returns the `_Checked` of its own call of it.
     """
 
-    __slots__ = ("child", "lift", "report")
+    __slots__ = ("child", "lift", "bad")
 
     def __init__(self, child: EdgeColoredGraph,
                  lift: Callable[[list[tuple[str, Cycle]]],
                                 list[tuple[str, Cycle]] | _Checked],
-                 report: GoodnessReport) -> None:
-        self.child, self.lift, self.report = child, lift, report
+                 bad: int | None) -> None:
+        self.child, self.lift, self.bad = child, lift, bad
 
 
 # ---------------------------------------------------------------------------
@@ -283,16 +288,6 @@ def _require(cond: bool, case: str, message: str) -> None:
     unless `cond` holds."""
     if not cond:
         raise CaseVerificationError(case, message)
-
-
-def _require_verdict(rep: GoodnessReport, case: str, verdict: GoodnessVerdict,
-                     bad: int | None = None) -> None:
-    """Refuse a parent whose report `rep` is not the hypothesis of the
-    case's lemma: `verdict`, with the bad vertex `bad`."""
-    if rep.verdict is not verdict or rep.bad_vertex != bad:
-        got = rep.verdict.value + ("" if rep.bad_vertex is None else f" at {rep.bad_vertex}")
-        want = verdict.value + ("" if bad is None else f" at {bad}")
-        raise CaseVerificationError(case, f"parent is {got}, the lemma needs {want}")
 
 
 def _rotate_to(seq: Sequence[int], v: int) -> list[int]:
@@ -323,7 +318,7 @@ def _good_reduction(g: EdgeColoredGraph, child: EdgeColoredGraph, gone: Collecti
                                              list[tuple[str, Cycle]]]]) -> CaseReduction:
     """The reduction of g to `child`, which a lemma in the coloring module
     docstring proves good, with g's components less the vertices `gone`
-    as its components, so its report is `GOOD_REPORT` with no search.
+    as its components, so it has no bad vertex, with no search.
     Both cut facts are filled here: those components and the empty Type X
     map. Its lift applies the `_contraction_lift`s in `lifts` in order."""
     child.__dict__["components"] = tuple(comp - gone for comp in g.components)
@@ -334,7 +329,7 @@ def _good_reduction(g: EdgeColoredGraph, child: EdgeColoredGraph, gone: Collecti
             sub = step(sub)
         return sub
 
-    return CaseReduction(child, lift, GOOD_REPORT)
+    return CaseReduction(child, lift, None)
 
 
 def _contraction(g: EdgeColoredGraph, tag: str,
@@ -397,36 +392,36 @@ def _all_type2(g: EdgeColoredGraph) -> bool:
 class _Checked:
     """A batch [(tag, cycle), ...] that `_check_removal`, the only place
     one is made, accepted for removal from a graph, with what the removal
-    leaves, `rest`, and its report."""
+    leaves, `rest`, and its bad vertex, `bad`, or None when it is good."""
 
-    __slots__ = ("batch", "rest", "report")
+    __slots__ = ("batch", "rest", "bad")
 
     def __init__(self, batch: Sequence[tuple[str, Cycle]], rest: EdgeColoredGraph,
-                 report: GoodnessReport) -> None:
-        self.batch, self.rest, self.report = batch, rest, report
+                 bad: int | None) -> None:
+        self.batch, self.rest, self.bad = batch, rest, bad
 
 
-def _check_removal(h: EdgeColoredGraph, rep: GoodnessReport,
+def _check_removal(h: EdgeColoredGraph, bad: int | None,
                    batch: Sequence[tuple[str, Cycle]]) -> _Checked:
-    """Validate removing a batch [(tag, cycle), ...] from h, whose report
-    is `rep`; raises a CaseVerificationError with the tag and cycle of the
-    culprit if it fails, or with the tag "Engine" for an empty batch on a
-    graph that still has edges.
+    """Validate removing a batch [(tag, cycle), ...] from h, which is good,
+    or almost-good at `bad`; raises a CaseVerificationError with the tag
+    and cycle of the culprit if it fails, or with the tag "Engine" for an
+    empty batch on a graph that still has edges.
 
     One sweep types the cycles in order: each edge is in h and in no
     earlier cycle, and each cycle is rainbow, but one may be almost-rainbow
-    at the bad vertex; the first that fails is the culprit. Then one
-    `report_after_removal` of what the batch leaves, none if it leaves
-    nothing: by the removal lemma in the coloring module docstring, this
-    accepts exactly what checking one cycle at a time accepts. If that
-    check fails, the batch's last cycle is the culprit, and the remainder
-    is not_good when the check returns no report.
+    at the bad vertex; the first that fails is the culprit. By the typing
+    lemma in the coloring module docstring, what the batch leaves then
+    meets conditions 1-5, with the bad vertex `bad` while no cycle passes
+    through it and none from that cycle on. So one `removal_leaves_type_x`
+    of what it leaves, none if it leaves nothing, settles the rest: by the
+    removal lemma there, this accepts exactly what checking one cycle at a
+    time accepts. If that finds a Type X vertex, the batch's last cycle is
+    the culprit.
     """
     coloring = h.coloring
     if not batch and coloring:
         raise CaseVerificationError("Engine", "case produced no cycles")
-    bad = rep.bad_vertex
-    almost = False
     seen: set[Edge] = set()
     for tag, cyc in batch:
         cols = set()
@@ -438,27 +433,21 @@ def _check_removal(h: EdgeColoredGraph, rep: GoodnessReport,
             seen.add(e)
             cols.add(coloring[e])
         if len(cols) < len(cyc):
-            # b has degree 2, so at most one cycle of the batch meets it
             if bad is None or bad not in cyc or not is_almost_rainbow_at(h, cyc, bad):
                 raise CaseVerificationError(
                     tag, f"cycle {cyc.vertices} is neither rainbow nor "
                     f"almost-rainbow at the bad vertex", cyc)
-            almost = True
-    if rep.ok and len(seen) == len(coloring):
-        return _Checked(batch, EdgeColoredGraph(h.n, {}), GOOD_REPORT)
-    cycles = [cyc for _, cyc in batch]
+            # b has degree 2, so no later cycle of the batch meets it
+            bad = None
+    if len(seen) == len(coloring):
+        return _Checked(batch, EdgeColoredGraph(h.n, {}), None)
     rest = h.edit(drop=seen)
-    rest_rep = report_after_removal(rest, h, rep, cycles)
-    got = GoodnessVerdict.NOT_GOOD if rest_rep is None else rest_rep.verdict
-    expected = (GoodnessVerdict.GOOD
-                if rep.verdict is GoodnessVerdict.GOOD or almost
-                else GoodnessVerdict.ALMOST_GOOD)
-    if got is not expected:
+    if removal_leaves_type_x(rest, h, [cyc for _, cyc in batch]):
         tag, cyc = batch[-1]
         raise CaseVerificationError(
-            tag, f"removing {cyc.vertices} leaves a {got.value} "
-            f"graph, expected {expected.value}", cyc)
-    return _Checked(batch, rest, rest_rep)
+            tag, f"removing {cyc.vertices} leaves a not_good graph, expected "
+            f"{'good' if bad is None else 'almost_good'}", cyc)
+    return _Checked(batch, rest, bad)
 
 
 # ---------------------------------------------------------------------------
@@ -495,19 +484,18 @@ def _all_type2_cycle(g: EdgeColoredGraph) -> Cycle:
 # Case 1: almost-good
 
 
-def case1_1(g: EdgeColoredGraph, rep: GoodnessReport, v: int) -> CaseReduction:
+def case1_1(g: EdgeColoredGraph, v: int) -> CaseReduction:
     """Bad vertex with adjacent neighbors: contract the monochromatic triangle.
 
     The two child cycles through the merged vertex lift by inserting the
     path x1-v-x2 (giving the one almost-rainbow cycle) and the edge x1-x2.
-    `rep` is g's report, which must be almost-good at v; the child is
-    good, by the pair lemma and the Type X contraction lemma in the
-    coloring module docstring. The case checks only that x1 ~ x2, the
-    dispatch's branch: the report and the branch prove the rest of the
-    lemma's pattern (see the Case1_1 paragraph there).
+    g is almost-good at v; the child is good, by the pair lemma and the
+    Type X contraction lemma in the coloring module docstring. The case
+    checks only that x1 ~ x2, the dispatch's branch: g's goodness and the
+    branch prove the rest of the lemma's pattern (see the Case1_1
+    paragraph there).
     """
     tag = CASE_1_1
-    _require_verdict(rep, tag, GoodnessVerdict.ALMOST_GOOD, v)
     x1, x2 = sorted(g.adj[v])
     _require(g.has_edge(x1, x2), tag, "neighbors not adjacent")
     side1 = [w for w in g.adj[x1] if w not in (v, x2)]
@@ -516,19 +504,18 @@ def case1_1(g: EdgeColoredGraph, rep: GoodnessReport, v: int) -> CaseReduction:
         merge=(v, x1, x2), drop=[edge(v, x1), edge(v, x2), edge(x1, x2)])
 
 
-def case1_2(g: EdgeColoredGraph, rep: GoodnessReport, v: int) -> CaseReduction:
+def case1_2(g: EdgeColoredGraph, v: int) -> CaseReduction:
     """Bad vertex with non-adjacent Type I neighbors: contract one bad edge.
 
     The child cycle through the merged vertex subdivides back into the
-    almost-rainbow cycle through v; everything else lifts unchanged. `rep`
-    is g's report, which must be almost-good at v; the child is good, by
-    the edge lemma and the Type X contraction lemma in the coloring module
-    docstring. The case checks only that x1 and x2 are not adjacent, the
-    dispatch's branch: by that lemma, x1 and x2 then have degree 2, and
-    no almost-good parent closes a two-colored triangle (m, x2, y1).
+    almost-rainbow cycle through v; everything else lifts unchanged. g is
+    almost-good at v; the child is good, by the edge lemma and the Type X
+    contraction lemma in the coloring module docstring. The case checks
+    only that x1 and x2 are not adjacent, the dispatch's branch: by that
+    lemma, x1 and x2 then have degree 2, and no almost-good parent closes
+    a two-colored triangle (m, x2, y1).
     """
     tag = CASE_1_2
-    _require_verdict(rep, tag, GoodnessVerdict.ALMOST_GOOD, v)
     x1, x2 = sorted(g.adj[v])
     _require(not g.has_edge(x1, x2), tag, "neighbors adjacent; wrong case")
     y1 = next(w for w in g.adj[x1] if w != v)
@@ -541,7 +528,7 @@ def case1_2(g: EdgeColoredGraph, rep: GoodnessReport, v: int) -> CaseReduction:
 # Case 2.1: a singular path of length >= 3
 
 
-def case2_1(g: EdgeColoredGraph, rep: GoodnessReport) -> CaseReduction:
+def case2_1(g: EdgeColoredGraph) -> CaseReduction:
     """Contract the middle edge of the singular path v0 v1 v2 v3 that opens
     g's first singular chain, and go on while the next dispatch would pick
     Case2_1 again: while the contracted graph has no rainbow triangle and
@@ -549,25 +536,24 @@ def case2_1(g: EdgeColoredGraph, rep: GoodnessReport) -> CaseReduction:
     chain's first inner edge. Each step is the paper's one-edge Case 2.1;
     the run is one reduction.
 
-    `rep` is g's report, which must be good, and the case checks only that
-    the first chain has length at least 3, the dispatch's branch. A step
-    with lo, hi = min and max of v1, v2 drops lo-hi and gives hi's other
-    edge to lo with its color, leaving hi isolated. By the contraction
-    lemma in the coloring module docstring, each step's child is good, as
-    no good parent has a chord v0v3 of color c(v0v1) or c(v2v3), and g's
-    components, rainbow triangle and singular chains carry over from step
-    to step. So each step's path, the first four vertices of the first
-    chain, needs no check of its own: they are distinct, as a chain of
-    length 3 that closes is a triangle through two Type I vertices, so
-    rainbow, and the run stops at one. The child is one `edit` of g. It
-    gets its rainbow triangle and singular chains here, and its components
-    and empty Type X map from `_good_reduction`, whose lift applies the
-    steps' one-edge `_contraction_lift`s, innermost first: each splits its
-    merged vertex lo back into v1 v2, turned so that v1 meets v0, as the
-    paper's one-edge step does.
+    g is good, and the case checks only that the first chain has length at
+    least 3, the dispatch's branch. A step with lo, hi = min and max of
+    v1, v2 drops lo-hi and gives hi's other edge to lo with its color,
+    leaving hi isolated. By the contraction lemma in the coloring module
+    docstring, each step's child is good, as no good parent has a chord
+    v0v3 of color c(v0v1) or c(v2v3), and g's components, rainbow
+    triangle and singular chains carry over from step to step. So each
+    step's path, the first four vertices of the first chain, needs no
+    check of its own: they are distinct, as a chain of length 3 that
+    closes is a triangle through two Type I vertices, so rainbow, and
+    the run stops at one. The child is one `edit` of g. It gets its
+    rainbow triangle and singular chains here, and its components and
+    empty Type X map from `_good_reduction`, whose lift applies the
+    steps' one-edge `_contraction_lift`s, innermost first: each splits
+    its merged vertex lo back into v1 v2, turned so that v1 meets v0, as
+    the paper's one-edge step does.
     """
     tag = CASE_2_1
-    _require_verdict(rep, tag, GoodnessVerdict.GOOD)
     chains = list(g.singular_chains)
     _require(bool(chains) and chains[0][0] >= 3, tag, "singular path too short")
     base_adj, base_colors = g.adj, g.coloring
@@ -666,17 +652,16 @@ def extract_case2_2_pattern(g: EdgeColoredGraph) -> tuple[str, CasePattern]:
                               gamma, delta)
 
 
-def case2_2_1(g: EdgeColoredGraph, rep: GoodnessReport, p: CasePattern,
-              ) -> CaseReduction:
+def case2_2_1(g: EdgeColoredGraph, p: CasePattern) -> CaseReduction:
     """Disjoint flanking neighborhoods: reroute v and merge the flanks.
 
     Child construction: drop the four alpha/beta edges, connect v directly
-    to y1 and y2, and merge x1 with x2 into m = min(x1, x2). g must be good,
-    and `rep` is its report. By the merge lemma in the coloring module
-    docstring the child meets conditions 1-5, so its only possible defect
-    is a Type X cut vertex, and it is good when `type_x_sides` is empty. If
-    the child is good, child cycles avoiding both v and m lift unchanged and
-    the two or three that meet them are put back explicitly; if not, the
+    to y1 and y2, and merge x1 with x2 into m = min(x1, x2). g is good.
+    By the merge lemma in the coloring module docstring the child meets
+    conditions 1-5, so its only possible defect is a Type X cut vertex,
+    and it is good when `type_x_sides` is empty. If the child is good,
+    child cycles avoiding both v and m lift unchanged and the two or
+    three that meet them are put back explicitly; if not, the
     reduction's child is instead the end x-block of the merged graph, an
     almost-good graph, and one of its cycles through m detours through v
     (subcase b). Every lift puts m back by one detour, `_v_detour`.
@@ -687,8 +672,8 @@ def case2_2_1(g: EdgeColoredGraph, rep: GoodnessReport, p: CasePattern,
         merge=[(p.x1, p.x2)])
     m = min(p.x1, p.x2)
     if not child.type_x_sides:
-        return CaseReduction(child, _case2_2_1a_lift(g, rep, p, m), GOOD_REPORT)
-    return _case2_2_1b(g, rep, p, child, m)
+        return CaseReduction(child, _case2_2_1a_lift(g, p, m), None)
+    return _case2_2_1b(g, p, child, m)
 
 
 def _v_detour(p: CasePattern) -> Callable[[int, int], list[int]]:
@@ -699,13 +684,13 @@ def _v_detour(p: CasePattern) -> Callable[[int, int], list[int]]:
     return _oriented([p.x2, p.v, p.x1], (p.w1, p.z1))
 
 
-def _case2_2_1a_lift(g, rep, p, m):
+def _case2_2_1a_lift(g, p, m):
     """Lift a good merged child whose merged vertex is m, of degree 4, on
     two child cycles; v, of degree 2, is on one. If v's avoids m, the lift
-    leaves an x-cycle in g and returns the `_Checked` of the first detour
-    that passes: each detour it tries is one removal check of the whole
-    batch, which by the removal lemma accepts what removing the other
-    cycles and then the detour would. `rep` is g's report."""
+    leaves an x-cycle in the good g and returns the `_Checked` of the first
+    detour that passes: each detour it tries is one removal check of the
+    whole batch, which by the removal lemma accepts what removing the other
+    cycles and then the detour would."""
     tag = CASE_2_2_1A
 
     def lift(sub: list[tuple[str, Cycle]]) -> list[tuple[str, Cycle]] | _Checked:
@@ -714,7 +699,7 @@ def _case2_2_1a_lift(g, rep, p, m):
         xcycles = [c for _, c in sub if m in c and c is not d1]
         if len(xcycles) == 2:
             # v's cycle avoids the merged vertex: lift one x-cycle through v
-            return _detour_x_cycle(g, rep, p, m, tag, out, xcycles,
+            return _detour_x_cycle(g, p, m, tag, out, xcycles,
                                    "both x-cycle detours failed")
         out.extend((tag, c) for c in _recombine_two_meeters(p, d1, xcycles[0], m))
         return out
@@ -722,17 +707,17 @@ def _case2_2_1a_lift(g, rep, p, m):
     return lift
 
 
-def _detour_x_cycle(g, rep, p, m, tag: str, kept: list[tuple[str, Cycle]],
+def _detour_x_cycle(g, p, m, tag: str, kept: list[tuple[str, Cycle]],
                     xcycles: list[Cycle], failure: str) -> _Checked:
     """The `_Checked` of the first of `xcycles`, child cycles through the
     merged vertex m, whose detour through v, `_v_detour`, passes one
-    removal check from g with the `kept` batch. If none does, raise with
-    `failure` and the last detour's problem. `rep` is g's report."""
+    removal check from the good g with the `kept` batch. If none does,
+    raise with `failure` and the last detour's problem."""
     detour = _v_detour(p)
     last = None
     for cand in xcycles:
         try:
-            return _check_removal(g, rep, kept + [(tag, _lift_through(cand, m, detour))])
+            return _check_removal(g, None, kept + [(tag, _lift_through(cand, m, detour))])
         except CaseVerificationError as err:
             last = err.problem
     raise CaseVerificationError(tag, f"{failure}: {last}")
@@ -757,7 +742,7 @@ def _recombine_two_meeters(p, d1: Cycle, d2: Cycle, m: int) -> list[Cycle]:
     return [Cycle(tuple([p.x1] + list(reversed(q2)) + [p.x2] + q1)), third]
 
 
-def _case2_2_1b(g, rep_g, p, child, m) -> CaseReduction:
+def _case2_2_1b(g, p, child, m) -> CaseReduction:
     """Reduce to the merged graph's end x-block at the merged vertex m; lift
     by detouring one of its cycles through m via v. The merged graph
     `child` of the good g has at least one Type X vertex, the keys of its
@@ -783,16 +768,16 @@ def _case2_2_1b(g, rep_g, p, child, m) -> CaseReduction:
         # t, such a candidate was typed rainbow, and detours as the
         # three-meeter lift's x-cycle does.
         candidates = [c for _, c in sub if m in c and t not in c]
-        return _detour_x_cycle(g, rep_g, p, m, tag, [], candidates,
+        return _detour_x_cycle(g, p, m, tag, [], candidates,
                                "detour cycle failed verification")
 
-    return CaseReduction(end, lift, almost_good_at(t))
+    return CaseReduction(end, lift, t)
 
 
-def _case2_2_2a(g: EdgeColoredGraph, rep: GoodnessReport, p: CasePattern):
+def _case2_2_2a(g: EdgeColoredGraph, p: CasePattern):
     """Shared gamma/delta neighbor w: try the direct rectangle through w,
-    else rewire both flanks away and reduce. g must be good, and `rep` is
-    its report. By the rectangle lemma in the coloring module docstring, a
+    else rewire both flanks away and reduce. g is good. By the rectangle
+    lemma in the coloring module docstring, a
     refused rectangle has w, y1, y2, z1 and z2 of Type I and disjoint
     sides {y1, z1} and {y2, z2}; by the rewire and rewired-child lemmas
     there, the rewired child is then good and connected on g's vertices
@@ -802,7 +787,7 @@ def _case2_2_2a(g: EdgeColoredGraph, rep: GoodnessReport, p: CasePattern):
     tag = CASE_2_2_2A
     w = p.w1
     try:
-        return _check_removal(g, rep, [(tag, Cycle((p.x1, p.v, p.x2, w)))])
+        return _check_removal(g, None, [(tag, Cycle((p.x1, p.v, p.x2, w)))])
     except CaseVerificationError:
         pass  # the rectangle leaves a Type X vertex: rewire
 
@@ -815,16 +800,13 @@ def _case2_2_2a(g: EdgeColoredGraph, rep: GoodnessReport, p: CasePattern):
         _contraction_lift(tag, (_oriented([p.x1, w, p.x2], (p.y2,)),), w)])
 
 
-def _case2_2_2b(g: EdgeColoredGraph, rep: GoodnessReport,
-                p: CasePattern) -> CaseReduction:
+def _case2_2_2b(g: EdgeColoredGraph, p: CasePattern) -> CaseReduction:
     """Shared alpha/beta neighbor y: contract the rectangle x1-y-x2-v.
-    `rep` is g's report, which must be good; the child is good, by the
-    pair lemma and the Type X contraction lemma in the coloring module
-    docstring. `p` is shape b's, with y1 == y2, and y is Type I by fact
-    (i) there, as it sees alpha and beta, whose classes span three
-    vertices each."""
+    g is good; the child is good, by the pair lemma and the Type X
+    contraction lemma in the coloring module docstring. `p` is shape b's,
+    with y1 == y2, and y is Type I by fact (i) there, as it sees alpha
+    and beta, whose classes span three vertices each."""
     tag = CASE_2_2_2B
-    _require_verdict(rep, tag, GoodnessVerdict.GOOD)
     y = p.y1
     return _contraction(
         g, tag, (_v_detour(p), _oriented([p.x2, y, p.x1], (p.w1, p.z1))),
@@ -832,22 +814,20 @@ def _case2_2_2b(g: EdgeColoredGraph, rep: GoodnessReport,
         drop=[edge(p.v, p.x1), edge(p.x1, y), edge(y, p.x2), edge(p.x2, p.v)])
 
 
-def _case2_2_2c(g: EdgeColoredGraph, rep: GoodnessReport,
-                p: CasePattern) -> CaseReduction:
+def _case2_2_2c(g: EdgeColoredGraph, p: CasePattern) -> CaseReduction:
     """y1 == w2: contract the rectangle x1-y1-x2-v, folding delta into beta.
 
     The merged vertex has degree 4, gamma toward w1, z1 and beta toward y2,
     z2, so it lies on two child cycles, and each, rainbow, uses one of its
     gamma edges and one of its beta edges; the one toward y2 expands
-    through y1, the one toward z2 through v. `rep` is g's report, which
-    must be good; the child is good, by the recolored rectangle lemma and
-    the Type X contraction lemma in the coloring module docstring. `p` is
+    through y1, the one toward z2 through v. g is good; the child is
+    good, by the recolored rectangle lemma and the Type X contraction
+    lemma in the coloring module docstring. `p` is
     shape c's: y1 == w2, Type I by fact (i), and {w1, z1} misses {y2, z2};
     and no good parent has the edge y2z2 that would close a two-colored
     triangle (m, y2, z2).
     """
     tag = CASE_2_2_2C
-    _require_verdict(rep, tag, GoodnessVerdict.GOOD)
     gamma_side = {p.w1, p.z1}
 
     def expand(a: int, b: int) -> list[int]:
@@ -862,8 +842,7 @@ def _case2_2_2c(g: EdgeColoredGraph, rep: GoodnessReport,
         add=[(p.x2, p.z2, p.beta)])
 
 
-def _case2_2_2d(g: EdgeColoredGraph, rep: GoodnessReport,
-                p: CasePattern) -> list[tuple[str, Cycle]]:
+def _case2_2_2d(g: EdgeColoredGraph, p: CasePattern) -> list[tuple[str, Cycle]]:
     """Doubly-shared neighbors: the rectangle x1-y1-x2-y2 is rainbow. Its
     colors alpha, delta, beta, gamma differ: x1 and x2 are Type II, the
     pattern has alpha != beta and gamma != delta, and fact (i) of the
@@ -960,12 +939,12 @@ def _fallback_cap(g: EdgeColoredGraph) -> int:
     return max(len(c) for c in g.components) if len(g.coloring) < 64 else 24
 
 
-def fallback_search(g: EdgeColoredGraph, rep: GoodnessReport) -> FallbackResult:
+def fallback_search(g: EdgeColoredGraph, bad: int | None) -> FallbackResult:
     """Lazy hunt for one safely removable cycle, shortest first.
 
-    On a good graph: a rainbow cycle whose removal stays good. On an
-    almost-good graph: additionally an almost-rainbow cycle through the bad
-    vertex whose removal is good. Lengths are tried one at a time from 3 up,
+    On a good graph, `bad` None: a rainbow cycle whose removal stays good.
+    On a graph almost-good at `bad`: additionally an almost-rainbow cycle
+    through it whose removal is good. Lengths are tried one at a time from 3 up,
     and the cycles of one length in order of their vertices, so the first
     cycle accepted is the first in (length, vertices) order among all simple
     cycles; nothing longer is generated. The DFS is pruned by color: a path
@@ -974,22 +953,20 @@ def fallback_search(g: EdgeColoredGraph, rep: GoodnessReport) -> FallbackResult:
     check rejects. The search works out its own cap, `_fallback_cap(g)`,
     and tries no longer cycle; when the cap is below g's longest
     component, exhausting it yields "indeterminate" rather than "absent".
-    `rep` is g's goodness report. The engine removes a found cycle by the
-    result's `checked`, without checking it again.
+    The engine removes a found cycle by the result's `checked`, without
+    checking it again.
     """
-    if not rep.ok:
-        raise DecomposeError("fallback requires a good or almost-good graph")
     if not g.coloring:
         return FallbackResult("absent")
     longest = max(len(c) for c in g.components)
     cap = min(_fallback_cap(g), longest)
     # the bad vertex has degree 2 and one color: the only color an
     # almost-rainbow cycle may repeat
-    spare = None if rep.bad_vertex is None else g.colors_at(rep.bad_vertex)[0]
+    spare = None if bad is None else g.colors_at(bad)[0]
     for length in range(3, cap + 1):
         for cyc in _color_pruned_cycles(g, length, spare):
             try:
-                checked = _check_removal(g, rep, [(FALLBACK, cyc)])
+                checked = _check_removal(g, bad, [(FALLBACK, cyc)])
             except CaseVerificationError:
                 continue
             return FallbackResult("found", cyc, checked)
@@ -1000,9 +977,10 @@ def fallback_search(g: EdgeColoredGraph, rep: GoodnessReport) -> FallbackResult:
 # the engine
 
 
-def _dispatch(comp: EdgeColoredGraph, rep: GoodnessReport):
-    """Pick the applicable case; returns a direct batch, a `_Checked` one
-    or a CaseReduction. A Case2_2 graph goes by its pattern's shape, from
+def _dispatch(comp: EdgeColoredGraph, bad: int | None):
+    """Pick the applicable case for the connected comp, good or almost-good
+    at `bad`; returns a direct batch, a `_Checked` one or a CaseReduction.
+    A Case2_2 graph goes by its pattern's shape, from
     `extract_case2_2_pattern`, through one table to its subcase."""
     if len(comp.coloring) == len(comp.components[0]):
         # degrees 2 and 4 and as many edges as vertices: every degree is 2,
@@ -1012,48 +990,49 @@ def _dispatch(comp: EdgeColoredGraph, rep: GoodnessReport):
     tri = comp.rainbow_triangle
     if tri is not None:
         return [(RAINBOW_TRIANGLE, tri)]
-    if rep.verdict is GoodnessVerdict.ALMOST_GOOD:
-        v = rep.bad_vertex
-        x1, x2 = sorted(comp.adj[v])
+    if bad is not None:
+        x1, x2 = sorted(comp.adj[bad])
         if comp.has_edge(x1, x2):
-            return case1_1(comp, rep, v)
-        return case1_2(comp, rep, v)
+            return case1_1(comp, bad)
+        return case1_2(comp, bad)
     if not comp.type1:
         # a good component's degree-4 vertices are Type II, as a 3+1 split
         # of two colors breaks condition 5, so with no Type I vertex all are
         return [(ALL_TYPE_II, _all_type2_cycle(comp))]
     chains = comp.singular_chains
     if chains and chains[0][0] >= 3:
-        return case2_1(comp, rep)
+        return case2_1(comp)
     shape, pat = extract_case2_2_pattern(comp)
     # built per call, so that a patched module attribute is the one called
     return {"disjoint": case2_2_1, "a": _case2_2_2a, "b": _case2_2_2b,
-            "c": _case2_2_2c, "d": _case2_2_2d}[shape](comp, rep, pat)
+            "c": _case2_2_2c, "d": _case2_2_2d}[shape](comp, pat)
 
 
 class _Frame:
-    """A graph being peeled, its report and the list its cycles go to;
-    `pending` is the lift of a reduction waiting on its child's list."""
+    """A graph being peeled, its bad vertex, or None when it is good, and
+    the list its cycles go to; `pending` is the lift of a reduction
+    waiting on its child's list."""
 
-    __slots__ = ("graph", "rep", "out", "pending")
+    __slots__ = ("graph", "bad", "out", "pending")
 
-    def __init__(self, graph: EdgeColoredGraph, rep: GoodnessReport,
+    def __init__(self, graph: EdgeColoredGraph, bad: int | None,
                  out: list[tuple[str, Cycle]]) -> None:
-        self.graph, self.rep, self.out = graph, rep, out
+        self.graph, self.bad, self.out = graph, bad, out
         self.pending: tuple[Callable, list[tuple[str, Cycle]]] | None = None
 
     def take(self, checked: _Checked) -> None:
-        """Apply a checked removal: keep its remainder and report, and
+        """Apply a checked removal: keep its remainder and bad vertex, and
         list its cycles."""
-        self.graph, self.rep = checked.rest, checked.report
+        self.graph, self.bad = checked.rest, checked.bad
         self.out.extend(checked.batch)
 
 
 def _advance(stack: list[_Frame]) -> None:
     """Take one step on the top frame: finish it, split it into one frame
     per component (in order, sharing its list), lift its child's cycles, or
-    dispatch, pushing a frame for a reduction's child. A component's report
-    follows from the component lemma in the coloring module docstring."""
+    dispatch, pushing a frame for a reduction's child. A component's bad
+    vertex follows from the component lemma in the coloring module
+    docstring."""
     fr = stack[-1]
     if fr.pending is not None:
         lift, sub = fr.pending
@@ -1066,19 +1045,19 @@ def _advance(stack: list[_Frame]) -> None:
         parts = split_components(fr.graph)
         if len(parts) > 1:
             stack.pop()
-            b = fr.rep.bad_vertex
-            stack.extend(_Frame(part, fr.rep if b in part.components[0] else GOOD_REPORT,
-                                fr.out) for part in reversed(parts))
+            b = fr.bad
+            stack.extend(_Frame(part, b if b in part.components[0] else None, fr.out)
+                         for part in reversed(parts))
             return
-        step = _dispatch(fr.graph, fr.rep)
+        step = _dispatch(fr.graph, fr.bad)
         if isinstance(step, CaseReduction):
             # the frame keeps the lift alone, so that the child is freed
             # once its own frame takes its first batch
             fr.pending = (step.lift, [])
-            stack.append(_Frame(step.child, step.report, fr.pending[1]))
+            stack.append(_Frame(step.child, step.bad, fr.pending[1]))
             return
     fr.take(step if isinstance(step, _Checked)
-            else _check_removal(fr.graph, fr.rep, step))
+            else _check_removal(fr.graph, fr.bad, step))
 
 
 def _recover(stack: list[_Frame], err: CaseVerificationError | _EngineFailure) -> None:
@@ -1100,14 +1079,14 @@ def _recover(stack: list[_Frame], err: CaseVerificationError | _EngineFailure) -
                 raise err
             stack[-1].pending = None
         fr = stack[-1]
-        fb = fallback_search(fr.graph, fr.rep)
+        fb = fallback_search(fr.graph, fr.bad)
         if fb.status == "found":
             fr.take(fb.checked)
             return
         err = _EngineFailure(
             err.case, fr.graph,
             f"case failed ({err}); fallback search returned {fb.status}",
-            err.cycle, fr.rep)
+            err.cycle, fr.bad)
 
 
 def _verified_trace(root: EdgeColoredGraph, rep: GoodnessReport,
@@ -1118,16 +1097,16 @@ def _verified_trace(root: EdgeColoredGraph, rep: GoodnessReport,
     the coloring module docstring, each step leaves a graph almost-good at
     the bad vertex b, with report `rep`, while b's cycle is left, and good
     from that cycle on; b's cycle is listed first in `cycles`. A failure
-    raises with `root`, `rep`."""
+    raises with `root` and b."""
+    b = rep.bad_vertex
     try:
-        rest = _check_removal(root, rep, tagged).rest if tagged else root
+        rest = _check_removal(root, b, tagged).rest if tagged else root
     except CaseVerificationError as err:
         raise _EngineFailure(err.case, root, f"replay verification failed: {err}",
-                             err.cycle, rep) from err
+                             err.cycle, b) from err
     if rest.coloring:
-        raise _EngineFailure("Engine", root, "cycles do not cover every edge", None, rep)
-    at = next((i for i, (_, c) in enumerate(tagged) if rep.bad_vertex in c),
-              len(tagged))
+        raise _EngineFailure("Engine", root, "cycles do not cover every edge", None, b)
+    at = next((i for i, (_, c) in enumerate(tagged) if b in c), len(tagged))
     steps = tuple(TraceStep(tag, cyc, rep if i < at else GOOD_REPORT)
                   for i, (tag, cyc) in enumerate(tagged))
     ordered = tagged[at:at + 1] + tagged[:at] + tagged[at + 1:]
@@ -1160,16 +1139,16 @@ def decompose(g: EdgeColoredGraph, prescribed: Cycle | None = None) -> Decomposi
         raise DecomposeError(
             f"input is {rep.verdict.value}: "
             f"{[v.to_json() for v in rep.violations][:4]}")
-    top = _Frame(g, rep, [])
+    top = _Frame(g, rep.bad_vertex, [])
     stack = [top]
     try:
         if prescribed is not None:
             try:
-                top.take(_check_removal(g, rep, [(ALL_TYPE_II, prescribed)]))
+                top.take(_check_removal(g, top.bad, [(ALL_TYPE_II, prescribed)]))
             except CaseVerificationError as err:
                 raise _EngineFailure(
                     err.case, g, f"prescribed cycle removal failed: {err.problem}",
-                    err.cycle, rep) from err
+                    err.cycle, rep.bad_vertex) from err
         while stack:
             try:
                 _advance(stack)
@@ -1179,8 +1158,8 @@ def decompose(g: EdgeColoredGraph, prescribed: Cycle | None = None) -> Decomposi
     except _EngineFailure as f:
         return DecompositionTrace(
             (), None,
-            CaseFailure(f.case, serialize_colored_edge_list(f.graph),
-                        f.message, f.cycle, f.report,
+            CaseFailure(f.case, serialize_colored_edge_list(f.graph), f.message, f.cycle,
+                        GOOD_REPORT if f.bad is None else almost_good_at(f.bad),
                         prescribed if f.graph is g else None))
 
 

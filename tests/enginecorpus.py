@@ -12,7 +12,7 @@ read and appends each call, as it starts, to one log:
   * `_check_removal`, with the function that called it and the `_Checked`
     it returned or the error it raised, and `_Frame.take`, which applies
     one, with the graph it is applied to;
-  * `check_goodness`, `report_after_removal`, `EdgeColoredGraph.edit`,
+  * `check_goodness`, `removal_leaves_type_x`, `EdgeColoredGraph.edit`,
     `_build_transform`, the Type X search `_cut_search`, `_verified_trace`
     and `fallback_search`.
 
@@ -55,7 +55,7 @@ REDUCTIONS = ("case1_1", "case1_2", "case2_1", "case2_2_1", "_case2_2_1b",
 
 WRAPPED = ((D, "_dispatch"), *((D, name) for name in REDUCTIONS),
            (D, "_check_removal"), (D._Frame, "take"), (D, "check_goodness"),
-           (D, "report_after_removal"),
+           (D, "removal_leaves_type_x"),
            (EdgeColoredGraph, "edit"), (D, "_build_transform"),
            (C, "_cut_search"), (D, "_verified_trace"),
            (D, "fallback_search"))
@@ -107,7 +107,7 @@ def _recorded(log: list[Call], name: str, real, made_by: Call | None = None):
         finally:
             c.end = len(log)
         c.result = out
-        if name in ("check_goodness", "report_after_removal"):
+        if name in ("check_goodness", "removal_leaves_type_x"):
             c.cached = dict(args[0].__dict__)
         elif isinstance(out, EdgeColoredGraph):
             c.cached = dict(out.__dict__)
@@ -115,7 +115,7 @@ def _recorded(log: list[Call], name: str, real, made_by: Call | None = None):
             c.cached = dict(out.child.__dict__)
             if c.caller == "_dispatch":  # not Case2_2_1b's, which Case2_2_1 returns
                 return D.CaseReduction(out.child, _recorded(log, "lift", out.lift, c),
-                                       out.report)
+                                       out.bad)
         return out
     return call
 

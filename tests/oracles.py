@@ -288,13 +288,13 @@ def enumerate_rainbow_cycles(g: EdgeColoredGraph) -> list[tuple[int, ...]]:
 def exhaustive_fallback(g: EdgeColoredGraph, max_len: int) -> FallbackResult:
     """`fallback_search` by enumerating and sorting every cycle of up to
     `max_len` vertices before testing any, with the same statuses."""
-    rep = check_goodness(g)
+    bad = check_goodness(g).bad_vertex
     if not g.edges:
         return FallbackResult("absent")
     longest = max(len(c) for c in g.components)
     for cyc in enumerate_cycles_by_copying(g, max_len):
         try:
-            _check_removal(g, rep, [(FALLBACK, cyc)])
+            _check_removal(g, bad, [(FALLBACK, cyc)])
         except CaseVerificationError:
             continue
         return FallbackResult("found", cyc)

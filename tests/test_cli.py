@@ -103,10 +103,10 @@ def _refuse_prescribed(tmp_path, monkeypatch) -> tuple[Path, Cycle]:
     proj = project_cycle(build_line_graph(petersen()), Cycle((0, 1, 2, 3, 4)))
     real = D._check_removal
 
-    def refuse_prescribed(h, rep, batch):
+    def refuse_prescribed(h, bad, batch):
         if [c for _, c in batch] == [proj]:
             raise D.CaseVerificationError(batch[0][0], "refused", batch[0][1])
-        return real(h, rep, batch)
+        return real(h, bad, batch)
 
     monkeypatch.setattr(D, "_check_removal", refuse_prescribed)
     return path, proj

@@ -12,10 +12,11 @@ from cdcover.coloring import (
     GoodnessVerdict,
     _cut_search,
     _one_arc,
+    almost_good_at,
     check_goodness,
     is_almost_rainbow_at,
     parse_colored_edge_list,
-    report_after_removal,
+    removal_leaves_type_x,
     serialize_colored_edge_list,
     split_components,
     triangles,
@@ -269,18 +270,30 @@ def _random_cycle(g: EdgeColoredGraph, rng: random.Random) -> Cycle:
         path.append(w)
 
 
-def _assert_removal_report_matches_full(h: EdgeColoredGraph, rng: random.Random,
-                                        removals: int) -> list[GoodnessVerdict]:
-    """Remove up to `removals` random batches in turn, each of 1-4
-    edge-disjoint random cycles (rainbow or not). From a good or
-    almost-good parent, `report_after_removal` gives the remainder's full
-    report when that is good or almost-good, and None otherwise; from any
-    other parent it refuses. Returns the full verdicts of the remainders of
-    good or almost-good parents."""
+def _typed(h: EdgeColoredGraph, bad: int | None, cycles: list[Cycle]) -> bool:
+    """Whether each of the edge-disjoint `cycles` of h is rainbow, or
+    almost-rainbow at h's bad vertex `bad`, as the removal check's typing
+    sweep asks."""
+    return all(len({h.coloring[e] for e in c.edges}) == len(c)
+               or (bad in c and is_almost_rainbow_at(h, c, bad)) for c in cycles)
+
+
+def _assert_removal_check_matches_full(h: EdgeColoredGraph, rng: random.Random,
+                                       removals: int) -> list[GoodnessVerdict]:
+    """Remove up to `removals` random batches in turn from h while it is
+    good or almost-good, each of 1-4 edge-disjoint random cycles (rainbow
+    or not). The typing lemma of the coloring module docstring holds: when
+    every cycle passes the typing, the full check of the remainder fails
+    condition 6 alone, or finds it good, or almost-good at the bad vertex b
+    when b's cycle is not in the batch. `decomposer._check_removal`
+    accepts a batch exactly when its cycles pass the typing and the full
+    check finds the remainder good or almost-good, and its `_Checked`
+    holds the remainder and the full check's bad vertex. Returns the full
+    verdicts of the remainders."""
     verdicts = []
     rep = check_goodness(h)
     for _ in range(removals):
-        if not h.edges:
+        if not h.edges or not rep.ok:
             break
         cycles, h2 = [], h
         for _ in range(rng.randint(1, 4)):
@@ -289,12 +302,21 @@ def _assert_removal_report_matches_full(h: EdgeColoredGraph, rng: random.Random,
             cycles.append(_random_cycle(h2, rng))
             h2 = h2.edit(drop=cycles[-1].edges)
         full = check_goodness(h2)
-        if rep.ok:
-            assert report_after_removal(h2, h, rep, cycles) == (full if full.ok else None)
-            verdicts.append(full.verdict)
+        b = rep.bad_vertex
+        typed = _typed(h, b, cycles)
+        if typed:
+            if full.ok:
+                assert full.bad_vertex == (None if any(b in c for c in cycles) else b)
+            else:
+                assert {v.condition for v in full.violations} == {6}
+        verdicts.append(full.verdict)
+        try:
+            checked = D._check_removal(h, b, [("peel", c) for c in cycles])
+        except D.CaseVerificationError:
+            assert not (typed and full.ok)
         else:
-            with pytest.raises(ColoredGraphError, match="good or almost-good parent"):
-                report_after_removal(h2, h, rep, cycles)
+            assert typed and full.ok
+            assert (checked.rest, checked.bad) == (h2, full.bad_vertex)
         h, rep = h2, full
     return verdicts
 
@@ -312,7 +334,7 @@ def test_incremental_goodness_equals_full_on_engine_graphs(n, seed, data):
     for step in trace.steps[:k]:
         h = h.edit(drop=step.cycle.edges)
     rng = data.draw(st.randoms(use_true_random=False), label="rng")
-    _assert_removal_report_matches_full(h, rng, removals=3)
+    _assert_removal_check_matches_full(h, rng, removals=3)
 
 
 def _assert_triangles_match_reference(g: EdgeColoredGraph) -> list[tuple[int, int, int]]:
@@ -364,8 +386,7 @@ def test_triangle_walk_matches_the_sort_based_reference_on_almost_good_graphs():
     """On every almost-good graph the engine corpus dispatches, read
     through a copy that `edit` makes with its neighbor tuples, and on the
     Case 1 hosts; some of them have a rainbow triangle."""
-    almost = [c.args[0] for c in corpus().calls("_dispatch")
-              if c.args[1].verdict is GoodnessVerdict.ALMOST_GOOD]
+    almost = [c.args[0] for c in corpus().calls("_dispatch") if c.args[1] is not None]
     almost += [almost_good_c4(), case1_1_host(), case1_2_host()]
     assert len(almost) > 500
     with_rainbow = 0
@@ -391,32 +412,20 @@ _SAMPLES = {
        rng=st.randoms(use_true_random=False))
 @settings(max_examples=150, deadline=None)
 def test_incremental_goodness_equals_full_on_samples(name, rng):
-    _assert_removal_report_matches_full(_SAMPLES[name], rng, removals=4)
+    _assert_removal_check_matches_full(_SAMPLES[name], rng, removals=4)
 
 
 def test_incremental_goodness_sees_every_verdict():
     """The sample removals from good or almost-good parents reach good,
     almost-good and not-good remainders, so the property above covers each
-    way `report_after_removal` ends."""
+    way the removal check ends: with no bad vertex, with the parent's, and
+    refused."""
     rng = random.Random(11)
     seen = set()
     for g in _SAMPLES.values():
         for _ in range(20):
-            seen.update(_assert_removal_report_matches_full(g, rng, removals=4))
+            seen.update(_assert_removal_check_matches_full(g, rng, removals=4))
     assert seen == set(GoodnessVerdict)
-
-
-def test_incremental_goodness_rejects_a_wrong_parent():
-    """A graph that is not its parent minus the cycles, or a parent that is
-    not good or almost-good, is refused, not given a report."""
-    g = case1_1_host()
-    with pytest.raises(ColoredGraphError, match="parent minus the cycles"):
-        report_after_removal(g, g, check_goodness(g), [Cycle((0, 1, 2))])
-    x = two_squares_type_x()
-    rep = check_goodness(x)
-    assert rep.verdict is GoodnessVerdict.NOT_GOOD
-    with pytest.raises(ColoredGraphError, match="good or almost-good parent"):
-        report_after_removal(x, x, rep, [])
 
 
 def _checked_peels(h: EdgeColoredGraph, rng: random.Random,
@@ -426,14 +435,17 @@ def _checked_peels(h: EdgeColoredGraph, rng: random.Random,
     until at most `edges` edges are left or 200 cycles have been tried. A
     graph that is not good or almost-good is returned as it is."""
     rep = check_goodness(h)
+    if not rep.ok:
+        return h
+    bad = rep.bad_vertex
     for _ in range(200):
-        if len(h.coloring) <= edges or not rep.ok:
+        if len(h.coloring) <= edges:
             break
         try:
-            checked = D._check_removal(h, rep, [("peel", _random_cycle(h, rng))])
+            checked = D._check_removal(h, bad, [("peel", _random_cycle(h, rng))])
         except D.CaseVerificationError:
             continue
-        h, rep = checked.rest, checked.report
+        h, bad = checked.rest, checked.bad
     return h
 
 
@@ -505,11 +517,11 @@ def test_two_arc_removal_can_leave_a_type_x_vertex():
     assert not _meets_one_arc_hypothesis(g, None, rect)
     rest = g.edit(drop=rect.edges)
     assert not _one_arc(rest, g, rect)
-    assert report_after_removal(rest, g, rep, [rect]) is None
+    assert removal_leaves_type_x(rest, g, [rect])
     assert rest.type_x_sides == {8: ((4, 6), (5, 7))}
     refused = 0
     for c in corpus().calls("_case2_2_2a"):
-        h, _, p = c.args
+        h, p = c.args
         if next(i for i in c.inner() if i.name == "_check_removal").error is None:
             continue
         rect = Cycle((p.x1, p.v, p.x2, p.w1))
@@ -540,7 +552,7 @@ def test_one_arc_check_reads_the_common_neighbor():
     assert [len(g.adj[v]) for v in c.vertices] == [2, 4, 4, 4]
     rest = g.edit(drop=c.edges)
     assert not _one_arc(rest, g, c)
-    assert report_after_removal(rest, g, rep, [c]) is None
+    assert removal_leaves_type_x(rest, g, [c])
     assert rest.type_x_sides == {8: ((0, 13), (6, 7))}
     assert check_goodness(EdgeColoredGraph(rest.n, dict(rest.coloring))).verdict \
         is GoodnessVerdict.NOT_GOOD
@@ -552,7 +564,7 @@ def test_type_x_true_positives_on_engine_graphs():
     carry Type X vertices."""
     nonempty = 0
     for c in corpus().calls("_case2_2_1b"):
-        g = c.args[3]
+        g = c.args[2]
         txv = find_type_x_vertices(g)
         assert set(txv) == type_x_by_pseudoblock_splits(g)
         nonempty += bool(txv)
@@ -565,24 +577,24 @@ def test_x_blocks_match_definition_on_engine_graphs():
     definition that holds it, and the walks meet every x-block."""
     several = 0
     for c in corpus().calls("_case2_2_1b"):
-        blocks = _x_blocks_by_walks(c.args[3])
-        assert blocks == sorted(x_blocks_by_definition(c.args[3]), key=sorted)
+        blocks = _x_blocks_by_walks(c.args[2])
+        assert blocks == sorted(x_blocks_by_definition(c.args[2]), key=sorted)
         several += len(blocks) > 1
     assert several >= 100
 
 
 def test_case2_2_1b_matches_the_walked_block_tree():
     """Case2_2_1b reads its end block off m's x-block and derives its
-    report. On every merged graph the engine hands it, the walk of the
+    bad vertex. On every merged graph the engine hands it, the walk of the
     x-block tree finds the path from m's x-block to v's that the end-block
-    path lemma proves, and the same joining vertex t, and the derived
-    report equals the full check's."""
+    path lemma proves, and the same joining vertex t, and the full check
+    finds the end block almost-good at t."""
     reduced = 0
     for c in corpus().calls("_case2_2_1b"):
-        g, rep, p, child, m = c.args
-        red = D._case2_2_1b(g, rep, p, child, m)
-        assert red.report.bad_vertex == case2_2_1b_by_walking(child, p, m)
-        assert red.report == check_goodness(red.child)
+        g, p, child, m = c.args
+        red = D._case2_2_1b(g, p, child, m)
+        assert red.bad == case2_2_1b_by_walking(child, p, m)
+        assert almost_good_at(red.bad) == check_goodness(red.child)
         reduced += 1
     assert reduced >= 100
 
@@ -604,14 +616,18 @@ def test_case2_2_1b_verdicts_on_longer_block_paths_and_a_star():
             if isinstance(want, str):
                 skipped += 1
                 continue
-            red = D._case2_2_1b(None, None, p, child, m)
-            assert red.report.bad_vertex == want
-            assert red.report == check_goodness(red.child)
+            red = D._case2_2_1b(None, p, child, m)
+            assert red.bad == want
+            assert almost_good_at(red.bad) == check_goodness(red.child)
             reduced += 1
     assert reduced and skipped
 
 
 def test_heredity_conditions_1_to_5_after_rainbow_removal():
+    """Removing a rainbow cycle from the good L(Petersen) leaves conditions
+    1-5 holding, condition 4 with no vertex of one color, as the typing
+    lemma in the coloring module docstring proves: the full check fails
+    condition 6 alone, if any, and finds no bad vertex."""
     rng = random.Random(3)
     lg = build_line_graph(petersen()).lg
     from oracles import enumerate_rainbow_cycles
@@ -621,6 +637,8 @@ def test_heredity_conditions_1_to_5_after_rainbow_removal():
         h = lg.edit(drop=Cycle(vs).edges)
         rep = check_goodness(h)
         assert all(v.condition == 6 for v in rep.violations)
+        assert rep.bad_vertex is None and not any(
+            len(set(h.colors_at(v))) == 1 for v in range(h.n) if h.adj[v])
 
 
 def test_remove_cycle_fills_no_fact_and_drops_a_consumed_triangle():

@@ -46,7 +46,7 @@ def test_certificate_is_good_but_undecomposable():
         assert naive_goodness(g)[0] == "good"
         assert brute_force_rainbow_decomposition(g, math.inf).status == "absent"
         assert rainbow_decomposition_by_lowest_edge(g).status == "absent"
-        assert fallback_search(g, rep).status == "absent"
+        assert fallback_search(g, None).status == "absent"
 
 
 def test_certificate_yields_replayable_case_failure():

@@ -21,6 +21,7 @@ from cdcover.coloring import (
     GoodnessReport,
     GoodnessVerdict,
     Violation,
+    almost_good_at,
     check_goodness,
     parse_colored_edge_list,
     serialize_colored_edge_list,
@@ -71,9 +72,15 @@ from oracles import (
 
 FIXTURES = Path(__file__).parent / "fixtures"
 
-# the recorded goodness checks: the full one of a root, and the one of what
-# a removal leaves
-GOODNESS = ("check_goodness", "report_after_removal")
+# the recorded goodness checks: the full one of a root, and the Type X
+# check of what a removal leaves
+GOODNESS = ("check_goodness", "removal_leaves_type_x")
+
+
+def _report_of(bad: int | None) -> GoodnessReport:
+    """The report of a graph that is good, `bad` None, or almost-good at
+    `bad`: what the engine's bad vertex stands for."""
+    return GOOD_REPORT if bad is None else almost_good_at(bad)
 
 
 def _decomposed_ok(g):
@@ -219,9 +226,9 @@ def _disjoint_union(parts: list[EdgeColoredGraph]) -> tuple[EdgeColoredGraph, li
 ], ids=["LK4+LK33", "almost_c4+LPetersen", "LK33+case1_1_host"])
 def test_decompose_disjoint_union(parts):
     """A disconnected root splits into one frame per component, each given
-    its report by the component lemma instead of a goodness check: the
-    report every dispatch receives is the full check's, and each component
-    is peeled as it would be alone, shifted by its offset."""
+    its bad vertex by the component lemma instead of a goodness check: the
+    bad vertex every dispatch receives is the full check's, and each
+    component is peeled as it would be alone, shifted by its offset."""
     union, offsets = _disjoint_union(list(parts))
     with recording() as log:
         tr = _decomposed_ok(union)
@@ -229,7 +236,7 @@ def test_decompose_disjoint_union(parts):
     alone = sorted(tuple(v + off for v in c.vertices)
                    for g, off in zip(parts, offsets) for c in decompose(g).cycles)
     assert sorted(c.vertices for c in tr.cycles) == alone
-    assert all(rep == check_goodness(comp) for comp, rep in dispatched)
+    assert all(_report_of(bad) == check_goodness(comp) for comp, bad in dispatched)
     # each component is dispatched whole, as split off the union
     whole = {comp.edges for comp, _ in dispatched}
     for g, off in zip(parts, offsets):
@@ -264,8 +271,7 @@ def test_prefix_goodness_replay():
     dispatches, which are decomposed again here), whose bad vertex's cycle
     is listed first."""
     cp = corpus()
-    almost = [c.args[0] for c in cp.calls("_dispatch")
-              if c.args[1].verdict is GoodnessVerdict.ALMOST_GOOD][::8]
+    almost = [c.args[0] for c in cp.calls("_dispatch") if c.args[1] is not None][::8]
     good = [(r.clg.lg, r.trace) for r in cp.runs if r.cap is None]
     good += [(lg, decompose(lg)) for lg in (build_line_graph(k33()).lg,
                                             build_line_graph(petersen()).lg)]
@@ -313,11 +319,11 @@ def test_case1_1_child_and_lift():
     isolated; the lift puts the path 1-0-2 into one cycle and the edge 1-2
     into the other."""
     g = case1_1_host()
-    red = case1_1(g, check_goodness(g), 0)
+    red = case1_1(g, 0)
     assert red.child.n == g.n
     assert dict(red.child.coloring) == {
         (0, 3): 1, (0, 4): 1, (0, 5): 2, (0, 6): 2, (3, 5): 3, (4, 6): 4}
-    assert red.report.verdict is GoodnessVerdict.GOOD
+    assert red.bad is None
     lifted = _lifted_partition(g, red)
     almost = [c for c in lifted if not _is_rainbow(g, c)]
     assert len(almost) == 1 and {0, 1, 2} <= set(almost[0].vertices)
@@ -406,27 +412,26 @@ def test_build_transform_and_edit_match_the_full_scan():
 def test_case1_1_rejects_wrong_pattern():
     g = case1_2_host()
     with pytest.raises(CaseVerificationError) as err:
-        case1_1(g, check_goodness(g), 0)  # neighbors not adjacent: belongs to 1.2
+        case1_1(g, 0)  # neighbors not adjacent: belongs to 1.2
     assert str(err.value) == "Case1_1: neighbors not adjacent"
 
 
 def test_case1_1_refuses_a_parent_outside_its_lemma():
     """case1_1_host() with a disjoint two-colored triangle 7-8-9 is not
     good: the pattern at 0 is Case1_1's, but the pair lemma's hypothesis
-    fails, and its child's derived report would be wrong. Told that the
-    parent is almost-good at 0, the case derives a good child that the
-    full check finds not good; given the parent's report, it refuses."""
+    fails. The case's signature takes its parent to be almost-good at the
+    vertex it is given, so called on this one it hands on a good child
+    that the full check finds not good. The engine refuses the parent at
+    its one full check, of the root, so no case ever sees it."""
     host = case1_1_host()
     g = EdgeColoredGraph.from_triples(
         10, [(*e, c) for e, c in host.coloring.items()] + [(7, 8, 5), (8, 9, 5), (7, 9, 6)])
-    rep = check_goodness(g)
-    assert rep.verdict is GoodnessVerdict.NOT_GOOD
-    with pytest.raises(CaseVerificationError) as err:
-        case1_1(g, rep, 0)
-    assert str(err.value) == "Case1_1: parent is not_good, the lemma needs almost_good at 0"
-    told = case1_1(g, GoodnessReport(GoodnessVerdict.ALMOST_GOOD, 0, ()), 0)
-    assert told.report.verdict is GoodnessVerdict.GOOD
+    assert check_goodness(g).verdict is GoodnessVerdict.NOT_GOOD
+    told = case1_1(g, 0)
+    assert told.bad is None
     assert check_goodness(told.child).verdict is GoodnessVerdict.NOT_GOOD
+    with pytest.raises(DecomposeError, match="input is not_good"):
+        decompose(g)
 
 
 def test_case1_2_host_trace():
@@ -440,12 +445,12 @@ def test_case1_2_child_and_lift():
     lift subdivides the one child cycle through 0 back into the
     almost-rainbow cycle."""
     g = case1_2_host()
-    red = case1_2(g, check_goodness(g), 0)
+    red = case1_2(g, 0)
     assert red.child.n == g.n
     assert dict(red.child.coloring) == {
         (0, 2): 0, (0, 3): 1, (2, 4): 2, (3, 5): 1, (4, 5): 2,
         (3, 6): 3, (3, 7): 3, (4, 6): 4, (4, 7): 4}
-    assert red.report.verdict is GoodnessVerdict.GOOD
+    assert red.bad is None
     lifted = _lifted_partition(g, red)
     almost = [c for c in lifted if not _is_rainbow(g, c)]
     assert len(almost) == 1 and {0, 1, 2} <= set(almost[0].vertices)
@@ -456,7 +461,7 @@ def test_contraction_lift_passes_untouched_cycles_through():
     merged vertex; every other child cycle is a cycle of the parent and is
     handed up as the same object, its cached edges included."""
     g = case1_2_host()
-    red = case1_2(g, check_goodness(g), 0)
+    red = case1_2(g, 0)
     sub = [(s.case, s.cycle) for s in decompose(red.child).steps]
     untouched = [c for _, c in sub if 0 not in c]
     assert untouched and all(c.edges for c in untouched)  # fills the caches
@@ -468,7 +473,7 @@ def test_contraction_lift_passes_untouched_cycles_through():
 def test_case1_2_rejects_type_2_flank():
     g = case1_1_host()
     with pytest.raises(CaseVerificationError) as err:
-        case1_2(g, check_goodness(g), 0)  # x1 adjacent to x2: belongs to 1.1
+        case1_2(g, 0)  # x1 adjacent to x2: belongs to 1.1
     assert str(err.value) == "Case1_2: neighbors adjacent; wrong case"
 
 
@@ -476,7 +481,7 @@ def test_case2_1_agrees_with_base_case_on_c5():
     g = EdgeColoredGraph.from_triples(5, [(0, 1, 0), (1, 2, 1), (2, 3, 2),
                                           (3, 4, 3), (0, 4, 4)])
     assert g.singular_chains[0] == (5, (0, 1, 2, 3, 4, 0))
-    red = case2_1(g, check_goodness(g))
+    red = case2_1(g)
     assert red.child.n == 5 and red.child.adj[2] == ()
     sub = [( "BaseCycle", c) for c in
            [next(iter(decompose(red.child).cycles))]]
@@ -494,23 +499,29 @@ def test_case2_1_rejects_short_singular_path():
     rep = check_goodness(g)
     assert rep.verdict is GoodnessVerdict.GOOD and g.singular_chains[0][0] < 3
     with pytest.raises(CaseVerificationError) as err:
-        case2_1(g, rep)
+        case2_1(g)
     assert str(err.value) == "Case2_1: singular path too short"
 
 
 @pytest.mark.parametrize("bad", [1, 2], ids=["v1", "v2"])
 def test_case2_1_rejects_a_one_colored_interior_vertex(bad):
     """A 5-cycle with a vertex of degree 2 whose two edges share a color,
-    next to either end of the path 0 1 2 3, is almost-good there, so
-    case2_1 refuses it by its report."""
+    next to either end of the path 0 1 2 3, is almost-good there, outside
+    the contraction lemma, which needs a good parent. Called on it,
+    case2_1, whose signature takes a good graph, hands on a child that the
+    full check finds not good. The engine never makes that call: its bad
+    vertex sends an almost-good graph to BaseCycle or Case 1, and here
+    the graph is one BaseCycle."""
     colors = [0, 1, 2, 3, 4]
     colors[bad] = colors[bad - 1]
     g = EdgeColoredGraph.from_triples(5, [(i, (i + 1) % 5, c) for i, c in enumerate(colors)])
-    rep = check_goodness(g)
-    assert rep.bad_vertex == bad
-    with pytest.raises(CaseVerificationError) as err:
-        case2_1(g, rep)
-    assert str(err.value) == f"Case2_1: parent is almost_good at {bad}, the lemma needs good"
+    assert check_goodness(g).bad_vertex == bad
+    red = case2_1(g)
+    assert red.bad is None
+    assert check_goodness(red.child).verdict is GoodnessVerdict.NOT_GOOD
+    with recording() as log:
+        assert [s.case for s in decompose(g).steps] == [D.BASE_CYCLE]
+    assert [c.args[1] for c in log if c.name == "_dispatch"] == [bad]
 
 
 # the cached facts `_dispatch` and `_advance` read, and those a Case2_1
@@ -567,7 +578,7 @@ def test_case2_1_child_and_report_match_the_rebuilt_child():
         for made in (red.child, child):
             assert (made.n, dict(made.coloring), made.adj) == \
                 (ref.n, dict(ref.coloring), _adj_from_scratch(ref))
-        assert red.report == ref_rep
+        assert _report_of(red.bad) == ref_rep
         assert {name: run.cached[name] for name in CASE2_1_FACTS} == {
             name: getattr(ref, name) for name in CASE2_1_FACTS}
     assert steps > 2 * len(runs)  # a run takes more than two steps on average
@@ -624,11 +635,10 @@ def test_case2_1_chord_of_a_third_color_closes_a_rainbow_triangle():
     rep = check_goodness(g)
     assert rep.verdict is GoodnessVerdict.GOOD
     assert g.singular_chains[0] == (3, (0, 1, 2, 3))
-    red = case2_1(g, rep)
+    red = case2_1(g)
     child = D._build_transform(g, merge=[(1, 2)], drop=[(1, 2)])
     assert red.child == child
-    assert red.report == check_goodness(child)
-    assert red.report.verdict is GoodnessVerdict.GOOD
+    assert red.bad is None and check_goodness(child) == GOOD_REPORT
     # 1 is the merged vertex, and 2 is left isolated
     assert [child.color(*e) for e in Cycle((0, 1, 3)).edges] == [0, 2, 3]
 
@@ -638,17 +648,20 @@ def test_case2_1_chord_of_a_path_color(chord):
     """A chord 0-3 of color a or b would leave the contracted triangle
     (0, m, 3) two-colored. No good graph has one: condition 5 makes 3 (or 0)
     Type I, and then 0 (or 3) is bad or a Type X cut vertex. So it comes as
-    this almost-good 4-cycle, which case2_1 rejects by its report."""
+    this almost-good 4-cycle, outside the lemma: case2_1, whose signature
+    takes a good graph, hands on a child of it that the full check finds
+    not good. The engine never makes that call, as the graph's bad vertex
+    sends it to BaseCycle."""
     g = EdgeColoredGraph.from_triples(4, [(0, 1, 0), (1, 2, 1), (2, 3, 2),
                                           (0, 3, chord)])
     rep = check_goodness(g)
     assert rep.verdict is GoodnessVerdict.ALMOST_GOOD
     child = D._build_transform(g, merge=[(1, 2)], drop=[(1, 2)])
     assert check_goodness(child).verdict is GoodnessVerdict.NOT_GOOD
-    with pytest.raises(CaseVerificationError) as err:
-        case2_1(g, rep)
-    assert str(err.value) == (f"Case2_1: parent is almost_good at {rep.bad_vertex}, "
-                              "the lemma needs good")
+    red = case2_1(g)
+    assert red.bad is None
+    assert check_goodness(red.child).verdict is GoodnessVerdict.NOT_GOOD
+    assert [s.case for s in decompose(g).steps] == [D.BASE_CYCLE]
 
 
 def test_case2_1_child_facts_equal_fresh_ones():
@@ -679,10 +692,11 @@ def _fresh_cut_facts(g) -> tuple:
 def test_remainder_facts_equal_fresh_ones():
     """Every remainder `edit` makes in the corpus gets no dispatch fact at
     the moment it is made, and is the graph of the next goodness check,
-    `report_after_removal`. A remainder it gives a report holds, after it,
-    the components and Type X map that a fresh graph with its edges and
-    colors computes: the one-arc removal lemma filled them, with no
-    search, or the check's Type X search did. A refused one is dropped.
+    `removal_leaves_type_x`. A remainder it finds no Type X vertex in
+    holds, after it, the components and Type X map that a fresh graph with
+    its edges and colors computes: the one-arc removal lemma filled them,
+    with no search, or the check's Type X search did. A refused one is
+    dropped.
     Both ways have a floor."""
     by_lemma = by_search = 0
     made = None
@@ -690,11 +704,11 @@ def test_remainder_facts_equal_fresh_ones():
         if c.name == "edit":
             assert not set(DISPATCH_FACTS) & set(c.cached)
             made = c.result
-        elif c.name == "report_after_removal":
-            # g is args[1] minus the cycles args[3]
+        elif c.name == "removal_leaves_type_x":
+            # g is args[1] minus the cycles args[2]
             g = c.args[0]
             assert g is made  # the edit just before its check
-            if c.result is not None:
+            if not c.result:
                 assert (c.cached["components"], c.cached["type_x_sides"]) == \
                     _fresh_cut_facts(g)
                 if any(i.name == "_cut_search" for i in c.inner()):
@@ -744,7 +758,7 @@ def test_type_x_search_count_is_pinned():
     for c in cp.log[start:end]:
         if c.name == "_cut_search":
             searches += 1
-        elif c.name == "report_after_removal" and c.result is not None:
+        elif c.name == "removal_leaves_type_x" and not c.result:
             answered += not any(i.name == "_cut_search" for i in c.inner())
     assert (searches, answered) == (194, 212)
 
@@ -791,8 +805,8 @@ def test_case2_1_child_facts_cached_or_not(triples, isolated, tri, chains):
     cached = EdgeColoredGraph(bare.n, bare.coloring)
     for name in DISPATCH_FACTS:
         getattr(cached, name)
-    lazy = case2_1(bare, rep).child
-    derived = case2_1(cached, rep).child
+    lazy = case2_1(bare).child
+    derived = case2_1(cached).child
     assert lazy == derived
     assert {v for v in range(bare.n) if bare.adj[v]
             and not lazy.adj[v]} == isolated
@@ -833,14 +847,13 @@ def _run_merges(run):
 # vertices its child leaves isolated, and the vertices whose child cycles
 # its lift rewrites
 REDUCTIONS = {
-    "case1_1": lambda c, g, rep, v: _merge(v, *g.adj[v]),
-    "case1_2": lambda c, g, rep, v: _merge(v, min(g.adj[v])),
-    "case2_1": lambda c, g, rep: _run_merges(c),
-    "case2_2_1": lambda c, g, rep, p: (_merge(p.x1, p.x2)[0],
-                                       _merge(p.x1, p.x2)[1] | {p.v}),
-    "_case2_2_2a": lambda c, g, rep, p: ({p.x1, p.x2}, {p.w1, p.v}),
-    "_case2_2_2b": lambda c, g, rep, p: _merge(p.v, p.x1, p.y1, p.x2),
-    "_case2_2_2c": lambda c, g, rep, p: _merge(p.v, p.x1, p.y1, p.x2),
+    "case1_1": lambda c, g, v: _merge(v, *g.adj[v]),
+    "case1_2": lambda c, g, v: _merge(v, min(g.adj[v])),
+    "case2_1": lambda c, g: _run_merges(c),
+    "case2_2_1": lambda c, g, p: (_merge(p.x1, p.x2)[0], _merge(p.x1, p.x2)[1] | {p.v}),
+    "_case2_2_2a": lambda c, g, p: ({p.x1, p.x2}, {p.w1, p.v}),
+    "_case2_2_2b": lambda c, g, p: _merge(p.v, p.x1, p.y1, p.x2),
+    "_case2_2_2c": lambda c, g, p: _merge(p.v, p.x1, p.y1, p.x2),
 }
 
 
@@ -948,13 +961,13 @@ def test_three_meeter_lift_is_checked_once():
     """The Case2_2_1a lift that leaves one x-cycle in the parent tries each
     detour with one removal check of the whole batch, the other lifted
     cycles plus the detour, and returns the `_Checked` of the batch that
-    passes: each detour tried costs one `report_after_removal` and no full
+    passes: each detour tried costs one `removal_leaves_type_x` and no full
     goodness check, and the engine applies that record with no removal
     check of its own."""
     cp = corpus()
     # the lifts of Case2_2_1a, whose child is good, unlike Case2_2_1b's
-    three = [(c.args[2].v, c.lift) for c in cp.calls("case2_2_1")
-             if c.lift is not None and c.result.report.verdict is GoodnessVerdict.GOOD
+    three = [(c.args[1].v, c.lift) for c in cp.calls("case2_2_1")
+             if c.lift is not None and c.result.bad is None
              and isinstance(c.lift.result, D._Checked)]
     assert three
     takes = {}  # the engine's applications of each record
@@ -968,22 +981,22 @@ def test_three_meeter_lift_is_checked_once():
         assert tried and tried[-1] == cycles
         assert all(b[:-1] == cycles[:-1] and v in b[-1] for b in tried)
         assert [c.name for c in lift.inner() if c.name in GOODNESS] == [
-            "report_after_removal"] * len(tried)
+            "removal_leaves_type_x"] * len(tried)
         # the engine step that lifted the batch made no check beyond the lift's
         (take,) = takes[id(checked)]
         assert not [c for c in cp.log[lift.end:take.at] if c.name == "_check_removal"]
 
 
 def test_case2_2_1b_makes_no_goodness_check_of_its_end_block():
-    """Case2_2_1b gives its end x-block the report the end-block lemma
-    proves, almost-good at the joining vertex t, so building the reduction
-    makes no goodness check."""
+    """Case2_2_1b gives its end x-block the bad vertex the end-block lemma
+    proves, the joining vertex t, so building the reduction makes no
+    goodness check."""
     built = corpus().calls("_case2_2_1b")
     assert built
     for c in built:
         assert not [i for i in c.inner() if i.name in GOODNESS]
         if c.error is None:
-            assert c.result.report.verdict is GoodnessVerdict.ALMOST_GOOD
+            assert c.result.bad is not None
 
 
 def test_child_work_the_merge_lifts_throw_away():
@@ -996,8 +1009,7 @@ def test_child_work_the_merge_lifts_throw_away():
     three-meeter lift, step B keeps the end block's other cycles) is meant
     to lower all three numbers, and re-pins them when it does."""
     merges = [c for c in corpus().calls("case2_2_1") if c.lift is not None]
-    end_block = [c.lift for c in merges
-                 if c.result.report.verdict is GoodnessVerdict.ALMOST_GOOD]
+    end_block = [c.lift for c in merges if c.result.bad is not None]
     dropped = sum(len(lift.args[0]) - len(lift.result.batch)
                   for lift in end_block if lift.error is None)
     failed = [c.lift for c in merges if c.lift.error is not None
@@ -1079,8 +1091,8 @@ def test_a_waiting_frame_keeps_the_lift_not_the_child(monkeypatch):
     taken = []
     freed = collections.Counter()
 
-    def dispatch(comp, rep):
-        step = real_dispatch(comp, rep)
+    def dispatch(comp, bad):
+        step = real_dispatch(comp, bad)
         if isinstance(step, D.CaseReduction):
             children.append(weakref.ref(step.child))
         return step
@@ -1118,9 +1130,9 @@ def test_a_faulty_lift_is_refused_by_the_check_of_its_batch(monkeypatch):
     refused = set()  # (the checking function, the culprit's tag)
     check = D._check_removal
 
-    def watched(h, rep, batch):
+    def watched(h, bad, batch):
         try:
-            return check(h, rep, batch)
+            return check(h, bad, batch)
         except CaseVerificationError as err:
             refused.add((sys._getframe(1).f_code.co_name, err.case))
             raise
@@ -1158,7 +1170,7 @@ def test_derived_child_reports_equal_fresh_full_checks():
     good or hands its Type X vertices to Case2_2_1b; each kind of child
     has a floor."""
     cp = corpus()
-    made = {name: [(c.result.child, c.result.report) for c in cp.calls(name)
+    made = {name: [(c.result.child, _report_of(c.result.bad)) for c in cp.calls(name)
                    if isinstance(c.result, D.CaseReduction)]
             for name in DERIVED_REPORTS}
     # Case2_2_1 returns Case2_2_1b's reduction when its merged graph is not good
@@ -1169,7 +1181,7 @@ def test_derived_child_reports_equal_fresh_full_checks():
     made["_case2_2_1b"] = [
         (child, GoodnessReport(GoodnessVerdict.NOT_GOOD, None, tuple(
             Violation(6, "vertex", v) for v in sorted(child.type_x_sides, key=str))))
-        for child in (c.args[3] for c in cp.calls("_case2_2_1b"))]
+        for child in (c.args[2] for c in cp.calls("_case2_2_1b"))]
     floors = {"case1_1": 300, "case1_2": 25, "case2_2_1": 500, "_case2_2_1b": 300,
               "_case2_2_2a": 10, "_case2_2_2b": 100, "_case2_2_2c": 50}
     assert set(made) == set(floors)
@@ -1208,19 +1220,19 @@ def _case2_2_components(seeds: Iterable[tuple[int, int]]) -> Iterator[EdgeColore
     for n, seed in seeds:
         rng = random.Random(seed)
         h = build_line_graph(random_cubic_bridgeless(GeneratorConfig(n, seed))).lg
-        rep = check_goodness(h)
+        bad = check_goodness(h).bad_vertex
         while h.edges:
             for _ in range(20):
                 cyc = _rainbow_walk_cycle(h, rng)
                 try:
-                    checked = D._check_removal(h, rep, [("Probe", cyc)]) if cyc else None
+                    checked = D._check_removal(h, bad, [("Probe", cyc)]) if cyc else None
                 except CaseVerificationError:
                     checked = None
                 if checked is not None:
                     break
             else:
                 break
-            h, rep = checked.rest, checked.report
+            h, bad = checked.rest, checked.bad
             for comp in split_components(h) if h.edges else ():
                 # a component the cycle missed was met after an earlier peel
                 chains = comp.singular_chains
@@ -1274,7 +1286,7 @@ def test_reduction_lemmas_hold_at_every_type1_vertex():
                     seen["type x child"] += 1
             elif shape == "a":
                 try:
-                    D._check_removal(g, GOOD_REPORT, [("Probe", Cycle((p.x1, v, p.x2, p.w1)))])
+                    D._check_removal(g, None, [("Probe", Cycle((p.x1, v, p.x2, p.w1)))])
                 except CaseVerificationError:
                     seen["refused"] += 1
                     assert len(g.adj[p.w1]) == 2
@@ -1283,7 +1295,7 @@ def test_reduction_lemmas_hold_at_every_type1_vertex():
                     _assert_rewire_lemmas(g, p)
             elif shape in ("b", "c"):
                 case = D._case2_2_2b if shape == "b" else D._case2_2_2c
-                assert not case(g, GOOD_REPORT, p).child.type_x_sides
+                assert not case(g, p).child.type_x_sides
     floors = {"disjoint": 1000, "type x child": 50, "a": 150, "refused": 2, "c": 100}
     assert {k: seen[k] for k in floors if seen[k] < floors[k]} == {}
 
@@ -1308,9 +1320,9 @@ def _assert_rewire_lemmas(g: EdgeColoredGraph, p: D.CasePattern) -> D.CaseReduct
         (s1,) = [s for s in sides if p.x1 in s]
         (s2,) = [s for s in sides if p.x2 in s]
         assert s1 != s2 and {p.y1, p.z1} <= s1 and {p.y2, p.z2} <= s2
-    red = D._case2_2_2a(g, GOOD_REPORT, p)
+    red = D._case2_2_2a(g, p)
     child = red.child
-    assert red.report == GOOD_REPORT
+    assert red.bad is None
     assert (child.components, child.type_x_sides) == _fresh_cut_facts(child)
     assert child.components == (g.components[0] - {p.x1, p.x2},)
     if len(child.coloring) <= 40:
@@ -1322,7 +1334,7 @@ def _assert_rewire_lemmas(g: EdgeColoredGraph, p: D.CasePattern) -> D.CaseReduct
         assert found.found
         assert not any(p.v in c and w in c for c in found.cycles)
         lifted = red.lift([("Probe", c) for c in found.cycles])
-        assert not D._check_removal(g, GOOD_REPORT, lifted).rest.coloring
+        assert not D._check_removal(g, None, lifted).rest.coloring
     return red
 
 
@@ -1339,7 +1351,7 @@ def test_case2_2_2a_rewires_meet_their_lemmas():
     for c in cp.calls("_case2_2_2a"):
         if not isinstance(c.result, D.CaseReduction):
             continue
-        g, _, p = c.args
+        g, p = c.args
         check = next(i for i in c.inner() if i.name == "_check_removal")
         assert check.error is not None
         assert all(check.at < i.at < check.end
@@ -1378,7 +1390,7 @@ def test_case2_2_2a_rewire_lemmas_on_harvested_parents():
 def test_reductions_make_no_goodness_check_of_their_child():
     """No case that derives its child's report checks the child's goodness:
     the only goodness checks made inside one are the checks of what a
-    removal leaves, `report_after_removal`, when Case2_2_2a tries its
+    removal leaves, `removal_leaves_type_x`, when Case2_2_2a tries its
     rectangle; none is a full check."""
     cp = corpus()
     for name in DERIVED_REPORTS:
@@ -1388,35 +1400,23 @@ def test_reductions_make_no_goodness_check_of_their_child():
             built = [i.result for i in c.inner() if i.name == "_build_transform"]
             for i in c.inner():
                 assert i.name != "check_goodness", name
-                if i.name == "report_after_removal":
+                if i.name == "removal_leaves_type_x":
                     assert not any(i.args[0] is child for child in built), name
 
 
 @pytest.mark.parametrize("name", ["case1_1", "case1_2", "_case2_2_2b", "_case2_2_2c"])
 def test_reductions_check_their_lemmas_hypothesis(name):
-    """Every call of a contraction in the corpus is given its parent's
-    report, the one its lemma needs, by `_dispatch`. Made again with any
-    other verdict or bad vertex, each refuses at once, before it calls
-    anything."""
+    """A contraction's hypothesis is in its signature: Case1_1 and Case1_2
+    take the bad vertex of an almost-good graph, Case2_2_2b and Case2_2_2c
+    a good graph. Every call of one in the corpus is made by `_dispatch`,
+    on a graph whose full check, of a fresh copy, is that hypothesis."""
     calls = corpus().calls(name)
     assert calls
-    need_almost = name in ("case1_1", "case1_2")
     for c in calls:
-        rep = c.args[1]
         assert c.caller == "_dispatch"
-        assert rep.verdict is (GoodnessVerdict.ALMOST_GOOD if need_almost
-                               else GoodnessVerdict.GOOD)
-        if need_almost:
-            assert rep.bad_vertex == c.args[2]
-    g, rep, arg = calls[0].args
-    wrong = [GoodnessReport(GoodnessVerdict.NOT_GOOD, None, ()),
-             GoodnessReport(GoodnessVerdict.ALMOST_GOOD, g.n, ())]
-    if need_almost:
-        wrong.append(GOOD_REPORT)
-    for told in wrong:
-        with recording() as log, pytest.raises(CaseVerificationError, match="parent is"):
-            getattr(D, name)(g, told, arg)
-        assert [i.name for i in log] == [name]
+        g, arg = c.args
+        assert _fresh_report(g) == (almost_good_at(arg) if name in ("case1_1", "case1_2")
+                                    else GOOD_REPORT)
 
 
 @pytest.mark.parametrize("far", [1, 2], ids=["two-colored", "rainbow"])
@@ -1425,23 +1425,24 @@ def test_case1_2_contraction_closing_a_triangle(far):
     closes the triangle (0, 2, 3). When 2-3 has the color of 1-2, the
     triangle is two-colored, the one configuration in which the lemma's
     child breaks a condition. No almost-good graph has it, as 2 sees one
-    color too, so case1_2 rejects this one by its report. Otherwise the
-    child is good, and its derived report is the full check's."""
+    color too: the engine refuses this one at its root check, and
+    case1_2, whose signature takes it to be almost-good at 0, hands on a
+    child that the full check finds not good. Otherwise the child is
+    good, as the case hands it on."""
     g = EdgeColoredGraph.from_triples(4, [(0, 1, 0), (1, 2, 1), (2, 3, far), (0, 3, 0)])
     child = D._build_transform(g, merge=[(0, 1)], drop=[(0, 1)])
     rep = check_goodness(g)
+    red = case1_2(g, 0)
+    assert red.child == child and red.bad is None
     if far == 1:
         assert rep.verdict is GoodnessVerdict.NOT_GOOD
         assert [(v.condition, v.witness) for v in check_goodness(child).violations] == [
             (3, (0, 2, 3)), (4, 2)]
-        with pytest.raises(CaseVerificationError) as err:
-            case1_2(g, rep, 0)
-        assert str(err.value) == "Case1_2: parent is not_good, the lemma needs almost_good at 0"
+        with pytest.raises(DecomposeError, match="input is not_good"):
+            decompose(g)
     else:
         assert rep.bad_vertex == 0
-        red = case1_2(g, rep, 0)
-        assert red.child == child
-        assert red.report == check_goodness(child) == GOOD_REPORT
+        assert check_goodness(child) == GOOD_REPORT
 
 
 @pytest.mark.parametrize("join", [[(4, 5, 4)], [(4, 9, 4), (5, 9, 7)]],
@@ -1451,13 +1452,14 @@ def test_case2_2_2c_contraction_closing_a_triangle_or_a_cut(join):
     and z2 joined by a chord or by a path. The chord makes the child's
     triangle (m, y2, z2) two-colored, the one configuration in which the
     lemma's child breaks a condition. No good graph has it, since x1 is
-    then a Type X cut vertex, as it is here, so _case2_2_2c rejects this
-    graph by its report. Along the path, the child meets conditions 1-5.
-    Told that the graph is good, the case builds its child either way and
-    hands it on as good, as the Type X contraction lemma proves of the
-    child of a good parent; the full check of this child finds the merged
-    vertex Type X, as x1 is in g. So the parent's verdict is the case's
-    one guard."""
+    then a Type X cut vertex, as it is here, so the engine refuses this
+    graph at its root check. Along the path, the child meets conditions
+    1-5. The case's signature takes its graph to be good, so it builds its
+    child either way and hands it on as good, as the Type X contraction
+    lemma proves of the child of a good parent; the full check of this
+    child finds the merged vertex Type X, as x1 is in g. So the parent's
+    goodness, which the engine proves of every graph it dispatches, is
+    the case's one guard."""
     g = EdgeColoredGraph.from_triples(10, [
         (0, 1, 0), (0, 2, 1), (1, 3, 0), (1, 6, 2), (1, 7, 2), (2, 4, 1),
         (2, 3, 3), (2, 5, 3), (6, 8, 5), (7, 8, 6), *join])
@@ -1470,13 +1472,12 @@ def test_case2_2_2c_contraction_closing_a_triangle_or_a_cut(join):
                                add=[(2, 5, 1)])
     full = check_goodness(child)
     assert {v.condition for v in full.violations} == ({3, 6} if len(join) == 1 else {6})
-    with pytest.raises(CaseVerificationError) as err:
-        D._case2_2_2c(g, rep, p)
-    assert str(err.value) == "Case2_2_2c: parent is not_good, the lemma needs good"
+    with pytest.raises(DecomposeError, match="input is not_good"):
+        decompose(g)
     assert (6, 0) in [(v.condition, v.witness) for v in full.violations]
     with recording() as log:
-        red = D._case2_2_2c(g, GOOD_REPORT, p)
-    assert red.child == child and red.report == GOOD_REPORT
+        red = D._case2_2_2c(g, p)
+    assert red.child == child and red.bad is None
     assert [c.name for c in log if c.name == "_build_transform"] == ["_build_transform"]
 
 
@@ -1624,30 +1625,21 @@ def test_connectivity_after_rainbow_removal():
 
 def test_fallback_finds_triangle_in_l_k4():
     lg = build_line_graph(k4()).lg
-    res = fallback_search(lg, check_goodness(lg))
+    res = fallback_search(lg, None)
     assert res.status == "found"
     assert len(res.cycle) == 3
 
 
 def test_fallback_single_rainbow_c4():
     c4 = rainbow_c4()
-    res = fallback_search(c4, check_goodness(c4))
+    res = fallback_search(c4, None)
     assert res.status == "found"
     assert res.cycle == Cycle((0, 1, 2, 3))
 
 
 def test_fallback_empty_graph_absent():
     empty = EdgeColoredGraph.from_triples(3, [])
-    assert fallback_search(empty, check_goodness(empty)).status == "absent"
-
-
-def test_fallback_refuses_a_not_good_graph():
-    g = two_squares_type_x()
-    rep = check_goodness(g)
-    assert rep.verdict is GoodnessVerdict.NOT_GOOD
-    with pytest.raises(DecomposeError) as err:
-        fallback_search(g, rep)
-    assert str(err.value) == "fallback requires a good or almost-good graph"
+    assert fallback_search(empty, None).status == "absent"
 
 
 def test_check_removal_refuses_an_empty_batch_on_a_graph_with_edges():
@@ -1656,10 +1648,10 @@ def test_check_removal_refuses_an_empty_batch_on_a_graph_with_edges():
     graph."""
     g = rainbow_c4()
     with pytest.raises(CaseVerificationError) as err:
-        D._check_removal(g, check_goodness(g), [])
+        D._check_removal(g, None, [])
     assert (err.value.case, str(err.value)) == ("Engine", "Engine: case produced no cycles")
     empty = EdgeColoredGraph(4, {})
-    assert D._check_removal(empty, GOOD_REPORT, []).rest == empty
+    assert D._check_removal(empty, None, []).rest == empty
 
 
 def test_fallback_cap_threshold():
@@ -1676,7 +1668,7 @@ def test_fallback_cap_threshold():
 def test_fallback_indeterminate_when_capped():
     lg = build_line_graph(k33()).lg  # girth of rainbow cycles here is 4
     with fallback_capped(3):
-        res = fallback_search(lg, check_goodness(lg))
+        res = fallback_search(lg, None)
     assert res.status == "indeterminate"
 
 
@@ -1697,7 +1689,7 @@ def test_case_failure_is_replayable(monkeypatch):
         raise CaseVerificationError("AllTypeII", "simulated defect")
     monkeypatch.setattr(D, "_all_type2_cycle", boom)
     monkeypatch.setattr(D, "fallback_search",
-                        lambda g, rep: FallbackResult("absent"))
+                        lambda g, bad: FallbackResult("absent"))
     lg = build_line_graph(k33()).lg
     tr = decompose(lg)
     assert not tr.success
@@ -1733,16 +1725,16 @@ def test_failure_unwinds_to_an_ancestor_fallback(monkeypatch):
     real_dispatch, real_fallback = D._dispatch, D.fallback_search
     dispatched, searched = [], []
 
-    def dispatch(comp, rep):
+    def dispatch(comp, bad):
         dispatched.append(comp)
         if len(dispatched) == 2:  # the root's Case1_1 child
             raise CaseVerificationError("Case2_1", "simulated defect")
-        return real_dispatch(comp, rep)
+        return real_dispatch(comp, bad)
 
-    def fallback(h, rep):
+    def fallback(h, bad):
         searched.append(h)
         return (FallbackResult("absent") if len(searched) == 1
-                else real_fallback(h, rep))
+                else real_fallback(h, bad))
 
     monkeypatch.setattr(D, "_dispatch", dispatch)
     monkeypatch.setattr(D, "fallback_search", fallback)
@@ -1750,6 +1742,33 @@ def test_failure_unwinds_to_an_ancestor_fallback(monkeypatch):
     assert searched[:2] == [dispatched[1], g]
     assert tr.success and tr.steps[0].case == "Fallback"
     assert verify_rainbow_decomposition(g, tr.cycles).accepted
+
+
+def test_case_failure_carries_the_full_check_of_its_graph(monkeypatch):
+    """A CaseFailure's report is made from the bad vertex of the frame it
+    failed at, `GOOD_REPORT` or `almost_good_at` it, and is the report the
+    full check gives the graph it serializes: on the corpus's fallback-capped
+    runs, decomposed again with the fallback capped at 3 vertices, two of
+    which then fail, on the replay of the fuzz_0106.json fixture and on a
+    failure at an almost-good frame, the Case1_1 host's root, once every
+    dispatch and fallback search is refused."""
+    capped = [r.clg.lg for r in corpus().runs if r.cap is not None]
+    with fallback_capped(3):
+        traces = [decompose(lg) for lg in capped]
+    failures = [tr.failure for tr in traces if not tr.success]
+    assert len(failures) == 2
+    fixture = json.loads((FIXTURES / "casefailures" / "fuzz_0106.json").read_text())
+    failures.append(replay_case_failure(fixture["outcome"]).failure)
+
+    def refuse(comp, bad):
+        raise CaseVerificationError(D.CASE_1_1, "simulated defect")
+
+    monkeypatch.setattr(D, "_dispatch", refuse)
+    monkeypatch.setattr(D, "fallback_search", lambda g, bad: FallbackResult("absent"))
+    failures.append(decompose(case1_1_host()).failure)
+    assert failures[-1].goodness == almost_good_at(0)
+    for f in failures:
+        assert f.goodness == check_goodness(parse_colored_edge_list(f.graph_text))
 
 
 def test_failure_unwinds_past_sibling_components():
@@ -1909,11 +1928,11 @@ def test_goddyn_refused_first_cycle_is_a_case_failure(monkeypatch):
     real = D._check_removal
     refused = []
 
-    def refuse_prescribed(h, rep, batch):
+    def refuse_prescribed(h, bad, batch):
         if [c for _, c in batch] == [proj]:
             refused.append((h, list(batch)))
             raise CaseVerificationError(batch[0][0], "refused", batch[0][1])
-        return real(h, rep, batch)
+        return real(h, bad, batch)
 
     monkeypatch.setattr(D, "_check_removal", refuse_prescribed)
     tr = decompose(clg.lg, proj)
@@ -1968,17 +1987,17 @@ def test_goddyn_on_every_cycle_of_small_graphs():
 
 
 def test_dispatched_graphs_include_almost_good():
-    verdicts = [rep.verdict for _, rep in (c.args for c in corpus().calls("_dispatch"))]
-    assert verdicts.count(GoodnessVerdict.GOOD) > 500
-    assert verdicts.count(GoodnessVerdict.ALMOST_GOOD) > 30
+    bads = [bad for _, bad in (c.args for c in corpus().calls("_dispatch"))]
+    assert bads.count(None) > 500
+    assert len(bads) - bads.count(None) > 30
 
 
 @functools.cache
-def _small_dispatched(verdict: GoodnessVerdict) -> list[EdgeColoredGraph]:
+def _small_dispatched(almost: bool) -> list[EdgeColoredGraph]:
     """The graphs on at most 24 vertices, those of the corpus's runs with
-    n <= 16, that the engine dispatches with a report of `verdict`."""
-    return [g for g, rep in (c.args for c in corpus().calls("_dispatch"))
-            if rep.verdict is verdict and g.n <= 24]
+    n <= 16, that the engine dispatches as almost-good, or as good."""
+    return [g for g, bad in (c.args for c in corpus().calls("_dispatch"))
+            if (bad is not None) == almost and g.n <= 24]
 
 
 @settings(max_examples=200, deadline=None,
@@ -1988,16 +2007,15 @@ def test_fallback_matches_exhaustive_oracle(data):
     """On the good and almost-good graphs the corpus dispatches on at most
     24 vertices: the oracle enumerates every cycle before testing one, so
     larger graphs would cost more than the rest of the suite."""
-    pool = _small_dispatched(GoodnessVerdict.ALMOST_GOOD if data.draw(
-        st.booleans(), label="almost_good") else GoodnessVerdict.GOOD)
+    pool = _small_dispatched(data.draw(st.booleans(), label="almost_good"))
     g = pool[data.draw(st.integers(0, len(pool) - 1), label="graph")]
     # the engine's own cap is compared where that takes well under a second
     caps = [3, 4, 6, 8] + ([None] if len(g.edges) <= 32 else [])
-    rep = check_goodness(g)
+    bad = check_goodness(g).bad_vertex
     for k in caps:
         with fallback_capped(k):
             cap = D._fallback_cap(g)
-            got, want = fallback_search(g, rep), exhaustive_fallback(g, cap)
+            got, want = fallback_search(g, bad), exhaustive_fallback(g, cap)
             assert (got.status, got.cycle) == (want.status, want.cycle), k
 
 
@@ -2009,8 +2027,8 @@ def test_color_pruned_cycles_match_the_reference():
     vertex's color) at every length up to their largest component, on both
     certificates, and on the 44-edge fallback graph up to 6 vertices."""
     cases = []
-    for verdict in (GoodnessVerdict.GOOD, GoodnessVerdict.ALMOST_GOOD):
-        for g in _small_dispatched(verdict):
+    for almost in (False, True):
+        for g in _small_dispatched(almost):
             if len(g.edges) <= 24:
                 bad = check_goodness(g).bad_vertex
                 spare = None if bad is None else g.colors_at(bad)[0]
@@ -2050,11 +2068,11 @@ def test_fallback_is_lazy(monkeypatch):
             yield c
 
     monkeypatch.setattr(D, "_color_pruned_cycles", counted)
-    res = fallback_search(g, check_goodness(g))
+    res = fallback_search(g, None)
     assert res.status == "found" and res.cycle == Cycle((23, 24, 28, 27))
     assert lengths and max(lengths) <= len(res.cycle)
     again = parse_colored_edge_list(serialize_colored_edge_list(g))
-    assert fallback_search(again, check_goodness(again)).cycle == res.cycle
+    assert fallback_search(again, None).cycle == res.cycle
 
 
 def test_decomposer_does_not_import_the_line_graph():
@@ -2100,10 +2118,10 @@ def _reference(g, rep, batch):
 
 def _applied(g, rep, batch):
     try:
-        checked = D._check_removal(g, rep, list(batch))
+        checked = D._check_removal(g, rep.bad_vertex, list(batch))
     except CaseVerificationError as err:
         return "reject", str(err), err.case, err.cycle
-    return "accept", checked.rest.edges, checked.report
+    return "accept", checked.rest.edges, _report_of(checked.bad)
 
 
 def _assert_matches_reference(g, rep, batch) -> str:
@@ -2166,15 +2184,14 @@ def _repaired(c1: Cycle, c2: Cycle) -> tuple[Cycle, Cycle]:
 
 def test_recorded_batches_include_lifts_and_almost_good():
     """The batches `_check_removal` accepts in the corpus, with the graph
-    and report each is removed from, which the tests below take as
+    and bad vertex each is removed from, which the tests below take as
     samples: the cycles a case finds, a lift's batch, whole or partial, a
     fallback's cycle and the root certificate."""
     checks = corpus().calls("_check_removal")
     recorded = [c.args for c in checks if c.error is None]
     tags = {t for _, _, batch in recorded for t, _ in batch}
     assert {"Case1_1", "Case1_2", "Case2_1", "Case2_2_1a"} <= tags
-    assert sum(rep.verdict is GoodnessVerdict.ALMOST_GOOD
-               for _, rep, _ in recorded) > 20
+    assert sum(bad is not None for _, bad, _ in recorded) > 20
     # partial batches of several cycles, not only the ones that cover
     assert sum(len(batch) > 1 and not _covers(g, batch)
                for g, _, batch in recorded) > 20
@@ -2213,10 +2230,11 @@ def _mutable(mutation) -> list:
 
 
 def _mutated(data, mutation):
-    """A recorded batch, changed as `mutation` says; the report is
-    recomputed when the graph changes."""
+    """A recorded batch, changed as `mutation` says, with its graph's
+    report, recomputed when the graph changes."""
     pool = _mutable(mutation)
-    g, rep, batch = pool[data.draw(st.integers(0, len(pool) - 1), label="recorded")]
+    g, bad, batch = pool[data.draw(st.integers(0, len(pool) - 1), label="recorded")]
+    rep = _report_of(bad)
     batch = list(batch)
     k = len(batch)
     if mutation == "swap":
@@ -2280,12 +2298,12 @@ def test_almost_good_batches_re_paired_at_the_bad_vertex_cycle():
     batches the per-cycle reference accepts, and the rest fail with their
     message."""
     outcomes = set()
-    for g, rep, batch in (c.args for c in corpus().calls("_check_removal")
+    for g, bad, batch in (c.args for c in corpus().calls("_check_removal")
                           if c.error is None):
-        if rep.verdict is not GoodnessVerdict.ALMOST_GOOD:
+        if bad is None:
             continue
-        at_bad = next((i for i, (_, c) in enumerate(batch) if rep.bad_vertex in c),
-                      None)
+        rep = almost_good_at(bad)
+        at_bad = next((i for i, (_, c) in enumerate(batch) if bad in c), None)
         for i, j in _meeting_pairs(batch):
             if at_bad not in (i, j):
                 continue
@@ -2295,7 +2313,7 @@ def test_almost_good_batches_re_paired_at_the_bad_vertex_cycle():
                 mutated[i] = (batch[i][0], first)
                 mutated[j] = (batch[j][0], second)
                 verdict = _assert_matches_reference(g, rep, mutated)
-                outcomes.add((verdict, rep.bad_vertex in first))
+                outcomes.add((verdict, bad in first))
     assert outcomes == {(verdict, earlier) for verdict in ("accept", "reject")
                         for earlier in (True, False)}
 
@@ -2354,14 +2372,14 @@ def test_batch_that_fails_on_goodness_names_its_last_cycle():
 def test_partial_batch_makes_one_goodness_check_and_one_edit():
     """A batch of several cycles that leaves part of its graph, such as the
     lifted cycles the Case2_2_1a lift removes before its detour, is
-    verified by one `edit` and one `report_after_removal` of the graph the
+    verified by one `edit` and one `removal_leaves_type_x` of the graph the
     edit made, however many cycles it has, and no full goodness check."""
     partial = [c for c in corpus().calls("_check_removal") if c.error is None
                and len(c.args[2]) > 1 and not _covers(c.args[0], c.args[2])]
     assert max(len(c.args[2]) for c in partial) >= 4
     for c in partial:
         made = [i for i in c.inner() if i.name in (*GOODNESS, "edit")]
-        assert [i.name for i in made] == ["edit", "report_after_removal"]
+        assert [i.name for i in made] == ["edit", "removal_leaves_type_x"]
         assert made[1].args[0] is made[0].result and made[1].args[1] is c.args[0]
 
 
@@ -2379,6 +2397,20 @@ def test_full_lift_makes_no_goodness_check():
 # the engine's accepts, rejects, cycles or reports changed, or the failure's
 # graph text, which keeps the color ids the fixture gives
 TRACE_DIGEST = "4295b800fbc75ff5de8a142c8705731e593d1867249e4d422a2f16bd33c62916"
+
+
+# sha256 over the trace JSON of every run of the corpus, in `RUNS` order:
+# n = 20 seeds 0-69, n = 10..24 seeds 0-4 and n = 40 seeds 0-2 with the
+# fallback uncapped, then n = 10..20 seeds 0-4 capped at 6. It pins every
+# size the corpus already decomposes, at no extra run
+CORPUS_DIGEST = "3c9f87a020ee9cae35524c45ffc883742ab8be05237f57e4afd4858a1283ffc9"
+
+
+def test_corpus_trace_digest_pinned():
+    h = hashlib.sha256()
+    for r in corpus().runs:
+        h.update(json.dumps(r.trace.to_json(), sort_keys=True).encode())
+    assert h.hexdigest() == CORPUS_DIGEST
 
 
 def test_trace_digest_pinned():

@@ -7,9 +7,11 @@ outside their own code at a fixed list of sites, and none is a
 its message, so a check that holds builds no text.
 The decomposer builds no graph from scratch, and only `EdgeColoredGraph.edit`
 builds one without its validating constructor. Only the decomposer's
-removal check asks for a goodness check from a parent's report, only its
-entry points check a graph in full, only the removal check makes the
-record of a removal it accepted, and only `extract_case2_2_pattern`
+removal check asks whether a removal leaves a Type X vertex, only its
+entry points check a graph in full, and only its entry and the output's
+certificate read a goodness report, as the engine's state is a graph and
+its bad vertex. Only the removal check makes the record of a removal it
+accepted, and only `extract_case2_2_pattern`
 builds a `CasePattern`. No lift in the decomposer refuses, and no
 reduction or child builder refuses what a lemma proves. Only `graphs.lowpoint_search` stores discovery times and
 lowpoints. The brute-force oracle and the decomposer it certifies import nothing from
@@ -525,7 +527,7 @@ def test_cache_fills_detects_and_allows():
 # generic fill, `DESCRIPTOR_FILL`, is how every cached fact is first stored.
 # Three sites fill a graph's components and empty Type X map by a lemma of
 # the coloring module docstring, in place of a Type X search: a removal
-# that meets the one-arc removal lemma (`report_after_removal`), a child
+# that meets the one-arc removal lemma (`removal_leaves_type_x`), a child
 # that a lemma proves good (`_good_reduction`: a contraction's, a Case2_1
 # run's and Case2_2_2a's rewired child) and Case2_2_1b's end x-block
 # (`_case2_2_1b`). With them, one pass of the `small-default` bench
@@ -542,8 +544,8 @@ CACHE_FILLS = [
     DESCRIPTOR_FILL,
     ("case2_1", "rainbow_triangle"),
     ("case2_1", "singular_chains"),
-    ("report_after_removal", "components"),
-    ("report_after_removal", "type_x_sides"),
+    ("removal_leaves_type_x", "components"),
+    ("removal_leaves_type_x", "type_x_sides"),
 ]
 
 
@@ -804,7 +806,7 @@ def call_scopes(source: str, name: str) -> list[str]:
 CALLS = ("check_goodness(g)\n"
          "def f(h, rep, cycles):\n"
          "    rest = h.edit(drop=[])\n"
-         "    return report_after_removal(rest, h, rep, cycles)\n"
+         "    return removal_leaves_type_x(rest, h, cycles)\n"
          "class A:\n"
          "    def m(self, g):\n"
          "        return C.check_goodness(g), D.CaseFailure('x', '', '')\n"
@@ -820,7 +822,7 @@ def test_full_goodness_calls_detects_and_allows():
 
 
 def test_incremental_goodness_calls_detects_and_allows():
-    assert call_scopes(CALLS, "report_after_removal") == ["f"]
+    assert call_scopes(CALLS, "removal_leaves_type_x") == ["f"]
 
 
 def test_case_failure_calls_detects_and_allows():
@@ -829,21 +831,23 @@ def test_case_failure_calls_detects_and_allows():
 
 def test_one_function_checks_goodness_after_a_removal():
     """Only `decomposer._check_removal` checks what a removal leaves, by
-    `report_after_removal`: every removal is verified by its one typing
-    sweep and that one check, so a second removal path, with its own
-    notion of which removals are safe, would show here."""
+    `removal_leaves_type_x`: every removal is verified by its one typing
+    sweep, which by the typing lemma settles conditions 1-5, and that one
+    check of condition 6, so a second removal path, with its own notion of
+    which removals are safe, would show here."""
     assert [f"{p.name}: {scope}" for p in MODULES
-            for scope in call_scopes(p.read_text(), "report_after_removal")] == [
+            for scope in call_scopes(p.read_text(), "removal_leaves_type_x")] == [
         "decomposer.py: _check_removal"]
 
 
 def test_full_goodness_checks_only_at_the_roots():
     """In the decomposer, only the one entry, `decompose`, checks a graph's
     goodness in full, on the root it is given, with a prescribed cycle or
-    without. Every other report is derived: by `report_after_removal`
-    for what a removal leaves, or by a lemma of the coloring module
-    docstring, for a reduction's child (from its Type X search alone, or
-    with no search), a component or an end x-block."""
+    without. Every other graph's bad vertex is derived: by the removal
+    check's typing sweep and `removal_leaves_type_x` for what a removal
+    leaves, or by a lemma of the coloring module docstring, for a
+    reduction's child (from its Type X search alone, or with no search), a
+    component or an end x-block."""
     source = (SRC / "decomposer.py").read_text()
     assert call_scopes(source, "check_goodness") == ["decompose"]
 
@@ -858,11 +862,61 @@ def test_two_readers_run_the_type_x_search():
         "coloring.py: EdgeColoredGraph.type_x_sides"]
 
 
+# the fields of a `GoodnessReport`
+REPORT_FIELDS = frozenset({"verdict", "bad_vertex", "ok", "violations"})
+
+
+def report_reads(source: str) -> list[str]:
+    """`function: field` for each read in `source` of an attribute named in
+    `REPORT_FIELDS`, and `function: import GoodnessVerdict` for each import
+    of that name, with functions as `scoped_nodes` names them. Sorted."""
+    found = []
+    for scope, node in scoped_nodes(source):
+        if (isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)
+                and node.attr in REPORT_FIELDS):
+            found.append(f"{scope}: {node.attr}")
+        elif isinstance(node, (ast.Import, ast.ImportFrom)) and any(
+                a.name.split(".")[-1] == "GoodnessVerdict" for a in node.names):
+            found.append(f"{scope}: import GoodnessVerdict")
+    return sorted(found)
+
+
+def test_report_reads_detects_and_allows():
+    src = ("from .coloring import GOOD_REPORT, GoodnessVerdict\n"
+           "def decompose(g):\n"
+           "    rep = check(g)\n"
+           "    return rep.ok, rep.verdict.value, rep.violations\n"
+           "def _dispatch(comp, bad):\n"
+           "    import cdcover.coloring.GoodnessVerdict\n"
+           "    return bad, comp.verdict is not None\n"
+           "class _Frame:\n"
+           "    def take(self, checked):\n"
+           "        self.bad, self.ok = checked.bad, True\n"
+           "        return checked.report.bad_vertex\n")
+    assert report_reads(src) == [
+        "<module>: import GoodnessVerdict", "_Frame.take: bad_vertex",
+        "_dispatch: import GoodnessVerdict", "_dispatch: verdict", "decompose: ok",
+        "decompose: verdict", "decompose: violations"]
+
+
+def test_only_the_entry_and_the_certificate_read_a_report():
+    """The engine's state is a graph and its bad vertex, the one defect of
+    a good or almost-good graph: only `decompose`, which checks the root in
+    full, and `_verified_trace`, which gives each step of the output the
+    root's report or `GOOD_REPORT`, read a `GoodnessReport`'s fields, and
+    the decomposer does not import `GoodnessVerdict`. So no case, lift,
+    frame, removal check or fallback search reads a verdict, and none
+    checks one."""
+    assert {entry.split(": ")[0] for entry in
+            report_reads((SRC / "decomposer.py").read_text())} == {
+        "decompose", "_verified_trace"}
+
+
 def test_decomposer_builds_no_report_or_violation():
     """The decomposer takes every report it hands on from the coloring
-    module (`GOOD_REPORT`, `almost_good_at`, `check_goodness`,
-    `report_after_removal`) and reads a child's Type X vertices from
-    `type_x_sides`, so it builds no `GoodnessReport` or `Violation`."""
+    module (`GOOD_REPORT`, `almost_good_at`, `check_goodness`) and reads a
+    child's Type X vertices from `type_x_sides`, so it builds no
+    `GoodnessReport` or `Violation`."""
     source = (SRC / "decomposer.py").read_text()
     assert [scope for name in ("GoodnessReport", "Violation")
             for scope in call_scopes(source, name)] == []
@@ -899,7 +953,7 @@ def test_one_function_builds_a_case_pattern():
 # the decomposer's calls that name a case, each with the index of its
 # message argument, which may be any text, or None when it has none
 CASE_NAMING_CALLS = {"CaseVerificationError": 1, "_EngineFailure": 2, "_require": 2,
-                     "_require_verdict": None, "_contraction": None}
+                     "_contraction": None}
 
 
 def literal_case_names(source: str) -> list[str]:
@@ -977,7 +1031,7 @@ def test_built_require_messages_detects_and_allows():
            "_require(ok, tag, message='flank {}')\n"
            "_require(ok, tag, text)\n"
            "_require(ok, tag)\n"
-           "_require_verdict(rep, tag, f'{x}')\n"
+           "_required(ok, tag, f'{x}')\n"
            "raise CaseVerificationError(tag, f'{x}')\n")
     assert built_require_messages(src) == [
         "line 2: f'flank {x} is not Type II'", "line 3: 'flank {}'.format(x)",
@@ -1055,8 +1109,8 @@ def test_lift_refusals_detects_and_allows():
            "        _require(sub, tag, 'not a lift')\n"
            "def lift(sub):\n"
            "    _require(sub, tag, 'a module-level function')\n"
-           "def case1_1(g, rep, v):\n"
-           "    _require_verdict(rep, tag, verdict)\n"
+           "def case1_1(g, v):\n"
+           "    _check_removal(g, v, [])\n"
            "    D._require(g, tag, 'wrong case')\n"
            "    def lift(sub):\n"
            "        _require(sub, tag, 'nested')\n"
@@ -1093,14 +1147,15 @@ def test_lifts_refuse_nothing_their_input_proves():
 
 
 def test_reductions_refuse_nothing_their_report_proves():
-    """A case's hypothesis is its parent's verdict, which `_require_verdict`
-    checks, the dispatch branch that reaches it, and for a Case2_2 subcase
-    the shape `extract_case2_2_pattern` read; the pattern the case reads
-    and the child it builds follow from them by the lemmas in the coloring
-    module docstring, the Type X contraction, end-block path, rectangle
-    and rewired-child lemmas included. So a case function refuses only
-    what they leave open, each public case its one wrong-case guard.
-    Case2_2_2a
+    """A case's hypothesis is in its signature: Case1_1 and Case1_2 take
+    the bad vertex of an almost-good graph and every other case a good
+    graph, which the engine proves of every graph it dispatches; with the
+    dispatch branch that reaches it, and for a Case2_2 subcase the shape
+    `extract_case2_2_pattern` read. The pattern the case reads and the
+    child it builds follow from them by the lemmas in the coloring module
+    docstring, the Type X contraction, end-block path, rectangle and
+    rewired-child lemmas included. So a case function refuses only what
+    they leave open, each public case its one wrong-case guard. Case2_2_2a
     reads `CaseVerificationError` only to catch its rectangle's refusal,
     and `_build_transform` and `_good_reduction` refuse nothing."""
     assert case_refusals((SRC / "decomposer.py").read_text()) == [
